@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench bench-10m bench-compare fuzz experiments examples clean
+.PHONY: all check fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench bench-10m bench-compare bench-repo fuzz experiments examples clean
 
 all: check
 
@@ -119,6 +119,12 @@ bench-compare:
 	else \
 		$(GO) run ./tools/benchcompare BENCH_replay.json /tmp/bench_head.txt; \
 	fi
+
+# The repository benchmark (BENCHMARK.json): four workloads, end-to-end
+# metrics with tracing off plus the traced per-layer ledger, written to
+# bench/out/. The benchmark driver's entry point is `bash bench/run.sh`.
+bench-repo:
+	$(GO) run ./bench
 
 # Fuzz the YAML parser for a minute.
 fuzz:

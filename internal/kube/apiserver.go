@@ -3,7 +3,8 @@ package kube
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"transparentedge/internal/sim"
@@ -31,41 +32,99 @@ func DefaultAPIConfig() APIConfig {
 	}
 }
 
-// APIServer is the versioned object store with watch support.
+// labelPair is one (label key, value) entry, the key of the label indexes.
+type labelPair struct{ key, value string }
+
+// APIServer is the versioned object store with watch support. Objects are
+// stored as immutable snapshots (see the package comment): List* methods and
+// watch events hand out the shared snapshots read-only, Get* methods return
+// private copies.
 type APIServer struct {
 	k           *sim.Kernel
 	cfg         APIConfig
 	version     uint64
-	deployments map[string]*Deployment
-	replicaSets map[string]*ReplicaSet
-	pods        map[string]*Pod
-	services    map[string]*Service
+	deployments *store[*Deployment]
+	replicaSets *store[*ReplicaSet]
+	pods        *store[*Pod]
+	services    *store[*Service]
+	nodes       *store[*Node]
 	endpoints   map[string]*Endpoints
-	nodes       map[string]*Node
-	watchers    map[Kind][]*sim.Chan[Event]
-	nextSuffix  int
+	// Secondary indexes, maintained on every write by the stores' reindex
+	// hooks; every bucket is name-ordered.
+	rsByOwner     index[string, *ReplicaSet]
+	podsByOwner   index[string, *Pod]
+	podsByNode    index[string, *Pod] // "" holds the unbound pods
+	podsByLabel   index[labelPair, *Pod]
+	svcBySelector index[labelPair, *Service] // under selectorKey only
+	watchers      map[Kind][]*sim.Chan[Event]
+	nextSuffix    int
 }
 
 // NewAPIServer creates an empty API server on kernel k.
 func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
-	return &APIServer{
-		k:           k,
-		cfg:         cfg,
-		deployments: make(map[string]*Deployment),
-		replicaSets: make(map[string]*ReplicaSet),
-		pods:        make(map[string]*Pod),
-		services:    make(map[string]*Service),
-		endpoints:   make(map[string]*Endpoints),
-		nodes:       make(map[string]*Node),
-		watchers:    make(map[Kind][]*sim.Chan[Event]),
+	a := &APIServer{
+		k:             k,
+		cfg:           cfg,
+		endpoints:     make(map[string]*Endpoints),
+		rsByOwner:     make(index[string, *ReplicaSet]),
+		podsByOwner:   make(index[string, *Pod]),
+		podsByNode:    make(index[string, *Pod]),
+		podsByLabel:   make(index[labelPair, *Pod]),
+		svcBySelector: make(index[labelPair, *Service]),
+		watchers:      make(map[Kind][]*sim.Chan[Event]),
 	}
+	a.deployments = newStore[*Deployment](a, KindDeployment, nil)
+	a.replicaSets = newStore(a, KindReplicaSet, keyed(a.rsByOwner, func(rs *ReplicaSet) string { return rs.Owner }))
+	byOwner := keyed(a.podsByOwner, func(pod *Pod) string { return pod.Owner })
+	byNode := keyed(a.podsByNode, func(pod *Pod) string { return pod.NodeName })
+	a.pods = newStore(a, KindPod, func(old, cur *Pod) {
+		byOwner(old, cur)
+		byNode(old, cur)
+		a.reindexPodLabels(old, cur)
+	})
+	a.services = newStore(a, KindService, keyed(a.svcBySelector, func(s *Service) labelPair { return selectorKey(s.Selector) }))
+	a.nodes = newStore[*Node](a, KindNode, nil)
+	return a
+}
+
+// reindexPodLabels files cur under each of its labels and unfiles old from
+// the labels cur no longer carries.
+func (a *APIServer) reindexPodLabels(old, cur *Pod) {
+	if old != nil {
+		for k, v := range old.Labels {
+			if cur == nil || !hasLabel(cur.Labels, k, v) {
+				a.podsByLabel.remove(labelPair{k, v}, old.Name)
+			}
+		}
+	}
+	if cur != nil {
+		for k, v := range cur.Labels {
+			a.podsByLabel.put(labelPair{k, v}, cur)
+		}
+	}
+}
+
+// selectorKey is the one pair a Service is indexed under: the entry with the
+// smallest key, or the zero pair for an empty selector (which selects every
+// pod). A pod is selected only by Services filed under one of its own labels
+// or under the zero pair.
+func selectorKey(selector map[string]string) labelPair {
+	var least labelPair
+	first := true
+	for k, v := range selector {
+		if first || k < least.key {
+			least, first = labelPair{k, v}, false
+		}
+	}
+	return least
 }
 
 // Kernel returns the kernel the API server runs on.
 func (a *APIServer) Kernel() *sim.Kernel { return a.k }
 
 // Watch subscribes to events for kind. Events are delivered with the
-// configured watch latency. The channel is never closed.
+// configured watch latency. The channel is never closed. Event.Object is a
+// shared read-only snapshot.
 func (a *APIServer) Watch(kind Kind) *sim.Chan[Event] {
 	ch := sim.NewChan[Event](a.k)
 	a.watchers[kind] = append(a.watchers[kind], ch)
@@ -99,265 +158,185 @@ func (a *APIServer) charge(p *sim.Proc) {
 
 // --- Deployments ---
 
-// CreateDeployment stores a new Deployment.
+// CreateDeployment stores a copy of d as a new Deployment.
 func (a *APIServer) CreateDeployment(p *sim.Proc, d *Deployment) error {
-	a.charge(p)
-	if _, dup := a.deployments[d.Name]; dup {
-		return fmt.Errorf("%w: deployment %s", ErrAlreadyExists, d.Name)
-	}
-	cp := copyDeployment(d)
-	cp.ResourceVersion = a.bump()
-	a.deployments[d.Name] = cp
-	a.publish(Event{Type: Added, Kind: KindDeployment, Name: d.Name, Object: copyDeployment(cp)})
-	return nil
+	return a.deployments.create(p, d)
 }
 
-// GetDeployment returns a copy of the named Deployment.
+// GetDeployment returns a private copy of the named Deployment.
 func (a *APIServer) GetDeployment(p *sim.Proc, name string) (*Deployment, error) {
-	a.charge(p)
-	d, ok := a.deployments[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: deployment %s", ErrNotFound, name)
-	}
-	return copyDeployment(d), nil
+	return a.deployments.get(p, name)
 }
 
-// UpdateDeployment replaces the named Deployment.
+// UpdateDeployment replaces the named Deployment with a copy of d.
 func (a *APIServer) UpdateDeployment(p *sim.Proc, d *Deployment) error {
-	a.charge(p)
-	if _, ok := a.deployments[d.Name]; !ok {
-		return fmt.Errorf("%w: deployment %s", ErrNotFound, d.Name)
-	}
-	cp := copyDeployment(d)
-	cp.ResourceVersion = a.bump()
-	a.deployments[d.Name] = cp
-	a.publish(Event{Type: Modified, Kind: KindDeployment, Name: d.Name, Object: copyDeployment(cp)})
-	return nil
+	return a.deployments.update(p, d)
 }
 
 // DeleteDeployment removes the named Deployment.
 func (a *APIServer) DeleteDeployment(p *sim.Proc, name string) error {
-	a.charge(p)
-	d, ok := a.deployments[name]
-	if !ok {
-		return fmt.Errorf("%w: deployment %s", ErrNotFound, name)
-	}
-	delete(a.deployments, name)
-	a.publish(Event{Type: Deleted, Kind: KindDeployment, Name: name, Object: copyDeployment(d)})
-	return nil
+	return a.deployments.delete(p, name)
 }
 
-// ListDeployments returns copies of all Deployments, sorted by name.
-func (a *APIServer) ListDeployments(p *sim.Proc) []*Deployment {
-	a.charge(p)
-	out := make([]*Deployment, 0, len(a.deployments))
-	for _, d := range a.deployments {
-		out = append(out, copyDeployment(d))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// ListDeployments returns all Deployments, sorted by name, as read-only
+// snapshots (GetDeployment for a mutable copy).
+func (a *APIServer) ListDeployments(p *sim.Proc) []*Deployment { return a.deployments.list(p) }
 
 // --- ReplicaSets ---
 
-// CreateReplicaSet stores a new ReplicaSet.
+// CreateReplicaSet stores a copy of rs as a new ReplicaSet.
 func (a *APIServer) CreateReplicaSet(p *sim.Proc, rs *ReplicaSet) error {
-	a.charge(p)
-	if _, dup := a.replicaSets[rs.Name]; dup {
-		return fmt.Errorf("%w: replicaset %s", ErrAlreadyExists, rs.Name)
-	}
-	cp := copyReplicaSet(rs)
-	cp.ResourceVersion = a.bump()
-	a.replicaSets[rs.Name] = cp
-	a.publish(Event{Type: Added, Kind: KindReplicaSet, Name: rs.Name, Object: copyReplicaSet(cp)})
-	return nil
+	return a.replicaSets.create(p, rs)
 }
 
-// GetReplicaSet returns a copy of the named ReplicaSet.
+// GetReplicaSet returns a private copy of the named ReplicaSet.
 func (a *APIServer) GetReplicaSet(p *sim.Proc, name string) (*ReplicaSet, error) {
-	a.charge(p)
-	rs, ok := a.replicaSets[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: replicaset %s", ErrNotFound, name)
-	}
-	return copyReplicaSet(rs), nil
+	return a.replicaSets.get(p, name)
 }
 
-// UpdateReplicaSet replaces the named ReplicaSet.
+// UpdateReplicaSet replaces the named ReplicaSet with a copy of rs.
 func (a *APIServer) UpdateReplicaSet(p *sim.Proc, rs *ReplicaSet) error {
-	a.charge(p)
-	if _, ok := a.replicaSets[rs.Name]; !ok {
-		return fmt.Errorf("%w: replicaset %s", ErrNotFound, rs.Name)
-	}
-	cp := copyReplicaSet(rs)
-	cp.ResourceVersion = a.bump()
-	a.replicaSets[rs.Name] = cp
-	a.publish(Event{Type: Modified, Kind: KindReplicaSet, Name: rs.Name, Object: copyReplicaSet(cp)})
-	return nil
+	return a.replicaSets.update(p, rs)
 }
 
 // DeleteReplicaSet removes the named ReplicaSet.
 func (a *APIServer) DeleteReplicaSet(p *sim.Proc, name string) error {
-	a.charge(p)
-	rs, ok := a.replicaSets[name]
-	if !ok {
-		return fmt.Errorf("%w: replicaset %s", ErrNotFound, name)
-	}
-	delete(a.replicaSets, name)
-	a.publish(Event{Type: Deleted, Kind: KindReplicaSet, Name: name, Object: copyReplicaSet(rs)})
-	return nil
+	return a.replicaSets.delete(p, name)
 }
 
-// ListReplicaSets returns copies of all ReplicaSets owned by owner ("" for
-// all), sorted by name.
+// ListReplicaSets returns the ReplicaSets owned by owner ("" for all),
+// sorted by name, as read-only snapshots (GetReplicaSet for a mutable copy).
 func (a *APIServer) ListReplicaSets(p *sim.Proc, owner string) []*ReplicaSet {
-	a.charge(p)
-	var out []*ReplicaSet
-	for _, rs := range a.replicaSets {
-		if owner == "" || rs.Owner == owner {
-			out = append(out, copyReplicaSet(rs))
-		}
+	if owner == "" {
+		return a.replicaSets.list(p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	a.charge(p)
+	return a.rsByOwner[owner].view()
 }
 
 // --- Pods ---
 
-// CreatePod stores a new Pod; an empty name gets a generated suffix.
+// CreatePod stores a copy of pod as a new Pod and returns a private copy of
+// what was stored; an empty name gets a generated suffix.
 func (a *APIServer) CreatePod(p *sim.Proc, pod *Pod) (*Pod, error) {
 	a.charge(p)
 	if pod.Name == "" {
 		pod.Name = pod.Owner + "-" + a.nameSuffix()
 	}
-	if _, dup := a.pods[pod.Name]; dup {
-		return nil, fmt.Errorf("%w: pod %s", ErrAlreadyExists, pod.Name)
+	if _, dup := a.pods.byName[pod.Name]; dup {
+		return nil, a.pods.errorf(ErrAlreadyExists, pod.Name)
 	}
-	cp := copyPod(pod)
+	cp := pod.clone()
 	if cp.Phase == "" {
 		cp.Phase = PodPending
 	}
-	cp.ResourceVersion = a.bump()
-	a.pods[cp.Name] = cp
-	a.publish(Event{Type: Added, Kind: KindPod, Name: cp.Name, Object: copyPod(cp)})
-	return copyPod(cp), nil
+	a.pods.put(cp, Added)
+	return cp.clone(), nil
 }
 
-// GetPod returns a copy of the named Pod.
-func (a *APIServer) GetPod(p *sim.Proc, name string) (*Pod, error) {
-	a.charge(p)
-	pod, ok := a.pods[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: pod %s", ErrNotFound, name)
-	}
-	return copyPod(pod), nil
-}
+// GetPod returns a private copy of the named Pod.
+func (a *APIServer) GetPod(p *sim.Proc, name string) (*Pod, error) { return a.pods.get(p, name) }
 
-// UpdatePod replaces the named Pod.
-func (a *APIServer) UpdatePod(p *sim.Proc, pod *Pod) error {
-	a.charge(p)
-	if _, ok := a.pods[pod.Name]; !ok {
-		return fmt.Errorf("%w: pod %s", ErrNotFound, pod.Name)
-	}
-	cp := copyPod(pod)
-	cp.ResourceVersion = a.bump()
-	a.pods[pod.Name] = cp
-	a.publish(Event{Type: Modified, Kind: KindPod, Name: pod.Name, Object: copyPod(cp)})
-	return nil
-}
+// UpdatePod replaces the named Pod with a copy of pod.
+func (a *APIServer) UpdatePod(p *sim.Proc, pod *Pod) error { return a.pods.update(p, pod) }
 
 // DeletePod removes the named Pod.
-func (a *APIServer) DeletePod(p *sim.Proc, name string) error {
-	a.charge(p)
-	pod, ok := a.pods[name]
-	if !ok {
-		return fmt.Errorf("%w: pod %s", ErrNotFound, name)
-	}
-	delete(a.pods, name)
-	a.publish(Event{Type: Deleted, Kind: KindPod, Name: name, Object: copyPod(pod)})
-	return nil
-}
+func (a *APIServer) DeletePod(p *sim.Proc, name string) error { return a.pods.delete(p, name) }
 
-// ListPods returns copies of pods matching selector (nil for all), sorted
-// by name.
+// ListPods returns the pods matching selector (nil for all), sorted by name,
+// as read-only snapshots (GetPod for a mutable copy).
 func (a *APIServer) ListPods(p *sim.Proc, selector map[string]string) []*Pod {
 	a.charge(p)
-	var out []*Pod
-	for _, pod := range a.pods {
-		if MatchLabels(pod.Labels, selector) {
-			out = append(out, copyPod(pod))
+	return a.podsMatching(selector)
+}
+
+// podsMatching serves a selector from the label index: a one-entry selector
+// is a bucket as it stands, a longer one filters its smallest bucket.
+func (a *APIServer) podsMatching(selector map[string]string) []*Pod {
+	if len(selector) == 0 {
+		return a.pods.sorted.view()
+	}
+	var smallest *nameList[*Pod]
+	for k, v := range selector {
+		l := a.podsByLabel[labelPair{k, v}]
+		if l == nil {
+			return nil
+		}
+		if smallest == nil || len(l.items) < len(smallest.items) {
+			smallest = l
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if len(selector) == 1 {
+		return smallest.view()
+	}
+	var out []*Pod
+	for _, pod := range smallest.items {
+		if MatchLabels(pod.Labels, selector) {
+			out = append(out, pod)
+		}
+	}
 	return out
 }
 
-// ListPodsByOwner returns copies of pods owned by the given ReplicaSet.
+// ListPodsByOwner returns the pods owned by the given ReplicaSet, sorted by
+// name, as read-only snapshots.
 func (a *APIServer) ListPodsByOwner(p *sim.Proc, owner string) []*Pod {
 	a.charge(p)
-	var out []*Pod
-	for _, pod := range a.pods {
-		if pod.Owner == owner {
-			out = append(out, copyPod(pod))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return a.podsByOwner[owner].view()
+}
+
+// ListPodsByNode returns the pods bound to the given node ("" for the
+// unbound ones), sorted by name, as read-only snapshots.
+func (a *APIServer) ListPodsByNode(p *sim.Proc, node string) []*Pod {
+	a.charge(p)
+	return a.podsByNode[node].view()
 }
 
 // --- Services ---
 
-// CreateService stores a new Service.
-func (a *APIServer) CreateService(p *sim.Proc, s *Service) error {
-	a.charge(p)
-	if _, dup := a.services[s.Name]; dup {
-		return fmt.Errorf("%w: service %s", ErrAlreadyExists, s.Name)
-	}
-	cp := copyService(s)
-	cp.ResourceVersion = a.bump()
-	a.services[s.Name] = cp
-	a.publish(Event{Type: Added, Kind: KindService, Name: s.Name, Object: copyService(cp)})
-	return nil
-}
+// CreateService stores a copy of s as a new Service.
+func (a *APIServer) CreateService(p *sim.Proc, s *Service) error { return a.services.create(p, s) }
 
-// GetService returns a copy of the named Service.
+// GetService returns a private copy of the named Service.
 func (a *APIServer) GetService(p *sim.Proc, name string) (*Service, error) {
-	a.charge(p)
-	s, ok := a.services[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: service %s", ErrNotFound, name)
-	}
-	return copyService(s), nil
+	return a.services.get(p, name)
 }
 
 // DeleteService removes the named Service.
-func (a *APIServer) DeleteService(p *sim.Proc, name string) error {
-	a.charge(p)
-	s, ok := a.services[name]
-	if !ok {
-		return fmt.Errorf("%w: service %s", ErrNotFound, name)
-	}
-	delete(a.services, name)
-	a.publish(Event{Type: Deleted, Kind: KindService, Name: name, Object: copyService(s)})
-	return nil
-}
+func (a *APIServer) DeleteService(p *sim.Proc, name string) error { return a.services.delete(p, name) }
 
-// ListServices returns copies of all Services, sorted by name.
-func (a *APIServer) ListServices(p *sim.Proc) []*Service {
-	a.charge(p)
-	out := make([]*Service, 0, len(a.services))
-	for _, s := range a.services {
-		out = append(out, copyService(s))
+// ListServices returns all Services, sorted by name, as read-only snapshots
+// (GetService for a mutable copy).
+func (a *APIServer) ListServices(p *sim.Proc) []*Service { return a.services.list(p) }
+
+// servicesSelecting returns the Services whose selector matches labels,
+// sorted by name.
+func (a *APIServer) servicesSelecting(labels map[string]string) []*Service {
+	var out []*Service
+	collect := func(key labelPair) {
+		if l := a.svcBySelector[key]; l != nil {
+			for _, s := range l.items {
+				if MatchLabels(labels, s.Selector) {
+					out = append(out, s)
+				}
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	collect(labelPair{})
+	for k, v := range labels {
+		if key := (labelPair{k, v}); key != (labelPair{}) { // already collected
+			collect(key)
+		}
+	}
+	slices.SortFunc(out, func(x, y *Service) int { return strings.Compare(x.Name, y.Name) })
 	return out
 }
 
-// NodePortFor returns the NodePort of the Service selecting pod whose
-// targetPort matches containerPort (0 if none).
+// NodePortFor returns the NodePort of the first Service by name that selects
+// pod and whose targetPort matches containerPort (0 if none).
 func (a *APIServer) NodePortFor(pod *Pod, containerPort int) int {
-	for _, s := range a.services {
-		if s.TargetPort == containerPort && MatchLabels(pod.Labels, s.Selector) {
+	for _, s := range a.servicesSelecting(pod.Labels) {
+		if s.TargetPort == containerPort {
 			return s.NodePort
 		}
 	}

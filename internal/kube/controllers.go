@@ -317,16 +317,13 @@ func RunScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 			}
 			needCPU, needMem := podRequests(pod.Spec)
 			status := make([]NodeStatus, 0, len(nodes))
-			allPods := api.ListPods(bp, nil)
+			api.charge(bp) // one list request covers every node's pods
 			for _, n := range nodes {
 				if !api.nodeSchedulable(n.Name) {
 					continue
 				}
 				st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
-				for _, other := range allPods {
-					if other.NodeName != n.Name {
-						continue
-					}
+				for _, other := range api.podsByNode[n.Name].view() {
 					st.Pods++
 					cpu, mem := podRequests(other.Spec)
 					st.CPUFree -= cpu

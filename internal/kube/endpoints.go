@@ -1,10 +1,6 @@
 package kube
 
-import (
-	"sort"
-
-	"transparentedge/internal/sim"
-)
+import "transparentedge/internal/sim"
 
 // EndpointSubset is one ready backend of a Service.
 type EndpointSubset struct {
@@ -65,10 +61,8 @@ func RunEndpointsController(api *APIServer, cfg ControllerConfig) {
 			if pod == nil {
 				continue
 			}
-			for _, svc := range api.services {
-				if MatchLabels(pod.Labels, svc.Selector) {
-					q.Add(svc.Name)
-				}
+			for _, svc := range api.servicesSelecting(pod.Labels) {
+				q.Add(svc.Name)
 			}
 		}
 	})
@@ -93,7 +87,7 @@ func reconcileEndpoints(p *sim.Proc, api *APIServer, name string) {
 		delete(api.endpoints, name)
 		return
 	}
-	var subsets []EndpointSubset
+	var subsets []EndpointSubset // in pod-name order, as listed
 	for _, pod := range api.ListPods(p, svc.Selector) {
 		if pod.Phase != PodRunning || pod.NodeName == "" {
 			continue
@@ -104,6 +98,5 @@ func reconcileEndpoints(p *sim.Proc, api *APIServer, name string) {
 			HostPort: svc.NodePort,
 		})
 	}
-	sort.Slice(subsets, func(i, j int) bool { return subsets[i].PodName < subsets[j].PodName })
 	api.setEndpoints(&Endpoints{Name: name, Subsets: subsets})
 }

@@ -202,7 +202,7 @@ func (c *Cluster) Exists(name string) bool {
 
 // Running implements cluster.Cluster (desired replicas > 0).
 func (c *Cluster) Running(name string) bool {
-	d, ok := c.api.deployments[name]
+	d, ok := c.api.deployments.byName[name]
 	return ok && d.Replicas > 0
 }
 
@@ -285,8 +285,9 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		return cluster.Instance{}, err
 	}
 	// Wait for a pod of this service to be bound to a node.
+	selector := map[string]string{"app": name}
 	for {
-		for _, pod := range c.api.ListPods(p, map[string]string{"app": name}) {
+		for _, pod := range c.api.ListPods(p, selector) {
 			if pod.NodeName == "" {
 				continue
 			}
@@ -371,32 +372,44 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 	return nil
 }
 
-// Endpoint implements cluster.Cluster: a running (containers started) pod
-// of the service, exposed on its node at the service NodePort.
+// Endpoint implements cluster.Cluster: the first running (containers
+// started) pod of the service by name, exposed on its node at the service
+// NodePort.
 func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
-	svc, ok := c.api.services[name]
+	var inst cluster.Instance
+	found := false
+	c.eachEndpoint(name, func(i cluster.Instance) bool {
+		inst, found = i, true
+		return false
+	})
+	return inst, found
+}
+
+// eachEndpoint calls fn with the instance of each running pod of the
+// service, in pod-name order, until fn returns false.
+func (c *Cluster) eachEndpoint(name string, fn func(cluster.Instance) bool) {
+	svc, ok := c.api.services.byName[name]
 	if !ok {
-		return cluster.Instance{}, false
+		return
 	}
-	for _, pod := range c.api.pods {
-		if pod.Phase != PodRunning || pod.NodeName == "" {
-			continue
-		}
-		if !MatchLabels(pod.Labels, svc.Selector) {
+	for _, pod := range c.api.podsMatching(svc.Selector) {
+		if pod.Phase != PodRunning {
 			continue
 		}
 		n := c.nodeByName(pod.NodeName)
 		if n == nil {
 			continue
 		}
-		return cluster.Instance{
+		inst := cluster.Instance{
 			Service: name,
 			Cluster: c.name,
 			Addr:    n.rt.Host().IP(),
 			Port:    svc.NodePort,
-		}, true
+		}
+		if !fn(inst) {
+			return
+		}
 	}
-	return cluster.Instance{}, false
 }
 
 // Services implements cluster.Cluster.
@@ -432,29 +445,11 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 // Endpoints implements cluster.MultiEndpoint: every running pod of the
 // service, exposed on its node at the service NodePort.
 func (c *Cluster) Endpoints(name string) []cluster.Instance {
-	svc, ok := c.api.services[name]
-	if !ok {
-		return nil
-	}
 	var out []cluster.Instance
-	for _, pod := range c.api.pods {
-		if pod.Phase != PodRunning || pod.NodeName == "" {
-			continue
-		}
-		if !MatchLabels(pod.Labels, svc.Selector) {
-			continue
-		}
-		n := c.nodeByName(pod.NodeName)
-		if n == nil {
-			continue
-		}
-		out = append(out, cluster.Instance{
-			Service: name,
-			Cluster: c.name,
-			Addr:    n.rt.Host().IP(),
-			Port:    svc.NodePort,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	c.eachEndpoint(name, func(i cluster.Instance) bool {
+		out = append(out, i)
+		return true
+	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }

@@ -2,6 +2,7 @@ package kube
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -362,23 +363,158 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 	}
 }
 
+// copyCase drives one kind through the store's copy contract: the store
+// copies objects in on Create/Update and out on Get, and what List and watch
+// events hand out are snapshots that no later write changes.
+type copyCase[T object[T]] struct {
+	kind   Kind
+	obj    T          // the object to create
+	mutate func(T)    // changes every reference-typed field in place
+	create func(T)    // Create (or UpsertNode)
+	update func(T)    // Update, nil if the kind has none
+	get    func() T   // Get
+	list   func() []T // List
+	stored func() T   // the stored snapshot itself, not a copy
+}
+
+func (c copyCase[T]) run(t *testing.T, k *sim.Kernel, api *APIServer) {
+	w := api.Watch(c.kind)
+	var events []Event
+	k.Go("watch:"+string(c.kind), func(p *sim.Proc) {
+		for {
+			ev, ok := w.Recv(p)
+			if !ok {
+				return
+			}
+			events = append(events, ev)
+		}
+	})
+	k.Go("copy:"+string(c.kind), func(p *sim.Proc) {
+		stored := c.stored
+		unchanged := func(when string, want T) {
+			t.Helper()
+			if got := stored(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s changed the store: %+v, want %+v", c.kind, when, got, want)
+			}
+		}
+		c.create(c.obj)
+		want := stored().clone()
+		c.mutate(c.obj)
+		unchanged("mutating the object after Create", want)
+
+		got := c.get()
+		if got == stored() {
+			t.Errorf("%s: Get returned the stored object, want a private copy", c.kind)
+		}
+		c.mutate(got)
+		unchanged("mutating a Get result", want)
+
+		listed := c.list()
+		if len(listed) != 1 || listed[0] != stored() {
+			t.Errorf("%s: List = %v, want the stored snapshot itself", c.kind, listed)
+			return
+		}
+		if c.update != nil {
+			c.update(got) // got is mutated: the store now differs from want
+			if reflect.DeepEqual(stored(), want) {
+				t.Errorf("%s: Update stored nothing new", c.kind)
+			}
+			now := stored().clone()
+			c.mutate(got)
+			unchanged("mutating the object after Update", now)
+		}
+		if !reflect.DeepEqual(listed[0], want) {
+			t.Errorf("%s: a listed snapshot changed under its reader: %+v, want %+v", c.kind, listed[0], want)
+		}
+		p.Sleep(time.Second) // let the watch events arrive
+		if len(events) == 0 {
+			t.Errorf("%s: no watch events", c.kind)
+			return
+		}
+		if first := events[0].Object.(T); !reflect.DeepEqual(first, want) {
+			t.Errorf("%s: first event carries %+v, want the object as created %+v", c.kind, first, want)
+		}
+		if last := events[len(events)-1].Object.(T); last != stored() {
+			t.Errorf("%s: last event does not carry the stored snapshot", c.kind)
+		}
+	})
+}
+
 func TestAPIServerCopySemantics(t *testing.T) {
 	k := sim.New(1)
 	api := NewAPIServer(k, APIConfig{})
-	k.Go("t", func(p *sim.Proc) {
-		d := &Deployment{Name: "d1", Labels: map[string]string{"a": "1"}}
-		api.CreateDeployment(p, d)
-		d.Labels["a"] = "mutated"
-		got, _ := api.GetDeployment(p, "d1")
-		if got.Labels["a"] != "1" {
-			t.Error("store aliased caller's map")
-		}
-		got.Labels["a"] = "2"
-		again, _ := api.GetDeployment(p, "d1")
-		if again.Labels["a"] != "1" {
-			t.Error("get returned aliased object")
-		}
-	})
+	labels := func() map[string]string { return map[string]string{"a": "1"} }
+	template := func() PodTemplate {
+		return PodTemplate{Labels: labels(), Containers: []spec.ContainerSpec{{Name: "c", Image: "img"}}}
+	}
+	mutateTemplate := func(pt *PodTemplate) {
+		pt.Labels["a"] = "mutated"
+		pt.Containers[0].Image = "mutated"
+	}
+	copyCase[*Deployment]{
+		kind: KindDeployment,
+		obj:  &Deployment{Name: "d1", Labels: labels(), Template: template()},
+		mutate: func(d *Deployment) {
+			d.Labels["a"] = "mutated"
+			mutateTemplate(&d.Template)
+		},
+		create: func(d *Deployment) { api.CreateDeployment(nil, d) },
+		update: func(d *Deployment) { api.UpdateDeployment(nil, d) },
+		get:    func() *Deployment { d, _ := api.GetDeployment(nil, "d1"); return d },
+		list:   func() []*Deployment { return api.ListDeployments(nil) },
+		stored: func() *Deployment { return api.deployments.byName["d1"] },
+	}.run(t, k, api)
+	copyCase[*ReplicaSet]{
+		kind: KindReplicaSet,
+		obj:  &ReplicaSet{Name: "rs1", Owner: "d1", Labels: labels(), Template: template()},
+		mutate: func(rs *ReplicaSet) {
+			rs.Labels["a"] = "mutated"
+			mutateTemplate(&rs.Template)
+		},
+		create: func(rs *ReplicaSet) { api.CreateReplicaSet(nil, rs) },
+		update: func(rs *ReplicaSet) { api.UpdateReplicaSet(nil, rs) },
+		get:    func() *ReplicaSet { rs, _ := api.GetReplicaSet(nil, "rs1"); return rs },
+		list:   func() []*ReplicaSet { return api.ListReplicaSets(nil, "d1") },
+		stored: func() *ReplicaSet { return api.replicaSets.byName["rs1"] },
+	}.run(t, k, api)
+	copyCase[*Pod]{
+		kind: KindPod,
+		obj:  &Pod{Name: "p1", Owner: "rs1", Labels: labels(), Spec: template()},
+		mutate: func(pod *Pod) {
+			pod.Labels["a"] = "mutated"
+			mutateTemplate(&pod.Spec)
+		},
+		create: func(pod *Pod) {
+			if created, _ := api.CreatePod(nil, pod); created == api.pods.byName["p1"] {
+				t.Error("CreatePod returned the stored object, want a private copy")
+			}
+		},
+		update: func(pod *Pod) { api.UpdatePod(nil, pod) },
+		get:    func() *Pod { pod, _ := api.GetPod(nil, "p1"); return pod },
+		list:   func() []*Pod { return api.ListPods(nil, map[string]string{"a": "1"}) },
+		stored: func() *Pod { return api.pods.byName["p1"] },
+	}.run(t, k, api)
+	copyCase[*Service]{
+		kind: KindService,
+		obj:  &Service{Name: "s1", Labels: labels(), Selector: labels()},
+		mutate: func(s *Service) {
+			s.Labels["a"] = "mutated"
+			s.Selector["a"] = "mutated"
+		},
+		create: func(s *Service) { api.CreateService(nil, s) },
+		get:    func() *Service { s, _ := api.GetService(nil, "s1"); return s },
+		list:   func() []*Service { return api.ListServices(nil) },
+		stored: func() *Service { return api.services.byName["s1"] },
+	}.run(t, k, api)
+	copyCase[*Node]{
+		kind:   KindNode,
+		obj:    &Node{Name: "n1", Ready: true},
+		mutate: func(n *Node) { n.Ready = false },
+		create: func(n *Node) { api.UpsertNode(nil, n.Name, n.Ready) },
+		get:    func() *Node { return api.GetNode(nil, "n1") },
+		list:   func() []*Node { return api.ListNodes(nil) },
+		stored: func() *Node { return api.nodes.byName["n1"] },
+	}.run(t, k, api)
 	k.Run()
 }
 

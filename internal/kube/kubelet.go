@@ -106,18 +106,13 @@ func (kl *Kubelet) resync(p *sim.Proc) {
 		return
 	}
 	// Start pods we missed; tear down containers whose pod is gone.
-	listed := map[string]bool{}
-	for _, pod := range kl.api.ListPods(p, nil) {
-		if pod.NodeName != kl.nodeName {
-			continue
-		}
-		listed[pod.Name] = true
+	for _, pod := range kl.api.ListPodsByNode(p, kl.nodeName) {
 		if pod.Phase == PodPending {
 			kl.maybeStart(pod)
 		}
 	}
 	for name, pr := range kl.pods {
-		if !listed[name] && !pr.starting {
+		if pod := kl.api.pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !pr.starting {
 			kl.teardown(p, name)
 		}
 	}

@@ -1,7 +1,6 @@
 package kube
 
 import (
-	"sort"
 	"time"
 
 	"transparentedge/internal/sim"
@@ -18,10 +17,9 @@ type Node struct {
 	ResourceVersion uint64
 }
 
-func copyNode(n *Node) *Node {
-	if n == nil {
-		return nil
-	}
+func (n *Node) meta() (string, *uint64) { return n.Name, &n.ResourceVersion }
+
+func (n *Node) clone() *Node {
 	cp := *n
 	return &cp
 }
@@ -29,39 +27,25 @@ func copyNode(n *Node) *Node {
 // UpsertNode records a node heartbeat (creating the object on first use).
 func (a *APIServer) UpsertNode(p *sim.Proc, name string, ready bool) {
 	a.charge(p)
-	n, ok := a.nodes[name]
-	if !ok {
-		n = &Node{Name: name}
-		a.nodes[name] = n
-	}
-	n.Ready = ready
-	n.LastHeartbeat = a.k.Now()
-	n.ResourceVersion = a.bump()
-	a.publish(Event{Type: Modified, Kind: KindNode, Name: name, Object: copyNode(n)})
+	a.nodes.put(&Node{Name: name, Ready: ready, LastHeartbeat: a.k.Now()}, Modified)
 }
 
-// GetNode returns a copy of the node object (nil if never heartbeated).
+// GetNode returns a private copy of the node object (nil if never
+// heartbeated).
 func (a *APIServer) GetNode(p *sim.Proc, name string) *Node {
-	a.charge(p)
-	return copyNode(a.nodes[name])
+	n, _ := a.nodes.get(p, name)
+	return n
 }
 
-// ListNodes returns copies of all node objects, sorted by name.
-func (a *APIServer) ListNodes(p *sim.Proc) []*Node {
-	a.charge(p)
-	out := make([]*Node, 0, len(a.nodes))
-	for _, n := range a.nodes {
-		out = append(out, copyNode(n))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// ListNodes returns all node objects, sorted by name, as read-only snapshots
+// (GetNode for a mutable copy).
+func (a *APIServer) ListNodes(p *sim.Proc) []*Node { return a.nodes.list(p) }
 
 // nodeSchedulable reports whether a node may receive pods: unknown nodes
 // (no heartbeat yet, e.g. right after cluster start) are assumed fine;
 // known NotReady nodes are excluded.
 func (a *APIServer) nodeSchedulable(name string) bool {
-	n, ok := a.nodes[name]
+	n, ok := a.nodes.byName[name]
 	return !ok || n.Ready
 }
 
@@ -101,18 +85,13 @@ func RunNodeLifecycleController(api *APIServer, cfg NodeLifecycleConfig) {
 				if !n.Ready || now-n.LastHeartbeat <= cfg.GracePeriod {
 					continue
 				}
-				// Mark NotReady and evict.
-				stale := api.nodes[n.Name]
-				if stale == nil {
-					continue
-				}
+				// Mark NotReady (keeping any heartbeat that landed since the
+				// list) and evict.
+				stale := api.nodes.byName[n.Name].clone()
 				stale.Ready = false
-				stale.ResourceVersion = api.bump()
-				api.publish(Event{Type: Modified, Kind: KindNode, Name: n.Name, Object: copyNode(stale)})
-				for _, pod := range api.ListPods(p, nil) {
-					if pod.NodeName == n.Name {
-						api.DeletePod(p, pod.Name)
-					}
+				api.nodes.put(stale, Modified)
+				for _, pod := range api.ListPodsByNode(p, n.Name) {
+					api.DeletePod(p, pod.Name)
 				}
 			}
 		}

@@ -9,6 +9,12 @@
 // this chain: Deployment -> ReplicaSet -> Pod -> scheduler binding ->
 // kubelet sync -> sandbox + container start. Each hop pays API and watch
 // latency, and the sum reproduces the orchestrator overhead.
+//
+// The API server stores objects as immutable snapshots: a write copies the
+// caller's object in and replaces the stored pointer. List* results and
+// watch Event.Object are those shared snapshots, name-ordered, served from
+// maintained indexes without copying — treat them as read-only. Get* returns
+// a private copy to modify and pass to Update*.
 package kube
 
 import (
@@ -113,8 +119,9 @@ func (t EventType) String() string {
 	return fmt.Sprintf("event(%d)", int(t))
 }
 
-// Event is a watch notification. Object is a snapshot of the object at
-// event time (for Deleted, the last state before deletion).
+// Event is a watch notification. Object is the store's snapshot of the
+// object at event time (for Deleted, the last state before deletion); it is
+// shared with every other watcher and lister, so it is read-only.
 type Event struct {
 	Type   EventType
 	Kind   Kind
@@ -122,14 +129,21 @@ type Event struct {
 	Object any
 }
 
-// MatchLabels reports whether labels satisfies every selector entry.
+// MatchLabels reports whether labels carries every selector entry.
 func MatchLabels(labels, selector map[string]string) bool {
 	for k, v := range selector {
-		if labels[k] != v {
+		if !hasLabel(labels, k, v) {
 			return false
 		}
 	}
 	return true
+}
+
+// hasLabel reports whether labels holds key k with value v (an absent key
+// does not match an empty value, as in Kubernetes).
+func hasLabel(labels map[string]string, k, v string) bool {
+	got, ok := labels[k]
+	return ok && got == v
 }
 
 func copyLabels(m map[string]string) map[string]string {
@@ -150,40 +164,36 @@ func copyTemplate(t PodTemplate) PodTemplate {
 	}
 }
 
-func copyDeployment(d *Deployment) *Deployment {
-	if d == nil {
-		return nil
-	}
+func (d *Deployment) meta() (string, *uint64) { return d.Name, &d.ResourceVersion }
+
+func (d *Deployment) clone() *Deployment {
 	cp := *d
 	cp.Labels = copyLabels(d.Labels)
 	cp.Template = copyTemplate(d.Template)
 	return &cp
 }
 
-func copyReplicaSet(rs *ReplicaSet) *ReplicaSet {
-	if rs == nil {
-		return nil
-	}
+func (rs *ReplicaSet) meta() (string, *uint64) { return rs.Name, &rs.ResourceVersion }
+
+func (rs *ReplicaSet) clone() *ReplicaSet {
 	cp := *rs
 	cp.Labels = copyLabels(rs.Labels)
 	cp.Template = copyTemplate(rs.Template)
 	return &cp
 }
 
-func copyPod(p *Pod) *Pod {
-	if p == nil {
-		return nil
-	}
+func (p *Pod) meta() (string, *uint64) { return p.Name, &p.ResourceVersion }
+
+func (p *Pod) clone() *Pod {
 	cp := *p
 	cp.Labels = copyLabels(p.Labels)
 	cp.Spec = copyTemplate(p.Spec)
 	return &cp
 }
 
-func copyService(s *Service) *Service {
-	if s == nil {
-		return nil
-	}
+func (s *Service) meta() (string, *uint64) { return s.Name, &s.ResourceVersion }
+
+func (s *Service) clone() *Service {
 	cp := *s
 	cp.Labels = copyLabels(s.Labels)
 	cp.Selector = copyLabels(s.Selector)
