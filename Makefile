@@ -90,7 +90,10 @@ race-attrib:
 # scale benchmarks, recording machine-readable results. The replay-engine
 # sweep (10k/100k/1M requests) lands in BENCH_replay.json; the parallel
 # sweep engine (serial vs parallel wall time, speedup, allocs) in
-# BENCH_sweep.json; everything else in BENCH_all.json.
+# BENCH_sweep.json; everything else in BENCH_all.json — the per-layer units
+# with a cost gate among them: internal/openflow's BenchmarkAddFlow
+# (at1k/at10k, within-3x) and internal/kube's BenchmarkEnsureDeployed
+# (at1/at500, within-2x), both picked up by `-bench . ./...`.
 bench:
 	$(GO) test -json -bench 'BenchmarkReplayScale|BenchmarkReplayShard$$' -benchmem -benchtime 1x -run '^$$' . > BENCH_replay.json
 	$(GO) test -json -bench 'BenchmarkSweep' -benchmem -benchtime 1x -run '^$$' . > BENCH_sweep.json
@@ -126,9 +129,12 @@ bench-compare:
 bench-repo:
 	$(GO) run ./bench
 
-# Fuzz the YAML parser for a minute.
+# Fuzz the YAML parser, then the flow table against its brute-force
+# reference (the step interpreter of TestFlowTableMatchesBruteForce driven
+# from bytes), a minute each.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 60s ./internal/yaml/
+	$(GO) test -fuzz FuzzFlowTable -fuzztime 60s ./internal/openflow/
 
 # Print all experiments via the CLI.
 experiments:

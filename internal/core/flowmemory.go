@@ -23,6 +23,9 @@ type MemEntry struct {
 	Key      FlowKey
 	Instance cluster.Instance
 	LastUsed sim.Time
+	// expiry is the entry's one idle-check event, re-armed at every re-check
+	// and cancelled on removal.
+	expiry *sim.Event
 }
 
 type instanceKey struct {
@@ -217,7 +220,8 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 	}
 	set[e] = struct{}{}
 	m.gEntries.Set(int64(len(m.entries)))
-	m.scheduleExpiry(e)
+	e.expiry = m.k.NewEvent(func() { m.expiryCheck(e) })
+	m.k.Schedule(e.expiry, e.LastUsed+m.idle)
 }
 
 // RedirectService re-points every memorized flow of a service to a new
@@ -249,23 +253,21 @@ func (m *FlowMemory) Entries() []MemEntry {
 	return out
 }
 
-func (m *FlowMemory) scheduleExpiry(e *MemEntry) {
-	due := e.LastUsed + m.idle
-	m.k.At(due, func() {
-		cur, ok := m.entries[e.Key]
-		if !ok || cur != e {
-			return // already replaced or removed
-		}
-		now := m.k.Now()
-		if now-e.LastUsed < m.idle {
-			m.scheduleExpiry(e)
-			return
-		}
-		m.remove(e)
-	})
+// expiryCheck fires at the earliest instant e could have idled out: it
+// evicts e, or re-arms e's event for the deadline a Get or re-Put has since
+// pushed back.
+func (m *FlowMemory) expiryCheck(e *MemEntry) {
+	if m.k.Now()-e.LastUsed < m.idle {
+		m.k.Schedule(e.expiry, e.LastUsed+m.idle)
+		return
+	}
+	m.remove(e)
 }
 
+// remove drops e and cancels its expiry event (a no-op when called from e's
+// own check, as today), so a dropped entry can never leave an event behind.
 func (m *FlowMemory) remove(e *MemEntry) {
+	e.expiry.Cancel()
 	m.cEvictions.Inc()
 	delete(m.entries, e.Key)
 	m.gEntries.Set(int64(len(m.entries)))

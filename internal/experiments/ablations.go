@@ -129,7 +129,7 @@ func AblationIdleTimeout(seed int64, timeouts []time.Duration) (*IdleTimeoutResu
 					return
 				}
 				series.Add(p.Now(), hr.Total)
-				if n := len(tb.Switch.Rules()); n > peak {
+				if n := tb.Switch.RuleCount(); n > peak {
 					peak = n
 				}
 			}

@@ -1,5 +1,5 @@
 // Package openflow models the SDN data plane of the paper: an OVS-like
-// switch with a priority-ordered flow table, header-rewrite actions
+// switch with a priority-matched flow table, header-rewrite actions
 // (set-field on IP/port — the packet filtering and rewriting capabilities
 // of OpenFlow the transparent-access approach relies on), idle and hard
 // timeouts with flow-removed notifications, packet-in on registered
@@ -11,6 +11,7 @@ package openflow
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -112,6 +113,12 @@ type FlowRule struct {
 	bytes     simnet.Bytes
 	removed   bool
 	seq       uint64 // insertion order (tie-break among equal priorities)
+	// idle is the rule's one idle-check event, re-armed at every re-check and
+	// cancelled on removal; nil without an IdleTimeout.
+	idle *sim.Event
+	// sameKey chains the rules sharing this rule's signature and match key
+	// in lookup order; sameCookie chains the rules sharing its cookie.
+	sameKey, sameCookie *FlowRule
 }
 
 // Stats returns the rule's packet and byte counters.
@@ -164,6 +171,7 @@ const (
 	sigDstIP
 	sigSrcPort
 	sigDstPort
+	numSigs = 1 << iota
 )
 
 func signatureOf(m Match) sigKey {
@@ -209,11 +217,22 @@ func keyOf(sig sigKey, srcIP, dstIP simnet.Addr, srcPort, dstPort int) matchKey 
 
 // Switch is an OpenFlow switch node.
 type Switch struct {
-	name       string
-	net        *simnet.Network
-	cfg        Config
-	table      []*FlowRule
-	index      map[sigKey]map[matchKey][]*FlowRule
+	name string
+	net  *simnet.Network
+	cfg  Config
+	// sigs is the single home of the live rules: one exact-match map per
+	// signature, each value the head of a FlowRule.sameKey chain whose first
+	// rule is the one a lookup picks (highest priority, earliest install).
+	// Bit sig of liveSigs is set exactly while sigs[sig] holds a rule; a
+	// signature's map is dropped when its last rule leaves, so lookups stop
+	// probing it. No structure keeps the table in order: only Rules reads
+	// order, and it sorts a copy.
+	sigs     [numSigs]map[matchKey]*FlowRule
+	liveSigs uint16
+	// byCookie heads each cookie's FlowRule.sameCookie chain, making
+	// DeleteFlows O(rules with that cookie).
+	byCookie   map[uint64]*FlowRule
+	rules      int
 	seq        uint64
 	ports      map[int]*simnet.Port
 	portOf     map[*simnet.Port]int
@@ -256,7 +275,7 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		name:       name,
 		net:        n,
 		cfg:        cfg,
-		index:      make(map[sigKey]map[matchKey][]*FlowRule),
+		byCookie:   make(map[uint64]*FlowRule),
 		ports:      make(map[int]*simnet.Port),
 		portOf:     make(map[*simnet.Port]int),
 		routes:     make(map[simnet.Addr]int),
@@ -339,18 +358,35 @@ func (s *Switch) PortOf(ip simnet.Addr) int {
 	return -1
 }
 
-// Rules returns the current flow table, highest priority first (copy).
+// Rules returns a copy of the current flow table in match order: highest
+// priority first, earlier install first among equals. It gathers and sorts
+// the whole table, O(n log n) — for diagnostics and tests; RuleCount gives
+// the size.
 func (s *Switch) Rules() []*FlowRule {
-	return append([]*FlowRule(nil), s.table...)
+	out := make([]*FlowRule, 0, s.rules)
+	for _, bucket := range s.sigs {
+		for _, r := range bucket {
+			for ; r != nil; r = r.sameKey {
+				out = append(out, r)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
+	return out
+}
+
+// before reports whether r wins a lookup over o when both match.
+func (r *FlowRule) before(o *FlowRule) bool {
+	return r.Priority > o.Priority || (r.Priority == o.Priority && r.seq < o.seq)
 }
 
 // RuleCount returns the current flow-table size without copying the table —
 // the occupancy signal the steering experiments sample per request.
-func (s *Switch) RuleCount() int { return len(s.table) }
+func (s *Switch) RuleCount() int { return s.rules }
 
-// AddFlow installs a rule (flow-mod ADD) and returns it. Rules are kept
-// sorted by descending priority; among equal priorities, earlier install
-// wins.
+// AddFlow installs a rule (flow-mod ADD) and returns it, at a cost that does
+// not depend on the table size. Among matching rules the highest priority
+// wins; among equal priorities, the earlier install.
 func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	r := rule
 	s.FlowMods++
@@ -363,37 +399,30 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	r.lastUsed = now
 	s.seq++
 	r.seq = s.seq
-	s.table = append(s.table, &r)
-	if len(s.table) > s.RuleHighWater {
-		s.RuleHighWater = len(s.table)
+	if s.rules++; s.rules > s.RuleHighWater {
+		s.RuleHighWater = s.rules
 	}
-	sort.SliceStable(s.table, func(i, j int) bool {
-		return s.table[i].Priority > s.table[j].Priority
-	})
 	s.indexAdd(&r)
+	rp := &r
 	if r.IdleTimeout > 0 {
-		s.scheduleIdleCheck(&r)
+		r.idle = s.net.K.NewEvent(func() { s.idleCheck(rp) })
+		s.net.K.Schedule(r.idle, r.lastUsed+r.IdleTimeout)
 	}
 	if r.HardTimeout > 0 {
-		rp := &r
 		s.net.K.AfterFree(r.HardTimeout, func() { s.expire(rp) })
 	}
-	return &r
+	return rp
 }
 
-func (s *Switch) scheduleIdleCheck(r *FlowRule) {
-	due := r.lastUsed + r.IdleTimeout
-	s.net.K.At(due, func() {
-		if r.removed {
-			return
-		}
-		now := s.net.K.Now()
-		if now-r.lastUsed >= r.IdleTimeout {
-			s.expire(r)
-			return
-		}
-		s.scheduleIdleCheck(r)
-	})
+// idleCheck fires at the earliest instant r could have idled out: it
+// expires r, or re-arms r's event for the deadline traffic has since pushed
+// back. A removed rule never gets here (removeRule cancels the event).
+func (s *Switch) idleCheck(r *FlowRule) {
+	if s.net.K.Now()-r.lastUsed >= r.IdleTimeout {
+		s.expire(r)
+		return
+	}
+	s.net.K.Schedule(r.idle, r.lastUsed+r.IdleTimeout)
 }
 
 func (s *Switch) expire(r *FlowRule) {
@@ -409,74 +438,94 @@ func (s *Switch) expire(r *FlowRule) {
 	}
 }
 
+// removeRule takes a live rule out of the table and cancels its idle check,
+// so a deleted rule leaves no event behind.
 func (s *Switch) removeRule(r *FlowRule) {
 	r.removed = true
+	s.rules--
+	if r.idle != nil {
+		r.idle.Cancel()
+	}
 	s.indexRemove(r)
-	for i, t := range s.table {
-		if t == r {
-			s.table = append(s.table[:i], s.table[i+1:]...)
-			return
-		}
-	}
 }
 
-func (s *Switch) indexAdd(r *FlowRule) {
-	sig := signatureOf(r.Match)
-	bucket := s.index[sig]
-	if bucket == nil {
-		bucket = make(map[matchKey][]*FlowRule)
-		s.index[sig] = bucket
-	}
-	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
-	bucket[key] = append(bucket[key], r)
-}
-
+// indexRemove unlinks r from its match-key chain and its cookie chain,
+// dropping a chain's map entry — and a signature's map — when r was the last.
 func (s *Switch) indexRemove(r *FlowRule) {
 	sig := signatureOf(r.Match)
-	bucket := s.index[sig]
+	bucket := s.sigs[sig]
+	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
+	head := bucket[key]
+	at := &head
+	for *at != r {
+		at = &(*at).sameKey
+	}
+	*at = r.sameKey
+	if head != nil {
+		bucket[key] = head
+	} else if delete(bucket, key); len(bucket) == 0 {
+		s.sigs[sig] = nil
+		s.liveSigs &^= 1 << sig
+	}
+	head = s.byCookie[r.Cookie]
+	at = &head
+	for *at != r {
+		at = &(*at).sameCookie
+	}
+	*at = r.sameCookie
+	if head != nil {
+		s.byCookie[r.Cookie] = head
+	} else {
+		delete(s.byCookie, r.Cookie)
+	}
+}
+
+// indexAdd links r into its match-key chain and its cookie chain.
+func (s *Switch) indexAdd(r *FlowRule) {
+	sig := signatureOf(r.Match)
+	bucket := s.sigs[sig]
 	if bucket == nil {
-		return
+		bucket = make(map[matchKey]*FlowRule)
+		s.sigs[sig] = bucket
+		s.liveSigs |= 1 << sig
 	}
 	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
-	rules := bucket[key]
-	for i, t := range rules {
-		if t == r {
-			bucket[key] = append(rules[:i], rules[i+1:]...)
-			break
-		}
+	// r is the newest rule, so in lookup order it goes behind every rule of
+	// its priority or higher.
+	head := bucket[key]
+	at := &head
+	for *at != nil && (*at).Priority >= r.Priority {
+		at = &(*at).sameKey
 	}
-	if len(bucket[key]) == 0 {
-		delete(bucket, key)
-	}
+	r.sameKey, *at = *at, r
+	bucket[key] = head
+	r.sameCookie, s.byCookie[r.Cookie] = s.byCookie[r.Cookie], r
 }
 
 // lookup finds the highest-priority matching rule (first-installed among
-// equals) via the signature index: one map probe per distinct signature in
-// the table, independent of the rule count.
+// equals) via the signature index: one map probe per signature that
+// currently holds a rule, independent of the rule count.
 func (s *Switch) lookup(pkt *simnet.Packet) *FlowRule {
 	var best *FlowRule
-	for sig, bucket := range s.index {
-		key := keyOf(sig, pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort)
-		for _, r := range bucket[key] {
-			if best == nil || r.Priority > best.Priority ||
-				(r.Priority == best.Priority && r.seq < best.seq) {
-				best = r
-			}
+	for live := s.liveSigs; live != 0; live &= live - 1 {
+		sig := sigKey(bits.TrailingZeros16(live))
+		r := s.sigs[sig][keyOf(sig, pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort)]
+		if r != nil && (best == nil || r.before(best)) {
+			best = r
 		}
 	}
 	return best
 }
 
 // DeleteFlows removes all rules with the given cookie (flow-mod DELETE)
-// and returns how many were removed. No flow-removed messages are sent.
+// and returns how many were removed, in O(rules removed). No flow-removed
+// messages are sent.
 func (s *Switch) DeleteFlows(cookie uint64) int {
 	s.FlowMods++
 	n := 0
-	for _, r := range s.Rules() {
-		if r.Cookie == cookie {
-			s.removeRule(r)
-			n++
-		}
+	for r := s.byCookie[cookie]; r != nil; r = s.byCookie[cookie] {
+		s.removeRule(r)
+		n++
 	}
 	return n
 }

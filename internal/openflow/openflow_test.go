@@ -346,6 +346,41 @@ func TestDeleteFlowsByCookie(t *testing.T) {
 	}
 }
 
+// TestDeleteFlowsCancelsIdleChecks pins the dead-timer contract: a rule
+// removed by DeleteFlows takes its idle check with it, so the kernel's
+// pending count returns to where it was and the clock is never dragged to
+// the deleted rules' deadlines.
+func TestDeleteFlowsCancelsIdleChecks(t *testing.T) {
+	rg := newRig(t)
+	rg.k.RunUntil(time.Second)
+	pending := rg.k.Pending()
+	const n = 50
+	for i := 0; i < n; i++ {
+		rg.sw.AddFlow(FlowRule{
+			Priority:    100,
+			Cookie:      uint64(1 + i/2), // pairs share a cookie, as redirect pairs do
+			Match:       Match{SrcIP: simnet.Addr(fmt.Sprintf("10.1.0.%d", i)), DstIP: "203.0.113.99", DstPort: 80},
+			Actions:     Actions{Output: OutputDrop},
+			IdleTimeout: time.Minute,
+		})
+	}
+	if got := rg.k.Pending(); got != pending+n {
+		t.Fatalf("pending after %d installs = %d, want %d", n, got, pending+n)
+	}
+	for i := 0; i < n/2; i++ {
+		if got := rg.sw.DeleteFlows(uint64(1 + i)); got != 2 {
+			t.Fatalf("DeleteFlows(%d) removed %d rules, want 2", 1+i, got)
+		}
+	}
+	if got := rg.k.Pending(); got != pending {
+		t.Fatalf("pending after deleting every rule = %d, want %d: dead idle checks left behind", got, pending)
+	}
+	rg.k.Run()
+	if now := rg.k.Now(); now != time.Second {
+		t.Fatalf("clock ran to %v on dead idle checks, want it to stay at 1s", now)
+	}
+}
+
 func TestFlowStatsCount(t *testing.T) {
 	rg := newRig(t)
 	serve(rg.edge, 32000, "x")
@@ -529,6 +564,56 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 			b.Fatal("no match")
 		}
 	}
+}
+
+// BenchmarkAddFlow is the ledger's flow-mod unit: one AddFlow plus the
+// DeleteFlows that takes the rule out again (so the table stays at its
+// size), with 1k and 10k rules installed. Neither call reads or orders the
+// rest of the table, so the cost must not grow with it beyond cache misses;
+// the gate fails if the pair at 10k costs more than three times the pair at
+// 1k.
+func BenchmarkAddFlow(b *testing.B) {
+	rule := func(i int) FlowRule {
+		return FlowRule{
+			Priority: 100, Cookie: uint64(1 + i),
+			Match:   Match{SrcIP: simnet.Addr(fmt.Sprintf("10.%d.%d.%d", 1+i>>16, i>>8&0xff, i&0xff)), DstIP: "203.0.113.10", DstPort: 80},
+			Actions: Actions{SetDstIP: "10.0.0.10", SetDstPort: 32000, Output: OutputDrop},
+		}
+	}
+	perOp := map[int]time.Duration{}
+	for _, at := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("at%dk", at/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			sw := NewSwitch(simnet.NewNetwork(sim.New(1)), "sw", Config{})
+			for i := 0; i < at; i++ {
+				sw.AddFlow(rule(i))
+			}
+			fresh := make([]FlowRule, 1024)
+			for i := range fresh {
+				fresh[i] = rule(at + i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := &fresh[i%len(fresh)]
+				sw.AddFlow(*r)
+				sw.DeleteFlows(r.Cookie)
+			}
+			perOp[at] = b.Elapsed() / time.Duration(b.N)
+			if sw.RuleCount() != at {
+				b.Fatalf("table holds %d rules after the run, want %d", sw.RuleCount(), at)
+			}
+		})
+	}
+	b.Run("within-3x", func(b *testing.B) {
+		if perOp[1000] == 0 || perOp[10000] == 0 {
+			b.Skip("at1k or at10k filtered out; nothing to compare")
+		}
+		ratio := float64(perOp[10000]) / float64(perOp[1000])
+		b.ReportMetric(ratio, "at10k/at1k")
+		if ratio > 3 {
+			b.Fatalf("a flow-mod pair at 10k rules costs %.2fx one at 1k (%v vs %v), want <= 3x", ratio, perOp[10000], perOp[1000])
+		}
+	})
 }
 
 func TestLookupPrefersIndexedAndWildcardConsistently(t *testing.T) {

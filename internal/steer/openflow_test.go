@@ -165,3 +165,53 @@ func TestReverseNotificationDoesNotReportFlow(t *testing.T) {
 		t.Errorf("tracking maps not drained: %d pairs / %d cookies", len(b.pairs), len(b.byCookie))
 	}
 }
+
+// TestAllocsInstallRecheckRelease pins the steady-state churn cycle of one
+// client's pair — InstallRedirect (which releases the previous pair), idle
+// re-checks while traffic keeps both rules alive, and the next install's
+// release — at a fixed allocation count that does not depend on how many
+// re-checks a pair lives through: each rule owns one re-armable idle event.
+func TestAllocsInstallRecheckRelease(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	k, b, sw, _ := steerRig(t, idle)
+	// Another client's permanent pair keeps both rule shapes' signature
+	// maps alive, as a table with more than one client does.
+	sw.AddFlow(openflow.FlowRule{Priority: 100, Match: openflow.Match{SrcIP: "10.0.1.2", DstIP: testFlow.VIP, DstPort: testFlow.Port}})
+	sw.AddFlow(openflow.FlowRule{Priority: 100, Match: openflow.Match{SrcIP: testEP.Addr, SrcPort: testEP.Port, DstIP: "10.0.1.2"}})
+	pkt := &simnet.Packet{}
+	hit := func(src, dst simnet.Addr, srcPort, dstPort int) {
+		*pkt = simnet.Packet{Kind: simnet.KindDATA, SrcIP: src, DstIP: dst, SrcPort: srcPort, DstPort: dstPort, Size: simnet.KiB}
+		sw.HandlePacket(nil, pkt) // rewritten, then dropped: the bare switch has no route
+	}
+	cycle := func(rechecks int) func() {
+		return func() {
+			b.InstallRedirect(sw, testFlow, testEP)
+			for i := 0; i < rechecks; i++ {
+				// Traffic in both directions every 70 % of the timeout, so
+				// each check finds its rule refreshed and re-arms.
+				k.RunUntil(k.Now() + idle*35/100)
+				hit(testFlow.Client, testFlow.VIP, 40000, testFlow.Port)
+				k.RunUntil(k.Now() + idle/100) // through the pipeline before pkt is reused
+				hit(testEP.Addr, testFlow.Client, testEP.Port, 40000)
+				k.RunUntil(k.Now() + idle*34/100)
+			}
+			if sw.RuleCount() != 4 || b.Entries() != 1 || k.Pending() != 2 {
+				t.Fatalf("after %d re-checks: %d rules, %d entries, %d pending events; want 4, 1, 2",
+					rechecks, sw.RuleCount(), b.Entries(), k.Pending())
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cycle(3)() // warm the maps, the wheel slots and the switch's FIFO
+	}
+	bare := testing.AllocsPerRun(100, cycle(0))
+	churned := testing.AllocsPerRun(100, cycle(3))
+	if churned != bare {
+		t.Errorf("%.0f allocs per cycle with 3 re-checks, %.0f with none: re-checks allocate", churned, bare)
+	}
+	// Two rules, each with its idle event and that event's callback, plus
+	// the pair's tracking state.
+	if bare > 7 {
+		t.Errorf("%.0f allocs per install/release cycle, want <= 7", bare)
+	}
+}
