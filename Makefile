@@ -2,20 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib bench bench-10m bench-compare bench-repo fuzz experiments examples clean
+.PHONY: all check fmt build vet test race bench bench-10m bench-compare bench-repo fuzz experiments examples clean
 
 all: check
 
-# The full pre-merge gate: formatting, compile, static analysis, tests,
-# race detector (everywhere, plus focused passes over the sweep engine's
-# worker-pool code, the sim kernel it drives, the fault-injection
-# sweep with its serial-vs-parallel fingerprint parity check, the
-# observability layer's zero-overhead/determinism invariants, the
-# sharded kernel's cross-shard fingerprint parity, the steering
-# backends' cross-backend parity and table-pressure accounting, the
-# mobility/handover path's gap accounting and shard parity, and the
-# latency-attribution engine's exact-decomposition and parity gates).
-check: fmt build vet test race race-hot race-faults race-obs race-shard race-steer race-mobility race-attrib
+# The full pre-merge gate: formatting, compile, static analysis, tests, and
+# the whole suite again under the race detector (the sweep worker pool, the
+# shard-group window workers and the cross-shard fabric are the concurrent
+# parts; every parity and fingerprint gate runs in both passes).
+check: fmt build vet test race
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -32,59 +27,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Focused race pass over the parallel-sweep worker pool and the kernel.
-race-hot:
-	$(GO) test -race -count 1 ./internal/experiments ./internal/sim
-
-# Fault-sweep smoke test under the race detector, including the
-# same-fault-seed fingerprint parity check (serial vs parallel).
-race-faults:
-	$(GO) test -race -count 1 -run 'TestFaultSweep|TestFaultSeedFingerprintParity' ./internal/experiments
-
-# Observability gate: nil obs handles must be allocation-free on the hot
-# path, and enabling tracing/counters must leave every deterministic
-# output (sweep fingerprint, replay results) bit-identical.
-race-obs:
-	$(GO) test -race -count 1 -run 'TestNilHandlesAllocFree|TestEnabledCounterAllocFree' ./internal/obs
-	$(GO) test -race -count 1 -run 'TestTracedFingerprintParity|TestReplayScaleResultParity|TestReplayScaleSpanCount' ./internal/experiments
-
-# Sharded-kernel gate under the race detector: shard-group window workers,
-# the cross-shard fabric, and the serial-vs-sharded replay fingerprint
-# parity checks (including traced and fault-injected runs).
-race-shard:
-	$(GO) test -race -count 1 -run 'TestShardGroup|TestFabric' ./internal/sim ./internal/simnet
-	$(GO) test -race -count 1 -run 'TestReplayShard' ./internal/experiments
-
-# Steering-backend gate under the race detector: openflow-vs-srsteer
-# decision/outcome parity on the fig. 9 trace, the sweep's O(1)-vs-O(n)
-# table-pressure shape with its per-backend fingerprint gates, the switch's
-# pressure accounting, and the stateless encap path's zero-alloc pin.
-race-steer:
-	$(GO) test -race -count 1 -run 'TestSteer' ./internal/experiments
-	$(GO) test -race -count 1 -run 'TestTablePressure' ./internal/openflow
-	$(GO) test -race -count 1 ./internal/srsteer
-
-# Mobility gate under the race detector: the handover-path correctness
-# tests (mid-dispatch handover, remnant-pair re-anchor, severed-link drop
-# semantics), the mobility sweep's backend comparison, and its sharded
-# fingerprint parity at every shard count.
-race-mobility:
-	$(GO) test -race -count 1 -run 'TestHandover|TestStatelessHandover|TestClientMobility' ./internal/core
-	$(GO) test -race -count 1 -run 'TestReAnchor|TestReverseNotification' ./internal/steer
-	$(GO) test -race -count 1 -run 'TestDetach|TestSevered' ./internal/simnet
-	$(GO) test -race -count 1 -run 'TestGenerateHandovers' ./internal/workload
-	$(GO) test -race -count 1 -run 'TestMobility' ./internal/experiments
-
-# Latency-attribution gate under the race detector: the collector's own
-# suite (exact exclusive-time decomposition, critical-path selection,
-# flame/pprof export determinism, SLO flight recording, the nil-collector
-# zero-alloc pin), plus the experiment-level gates — the per-phase sum
-# property across the replay / fault-plan / mobility workloads and the
-# attribution-on/off fingerprint parity at every shard count.
-race-attrib:
-	$(GO) test -race -count 1 ./internal/obs/attrib
-	$(GO) test -race -count 1 -run 'TestAttrib|TestWithAttrib|TestKernelStats' ./internal/experiments
 
 # Regenerate every table and figure of the paper (plus ablations) and the
 # scale benchmarks, recording machine-readable results. The replay-engine

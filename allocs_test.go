@@ -8,25 +8,37 @@ import (
 
 // TestReplayAllocsPerRequestRegression pins the replay engine's
 // steady-state allocation rate below ten per request (DESIGN.md §15),
-// measured with testing.AllocsPerRun. Comparing two trace sizes cancels
-// the per-run fixed cost (testbed construction, trace generation, the
-// eight warm-up deployments): the delta between the 8k- and 2k-request
-// replays is six thousand requests of pure steady-state path. The
-// simulation is deterministic per seed, so the count is stable — a
-// failure here means a new allocation crept onto the request path.
+// measured with testing.AllocsPerRun, at both entry points: the single-site
+// replay and the sharded one on a single kernel (the same engine staged once
+// per region, so the same bound). Comparing two trace sizes cancels the
+// per-run fixed cost (testbed construction, trace generation, the warm-up
+// deployments): the delta between the larger and the smaller replay is pure
+// steady-state path. The sharded pair is four times larger because its
+// trace spreads over eight times the clients: below 8k requests a client's
+// gap between requests outlasts the switch idle timeout and every request
+// pays a packet-in, which is control-path cost, not the steady state. The
+// simulation is deterministic per seed, so the count is stable — a failure
+// here means a new allocation crept onto the request path.
 func TestReplayAllocsPerRequestRegression(t *testing.T) {
-	const small, large = 2000, 8000
-	run := func(requests int) float64 {
-		return testing.AllocsPerRun(1, func() {
-			res := edge.RunReplayScale(benchSeed, requests, true)
-			if res.Errors != 0 {
-				t.Fatalf("replay of %d requests: %d errors", requests, res.Errors)
-			}
-		})
-	}
-	perRequest := (run(large) - run(small)) / float64(large-small)
-	t.Logf("steady-state allocations per request: %.2f", perRequest)
-	if perRequest >= 10 {
-		t.Fatalf("steady-state allocs/request = %.2f, want < 10", perRequest)
+	for _, ep := range []struct {
+		name         string
+		small, large int
+		replay       func(requests int) (errors int)
+	}{
+		{"single-site", 2000, 8000, func(n int) int { return edge.RunReplayScale(benchSeed, n).Errors }},
+		{"sharded", 8000, 32000, func(n int) int { return edge.RunReplayShard(benchSeed, n, 1, nil).Errors }},
+	} {
+		run := func(requests int) float64 {
+			return testing.AllocsPerRun(1, func() {
+				if errors := ep.replay(requests); errors != 0 {
+					t.Fatalf("%s replay of %d requests: %d errors", ep.name, requests, errors)
+				}
+			})
+		}
+		perRequest := (run(ep.large) - run(ep.small)) / float64(ep.large-ep.small)
+		t.Logf("%s: steady-state allocations per request: %.2f", ep.name, perRequest)
+		if perRequest >= 10 {
+			t.Errorf("%s: steady-state allocs/request = %.2f, want < 10", ep.name, perRequest)
+		}
 	}
 }

@@ -307,16 +307,14 @@ func BenchmarkScale_LargeTrace(b *testing.B) {
 	}
 }
 
-// replayScale runs one event-driven large-trace replay per iteration and
-// reports the engine's cost metrics: wall time (ns/op), allocations per
-// trace request, and bytes retained by the result series. The 1M run is
-// only possible with event-driven arrivals — the legacy strategy would
-// stand up a million goroutines before the first event fires.
+// replayScale runs one large-trace replay per iteration and reports the
+// engine's cost metrics: wall time (ns/op), allocations per trace request,
+// and bytes retained by the result series.
 func replayScale(b *testing.B, requests int) {
 	b.ReportAllocs()
 	var res edge.ReplayScaleResult
 	for i := 0; i < b.N; i++ {
-		res = edge.RunReplayScale(benchSeed, requests, true)
+		res = edge.RunReplayScale(benchSeed, requests)
 		if res.Deployments != 8 {
 			b.Fatalf("deployments = %d, want 8", res.Deployments)
 		}
@@ -417,7 +415,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		var res edge.ReplayScaleResult
 		for i := 0; i < b.N; i++ {
-			res = edge.RunReplayScale(benchSeed, requests, true, makeOpts()...)
+			res = edge.RunReplayScale(benchSeed, requests, makeOpts()...)
 			if res.Errors != 0 {
 				b.Fatalf("replay errors = %d", res.Errors)
 			}
@@ -451,7 +449,7 @@ func BenchmarkAttribOverhead(b *testing.B) {
 	var spans []edge.Span
 	rec := edge.NewTracer(1)
 	rec.SetSink(func(s edge.Span) { spans = append(spans, s) })
-	if res := edge.RunReplayScale(benchSeed, requests, true, edge.WithTrace(rec)); res.Errors != 0 {
+	if res := edge.RunReplayScale(benchSeed, requests, edge.WithTrace(rec)); res.Errors != 0 {
 		b.Fatalf("recording replay errors = %d", res.Errors)
 	}
 	b.Run("off", func(b *testing.B) {
@@ -494,7 +492,7 @@ func BenchmarkAttribOverhead(b *testing.B) {
 		var res edge.ReplayScaleResult
 		for i := 0; i < b.N; i++ {
 			col := edge.NewAttribCollector(edge.AttribOptions{})
-			res = edge.RunReplayScale(benchSeed, requests, true, edge.WithAttrib(col))
+			res = edge.RunReplayScale(benchSeed, requests, edge.WithAttrib(col))
 			if res.Errors != 0 {
 				b.Fatalf("replay errors = %d", res.Errors)
 			}
@@ -516,7 +514,7 @@ func benchSteerBackends(b *testing.B, requests int) {
 			var ctrs map[string]float64
 			for i := 0; i < b.N; i++ {
 				reg := edge.NewCounterRegistry()
-				res = edge.RunReplayScale(benchSeed, requests, true,
+				res = edge.RunReplayScale(benchSeed, requests,
 					edge.WithSteerBackend(backend), edge.WithCounters(reg))
 				if res.Errors != 0 {
 					b.Fatalf("replay errors = %d", res.Errors)

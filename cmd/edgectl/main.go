@@ -101,9 +101,7 @@ func demo(args []string) error {
 		EnableKube:    *useKube,
 		EnableFarEdge: *useFar,
 		Scheduler:     sched,
-		Log: func(format string, a ...any) {
-			fmt.Printf("  controller: "+format+"\n", a...)
-		},
+		Events:        func(e edge.ObsEvent) { fmt.Printf("  controller: %s\n", e) },
 	})
 	var tracer *simnet.Tracer
 	if *trace {

@@ -33,7 +33,6 @@ var (
 
 	replayRequests = flag.Int("replay-requests", 10000, "trace length for scale-replay, scale-shard and scale-steer")
 	steerBackend   = flag.String("backend", "both", "scale-steer: steering backend to sweep (openflow, srv6, both)")
-	goroutines     = flag.Bool("goroutines", false, "scale-replay: legacy goroutine-per-request arrivals instead of event-driven")
 	shards         = flag.Int("shards", 1, "scale-shard: kernel count for the sharded multi-region replay (1 = serial)")
 
 	procs      = flag.Int("procs", 0, "worker/CPU bound for sweep and the scale-* experiments (0 = all cores)")
@@ -363,7 +362,7 @@ Experiments (each reproduces one table/figure of the paper):
   ablation-hierarchy fig. 3: cold vs far-warm vs near-warm first request
   scale-dispatch    dispatch latency vs cluster count (-clusters, -serial)
   scale-churn       controller-state bounds under client churn (-clients)
-  scale-replay      large-trace replay cost (-replay-requests, -goroutines)
+  scale-replay      large-trace replay cost (-replay-requests)
   scale-shard       sharded multi-region replay (-replay-requests, -shards;
                     fingerprints are bit-identical at every shard count)
   scale-steer       steering backend comparison: per-flow openflow rules vs
@@ -558,19 +557,14 @@ func runExperiment(which string) error {
 	case "scale-replay":
 		limitProcs()
 		if *asJSON {
-			out := edge.RunReplayScale(*seed, *replayRequests, !*goroutines, o.options()...).JSON()
+			out := edge.RunReplayScale(*seed, *replayRequests, o.options()...).JSON()
 			o.attribJSON(&out)
 			if err := o.finish(false); err != nil {
 				return err
 			}
 			return emitJSON(out)
 		}
-		fmt.Print(edge.RunReplayScale(*seed, *replayRequests, !*goroutines, o.options()...).String())
-		if !*goroutines && *replayRequests <= 100000 && o.tracer == nil && o.reg == nil && o.col == nil {
-			// Show the legacy engine for comparison while it is feasible
-			// (skipped when obs is on: it would double spans and counters).
-			fmt.Print(edge.RunReplayScale(*seed, *replayRequests, false).String())
-		}
+		fmt.Print(edge.RunReplayScale(*seed, *replayRequests, o.options()...).String())
 	case "scale-shard":
 		if err := validateShards(*shards); err != nil {
 			return err

@@ -167,9 +167,9 @@ func ReplayTrace(tb *Testbed, tr *Trace, serviceKey string, prePull, preCreate b
 	return workload.Replay(tb, tr, serviceKey, prePull, preCreate)
 }
 
-// ReplayOptions configures a replay run: warm-up conditions, the arrival
-// scheduling strategy (event-driven by default), the in-flight cap, the
-// exact-vs-histogram metrics threshold, and the per-request timeout.
+// ReplayOptions configures a replay run: warm-up conditions, the in-flight
+// cap, the exact-vs-histogram metrics threshold, the per-request timeout,
+// obs handles, and an optional handover schedule.
 type ReplayOptions = workload.Options
 
 // ReplayTraceWith replays a trace with explicit ReplayOptions.
@@ -201,8 +201,8 @@ type (
 	CounterRegistry = obs.Registry
 	// CounterSample is one snapshotted metric value.
 	CounterSample = obs.Sample
-	// ObsEvent is a structured controller lifecycle event (the replacement
-	// for the old printf Log hook; ObsEvent.String reproduces its lines).
+	// ObsEvent is a structured controller lifecycle event; ObsEvent.String
+	// renders it as one log line.
 	ObsEvent = obs.Event
 	// ChromeTraceWriter streams spans to a Perfetto-loadable trace file.
 	ChromeTraceWriter = obs.ChromeWriter
@@ -406,10 +406,9 @@ func RunCookieChurn(seed int64, clients int, options ...ExperimentOption) experi
 
 // RunReplayScale replays a synthetic trace of the given length against the
 // Docker testbed, measuring wall time, allocations per request, and
-// retained series memory. eventDriven selects the arrival engine (false =
-// the legacy goroutine-per-request strategy, for comparison).
-func RunReplayScale(seed int64, requests int, eventDriven bool, options ...ExperimentOption) experiments.ReplayScaleResult {
-	return experiments.ReplayScale(seed, requests, eventDriven, options...)
+// retained series memory.
+func RunReplayScale(seed int64, requests int, options ...ExperimentOption) experiments.ReplayScaleResult {
+	return experiments.ReplayScale(seed, requests, options...)
 }
 
 // RunReplayShard replays a synthetic trace against the sharded multi-region

@@ -25,9 +25,7 @@ func main() {
 		EnableKube:        true,
 		Scheduler:         sched,
 		SwitchIdleTimeout: 2 * time.Second,
-		Log: func(format string, a ...any) {
-			fmt.Printf("controller: "+format+"\n", a...)
-		},
+		Events:            func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
 	})
 	a, reg, err := tb.RegisterCatalogService(edge.Nginx)
 	if err != nil {

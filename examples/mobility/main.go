@@ -65,7 +65,7 @@ func main() {
 	eng := docker.New("egs-docker", rt, behaviors, docker.DefaultConfig())
 
 	cfg := core.DefaultConfig()
-	cfg.Log = func(format string, a ...any) { fmt.Printf("controller: "+format+"\n", a...) }
+	cfg.Events = func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) }
 	ctrl := core.New(k, egs, cfg)
 	ctrl.AddSwitch(gnb1)
 	ctrl.AddSwitch(gnb2)

@@ -26,9 +26,7 @@ func main() {
 		// Configure a Local Scheduler (§IV-B): it is annotated into every
 		// service definition and handles only the edge pods.
 		LocalSchedulerName: "edge-local-scheduler",
-		Log: func(format string, a ...any) {
-			fmt.Printf("controller: "+format+"\n", a...)
-		},
+		Events:             func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
 	})
 	a, reg, err := tb.RegisterCatalogService(edge.NginxPy)
 	if err != nil {

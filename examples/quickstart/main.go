@@ -22,9 +22,7 @@ func main() {
 	tb := edge.NewTestbed(edge.TestbedOptions{
 		Seed:         1,
 		EnableDocker: true,
-		Log: func(format string, a ...any) {
-			fmt.Printf("controller: "+format+"\n", a...)
-		},
+		Events:       func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
 	})
 
 	// Register the nginx service by its cloud address. Registration

@@ -26,9 +26,7 @@ func main() {
 		Seed:             1,
 		EnableDocker:     true,
 		EnableServerless: true,
-		Log: func(format string, a ...any) {
-			fmt.Printf("controller: "+format+"\n", a...)
-		},
+		Events:           func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
 	})
 	// The container variant (deployed on Docker) and the WASM variant
 	// (deployed on the serverless platform) of the same web service.

@@ -33,9 +33,7 @@ func main() {
 		// Short switch flows: clients re-consult the controller (and the
 		// redirected FlowMemory) quickly after the hand-over.
 		SwitchIdleTimeout: 2 * time.Second,
-		Log: func(format string, a ...any) {
-			fmt.Printf("controller: "+format+"\n", a...)
-		},
+		Events:            func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
 	})
 	a, reg, err := tb.RegisterCatalogService(edge.ResNet)
 	if err != nil {

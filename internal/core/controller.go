@@ -88,13 +88,8 @@ type Config struct {
 	RuntimeClassKinds map[string][]string
 	// Events, when set, receives the controller's structured events
 	// (registrations, dispatch outcomes, deployment and scale-down
-	// failures; see obs.EventKind). It supersedes the legacy Log hook.
+	// failures; see obs.EventKind). Event.String renders each as one line.
 	Events func(obs.Event)
-	// Log is the legacy printf-style event hook. When Events is nil,
-	// events are formatted through obs.LogSink into this callback,
-	// producing byte-identical lines to the old implementation — existing
-	// example code keeps working unchanged.
-	Log func(format string, args ...any)
 	// Trace, when set, records a span tree for every intercepted request
 	// (intercept → FlowMemory hit/miss → scheduler decision → deploy
 	// phases with per-phase attempts → probe → flow install / next-best
@@ -335,9 +330,6 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 	// instrumented sites pay a single inlined nil check when obs is off.
 	c.tr = cfg.Trace
 	c.events = cfg.Events
-	if c.events == nil {
-		c.events = obs.LogSink(cfg.Log)
-	}
 	if reg := cfg.Counters; reg != nil {
 		c.reg = reg
 		c.ctr = ctrlCounters{
@@ -360,9 +352,8 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 // Kernel returns the kernel the controller runs on.
 func (c *Controller) Kernel() *sim.Kernel { return c.k }
 
-// emit hands a structured event to the configured sink (Config.Events, or
-// the legacy Config.Log through the obs.LogSink shim), stamping the virtual
-// time. Nil sink: the event struct is built but nothing else happens — all
+// emit hands a structured event to the configured sink (Config.Events),
+// stamping the virtual time. Nil sink: the event struct is built but nothing else happens — all
 // emit sites are off the memory-served hot path.
 func (c *Controller) emit(e obs.Event) {
 	if c.events == nil {

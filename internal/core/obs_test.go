@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -185,52 +184,6 @@ func TestMemoryHitSpan(t *testing.T) {
 	for _, s := range tr.Spans() {
 		if s.Root == hit.Root && s.Name != "dispatch" && s.Name != "memory_hit" {
 			t.Fatalf("memory-served tree contains unexpected span %q", s.Name)
-		}
-	}
-}
-
-// TestEventShimParity runs the same deterministic scenario twice — once
-// through the legacy printf-style Config.Log hook, once through the
-// structured Config.Events sink rendered with Event.String() — and requires
-// the exact same lines in the exact same order.
-func TestEventShimParity(t *testing.T) {
-	run := func(cfg Config) {
-		rg := newHotpathRig(t, 2, 3, cfg)
-		for _, cli := range rg.clients {
-			cli := cli
-			rg.k.Go("ue", func(p *sim.Proc) {
-				if _, err := cli.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); err != nil {
-					t.Errorf("%s: %v", cli.IP(), err)
-				}
-			})
-		}
-		rg.k.RunUntil(time.Minute)
-	}
-
-	var legacy []string
-	cfgA := DefaultConfig()
-	cfgA.Log = func(format string, args ...any) {
-		legacy = append(legacy, fmt.Sprintf(format, args...))
-	}
-	run(cfgA)
-
-	var structured []string
-	cfgB := DefaultConfig()
-	cfgB.Events = func(e obs.Event) {
-		structured = append(structured, e.String())
-	}
-	run(cfgB)
-
-	if len(legacy) == 0 {
-		t.Fatal("legacy log hook saw no events")
-	}
-	if len(legacy) != len(structured) {
-		t.Fatalf("legacy hook saw %d lines, events sink %d:\n%v\nvs\n%v",
-			len(legacy), len(structured), legacy, structured)
-	}
-	for i := range legacy {
-		if legacy[i] != structured[i] {
-			t.Fatalf("line %d differs:\nlegacy: %q\nevents: %q", i, legacy[i], structured[i])
 		}
 	}
 }

@@ -107,9 +107,6 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 		PrePull: true, PreCreate: true,
 		Trace:     tr,
 		Handovers: hos,
-		ApplyHandover: func(h workload.Handover) {
-			tb.Handover(h.Client%len(tb.Clients), h.To)
-		},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +128,10 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 // traced run sees (same report fingerprint).
 func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 	alone := attrib.New(attrib.Options{})
-	ReplayScale(9, 160, true, WithAttrib(alone))
+	ReplayScale(9, 160, WithAttrib(alone))
 
 	chained := attrib.New(attrib.Options{})
-	ReplayScale(9, 160, true, WithAttrib(chained), WithTrace(obs.NewTracer(0)))
+	ReplayScale(9, 160, WithAttrib(chained), WithTrace(obs.NewTracer(0)))
 
 	if a, b := alone.Report().Fingerprint(), chained.Report().Fingerprint(); a != b {
 		t.Fatalf("attrib-only report %016x != attrib+trace report %016x", a, b)
@@ -144,7 +141,7 @@ func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 // TestKernelStatsSurfaced checks the kernel/shard-group introspection
 // reaches the results and the uniform JSON shape.
 func TestKernelStatsSurfaced(t *testing.T) {
-	r := ReplayScale(13, 160, true)
+	r := ReplayScale(13, 160)
 	if r.Kernel.Events == 0 || r.Kernel.Scheduled < r.Kernel.Events {
 		t.Errorf("kernel stats = %+v, want events > 0 and scheduled >= events", r.Kernel)
 	}

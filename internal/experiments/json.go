@@ -28,13 +28,8 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // JSON returns the uniform result shape.
 func (r ReplayScaleResult) JSON() JSONResult {
-	mode := 1.0
-	if !r.EventDriven {
-		mode = 0
-	}
 	m := map[string]float64{
 		"requests":       float64(r.Requests),
-		"event_driven":   mode,
 		"wall_ms":        ms(r.Wall),
 		"allocs_per_req": r.AllocsPerRequest,
 		"series_bytes":   float64(r.SeriesBytes),

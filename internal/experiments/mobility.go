@@ -169,9 +169,6 @@ func runMobilityPoint(seed int64, requests int, dwell time.Duration, backend str
 	res, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
 		PrePull: true, PreCreate: true,
 		Handovers: hos,
-		ApplyHandover: func(h workload.Handover) {
-			tb.Handover(h.Client%len(tb.Clients), h.To)
-		},
 	})
 	wall := time.Since(start)
 	if err != nil {
@@ -246,7 +243,6 @@ func (m MobilityShardRun) Fingerprint() uint64 {
 // cleanly onto any number of kernels.
 func RunMobilityShard(seed int64, requests, shards int, dwell time.Duration, backend string) MobilityShardRun {
 	trace := workload.Generate(replayShardConfig(seed, requests))
-	regions := testbed.DefaultRegions
 	hos := mobilitySchedule(trace, dwell)
 	rs := testbed.NewRegions(testbed.RegionOptions{
 		Seed:         seed,
@@ -257,12 +253,6 @@ func RunMobilityShard(seed int64, requests, shards int, dwell time.Duration, bac
 	res, err := workload.ReplaySharded(rs, trace, catalog.Nginx, workload.Options{
 		PrePull: true, PreCreate: true,
 		Handovers: hos,
-		// Global client c lives in region c % R with local index c / R (the
-		// sharded replay's partitioning); the lane invokes this on c's home
-		// kernel, so the rewiring stays inside one shard domain.
-		ApplyHandover: func(h workload.Handover) {
-			rs.Handover(h.Client%regions, h.Client/regions, h.To)
-		},
 	})
 	if err != nil {
 		panic(err)

@@ -43,33 +43,28 @@ func TestTracedFingerprintParity(t *testing.T) {
 // TestReplayScaleSpanCount checks the acceptance invariant for traces: a
 // replay emits exactly one "request" root span per replayed request.
 func TestReplayScaleSpanCount(t *testing.T) {
-	for _, eventDriven := range []bool{false, true} {
-		tr := obs.NewTracer(0) // default capacity comfortably covers the trace
-		reg := obs.NewRegistry()
-		res := ReplayScale(11, 300, eventDriven, WithTrace(tr), WithCounters(reg))
-		if res.Errors != 0 {
-			t.Fatalf("eventDriven=%v: %d replay errors", eventDriven, res.Errors)
-		}
-		if res.RequestSpans != res.Requests {
-			t.Fatalf("eventDriven=%v: %d request spans for %d requests",
-				eventDriven, res.RequestSpans, res.Requests)
-		}
-		if res.Spans < uint64(res.Requests) {
-			t.Fatalf("eventDriven=%v: emitted %d spans total, want >= %d",
-				eventDriven, res.Spans, res.Requests)
-		}
-		if res.Counters["replay_inflight_max"] < 1 {
-			t.Fatalf("eventDriven=%v: replay_inflight_max = %v, want >= 1",
-				eventDriven, res.Counters["replay_inflight_max"])
-		}
+	tr := obs.NewTracer(0) // default capacity comfortably covers the trace
+	reg := obs.NewRegistry()
+	res := ReplayScale(11, 300, WithTrace(tr), WithCounters(reg))
+	if res.Errors != 0 {
+		t.Fatalf("%d replay errors", res.Errors)
+	}
+	if res.RequestSpans != res.Requests {
+		t.Fatalf("%d request spans for %d requests", res.RequestSpans, res.Requests)
+	}
+	if res.Spans < uint64(res.Requests) {
+		t.Fatalf("emitted %d spans total, want >= %d", res.Spans, res.Requests)
+	}
+	if res.Counters["replay_inflight_max"] < 1 {
+		t.Fatalf("replay_inflight_max = %v, want >= 1", res.Counters["replay_inflight_max"])
 	}
 }
 
 // TestReplayScaleResultParity: every deterministic replay output must be
 // identical with tracing on.
 func TestReplayScaleResultParity(t *testing.T) {
-	bare := ReplayScale(3, 250, true)
-	traced := ReplayScale(3, 250, true, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry()))
+	bare := ReplayScale(3, 250)
+	traced := ReplayScale(3, 250, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry()))
 	if bare.Requests != traced.Requests || bare.Errors != traced.Errors ||
 		bare.Median != traced.Median || bare.P95 != traced.P95 ||
 		bare.Deployments != traced.Deployments {

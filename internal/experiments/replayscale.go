@@ -16,13 +16,12 @@ import (
 // simulated request latencies plus the harness cost of producing them
 // (wall clock, allocations, retained metrics memory).
 type ReplayScaleResult struct {
-	Requests    int
-	EventDriven bool
+	Requests int
 	// Wall is the host wall-clock time of the whole replay (trace
 	// generation excluded).
 	Wall time.Duration
 	// AllocsPerRequest is heap allocations divided by trace length —
-	// the number the event-driven engine keeps flat in trace size.
+	// the number the replay engine keeps flat in trace size.
 	AllocsPerRequest float64
 	// SeriesBytes is the memory retained by the result series after the
 	// replay; bounded by the histogram threshold, not the trace length.
@@ -48,12 +47,8 @@ type ReplayScaleResult struct {
 
 // String renders the measurement.
 func (r ReplayScaleResult) String() string {
-	mode := "event-driven"
-	if !r.EventDriven {
-		mode = "goroutine-per-request"
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "replay of %d requests (%s)\n", r.Requests, mode)
+	fmt.Fprintf(&b, "replay of %d requests\n", r.Requests)
 	fmt.Fprintf(&b, "  wall time        %v\n", r.Wall.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  allocs/request   %.1f\n", r.AllocsPerRequest)
 	fmt.Fprintf(&b, "  series memory    %d bytes\n", r.SeriesBytes)
@@ -84,10 +79,8 @@ func replayScaleConfig(seed int64, requests int) workload.Config {
 }
 
 // ReplayScale replays a synthetic trace of the given length against the
-// full Docker testbed and measures the harness cost. eventDriven selects
-// the engine (false = the legacy goroutine-per-request strategy, for
-// comparison at sizes where it is still feasible).
-func ReplayScale(seed int64, requests int, eventDriven bool, options ...Option) ReplayScaleResult {
+// full Docker testbed and measures the harness cost.
+func ReplayScale(seed int64, requests int, options ...Option) ReplayScaleResult {
 	o := applyOpts(options)
 	if requests < 8*2 {
 		requests = 8 * 2
@@ -106,8 +99,7 @@ func ReplayScale(seed int64, requests int, eventDriven bool, options ...Option) 
 	start := time.Now()
 	res, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
 		PrePull: true, PreCreate: true,
-		GoroutinePerRequest: !eventDriven,
-		Trace:               tr, Counters: o.counters,
+		Trace: tr, Counters: o.counters,
 	})
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
@@ -117,7 +109,6 @@ func ReplayScale(seed int64, requests int, eventDriven bool, options ...Option) 
 
 	out := ReplayScaleResult{
 		Requests:         requests,
-		EventDriven:      eventDriven,
 		Wall:             wall,
 		AllocsPerRequest: float64(after.Mallocs-before.Mallocs) / float64(len(trace.Requests)),
 		SeriesBytes:      res.Totals.RetainedBytes() + res.FirstRequests.RetainedBytes(),

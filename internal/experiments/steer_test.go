@@ -18,7 +18,7 @@ func TestSteerBackendParity(t *testing.T) {
 	}
 	runOne := func(backend string) run {
 		reg := obs.NewRegistry()
-		res := ReplayScale(21, 600, true, WithSteerBackend(backend), WithCounters(reg))
+		res := ReplayScale(21, 600, WithSteerBackend(backend), WithCounters(reg))
 		return run{res: res, ctrs: reg.Map()}
 	}
 	of := runOne("openflow")

@@ -5,10 +5,8 @@ import (
 	"time"
 )
 
-// EventKind enumerates the controller's structured events — the typed
-// replacement for the old printf-style Config.Log hook. String() formats
-// each kind into exactly the line the old hook produced, so LogSink keeps
-// legacy callbacks (the examples) working unchanged.
+// EventKind enumerates the controller's structured events. Event.String
+// formats each kind as one log line (what the examples print).
 type EventKind uint8
 
 const (
@@ -73,8 +71,8 @@ type Event struct {
 	Err error
 }
 
-// String formats the event as the exact line the legacy printf hook
-// produced for it (the compat contract LogSink relies on).
+// String formats the event as one log line; example_test.go pins the
+// wording.
 func (e Event) String() string {
 	switch e.Kind {
 	case EvRegistered:
@@ -111,14 +109,4 @@ func (e Event) String() string {
 		return fmt.Sprintf("handover: %s -> %s (%d flows re-anchored)", e.Client, e.Addr, e.N)
 	}
 	return fmt.Sprintf("event(kind=%d)", e.Kind)
-}
-
-// LogSink adapts a legacy printf-style log callback into a structured event
-// sink: every event is formatted through String(), so callers that set only
-// the old Config.Log hook observe byte-identical lines.
-func LogSink(log func(format string, args ...any)) func(Event) {
-	if log == nil {
-		return nil
-	}
-	return func(e Event) { log("%s", e.String()) }
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -158,19 +157,5 @@ func TestEventStringFormats(t *testing.T) {
 	want := "svc: 10.0.1.1 -> egs-docker (10.0.0.20:31000)"
 	if got := e.String(); got != want {
 		t.Fatalf("event string %q, want %q", got, want)
-	}
-	var lines []string
-	sink := LogSink(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	if sink == nil {
-		t.Fatal("LogSink returned nil for a non-nil log func")
-	}
-	sink(e)
-	if len(lines) != 1 || lines[0] != want {
-		t.Fatalf("log sink produced %q, want [%q]", lines, want)
-	}
-	if LogSink(nil) != nil {
-		t.Fatal("LogSink(nil) should be nil")
 	}
 }

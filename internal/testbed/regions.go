@@ -2,20 +2,13 @@ package testbed
 
 import (
 	"fmt"
-	"time"
 
-	"transparentedge/internal/catalog"
-	"transparentedge/internal/cluster"
-	"transparentedge/internal/container"
 	"transparentedge/internal/core"
-	"transparentedge/internal/docker"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/obs"
-	"transparentedge/internal/openflow"
 	"transparentedge/internal/registry"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
-	"transparentedge/internal/spec"
 )
 
 // DefaultRegions is the number of edge sites in the sharded scenario. The
@@ -59,33 +52,6 @@ type RegionOptions struct {
 	GNBs int
 }
 
-// Region is one edge site: its own network, switch, EGS, controller,
-// Docker cluster, and clients — all living on the region's shard domain.
-type Region struct {
-	Domain  int // shard domain ID (cloud backbone is domain 0)
-	Net     *simnet.Network
-	Switch  *openflow.Switch
-	EGS     *simnet.Host
-	Clients []*simnet.Host
-	Ctrl    *core.Controller
-	Docker  *docker.Engine
-	Runtime *container.Runtime
-
-	// GNBs are the site's access switches (RegionOptions.GNBs; empty in
-	// the flat topology), with each client's current cell and stable port.
-	GNBs     []*openflow.Switch
-	gnbOf    []int
-	cliPorts []int
-
-	// Trace / Counters are the site's obs handles (nil unless enabled).
-	Trace    *obs.Tracer
-	Counters *obs.Registry
-	// FaultPlan is the site's materialized fault plan (nil without faults).
-	FaultPlan *faults.Plan
-
-	nextVIP int
-}
-
 // Regions is the assembled sharded scenario: R edge sites plus a cloud
 // backbone domain holding the router, the public registries, and every
 // service's cloud origin. Sites reach the cloud (image pulls, forwarded
@@ -93,14 +59,14 @@ type Region struct {
 type Regions struct {
 	Group  *sim.ShardGroup
 	Fabric *simnet.Fabric
-	Sites  []*Region
+	// Sites are the edge sites in region order; region i lives on shard
+	// domain i+1 (the cloud backbone is domain 0).
+	Sites []*Site
 
 	CloudNet *simnet.Network
 	Router   *simnet.Router
 	Hub      *registry.Server
 	GCR      *registry.Server
-
-	origins map[string]*simnet.Host
 }
 
 // NewRegions assembles the sharded scenario. Every structural decision —
@@ -119,193 +85,57 @@ func NewRegions(opts RegionOptions) *Regions {
 	}
 	domains := opts.Regions + 1
 	group := sim.NewShardGroup(domains, opts.Shards, opts.Seed, regionUplinkLatency)
-	rs := &Regions{
-		Group:   group,
-		Fabric:  simnet.NewFabric(group),
-		origins: make(map[string]*simnet.Host),
-	}
+	rs := &Regions{Group: group, Fabric: simnet.NewFabric(group)}
 
 	// Cloud backbone (domain 0): router, Docker Hub, GCR.
 	rs.CloudNet = simnet.NewNetwork(group.Kernel(0))
 	rs.Router = simnet.NewRouter(rs.CloudNet, "backbone")
-	hubHost := simnet.NewHost(rs.CloudNet, "docker-hub", "198.51.100.10")
-	rs.attachCloudHost(hubHost, simnet.LinkConfig{Name: "hub", Latency: hubLinkLatency, Bandwidth: hubLinkBandwidth})
-	rs.Hub = registry.NewServer(hubHost, registry.ServerConfig{
-		ManifestLatency: hubManifestLatency, BlobLatency: hubBlobLatency,
-	})
-	gcrHost := simnet.NewHost(rs.CloudNet, "gcr", "198.51.100.20")
-	rs.attachCloudHost(gcrHost, simnet.LinkConfig{Name: "gcr", Latency: gcrLinkLatency, Bandwidth: gcrLinkBandwidth})
-	rs.GCR = registry.NewServer(gcrHost, registry.ServerConfig{
-		ManifestLatency: gcrManifestLatency, BlobLatency: gcrBlobLatency,
-	})
-	for _, img := range catalog.Images() {
-		if img.Ref == catalog.ImgResNet {
-			rs.GCR.Add(img)
-		} else {
-			rs.Hub.Add(img)
-		}
-	}
-	resolver := registry.NewResolver()
-	resolver.AddPrefix("", hubHost.IP())
-	resolver.AddPrefix("gcr.io/", gcrHost.IP())
+	backbone := &cloud{net: rs.CloudNet, router: rs.Router}
+	var resolver *registry.Resolver
+	rs.Hub, rs.GCR, resolver = backbone.publicRegistries()
 
-	behaviors := catalog.Behaviors()
+	ctrlCfg := core.DefaultConfig()
+	ctrlCfg.Scheduler = core.WaitNearestScheduler{}
 	for i := 0; i < opts.Regions; i++ {
-		d := i + 1
-		k := group.Kernel(d)
-		r := &Region{Domain: d, nextVIP: 10}
+		c := siteConfig{
+			k:        group.Kernel(i + 1),
+			domain:   i + 1,
+			name:     fmt.Sprintf("r%d", i),
+			clients:  opts.ClientsPerRegion,
+			gnbs:     opts.GNBs,
+			docker:   true,
+			steering: opts.SteerBackend,
+			ctrl:     ctrlCfg,
+			faults:   opts.Faults,
+		}
 		if opts.Traced {
-			r.Trace = obs.NewTracer(0)
+			c.trace = obs.NewTracer(0)
 		}
 		if opts.Counted {
-			r.Counters = obs.NewRegistry()
+			c.counters = obs.NewRegistry()
 		}
-		r.Net = simnet.NewNetwork(k)
-		r.Net.SetObs(r.Counters)
-		r.Switch = openflow.NewSwitch(r.Net, fmt.Sprintf("r%d/ovs", i), openflow.DefaultConfig())
-
-		r.EGS = simnet.NewHost(r.Net, fmt.Sprintf("r%d/egs", i), simnet.Addr(fmt.Sprintf("10.%d.0.10", d)))
-		r.EGS.ProcDelay = egsProcDelay
-		r.Switch.AttachHost(r.EGS, 1, simnet.LinkConfig{
-			Name: fmt.Sprintf("r%d/egs", i), Latency: egsLinkLatency, Bandwidth: egsLinkBandwidth,
-		})
-
 		// Backbone uplink: the site's only cross-shard link. The switch's
 		// default route sends everything non-local (registry pulls, cloud
 		// forwards) over it.
-		swPort, rtPort := rs.Fabric.Connect(r.Net, r.Switch, d, rs.CloudNet, rs.Router, 0, simnet.LinkConfig{
-			Name: fmt.Sprintf("r%d/uplink", i), Latency: regionUplinkLatency, Bandwidth: cloudUplinkBandwidth,
-		})
-		r.Switch.AddPort(2, swPort)
-		r.Switch.SetDefaultRoute(2)
-		rs.Router.AddRoute(r.EGS.IP(), rtPort)
-
-		images := registry.NewClient(r.EGS, resolver, registry.DefaultClientConfig())
-		r.Runtime = container.NewRuntime(r.EGS, images, RuntimeConfig())
-
-		ctrlCfg := core.DefaultConfig()
-		ctrlCfg.Scheduler = core.WaitNearestScheduler{}
-		ctrlCfg.Trace = r.Trace
-		ctrlCfg.Counters = r.Counters
-		ctrlCfg.Steering = NewSteering(opts.SteerBackend)
-		r.Ctrl = core.New(k, r.EGS, ctrlCfg)
-		if opts.GNBs > 0 {
-			r.GNBs = buildGNBs(r.Ctrl, r.Net, r.Switch, opts.GNBs, fmt.Sprintf("r%d/", i))
-		} else {
-			r.Ctrl.AddSwitch(r.Switch)
+		var rtPort *simnet.Port
+		c.uplink = func(s *Site) (*cloud, *registry.Resolver) {
+			var swPort *simnet.Port
+			swPort, rtPort = rs.Fabric.Connect(s.Net, s.Switch, s.Domain, rs.CloudNet, rs.Router, 0, simnet.LinkConfig{
+				Name: s.label("/") + "uplink", Latency: regionUplinkLatency, Bandwidth: cloudUplinkBandwidth,
+			})
+			s.Switch.AddPort(uplinkPort, swPort)
+			s.Switch.SetDefaultRoute(uplinkPort)
+			rs.Router.AddRoute(s.EGS.IP(), rtPort)
+			return backbone, resolver
 		}
-
-		r.Docker = docker.New(fmt.Sprintf("r%d-docker", i), r.Runtime, behaviors, DockerConfig())
-		r.Docker.SetObs(r.Counters)
-		r.Ctrl.AddCluster(r.Docker, KindDocker)
-
-		cliPort := 100
-		for j := 0; j < opts.ClientsPerRegion; j++ {
-			cli := simnet.NewHost(r.Net, fmt.Sprintf("r%d/rpi-%02d", i, j), simnet.Addr(fmt.Sprintf("10.%d.1.%d", d, j+1)))
-			cli.ProcDelay = rpiProcDelay
-			if len(r.GNBs) > 0 {
-				g := attachClientGNB(r.GNBs, r.Switch, cli, j, cliPort)
-				r.gnbOf = append(r.gnbOf, g)
-				r.cliPorts = append(r.cliPorts, cliPort)
-			} else {
-				r.Switch.AttachHost(cli, cliPort, simnet.LinkConfig{
-					Name: cli.Name(), Latency: rpiLinkLatency, Bandwidth: rpiLinkBandwidth,
-				})
-			}
-			cliPort++
+		site := newSite(c)
+		for _, cli := range site.Clients {
 			rs.Router.AddRoute(cli.IP(), rtPort)
-			r.Clients = append(r.Clients, cli)
 		}
-
-		if opts.Faults != nil && opts.Faults.Enabled() {
-			r.FaultPlan = faults.NewPlan(*opts.Faults)
-			r.FaultPlan.SetObs(r.Counters)
-			r.Docker.SetFaults(r.FaultPlan.For(r.Docker.Name()))
-			if opts.Faults.LinkLoss > 0 || opts.Faults.LinkExtraLatency > 0 {
-				r.Net.ImpairAll(opts.Faults.LinkLoss, opts.Faults.LinkExtraLatency)
-			}
-		}
-		rs.Sites = append(rs.Sites, r)
+		rs.Sites = append(rs.Sites, site)
 	}
-	if opts.Faults != nil && opts.Faults.Enabled() &&
-		(opts.Faults.LinkLoss > 0 || opts.Faults.LinkExtraLatency > 0) {
-		rs.CloudNet.ImpairAll(opts.Faults.LinkLoss, opts.Faults.LinkExtraLatency)
+	if opts.Faults != nil && opts.Faults.Enabled() {
+		impair(rs.CloudNet, opts.Faults)
 	}
 	return rs
-}
-
-func (rs *Regions) attachCloudHost(h *simnet.Host, link simnet.LinkConfig) {
-	hp, rp := rs.CloudNet.Connect(h, rs.Router, link)
-	h.SetUplink(hp)
-	rs.Router.AddRoute(h.IP(), rp)
-}
-
-// RegisterCatalogService registers one Table I service with one region's
-// controller and stands up its cloud origin in the backbone domain, so the
-// first request's cloud forward (and every image pull) genuinely crosses
-// the shard boundary. VIPs are per-region ("203.<domain>.113.<n>"), so the
-// same catalog key can be registered independently at every site.
-func (rs *Regions) RegisterCatalogService(region int, key string) (*spec.Annotated, spec.Registration, error) {
-	r := rs.Sites[region]
-	svc, err := catalog.Get(key)
-	if err != nil {
-		return nil, spec.Registration{}, err
-	}
-	reg := spec.Registration{
-		Domain: fmt.Sprintf("%s-r%d-%d.example.com", sanitize(key), region, r.nextVIP),
-		VIP:    simnet.Addr(fmt.Sprintf("203.%d.113.%d", r.Domain, r.nextVIP)),
-		Port:   80,
-	}
-	r.nextVIP++
-	a, err := r.Ctrl.RegisterService(svc.YAML, reg)
-	if err != nil {
-		return nil, spec.Registration{}, err
-	}
-	origin := simnet.NewHost(rs.CloudNet, "cloud-"+a.UniqueName, reg.VIP)
-	rs.attachCloudHost(origin, simnet.LinkConfig{
-		Name: "cloud-" + a.UniqueName, Latency: 2 * time.Millisecond, Bandwidth: 1 * simnet.Gbps,
-	})
-	behaviors := catalog.Behaviors()
-	var b cluster.Behavior
-	for _, cs := range a.Containers {
-		cb := behaviors.Behavior(cs.Image)
-		if cs.ContainerPort > 0 || b.RespSize == 0 {
-			b = cb
-		}
-	}
-	origin.ServeHTTPAsync(reg.Port, b.AsyncHandler())
-	rs.origins[a.UniqueName] = origin
-	return a, reg, nil
-}
-
-// Origin returns the cloud origin host of a registered service.
-func (rs *Regions) Origin(uniqueName string) (*simnet.Host, bool) {
-	h, ok := rs.origins[uniqueName]
-	return h, ok
-}
-
-// Handover moves one region's client to another of that region's gNB
-// cells — strictly intra-region, so the rewiring touches only the region's
-// own shard domain. Must run on the region's kernel (the replay engine's
-// mobility lane does); a no-op when the client already sits in the target
-// cell. Panics without RegionOptions.GNBs.
-func (rs *Regions) Handover(region, cli, to int) {
-	r := rs.Sites[region]
-	if len(r.GNBs) == 0 {
-		panic("testbed: Handover requires RegionOptions.GNBs > 0")
-	}
-	cli = cli % len(r.Clients)
-	from := r.gnbOf[cli]
-	if from == to {
-		return
-	}
-	moveClientGNB(r.Ctrl, r.GNBs, r.Switch, r.Clients[cli], r.cliPorts[cli], from, to)
-	r.gnbOf[cli] = to
-}
-
-// Request issues one measured request from a region's client to a service
-// registered at that region. It must run on the region's kernel.
-func (rs *Regions) Request(p *sim.Proc, region, cli int, reg spec.Registration, key string, timeout time.Duration) (*simnet.HTTPResult, error) {
-	r := rs.Sites[region]
-	return r.Clients[cli%len(r.Clients)].HTTPGet(p, reg.VIP, reg.Port, catalog.Request(key), timeout)
 }

@@ -30,12 +30,10 @@ import (
 	"transparentedge/internal/faults"
 	"transparentedge/internal/kube"
 	"transparentedge/internal/obs"
-	"transparentedge/internal/openflow"
 	"transparentedge/internal/registry"
 	"transparentedge/internal/serverless"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
-	"transparentedge/internal/spec"
 	"transparentedge/internal/srsteer"
 	"transparentedge/internal/steer"
 )
@@ -102,9 +100,7 @@ type Options struct {
 	Predictor       core.Predictor
 	PredictInterval time.Duration
 	PredictHorizon  time.Duration
-	// Log receives controller event lines (legacy printf hook); Events is
-	// the structured replacement and wins when both are set.
-	Log    func(format string, args ...any)
+	// Events receives the controller's structured events.
 	Events func(obs.Event)
 	// Trace, when set, records per-request span trees across the whole
 	// stack (dispatch pipeline, deploy phases, probing). Nil = off at zero
@@ -144,17 +140,12 @@ func NewSteering(name string) steer.Steering {
 	}
 }
 
-// Testbed is the assembled simulation.
+// Testbed is the assembled single-site simulation: one Site (see there for
+// the switch, EGS, controller, Docker engine, runtime and clients) plus what
+// only the fig. 8 testbed has.
 type Testbed struct {
-	K       *sim.Kernel
-	Net     *simnet.Network
-	Switch  *openflow.Switch
-	EGS     *simnet.Host
-	Clients []*simnet.Host
-	Ctrl    *core.Controller
-	Docker  *docker.Engine
-	Kube    *kube.Cluster
-	Runtime *container.Runtime
+	*Site
+	Kube *kube.Cluster
 
 	// Serverless is the optional WASM platform on the EGS (§VIII).
 	Serverless *serverless.Platform
@@ -165,25 +156,9 @@ type Testbed struct {
 	FarHost    *simnet.Host
 	FarRuntime *container.Runtime
 
-	// GNBs are the access switches of the mobility topology (Options.GNBs;
-	// empty in the flat topology). gnbOf / cliPorts track each client's
-	// current cell and its stable gNB port number.
-	GNBs     []*openflow.Switch
-	gnbOf    []int
-	cliPorts []int
-
 	Hub     *registry.Server
 	GCR     *registry.Server
 	Private *registry.Server
-
-	// FaultPlan is the materialized fault plan (nil when faults are off).
-	FaultPlan *faults.Plan
-
-	cloudRouter *simnet.Router
-	cloudPort   int // switch port toward the cloud
-	nextVIP     int
-	nextCliPort int
-	origins     map[string]*simnet.Host // unique service name -> cloud origin
 }
 
 // Calibrated constants (see package comment).
@@ -240,90 +215,16 @@ func New(opts Options) *Testbed {
 	if opts.NumClients <= 0 {
 		opts.NumClients = 20
 	}
-	if opts.Scheduler == nil {
-		opts.Scheduler = core.WaitNearestScheduler{}
-	}
-	k := sim.New(opts.Seed)
-	n := simnet.NewNetwork(k)
-	tb := &Testbed{
-		K:           k,
-		Net:         n,
-		nextVIP:     10,
-		nextCliPort: 100,
-		origins:     make(map[string]*simnet.Host),
-	}
+	tb := &Testbed{}
 
-	tb.Switch = openflow.NewSwitch(n, "ovs", openflow.DefaultConfig())
-
-	// EGS.
-	tb.EGS = simnet.NewHost(n, "egs", "10.0.0.10")
-	tb.EGS.ProcDelay = egsProcDelay
-	tb.Switch.AttachHost(tb.EGS, 1, simnet.LinkConfig{
-		Name: "egs", Latency: egsLinkLatency, Bandwidth: egsLinkBandwidth,
-	})
-
-	// Cloud router + uplink.
-	tb.cloudRouter = simnet.NewRouter(n, "cloud-gw")
-	swPort, crPort := n.Connect(tb.Switch, tb.cloudRouter, simnet.LinkConfig{
-		Name: "uplink", Latency: cloudUplinkLatency, Bandwidth: cloudUplinkBandwidth,
-	})
-	tb.cloudPort = 2
-	tb.Switch.AddPort(tb.cloudPort, swPort)
-	tb.Switch.SetDefaultRoute(tb.cloudPort)
-	tb.cloudRouter.SetDefault(crPort) // back toward the edge network
-
-	// Registries.
-	hubHost := simnet.NewHost(n, "docker-hub", "198.51.100.10")
-	tb.attachCloudHost(hubHost, simnet.LinkConfig{Name: "hub", Latency: hubLinkLatency, Bandwidth: hubLinkBandwidth})
-	tb.Hub = registry.NewServer(hubHost, registry.ServerConfig{
-		ManifestLatency: hubManifestLatency, BlobLatency: hubBlobLatency,
-	})
-	gcrHost := simnet.NewHost(n, "gcr", "198.51.100.20")
-	tb.attachCloudHost(gcrHost, simnet.LinkConfig{Name: "gcr", Latency: gcrLinkLatency, Bandwidth: gcrLinkBandwidth})
-	tb.GCR = registry.NewServer(gcrHost, registry.ServerConfig{
-		ManifestLatency: gcrManifestLatency, BlobLatency: gcrBlobLatency,
-	})
-	privHost := simnet.NewHost(n, "private-registry", "10.0.0.50")
-	tb.Switch.AttachHost(privHost, 3, simnet.LinkConfig{
-		Name: "private", Latency: privLinkLatency, Bandwidth: privLinkBandwidth,
-	})
-	tb.Private = registry.NewServer(privHost, registry.ServerConfig{
-		ManifestLatency: privManifestLatency, BlobLatency: privBlobLatency,
-	})
-	for _, img := range catalog.Images() {
-		// Publish everywhere; the resolver decides where pulls go.
-		tb.Private.Add(img)
-		if img.Ref == catalog.ImgResNet {
-			tb.GCR.Add(img)
-		} else {
-			tb.Hub.Add(img)
-		}
-	}
-
-	resolver := registry.NewResolver()
-	if opts.UsePrivateRegistry {
-		resolver.AddPrefix("", privHost.IP())
-	} else {
-		resolver.AddPrefix("", hubHost.IP())
-		resolver.AddPrefix("gcr.io/", gcrHost.IP())
-	}
-
-	// The shared containerd runtime on the EGS.
-	images := registry.NewClient(tb.EGS, resolver, registry.DefaultClientConfig())
-	tb.Runtime = container.NewRuntime(tb.EGS, images, RuntimeConfig())
-	behaviors := catalog.Behaviors()
-
-	// Controller.
 	ctrlCfg := core.DefaultConfig()
 	ctrlCfg.Scheduler = opts.Scheduler
+	if ctrlCfg.Scheduler == nil {
+		ctrlCfg.Scheduler = core.WaitNearestScheduler{}
+	}
 	ctrlCfg.AutoScaleDown = opts.AutoScaleDown
 	ctrlCfg.LocalSchedulerName = opts.LocalSchedulerName
-	ctrlCfg.Log = opts.Log
 	ctrlCfg.Events = opts.Events
-	ctrlCfg.Trace = opts.Trace
-	ctrlCfg.Counters = opts.Counters
-	ctrlCfg.Steering = NewSteering(opts.SteerBackend)
-	tb.Net.SetObs(opts.Counters)
 	if opts.SwitchIdleTimeout > 0 {
 		ctrlCfg.SwitchIdleTimeout = opts.SwitchIdleTimeout
 	}
@@ -354,18 +255,91 @@ func New(opts Options) *Testbed {
 		}
 		return 0
 	}
-	tb.Ctrl = core.New(k, tb.EGS, ctrlCfg)
-	if opts.GNBs > 0 {
-		tb.GNBs = buildGNBs(tb.Ctrl, n, tb.Switch, opts.GNBs, "")
-	} else {
-		tb.Ctrl.AddSwitch(tb.Switch)
-	}
 
-	if opts.EnableDocker {
-		tb.Docker = docker.New("egs-docker", tb.Runtime, behaviors, DockerConfig())
-		tb.Docker.SetObs(opts.Counters)
-		tb.Ctrl.AddCluster(tb.Docker, KindDocker)
+	tb.Site = newSite(siteConfig{
+		k:        sim.New(opts.Seed),
+		clients:  opts.NumClients,
+		gnbs:     opts.GNBs,
+		docker:   opts.EnableDocker,
+		steering: opts.SteerBackend,
+		ctrl:     ctrlCfg,
+		trace:    opts.Trace,
+		counters: opts.Counters,
+		faults:   opts.Faults,
+		uplink: func(s *Site) (*cloud, *registry.Resolver) {
+			return tb.buildCloud(s, opts.UsePrivateRegistry)
+		},
+		clusters: func(s *Site, resolver *registry.Resolver) {
+			tb.addClusters(s, resolver, opts)
+		},
+	})
+	return tb
+}
+
+// buildCloud wires the single site's cloud side on the site's own network:
+// the cloud router behind switch port 2, Docker Hub and GCR behind it, and
+// the private registry on switch port 3.
+func (tb *Testbed) buildCloud(s *Site, usePrivate bool) (*cloud, *registry.Resolver) {
+	n := s.Net
+	c := &cloud{net: n, router: simnet.NewRouter(n, "cloud-gw")}
+	swPort, crPort := n.Connect(s.Switch, c.router, simnet.LinkConfig{
+		Name: "uplink", Latency: cloudUplinkLatency, Bandwidth: cloudUplinkBandwidth,
+	})
+	s.Switch.AddPort(uplinkPort, swPort)
+	s.Switch.SetDefaultRoute(uplinkPort)
+	c.router.SetDefault(crPort) // back toward the edge network
+
+	var resolver *registry.Resolver
+	tb.Hub, tb.GCR, resolver = c.publicRegistries()
+	privHost := simnet.NewHost(n, "private-registry", "10.0.0.50")
+	s.Switch.AttachHost(privHost, 3, simnet.LinkConfig{
+		Name: "private", Latency: privLinkLatency, Bandwidth: privLinkBandwidth,
+	})
+	tb.Private = registry.NewServer(privHost, registry.ServerConfig{
+		ManifestLatency: privManifestLatency, BlobLatency: privBlobLatency,
+	})
+	for _, img := range catalog.Images() {
+		// Published everywhere; the resolver decides where pulls go.
+		tb.Private.Add(img)
 	}
+	if usePrivate {
+		resolver = registry.NewResolver()
+		resolver.AddPrefix("", privHost.IP())
+	}
+	return c, resolver
+}
+
+// publicRegistries stands up Docker Hub and GCR behind the cloud router,
+// publishes the catalog images where the paper pulls them from, and returns
+// the resolver that routes pulls there.
+func (c *cloud) publicRegistries() (hub, gcr *registry.Server, resolver *registry.Resolver) {
+	hubHost := simnet.NewHost(c.net, "docker-hub", "198.51.100.10")
+	c.attach(hubHost, simnet.LinkConfig{Name: "hub", Latency: hubLinkLatency, Bandwidth: hubLinkBandwidth})
+	hub = registry.NewServer(hubHost, registry.ServerConfig{
+		ManifestLatency: hubManifestLatency, BlobLatency: hubBlobLatency,
+	})
+	gcrHost := simnet.NewHost(c.net, "gcr", "198.51.100.20")
+	c.attach(gcrHost, simnet.LinkConfig{Name: "gcr", Latency: gcrLinkLatency, Bandwidth: gcrLinkBandwidth})
+	gcr = registry.NewServer(gcrHost, registry.ServerConfig{
+		ManifestLatency: gcrManifestLatency, BlobLatency: gcrBlobLatency,
+	})
+	for _, img := range catalog.Images() {
+		if img.Ref == catalog.ImgResNet {
+			gcr.Add(img)
+		} else {
+			hub.Add(img)
+		}
+	}
+	resolver = registry.NewResolver()
+	resolver.AddPrefix("", hubHost.IP())
+	resolver.AddPrefix("gcr.io/", gcrHost.IP())
+	return hub, gcr, resolver
+}
+
+// addClusters adds the cluster types only the single-site testbed has —
+// Kubernetes, serverless, the far edge — and starts proactive deployment.
+func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Options) {
+	behaviors := catalog.Behaviors()
 	if opts.EnableKube {
 		kubeCfg := KubeConfig()
 		if opts.LocalSchedulerName != "" {
@@ -376,34 +350,34 @@ func New(opts Options) *Testbed {
 				BindingDelay: 300 * time.Millisecond,
 			}
 		}
-		kc := kube.New("egs-k8s", k, kubeCfg)
+		kc := kube.New("egs-k8s", s.K, kubeCfg)
 		kc.SetObs(opts.Counters)
-		kc.AddNode("egs", tb.Runtime, behaviors)
+		kc.AddNode("egs", s.Runtime, behaviors)
 		kc.Start()
 		tb.Kube = kc
-		tb.Ctrl.AddCluster(tb.Kube, KindKubernetes)
+		s.Ctrl.AddCluster(tb.Kube, KindKubernetes)
 	}
 
 	if opts.EnableServerless {
 		// The platform keeps its own module store: WASM modules are a
 		// different artifact type than container images.
-		moduleStore := registry.NewClient(tb.EGS, resolver, registry.DefaultClientConfig())
-		tb.Serverless = serverless.New("egs-serverless", tb.EGS, moduleStore, behaviors, serverless.DefaultConfig())
+		moduleStore := registry.NewClient(s.EGS, resolver, registry.DefaultClientConfig())
+		tb.Serverless = serverless.New("egs-serverless", s.EGS, moduleStore, behaviors, serverless.DefaultConfig())
 		tb.Serverless.SetObs(opts.Counters)
-		tb.Ctrl.AddCluster(tb.Serverless, KindServerless)
+		s.Ctrl.AddCluster(tb.Serverless, KindServerless)
 	}
 
 	if opts.EnableFarEdge {
-		tb.FarHost = simnet.NewHost(n, "far-edge", "10.0.2.10")
+		tb.FarHost = simnet.NewHost(s.Net, "far-edge", "10.0.2.10")
 		tb.FarHost.ProcDelay = egsProcDelay
-		tb.Switch.AttachHost(tb.FarHost, 4, simnet.LinkConfig{
+		s.Switch.AttachHost(tb.FarHost, 4, simnet.LinkConfig{
 			Name: "far-edge", Latency: 2 * time.Millisecond, Bandwidth: 1 * simnet.Gbps,
 		})
 		farImages := registry.NewClient(tb.FarHost, resolver, registry.DefaultClientConfig())
 		tb.FarRuntime = container.NewRuntime(tb.FarHost, farImages, RuntimeConfig())
 		tb.FarDocker = docker.New("far-docker", tb.FarRuntime, behaviors, DockerConfig())
 		tb.FarDocker.SetObs(opts.Counters)
-		tb.Ctrl.AddCluster(tb.FarDocker, KindDocker)
+		s.Ctrl.AddCluster(tb.FarDocker, KindDocker)
 	}
 
 	if opts.Predictor != nil {
@@ -415,178 +389,8 @@ func New(opts Options) *Testbed {
 		if horizon <= 0 {
 			horizon = 15 * time.Second
 		}
-		tb.Ctrl.StartProactive(opts.Predictor, interval, horizon)
+		s.Ctrl.StartProactive(opts.Predictor, interval, horizon)
 	}
-
-	// Clients.
-	for i := 0; i < opts.NumClients; i++ {
-		cli := simnet.NewHost(n, fmt.Sprintf("rpi-%02d", i), simnet.Addr(fmt.Sprintf("10.0.1.%d", i+1)))
-		cli.ProcDelay = rpiProcDelay
-		if len(tb.GNBs) > 0 {
-			g := attachClientGNB(tb.GNBs, tb.Switch, cli, i, tb.nextCliPort)
-			tb.gnbOf = append(tb.gnbOf, g)
-			tb.cliPorts = append(tb.cliPorts, tb.nextCliPort)
-		} else {
-			tb.Switch.AttachHost(cli, tb.nextCliPort, simnet.LinkConfig{
-				Name: cli.Name(), Latency: rpiLinkLatency, Bandwidth: rpiLinkBandwidth,
-			})
-		}
-		tb.nextCliPort++
-		tb.Clients = append(tb.Clients, cli)
-	}
-
-	// Fault plan: attached last so every cluster and link exists. For a nil
-	// or disabled spec this leaves every injector nil (the zero-cost path).
-	if opts.Faults != nil && opts.Faults.Enabled() {
-		tb.FaultPlan = faults.NewPlan(*opts.Faults)
-		tb.FaultPlan.SetObs(opts.Counters)
-		if tb.Docker != nil {
-			tb.Docker.SetFaults(tb.FaultPlan.For(tb.Docker.Name()))
-		}
-		if tb.Kube != nil {
-			tb.Kube.SetFaults(tb.FaultPlan.For(tb.Kube.Name()))
-		}
-		if tb.Serverless != nil {
-			tb.Serverless.SetFaults(tb.FaultPlan.For(tb.Serverless.Name()))
-		}
-		if tb.FarDocker != nil {
-			tb.FarDocker.SetFaults(tb.FaultPlan.For(tb.FarDocker.Name()))
-		}
-		if opts.Faults.LinkLoss > 0 || opts.Faults.LinkExtraLatency > 0 {
-			tb.Net.ImpairAll(opts.Faults.LinkLoss, opts.Faults.LinkExtraLatency)
-		}
-	}
-	return tb
-}
-
-func (tb *Testbed) attachCloudHost(h *simnet.Host, link simnet.LinkConfig) {
-	hp, rp := tb.Net.Connect(h, tb.cloudRouter, link)
-	h.SetUplink(hp)
-	tb.cloudRouter.AddRoute(h.IP(), rp)
-}
-
-// RegisterService registers a custom edge service from a YAML definition:
-// it allocates a cloud VIP, registers with the controller, and creates the
-// cloud origin. behaviorImage selects the catalog behavior used for the
-// cloud origin's handler ("" for a generic fast handler).
-func (tb *Testbed) RegisterService(yamlSrc, domain string) (*spec.Annotated, spec.Registration, error) {
-	reg := spec.Registration{
-		Domain: domain,
-		VIP:    simnet.Addr(fmt.Sprintf("203.0.113.%d", tb.nextVIP)),
-		Port:   80,
-	}
-	tb.nextVIP++
-	a, err := tb.Ctrl.RegisterService(yamlSrc, reg)
-	if err != nil {
-		return nil, spec.Registration{}, err
-	}
-	tb.createCloudOrigin(a, reg, "")
-	return a, reg, nil
-}
-
-// RegisterCatalogService registers one of the paper's Table I services: it
-// allocates a cloud VIP, creates the cloud origin host that really serves
-// that address (the "perceived cloud" of fig. 1 must exist for forwarding
-// without an edge instance), and registers the service with the controller.
-func (tb *Testbed) RegisterCatalogService(key string) (*spec.Annotated, spec.Registration, error) {
-	svc, err := catalog.Get(key)
-	if err != nil {
-		return nil, spec.Registration{}, err
-	}
-	reg := spec.Registration{
-		Domain: fmt.Sprintf("%s-%d.example.com", sanitize(key), tb.nextVIP),
-		VIP:    simnet.Addr(fmt.Sprintf("203.0.113.%d", tb.nextVIP)),
-		Port:   80,
-	}
-	tb.nextVIP++
-	a, err := tb.Ctrl.RegisterService(svc.YAML, reg)
-	if err != nil {
-		return nil, spec.Registration{}, err
-	}
-	tb.createCloudOrigin(a, reg, key)
-	return a, reg, nil
-}
-
-func sanitize(key string) string {
-	out := make([]rune, 0, len(key))
-	for _, r := range key {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+('a'-'A'))
-		default:
-			out = append(out, '-')
-		}
-	}
-	return string(out)
-}
-
-// createCloudOrigin stands up the real cloud instance of a registered
-// service behind the cloud router.
-func (tb *Testbed) createCloudOrigin(a *spec.Annotated, reg spec.Registration, key string) {
-	origin := simnet.NewHost(tb.Net, "cloud-"+a.UniqueName, reg.VIP)
-	tb.attachCloudHost(origin, simnet.LinkConfig{
-		Name: "cloud-" + a.UniqueName, Latency: 2 * time.Millisecond, Bandwidth: 1 * simnet.Gbps,
-	})
-	behaviors := catalog.Behaviors()
-	var b cluster.Behavior
-	for _, cs := range a.Containers {
-		cb := behaviors.Behavior(cs.Image)
-		if cs.ContainerPort > 0 || b.RespSize == 0 {
-			b = cb
-		}
-	}
-	origin.ServeHTTPAsync(reg.Port, b.AsyncHandler())
-	tb.origins[a.UniqueName] = origin
-}
-
-// Origin returns the cloud origin host of a registered service.
-func (tb *Testbed) Origin(uniqueName string) (*simnet.Host, bool) {
-	h, ok := tb.origins[uniqueName]
-	return h, ok
-}
-
-// Request issues one measured request (timecurl-style) from client index
-// cli to the registered service, with the catalog request shape for key.
-// timeout 0 waits forever (on-demand with waiting).
-func (tb *Testbed) Request(p *sim.Proc, cli int, reg spec.Registration, key string, timeout time.Duration) (*simnet.HTTPResult, error) {
-	return tb.Clients[cli].HTTPGet(p, reg.VIP, reg.Port, catalog.Request(key), timeout)
-}
-
-// RequestAsync issues the same measured request as Request without blocking
-// a process: done runs inside the completion event. This is the replay
-// engine's hot path — both replay strategies route through it, which is what
-// keeps them bit-identical to each other.
-func (tb *Testbed) RequestAsync(cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error)) {
-	tb.Clients[cli].HTTPGetAsync(reg.VIP, reg.Port, catalog.Request(key), timeout, done)
-}
-
-// Handover moves a client to another gNB cell: the old radio link is
-// severed (in-flight packets drop — simnet.Host.Detach semantics), the
-// client re-attaches under its stable port number, both switches' routes
-// are rewired, and the controller is notified (core.NoteHandover). Runs in
-// kernel context; a no-op when the client is already in the target cell.
-// Panics without Options.GNBs — a flat topology has nowhere to hand over to.
-func (tb *Testbed) Handover(cli, to int) {
-	if len(tb.GNBs) == 0 {
-		panic("testbed: Handover requires Options.GNBs > 0")
-	}
-	from := tb.gnbOf[cli]
-	if from == to {
-		return
-	}
-	moveClientGNB(tb.Ctrl, tb.GNBs, tb.Switch, tb.Clients[cli], tb.cliPorts[cli], from, to)
-	tb.gnbOf[cli] = to
-}
-
-// ClientCell returns the gNB cell a client currently occupies (0 in the
-// flat topology).
-func (tb *Testbed) ClientCell(cli int) int {
-	if len(tb.gnbOf) == 0 {
-		return 0
-	}
-	return tb.gnbOf[cli]
 }
 
 // ClusterByKind returns the testbed cluster of the given kind (nil if not

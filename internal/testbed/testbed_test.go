@@ -381,7 +381,7 @@ func TestUnregisteredAddressPassesThrough(t *testing.T) {
 	// transparent edge intercepts only registered services).
 	tb := New(Options{Seed: 1, EnableDocker: true})
 	other := simnet.NewHost(tb.Net, "plain-cloud", "203.0.113.200")
-	tb.attachCloudHost(other, simnet.LinkConfig{Latency: 2 * time.Millisecond, Bandwidth: simnet.Gbps})
+	tb.cloud.attach(other, simnet.LinkConfig{Latency: 2 * time.Millisecond, Bandwidth: simnet.Gbps})
 	other.ServeHTTP(80, func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
 		return &simnet.HTTPResponse{Status: 200, Body: "plain"}
 	})

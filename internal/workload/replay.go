@@ -31,6 +31,10 @@ type ReplayResult struct {
 	FirstRequests *metrics.Series
 	// Errors counts failed requests.
 	Errors int
+	// Unfinished counts requests that had not completed when the run bound
+	// was reached — in flight, queued behind MaxInFlight, or not yet arrived.
+	// They are neither sampled nor counted in Errors.
+	Unfinished int
 	// Registrations are the per-service registrations used.
 	Registrations []spec.Registration
 }
@@ -40,16 +44,11 @@ type Options struct {
 	// PrePull / PreCreate run the fig. 11 warm conditions before t=0.
 	PrePull   bool
 	PreCreate bool
-	// GoroutinePerRequest selects the legacy strategy that spawns one
-	// parked process per request up front. The default (false) schedules
-	// arrivals as kernel events and spawns each request's process lazily at
-	// its arrival time, keeping memory flat in trace length. Both
-	// strategies produce identical results at the same seed.
-	GoroutinePerRequest bool
-	// MaxInFlight bounds concurrently executing requests in event-driven
-	// mode (0 = unlimited). Arrivals beyond the cap queue FIFO and start as
-	// running requests finish; their measured latency still spans arrival
-	// to completion, so queueing shows up in the totals.
+	// MaxInFlight bounds concurrently executing requests (0 = unlimited).
+	// Arrivals beyond the cap queue FIFO and start as running requests
+	// finish; their measured latency still spans arrival to completion, so
+	// queueing shows up in the totals. In a sharded replay the cap applies
+	// per site.
 	MaxInFlight int
 	// ExactSamples is the per-series sample threshold beyond which result
 	// series fold into fixed-memory histograms. 0 means
@@ -63,32 +62,29 @@ type Options struct {
 	// that name equals the request count. Nil = off at zero cost.
 	Trace *obs.Tracer
 	// Counters, when set, registers replay_inflight (gauge, with high-water
-	// mark) and replay_errors_total. Nil = off at zero cost.
+	// mark) and replay_errors_total. Nil = off at zero cost. ReplaySharded
+	// rejects both handles: window workers run sites concurrently, so a
+	// sharded run instruments through the per-site handles of
+	// testbed.RegionOptions.Traced / Counted.
 	Counters *obs.Registry
 	// Handovers is a mobility schedule replayed alongside the trace: each
 	// event fires at the replay anchor plus its At, on its own monotone
-	// event lane (it never perturbs the arrival lane), invoking
-	// ApplyHandover. Ignored when ApplyHandover is nil.
+	// event lane (it never perturbs the arrival lane), and moves the client
+	// with testbed.Site.Handover on the client's home site.
 	Handovers []Handover
-	// ApplyHandover performs one re-attachment (simnet MoveTo, switch
-	// rewiring, controller NoteHandover — see testbed.Handover). It runs in
-	// kernel context and must not block; in sharded runs it is invoked on
-	// the home region's kernel and must touch only that region's state.
-	ApplyHandover func(h Handover)
 }
 
-// replayObs bundles the replay layer's resolved obs handles; the zero value
-// (obs off) no-ops everywhere, so both replay strategies instrument
-// unconditionally.
+// replayObs bundles one site's resolved obs handles; the zero value (obs
+// off) no-ops everywhere, so the engine instruments unconditionally.
 type replayObs struct {
 	tr   *obs.Tracer
 	in   *obs.Gauge
 	errs *obs.Counter
 }
 
-func newReplayObs(opts Options) replayObs {
-	o := replayObs{tr: opts.Trace}
-	if reg := opts.Counters; reg != nil {
+func newReplayObs(tr *obs.Tracer, reg *obs.Registry) replayObs {
+	o := replayObs{tr: tr}
+	if reg != nil {
 		o.in = reg.Gauge("replay_inflight")
 		o.errs = reg.Counter("replay_errors_total")
 	}
@@ -112,35 +108,103 @@ func (o replayObs) request(at, end sim.Time, serviceKey string, err error) {
 	o.tr.Emit(s)
 }
 
+// runBound is how long a replay runs: the trace duration plus generous slack
+// for trailing deployments. Whatever has not completed by then is reported
+// as ReplayResult.Unfinished.
+func runBound(trace *Trace) time.Duration { return trace.Config.Duration + 30*time.Minute }
+
 // Replay registers trace.Config.Services instances of the given Table I
 // service type (the paper uses "a single service type per test run"),
 // optionally pre-pulls and pre-creates them (the fig. 11 warm conditions),
 // then replays the trace: every request is issued from its client at its
 // arrival time and measured end to end. It is shorthand for ReplayWith with
-// the default event-driven options.
+// the default options.
 func Replay(tb *testbed.Testbed, trace *Trace, serviceKey string, prePull, preCreate bool) (*ReplayResult, error) {
 	return ReplayWith(tb, trace, serviceKey, Options{PrePull: prePull, PreCreate: preCreate})
 }
 
-// ReplayWith replays a trace with explicit options. The testbed kernel is
-// run to completion inside the call.
+// ReplayWith replays a trace against the single-site testbed with explicit
+// options: the one replay engine (siteReplay) on the testbed's site, with
+// request client c issued from client c % len(tb.Clients). The testbed
+// kernel is run to the run bound inside the call.
 func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Options) (*ReplayResult, error) {
-	if len(tb.Clients) == 0 {
-		return nil, fmt.Errorf("workload: testbed has no clients")
+	if err := validate([]*testbed.Site{tb.Site}, trace, opts.Handovers); err != nil {
+		return nil, err
 	}
+	run, err := stage(tb.Site, serviceKey, serviceKey, trace, opts)
+	if err != nil {
+		return nil, err
+	}
+	tb.K.RunUntil(runBound(trace))
+	return run.finish(), nil
+}
+
+// validate rejects a replay's inputs before anything is registered or
+// staged, so bad input never surfaces as a panic inside a kernel event.
+// Client c of the trace and of the handover schedule lives on
+// sites[c % len(sites)].
+func validate(sites []*testbed.Site, trace *Trace, handovers []Handover) error {
 	if trace == nil || trace.Config.Services <= 0 {
-		return nil, fmt.Errorf("workload: trace has no services")
+		return fmt.Errorf("workload: trace has no services")
+	}
+	for d, s := range sites {
+		if len(s.Clients) == 0 {
+			return fmt.Errorf("workload: site %d has no clients", d)
+		}
 	}
 	for i, r := range trace.Requests {
 		if r.Service < 0 || r.Service >= trace.Config.Services {
-			return nil, fmt.Errorf("workload: request %d references service %d outside [0,%d)",
+			return fmt.Errorf("workload: request %d references service %d outside [0,%d)",
 				i, r.Service, trace.Config.Services)
 		}
 		if r.Client < 0 {
-			return nil, fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
+			return fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
 		}
 	}
+	for i, h := range handovers {
+		if h.Client < 0 {
+			return fmt.Errorf("workload: handover %d has negative client %d", i, h.Client)
+		}
+		cells := len(sites[h.Client%len(sites)].GNBs)
+		if cells == 0 {
+			return fmt.Errorf("workload: handover %d moves client %d, whose site was built without gNB cells (GNBs == 0)",
+				i, h.Client)
+		}
+		if h.To < 0 || h.To >= cells {
+			return fmt.Errorf("workload: handover %d moves client %d to cell %d outside [0,%d)",
+				i, h.Client, h.To, cells)
+		}
+	}
+	return nil
+}
 
+// siteReplay is the replay engine: one site's share of a replay, staged on
+// that site's kernel and driven entirely by kernel events and callback I/O —
+// no process, channel or promise per request — so peak memory tracks
+// in-flight requests and the steady-state request path stays under ten
+// allocations. All of its state is touched from the site's kernel only.
+type siteReplay struct {
+	site       *testbed.Site
+	serviceKey string
+	reqs       []Request // Client indexes site.Clients, modulo its length
+	isFirst    []bool    // reqs[i] is its service's first request at this site
+	opts       Options
+	obs        replayObs
+	res        *ReplayResult
+
+	inFlight int
+	queued   []int // arrival-order request indices waiting on MaxInFlight
+	done     int
+}
+
+// stage registers the trace's services at one site and schedules the site's
+// share of the replay (trace.Requests and opts.Handovers, client indices
+// site-local): preparation, then — anchored at preparation end, so arrival
+// spacing is preserved — the handover lane and the arrival lane. name
+// prefixes the result series. The inputs must have passed validate; nothing
+// runs until the caller runs the site's kernel.
+func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Options) (*siteReplay, error) {
+	services, reqs, handovers := trace.Config.Services, trace.Requests, opts.Handovers
 	exact := opts.ExactSamples
 	if exact == 0 {
 		exact = DefaultExactSamples
@@ -151,39 +215,46 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 		}
 		return metrics.NewBoundedSeries(name, exact)
 	}
-	res := &ReplayResult{
-		Totals:        newSeries(serviceKey + "/totals"),
-		FirstRequests: newSeries(serviceKey + "/first"),
+	r := &siteReplay{
+		site: site, serviceKey: serviceKey, reqs: reqs, opts: opts,
+		obs: newReplayObs(opts.Trace, opts.Counters),
+		res: &ReplayResult{
+			Totals:        newSeries(name + "/totals"),
+			FirstRequests: newSeries(name + "/first"),
+			Registrations: make([]spec.Registration, services),
+		},
 	}
-	regs := make([]spec.Registration, trace.Config.Services)
-	annotated := make([]*spec.Annotated, trace.Config.Services)
-	for i := 0; i < trace.Config.Services; i++ {
-		a, reg, err := tb.RegisterCatalogService(serviceKey)
-		if err != nil {
+	annotated := make([]*spec.Annotated, services)
+	for i := range annotated {
+		var err error
+		if annotated[i], r.res.Registrations[i], err = site.RegisterCatalogService(serviceKey); err != nil {
 			return nil, err
 		}
-		regs[i] = reg
-		annotated[i] = a
 	}
-	res.Registrations = regs
 
-	// Preparation (pre-pull/pre-create) runs first; the trace's t=0 is
-	// then anchored at preparation end so arrival spacing is preserved.
-	prepDone := sim.NewPromise[sim.Time](tb.K)
-	tb.K.Go("prepare", func(p *sim.Proc) {
+	firstSeen := make(map[int]bool, services)
+	r.isFirst = make([]bool, len(reqs))
+	for i, q := range reqs {
+		r.isFirst[i] = !firstSeen[q.Service]
+		firstSeen[q.Service] = true
+	}
+
+	k := site.K
+	prepDone := sim.NewPromise[sim.Time](k)
+	k.Go("prepare", func(p *sim.Proc) {
 		defer func() { prepDone.Resolve(p.Now()) }()
 		if !opts.PrePull && !opts.PreCreate {
 			return
 		}
-		for _, cl := range tb.Ctrl.Clusters() {
+		for _, cl := range site.Ctrl.Clusters() {
 			for _, a := range annotated {
 				if err := cl.Pull(p, a); err != nil {
-					res.Errors++
+					r.res.Errors++
 					return
 				}
 				if opts.PreCreate {
 					if err := cl.Create(p, a); err != nil {
-						res.Errors++
+						r.res.Errors++
 						return
 					}
 				}
@@ -191,149 +262,69 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 		}
 	})
 
-	stageHandovers(tb.K, opts, prepDone, nil)
-
-	ro := newReplayObs(opts)
-	if opts.GoroutinePerRequest {
-		replayGoroutines(tb, trace, res, regs, serviceKey, opts, prepDone, ro)
-	} else {
-		replayEvents(tb, trace, res, regs, serviceKey, opts, prepDone, ro)
+	// Each lane is one monotone event batch (O(n), no heap churn). The
+	// mobility lane is staged before the arrival lane so a handover and an
+	// arrival at the same instant order handover-first at every shard count.
+	if len(handovers) > 0 {
+		prepDone.OnDone(func(t0 sim.Time, _ error) {
+			times := make([]sim.Time, len(handovers))
+			for i, h := range handovers {
+				times[i] = t0 + h.At
+			}
+			k.AtBatch(times, func(i int) { site.Handover(handovers[i].Client, handovers[i].To) })
+		})
 	}
-
-	// Run until all requests completed (generous bound: trace duration
-	// plus slack for trailing deployments).
-	tb.K.RunUntil(trace.Config.Duration + 30*time.Minute)
-	return res, nil
+	prepDone.OnDone(func(t0 sim.Time, _ error) {
+		times := make([]sim.Time, len(reqs))
+		for i, q := range reqs {
+			times[i] = t0 + q.At
+		}
+		k.AtBatch(times, r.arrive)
+	})
+	return r, nil
 }
 
-// stageHandovers schedules the mobility lane: once preparation resolves, the
-// whole handover schedule is staged as one monotone event batch anchored at
-// the same t0 as the arrivals. keep filters the schedule (nil = all) — the
-// sharded replay passes a region predicate. Staged before the arrival lane
-// so a handover and an arrival at the same instant order handover-first at
-// every shard count.
-func stageHandovers(k *sim.Kernel, opts Options, prepDone *sim.Promise[sim.Time], keep func(h Handover) bool) {
-	if len(opts.Handovers) == 0 || opts.ApplyHandover == nil {
+// arrive is the arrival lane's event: start request i now, or queue it
+// behind the in-flight cap.
+func (r *siteReplay) arrive(i int) {
+	if r.opts.MaxInFlight > 0 && r.inFlight >= r.opts.MaxInFlight {
+		r.queued = append(r.queued, i)
 		return
 	}
-	hs := opts.Handovers
-	if keep != nil {
-		hs = nil
-		for _, h := range opts.Handovers {
-			if keep(h) {
-				hs = append(hs, h)
-			}
-		}
-		if len(hs) == 0 {
-			return
-		}
-	}
-	apply := opts.ApplyHandover
-	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		times := make([]sim.Time, len(hs))
-		for i, h := range hs {
-			times[i] = t0 + h.At
-		}
-		k.AtBatch(times, func(i int) { apply(hs[i]) })
-	})
+	r.start(i, r.site.K.Now())
 }
 
-// replayGoroutines is the legacy strategy: one process per request, spawned
-// up front and parked until its arrival time. O(trace) goroutines and parked
-// stacks — kept behind Options.GoroutinePerRequest for parity checking. The
-// request itself runs on the same callback core as the event strategy (the
-// process just awaits its completion), so the two stay bit-identical.
-func replayGoroutines(tb *testbed.Testbed, trace *Trace, res *ReplayResult,
-	regs []spec.Registration, serviceKey string, opts Options, prepDone *sim.Promise[sim.Time], ro replayObs) {
-	firstSeen := make(map[int]bool, trace.Config.Services)
-	for _, r := range trace.Requests {
-		r := r
-		isFirst := !firstSeen[r.Service]
-		firstSeen[r.Service] = true
-		tb.K.Go("replay", func(p *sim.Proc) {
-			// Wait for preparation, then until this request's arrival
-			// relative to the anchored trace start.
-			t0, _ := prepDone.Await(p)
-			p.SleepUntil(t0 + r.At)
-			at := p.Now()
-			ro.in.Add(1)
-			pr := sim.NewPromise[*simnet.HTTPResult](tb.K)
-			tb.RequestAsync(r.Client%len(tb.Clients), regs[r.Service], serviceKey, opts.RequestTimeout,
-				func(hr *simnet.HTTPResult, err error) {
-					if err != nil {
-						pr.Fail(err)
-						return
-					}
-					pr.Resolve(hr)
-				})
-			hr, err := pr.Await(p)
-			ro.in.Add(-1)
-			ro.request(at, p.Now(), serviceKey, err)
+// start issues request i, measured from its arrival at, and accounts for it
+// when it completes.
+func (r *siteReplay) start(i int, at sim.Time) {
+	r.inFlight++
+	r.obs.in.Add(1)
+	q := r.reqs[i]
+	r.site.RequestAsync(q.Client%len(r.site.Clients), r.res.Registrations[q.Service], r.serviceKey, r.opts.RequestTimeout,
+		func(hr *simnet.HTTPResult, err error) {
+			now := r.site.K.Now()
+			r.inFlight--
+			r.done++
+			r.obs.in.Add(-1)
+			r.obs.request(at, now, r.serviceKey, err)
 			if err != nil {
-				res.Errors++
-				return
+				r.res.Errors++
+			} else {
+				r.res.Totals.Add(at, hr.Total)
+				if r.isFirst[i] {
+					r.res.FirstRequests.Add(at, hr.Total)
+				}
 			}
-			res.Totals.Add(at, hr.Total)
-			if isFirst {
-				res.FirstRequests.Add(at, hr.Total)
+			if len(r.queued) > 0 { // only under MaxInFlight, and a slot just freed
+				next := r.queued[0]
+				r.queued = r.queued[1:]
+				r.start(next, now)
 			}
 		})
-	}
 }
 
-// replayEvents is the event-driven strategy: once preparation resolves, the
-// whole arrival schedule is staged as a monotone event batch (O(n), no
-// heap churn) and each request runs on the callback-mode request core — no
-// process, channel, or promise per request — so peak memory tracks in-flight
-// requests and the steady-state request path stays under ten allocations.
-func replayEvents(tb *testbed.Testbed, trace *Trace, res *ReplayResult,
-	regs []spec.Registration, serviceKey string, opts Options, prepDone *sim.Promise[sim.Time], ro replayObs) {
-	firstSeen := make(map[int]bool, trace.Config.Services)
-	isFirst := make([]bool, len(trace.Requests))
-	for i, r := range trace.Requests {
-		isFirst[i] = !firstSeen[r.Service]
-		firstSeen[r.Service] = true
-	}
-
-	inFlight := 0
-	var queued []int // arrival-order indices waiting on the in-flight cap
-	var start func(i int, at sim.Time)
-	start = func(i int, at sim.Time) {
-		inFlight++
-		ro.in.Add(1)
-		r := trace.Requests[i]
-		tb.RequestAsync(r.Client%len(tb.Clients), regs[r.Service], serviceKey, opts.RequestTimeout,
-			func(hr *simnet.HTTPResult, err error) {
-				inFlight--
-				ro.in.Add(-1)
-				ro.request(at, tb.K.Now(), serviceKey, err)
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Totals.Add(at, hr.Total)
-					if isFirst[i] {
-						res.FirstRequests.Add(at, hr.Total)
-					}
-				}
-				if len(queued) > 0 && (opts.MaxInFlight <= 0 || inFlight < opts.MaxInFlight) {
-					next := queued[0]
-					queued = queued[1:]
-					start(next, tb.K.Now())
-				}
-			})
-	}
-
-	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		times := make([]sim.Time, len(trace.Requests))
-		for i, r := range trace.Requests {
-			times[i] = t0 + r.At
-		}
-		tb.K.AtBatch(times, func(i int) {
-			if opts.MaxInFlight > 0 && inFlight >= opts.MaxInFlight {
-				queued = append(queued, i)
-				return
-			}
-			start(i, tb.K.Now())
-		})
-	})
+// finish closes the site's result once its kernel has reached the run bound.
+func (r *siteReplay) finish() *ReplayResult {
+	r.res.Unfinished = len(r.reqs) - r.done
+	return r.res
 }

@@ -1,12 +1,19 @@
 package workload
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/metrics"
+	"transparentedge/internal/obs"
+	"transparentedge/internal/registry"
+	"transparentedge/internal/sim"
+	"transparentedge/internal/simnet"
+	"transparentedge/internal/spec"
 	"transparentedge/internal/testbed"
 )
 
@@ -14,55 +21,106 @@ func newReplayTestbed(seed int64, clients int) *testbed.Testbed {
 	return testbed.New(testbed.Options{Seed: seed, EnableDocker: true, NumClients: clients})
 }
 
-// TestReplayParityFig9 is the acceptance gate for the event-driven replay:
-// on the full fig. 9 trace at the same seed, the event-driven and
-// goroutine-per-request strategies must produce bit-identical results.
-func TestReplayParityFig9(t *testing.T) {
-	trace := Generate(DefaultConfig(42))
+// fig9PrepareEnd measures, on a twin of the replay testbed, when the warm
+// preparation of the given number of nginx services ends: the same pulls and
+// creates in the same order on the same seed, so the same instant.
+func fig9PrepareEnd(t *testing.T, seed int64, services int) sim.Time {
+	tb := newReplayTestbed(seed, 20)
+	var annotated []*spec.Annotated
+	for i := 0; i < services; i++ {
+		a, _, err := tb.RegisterCatalogService(catalog.Nginx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		annotated = append(annotated, a)
+	}
+	end := sim.Time(-1)
+	tb.K.Go("prepare", func(p *sim.Proc) {
+		for _, cl := range tb.Ctrl.Clusters() {
+			for _, a := range annotated {
+				if err := cl.Pull(p, a); err != nil {
+					t.Error(err)
+				}
+				if err := cl.Create(p, a); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		end = p.Now()
+	})
+	tb.K.RunUntil(time.Hour)
+	if end <= 0 {
+		t.Fatalf("twin preparation ended at %v", end)
+	}
+	return end
+}
 
-	run := func(goroutines bool) *ReplayResult {
-		tb := newReplayTestbed(42, 20)
-		res, err := ReplayWith(tb, trace, catalog.Nginx, Options{
-			PrePull: true, PreCreate: true, GoroutinePerRequest: goroutines,
-		})
+// TestReplayArrivalInstantsFig9 is the arrival lane's oracle on the full
+// fig. 9 trace: every one of the 1708 requests starts — its "request" root
+// span's Start — exactly at preparation end plus its Request.At, and two
+// runs at the same seed produce the same (arrival, total) sample multiset.
+// The traced run bounds each request so that one which never completes still
+// closes its span (the bound outlasts the arrival window, so a timeout cannot
+// disturb another request's start); the unbounded runs must report exactly
+// those requests as Unfinished.
+func TestReplayArrivalInstantsFig9(t *testing.T) {
+	trace := Generate(DefaultConfig(42))
+	t0 := fig9PrepareEnd(t, 42, trace.Config.Services)
+
+	run := func(opts Options) *ReplayResult {
+		opts.PrePull, opts.PreCreate = true, true
+		res, err := ReplayWith(newReplayTestbed(42, 20), trace, catalog.Nginx, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ev := run(false)
-	gr := run(true)
-
-	if ev.Errors != gr.Errors {
-		t.Errorf("Errors: event %d, goroutine %d", ev.Errors, gr.Errors)
+	tr := obs.NewTracer(0)
+	bounded := run(Options{Trace: tr, RequestTimeout: 2 * trace.Config.Duration})
+	spans := tr.Spans()
+	if len(spans) != len(trace.Requests) {
+		t.Fatalf("%d request spans for %d requests", len(spans), len(trace.Requests))
 	}
-	if ev.Totals.Len() != gr.Totals.Len() {
-		t.Errorf("Totals.Len: event %d, goroutine %d", ev.Totals.Len(), gr.Totals.Len())
+	if n := bounded.Totals.Len() + bounded.Errors; n != len(trace.Requests) || bounded.Unfinished != 0 {
+		t.Fatalf("bounded run: %d completed + %d timed out + %d unfinished, want %d in all",
+			bounded.Totals.Len(), bounded.Errors, bounded.Unfinished, len(trace.Requests))
 	}
-	if ev.FirstRequests.Len() != gr.FirstRequests.Len() {
-		t.Errorf("FirstRequests.Len: event %d, goroutine %d",
-			ev.FirstRequests.Len(), gr.FirstRequests.Len())
+	if bounded.Errors*100 > len(trace.Requests) {
+		t.Fatalf("%d of %d requests timed out", bounded.Errors, len(trace.Requests))
 	}
-	for _, p := range []float64{50, 95, 99} {
-		if e, g := ev.Totals.Percentile(p), gr.Totals.Percentile(p); e != g {
-			t.Errorf("Totals P%v: event %v, goroutine %v", p, e, g)
+	// Spans are emitted in completion order; compare as sorted multisets.
+	var got, want []time.Duration
+	for _, s := range spans {
+		if s.Name != "request" || s.Parent != 0 {
+			t.Fatalf("unexpected span %+v", s)
+		}
+		got = append(got, s.Start)
+	}
+	for _, r := range trace.Requests {
+		want = append(want, t0+r.At)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("arrival %d at %v, want %v (preparation end %v + Request.At)", i, got[i], want[i], t0)
 		}
 	}
-	if e, g := ev.FirstRequests.Median(), gr.FirstRequests.Median(); e != g {
-		t.Errorf("FirstRequests median: event %v, goroutine %v", e, g)
+
+	first, again := run(Options{}), run(Options{})
+	if first.Errors != 0 || first.Unfinished != bounded.Errors ||
+		first.Totals.Len() != len(trace.Requests)-first.Unfinished {
+		t.Fatalf("unbounded run: %d completed, %d errors, %d unfinished; the bounded run timed out %d",
+			first.Totals.Len(), first.Errors, first.Unfinished, bounded.Errors)
 	}
-	// Strongest form: the per-request (arrival, total) sample multisets are
-	// bit-identical. Insertion order is compared after sorting because two
-	// requests can complete at the exact same simulation instant, and the
-	// tie then breaks on event sequence numbers, which legitimately differ
-	// between the two scheduling strategies.
-	es, gs := sortedSamples(ev.Totals), sortedSamples(gr.Totals)
-	if len(es) != len(gs) {
-		t.Fatalf("sample counts differ: %d vs %d", len(es), len(gs))
+	a, b := sortedSamples(first.Totals), sortedSamples(again.Totals)
+	if len(a) != len(b) || first.Unfinished != again.Unfinished {
+		t.Fatalf("runs differ: %d samples and %d unfinished vs %d and %d",
+			len(a), first.Unfinished, len(b), again.Unfinished)
 	}
-	for i := range es {
-		if es[i] != gs[i] {
-			t.Fatalf("sample %d differs: event %+v, goroutine %+v", i, es[i], gs[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sample %d differs between runs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -78,85 +136,198 @@ func sortedSamples(s *metrics.Series) []metrics.Sample {
 	return out
 }
 
-func TestReplayGuardNoClients(t *testing.T) {
-	tb := newReplayTestbed(1, 5)
-	tb.Clients = nil
-	trace := Generate(Config{Seed: 1, Services: 2, TotalRequests: 4,
-		MinPerService: 2, Duration: time.Second, Clients: 2})
-	if _, err := Replay(tb, trace, catalog.Nginx, false, false); err == nil {
-		t.Fatal("Replay with no clients did not error")
+// replayRig is one replay entry point over a freshly built scenario, reduced
+// to what the tests below compare, so each runs against both ReplayWith (one
+// site) and ReplaySharded (replayRigRegions sites on as many kernels).
+type replayRig struct {
+	name   string
+	sites  []*testbed.Site
+	hub    *registry.Server
+	replay func(trace *Trace, opts Options) (replayOutcome, error)
+}
+
+type replayOutcome struct {
+	errors, unfinished, completed, firsts int
+	min                                   time.Duration
+}
+
+const replayRigRegions = 2
+
+func replayRigs(seed int64, clients, gnbs int) []replayRig {
+	tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, NumClients: clients, GNBs: gnbs})
+	rs := testbed.NewRegions(testbed.RegionOptions{
+		Seed: seed, Regions: replayRigRegions, Shards: replayRigRegions, ClientsPerRegion: clients, GNBs: gnbs,
+	})
+	return []replayRig{
+		{"ReplayWith", []*testbed.Site{tb.Site}, tb.Hub, func(trace *Trace, opts Options) (replayOutcome, error) {
+			res, err := ReplayWith(tb, trace, catalog.Nginx, opts)
+			if err != nil {
+				return replayOutcome{}, err
+			}
+			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.FirstRequests.Len(), res.Totals.Min()}, nil
+		}},
+		{"ReplaySharded", rs.Sites, rs.Hub, func(trace *Trace, opts Options) (replayOutcome, error) {
+			res, err := ReplaySharded(rs, trace, catalog.Nginx, opts)
+			if err != nil {
+				return replayOutcome{}, err
+			}
+			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.Deployments, res.Totals.Min()}, nil
+		}},
 	}
+}
+
+// expectRejected checks, at both entry points, that a bad input is an error
+// returned before anything is registered or staged on any site's kernel.
+// sabotage, when set, breaks the freshly built scenario first.
+func expectRejected(t *testing.T, name string, gnbs int, trace *Trace, opts Options, sabotage func(rig replayRig)) {
+	t.Helper()
+	for _, rig := range replayRigs(1, 5, gnbs) {
+		if sabotage != nil {
+			sabotage(rig)
+		}
+		var pending []int
+		for _, s := range rig.sites {
+			pending = append(pending, s.K.Pending())
+		}
+		if _, err := rig.replay(trace, opts); err == nil {
+			t.Errorf("%s, %s: no error", rig.name, name)
+		}
+		for d, s := range rig.sites {
+			if n := len(s.Ctrl.ServiceNames()); n != 0 || s.K.Pending() != pending[d] {
+				t.Errorf("%s, %s: site %d has %d services and %d pending events (was %d) after the rejected call",
+					rig.name, name, d, n, s.K.Pending(), pending[d])
+			}
+		}
+	}
+}
+
+func oneRequestTrace(r Request) *Trace {
+	return &Trace{
+		Config:   Config{Services: 1, TotalRequests: 1, Duration: time.Second, Clients: 1},
+		Requests: []Request{r},
+	}
+}
+
+func TestReplayGuardNoClients(t *testing.T) {
+	expectRejected(t, "no clients", 0, oneRequestTrace(Request{}), Options{},
+		func(rig replayRig) { rig.sites[len(rig.sites)-1].Clients = nil })
 }
 
 func TestReplayGuardZeroServices(t *testing.T) {
-	tb := newReplayTestbed(1, 5)
-	if _, err := Replay(tb, &Trace{}, catalog.Nginx, false, false); err == nil {
-		t.Fatal("Replay with zero-service trace did not error")
-	}
-	if _, err := Replay(tb, nil, catalog.Nginx, false, false); err == nil {
-		t.Fatal("Replay with nil trace did not error")
-	}
+	expectRejected(t, "zero-service trace", 0, &Trace{}, Options{}, nil)
+	expectRejected(t, "nil trace", 0, nil, Options{}, nil)
 }
 
 func TestReplayGuardOutOfRangeRequests(t *testing.T) {
-	tb := newReplayTestbed(1, 5)
-	bad := &Trace{
-		Config:   Config{Services: 1, TotalRequests: 1, Duration: time.Second, Clients: 1},
-		Requests: []Request{{At: 0, Client: 0, Service: 5}},
+	expectRejected(t, "service out of range", 0, oneRequestTrace(Request{Service: 5}), Options{}, nil)
+	expectRejected(t, "negative client", 0, oneRequestTrace(Request{Client: -1}), Options{}, nil)
+}
+
+// TestReplayGuardHandovers: a handover the site cannot perform is rejected
+// up front instead of panicking inside a kernel event mid-run.
+func TestReplayGuardHandovers(t *testing.T) {
+	for name, tc := range map[string]struct {
+		gnbs int
+		h    Handover
+	}{
+		"negative client":     {2, Handover{Client: -1, To: 1}},
+		"negative cell":       {2, Handover{Client: 0, To: -1}},
+		"past the last cell":  {2, Handover{Client: 1, To: 2}},
+		"site without gNBs":   {0, Handover{At: time.Second, Client: 0, To: 0}},
+		"second site's range": {2, Handover{Client: replayRigRegions + 1, To: 2}},
+	} {
+		expectRejected(t, "handover: "+name, tc.gnbs, oneRequestTrace(Request{}),
+			Options{Handovers: []Handover{tc.h}}, nil)
 	}
-	if _, err := Replay(tb, bad, catalog.Nginx, false, false); err == nil {
-		t.Fatal("out-of-range service did not error")
-	}
-	bad.Requests[0] = Request{At: 0, Client: -1, Service: 0}
-	if _, err := Replay(tb, bad, catalog.Nginx, false, false); err == nil {
-		t.Fatal("negative client did not error")
+}
+
+// TestReplayShardedRejectsSharedObs: a tracer or registry handed to
+// ReplaySharded would be written by concurrent window workers, so it is
+// refused with a pointer to the per-site handles, not silently dropped.
+func TestReplayShardedRejectsSharedObs(t *testing.T) {
+	trace := Generate(Config{Seed: 1, Services: 2, TotalRequests: 8, MinPerService: 4,
+		Duration: 10 * time.Second, Clients: 5})
+	for name, opts := range map[string]Options{
+		"Trace":    {Trace: obs.NewTracer(0)},
+		"Counters": {Counters: obs.NewRegistry()},
+	} {
+		rs := testbed.NewRegions(testbed.RegionOptions{Seed: 1, Regions: 2})
+		_, err := ReplaySharded(rs, trace, catalog.Nginx, opts)
+		if err == nil || !strings.Contains(err.Error(), "RegionOptions.Traced/Counted") {
+			t.Errorf("Options.%s: err = %v, want one naming RegionOptions.Traced/Counted", name, err)
+		}
 	}
 }
 
 // TestReplayErrorAccountingPrepFailure: a failed pre-pull increments Errors
-// exactly once and aborts preparation; the replay itself still proceeds
-// (requests are served by cloud forwarding while edge deployment is broken).
+// exactly once per site and aborts that site's preparation; the replay
+// itself still proceeds (requests are served by cloud forwarding while edge
+// deployment is broken).
 func TestReplayErrorAccountingPrepFailure(t *testing.T) {
 	cfg := Config{Seed: 1, Services: 2, TotalRequests: 8, MinPerService: 4,
 		Duration: 10 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	tb := newReplayTestbed(1, 5)
-	// Unpublish the image so the pre-pull manifest request 404s.
-	tb.Hub.Remove(catalog.ImgNginx)
-	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 1 {
-		t.Fatalf("Errors = %d, want exactly 1 (the failed pre-pull)", res.Errors)
-	}
-	if res.Totals.Len() != cfg.TotalRequests {
-		t.Fatalf("Totals.Len = %d, want %d (requests served from the cloud)",
-			res.Totals.Len(), cfg.TotalRequests)
+	for _, rig := range replayRigs(1, 5, 0) {
+		// Unpublish the image so the pre-pull manifest request 404s.
+		rig.hub.Remove(catalog.ImgNginx)
+		got, err := rig.replay(trace, Options{PrePull: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.errors != len(rig.sites) {
+			t.Errorf("%s: Errors = %d, want exactly %d (one failed pre-pull per site)", rig.name, got.errors, len(rig.sites))
+		}
+		if got.completed != cfg.TotalRequests || got.unfinished != 0 {
+			t.Errorf("%s: completed %d, unfinished %d, want %d requests served from the cloud",
+				rig.name, got.completed, got.unfinished, cfg.TotalRequests)
+		}
 	}
 }
 
 // TestReplayErrorAccountingRequestFailure: each timed-out request increments
-// Errors exactly once and adds no sample.
+// Errors exactly once, adds no sample, and is not left unfinished.
 func TestReplayErrorAccountingRequestFailure(t *testing.T) {
 	cfg := Config{Seed: 1, Services: 2, TotalRequests: 8, MinPerService: 4,
 		Duration: 10 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	for _, goroutines := range []bool{false, true} {
-		tb := newReplayTestbed(1, 5)
-		res, err := ReplayWith(tb, trace, catalog.Nginx, Options{
-			GoroutinePerRequest: goroutines,
-			RequestTimeout:      time.Microsecond, // shorter than any RTT
-		})
+	for _, rig := range replayRigs(1, 5, 0) {
+		got, err := rig.replay(trace, Options{RequestTimeout: time.Microsecond}) // shorter than any RTT
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Errors != cfg.TotalRequests {
-			t.Errorf("goroutines=%v: Errors = %d, want %d",
-				goroutines, res.Errors, cfg.TotalRequests)
+		if got.errors != cfg.TotalRequests || got.completed != 0 || got.unfinished != 0 {
+			t.Errorf("%s: errors %d, completed %d, unfinished %d, want %d/0/0",
+				rig.name, got.errors, got.completed, got.unfinished, cfg.TotalRequests)
 		}
-		if res.Totals.Len() != 0 {
-			t.Errorf("goroutines=%v: Totals.Len = %d, want 0", goroutines, res.Totals.Len())
+	}
+}
+
+// TestReplayUnfinished: requests still open at the run bound are reported,
+// not lost. Edge deployment is broken (image unpublished), so every request
+// is forwarded to the cloud, where a stand-in origin on the service's VIP
+// accepts the connection and never answers; with RequestTimeout 0 the
+// clients wait forever.
+func TestReplayUnfinished(t *testing.T) {
+	cfg := Config{Seed: 1, Services: 1, TotalRequests: 6, MinPerService: 6,
+		Duration: 10 * time.Second, Clients: 5}
+	trace := Generate(cfg)
+	for _, rig := range replayRigs(1, 5, 0) {
+		rig.hub.Remove(catalog.ImgNginx)
+		for _, s := range rig.sites {
+			// The site's first registration gets VIP 203.<domain>.113.10; a
+			// switch route to the stand-in beats the default route to the
+			// real origin.
+			mute := simnet.NewHost(s.Net, "mute-origin", simnet.Addr(fmt.Sprintf("203.%d.113.10", s.Domain)))
+			s.Switch.AttachHost(mute, 50, simnet.LinkConfig{Latency: time.Millisecond, Bandwidth: simnet.Gbps})
+			mute.ServeHTTPAsync(80, func(*simnet.HTTPServerConn, *simnet.HTTPRequest) {})
+		}
+		got, err := rig.replay(trace, Options{RequestTimeout: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := replayOutcome{unfinished: cfg.TotalRequests}
+		if got != want {
+			t.Errorf("%s: outcome %+v, want %+v", rig.name, got, want)
 		}
 	}
 }
@@ -165,28 +336,31 @@ func TestReplayMaxInFlight(t *testing.T) {
 	cfg := Config{Seed: 2, Services: 3, TotalRequests: 30, MinPerService: 5,
 		Duration: 20 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	tb := newReplayTestbed(2, 5)
-	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{
-		PrePull: true, PreCreate: true, MaxInFlight: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("Errors = %d", res.Errors)
-	}
-	if res.Totals.Len() != cfg.TotalRequests {
-		t.Fatalf("Totals.Len = %d, want %d — queued arrivals lost?",
-			res.Totals.Len(), cfg.TotalRequests)
-	}
-	if res.FirstRequests.Len() != cfg.Services {
-		t.Fatalf("FirstRequests.Len = %d, want %d", res.FirstRequests.Len(), cfg.Services)
-	}
-	// With cap 1 a queued request's measured total includes its queueing
-	// delay, so no sample can undercut the uncontended fast path: every
-	// total must stay above the bare client->EGS round trip.
-	if res.Totals.Min() <= 0 {
-		t.Fatalf("Totals.Min = %v", res.Totals.Min())
+	for _, rig := range replayRigs(2, 5, 0) {
+		// Every site deploys each service its own clients ask for.
+		deployments := make(map[[2]int]bool)
+		for _, r := range trace.Requests {
+			deployments[[2]int{r.Client % len(rig.sites), r.Service}] = true
+		}
+		got, err := rig.replay(trace, Options{PrePull: true, PreCreate: true, MaxInFlight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.errors != 0 || got.unfinished != 0 {
+			t.Errorf("%s: errors %d, unfinished %d", rig.name, got.errors, got.unfinished)
+		}
+		if got.completed != cfg.TotalRequests {
+			t.Errorf("%s: completed %d, want %d — queued arrivals lost?", rig.name, got.completed, cfg.TotalRequests)
+		}
+		if got.firsts != len(deployments) {
+			t.Errorf("%s: first requests %d, want %d", rig.name, got.firsts, len(deployments))
+		}
+		// With cap 1 a queued request's measured total includes its queueing
+		// delay, so no sample can undercut the uncontended fast path: every
+		// total must stay above the bare client->EGS round trip.
+		if got.min <= 0 {
+			t.Errorf("%s: Totals.Min = %v", rig.name, got.min)
+		}
 	}
 }
 

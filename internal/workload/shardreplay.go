@@ -2,11 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"transparentedge/internal/metrics"
-	"transparentedge/internal/sim"
-	"transparentedge/internal/spec"
 	"transparentedge/internal/testbed"
 )
 
@@ -21,167 +18,78 @@ type ShardReplayResult struct {
 	Totals *metrics.Hist
 	// Errors counts failed requests across all regions.
 	Errors int
+	// Unfinished counts requests still incomplete at the run bound across
+	// all regions (see ReplayResult.Unfinished).
+	Unfinished int
 	// Deployments counts first-requests (= on-demand deployments) across
 	// all regions.
 	Deployments int
 }
 
-// ReplaySharded replays a trace against a sharded multi-region scenario.
-// Requests partition by client: client c lives in region c % R, and each
-// region registers its own instances of the trace's services — every site
-// deploys on demand for its own clients (the paper's single-site scenario,
-// tiled). Preparation (pre-pull/pre-create) runs per region and each
-// region's arrival schedule anchors at its own preparation end, mirroring
-// the serial ReplayWith semantics per site.
+// ReplaySharded replays a trace against a sharded multi-region scenario: the
+// replay engine of ReplayWith (siteReplay), staged once per site. Requests
+// and handovers partition by client — global client c is local client c / R
+// of region c % R — and each region registers its own instances of the
+// trace's services: every site deploys on demand for its own clients (the
+// paper's single-site scenario, tiled). Preparation runs per region and each
+// region's lanes anchor at its own preparation end, exactly as on the single
+// site.
 //
-// opts.Trace and opts.Counters are ignored: sharded runs instrument through
-// the per-region handles built into rs (testbed.RegionOptions.Traced /
-// Counted), because a shared tracer or registry would be written by
-// concurrent window workers.
+// Spans and counters go to the per-region handles built into rs
+// (testbed.RegionOptions.Traced / Counted); opts.Trace and opts.Counters
+// must be nil, because one tracer or registry would be written by concurrent
+// window workers.
 func ReplaySharded(rs *testbed.Regions, trace *Trace, serviceKey string, opts Options) (*ShardReplayResult, error) {
-	if len(rs.Sites) == 0 {
+	regions := len(rs.Sites)
+	if regions == 0 {
 		return nil, fmt.Errorf("workload: region set has no sites")
 	}
-	if trace == nil || trace.Config.Services <= 0 {
-		return nil, fmt.Errorf("workload: trace has no services")
+	if opts.Trace != nil || opts.Counters != nil {
+		return nil, fmt.Errorf("workload: ReplaySharded takes no Options.Trace/Counters; " +
+			"build the regions with testbed.RegionOptions.Traced/Counted and read each site's handles")
 	}
-	for i, r := range trace.Requests {
-		if r.Service < 0 || r.Service >= trace.Config.Services {
-			return nil, fmt.Errorf("workload: request %d references service %d outside [0,%d)",
-				i, r.Service, trace.Config.Services)
-		}
-		if r.Client < 0 {
-			return nil, fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
-		}
-	}
-	regions := len(rs.Sites)
-	exact := opts.ExactSamples
-	if exact == 0 {
-		exact = DefaultExactSamples
-	}
-	newSeries := func(name string) *metrics.Series {
-		if exact < 0 {
-			return metrics.NewSeries(name)
-		}
-		return metrics.NewBoundedSeries(name, exact)
+	if err := validate(rs.Sites, trace, opts.Handovers); err != nil {
+		return nil, err
 	}
 
-	// Partition requests by home region, preserving trace order.
-	perRegion := make([][]Request, regions)
+	// Partition by home region, preserving trace and schedule order.
+	shares := make([]Trace, regions)
+	moves := make([][]Handover, regions)
 	for _, r := range trace.Requests {
 		d := r.Client % regions
-		perRegion[d] = append(perRegion[d], r)
+		r.Client /= regions
+		shares[d].Requests = append(shares[d].Requests, r)
+	}
+	for _, h := range opts.Handovers {
+		d := h.Client % regions
+		h.Client /= regions
+		moves[d] = append(moves[d], h)
 	}
 
-	res := &ShardReplayResult{PerRegion: make([]*ReplayResult, regions)}
-	for d := 0; d < regions; d++ {
-		d := d
-		site := rs.Sites[d]
-		rres := &ReplayResult{
-			Totals:        newSeries(fmt.Sprintf("%s/r%d/totals", serviceKey, d)),
-			FirstRequests: newSeries(fmt.Sprintf("%s/r%d/first", serviceKey, d)),
+	runs := make([]*siteReplay, regions)
+	for d, site := range rs.Sites {
+		shares[d].Config = trace.Config
+		siteOpts := opts
+		siteOpts.Handovers = moves[d]
+		siteOpts.Trace, siteOpts.Counters = site.Trace, site.Counters
+		run, err := stage(site, fmt.Sprintf("%s/r%d", serviceKey, d), serviceKey, &shares[d], siteOpts)
+		if err != nil {
+			return nil, err
 		}
+		runs[d] = run
+	}
+
+	rs.Group.RunUntil(runBound(trace))
+
+	res := &ShardReplayResult{
+		PerRegion: make([]*ReplayResult, regions),
+		Totals:    metrics.NewHist(serviceKey + "/totals"),
+	}
+	for d, run := range runs {
+		rres := run.finish()
 		res.PerRegion[d] = rres
-
-		regs := make([]spec.Registration, trace.Config.Services)
-		annotated := make([]*spec.Annotated, trace.Config.Services)
-		for i := 0; i < trace.Config.Services; i++ {
-			a, reg, err := rs.RegisterCatalogService(d, serviceKey)
-			if err != nil {
-				return nil, err
-			}
-			regs[i] = reg
-			annotated[i] = a
-		}
-		rres.Registrations = regs
-
-		k := rs.Group.Kernel(site.Domain)
-		prepDone := sim.NewPromise[sim.Time](k)
-		k.Go("prepare", func(p *sim.Proc) {
-			defer func() { prepDone.Resolve(p.Now()) }()
-			if !opts.PrePull && !opts.PreCreate {
-				return
-			}
-			for _, cl := range site.Ctrl.Clusters() {
-				for _, a := range annotated {
-					if err := cl.Pull(p, a); err != nil {
-						rres.Errors++
-						return
-					}
-					if opts.PreCreate {
-						if err := cl.Create(p, a); err != nil {
-							rres.Errors++
-							return
-						}
-					}
-				}
-			}
-		})
-
-		stageHandovers(k, opts, prepDone, func(h Handover) bool { return h.Client%regions == d })
-
-		ro := replayObs{tr: site.Trace}
-		if site.Counters != nil {
-			ro.in = site.Counters.Gauge("replay_inflight")
-			ro.errs = site.Counters.Counter("replay_errors_total")
-		}
-		reqs := perRegion[d]
-		firstSeen := make(map[int]bool, trace.Config.Services)
-		isFirst := make([]bool, len(reqs))
-		for i, r := range reqs {
-			isFirst[i] = !firstSeen[r.Service]
-			firstSeen[r.Service] = true
-		}
-
-		inFlight := 0
-		var queued []int
-		var start func(i int, at sim.Time)
-		start = func(i int, at sim.Time) {
-			inFlight++
-			ro.in.Add(1)
-			r := reqs[i]
-			k.Go("replay", func(p *sim.Proc) {
-				defer func() {
-					inFlight--
-					ro.in.Add(-1)
-					if len(queued) > 0 && (opts.MaxInFlight <= 0 || inFlight < opts.MaxInFlight) {
-						next := queued[0]
-						queued = queued[1:]
-						start(next, p.Now())
-					}
-				}()
-				hr, err := rs.Request(p, d, r.Client/regions, regs[r.Service], serviceKey, opts.RequestTimeout)
-				ro.request(at, p.Now(), serviceKey, err)
-				if err != nil {
-					rres.Errors++
-					return
-				}
-				rres.Totals.Add(at, hr.Total)
-				if isFirst[i] {
-					rres.FirstRequests.Add(at, hr.Total)
-				}
-			})
-		}
-		prepDone.OnDone(func(t0 sim.Time, _ error) {
-			times := make([]sim.Time, len(reqs))
-			for i, r := range reqs {
-				times[i] = t0 + r.At
-			}
-			k.AtBatch(times, func(i int) {
-				if opts.MaxInFlight > 0 && inFlight >= opts.MaxInFlight {
-					queued = append(queued, i)
-					return
-				}
-				start(i, k.Now())
-			})
-		})
-	}
-
-	rs.Group.RunUntil(trace.Config.Duration + 30*time.Minute)
-
-	res.Totals = metrics.NewHist(serviceKey + "/totals")
-	for d, rres := range res.PerRegion {
 		res.Errors += rres.Errors
+		res.Unfinished += rres.Unfinished
 		res.Deployments += rres.FirstRequests.Len()
 		if err := res.Totals.Merge(rres.Totals.ToHist()); err != nil {
 			return nil, fmt.Errorf("workload: merging region %d totals: %w", d, err)
