@@ -34,8 +34,11 @@ race:
 # sweep engine (serial vs parallel wall time, speedup, allocs) in
 # BENCH_sweep.json; everything else in BENCH_all.json — the per-layer units
 # with a cost gate among them: internal/openflow's BenchmarkAddFlow
-# (at1k/at10k, within-3x) and internal/kube's BenchmarkEnsureDeployed
-# (at1/at500, within-2x), both picked up by `-bench . ./...`.
+# (at1k/at10k, within-3x), internal/kube's BenchmarkEnsureDeployed
+# (at1/at500, within-2x), internal/simnet's BenchmarkLinkContention
+# (at1/at1024, within-4x of the fair-share arithmetic) and internal/sim's
+# BenchmarkKernelSparseSweep (gap1/gap200, within-2x), all picked up by
+# `-bench . ./...`.
 bench:
 	$(GO) test -json -bench 'BenchmarkReplayScale|BenchmarkReplayShard$$' -benchmem -benchtime 1x -run '^$$' . > BENCH_replay.json
 	$(GO) test -json -bench 'BenchmarkSweep' -benchmem -benchtime 1x -run '^$$' . > BENCH_sweep.json

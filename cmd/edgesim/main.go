@@ -272,6 +272,27 @@ func validateShards(n int) error {
 	return nil
 }
 
+// validateCounts checks the size flags. Each sizes a generated workload, so
+// a value below 1 has no meaning; the experiments used to clamp such values
+// to their own minimum and run anyway (-replay-requests -5 replayed 16
+// requests and exited 0).
+func validateCounts(replayRequests, sweepRequests, clients, clusters int) error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"-replay-requests", replayRequests},
+		{"-sweep-requests", sweepRequests},
+		{"-clients", clients},
+		{"-clusters", clusters},
+	} {
+		if f.n < 1 {
+			return fmt.Errorf("%s must be >= 1 (got %d)", f.name, f.n)
+		}
+	}
+	return nil
+}
+
 // parseBackends maps the -backend flag to the steering backends scale-steer
 // sweeps: a single backend, or both for the side-by-side comparison.
 func parseBackends(s string) ([]string, error) {
@@ -330,6 +351,10 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
+		os.Exit(2)
+	}
+	if err := validateCounts(*replayRequests, *sweepReqs, *clients, *clusters); err != nil {
+		fmt.Fprintf(os.Stderr, "edgesim: %v\nrun 'edgesim -h' for usage\n", err)
 		os.Exit(2)
 	}
 	which := strings.ToLower(flag.Arg(0))

@@ -27,6 +27,35 @@ func TestValidateShards(t *testing.T) {
 	}
 }
 
+func TestValidateCounts(t *testing.T) {
+	for _, tc := range []struct {
+		replay, sweep, clients, clusters int
+		wantFlag                         string // "" = accepted
+	}{
+		{10000, 2000, 2000, 16, ""}, // the defaults
+		{1, 1, 1, 1, ""},
+		{0, 2000, 2000, 16, "-replay-requests"},
+		{-5, 2000, 2000, 16, "-replay-requests"},
+		{10000, 0, 2000, 16, "-sweep-requests"},
+		{10000, -1, 2000, 16, "-sweep-requests"},
+		{10000, 2000, 0, 16, "-clients"},
+		{10000, 2000, -2000, 16, "-clients"},
+		{10000, 2000, 2000, 0, "-clusters"},
+		{10000, 2000, 2000, -16, "-clusters"},
+		{-1, -1, -1, -1, "-replay-requests"}, // the first offender is named
+	} {
+		err := validateCounts(tc.replay, tc.sweep, tc.clients, tc.clusters)
+		switch {
+		case tc.wantFlag == "" && err != nil:
+			t.Errorf("validateCounts(%d, %d, %d, %d) = %v, want nil", tc.replay, tc.sweep, tc.clients, tc.clusters, err)
+		case tc.wantFlag != "" && err == nil:
+			t.Errorf("validateCounts(%d, %d, %d, %d) = nil, want an error naming %s", tc.replay, tc.sweep, tc.clients, tc.clusters, tc.wantFlag)
+		case tc.wantFlag != "" && !(strings.HasPrefix(err.Error(), tc.wantFlag+" ") && strings.Contains(err.Error(), ">= 1")):
+			t.Errorf("validateCounts(%d, %d, %d, %d) = %q, want it to name %s and the lower bound", tc.replay, tc.sweep, tc.clients, tc.clusters, err, tc.wantFlag)
+		}
+	}
+}
+
 // Every experiment honors -cpuprofile/-memprofile: the profile files must
 // exist and be non-empty after run returns. table1 keeps the test cheap —
 // the profiling wrapper is experiment-agnostic (it brackets runExperiment).

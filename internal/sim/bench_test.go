@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -123,4 +124,42 @@ func BenchmarkKernelHeapSchedule(b *testing.B) {
 		}
 		k.Run()
 	}
+}
+
+// BenchmarkKernelSparseSweep is the ledger's sparse-timeline unit: one live
+// timer chain whose next event is 1 or 200 level-0 wheel slots (~1 us each)
+// ahead, the spacing of a lone flow's packets on a fast link. The sweep finds
+// the next populated slot with a bitmap word scan, so the empty slots in
+// between must cost next to nothing; the gate fails if an event 200 slots
+// out costs more than twice an adjacent one (walking the slots one by one
+// measured 5.5x).
+func BenchmarkKernelSparseSweep(b *testing.B) {
+	perOp := map[int]time.Duration{}
+	for _, gap := range []int{1, 200} {
+		b.Run(fmt.Sprintf("gap%d", gap), func(b *testing.B) {
+			b.ReportAllocs()
+			k := New(1)
+			n := 0
+			var e *Event
+			e = k.NewEvent(func() {
+				if n++; n < b.N {
+					k.Schedule(e, k.now+Time(gap)<<wheelShift)
+				}
+			})
+			k.Schedule(e, 0)
+			b.ResetTimer()
+			k.Run()
+			perOp[gap] = b.Elapsed() / time.Duration(b.N)
+		})
+	}
+	b.Run("within-2x", func(b *testing.B) {
+		if perOp[1] == 0 || perOp[200] == 0 {
+			b.Skip("gap1 or gap200 filtered out; nothing to compare")
+		}
+		ratio := float64(perOp[200]) / float64(perOp[1])
+		b.ReportMetric(ratio, "gap200/gap1")
+		if ratio > 2 {
+			b.Fatalf("an event 200 empty slots ahead costs %.2fx an adjacent one (%v vs %v), want <= 2x", ratio, perOp[200], perOp[1])
+		}
+	})
 }

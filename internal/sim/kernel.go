@@ -341,17 +341,20 @@ const (
 const maxTime = Time(math.MaxInt64)
 
 // nextSource returns the queue holding the globally smallest (time, seq)
-// live event, plus the staged lane index when that queue is srcStaged.
+// live event, the staged lane index when that queue is srcStaged, and the
+// winner's timestamp — one probe answers both "what runs next" and "when".
 // Every candidate goes through the same consider() update so the (when,
 // seq) tie-break stays total no matter how many sources exist — adding a
 // source cannot silently inherit a stale key from the previous winner.
 // The FIFO sources are examined first so their best candidate can bound the
-// wheel's sweep: the wheel only needs an answer at or before that time, and
+// wheel's sweep: the wheel only needs an answer at or before that time (or
+// before bound, when the caller only cares about events up to there), and
 // the bound keeps its cursor from running ahead of the clock toward
-// far-future timers.
-func (k *Kernel) nextSource() (src, lane int) {
+// far-future timers. The returned timestamp is exact whenever it is <=
+// bound; beyond it the wheel may simply report the first entry it happens to
+// have collected.
+func (k *Kernel) nextSource(bound Time) (src, lane int, when Time) {
 	src, lane = srcNone, -1
-	var when Time
 	var seq uint64
 	consider := func(s, ln int, w Time, q uint64) {
 		if src == srcNone || w < when || (w == when && q < seq) {
@@ -369,21 +372,27 @@ func (k *Kernel) nextSource() (src, lane int) {
 			consider(srcStaged, i, se.when, se.seq)
 		}
 	}
-	limit := maxTime
-	if src != srcNone {
+	limit := bound
+	if src != srcNone && when < limit {
 		limit = when
 	}
 	if en := k.wheel.peek(limit); en != nil {
 		consider(srcWheel, -1, en.when, en.seq)
 	}
-	return src, lane
+	return src, lane, when
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed (false when the queue
 // is empty).
 func (k *Kernel) Step() bool {
-	src, lane := k.nextSource()
+	src, lane, _ := k.nextSource(maxTime)
+	return k.exec(src, lane)
+}
+
+// exec runs the head event of the queue nextSource picked. It reports false
+// for srcNone.
+func (k *Kernel) exec(src, lane int) bool {
 	switch src {
 	case srcWheel:
 		en := k.wheel.pop()
@@ -433,40 +442,13 @@ func (k *Kernel) Run() {
 	}
 }
 
-// nextWhen returns the timestamp of the next live event across all queues.
-// bound limits how far the wheel sweep may chase a candidate: a caller that
-// only needs to know whether anything runs at or before t passes t, which
-// keeps the cursor from running out to far-future timers. The returned
-// timestamp is exact whenever it is <= bound; beyond the bound it may simply
-// report the first entry the wheel happens to know about.
-func (k *Kernel) nextWhen(bound Time) (Time, bool) {
-	var w Time
-	ok := false
-	if k.immHead < len(k.imm) {
-		w, ok = k.imm[k.immHead].when, true
-	}
-	for i := range k.staged {
-		ln := &k.staged[i]
-		if !ln.empty() {
-			if sw := ln.events[ln.head].when; !ok || sw < w {
-				w, ok = sw, true
-			}
-		}
-	}
-	limit := bound
-	if ok && w < limit {
-		limit = w
-	}
-	if en := k.wheel.peek(limit); en != nil && (!ok || en.when < w) {
-		w, ok = en.when, true
-	}
-	return w, ok
-}
-
 // NextWhen returns the timestamp of the next live event across all queues,
 // without executing anything. ok is false when no live events remain. Shard
 // coordinators use it to compute the global window floor.
-func (k *Kernel) NextWhen() (Time, bool) { return k.nextWhen(maxTime) }
+func (k *Kernel) NextWhen() (Time, bool) {
+	src, _, when := k.nextSource(maxTime)
+	return when, src != srcNone
+}
 
 // RunUntilBefore executes events with timestamps strictly before t. Unlike
 // RunUntil it never advances the clock past the last executed event, so a
@@ -474,11 +456,11 @@ func (k *Kernel) NextWhen() (Time, bool) { return k.nextWhen(maxTime) }
 // >= its local clock afterwards.
 func (k *Kernel) RunUntilBefore(t Time) {
 	for {
-		w, ok := k.nextWhen(t)
-		if !ok || w >= t {
+		src, lane, when := k.nextSource(t)
+		if src == srcNone || when >= t {
 			return
 		}
-		k.Step()
+		k.exec(src, lane)
 	}
 }
 
@@ -486,11 +468,11 @@ func (k *Kernel) RunUntilBefore(t Time) {
 // exactly t. Events scheduled for after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
 	for {
-		w, ok := k.nextWhen(t)
-		if !ok || w > t {
+		src, lane, when := k.nextSource(t)
+		if src == srcNone || when > t {
 			break
 		}
-		k.Step()
+		k.exec(src, lane)
 	}
 	if t > k.now {
 		k.now = t

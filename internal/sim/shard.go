@@ -204,7 +204,7 @@ func (g *ShardGroup) run(limit Time) {
 		g.drain()
 		floor, ok := Time(0), false
 		for _, k := range g.kernels {
-			if w, kok := k.nextWhen(maxTime); kok && (!ok || w < floor) {
+			if w, kok := k.NextWhen(); kok && (!ok || w < floor) {
 				floor, ok = w, true
 			}
 		}
@@ -230,7 +230,7 @@ func (g *ShardGroup) window(horizon Time) {
 	busy := g.busy[:0]
 	busyIdx := g.busyIdx[:0]
 	for i, k := range g.kernels {
-		if w, ok := k.nextWhen(horizon); ok && w < horizon {
+		if src, _, w := k.nextSource(horizon); src != srcNone && w < horizon {
 			busy = append(busy, k)
 			busyIdx = append(busyIdx, i)
 			g.busyWins[i]++

@@ -20,6 +20,13 @@ import (
 // replayed when the reference pops the occurrence that caused them. After
 // each run phase the reference drains in plain min-scan order; the two id
 // sequences must match exactly.
+//
+// Alongside the order, every fired event and every op checks the wheel's
+// occupancy bitmaps: bit s of level l is set exactly when slot s of level l
+// holds entries. The sparse variant draws its timestamps at least 100 slots
+// apart at every level and past the overflow horizon, so the sweep has to
+// skip long empty runs by bitmap, cross level boundaries and take the
+// overflow jump.
 
 // propOcc is one live reference occurrence.
 type propOcc struct {
@@ -31,12 +38,30 @@ type propOcc struct {
 func TestWheelPropertyReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runWheelProperty(t, seed)
+			runWheelProperty(t, seed, false)
+		})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("sparse/seed=%d", seed), func(t *testing.T) {
+			runWheelProperty(t, seed, true)
 		})
 	}
 }
 
-func runWheelProperty(t *testing.T, seed int64) {
+// checkWheelOccupancy asserts the bitmap invariant on every slot.
+func checkWheelOccupancy(t *testing.T, w *timerWheel) {
+	t.Helper()
+	for l := 0; l < wheelLevels; l++ {
+		for s := 0; s < wheelSlots; s++ {
+			bit := w.occ[l][s>>6]&(1<<(uint(s)&63)) != 0
+			if bit != (len(w.slots[l][s]) > 0) {
+				t.Fatalf("level %d slot %d: occupancy bit %v, %d entries", l, s, bit, len(w.slots[l][s]))
+			}
+		}
+	}
+}
+
+func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 	rng := rand.New(rand.NewSource(seed))
 	k := New(seed)
 
@@ -55,6 +80,13 @@ func runWheelProperty(t *testing.T, seed int64) {
 		chainCancel = map[int]int{}
 	)
 
+	// fire records one executed occurrence; the wheel is between a pop and
+	// the next probe here, so its invariants must hold.
+	fire := func(id int) {
+		got = append(got, id)
+		checkWheelOccupancy(t, &k.wheel)
+	}
+
 	removeRef := func(id int) {
 		for i := range ref {
 			if ref[i].id == id {
@@ -72,6 +104,15 @@ func runWheelProperty(t *testing.T, seed int64) {
 	// the seq tie-break is exercised constantly.
 	randWhen := func() Time {
 		base := k.now
+		if sparse {
+			// 100..255 slots ahead at a random level (the top of that range
+			// always crosses into the next level's slot), or past the horizon.
+			gap := Time(100 + rng.Intn(156))
+			if l := rng.Intn(wheelLevels + 1); l < wheelLevels {
+				return base + gap<<uint(wheelShift+l*wheelBits)
+			}
+			return base + 15*24*time.Hour + gap*time.Hour
+		}
 		switch rng.Intn(12) {
 		case 0, 1:
 			return base // same instant as the clock
@@ -130,7 +171,7 @@ func runWheelProperty(t *testing.T, seed int64) {
 			id := nextID
 			nextID++
 			var e *Event
-			e = k.At(randWhen(), func() { got = append(got, handleOcc[e]) })
+			e = k.At(randWhen(), func() { fire(handleOcc[e]) })
 			handles = append(handles, e)
 			handleOcc[e] = id
 			ref = append(ref, propOcc{when: e.when, seq: e.seq, id: id})
@@ -140,7 +181,7 @@ func runWheelProperty(t *testing.T, seed int64) {
 				e = handles[rng.Intn(len(handles))]
 			} else {
 				ne := k.NewEvent(nil)
-				ne.fn = func() { got = append(got, handleOcc[ne]) }
+				ne.fn = func() { fire(handleOcc[ne]) }
 				handles = append(handles, ne)
 				e = ne
 			}
@@ -176,7 +217,7 @@ func runWheelProperty(t *testing.T, seed int64) {
 				nextID++
 			}
 			seq0 := k.seq
-			k.AtBatch(times, func(i int) { got = append(got, ids[i]) })
+			k.AtBatch(times, func(i int) { fire(ids[i]) })
 			for i := range times {
 				ref = append(ref, propOcc{when: times[i], seq: seq0 + uint64(i), id: ids[i]})
 			}
@@ -184,12 +225,12 @@ func runWheelProperty(t *testing.T, seed int64) {
 			id := nextID
 			nextID++
 			fired := func(nid int) func() {
-				return func() { got = append(got, nid) }
+				return func() { fire(nid) }
 			}
 			k2, rng2 := k, rng
 			e := k.At(randWhen(), nil)
 			e.fn = func() {
-				got = append(got, id)
+				fire(id)
 				nid := nextID
 				nextID++
 				delay := Time(rng2.Intn(2000)) * 50 * time.Microsecond
@@ -206,7 +247,7 @@ func runWheelProperty(t *testing.T, seed int64) {
 			nextID++
 			e := k.At(randWhen(), nil)
 			e.fn = func() {
-				got = append(got, id)
+				fire(id)
 				if occ, ok := handleOcc[target]; ok && target.Cancel() {
 					chainCancel[id] = occ
 				}
@@ -225,6 +266,7 @@ func runWheelProperty(t *testing.T, seed int64) {
 				t.Fatalf("op %d: fired %d events, reference fired %d", op, len(got), len(want))
 			}
 		}
+		checkWheelOccupancy(t, &k.wheel)
 	}
 
 	// Drain everything, overflow entries included.

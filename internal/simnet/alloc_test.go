@@ -22,19 +22,31 @@ func (s *sinkNode) HandlePacket(in *Port, pkt *Packet) {
 
 // TestAllocsPortSendDeliver pins the steady-state allocation count of the
 // full Port.Send -> serialization -> latency -> deliver path at zero: the
-// packet comes from the pool, the transfer and both kernel events are
-// recycled, and the delivery callback is persistent.
+// packet comes from the pool, the transfer and its latency event are
+// recycled, and the direction's completion event is the one built at Connect.
+// The burst case keeps 64 transfers sharing the direction, so every arrival
+// and departure rebalances a cohort — that must not allocate either. (Its
+// latency is short enough for the latency events to spread over level-0
+// wheel slots: behind a 1 ms latency a burst's events share one coarser slot,
+// which outgrows its arena capacity the first time the clock visits it —
+// a once-per-slot warm-up cost this test would otherwise count.)
 func TestAllocsPortSendDeliver(t *testing.T) {
-	for _, bw := range []BitsPerSec{0, 100 * Mbps} {
+	for _, tc := range []struct {
+		bw      BitsPerSec
+		latency time.Duration
+		burst   int
+	}{{0, time.Millisecond, 1}, {100 * Mbps, time.Millisecond, 1}, {100 * Mbps, 100 * time.Microsecond, 64}} {
 		k := sim.New(1)
 		n := NewNetwork(k)
 		a := &sinkNode{name: "a", net: n}
 		b := &sinkNode{name: "b", net: n}
-		pa, _ := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: bw})
+		pa, _ := n.Connect(a, b, LinkConfig{Latency: tc.latency, Bandwidth: tc.bw})
 		send := func() {
-			pkt := n.NewPacket()
-			pkt.Kind, pkt.SrcIP, pkt.DstIP, pkt.Size = KindDATA, "10.0.0.1", "10.0.0.2", KiB
-			pa.Send(pkt)
+			for i := 0; i < tc.burst; i++ {
+				pkt := n.NewPacket()
+				pkt.Kind, pkt.SrcIP, pkt.DstIP, pkt.Size = KindDATA, "10.0.0.1", "10.0.0.2", KiB+Bytes(i)
+				pa.Send(pkt)
+			}
 			k.Run()
 		}
 		// Warm the packet/transfer/event pools and slice capacities.
@@ -44,11 +56,49 @@ func TestAllocsPortSendDeliver(t *testing.T) {
 		before := b.got
 		avg := testing.AllocsPerRun(200, send)
 		if avg != 0 {
-			t.Errorf("bandwidth %v: %.1f allocs per send+deliver, want 0", bw, avg)
+			t.Errorf("bandwidth %v, burst %d: %.1f allocs per send+deliver, want 0", tc.bw, tc.burst, avg)
 		}
-		if b.got-before != 201 { // AllocsPerRun runs once extra to warm up
-			t.Fatalf("bandwidth %v: delivered %d, want 201", bw, b.got-before)
+		if b.got-before != 201*tc.burst { // AllocsPerRun runs once extra to warm up
+			t.Fatalf("bandwidth %v, burst %d: delivered %d, want %d", tc.bw, tc.burst, b.got-before, 201*tc.burst)
 		}
+	}
+}
+
+// TestSchedulesPerHopBounded pins the mechanism behind the contended path,
+// not just its outcome: with 1024 transfers sharing one direction, a packet
+// costs the kernel at most three enqueues (the direction's event re-armed at
+// its arrival and at its departure, plus its own latency event) and the
+// timer queue never holds more than the cohort's worth of entries. Re-arming
+// every member on every membership change would enqueue ~1024 per packet.
+func TestSchedulesPerHopBounded(t *testing.T) {
+	const cohort = 1024
+	k := sim.New(1)
+	n := NewNetwork(k)
+	a := &sinkNode{name: "a", net: n}
+	b := &sinkNode{name: "b", net: n}
+	pa, _ := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 100 * Mbps})
+	for i := 0; i < cohort; i++ {
+		pkt := n.NewPacket()
+		pkt.Kind, pkt.Size = KindDATA, KiB+Bytes(i%7)
+		pa.Send(pkt)
+	}
+	if ab, _ := pa.Link().ActiveTransfers(); ab != cohort {
+		t.Fatalf("%d transfers serializing, want %d", ab, cohort)
+	}
+	if k.Pending() != 1 {
+		t.Errorf("%d events armed for a %d-transfer cohort, want exactly 1", k.Pending(), cohort)
+	}
+	k.Run()
+	if b.got != cohort {
+		t.Fatalf("delivered %d, want %d", b.got, cohort)
+	}
+	st := k.Stats()
+	if st.Scheduled > 3*cohort {
+		t.Errorf("kernel enqueued %d entries for %d packets (%.1f each), want <= 3 each",
+			st.Scheduled, cohort, float64(st.Scheduled)/cohort)
+	}
+	if st.NearHighWater > 2*cohort {
+		t.Errorf("near-heap high water %d for a %d-transfer cohort, want <= %d", st.NearHighWater, cohort, 2*cohort)
 	}
 }
 

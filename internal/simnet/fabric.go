@@ -60,15 +60,15 @@ func (f *Fabric) Connect(na *Network, a Node, da int, nb *Network, b Node, db in
 	}
 	la := &Link{net: na, cfg: cfg}
 	lb := &Link{net: nb, cfg: cfg}
-	// Each half owns only its transmit direction; seeds mirror Connect's
-	// so the drop pattern of a direction depends only on the link name and
-	// which end sends.
-	la.ab = direction{link: la, lossSeed: splitmix64(fnv64(cfg.Name) ^ 1)}
-	lb.ab = direction{link: lb, lossSeed: splitmix64(fnv64(cfg.Name) ^ 2)}
-	pa := &Port{node: a, link: la, dir: &la.ab}
-	pb := &Port{node: b, link: lb, dir: &lb.ab}
-	pa.peer, pb.peer = pb, pa
-	la.a, lb.a = pa, pb
+	// Each half owns only its transmit direction (and that direction's
+	// completion event, on its own kernel); seeds mirror Connect's so the
+	// drop pattern of a direction depends only on the link name and which
+	// end sends.
+	pa, pb := &la.a, &lb.a
+	*pa = Port{node: a, link: la, dir: &la.ab, peer: pb}
+	*pb = Port{node: b, link: lb, dir: &lb.ab, peer: pa}
+	la.ab.init(pa, 1)
+	lb.ab.init(pb, 2)
 	la.remote = &remoteHalf{group: f.group, srcDomain: da, dstDomain: db, dst: pb, dstNet: nb}
 	lb.remote = &remoteHalf{group: f.group, srcDomain: db, dstDomain: da, dst: pa, dstNet: na}
 	na.links = append(na.links, la)

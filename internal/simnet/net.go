@@ -235,9 +235,6 @@ type Port struct {
 	dir   *direction // transmit direction for this port
 	peer  *Port
 	Label string
-	// deliver hands a packet to the peer node; built once at Connect time
-	// so the per-packet send path allocates no closures.
-	deliver func(*Packet)
 }
 
 // Node returns the node the port is attached to.
@@ -256,7 +253,7 @@ func (p *Port) Send(pkt *Packet) {
 	if pkt.Size < minWireSize {
 		pkt.Size = minWireSize
 	}
-	p.dir.transmit(pkt, p.deliver)
+	p.dir.transmit(pkt)
 }
 
 // Link is a full-duplex point-to-point link with independent per-direction
@@ -264,8 +261,8 @@ func (p *Port) Send(pkt *Packet) {
 type Link struct {
 	net  *Network
 	cfg  LinkConfig
-	a, b *Port
-	ab   direction
+	a, b Port      // the two ends, stored inline: one allocation per link
+	ab   direction // a transmits into ab, b into ba
 	ba   direction
 	down bool
 	// severed marks a link permanently cut by Host.Detach/MoveTo. Unlike
@@ -317,14 +314,11 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // (the first attached to a, the second to b).
 func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Port, *Port) {
 	l := &Link{net: n, cfg: cfg}
-	l.ab = direction{link: l, lossSeed: splitmix64(fnv64(cfg.Name) ^ 1)}
-	l.ba = direction{link: l, lossSeed: splitmix64(fnv64(cfg.Name) ^ 2)}
-	pa := &Port{node: a, link: l, dir: &l.ab}
-	pb := &Port{node: b, link: l, dir: &l.ba}
-	pa.peer, pb.peer = pb, pa
-	pa.deliver = pa.deliverToPeer
-	pb.deliver = pb.deliverToPeer
-	l.a, l.b = pa, pb
+	pa, pb := &l.a, &l.b
+	*pa = Port{node: a, link: l, dir: &l.ab, peer: pb}
+	*pb = Port{node: b, link: l, dir: &l.ba, peer: pa}
+	l.ab.init(pa, 1)
+	l.ba.init(pb, 2)
 	n.links = append(n.links, l)
 	return pa, pb
 }
@@ -338,8 +332,8 @@ func (n *Network) ImpairAll(loss float64, extraLatency time.Duration) {
 	}
 }
 
-// deliverToPeer is the persistent delivery callback of a port (bound once at
-// Connect): trace hook, then hand the packet to the peer node.
+// deliverToPeer ends a packet's trip out of port p: trace hook, then hand the
+// packet to the peer node.
 func (p *Port) deliverToPeer(delivered *Packet) {
 	peer := p.peer
 	if peer == nil {
@@ -351,43 +345,36 @@ func (p *Port) deliverToPeer(delivered *Packet) {
 	peer.node.HandlePacket(peer, delivered)
 }
 
-// transfer is one in-flight transmission on a link. It owns a persistent
-// re-armable kernel event used twice per packet — first for serialization
-// completion, then for the propagation-latency delivery — and is recycled
-// through the network's free list, so the steady-state per-packet datapath
-// performs zero heap allocations.
+// transfer is one in-flight transmission on a link. While it serializes it
+// is a member of its direction's cohort and carries only arithmetic (bytes
+// left, current share, the instant it would complete at that share); the
+// direction's single event fires for whichever member is due first. Its own
+// persistent re-armable event covers the propagation-latency stage that
+// follows. Transfers are recycled through the network's free list, so the
+// steady-state per-packet datapath performs zero heap allocations.
 type transfer struct {
-	dir        *direction
-	remaining  float64 // bytes left to serialize
-	rate       float64 // current bytes/sec share
-	updated    sim.Time
-	finish     *sim.Event // persistent; re-armed via Kernel.Schedule
-	pkt        *Packet
-	deliver    func(*Packet)
-	delivering bool // false: serializing; true: in the latency stage
+	dir       *direction
+	remaining float64 // bytes left to serialize
+	rate      float64 // current bytes/sec share
+	updated   sim.Time
+	due       sim.Time   // serialization completes here at the current share
+	finish    *sim.Event // persistent; armed for the latency stage only
+	pkt       *Packet
 }
 
-// fire is the transfer's event callback for both stages.
+// fire is the transfer's event callback: the propagation delay has elapsed.
 func (t *transfer) fire() {
-	if t.dir.link.severed {
-		// The link was cut while this packet was in flight (serializing or
-		// already in the latency stage): it dies here, deterministically, at
-		// the time its next event was due. No delivery from a dead port.
-		t.dir.dropSevered(t)
+	d := t.dir
+	if d.link.severed {
+		// The link was cut while this packet was propagating: it dies here,
+		// deterministically, at the time its delivery was due. No delivery
+		// from a dead port.
+		d.dropSevered(t)
 		return
 	}
-	if !t.delivering {
-		t.dir.complete(t)
-		return
-	}
-	net := t.dir.link.net
-	pkt, deliver := t.pkt, t.deliver
-	t.pkt = nil
-	t.deliver = nil
-	t.dir = nil
-	t.delivering = false
-	net.xferPool = append(net.xferPool, t)
-	deliver(pkt)
+	pkt := t.pkt
+	d.link.net.putTransfer(t)
+	d.port.deliverToPeer(pkt)
 }
 
 // getTransfer takes a transfer from the free list (or builds one with its
@@ -405,19 +392,46 @@ func (n *Network) getTransfer(d *direction) *transfer {
 	return t
 }
 
+// putTransfer returns a transfer (with its persistent event) to the free
+// list once its packet has been handed on or dropped.
+func (n *Network) putTransfer(t *transfer) {
+	t.pkt = nil
+	t.dir = nil
+	n.xferPool = append(n.xferPool, t)
+}
+
 // direction models fair-share (equal split) bandwidth for one direction of a
 // link: each active transfer gets capacity/n. On every membership change the
-// remaining bytes are settled at the old rate and completions rescheduled.
-// Active transfers are kept in an ordered slice (arrival order), so the
-// reschedule sequence — and with it the event ordering — is deterministic.
+// remaining bytes are settled at the old rate and every member's completion
+// instant (due) recomputed at the new one. Active transfers are kept in an
+// ordered slice (arrival order).
+//
+// Invariant: a non-empty direction has exactly one armed kernel event, done,
+// set for head — the member with the least (due, arrival order) — and an
+// empty direction has none. Only the head can complete before the next
+// membership change, and that change recomputes every due anyway, so no
+// other member needs an event of its own (DESIGN.md §20).
 type direction struct {
 	link   *Link
+	port   *Port // the end that transmits into this direction
 	active []*transfer
+	head   *transfer  // least (due, arrival order) of active; nil when empty
+	done   *sim.Event // persistent; armed at head.due (allocated at Connect)
 	// lossSeed/lossN drive the deterministic per-direction loss draws: the
 	// n-th packet entering this direction sees splitmix64(seed, n), which
 	// is independent of every other link and of event interleaving.
 	lossSeed uint64
 	lossN    uint64
+}
+
+// init binds d to its transmitting port and allocates its completion event.
+// which is 1 for the a->b direction and 2 for b->a, so a direction's drop
+// pattern depends only on the link name and which end sends.
+func (d *direction) init(p *Port, which uint64) {
+	d.link = p.link
+	d.port = p
+	d.lossSeed = splitmix64(fnv64(d.link.cfg.Name) ^ which)
+	d.done = d.link.net.K.NewEvent(d.completeHead)
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap
@@ -454,7 +468,7 @@ func (d *direction) capacityBps() float64 {
 	return float64(d.link.cfg.Bandwidth) / 8.0 // bytes per second
 }
 
-func (d *direction) transmit(pkt *Packet, deliver func(*Packet)) {
+func (d *direction) transmit(pkt *Packet) {
 	k := d.link.net.K
 	if d.link.severed {
 		// A send into a severed link (e.g. the peer switch still routing at
@@ -480,24 +494,31 @@ func (d *direction) transmit(pkt *Packet, deliver func(*Packet)) {
 		// Infinite bandwidth: propagation only.
 		t := d.link.net.getTransfer(d)
 		t.pkt = pkt
-		t.deliver = deliver
-		t.delivering = true
 		k.Schedule(t.finish, k.Now()+lat)
 		return
 	}
 	t := d.link.net.getTransfer(d)
 	t.pkt = pkt
-	t.deliver = deliver
 	t.remaining = float64(pkt.Size)
 	t.updated = k.Now()
-	t.delivering = false
 	d.active = append(d.active, t)
 	d.rebalance()
 }
 
-// settle updates remaining bytes of every active transfer to now.
-func (d *direction) settle() {
+// rebalance settles every active transfer's remaining bytes to now at its old
+// rate, recomputes equal shares and completion instants, and arms the
+// direction's event for the earliest one. Ties on due go to the earlier
+// arrival: that is the order every recorded fingerprint was produced with
+// (DESIGN.md §20).
+func (d *direction) rebalance() {
+	n := len(d.active)
+	if n == 0 {
+		d.arm(nil)
+		return
+	}
 	now := d.link.net.K.Now()
+	share := d.capacityBps() / float64(n)
+	var head *transfer
 	for _, t := range d.active {
 		elapsed := (now - t.updated).Seconds()
 		t.remaining -= t.rate * elapsed
@@ -505,32 +526,57 @@ func (d *direction) settle() {
 			t.remaining = 0
 		}
 		t.updated = now
-	}
-}
-
-// rebalance recomputes equal shares and reschedules completion events.
-func (d *direction) rebalance() {
-	d.settle()
-	n := len(d.active)
-	if n == 0 {
-		return
-	}
-	k := d.link.net.K
-	now := k.Now()
-	share := d.capacityBps() / float64(n)
-	for _, t := range d.active {
 		t.rate = share
-		dur := time.Duration(t.remaining / share * float64(time.Second))
-		k.Schedule(t.finish, now+dur)
+		t.due = now + time.Duration(t.remaining/share*float64(time.Second))
+		if head == nil || t.due < head.due {
+			head = t
+		}
+	}
+	d.arm(head)
+}
+
+// arm makes head the transfer the direction's event completes next; nil (an
+// empty direction) leaves the event unarmed.
+func (d *direction) arm(head *transfer) {
+	d.head = head
+	if head != nil {
+		d.link.net.K.Schedule(d.done, head.due)
 	}
 }
 
-func (d *direction) complete(t *transfer) {
+// remove splices t out of the active cohort, keeping arrival order.
+func (d *direction) remove(t *transfer) {
 	for i, a := range d.active {
 		if a == t {
-			d.active = append(d.active[:i], d.active[i+1:]...)
-			break
+			last := len(d.active) - 1
+			copy(d.active[i:], d.active[i+1:])
+			d.active[last] = nil
+			d.active = d.active[:last]
+			return
 		}
+	}
+}
+
+// completeHead is the direction's event callback: the head transfer has
+// serialized its last byte. It leaves the cohort, the rest are rebalanced,
+// and the packet enters the propagation stage.
+func (d *direction) completeHead() {
+	t := d.head
+	d.remove(t)
+	if d.link.severed {
+		// The link was cut while this packet was serializing: it dies here,
+		// at the instant it was due. The rest of the cohort is equally doomed
+		// and keeps its stored instants — no settle, no new shares — so each
+		// member drops exactly when its own event would have fired.
+		d.dropSevered(t)
+		var head *transfer
+		for _, a := range d.active {
+			if head == nil || a.due < head.due {
+				head = a
+			}
+		}
+		d.arm(head)
+		return
 	}
 	d.rebalance()
 	k := d.link.net.K
@@ -539,15 +585,11 @@ func (d *direction) complete(t *transfer) {
 		// happens as an inter-shard message on the destination kernel
 		// (the sender may not schedule into the receiver's window).
 		pkt := t.pkt
-		t.pkt = nil
-		t.deliver = nil
-		t.dir = nil
-		d.link.net.xferPool = append(d.link.net.xferPool, t)
+		d.link.net.putTransfer(t)
 		d.link.shipRemote(pkt, k.Now()+d.link.latency())
 		return
 	}
-	// Enter the latency stage on the same persistent event.
-	t.delivering = true
+	// Enter the latency stage on the transfer's own event.
 	k.Schedule(t.finish, k.Now()+d.link.latency())
 }
 
@@ -562,28 +604,16 @@ func (d *direction) countSevered() {
 // packet returns to the pool, the drop is counted, and the transfer (with
 // its persistent event) is recycled.
 func (d *direction) dropSevered(t *transfer) {
-	if !t.delivering {
-		for i, a := range d.active {
-			if a == t {
-				d.active = append(d.active[:i], d.active[i+1:]...)
-				break
-			}
-		}
-		// No rebalance: every other transfer on this direction is equally
-		// doomed and will drop at its own already-scheduled event.
-	}
 	net := d.link.net
 	d.countSevered()
 	net.FreePacket(t.pkt)
-	t.pkt = nil
-	t.deliver = nil
-	t.dir = nil
-	t.delivering = false
-	net.xferPool = append(net.xferPool, t)
+	net.putTransfer(t)
 }
 
-// ActiveTransfers returns the number of in-flight transfers a->b and b->a
-// (diagnostic).
+// ActiveTransfers returns the number of transfers currently serializing a->b
+// and b->a (diagnostic; packets in the propagation stage are not counted).
+// Each non-zero count is backed by exactly one armed kernel event, a zero
+// count by none.
 func (l *Link) ActiveTransfers() (ab, ba int) {
 	return len(l.ab.active), len(l.ba.active)
 }
