@@ -589,7 +589,11 @@ func runExperiment(which string) error {
 			}
 			return emitJSON(out)
 		}
-		fmt.Print(edge.RunReplayScale(*seed, *replayRequests, o.options()...).String())
+		res := edge.RunReplayScale(*seed, *replayRequests, o.options()...)
+		fmt.Print(res.String())
+		if *showCounters {
+			fmt.Printf("  kernel           %s\n", res.Kernel)
+		}
 	case "scale-shard":
 		if err := validateShards(*shards); err != nil {
 			return err

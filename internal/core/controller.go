@@ -555,11 +555,11 @@ func (c *Controller) clusterByName(name string) (cluster.Cluster, bool) {
 }
 
 // buildState gathers the fig. 7 inputs for the Global Scheduler, charging
-// the per-cluster state-query latency. By default the queries run as
-// concurrent sim processes — one per candidate cluster, joined through
-// sim promises — so the charged latency is the maximum over clusters;
-// Config.SerialStateQueries restores the paper's one-after-another
-// behavior (latency = sum over clusters).
+// the per-cluster state-query latency. By default the queries go out
+// together, and since each takes the same constant latency they all answer at
+// the same instant: one latency is charged and the clusters are then sampled
+// in candidate order. Config.SerialStateQueries restores the paper's
+// one-after-another behavior (latency = sum over clusters).
 func (c *Controller) buildState(p *sim.Proc, svc *spec.Annotated, client simnet.Addr) State {
 	st := State{Service: svc, ClientIP: client}
 	allowed := c.allowedKinds[svc.RuntimeClass]
@@ -570,27 +570,16 @@ func (c *Controller) buildState(p *sim.Proc, svc *spec.Annotated, client simnet.
 		}
 		cands = append(cands, i)
 	}
-	if c.cfg.SerialStateQueries || len(cands) <= 1 {
-		for _, i := range cands {
-			if c.cfg.StateQueryLatency > 0 {
-				p.Sleep(c.cfg.StateQueryLatency)
-			}
-			st.Clusters = append(st.Clusters, c.queryCluster(i, svc, client))
+	lat := c.cfg.StateQueryLatency
+	if lat > 0 && !c.cfg.SerialStateQueries && len(cands) > 0 {
+		p.Sleep(lat)
+	}
+	st.Clusters = make([]ClusterInfo, 0, len(cands))
+	for _, i := range cands {
+		if lat > 0 && c.cfg.SerialStateQueries {
+			p.Sleep(lat)
 		}
-	} else {
-		prs := make([]*sim.Promise[ClusterInfo], len(cands))
-		for j, i := range cands {
-			i := i
-			prs[j] = sim.Async(c.k, "state:"+c.clusters[i].c.Name(), func(qp *sim.Proc) (ClusterInfo, error) {
-				if c.cfg.StateQueryLatency > 0 {
-					qp.Sleep(c.cfg.StateQueryLatency)
-				}
-				return c.queryCluster(i, svc, client), nil
-			})
-		}
-		// Queries never fail (the latency models the API round trip);
-		// JoinAll preserves candidate order, keeping runs deterministic.
-		st.Clusters, _ = sim.JoinAll(p, prs)
+		st.Clusters = append(st.Clusters, c.queryCluster(i, svc, client))
 	}
 	sort.SliceStable(st.Clusters, func(i, j int) bool {
 		return st.Clusters[i].Distance < st.Clusters[j].Distance
@@ -853,33 +842,6 @@ func (c *Controller) pickInstance(cl cluster.Cluster, client simnet.Addr, fallba
 		return fallback
 	}
 	return c.cfg.InstancePicker(client, insts)
-}
-
-// ErrProbeTimeout is returned (wrapped) when an instance's port never opens
-// within Config.ProbeMaxWait.
-var ErrProbeTimeout = errors.New("core: instance port never became ready")
-
-// probeUntilOpen dials the instance from the controller's host until the
-// port accepts a connection, or until Config.ProbeMaxWait elapses — a port
-// that never opens becomes a deploy error instead of a hung dispatcher
-// process holding the client's packet forever.
-func (c *Controller) probeUntilOpen(p *sim.Proc, inst cluster.Instance) error {
-	deadline := sim.Time(-1)
-	if c.cfg.ProbeMaxWait > 0 {
-		deadline = p.Now() + c.cfg.ProbeMaxWait
-	}
-	for {
-		conn, err := c.probeHost.Dial(p, inst.Addr, inst.Port, c.cfg.ProbeDialTimeout)
-		if err == nil {
-			conn.Close()
-			return nil
-		}
-		if deadline >= 0 && p.Now() >= deadline {
-			return fmt.Errorf("%w: %s on %s (%s:%d) after %v",
-				ErrProbeTimeout, inst.Service, inst.Cluster, inst.Addr, inst.Port, c.cfg.ProbeMaxWait)
-		}
-		p.Sleep(c.cfg.ProbeInterval)
-	}
 }
 
 // onIdleInstance is the FlowMemory callback: optionally scale the idle

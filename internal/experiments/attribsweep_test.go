@@ -150,6 +150,19 @@ func TestKernelStatsSurfaced(t *testing.T) {
 		t.Errorf("kernel_events metric = %v, want %d", j.Metrics["kernel_events"], r.Kernel.Events)
 	}
 
+	if r.Kernel.ProcStarts == 0 || r.Kernel.ProcSwitches < r.Kernel.ProcStarts {
+		t.Errorf("kernel stats = %+v, want procs started and at least one wake-up each", r.Kernel)
+	}
+	for key, want := range map[string]float64{
+		"kernel_proc_starts":   float64(r.Kernel.ProcStarts),
+		"kernel_proc_switches": float64(r.Kernel.ProcSwitches),
+		"kernel_live_procs":    float64(r.Kernel.LiveProcs),
+	} {
+		if got, ok := j.Metrics[key]; !ok || got != want {
+			t.Errorf("%s metric = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+
 	rs := ReplayShard(13, 160, 4, nil)
 	if rs.Group.Windows == 0 || len(rs.Group.Shards) != 4 {
 		t.Errorf("group stats = windows %d shards %d, want > 0 and 4", rs.Group.Windows, len(rs.Group.Shards))
@@ -158,7 +171,7 @@ func TestKernelStatsSurfaced(t *testing.T) {
 	if js.Metrics["group_windows"] != float64(rs.Group.Windows) {
 		t.Errorf("group_windows metric = %v, want %d", js.Metrics["group_windows"], rs.Group.Windows)
 	}
-	if js.Metrics["kernel_events"] <= 0 {
-		t.Error("scale-shard JSON missing summed kernel_events")
+	if js.Metrics["kernel_events"] <= 0 || js.Metrics["kernel_proc_switches"] <= 0 {
+		t.Error("scale-shard JSON missing summed kernel_events / kernel_proc_switches")
 	}
 }

@@ -88,16 +88,7 @@ func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key 
 // replica count.
 func RunDeploymentController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
-	w := api.Watch(KindDeployment)
-	api.Kernel().Go("deployment-controller:watch", func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
-			q.Add(ev.Name)
-		}
-	})
+	api.subscribeQueued(KindDeployment, func(ev Event) { q.Add(ev.Name) })
 	q.run("deployment-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
 		p.Sleep(cfg.ReconcileDelay)
 		reconcileDeployment(p, api, name)
@@ -139,26 +130,10 @@ func reconcileDeployment(p *sim.Proc, api *APIServer, name string) {
 // a failed node) are replaced.
 func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
-	w := api.Watch(KindReplicaSet)
-	api.Kernel().Go("replicaset-controller:watch", func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
-			q.Add(ev.Name)
-		}
-	})
-	wp := api.Watch(KindPod)
-	api.Kernel().Go("replicaset-controller:pod-watch", func(p *sim.Proc) {
-		for {
-			ev, ok := wp.Recv(p)
-			if !ok {
-				return
-			}
-			if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
-				q.Add(pod.Owner)
-			}
+	api.subscribeQueued(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
+	api.subscribeQueued(KindPod, func(ev Event) {
+		if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
+			q.Add(pod.Owner)
 		}
 	})
 	q.run("replicaset-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {

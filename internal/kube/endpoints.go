@@ -47,34 +47,18 @@ func (a *APIServer) setEndpoints(e *Endpoints) {
 // service change it recomputes the ready backends of each Service.
 func RunEndpointsController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
-	wPods := api.Watch(KindPod)
-	wSvcs := api.Watch(KindService)
-	api.Kernel().Go("endpoints-controller:pods", func(p *sim.Proc) {
-		for {
-			ev, ok := wPods.Recv(p)
-			if !ok {
-				return
-			}
-			// A pod change may affect any service; reconcile services
-			// whose selector matches the pod's labels.
-			pod, _ := ev.Object.(*Pod)
-			if pod == nil {
-				continue
-			}
-			for _, svc := range api.servicesSelecting(pod.Labels) {
-				q.Add(svc.Name)
-			}
+	api.subscribeQueued(KindPod, func(ev Event) {
+		// A pod change may affect any service; reconcile services
+		// whose selector matches the pod's labels.
+		pod, _ := ev.Object.(*Pod)
+		if pod == nil {
+			return
+		}
+		for _, svc := range api.servicesSelecting(pod.Labels) {
+			q.Add(svc.Name)
 		}
 	})
-	api.Kernel().Go("endpoints-controller:services", func(p *sim.Proc) {
-		for {
-			ev, ok := wSvcs.Recv(p)
-			if !ok {
-				return
-			}
-			q.Add(ev.Name)
-		}
-	})
+	api.subscribeQueued(KindService, func(ev Event) { q.Add(ev.Name) })
 	q.run("endpoints-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
 		p.Sleep(cfg.ReconcileDelay)
 		reconcileEndpoints(p, api, name)

@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -157,19 +158,28 @@ func (c *Cluster) nodeByName(name string) *node {
 	return nil
 }
 
-// HasImages implements cluster.Cluster: every node must have every image.
-func (c *Cluster) HasImages(a *spec.Annotated) bool {
-	for _, n := range c.nodes {
-		for _, cs := range a.Containers {
-			if !n.rt.HasImage(cs.Image) {
-				return false
-			}
+// hasImages reports whether the node's runtime holds every image of a.
+func (n *node) hasImages(a *spec.Annotated) bool {
+	for _, cs := range a.Containers {
+		if !n.rt.HasImage(cs.Image) {
+			return false
 		}
 	}
 	return true
 }
 
-// Pull implements cluster.Cluster: nodes pull concurrently.
+// HasImages implements cluster.Cluster: every node must have every image.
+func (c *Cluster) HasImages(a *spec.Annotated) bool {
+	for _, n := range c.nodes {
+		if !n.hasImages(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// Pull implements cluster.Cluster: the nodes missing an image pull
+// concurrently, one process each; a node that has them all costs nothing.
 func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	c.ops.Pull.Inc()
 	if err := c.faults.PullError(p.Now()); err != nil {
@@ -180,6 +190,9 @@ func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	var firstErr error
 	for _, n := range c.nodes {
 		n := n
+		if n.hasImages(a) {
+			continue
+		}
 		wg.Add(1)
 		k.Go("pull:"+c.name+":"+n.name, func(np *sim.Proc) {
 			defer wg.Done()
@@ -260,8 +273,9 @@ func schedulerNameOf(a *spec.Annotated) string {
 
 // ScaleUp implements cluster.Cluster: raise replicas to one and block until
 // the new pod is bound to a node so the endpoint (node address + NodePort)
-// is known. The pod is usually still starting when ScaleUp returns — the
-// SDN controller probes the port for readiness, as in the paper.
+// is known, or fail with ErrBindTimeout. The pod is usually still starting
+// when ScaleUp returns — the SDN controller probes the port for readiness, as
+// in the paper.
 func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if _, ok := c.services[name]; !ok {
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
@@ -284,29 +298,94 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if err != nil {
 		return cluster.Instance{}, err
 	}
-	// Wait for a pod of this service to be bound to a node.
-	selector := map[string]string{"app": name}
-	for {
-		for _, pod := range c.api.ListPods(p, selector) {
-			if pod.NodeName == "" {
-				continue
-			}
-			n := c.nodeByName(pod.NodeName)
-			if n == nil {
-				continue
-			}
-			if c.faults.CrashAfterStart() {
-				c.crashPod(pod.Name, n, name)
-			}
-			return cluster.Instance{
-				Service: name,
-				Cluster: c.name,
-				Addr:    n.rt.Host().IP(),
-				Port:    svc.NodePort,
-			}, nil
-		}
-		p.Sleep(c.cfg.BindPollInterval)
+	w := &bindWait{
+		c:        c,
+		name:     name,
+		port:     svc.NodePort,
+		selector: map[string]string{"app": name},
+		deadline: p.Now() + bindMaxWait,
+		done:     sim.NewPromise[cluster.Instance](c.api.k),
 	}
+	w.ev = c.api.k.NewEvent(w.fire)
+	w.list()
+	return w.done.Await(p)
+}
+
+// ErrBindTimeout is returned (wrapped) by ScaleUp when no pod of the service
+// was bound to a node within bindMaxWait: the pod fits nowhere, or every
+// node is NotReady.
+var ErrBindTimeout = errors.New("kube: no pod was bound to a node")
+
+// bindMaxWait bounds ScaleUp's wait for a bound pod, so a pod parked in the
+// scheduler's unschedulable set becomes a deployment error (retried, then
+// answered from the next cluster or the cloud) instead of a deployment that
+// never returns. It equals core.DefaultProbeMaxWait, the bound on the wait
+// that follows this one.
+const bindMaxWait = 5 * time.Minute
+
+// bindWait is ScaleUp's wait for a bound pod as a state machine on one
+// re-armable event: pay the API request latency of a pod list, read the
+// service's pods, and if none is bound pause BindPollInterval and list again.
+// The bound is checked only after a list that found nothing, as the
+// controller's readiness probe checks its own.
+type bindWait struct {
+	c        *Cluster
+	name     string
+	port     int
+	selector map[string]string
+	deadline sim.Time
+	listing  bool // the armed event ends a list's request latency, not a pause
+	ev       *sim.Event
+	done     *sim.Promise[cluster.Instance]
+}
+
+// list starts one ListPods: the read happens RequestLatency from now.
+func (w *bindWait) list() {
+	k := w.c.api.k
+	if lat := w.c.api.cfg.RequestLatency; lat > 0 {
+		w.listing = true
+		k.Schedule(w.ev, k.Now()+lat)
+		return
+	}
+	w.read()
+}
+
+func (w *bindWait) fire() {
+	if w.listing {
+		w.listing = false
+		w.read()
+		return
+	}
+	w.list()
+}
+
+func (w *bindWait) read() {
+	c := w.c
+	for _, pod := range c.api.podsMatching(w.selector) {
+		if pod.NodeName == "" {
+			continue
+		}
+		n := c.nodeByName(pod.NodeName)
+		if n == nil {
+			continue
+		}
+		if c.faults.CrashAfterStart() {
+			c.crashPod(pod.Name, n, w.name)
+		}
+		w.done.Resolve(cluster.Instance{
+			Service: w.name,
+			Cluster: c.name,
+			Addr:    n.rt.Host().IP(),
+			Port:    w.port,
+		})
+		return
+	}
+	k := c.api.k
+	if k.Now() >= w.deadline {
+		w.done.Fail(fmt.Errorf("%w: %s on %s after %v", ErrBindTimeout, w.name, c.name, bindMaxWait))
+		return
+	}
+	k.Schedule(w.ev, k.Now()+c.cfg.BindPollInterval)
 }
 
 // crashPod models a pod whose processes die right after the kubelet starts

@@ -120,7 +120,7 @@ type Kernel struct {
 	seq     uint64
 	rng     *rand.Rand
 	stepped uint64
-	procs   int // live process goroutines (for diagnostics)
+	procs   int // live process goroutines (KernelStats.LiveProcs)
 	live    int // scheduled, uncancelled, unfired events across all queues
 
 	imm     []immEvent // zero-delay FIFO (Defer)
@@ -129,6 +129,9 @@ type Kernel struct {
 	staged []stagedLane // monotone batch FIFOs (AtBatch)
 
 	free []*Event // recycled AfterFree events
+
+	procStarts   uint64 // processes ever started
+	procSwitches uint64 // wake-ups of a parked process
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is

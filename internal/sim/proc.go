@@ -49,6 +49,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // until the process parks or finishes. Called from kernel context.
 func (p *Proc) start(fn func(p *Proc)) {
 	p.k.procs++
+	p.k.procStarts++
 	go func() {
 		defer func() {
 			p.dead = true
@@ -77,6 +78,7 @@ func (p *Proc) wake(handoff func()) {
 	if p.dead {
 		panic("sim: waking dead process " + p.name)
 	}
+	p.k.procSwitches++
 	p.resume <- handoff
 	<-p.parked
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Kernel and shard-group introspection (DESIGN.md §17). Every number here is
 // an observation of work the kernel already did: the counters are plain
@@ -35,6 +38,22 @@ type KernelStats struct {
 	// simultaneously (lanes are only opened when no existing lane fits, and
 	// empty lanes are reused, so the open-lane count is the high-water).
 	LanesHighWater int
+	// ProcStarts is the number of processes (Kernel.Go) started so far;
+	// ProcSwitches the number of times the kernel woke a parked process —
+	// each one a goroutine hand-off there and back, the cost DESIGN.md §21
+	// sizes ports by; LiveProcs the processes started and not yet returned
+	// at snapshot time (each pins a goroutine and its stack).
+	ProcStarts   uint64
+	ProcSwitches uint64
+	LiveProcs    int
+}
+
+// String renders the snapshot as one line of name=value pairs.
+func (s KernelStats) String() string {
+	return fmt.Sprintf("events=%d scheduled=%d pending=%d wheel_cascades=%d wheel_promotions=%d "+
+		"near_high_water=%d lanes_high_water=%d proc_starts=%d proc_switches=%d live_procs=%d",
+		s.Events, s.Scheduled, s.Pending, s.WheelCascades, s.WheelPromotions,
+		s.NearHighWater, s.LanesHighWater, s.ProcStarts, s.ProcSwitches, s.LiveProcs)
 }
 
 // Stats snapshots the kernel's introspection counters. Safe to call at any
@@ -48,6 +67,9 @@ func (k *Kernel) Stats() KernelStats {
 		WheelPromotions: k.wheel.promotions,
 		NearHighWater:   k.wheel.nearHigh,
 		LanesHighWater:  len(k.staged),
+		ProcStarts:      k.procStarts,
+		ProcSwitches:    k.procSwitches,
+		LiveProcs:       k.procs,
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,6 +45,31 @@ func TestKernelStatsCounters(t *testing.T) {
 	}
 	if s.LanesHighWater != 2 {
 		t.Fatalf("LanesHighWater = %d, want 2 for two overlapping batches", s.LanesHighWater)
+	}
+}
+
+// TestKernelStatsProcs counts process starts, wake-ups and live processes: a
+// process that sleeps twice is woken twice, one parked on a channel that
+// never delivers stays live, and starting a process is not a switch.
+func TestKernelStatsProcs(t *testing.T) {
+	k := New(1)
+	k.Go("sleeper", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		p.Sleep(time.Millisecond)
+	})
+	k.Go("returns-at-once", func(*Proc) {})
+	never := NewChan[int](k)
+	k.Go("parked", func(p *Proc) { never.Recv(p) })
+	if s := k.Stats(); s.ProcStarts != 0 || s.LiveProcs != 0 {
+		t.Fatalf("before Run: %+v, want no process started yet", s)
+	}
+	k.Run()
+	s := k.Stats()
+	if s.ProcStarts != 3 || s.ProcSwitches != 2 || s.LiveProcs != 1 {
+		t.Fatalf("ProcStarts/ProcSwitches/LiveProcs = %d/%d/%d, want 3/2/1", s.ProcStarts, s.ProcSwitches, s.LiveProcs)
+	}
+	if got, want := s.String(), "proc_starts=3 proc_switches=2 live_procs=1"; !strings.HasSuffix(got, want) {
+		t.Fatalf("String() = %q, want suffix %q", got, want)
 	}
 }
 

@@ -178,6 +178,11 @@ func (h *Host) PortOpen(port int) bool {
 	return ok && !l.closed
 }
 
+// OpenConns returns the number of connections in the host's table: dials in
+// flight and connections not yet closed (diagnostics; a finished client
+// should leave none behind).
+func (h *Host) OpenConns() int { return len(h.conns) }
+
 // Close removes the listener; established connections survive.
 func (l *Listener) Close() {
 	l.closed = true
@@ -307,11 +312,11 @@ func (h *Host) Dial(p *sim.Proc, dst Addr, port int, timeout time.Duration) (*Co
 		timer.Cancel()
 	}
 	if err != nil {
-		delete(h.conns, fourTuple{c.local, c.remote})
+		c.Abort()
 		return nil, err
 	}
 	if !ok {
-		delete(h.conns, fourTuple{c.local, c.remote})
+		c.Abort()
 		return nil, ErrConnRefused
 	}
 	return c, nil
@@ -320,7 +325,9 @@ func (h *Host) Dial(p *sim.Proc, dst Addr, port int, timeout time.Duration) (*Co
 // DialAsync opens a connection in callback mode: nothing blocks, and handler
 // receives ConnEstablished when the handshake completes (ok=false when
 // refused). The SYN goes out in the same instant as a process Dial's would.
-// Timeouts are the caller's concern: schedule a kernel event and Close.
+// Timeouts are the caller's concern: schedule a kernel event and Abort, which
+// sends nothing — as a timed-out process Dial sends nothing. Close would emit
+// a FIN for a connection the peer may never have seen.
 func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	lp := h.ephemeral
 	h.ephemeral++
@@ -548,6 +555,16 @@ func (c *Conn) Recv(p *sim.Proc, timeout time.Duration) (any, error) {
 	payload := pkt.Payload
 	c.host.net.FreePacket(pkt)
 	return payload, nil
+}
+
+// Abort forgets a connection whose handshake has not completed: it leaves the
+// host's connection table and nothing is sent, so a SYN-ACK or RST that still
+// arrives finds no connection and is freed. The handler gets no further
+// callback. This is how a dial ends on timeout or refusal; an established
+// connection ends with Close.
+func (c *Conn) Abort() {
+	c.closed = true
+	delete(c.host.conns, fourTuple{c.local, c.remote})
 }
 
 // Close tears the connection down on both ends (FIN).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 )
 
@@ -633,5 +634,64 @@ func TestLinkLossDropsSomePackets(t *testing.T) {
 	}
 	if pa.Link().Dropped == 0 {
 		t.Fatal("no drops recorded")
+	}
+}
+
+// dialProbe is a ConnHandler that records what a callback-mode dial reports.
+type dialProbe struct{ established, refused, closed int }
+
+func (d *dialProbe) ConnEstablished(_ *Conn, ok bool) {
+	if ok {
+		d.established++
+	} else {
+		d.refused++
+	}
+}
+func (d *dialProbe) ConnMessage(*Conn, any) {}
+func (d *dialProbe) ConnClosed(*Conn)       { d.closed++ }
+
+// TestAbortTimedOutDial: a dial given up on before its SYN-ACK arrives sends
+// the SYN and nothing else, leaves no connection on the dialing host, and the
+// late SYN-ACK is freed without reaching the handler — in callback mode
+// through Abort exactly as in process mode through Dial's timeout.
+func TestAbortTimedOutDial(t *testing.T) {
+	for _, mode := range []string{"async", "process"} {
+		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
+		reg := obs.NewRegistry()
+		n.SetObs(reg)
+		fromA := 0
+		n.PktTrace = func(_ string, pkt *Packet) {
+			if pkt.SrcIP == a.IP() {
+				fromA++
+			}
+		}
+		b.ListenAsync(80, func(*Conn) ConnHandler { return &dialProbe{} })
+		const timeout = 25 * time.Millisecond // the SYN has arrived, the SYN-ACK has not
+		var h dialProbe
+		var dialErr error
+		if mode == "async" {
+			c := a.DialAsync(b.IP(), 80, &h)
+			k.After(timeout, c.Abort)
+		} else {
+			k.Go("dial", func(p *sim.Proc) { _, dialErr = a.Dial(p, b.IP(), 80, timeout) })
+		}
+		k.Run()
+		if mode == "process" && !errors.Is(dialErr, ErrTimeout) {
+			t.Errorf("%s: Dial err = %v, want ErrTimeout", mode, dialErr)
+		}
+		if h != (dialProbe{}) {
+			t.Errorf("%s: handler saw %+v after Abort, want nothing", mode, h)
+		}
+		if fromA != 2 { // the one SYN, seen at the router and at b
+			t.Errorf("%s: %d deliveries of packets from the dialer, want 2 (one SYN, two hops)", mode, fromA)
+		}
+		if len(a.conns) != 0 {
+			t.Errorf("%s: %d connections left on the dialer, want 0", mode, len(a.conns))
+		}
+		m := reg.Map()
+		gets, puts := m["simnet_packet_pool_gets_total"], m["simnet_packet_pool_puts_total"]
+		if gets != 2 || puts != 2 {
+			t.Errorf("%s: pool gets/puts = %v/%v, want 2/2 (SYN and the late SYN-ACK, both freed)", mode, gets, puts)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/core"
+	"transparentedge/internal/kube"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 )
@@ -796,5 +797,78 @@ func TestCrashedInstanceIsRedeployedOnNextRequest(t *testing.T) {
 	}
 	if redeploys != 2 {
 		t.Fatalf("scale-ups = %d, want 2 (initial + post-crash)", redeploys)
+	}
+}
+
+func TestBindTimeoutReleasesHeldRequestToCloud(t *testing.T) {
+	// The only Kubernetes node is NotReady, so the pod of a scaled-up
+	// service is never bound. The deployment must fail once the bind wait's
+	// bound is reached — not poll forever — so that the request held behind
+	// it is released to the cloud origin, and a later request starts a fresh
+	// deployment instead of joining the dead one.
+	tb := New(Options{Seed: 1, EnableKube: true})
+	a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deployErr error
+	var deployEnd sim.Time
+	tb.K.Go("operator", func(p *sim.Proc) {
+		tb.Kube.Kubelet("egs").SetFailed(true)
+		p.Sleep(time.Minute) // past the 40 s grace period: the node is NotReady
+		_, deployErr = tb.Ctrl.EnsureDeployed(p, "egs-k8s", a.UniqueName)
+		deployEnd = p.Now()
+	})
+	var heldEnd, secondStart, secondEnd sim.Time
+	tb.K.Go("clients", func(p *sim.Proc) {
+		p.Sleep(time.Minute + 10*time.Second) // the deployment is waiting for the bind
+		if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
+			t.Errorf("held request: %v", err)
+			return
+		}
+		heldEnd = p.Now()
+		secondStart = p.Now()
+		if _, err := tb.Request(p, 1, reg, catalog.Nginx, 0); err != nil {
+			t.Errorf("second request: %v", err)
+			return
+		}
+		secondEnd = p.Now()
+	})
+	tb.K.RunUntil(30 * time.Minute)
+
+	if !errors.Is(deployErr, kube.ErrBindTimeout) {
+		t.Fatalf("EnsureDeployed err = %v, want kube.ErrBindTimeout", deployErr)
+	}
+	failed := tb.Ctrl.RecordsIncluding("egs-k8s", a.UniqueName, true)
+	if len(failed) != 2 || failed[0].Err == nil || failed[1].Err == nil {
+		t.Fatalf("records = %+v, want two failed deployments (the second request starts its own)", failed)
+	}
+	// ScaleUp makes three API requests, then lists pods — one request
+	// latency each, one poll interval apart — until the bound has passed.
+	cfg := kube.DefaultConfig()
+	lat, poll := cfg.API.RequestLatency, cfg.BindPollInterval
+	waitFrom := 3 * lat
+	want := waitFrom + lat
+	for want < waitFrom+core.DefaultProbeMaxWait {
+		want += poll + lat
+	}
+	rec := failed[0]
+	if rec.ScaleUp != want {
+		t.Errorf("scale-up phase gave up after %v, want %v", rec.ScaleUp, want)
+	}
+	if got := rec.StartedAt + rec.Total(); deployEnd != got {
+		t.Errorf("EnsureDeployed returned at %v, want %v (start + phases)", deployEnd, got)
+	}
+	if heldEnd < deployEnd || heldEnd > deployEnd+time.Second {
+		t.Errorf("held request answered at %v, want just after the deployment failed at %v", heldEnd, deployEnd)
+	}
+	if d := secondEnd - secondStart; d < core.DefaultProbeMaxWait || d > core.DefaultProbeMaxWait+time.Second {
+		t.Errorf("second request took %v, want a fresh bind wait of %v before the cloud answers", d, core.DefaultProbeMaxWait)
+	}
+	if tb.Ctrl.Stats.CloudFallbacks != 2 {
+		t.Errorf("Stats.CloudFallbacks = %d, want 2", tb.Ctrl.Stats.CloudFallbacks)
+	}
+	if n := tb.K.Pending(); n > 16 {
+		t.Errorf("%d events pending at the end: something still polls", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"transparentedge/internal/catalog"
+	"transparentedge/internal/core"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/registry"
@@ -383,5 +384,52 @@ func TestReplayHistogramModeAboveThreshold(t *testing.T) {
 	}
 	if res.Totals.Median() <= 0 {
 		t.Fatalf("Median = %v, want > 0", res.Totals.Median())
+	}
+}
+
+// TestProcSwitchBudget pins the mechanism behind the deployment path's host
+// cost: how often the kernel hands control to a process goroutine. On the
+// section-VII hybrid (Docker answers first, Kubernetes deploys behind it)
+// with 40 cold services a deployment costs about 39 process wake-ups beyond
+// what an idle testbed's periodic loops spend over the same span — the
+// readiness probe and the bind wait run as kernel callbacks and park their
+// caller once each; as process loops they cost about 190 and 58 wake-ups per
+// Kubernetes deployment — and the run leaves 20 processes parked: 15
+// work-queue workers, the scheduler loop, the node-lifecycle loop and the
+// kubelet's three loops (25 with the five watch relays that used to feed the
+// work queues).
+func TestProcSwitchBudget(t *testing.T) {
+	const services = 40
+	trace := Generate(Config{
+		Seed: 42, Services: services, TotalRequests: 4 * services, MinPerService: 2,
+		Duration: services * 400 * time.Millisecond,
+		Clients:  20, ZipfS: 1.15, FrontLoad: 1.1,
+	})
+	opts := testbed.Options{
+		Seed: 42, EnableDocker: true, EnableKube: true,
+		Scheduler: core.DockerFirstScheduler{},
+	}
+	tb := testbed.New(opts)
+	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Unfinished != 0 {
+		t.Fatalf("errors %d, unfinished %d, want a clean replay", res.Errors, res.Unfinished)
+	}
+	deploys := tb.Ctrl.Stats.Deployments
+	if deploys != 2*services {
+		t.Fatalf("%d deployments, want %d (each service on Docker and on Kubernetes)", deploys, 2*services)
+	}
+	idle := testbed.New(opts)
+	idle.K.RunUntil(tb.K.Now())
+
+	ks, idleSwitches := tb.K.Stats(), idle.K.Stats().ProcSwitches
+	if per := float64(ks.ProcSwitches-idleSwitches) / float64(deploys); per > 50 {
+		t.Errorf("%.1f process switches per deployment (%d, %d of them idle loops, over %d deployments), want <= 50",
+			per, ks.ProcSwitches, idleSwitches, deploys)
+	}
+	if ks.LiveProcs > 20 {
+		t.Errorf("%d processes still live at the end of the run, want <= 20", ks.LiveProcs)
 	}
 }
