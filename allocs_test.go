@@ -23,15 +23,21 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 	for _, ep := range []struct {
 		name         string
 		small, large int
-		replay       func(requests int) (errors int)
+		replay       func(requests int) (errors int, err error)
 	}{
-		{"single-site", 2000, 8000, func(n int) int { return edge.RunReplayScale(benchSeed, n).Errors }},
-		{"sharded", 8000, 32000, func(n int) int { return edge.RunReplayShard(benchSeed, n, 1, nil).Errors }},
+		{"single-site", 2000, 8000, func(n int) (int, error) {
+			res, err := edge.RunReplayScale(benchSeed, n)
+			return res.Errors, err
+		}},
+		{"sharded", 8000, 32000, func(n int) (int, error) {
+			res, err := edge.RunReplayShard(benchSeed, n, 1, nil)
+			return res.Errors, err
+		}},
 	} {
 		run := func(requests int) float64 {
 			return testing.AllocsPerRun(1, func() {
-				if errors := ep.replay(requests); errors != 0 {
-					t.Fatalf("%s replay of %d requests: %d errors", ep.name, requests, errors)
+				if errors, err := ep.replay(requests); err != nil || errors != 0 {
+					t.Fatalf("%s replay of %d requests: %d errors, %v", ep.name, requests, errors, err)
 				}
 			})
 		}

@@ -13,7 +13,6 @@ package transparentedge_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -307,236 +306,6 @@ func BenchmarkScale_LargeTrace(b *testing.B) {
 	}
 }
 
-// replayScale runs one large-trace replay per iteration and reports the
-// engine's cost metrics: wall time (ns/op), allocations per trace request,
-// and bytes retained by the result series.
-func replayScale(b *testing.B, requests int) {
-	b.ReportAllocs()
-	var res edge.ReplayScaleResult
-	for i := 0; i < b.N; i++ {
-		res = edge.RunReplayScale(benchSeed, requests)
-		if res.Deployments != 8 {
-			b.Fatalf("deployments = %d, want 8", res.Deployments)
-		}
-	}
-	b.ReportMetric(res.AllocsPerRequest, "allocs/request")
-	b.ReportMetric(float64(res.SeriesBytes), "series_bytes")
-	b.ReportMetric(ms(res.Median), "median_ms")
-	b.Logf("\n%s", res.String())
-}
-
-// BenchmarkReplayScale_10k..1M sweep the replay engine across trace sizes;
-// allocs/request and series_bytes must stay ~flat from 10k to 1M.
-func BenchmarkReplayScale_10k(b *testing.B)  { replayScale(b, 10_000) }
-func BenchmarkReplayScale_100k(b *testing.B) { replayScale(b, 100_000) }
-func BenchmarkReplayScale_1M(b *testing.B)   { replayScale(b, 1_000_000) }
-
-// machineMetrics records the parallel-hardware context a stored bench file
-// needs to make its speedup numbers interpretable: a 1.0x speedup is a
-// regression on 16 cores and expected on 1.
-func machineMetrics(b *testing.B) {
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	b.ReportMetric(float64(runtime.NumCPU()), "cores")
-}
-
-// benchReplayShard runs the multi-region replay as separate serial (one
-// kernel) and sharded (eight kernels, one per region plus the backbone)
-// sub-benchmarks, so each strategy gets its own timing and allocation line
-// in the bench JSON instead of both being folded into one iteration. The
-// sharded run asserts bit-identical fingerprints against the serial one on
-// every machine. The >= 3x speedup floor lives in its own gate
-// sub-benchmark: conservative-lookahead windows cannot beat the serial
-// kernel without parallel hardware, so on core-starved machines the gate
-// skips with a message instead of failing.
-func benchReplayShard(b *testing.B, requests int) {
-	var serial, sharded edge.ReplayShardResult
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			serial = edge.RunReplayShard(benchSeed, requests, 1, nil)
-			if serial.Errors != 0 {
-				b.Fatalf("serial replay errors = %d", serial.Errors)
-			}
-		}
-		b.ReportMetric(ms(serial.Wall), "wall_ms")
-		b.ReportMetric(serial.AllocsPerRequest, "allocs/request")
-		b.ReportMetric(ms(serial.Median), "median_ms")
-		machineMetrics(b)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sharded = edge.RunReplayShard(benchSeed, requests, 8, nil)
-			if sharded.Errors != 0 {
-				b.Fatalf("sharded replay errors = %d", sharded.Errors)
-			}
-		}
-		b.ReportMetric(ms(sharded.Wall), "wall_ms")
-		b.ReportMetric(sharded.AllocsPerRequest, "allocs/request")
-		b.ReportMetric(ms(sharded.Median), "median_ms")
-		machineMetrics(b)
-		b.Logf("\n%s", sharded.String())
-		if serial.Wall > 0 && serial.Fingerprint() != sharded.Fingerprint() {
-			b.Fatalf("sharded run diverges from serial: %016x != %016x",
-				sharded.Fingerprint(), serial.Fingerprint())
-		}
-	})
-	b.Run("speedup-gate", func(b *testing.B) {
-		if serial.Wall == 0 || sharded.Wall == 0 {
-			b.Skip("serial or sharded sub-benchmark filtered out; no speedup reference")
-		}
-		speedup := float64(serial.Wall) / float64(sharded.Wall)
-		b.ReportMetric(speedup, "speedup")
-		machineMetrics(b)
-		if cores := runtime.NumCPU(); cores < 4 {
-			b.Skipf("speedup gate needs >= 4 cores, have %d (measured %.2fx)", cores, speedup)
-		} else if speedup < 3 {
-			b.Fatalf("speedup %.2fx < 3x over serial on %d cores", speedup, cores)
-		}
-	})
-}
-
-// BenchmarkReplayShard is the tentpole gate: a 1M-request trace over eight
-// edge regions, serial vs eight shards, bit-identical results. The 10M
-// variant (the paper-scale target: 10M requests in roughly the serial
-// engine's 1M wall time, given >= 8 cores) is opt-in via `make bench-10m` —
-// it is a multi-minute run on small machines.
-func BenchmarkReplayShard(b *testing.B)     { benchReplayShard(b, 1_000_000) }
-func BenchmarkReplayShard_10M(b *testing.B) { benchReplayShard(b, 10_000_000) }
-
-// BenchmarkObsOverhead measures the observability tax on the replay engine:
-// the same 100k-request replay with obs off (the nil-handle zero-cost path)
-// and with a tracer ring plus counter registry attached. allocs/request of
-// the off case must match BenchmarkReplayScale_100k; the traced case pays
-// only for span recording, never for extra simulation work.
-func BenchmarkObsOverhead(b *testing.B) {
-	const requests = 100_000
-	run := func(b *testing.B, makeOpts func() []edge.ExperimentOption) {
-		b.ReportAllocs()
-		var res edge.ReplayScaleResult
-		for i := 0; i < b.N; i++ {
-			res = edge.RunReplayScale(benchSeed, requests, makeOpts()...)
-			if res.Errors != 0 {
-				b.Fatalf("replay errors = %d", res.Errors)
-			}
-		}
-		b.ReportMetric(res.AllocsPerRequest, "allocs/request")
-		b.ReportMetric(float64(res.Spans), "spans")
-	}
-	b.Run("off", func(b *testing.B) {
-		run(b, func() []edge.ExperimentOption { return nil })
-	})
-	b.Run("traced", func(b *testing.B) {
-		run(b, func() []edge.ExperimentOption {
-			return []edge.ExperimentOption{
-				edge.WithTrace(edge.NewTracer(0)),
-				edge.WithCounters(edge.NewCounterRegistry()),
-			}
-		})
-	})
-}
-
-// BenchmarkAttribOverhead measures the latency-attribution tax (`make
-// bench` records it in BENCH_attrib.json). A 10k-request replay's span
-// stream is recorded once, then fed to a nil collector (the off path, which
-// must stay allocation-free — asserted, not just reported) and to a live
-// collector paying the real cost: tree assembly, the exclusive-time sweep,
-// critical-path marking, and flame-stack folding. The replay sub-benchmark
-// shows the end-to-end allocs/request with attribution attached, comparable
-// against BenchmarkReplayScale_10k's baseline.
-func BenchmarkAttribOverhead(b *testing.B) {
-	const requests = 10_000
-	var spans []edge.Span
-	rec := edge.NewTracer(1)
-	rec.SetSink(func(s edge.Span) { spans = append(spans, s) })
-	if res := edge.RunReplayScale(benchSeed, requests, edge.WithTrace(rec)); res.Errors != 0 {
-		b.Fatalf("recording replay errors = %d", res.Errors)
-	}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		var col *edge.AttribCollector
-		if allocs := testing.AllocsPerRun(2, func() {
-			for _, s := range spans {
-				col.Observe(s)
-			}
-			col.EndStream()
-		}); allocs != 0 {
-			b.Fatalf("nil collector allocated %.0f times per stream", allocs)
-		}
-		for i := 0; i < b.N; i++ {
-			for _, s := range spans {
-				col.Observe(s)
-			}
-			col.EndStream()
-		}
-		b.ReportMetric(float64(len(spans)), "spans")
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		col := edge.NewAttribCollector(edge.AttribOptions{})
-		for i := 0; i < b.N; i++ {
-			for _, s := range spans {
-				col.Observe(s)
-			}
-			col.EndStream()
-		}
-		rep := col.Report()
-		if rep.Trees == 0 {
-			b.Fatal("no trees attributed")
-		}
-		b.ReportMetric(float64(rep.Trees)/float64(b.N), "trees/op")
-		b.ReportMetric(float64(len(spans)), "spans")
-	})
-	b.Run("replay", func(b *testing.B) {
-		b.ReportAllocs()
-		var res edge.ReplayScaleResult
-		for i := 0; i < b.N; i++ {
-			col := edge.NewAttribCollector(edge.AttribOptions{})
-			res = edge.RunReplayScale(benchSeed, requests, edge.WithAttrib(col))
-			if res.Errors != 0 {
-				b.Fatalf("replay errors = %d", res.Errors)
-			}
-		}
-		b.ReportMetric(res.AllocsPerRequest, "allocs/request")
-	})
-}
-
-// benchSteerBackends replays the fig. 9-style trace under one steering
-// backend per sub-benchmark and reports the backend's control-plane cost
-// next to the engine metrics: flow-mod messages (total and per 1k
-// requests — zero for the stateless backend) and the backend's
-// table-entry high-water (what openflow mirrors into the switch table).
-func benchSteerBackends(b *testing.B, requests int) {
-	for _, backend := range []string{"openflow", "srv6"} {
-		b.Run(backend, func(b *testing.B) {
-			b.ReportAllocs()
-			var res edge.ReplayScaleResult
-			var ctrs map[string]float64
-			for i := 0; i < b.N; i++ {
-				reg := edge.NewCounterRegistry()
-				res = edge.RunReplayScale(benchSeed, requests,
-					edge.WithSteerBackend(backend), edge.WithCounters(reg))
-				if res.Errors != 0 {
-					b.Fatalf("replay errors = %d", res.Errors)
-				}
-				ctrs = reg.Map()
-			}
-			b.ReportMetric(ctrs["steer_flow_mods_total"], "flowmods")
-			b.ReportMetric(ctrs["steer_flow_mods_total"]*1000/float64(requests), "flowmods/kreq")
-			b.ReportMetric(ctrs["steer_entries_max"], "entries_peak")
-			b.ReportMetric(ms(res.Median), "median_ms")
-			b.ReportMetric(res.AllocsPerRequest, "allocs/request")
-		})
-	}
-}
-
-// BenchmarkSteerBackends compares the per-flow rule installer against the
-// stateless SRv6-style ingress encoding at 100k and 1M requests (`make
-// bench` records both in BENCH_steer.json): request outcomes must match
-// while the stateless backend sends zero flow-mods.
-func BenchmarkSteerBackends_100k(b *testing.B) { benchSteerBackends(b, 100_000) }
-func BenchmarkSteerBackends_1M(b *testing.B)   { benchSteerBackends(b, 1_000_000) }
-
 // BenchmarkDispatch_StateQueries measures the dispatcher's packet-in
 // latency as the cluster count grows, for both state-gathering modes: the
 // parallel default stays ~flat (charged latency = max over clusters) while
@@ -550,51 +319,14 @@ func BenchmarkDispatch_StateQueries(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/clusters=%d", mode.name, clusters), func(b *testing.B) {
 				var res edge.DispatchScaleResult
 				for i := 0; i < b.N; i++ {
-					res = edge.RunDispatchScale(benchSeed, clusters, mode.serial)
+					var err error
+					if res, err = edge.RunDispatchScale(benchSeed, clusters, mode.serial); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(ms(res.Dispatch), "dispatch_ms")
 			})
 		}
-	}
-}
-
-// BenchmarkSweep runs the default 8-variant with/without-waiting sweep
-// serially and across all cores, verifies the per-variant metrics are
-// bit-identical (each variant owns a private kernel, so worker scheduling
-// cannot leak into results), and reports the wall-clock speedup. On >= 4
-// cores the parallel run must be at least 3x faster; on smaller machines
-// only the parity is asserted.
-func BenchmarkSweep(b *testing.B) {
-	b.ReportAllocs()
-	variants := edge.WaitingSweepVariants(4, 2000) // 4 seeds x 2 waiting modes
-	requests := 0
-	var serialWall, parallelWall time.Duration
-	for i := 0; i < b.N; i++ {
-		serial := edge.RunSweep(variants, 1)
-		parallel := edge.RunSweep(variants, 0)
-		requests = 0
-		for j := range serial.Variants {
-			s, p := serial.Variants[j], parallel.Variants[j]
-			if s.Err != nil || p.Err != nil {
-				b.Fatalf("variant %s failed: %v / %v", s.Variant.Label(), s.Err, p.Err)
-			}
-			if s.Fingerprint() != p.Fingerprint() {
-				b.Fatalf("variant %s: serial and parallel metrics diverge", s.Variant.Label())
-			}
-			requests += s.Requests
-		}
-		if serial.Merged.Fingerprint() != parallel.Merged.Fingerprint() {
-			b.Fatal("merged histograms diverge between serial and parallel runs")
-		}
-		serialWall, parallelWall = serial.Wall, parallel.Wall
-	}
-	speedup := float64(serialWall) / float64(parallelWall)
-	b.ReportMetric(ms(serialWall), "serial_ms")
-	b.ReportMetric(ms(parallelWall), "parallel_ms")
-	b.ReportMetric(speedup, "speedup")
-	b.ReportMetric(float64(requests), "requests")
-	if runtime.NumCPU() >= 4 && speedup < 3 {
-		b.Fatalf("speedup %.2fx < 3x over serial on %d cores", speedup, runtime.NumCPU())
 	}
 }
 
@@ -604,7 +336,10 @@ func BenchmarkSweep(b *testing.B) {
 // drain to zero afterwards.
 func BenchmarkChurn_ControllerState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := edge.RunCookieChurn(benchSeed, 10000)
+		res, err := edge.RunCookieChurn(benchSeed, 10000)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.FinalCookies != 0 || res.FinalClientLocs != 0 || res.FinalMemory != 0 {
 			b.Fatalf("controller state leaked: %d cookies / %d client locs / %d memory entries",
 				res.FinalCookies, res.FinalClientLocs, res.FinalMemory)

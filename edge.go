@@ -294,8 +294,8 @@ func AttribReportMetrics(m map[string]float64, rep *AttribReport) {
 // the determinism gates (attribution-on replays fingerprint byte-identical
 // to attribution-off at every shard count, and the attribution report
 // itself is shard-count-independent).
-func RunAttribSweep(seed int64, requests int, options ...ExperimentOption) AttribSweepResult {
-	return experiments.AttribSweep(seed, requests, options...)
+func RunAttribSweep(seed int64, requests int) (AttribSweepResult, error) {
+	return experiments.AttribSweep(seed, requests)
 }
 
 // Experiment runners — one per table/figure of the paper's evaluation.
@@ -393,21 +393,22 @@ type (
 // RunDispatchScale measures the packet-in dispatch latency over the given
 // number of clusters, with parallel (default) or the paper's original
 // serial per-cluster state gathering.
-func RunDispatchScale(seed int64, clusters int, serial bool, options ...ExperimentOption) experiments.DispatchScaleResult {
+func RunDispatchScale(seed int64, clusters int, serial bool, options ...ExperimentOption) (DispatchScaleResult, error) {
 	return experiments.DispatchScale(seed, clusters, serial, options...)
 }
 
 // RunCookieChurn replays one-shot clients to show the controller's cookie,
 // client-location, and flow-memory state stays bounded by the idle
 // timeouts (peaks) and drains to zero afterwards (finals).
-func RunCookieChurn(seed int64, clients int, options ...ExperimentOption) experiments.CookieChurnResult {
+func RunCookieChurn(seed int64, clients int, options ...ExperimentOption) (CookieChurnResult, error) {
 	return experiments.CookieChurn(seed, clients, options...)
 }
 
 // RunReplayScale replays a synthetic trace of the given length against the
 // Docker testbed, measuring wall time, allocations per request, and
-// retained series memory.
-func RunReplayScale(seed int64, requests int, options ...ExperimentOption) experiments.ReplayScaleResult {
+// retained series memory. An unknown steering backend name (WithSteerBackend)
+// is an error.
+func RunReplayScale(seed int64, requests int, options ...ExperimentOption) (ReplayScaleResult, error) {
 	return experiments.ReplayScale(seed, requests, options...)
 }
 
@@ -415,7 +416,7 @@ func RunReplayScale(seed int64, requests int, options ...ExperimentOption) exper
 // scenario on the given number of kernels. shards == 1 is the serial
 // degenerate case; every shard count produces a bit-identical Fingerprint.
 // spec, when non-nil, injects a deterministic fault plan into every region.
-func RunReplayShard(seed int64, requests, shards int, spec *FaultSpec, options ...ExperimentOption) experiments.ReplayShardResult {
+func RunReplayShard(seed int64, requests, shards int, spec *FaultSpec, options ...ExperimentOption) (ReplayShardResult, error) {
 	return experiments.ReplayShard(seed, requests, shards, spec, options...)
 }
 
@@ -424,8 +425,8 @@ func RunReplayShard(seed int64, requests, shards int, spec *FaultSpec, options .
 // across a client-count axis, and runs each backend through the sharded and
 // traced fingerprint parity gates. backends nil/empty compares all built-in
 // backends.
-func RunSteerSweep(seed int64, requests int, backends []string, options ...ExperimentOption) experiments.SteerSweepResult {
-	return experiments.SteerSweepBackends(seed, requests, backends, options...)
+func RunSteerSweep(seed int64, requests int, backends []string) (SteerSweepResult, error) {
+	return experiments.SteerSweep(seed, requests, backends)
 }
 
 // RunMobilitySweep replays the scale trace under client mobility on the
@@ -434,8 +435,8 @@ func RunSteerSweep(seed int64, requests int, backends []string, options ...Exper
 // gates each backend's sharded mobility replay on fingerprint parity at
 // shard counts {1,2,4,8}. backends nil/empty compares all built-in
 // backends.
-func RunMobilitySweep(seed int64, requests int, backends []string, options ...ExperimentOption) experiments.MobilitySweepResult {
-	return experiments.MobilitySweepBackends(seed, requests, backends, options...)
+func RunMobilitySweep(seed int64, requests int, backends []string) (experiments.MobilitySweepResult, error) {
+	return experiments.MobilitySweep(seed, requests, backends)
 }
 
 // Sweep engine types: many independent scenario variants, each on a private
@@ -454,8 +455,9 @@ type (
 
 // RunSweep executes the variants across a worker pool of the given size
 // (procs <= 0 uses GOMAXPROCS; 1 runs serially). Per-variant results are
-// bit-identical regardless of procs.
-func RunSweep(variants []SweepVariant, procs int) SweepResult {
+// bit-identical regardless of procs. A variant that cannot run (unknown
+// scheduler, replay error) reports it in its own result's Err.
+func RunSweep(variants []SweepVariant, procs int) (SweepResult, error) {
 	return experiments.Sweep{Variants: variants, Procs: procs}.Run()
 }
 
@@ -487,6 +489,6 @@ func FaultSweepVariants(seed int64, requests int, rates []float64) []SweepVarian
 // RunFaultSweep replays the seeded trace under each injected fault rate
 // across a worker pool (procs <= 0 uses GOMAXPROCS), showing requests
 // resolving via retry, next-best-cluster fallback, or cloud fallback.
-func RunFaultSweep(seed int64, requests int, rates []float64, procs int) FaultSweepResult {
+func RunFaultSweep(seed int64, requests int, rates []float64, procs int) (FaultSweepResult, error) {
 	return experiments.FaultSweep(seed, requests, rates, procs)
 }

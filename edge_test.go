@@ -98,6 +98,17 @@ func TestPublicExperimentWrappers(t *testing.T) {
 	var _ edge.Predictor = pred
 }
 
+// A bad name handed to a public option comes back as an error from the
+// runner, not as a panic from deep inside testbed construction.
+func TestPublicRunnerRejectsUnknownBackend(t *testing.T) {
+	if _, err := edge.RunReplayScale(1, 100, edge.WithSteerBackend("bogus")); err == nil {
+		t.Fatal(`RunReplayScale with WithSteerBackend("bogus") returned no error`)
+	}
+	if _, err := edge.RunSteerSweep(1, 100, []string{"bogus"}); err == nil {
+		t.Fatal(`RunSteerSweep over backend "bogus" returned no error`)
+	}
+}
+
 func TestPublicReplayTrace(t *testing.T) {
 	cfg := edge.DefaultTraceConfig(3)
 	cfg.Services = 3

@@ -20,10 +20,15 @@ import (
 // memory allows low switch idle timeouts because returning clients are
 // re-served "without the scheduling process").
 type FlowMemoryResult struct {
-	Table *metrics.Table
+	*metrics.Table
 	// PacketIns counts packet-ins in each mode (identical: the memory
 	// saves scheduling work, not packet-ins).
 	PacketInsWith, PacketInsWithout uint64
+}
+
+// Notes is the line edgesim prints under the table.
+func (r *FlowMemoryResult) Notes() string {
+	return fmt.Sprintf("packet-ins: with memory %d, without %d\n", r.PacketInsWith, r.PacketInsWithout)
 }
 
 // AblationFlowMemory measures the latency of a returning client whose
@@ -85,11 +90,16 @@ func AblationFlowMemory(seed int64) (*FlowMemoryResult, error) {
 
 // IdleTimeoutResult sweeps the switch idle timeout.
 type IdleTimeoutResult struct {
-	Table *metrics.Table // row per timeout: median request latency
+	*metrics.Table // row per timeout: median request latency
 	// PacketIns per timeout value (same row order).
 	PacketIns []uint64
 	// FlowTableSizes samples the peak installed rule count per timeout.
 	FlowTableSizes []int
+}
+
+// Notes is the line edgesim prints under the table.
+func (r *IdleTimeoutResult) Notes() string {
+	return fmt.Sprintf("packet-ins per setting: %v, peak flow rules: %v\n", r.PacketIns, r.FlowTableSizes)
 }
 
 // AblationIdleTimeout sweeps the switch-side idle timeout for a client that
@@ -148,7 +158,7 @@ func AblationIdleTimeout(seed int64, timeouts []time.Duration) (*IdleTimeoutResu
 // WaitingPolicyResult compares the three §IV deployment policies on a cold
 // edge.
 type WaitingPolicyResult struct {
-	Table *metrics.Table // first and tenth request latencies per policy
+	*metrics.Table // first and tenth request latencies per policy
 }
 
 // AblationWaitingPolicy measures the first request (cold edge, images
@@ -214,9 +224,14 @@ func AblationWaitingPolicy(seed int64) (*WaitingPolicyResult, error) {
 // without proactive deployment (§I/§VII: prediction pre-deploys services
 // just in time; on-demand remains the fallback for mispredictions).
 type ProactiveResult struct {
-	Table *metrics.Table
+	*metrics.Table
 	// ProactiveDeployments counts predictor-initiated deployments.
 	ProactiveDeployments uint64
+}
+
+// Notes is the line edgesim prints under the table.
+func (r *ProactiveResult) Notes() string {
+	return fmt.Sprintf("proactive deployments: %d\n", r.ProactiveDeployments)
 }
 
 // AblationProactive runs a client requesting every 45 s against a testbed
@@ -275,7 +290,7 @@ func AblationProactive(seed int64) (*ProactiveResult, error) {
 
 // ProbeResult sweeps the controller's readiness-probe interval.
 type ProbeResult struct {
-	Table *metrics.Table
+	*metrics.Table
 }
 
 // AblationProbeInterval measures how the probe interval quantizes the
@@ -337,7 +352,7 @@ func AblationProbeInterval(seed int64, intervals []time.Duration) (*ProbeResult,
 // first request can be served there instantly while the optimal edge
 // deploys in the background.
 type HierarchyResult struct {
-	Table *metrics.Table // first-request latency per initial placement
+	*metrics.Table // first-request latency per initial placement
 }
 
 // AblationHierarchy measures the first request under three initial states

@@ -5,11 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"transparentedge/internal/catalog"
-	"transparentedge/internal/obs"
 	"transparentedge/internal/obs/attrib"
-	"transparentedge/internal/testbed"
-	"transparentedge/internal/workload"
 )
 
 // attribSweepClients is the client-count axis, shared with the steering
@@ -80,10 +76,15 @@ func (r AttribSweepResult) String() string {
 		}
 	}
 	for _, pr := range r.Parity {
-		fmt.Fprintf(&b, "  parity[shards=%d]: fingerprint_match=%v report=%016x\n",
-			pr.Shards, pr.Match, pr.ReportFingerprint)
+		fmt.Fprintf(&b, "  parity[shards=%d]: %s\n", pr.Shards, inline(attribParityColumns, pr))
 	}
 	return b.String()
+}
+
+// attribParityColumns flatten under shard<N>_.
+var attribParityColumns = []column[AttribParity]{
+	{"fingerprint_match", "parity", "%v", func(p AttribParity) any { return p.Match }},
+	{"report", "report_fp", "%016x", func(p AttribParity) any { return digest(p.ReportFingerprint) }},
 }
 
 // JSON returns the uniform result shape: per point and phase,
@@ -103,37 +104,22 @@ func (r AttribSweepResult) JSON() JSONResult {
 		}
 	}
 	for _, pr := range r.Parity {
-		v := 0.0
-		if pr.Match {
-			v = 1
-		}
-		m[fmt.Sprintf("shard%d_parity", pr.Shards)] = v
-		m[fmt.Sprintf("shard%d_report_fp", pr.Shards)] = float64(pr.ReportFingerprint >> 12)
+		flatten(m, fmt.Sprintf("shard%d_", pr.Shards), attribParityColumns, pr)
 	}
 	return JSONResult{Experiment: "scale-attrib", Metrics: m}
 }
 
 // runAttribPoint replays one (backend, clients) point with an attribution
 // collector attached and summarizes the dispatch phase breakdown.
-func runAttribPoint(seed int64, requests, clients int, backend string) AttribPoint {
-	cfg := replayScaleConfig(seed, requests)
-	cfg.Clients = clients
-	trace := workload.Generate(cfg)
+func runAttribPoint(seed int64, requests, clients int, backend string) (AttribPoint, int, error) {
 	col := attrib.New(attrib.Options{})
-	tr := obs.NewTracer(1)
-	tr.SetSink(col.Observe)
-	tb := testbed.New(testbed.Options{
-		Seed: seed, EnableDocker: true, NumClients: clients,
-		SteerBackend: backend, Trace: tr,
-	})
-	if _, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
-		PrePull: true, PreCreate: true, Trace: tr,
-	}); err != nil {
-		panic(err)
+	s := runOpts{steer: backend, attrib: col}.point(seed, requests)
+	s.Clients = clients
+	run, err := runPoint(s)
+	if err != nil {
+		return AttribPoint{}, 0, err
 	}
-	col.EndStream()
 	rep := col.Report()
-
 	out := AttribPoint{
 		Backend: backend,
 		Clients: clients,
@@ -157,7 +143,7 @@ func runAttribPoint(seed int64, requests, clients int, backend string) AttribPoi
 			Count: h.Len(),
 		})
 	}
-	return out
+	return out, run.Requests, nil
 }
 
 // AttribSweep runs the per-phase dispatch-latency comparison (openflow vs
@@ -165,44 +151,31 @@ func runAttribPoint(seed int64, requests, clients int, backend string) AttribPoi
 // shard count in attribParityShards, a replay with attribution attached
 // must produce a result fingerprint byte-identical to one without, and the
 // attribution report's own fingerprint must not depend on the shard count.
-func AttribSweep(seed int64, requests int, options ...Option) AttribSweepResult {
-	_ = applyOpts(options) // reserved: the sweep owns its obs handles
-	if requests < 8*2 {
-		requests = 8 * 2
-	}
-	out := AttribSweepResult{Requests: requests}
+func AttribSweep(seed int64, requests int) (AttribSweepResult, error) {
+	var out AttribSweepResult
 	for _, backend := range SteerBackends {
 		for _, clients := range attribSweepClients {
-			out.Points = append(out.Points, runAttribPoint(seed, requests, clients, backend))
+			p, replayed, err := runAttribPoint(seed, requests, clients, backend)
+			if err != nil {
+				return out, err
+			}
+			out.Requests = replayed
+			out.Points = append(out.Points, p)
 		}
 	}
 	for _, shards := range attribParityShards {
-		off := ReplayShard(seed, requests, shards, nil)
 		col := attrib.New(attrib.Options{})
-		on := ReplayShard(seed, requests, shards, nil, WithAttrib(col))
+		base := runOpts{}.point(seed, requests)
+		base.Shards = shards
+		_, _, match, err := parityGate(shardFingerprint, base, nil, func(s *pointSpec) { s.attrib = col })
+		if err != nil {
+			return out, err
+		}
 		out.Parity = append(out.Parity, AttribParity{
 			Shards:            shards,
-			Match:             on.Fingerprint() == off.Fingerprint(),
+			Match:             match,
 			ReportFingerprint: col.Report().Fingerprint(),
 		})
 	}
-	return out
-}
-
-// phaseSumCheck verifies the exact-decomposition property on a finished
-// collector: the exclusive time attributed across all phases equals the
-// summed durations of every finalized root. Shared by the property tests
-// and callers that want a runtime self-check.
-func phaseSumCheck(rep *attrib.Report) (excl, roots time.Duration, ok bool) {
-	for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
-		excl += rep.Excl[p].Sum()
-	}
-	rootNames := make([]string, 0, len(rep.Roots))
-	for name := range rep.Roots {
-		rootNames = append(rootNames, name)
-	}
-	for _, name := range rootNames {
-		roots += rep.Roots[name].Sum()
-	}
-	return excl, roots, excl == roots
+	return out, nil
 }

@@ -4,12 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"transparentedge/internal/catalog"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/obs/attrib"
-	"transparentedge/internal/testbed"
-	"transparentedge/internal/workload"
 )
 
 // TestAttribSweepShapeAndParity runs the sweep small and checks its shape
@@ -17,7 +14,7 @@ import (
 // byte-identical to attribution-off at shards {1,2,4,8}, and the
 // attribution report itself is shard-count-independent.
 func TestAttribSweepShapeAndParity(t *testing.T) {
-	r := AttribSweep(11, 160)
+	r := must(AttribSweep(11, 160))
 	if want := len(SteerBackends) * len(attribSweepClients); len(r.Points) != want {
 		t.Fatalf("points = %d, want %d", len(r.Points), want)
 	}
@@ -65,7 +62,7 @@ func requireSumProperty(t *testing.T, col *attrib.Collector, workloadName string
 // plain sharded replay.
 func TestAttribSumPropertyReplay(t *testing.T) {
 	col := attrib.New(attrib.Options{})
-	ReplayShard(7, 320, 2, nil, WithAttrib(col))
+	must(ReplayShard(7, 320, 2, nil, WithAttrib(col)))
 	requireSumProperty(t, col, "replay")
 }
 
@@ -83,7 +80,7 @@ func TestAttribSumPropertyFaultPlan(t *testing.T) {
 		LinkLoss: 0.01,
 	}
 	col := attrib.New(attrib.Options{})
-	ReplayShard(3, 320, 4, spec, WithAttrib(col))
+	must(ReplayShard(3, 320, 4, spec, WithAttrib(col)))
 	requireSumProperty(t, col, "fault-plan")
 }
 
@@ -91,29 +88,16 @@ func TestAttribSumPropertyFaultPlan(t *testing.T) {
 // workload — handover trees with re-anchor children included — and that
 // the re-anchor phase actually shows up.
 func TestAttribSumPropertyMobility(t *testing.T) {
-	const seed, requests = 5, 240
 	col := attrib.New(attrib.Options{})
-	tr := obs.NewTracer(1)
-	tr.SetSink(col.Observe)
-	trace := workload.Generate(replayScaleConfig(seed, requests))
-	tb := testbed.New(testbed.Options{
-		Seed: seed, EnableDocker: true,
-		SteerBackend: "srv6",
-		GNBs:         MobilityCells,
-		Trace:        tr,
-	})
-	hos := mobilitySchedule(trace, 5*time.Second)
-	if _, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
-		PrePull: true, PreCreate: true,
-		Trace:     tr,
-		Handovers: hos,
-	}); err != nil {
+	s := runOpts{steer: "srv6", attrib: col}.point(5, 240)
+	s.GNBs, s.Dwell = MobilityCells, 5*time.Second
+	run, err := runPoint(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	col.EndStream()
 	requireSumProperty(t, col, "mobility")
 	rep := col.Report()
-	if tb.Ctrl.Stats.HandoverReAnchors > 0 {
+	if run.tb.Ctrl.Stats.HandoverReAnchors > 0 {
 		if rep.Roots["handover"] == nil || rep.Roots["handover"].Len() == 0 {
 			t.Error("re-anchors happened but no handover trees were attributed")
 		}
@@ -128,10 +112,10 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 // traced run sees (same report fingerprint).
 func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 	alone := attrib.New(attrib.Options{})
-	ReplayScale(9, 160, WithAttrib(alone))
+	must(ReplayScale(9, 160, WithAttrib(alone)))
 
 	chained := attrib.New(attrib.Options{})
-	ReplayScale(9, 160, WithAttrib(chained), WithTrace(obs.NewTracer(0)))
+	must(ReplayScale(9, 160, WithAttrib(chained), WithTrace(obs.NewTracer(0))))
 
 	if a, b := alone.Report().Fingerprint(), chained.Report().Fingerprint(); a != b {
 		t.Fatalf("attrib-only report %016x != attrib+trace report %016x", a, b)
@@ -141,7 +125,7 @@ func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 // TestKernelStatsSurfaced checks the kernel/shard-group introspection
 // reaches the results and the uniform JSON shape.
 func TestKernelStatsSurfaced(t *testing.T) {
-	r := ReplayScale(13, 160)
+	r := must(ReplayScale(13, 160))
 	if r.Kernel.Events == 0 || r.Kernel.Scheduled < r.Kernel.Events {
 		t.Errorf("kernel stats = %+v, want events > 0 and scheduled >= events", r.Kernel)
 	}
@@ -163,7 +147,7 @@ func TestKernelStatsSurfaced(t *testing.T) {
 		}
 	}
 
-	rs := ReplayShard(13, 160, 4, nil)
+	rs := must(ReplayShard(13, 160, 4, nil))
 	if rs.Group.Windows == 0 || len(rs.Group.Shards) != 4 {
 		t.Errorf("group stats = windows %d shards %d, want > 0 and 4", rs.Group.Windows, len(rs.Group.Shards))
 	}
@@ -174,4 +158,22 @@ func TestKernelStatsSurfaced(t *testing.T) {
 	if js.Metrics["kernel_events"] <= 0 || js.Metrics["kernel_proc_switches"] <= 0 {
 		t.Error("scale-shard JSON missing summed kernel_events / kernel_proc_switches")
 	}
+}
+
+// phaseSumCheck verifies the exact-decomposition property on a finished
+// collector: the exclusive time attributed across all phases equals the
+// summed durations of every finalized root. Shared by the property tests
+// and callers that want a runtime self-check.
+func phaseSumCheck(rep *attrib.Report) (excl, roots time.Duration, ok bool) {
+	for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
+		excl += rep.Excl[p].Sum()
+	}
+	rootNames := make([]string, 0, len(rep.Roots))
+	for name := range rep.Roots {
+		rootNames = append(rootNames, name)
+	}
+	for _, name := range rootNames {
+		roots += rep.Roots[name].Sum()
+	}
+	return excl, roots, excl == roots
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"transparentedge/internal/obs/attrib"
@@ -26,28 +29,130 @@ type JSONResult struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// JSON returns the uniform result shape.
-func (r ReplayScaleResult) JSON() JSONResult {
-	m := map[string]float64{
-		"requests":       float64(r.Requests),
-		"wall_ms":        ms(r.Wall),
-		"allocs_per_req": r.AllocsPerRequest,
-		"series_bytes":   float64(r.SeriesBytes),
-		"errors":         float64(r.Errors),
-		"median_ms":      ms(r.Median),
-		"p95_ms":         ms(r.P95),
-		"deployments":    float64(r.Deployments),
+// column declares one metric of a result row exactly once: format places it
+// in the text rendering under header ("" format = JSON only), key in the
+// flat JSON metric map ("" key = text only), and get reads it from the row.
+// A result's String and JSON are both derived from its column list, so a
+// metric cannot appear in one and drift or go missing in the other.
+type column[T any] struct {
+	header string
+	key    string
+	format string // fmt verb with the cell's width, e.g. "%10d"
+	get    func(T) any
+}
+
+// Cell value types with a rendering of their own. Everything else prints
+// with the column's verb and flattens by numeric conversion: a
+// time.Duration prints rounded to the microsecond and flattens to
+// milliseconds, a bool flattens to 0/1.
+type (
+	// digest is a 64-bit fingerprint flattened to its top 52 bits, which a
+	// float64 (the JSON shape's number type) holds exactly.
+	digest uint64
+	// hostWall is a host wall-clock duration, printed to the millisecond.
+	hostWall time.Duration
+)
+
+// cell formats the column's text cell for row.
+func (c column[T]) cell(row T) string {
+	v := c.get(row)
+	switch d := v.(type) {
+	case time.Duration:
+		v = d.Round(time.Microsecond)
+	case hostWall:
+		v = time.Duration(d).Round(time.Millisecond)
 	}
-	if r.Spans > 0 {
-		m["spans"] = float64(r.Spans)
-		m["request_spans"] = float64(r.RequestSpans)
+	return fmt.Sprintf(c.format, v)
+}
+
+// number flattens a cell value for the JSON metric map. An unsupported type
+// yields NaN, which encoding/json refuses — a column bug cannot pass silently.
+func number(v any) float64 {
+	switch x := v.(type) {
+	case int:
+		return float64(x)
+	case uint64:
+		return float64(x)
+	case float64:
+		return x
+	case bool:
+		if x {
+			return 1
+		}
+		return 0
+	case time.Duration:
+		return ms(x)
+	case hostWall:
+		return ms(time.Duration(x))
+	case digest:
+		return float64(x >> 12)
 	}
-	kernelStatsMetrics(m, r.Kernel)
-	return JSONResult{
-		Experiment: "scale-replay",
-		Metrics:    m,
-		Counters:   r.Counters,
+	return math.NaN()
+}
+
+// flatten writes every keyed column of row into m under prefix+key.
+func flatten[T any](m map[string]float64, prefix string, cols []column[T], row T) {
+	for _, c := range cols {
+		if c.key != "" {
+			m[prefix+c.key] = number(c.get(row))
+		}
 	}
+}
+
+// tableHeader renders the header line of a table whose rows tableRow
+// renders: each text column's header, padded to its cells' width.
+func tableHeader[T any](b *strings.Builder, cols []column[T]) {
+	var cells []string
+	for _, c := range cols {
+		if c.format != "" {
+			// "%-24s" / "%10.2f" -> the flag-and-width prefix, then 's'.
+			w := 1 + strings.IndexFunc(c.format[1:], func(r rune) bool { return r != '-' && (r < '0' || r > '9') })
+			cells = append(cells, fmt.Sprintf(c.format[:w]+"s", c.header))
+		}
+	}
+	fmt.Fprintf(b, "  %s\n", strings.Join(cells, " "))
+}
+
+// tableRow renders row as one indented, space-separated table line.
+func tableRow[T any](b *strings.Builder, cols []column[T], row T) {
+	var cells []string
+	for _, c := range cols {
+		if c.format != "" {
+			cells = append(cells, c.cell(row))
+		}
+	}
+	fmt.Fprintf(b, "  %s\n", strings.Join(cells, " "))
+}
+
+// listing renders row as one "  label   value" line per text column; a
+// column whose header starts with "/ " continues the previous line
+// ("median / p95   1ms / 2ms").
+func listing[T any](b *strings.Builder, cols []column[T], row T) {
+	var labels, values []string
+	for _, c := range cols {
+		switch {
+		case c.format == "":
+		case strings.HasPrefix(c.header, "/ "):
+			labels[len(labels)-1] += " " + c.header
+			values[len(values)-1] += " / " + c.cell(row)
+		default:
+			labels, values = append(labels, c.header), append(values, c.cell(row))
+		}
+	}
+	for i := range labels {
+		fmt.Fprintf(b, "  %-16s %s\n", labels[i], values[i])
+	}
+}
+
+// inline renders row's text columns as space-separated header=value pairs.
+func inline[T any](cols []column[T], row T) string {
+	var pairs []string
+	for _, c := range cols {
+		if c.format != "" {
+			pairs = append(pairs, c.header+"="+c.cell(row))
+		}
+	}
+	return strings.Join(pairs, " ")
 }
 
 // kernelStatsMetrics flattens a kernel introspection snapshot into the
@@ -74,7 +179,7 @@ func AttribReportMetrics(m map[string]float64, rep *attrib.Report) {
 	m["attrib_spans"] = float64(rep.Spans)
 	m["attrib_dropped_spans"] = float64(rep.DroppedSpans)
 	m["attrib_breaches"] = float64(len(rep.Breaches))
-	m["attrib_report_fp"] = float64(rep.Fingerprint() >> 12) // 52-bit float-safe digest
+	m["attrib_report_fp"] = number(digest(rep.Fingerprint()))
 	for p := attrib.Phase(0); p < attrib.NumPhases; p++ {
 		h := rep.Excl[p]
 		if h.Len() == 0 || h.Sum() == 0 {
@@ -128,15 +233,11 @@ func groupStatsMetrics(m map[string]float64, g sim.GroupStats) {
 
 // JSON returns the uniform result shape.
 func (r DispatchScaleResult) JSON() JSONResult {
-	serial := 0.0
-	if r.Serial {
-		serial = 1
-	}
 	return JSONResult{
 		Experiment: "scale-dispatch",
 		Metrics: map[string]float64{
 			"clusters":    float64(r.Clusters),
-			"serial":      serial,
+			"serial":      number(r.Serial),
 			"dispatch_ms": ms(r.Dispatch),
 		},
 	}
@@ -156,77 +257,4 @@ func (r CookieChurnResult) JSON() JSONResult {
 			"final_memory":      float64(r.FinalMemory),
 		},
 	}
-}
-
-// JSON returns one uniform entry per variant plus a "merged" aggregate.
-func (r SweepResult) JSON() []JSONResult {
-	out := make([]JSONResult, 0, len(r.Variants)+1)
-	for _, v := range r.Variants {
-		m := map[string]float64{
-			"requests":    float64(v.Requests),
-			"errors":      float64(v.Errors),
-			"deployments": float64(v.Deployments),
-			"median_ms":   ms(v.Median),
-			"p95_ms":      ms(v.P95),
-			"mean_ms":     ms(v.Mean),
-			"max_ms":      ms(v.Max),
-			"wall_ms":     ms(v.Wall),
-			"fingerprint": float64(v.Fingerprint() >> 12), // 52-bit float-safe digest
-		}
-		if v.Err != nil {
-			m["failed"] = 1
-		}
-		out = append(out, JSONResult{
-			Experiment: "sweep",
-			Name:       v.Variant.Label(),
-			Seed:       v.Variant.Seed,
-			Metrics:    m,
-			Counters:   v.Counters,
-		})
-	}
-	out = append(out, JSONResult{
-		Experiment: "sweep",
-		Name:       "merged",
-		Metrics: map[string]float64{
-			"requests":  float64(r.Merged.Len()),
-			"median_ms": ms(r.Merged.Median()),
-			"p95_ms":    ms(r.Merged.Percentile(95)),
-			"procs":     float64(r.Procs),
-			"wall_ms":   ms(r.Wall),
-		},
-	})
-	return out
-}
-
-// JSON returns one uniform entry per fault variant.
-func (r FaultSweepResult) JSON() []JSONResult {
-	out := make([]JSONResult, 0, len(r.Variants))
-	for _, v := range r.Variants {
-		m := map[string]float64{
-			"requests":             float64(v.Requests),
-			"errors":               float64(v.Errors),
-			"deployments":          float64(v.Deployments),
-			"deploy_attempts":      float64(v.DeployAttempts),
-			"deploy_retries":       float64(v.DeployRetries),
-			"deploy_failures":      float64(v.DeployFailures),
-			"fallback_deployments": float64(v.FallbackDeploys),
-			"cloud_fallbacks":      float64(v.CloudFallbacks),
-			"median_ms":            ms(v.Median),
-			"p95_ms":               ms(v.P95),
-			"wall_ms":              ms(v.Wall),
-			"fingerprint":          float64(v.Fingerprint() >> 12), // 52-bit float-safe digest
-		}
-		if v.Err != nil {
-			m["failed"] = 1
-		}
-		out = append(out, JSONResult{
-			Experiment:   "scale-faults",
-			Name:         v.Variant.Label(),
-			Seed:         v.Variant.Seed,
-			Metrics:      m,
-			Counters:     v.Counters,
-			DeployErrors: v.FailedDeploys,
-		})
-	}
-	return out
 }

@@ -256,7 +256,7 @@ func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) 
 // public registries (Docker Hub / GCR) and from the in-network private
 // registry.
 type PullResult struct {
-	Table *metrics.Table
+	*metrics.Table
 }
 
 // Fig13Pull measures cold image pulls onto the EGS per registry placement.
@@ -298,7 +298,7 @@ func Fig13Pull(seed int64, options ...Option) (*PullResult, error) {
 
 // WarmResult is the fig. 16 table: request time with a running instance.
 type WarmResult struct {
-	Table *metrics.Table
+	*metrics.Table
 }
 
 // Fig16Warm measures requests against already-running instances.
@@ -364,10 +364,15 @@ func Fig16Warm(seed int64, requests int, options ...Option) (*WarmResult, error)
 // (§VII's discussion): pure Docker, pure Kubernetes, and the hybrid
 // (Docker answers first, Kubernetes takes over).
 type HybridResult struct {
-	Table *metrics.Table
+	*metrics.Table
 	// KubernetesTookOver reports whether the hybrid's later requests were
 	// served by the Kubernetes instance.
 	KubernetesTookOver bool
+}
+
+// Notes is the line edgesim prints under the table.
+func (r *HybridResult) Notes() string {
+	return fmt.Sprintf("kubernetes took over future requests: %v\n", r.KubernetesTookOver)
 }
 
 // HybridStudy measures the §VII Docker-then-Kubernetes strategy on the

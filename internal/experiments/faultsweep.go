@@ -20,9 +20,6 @@ func FaultSweepVariants(seed int64, requests int, rates []float64) []SweepVarian
 	if seed == 0 {
 		seed = 1
 	}
-	if requests <= 0 {
-		requests = 400
-	}
 	if len(rates) == 0 {
 		rates = []float64{0, 0.1, 0.3, 0.5}
 	}
@@ -64,30 +61,35 @@ type FaultSweepResult struct {
 
 // FaultSweep replays the seeded trace under each fault rate across a
 // bounded worker pool (procs <= 0 means GOMAXPROCS).
-func FaultSweep(seed int64, requests int, rates []float64, procs int) FaultSweepResult {
-	return FaultSweepResult{Sweep{
-		Variants: FaultSweepVariants(seed, requests, rates),
-		Procs:    procs,
-	}.Run()}
+func FaultSweep(seed int64, requests int, rates []float64, procs int) (FaultSweepResult, error) {
+	res, err := Sweep{Variants: FaultSweepVariants(seed, requests, rates), Procs: procs}.Run()
+	return FaultSweepResult{res}, err
+}
+
+var faultSweepColumns = []column[VariantResult]{
+	{"variant", "", "%-16s", func(v VariantResult) any { return v.Variant.Label() }},
+	{"requests", "requests", "%8d", func(v VariantResult) any { return v.Requests }},
+	{"errors", "errors", "%7d", func(v VariantResult) any { return v.Errors }},
+	{"deploys", "deployments", "%8d", func(v VariantResult) any { return v.Deployments }},
+	{"attempts", "deploy_attempts", "%9d", func(v VariantResult) any { return v.DeployAttempts }},
+	{"retries", "deploy_retries", "%8d", func(v VariantResult) any { return v.DeployRetries }},
+	{"failed", "deploy_failures", "%7d", func(v VariantResult) any { return v.DeployFailures }},
+	{"fallbacks", "fallback_deployments", "%9d", func(v VariantResult) any { return v.FallbackDeploys }},
+	{"cloud", "cloud_fallbacks", "%7d", func(v VariantResult) any { return v.CloudFallbacks }},
+	{"median", "median_ms", "%10v", func(v VariantResult) any { return v.Median }},
+	{"", "p95_ms", "", func(v VariantResult) any { return v.P95 }},
+	{"", "wall_ms", "", func(v VariantResult) any { return v.Wall }},
+	{"", "fingerprint", "", func(v VariantResult) any { return digest(v.Fingerprint()) }},
 }
 
 // String renders the fault sweep as a table.
 func (r FaultSweepResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fault sweep of %d variants on %d workers (%v wall)\n",
-		len(r.Variants), r.Procs, r.Wall.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %-16s %8s %7s %8s %9s %8s %7s %9s %7s %10s\n",
-		"variant", "requests", "errors", "deploys", "attempts", "retries", "failed", "fallbacks", "cloud", "median")
-	for _, v := range r.Variants {
-		if v.Err != nil {
-			fmt.Fprintf(&b, "  %-16s failed: %v\n", v.Variant.Label(), v.Err)
-			continue
-		}
-		fmt.Fprintf(&b, "  %-16s %8d %7d %8d %9d %8d %7d %9d %7d %10v\n",
-			v.Variant.Label(), v.Requests, v.Errors, v.Deployments,
-			v.DeployAttempts, v.DeployRetries, v.DeployFailures,
-			v.FallbackDeploys, v.CloudFallbacks,
-			v.Median.Round(time.Microsecond))
-	}
+	r.variantTable(&b, "fault sweep", faultSweepColumns)
 	return b.String()
+}
+
+// JSON returns one uniform entry per fault variant.
+func (r FaultSweepResult) JSON() []JSONResult {
+	return r.variantJSON("scale-faults", faultSweepColumns)
 }

@@ -11,7 +11,7 @@ import (
 // faulty variant resolves every injected failure by retry or fallback — no
 // hung deployments, no dropped requests.
 func TestFaultSweepSmoke(t *testing.T) {
-	res := FaultSweep(7, 60, []float64{0, 0.5}, 2)
+	res := must(FaultSweep(7, 60, []float64{0, 0.5}, 2))
 	if len(res.Variants) != 2 {
 		t.Fatalf("variants = %d, want 2", len(res.Variants))
 	}
@@ -52,8 +52,8 @@ func TestFaultSweepSmoke(t *testing.T) {
 // a parallel worker pool.
 func TestFaultSeedFingerprintParity(t *testing.T) {
 	rates := []float64{0, 0.35}
-	serial := FaultSweep(3, 48, rates, 1)
-	parallel := FaultSweep(3, 48, rates, 4)
+	serial := must(FaultSweep(3, 48, rates, 1))
+	parallel := must(FaultSweep(3, 48, rates, 4))
 	for i := range serial.Variants {
 		sf, pf := serial.Variants[i].Fingerprint(), parallel.Variants[i].Fingerprint()
 		if sf != pf {
@@ -89,7 +89,7 @@ func TestDisabledFaultsAreZeroCost(t *testing.T) {
 // TestFaultSweepJSONShape: scale-faults emits the uniform JSON shape with
 // the fault metrics present.
 func TestFaultSweepJSONShape(t *testing.T) {
-	res := FaultSweep(5, 32, []float64{0.4}, 1)
+	res := must(FaultSweep(5, 32, []float64{0.4}, 1))
 	js := res.JSON()
 	if len(js) != 1 {
 		t.Fatalf("JSON entries = %d, want 1", len(js))

@@ -16,7 +16,7 @@ import (
 // the paper's future work asks for ("evaluate how well the latter would
 // perform in a transparent access approach").
 type ServerlessResult struct {
-	Table *metrics.Table // first and warm request latency per platform
+	*metrics.Table // first and warm request latency per platform
 }
 
 // FutureWorkServerless runs the cold-start comparison.

@@ -12,7 +12,7 @@ import (
 // rule-based one, bit-identical sharded fingerprints at every shard count,
 // and bounded controller state after the run.
 func TestMobilitySweepShape(t *testing.T) {
-	r := MobilitySweep(23, 160)
+	r := must(MobilitySweep(23, 160, nil))
 	if !r.DecisionParity {
 		t.Error("backends made different scheduler decisions under mobility")
 	}
@@ -86,15 +86,15 @@ func TestMobilitySweepShape(t *testing.T) {
 // fingerprint, bit for bit.
 func TestMobilityShardDeterminism(t *testing.T) {
 	dwell := 10 * time.Second
-	a := RunMobilityShard(5, 160, 2, dwell, "openflow")
-	b := RunMobilityShard(5, 160, 2, dwell, "openflow")
+	a := must(RunMobilityShard(5, 160, 2, dwell, "openflow"))
+	b := must(RunMobilityShard(5, 160, 2, dwell, "openflow"))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("same run twice: %016x vs %016x", a.Fingerprint(), b.Fingerprint())
 	}
 	if a.Handovers == 0 {
 		t.Error("sharded run executed no handovers")
 	}
-	c := RunMobilityShard(5, 160, 8, dwell, "openflow")
+	c := must(RunMobilityShard(5, 160, 8, dwell, "openflow"))
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Errorf("2 vs 8 shards: %016x vs %016x", a.Fingerprint(), c.Fingerprint())
 	}

@@ -45,7 +45,7 @@ func TestTracedFingerprintParity(t *testing.T) {
 func TestReplayScaleSpanCount(t *testing.T) {
 	tr := obs.NewTracer(0) // default capacity comfortably covers the trace
 	reg := obs.NewRegistry()
-	res := ReplayScale(11, 300, WithTrace(tr), WithCounters(reg))
+	res := must(ReplayScale(11, 300, WithTrace(tr), WithCounters(reg)))
 	if res.Errors != 0 {
 		t.Fatalf("%d replay errors", res.Errors)
 	}
@@ -63,8 +63,8 @@ func TestReplayScaleSpanCount(t *testing.T) {
 // TestReplayScaleResultParity: every deterministic replay output must be
 // identical with tracing on.
 func TestReplayScaleResultParity(t *testing.T) {
-	bare := ReplayScale(3, 250)
-	traced := ReplayScale(3, 250, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry()))
+	bare := must(ReplayScale(3, 250))
+	traced := must(ReplayScale(3, 250, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry())))
 	if bare.Requests != traced.Requests || bare.Errors != traced.Errors ||
 		bare.Median != traced.Median || bare.P95 != traced.P95 ||
 		bare.Deployments != traced.Deployments {

@@ -66,7 +66,7 @@ func applyOpts(options []Option) runOpts {
 // caller's tracer, if any. Span IDs are assigned by the internal tracer,
 // exactly as they would have been by the caller's — emission order is
 // unchanged, so traced output stays byte-identical.
-func (o *runOpts) attribTracer() *obs.Tracer {
+func (o runOpts) attribTracer() *obs.Tracer {
 	if o.attrib == nil {
 		return o.trace
 	}

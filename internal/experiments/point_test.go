@@ -1,0 +1,119 @@
+package experiments
+
+import (
+	"strings"
+	"testing"
+
+	"transparentedge/internal/testbed"
+)
+
+// must unwraps a runner's (result, error) pair; in these tests a runner
+// error is a broken setup, never the behavior under test.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// An unknown steering backend is an error from runPoint's up-front check at
+// every entry point that takes the name — never testbed.NewSteering's panic.
+func TestUnknownBackendIsAnError(t *testing.T) {
+	for name, err := range map[string]error{
+		"ReplayScale":      second(ReplayScale(1, 100, WithSteerBackend("bogus"))),
+		"ReplayShard":      second(ReplayShard(1, 100, 2, nil, WithSteerBackend("bogus"))),
+		"SteerSweep":       second(SteerSweep(1, 100, []string{"bogus"})),
+		"MobilitySweep":    second(MobilitySweep(1, 100, []string{"bogus"})),
+		"RunMobilityShard": second(RunMobilityShard(1, 100, 2, 0, "bogus")),
+	} {
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s with backend bogus: err = %v, want one naming the backend", name, err)
+		}
+	}
+	// The names runPoint lets through are exactly the ones NewSteering builds.
+	for _, name := range []string{"", "openflow", "srv6", "srsteer"} {
+		testbed.NewSteering(name)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
+
+// Every fingerprint in the package starts from the historical literal, not
+// the standard FNV-1a offset basis: pin the mixer's output so "fixing" the
+// constant (or swapping in hash/fnv) fails here before it re-baselines
+// every stored fingerprint.
+func TestFingerprintMixerPinned(t *testing.T) {
+	h := newFNV()
+	h.u64(42)
+	h.str("edge")
+	if got, want := uint64(h), uint64(0xd2c3ce9a2ea2ae80); got != want {
+		t.Errorf("fnv(42, \"edge\") = %#016x, want %#016x", got, want)
+	}
+}
+
+// The parity gate reports shard and instrumented mismatches separately and
+// reruns exactly the specs it was given.
+func TestParityGate(t *testing.T) {
+	var seen []int
+	fp := func(s pointSpec) (uint64, error) {
+		seen = append(seen, s.Shards)
+		if s.Shards == 4 || s.Cold {
+			return 2, nil
+		}
+		return 1, nil
+	}
+	serial, shardOK, instrOK, err := parityGate(fp, pointSpec{Shards: 1}, []int{2, 8}, func(s *pointSpec) { s.MaxInFlight = 1 })
+	if err != nil || serial != 1 || !shardOK || !instrOK {
+		t.Errorf("matching gate = %d/%v/%v/%v, want 1/true/true/nil", serial, shardOK, instrOK, err)
+	}
+	if _, shardOK, instrOK, _ = parityGate(fp, pointSpec{Shards: 1}, []int{2, 4}, nil); shardOK || !instrOK {
+		t.Errorf("shards=4 diverges: shardOK/instrOK = %v/%v, want false/true", shardOK, instrOK)
+	}
+	if _, shardOK, instrOK, _ = parityGate(fp, pointSpec{Shards: 1}, nil, func(s *pointSpec) { s.Cold = true }); !shardOK || instrOK {
+		t.Errorf("instrumented rerun diverges: shardOK/instrOK = %v/%v, want true/false", shardOK, instrOK)
+	}
+	if want := []int{1, 2, 8, 1, 1, 2, 4, 1, 1}; len(seen) != len(want) {
+		t.Errorf("gate ran %v, want shard counts %v", seen, want)
+	}
+}
+
+// One declaration feeds both renderings: every keyed column lands in the
+// flat map, every formatted one in the text, and the layouts line up.
+func TestColumnRenderers(t *testing.T) {
+	type row struct {
+		name string
+		n    int
+		ok   bool
+	}
+	cols := []column[row]{
+		{"name", "", "%-6s", func(r row) any { return r.name }},
+		{"count", "n", "%5d", func(r row) any { return r.n }},
+		{"", "ok", "", func(r row) any { return r.ok }},
+	}
+	r := row{"a", 7, true}
+	m := map[string]float64{}
+	flatten(m, "p_", cols, r)
+	if len(m) != 2 || m["p_n"] != 7 || m["p_ok"] != 1 {
+		t.Errorf("flatten = %v, want p_n=7 p_ok=1", m)
+	}
+	var b strings.Builder
+	tableHeader(&b, cols)
+	tableRow(&b, cols, r)
+	if got, want := b.String(), "  name   count\n  a          7\n"; got != want {
+		t.Errorf("table =\n%q, want\n%q", got, want)
+	}
+	// Listings and inline pairs carry no widths; "/ " continues a line.
+	cols = []column[row]{
+		{"name", "", "%s", func(r row) any { return r.name }},
+		{"/ count", "n", "%d", func(r row) any { return r.n }},
+		{"ok", "ok", "%v", func(r row) any { return r.ok }},
+	}
+	b.Reset()
+	listing(&b, cols, r)
+	if got, want := b.String(), "  name / count     a / 7\n  ok               true\n"; got != want {
+		t.Errorf("listing =\n%q, want\n%q", got, want)
+	}
+	if got := inline(cols[1:], r); got != "/ count=7 ok=true" {
+		t.Errorf("inline = %q", got)
+	}
+}

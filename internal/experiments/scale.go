@@ -125,7 +125,7 @@ func (r DispatchScaleResult) String() string {
 // nearest cluster, so the measured request pays punt + state gathering +
 // redirect install + the HTTP exchange — the state-gathering share is the
 // sum of per-cluster query latencies when serial, the max when parallel.
-func DispatchScale(seed int64, clusters int, serial bool, options ...Option) DispatchScaleResult {
+func DispatchScale(seed int64, clusters int, serial bool, options ...Option) (DispatchScaleResult, error) {
 	o := applyOpts(options)
 	if clusters < 1 {
 		clusters = 1
@@ -153,29 +153,29 @@ func DispatchScale(seed int64, clusters int, serial bool, options ...Option) Dis
 		stubs[i] = newStubCluster(n, sw, fmt.Sprintf("edge%d", i), ip, 100+i, link)
 		ctrl.AddCluster(stubs[i], "docker")
 	}
+	res := DispatchScaleResult{Clusters: clusters, Serial: serial}
 	svc, err := ctrl.RegisterService(scaleYAML, spec.Registration{
 		Domain: "web.example.com", VIP: "203.0.113.10", Port: 80,
 	})
 	if err != nil {
-		panic(err)
+		return res, err
 	}
 	client := simnet.NewHost(n, "ue", "10.0.1.1")
 	sw.AttachHost(client, 2, link)
 
-	res := DispatchScaleResult{Clusters: clusters, Serial: serial}
+	var rerr error
 	k.Go("driver", func(p *sim.Proc) {
-		if _, err := ctrl.EnsureDeployed(p, stubs[0].Name(), svc.UniqueName); err != nil {
-			panic(err)
+		if _, rerr = ctrl.EnsureDeployed(p, stubs[0].Name(), svc.UniqueName); rerr != nil {
+			return
 		}
-		r, err := client.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0)
-		if err != nil {
-			panic(err)
+		var r *simnet.HTTPResult
+		if r, rerr = client.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); rerr == nil {
+			res.Dispatch = r.Total
 		}
-		res.Dispatch = r.Total
 	})
 	k.RunUntil(time.Hour)
 	o.attrib.EndStream()
-	return res
+	return res, rerr
 }
 
 // CookieChurnResult reports the controller-state sizes over a one-shot
@@ -207,12 +207,13 @@ func (r CookieChurnResult) String() string {
 // and flow memory. Before the GC fixes these grew linearly with the client
 // count forever; now the peaks track the idle-timeout windows and the
 // final sizes return to zero.
-func CookieChurn(seed int64, clients int, options ...Option) CookieChurnResult {
+func CookieChurn(seed int64, clients int, options ...Option) (CookieChurnResult, error) {
 	o := applyOpts(options)
 	if clients < 1 {
 		clients = 1
 	}
 	const spacing = 2 * time.Millisecond
+	res := CookieChurnResult{Clients: clients}
 
 	k := sim.New(seed)
 	n := simnet.NewNetwork(k)
@@ -236,10 +237,10 @@ func CookieChurn(seed int64, clients int, options ...Option) CookieChurnResult {
 	if _, err := ctrl.RegisterService(scaleYAML, spec.Registration{
 		Domain: "web.example.com", VIP: "203.0.113.10", Port: 80,
 	}); err != nil {
-		panic(err)
+		return res, err
 	}
 
-	res := CookieChurnResult{Clients: clients}
+	var rerr error // the first failed churn request
 	for i := 0; i < clients; i++ {
 		h := simnet.NewHost(n, fmt.Sprintf("ue%d", i),
 			simnet.Addr(fmt.Sprintf("10.%d.%d.%d", 10+i/62500, (i/250)%250, 1+i%250)))
@@ -247,8 +248,8 @@ func CookieChurn(seed int64, clients int, options ...Option) CookieChurnResult {
 		delay := time.Duration(i) * spacing
 		k.Go("ue", func(p *sim.Proc) {
 			p.Sleep(delay)
-			if _, err := h.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); err != nil {
-				panic(fmt.Sprintf("churn request: %v", err))
+			if _, err := h.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); err != nil && rerr == nil {
+				rerr = fmt.Errorf("churn request: %w", err)
 			}
 		})
 	}
@@ -272,5 +273,5 @@ func CookieChurn(seed int64, clients int, options ...Option) CookieChurnResult {
 	res.FinalClientLocs = ctrl.TrackedClients()
 	res.FinalMemory = ctrl.Memory.Len()
 	o.attrib.EndStream()
-	return res
+	return res, rerr
 }

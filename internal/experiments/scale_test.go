@@ -10,9 +10,9 @@ import (
 // linearly (sum of per-cluster query latencies).
 func TestDispatchScaleParallelVsSerial(t *testing.T) {
 	const queryLatency = 8 * time.Millisecond // core.DefaultConfig
-	p1 := DispatchScale(1, 1, false)
-	p16 := DispatchScale(1, 16, false)
-	s16 := DispatchScale(1, 16, true)
+	p1 := must(DispatchScale(1, 1, false))
+	p16 := must(DispatchScale(1, 16, false))
+	s16 := must(DispatchScale(1, 16, true))
 	t.Logf("%s\n%s\n%s", p1, p16, s16)
 
 	// Parallel: growing 1 -> 16 clusters must not add even one extra
@@ -33,7 +33,7 @@ func TestDispatchScaleParallelVsSerial(t *testing.T) {
 // the client count) and every map drains to zero.
 func TestCookieChurnBounded(t *testing.T) {
 	const clients = 2500
-	res := CookieChurn(1, clients)
+	res := must(CookieChurn(1, clients))
 	t.Logf("\n%s", res)
 	if res.PeakCookies == 0 || res.PeakMemory == 0 {
 		t.Fatal("churn never populated the controller state; run is broken")

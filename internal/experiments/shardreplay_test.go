@@ -12,12 +12,12 @@ import (
 // sharded runs must produce bit-identical fingerprints.
 func TestReplayShardParitySerialVsSharded(t *testing.T) {
 	const seed, requests = 7, 640
-	serial := ReplayShard(seed, requests, 1, nil)
+	serial := must(ReplayShard(seed, requests, 1, nil))
 	if serial.Errors != 0 {
 		t.Fatalf("serial run had %d errors", serial.Errors)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		got := ReplayShard(seed, requests, shards, nil)
+		got := must(ReplayShard(seed, requests, shards, nil))
 		if got.Shards != shards {
 			t.Fatalf("shards = %d, want %d", got.Shards, shards)
 		}
@@ -42,12 +42,12 @@ func TestReplayShardParitySerialVsSharded(t *testing.T) {
 // every shard count (spans are drained in region order).
 func TestReplayShardObsParity(t *testing.T) {
 	const seed, requests = 11, 320
-	bare := ReplayShard(seed, requests, 4, nil)
+	bare := must(ReplayShard(seed, requests, 4, nil))
 
 	run := func(shards int) ReplayShardResult {
 		tr := obs.NewTracer(1 << 16)
 		reg := obs.NewRegistry()
-		return ReplayShard(seed, requests, shards, nil, WithTrace(tr), WithCounters(reg))
+		return must(ReplayShard(seed, requests, shards, nil, WithTrace(tr), WithCounters(reg)))
 	}
 	traced := run(4)
 	if traced.Fingerprint() != bare.Fingerprint() {
@@ -94,13 +94,13 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 		},
 		LinkLoss: 0.01,
 	}
-	serial := ReplayShard(seed, requests, 1, spec)
-	faulty := ReplayShard(seed, requests, 4, spec)
+	serial := must(ReplayShard(seed, requests, 1, spec))
+	faulty := must(ReplayShard(seed, requests, 4, spec))
 	if serial.Fingerprint() != faulty.Fingerprint() {
 		t.Fatalf("fault plan breaks shard parity: shards=1 %016x shards=4 %016x",
 			serial.Fingerprint(), faulty.Fingerprint())
 	}
-	clean := ReplayShard(seed, requests, 4, nil)
+	clean := must(ReplayShard(seed, requests, 4, nil))
 	if clean.Fingerprint() == faulty.Fingerprint() {
 		t.Fatal("fault plan had no observable effect (injection not wired?)")
 	}
@@ -109,8 +109,8 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 // The same sharded run twice in one process must reproduce itself — no
 // global state leaks across region builds or window workers.
 func TestReplayShardDeterministicRepeat(t *testing.T) {
-	a := ReplayShard(5, 160, 4, nil)
-	b := ReplayShard(5, 160, 4, nil)
+	a := must(ReplayShard(5, 160, 4, nil))
+	b := must(ReplayShard(5, 160, 4, nil))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("repeat run diverged: %016x != %016x", a.Fingerprint(), b.Fingerprint())
 	}

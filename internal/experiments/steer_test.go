@@ -18,7 +18,7 @@ func TestSteerBackendParity(t *testing.T) {
 	}
 	runOne := func(backend string) run {
 		reg := obs.NewRegistry()
-		res := ReplayScale(21, 600, WithSteerBackend(backend), WithCounters(reg))
+		res := must(ReplayScale(21, 600, WithSteerBackend(backend), WithCounters(reg)))
 		return run{res: res, ctrs: reg.Map()}
 	}
 	of := runOne("openflow")
@@ -64,7 +64,7 @@ func TestSteerBackendParity(t *testing.T) {
 // worse than openflow — and both backends pass the serial-vs-sharded and
 // traced-vs-untraced fingerprint gates.
 func TestSteerSweepScaling(t *testing.T) {
-	r := SteerSweep(13, 600)
+	r := must(SteerSweep(13, 600, nil))
 	byBackend := map[string][]SteerPoint{}
 	for _, p := range r.Points {
 		byBackend[p.Backend] = append(byBackend[p.Backend], p)

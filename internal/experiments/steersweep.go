@@ -2,17 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
-	"transparentedge/internal/catalog"
 	"transparentedge/internal/obs"
-	"transparentedge/internal/testbed"
-	"transparentedge/internal/workload"
 )
 
-// SteerBackends are the backends the sweep compares, in report order.
+// SteerBackends are the backends the sweeps compare, in report order.
 var SteerBackends = []string{"openflow", "srv6"}
 
 // steerSweepClients is the client-count axis: the quantity the per-flow
@@ -20,13 +15,13 @@ var SteerBackends = []string{"openflow", "srv6"}
 // stateless backend's do not.
 var steerSweepClients = []int{20, 80, 320}
 
-// steerParityShards are the shard counts each backend's replay fingerprint
-// must reproduce bit-identically (serial == sharded, PR-6's gate, now per
-// backend).
-var steerParityShards = []int{2, 4, 8}
+// parityShards are the shard counts a backend's serial (one-kernel) replay
+// fingerprint must reproduce bit-identically.
+var parityShards = []int{2, 4, 8}
 
 // SteerPoint is one (backend, client count) measurement of the fig. 9-style
-// replay.
+// replay. The embedded PointResult summarizes the replay — dispatch latency
+// must not regress under the stateless backend — and its harness cost.
 type SteerPoint struct {
 	Backend string
 	Clients int
@@ -40,23 +35,15 @@ type SteerPoint struct {
 	// backend tracked (cookie pairs / bindings) — both backends hold this
 	// controller-side state; only openflow mirrors it into the switch.
 	EntriesHighWater int
-	// Errors / Median / P95 / Deployments summarize the replay; dispatch
-	// latency must not regress under the stateless backend.
-	Errors      int
-	Median      time.Duration
-	P95         time.Duration
-	Deployments int
-	// Wall / AllocsPerRequest are the harness cost of the point.
-	Wall             time.Duration
-	AllocsPerRequest float64
+	PointResult
 }
 
-// SteerParity reports one backend's determinism gates: the serial replay
-// fingerprint against its sharded and traced reruns.
-type SteerParity struct {
+// BackendParity reports one backend's determinism gates: the serial replay
+// fingerprint against its sharded and (scale-steer only) traced reruns.
+type BackendParity struct {
 	Backend     string
 	Serial      uint64
-	ShardMatch  bool // serial == every steerParityShards rerun
+	ShardMatch  bool // serial == every parityShards rerun
 	TracedMatch bool // untraced == traced rerun
 }
 
@@ -65,23 +52,42 @@ type SteerParity struct {
 type SteerSweepResult struct {
 	Requests int
 	Points   []SteerPoint
-	Parity   []SteerParity
+	Parity   []BackendParity
+}
+
+// steerColumns flatten under <backend>_c<clients>_.
+var steerColumns = []column[SteerPoint]{
+	{"backend", "", "%-9s", func(p SteerPoint) any { return p.Backend }},
+	{"clients", "", "%8d", func(p SteerPoint) any { return p.Clients }},
+	{"rule-peak", "rule_peak", "%10d", func(p SteerPoint) any { return p.RuleHighWater }},
+	{"flow-mods", "flow_mods", "%10d", func(p SteerPoint) any { return p.FlowMods }},
+	{"entries", "entries_peak", "%10d", func(p SteerPoint) any { return p.EntriesHighWater }},
+	{"", "errors", "", func(p SteerPoint) any { return p.Errors }},
+	{"median", "median_ms", "%10v", func(p SteerPoint) any { return p.Median }},
+	{"p95", "p95_ms", "%10v", func(p SteerPoint) any { return p.P95 }},
+	{"", "deployments", "", func(p SteerPoint) any { return p.Deployments }},
+	{"", "wall_ms", "", func(p SteerPoint) any { return p.Wall }},
+	{"allocs", "allocs_per_req", "%8.1f", func(p SteerPoint) any { return p.AllocsPerRequest }},
+}
+
+// parityColumns flatten under <backend>_; scale-mobility, which has no
+// traced rerun, uses the first two.
+var parityColumns = []column[BackendParity]{
+	{"serial", "fingerprint", "%016x", func(p BackendParity) any { return digest(p.Serial) }},
+	{"shards", "shard_parity", "%v", func(p BackendParity) any { return p.ShardMatch }},
+	{"traced", "traced_parity", "%v", func(p BackendParity) any { return p.TracedMatch }},
 }
 
 // String renders the comparison table.
 func (r SteerSweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "steering backend sweep (%d requests)\n", r.Requests)
-	fmt.Fprintf(&b, "  %-9s %8s %10s %10s %10s %10s %10s %8s\n",
-		"backend", "clients", "rule-peak", "flow-mods", "entries", "median", "p95", "allocs")
+	tableHeader(&b, steerColumns)
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %-9s %8d %10d %10d %10d %10v %10v %8.1f\n",
-			p.Backend, p.Clients, p.RuleHighWater, p.FlowMods, p.EntriesHighWater,
-			p.Median.Round(time.Microsecond), p.P95.Round(time.Microsecond), p.AllocsPerRequest)
+		tableRow(&b, steerColumns, p)
 	}
 	for _, pr := range r.Parity {
-		fmt.Fprintf(&b, "  parity[%s]: serial=%016x shards=%v traced=%v\n",
-			pr.Backend, pr.Serial, pr.ShardMatch, pr.TracedMatch)
+		fmt.Fprintf(&b, "  parity[%s]: %s\n", pr.Backend, inline(parityColumns, pr))
 	}
 	return b.String()
 }
@@ -91,114 +97,57 @@ func (r SteerSweepResult) String() string {
 func (r SteerSweepResult) JSON() JSONResult {
 	m := map[string]float64{"requests": float64(r.Requests)}
 	for _, p := range r.Points {
-		k := fmt.Sprintf("%s_c%d_", p.Backend, p.Clients)
-		m[k+"rule_peak"] = float64(p.RuleHighWater)
-		m[k+"flow_mods"] = float64(p.FlowMods)
-		m[k+"entries_peak"] = float64(p.EntriesHighWater)
-		m[k+"errors"] = float64(p.Errors)
-		m[k+"median_ms"] = ms(p.Median)
-		m[k+"p95_ms"] = ms(p.P95)
-		m[k+"deployments"] = float64(p.Deployments)
-		m[k+"wall_ms"] = ms(p.Wall)
-		m[k+"allocs_per_req"] = p.AllocsPerRequest
+		flatten(m, fmt.Sprintf("%s_c%d_", p.Backend, p.Clients), steerColumns, p)
 	}
 	for _, pr := range r.Parity {
-		v := 0.0
-		if pr.ShardMatch {
-			v = 1
-		}
-		m[pr.Backend+"_shard_parity"] = v
-		v = 0
-		if pr.TracedMatch {
-			v = 1
-		}
-		m[pr.Backend+"_traced_parity"] = v
-		// 52-bit digest, exact in a float64 (the JSON shape's number type).
-		m[pr.Backend+"_fingerprint"] = float64(pr.Serial >> 12)
+		flatten(m, pr.Backend+"_", parityColumns, pr)
 	}
 	return JSONResult{Experiment: "scale-steer", Metrics: m}
 }
 
-// runSteerPoint replays the fig. 9-style trace with the given client count
-// under one backend and samples the table-pressure quantities.
-func runSteerPoint(seed int64, requests, clients int, backend string) SteerPoint {
-	cfg := replayScaleConfig(seed, requests)
-	cfg.Clients = clients
-	trace := workload.Generate(cfg)
-	tb := testbed.New(testbed.Options{
-		Seed: seed, EnableDocker: true, NumClients: clients,
-		SteerBackend: backend,
-	})
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
-		PrePull: true, PreCreate: true,
-	})
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		panic(err)
-	}
-
-	st := tb.Ctrl.SteerStats()
-	return SteerPoint{
-		Backend:          backend,
-		Clients:          clients,
-		RuleHighWater:    tb.Switch.RuleHighWater,
-		FlowMods:         st.FlowMods,
-		EntriesHighWater: st.EntriesHighWater,
-		Errors:           res.Errors,
-		Median:           res.Totals.Median(),
-		P95:              res.Totals.Percentile(95),
-		Deployments:      res.FirstRequests.Len(),
-		Wall:             wall,
-		AllocsPerRequest: float64(after.Mallocs-before.Mallocs) / float64(len(trace.Requests)),
-	}
-}
-
-// SteerSweep compares the steering backends on the fig. 9-style replay
-// across the client-count axis, then runs each backend through the PR-6
+// SteerSweep compares the steering backends (nil or empty = all of
+// SteerBackends; the edgesim -backend flag names one) on the fig. 9-style
+// replay across the client-count axis, then runs each backend through the
 // sharded replay gates: the fingerprint must be bit-identical serial vs.
 // sharded and traced vs. untraced. The expected shape — asserted by
 // TestSteerSweepScaling — is rule-table occupancy and flow-mod count
 // O(clients) for openflow and O(1) for srv6, at equal request outcomes.
-func SteerSweep(seed int64, requests int, options ...Option) SteerSweepResult {
-	return SteerSweepBackends(seed, requests, nil, options...)
-}
-
-// SteerSweepBackends is SteerSweep restricted to the named backends (the
-// edgesim -backend flag); nil or empty compares all of SteerBackends.
-func SteerSweepBackends(seed int64, requests int, backends []string, options ...Option) SteerSweepResult {
-	_ = applyOpts(options) // reserved: the sweep owns its obs handles
+func SteerSweep(seed int64, requests int, backends []string) (SteerSweepResult, error) {
 	if len(backends) == 0 {
 		backends = SteerBackends
 	}
-	if requests < 8*2 {
-		requests = 8 * 2
-	}
-	out := SteerSweepResult{Requests: requests}
+	var out SteerSweepResult
 	for _, backend := range backends {
 		for _, clients := range steerSweepClients {
-			out.Points = append(out.Points, runSteerPoint(seed, requests, clients, backend))
+			s := runOpts{steer: backend}.point(seed, requests)
+			s.Clients = clients
+			run, err := runPoint(s)
+			if err != nil {
+				return out, err
+			}
+			st := run.tb.Ctrl.SteerStats()
+			out.Requests = run.Requests
+			out.Points = append(out.Points, SteerPoint{
+				Backend:          backend,
+				Clients:          clients,
+				RuleHighWater:    run.tb.Switch.RuleHighWater,
+				FlowMods:         st.FlowMods,
+				EntriesHighWater: st.EntriesHighWater,
+				PointResult:      run.PointResult,
+			})
 		}
 	}
 	for _, backend := range backends {
-		p := SteerParity{Backend: backend, ShardMatch: true}
-		serial := ReplayShard(seed, requests, 1, nil, WithSteerBackend(backend))
-		p.Serial = serial.Fingerprint()
-		for _, shards := range steerParityShards {
-			rerun := ReplayShard(seed, requests, shards, nil, WithSteerBackend(backend))
-			if rerun.Fingerprint() != p.Serial {
-				p.ShardMatch = false
-			}
+		p := BackendParity{Backend: backend}
+		base := runOpts{steer: backend}.point(seed, requests)
+		base.Shards = 1
+		var err error
+		p.Serial, p.ShardMatch, p.TracedMatch, err = parityGate(shardFingerprint, base, parityShards,
+			func(s *pointSpec) { s.Trace, s.Counters = obs.NewTracer(0), obs.NewRegistry() })
+		if err != nil {
+			return out, err
 		}
-		traced := ReplayShard(seed, requests, 1, nil,
-			WithSteerBackend(backend), WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry()))
-		p.TracedMatch = traced.Fingerprint() == p.Serial
 		out.Parity = append(out.Parity, p)
 	}
-	return out
+	return out, nil
 }

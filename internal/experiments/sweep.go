@@ -7,13 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"transparentedge/internal/catalog"
-	"transparentedge/internal/core"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/obs"
-	"transparentedge/internal/testbed"
-	"transparentedge/internal/workload"
 )
 
 // SweepVariant describes one independent scenario of a parameter sweep: a
@@ -86,123 +82,63 @@ func (v SweepVariant) Label() string {
 	return fmt.Sprintf("seed%d/%s", v.Seed, sched)
 }
 
-// VariantResult is the outcome of one sweep variant.
+// VariantResult is the outcome of one sweep variant. The embedded
+// PointResult's Requests is the actual replayed trace length (after
+// clamping) and its Totals the variant's full latency distribution, ready
+// to Merge; Wall is excluded from the fingerprint (it is the only
+// nondeterministic output a pooled variant reports).
 type VariantResult struct {
 	Variant SweepVariant
 	// Err records a setup failure (unknown scheduler, replay error); the
 	// metrics fields are zero when set.
 	Err error
-	// Requests is the actual replayed trace length (after clamping).
-	Requests    int
-	Errors      int
-	Deployments int
-	Median      time.Duration
-	P95         time.Duration
-	Mean        time.Duration
-	Max         time.Duration
-	// Wall is the host wall-clock time this variant took (excluded from
-	// the fingerprint: it is the only nondeterministic output).
-	Wall time.Duration
-	// Totals is the variant's full latency distribution, ready to Merge.
-	Totals *metrics.Hist
+	PointResult
 	// Fault-path outputs. Deterministic, but deliberately EXCLUDED from the
 	// fingerprint: the fingerprint predates them and must keep hashing the
 	// exact same byte sequence so fault-free sweeps stay comparable across
-	// releases (mixing even zero-valued fields would change it).
+	// releases (mixing even zero-valued fields would change it). The
+	// Counters snapshot is excluded for the same reason.
 	DeployAttempts  int // recorded deployment attempts, failed runs included
 	DeployRetries   int // failed attempts that were retried under backoff
 	DeployFailures  int // deployments that exhausted retries
 	FallbackDeploys int // deployments served by the next-best cluster
 	CloudFallbacks  int // held packets released to the cloud after failure
 	// FailedDeploys details every deployment that exhausted retries
-	// (cluster, service, attempts, error string). Like the tallies above it
-	// is deterministic but EXCLUDED from the fingerprint.
+	// (cluster, service, attempts, error string).
 	FailedDeploys []DeployError
-	// Counters is the variant registry snapshot (nil unless the variant set
-	// Counters). EXCLUDED from the fingerprint for the same reason.
-	Counters map[string]float64
 }
 
 // Fingerprint digests every deterministic output of the variant. Running the
 // same variant serially or on any worker of a parallel sweep must produce
 // the same fingerprint bit for bit.
 func (r VariantResult) Fingerprint() uint64 {
-	var h uint64 = 1469598103934665603 // FNV-1a offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(r.Requests))
-	mix(uint64(r.Errors))
-	mix(uint64(r.Deployments))
-	mix(uint64(r.Median))
-	mix(uint64(r.P95))
-	mix(uint64(r.Mean))
-	mix(uint64(r.Max))
+	h := newFNV()
+	h.u64(uint64(r.Requests))
+	h.u64(uint64(r.Errors))
+	h.u64(uint64(r.Deployments))
+	h.u64(uint64(r.Median))
+	h.u64(uint64(r.P95))
+	h.u64(uint64(r.Mean))
+	h.u64(uint64(r.Max))
 	if r.Totals != nil {
-		mix(r.Totals.Fingerprint())
+		h.u64(r.Totals.Fingerprint())
 	}
-	return h
+	return uint64(h)
 }
 
-// runVariant builds the variant's private testbed and replays its trace.
+// runVariant replays the variant on its private testbed and samples the
+// controller's deployment records.
 func runVariant(v SweepVariant) VariantResult {
 	res := VariantResult{Variant: v}
-	requests := v.Requests
-	if requests < 8*2 {
-		requests = 8 * 2
-	}
-	res.Requests = requests
-	cfg := replayScaleConfig(v.Seed, requests)
-	if v.LambdaScale > 0 && v.LambdaScale != 1 {
-		cfg.Duration = time.Duration(float64(cfg.Duration) / v.LambdaScale)
-	}
-	opts := testbed.Options{
-		Seed:          v.Seed,
-		EnableDocker:  true,
-		EnableFarEdge: v.Clusters >= 2,
-		DeployRetries: v.DeployRetries,
-		ProbeMaxWait:  v.ProbeMaxWait,
-		Faults:        v.Faults,
-		Trace:         v.Trace,
-		Counters:      v.Counters,
-	}
-	if v.Scheduler != "" {
-		sched, err := core.NewScheduler(v.Scheduler)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		opts.Scheduler = sched
-	}
-	trace := workload.Generate(cfg)
-	tb := testbed.New(opts)
-	start := time.Now()
-	out, err := workload.ReplayWith(tb, trace, catalog.Nginx, workload.Options{
-		PrePull:        !v.Cold,
-		PreCreate:      !v.Cold,
-		MaxInFlight:    v.MaxInFlight,
-		RequestTimeout: v.RequestTimeout,
-		Trace:          v.Trace,
-		Counters:       v.Counters,
-	})
-	res.Wall = time.Since(start)
+	run, err := runPoint(pointSpec{SweepVariant: v})
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Errors = out.Errors
-	res.Deployments = out.FirstRequests.Len()
-	res.Median = out.Totals.Median()
-	res.P95 = out.Totals.Percentile(95)
-	res.Mean = out.Totals.Mean()
-	res.Max = out.Totals.Max()
-	res.Totals = out.Totals.ToHist()
+	res.PointResult = run.PointResult
 	res.Totals.Name = v.Label()
-	for _, rec := range tb.Ctrl.RecordsIncluding("", "", true) {
+	ctrl := run.tb.Ctrl
+	for _, rec := range ctrl.RecordsIncluding("", "", true) {
 		res.DeployAttempts += rec.Attempts
 		if rec.Err != nil {
 			res.FailedDeploys = append(res.FailedDeploys, DeployError{
@@ -214,11 +150,10 @@ func runVariant(v SweepVariant) VariantResult {
 			})
 		}
 	}
-	res.DeployRetries = int(tb.Ctrl.Stats.DeployRetries)
-	res.DeployFailures = int(tb.Ctrl.Stats.DeployFailures)
-	res.FallbackDeploys = int(tb.Ctrl.Stats.FallbackDeployments)
-	res.CloudFallbacks = int(tb.Ctrl.Stats.CloudFallbacks)
-	res.Counters = v.Counters.Map()
+	res.DeployRetries = int(ctrl.Stats.DeployRetries)
+	res.DeployFailures = int(ctrl.Stats.DeployFailures)
+	res.FallbackDeploys = int(ctrl.Stats.FallbackDeployments)
+	res.CloudFallbacks = int(ctrl.Stats.CloudFallbacks)
 	return res
 }
 
@@ -226,7 +161,7 @@ func runVariant(v SweepVariant) VariantResult {
 type Sweep struct {
 	Variants []SweepVariant
 	// Procs bounds the worker pool; <= 0 means GOMAXPROCS. 1 runs the
-	// variants serially (the baseline BenchmarkSweep compares against).
+	// variants serially.
 	Procs int
 }
 
@@ -247,8 +182,9 @@ type SweepResult struct {
 // Run executes the sweep: variants are dealt to Procs workers over a
 // channel, each worker running whole variants on its own kernels. Results
 // land in input order, so the output is deterministic regardless of worker
-// scheduling.
-func (s Sweep) Run() SweepResult {
+// scheduling. A variant that fails is reported in its VariantResult.Err;
+// the returned error is reserved for the sweep itself.
+func (s Sweep) Run() (SweepResult, error) {
 	procs := s.Procs
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
@@ -285,7 +221,7 @@ func (s Sweep) Run() SweepResult {
 		// Same bucket config everywhere; Merge only fails on mismatched
 		// configs, which per-variant ToHist folds cannot produce.
 		if err := merged.Merge(results[i].Totals); err != nil {
-			panic(err)
+			return SweepResult{}, fmt.Errorf("merging variant %s: %w", results[i].Variant.Label(), err)
 		}
 	}
 	return SweepResult{
@@ -293,7 +229,7 @@ func (s Sweep) Run() SweepResult {
 		Merged:   merged,
 		Procs:    procs,
 		Wall:     time.Since(start),
-	}
+	}, nil
 }
 
 // WaitingSweep returns the default fig. 9-style variant set: seeds × the
@@ -301,12 +237,6 @@ func (s Sweep) Run() SweepResult {
 // until the nearest deployment is ready; no-wait answers from wherever the
 // service already runs).
 func WaitingSweep(seeds int, requests int) []SweepVariant {
-	if seeds <= 0 {
-		seeds = 4
-	}
-	if requests <= 0 {
-		requests = 2000
-	}
 	var vs []SweepVariant
 	for s := 0; s < seeds; s++ {
 		for _, sched := range []string{"wait-nearest", "no-wait"} {
@@ -322,25 +252,79 @@ func WaitingSweep(seeds int, requests int) []SweepVariant {
 	return vs
 }
 
+var sweepColumns = []column[VariantResult]{
+	{"variant", "", "%-24s", func(v VariantResult) any { return v.Variant.Label() }},
+	{"requests", "requests", "%10d", func(v VariantResult) any { return v.Requests }},
+	{"errors", "errors", "%8d", func(v VariantResult) any { return v.Errors }},
+	{"deploys", "deployments", "%8d", func(v VariantResult) any { return v.Deployments }},
+	{"median", "median_ms", "%10v", func(v VariantResult) any { return v.Median }},
+	{"p95", "p95_ms", "%10v", func(v VariantResult) any { return v.P95 }},
+	{"", "mean_ms", "", func(v VariantResult) any { return v.Mean }},
+	{"", "max_ms", "", func(v VariantResult) any { return v.Max }},
+	{"", "wall_ms", "", func(v VariantResult) any { return v.Wall }},
+	{"", "fingerprint", "", func(v VariantResult) any { return digest(v.Fingerprint()) }},
+}
+
+// sweepMergedColumns is the aggregate line under the variant table (same
+// widths, no header of its own) and the "merged" JSON entry.
+var sweepMergedColumns = []column[SweepResult]{
+	{"", "", "%-24s", func(SweepResult) any { return "merged" }},
+	{"", "requests", "%10d", func(r SweepResult) any { return r.Merged.Len() }},
+	{"", "", "%8s", func(SweepResult) any { return "-" }},
+	{"", "", "%8s", func(SweepResult) any { return "-" }},
+	{"", "median_ms", "%10v", func(r SweepResult) any { return r.Merged.Median() }},
+	{"", "p95_ms", "%10v", func(r SweepResult) any { return r.Merged.Percentile(95) }},
+	{"", "procs", "", func(r SweepResult) any { return r.Procs }},
+	{"", "wall_ms", "", func(r SweepResult) any { return r.Wall }},
+}
+
+// variantTable renders a sweep's title line and its per-variant table.
+func (r SweepResult) variantTable(b *strings.Builder, kind string, cols []column[VariantResult]) {
+	fmt.Fprintf(b, "%s of %d variants on %d workers (%v wall)\n",
+		kind, len(r.Variants), r.Procs, r.Wall.Round(time.Millisecond))
+	tableHeader(b, cols)
+	for _, v := range r.Variants {
+		if v.Err != nil {
+			fmt.Fprintf(b, "  "+cols[0].format+" failed: %v\n", v.Variant.Label(), v.Err)
+			continue
+		}
+		tableRow(b, cols, v)
+	}
+}
+
+// variantJSON returns one uniform entry per variant.
+func (r SweepResult) variantJSON(experiment string, cols []column[VariantResult]) []JSONResult {
+	out := make([]JSONResult, 0, len(r.Variants)+1)
+	for _, v := range r.Variants {
+		m := map[string]float64{}
+		flatten(m, "", cols, v)
+		if v.Err != nil {
+			m["failed"] = 1
+		}
+		out = append(out, JSONResult{
+			Experiment:   experiment,
+			Name:         v.Variant.Label(),
+			Seed:         v.Variant.Seed,
+			Metrics:      m,
+			Counters:     v.Counters,
+			DeployErrors: v.FailedDeploys,
+		})
+	}
+	return out
+}
+
 // String renders the sweep outcome as a table.
 func (r SweepResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sweep of %d variants on %d workers (%v wall)\n",
-		len(r.Variants), r.Procs, r.Wall.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %-24s %10s %8s %8s %10s %10s\n",
-		"variant", "requests", "errors", "deploys", "median", "p95")
-	for _, v := range r.Variants {
-		if v.Err != nil {
-			fmt.Fprintf(&b, "  %-24s failed: %v\n", v.Variant.Label(), v.Err)
-			continue
-		}
-		fmt.Fprintf(&b, "  %-24s %10d %8d %8d %10v %10v\n",
-			v.Variant.Label(), v.Requests, v.Errors, v.Deployments,
-			v.Median.Round(time.Microsecond), v.P95.Round(time.Microsecond))
-	}
-	fmt.Fprintf(&b, "  %-24s %10d %8s %8s %10v %10v\n", "merged",
-		r.Merged.Len(), "-", "-",
-		r.Merged.Median().Round(time.Microsecond),
-		r.Merged.Percentile(95).Round(time.Microsecond))
+	r.variantTable(&b, "sweep", sweepColumns)
+	tableRow(&b, sweepMergedColumns, r)
 	return b.String()
+}
+
+// JSON returns one uniform entry per variant plus a "merged" aggregate.
+func (r SweepResult) JSON() []JSONResult {
+	m := map[string]float64{}
+	flatten(m, "", sweepMergedColumns, r)
+	return append(r.variantJSON("sweep", sweepColumns),
+		JSONResult{Experiment: "sweep", Name: "merged", Metrics: m})
 }

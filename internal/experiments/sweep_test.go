@@ -16,8 +16,8 @@ func paritySweepVariants() []SweepVariant {
 func TestSweepParitySerialVsParallel(t *testing.T) {
 	// Each variant runs on a private kernel, so a parallel sweep must
 	// produce bit-identical per-variant metrics to a serial one.
-	serial := Sweep{Variants: paritySweepVariants(), Procs: 1}.Run()
-	parallel := Sweep{Variants: paritySweepVariants(), Procs: 4}.Run()
+	serial := must(Sweep{Variants: paritySweepVariants(), Procs: 1}.Run())
+	parallel := must(Sweep{Variants: paritySweepVariants(), Procs: 4}.Run())
 	if len(serial.Variants) != len(parallel.Variants) {
 		t.Fatalf("variant count: serial %d parallel %d", len(serial.Variants), len(parallel.Variants))
 	}
@@ -54,8 +54,8 @@ func (r SweepResult) totalErrors() int {
 func TestSweepDeterministicRepeat(t *testing.T) {
 	// The same sweep run twice in the same process must reproduce itself
 	// (no hidden global state leaks between testbeds).
-	a := Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run()
-	b := Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run()
+	a := must(Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run())
+	b := must(Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run())
 	for i := range a.Variants {
 		if a.Variants[i].Fingerprint() != b.Variants[i].Fingerprint() {
 			t.Errorf("variant %d not reproducible across runs", i)
@@ -64,10 +64,10 @@ func TestSweepDeterministicRepeat(t *testing.T) {
 }
 
 func TestSweepUnknownScheduler(t *testing.T) {
-	res := Sweep{Variants: []SweepVariant{
+	res := must(Sweep{Variants: []SweepVariant{
 		{Name: "bad", Seed: 1, Requests: 100, Scheduler: "nope"},
 		{Name: "ok", Seed: 1, Requests: 100},
-	}, Procs: 1}.Run()
+	}, Procs: 1}.Run())
 	if res.Variants[0].Err == nil {
 		t.Fatal("unknown scheduler must surface as a variant error")
 	}
@@ -97,7 +97,7 @@ func TestWaitingSweepShape(t *testing.T) {
 }
 
 func TestSweepJSONShape(t *testing.T) {
-	res := Sweep{Variants: paritySweepVariants()[:1], Procs: 1}.Run()
+	res := must(Sweep{Variants: paritySweepVariants()[:1], Procs: 1}.Run())
 	entries := res.JSON()
 	if len(entries) != 2 {
 		t.Fatalf("JSON entries = %d, want variant + merged", len(entries))
