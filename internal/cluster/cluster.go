@@ -50,21 +50,9 @@ type Behavior struct {
 	RespSize simnet.Bytes
 }
 
-// Handler returns the standard request handler for this behavior: sleep the
-// service time, answer with a response of the configured size.
-func (b Behavior) Handler() simnet.HTTPHandler {
-	return func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-		if b.ServiceTime > 0 {
-			p.Sleep(b.ServiceTime)
-		}
-		return &simnet.HTTPResponse{Status: 200, Size: b.RespSize, Body: "ok"}
-	}
-}
-
-// AsyncHandler returns the callback-mode equivalent of Handler: identical
-// virtual-time behavior (service time elapses between request and response)
-// with no per-connection process, and one response object cached across all
-// requests — the behavior's answer is constant, so every request shares it.
+// AsyncHandler returns the standard request handler for this behavior: the
+// service time elapses between request and response, and one response object
+// serves every request — the behavior's answer is constant.
 func (b Behavior) AsyncHandler() simnet.HTTPAsyncHandler {
 	resp := &simnet.HTTPResponse{Status: 200, Size: b.RespSize, Body: "ok"}
 	return func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {

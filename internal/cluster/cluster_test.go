@@ -8,38 +8,45 @@ import (
 	"transparentedge/internal/simnet"
 )
 
-func TestBehaviorHandlerSleepsAndResponds(t *testing.T) {
+// get serves b over a zero-latency link and returns one measured request, so
+// Total is the handler's service time alone.
+func get(t *testing.T, b Behavior) *simnet.HTTPResult {
+	t.Helper()
 	k := sim.New(1)
-	b := Behavior{ServiceTime: 25 * time.Millisecond, RespSize: 2 * simnet.KiB}
-	h := b.Handler()
-	var resp *simnet.HTTPResponse
-	var took time.Duration
-	k.Go("t", func(p *sim.Proc) {
-		start := p.Now()
-		resp = h(p, &simnet.HTTPRequest{Method: "GET"})
-		took = p.Now() - start
+	n := simnet.NewNetwork(k)
+	cli := simnet.NewHost(n, "client", "10.0.0.1")
+	srv := simnet.NewHost(n, "server", "10.0.0.2")
+	pc, ps := n.Connect(cli, srv, simnet.LinkConfig{})
+	cli.SetUplink(pc)
+	srv.SetUplink(ps)
+	srv.ServeHTTPAsync(80, b.AsyncHandler())
+	var res *simnet.HTTPResult
+	cli.HTTPGetAsync(srv.IP(), 80, &simnet.HTTPRequest{Method: "GET"}, 0, func(r *simnet.HTTPResult, err error) {
+		if err != nil {
+			t.Errorf("request: %v", err)
+		}
+		res = r
 	})
 	k.Run()
-	if resp.Status != 200 || resp.Size != 2*simnet.KiB {
-		t.Fatalf("resp = %+v", resp)
+	if res == nil {
+		t.Fatal("no response")
 	}
-	if took != 25*time.Millisecond {
-		t.Fatalf("service time = %v, want 25ms", took)
+	return res
+}
+
+func TestBehaviorHandlerSleepsAndResponds(t *testing.T) {
+	res := get(t, Behavior{ServiceTime: 25 * time.Millisecond, RespSize: 2 * simnet.KiB})
+	if res.Resp.Status != 200 || res.Resp.Size != 2*simnet.KiB {
+		t.Fatalf("resp = %+v", res.Resp)
+	}
+	if res.Total != 25*time.Millisecond {
+		t.Fatalf("service time = %v, want 25ms", res.Total)
 	}
 }
 
 func TestBehaviorHandlerZeroServiceTime(t *testing.T) {
-	k := sim.New(1)
-	h := Behavior{}.Handler()
-	var took time.Duration
-	k.Go("t", func(p *sim.Proc) {
-		start := p.Now()
-		h(p, &simnet.HTTPRequest{})
-		took = p.Now() - start
-	})
-	k.Run()
-	if took != 0 {
-		t.Fatalf("zero-behavior handler slept %v", took)
+	if took := get(t, Behavior{}).Total; took != 0 {
+		t.Fatalf("zero-behavior handler took %v", took)
 	}
 }
 

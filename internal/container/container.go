@@ -73,10 +73,8 @@ type Config struct {
 	// InitDelay is the time from process start until the app's port opens
 	// (model loading, config parsing, ...).
 	InitDelay time.Duration
-	// Handler serves the app's requests once ready (nil for non-HTTP apps).
-	Handler simnet.HTTPHandler
-	// AsyncHandler is the callback-mode alternative to Handler (preferred
-	// when both are set): no per-connection process on the serving host.
+	// AsyncHandler serves the app's requests once ready (nil for non-HTTP
+	// apps).
 	AsyncHandler simnet.HTTPAsyncHandler
 	Labels       map[string]string
 	Env          map[string]string
@@ -246,12 +244,8 @@ func (c *Container) Start(p *sim.Proc, hostPort int) error {
 		}
 		c.ready = true
 		c.readyAt = c.rt.host.Network().K.Now()
-		if c.cfg.AppPort > 0 {
-			if c.cfg.AsyncHandler != nil {
-				c.listener = c.rt.host.ServeHTTPAsync(c.hostPort, c.cfg.AsyncHandler)
-			} else if c.cfg.Handler != nil {
-				c.listener = c.rt.host.ServeHTTP(c.hostPort, c.cfg.Handler)
-			}
+		if c.cfg.AppPort > 0 && c.cfg.AsyncHandler != nil {
+			c.listener = c.rt.host.ServeHTTPAsync(c.hostPort, c.cfg.AsyncHandler)
 		}
 	})
 	return nil

@@ -46,8 +46,8 @@ func webConfig(name string, init time.Duration) Config {
 		Image:     "web:1",
 		AppPort:   80,
 		InitDelay: init,
-		Handler: func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-			return &simnet.HTTPResponse{Status: 200, Body: "ok"}
+		AsyncHandler: func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
+			c.Respond(&simnet.HTTPResponse{Status: 200, Body: "ok"})
 		},
 		Labels: map[string]string{"edge.service": name},
 	}

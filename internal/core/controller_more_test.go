@@ -89,8 +89,8 @@ func TestSchedulerWithNoClustersForwardsToCloud(t *testing.T) {
 	sw.AttachHost(ue, 2, simnet.LinkConfig{Latency: time.Millisecond})
 	cloud := simnet.NewHost(n, "cloud", "203.0.113.10")
 	sw.AttachHost(cloud, 3, simnet.LinkConfig{Latency: 10 * time.Millisecond})
-	cloud.ServeHTTP(80, func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-		return &simnet.HTTPResponse{Status: 200, Body: "cloud"}
+	cloud.ServeHTTPAsync(80, func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
+		c.Respond(&simnet.HTTPResponse{Status: 200, Body: "cloud"})
 	})
 	probe := simnet.NewHost(n, "probe", "10.0.0.9")
 	sw.AttachHost(probe, 4, simnet.LinkConfig{Latency: time.Millisecond})

@@ -132,7 +132,7 @@ func TestDispatchReleasesHeldPacketToCloud(t *testing.T) {
 	link := simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: simnet.Gbps}
 	rg.sw.AttachHost(cloud, 250, link)
 	rg.sw.SetDefaultRoute(250)
-	cloud.ServeHTTP(80, cluster.Behavior{RespSize: simnet.KiB}.Handler())
+	cloud.ServeHTTPAsync(80, cluster.Behavior{RespSize: simnet.KiB}.AsyncHandler())
 
 	served := false
 	rg.k.Go("ue", func(p *sim.Proc) {

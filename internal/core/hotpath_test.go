@@ -79,7 +79,7 @@ func (f *hpCluster) ScaleUp(p *sim.Proc, service string) (cluster.Instance, erro
 		return f.instance(service), nil
 	}
 	if f.lis == nil {
-		f.lis = f.host.ServeHTTP(f.port, cluster.Behavior{RespSize: simnet.KiB}.Handler())
+		f.lis = f.host.ServeHTTPAsync(f.port, cluster.Behavior{RespSize: simnet.KiB}.AsyncHandler())
 	}
 	return f.instance(service), nil
 }

@@ -46,12 +46,6 @@ type stubCluster struct {
 	lis     *simnet.Listener
 }
 
-func newStubCluster(n *simnet.Network, sw *openflow.Switch, name string, ip simnet.Addr, swPort int, link simnet.LinkConfig) *stubCluster {
-	h := simnet.NewHost(n, name, ip)
-	sw.AttachHost(h, swPort, link)
-	return &stubCluster{name: name, host: h, port: 32000}
-}
-
 func (s *stubCluster) Name() string                   { return s.name }
 func (s *stubCluster) Addr() simnet.Addr              { return s.host.IP() }
 func (s *stubCluster) HasImages(*spec.Annotated) bool { return true }
@@ -101,6 +95,66 @@ func (s *stubCluster) instance(service string) cluster.Instance {
 	return cluster.Instance{Service: service, Cluster: s.name, Addr: s.host.IP(), Port: s.port}
 }
 
+// scaleRig is the topology both scale experiments run on: one switch, the
+// controller on the EGS (switch port 1), stub clusters (ports 100 up) and the
+// web service registered on the VIP. UEs attach where the experiment likes.
+type scaleRig struct {
+	k       *sim.Kernel
+	n       *simnet.Network
+	sw      *openflow.Switch
+	link    simnet.LinkConfig
+	ctrl    *core.Controller
+	stubs   []*stubCluster
+	service string // the registered service's unique name
+}
+
+const scaleVIP = simnet.Addr("203.0.113.10")
+
+// newScaleRig builds the rig; tune sets the controller knobs the experiment
+// is about.
+func newScaleRig(seed int64, o runOpts, clusters int, tune func(*core.Config)) (*scaleRig, error) {
+	k := sim.New(seed)
+	n := simnet.NewNetwork(k)
+	n.SetObs(o.counters)
+	r := &scaleRig{
+		k: k, n: n,
+		sw:   openflow.NewSwitch(n, "sw", openflow.DefaultConfig()),
+		link: simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: simnet.Gbps},
+	}
+	egs := r.attach("egs", "10.0.0.10", 1)
+
+	cfg := core.DefaultConfig()
+	cfg.Scheduler = core.WaitNearestScheduler{}
+	cfg.Trace = o.attribTracer()
+	cfg.Counters = o.counters
+	tune(&cfg)
+	r.ctrl = core.New(k, egs, cfg)
+	r.ctrl.AddSwitch(r.sw)
+
+	for i := 0; i < clusters; i++ {
+		name := fmt.Sprintf("edge%d", i)
+		ip := simnet.Addr(fmt.Sprintf("10.0.%d.%d", 2+i/250, 1+i%250))
+		stub := &stubCluster{name: name, host: r.attach(name, ip, 100+i), port: 32000}
+		r.ctrl.AddCluster(stub, "docker")
+		r.stubs = append(r.stubs, stub)
+	}
+	svc, err := r.ctrl.RegisterService(scaleYAML, spec.Registration{
+		Domain: "web.example.com", VIP: scaleVIP, Port: 80,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.service = svc.UniqueName
+	return r, nil
+}
+
+// attach adds a host on the given switch port.
+func (r *scaleRig) attach(name string, ip simnet.Addr, swPort int) *simnet.Host {
+	h := simnet.NewHost(r.n, name, ip)
+	r.sw.AttachHost(h, swPort, r.link)
+	return h
+}
+
 // DispatchScaleResult reports one dispatch-latency measurement.
 type DispatchScaleResult struct {
 	Clusters int
@@ -127,53 +181,25 @@ func (r DispatchScaleResult) String() string {
 // sum of per-cluster query latencies when serial, the max when parallel.
 func DispatchScale(seed int64, clusters int, serial bool, options ...Option) (DispatchScaleResult, error) {
 	o := applyOpts(options)
-	if clusters < 1 {
-		clusters = 1
-	}
-	k := sim.New(seed)
-	n := simnet.NewNetwork(k)
-	n.SetObs(o.counters)
-	sw := openflow.NewSwitch(n, "sw", openflow.DefaultConfig())
-	link := simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: simnet.Gbps}
-
-	egs := simnet.NewHost(n, "egs", "10.0.0.10")
-	sw.AttachHost(egs, 1, link)
-
-	cfg := core.DefaultConfig()
-	cfg.Scheduler = core.WaitNearestScheduler{}
-	cfg.SerialStateQueries = serial
-	cfg.Trace = o.attribTracer()
-	cfg.Counters = o.counters
-	ctrl := core.New(k, egs, cfg)
-	ctrl.AddSwitch(sw)
-
-	stubs := make([]*stubCluster, clusters)
-	for i := range stubs {
-		ip := simnet.Addr(fmt.Sprintf("10.0.%d.%d", 2+i/250, 1+i%250))
-		stubs[i] = newStubCluster(n, sw, fmt.Sprintf("edge%d", i), ip, 100+i, link)
-		ctrl.AddCluster(stubs[i], "docker")
-	}
+	clusters = max(clusters, 1)
 	res := DispatchScaleResult{Clusters: clusters, Serial: serial}
-	svc, err := ctrl.RegisterService(scaleYAML, spec.Registration{
-		Domain: "web.example.com", VIP: "203.0.113.10", Port: 80,
-	})
+	r, err := newScaleRig(seed, o, clusters, func(cfg *core.Config) { cfg.SerialStateQueries = serial })
 	if err != nil {
 		return res, err
 	}
-	client := simnet.NewHost(n, "ue", "10.0.1.1")
-	sw.AttachHost(client, 2, link)
+	client := r.attach("ue", "10.0.1.1", 2)
 
 	var rerr error
-	k.Go("driver", func(p *sim.Proc) {
-		if _, rerr = ctrl.EnsureDeployed(p, stubs[0].Name(), svc.UniqueName); rerr != nil {
+	r.k.Go("driver", func(p *sim.Proc) {
+		if _, rerr = r.ctrl.EnsureDeployed(p, r.stubs[0].Name(), r.service); rerr != nil {
 			return
 		}
-		var r *simnet.HTTPResult
-		if r, rerr = client.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); rerr == nil {
-			res.Dispatch = r.Total
+		var got *simnet.HTTPResult
+		if got, rerr = client.HTTPGet(p, scaleVIP, 80, &simnet.HTTPRequest{}, 0); rerr == nil {
+			res.Dispatch = got.Total
 		}
 	})
-	k.RunUntil(time.Hour)
+	r.k.RunUntil(time.Hour)
 	o.attrib.EndStream()
 	return res, rerr
 }
@@ -209,65 +235,47 @@ func (r CookieChurnResult) String() string {
 // final sizes return to zero.
 func CookieChurn(seed int64, clients int, options ...Option) (CookieChurnResult, error) {
 	o := applyOpts(options)
-	if clients < 1 {
-		clients = 1
-	}
-	const spacing = 2 * time.Millisecond
+	clients = max(clients, 1)
+	const (
+		spacing      = 2 * time.Millisecond
+		switchIdle   = 500 * time.Millisecond
+		memoryIdle   = 2 * time.Second
+		samplePeriod = 50 * time.Millisecond
+	)
 	res := CookieChurnResult{Clients: clients}
-
-	k := sim.New(seed)
-	n := simnet.NewNetwork(k)
-	n.SetObs(o.counters)
-	sw := openflow.NewSwitch(n, "sw", openflow.DefaultConfig())
-	link := simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: simnet.Gbps}
-
-	egs := simnet.NewHost(n, "egs", "10.0.0.10")
-	sw.AttachHost(egs, 1, link)
-
-	cfg := core.DefaultConfig()
-	cfg.Scheduler = core.WaitNearestScheduler{}
-	cfg.SwitchIdleTimeout = 500 * time.Millisecond
-	cfg.MemoryIdleTimeout = 2 * time.Second
-	cfg.Trace = o.attribTracer()
-	cfg.Counters = o.counters
-	ctrl := core.New(k, egs, cfg)
-	ctrl.AddSwitch(sw)
-	stub := newStubCluster(n, sw, "edge0", "10.0.0.20", 2, link)
-	ctrl.AddCluster(stub, "docker")
-	if _, err := ctrl.RegisterService(scaleYAML, spec.Registration{
-		Domain: "web.example.com", VIP: "203.0.113.10", Port: 80,
-	}); err != nil {
+	r, err := newScaleRig(seed, o, 1, func(cfg *core.Config) {
+		cfg.SwitchIdleTimeout = switchIdle
+		cfg.MemoryIdleTimeout = memoryIdle
+	})
+	if err != nil {
 		return res, err
 	}
+	k, ctrl := r.k, r.ctrl
 
-	var rerr error // the first failed churn request
-	for i := 0; i < clients; i++ {
-		h := simnet.NewHost(n, fmt.Sprintf("ue%d", i),
-			simnet.Addr(fmt.Sprintf("10.%d.%d.%d", 10+i/62500, (i/250)%250, 1+i%250)))
-		sw.AttachHost(h, 100+i, link)
-		delay := time.Duration(i) * spacing
-		k.Go("ue", func(p *sim.Proc) {
-			p.Sleep(delay)
-			if _, err := h.HTTPGet(p, "203.0.113.10", 80, &simnet.HTTPRequest{}, 0); err != nil && rerr == nil {
-				rerr = fmt.Errorf("churn request: %w", err)
-			}
-		})
-	}
-	end := time.Duration(clients)*spacing + cfg.MemoryIdleTimeout + cfg.SwitchIdleTimeout + 10*time.Second
-	k.Go("sampler", func(p *sim.Proc) {
-		for p.Now() < sim.Time(end) {
-			if v := ctrl.CookieCount(); v > res.PeakCookies {
-				res.PeakCookies = v
-			}
-			if v := ctrl.TrackedClients(); v > res.PeakClientLocs {
-				res.PeakClientLocs = v
-			}
-			if v := ctrl.Memory.Len(); v > res.PeakMemory {
-				res.PeakMemory = v
-			}
-			p.Sleep(50 * time.Millisecond)
+	var rerr error               // the first failed churn request
+	req := &simnet.HTTPRequest{} // shared: a request is never written
+	done := func(_ *simnet.HTTPResult, err error) {
+		if err != nil && rerr == nil {
+			rerr = fmt.Errorf("churn request: %w", err)
 		}
-	})
+	}
+	for i := 0; i < clients; i++ {
+		h := r.attach(fmt.Sprintf("ue%d", i),
+			simnet.Addr(fmt.Sprintf("10.%d.%d.%d", 10+i/62500, (i/250)%250, 1+i%250)), 1000+i)
+		k.AfterFree(time.Duration(i)*spacing, func() { h.HTTPGetAsync(scaleVIP, 80, req, 0, done) })
+	}
+	end := sim.Time(time.Duration(clients)*spacing + memoryIdle + switchIdle + 10*time.Second)
+	var sample func()
+	sample = func() {
+		if k.Now() >= end {
+			return
+		}
+		res.PeakCookies = max(res.PeakCookies, ctrl.CookieCount())
+		res.PeakClientLocs = max(res.PeakClientLocs, ctrl.TrackedClients())
+		res.PeakMemory = max(res.PeakMemory, ctrl.Memory.Len())
+		k.AfterFree(samplePeriod, sample)
+	}
+	sample()
 	k.RunUntil(end + time.Second)
 	res.FinalCookies = ctrl.CookieCount()
 	res.FinalClientLocs = ctrl.TrackedClients()

@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"sort"
 	"time"
 
 	"transparentedge/internal/sim"
@@ -333,8 +334,15 @@ func RunScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 			}
 			if ev.Type == Deleted {
 				delete(unschedulable, ev.Name)
-				// Capacity may have freed: retry parked pods.
+				// Capacity may have freed: retry parked pods, by name — each
+				// cycle sleeps, so the iteration order is the bind order, and
+				// the binds it overlaps with edit the set.
+				parked := make([]string, 0, len(unschedulable))
 				for name := range unschedulable {
+					parked = append(parked, name)
+				}
+				sort.Strings(parked)
+				for _, name := range parked {
 					schedule(p, name)
 				}
 				continue

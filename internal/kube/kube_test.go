@@ -970,3 +970,42 @@ func TestNodeHeartbeatsKeepNodeReady(t *testing.T) {
 		t.Fatalf("nodes = %d", len(rg.kc.API().ListNodes(nil)))
 	}
 }
+
+// TestSchedulerRetriesParkedPodsInNameOrder: three pods park behind one that
+// fills the node; deleting it frees room for all three, and the scheduler
+// retries them one serial cycle each — so the retry order is the bind order.
+// It must not depend on Go's map iteration: every kernel binds them by name.
+func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
+	want := []string{"parked-a", "parked-b", "parked-c"}
+	for run := 0; run < 20; run++ {
+		k := sim.New(1)
+		api := NewAPIServer(k, APIConfig{})
+		RunScheduler(api, SchedulerConfig{}, []NodeRef{{Name: "node", Cap: Capacity{CPUMillis: 3000, MemoryBytes: 1 << 30}}})
+		var bound []string
+		api.Subscribe(KindPod, func(ev Event) {
+			if pod := ev.Object.(*Pod); ev.Type == Modified && pod.NodeName != "" {
+				bound = append(bound, pod.Name)
+			}
+		})
+		pod := func(name string, cpu int64) *Pod {
+			return &Pod{Name: name, Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", CPUMillis: cpu}}}}
+		}
+		k.Go("driver", func(p *sim.Proc) {
+			api.CreatePod(p, pod("blocker", 3000))
+			p.Sleep(time.Second)
+			for _, name := range []string{"parked-c", "parked-a", "parked-b"} {
+				api.CreatePod(p, pod(name, 1000))
+			}
+			p.Sleep(10 * time.Second)
+			if len(bound) != 1 {
+				t.Errorf("run %d: bound %v while the blocker holds the node, want the blocker alone", run, bound)
+			}
+			bound = nil
+			api.DeletePod(p, "blocker")
+		})
+		k.RunUntil(time.Minute)
+		if !reflect.DeepEqual(bound, want) {
+			t.Fatalf("run %d: bind order after capacity freed = %v, want %v", run, bound, want)
+		}
+	}
+}

@@ -22,8 +22,8 @@ func Example() {
 	sw.AttachHost(ue, 1, link)
 	sw.AttachHost(edge, 2, link)
 
-	edge.ServeHTTP(32000, func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-		return &simnet.HTTPResponse{Status: 200, Body: "served at the edge"}
+	edge.ServeHTTPAsync(32000, func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
+		c.Respond(&simnet.HTTPResponse{Status: 200, Body: "served at the edge"})
 	})
 
 	vip := simnet.Addr("203.0.113.10")

@@ -54,8 +54,8 @@ func (c *recordingController) HandleFlowRemoved(sw *Switch, r *FlowRule) {
 }
 
 func serve(h *simnet.Host, port int, body string) {
-	h.ServeHTTP(port, func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-		return &simnet.HTTPResponse{Status: 200, Body: body}
+	h.ServeHTTPAsync(port, func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
+		c.Respond(&simnet.HTTPResponse{Status: 200, Body: body})
 	})
 }
 

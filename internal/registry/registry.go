@@ -91,7 +91,7 @@ func NewServer(h *simnet.Host, cfg ServerConfig) *Server {
 		blobs:  make(map[string]Layer),
 		Pulls:  make(map[string]int),
 	}
-	h.ServeHTTP(Port, s.handle)
+	h.ServeHTTPAsync(Port, s.handle)
 	return s
 }
 
@@ -119,31 +119,36 @@ func (s *Server) Images() []string {
 	return refs
 }
 
-func (s *Server) handle(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
+// handle answers one request after its service latency. RespondAfter pairs
+// timers with responses first-in first-out, which is only right for one
+// constant delay per connection; the manifest and blob latencies differ but
+// never share a connection, because HTTPGetAsync closes after one exchange.
+func (s *Server) handle(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
 	switch {
 	case strings.HasPrefix(req.Path, "/v2/manifests/"):
 		ref := strings.TrimPrefix(req.Path, "/v2/manifests/")
 		img, ok := s.images[ref]
 		if !ok {
-			return &simnet.HTTPResponse{Status: 404}
+			c.Respond(&simnet.HTTPResponse{Status: 404})
+			return
 		}
-		p.Sleep(s.cfg.ManifestLatency)
-		return &simnet.HTTPResponse{
+		c.RespondAfter(s.cfg.ManifestLatency, &simnet.HTTPResponse{
 			Status: 200,
 			Size:   4 * simnet.KiB,
 			Body:   &Manifest{Ref: img.Ref, Layers: append([]Layer(nil), img.Layers...)},
-		}
+		})
 	case strings.HasPrefix(req.Path, "/v2/blobs/"):
 		digest := strings.TrimPrefix(req.Path, "/v2/blobs/")
 		l, ok := s.blobs[digest]
 		if !ok {
-			return &simnet.HTTPResponse{Status: 404}
+			c.Respond(&simnet.HTTPResponse{Status: 404})
+			return
 		}
 		s.Pulls[digest]++
-		p.Sleep(s.cfg.BlobLatency)
-		return &simnet.HTTPResponse{Status: 200, Size: l.Size, Body: l}
+		c.RespondAfter(s.cfg.BlobLatency, &simnet.HTTPResponse{Status: 200, Size: l.Size, Body: l})
+	default:
+		c.Respond(&simnet.HTTPResponse{Status: 400})
 	}
-	return &simnet.HTTPResponse{Status: 400}
 }
 
 // Resolver maps image references to the registry host serving them, the way

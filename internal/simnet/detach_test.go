@@ -27,8 +27,8 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 	r.AddRoute(a.IP(), ra)
 	r.AddRoute(b.IP(), rb)
 
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Size: 4 * KiB}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200, Size: 4 * KiB})
 	})
 
 	var firstErr, secondErr error

@@ -28,8 +28,8 @@ func crossShardPair(shards int, cfg LinkConfig) (*sim.ShardGroup, *Host, *Host) 
 func TestFabricHTTPAcrossShards(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		g, a, b := crossShardPair(shards, LinkConfig{Name: "x", Latency: 2 * time.Millisecond})
-		b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-			return &HTTPResponse{Status: 200, Size: KiB, Body: "hi"}
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			c.Respond(&HTTPResponse{Status: 200, Size: KiB, Body: "hi"})
 		})
 		var res *HTTPResult
 		var err error

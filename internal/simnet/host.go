@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"transparentedge/internal/sim"
 )
 
 // Errors returned by connection operations.
@@ -129,50 +127,25 @@ func (h *Host) MoveTo(to Node, cfg LinkConfig) (hostPort, peerPort *Port) {
 type Listener struct {
 	host   *Host
 	port   int
-	accept func(c *Conn)
+	attach func(c *Conn) ConnHandler
 	closed bool
 }
 
-// Listen opens a listener; accept is invoked (in a fresh sim process) for
-// every established inbound connection. Listening twice on a port panics.
-func (h *Host) Listen(port int, accept func(p *sim.Proc, c *Conn)) *Listener {
-	l := h.newListener(port)
-	name := fmt.Sprintf("%s:accept:%d", h.name, port)
-	l.accept = func(c *Conn) {
-		c.rx = sim.NewChan[*Packet](h.net.K)
-		c.estab = sim.NewPromise[bool](h.net.K)
-		c.estab.Resolve(true)
-		h.net.K.Go(name, func(p *sim.Proc) {
-			accept(p, c)
-		})
-	}
-	return l
-}
-
-// ListenAsync opens a callback-mode listener: attach is invoked synchronously
-// inside the SYN-arrival event for every inbound connection and returns the
-// handler that will receive the connection's events. No per-connection
-// process, channel, or promise is created.
+// ListenAsync opens a listener: attach is invoked synchronously inside the
+// SYN-arrival event for every inbound connection and returns the handler
+// that will receive the connection's events. Listening twice on a port
+// panics.
 func (h *Host) ListenAsync(port int, attach func(c *Conn) ConnHandler) *Listener {
-	l := h.newListener(port)
-	l.accept = func(c *Conn) {
-		c.estabOK = true
-		c.handler = attach(c)
-	}
-	return l
-}
-
-func (h *Host) newListener(port int) *Listener {
 	if _, dup := h.listeners[port]; dup {
 		panic(fmt.Sprintf("simnet: %s: duplicate listener on port %d", h.name, port))
 	}
-	l := &Listener{host: h, port: port}
+	l := &Listener{host: h, port: port, attach: attach}
 	h.listeners[port] = l
 	return l
 }
 
 // PortOpen reports whether a listener is active on port (local check; remote
-// callers must probe with Dial, as the SDN controller does).
+// callers must probe with DialAsync, as the SDN controller does).
 func (h *Host) PortOpen(port int) bool {
 	l, ok := h.listeners[port]
 	return ok && !l.closed
@@ -189,34 +162,29 @@ func (l *Listener) Close() {
 	delete(l.host.listeners, l.port)
 }
 
-// ConnHandler receives connection events in callback (async) mode, the
-// process-free alternative to Dial/Recv. Callbacks run synchronously inside
-// the packet-delivery event — same virtual instant as the process wake-up
-// they replace — and must not block; model time by scheduling kernel events.
+// ConnHandler receives a connection's events. Callbacks run synchronously
+// inside the packet-delivery event and must not block; model time by
+// scheduling kernel events.
 type ConnHandler interface {
 	// ConnEstablished reports handshake completion: ok=false means refused.
 	ConnEstablished(c *Conn, ok bool)
 	// ConnMessage delivers one in-order application payload.
 	ConnMessage(c *Conn, payload any)
-	// ConnClosed fires once when the connection shuts down (FIN, RST after
-	// establish, or local Close).
+	// ConnClosed fires once when an established connection shuts down: the
+	// peer's FIN, a RST, or local Close (inside the Close call). Abort is
+	// silent.
 	ConnClosed(c *Conn)
 }
 
-// Conn is an established TCP-ish connection endpoint. It operates in one of
-// two receive modes, fixed at creation: process mode (rx channel + estab
-// promise, blocking Recv) or callback mode (handler, no per-connection
-// process and no channel/promise allocations).
+// Conn is a TCP-ish connection endpoint: every event it sees goes to its
+// handler. Dial, Listen and Recv (procconn.go) are a handler that queues.
 type Conn struct {
-	host    *Host
-	local   addrPort
-	remote  addrPort
-	rx      *sim.Chan[*Packet]
-	estab   *sim.Promise[bool]
-	handler ConnHandler // callback mode when non-nil; rx and estab stay nil
-	estabOK bool        // callback mode: handshake completed
-	closed  bool
-	refused bool
+	host        *Host
+	local       addrPort
+	remote      addrPort
+	handler     ConnHandler
+	established bool // handshake completed
+	closed      bool
 	// TCP-like in-order delivery of DATA segments: the sender numbers
 	// them, the receiver buffers out-of-order arrivals.
 	sendSeq  uint64
@@ -280,54 +248,11 @@ func (h *Host) drainOut() {
 	h.uplink.Send(pkt)
 }
 
-// Dial opens a connection from this host to dst:port, blocking the process
-// until established, refused, or timed out. A zero timeout means wait
-// forever (the "request kept waiting" mode of the paper: the held SYN is
-// eventually released by the controller's packet-out).
-func (h *Host) Dial(p *sim.Proc, dst Addr, port int, timeout time.Duration) (*Conn, error) {
-	lp := h.ephemeral
-	h.ephemeral++
-	c := &Conn{
-		host:   h,
-		local:  addrPort{h.ip, lp},
-		remote: addrPort{dst, port},
-		rx:     sim.NewChan[*Packet](h.net.K),
-		estab:  sim.NewPromise[bool](h.net.K),
-	}
-	h.conns[fourTuple{c.local, c.remote}] = c
-	syn := h.net.NewPacket()
-	syn.Kind, syn.SrcIP, syn.DstIP = KindSYN, h.ip, dst
-	syn.SrcPort, syn.DstPort, syn.Size = lp, port, minWireSize
-	h.sendOut(syn)
-	var timer *sim.Event
-	if timeout > 0 {
-		timer = h.net.K.After(timeout, func() {
-			if !c.estab.Done() {
-				c.estab.Fail(ErrTimeout)
-			}
-		})
-	}
-	ok, err := c.estab.Await(p)
-	if timer != nil {
-		timer.Cancel()
-	}
-	if err != nil {
-		c.Abort()
-		return nil, err
-	}
-	if !ok {
-		c.Abort()
-		return nil, ErrConnRefused
-	}
-	return c, nil
-}
-
-// DialAsync opens a connection in callback mode: nothing blocks, and handler
-// receives ConnEstablished when the handshake completes (ok=false when
-// refused). The SYN goes out in the same instant as a process Dial's would.
+// DialAsync opens a connection: nothing blocks, and handler receives
+// ConnEstablished when the handshake completes (ok=false when refused).
 // Timeouts are the caller's concern: schedule a kernel event and Abort, which
-// sends nothing — as a timed-out process Dial sends nothing. Close would emit
-// a FIN for a connection the peer may never have seen.
+// sends nothing. Close would emit a FIN for a connection the peer may never
+// have seen.
 func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	lp := h.ephemeral
 	h.ephemeral++
@@ -371,48 +296,35 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 		}
 		h.net.FreePacket(pkt)
 		c := &Conn{
-			host:   h,
-			local:  key.local,
-			remote: key.remote,
+			host:        h,
+			local:       key.local,
+			remote:      key.remote,
+			established: true,
 		}
 		h.conns[key] = c
 		h.replySYNACK(c)
-		l.accept(c) // sets the connection's receive mode
+		c.handler = l.attach(c)
 	case KindSYNACK:
-		if c, ok := h.conns[key]; ok {
-			if c.handler != nil {
-				if !c.estabOK && !c.closed {
-					c.estabOK = true
-					c.handler.ConnEstablished(c, true)
-				}
-			} else if !c.estab.Done() {
-				c.estab.Resolve(true)
-			}
+		if c, ok := h.conns[key]; ok && !c.established && !c.closed {
+			c.established = true
+			c.handler.ConnEstablished(c, true)
 		}
 		h.net.FreePacket(pkt)
 	case KindRST:
 		if c, ok := h.conns[key]; ok {
-			c.refused = true
 			delete(h.conns, key)
-			if c.handler != nil {
-				if !c.estabOK {
-					c.closed = true
-					c.handler.ConnEstablished(c, false)
-				} else if !c.closed {
-					c.closed = true
-					c.handler.ConnClosed(c)
-				}
-			} else if !c.estab.Done() {
-				c.estab.Resolve(false)
-			} else {
+			if !c.established {
 				c.closed = true
-				c.rx.Close()
+				c.handler.ConnEstablished(c, false)
+			} else if !c.closed {
+				c.closed = true
+				c.handler.ConnClosed(c)
 			}
 		}
 		h.net.FreePacket(pkt)
 	case KindDATA:
 		if c, ok := h.conns[key]; ok && !c.closed {
-			c.deliverInOrder(pkt) // ownership moves to the conn; freed by Recv
+			c.deliverInOrder(pkt) // ownership moves to the conn; freed on delivery
 		} else {
 			h.net.FreePacket(pkt)
 		}
@@ -450,17 +362,12 @@ func (c *Conn) Send(size Bytes, payload any) error {
 	return nil
 }
 
-// deliver hands one in-order packet to the connection's receive mode:
-// callback connections get the payload synchronously (the packet returns to
-// the pool here), process connections get the packet queued for Recv.
+// deliver hands one in-order payload to the handler; the packet returns to
+// the pool first, so the handler may send from inside the callback.
 func (c *Conn) deliver(pkt *Packet) {
-	if c.handler != nil {
-		payload := pkt.Payload
-		c.host.net.FreePacket(pkt)
-		c.handler.ConnMessage(c, payload)
-		return
-	}
-	c.rx.Send(pkt)
+	payload := pkt.Payload
+	c.host.net.FreePacket(pkt)
+	c.handler.ConnMessage(c, payload)
 }
 
 // deliverInOrder enqueues pkt respecting sequence order, buffering
@@ -504,57 +411,8 @@ func (c *Conn) maybeFinish() {
 	if c.recvNext+1 >= c.finSeq {
 		c.closed = true
 		delete(c.host.conns, fourTuple{c.local, c.remote})
-		if c.handler != nil {
-			c.handler.ConnClosed(c)
-			return
-		}
-		c.rx.Close()
+		c.handler.ConnClosed(c)
 	}
-}
-
-// Recv blocks until a message arrives (or the connection closes / the
-// timeout elapses; zero timeout waits forever).
-func (c *Conn) Recv(p *sim.Proc, timeout time.Duration) (any, error) {
-	if c.rx == nil {
-		panic("simnet: Recv on a callback-mode Conn")
-	}
-	if timeout <= 0 {
-		pkt, ok := c.rx.Recv(p)
-		if !ok {
-			return nil, ErrConnClosed
-		}
-		payload := pkt.Payload
-		c.host.net.FreePacket(pkt)
-		return payload, nil
-	}
-	done := sim.NewPromise[*Packet](c.host.net.K)
-	c.host.net.K.Go("recv-timeout-shim", func(sp *sim.Proc) {
-		pkt, ok := c.rx.Recv(sp)
-		if done.Done() {
-			if ok {
-				c.rx.Send(pkt) // do not lose the message raced with timeout
-			}
-			return
-		}
-		if !ok {
-			done.Fail(ErrConnClosed)
-			return
-		}
-		done.Resolve(pkt)
-	})
-	timer := c.host.net.K.After(timeout, func() {
-		if !done.Done() {
-			done.Fail(ErrTimeout)
-		}
-	})
-	pkt, err := done.Await(p)
-	timer.Cancel()
-	if err != nil {
-		return nil, err
-	}
-	payload := pkt.Payload
-	c.host.net.FreePacket(pkt)
-	return payload, nil
 }
 
 // Abort forgets a connection whose handshake has not completed: it leaves the
@@ -567,21 +425,20 @@ func (c *Conn) Abort() {
 	delete(c.host.conns, fourTuple{c.local, c.remote})
 }
 
-// Close tears the connection down on both ends (FIN).
+// Close tears an established connection down on both ends (FIN) and tells
+// the handler.
 func (c *Conn) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.rx != nil {
-		c.rx.Close()
-	}
 	delete(c.host.conns, fourTuple{c.local, c.remote})
 	fin := c.host.net.NewPacket()
 	fin.Kind, fin.SrcIP, fin.DstIP = KindFIN, c.local.ip, c.remote.ip
 	fin.SrcPort, fin.DstPort, fin.Size = c.local.port, c.remote.port, minWireSize
 	fin.Seq = c.sendSeq + 1
 	c.host.sendOut(fin)
+	c.handler.ConnClosed(c)
 }
 
 // Router is a static L3 node: packets are forwarded on the port registered

@@ -21,45 +21,13 @@ type HTTPResponse struct {
 	Body   any
 }
 
-// HTTPHandler computes a response for a request. It runs inside a sim
-// process, so it may Sleep to model service processing time.
-type HTTPHandler func(p *sim.Proc, req *HTTPRequest) *HTTPResponse
-
-// ServeHTTP installs a request/response server on port. Each connection is
-// handled in its own sim process and serves any number of sequential
-// requests (keep-alive).
-func (h *Host) ServeHTTP(port int, handler HTTPHandler) *Listener {
-	return h.Listen(port, func(p *sim.Proc, c *Conn) {
-		for {
-			payload, err := c.Recv(p, 0)
-			if err != nil {
-				return
-			}
-			req, ok := payload.(*HTTPRequest)
-			if !ok {
-				continue
-			}
-			resp := handler(p, req)
-			if resp == nil {
-				resp = &HTTPResponse{Status: 500, Size: minWireSize}
-			}
-			if resp.Size < minWireSize {
-				resp.Size = minWireSize
-			}
-			if err := c.Send(resp.Size, resp); err != nil {
-				return
-			}
-		}
-	})
-}
-
-// HTTPAsyncHandler serves one request on a callback-mode server connection.
-// It runs synchronously inside the request's delivery event and must not
-// block; model service time with RespondAfter.
+// HTTPAsyncHandler serves one request on a server connection. It runs
+// synchronously inside the request's delivery event and must not block; model
+// service time with RespondAfter.
 type HTTPAsyncHandler func(c *HTTPServerConn, req *HTTPRequest)
 
-// HTTPServerConn is the server side of one callback-mode HTTP connection:
-// keep-alive request/response without a per-connection process. Responses
+// HTTPServerConn is the server side of one HTTP connection: keep-alive
+// request/response without a per-connection process. Responses
 // queue FIFO through a single pooled timer thunk, so pipelined requests on
 // one connection answer in arrival order.
 type HTTPServerConn struct {
@@ -70,9 +38,9 @@ type HTTPServerConn struct {
 	sendFn  func() // lazily bound drain thunk for RespondAfter
 }
 
-// ServeHTTPAsync installs a callback-mode request/response server on port:
-// the process-free counterpart of ServeHTTP. Each connection costs one
-// HTTPServerConn allocation instead of a goroutine, channel, and promise.
+// ServeHTTPAsync installs a request/response server on port. Each connection
+// costs one HTTPServerConn allocation and serves any number of sequential
+// requests (keep-alive); a payload that is not an *HTTPRequest is skipped.
 func (h *Host) ServeHTTPAsync(port int, handler HTTPAsyncHandler) *Listener {
 	return h.ListenAsync(port, func(c *Conn) ConnHandler {
 		return &HTTPServerConn{conn: c, handler: handler}
@@ -96,17 +64,13 @@ func (sc *HTTPServerConn) ConnMessage(c *Conn, payload any) {
 func (sc *HTTPServerConn) ConnClosed(c *Conn) {}
 
 // Respond sends a response immediately. The response object may be shared
-// across connections; it is not mutated (sub-minimum sizes are clamped on
-// the wire, not in place).
+// across connections; it is not mutated (Port.Send clamps a sub-minimum size
+// on the packet, not in place).
 func (sc *HTTPServerConn) Respond(resp *HTTPResponse) {
 	if resp == nil {
 		resp = &HTTPResponse{Status: 500, Size: minWireSize}
 	}
-	size := resp.Size
-	if size < minWireSize {
-		size = minWireSize
-	}
-	sc.conn.Send(size, resp)
+	sc.conn.Send(resp.Size, resp)
 }
 
 // RespondAfter sends a response after d of service time, keeping FIFO order
@@ -144,41 +108,18 @@ type HTTPResult struct {
 	Total   time.Duration
 }
 
-// HTTPGet performs a full measured request from this host: dial, send,
-// receive, close. timeout of zero waits forever (on-demand deployment
-// "with waiting"). This is the moral equivalent of the paper's timecurl.sh:
-// Total spans from starting the TCP connection until the response arrives.
+// HTTPGet is HTTPGetAsync for a caller that is a sim process: it blocks p
+// until the exchange completes.
 func (h *Host) HTTPGet(p *sim.Proc, dst Addr, port int, req *HTTPRequest, timeout time.Duration) (*HTTPResult, error) {
-	start := h.net.K.Now()
-	c, err := h.Dial(p, dst, port, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	connect := h.net.K.Now() - start
-	if req.Size < minWireSize {
-		req.Size = minWireSize
-	}
-	if err := c.Send(req.Size, req); err != nil {
-		return nil, err
-	}
-	remain := time.Duration(0)
-	if timeout > 0 {
-		remain = timeout - (h.net.K.Now() - start)
-		if remain <= 0 {
-			return nil, ErrTimeout
+	pr := sim.NewPromise[*HTTPResult](h.net.K)
+	h.HTTPGetAsync(dst, port, req, timeout, func(res *HTTPResult, err error) {
+		if err != nil {
+			pr.Fail(err)
+			return
 		}
-	}
-	payload, err := c.Recv(p, remain)
-	if err != nil {
-		return nil, err
-	}
-	resp, _ := payload.(*HTTPResponse)
-	return &HTTPResult{
-		Resp:    resp,
-		Connect: connect,
-		Total:   h.net.K.Now() - start,
-	}, nil
+		pr.Resolve(res)
+	})
+	return pr.Await(p)
 }
 
 // httpCall is the client state of one HTTPGetAsync: it is the connection's
@@ -195,11 +136,13 @@ type httpCall struct {
 	settled bool
 }
 
-// HTTPGetAsync performs the same measured request as HTTPGet — dial, send,
-// receive, close — without a blocking process: done is invoked inside the
-// completion event. timeout zero waits forever. This is the replay engine's
-// hot path; it allocates a handful of objects per request instead of the
-// process, channel, and promise machinery of the blocking version.
+// HTTPGetAsync performs one measured request from this host — dial, send,
+// receive, close — and invokes done inside the completion event. It is the
+// moral equivalent of the paper's timecurl.sh: Total spans from starting the
+// TCP connection until the response arrives. One deadline covers the whole
+// exchange; timeout zero waits forever (on-demand deployment "with
+// waiting"). req may be shared between calls: it is never written (Port.Send
+// clamps a sub-minimum Size on the packet).
 func (h *Host) HTTPGetAsync(dst Addr, port int, req *HTTPRequest, timeout time.Duration, done func(*HTTPResult, error)) {
 	call := &httpCall{h: h, start: h.net.K.Now(), req: req, done: done}
 	call.c = h.DialAsync(dst, port, call)
@@ -215,11 +158,7 @@ func (call *httpCall) ConnEstablished(c *Conn, ok bool) {
 		return
 	}
 	call.connect = time.Duration(call.h.net.K.Now() - call.start)
-	size := call.req.Size
-	if size < minWireSize {
-		size = minWireSize
-	}
-	c.Send(size, call.req)
+	c.Send(call.req.Size, call.req)
 }
 
 // ConnMessage implements ConnHandler: the response completes the call.
@@ -245,6 +184,10 @@ func (call *httpCall) finish(res *HTTPResult, err error) {
 	if call.timer != nil {
 		call.timer.Cancel()
 	}
-	call.c.Close()
+	if call.c.established {
+		call.c.Close()
+	} else {
+		call.c.Abort() // timed out dialing: the peer may never have seen this connection
+	}
 	call.done(res, err)
 }

@@ -12,9 +12,9 @@ func TestHTTPKeepAlive(t *testing.T) {
 	// One connection serves any number of sequential requests.
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
 	served := 0
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
 		served++
-		return &HTTPResponse{Status: 200, Size: KiB, Body: served}
+		c.Respond(&HTTPResponse{Status: 200, Size: KiB, Body: served})
 	})
 	var bodies []any
 	k.Go("client", func(p *sim.Proc) {
@@ -48,8 +48,8 @@ func TestHTTPKeepAlive(t *testing.T) {
 
 func TestHTTPNilResponseIs500(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return nil
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(nil)
 	})
 	var res *HTTPResult
 	var err error
@@ -69,8 +69,8 @@ func TestHTTPIgnoresForeignPayload(t *testing.T) {
 	// A non-HTTPRequest payload on the server connection is skipped, not
 	// answered — the next real request still gets its response.
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Size: minWireSize}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200, Size: minWireSize})
 	})
 	var status int
 	k.Go("client", func(p *sim.Proc) {
@@ -101,29 +101,86 @@ func TestHTTPIgnoresForeignPayload(t *testing.T) {
 	}
 }
 
+// exchange runs one request through the named entry point to completion.
+func exchange(k *sim.Kernel, entry string, from *Host, dst Addr, req *HTTPRequest, timeout time.Duration) (res *HTTPResult, err error) {
+	if entry == "HTTPGet" {
+		k.Go("client", func(p *sim.Proc) { res, err = from.HTTPGet(p, dst, 80, req, timeout) })
+	} else {
+		from.HTTPGetAsync(dst, 80, req, timeout, func(r *HTTPResult, e error) { res, err = r, e })
+	}
+	k.Run()
+	return res, err
+}
+
+var httpEntryPoints = []string{"HTTPGet", "HTTPGetAsync"}
+
 func TestHTTPSizeClamping(t *testing.T) {
 	// Tiny request/response sizes are clamped to the minimum wire size, so
-	// round-trip timing never falls below the control-segment cost.
-	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond, Bandwidth: 8 * Mbps})
-	var reqSize Bytes
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		reqSize = req.Size
-		return &HTTPResponse{Status: 200, Size: 1} // clamped on send
-	})
-	var res *HTTPResult
-	var err error
-	k.Go("client", func(p *sim.Proc) {
-		res, err = a.HTTPGet(p, b.IP(), 80, &HTTPRequest{Method: "GET", Path: "/", Size: 1}, 0)
-	})
-	k.Run()
-	if err != nil {
-		t.Fatal(err)
+	// round-trip timing never falls below the control-segment cost — on the
+	// packet only: the caller's request may be shared between calls (a
+	// catalog.Request is) and is never written.
+	for _, entry := range httpEntryPoints {
+		k, n, a, b := pair(t, LinkConfig{Latency: time.Millisecond, Bandwidth: 8 * Mbps})
+		var wire []Bytes
+		n.PktTrace = func(_ string, pkt *Packet) {
+			if pkt.Kind == KindDATA {
+				wire = append(wire, pkt.Size)
+			}
+		}
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			c.Respond(&HTTPResponse{Status: 200, Size: 1})
+		})
+		req := &HTTPRequest{Method: "GET", Path: "/", Size: 1}
+		res, err := exchange(k, entry, a, b.IP(), req, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", entry, err)
+		}
+		if len(wire) != 4 { // request and response, two hops each
+			t.Fatalf("%s: %d DATA deliveries, want 4", entry, len(wire))
+		}
+		for _, size := range wire {
+			if size != minWireSize {
+				t.Errorf("%s: DATA segment of %d bytes on the wire, want clamp to %d", entry, size, minWireSize)
+			}
+		}
+		if req.Size != 1 {
+			t.Errorf("%s: caller's request Size = %d after the call, want it left at 1", entry, req.Size)
+		}
+		if res.Resp.Size != 1 {
+			t.Errorf("%s: response object Size = %d, want it left at 1", entry, res.Resp.Size)
+		}
+		if res.Total <= res.Connect {
+			t.Errorf("%s: Total %v must exceed Connect %v", entry, res.Total, res.Connect)
+		}
 	}
-	if reqSize != minWireSize {
-		t.Errorf("server saw request size %d, want clamp to %d", reqSize, minWireSize)
-	}
-	if res.Total <= res.Connect {
-		t.Errorf("Total %v must exceed Connect %v", res.Total, res.Connect)
+}
+
+func TestHTTPDialTimeoutSendsNoFIN(t *testing.T) {
+	// A deadline that expires before the SYN-ACK is back ends the call with
+	// Abort, not Close: the only packet the client ever sends is its SYN, and
+	// it keeps no connection.
+	for _, entry := range httpEntryPoints {
+		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
+		var fromA []PacketKind
+		n.PktTrace = func(where string, pkt *Packet) {
+			if pkt.SrcIP == a.IP() && where == "b" {
+				fromA = append(fromA, pkt.Kind)
+			}
+		}
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			c.Respond(&HTTPResponse{Status: 200})
+		})
+		// 25 ms: the SYN has reached b, the SYN-ACK has not reached a.
+		_, err := exchange(k, entry, a, b.IP(), &HTTPRequest{Method: "GET", Path: "/"}, 25*time.Millisecond)
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("%s: err = %v, want ErrTimeout", entry, err)
+		}
+		if len(fromA) != 1 || fromA[0] != KindSYN {
+			t.Errorf("%s: b received %v from the client, want the SYN alone", entry, fromA)
+		}
+		if a.OpenConns() != 0 {
+			t.Errorf("%s: %d connections left on the client, want 0", entry, a.OpenConns())
+		}
 	}
 }
 
@@ -131,9 +188,8 @@ func TestHTTPGetTimeoutDuringResponse(t *testing.T) {
 	// The handler sleeps past the deadline: HTTPGet must give up with
 	// ErrTimeout even though the connection established fine.
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		p.Sleep(time.Second)
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.RespondAfter(time.Second, &HTTPResponse{Status: 200})
 	})
 	var err error
 	k.Go("client", func(p *sim.Proc) {
@@ -149,8 +205,8 @@ func TestHTTPGetTimeoutConsumedByDial(t *testing.T) {
 	// When the handshake alone eats the whole budget, HTTPGet reports
 	// ErrTimeout instead of waiting forever on the response.
 	k, _, a, b := pair(t, LinkConfig{Latency: 30 * time.Millisecond})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200})
 	})
 	var err error
 	k.Go("client", func(p *sim.Proc) {

@@ -28,8 +28,8 @@ func pair(t *testing.T, cfg LinkConfig) (*sim.Kernel, *Network, *Host, *Host) {
 
 func TestDialAndRequest(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Size: 1 * KiB, Body: "hello"}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200, Size: 1 * KiB, Body: "hello"})
 	})
 	var res *HTTPResult
 	var err error
@@ -69,8 +69,8 @@ func TestConnRefusedThenOpen(t *testing.T) {
 	// The SDN controller's readiness probe pattern: dial until accepted.
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
 	k.After(50*time.Millisecond, func() {
-		b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-			return &HTTPResponse{Status: 200}
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			c.Respond(&HTTPResponse{Status: 200})
 		})
 	})
 	var okAt time.Duration
@@ -113,8 +113,8 @@ func TestDialTimeout(t *testing.T) {
 func TestBandwidthSerialization(t *testing.T) {
 	// 8 MiB over ~83.9 Mbps-ish: use 8 Mbit payload over 1 Mbps = 8 s.
 	k, _, a, b := pair(t, LinkConfig{Latency: 0, Bandwidth: 1 * Mbps})
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Size: minWireSize}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200, Size: minWireSize})
 	})
 	var res *HTTPResult
 	k.Go("client", func(p *sim.Proc) {
@@ -295,8 +295,8 @@ func TestCloseDeliversFIN(t *testing.T) {
 func TestHostProcDelay(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
 	a.ProcDelay = 5 * time.Millisecond // slow client (RPi)
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200})
 	})
 	var res *HTTPResult
 	k.Go("client", func(p *sim.Proc) {
@@ -364,8 +364,8 @@ func TestRouterDefaultRoute(t *testing.T) {
 	_, rc := cloud.AttachTo(r, LinkConfig{Latency: 20 * time.Millisecond})
 	r.AddRoute(a.IP(), ra)
 	r.SetDefault(rc)
-	cloud.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Body: "cloud"}
+	cloud.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200, Body: "cloud"})
 	})
 	var res *HTTPResult
 	k.Go("client", func(p *sim.Proc) {
@@ -391,8 +391,8 @@ func TestPacketString(t *testing.T) {
 func TestTracerRecordsDeliveries(t *testing.T) {
 	k, n, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
 	tr := NewTracer(n)
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200})
 	})
 	k.Go("client", func(p *sim.Proc) {
 		a.HTTPGet(p, b.IP(), 80, &HTTPRequest{}, 0)
@@ -426,8 +426,8 @@ func TestTracerFilterAndLimit(t *testing.T) {
 	tr := NewTracer(n)
 	tr.Filter = func(src, dst Addr) bool { return dst == b.IP() }
 	tr.Limit = 2
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200})
 	})
 	k.Go("client", func(p *sim.Proc) {
 		a.HTTPGet(p, b.IP(), 80, &HTTPRequest{}, 0)
@@ -575,8 +575,8 @@ func TestLinkDownDropsPackets(t *testing.T) {
 	a.SetUplink(pa)
 	b.SetUplink(pb)
 	link := pa.Link()
-	b.ServeHTTP(80, func(p *sim.Proc, req *HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		c.Respond(&HTTPResponse{Status: 200})
 	})
 	link.SetDown(true)
 	var downErr, upErr error
@@ -652,8 +652,8 @@ func (d *dialProbe) ConnClosed(*Conn)       { d.closed++ }
 
 // TestAbortTimedOutDial: a dial given up on before its SYN-ACK arrives sends
 // the SYN and nothing else, leaves no connection on the dialing host, and the
-// late SYN-ACK is freed without reaching the handler — in callback mode
-// through Abort exactly as in process mode through Dial's timeout.
+// late SYN-ACK is freed without reaching the handler — through Abort directly
+// exactly as through the blocking Dial's timeout.
 func TestAbortTimedOutDial(t *testing.T) {
 	for _, mode := range []string{"async", "process"} {
 		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
@@ -693,5 +693,36 @@ func TestAbortTimedOutDial(t *testing.T) {
 		if gets != 2 || puts != 2 {
 			t.Errorf("%s: pool gets/puts = %v/%v, want 2/2 (SYN and the late SYN-ACK, both freed)", mode, gets, puts)
 		}
+	}
+}
+
+// TestCloseTellsHandler pins the ConnClosed contract on the local side: Close
+// on an established connection reports to the handler once, inside the call;
+// a second Close and Abort report nothing.
+func TestCloseTellsHandler(t *testing.T) {
+	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
+	var server dialProbe
+	b.ListenAsync(80, func(*Conn) ConnHandler { return &server })
+	var h dialProbe
+	c := a.DialAsync(b.IP(), 80, &h)
+	k.Run()
+	if h != (dialProbe{established: 1}) {
+		t.Fatalf("after the handshake the handler saw %+v, want one ConnEstablished", h)
+	}
+	c.Close()
+	if h.closed != 1 {
+		t.Fatalf("Close reported %d ConnClosed to the local handler, want 1 before it returns", h.closed)
+	}
+	c.Close()
+	k.Run()
+	if h.closed != 1 || server.closed != 1 {
+		t.Errorf("ConnClosed local/peer = %d/%d, want 1/1", h.closed, server.closed)
+	}
+
+	var aborted dialProbe
+	a.DialAsync(b.IP(), 80, &aborted).Abort()
+	k.Run()
+	if aborted != (dialProbe{}) {
+		t.Errorf("handler of an aborted dial saw %+v, want nothing", aborted)
 	}
 }

@@ -383,8 +383,8 @@ func TestUnregisteredAddressPassesThrough(t *testing.T) {
 	tb := New(Options{Seed: 1, EnableDocker: true})
 	other := simnet.NewHost(tb.Net, "plain-cloud", "203.0.113.200")
 	tb.cloud.attach(other, simnet.LinkConfig{Latency: 2 * time.Millisecond, Bandwidth: simnet.Gbps})
-	other.ServeHTTP(80, func(p *sim.Proc, req *simnet.HTTPRequest) *simnet.HTTPResponse {
-		return &simnet.HTTPResponse{Status: 200, Body: "plain"}
+	other.ServeHTTPAsync(80, func(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
+		c.Respond(&simnet.HTTPResponse{Status: 200, Body: "plain"})
 	})
 	var res *simnet.HTTPResult
 	tb.K.Go("driver", func(p *sim.Proc) {

@@ -6,28 +6,23 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// kernelGoCallSites is the number of places under internal/ (outside the
-// kernel package itself, tests excluded) that start a goroutine-backed
-// process with Kernel.Go. It only goes down: DESIGN.md §21 lists what is
-// left and in which order it is to be ported.
-const kernelGoCallSites = 31
-
-// TestKernelGoCallSites is the ratchet on goroutine-backed processes: it
-// parses the non-test sources and counts the x.Go(name, func) calls. Nothing
-// else in the module has a two-argument method named Go.
-func TestKernelGoCallSites(t *testing.T) {
+// nonTestCalls parses the non-test sources under root, leaving out the skip
+// directory and dot-directories, and reports every selector call x.name(...)
+// with its argument count.
+func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position, name string, args int)) {
+	t.Helper()
 	fset := token.NewFileSet()
-	got := 0
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == filepath.Join("internal", "sim") {
+			if path == filepath.FromSlash(skip) || (len(d.Name()) > 1 && d.Name()[0] == '.') {
 				return filepath.SkipDir
 			}
 			return nil
@@ -40,13 +35,10 @@ func TestKernelGoCallSites(t *testing.T) {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 2 {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
-				got++
-				t.Logf("%s", fset.Position(call.Pos()))
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					visit(fset.Position(call.Pos()), sel.Sel.Name, len(call.Args))
+				}
 			}
 			return true
 		})
@@ -55,8 +47,58 @@ func TestKernelGoCallSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// kernelGoCallSites is the number of places under internal/ (outside the
+// kernel package itself, tests excluded) that start a goroutine-backed
+// process with Kernel.Go. It only goes down: DESIGN.md §21 lists what is
+// left and in which order it is to be ported.
+const kernelGoCallSites = 28
+
+// TestKernelGoCallSites is the ratchet on goroutine-backed processes: it
+// counts the x.Go(name, func) calls. Nothing else in the module has a
+// two-argument method named Go.
+func TestKernelGoCallSites(t *testing.T) {
+	got := 0
+	nonTestCalls(t, "internal", "internal/sim", func(pos token.Position, name string, args int) {
+		if name == "Go" && args == 2 {
+			got++
+			t.Logf("%s", pos)
+		}
+	})
 	if got != kernelGoCallSites {
 		t.Errorf("%d Kernel.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs a row in DESIGN §21",
 			got, kernelGoCallSites)
+	}
+}
+
+// httpGetCallers lists, by file, the non-test callers of the blocking
+// Host.HTTPGet. It only shrinks: each is a process waiting to become an
+// HTTPGetAsync callback, and when the map is empty HTTPGet goes.
+var httpGetCallers = map[string]int{
+	"examples/mobility/main.go":     3,
+	"internal/experiments/scale.go": 1,
+	"internal/registry/registry.go": 2,
+	"internal/testbed/site.go":      1,
+}
+
+// TestBlockingConnCallSites is the ratchet on the process-style connection
+// surface (DESIGN §15): outside internal/simnet only tests drive a Conn
+// through Dial, Listen and Recv(p, timeout) — so simnet/procconn.go can be
+// deleted with its tests — and HTTPGet is called only where recorded. The
+// argument counts tell these from sim.Chan's one-argument Recv.
+func TestBlockingConnCallSites(t *testing.T) {
+	adapter := map[string]int{"Dial": 4, "Listen": 2, "Recv": 2}
+	got := map[string]int{}
+	nonTestCalls(t, ".", "internal/simnet", func(pos token.Position, name string, args int) {
+		if n, ok := adapter[name]; ok && n == args {
+			t.Errorf("%s: non-test call of the blocking %s; use the ConnHandler form", pos, name)
+		}
+		if name == "HTTPGet" && args == 5 {
+			got[filepath.ToSlash(pos.Filename)]++
+		}
+	})
+	if !reflect.DeepEqual(got, httpGetCallers) {
+		t.Errorf("non-test HTTPGet callers by file = %v, recorded %v: shrink the record when one is ported; do not add one", got, httpGetCallers)
 	}
 }
