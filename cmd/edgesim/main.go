@@ -34,9 +34,10 @@ type flags struct {
 
 	backend, faultRates, trace, flame, slo, sloDump, cpuProfile, memProfile string
 
-	// Parsed by validate from -fault-rates and -backend.
+	// Parsed by validate from -fault-rates, -backend and -slo.
 	rates    []float64
 	backends []string
+	slos     []edge.SLO
 }
 
 func newFlagSet(f *flags) *flag.FlagSet {
@@ -112,6 +113,9 @@ func (f *flags) validate() error {
 	}
 	if f.backends, err = parseBackends(f.backend); err != nil {
 		return fmt.Errorf("-backend: %v", err)
+	}
+	if f.slos, err = edge.ParseSLOs(f.slo); err != nil {
+		return fmt.Errorf("-slo: %v", err)
 	}
 	return nil
 }
@@ -224,13 +228,9 @@ func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
 	}
 	// -flame, -slo and -slo-dump imply -attrib.
 	if f.attrib || f.flame != "" || f.slo != "" || f.sloDump != "" {
-		slos, err := edge.ParseSLOs(f.slo)
-		if err != nil {
-			return nil, err
-		}
 		dumped := false
 		o.col = edge.NewAttribCollector(edge.AttribOptions{
-			SLOs: slos,
+			SLOs: f.slos,
 			OnBreach: func(b edge.AttribBreach) {
 				fmt.Fprintf(stderr, "edgesim: SLO BREACH %v on %q: observed %v over %d samples (%d trees in flight recorder)\n",
 					b.SLO, b.Root, b.Observed, b.Samples, len(b.Trees))

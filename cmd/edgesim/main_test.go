@@ -170,6 +170,7 @@ func TestSilentCasesRejected(t *testing.T) {
 		"-scale 0 fig12":                        "-scale",
 		"-fault-rates 0.1,1 scale-faults":       "-fault-rates",
 		"-backend quic scale-steer":             "-backend",
+		"-slo request:p99 scale-replay":         "-slo",
 		"-attrib scale-attrib":                  "-attrib does not apply to scale-attrib",
 		"-counters scale-mobility":              "-counters does not apply to scale-mobility",
 		"-seed 7 sweep":                         "-seed does not apply to sweep",
@@ -188,7 +189,8 @@ func TestSilentCasesRejected(t *testing.T) {
 
 // An experiment that fails after validation exits 1 with the error.
 func TestExperimentErrorExits1(t *testing.T) {
-	code, stdout, stderr := run("-slo", "request:p99", "-replay-requests", "16", "scale-replay")
+	trace := filepath.Join(t.TempDir(), "no-such-dir", "t.json")
+	code, stdout, stderr := run("-trace", trace, "-replay-requests", "16", "scale-replay")
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "edgesim:") {
 		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and the error on stderr", code, stdout, stderr)
 	}

@@ -164,6 +164,7 @@ func kernelStatsMetrics(m map[string]float64, s sim.KernelStats) {
 	m["kernel_wheel_promotions"] = float64(s.WheelPromotions)
 	m["kernel_near_high_water"] = float64(s.NearHighWater)
 	m["kernel_lanes_high_water"] = float64(s.LanesHighWater)
+	m["kernel_proc_coroutines"] = float64(s.CoroutinesCreated)
 	m["kernel_proc_starts"] = float64(s.ProcStarts)
 	m["kernel_proc_switches"] = float64(s.ProcSwitches)
 	m["kernel_live_procs"] = float64(s.LiveProcs)
@@ -210,6 +211,7 @@ func groupStatsMetrics(m map[string]float64, g sim.GroupStats) {
 		k.Scheduled += s.Kernel.Scheduled
 		k.WheelCascades += s.Kernel.WheelCascades
 		k.WheelPromotions += s.Kernel.WheelPromotions
+		k.CoroutinesCreated += s.Kernel.CoroutinesCreated
 		k.ProcStarts += s.Kernel.ProcStarts
 		k.ProcSwitches += s.Kernel.ProcSwitches
 		k.LiveProcs += s.Kernel.LiveProcs

@@ -9,6 +9,7 @@ import (
 	"transparentedge/internal/core"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/obs/attrib"
+	"transparentedge/internal/sim"
 	"transparentedge/internal/testbed"
 	"transparentedge/internal/workload"
 )
@@ -112,13 +113,17 @@ type PointResult struct {
 	Counters map[string]float64
 }
 
-// pointRun is a finished point: its summary plus the scenario it ran on, so
-// each sweep samples what is its own (steering stats, continuity gaps,
-// deployment records, kernel stats).
+// pointRun is a finished point: its summary plus the scenario it ran on —
+// closed, so nothing of it is pinned once the run is dropped — from which each
+// sweep samples what is its own (steering stats, continuity gaps, deployment
+// records). The kernel counters are sampled before the close, which ends the
+// parked processes LiveProcs counts.
 type pointRun struct {
 	PointResult
-	tb *testbed.Testbed // Shards == 0
-	rs *testbed.Regions // Shards >= 1
+	tb     *testbed.Testbed // Shards == 0
+	rs     *testbed.Regions // Shards >= 1
+	kernel sim.KernelStats  // of tb
+	group  sim.GroupStats   // of rs
 }
 
 // sites returns the scenario's sites in region order.
@@ -228,6 +233,13 @@ func runPoint(s pointSpec) (pointRun, error) {
 	}
 	run.Wall = time.Since(start)
 	runtime.ReadMemStats(&after)
+	if run.tb != nil {
+		run.kernel = run.tb.K.Stats()
+		run.tb.Close()
+	} else {
+		run.group = run.rs.Group.Stats()
+		run.rs.Close()
+	}
 	if err != nil {
 		return run, err
 	}

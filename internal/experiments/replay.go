@@ -61,7 +61,7 @@ func ReplayScale(seed int64, requests int, options ...Option) (ReplayScaleResult
 	if err != nil {
 		return ReplayScaleResult{}, err
 	}
-	out := ReplayScaleResult{PointResult: run.PointResult, Kernel: run.tb.K.Stats()}
+	out := ReplayScaleResult{PointResult: run.PointResult, Kernel: run.kernel}
 	for _, s := range o.trace.Spans() {
 		if s.Name == "request" {
 			out.RequestSpans++
@@ -162,7 +162,7 @@ func replayShard(s pointSpec) (ReplayShardResult, error) {
 		PointResult: run.PointResult,
 		Shards:      run.rs.Group.Shards(),
 		Regions:     len(run.rs.Sites),
-		Group:       run.rs.Group.Stats(),
+		Group:       run.group,
 	}, nil
 }
 

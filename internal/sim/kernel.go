@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation (DES)
-// kernel with a virtual clock, cancellable events, goroutine-based
+// kernel with a virtual clock, cancellable events, coroutine-based
 // processes, and synchronization primitives (channels, promises, signals)
 // that block in virtual time.
 //
@@ -9,10 +9,10 @@
 //
 // Concurrency model: the kernel is single-threaded in the sense that at any
 // instant exactly one unit of simulation logic runs — either an event
-// callback or a process goroutine that has been resumed by an event. Process
-// goroutines hand control back to the kernel synchronously, so execution
-// order is fully determined by the event queue ordering (time, then
-// insertion sequence).
+// callback or a process that has been resumed by an event. A process runs on
+// a coroutine the kernel switches into and that switches back when the
+// process blocks (proc.go), so execution order is fully determined by the
+// event queue ordering (time, then insertion sequence).
 //
 // Event storage: the kernel keeps three internally ordered queues and always
 // executes the globally smallest (time, sequence) entry, so the three are
@@ -120,7 +120,7 @@ type Kernel struct {
 	seq     uint64
 	rng     *rand.Rand
 	stepped uint64
-	procs   int // live process goroutines (KernelStats.LiveProcs)
+	procs   int // processes started and not yet returned (KernelStats.LiveProcs)
 	live    int // scheduled, uncancelled, unfired events across all queues
 
 	imm     []immEvent // zero-delay FIFO (Defer)
@@ -132,6 +132,10 @@ type Kernel struct {
 
 	procStarts   uint64 // processes ever started
 	procSwitches uint64 // wake-ups of a parked process
+
+	coros        []*coro // every coroutine not yet stopped, in creation order
+	idle         []*coro // those of coros whose process returned; the next start takes the last
+	corosCreated uint64
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is
@@ -443,6 +447,7 @@ func (k *Kernel) exec(src, lane int) bool {
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
+	k.releaseIdle()
 }
 
 // NextWhen returns the timestamp of the next live event across all queues,
@@ -480,4 +485,5 @@ func (k *Kernel) RunUntil(t Time) {
 	if t > k.now {
 		k.now = t
 	}
+	k.releaseIdle()
 }

@@ -2,23 +2,25 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulation process: a goroutine whose blocking operations
-// (Sleep, channel receives, promise awaits) suspend it in virtual time.
-// Only one process (or event callback) executes at a time; control is handed
-// between the kernel and process goroutines synchronously, so execution
-// remains deterministic.
+// Proc is a simulation process: a body running on a coroutine (iter.Pull)
+// whose blocking operations (Sleep, channel receives, promise awaits) suspend
+// it in virtual time. Only one process (or event callback) executes at a time:
+// the kernel switches into the coroutine and the coroutine switches back, with
+// no run queue and no second thread involved, so execution remains
+// deterministic and a hand-off costs no scheduler wake-up.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan func() // kernel -> proc: wake up (optionally run a handoff check)
-	parked chan struct{}
-	dead   bool
-	// wakeFn is the plain wake(nil) thunk, allocated once per process so the
-	// hot wake paths (Sleep, Chan, Promise, Signal, WaitGroup) can schedule
-	// it without a fresh closure per wake-up.
+	k    *Kernel
+	name string
+	co   *coro // runs the body; nil before the start event and once the body returned
+	dead bool
+	// wakeFn is the wake thunk, allocated once per process so the hot wake
+	// paths (Sleep, Chan, Promise, Signal, WaitGroup) can schedule it without
+	// a fresh closure per wake-up.
 	wakeFn func()
 }
 
@@ -34,53 +36,155 @@ func (p *Proc) Name() string { return p.name }
 // Go spawns a new process. The process body starts executing at the current
 // simulation time (as a separate event), not synchronously.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan func()),
-		parked: make(chan struct{}),
-	}
-	p.wakeFn = func() { p.wake(nil) }
+	p := &Proc{k: k, name: name}
+	p.wakeFn = p.wake
 	k.Defer(func() { p.start(fn) })
 	return p
 }
 
-// start launches the process goroutine and blocks (as the current event)
+// coro is one coroutine of a kernel's pool. It runs one process body at a
+// time; when the body returns it goes on the kernel's idle list and the next
+// process to start takes it, because a fresh iter.Pull costs about nine
+// allocations and a process start should cost none beyond the Proc itself.
+type coro struct {
+	resume func() (struct{}, bool) // iter.Pull's next: runs the body until it parks or returns
+	stop   func()                  // iter.Pull's stop: makes the pending park return false
+	park   func(struct{}) bool     // the sequence's yield: back to whoever called resume or stop
+	p      *Proc                   // the process being run; nil while idle
+	fn     func(p *Proc)
+}
+
+// procKilled is what a parked process panics with when its coroutine is
+// stopped under it (Kernel.Close): the body unwinds through its own deferred
+// calls and coro.run swallows the value.
+type procKilled struct{}
+
+// ProcPanic is the value a kernel panics with when a process body panics.
+// iter.Pull re-raises a coroutine's panic from the resuming call, by which
+// time the process's own stack is gone; this carries it along.
+type ProcPanic struct {
+	Proc  string // name of the process
+	Value any    // what the body passed to panic
+	Stack []byte // debug.Stack() of the process, taken while it was panicking
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.Proc, e.Value, e.Stack)
+}
+
+// Unwrap returns the body's panic value when it was an error.
+func (e *ProcPanic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// newCoro starts a coroutine that runs whatever process it is handed, parks
+// idle, and runs the next one, until it is stopped.
+func (k *Kernel) newCoro() *coro {
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(func(park func(struct{}) bool) {
+		c.park = park
+		for c.run() {
+			k.idle = append(k.idle, c)
+			if !park(struct{}{}) {
+				return
+			}
+		}
+	})
+	k.coros = append(k.coros, c)
+	k.corosCreated++
+	return c
+}
+
+// run executes the body of c.p and reports whether the coroutine may take
+// another process: not after the body was killed, and a body that panicked
+// takes the coroutine down with it.
+func (c *coro) run() (reusable bool) {
+	p := c.p
+	defer func() {
+		p.dead, p.co = true, nil
+		c.p, c.fn = nil, nil
+		p.k.procs--
+		if r := recover(); r != nil {
+			if _, killed := r.(procKilled); !killed {
+				panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+			}
+		}
+	}()
+	c.fn(p)
+	return true
+}
+
+// releaseIdle stops the coroutines no process is using. An idle coroutine is
+// a parked goroutine, which the collector never frees, so a pool that outlived
+// its run would leak every stack it grew once per kernel; Run, RunUntil and
+// ShardGroup's run loop call this before they return.
+func (k *Kernel) releaseIdle() {
+	if len(k.idle) == 0 {
+		return
+	}
+	busy := k.coros[:0]
+	for _, c := range k.coros {
+		if c.p != nil {
+			busy = append(busy, c)
+		} else {
+			c.stop()
+		}
+	}
+	clear(k.coros[len(busy):])
+	k.coros = busy
+	clear(k.idle)
+	k.idle = k.idle[:0]
+}
+
+// Close ends every process that is still parked: each one's pending blocking
+// call panics with an internal value, so the body unwinds through its deferred
+// calls — here, on the caller's goroutine, one process after another in the
+// order their coroutines were created — and its coroutine exits. Without it
+// every parked process pins a goroutine, its stack and whatever the kernel
+// references for the life of the program. The kernel must not run again
+// afterwards (events left in the queue may wake the processes that are gone),
+// and Close must not be called from a process.
+func (k *Kernel) Close() {
+	for _, c := range k.coros {
+		c.stop()
+	}
+	k.coros, k.idle = nil, nil
+}
+
+// start runs the process body on a pooled coroutine, as the current event,
 // until the process parks or finishes. Called from kernel context.
 func (p *Proc) start(fn func(p *Proc)) {
-	p.k.procs++
-	p.k.procStarts++
-	go func() {
-		defer func() {
-			p.dead = true
-			p.k.procs--
-			p.parked <- struct{}{}
-		}()
-		fn(p)
-	}()
-	<-p.parked
+	k := p.k
+	k.procs++
+	k.procStarts++
+	var c *coro
+	if n := len(k.idle); n > 0 {
+		c, k.idle[n-1] = k.idle[n-1], nil
+		k.idle = k.idle[:n-1]
+	} else {
+		c = k.newCoro()
+	}
+	c.p, c.fn, p.co = p, fn, c
+	c.resume()
 }
 
 // yield parks the process and transfers control back to the kernel. The
 // process stays parked until some event calls wake.
 func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	f := <-p.resume
-	if f != nil {
-		f()
+	if !p.co.park(struct{}{}) {
+		panic(procKilled{})
 	}
 }
 
-// wake resumes a parked process from kernel (event) context and blocks until
-// it parks again or finishes. handoff, if non-nil, runs on the process
-// goroutine immediately after resuming and before user code continues.
-func (p *Proc) wake(handoff func()) {
-	if p.dead {
+// wake resumes a parked process from kernel (event) context and returns when
+// it parks again or finishes.
+func (p *Proc) wake() {
+	if p.dead { // its coroutine may be running another process by now
 		panic("sim: waking dead process " + p.name)
 	}
 	p.k.procSwitches++
-	p.resume <- handoff
-	<-p.parked
+	p.co.resume()
 }
 
 // Sleep suspends the process for d of virtual time.

@@ -198,6 +198,13 @@ func (g *ShardGroup) RunUntil(t Time) {
 	}
 }
 
+// Close closes every kernel of the group (see Kernel.Close).
+func (g *ShardGroup) Close() {
+	for _, k := range g.kernels {
+		k.Close()
+	}
+}
+
 // run is the window loop; limit < 0 means run to exhaustion.
 func (g *ShardGroup) run(limit Time) {
 	for {
@@ -209,6 +216,9 @@ func (g *ShardGroup) run(limit Time) {
 			}
 		}
 		if !ok || (limit >= 0 && floor > limit) {
+			for _, k := range g.kernels {
+				k.releaseIdle()
+			}
 			return
 		}
 		horizon := floor + g.look

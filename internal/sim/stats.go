@@ -38,11 +38,16 @@ type KernelStats struct {
 	// simultaneously (lanes are only opened when no existing lane fits, and
 	// empty lanes are reused, so the open-lane count is the high-water).
 	LanesHighWater int
+	// CoroutinesCreated is the number of coroutines the kernel had to create
+	// to run its processes; ProcStarts - CoroutinesCreated starts reused a
+	// pooled one (DESIGN.md §23).
+	CoroutinesCreated uint64
 	// ProcStarts is the number of processes (Kernel.Go) started so far;
 	// ProcSwitches the number of times the kernel woke a parked process —
-	// each one a goroutine hand-off there and back, the cost DESIGN.md §21
+	// each one a coroutine switch there and back, the cost DESIGN.md §21
 	// sizes ports by; LiveProcs the processes started and not yet returned
-	// at snapshot time (each pins a goroutine and its stack).
+	// at snapshot time (each pins a coroutine and its stack until
+	// Kernel.Close).
 	ProcStarts   uint64
 	ProcSwitches uint64
 	LiveProcs    int
@@ -51,25 +56,26 @@ type KernelStats struct {
 // String renders the snapshot as one line of name=value pairs.
 func (s KernelStats) String() string {
 	return fmt.Sprintf("events=%d scheduled=%d pending=%d wheel_cascades=%d wheel_promotions=%d "+
-		"near_high_water=%d lanes_high_water=%d proc_starts=%d proc_switches=%d live_procs=%d",
+		"near_high_water=%d lanes_high_water=%d proc_coroutines=%d proc_starts=%d proc_switches=%d live_procs=%d",
 		s.Events, s.Scheduled, s.Pending, s.WheelCascades, s.WheelPromotions,
-		s.NearHighWater, s.LanesHighWater, s.ProcStarts, s.ProcSwitches, s.LiveProcs)
+		s.NearHighWater, s.LanesHighWater, s.CoroutinesCreated, s.ProcStarts, s.ProcSwitches, s.LiveProcs)
 }
 
 // Stats snapshots the kernel's introspection counters. Safe to call at any
 // point; it never modifies kernel state.
 func (k *Kernel) Stats() KernelStats {
 	return KernelStats{
-		Events:          k.stepped,
-		Scheduled:       k.seq,
-		Pending:         k.live,
-		WheelCascades:   k.wheel.cascades,
-		WheelPromotions: k.wheel.promotions,
-		NearHighWater:   k.wheel.nearHigh,
-		LanesHighWater:  len(k.staged),
-		ProcStarts:      k.procStarts,
-		ProcSwitches:    k.procSwitches,
-		LiveProcs:       k.procs,
+		Events:            k.stepped,
+		Scheduled:         k.seq,
+		Pending:           k.live,
+		WheelCascades:     k.wheel.cascades,
+		WheelPromotions:   k.wheel.promotions,
+		NearHighWater:     k.wheel.nearHigh,
+		LanesHighWater:    len(k.staged),
+		CoroutinesCreated: k.corosCreated,
+		ProcStarts:        k.procStarts,
+		ProcSwitches:      k.procSwitches,
+		LiveProcs:         k.procs,
 	}
 }
 

@@ -139,3 +139,7 @@ func NewRegions(opts RegionOptions) *Regions {
 	}
 	return rs
 }
+
+// Close ends the processes the scenario leaves parked on any of its kernels
+// (see Testbed.Close); the group must not run again.
+func (rs *Regions) Close() { rs.Group.Close() }

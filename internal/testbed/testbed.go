@@ -161,6 +161,13 @@ type Testbed struct {
 	Private *registry.Server
 }
 
+// Close ends the processes the testbed leaves parked (the Kubernetes model
+// alone keeps twenty: work-queue workers, scheduler, node lifecycle, kubelet
+// loops), which otherwise pin their goroutines and the whole testbed for the
+// life of the program. Call it when done with a testbed; results, counters and
+// stats stay readable, but the kernel must not run again.
+func (tb *Testbed) Close() { tb.K.Close() }
+
 // Calibrated constants (see package comment).
 const (
 	egsLinkLatency   = 50 * time.Microsecond

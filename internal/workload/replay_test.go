@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -431,5 +432,56 @@ func TestProcSwitchBudget(t *testing.T) {
 	}
 	if ks.LiveProcs > 20 {
 		t.Errorf("%d processes still live at the end of the run, want <= 20", ks.LiveProcs)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine() once it has stopped moving:
+// a shard window worker signals its WaitGroup a moment before its goroutine is
+// gone, and nothing else can be waited on for that.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 20; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		} else {
+			stable++
+		}
+	}
+	return n
+}
+
+// TestCloseLeavesNoGoroutine: a replay on the Kubernetes testbed leaves the
+// model's control loops parked, one goroutine each, and Testbed.Close ends
+// them; the sharded scenario likewise. Without Close a sweep kept every
+// testbed it had built reachable from those goroutines.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	base := settledGoroutines()
+	trace := Generate(Config{
+		Seed: 42, Services: 4, TotalRequests: 16, MinPerService: 2,
+		Duration: 2 * time.Second, Clients: 20, ZipfS: 1.15, FrontLoad: 1.1,
+	})
+	tb := testbed.New(testbed.Options{
+		Seed: 42, EnableDocker: true, EnableKube: true, Scheduler: core.DockerFirstScheduler{},
+	})
+	if _, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true}); err != nil {
+		t.Fatal(err)
+	}
+	live := tb.K.Stats().LiveProcs
+	if n := runtime.NumGoroutine(); live == 0 || n != base+live {
+		t.Fatalf("%d goroutines after the replay with %d live processes, baseline %d: want one per parked process", n, live, base)
+	}
+	tb.Close()
+	if n, live := runtime.NumGoroutine(), tb.K.Stats().LiveProcs; n != base || live != 0 {
+		t.Fatalf("%d goroutines and %d live processes after Testbed.Close, baseline %d", n, live, base)
+	}
+
+	rs := testbed.NewRegions(testbed.RegionOptions{Seed: 42, Regions: 2, Shards: 2})
+	if _, err := ReplaySharded(rs, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true}); err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	if n := settledGoroutines(); n != base {
+		t.Fatalf("%d goroutines after Regions.Close, baseline %d", n, base)
 	}
 }

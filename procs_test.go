@@ -11,10 +11,9 @@ import (
 	"testing"
 )
 
-// nonTestCalls parses the non-test sources under root, leaving out the skip
-// directory and dot-directories, and reports every selector call x.name(...)
-// with its argument count.
-func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position, name string, args int)) {
+// nonTestFiles parses the non-test sources under root, leaving out the skip
+// directory and dot-directories, and hands each file to visit.
+func nonTestFiles(t *testing.T, root, skip string, visit func(fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -34,6 +33,19 @@ func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position
 		if err != nil {
 			return err
 		}
+		visit(fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nonTestCalls reports every selector call x.name(...) in those files with
+// its argument count.
+func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position, name string, args int)) {
+	t.Helper()
+	nonTestFiles(t, root, skip, func(fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
@@ -42,20 +54,37 @@ func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestSimProcHandOffIsCoroutineOnly keeps the old process hand-off (a
+// goroutine per process and two channels, DESIGN §23) from coming back beside
+// the coroutine: outside shard.go, whose window workers are goroutines, the
+// kernel package starts no goroutine and names no channel type.
+func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
+	nonTestFiles(t, "internal/sim", "", func(fset *token.FileSet, f *ast.File) {
+		if filepath.Base(fset.Position(f.Pos()).Filename) == "shard.go" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement in internal/sim", fset.Position(n.Pos()))
+			case *ast.ChanType:
+				t.Errorf("%s: channel type in internal/sim", fset.Position(n.Pos()))
+			}
+			return true
+		})
+	})
 }
 
 // kernelGoCallSites is the number of places under internal/ (outside the
-// kernel package itself, tests excluded) that start a goroutine-backed
-// process with Kernel.Go. It only goes down: DESIGN.md §21 lists what is
+// kernel package itself, tests excluded) that start a process with
+// Kernel.Go. It only goes down: DESIGN.md §21 lists what is
 // left and in which order it is to be ported.
 const kernelGoCallSites = 28
 
-// TestKernelGoCallSites is the ratchet on goroutine-backed processes: it
+// TestKernelGoCallSites is the ratchet on processes: it
 // counts the x.Go(name, func) calls. Nothing else in the module has a
 // two-argument method named Go.
 func TestKernelGoCallSites(t *testing.T) {
