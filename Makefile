@@ -29,8 +29,9 @@ race:
 	$(GO) test -race ./...
 
 # Performance numbers come from the repository benchmark below
-# (`make bench-repo`). `go test -bench . -run '^$$' ./...` still regenerates
-# the paper's figure tables (root bench_test.go) and runs the per-layer cost
+# (`make bench-repo`); the paper's figure tables come from `edgesim`
+# (`make experiments`) and are pinned by `make golden`'s files.
+# `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost
 # gates: internal/openflow's BenchmarkAddFlow (at1k/at10k, within-3x),
 # internal/kube's BenchmarkEnsureDeployed (at1/at500, within-2x),
 # internal/simnet's BenchmarkLinkContention (at1/at1024, within-4x of the

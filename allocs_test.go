@@ -20,17 +20,18 @@ import (
 // simulation is deterministic per seed, so the count is stable — a failure
 // here means a new allocation crept onto the request path.
 func TestReplayAllocsPerRequestRegression(t *testing.T) {
+	const seed = 42
 	for _, ep := range []struct {
 		name         string
 		small, large int
 		replay       func(requests int) (errors int, err error)
 	}{
 		{"single-site", 2000, 8000, func(n int) (int, error) {
-			res, err := edge.RunReplayScale(benchSeed, n)
+			res, err := edge.RunReplayScale(seed, n)
 			return res.Errors, err
 		}},
 		{"sharded", 8000, 32000, func(n int) (int, error) {
-			res, err := edge.RunReplayShard(benchSeed, n, 1, nil)
+			res, err := edge.RunReplayShard(seed, n, 1, nil)
 			return res.Errors, err
 		}},
 	} {

@@ -90,10 +90,6 @@ type (
 	// GlobalScheduler chooses the FAST (current request) and BEST (future
 	// requests) edge clusters.
 	GlobalScheduler = core.GlobalScheduler
-	// SchedulerState is the scheduling input for one request.
-	SchedulerState = core.State
-	// SchedulerChoice is a Global Scheduler's decision.
-	SchedulerChoice = core.Choice
 	// DeployRecord captures per-phase deployment timings
 	// (Pull/Create/ScaleUp/ReadyWait).
 	DeployRecord = core.DeployRecord
@@ -172,11 +168,6 @@ func ReplayTrace(tb *Testbed, tr *Trace, serviceKey string, prePull, preCreate b
 // obs handles, and an optional handover schedule.
 type ReplayOptions = workload.Options
 
-// ReplayTraceWith replays a trace with explicit ReplayOptions.
-func ReplayTraceWith(tb *Testbed, tr *Trace, serviceKey string, opts ReplayOptions) (*ReplayResult, error) {
-	return workload.ReplayWith(tb, tr, serviceKey, opts)
-}
-
 // Metrics types.
 type (
 	// Series is a latency sample collection with medians/percentiles.
@@ -184,8 +175,6 @@ type (
 	// Hist is a fixed-memory log-bucketed histogram; mergeable across
 	// sweep variants (Hist.Merge is exact on bucket state).
 	Hist = metrics.Hist
-	// ResultTable is a rendered experiment table.
-	ResultTable = metrics.Table
 )
 
 // Observability types (DESIGN.md §12): deterministic virtual-time span
@@ -199,8 +188,6 @@ type (
 	Span = obs.Span
 	// CounterRegistry hands out named counters/gauges and snapshots them.
 	CounterRegistry = obs.Registry
-	// CounterSample is one snapshotted metric value.
-	CounterSample = obs.Sample
 	// ObsEvent is a structured controller lifecycle event; ObsEvent.String
 	// renders it as one log line.
 	ObsEvent = obs.Event
@@ -263,9 +250,6 @@ type (
 	// KernelStats is the DES kernel's introspection snapshot (event and
 	// timing-wheel counters; free and deterministic).
 	KernelStats = sim.KernelStats
-	// ShardGroupStats is the sharded kernel group's introspection snapshot
-	// (window loop, per-shard kernels, cross-shard traffic, barrier stalls).
-	ShardGroupStats = sim.GroupStats
 	// AttribSweepResult is the scale-attrib experiment's result: per-phase
 	// dispatch latency openflow-vs-srv6 across the client axis, plus the
 	// attribution determinism gates at shard counts {1,2,4,8}.
@@ -444,8 +428,6 @@ func RunMobilitySweep(seed int64, requests int, backends []string) (experiments.
 type (
 	// SweepVariant is one scenario of a parameter sweep.
 	SweepVariant = experiments.SweepVariant
-	// SweepVariantResult is the outcome of one variant.
-	SweepVariantResult = experiments.VariantResult
 	// SweepResult aggregates a sweep (per-variant results + merged Hist).
 	SweepResult = experiments.SweepResult
 	// ExperimentJSON is the uniform machine-readable result shape the
@@ -472,10 +454,6 @@ func WaitingSweepVariants(seeds, requests int) []SweepVariant {
 type (
 	// FaultSpec declares a whole testbed's fault plan.
 	FaultSpec = faults.Spec
-	// ClusterFaultSpec declares one cluster's failure behavior.
-	ClusterFaultSpec = faults.ClusterSpec
-	// FaultWindow is a half-open [From, To) outage interval.
-	FaultWindow = faults.Window
 	// FaultSweepResult aggregates a fault-rate sweep.
 	FaultSweepResult = experiments.FaultSweepResult
 )
@@ -484,11 +462,4 @@ type (
 // cold trace under each injected fault rate (rate 0 = fault-free baseline).
 func FaultSweepVariants(seed int64, requests int, rates []float64) []SweepVariant {
 	return experiments.FaultSweepVariants(seed, requests, rates)
-}
-
-// RunFaultSweep replays the seeded trace under each injected fault rate
-// across a worker pool (procs <= 0 uses GOMAXPROCS), showing requests
-// resolving via retry, next-best-cluster fallback, or cloud fallback.
-func RunFaultSweep(seed int64, requests int, rates []float64, procs int) (FaultSweepResult, error) {
-	return experiments.FaultSweep(seed, requests, rates, procs)
 }

@@ -112,13 +112,6 @@ type MultiEndpoint interface {
 	Endpoints(service string) []Instance
 }
 
-// Scalable is implemented by clusters that support arbitrary replica
-// counts beyond the on-demand 0->1 scale-up.
-type Scalable interface {
-	// SetReplicas sets the desired instance count.
-	SetReplicas(p *sim.Proc, service string, replicas int) error
-}
-
 // ImageDeleter is implemented by clusters that can delete cached images
 // (the optional Delete phase of fig. 4 — "unlikely, but if disk space is
 // scarce"). Layers shared with other cached images survive, so a later

@@ -317,14 +317,9 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		FlowPriority: c.cfg.FlowPriority,
 		IdleTimeout:  c.cfg.SwitchIdleTimeout,
 		// Stateless backends have no flow-removed notification; their
-		// idle-expired bindings GC the client-location record the same way
-		// HandleFlowRemoved does for rule-based backends.
-		OnExpired: func(f steer.Flow) {
-			if c.Memory.ClientFlows(f.Client) == 0 {
-				c.dropHandoverState(f.Client)
-			}
-		},
-		Counters: cfg.Counters,
+		// idle-expired bindings reach steeringExpired directly.
+		OnExpired: c.steeringExpired,
+		Counters:  cfg.Counters,
 	})
 	// Resolve the observability sinks once. Each handle no-ops on nil, so
 	// instrumented sites pay a single inlined nil check when obs is off.
@@ -512,19 +507,23 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 
 // HandleFlowRemoved implements openflow.Controller: the controller-state
 // GC hook. The redirect / cloud-forward rules the controller installs ask
-// for flow-removed notifications, so when one idle-expires the cookie
-// bookkeeping for its client/service pair is released. A client whose last
-// memorized flow is also gone needs no location record anymore — the next
-// packet-in re-learns it — so cloud-forwarded clients (which never enter
-// the FlowMemory) are evicted here too.
+// for a flow-removed notification, so when a pair idle-expires the cookie
+// bookkeeping for its client/service pair is released.
 func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) {
 	// Only the forward rule of a pair notifies; its match carries the
 	// original flow key (client -> VIP:port). The backend releases its own
 	// bookkeeping and reports which flow expired.
-	f, ok := c.steerB.FlowRemoved(sw, rule)
-	if !ok {
-		return
+	if f, ok := c.steerB.FlowRemoved(sw, rule); ok {
+		c.steeringExpired(f)
 	}
+}
+
+// steeringExpired is where both backends report a flow whose steering state
+// idled out. A client whose last memorized flow is also gone needs no
+// location record anymore — the next packet-in re-learns it — so
+// cloud-forwarded clients (which never enter the FlowMemory) are evicted
+// here too.
+func (c *Controller) steeringExpired(f steer.Flow) {
 	if c.Memory.ClientFlows(f.Client) == 0 {
 		c.dropHandoverState(f.Client)
 	}
@@ -987,9 +986,6 @@ func (c *Controller) CookieCount() int { return c.steerB.Entries() }
 
 // SteerStats snapshots the steering backend's data-plane footprint.
 func (c *Controller) SteerStats() steer.TableStats { return c.steerB.Stats() }
-
-// SteerName identifies the configured steering backend.
-func (c *Controller) SteerName() string { return c.steerB.Name() }
 
 // TrackedClients returns how many client location records the dispatcher
 // holds. Bounded: a record is evicted when the client's last memorized

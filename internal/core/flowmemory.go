@@ -22,11 +22,14 @@ type FlowKey struct {
 type MemEntry struct {
 	Key      FlowKey
 	Instance cluster.Instance
-	LastUsed sim.Time
-	// expiry is the entry's one idle-check event, re-armed at every re-check
-	// and cancelled on removal.
-	expiry *sim.Event
+	// idle is the entry's idle clock: Get and a re-pointing Put touch it, and
+	// it evicts the entry when it runs out. Unexported, so that the copies
+	// Entries and ClientEntries hand out cannot stop or re-arm anything.
+	idle sim.Idle
 }
+
+// Last returns when the entry was last put or got.
+func (e *MemEntry) Last() sim.Time { return e.idle.Last() }
 
 type instanceKey struct {
 	addr simnet.Addr
@@ -191,7 +194,7 @@ func (m *FlowMemory) Get(key FlowKey) (cluster.Instance, bool) {
 	}
 	m.Hits++
 	m.cHits.Inc()
-	e.LastUsed = m.k.Now()
+	e.idle.Touch(m.k.Now())
 	return e.Instance, true
 }
 
@@ -202,13 +205,13 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 		m.detachService(old)
 		m.decInstance(old.Instance)
 		old.Instance = inst
-		old.LastUsed = m.k.Now()
+		old.idle.Touch(m.k.Now())
 		m.attachService(old)
 		m.perInst[ik]++
 		m.noteAttach(ik)
 		return
 	}
-	e := &MemEntry{Key: key, Instance: inst, LastUsed: m.k.Now()}
+	e := &MemEntry{Key: key, Instance: inst}
 	m.entries[key] = e
 	m.attachService(e)
 	m.perInst[ik]++
@@ -220,8 +223,7 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 	}
 	set[e] = struct{}{}
 	m.gEntries.Set(int64(len(m.entries)))
-	e.expiry = m.k.NewEvent(func() { m.expiryCheck(e) })
-	m.k.Schedule(e.expiry, e.LastUsed+m.idle)
+	e.idle.Start(m.k, m.idle, func() { m.remove(e) })
 }
 
 // RedirectService re-points every memorized flow of a service to a new
@@ -253,21 +255,10 @@ func (m *FlowMemory) Entries() []MemEntry {
 	return out
 }
 
-// expiryCheck fires at the earliest instant e could have idled out: it
-// evicts e, or re-arms e's event for the deadline a Get or re-Put has since
-// pushed back.
-func (m *FlowMemory) expiryCheck(e *MemEntry) {
-	if m.k.Now()-e.LastUsed < m.idle {
-		m.k.Schedule(e.expiry, e.LastUsed+m.idle)
-		return
-	}
-	m.remove(e)
-}
-
-// remove drops e and cancels its expiry event (a no-op when called from e's
-// own check, as today), so a dropped entry can never leave an event behind.
+// remove drops e and stops its idle clock (a no-op when the clock itself
+// calls remove, as today), so a dropped entry can never leave an event behind.
 func (m *FlowMemory) remove(e *MemEntry) {
-	e.expiry.Cancel()
+	e.idle.Stop()
 	m.cEvictions.Inc()
 	delete(m.entries, e.Key)
 	m.gEntries.Set(int64(len(m.entries)))

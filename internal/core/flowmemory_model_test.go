@@ -153,7 +153,7 @@ func TestFlowMemoryMatchesBruteForce(t *testing.T) {
 				t.Fatalf("clock %v with %d entries, reference %v with %d", k.Now(), m.Len(), ref.k.Now(), len(ref.entries))
 			}
 			for _, e := range m.Entries() {
-				if r := ref.entries[e.Key]; r == nil || r.inst != e.Instance || r.lastUsed != e.LastUsed {
+				if r := ref.entries[e.Key]; r == nil || r.inst != e.Instance || r.lastUsed != e.Last() {
 					t.Fatalf("entry %+v, reference %+v", e, r)
 				}
 			}

@@ -54,23 +54,20 @@ func AblationFlowMemory(seed int64) (*FlowMemoryResult, error) {
 			return 0, 0, err
 		}
 		series := metrics.NewSeries("returning")
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 			if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			for i := 0; i < 20; i++ {
 				p.Sleep(5 * time.Second) // switch flow idle-expires
 				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 				if err != nil {
-					rerr = err
-					return
+					return err
 				}
 				series.Add(p.Now(), hr.Total)
 			}
+			return nil
 		})
-		tb.K.RunUntil(30 * time.Minute)
 		return series.Median(), tb.Ctrl.Stats.PacketIns, rerr
 	}
 	with, pktWith, err := run(true)
@@ -125,26 +122,23 @@ func AblationIdleTimeout(seed int64, timeouts []time.Duration) (*IdleTimeoutResu
 		}
 		series := metrics.NewSeries("req")
 		peak := 0
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
 			if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			for i := 0; i < 30; i++ {
 				p.Sleep(5 * time.Second)
 				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 				if err != nil {
-					rerr = err
-					return
+					return err
 				}
 				series.Add(p.Now(), hr.Total)
 				if n := tb.Switch.RuleCount(); n > peak {
 					peak = n
 				}
 			}
+			return nil
 		})
-		tb.K.RunUntil(time.Hour)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -189,29 +183,25 @@ func AblationWaitingPolicy(seed int64) (*WaitingPolicyResult, error) {
 			return nil, err
 		}
 		var first, later time.Duration
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 			for _, cl := range tb.Ctrl.Clusters() {
 				if err := cl.Pull(p, a); err != nil {
-					rerr = err
-					return
+					return err
 				}
 			}
 			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			first = hr.Total
 			p.Sleep(time.Minute) // background deployments settle
 			hr, err = tb.Request(p, 0, reg, catalog.Nginx, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			later = hr.Total
+			return nil
 		})
-		tb.K.RunUntil(30 * time.Minute)
 		if rerr != nil {
 			return nil, fmt.Errorf("%s: %w", pl.name, rerr)
 		}
@@ -257,21 +247,19 @@ func AblationProactive(seed int64) (*ProactiveResult, error) {
 			return 0, 0, err
 		}
 		series := metrics.NewSeries("periodic")
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
 			for i := 0; i < 20; i++ {
 				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 				if err != nil {
-					rerr = err
-					return
+					return err
 				}
 				if i >= 3 { // skip warm-up (predictor needs samples)
 					series.Add(p.Now(), hr.Total)
 				}
 				p.Sleep(45 * time.Second)
 			}
+			return nil
 		})
-		tb.K.RunUntil(time.Hour)
 		return series.Median(), tb.Ctrl.Stats.ProactiveDeployments, rerr
 	}
 	without, _, err := run(nil)
@@ -312,24 +300,20 @@ func AblationProbeInterval(seed int64, intervals []time.Duration) (*ProbeResult,
 			return nil, err
 		}
 		series := metrics.NewSeries(iv.String())
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 2*time.Hour, func(p *sim.Proc) error {
 			// Pull + create ahead; measure repeated cold scale-ups.
 			for _, cl := range tb.Ctrl.Clusters() {
 				if err := cl.Pull(p, a); err != nil {
-					rerr = err
-					return
+					return err
 				}
 				if err := cl.Create(p, a); err != nil {
-					rerr = err
-					return
+					return err
 				}
 			}
 			for i := 0; i < 10; i++ {
 				hr, err := tb.Request(p, i%len(tb.Clients), reg, catalog.Nginx, 0)
 				if err != nil {
-					rerr = err
-					return
+					return err
 				}
 				series.Add(p.Now(), hr.Total)
 				// Scale down and let flows/memory drain so the next
@@ -337,8 +321,8 @@ func AblationProbeInterval(seed int64, intervals []time.Duration) (*ProbeResult,
 				tb.Ctrl.ScaleDownService(p, "egs-docker", a.UniqueName)
 				p.Sleep(3 * time.Minute)
 			}
+			return nil
 		})
-		tb.K.RunUntil(2 * time.Hour)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -373,16 +357,13 @@ func AblationHierarchy(seed int64) (*HierarchyResult, error) {
 			return 0, err
 		}
 		var first time.Duration
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 			// Cache images at both sites.
 			if err := tb.Docker.Pull(p, a); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			if err := tb.FarDocker.Pull(p, a); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			if warmFar {
 				tb.FarDocker.Create(p, a)
@@ -396,12 +377,11 @@ func AblationHierarchy(seed int64) (*HierarchyResult, error) {
 			}
 			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			first = hr.Total
+			return nil
 		})
-		tb.K.RunUntil(30 * time.Minute)
 		return first, rerr
 	}
 	cold, err := run(false, false)

@@ -62,7 +62,7 @@ func requireSumProperty(t *testing.T, col *attrib.Collector, workloadName string
 // plain sharded replay.
 func TestAttribSumPropertyReplay(t *testing.T) {
 	col := attrib.New(attrib.Options{})
-	must(ReplayShard(7, 320, 2, nil, WithAttrib(col)))
+	served(t, "replay", must(ReplayShard(7, 320, 2, nil, WithAttrib(col))).PointResult)
 	requireSumProperty(t, col, "replay")
 }
 
@@ -95,6 +95,7 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	served(t, "mobility", run.PointResult)
 	requireSumProperty(t, col, "mobility")
 	rep := col.Report()
 	if run.tb.Ctrl.Stats.HandoverReAnchors > 0 {

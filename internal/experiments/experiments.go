@@ -49,6 +49,19 @@ func clusterLabel(kind string) string {
 	return "K8s"
 }
 
+// drive runs body as the driver process of the scenario on k until the
+// virtual instant until, returns body's error, and closes the kernel: the
+// processes the scenario leaves parked (a Kubernetes testbed keeps twenty)
+// end with it instead of pinning their goroutines and the testbed for the
+// life of the program. What the scenario recorded stays readable.
+func drive(k *sim.Kernel, until time.Duration, body func(p *sim.Proc) error) error {
+	var err error
+	k.Go("driver", func(p *sim.Proc) { err = body(p) })
+	k.RunUntil(until)
+	k.Close()
+	return err
+}
+
 // TraceConfig returns the workload configuration used by the trace-driven
 // figures. Scale reduces the request volume for quick runs (1 = the paper's
 // full 1708-request trace).
@@ -229,6 +242,7 @@ func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) 
 				PrePull: true, PreCreate: preCreate,
 				Trace: tr, Counters: o.counters,
 			})
+			tb.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", key, kind, err)
 			}
@@ -278,15 +292,13 @@ func Fig13Pull(seed int64, options ...Option) (*PullResult, error) {
 				return nil, err
 			}
 			var d time.Duration
-			var perr error
-			tb.K.Go("pull", func(p *sim.Proc) {
+			if err := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 				t0 := p.Now()
-				perr = tb.Docker.Pull(p, a)
+				err := tb.Docker.Pull(p, a)
 				d = p.Now() - t0
-			})
-			tb.K.RunUntil(30 * time.Minute)
-			if perr != nil {
-				return nil, perr
+				return err
+			}); err != nil {
+				return nil, err
 			}
 			cells[i] = d
 		}
@@ -326,29 +338,25 @@ func Fig16Warm(seed int64, requests int, options ...Option) (*WarmResult, error)
 				return nil, err
 			}
 			series := metrics.NewSeries(key)
-			var rerr error
-			tb.K.Go("driver", func(p *sim.Proc) {
+			rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
 				if _, err := tb.Ctrl.EnsureDeployed(p, clusterName(kind), a.UniqueName); err != nil {
-					rerr = err
-					return
+					return err
 				}
 				// Prime the redirect flow, then measure.
 				if _, err := tb.Request(p, 0, reg, key, 0); err != nil {
-					rerr = err
-					return
+					return err
 				}
 				for i := 0; i < requests; i++ {
 					cli := i % len(tb.Clients)
 					hr, err := tb.Request(p, cli, reg, key, 0)
 					if err != nil {
-						rerr = err
-						return
+						return err
 					}
 					series.Add(p.Now(), hr.Total)
 					p.Sleep(50 * time.Millisecond) // keep flows warm, spread load
 				}
+				return nil
 			})
-			tb.K.RunUntil(time.Hour)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -411,31 +419,26 @@ func HybridStudy(seed int64, options ...Option) (*HybridResult, error) {
 			return nil, err
 		}
 		var first time.Duration
-		var rerr error
 		tookOver := false
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 			// Cache images and create everywhere (isolate start times).
 			for _, cl := range tb.Ctrl.Clusters() {
 				if err := cl.Pull(p, a); err != nil {
-					rerr = err
-					return
+					return err
 				}
 				if err := cl.Create(p, a); err != nil {
-					rerr = err
-					return
+					return err
 				}
 			}
 			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			first = hr.Total
 			if pol.name == "hybrid" {
 				p.Sleep(30 * time.Second)
 				if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
-					rerr = err
-					return
+					return err
 				}
 				for _, e := range tb.Ctrl.Memory.Entries() {
 					if e.Instance.Cluster == "egs-k8s" {
@@ -443,8 +446,8 @@ func HybridStudy(seed int64, options ...Option) (*HybridResult, error) {
 					}
 				}
 			}
+			return nil
 		})
-		tb.K.RunUntil(30 * time.Minute)
 		if rerr != nil {
 			return nil, rerr
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,13 @@ func TestFig9And10(t *testing.T) {
 	}
 	if total != 1708 || len(res.PerService) != 42 {
 		t.Fatalf("trace = %d requests / %d services", total, len(res.PerService))
+	}
+	deploys := 0
+	for _, n := range res.DeploysPerSecond {
+		deploys += n
+	}
+	if deploys != 42 {
+		t.Fatalf("fig. 10 counts %d deployments, want one per service", deploys)
 	}
 	// "up to eight deployments per second in the beginning"
 	if res.MaxDeploysPerSec < 3 {
@@ -191,10 +199,18 @@ func TestFig16WarmShapes(t *testing.T) {
 	}
 }
 
+// TestHybridStudy also pins what drive owes every figure experiment: the
+// study builds three testbeds, two with the Kubernetes model and its twenty
+// parked control loops, and leaves no goroutine of them behind.
 func TestHybridStudy(t *testing.T) {
+	base := runtime.NumGoroutine()
 	res, err := HybridStudy(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// More, not different: an earlier test's shard workers may still be exiting.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after HybridStudy, %d before: a testbed was left unclosed", n, base)
 	}
 	dkr, _ := res.Table.Cell("docker-only", "first request")
 	k8s, _ := res.Table.Cell("k8s-only", "first request")

@@ -47,30 +47,25 @@ func FutureWorkServerless(seed int64) (*ServerlessResult, error) {
 		}
 		cl := tb.ClusterByKind(pf.kind)
 		var first, warm time.Duration
-		var rerr error
-		tb.K.Go("driver", func(p *sim.Proc) {
+		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
 			if err := cl.Pull(p, a); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			if err := cl.Create(p, a); err != nil {
-				rerr = err
-				return
+				return err
 			}
 			hr, err := tb.Request(p, 0, reg, pf.key, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			first = hr.Total
 			hr, err = tb.Request(p, 0, reg, pf.key, 0)
 			if err != nil {
-				rerr = err
-				return
+				return err
 			}
 			warm = hr.Total
+			return nil
 		})
-		tb.K.RunUntil(30 * time.Minute)
 		if rerr != nil {
 			return nil, rerr
 		}

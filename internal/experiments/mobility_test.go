@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -18,6 +19,7 @@ func TestMobilitySweepShape(t *testing.T) {
 	}
 	byBackend := map[string][]MobilityPoint{}
 	for _, p := range r.Points {
+		served(t, fmt.Sprintf("%s, dwell %v", p.Backend, p.MeanDwell), p.PointResult)
 		byBackend[p.Backend] = append(byBackend[p.Backend], p)
 	}
 	of, sr := byBackend["openflow"], byBackend["srv6"]
@@ -95,6 +97,8 @@ func TestMobilityShardDeterminism(t *testing.T) {
 		t.Error("sharded run executed no handovers")
 	}
 	c := must(RunMobilityShard(5, 160, 8, dwell, "openflow"))
+	served(t, "2 shards", a.PointResult)
+	served(t, "8 shards", c.PointResult)
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Errorf("2 vs 8 shards: %016x vs %016x", a.Fingerprint(), c.Fingerprint())
 	}

@@ -65,6 +65,8 @@ func TestReplayScaleSpanCount(t *testing.T) {
 func TestReplayScaleResultParity(t *testing.T) {
 	bare := must(ReplayScale(3, 250))
 	traced := must(ReplayScale(3, 250, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry())))
+	served(t, "bare", bare.PointResult)
+	served(t, "traced", traced.PointResult)
 	if bare.Requests != traced.Requests || bare.Errors != traced.Errors ||
 		bare.Median != traced.Median || bare.P95 != traced.P95 ||
 		bare.Deployments != traced.Deployments {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"transparentedge/internal/obs"
+	"transparentedge/internal/obs/attrib"
 	"transparentedge/internal/testbed"
 )
 
@@ -37,6 +40,66 @@ func TestUnknownBackendIsAnError(t *testing.T) {
 }
 
 func second[T any](_ T, err error) error { return err }
+
+// served fails the test unless a point that injected no faults answered
+// every request of its trace: none failed, none was still incomplete at the
+// run bound. A request nobody answers is a bug (the transparency the paper
+// claims means the client cannot tell, let alone recover), not an outcome.
+func served(t *testing.T, what string, p PointResult) {
+	t.Helper()
+	if p.Errors != 0 || p.Unfinished != 0 {
+		t.Errorf("%s: %d failed and %d unfinished of %d requests, want every one served", what, p.Errors, p.Unfinished, p.Requests)
+	}
+}
+
+// TestPointsWithoutFaultsServeEveryRequest runs one point of each shape the
+// sweeps build — plain, many clients, sharded, both steering backends,
+// mobility, attribution attached — and the reruns of the parity gate, whose
+// results the sweeps drop after fingerprinting them.
+func TestPointsWithoutFaultsServeEveryRequest(t *testing.T) {
+	mobile := func(s pointSpec) pointSpec {
+		s.GNBs, s.Dwell = MobilityCells, mobilityDwells[len(mobilityDwells)-1]
+		return s
+	}
+	sharded := func(s pointSpec, shards int) pointSpec {
+		s.Shards = shards
+		return s
+	}
+	many := runOpts{}.point(13, 600)
+	many.Clients = 200
+	for name, s := range map[string]pointSpec{
+		"replay":                     runOpts{}.point(3, 600),
+		"replay, 200 clients":        many,
+		"replay, 2 shards":           sharded(runOpts{}.point(7, 600), 2),
+		"srv6":                       runOpts{steer: "srv6"}.point(21, 600),
+		"attrib, 4 shards":           sharded(runOpts{attrib: attrib.New(attrib.Options{})}.point(7, 320), 4),
+		"mobility openflow":          mobile(runOpts{steer: "openflow"}.point(11, 1000)),
+		"mobility srv6":              mobile(runOpts{steer: "srv6"}.point(11, 1000)),
+		"mobility openflow, 1 shard": sharded(mobile(runOpts{steer: "openflow"}.point(6, 2500)), 1),
+	} {
+		run, err := runPoint(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		served(t, name, run.PointResult)
+	}
+
+	for _, backend := range SteerBackends {
+		base := sharded(runOpts{steer: backend}.point(13, 400), 1)
+		reruns := 0
+		fingerprint := func(s pointSpec) (uint64, error) {
+			r, err := replayShard(s)
+			reruns++
+			served(t, fmt.Sprintf("%s gate rerun %d (%d shards)", backend, reruns, s.Shards), r.PointResult)
+			return r.Fingerprint(), err
+		}
+		_, shardOK, tracedOK, err := parityGate(fingerprint, base, parityShards,
+			func(s *pointSpec) { s.Trace, s.Counters = obs.NewTracer(0), obs.NewRegistry() })
+		if err != nil || !shardOK || !tracedOK || reruns != len(parityShards)+2 {
+			t.Errorf("%s gate: %d reruns, shard/traced match %v/%v, err %v", backend, reruns, shardOK, tracedOK, err)
+		}
+	}
+}
 
 // Every fingerprint in the package starts from the historical literal, not
 // the standard FNV-1a offset basis: pin the mixer's output so "fixing" the

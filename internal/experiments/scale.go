@@ -189,19 +189,18 @@ func DispatchScale(seed int64, clusters int, serial bool, options ...Option) (Di
 	}
 	client := r.attach("ue", "10.0.1.1", 2)
 
-	var rerr error
-	r.k.Go("driver", func(p *sim.Proc) {
-		if _, rerr = r.ctrl.EnsureDeployed(p, r.stubs[0].Name(), r.service); rerr != nil {
-			return
+	err = drive(r.k, time.Hour, func(p *sim.Proc) error {
+		if _, err := r.ctrl.EnsureDeployed(p, r.stubs[0].Name(), r.service); err != nil {
+			return err
 		}
-		var got *simnet.HTTPResult
-		if got, rerr = client.HTTPGet(p, scaleVIP, 80, &simnet.HTTPRequest{}, 0); rerr == nil {
+		got, err := client.HTTPGet(p, scaleVIP, 80, &simnet.HTTPRequest{}, 0)
+		if err == nil {
 			res.Dispatch = got.Total
 		}
+		return err
 	})
-	r.k.RunUntil(time.Hour)
 	o.attrib.EndStream()
-	return res, rerr
+	return res, err
 }
 
 // CookieChurnResult reports the controller-state sizes over a one-shot

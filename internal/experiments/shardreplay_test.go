@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"transparentedge/internal/faults"
@@ -13,11 +14,10 @@ import (
 func TestReplayShardParitySerialVsSharded(t *testing.T) {
 	const seed, requests = 7, 640
 	serial := must(ReplayShard(seed, requests, 1, nil))
-	if serial.Errors != 0 {
-		t.Fatalf("serial run had %d errors", serial.Errors)
-	}
+	served(t, "serial", serial.PointResult)
 	for _, shards := range []int{2, 4, 8} {
 		got := must(ReplayShard(seed, requests, shards, nil))
+		served(t, fmt.Sprintf("%d shards", shards), got.PointResult)
 		if got.Shards != shards {
 			t.Fatalf("shards = %d, want %d", got.Shards, shards)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"transparentedge/internal/obs"
@@ -23,6 +24,8 @@ func TestSteerBackendParity(t *testing.T) {
 	}
 	of := runOne("openflow")
 	sr := runOne("srv6")
+	served(t, "openflow", of.res.PointResult)
+	served(t, "srv6", sr.res.PointResult)
 
 	if of.res.Errors != sr.res.Errors {
 		t.Errorf("errors: openflow %d, srv6 %d", of.res.Errors, sr.res.Errors)
@@ -67,6 +70,7 @@ func TestSteerSweepScaling(t *testing.T) {
 	r := must(SteerSweep(13, 600, nil))
 	byBackend := map[string][]SteerPoint{}
 	for _, p := range r.Points {
+		served(t, fmt.Sprintf("%s, %d clients", p.Backend, p.Clients), p.PointResult)
 		byBackend[p.Backend] = append(byBackend[p.Backend], p)
 	}
 	of, sr := byBackend["openflow"], byBackend["srv6"]

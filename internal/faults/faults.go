@@ -165,10 +165,6 @@ func (p *Plan) For(clusterName string) *Injector {
 	return in
 }
 
-// Injectors returns the materialized injectors by cluster name (fault-free
-// clusters never materialize one).
-func (p *Plan) Injectors() map[string]*Injector { return p.injectors }
-
 // Counts aggregates injected-fault totals across every injector.
 func (p *Plan) Counts() (c Counts) {
 	for _, in := range p.injectors {

@@ -501,8 +501,8 @@ func (c *Cluster) Services() []string {
 	return names
 }
 
-// SetReplicas implements cluster.Scalable: set the Deployment's desired
-// replica count directly (beyond the on-demand 0->1 scale-up).
+// SetReplicas sets the Deployment's desired replica count directly (beyond
+// the on-demand 0->1 scale-up).
 func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 	if _, ok := c.services[name]; !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)

@@ -231,6 +231,3 @@ func (kl *Kubelet) teardownRuntime(p *sim.Proc, pr *podRuntime) {
 	}
 	pr.containers = nil
 }
-
-// TrackedPods returns the number of pods the kubelet currently manages.
-func (kl *Kubelet) TrackedPods() int { return len(kl.pods) }

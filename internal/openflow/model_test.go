@@ -20,12 +20,14 @@ type removal struct {
 // refSwitch is the brute-force reference of the flow table: the ordered
 // slice the switch used to keep (stable-sorted on every insert, scanned
 // linearly on every removal, copied to find a cookie) and one Kernel.At
-// closure per idle check, dead checks of deleted rules included. It runs on
-// its own kernel, stepped in lockstep with the switch's.
+// closure per idle check, dead checks of deleted rules included. It has no
+// cookie groups: what the rules of a cookie share is written on every one of
+// them, and found again by scanning the table. It runs on its own kernel,
+// stepped in lockstep with the switch's.
 type refSwitch struct {
 	k          *sim.Kernel
 	latency    time.Duration
-	table      []*FlowRule
+	table      []*refRule
 	seq        uint64
 	nextCookie uint64
 	flowMods   uint64
@@ -33,23 +35,61 @@ type refSwitch struct {
 	removed    []removal
 }
 
-func (s *refSwitch) addFlow(rule FlowRule) *FlowRule {
-	r := &rule
+// refRule is a rule of the reference with the reference's own copy of what
+// its cookie's rules share: the idle clock, whether an idle check runs for
+// them, and which rule founded this occupancy of the cookie (an idle check
+// outlived by its cookie's rules must not expire a later set of them).
+type refRule struct {
+	FlowRule
+	lastUsed sim.Time
+	timed    bool
+	founder  uint64
+}
+
+// peers scans the table for the live rules of cookie; with a founder, only
+// for those of that occupancy.
+func (s *refSwitch) peers(cookie, founder uint64) []*refRule {
+	var out []*refRule
+	for _, t := range s.table {
+		if t.Cookie == cookie && (founder == 0 || t.founder == founder) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// touch restarts the idle clock of every rule of cookie.
+func (s *refSwitch) touch(cookie uint64) {
+	for _, t := range s.peers(cookie, 0) {
+		t.lastUsed = s.k.Now()
+	}
+}
+
+func (s *refSwitch) addFlow(rule FlowRule) *refRule {
+	r := &refRule{FlowRule: rule}
 	s.flowMods++
 	s.nextCookie++
 	if r.Cookie == 0 {
 		r.Cookie = s.nextCookie
 	}
-	r.installed, r.lastUsed = s.k.Now(), s.k.Now()
+	r.installed = s.k.Now()
 	s.seq++
 	r.seq = s.seq
+	r.founder = r.seq
+	if old := s.peers(r.Cookie, 0); len(old) > 0 {
+		r.founder, r.timed = old[0].founder, old[0].timed
+	}
 	s.table = append(s.table, r)
+	s.touch(r.Cookie)
 	if len(s.table) > s.highWater {
 		s.highWater = len(s.table)
 	}
 	sort.SliceStable(s.table, func(i, j int) bool { return s.table[i].Priority > s.table[j].Priority })
-	if r.IdleTimeout > 0 {
-		s.scheduleIdleCheck(r)
+	if r.IdleTimeout > 0 && !r.timed {
+		for _, t := range s.peers(r.Cookie, 0) {
+			t.timed = true
+		}
+		s.scheduleIdleCheck(r.Cookie, r.founder, r.lastUsed, r.IdleTimeout)
 	}
 	if r.HardTimeout > 0 {
 		s.k.AfterFree(r.HardTimeout, func() { s.expire(r) })
@@ -57,30 +97,47 @@ func (s *refSwitch) addFlow(rule FlowRule) *FlowRule {
 	return r
 }
 
-func (s *refSwitch) scheduleIdleCheck(r *FlowRule) {
-	s.k.At(r.lastUsed+r.IdleTimeout, func() {
-		if r.removed {
+// scheduleIdleCheck re-checks the rules of one occupancy of cookie at their
+// next possible expiry; they idle out together, with one notification for
+// the oldest that asked.
+func (s *refSwitch) scheduleIdleCheck(cookie, founder uint64, lastUsed sim.Time, timeout time.Duration) {
+	s.k.At(lastUsed+timeout, func() {
+		live := s.peers(cookie, founder)
+		if len(live) == 0 {
 			return
 		}
-		if s.k.Now()-r.lastUsed >= r.IdleTimeout {
-			s.expire(r)
+		if last := live[0].lastUsed; s.k.Now()-last < timeout {
+			s.scheduleIdleCheck(cookie, founder, last, timeout)
 			return
 		}
-		s.scheduleIdleCheck(r)
+		var oldest *refRule
+		for _, t := range live {
+			s.removeRule(t)
+			if t.NotifyRemoved && (oldest == nil || t.seq < oldest.seq) {
+				oldest = t
+			}
+		}
+		if oldest != nil {
+			s.notify(oldest)
+		}
 	})
 }
 
-func (s *refSwitch) expire(r *FlowRule) {
+func (s *refSwitch) expire(r *refRule) {
 	if r.removed {
 		return
 	}
 	s.removeRule(r)
 	if r.NotifyRemoved {
-		s.k.AfterFree(s.latency, func() { s.removed = append(s.removed, removal{r.seq, s.k.Now()}) })
+		s.notify(r)
 	}
 }
 
-func (s *refSwitch) removeRule(r *FlowRule) {
+func (s *refSwitch) notify(r *refRule) {
+	s.k.AfterFree(s.latency, func() { s.removed = append(s.removed, removal{r.seq, s.k.Now()}) })
+}
+
+func (s *refSwitch) removeRule(r *refRule) {
 	r.removed = true
 	for i, t := range s.table {
 		if t == r {
@@ -93,7 +150,7 @@ func (s *refSwitch) removeRule(r *FlowRule) {
 func (s *refSwitch) deleteFlows(cookie uint64) int {
 	s.flowMods++
 	n := 0
-	for _, r := range append([]*FlowRule(nil), s.table...) {
+	for _, r := range append([]*refRule(nil), s.table...) {
 		if r.Cookie == cookie {
 			s.removeRule(r)
 			n++
@@ -104,7 +161,7 @@ func (s *refSwitch) deleteFlows(cookie uint64) int {
 
 // lookup is the definition of a table hit: the first rule in table order
 // whose match accepts the packet.
-func (s *refSwitch) lookup(pkt *simnet.Packet) *FlowRule {
+func (s *refSwitch) lookup(pkt *simnet.Packet) *refRule {
 	for _, r := range s.table {
 		if r.Match.Matches(pkt) {
 			return r
@@ -265,18 +322,18 @@ func (m *flowTableModel) traffic(a, b byte) {
 	if want != nil {
 		want.packets++
 		want.bytes += pkt.Size
-		want.lastUsed = m.ref.k.Now()
+		m.ref.touch(want.Cookie)
 	}
 	m.sw.process(-1, pkt)
 }
 
-func (m *flowTableModel) sameRule(what string, got, want *FlowRule) {
+func (m *flowTableModel) sameRule(what string, got *FlowRule, want *refRule) {
 	switch {
 	case got == nil && want == nil:
 	case got == nil || want == nil:
 		m.t.Errorf("%s: got %v, reference %v", what, got, want)
 	case got.seq != want.seq || got.Cookie != want.Cookie || got.Priority != want.Priority ||
-		got.Match != want.Match || got.lastUsed != want.lastUsed || got.installed != want.installed ||
+		got.Match != want.Match || got.group.idle.Last() != want.lastUsed || got.installed != want.installed ||
 		got.packets != want.packets || got.bytes != want.bytes || got.removed != want.removed:
 		m.t.Errorf("%s: got rule %+v, reference %+v", what, *got, *want)
 	}
@@ -334,10 +391,10 @@ func (m *flowTableModel) check() {
 		t.Errorf("index holds %d rules under %d cookies, cookie index has %d cookies, table %d rules",
 			indexed, len(cookies), len(sw.byCookie), len(rules))
 	}
-	for cookie, r := range sw.byCookie {
+	for cookie, g := range sw.byCookie {
 		n := 0
-		for ; r != nil; r = r.sameCookie {
-			if n++; r.Cookie != cookie || r.removed {
+		for r := g.head; r != nil; r = r.sameCookie {
+			if n++; r.Cookie != cookie || r.removed || r.group != g {
 				t.Errorf("rule %d (cookie %d, removed %v) chained under cookie %d", r.seq, r.Cookie, r.removed, cookie)
 			}
 		}

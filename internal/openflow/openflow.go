@@ -98,27 +98,37 @@ func (a Actions) apply(pkt *simnet.Packet) {
 
 // FlowRule is one table entry.
 type FlowRule struct {
-	Priority    int
-	Match       Match
-	Actions     Actions
-	IdleTimeout time.Duration // 0 = no idle expiry
+	Priority int
+	Match    Match
+	Actions  Actions
+	// IdleTimeout (0 = none) arms the idle clock of the rule's cookie, the
+	// unit of idle lifetime: the rules of a cookie share one clock, run on
+	// the IdleTimeout of the first of them to set one; a hit on any of them
+	// refreshes it, and when it runs out they all leave the table together.
+	IdleTimeout time.Duration
 	HardTimeout time.Duration // 0 = no hard expiry
 	Cookie      uint64
-	// NotifyRemoved requests a flow-removed message on expiry.
+	// NotifyRemoved requests a flow-removed message on expiry. A cookie that
+	// idles out sends one, for the oldest of its rules that asked.
 	NotifyRemoved bool
 
 	installed sim.Time
-	lastUsed  sim.Time
 	packets   uint64
 	bytes     simnet.Bytes
 	removed   bool
 	seq       uint64 // insertion order (tie-break among equal priorities)
-	// idle is the rule's one idle-check event, re-armed at every re-check and
-	// cancelled on removal; nil without an IdleTimeout.
-	idle *sim.Event
 	// sameKey chains the rules sharing this rule's signature and match key
-	// in lookup order; sameCookie chains the rules sharing its cookie.
+	// in lookup order; sameCookie chains the rules of group, newest first.
 	sameKey, sameCookie *FlowRule
+	group               *cookieGroup
+}
+
+// cookieGroup is the live rules of one cookie and the idle clock they share.
+// It exists exactly while the table holds a rule of the cookie.
+type cookieGroup struct {
+	head  *FlowRule
+	idle  sim.Idle
+	timed bool // idle was started (by the first member with an IdleTimeout)
 }
 
 // Stats returns the rule's packet and byte counters.
@@ -229,9 +239,9 @@ type Switch struct {
 	// order, and it sorts a copy.
 	sigs     [numSigs]map[matchKey]*FlowRule
 	liveSigs uint16
-	// byCookie heads each cookie's FlowRule.sameCookie chain, making
-	// DeleteFlows O(rules with that cookie).
-	byCookie   map[uint64]*FlowRule
+	// byCookie finds each cookie's group, making DeleteFlows O(rules with
+	// that cookie).
+	byCookie   map[uint64]*cookieGroup
 	rules      int
 	seq        uint64
 	ports      map[int]*simnet.Port
@@ -275,7 +285,7 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		name:       name,
 		net:        n,
 		cfg:        cfg,
-		byCookie:   make(map[uint64]*FlowRule),
+		byCookie:   make(map[uint64]*cookieGroup),
 		ports:      make(map[int]*simnet.Port),
 		portOf:     make(map[*simnet.Port]int),
 		routes:     make(map[simnet.Addr]int),
@@ -394,9 +404,7 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	if r.Cookie == 0 {
 		r.Cookie = s.nextCookie
 	}
-	now := s.net.K.Now()
-	r.installed = now
-	r.lastUsed = now
+	r.installed = s.net.K.Now()
 	s.seq++
 	r.seq = s.seq
 	if s.rules++; s.rules > s.RuleHighWater {
@@ -404,9 +412,11 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	}
 	s.indexAdd(&r)
 	rp := &r
-	if r.IdleTimeout > 0 {
-		r.idle = s.net.K.NewEvent(func() { s.idleCheck(rp) })
-		s.net.K.Schedule(r.idle, r.lastUsed+r.IdleTimeout)
+	g := r.group
+	g.idle.Touch(r.installed)
+	if r.IdleTimeout > 0 && !g.timed {
+		g.timed = true
+		g.idle.Start(s.net.K, r.IdleTimeout, func() { s.expireGroup(g) })
 	}
 	if r.HardTimeout > 0 {
 		s.net.K.AfterFree(r.HardTimeout, func() { s.expire(rp) })
@@ -414,44 +424,54 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	return rp
 }
 
-// idleCheck fires at the earliest instant r could have idled out: it
-// expires r, or re-arms r's event for the deadline traffic has since pushed
-// back. A removed rule never gets here (removeRule cancels the event).
-func (s *Switch) idleCheck(r *FlowRule) {
-	if s.net.K.Now()-r.lastUsed >= r.IdleTimeout {
-		s.expire(r)
-		return
-	}
-	s.net.K.Schedule(r.idle, r.lastUsed+r.IdleTimeout)
-}
-
+// expire is a rule's hard timeout.
 func (s *Switch) expire(r *FlowRule) {
 	if r.removed {
 		return
 	}
 	s.removeRule(r)
-	if r.NotifyRemoved && s.controller != nil {
-		r := r
-		s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
-			s.controller.HandleFlowRemoved(s, r)
-		})
+	if r.NotifyRemoved {
+		s.notifyRemoved(r)
 	}
 }
 
-// removeRule takes a live rule out of the table and cancels its idle check,
-// so a deleted rule leaves no event behind.
+// expireGroup is a cookie's idle expiry: every rule of g leaves the table in
+// this one event.
+func (s *Switch) expireGroup(g *cookieGroup) {
+	if _, asked := s.removeGroup(g); asked != nil {
+		s.notifyRemoved(asked)
+	}
+}
+
+// removeGroup takes every rule of g out of the table, and returns how many
+// there were and the oldest of them that set NotifyRemoved.
+func (s *Switch) removeGroup(g *cookieGroup) (n int, asked *FlowRule) {
+	for r := g.head; r != nil; r = g.head {
+		if r.NotifyRemoved {
+			asked = r
+		}
+		s.removeRule(r)
+		n++
+	}
+	return n, asked
+}
+
+func (s *Switch) notifyRemoved(r *FlowRule) {
+	if s.controller == nil {
+		return
+	}
+	s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
+		s.controller.HandleFlowRemoved(s, r)
+	})
+}
+
+// removeRule takes a live rule out of the table: it unlinks r from its
+// match-key chain and its cookie's group, dropping a chain's map entry — and
+// a signature's map, and the group with its idle clock, so that a deleted
+// rule leaves no event behind — when r was the last.
 func (s *Switch) removeRule(r *FlowRule) {
 	r.removed = true
 	s.rules--
-	if r.idle != nil {
-		r.idle.Cancel()
-	}
-	s.indexRemove(r)
-}
-
-// indexRemove unlinks r from its match-key chain and its cookie chain,
-// dropping a chain's map entry — and a signature's map — when r was the last.
-func (s *Switch) indexRemove(r *FlowRule) {
 	sig := signatureOf(r.Match)
 	bucket := s.sigs[sig]
 	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
@@ -467,20 +487,19 @@ func (s *Switch) indexRemove(r *FlowRule) {
 		s.sigs[sig] = nil
 		s.liveSigs &^= 1 << sig
 	}
-	head = s.byCookie[r.Cookie]
-	at = &head
+	g := r.group
+	at = &g.head
 	for *at != r {
 		at = &(*at).sameCookie
 	}
 	*at = r.sameCookie
-	if head != nil {
-		s.byCookie[r.Cookie] = head
-	} else {
+	if g.head == nil {
+		g.idle.Stop()
 		delete(s.byCookie, r.Cookie)
 	}
 }
 
-// indexAdd links r into its match-key chain and its cookie chain.
+// indexAdd links r into its match-key chain and its cookie's group.
 func (s *Switch) indexAdd(r *FlowRule) {
 	sig := signatureOf(r.Match)
 	bucket := s.sigs[sig]
@@ -499,7 +518,13 @@ func (s *Switch) indexAdd(r *FlowRule) {
 	}
 	r.sameKey, *at = *at, r
 	bucket[key] = head
-	r.sameCookie, s.byCookie[r.Cookie] = s.byCookie[r.Cookie], r
+	g := s.byCookie[r.Cookie]
+	if g == nil {
+		g = &cookieGroup{}
+		s.byCookie[r.Cookie] = g
+	}
+	r.group = g
+	r.sameCookie, g.head = g.head, r
 }
 
 // lookup finds the highest-priority matching rule (first-installed among
@@ -522,11 +547,11 @@ func (s *Switch) lookup(pkt *simnet.Packet) *FlowRule {
 // messages are sent.
 func (s *Switch) DeleteFlows(cookie uint64) int {
 	s.FlowMods++
-	n := 0
-	for r := s.byCookie[cookie]; r != nil; r = s.byCookie[cookie] {
-		s.removeRule(r)
-		n++
+	g := s.byCookie[cookie]
+	if g == nil {
+		return 0
 	}
+	n, _ := s.removeGroup(g)
 	return n
 }
 
@@ -559,7 +584,7 @@ func (s *Switch) process(inPort int, pkt *simnet.Packet) {
 	if r := s.lookup(pkt); r != nil {
 		r.packets++
 		r.bytes += pkt.Size
-		r.lastUsed = s.net.K.Now()
+		r.group.idle.Touch(s.net.K.Now())
 		r.Actions.apply(pkt)
 		s.output(r.Actions, inPort, pkt)
 		return

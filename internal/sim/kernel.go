@@ -58,9 +58,6 @@ type Event struct {
 	stamp     uint32 // bumped on Schedule; queue entries with older stamps are stale
 }
 
-// When returns the simulation time the event is (or was) scheduled for.
-func (e *Event) When() Time { return e.when }
-
 // Cancel prevents the event from firing. It reports whether the event was
 // still pending (i.e. the cancellation had an effect). Cancelled events are
 // removed from the queue lazily but leave the kernel's Pending count

@@ -11,15 +11,12 @@ var (
 	ErrConnRefused = errors.New("simnet: connection refused")
 	ErrTimeout     = errors.New("simnet: timeout")
 	ErrConnClosed  = errors.New("simnet: connection closed")
-	ErrNoRoute     = errors.New("simnet: no route to host")
 )
 
 type addrPort struct {
 	ip   Addr
 	port int
 }
-
-func (a addrPort) String() string { return fmt.Sprintf("%s:%d", a.ip, a.port) }
 
 type fourTuple struct {
 	local, remote addrPort
@@ -195,14 +192,6 @@ type Conn struct {
 	// been delivered.
 	finSeq uint64
 }
-
-// LocalAddr returns the local IP:port (as seen by this endpoint).
-func (c *Conn) LocalAddr() string { return c.local.String() }
-
-// RemoteAddr returns the remote IP:port (as seen by this endpoint; for a
-// client behind the transparent edge this is the *cloud* service address
-// even when an edge instance answers).
-func (c *Conn) RemoteAddr() string { return c.remote.String() }
 
 func (h *Host) sendOut(pkt *Packet) {
 	if h.uplink == nil && !h.detached {

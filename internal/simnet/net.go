@@ -57,7 +57,6 @@ type Bytes int64
 const (
 	KiB Bytes = 1 << 10
 	MiB Bytes = 1 << 20
-	GiB Bytes = 1 << 30
 )
 
 // BitsPerSec is a link rate. Zero means infinite bandwidth (latency only).
@@ -240,9 +239,6 @@ type Port struct {
 // Node returns the node the port is attached to.
 func (p *Port) Node() Node { return p.node }
 
-// Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.peer }
-
 // Link returns the link the port belongs to.
 func (p *Port) Link() *Link { return p.link }
 
@@ -300,12 +296,6 @@ func (l *Link) latency() time.Duration { return l.cfg.Latency + l.extraLatency }
 // SetDown takes the link down (packets are silently dropped) or brings it
 // back up — the simulation's cable pull for failure injection.
 func (l *Link) SetDown(down bool) { l.down = down }
-
-// Down reports whether the link is down.
-func (l *Link) Down() bool { return l.down }
-
-// Severed reports whether the link was permanently cut by a host detach.
-func (l *Link) Severed() bool { return l.severed }
 
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }

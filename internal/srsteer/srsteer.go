@@ -43,11 +43,12 @@ type revKey struct {
 
 // binding is one controller-side steering decision.
 type binding struct {
-	f        steer.Flow
-	ep       steer.Endpoint
-	cloud    bool // forward unmodified toward the cloud (no encap)
-	lastUsed sim.Time
-	removed  bool
+	f     steer.Flow
+	ep    steer.Endpoint
+	cloud bool // forward unmodified toward the cloud (no encap)
+	// idle is the one clock of both directions: either refreshes it, and the
+	// binding leaves fwd and rev together when it runs out.
+	idle sim.Idle
 }
 
 // SRv6 implements steer.Steering with zero per-flow switch state.
@@ -105,8 +106,8 @@ func (b *SRv6) AttachSwitch(sw *openflow.Switch) {
 // in-place encap/decap, normal forwarding. Zero allocations steady-state —
 // pinned by TestAllocsSRv6Ingress.
 func (b *SRv6) steerPacket(sw *openflow.Switch, inPort int, pkt *simnet.Packet) bool {
-	if e, ok := b.fwd[fwdKey{pkt.SrcIP, pkt.DstIP, pkt.DstPort}]; ok && !e.removed {
-		e.lastUsed = b.k.Now()
+	if e, ok := b.fwd[fwdKey{pkt.SrcIP, pkt.DstIP, pkt.DstPort}]; ok {
+		e.idle.Touch(b.k.Now())
 		if e.cloud {
 			// Cloud-forwarded flow: pass through unmodified (the openflow
 			// backend's pass-through rule), suppressing further packet-ins.
@@ -124,8 +125,8 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, inPort int, pkt *simnet.Packet) 
 		sw.ForwardNormal(pkt)
 		return true
 	}
-	if e, ok := b.rev[revKey{pkt.SrcIP, pkt.SrcPort, pkt.DstIP}]; ok && !e.removed {
-		e.lastUsed = b.k.Now()
+	if e, ok := b.rev[revKey{pkt.SrcIP, pkt.SrcPort, pkt.DstIP}]; ok {
+		e.idle.Touch(b.k.Now())
 		// Decap of the return direction: the client must see the service
 		// address it dialed.
 		b.cDecaps.Inc()
@@ -146,7 +147,7 @@ func (b *SRv6) install(f steer.Flow, ep steer.Endpoint, cloud bool) {
 	if old, ok := b.fwd[fk]; ok {
 		b.drop(old)
 	}
-	e := &binding{f: f, ep: ep, cloud: cloud, lastUsed: b.k.Now()}
+	e := &binding{f: f, ep: ep, cloud: cloud}
 	b.fwd[fk] = e
 	if !cloud {
 		b.rev[revKey{ep.Addr, ep.Port, f.Client}] = e
@@ -156,14 +157,19 @@ func (b *SRv6) install(f steer.Flow, ep steer.Endpoint, cloud bool) {
 	}
 	b.gEntries.Set(int64(len(b.fwd)))
 	if b.p.IdleTimeout > 0 {
-		b.scheduleIdle(e)
+		e.idle.Start(b.k, b.p.IdleTimeout, func() {
+			b.drop(e)
+			if b.p.OnExpired != nil {
+				b.p.OnExpired(e.f)
+			}
+		})
 	}
 }
 
 // drop removes a binding from both maps (only if it is still the current
 // entry for its keys).
 func (b *SRv6) drop(e *binding) {
-	e.removed = true
+	e.idle.Stop()
 	fk := fwdKey{e.f.Client, e.f.VIP, e.f.Port}
 	if cur, ok := b.fwd[fk]; ok && cur == e {
 		delete(b.fwd, fk)
@@ -175,26 +181,6 @@ func (b *SRv6) drop(e *binding) {
 		}
 	}
 	b.gEntries.Set(int64(len(b.fwd)))
-}
-
-// scheduleIdle re-checks a binding at its next possible expiry, mirroring
-// the switch rule idle-timeout logic so both backends bound their per-flow
-// state by the same window.
-func (b *SRv6) scheduleIdle(e *binding) {
-	due := e.lastUsed + b.p.IdleTimeout
-	b.k.At(due, func() {
-		if e.removed {
-			return
-		}
-		if b.k.Now()-e.lastUsed >= b.p.IdleTimeout {
-			b.drop(e)
-			if b.p.OnExpired != nil {
-				b.p.OnExpired(e.f)
-			}
-			return
-		}
-		b.scheduleIdle(e)
-	})
 }
 
 // InstallRedirect implements steer.Steering.

@@ -16,31 +16,19 @@ type pairKey struct {
 	f  Flow
 }
 
-// pairState tracks which halves of a pair are still installed in the switch
-// table. The two rules of a redirect pair expire independently (the forward
-// rule idles out when the client goes quiet, the reverse keeps matching as
-// long as response traffic flows), so after a forward-only expiry the pair
-// survives as a *remnant*: release() must still be able to delete the
-// surviving reverse rule on a handover instead of orphaning it in the old
-// switch's table.
-type pairState struct {
-	cookie  uint64
-	forward bool // forward / cloud-forward rule installed
-	reverse bool // reverse rewrite rule installed (false for cloud pairs)
-}
-
 // OpenFlow is the paper's steering mechanism: per-flow forward and reverse
 // rewrite rules installed on the switch (fig. 2), identified by a
-// controller-assigned cookie per client/service/switch triple. It is the
-// default backend and preserves the pre-interface controller behavior:
-// same rule shapes, same install/delete order, same cookie sequence.
+// controller-assigned cookie per client/service/switch triple. The cookie
+// makes the two rules one unit in the switch: they share one idle clock,
+// leave the table together and send one flow-removed, so a pair is tracked
+// by its cookie alone. It is the default backend and preserves the
+// pre-interface controller behavior: same rule shapes, same install/delete
+// order, same cookie sequence.
 type OpenFlow struct {
 	p        Params
-	pairs    map[pairKey]*pairState
-	byCookie map[uint64]pairKey
+	pairs    map[pairKey]uint64 // cookie of each installed pair
 	seq      uint64
 	switches []*openflow.Switch
-	live     int // pairs whose forward half is installed (the Entries count)
 	high     int
 	flowMods uint64
 
@@ -52,10 +40,7 @@ type OpenFlow struct {
 // NewOpenFlow creates the rule-install backend. All wiring arrives later
 // via Bind.
 func NewOpenFlow() *OpenFlow {
-	return &OpenFlow{
-		pairs:    make(map[pairKey]*pairState),
-		byCookie: make(map[uint64]pairKey),
-	}
+	return &OpenFlow{pairs: make(map[pairKey]uint64)}
 }
 
 // Name implements Steering.
@@ -79,145 +64,98 @@ func (b *OpenFlow) AttachSwitch(sw *openflow.Switch) {
 	b.switches = append(b.switches, sw)
 }
 
-func (b *OpenFlow) nextCookie() uint64 {
-	b.seq++
-	return controllerCookieBase + b.seq
+// countMods accounts n flow-mods sent to a switch.
+func (b *OpenFlow) countMods(n uint64) {
+	b.flowMods += n
+	b.cMods.Add(n)
 }
 
-// release deletes whatever remains of the pair previously installed for
-// key, if anything. One DeleteFlows covers both rules (shared cookie), and
-// exactly one flow-mod is counted per released pair — releasing a remnant
-// whose forward rule already idle-expired issues the delete for the
-// surviving reverse rule without double-releasing the cookie or skewing
-// the live-entry accounting.
+// release deletes the pair installed for key, if any: one DeleteFlows covers
+// both rules (shared cookie) and counts one flow-mod.
 func (b *OpenFlow) release(key pairKey) {
-	st, ok := b.pairs[key]
+	cookie, ok := b.pairs[key]
 	if !ok {
 		return
 	}
-	key.sw.DeleteFlows(st.cookie)
-	if st.forward {
-		b.live--
-	}
+	key.sw.DeleteFlows(cookie)
 	delete(b.pairs, key)
-	delete(b.byCookie, st.cookie)
-	b.flowMods++
-	b.cMods.Inc()
-	b.gEntries.Set(int64(b.live))
+	b.countMods(1)
+	b.gEntries.Set(int64(len(b.pairs)))
 }
 
-func (b *OpenFlow) track(key pairKey, cookie uint64, mods uint64, reverse bool) {
-	b.pairs[key] = &pairState{cookie: cookie, forward: true, reverse: reverse}
-	b.byCookie[cookie] = key
-	b.live++
-	if b.live > b.high {
-		b.high = b.live
+// install replaces the pair of f at sw, if any, by a new cookie and its
+// forward rule, which arms the cookie's idle clock and asks for its
+// flow-removed notification, so the cookie and client-location bookkeeping
+// is garbage-collected on idle expiry.
+func (b *OpenFlow) install(sw *openflow.Switch, f Flow, a openflow.Actions) (cookie uint64) {
+	key := pairKey{sw, f}
+	b.release(key)
+	b.seq++
+	cookie = controllerCookieBase + b.seq
+	sw.AddFlow(openflow.FlowRule{
+		Priority:      b.p.FlowPriority,
+		Cookie:        cookie,
+		Match:         openflow.Match{SrcIP: f.Client, DstIP: f.VIP, DstPort: f.Port},
+		Actions:       a,
+		IdleTimeout:   b.p.IdleTimeout,
+		NotifyRemoved: true,
+	})
+	b.pairs[key] = cookie
+	if len(b.pairs) > b.high {
+		b.high = len(b.pairs)
 	}
-	b.flowMods += mods
-	b.cMods.Add(mods)
-	b.gEntries.Set(int64(b.live))
+	b.countMods(1)
+	b.gEntries.Set(int64(len(b.pairs)))
+	return cookie
 }
 
 // InstallRedirect implements Steering: the forward and reverse rewrite rules
 // for one client/service pair, replacing any previous pair for the key. The
-// forward rule requests a flow-removed notification so the cookie and
-// client-location bookkeeping is garbage-collected on idle expiry.
+// reverse rule shares the forward rule's clock and notification through the
+// cookie.
 func (b *OpenFlow) InstallRedirect(sw *openflow.Switch, f Flow, ep Endpoint) {
-	key := pairKey{sw, f}
-	b.release(key)
-	cookie := b.nextCookie()
-	sw.AddFlow(openflow.FlowRule{
-		Priority: b.p.FlowPriority,
-		Cookie:   cookie,
-		Match:    openflow.Match{SrcIP: f.Client, DstIP: f.VIP, DstPort: f.Port},
-		Actions: openflow.Actions{
-			SetDstIP:   ep.Addr,
-			SetDstPort: ep.Port,
-			Output:     openflow.OutputNormal,
-		},
-		IdleTimeout:   b.p.IdleTimeout,
-		NotifyRemoved: true,
-	})
+	cookie := b.install(sw, f, openflow.Actions{SetDstIP: ep.Addr, SetDstPort: ep.Port, Output: openflow.OutputNormal})
 	sw.AddFlow(openflow.FlowRule{
 		Priority: b.p.FlowPriority,
 		Cookie:   cookie,
 		Match:    openflow.Match{SrcIP: ep.Addr, SrcPort: ep.Port, DstIP: f.Client},
-		Actions: openflow.Actions{
-			SetSrcIP:   f.VIP,
-			SetSrcPort: f.Port,
-			Output:     openflow.OutputNormal,
-		},
-		IdleTimeout: b.p.IdleTimeout,
-		// The reverse rule notifies too, so a remnant pair (forward expired
-		// first, see pairState) is dropped from tracking once its reverse
-		// half also leaves the table — the map stays bounded by live rules.
-		NotifyRemoved: true,
+		Actions:  openflow.Actions{SetSrcIP: f.VIP, SetSrcPort: f.Port, Output: openflow.OutputNormal},
 	})
-	b.track(key, cookie, 2, true)
+	b.countMods(1)
 }
 
 // InstallCloudForward implements Steering: a pass-through flow so the
 // conversation continues to the real cloud without further packet-ins.
 func (b *OpenFlow) InstallCloudForward(sw *openflow.Switch, f Flow) {
-	key := pairKey{sw, f}
-	b.release(key)
-	cookie := b.nextCookie()
-	sw.AddFlow(openflow.FlowRule{
-		Priority:      b.p.FlowPriority,
-		Cookie:        cookie,
-		Match:         openflow.Match{SrcIP: f.Client, DstIP: f.VIP, DstPort: f.Port},
-		Actions:       openflow.Actions{Output: openflow.OutputNormal},
-		IdleTimeout:   b.p.IdleTimeout,
-		NotifyRemoved: true,
-	})
-	b.track(key, cookie, 1, false)
+	b.install(sw, f, openflow.Actions{Output: openflow.OutputNormal})
 }
 
 // ReAnchor implements Steering: handover. The old attachment point's pair is
 // deleted eagerly (it can never match again — the client's packets now enter
 // at newSw) and a fresh pair is installed where the client actually is. When
-// the old pair already idle-expired in full, release is a no-op: the cookie
-// is not double-released and no phantom flow-mod is counted.
+// the old pair already idle-expired, release is a no-op: the cookie is not
+// double-released and no phantom flow-mod is counted.
 func (b *OpenFlow) ReAnchor(oldSw, newSw *openflow.Switch, f Flow, ep Endpoint) {
 	b.release(pairKey{oldSw, f})
 	b.InstallRedirect(newSw, f, ep)
 }
 
-// FlowRemoved implements Steering: a rule idle-expired on sw. A forward
-// rule's expiry ends the pair's live entry (and reports the flow so the
-// controller can GC client state); if the pair's reverse rule is still
-// installed, the pair is kept as a remnant so a later release can delete
-// it. A reverse rule's expiry (recognized by its endpoint-keyed match —
-// SrcPort set) only trims that remnant bookkeeping.
+// FlowRemoved implements Steering: a pair idle-expired on sw, and rule is
+// its forward (or cloud-forward) rule, whose match carries the flow. The
+// pair is forgotten unless the key was re-installed under a newer cookie
+// while the notification was in flight.
 func (b *OpenFlow) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Flow, bool) {
-	if rule.Match.SrcPort != 0 {
-		if key, ok := b.byCookie[rule.Cookie]; ok {
-			if st := b.pairs[key]; st != nil && st.cookie == rule.Cookie {
-				st.reverse = false
-				if !st.forward {
-					delete(b.pairs, key)
-					delete(b.byCookie, rule.Cookie)
-				}
-			}
-		}
-		return Flow{}, false
-	}
 	f := Flow{Client: rule.Match.SrcIP, VIP: rule.Match.DstIP, Port: rule.Match.DstPort}
 	key := pairKey{sw, f}
-	if st, ok := b.pairs[key]; ok && st.cookie == rule.Cookie {
-		st.forward = false
-		b.live--
-		b.gEntries.Set(int64(b.live))
-		if !st.reverse {
-			delete(b.pairs, key)
-			delete(b.byCookie, rule.Cookie)
-		}
+	if b.pairs[key] == rule.Cookie {
+		delete(b.pairs, key)
+		b.gEntries.Set(int64(len(b.pairs)))
 	}
 	return f, true
 }
 
 // Entries implements Steering.
-func (b *OpenFlow) Entries() int { return b.live }
+func (b *OpenFlow) Entries() int { return len(b.pairs) }
 
 // Stats implements Steering. SwitchRules is the summed live table size of
 // every attached switch (punt rules included — they are part of the
@@ -228,7 +166,7 @@ func (b *OpenFlow) Stats() TableStats {
 		rules += sw.RuleCount()
 	}
 	return TableStats{
-		Entries:          b.live,
+		Entries:          len(b.pairs),
 		EntriesHighWater: b.high,
 		FlowMods:         b.flowMods,
 		SwitchRules:      rules,

@@ -41,74 +41,59 @@ var (
 	testEP   = Endpoint{Addr: simnet.Addr("10.0.0.10"), Port: 32000}
 )
 
-// forwardRule returns the pair's installed forward rule (client-keyed match).
-func forwardRule(t *testing.T, sw *openflow.Switch) *openflow.FlowRule {
-	t.Helper()
-	for _, r := range sw.Rules() {
-		if r.Match.SrcIP == testFlow.Client && r.Match.SrcPort == 0 {
-			return r
-		}
-	}
-	t.Fatal("no forward rule installed")
-	return nil
-}
-
-// TestReAnchorAfterForwardExpiry pins the remnant-pair handover: the
-// client went quiet long enough for the forward rule to idle out (its
-// flow-removed notification already consumed) while response traffic kept
-// the reverse rule alive. A handover's ReAnchor must still delete that
-// surviving reverse rule from the old switch — not orphan it — and must
-// not double-count the release.
+// TestReAnchorAfterForwardExpiry pins the handover after a pair outlived
+// its forward rule's own deadline: the client went quiet while response
+// traffic kept hitting the reverse rule, which keeps the whole pair — then
+// the pair idles out as a unit and a handover arrives. The re-anchor counts
+// 2 (install) + 2 (re-install) flow-mods: no rule is left on the old switch
+// to delete, and no phantom delete is sent for it.
 func TestReAnchorAfterForwardExpiry(t *testing.T) {
-	_, b, sw1, sw2 := steerRig(t, time.Minute)
+	const idle = 50 * time.Millisecond
+	k, b, sw1, sw2 := steerRig(t, idle)
 	b.InstallRedirect(sw1, testFlow, testEP)
 	if got := b.Stats(); got.Entries != 1 || got.FlowMods != 2 {
 		t.Fatalf("after install: %+v, want 1 entry / 2 flow-mods", got)
 	}
 
-	// The switch expires the forward rule and notifies; the reverse rule
-	// survives on response traffic.
-	b.FlowRemoved(sw1, forwardRule(t, sw1))
-	if b.Entries() != 0 {
-		t.Fatalf("entries after forward expiry = %d, want 0", b.Entries())
+	// Responses only, every 80 % of the timeout, to twice the forward rule's
+	// own deadline.
+	pkt := &simnet.Packet{}
+	for i := 0; i < 3; i++ {
+		k.RunUntil(k.Now() + idle*8/10)
+		*pkt = simnet.Packet{Kind: simnet.KindDATA, SrcIP: testEP.Addr, SrcPort: testEP.Port, DstIP: testFlow.Client, DstPort: 40000, Size: simnet.KiB}
+		sw1.HandlePacket(nil, pkt)
 	}
-	if len(b.pairs) != 1 {
-		t.Fatalf("remnant pair not tracked: %d pairs", len(b.pairs))
+	k.RunUntil(k.Now() + idle/2)
+	if sw1.RuleCount() != 2 || b.Entries() != 1 {
+		t.Fatalf("%v after the forward rule's last hit: %d rules, %d entries; the reverse hits must keep the pair",
+			k.Now(), sw1.RuleCount(), b.Entries())
+	}
+	k.RunUntil(k.Now() + idle)
+	if sw1.RuleCount() != 0 || b.Entries() != 0 || len(b.pairs) != 0 {
+		t.Fatalf("after the pair idled out: %d rules, %d entries, %d pairs; want all 0", sw1.RuleCount(), b.Entries(), len(b.pairs))
 	}
 
+	mods := sw1.FlowMods
 	b.ReAnchor(sw1, sw2, testFlow, testEP)
-	// The old switch's surviving reverse rule must be gone.
-	for _, r := range sw1.Rules() {
-		if r.Priority == 100 && r.Match.DstIP == testFlow.Client {
-			t.Errorf("reverse rule orphaned on old switch: %+v", r.Match)
-		}
+	if sw1.FlowMods != mods {
+		t.Errorf("re-anchor sent %d flow-mods to the old switch, want 0", sw1.FlowMods-mods)
 	}
 	st := b.Stats()
-	// 2 (install) + 1 (remnant release) + 2 (re-install) — no phantom mods.
-	if st.FlowMods != 5 {
-		t.Errorf("flow-mods = %d, want 5", st.FlowMods)
+	if st.FlowMods != 4 {
+		t.Errorf("flow-mods = %d, want 2 + 2", st.FlowMods)
 	}
-	if st.Entries != 1 || st.EntriesHighWater != 1 {
-		t.Errorf("entries = %d high = %d, want 1/1", st.Entries, st.EntriesHighWater)
+	if st.Entries != 1 || st.EntriesHighWater != 1 || len(b.pairs) != 1 {
+		t.Errorf("entries = %d high = %d pairs = %d, want 1/1/1", st.Entries, st.EntriesHighWater, len(b.pairs))
 	}
-	if len(b.pairs) != 1 || len(b.byCookie) != 1 {
-		t.Errorf("tracking maps = %d pairs / %d cookies, want 1/1", len(b.pairs), len(b.byCookie))
-	}
-	rules := 0
-	for _, r := range sw2.Rules() {
-		if r.Priority == 100 {
-			rules++
-		}
-	}
-	if rules != 2 {
-		t.Errorf("new switch redirect rules = %d, want forward+reverse pair", rules)
+	if got := sw2.RuleCount(); got != 2 {
+		t.Errorf("new switch holds %d rules, want the forward+reverse pair", got)
 	}
 }
 
 // TestReAnchorAfterFullExpiry drives the idle expiry through the real
-// switch timers: both halves of the pair expire (both notify), then a
-// handover arrives. ReAnchor's release must be a no-op — no
-// double-released cookie, no phantom flow-mod, no live-count skew.
+// switch timer of a pair nothing ever hit, then a handover arrives.
+// ReAnchor's release must be a no-op — no double-released cookie, no phantom
+// flow-mod, no live-count skew.
 func TestReAnchorAfterFullExpiry(t *testing.T) {
 	k, b, sw1, sw2 := steerRig(t, 50*time.Millisecond)
 	b.InstallRedirect(sw1, testFlow, testEP)
@@ -116,9 +101,8 @@ func TestReAnchorAfterFullExpiry(t *testing.T) {
 	if got := sw1.RuleCount(); got != 0 {
 		t.Fatalf("rules after idle expiry = %d, want 0", got)
 	}
-	if b.Entries() != 0 || len(b.pairs) != 0 || len(b.byCookie) != 0 {
-		t.Fatalf("backend state after full expiry: entries=%d pairs=%d cookies=%d, want all 0",
-			b.Entries(), len(b.pairs), len(b.byCookie))
+	if b.Entries() != 0 || len(b.pairs) != 0 {
+		t.Fatalf("backend state after full expiry: entries=%d pairs=%d, want all 0", b.Entries(), len(b.pairs))
 	}
 
 	mods := sw1.FlowMods
@@ -136,33 +120,39 @@ func TestReAnchorAfterFullExpiry(t *testing.T) {
 	}
 }
 
-// TestReverseNotificationDoesNotReportFlow pins the notification dispatch:
-// a reverse rule's expiry is backend bookkeeping only — reporting it as a
-// client flow would make the controller GC the wrong client's state (the
-// reverse match's SrcIP is the *instance*, not a client).
+// recordingStub keeps what notifyStub passes on.
+type recordingStub struct {
+	notifyStub
+	rules []*openflow.FlowRule
+	flows []Flow
+}
+
+func (s *recordingStub) HandleFlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) {
+	s.rules = append(s.rules, rule)
+	if f, ok := s.b.FlowRemoved(sw, rule); ok {
+		s.flows = append(s.flows, f)
+	}
+}
+
+// TestReverseNotificationDoesNotReportFlow pins the notification dispatch: a
+// pair that idles out sends one flow-removed, for its forward rule, and the
+// backend reports the client's flow from it. The reverse rule sends none —
+// its match's SrcIP is the *instance*, and reporting it as a client flow
+// would make the controller GC the wrong client's state.
 func TestReverseNotificationDoesNotReportFlow(t *testing.T) {
-	_, b, sw1, _ := steerRig(t, time.Minute)
+	k, b, sw1, _ := steerRig(t, 50*time.Millisecond)
+	stub := &recordingStub{notifyStub: notifyStub{b: b}}
+	sw1.SetController(stub)
 	b.InstallRedirect(sw1, testFlow, testEP)
-	var reverse *openflow.FlowRule
-	for _, r := range sw1.Rules() {
-		if r.Match.SrcPort != 0 {
-			reverse = r
-		}
+	k.RunUntil(time.Second)
+	if len(stub.rules) != 1 || stub.rules[0].Match.SrcIP != testFlow.Client || stub.rules[0].Match.SrcPort != 0 {
+		t.Fatalf("notified rules = %+v, want the forward rule alone", stub.rules)
 	}
-	if reverse == nil {
-		t.Fatal("no reverse rule installed")
+	if len(stub.flows) != 1 || stub.flows[0] != testFlow {
+		t.Errorf("reported flows = %+v, want %+v once", stub.flows, testFlow)
 	}
-	if _, ok := b.FlowRemoved(sw1, reverse); ok {
-		t.Error("reverse-rule expiry reported as a client flow")
-	}
-	// The forward half still steers: the pair must stay live.
-	if b.Entries() != 1 {
-		t.Errorf("entries after reverse-only expiry = %d, want 1", b.Entries())
-	}
-	// The later forward expiry drops the whole pair from tracking.
-	b.FlowRemoved(sw1, forwardRule(t, sw1))
-	if len(b.pairs) != 0 || len(b.byCookie) != 0 {
-		t.Errorf("tracking maps not drained: %d pairs / %d cookies", len(b.pairs), len(b.byCookie))
+	if len(b.pairs) != 0 || k.Pending() != 0 {
+		t.Errorf("after expiry: %d pairs tracked, %d events pending; want 0, 0", len(b.pairs), k.Pending())
 	}
 }
 
@@ -170,7 +160,8 @@ func TestReverseNotificationDoesNotReportFlow(t *testing.T) {
 // client's pair — InstallRedirect (which releases the previous pair), idle
 // re-checks while traffic keeps both rules alive, and the next install's
 // release — at a fixed allocation count that does not depend on how many
-// re-checks a pair lives through: each rule owns one re-armable idle event.
+// re-checks a pair lives through: the pair's cookie owns one re-armable idle
+// event.
 func TestAllocsInstallRecheckRelease(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	k, b, sw, _ := steerRig(t, idle)
@@ -195,8 +186,8 @@ func TestAllocsInstallRecheckRelease(t *testing.T) {
 				hit(testEP.Addr, testFlow.Client, testEP.Port, 40000)
 				k.RunUntil(k.Now() + idle*34/100)
 			}
-			if sw.RuleCount() != 4 || b.Entries() != 1 || k.Pending() != 2 {
-				t.Fatalf("after %d re-checks: %d rules, %d entries, %d pending events; want 4, 1, 2",
+			if sw.RuleCount() != 4 || b.Entries() != 1 || k.Pending() != 1 {
+				t.Fatalf("after %d re-checks: %d rules, %d entries, %d pending events; want 4, 1, 1",
 					rechecks, sw.RuleCount(), b.Entries(), k.Pending())
 			}
 		}
@@ -209,9 +200,9 @@ func TestAllocsInstallRecheckRelease(t *testing.T) {
 	if churned != bare {
 		t.Errorf("%.0f allocs per cycle with 3 re-checks, %.0f with none: re-checks allocate", churned, bare)
 	}
-	// Two rules, each with its idle event and that event's callback, plus
-	// the pair's tracking state.
-	if bare > 7 {
-		t.Errorf("%.0f allocs per install/release cycle, want <= 7", bare)
+	// Two rules, their cookie's group, and its clock's expire closure and
+	// bound re-check.
+	if bare > 5 {
+		t.Errorf("%.0f allocs per install/release cycle, want <= 5", bare)
 	}
 }

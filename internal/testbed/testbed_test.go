@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -870,5 +872,94 @@ func TestBindTimeoutReleasesHeldRequestToCloud(t *testing.T) {
 	}
 	if n := tb.K.Pending(); n > 16 {
 		t.Errorf("%d events pending at the end: something still polls", n)
+	}
+}
+
+// TestRequestBetweenTheTwoRuleDeadlines is the regression test of the lost
+// requests: the last packet of an exchange the switch sees from the client
+// (its FIN) comes after the last it sees from the instance (the response),
+// so a forward and a reverse rewrite rule on clocks of their own run out at
+// different instants, and a second request whose SYN reaches the switch
+// between the two is admitted by the forward rule while nothing rewrites its
+// SYN-ACK — the client, which dialed the cloud address, ignores the answer
+// and waits for ever. Every instant of that window must serve the request
+// transparently. The srv6 row passes on any design: a binding has one clock
+// for both directions.
+func TestRequestBetweenTheTwoRuleDeadlines(t *testing.T) {
+	const idle = time.Second
+	for _, backend := range []string{"openflow", "srv6"} {
+		t.Run(backend, func(t *testing.T) {
+			for _, quarter := range []time.Duration{1, 2, 3} {
+				requestInWindow(t, backend, idle, quarter)
+			}
+		})
+	}
+}
+
+// requestInWindow completes one request, issues a second whose SYN reaches
+// the switch quarter/4 of the way between the reverse and the forward
+// direction's idle deadlines, and checks that it was served transparently.
+func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) {
+	tb := New(Options{
+		Seed: 1, EnableDocker: true, SteerBackend: backend,
+		SwitchIdleTimeout: idle, MemoryIdleTimeout: 5 * time.Minute,
+	})
+	defer tb.Close()
+	a, reg, _ := tb.RegisterCatalogService(catalog.Nginx)
+	cli := tb.Clients[0]
+	fromClient := string(cli.IP()) + ":"
+	tr := simnet.NewTracer(tb.Net)
+	tr.Filter = func(src, dst simnet.Addr) bool { return src == cli.IP() || dst == cli.IP() }
+
+	var second *simnet.HTTPResult
+	var secondAt sim.Time
+	tb.K.Go("driver", func(p *sim.Proc) {
+		tb.Ctrl.EnsureDeployed(p, "egs-docker", a.UniqueName)
+		t0 := p.Now()
+		if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
+			t.Errorf("first request: %v", err)
+			return
+		}
+		p.Sleep(10 * time.Millisecond) // the client's FIN is still on its way
+		// What the switch saw of the exchange: when the SYN reached it, and
+		// the last packet of each direction.
+		var synAt, fwdLast, revLast sim.Time
+		for _, e := range tr.Entries() {
+			if e.Node != tb.Switch.Name() {
+				continue
+			}
+			if strings.HasPrefix(e.Src, fromClient) {
+				if fwdLast = e.At; e.Kind == simnet.KindSYN {
+					synAt = e.At
+				}
+			} else {
+				revLast = e.At
+			}
+		}
+		if fwdLast <= revLast {
+			t.Errorf("switch saw the client last at %v and the instance last at %v: no window to test", fwdLast, revLast)
+			return
+		}
+		target := revLast + idle + (fwdLast-revLast)*quarter/4
+		secondAt = target - (synAt - t0)
+		p.Sleep(secondAt - p.Now())
+		tr.Reset()
+		var err error
+		if second, err = tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
+			t.Errorf("second request: %v", err)
+		}
+	})
+	tb.K.RunUntil(time.Minute)
+	if t.Failed() {
+		return
+	}
+	if second == nil {
+		t.Fatalf("the request issued at %v (%d/4 into the window) never completed:\n%s", secondAt, quarter, tr)
+	}
+	vip := fmt.Sprintf("%s:%d", reg.VIP, reg.Port)
+	for _, e := range tr.Entries() {
+		if e.Node == cli.Name() && e.Kind == simnet.KindSYNACK && e.Src != vip {
+			t.Errorf("the client saw a SYN-ACK from %s, want the address it dialed, %s", e.Src, vip)
+		}
 	}
 }

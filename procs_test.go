@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -14,6 +16,12 @@ import (
 // nonTestFiles parses the non-test sources under root, leaving out the skip
 // directory and dot-directories, and hands each file to visit.
 func nonTestFiles(t *testing.T, root, skip string, visit func(fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	goFiles(t, root, skip, false, visit)
+}
+
+// goFiles does the same with the test sources included when tests is set.
+func goFiles(t *testing.T, root, skip string, tests bool, visit func(fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -26,7 +34,7 @@ func nonTestFiles(t *testing.T, root, skip string, visit func(fset *token.FileSe
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -82,7 +90,7 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 // kernel package itself, tests excluded) that start a process with
 // Kernel.Go. It only goes down: DESIGN.md §21 lists what is
 // left and in which order it is to be ported.
-const kernelGoCallSites = 28
+const kernelGoCallSites = 18
 
 // TestKernelGoCallSites is the ratchet on processes: it
 // counts the x.Go(name, func) calls. Nothing else in the module has a
@@ -129,5 +137,45 @@ func TestBlockingConnCallSites(t *testing.T) {
 	})
 	if !reflect.DeepEqual(got, httpGetCallers) {
 		t.Errorf("non-test HTTPGet callers by file = %v, recorded %v: shrink the record when one is ported; do not add one", got, httpGetCallers)
+	}
+}
+
+// TestDocsNameRealTests is the doc-lint: every test, benchmark or fuzz target
+// that README.md, DESIGN.md or EXPERIMENTS.md names between back quotes is a
+// function somewhere in the module (`TestFoo*` names a prefix; what follows a
+// `/` is a subtest and not looked at). The docs cite tests as the place a
+// claim is pinned, and a citation of a renamed or deleted test pins nothing.
+func TestDocsNameRealTests(t *testing.T) {
+	funcs := map[string]bool{}
+	goFiles(t, ".", "", true, func(_ *token.FileSet, f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs[fn.Name.Name] = true
+			}
+		}
+	})
+	quoted := regexp.MustCompile("`[^`\n]+`")
+	// Testbed and the like are not tests: after the prefix comes no lower case.
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, span := range quoted.FindAllString(line, -1) {
+				for _, n := range name.FindAllString(span, -1) {
+					found := funcs[n]
+					if prefix, ok := strings.CutSuffix(n, "*"); ok {
+						for fn := range funcs {
+							found = found || strings.HasPrefix(fn, prefix)
+						}
+					}
+					if !found {
+						t.Errorf("%s:%d: `%s` names no function in the module", doc, i+1, n)
+					}
+				}
+			}
+		}
 	}
 }
