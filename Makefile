@@ -52,11 +52,14 @@ golden:
 
 # Fuzz the YAML parser, the flow table against its brute-force reference
 # (the step interpreter of TestFlowTableMatchesBruteForce driven from
-# bytes), and edgesim's -fault-rates parser, a minute each.
+# bytes), edgesim's -fault-rates parser, the trace CSV reader and the -slo
+# list parser, a minute each.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 60s ./internal/yaml/
 	$(GO) test -fuzz FuzzFlowTable -fuzztime 60s ./internal/openflow/
 	$(GO) test -fuzz FuzzParseRates -fuzztime 60s ./cmd/edgesim/
+	$(GO) test -fuzz FuzzParseCSV -fuzztime 60s ./internal/workload/
+	$(GO) test -fuzz FuzzParseSLOs -fuzztime 60s ./internal/obs/attrib/
 
 # Print all experiments via the CLI.
 experiments:

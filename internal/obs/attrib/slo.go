@@ -55,7 +55,7 @@ func ParseSLO(spec string) (SLO, error) {
 		return SLO{}, fmt.Errorf("attrib: SLO %q: want [root:]pQQ=duration", spec)
 	}
 	q, err := strconv.ParseFloat(rest[1:eq], 64)
-	if err != nil || q <= 0 || q > 100 {
+	if err != nil || !(q > 0 && q <= 100) { // NaN fails every comparison
 		return SLO{}, fmt.Errorf("attrib: SLO %q: bad quantile %q", spec, rest[1:eq])
 	}
 	slo.Quantile = q

@@ -19,6 +19,7 @@ func TestParseSLO(t *testing.T) {
 		{"request:p99.9=5ms", SLO{Root: "request", Quantile: 99.9, Threshold: 5 * time.Millisecond}, true},
 		{"p0=1ms", SLO{}, false},
 		{"p101=1ms", SLO{}, false},
+		{"pNaN=1ms", SLO{}, false},
 		{"p99=", SLO{}, false},
 		{"p99=-3ms", SLO{}, false},
 		{"99=2ms", SLO{}, false},

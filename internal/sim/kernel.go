@@ -117,8 +117,11 @@ type Kernel struct {
 	seq     uint64
 	rng     *rand.Rand
 	stepped uint64
-	procs   int // processes started and not yet returned (KernelStats.LiveProcs)
-	live    int // scheduled, uncancelled, unfired events across all queues
+	// ran is one past the sequence number of the event being executed (of the
+	// last one executed, between events); zero before the first. See Precedes.
+	ran   uint64
+	procs int // processes started and not yet returned (KernelStats.LiveProcs)
+	live  int // scheduled, uncancelled, unfired events across all queues
 
 	imm     []immEvent // zero-delay FIFO (Defer)
 	immHead int
@@ -216,6 +219,16 @@ func (k *Kernel) Schedule(e *Event, t Time) {
 	}
 	k.wheel.add(timerEntry{when: t, seq: e.seq, stamp: e.stamp, ev: e})
 }
+
+// Precedes reports whether the code now running is ordered before e's latest
+// arming: whether the event being executed (or, between events, the last one
+// executed) drew its sequence number before e drew its own. An event the
+// kernel would have fired at this very instant with e's sequence number has
+// therefore not run yet when Precedes is true, and has when it is false. It
+// lets a model that folded two events into one (simnet's lone transfer)
+// resolve a same-nanosecond tie the way the unfolded pair did; it says nothing
+// about events due at other instants.
+func (k *Kernel) Precedes(e *Event) bool { return k.ran <= e.seq }
 
 // Defer schedules fn to run at the current simulation time, after every
 // event already scheduled for this instant — exactly like After(0, fn) but
@@ -402,6 +415,7 @@ func (k *Kernel) exec(src, lane int) bool {
 		en := k.wheel.pop()
 		e := en.ev
 		k.now = en.when
+		k.ran = en.seq + 1
 		e.fired = true
 		k.live--
 		k.stepped++
@@ -418,6 +432,7 @@ func (k *Kernel) exec(src, lane int) bool {
 			k.immHead = 0
 		}
 		k.now = ie.when
+		k.ran = ie.seq + 1
 		k.live--
 		k.stepped++
 		ie.fn()
@@ -432,6 +447,7 @@ func (k *Kernel) exec(src, lane int) bool {
 			ln.head = 0
 		}
 		k.now = se.when
+		k.ran = se.seq + 1
 		k.live--
 		k.stepped++
 		se.fn(se.idx)
@@ -480,7 +496,9 @@ func (k *Kernel) RunUntil(t Time) {
 		k.exec(src, lane)
 	}
 	if t > k.now {
+		// Everything armed so far for an instant up to t has run.
 		k.now = t
+		k.ran = k.seq
 	}
 	k.releaseIdle()
 }

@@ -526,6 +526,50 @@ func TestScheduleForeignKernelPanics(t *testing.T) {
 	k2.Schedule(e, 10)
 }
 
+func TestPrecedes(t *testing.T) {
+	// Precedes(e) answers, for code running at the instant e is (or would be)
+	// due: has an event with e's sequence number still to run? It must agree
+	// with the order the kernel actually fires same-instant events in, from
+	// every queue, and between events.
+	k := New(1)
+	e := k.NewEvent(func() {})
+	if k.Schedule(e, 10); !k.Precedes(e) {
+		t.Error("before the first event everything armed is still to run")
+	}
+	var early, late, deferred, batch, proc bool
+	k.At(10, func() { early = k.Precedes(e) }) // armed after e: runs after it
+	k.Schedule(e, 10)                          // re-armed: now e is the younger
+	k.At(5, func() {
+		k.At(10, func() { late = k.Precedes(e) })
+		k.AtBatch([]Time{10}, func(int) { batch = k.Precedes(e) })
+	})
+	k.At(10, func() {
+		k.Defer(func() { deferred = k.Precedes(e) })
+		k.Go("p", func(p *Proc) { proc = k.Precedes(e) })
+	})
+	k.Run()
+	if !early {
+		t.Error("an event armed before e must precede it")
+	}
+	if late || batch || deferred || proc {
+		t.Errorf("code ordered after e claims to precede it: At %v, AtBatch %v, Defer %v, proc %v", late, batch, deferred, proc)
+	}
+
+	// RunUntil moves the clock past the last event: everything armed for an
+	// instant up to there has run, whatever its sequence number.
+	k = New(1)
+	k.At(3, func() {})
+	e = k.NewEvent(func() {})
+	k.Schedule(e, 7)
+	e.Cancel() // as simnet cancels a solo's delivery; its arming still orders it
+	if k.RunUntil(7); k.Precedes(e) {
+		t.Error("after RunUntil(7) an event armed for 7 has run")
+	}
+	if k.Schedule(e, 7); !k.Precedes(e) {
+		t.Error("an event armed after the clock stopped is still to run")
+	}
+}
+
 func TestChanRingReusesCapacity(t *testing.T) {
 	// Steady-state send/recv cycles must not grow the channel's buffers.
 	k := New(1)

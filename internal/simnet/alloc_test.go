@@ -70,6 +70,7 @@ func TestAllocsPortSendDeliver(t *testing.T) {
 // its arrival and at its departure, plus its own latency event) and the
 // timer queue never holds more than the cohort's worth of entries. Re-arming
 // every member on every membership change would enqueue ~1024 per packet.
+// A packet that meets no other costs one enqueue and one event.
 func TestSchedulesPerHopBounded(t *testing.T) {
 	const cohort = 1024
 	k := sim.New(1)
@@ -99,6 +100,30 @@ func TestSchedulesPerHopBounded(t *testing.T) {
 	}
 	if st.NearHighWater > 2*cohort {
 		t.Errorf("near-heap high water %d for a %d-transfer cohort, want <= %d", st.NearHighWater, cohort, 2*cohort)
+	}
+
+	// Uncontended, the other end of the scale: a packet alone on its
+	// direction costs the kernel one enqueue and one fired event per hop —
+	// its delivery — and the direction arms nothing.
+	const lone = 500
+	k = sim.New(1)
+	n = NewNetwork(k)
+	b = &sinkNode{name: "b", net: n}
+	pa, _ = n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 100 * Mbps})
+	for i := 0; i < lone; i++ {
+		pkt := n.NewPacket()
+		pkt.Kind, pkt.Size = KindDATA, KiB
+		k.At(sim.Time(i)*time.Millisecond, func() { pa.Send(pkt) })
+	}
+	base := k.Stats()
+	k.Run()
+	st = k.Stats()
+	if b.got != lone {
+		t.Fatalf("delivered %d, want %d", b.got, lone)
+	}
+	if sched, fired := st.Scheduled-base.Scheduled, st.Events-lone; sched != lone || fired != lone {
+		t.Errorf("%d lone packets: %d enqueues and %d fired events beyond the sends themselves, want %d and %d",
+			lone, sched, fired, lone, lone)
 	}
 }
 

@@ -93,17 +93,21 @@ func (h *Host) AttachTo(sw Node, cfg LinkConfig) (hostPort, swPort *Port) {
 
 // Detach severs the host's uplink — the first half of a handover. The old
 // link is cut permanently: every packet already in flight on it (either
-// direction) is dropped at its next transfer event, counted, and returned
-// to the pool, and nothing is ever delivered from its ports again. Packets
-// still inside the host's own ProcDelay stage have not left the stack yet;
-// they go out the new uplink if one is attached by their drain time, and
-// are dropped (counted, pooled) otherwise. Detaching a detached host is a
-// no-op.
+// direction) is dropped when the stage it is in — serialization, propagation
+// — would have ended, counted, and returned to the pool, and nothing is ever
+// delivered from its ports again. Packets still inside the host's own
+// ProcDelay stage have not left the stack yet; they go out the new uplink if
+// one is attached by their drain time, and are dropped (counted, pooled)
+// otherwise. Detaching a detached host is a no-op.
 func (h *Host) Detach() {
 	if h.uplink == nil {
 		return
 	}
-	h.uplink.link.severed = true
+	l := h.uplink.link
+	// A lone transfer still serializing dies when its last byte would have
+	// left the wire, not when its delivery was scheduled: back to the cohort.
+	l.unsolo()
+	l.severed = true
 	h.uplink = nil
 	h.detached = true
 }

@@ -12,6 +12,11 @@
 // modelled; connection setup costs one RTT (SYN / SYN-ACK), which matches
 // the curl time_total measurement methodology of the paper.
 //
+// A hop costs the kernel one event when the packet has its link direction to
+// itself from first byte to last — its delivery, armed when it is sent — and
+// two when it shares it: the direction's completion event, then its own for
+// the propagation delay (see direction; DESIGN.md §20).
+//
 // # Packet ownership
 //
 // Packets are recycled through a per-Network free list (NewPacket /
@@ -34,9 +39,10 @@
 //     the rules simple and use-after-free impossible on error paths;
 //   - the one exception is a *severed* link (Host.Detach / Host.MoveTo): the
 //     handover path is deliberately exercised at scale, so packets caught on
-//     a dying link are dropped deterministically at their next transfer
-//     event, counted (Link.Dropped, Network.DetachDrops), and returned to
-//     the pool — a mobility workload must not leak a packet per handover.
+//     a dying link are dropped deterministically at the instant their
+//     serialization or propagation would have ended, counted (Link.Dropped,
+//     Network.DetachDrops), and returned to the pool — a mobility workload
+//     must not leak a packet per handover.
 package simnet
 
 import (
@@ -163,11 +169,15 @@ type Network struct {
 	// Severed-link drops are counted separately (cDetachDrops) because they
 	// return to the pool and must not skew that balance.
 	cPoolGets, cPoolPuts, cDrops, cDetachDrops *obs.Counter
+	// How the link model's lone-transfer shortcut fared (see direction):
+	// transfers that crossed their link on one event, and solos a second
+	// arrival, an Impair or a Detach turned back into cohort members.
+	cSoloDone, cSoloMaterialised *obs.Counter
 }
 
-// SetObs registers the network's packet-pool and drop counters in the
-// registry. A nil registry leaves the handles nil, keeping the datapath's
-// zero-allocation hot path untouched.
+// SetObs registers the network's packet-pool, drop and solo-transfer counters
+// in the registry. A nil registry leaves the handles nil, keeping the
+// datapath's zero-allocation hot path untouched.
 func (n *Network) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -176,6 +186,8 @@ func (n *Network) SetObs(reg *obs.Registry) {
 	n.cPoolPuts = reg.Counter("simnet_packet_pool_puts_total")
 	n.cDrops = reg.Counter("simnet_packet_drops_total")
 	n.cDetachDrops = reg.Counter("simnet_detach_drops_total")
+	n.cSoloDone = reg.Counter("simnet_solo_transfers_total")
+	n.cSoloMaterialised = reg.Counter("simnet_solo_materialised_total")
 }
 
 // NewNetwork returns an empty network bound to kernel k.
@@ -263,9 +275,9 @@ type Link struct {
 	down bool
 	// severed marks a link permanently cut by Host.Detach/MoveTo. Unlike
 	// down (a transient failure whose drops are left to the GC), a severed
-	// link deterministically drops every in-flight packet at its next
-	// transfer event and returns it to the pool; nothing is ever delivered
-	// from either port again.
+	// link deterministically drops every in-flight packet when its current
+	// stage (serialization, propagation) would have ended and returns it to
+	// the pool; nothing is ever delivered from either port again.
 	severed bool
 	// extraLoss / extraLatency are fault-injection impairments added on
 	// top of the configured loss and propagation delay (see Impair). Both
@@ -284,8 +296,14 @@ type Link struct {
 
 // Impair adds loss probability and one-way latency to the link on top of
 // its configuration — the fault plan's degraded-backhaul knob. Impair(0, 0)
-// restores the configured behavior.
+// restores the configured behavior. A packet takes the latency in force when
+// its last byte leaves the wire, so a lone transfer still serializing — whose
+// delivery was scheduled with the old one — first goes back to being a cohort
+// member that reads it then.
 func (l *Link) Impair(loss float64, extraLatency time.Duration) {
+	if extraLatency != l.extraLatency {
+		l.unsolo()
+	}
 	l.extraLoss = loss
 	l.extraLatency = extraLatency
 }
@@ -336,25 +354,30 @@ func (p *Port) deliverToPeer(delivered *Packet) {
 }
 
 // transfer is one in-flight transmission on a link. While it serializes it
-// is a member of its direction's cohort and carries only arithmetic (bytes
-// left, current share, the instant it would complete at that share); the
-// direction's single event fires for whichever member is due first. Its own
-// persistent re-armable event covers the propagation-latency stage that
-// follows. Transfers are recycled through the network's free list, so the
-// steady-state per-packet datapath performs zero heap allocations.
+// carries only arithmetic (bytes left, current share, the instant it would
+// complete at that share). Alone on its direction — the direction's solo — its
+// own persistent re-armable event, finish, is armed once for the delivery
+// instant, serialization and propagation together; as a member of a cohort it
+// waits for the direction's event to fire for whichever member is due first,
+// and finish covers only the propagation stage that follows. Transfers are
+// recycled through the network's free list, so the steady-state per-packet
+// datapath performs zero heap allocations.
 type transfer struct {
 	dir       *direction
 	remaining float64 // bytes left to serialize
 	rate      float64 // current bytes/sec share
 	updated   sim.Time
 	due       sim.Time   // serialization completes here at the current share
-	finish    *sim.Event // persistent; armed for the latency stage only
+	finish    *sim.Event // persistent; armed for delivery (solo) or the latency stage (cohort)
 	pkt       *Packet
 }
 
 // fire is the transfer's event callback: the propagation delay has elapsed.
 func (t *transfer) fire() {
 	d := t.dir
+	if d.solo == t {
+		d.soloDone()
+	}
 	if d.link.severed {
 		// The link was cut while this packet was propagating: it dies here,
 		// deterministically, at the time its delivery was due. No delivery
@@ -396,14 +419,23 @@ func (n *Network) putTransfer(t *transfer) {
 // instant (due) recomputed at the new one. Active transfers are kept in an
 // ordered slice (arrival order).
 //
-// Invariant: a non-empty direction has exactly one armed kernel event, done,
-// set for head — the member with the least (due, arrival order) — and an
-// empty direction has none. Only the head can complete before the next
-// membership change, and that change recomputes every due anyway, so no
-// other member needs an event of its own (DESIGN.md §20).
+// A transfer that enters an empty direction of a local link is not put in
+// active: it is the direction's solo, with the full rate, and its one event is
+// its own delivery at due + latency. Whoever next needs the direction's state
+// (transmit, Link.Impair, Host.Detach, ActiveTransfers) first resolves the
+// solo: past its due it has left the wire and is forgotten; before it, it is
+// materialised — delivery cancelled, appended to active — and from there on
+// it is an ordinary member (DESIGN.md §20).
+//
+// Invariant: a direction with a solo has an empty cohort and arms nothing of
+// its own; a non-empty cohort has exactly one armed kernel event, done, set
+// for head — the member with the least (due, arrival order). Only the head
+// can complete before the next membership change, and that change recomputes
+// every due anyway, so no other member needs an event of its own.
 type direction struct {
 	link   *Link
-	port   *Port // the end that transmits into this direction
+	port   *Port     // the end that transmits into this direction
+	solo   *transfer // lone transfer riding its own delivery event; active is empty
 	active []*transfer
 	head   *transfer  // least (due, arrival order) of active; nil when empty
 	done   *sim.Event // persistent; armed at head.due (allocated at Connect)
@@ -491,8 +523,69 @@ func (d *direction) transmit(pkt *Packet) {
 	t.pkt = pkt
 	t.remaining = float64(pkt.Size)
 	t.updated = k.Now()
+	d.materialise()
+	if len(d.active) == 0 && d.link.remote == nil {
+		// Alone on the wire: what rebalance computes for a cohort of one, and
+		// the delivery armed where done would have been. A cross-shard half
+		// stays a cohort because it ships at due, which a later arrival moves.
+		t.rate = d.capacityBps()
+		t.due = t.updated + time.Duration(t.remaining/t.rate*float64(time.Second))
+		d.solo = t
+		k.Schedule(t.finish, t.due+lat)
+		return
+	}
 	d.active = append(d.active, t)
 	d.rebalance()
+}
+
+// soloOnWire reports whether the direction's solo is still serializing. At
+// the very nanosecond it is due, the answer is what the cohort code's would
+// be: done, armed where finish was, fires after the running event exactly if
+// that event precedes the arming (a sender that met the last sub-nanosecond
+// residue of the solo shares the wire with it; one that came after does not).
+func (d *direction) soloOnWire() bool {
+	t, k := d.solo, d.link.net.K
+	return k.Now() < t.due || k.Now() == t.due && k.Precedes(t.finish)
+}
+
+// soloDone forgets the solo: its last byte has left the wire (or it has just
+// been delivered), so the direction is empty and the transfer's own event is
+// all that is left of it.
+func (d *direction) soloDone() {
+	d.solo = nil
+	d.link.net.cSoloDone.Inc()
+}
+
+// materialise resolves the direction's solo before its state is read or
+// changed. A solo still serializing becomes the cohort's only member, its
+// delivery cancelled, with the fields rebalance would have left it — the
+// caller arms done (transmit does by rebalancing) — and materialise reports
+// true; one that has left the wire is forgotten.
+func (d *direction) materialise() bool {
+	t := d.solo
+	if t == nil {
+		return false
+	}
+	if !d.soloOnWire() {
+		d.soloDone()
+		return false
+	}
+	d.solo = nil
+	t.finish.Cancel()
+	d.active = append(d.active, t)
+	d.link.net.cSoloMaterialised.Inc()
+	return true
+}
+
+// unsolo materialises the solo of either direction and arms done for it, so
+// that what is about to change — the latency, the link being severed — meets
+// the transfer at the end of its serialization, as it meets a cohort's.
+func (l *Link) unsolo() {
+	for _, d := range [...]*direction{&l.ab, &l.ba} {
+		if d.materialise() {
+			d.arm(d.active[0])
+		}
+	}
 }
 
 // rebalance settles every active transfer's remaining bytes to now at its old
@@ -601,9 +694,17 @@ func (d *direction) dropSevered(t *transfer) {
 }
 
 // ActiveTransfers returns the number of transfers currently serializing a->b
-// and b->a (diagnostic; packets in the propagation stage are not counted).
-// Each non-zero count is backed by exactly one armed kernel event, a zero
-// count by none.
+// and b->a (diagnostic; packets in the propagation stage are not counted). A
+// count of one may be a solo, whose only event is its delivery; any other
+// non-zero count is backed by the direction's one armed event.
 func (l *Link) ActiveTransfers() (ab, ba int) {
-	return len(l.ab.active), len(l.ba.active)
+	return l.ab.serializing(), l.ba.serializing()
+}
+
+// serializing counts the transfers on the wire without resolving the solo.
+func (d *direction) serializing() int {
+	if d.solo != nil && d.soloOnWire() {
+		return 1
+	}
+	return len(d.active)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +20,10 @@ func (t *Trace) MarshalCSV() string {
 	return b.String()
 }
 
+// maxAtMS is the latest arrival ParseCSV accepts: the derived window, one
+// second past it, must still be a time.Duration.
+const maxAtMS = int64((math.MaxInt64 - time.Second) / time.Millisecond)
+
 // ParseCSV reads a trace in the MarshalCSV format. This is the bridge for
 // replaying externally captured workloads: the paper derives its trace from
 // bigFlows.pcap by extracting TCP conversations to public port-80
@@ -27,21 +32,19 @@ func (t *Trace) MarshalCSV() string {
 // equivalent. Service and client indices are compacted; the window and
 // counts are derived from the data.
 func ParseCSV(src string) (*Trace, error) {
-	lines := strings.Split(strings.TrimSpace(src), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	start := 0
-	if strings.HasPrefix(strings.ToLower(lines[0]), "at_ms") {
-		start = 1
-	}
 	var reqs []Request
 	clients := map[int]int{}
 	services := map[int]int{}
 	var maxAt time.Duration
-	for i := start; i < len(lines); i++ {
-		ln := strings.TrimSpace(lines[i])
-		if ln == "" || strings.HasPrefix(ln, "#") {
+	first := true // the first non-blank line may be the header
+	for i, ln := range strings.Split(src, "\n") {
+		ln = strings.TrimSpace(ln)
+		if ln == "" {
+			continue
+		}
+		header := first && strings.HasPrefix(strings.ToLower(ln), "at_ms")
+		first = false
+		if header || strings.HasPrefix(ln, "#") {
 			continue
 		}
 		parts := strings.Split(ln, ",")
@@ -49,7 +52,7 @@ func ParseCSV(src string) (*Trace, error) {
 			return nil, fmt.Errorf("workload: line %d: want 3 fields, got %d", i+1, len(parts))
 		}
 		atMS, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
-		if err != nil || atMS < 0 {
+		if err != nil || atMS < 0 || atMS > maxAtMS {
 			return nil, fmt.Errorf("workload: line %d: bad timestamp %q", i+1, parts[0])
 		}
 		cli, err := strconv.Atoi(strings.TrimSpace(parts[1]))

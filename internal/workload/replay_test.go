@@ -471,6 +471,35 @@ func TestProcSwitchBudget(t *testing.T) {
 	}
 }
 
+// TestWarmReplayHopsRideSolo pins why the link model's lone-transfer shortcut
+// pays on the paper's steady state (fig. 16: instances running, rules
+// installed): on a warm replay shaped like the benchmark's, at least nine
+// link crossings in ten meet no other packet on their direction and cost one
+// kernel event, not two (DESIGN.md §20).
+func TestWarmReplayHopsRideSolo(t *testing.T) {
+	trace := Generate(Config{
+		Seed: 42, Services: 8, TotalRequests: 5000, MinPerService: 2,
+		Duration: time.Minute, Clients: 20, ZipfS: 1.15, FrontLoad: 1.1,
+	})
+	reg := obs.NewRegistry()
+	tb := testbed.New(testbed.Options{Seed: 42, EnableDocker: true, Counters: reg})
+	defer tb.Close()
+	hops := 0
+	tb.Net.PktTrace = func(string, *simnet.Packet) { hops++ } // one call per delivery
+	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true, Counters: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Unfinished != 0 {
+		t.Fatalf("errors %d, unfinished %d, want a clean replay", res.Errors, res.Unfinished)
+	}
+	solo := reg.Counter("simnet_solo_transfers_total").Value()
+	materialised := reg.Counter("simnet_solo_materialised_total").Value()
+	if hops == 0 || float64(solo) < 0.9*float64(hops) {
+		t.Errorf("%d of %d hops rode solo (%d more were materialised), want >= 90 %%", solo, hops, materialised)
+	}
+}
+
 // settledGoroutines returns runtime.NumGoroutine() once it has stopped moving:
 // a shard window worker signals its WaitGroup a moment before its goroutine is
 // gone, and nothing else can be waited on for that.

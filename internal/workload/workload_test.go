@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -269,11 +270,16 @@ func TestParseCSVErrors(t *testing.T) {
 		"at_ms,client,service\n-5,0,0\n",
 		"at_ms,client,service\n5,-1,0\n",
 		"at_ms,client,service\n5,0,oops\n",
+		"at_ms,client,service\n9223372036855,0,0\n", // overflows time.Duration
 	}
 	for _, src := range cases {
 		if _, err := ParseCSV(src); err == nil {
 			t.Errorf("ParseCSV(%q) accepted", src)
 		}
+	}
+	// Line numbers count from the top of the input, blank lines included.
+	if _, err := ParseCSV("\n\nat_ms,client,service\n5,0,0\n9223372036855,0,0\n"); err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Errorf("overflowing at_ms on line 5: err = %v", err)
 	}
 	// Comments and blank lines are tolerated.
 	tr, err := ParseCSV("at_ms,client,service\n# comment\n\n5,0,0\n")
