@@ -48,7 +48,6 @@ type APIServer struct {
 	pods        *store[*Pod]
 	services    *store[*Service]
 	nodes       *store[*Node]
-	endpoints   map[string]*Endpoints
 	// Secondary indexes, maintained on every write by the stores' reindex
 	// hooks; every bucket is name-ordered.
 	rsByOwner     index[string, *ReplicaSet]
@@ -65,7 +64,6 @@ func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
 	a := &APIServer{
 		k:             k,
 		cfg:           cfg,
-		endpoints:     make(map[string]*Endpoints),
 		rsByOwner:     make(index[string, *ReplicaSet]),
 		podsByOwner:   make(index[string, *Pod]),
 		podsByNode:    make(index[string, *Pod]),
@@ -155,8 +153,8 @@ func (a *APIServer) subscribeQueued(kind Kind, fn func(Event)) {
 	})
 }
 
-// Watch is Subscribe for a consumer that is a process: events queue on the
-// returned channel, which is never closed.
+// Watch is Subscribe for a consumer that is a process (the kubelet): events
+// queue on the returned channel, which is never closed.
 func (a *APIServer) Watch(kind Kind) *sim.Chan[Event] {
 	ch := sim.NewChan[Event](a.k)
 	a.Subscribe(kind, ch.Send)
@@ -186,6 +184,49 @@ func (a *APIServer) charge(p *sim.Proc) {
 	if p != nil && a.cfg.RequestLatency > 0 {
 		p.Sleep(a.cfg.RequestLatency)
 	}
+}
+
+// pass runs a control-plane activity — a reconcile, a bind, the bind wait, a
+// node-monitor sweep — on kernel callbacks. T holds its state, and each of
+// its steps is a plain function of *T, so a pass allocates nothing as it
+// goes. A step runs where a process doing the same work resumed: after a
+// Sleep (sleep), or after an API request's latency, in the timer event that
+// woke a charging process or inline when the latency is 0 (request, charge's
+// rule). A step makes that request itself, with a nil process, and returns
+// the step to request next, or nil when it slept or the pass is over.
+type pass[T any] struct {
+	api  *APIServer
+	self *T
+	next step[T]
+	run  func() // bound once: p.resume
+}
+
+type step[T any] func(*T) step[T]
+
+func (p *pass[T]) init(api *APIServer, self *T) {
+	p.api, p.self = api, self
+	p.run = p.resume
+}
+
+func (p *pass[T]) resume() { p.request(p.next(p.self)) }
+
+// request pays one API request's latency, then runs s, and so on for the
+// steps s returns.
+func (p *pass[T]) request(s step[T]) {
+	for lat := p.api.cfg.RequestLatency; s != nil; s = s(p.self) {
+		if lat > 0 {
+			p.next = s
+			p.api.k.AfterFree(lat, p.run)
+			return
+		}
+	}
+}
+
+// sleep runs s d from now (d = 0: one zero-delay event later, where
+// Kernel.Go started a process) and requests what it returns.
+func (p *pass[T]) sleep(d time.Duration, s step[T]) {
+	p.next = s
+	p.api.k.AfterFree(d, p.run)
 }
 
 // --- Deployments ---

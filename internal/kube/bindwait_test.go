@@ -4,18 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"transparentedge/internal/cluster"
+	"transparentedge/internal/container"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
 )
 
 // pollLoopScaleUp is ScaleUp as it ran before bindWait: after the same
 // deployment update it lists the service's pods from the calling process and
-// sleeps BindPollInterval between lists, without bound. Kept as the oracle
-// TestBindWaitMatchesPollLoop compares the state machine against.
+// sleeps BindPollInterval between lists, without bound, and a crashing pod's
+// watcher is a process (crashPodLoop). Kept as the oracle
+// TestBindWaitMatchesPollLoop compares the passes against.
 func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, error) {
 	if _, ok := c.services[name]; !ok {
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
@@ -49,7 +52,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 				continue
 			}
 			if c.faults.CrashAfterStart() {
-				c.crashPod(pod.Name, n, name)
+				crashPodLoop(c, pod.Name, n, name)
 			}
 			return cluster.Instance{
 				Service: name,
@@ -60,6 +63,29 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 		}
 		p.Sleep(c.cfg.BindPollInterval)
 	}
+}
+
+// crashPodLoop is Cluster.crashPod's watcher as a process.
+func crashPodLoop(c *Cluster, podName string, n *node, svcName string) {
+	c.api.Kernel().Go("faultcrash:"+c.name+":"+podName, func(p *sim.Proc) {
+		deadline := p.Now() + 30*time.Second
+		for p.Now() < deadline {
+			killed := false
+			for _, ctr := range n.rt.List(map[string]string{"app": svcName}) {
+				if !strings.HasPrefix(ctr.Name(), podName+".") {
+					continue
+				}
+				if ctr.State() == container.StateRunning {
+					_ = ctr.Kill()
+					killed = true
+				}
+			}
+			if killed {
+				return
+			}
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
 }
 
 // scaleUpResult is what one ScaleUp call returned, and when.
@@ -190,5 +216,44 @@ func TestScaleUpBindTimeout(t *testing.T) {
 	}
 	if pods := r.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName}); len(pods) != 1 || pods[0].NodeName != "" {
 		t.Errorf("pods = %+v, want one unbound pod", pods)
+	}
+}
+
+// TestCrashWatchMatchesProcLoop: the crash watcher as a pass kills what its
+// process did, when it did. The watcher is started at the very instant the
+// pod's container comes up, from an event that runs before the container's
+// start: the first scan, one zero-delay event later, finds it running, and
+// the kill leaves it never ready. Started 1–250 ms earlier, the watcher finds
+// it on a later 100 ms poll, after it has become ready.
+func TestCrashWatchMatchesProcLoop(t *testing.T) {
+	world := func(crash func(c *Cluster, pod string, n *node, svc string), early time.Duration, runningAt sim.Time) (runningAtOut, readyAt sim.Time, state container.State) {
+		r := newRig(t, nil)
+		a := annotated(t, "web.example.com")
+		r.k.Go("driver", func(p *sim.Proc) {
+			r.kc.Pull(p, a)
+			r.kc.Create(p, a)
+			r.kc.ScaleUp(p, a.UniqueName)
+		})
+		if runningAt > 0 {
+			r.k.At(runningAt-early, func() {
+				pod := r.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})[0]
+				crash(r.kc, pod.Name, r.kc.nodeByName(pod.NodeName), a.UniqueName)
+			})
+		}
+		r.k.RunUntil(time.Minute)
+		ctr := r.rt.List(nil)[0]
+		return ctr.ReadyAt() - ctr.Config().InitDelay, ctr.ReadyAt(), ctr.State()
+	}
+	runningAt, _, _ := world(nil, 0, 0)
+	for _, early := range []time.Duration{0, time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond} {
+		_, wantReady, wantState := world(crashPodLoop, early, runningAt)
+		_, gotReady, gotState := world((*Cluster).crashPod, early, runningAt)
+		if gotReady != wantReady || gotState != wantState {
+			t.Errorf("watcher started %v before the container runs: ready at %v, %v; the process watcher: %v, %v",
+				early, gotReady, gotState, wantReady, wantState)
+		}
+		if early == 0 && wantReady != 0 {
+			t.Errorf("watcher started as the container runs: the reference let it become ready at %v", wantReady)
+		}
 	}
 }

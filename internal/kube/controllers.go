@@ -27,26 +27,59 @@ func DefaultControllerConfig() ControllerConfig {
 // workQueue is a keyed work queue with the kubernetes workqueue semantics:
 // a key is processed by at most one worker at a time, duplicate enqueues of
 // a pending key coalesce, and a key enqueued while active is re-processed
-// once the active pass finishes (level-based reconciliation).
+// once the active pass finishes (level-based reconciliation). A worker is a
+// pass over one key at a time, not a process; an idle one costs nothing.
 type workQueue struct {
-	k      *sim.Kernel
-	ch     *sim.Chan[string]
-	queued map[string]bool
-	active map[string]bool
-	again  map[string]bool
+	k         *sim.Kernel
+	keys      *sim.Chan[string] // queued keys, oldest first; no process receives
+	idle      []*worker         // workers with no key and no wake-up pending
+	queued    map[string]bool
+	active    map[string]bool
+	again     map[string]bool
+	delay     time.Duration
+	reconcile step[worker] // a pass's first API request; the pass ends with w.done
 }
 
 func newWorkQueue(k *sim.Kernel) *workQueue {
 	return &workQueue{
 		k:      k,
-		ch:     sim.NewChan[string](k),
+		keys:   sim.NewChan[string](k),
 		queued: make(map[string]bool),
 		active: make(map[string]bool),
 		again:  make(map[string]bool),
 	}
 }
 
-// Add enqueues a key (coalescing duplicates).
+// worker is a controller's pass over key, with what it has read so far.
+type worker struct {
+	pass[worker]
+	q    *workQueue
+	key  string
+	d    *Deployment
+	rs   *ReplicaSet
+	pods []*Pod
+	n    int // pods still to create
+}
+
+// serve gives the queue cfg.Workers workers (at least one), whose passes pay
+// cfg.ReconcileDelay and then request reconcile, on api. They start idle: as
+// processes they parked one zero-delay event after their start, and no key
+// can be queued before then — Adds come from watch deliveries, which the
+// queue subscribed to after that event was scheduled.
+func (q *workQueue) serve(api *APIServer, cfg ControllerConfig, reconcile step[worker]) {
+	q.delay, q.reconcile = cfg.ReconcileDelay, reconcile
+	for i := 0; i < max(cfg.Workers, 1); i++ {
+		w := &worker{q: q}
+		w.init(api, w)
+		q.idle = append(q.idle, w)
+	}
+}
+
+// Add enqueues a key (coalescing duplicates). An idle worker takes the
+// queue's head one zero-delay event later, after everything already
+// scheduled for this instant: under a burst, whether a later Add of the
+// instant finds its key queued or active depends on that position (DESIGN
+// §21).
 func (q *workQueue) Add(key string) {
 	if q.active[key] {
 		q.again[key] = true
@@ -56,32 +89,41 @@ func (q *workQueue) Add(key string) {
 		return
 	}
 	q.queued[key] = true
-	q.ch.Send(key)
+	q.keys.Send(key)
+	if n := len(q.idle); n > 0 {
+		w := q.idle[n-1]
+		q.idle = q.idle[:n-1]
+		w.sleep(0, (*worker).take)
+	}
 }
 
-// run starts workers processing keys with process.
-func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key string)) {
-	if workers <= 0 {
-		workers = 1
+// take starts a pass over the queue's head, or goes back to idle if the
+// queue is empty: a pass that ended since the wake-up took the key.
+func (w *worker) take() step[worker] {
+	q := w.q
+	key, ok := q.keys.TryRecv()
+	if !ok {
+		q.idle = append(q.idle, w)
+		return nil
 	}
-	for i := 0; i < workers; i++ {
-		q.k.Go(name, func(p *sim.Proc) {
-			for {
-				key, ok := q.ch.Recv(p)
-				if !ok {
-					return
-				}
-				delete(q.queued, key)
-				q.active[key] = true
-				process(p, key)
-				delete(q.active, key)
-				if q.again[key] {
-					delete(q.again, key)
-					q.Add(key)
-				}
-			}
-		})
+	w.key = key
+	delete(q.queued, key)
+	q.active[w.key] = true
+	w.sleep(q.delay, func(w *worker) step[worker] { return w.q.reconcile })
+	return nil
+}
+
+// done ends w's pass. A key Added while it was active is queued again, and
+// w takes the next key at once, as a worker process's next receive did.
+func (w *worker) done() step[worker] {
+	q := w.q
+	delete(q.active, w.key)
+	if q.again[w.key] {
+		delete(q.again, w.key)
+		q.Add(w.key)
 	}
+	w.d, w.rs, w.pods = nil, nil, nil
+	return w.take()
 }
 
 // RunDeploymentController starts the Deployment controller: level-based
@@ -90,39 +132,57 @@ func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key 
 func RunDeploymentController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
 	api.subscribeQueued(KindDeployment, func(ev Event) { q.Add(ev.Name) })
-	q.run("deployment-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
-		p.Sleep(cfg.ReconcileDelay)
-		reconcileDeployment(p, api, name)
-	})
+	q.serve(api, cfg, reconcileDeployment)
 }
 
 func rsName(deployment string) string { return deployment + "-rs" }
 
-func reconcileDeployment(p *sim.Proc, api *APIServer, name string) {
-	d, err := api.GetDeployment(p, name)
+// reconcileDeployment is the Deployment controller's pass over w.key, one
+// API request per step.
+func reconcileDeployment(w *worker) step[worker] {
+	d, err := w.api.GetDeployment(nil, w.key)
 	if err != nil {
-		// Deployment gone: cascade-delete the owned ReplicaSet.
-		if _, rserr := api.GetReplicaSet(p, rsName(name)); rserr == nil {
-			api.DeleteReplicaSet(p, rsName(name))
+		return deploymentCascade
+	}
+	w.d = d
+	return deploymentOwnRS
+}
+
+// deploymentCascade deletes the ReplicaSet of a Deployment that is gone.
+func deploymentCascade(w *worker) step[worker] {
+	if _, err := w.api.GetReplicaSet(nil, rsName(w.key)); err != nil {
+		return w.done()
+	}
+	return func(w *worker) step[worker] {
+		w.api.DeleteReplicaSet(nil, rsName(w.key))
+		return w.done()
+	}
+}
+
+func deploymentOwnRS(w *worker) step[worker] {
+	rs, err := w.api.GetReplicaSet(nil, rsName(w.key))
+	switch {
+	case err != nil:
+		return func(w *worker) step[worker] {
+			d := w.d
+			w.api.CreateReplicaSet(nil, &ReplicaSet{
+				Name:          rsName(d.Name),
+				Owner:         d.Name,
+				Labels:        copyLabels(d.Labels),
+				Replicas:      d.Replicas,
+				Template:      copyTemplate(d.Template),
+				SchedulerName: d.SchedulerName,
+			})
+			return w.done()
 		}
-		return
+	case rs.Replicas != w.d.Replicas:
+		rs.Replicas, w.rs = w.d.Replicas, rs
+		return func(w *worker) step[worker] {
+			w.api.UpdateReplicaSet(nil, w.rs)
+			return w.done()
+		}
 	}
-	rs, err := api.GetReplicaSet(p, rsName(d.Name))
-	if err != nil {
-		api.CreateReplicaSet(p, &ReplicaSet{
-			Name:          rsName(d.Name),
-			Owner:         d.Name,
-			Labels:        copyLabels(d.Labels),
-			Replicas:      d.Replicas,
-			Template:      copyTemplate(d.Template),
-			SchedulerName: d.SchedulerName,
-		})
-		return
-	}
-	if rs.Replicas != d.Replicas {
-		rs.Replicas = d.Replicas
-		api.UpdateReplicaSet(p, rs)
-	}
+	return w.done()
 }
 
 // RunReplicaSetController starts the ReplicaSet controller: it creates or
@@ -137,39 +197,61 @@ func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 			q.Add(pod.Owner)
 		}
 	})
-	q.run("replicaset-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
-		p.Sleep(cfg.ReconcileDelay)
-		reconcileReplicaSet(p, api, name)
-	})
+	q.serve(api, cfg, reconcileReplicaSet)
 }
 
-func reconcileReplicaSet(p *sim.Proc, api *APIServer, name string) {
-	rs, err := api.GetReplicaSet(p, name)
-	if err != nil {
-		// ReplicaSet gone: delete its pods.
-		for _, pod := range api.ListPodsByOwner(p, name) {
-			api.DeletePod(p, pod.Name)
-		}
-		return
-	}
-	pods := api.ListPodsByOwner(p, rs.Name)
+// reconcileReplicaSet is the ReplicaSet controller's pass over w.key, one API
+// request per step.
+func reconcileReplicaSet(w *worker) step[worker] {
+	w.rs, _ = w.api.GetReplicaSet(nil, w.key) // nil once it is gone: its pods go
+	return replicaSetListPods
+}
+
+func replicaSetListPods(w *worker) step[worker] {
+	w.pods = w.api.ListPodsByOwner(nil, w.key)
 	switch {
-	case len(pods) < rs.Replicas:
-		for i := len(pods); i < rs.Replicas; i++ {
-			api.CreatePod(p, &Pod{
-				Owner:         rs.Name,
-				Labels:        copyLabels(rs.Template.Labels),
-				Spec:          copyTemplate(rs.Template),
-				SchedulerName: rs.SchedulerName,
-				Phase:         PodPending,
-			})
+	case w.rs == nil: // gone: delete them all
+	case len(w.pods) < w.rs.Replicas:
+		w.n = w.rs.Replicas - len(w.pods)
+		return replicaSetCreatePod
+	default:
+		w.pods = w.pods[w.rs.Replicas:] // the surplus, if any
+	}
+	return replicaSetDelete(w)
+}
+
+func replicaSetCreatePod(w *worker) step[worker] {
+	rs := w.rs
+	w.api.CreatePod(nil, &Pod{
+		Owner:         rs.Name,
+		Labels:        copyLabels(rs.Template.Labels),
+		Spec:          copyTemplate(rs.Template),
+		SchedulerName: rs.SchedulerName,
+		Phase:         PodPending,
+	})
+	if w.n--; w.n > 0 {
+		return replicaSetCreatePod
+	}
+	return w.done()
+}
+
+// replicaSetDelete deletes w.pods, one request each: the pods of a
+// ReplicaSet that is gone oldest first, surplus pods newest first
+// (Kubernetes' default victim preference for scale-down).
+func replicaSetDelete(w *worker) step[worker] {
+	if len(w.pods) == 0 {
+		return w.done()
+	}
+	return func(w *worker) step[worker] {
+		if w.rs == nil {
+			w.api.DeletePod(nil, w.pods[0].Name)
+			w.pods = w.pods[1:]
+		} else {
+			last := len(w.pods) - 1
+			w.api.DeletePod(nil, w.pods[last].Name)
+			w.pods = w.pods[:last]
 		}
-	case len(pods) > rs.Replicas:
-		// Delete surplus pods, newest first (Kubernetes' default victim
-		// preference for scale-down).
-		for i := len(pods) - 1; i >= rs.Replicas; i-- {
-			api.DeletePod(p, pods[i].Name)
-		}
+		return replicaSetDelete(w)
 	}
 }
 
@@ -262,92 +344,151 @@ func RunScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 	if cfg.CycleDelay <= 0 {
 		cfg.CycleDelay = 30 * time.Millisecond
 	}
-	inflight := map[string]bool{}
-	unschedulable := map[string]bool{}
+	s := &scheduler{cfg: cfg, nodes: nodes, inflight: map[string]bool{}, unschedulable: map[string]bool{},
+		events: sim.NewChan[Event](api.k), waiting: true}
+	s.init(api, s)
+	api.Subscribe(KindPod, s.watch)
+}
 
-	mine := func(pod *Pod) bool {
-		want := pod.SchedulerName
-		if want == "" {
-			want = DefaultSchedulerName
-		}
-		return want == cfg.Name
+// scheduler is one scheduler instance: a serial loop over its pod watch that
+// runs one scheduling cycle at a time and hands each scheduled pod to a
+// binding of its own.
+type scheduler struct {
+	pass[scheduler]
+	cfg           SchedulerConfig
+	nodes         []NodeRef
+	inflight      map[string]bool
+	unschedulable map[string]bool
+	events        *sim.Chan[Event] // the pod watch, buffered while the loop is busy; no process receives
+	retry         []string         // parked pods still to retry, by name, ahead of later events
+	// waiting is set while the loop is idle: the next event wakes it one
+	// zero-delay event later, where a process blocked on the watch channel
+	// woke. The loop starts idle, as a work queue's workers do.
+	waiting bool
+	cycling string // the pod whose cycle is running
+}
+
+func (s *scheduler) watch(ev Event) {
+	s.events.Send(ev)
+	if s.waiting {
+		s.waiting = false
+		s.sleep(0, schedule)
 	}
+}
 
-	var schedule func(p *sim.Proc, name string)
-	schedule = func(p *sim.Proc, name string) {
-		pod, err := api.GetPod(nil, name)
-		if err != nil || pod.NodeName != "" || pod.Phase != PodPending || inflight[pod.Name] || !mine(pod) {
-			return
-		}
-		inflight[pod.Name] = true
-		// Serial scheduling cycle on the scheduler loop.
-		p.Sleep(cfg.CycleDelay)
-		api.Kernel().Go("scheduler:"+cfg.Name+":bind:"+name, func(bp *sim.Proc) {
-			defer delete(inflight, name)
-			if rest := cfg.BindingDelay - cfg.CycleDelay; rest > 0 {
-				bp.Sleep(rest)
-			}
-			pod, err := api.GetPod(bp, name)
-			if err != nil || pod.NodeName != "" {
-				return
-			}
-			needCPU, needMem := podRequests(pod.Spec)
-			status := make([]NodeStatus, 0, len(nodes))
-			api.charge(bp) // one list request covers every node's pods
-			for _, n := range nodes {
-				if !api.nodeSchedulable(n.Name) {
-					continue
-				}
-				st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
-				for _, other := range api.podsByNode[n.Name].view() {
-					st.Pods++
-					cpu, mem := podRequests(other.Spec)
-					st.CPUFree -= cpu
-					st.MemFree -= mem
-				}
-				if st.CPUFree >= needCPU && st.MemFree >= needMem {
-					status = append(status, st)
-				}
-			}
-			if len(status) == 0 {
-				// Nothing fits: keep Pending, retry on capacity changes.
-				unschedulable[name] = true
-				return
-			}
-			node := cfg.Pick(pod, status)
-			if node == "" {
-				unschedulable[name] = true
-				return
-			}
-			delete(unschedulable, name)
-			pod.NodeName = node
-			api.UpdatePod(bp, pod)
-		})
-	}
-
-	w := api.Watch(KindPod)
-	api.Kernel().Go("scheduler:"+cfg.Name, func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
+// schedule runs the loop until a scheduling cycle starts or there is nothing
+// left to do. A deleted pod may have freed capacity: the parked pods are
+// retried by name — each cycle sleeps, so the retry order is the bind order,
+// and the binds it overlaps with edit the set.
+func schedule(s *scheduler) step[scheduler] {
+	for {
+		var name string
+		if len(s.retry) > 0 {
+			name, s.retry = s.retry[0], s.retry[1:]
+		} else if ev, ok := s.events.TryRecv(); ok {
 			if ev.Type == Deleted {
-				delete(unschedulable, ev.Name)
-				// Capacity may have freed: retry parked pods, by name — each
-				// cycle sleeps, so the iteration order is the bind order, and
-				// the binds it overlaps with edit the set.
-				parked := make([]string, 0, len(unschedulable))
-				for name := range unschedulable {
-					parked = append(parked, name)
+				delete(s.unschedulable, ev.Name)
+				for name := range s.unschedulable {
+					s.retry = append(s.retry, name)
 				}
-				sort.Strings(parked)
-				for _, name := range parked {
-					schedule(p, name)
-				}
+				sort.Strings(s.retry)
 				continue
 			}
-			schedule(p, ev.Name)
+			name = ev.Name
+		} else {
+			s.waiting = true
+			return nil
 		}
-	})
+		pod := s.api.pods.byName[name]
+		if pod == nil || pod.NodeName != "" || pod.Phase != PodPending || s.inflight[name] || !s.mine(pod) {
+			continue
+		}
+		// Serial scheduling cycle on the scheduler loop; the pod's binding
+		// starts one zero-delay event after it, where a bind process started.
+		s.inflight[name] = true
+		s.cycling = name
+		s.sleep(s.cfg.CycleDelay, func(s *scheduler) step[scheduler] {
+			b := &binding{s: s, name: s.cycling}
+			b.init(s.api, b)
+			b.sleep(0, bind)
+			return schedule(s)
+		})
+		return nil
+	}
+}
+
+func (s *scheduler) mine(pod *Pod) bool {
+	want := pod.SchedulerName
+	if want == "" {
+		want = DefaultSchedulerName
+	}
+	return want == s.cfg.Name
+}
+
+// binding binds one pod: BindingDelay after its cycle began it reads the pod,
+// lists the nodes' pods, picks a node and writes the binding, one API request
+// each. Concurrent pods overlap here.
+type binding struct {
+	pass[binding]
+	s    *scheduler
+	name string
+	pod  *Pod
+}
+
+func bind(b *binding) step[binding] {
+	if rest := b.s.cfg.BindingDelay - b.s.cfg.CycleDelay; rest > 0 {
+		b.sleep(rest, func(*binding) step[binding] { return bindRead })
+		return nil
+	}
+	return bindRead
+}
+
+func bindRead(b *binding) step[binding] {
+	pod, err := b.api.GetPod(nil, b.name)
+	if err != nil || pod.NodeName != "" {
+		return b.end()
+	}
+	b.pod = pod
+	return bindPick // one list request covers every node's pods
+}
+
+func bindPick(b *binding) step[binding] {
+	s := b.s
+	needCPU, needMem := podRequests(b.pod.Spec)
+	status := make([]NodeStatus, 0, len(s.nodes))
+	for _, n := range s.nodes {
+		if !b.api.nodeSchedulable(n.Name) {
+			continue
+		}
+		st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
+		for _, other := range b.api.podsByNode[n.Name].view() {
+			st.Pods++
+			cpu, mem := podRequests(other.Spec)
+			st.CPUFree -= cpu
+			st.MemFree -= mem
+		}
+		if st.CPUFree >= needCPU && st.MemFree >= needMem {
+			status = append(status, st)
+		}
+	}
+	node := ""
+	if len(status) > 0 {
+		node = s.cfg.Pick(b.pod, status)
+	}
+	if node == "" {
+		// Nothing fits: keep Pending, retry on capacity changes.
+		s.unschedulable[b.name] = true
+		return b.end()
+	}
+	delete(s.unschedulable, b.name)
+	b.pod.NodeName = node
+	return func(b *binding) step[binding] {
+		b.api.UpdatePod(nil, b.pod)
+		return b.end()
+	}
+}
+
+func (b *binding) end() step[binding] {
+	delete(b.s.inflight, b.name)
+	return nil
 }

@@ -112,7 +112,6 @@ func (c *Cluster) Start() {
 	c.started = true
 	RunDeploymentController(c.api, c.cfg.Controller)
 	RunReplicaSetController(c.api, c.cfg.Controller)
-	RunEndpointsController(c.api, c.cfg.Controller)
 	refs := make([]NodeRef, len(c.nodes))
 	for i, n := range c.nodes {
 		refs[i] = NodeRef{Name: n.name, Cap: n.cap}
@@ -306,8 +305,8 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		deadline: p.Now() + bindMaxWait,
 		done:     sim.NewPromise[cluster.Instance](c.api.k),
 	}
-	w.ev = c.api.k.NewEvent(w.fire)
-	w.list()
+	w.init(c.api, w)
+	w.request(bindWaitRead)
 	return w.done.Await(p)
 }
 
@@ -323,43 +322,21 @@ var ErrBindTimeout = errors.New("kube: no pod was bound to a node")
 // that follows this one.
 const bindMaxWait = 5 * time.Minute
 
-// bindWait is ScaleUp's wait for a bound pod as a state machine on one
-// re-armable event: pay the API request latency of a pod list, read the
-// service's pods, and if none is bound pause BindPollInterval and list again.
-// The bound is checked only after a list that found nothing, as the
-// controller's readiness probe checks its own.
+// bindWait is ScaleUp's wait for a bound pod as a pass: pay the API request
+// latency of a pod list, read the service's pods, and if none is bound pause
+// BindPollInterval and list again. The bound is checked only after a list
+// that found nothing, as the controller's readiness probe checks its own.
 type bindWait struct {
+	pass[bindWait]
 	c        *Cluster
 	name     string
 	port     int
 	selector map[string]string
 	deadline sim.Time
-	listing  bool // the armed event ends a list's request latency, not a pause
-	ev       *sim.Event
 	done     *sim.Promise[cluster.Instance]
 }
 
-// list starts one ListPods: the read happens RequestLatency from now.
-func (w *bindWait) list() {
-	k := w.c.api.k
-	if lat := w.c.api.cfg.RequestLatency; lat > 0 {
-		w.listing = true
-		k.Schedule(w.ev, k.Now()+lat)
-		return
-	}
-	w.read()
-}
-
-func (w *bindWait) fire() {
-	if w.listing {
-		w.listing = false
-		w.read()
-		return
-	}
-	w.list()
-}
-
-func (w *bindWait) read() {
+func bindWaitRead(w *bindWait) step[bindWait] {
 	c := w.c
 	for _, pod := range c.api.podsMatching(w.selector) {
 		if pod.NodeName == "" {
@@ -378,41 +355,42 @@ func (w *bindWait) read() {
 			Addr:    n.rt.Host().IP(),
 			Port:    w.port,
 		})
-		return
+		return nil
 	}
-	k := c.api.k
-	if k.Now() >= w.deadline {
+	if c.api.k.Now() >= w.deadline {
 		w.done.Fail(fmt.Errorf("%w: %s on %s after %v", ErrBindTimeout, w.name, c.name, bindMaxWait))
-		return
+		return nil
 	}
-	k.Schedule(w.ev, k.Now()+c.cfg.BindPollInterval)
+	w.sleep(c.cfg.BindPollInterval, func(*bindWait) step[bindWait] { return bindWaitRead })
+	return nil
 }
 
 // crashPod models a pod whose processes die right after the kubelet starts
-// them: a bounded watcher waits for the pod's containers to come up, kills
-// them once, and exits. The pod object stays Running — the kubelet does not
+// them: a bounded watcher polls for the pod's containers to come up, kills
+// them once, and stops. The pod object stays Running — the kubelet does not
 // watch process health here — so only the controller's port probing notices
 // the crash; a retry's ScaleDown deletes the pod and schedules a fresh one.
+// The poll is one re-armable event; its first look is one zero-delay event
+// from now, where Kernel.Go started the watcher as a process.
 func (c *Cluster) crashPod(podName string, n *node, svcName string) {
-	c.api.Kernel().Go("faultcrash:"+c.name+":"+podName, func(p *sim.Proc) {
-		deadline := p.Now() + 30*time.Second
-		for p.Now() < deadline {
-			killed := false
-			for _, ctr := range n.rt.List(map[string]string{"app": svcName}) {
-				if !strings.HasPrefix(ctr.Name(), podName+".") {
-					continue
-				}
-				if ctr.State() == container.StateRunning {
-					_ = ctr.Kill()
-					killed = true
-				}
+	k := c.api.k
+	deadline := k.Now() + 30*time.Second
+	var poll *sim.Event
+	poll = k.NewEvent(func() {
+		if k.Now() >= deadline {
+			return
+		}
+		killed := false
+		for _, ctr := range n.rt.List(map[string]string{"app": svcName}) {
+			if strings.HasPrefix(ctr.Name(), podName+".") && ctr.Kill() == nil {
+				killed = true
 			}
-			if killed {
-				return
-			}
-			p.Sleep(100 * time.Millisecond)
+		}
+		if !killed {
+			k.Schedule(poll, k.Now()+100*time.Millisecond)
 		}
 	})
+	k.Schedule(poll, k.Now())
 }
 
 // ScaleDown implements cluster.Cluster.

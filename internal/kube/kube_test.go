@@ -3,6 +3,7 @@ package kube
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -584,6 +585,10 @@ func TestTwoNodeSpreading(t *testing.T) {
 	k.RunUntil(60 * time.Second)
 }
 
+// TestEndpointsControllerTracksReadyPods: Cluster.Endpoints, which derives a
+// Service's backends from its running pods on every call, is the endpoints
+// controller — empty before scale-up and while the pod starts, the one pod
+// once it runs, empty again after scale-down.
 func TestEndpointsControllerTracksReadyPods(t *testing.T) {
 	rg := newRig(t, nil)
 	a := annotated(t, "web.example.com")
@@ -591,25 +596,22 @@ func TestEndpointsControllerTracksReadyPods(t *testing.T) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
 		p.Sleep(2 * time.Second)
-		if eps := rg.kc.API().GetEndpoints(nil, a.UniqueName); eps != nil && len(eps.Subsets) != 0 {
-			t.Errorf("endpoints before scale-up = %+v", eps.Subsets)
+		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
+			t.Errorf("endpoints before scale-up = %+v", eps)
 		}
 		inst, _ := rg.kc.ScaleUp(p, a.UniqueName)
-		probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
-		p.Sleep(2 * time.Second) // let the endpoints controller reconcile
-		eps := rg.kc.API().GetEndpoints(nil, a.UniqueName)
-		if eps == nil || len(eps.Subsets) != 1 {
-			t.Fatalf("endpoints after scale-up = %+v", eps)
+		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
+			t.Errorf("endpoints of a pod that is bound but not started = %+v", eps)
 		}
-		if eps.Subsets[0].NodeName != "egs" || eps.Subsets[0].HostPort != inst.Port {
-			t.Errorf("subset = %+v", eps.Subsets[0])
+		probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
+		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 1 || eps[0] != inst {
+			t.Fatalf("endpoints after scale-up = %+v, want [%+v]", eps, inst)
 		}
 		// Scale down: the endpoints empty out.
 		rg.kc.ScaleDown(p, a.UniqueName)
 		p.Sleep(10 * time.Second)
-		eps = rg.kc.API().GetEndpoints(nil, a.UniqueName)
-		if eps != nil && len(eps.Subsets) != 0 {
-			t.Errorf("endpoints after scale-down = %+v", eps.Subsets)
+		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
+			t.Errorf("endpoints after scale-down = %+v", eps)
 		}
 	})
 	rg.k.RunUntil(10 * time.Minute)
@@ -639,6 +641,18 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(10 * time.Minute)
+}
+
+// run serves q with process as the body of every pass, each on a process of
+// its own: the proc-bodied form of serve the work-queue tests drive.
+func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key string)) {
+	q.serve(NewAPIServer(q.k, APIConfig{}), ControllerConfig{Workers: workers}, func(w *worker) step[worker] {
+		q.k.Go(name, func(p *sim.Proc) {
+			process(p, w.key)
+			w.done()
+		})
+		return nil
+	})
 }
 
 func TestWorkQueueCoalescesAndSerializes(t *testing.T) {
@@ -1006,6 +1020,65 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 		k.RunUntil(time.Minute)
 		if !reflect.DeepEqual(bound, want) {
 			t.Fatalf("run %d: bind order after capacity freed = %v, want %v", run, bound, want)
+		}
+	}
+}
+
+// TestKubeletTearsDownOrphansInNameOrder: pods evicted while their node was
+// NotReady are orphans on the kubelet when the node comes back, and its
+// resync stops their containers one after the other — each stop sleeps — so
+// the order is the stop order. It must not depend on Go's map iteration:
+// every kernel stops them by pod name.
+func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
+	type stop struct {
+		container string
+		at        sim.Time
+	}
+	var first []stop
+	for run := 0; run < 20; run++ {
+		rg := newRig(t, nil)
+		var services []*spec.Annotated
+		for _, domain := range []string{"a.example.com", "b.example.com", "c.example.com"} {
+			services = append(services, annotated(t, domain))
+		}
+		var stops []stop
+		rg.k.Go("driver", func(p *sim.Proc) {
+			for _, a := range services {
+				rg.kc.Pull(p, a)
+				rg.kc.Create(p, a)
+				inst, _ := rg.kc.ScaleUp(p, a.UniqueName)
+				probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
+			}
+			running := rg.rt.List(nil)
+			kl := rg.kc.Kubelet("egs")
+			kl.SetFailed(true)
+			p.Sleep(time.Minute) // past the grace period: the pods are evicted
+			if pods := rg.kc.API().ListPodsByNode(nil, "egs"); len(pods) != 0 {
+				t.Errorf("run %d: %d pods still bound to the failed node", run, len(pods))
+			}
+			kl.SetFailed(false)
+			stopped := map[string]bool{}
+			for len(stops) < len(running) && p.Now() < 2*time.Minute {
+				p.Sleep(time.Millisecond)
+				for _, ctr := range running {
+					if ctr.State() != container.StateRunning && !stopped[ctr.Name()] {
+						stopped[ctr.Name()] = true
+						stops = append(stops, stop{ctr.Name(), p.Now()})
+					}
+				}
+			}
+		})
+		rg.k.RunUntil(5 * time.Minute)
+		if len(stops) != len(services) {
+			t.Fatalf("run %d: %d containers stopped after the node came back, want %d", run, len(stops), len(services))
+		}
+		if !sort.SliceIsSorted(stops, func(i, j int) bool { return stops[i].container < stops[j].container }) {
+			t.Fatalf("run %d: stopped %v, want by pod name", run, stops)
+		}
+		if run == 0 {
+			first = stops
+		} else if !reflect.DeepEqual(stops, first) {
+			t.Fatalf("run %d stopped %v, run 0 %v", run, stops, first)
 		}
 	}
 }

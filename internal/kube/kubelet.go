@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"sort"
 	"time"
 
 	"transparentedge/internal/cluster"
@@ -111,10 +112,17 @@ func (kl *Kubelet) resync(p *sim.Proc) {
 			kl.maybeStart(pod)
 		}
 	}
+	// Each teardown sleeps, so the order is the stop order: by name, not by
+	// map iteration.
+	var gone []string
 	for name, pr := range kl.pods {
 		if pod := kl.api.pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !pr.starting {
-			kl.teardown(p, name)
+			gone = append(gone, name)
 		}
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
+		kl.teardown(p, name)
 	}
 }
 

@@ -77,25 +77,62 @@ func RunNodeLifecycleController(api *APIServer, cfg NodeLifecycleConfig) {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = 40 * time.Second
 	}
-	api.Kernel().Go("node-lifecycle-controller", func(p *sim.Proc) {
-		for {
-			p.Sleep(cfg.MonitorPeriod)
-			now := api.Kernel().Now()
-			for _, n := range api.ListNodes(p) {
-				if !n.Ready || now-n.LastHeartbeat <= cfg.GracePeriod {
-					continue
-				}
-				// Mark NotReady (keeping any heartbeat that landed since the
-				// list) and evict.
-				stale := api.nodes.byName[n.Name].clone()
-				stale.Ready = false
-				api.nodes.put(stale, Modified)
-				for _, pod := range api.ListPodsByNode(p, n.Name) {
-					api.DeletePod(p, pod.Name)
-				}
-			}
+	m := &nodeMonitor{cfg: cfg}
+	m.init(api, m)
+	m.sleep(0, monitorIdle)
+}
+
+// nodeMonitor is the node controller's loop. A sweep lists the nodes, marks
+// each stale one NotReady and evicts its pods, one API request each, and the
+// next sweep is due MonitorPeriod after this one ends.
+type nodeMonitor struct {
+	pass[nodeMonitor]
+	cfg   NodeLifecycleConfig
+	now   sim.Time // when the sweep began
+	nodes []*Node  // the sweep's nodes still to look at; nodes[0] is being evicted
+	pods  []*Pod   // nodes[0]'s pods still to delete
+}
+
+func monitorIdle(m *nodeMonitor) step[nodeMonitor] {
+	m.sleep(m.cfg.MonitorPeriod, func(m *nodeMonitor) step[nodeMonitor] {
+		m.now = m.api.k.Now()
+		return func(m *nodeMonitor) step[nodeMonitor] {
+			m.nodes = m.api.ListNodes(nil)
+			return monitorNext(m)
 		}
 	})
+	return nil
+}
+
+// monitorNext marks the next stale node NotReady and lists its pods, or ends
+// the sweep.
+func monitorNext(m *nodeMonitor) step[nodeMonitor] {
+	for ; len(m.nodes) > 0; m.nodes = m.nodes[1:] {
+		if n := m.nodes[0]; n.Ready && m.now-n.LastHeartbeat > m.cfg.GracePeriod {
+			// Mark NotReady (keeping any heartbeat that landed since the
+			// list) and evict.
+			stale := m.api.nodes.byName[n.Name].clone()
+			stale.Ready = false
+			m.api.nodes.put(stale, Modified)
+			return func(m *nodeMonitor) step[nodeMonitor] {
+				m.pods = m.api.ListPodsByNode(nil, m.nodes[0].Name)
+				return monitorEvict(m)
+			}
+		}
+	}
+	return monitorIdle(m)
+}
+
+func monitorEvict(m *nodeMonitor) step[nodeMonitor] {
+	if len(m.pods) == 0 {
+		m.nodes = m.nodes[1:]
+		return monitorNext(m)
+	}
+	return func(m *nodeMonitor) step[nodeMonitor] {
+		m.api.DeletePod(nil, m.pods[0].Name)
+		m.pods = m.pods[1:]
+		return monitorEvict(m)
+	}
 }
 
 // startHeartbeats runs the kubelet's node-status loop.
@@ -103,14 +140,27 @@ func (kl *Kubelet) startHeartbeats(period time.Duration) {
 	if period <= 0 {
 		return
 	}
-	kl.api.Kernel().Go("kubelet:"+kl.nodeName+":heartbeat", func(p *sim.Proc) {
-		for {
-			if !kl.failed {
-				kl.api.UpsertNode(p, kl.nodeName, true)
-			}
-			p.Sleep(period)
-		}
-	})
+	h := &heartbeat{kl: kl, period: period}
+	h.init(kl.api, h)
+	h.sleep(0, beat)
+}
+
+type heartbeat struct {
+	pass[heartbeat]
+	kl     *Kubelet
+	period time.Duration
+}
+
+func beat(h *heartbeat) step[heartbeat] {
+	if h.kl.failed {
+		h.sleep(h.period, beat)
+		return nil
+	}
+	return func(h *heartbeat) step[heartbeat] {
+		h.api.UpsertNode(nil, h.kl.nodeName, true)
+		h.sleep(h.period, beat)
+		return nil
+	}
 }
 
 // SetFailed simulates a node crash (true): the kubelet stops heartbeating

@@ -368,13 +368,13 @@ func TestReadPathAllocations(t *testing.T) {
 // with two Services selecting the same pods on the same targetPort. Each node
 // has room for one pod, so two replicas run and the third stays Pending (two
 // pods of one Service cannot share a node: they would listen on one NodePort).
-// The pre-index code answered each of the three questions below from a map
-// range; all three must now be lowest-name-first, the same on every run.
+// The pre-index code answered the first two questions below from a map range;
+// they must be lowest-name-first, and all three the same on every run.
 func TestLowestNameFirstIsDeterministic(t *testing.T) {
 	type answer struct {
-		endpoint    cluster.Instance
-		hostPort    int  // NodePortFor via the kubelet
-		firstBefore bool // endpoints controller reconciled the lower-named Service first
+		endpoint cluster.Instance
+		hostPort int                 // NodePortFor via the kubelet
+		alt      [2]cluster.Instance // Endpoints of the lower-named Service
 	}
 	run := func() answer {
 		k := sim.New(1)
@@ -415,7 +415,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			for len(kc.Endpoints(a.UniqueName)) < 2 {
 				p.Sleep(200 * time.Millisecond)
 			}
-			p.Sleep(5 * time.Second) // let the endpoints controller settle
+			p.Sleep(5 * time.Second) // let the third pod settle as Pending
 			got.endpoint, _ = kc.Endpoint(a.UniqueName)
 			pods := kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
 			if len(pods) != 3 || pods[2].Phase != PodPending {
@@ -430,15 +430,17 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			if got.hostPort != 31999 {
 				t.Errorf("HostPort = %d, want the lower-named Service's NodePort 31999", got.hostPort)
 			}
-			alt, svc := kc.API().GetEndpoints(nil, "00-alt"), kc.API().GetEndpoints(nil, a.UniqueName)
-			if alt == nil || svc == nil || len(alt.Subsets) != 2 || len(svc.Subsets) != 2 {
-				t.Errorf("endpoints = %+v / %+v, want two subsets each", alt, svc)
+			alt, svc := kc.Endpoints("00-alt"), kc.Endpoints(a.UniqueName)
+			if len(alt) != 2 || len(svc) != 2 {
+				t.Errorf("endpoints = %+v / %+v, want two each", alt, svc)
 				return
 			}
-			got.firstBefore = alt.ResourceVersion < svc.ResourceVersion
-			if !got.firstBefore {
-				t.Errorf("endpoints of %s reconciled before 00-alt's", a.UniqueName)
+			for i := range alt {
+				if alt[i].Port != 31999 || alt[i].Addr != svc[i].Addr || svc[i].Port == 31999 {
+					t.Errorf("endpoints = %+v / %+v, want the same pods on each Service's own NodePort", alt, svc)
+				}
 			}
+			copy(got.alt[:], alt)
 		})
 		k.RunUntil(5 * time.Minute)
 		return got

@@ -90,7 +90,7 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 // kernel package itself, tests excluded) that start a process with
 // Kernel.Go. It only goes down: DESIGN.md §21 lists what is
 // left and in which order it is to be ported.
-const kernelGoCallSites = 18
+const kernelGoCallSites = 12
 
 // TestKernelGoCallSites is the ratchet on processes: it
 // counts the x.Go(name, func) calls. Nothing else in the module has a
@@ -173,6 +173,127 @@ func TestDocsNameRealTests(t *testing.T) {
 					}
 					if !found {
 						t.Errorf("%s:%d: `%s` names no function in the module", doc, i+1, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDocsNameRealDeclarations is the doc-lint's other half: every `pkg.Name`
+// or `pkg.Type.Member` that README.md, DESIGN.md or EXPERIMENTS.md names
+// between back quotes, with pkg a package of this module, is declared there —
+// a function, type, variable or constant, or a field or method of the type,
+// promoted ones included. Standard-library names and local variables (`q.Add`)
+// have no module package as qualifier and are not looked at, nor are the
+// benchmark's metric names (`sim.events_per_req`, `kube.ops`), which have no
+// upper-case letter where a declaration would be named.
+func TestDocsNameRealDeclarations(t *testing.T) {
+	type decls struct {
+		top     map[string]bool
+		members map[string]map[string]bool // type name -> its fields and methods
+		embeds  map[string][]string        // type name -> the package's types it embeds
+	}
+	pkgs := map[string]*decls{}
+	typeName := func(e ast.Expr) string {
+		for {
+			switch x := e.(type) {
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.Ident:
+				return x.Name
+			default:
+				return ""
+			}
+		}
+	}
+	goFiles(t, ".", "", true, func(_ *token.FileSet, f *ast.File) {
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if pkg == "main" {
+			return
+		}
+		d := pkgs[pkg]
+		if d == nil {
+			d = &decls{top: map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+			pkgs[pkg] = d
+		}
+		member := func(typ, name string) {
+			if d.members[typ] == nil {
+				d.members[typ] = map[string]bool{}
+			}
+			d.members[typ][name] = true
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.top[decl.Name.Name] = true
+				} else {
+					member(typeName(decl.Recv.List[0].Type), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.top[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						d.top[spec.Name.Name] = true
+						var fields []*ast.Field
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields.List
+						case *ast.InterfaceType:
+							fields = typ.Methods.List
+						}
+						for _, field := range fields {
+							for _, n := range field.Names {
+								member(spec.Name.Name, n.Name)
+							}
+							if embedded := typeName(field.Type); len(field.Names) == 0 && embedded != "" {
+								member(spec.Name.Name, embedded)
+								d.embeds[spec.Name.Name] = append(d.embeds[spec.Name.Name], embedded)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	var has func(d *decls, typ, name string, depth int) bool
+	has = func(d *decls, typ, name string, depth int) bool {
+		if d.members[typ][name] {
+			return true
+		}
+		for _, e := range d.embeds[typ] {
+			if depth < 4 && has(d, e, name, depth+1) {
+				return true
+			}
+		}
+		return false
+	}
+	quoted := regexp.MustCompile("`[^`\n]+`")
+	ref := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	upper := regexp.MustCompile(`[A-Z]`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, span := range quoted.FindAllString(line, -1) {
+				for _, m := range ref.FindAllStringSubmatch(span, -1) {
+					d, name, mem := pkgs[m[1]], m[2], m[3]
+					if d == nil || token.IsKeyword(name) || !upper.MatchString(name) { // kube.go, sim.events_per_req
+						continue
+					}
+					if !d.top[name] || (mem != "" && !has(d, name, mem, 0)) {
+						t.Errorf("%s:%d: `%s` is declared nowhere in package %s", doc, i+1, strings.TrimLeft(m[0], "`( "), m[1])
 					}
 				}
 			}
