@@ -35,8 +35,10 @@ race:
 # gates: internal/openflow's BenchmarkAddFlow (at1k/at10k, within-3x),
 # internal/kube's BenchmarkEnsureDeployed (at1/at500, within-2x),
 # internal/simnet's BenchmarkLinkContention (at1/at1024, within-4x of the
-# fair-share arithmetic) and internal/sim's BenchmarkKernelSparseSweep
-# (gap1/gap200, within-2x).
+# fair-share arithmetic), internal/sim's BenchmarkKernelSparseSweep
+# (gap1/gap200, within-2x) and internal/sim's BenchmarkShardWindow (ns per
+# window of a two-kernel group with one event per kernel: the shard
+# barrier's cost).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

@@ -163,3 +163,25 @@ func BenchmarkKernelSparseSweep(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkShardWindow is the window barrier's per-layer cost gate: a
+// two-kernel group in which each kernel runs one event per window, so a
+// window is nearly all coordination — drain, probe, hand-off to the worker
+// and the wait for it. It reports the cost per window.
+func BenchmarkShardWindow(b *testing.B) {
+	const look = time.Microsecond
+	g := NewShardGroup(2, 2, 1, look)
+	for d := 0; d < 2; d++ {
+		k, n := g.Kernel(d), 0
+		var tick func()
+		tick = func() {
+			if n++; n < b.N {
+				k.After(look, tick)
+			}
+		}
+		k.At(0, tick)
+	}
+	b.ResetTimer()
+	g.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g.Stats().Windows), "ns/window")
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // settledGoroutines returns runtime.NumGoroutine() once it has stopped moving:
-// a shard window worker signals its WaitGroup a moment before its goroutine is
-// gone, and nothing else can be waited on for that.
+// a shard window worker reports that it is exiting a moment before its
+// goroutine is gone, and nothing else can be waited on for that.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for stable := 0; stable < 20; {

@@ -464,8 +464,11 @@ func (k *Kernel) Run() {
 }
 
 // NextWhen returns the timestamp of the next live event across all queues,
-// without executing anything. ok is false when no live events remain. Shard
-// coordinators use it to compute the global window floor.
+// without executing anything. ok is false when no live events remain. The
+// peek is unbounded: with no earlier immediate or staged event it sweeps the
+// wheel cursor out to the next timer however far ahead, so a ShardGroup's
+// coordinator does not use it for its window floor (it probes up to a
+// bound instead).
 func (k *Kernel) NextWhen() (Time, bool) {
 	src, _, when := k.nextSource(maxTime)
 	return when, src != srcNone
@@ -495,10 +498,15 @@ func (k *Kernel) RunUntil(t Time) {
 		}
 		k.exec(src, lane)
 	}
+	k.advance(t)
+	k.releaseIdle()
+}
+
+// advance moves the clock forward to t once every event up to t has run.
+func (k *Kernel) advance(t Time) {
 	if t > k.now {
 		// Everything armed so far for an instant up to t has run.
 		k.now = t
 		k.ran = k.seq
 	}
-	k.releaseIdle()
 }

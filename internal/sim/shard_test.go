@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -143,5 +145,204 @@ func TestShardGroupMessageTieOrder(t *testing.T) {
 				t.Fatalf("shards=%d: got %v, want %v", shards, got, want)
 			}
 		}
+	}
+}
+
+// window is one lookahead window of a ShardGroup run.
+type window struct{ floor, horizon Time }
+
+// probedWindows is run, recording each window: the loop up to limit (< 0:
+// exhaustion), then the clock advance RunUntil adds.
+func probedWindows(g *ShardGroup, limit Time) (wins []window) {
+	defer g.dismiss()
+	for {
+		g.drain()
+		floor, ok := g.probe(limit)
+		if !ok {
+			break
+		}
+		wins = append(wins, window{floor, g.horizon})
+		g.dispatch()
+	}
+	for _, k := range g.kernels {
+		k.advance(limit)
+	}
+	return wins
+}
+
+// oracleWindows is probedWindows with the floor computed as it was before
+// the bounded probe: the minimum of an unbounded NextWhen on every kernel,
+// which sweeps an idle kernel's wheel cursor out to its next timer.
+func oracleWindows(g *ShardGroup, limit Time) (wins []window) {
+	defer g.dismiss()
+	for {
+		g.drain()
+		floor, ok := Time(0), false
+		for _, k := range g.kernels {
+			if w, kok := k.NextWhen(); kok && (!ok || w < floor) {
+				floor, ok = w, true
+			}
+		}
+		if !ok || limit >= 0 && floor > limit {
+			break
+		}
+		g.horizon = floor + g.look
+		if limit >= 0 && g.horizon > limit+1 {
+			g.horizon = limit + 1
+		}
+		g.busy, g.busyIdx = g.busy[:0], g.busyIdx[:0]
+		for i, k := range g.kernels {
+			if src, _, w := k.nextSource(g.horizon); src != srcNone && w < g.horizon {
+				g.busy = append(g.busy, k)
+				g.busyIdx = append(g.busyIdx, i)
+			}
+		}
+		wins = append(wins, window{floor, g.horizon})
+		g.dispatch()
+	}
+	for _, k := range g.kernels {
+		k.advance(limit)
+	}
+	return wins
+}
+
+// runAheadGroup is three kernels: kernel 0 replays an arrival lane and every
+// 2 ms sends kernel 2 a message; kernel 1 holds only a timer ten seconds
+// out; kernel 2 holds a timer five seconds out and no lane until the
+// messages arrive, each of which starts 10 ms of local traffic there.
+func runAheadGroup() *ShardGroup {
+	const look = time.Millisecond
+	g := NewShardGroup(3, 3, 1, look)
+	k0, k1, k2 := g.Kernel(0), g.Kernel(1), g.Kernel(2)
+	k1.At(10*time.Second, func() {})
+	k2.At(5*time.Second, func() {})
+	arrivals := make([]Time, 2000)
+	for i := range arrivals {
+		arrivals[i] = 100*time.Millisecond + Time(i)*100*time.Microsecond
+	}
+	k0.AtBatch(arrivals, func(i int) {
+		if i%20 != 0 {
+			return
+		}
+		g.Send(0, 2, k0.Now()+look, func() {
+			for j := 1; j <= 40; j++ {
+				k2.After(Time(j)*250*time.Microsecond, func() {})
+			}
+		})
+	})
+	return g
+}
+
+// The bounded floor probe opens exactly the windows the unbounded floor
+// did, and an idle kernel's wheel cursor no longer runs seconds ahead: the
+// traffic it carries afterwards stays in wheel slots instead of piling into
+// the near heap.
+func TestShardGroupProbeMatchesUnboundedFloor(t *testing.T) {
+	const mid = 150 * time.Millisecond
+	oracle, probed := runAheadGroup(), runAheadGroup()
+	want := append(oracleWindows(oracle, mid), oracleWindows(oracle, -1)...)
+	got := append(probedWindows(probed, mid), probedWindows(probed, -1)...)
+	if len(got) != len(want) {
+		t.Fatalf("%d windows, the unbounded floor opens %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("window %d is %+v, the unbounded floor's is %+v", i, got[i], want[i])
+		}
+	}
+
+	g := runAheadGroup()
+	g.RunUntil(mid)
+	g.Run()
+	if w := g.Stats().Windows; w != uint64(len(want)) {
+		t.Errorf("RunUntil+Run opened %d windows, want %d", w, len(want))
+	}
+	// Kernel 2 has over a hundred events outstanding at a time. The unbounded
+	// floor swept its cursor to 5 s before any arrived, so all of them
+	// queued in the near heap; probed up to a bound, the heap holds what
+	// falls behind a cursor parked within one idle gap of the floor.
+	const nearBound = 16
+	if n := oracle.Kernel(2).Stats().NearHighWater; n <= nearBound {
+		t.Fatalf("the unbounded floor reached a near-heap high water of only %d: the scenario no longer runs a cursor ahead", n)
+	}
+	for _, gg := range []*ShardGroup{probed, g} {
+		if n := gg.Kernel(2).Stats().NearHighWater; n > nearBound {
+			t.Errorf("idle kernel's near-heap high water %d, want <= %d", n, nearBound)
+		}
+	}
+}
+
+// TestShardGroupCrewStress runs thousands of short windows with random sets
+// of busy kernels at several shard counts and GOMAXPROCS values (so both
+// the spinning and the parking crew), compares every delivery with one
+// shard's, and checks that no worker goroutine outlives RunUntil, Run or
+// Close. A lost wake-up fails the test at its deadline instead of hanging
+// the suite.
+func TestShardGroupCrewStress(t *testing.T) {
+	const domains, look, hops = 8, time.Millisecond, 2000
+	scenario := func(shards int, mid Time, check func(after string)) ([][]string, uint64) {
+		g := NewShardGroup(domains, shards, 1, look)
+		logs := make([][]string, domains)
+		rngs := make([]*rand.Rand, domains)
+		var hop func(d, left int)
+		hop = func(d, left int) {
+			k := g.Kernel(d)
+			logs[d] = append(logs[d], fmt.Sprintf("%v#%d", k.Now(), left))
+			if left == 0 {
+				return
+			}
+			r := rngs[d]
+			if dst := r.Intn(2 * domains); dst < domains {
+				g.Send(d, dst, k.Now()+look+Time(r.Intn(3000))*time.Microsecond, func() { hop(dst, left-1) })
+			} else {
+				k.After(Time(r.Intn(1500))*time.Microsecond, func() { hop(d, left-1) })
+			}
+		}
+		for d := range rngs {
+			rngs[d] = rand.New(rand.NewSource(int64(d)))
+			for c := 0; c < 2; c++ {
+				g.Kernel(d).At(Time(rngs[d].Intn(5000))*time.Microsecond, func() { hop(d, hops) })
+			}
+		}
+		g.RunUntil(mid)
+		check("RunUntil")
+		g.Run()
+		check("Run")
+		g.Close()
+		check("Close")
+		return logs, g.Stats().Windows
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		base := settledGoroutines()
+		want, windows := scenario(1, 0, func(string) {})
+		mid := Time(windows/2) * look
+		if windows < 2000 {
+			t.Errorf("%d windows, want thousands", windows)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, shards := range []int{2, 3, 8} {
+				check := func(after string) {
+					if n := settledGoroutines(); n != base {
+						t.Errorf("GOMAXPROCS=%d shards=%d: %d goroutines after %s, %d before", procs, shards, n, after, base)
+					}
+				}
+				got, _ := scenario(shards, mid, check)
+				for d := range want {
+					if fmt.Sprint(got[d]) != fmt.Sprint(want[d]) {
+						t.Errorf("GOMAXPROCS=%d shards=%d: domain %d's deliveries differ from one shard's", procs, shards, d)
+					}
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Minute):
+		t.Fatal("stress run did not finish: a crew member missed its wake-up")
 	}
 }

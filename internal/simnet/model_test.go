@@ -577,31 +577,47 @@ func TestSoloZeroLatency(t *testing.T) {
 
 // TestActiveTransfersCountsSolo: a lone transfer is counted while it
 // serializes although it sits in no cohort and its direction has no event
-// armed, and not once it propagates.
+// armed, and not once it propagates. A clock moved to exactly its due by
+// RunUntil finds it ended, whether a kernel or a one-domain ShardGroup moved
+// it.
 func TestActiveTransfersCountsSolo(t *testing.T) {
-	k := sim.New(1)
-	n := NewNetwork(k)
-	var log []delivery
-	a := &recorderNode{name: "a", net: n, log: &log}
-	b := &recorderNode{name: "b", net: n, log: &log}
-	pa, _ := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: soloBW})
-	pkt := n.NewPacket()
-	pkt.Kind, pkt.Size = KindDATA, soloSize
-	pa.Send(pkt)
-	for _, tc := range []struct {
-		at   sim.Time
-		want int
-	}{{0, 1}, {soloDue() - 1, 1}, {soloDue(), 0}, {soloDue() + 1, 0}} {
-		k.RunUntil(tc.at)
-		if ab, ba := pa.Link().ActiveTransfers(); ab != tc.want || ba != 0 {
-			t.Errorf("at %v: ActiveTransfers = %d, %d, want %d, 0", tc.at, ab, ba, tc.want)
+	for _, rig := range []struct {
+		name string
+		new  func() (k *sim.Kernel, runUntil func(sim.Time), run func())
+	}{
+		{"kernel", func() (*sim.Kernel, func(sim.Time), func()) {
+			k := sim.New(1)
+			return k, k.RunUntil, k.Run
+		}},
+		{"group", func() (*sim.Kernel, func(sim.Time), func()) {
+			g := sim.NewShardGroup(1, 1, 1, time.Millisecond)
+			return g.Kernel(0), g.RunUntil, g.Run
+		}},
+	} {
+		k, runUntil, run := rig.new()
+		n := NewNetwork(k)
+		var log []delivery
+		a := &recorderNode{name: "a", net: n, log: &log}
+		b := &recorderNode{name: "b", net: n, log: &log}
+		pa, _ := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: soloBW})
+		pkt := n.NewPacket()
+		pkt.Kind, pkt.Size = KindDATA, soloSize
+		pa.Send(pkt)
+		for _, tc := range []struct {
+			at   sim.Time
+			want int
+		}{{0, 1}, {soloDue() - 1, 1}, {soloDue(), 0}, {soloDue() + 1, 0}} {
+			runUntil(tc.at)
+			if ab, ba := pa.Link().ActiveTransfers(); ab != tc.want || ba != 0 {
+				t.Errorf("%s: at %v: ActiveTransfers = %d, %d, want %d, 0", rig.name, tc.at, ab, ba, tc.want)
+			}
+			if k.Pending() != 1 {
+				t.Errorf("%s: at %v: %d events armed, want the delivery alone", rig.name, tc.at, k.Pending())
+			}
 		}
-		if k.Pending() != 1 {
-			t.Errorf("at %v: %d events armed, want the delivery alone", tc.at, k.Pending())
+		run()
+		if len(log) != 1 || log[0].at != soloDue()+time.Millisecond {
+			t.Errorf("%s: deliveries %v, want one at %v", rig.name, log, soloDue()+time.Millisecond)
 		}
-	}
-	k.Run()
-	if len(log) != 1 || log[0].at != soloDue()+time.Millisecond {
-		t.Errorf("deliveries %v, want one at %v", log, soloDue()+time.Millisecond)
 	}
 }
