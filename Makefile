@@ -36,9 +36,12 @@ race:
 # internal/kube's BenchmarkEnsureDeployed (at1/at500, within-2x),
 # internal/simnet's BenchmarkLinkContention (at1/at1024, within-4x of the
 # fair-share arithmetic), internal/sim's BenchmarkKernelSparseSweep
-# (gap1/gap200, within-2x) and internal/sim's BenchmarkShardWindow (ns per
+# (gap1/gap200, within-2x), internal/sim's BenchmarkShardWindow (ns per
 # window of a two-kernel group with one event per kernel: the shard
-# barrier's cost).
+# barrier's cost) and internal/sim's BenchmarkKernelAtBatch (a 100k-event
+# arrival schedule staged and drained: B/op is the fresh kernel's wheel
+# arena, ~0.2 MB whatever the schedule's length, at under 10 allocs/op;
+# TestAtBatchMemoryIsConstant pins the staging side).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

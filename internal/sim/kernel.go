@@ -23,10 +23,10 @@
 //     far-future overflow heap beyond the wheel horizon;
 //   - an immediate FIFO for zero-delay events (Defer) — appends are in
 //     (time, sequence) order by construction, so no queue ops are needed;
-//   - staged FIFOs ("lanes") for monotone batch schedules (AtBatch) —
-//     pre-sorted arrival schedules append in O(1) per event; concurrent
-//     batches land in separate lanes so several overlapping schedules stay
-//     O(1) per event too.
+//   - staged FIFOs ("lanes") of monotone batch schedules (AtBatch) — a
+//     batch reads the caller's pre-sorted schedule in place, so staging one
+//     costs O(1) memory however long it is; concurrent batches land in
+//     separate lanes so several overlapping schedules need no queue ops.
 //
 // Fire-and-forget events scheduled with AfterFree additionally recycle
 // their Event structs through a free list, keeping the simulation's
@@ -83,31 +83,30 @@ type immEvent struct {
 	fn   func()
 }
 
-// stagedEvent is one entry of a monotone batch schedule (AtBatch). Stored by
-// value; the callback is shared across the batch and receives the entry's
-// index, so a whole arrival schedule costs one slice and zero per-event
-// closures.
-type stagedEvent struct {
-	when Time
-	seq  uint64
-	idx  int
+// stagedBatch is one AtBatch call: n events, entry i due at at(i) with
+// sequence number seq+i, each calling fn(i). The schedule is read in place
+// through at, one entry at a time as the batch runs, so a whole arrival
+// schedule costs one batch record and zero per-event storage.
+type stagedBatch struct {
+	at   func(int) Time
 	fn   func(int)
+	n    int
+	next int    // index of the next entry to fire
+	when Time   // at(next), cached: nextSource probes lane heads every step
+	seq  uint64 // sequence number of entry 0
 }
 
-// stagedLane is one monotone FIFO of staged events. A lane only ever holds
-// non-decreasing timestamps, so its head is its minimum; the kernel keeps
-// several lanes so overlapping AtBatch schedules (e.g. one arrival schedule
-// per co-hosted region) each extend their own lane in O(1).
+// stagedLane is one monotone FIFO of staged batches. A lane only ever holds
+// non-decreasing timestamps, so the head batch's next entry is its minimum;
+// the kernel keeps several lanes so overlapping AtBatch schedules (e.g. one
+// arrival schedule per co-hosted region) each extend their own lane.
 type stagedLane struct {
-	events []stagedEvent
-	head   int
+	batches []stagedBatch
+	head    int
+	tail    Time // due time of the last batch's last entry
 }
 
-func (ln *stagedLane) empty() bool { return ln.head >= len(ln.events) }
-
-// tailWhen returns the timestamp of the last entry; only valid when the lane
-// is non-empty.
-func (ln *stagedLane) tailWhen() Time { return ln.events[len(ln.events)-1].when }
+func (ln *stagedLane) empty() bool { return ln.head >= len(ln.batches) }
 
 // Kernel is a discrete-event simulation executor. The zero value is not
 // usable; construct with New.
@@ -277,54 +276,62 @@ func (k *Kernel) AfterFree(d time.Duration, fn func()) {
 // nextSource's lane scan O(1)-ish for pathological callers.
 const maxStagedLanes = 32
 
-// AtBatch schedules fn(i) at times[i] for every i. times must be
-// non-decreasing with times[0] >= Now() (a monotone arrival schedule, e.g.
-// a trace sorted by arrival time); violations panic. Each batch extends a
-// staged lane whose tail is <= times[0] (or opens a fresh lane), so every
-// event is appended in O(1) with no heap operations and no per-event
-// closure — scheduling a whole trace is O(n), and several overlapping
-// batches (one arrival schedule per region) stay O(n) too. Only when the
-// lane cap is exhausted does it fall back to individual heap scheduling,
-// which is slower but ordered identically.
-func (k *Kernel) AtBatch(times []Time, fn func(i int)) {
-	if len(times) == 0 {
+// AtBatch schedules fn(i) at at(i) for every i in [0, n). The schedule must
+// be non-decreasing with at(0) >= Now() (a monotone arrival schedule, e.g. a
+// trace sorted by arrival time); violations panic before anything is
+// scheduled. The batch draws n consecutive sequence numbers, so it fires
+// exactly as the same schedule issued as n At calls would.
+//
+// The kernel does not copy the schedule: it calls at again as the batch
+// runs, once per entry, so whatever at reads must not change until the
+// batch's last entry has fired. In exchange a batch costs O(1) memory
+// whatever n is. Each batch joins a staged lane whose tail is <= at(0) (or
+// opens a fresh lane), with no heap operations and no per-event closure, and
+// several overlapping batches (one arrival schedule per region) each get
+// their own lane. Only when the lane cap is exhausted does it fall back to
+// individual heap scheduling, which is slower but ordered identically.
+func (k *Kernel) AtBatch(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
 		return
 	}
-	if times[0] < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", times[0], k.now))
+	first := at(0)
+	if first < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", first, k.now))
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			panic(fmt.Sprintf("sim: AtBatch times not monotone at %d: %v < %v", i, times[i], times[i-1]))
+	last := first
+	for i := 1; i < n; i++ {
+		t := at(i)
+		if t < last {
+			panic(fmt.Sprintf("sim: AtBatch times not monotone at %d: %v < %v", i, t, last))
 		}
+		last = t
 	}
-	ln := k.stagedLaneFor(times[0])
+	ln := k.stagedLaneFor(first)
 	if ln == nil {
-		for i, t := range times {
+		for i := 0; i < n; i++ {
 			i := i
-			k.At(t, func() { fn(i) })
+			k.At(at(i), func() { fn(i) })
 		}
 		return
 	}
-	for i, t := range times {
-		ln.events = append(ln.events, stagedEvent{when: t, seq: k.seq, idx: i, fn: fn})
-		k.seq++
-		k.live++
-	}
+	ln.batches = append(ln.batches, stagedBatch{at: at, fn: fn, n: n, when: first, seq: k.seq})
+	ln.tail = last
+	k.seq += uint64(n)
+	k.live += n
 }
 
-// stagedLaneFor picks the lane a batch starting at t can extend while
-// keeping every lane monotone: the first empty or tail-compatible lane wins.
-// It returns nil when no lane fits and the lane cap is reached.
+// stagedLaneFor picks the lane a batch starting at t can join while keeping
+// every lane monotone: the first empty or tail-compatible lane wins. It
+// returns nil when no lane fits and the lane cap is reached.
 func (k *Kernel) stagedLaneFor(t Time) *stagedLane {
 	for i := range k.staged {
 		ln := &k.staged[i]
 		if ln.empty() {
-			ln.events = ln.events[:0]
+			ln.batches = ln.batches[:0]
 			ln.head = 0
 			return ln
 		}
-		if ln.tailWhen() <= t {
+		if ln.tail <= t {
 			return ln
 		}
 	}
@@ -385,8 +392,8 @@ func (k *Kernel) nextSource(bound Time) (src, lane int, when Time) {
 	for i := range k.staged {
 		ln := &k.staged[i]
 		if !ln.empty() {
-			se := &ln.events[ln.head]
-			consider(srcStaged, i, se.when, se.seq)
+			b := &ln.batches[ln.head]
+			consider(srcStaged, i, b.when, b.seq+uint64(b.next))
 		}
 	}
 	limit := bound
@@ -438,19 +445,25 @@ func (k *Kernel) exec(src, lane int) bool {
 		ie.fn()
 		return true
 	case srcStaged:
+		// Every lane update happens before fn runs: fn may call AtBatch,
+		// which can grow k.staged or this lane's batch list.
 		ln := &k.staged[lane]
-		se := ln.events[ln.head]
-		ln.events[ln.head].fn = nil
-		ln.head++
-		if ln.head == len(ln.events) {
-			ln.events = ln.events[:0]
-			ln.head = 0
+		b := &ln.batches[ln.head]
+		i, fn := b.next, b.fn
+		k.now = b.when
+		k.ran = b.seq + uint64(i) + 1
+		if b.next++; b.next < b.n {
+			b.when = b.at(b.next)
+		} else {
+			*b = stagedBatch{}
+			if ln.head++; ln.head == len(ln.batches) {
+				ln.batches = ln.batches[:0]
+				ln.head = 0
+			}
 		}
-		k.now = se.when
-		k.ran = se.seq + 1
 		k.live--
 		k.stepped++
-		se.fn(se.idx)
+		fn(i)
 		return true
 	}
 	return false

@@ -250,12 +250,17 @@ func TestAfterFreeZeroDelay(t *testing.T) {
 	}
 }
 
+// atBatch stages a literal schedule: fn(i) at times[i], read in place.
+func atBatch(k *Kernel, times []Time, fn func(int)) {
+	k.AtBatch(len(times), func(i int) Time { return times[i] }, fn)
+}
+
 func TestAtBatchFiresInOrder(t *testing.T) {
 	k := New(1)
 	times := []Time{time.Millisecond, time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}
 	var idxs []int
 	var stamps []Time
-	k.AtBatch(times, func(i int) {
+	atBatch(k, times, func(i int) {
 		idxs = append(idxs, i)
 		stamps = append(stamps, k.Now())
 	})
@@ -282,7 +287,7 @@ func TestAtBatchNonMonotonePanics(t *testing.T) {
 			t.Error("non-monotone AtBatch did not panic")
 		}
 	}()
-	k.AtBatch([]Time{time.Second, time.Millisecond}, func(int) {})
+	atBatch(k, []Time{time.Second, time.Millisecond}, func(int) {})
 }
 
 func TestAtBatchPastPanics(t *testing.T) {
@@ -293,7 +298,7 @@ func TestAtBatchPastPanics(t *testing.T) {
 				t.Error("AtBatch in the past did not panic")
 			}
 		}()
-		k.AtBatch([]Time{0}, func(int) {})
+		atBatch(k, []Time{0}, func(int) {})
 	})
 	k.Run()
 }
@@ -301,10 +306,10 @@ func TestAtBatchPastPanics(t *testing.T) {
 func TestAtBatchOverlapFallsBackToHeap(t *testing.T) {
 	k := New(1)
 	var got []int
-	k.AtBatch([]Time{time.Millisecond, 10 * time.Millisecond}, func(i int) { got = append(got, 10+i) })
+	atBatch(k, []Time{time.Millisecond, 10 * time.Millisecond}, func(i int) { got = append(got, 10+i) })
 	// Second batch starts before the first batch's tail: the kernel must
 	// still execute everything in global (time, seq) order.
-	k.AtBatch([]Time{2 * time.Millisecond, 3 * time.Millisecond}, func(i int) { got = append(got, 20+i) })
+	atBatch(k, []Time{2 * time.Millisecond, 3 * time.Millisecond}, func(i int) { got = append(got, 20+i) })
 	k.Run()
 	want := []int{10, 20, 21, 11}
 	for i := range want {
@@ -316,7 +321,7 @@ func TestAtBatchOverlapFallsBackToHeap(t *testing.T) {
 
 func TestAtBatchEmpty(t *testing.T) {
 	k := New(1)
-	k.AtBatch(nil, func(int) {})
+	atBatch(k, nil, func(int) {})
 	if k.Pending() != 0 {
 		t.Fatalf("Pending() = %d after empty batch", k.Pending())
 	}
@@ -375,7 +380,7 @@ func TestPendingCountsDeferAndBatch(t *testing.T) {
 	k := New(1)
 	k.Defer(func() {})
 	k.AfterFree(time.Millisecond, func() {})
-	k.AtBatch([]Time{time.Second}, func(int) {})
+	atBatch(k, []Time{time.Second}, func(int) {})
 	if k.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3", k.Pending())
 	}
@@ -388,7 +393,7 @@ func TestPendingCountsDeferAndBatch(t *testing.T) {
 func TestRunUntilWithBatchAndDefer(t *testing.T) {
 	k := New(1)
 	var got []int
-	k.AtBatch([]Time{time.Second, 3 * time.Second}, func(i int) { got = append(got, i) })
+	atBatch(k, []Time{time.Second, 3 * time.Second}, func(i int) { got = append(got, i) })
 	k.RunUntil(2 * time.Second)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("got %v, want [0]", got)
@@ -413,7 +418,7 @@ func TestDeterminismMixedSources(t *testing.T) {
 		for i := range times {
 			times[i] = time.Duration(i/2) * time.Millisecond
 		}
-		k.AtBatch(times, func(i int) { got = append(got, 1000+i) })
+		atBatch(k, times, func(i int) { got = append(got, 1000+i) })
 		for i := 0; i < 50; i++ {
 			i := i
 			d := time.Duration(k.Rand().Intn(25)) * time.Millisecond
@@ -541,7 +546,7 @@ func TestPrecedes(t *testing.T) {
 	k.Schedule(e, 10)                          // re-armed: now e is the younger
 	k.At(5, func() {
 		k.At(10, func() { late = k.Precedes(e) })
-		k.AtBatch([]Time{10}, func(int) { batch = k.Precedes(e) })
+		atBatch(k, []Time{10}, func(int) { batch = k.Precedes(e) })
 	})
 	k.At(10, func() {
 		k.Defer(func() { deferred = k.Precedes(e) })

@@ -119,12 +119,12 @@ func TestSameInstantTieOrderAcrossAllSources(t *testing.T) {
 		k.Defer(func() { got = append(got, "defer") })
 	})
 	// seq 1..2: first staged lane, whose tail extends past the instant.
-	k.AtBatch([]Time{at, at + time.Millisecond}, func(i int) { got = append(got, "laneA") })
+	atBatch(k, []Time{at, at + time.Millisecond}, func(i int) { got = append(got, "laneA") })
 	// seq 3: second heap event at the same instant.
 	k.At(at, func() { got = append(got, "heap2") })
 	// seq 4..5: overlapping batch starting before lane A's tail — must
 	// open a second lane, and still interleave purely by seq.
-	k.AtBatch([]Time{at, at}, func(i int) { got = append(got, "laneB") })
+	atBatch(k, []Time{at, at}, func(i int) { got = append(got, "laneB") })
 	if len(k.staged) != 2 {
 		t.Fatalf("staged lanes = %d, want 2", len(k.staged))
 	}
@@ -145,9 +145,9 @@ func TestSameInstantTieOrderAcrossAllSources(t *testing.T) {
 func TestAtBatchMultiLaneStaysOffHeap(t *testing.T) {
 	k := New(1)
 	var got []int
-	k.AtBatch([]Time{1 * time.Millisecond, 10 * time.Millisecond}, func(i int) { got = append(got, 10+i) })
-	k.AtBatch([]Time{2 * time.Millisecond, 3 * time.Millisecond}, func(i int) { got = append(got, 20+i) })
-	k.AtBatch([]Time{2 * time.Millisecond, 12 * time.Millisecond}, func(i int) { got = append(got, 30+i) })
+	atBatch(k, []Time{1 * time.Millisecond, 10 * time.Millisecond}, func(i int) { got = append(got, 10+i) })
+	atBatch(k, []Time{2 * time.Millisecond, 3 * time.Millisecond}, func(i int) { got = append(got, 20+i) })
+	atBatch(k, []Time{2 * time.Millisecond, 12 * time.Millisecond}, func(i int) { got = append(got, 30+i) })
 	if n := k.wheel.entries(); n != 0 {
 		t.Fatalf("wheel has %d events, want 0 (batches must stage in lanes)", n)
 	}
@@ -169,8 +169,8 @@ func TestAtBatchLaneReuse(t *testing.T) {
 	k := New(1)
 	for round := 0; round < 100; round++ {
 		base := Time(round) * time.Millisecond
-		k.AtBatch([]Time{base, base + time.Microsecond}, func(int) {})
-		k.AtBatch([]Time{base, base + 2*time.Microsecond}, func(int) {})
+		atBatch(k, []Time{base, base + time.Microsecond}, func(int) {})
+		atBatch(k, []Time{base, base + 2*time.Microsecond}, func(int) {})
 		k.RunUntil(base + time.Millisecond/2)
 	}
 	if len(k.staged) > 2 {

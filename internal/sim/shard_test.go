@@ -220,7 +220,7 @@ func runAheadGroup() *ShardGroup {
 	for i := range arrivals {
 		arrivals[i] = 100*time.Millisecond + Time(i)*100*time.Microsecond
 	}
-	k0.AtBatch(arrivals, func(i int) {
+	atBatch(k0, arrivals, func(i int) {
 		if i%20 != 0 {
 			return
 		}

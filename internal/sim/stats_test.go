@@ -20,8 +20,8 @@ func TestKernelStatsCounters(t *testing.T) {
 	// promoted when the cursor approaches.
 	k.At(15*24*time.Hour, func() {})
 	// Two overlapping monotone batches need two simultaneous lanes.
-	k.AtBatch([]Time{time.Millisecond, 2 * time.Millisecond}, func(int) {})
-	k.AtBatch([]Time{500 * time.Microsecond, 600 * time.Microsecond}, func(int) {})
+	atBatch(k, []Time{time.Millisecond, 2 * time.Millisecond}, func(int) {})
+	atBatch(k, []Time{500 * time.Microsecond, 600 * time.Microsecond}, func(int) {})
 	k.Run()
 
 	s := k.Stats()

@@ -217,7 +217,7 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 				nextID++
 			}
 			seq0 := k.seq
-			k.AtBatch(times, func(i int) { fire(ids[i]) })
+			atBatch(k, times, func(i int) { fire(ids[i]) })
 			for i := range times {
 				ref = append(ref, propOcc{when: times[i], seq: seq0 + uint64(i), id: ids[i]})
 			}

@@ -160,10 +160,16 @@ func validate(sites []*testbed.Site, trace *Trace, handovers []Handover) error {
 		if r.Client < 0 {
 			return fmt.Errorf("workload: request %d has negative client %d", i, r.Client)
 		}
+		if err := inOrder("request", i, trace.Requests[max(i-1, 0)].At, r.At); err != nil {
+			return err
+		}
 	}
 	for i, h := range handovers {
 		if h.Client < 0 {
 			return fmt.Errorf("workload: handover %d has negative client %d", i, h.Client)
+		}
+		if err := inOrder("handover", i, handovers[max(i-1, 0)].At, h.At); err != nil {
+			return err
 		}
 		cells := len(sites[h.Client%len(sites)].GNBs)
 		if cells == 0 {
@@ -178,6 +184,20 @@ func validate(sites []*testbed.Site, trace *Trace, handovers []Handover) error {
 	return nil
 }
 
+// inOrder checks entry i of a schedule that stage hands the kernel as one
+// AtBatch lane: its offset at must not be negative (before the lane's
+// anchor) nor before prev, the offset of entry i-1.
+func inOrder(kind string, i int, prev, at time.Duration) error {
+	if at < 0 {
+		return fmt.Errorf("workload: %s %d is at negative offset %v", kind, i, at)
+	}
+	if at < prev {
+		return fmt.Errorf("workload: %s %d at %v is before %s %d at %v; the schedule must be sorted by At",
+			kind, i, at, kind, i-1, prev)
+	}
+	return nil
+}
+
 // siteReplay is the replay engine: one site's share of a replay, staged on
 // that site's kernel and driven entirely by kernel events and callback I/O —
 // no process, channel or promise per request — so peak memory tracks
@@ -187,7 +207,7 @@ type siteReplay struct {
 	site       *testbed.Site
 	serviceKey string
 	reqs       []Request // Client indexes site.Clients, modulo its length
-	isFirst    []bool    // reqs[i] is its service's first request at this site
+	first      []int     // per service, the index in reqs of its first request at this site (-1: none)
 	opts       Options
 	obs        replayObs
 	res        *ReplayResult
@@ -232,11 +252,14 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Optio
 		}
 	}
 
-	firstSeen := make(map[int]bool, services)
-	r.isFirst = make([]bool, len(reqs))
+	r.first = make([]int, services)
+	for s := range r.first {
+		r.first[s] = -1
+	}
 	for i, q := range reqs {
-		r.isFirst[i] = !firstSeen[q.Service]
-		firstSeen[q.Service] = true
+		if r.first[q.Service] < 0 {
+			r.first[q.Service] = i
+		}
 	}
 
 	k := site.K
@@ -262,24 +285,18 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Optio
 		}
 	})
 
-	// Each lane is one monotone event batch (O(n), no heap churn). The
-	// mobility lane is staged before the arrival lane so a handover and an
-	// arrival at the same instant order handover-first at every shard count.
+	// Each lane is one monotone event batch that the kernel reads in place
+	// from the schedule (O(1) staging memory, no heap churn). The mobility
+	// lane is staged before the arrival lane so a handover and an arrival at
+	// the same instant order handover-first at every shard count.
 	if len(handovers) > 0 {
 		prepDone.OnDone(func(t0 sim.Time, _ error) {
-			times := make([]sim.Time, len(handovers))
-			for i, h := range handovers {
-				times[i] = t0 + h.At
-			}
-			k.AtBatch(times, func(i int) { site.Handover(handovers[i].Client, handovers[i].To) })
+			k.AtBatch(len(handovers), func(i int) sim.Time { return t0 + handovers[i].At },
+				func(i int) { site.Handover(handovers[i].Client, handovers[i].To) })
 		})
 	}
 	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		times := make([]sim.Time, len(reqs))
-		for i, q := range reqs {
-			times[i] = t0 + q.At
-		}
-		k.AtBatch(times, r.arrive)
+		k.AtBatch(len(reqs), func(i int) sim.Time { return t0 + reqs[i].At }, r.arrive)
 	})
 	return r, nil
 }
@@ -311,7 +328,7 @@ func (r *siteReplay) start(i int, at sim.Time) {
 				r.res.Errors++
 			} else {
 				r.res.Totals.Add(at, hr.Total)
-				if r.isFirst[i] {
+				if r.first[q.Service] == i {
 					r.res.FirstRequests.Add(at, hr.Total)
 				}
 			}

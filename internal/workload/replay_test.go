@@ -261,6 +261,38 @@ func TestReplayGuardOutOfRangeRequests(t *testing.T) {
 	expectRejected(t, "negative client", 0, oneRequestTrace(Request{Client: -1}), Options{}, nil)
 }
 
+// TestReplayGuardScheduleOrder: an arrival or handover schedule that runs
+// backwards or starts before the replay's anchor is an error naming the
+// entry, returned before anything is staged — not a panic from the kernel's
+// AtBatch once the run reaches preparation end.
+func TestReplayGuardScheduleOrder(t *testing.T) {
+	unsorted := &Trace{
+		Config:   Config{Services: 1, TotalRequests: 2, Duration: time.Second, Clients: 1},
+		Requests: []Request{{At: 2 * time.Second}, {At: time.Second}},
+	}
+	for _, tc := range []struct {
+		name  string
+		gnbs  int
+		trace *Trace
+		opts  Options
+		want  string
+	}{
+		{"requests out of At order", 0, unsorted, Options{}, "request 1 at 1s is before request 0 at 2s"},
+		{"negative arrival", 0, oneRequestTrace(Request{At: -time.Hour}), Options{}, "request 0 is at negative offset -1h0m0s"},
+		{"handovers out of At order", 2, oneRequestTrace(Request{}),
+			Options{Handovers: []Handover{{At: 2 * time.Second, To: 1}, {At: time.Second, To: 1}}},
+			"handover 1 at 1s is before handover 0 at 2s"},
+		{"negative handover", 2, oneRequestTrace(Request{}),
+			Options{Handovers: []Handover{{At: -time.Second, To: 1}}}, "handover 0 is at negative offset -1s"},
+	} {
+		expectRejected(t, tc.name, tc.gnbs, tc.trace, tc.opts, nil)
+		err := validate(replayRigs(1, 5, tc.gnbs)[0].sites, tc.trace, tc.opts.Handovers)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestReplayGuardHandovers: a handover the site cannot perform is rejected
 // up front instead of panicking inside a kernel event mid-run.
 func TestReplayGuardHandovers(t *testing.T) {

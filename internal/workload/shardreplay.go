@@ -52,9 +52,21 @@ func ReplaySharded(rs *testbed.Regions, trace *Trace, serviceKey string, opts Op
 		return nil, err
 	}
 
-	// Partition by home region, preserving trace and schedule order.
+	// Partition by home region, preserving trace and schedule order; each
+	// share is sized by a counting pass first, so it is allocated once.
 	shares := make([]Trace, regions)
 	moves := make([][]Handover, regions)
+	reqsIn, movesIn := make([]int, regions), make([]int, regions)
+	for _, r := range trace.Requests {
+		reqsIn[r.Client%regions]++
+	}
+	for _, h := range opts.Handovers {
+		movesIn[h.Client%regions]++
+	}
+	for d := range shares {
+		shares[d].Requests = make([]Request, 0, reqsIn[d])
+		moves[d] = make([]Handover, 0, movesIn[d])
+	}
 	for _, r := range trace.Requests {
 		d := r.Client % regions
 		r.Client /= regions
