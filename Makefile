@@ -41,7 +41,11 @@ race:
 # barrier's cost) and internal/sim's BenchmarkKernelAtBatch (a 100k-event
 # arrival schedule staged and drained: B/op is the fresh kernel's wheel
 # arena, ~0.2 MB whatever the schedule's length, at under 10 allocs/op;
-# TestAtBatchMemoryIsConstant pins the staging side).
+# TestAtBatchMemoryIsConstant pins the staging side) and internal/sim's
+# BenchmarkWheelChurn (2000 idle timers re-armed a second ahead, one virtual
+# millisecond per op: retained-B, the slot and pool bytes the wheel holds
+# beyond its arena, stays flat as -benchtime grows, at 0 allocs/op;
+# TestWheelRetainsPeakNotHistory pins the bound).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

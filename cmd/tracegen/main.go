@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -19,31 +21,49 @@ import (
 )
 
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is one tracegen invocation: 0 on success, 1 when a -load file cannot
+// be read or parsed, 2 on a usage error (a bad flag, a configuration
+// Generate cannot satisfy, an unknown format).
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed     = flag.Int64("seed", 42, "generation seed")
-		services = flag.Int("services", 42, "distinct edge services")
-		requests = flag.Int("requests", 1708, "total requests")
-		min      = flag.Int("min", 20, "minimum requests per service")
-		clients  = flag.Int("clients", 20, "number of client hosts")
-		duration = flag.Duration("duration", 5*time.Minute, "trace window")
-		format   = flag.String("format", "summary", "output format: csv or summary")
-		load     = flag.String("load", "", "load a trace CSV (e.g. exported from the real capture) instead of generating")
+		seed     = fs.Int64("seed", 42, "generation seed")
+		services = fs.Int("services", 42, "distinct edge services")
+		requests = fs.Int("requests", 1708, "total requests")
+		min      = fs.Int("min", 20, "minimum requests per service")
+		clients  = fs.Int("clients", 20, "number of client hosts")
+		duration = fs.Duration("duration", 5*time.Minute, "trace window")
+		format   = fs.String("format", "summary", "output format: csv or summary")
+		load     = fs.String("load", "", "load a trace CSV (e.g. exported from the real capture) instead of generating")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *format != "csv" && *format != "summary" {
+		fmt.Fprintf(stderr, "tracegen: unknown format %q\n", *format)
+		return 2
+	}
 
 	if *load != "" {
 		data, err := os.ReadFile(*load)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
 		tr, err := workload.ParseCSV(string(data))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
-		emit(tr, *format)
-		return
+		emit(stdout, tr, *format)
+		return 0
 	}
 
 	cfg := edge.DefaultTraceConfig(*seed)
@@ -52,44 +72,44 @@ func main() {
 	cfg.MinPerService = *min
 	cfg.Clients = *clients
 	cfg.Duration = *duration
-	tr := edge.GenerateTrace(cfg)
-	emit(tr, *format)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 2
+	}
+	emit(stdout, edge.GenerateTrace(cfg), *format)
+	return 0
 }
 
-func emit(tr *edge.Trace, format string) {
+func emit(w io.Writer, tr *edge.Trace, format string) {
 	cfg := tr.Config
-	switch format {
-	case "csv":
-		fmt.Print(tr.MarshalCSV())
-	case "summary":
-		counts := tr.RequestsPerService()
-		minC, maxC := counts[0], counts[0]
-		for _, c := range counts {
-			if c < minC {
-				minC = c
-			}
-			if c > maxC {
-				maxC = c
-			}
-		}
-		fmt.Printf("trace: %d requests, %d services, %v window, %d clients\n",
-			len(tr.Requests), cfg.Services, cfg.Duration, cfg.Clients)
-		fmt.Printf("per service: min %d, max %d\n", minC, maxC)
-		fmt.Println("requests per service (fig. 9):")
-		for i, c := range counts {
-			fmt.Printf("  svc%02d %4d\n", i, c)
-		}
-		deploys := tr.DeploymentsPerSecond()
-		burst := 0
-		for _, d := range deploys {
-			if d > burst {
-				burst = d
-			}
-		}
-		fmt.Printf("deployments (fig. 10): %d total, max %d per second\n",
-			cfg.Services, burst)
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown format %q\n", format)
-		os.Exit(2)
+	if format == "csv" {
+		fmt.Fprint(w, tr.MarshalCSV())
+		return
 	}
+	counts := tr.RequestsPerService()
+	minC, maxC := counts[0], counts[0]
+	for _, c := range counts {
+		if c < minC {
+			minC = c
+		}
+		if c > maxC {
+			maxC = c
+		}
+	}
+	fmt.Fprintf(w, "trace: %d requests, %d services, %v window, %d clients\n",
+		len(tr.Requests), cfg.Services, cfg.Duration, cfg.Clients)
+	fmt.Fprintf(w, "per service: min %d, max %d\n", minC, maxC)
+	fmt.Fprintln(w, "requests per service (fig. 9):")
+	for i, c := range counts {
+		fmt.Fprintf(w, "  svc%02d %4d\n", i, c)
+	}
+	deploys := tr.DeploymentsPerSecond()
+	burst := 0
+	for _, d := range deploys {
+		if d > burst {
+			burst = d
+		}
+	}
+	fmt.Fprintf(w, "deployments (fig. 10): %d total, max %d per second\n",
+		cfg.Services, burst)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // BenchmarkKernelEvents measures raw event throughput of the DES kernel
@@ -108,6 +109,25 @@ func BenchmarkKernelAtBatch(b *testing.B) {
 		atBatch(k, times, func(int) {})
 		k.Run()
 	}
+}
+
+// BenchmarkWheelChurn runs wheelChurn's idle-timeout pattern (2000 timers,
+// four re-armed a second ahead per virtual millisecond), one millisecond per
+// op, and reports the bytes of slot and pool capacity the wheel retains
+// beyond its arena at the end, with the most entries ever queued at once.
+// Slots hand grown arrays back to a shared pool when they empty, so
+// retained-B stays flat as -benchtime grows past one level-2 revolution
+// (17 180 ops) instead of climbing until every level-2 slot has grown.
+func BenchmarkWheelChurn(b *testing.B) {
+	c := newWheelChurn(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.step()
+	}
+	grown := c.k.wheel.retainedEntries() - wheelLevels*wheelSlots*wheelSlotCap
+	b.ReportMetric(float64(grown*int(unsafe.Sizeof(timerEntry{}))), "retained-B")
+	b.ReportMetric(float64(c.peak), "peak-entries")
 }
 
 // BenchmarkKernelHeapSchedule is the baseline for BenchmarkKernelAtBatch:

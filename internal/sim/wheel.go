@@ -32,6 +32,12 @@ package sim
 // event had at insert time, Event.stamp increments on every Schedule, and
 // stale or cancelled entries are dropped when they surface. This mirrors the
 // old heap's lazy cancel drain and keeps Schedule O(1).
+//
+// Slot storage: each slot starts on its own piece of one arena. A slot that
+// outgrows it moves to a power-of-two array from the wheel's pool and hands
+// the array back when collection or a cascade empties the slot, so the
+// capacity the wheel retains follows the most entries queued at once, not
+// the largest each slot has ever been.
 
 import "math/bits"
 
@@ -43,9 +49,11 @@ const (
 	wheelLevels = 5 // horizon: 2^(10+8*5) ns ≈ 13 days of virtual time
 
 	// wheelSlotCap is the per-slot capacity carved out of the init arena.
-	// Slots that transiently exceed it grow (and keep) their own backing
-	// array; everything else appends into pre-allocated storage, which is
-	// what keeps the steady-state datapath at zero allocations.
+	// Slots that transiently exceed it move to a larger array from the
+	// wheel's pool and hand it back when they empty; everything else appends
+	// into pre-allocated storage. Pool and arena together keep the
+	// steady-state datapath at zero allocations while the retained capacity
+	// follows the peak of what is queued, not every slot's history.
 	wheelSlotCap = 4
 )
 
@@ -75,6 +83,12 @@ func entryBefore(a, b timerEntry) bool {
 type timerWheel struct {
 	slots  [wheelLevels][wheelSlots][]timerEntry
 	counts [wheelLevels]int // entries per level, stale included
+	// arena holds every slot's first wheelSlotCap entries; an emptied slot
+	// returns to its own piece (home).
+	arena []timerEntry
+	// pool holds the grown arrays of emptied slots, by size class: pool[c]
+	// has arrays of capacity 1<<c, length 0, no entry holding an event.
+	pool [bits.UintSize][][]timerEntry
 	// occ is each level's slot-occupancy bitmap: bit s of level l is set
 	// exactly when len(slots[l][s]) > 0. sweep finds the next populated slot
 	// with a word scan instead of walking empty slots one at a time.
@@ -95,17 +109,48 @@ type timerWheel struct {
 	nearHigh   int    // near-heap occupancy high-water mark
 }
 
-// init carves every slot's initial capacity out of one arena allocation.
-// The zero-value wheel works without it (slots grow on demand); init exists
-// so a fresh kernel's timer slots are warm from the first event, keeping
+// init carves every slot's initial capacity out of one arena allocation, so
+// a fresh kernel's timer slots are warm from the first event, keeping
 // AllocsPerRun-pinned datapath tests at zero as the clock walks new slots.
+// The wheel must be initialised before use.
 func (w *timerWheel) init() {
-	arena := make([]timerEntry, wheelLevels*wheelSlots*wheelSlotCap)
+	w.arena = make([]timerEntry, wheelLevels*wheelSlots*wheelSlotCap)
 	for l := 0; l < wheelLevels; l++ {
 		for s := 0; s < wheelSlots; s++ {
-			off := (l*wheelSlots + s) * wheelSlotCap
-			w.slots[l][s] = arena[off : off : off+wheelSlotCap]
+			w.slots[l][s] = w.home(l, s)
 		}
+	}
+}
+
+// home returns slot s of level l's own arena piece, empty.
+func (w *timerWheel) home(l, s int) []timerEntry {
+	off := (l*wheelSlots + s) * wheelSlotCap
+	return w.arena[off : off : off+wheelSlotCap]
+}
+
+// take returns an empty array of capacity n, a power of two, from the pool;
+// it allocates only when the pool has none of that size.
+func (w *timerWheel) take(n int) []timerEntry {
+	c := bits.TrailingZeros(uint(n))
+	if k := len(w.pool[c]) - 1; k >= 0 {
+		s := w.pool[c][k]
+		w.pool[c][k] = nil
+		w.pool[c] = w.pool[c][:k]
+		return s
+	}
+	return make([]timerEntry, 0, n)
+}
+
+// release drops the event references of a slot array its slot is done with
+// — O(len): no entry past len holds one — and returns a grown array to the
+// pool. An arena piece stays where it is, for its slot to come back to.
+func (w *timerWheel) release(s []timerEntry) {
+	for i := range s {
+		s[i].ev = nil
+	}
+	if cap(s) > wheelSlotCap {
+		c := bits.TrailingZeros(uint(cap(s)))
+		w.pool[c] = append(w.pool[c], s[:0])
 	}
 }
 
@@ -131,10 +176,11 @@ func (w *timerWheel) entries() int {
 // Compaction keeps such slots at their arena capacity instead of doubling
 // into large backing arrays (without it cold-hybrid allocates 3.4 % more
 // bytes per request and peaks 12 % higher in RSS); slots that are genuinely
-// mostly live grow as before. Either way the work is amortized O(1) per
-// insert: a compaction that frees less than half the slot is immediately
-// followed by a doubling, so every scan is paid for by the inserts that
-// filled the reclaimed or newly grown space.
+// mostly live double into an array taken from the pool, and a grown array
+// they leave goes back to it. Either way the work is amortized O(1) per insert: a
+// compaction that frees less than half the slot is immediately followed by a
+// doubling, so every scan is paid for by the inserts that filled the
+// reclaimed or newly grown space.
 func (w *timerWheel) add(e timerEntry) {
 	if e.when < w.swept {
 		entryHeapPush(&w.near, e)
@@ -161,8 +207,8 @@ func (w *timerWheel) add(e timerEntry) {
 				}
 				s = kept
 				if len(s)*2 > cap(s) {
-					grown := make([]timerEntry, len(s), 2*cap(s))
-					copy(grown, s)
+					grown := append(w.take(2*cap(s)), s...)
+					w.release(s)
 					s = grown
 				}
 			}
@@ -341,14 +387,11 @@ func (w *timerWheel) collect(idx int) {
 	}
 }
 
-// clearSlot empties slot idx of level l (dropping its event references for
-// the garbage collector) and clears its occupancy bit.
+// clearSlot empties slot idx of level l, returning a grown array to the pool
+// and the slot to its arena piece, and clears its occupancy bit.
 func (w *timerWheel) clearSlot(l, idx int) {
-	s := w.slots[l][idx]
-	for i := range s {
-		s[i].ev = nil
-	}
-	w.slots[l][idx] = s[:0]
+	w.release(w.slots[l][idx])
+	w.slots[l][idx] = w.home(l, idx)
 	w.occ[l][idx>>6] &^= 1 << (uint(idx) & 63)
 }
 

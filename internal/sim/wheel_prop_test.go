@@ -26,7 +26,19 @@ import (
 // holds entries. The sparse variant draws its timestamps at least 100 slots
 // apart at every level and past the overflow horizon, so the sweep has to
 // skip long empty runs by bitmap, cross level boundaries and take the
-// overflow jump.
+// overflow jump. The burst variant re-arms dozens of handles at a time into
+// the few level-2 slots half a second ahead, so those slots pile up hundreds
+// of mostly stale entries: they outgrow the arena, compact, empty, and take
+// pooled arrays back, which the variant checks happened.
+
+// propMode selects the timestamps and op mix of one property run.
+type propMode int
+
+const (
+	propDense propMode = iota
+	propSparse
+	propBurst
+)
 
 // propOcc is one live reference occurrence.
 type propOcc struct {
@@ -38,12 +50,17 @@ type propOcc struct {
 func TestWheelPropertyReferenceOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runWheelProperty(t, seed, false)
+			runWheelProperty(t, seed, propDense)
 		})
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("sparse/seed=%d", seed), func(t *testing.T) {
-			runWheelProperty(t, seed, true)
+			runWheelProperty(t, seed, propSparse)
+		})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("burst/seed=%d", seed), func(t *testing.T) {
+			runWheelProperty(t, seed, propBurst)
 		})
 	}
 }
@@ -61,9 +78,13 @@ func checkWheelOccupancy(t *testing.T, w *timerWheel) {
 	}
 }
 
-func runWheelProperty(t *testing.T, seed int64, sparse bool) {
+func runWheelProperty(t *testing.T, seed int64, mode propMode) {
 	rng := rand.New(rand.NewSource(seed))
 	k := New(seed)
+	ops, runStep := 400, time.Second
+	if mode == propBurst {
+		ops, runStep = 1500, time.Millisecond
+	}
 
 	var (
 		got, want []int
@@ -78,13 +99,31 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 		// the occurrence the callback scheduled, or the one it cancelled.
 		chainAdd    = map[int]propOcc{}
 		chainCancel = map[int]int{}
+		// grown / tookPooled: some slot outgrew its arena piece; some pool
+		// class shrank between two checks, so a grow took a pooled array.
+		grown, tookPooled bool
+		pooled            [len(k.wheel.pool)]int
 	)
+
+	// check asserts the wheel's invariants and notes what its storage did.
+	check := func() {
+		checkWheelOccupancy(t, &k.wheel)
+		for l := range k.wheel.slots {
+			for _, s := range k.wheel.slots[l] {
+				grown = grown || cap(s) > wheelSlotCap
+			}
+		}
+		for c, class := range k.wheel.pool {
+			tookPooled = tookPooled || len(class) < pooled[c]
+			pooled[c] = len(class)
+		}
+	}
 
 	// fire records one executed occurrence; the wheel is between a pop and
 	// the next probe here, so its invariants must hold.
 	fire := func(id int) {
 		got = append(got, id)
-		checkWheelOccupancy(t, &k.wheel)
+		check()
 	}
 
 	removeRef := func(id int) {
@@ -104,7 +143,12 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 	// the seq tie-break is exercised constantly.
 	randWhen := func() Time {
 		base := k.now
-		if sparse {
+		switch mode {
+		case propBurst:
+			// The three or four 67 ms level-2 slots half a second ahead, on a
+			// millisecond grid.
+			return base + 500*time.Millisecond + Time(rng.Intn(200))*time.Millisecond
+		case propSparse:
 			// 100..255 slots ahead at a random level (the top of that range
 			// always crosses into the next level's slot), or past the horizon.
 			gap := Time(100 + rng.Intn(156))
@@ -164,7 +208,6 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 		}
 	}
 
-	const ops = 400
 	for op := 0; op < ops; op++ {
 		switch rng.Intn(10) {
 		case 0, 1: // At: a cancellable one-shot
@@ -176,23 +219,29 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 			handleOcc[e] = id
 			ref = append(ref, propOcc{when: e.when, seq: e.seq, id: id})
 		case 2, 3: // Schedule: arm a fresh NewEvent, or re-arm / resurrect
-			var e *Event
-			if len(handles) > 0 && rng.Intn(2) == 0 {
-				e = handles[rng.Intn(len(handles))]
-			} else {
-				ne := k.NewEvent(nil)
-				ne.fn = func() { fire(handleOcc[ne]) }
-				handles = append(handles, ne)
-				e = ne
+			arms := 1
+			if mode == propBurst {
+				arms = 1 + rng.Intn(48)
 			}
-			if old, ok := handleOcc[e]; ok {
-				removeRef(old) // stale arm, if still queued
+			for range arms {
+				var e *Event
+				if len(handles) > 0 && rng.Intn(2) == 0 || mode == propBurst && len(handles) >= 32 {
+					e = handles[rng.Intn(len(handles))]
+				} else {
+					ne := k.NewEvent(nil)
+					ne.fn = func() { fire(handleOcc[ne]) }
+					handles = append(handles, ne)
+					e = ne
+				}
+				if old, ok := handleOcc[e]; ok {
+					removeRef(old) // stale arm, if still queued
+				}
+				k.Schedule(e, randWhen())
+				id := nextID
+				nextID++
+				handleOcc[e] = id
+				ref = append(ref, propOcc{when: e.when, seq: e.seq, id: id})
 			}
-			k.Schedule(e, randWhen())
-			id := nextID
-			nextID++
-			handleOcc[e] = id
-			ref = append(ref, propOcc{when: e.when, seq: e.seq, id: id})
 		case 4: // Cancel a random handle (may be a no-op if already fired)
 			if len(handles) == 0 {
 				continue
@@ -254,7 +303,7 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 			}
 			ref = append(ref, propOcc{when: e.when, seq: e.seq, id: id})
 		case 9: // run phase: execute a window, then replay the reference
-			T := k.now + Time(rng.Intn(60))*time.Second
+			T := k.now + Time(rng.Intn(60))*runStep
 			if rng.Intn(2) == 0 {
 				k.RunUntil(T)
 				replay(T, false)
@@ -266,7 +315,7 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 				t.Fatalf("op %d: fired %d events, reference fired %d", op, len(got), len(want))
 			}
 		}
-		checkWheelOccupancy(t, &k.wheel)
+		check()
 	}
 
 	// Drain everything, overflow entries included.
@@ -284,5 +333,9 @@ func runWheelProperty(t *testing.T, seed int64, sparse bool) {
 			t.Fatalf("dequeue order diverges from reference at position %d: got id %d, want id %d",
 				i, got[i], want[i])
 		}
+	}
+	if mode == propBurst && (!grown || !tookPooled) {
+		t.Fatalf("burst run never exercised pooled slot arrays: a slot outgrew the arena %v, a grow took a pooled array %v",
+			grown, tookPooled)
 	}
 }

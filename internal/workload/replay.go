@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"transparentedge/internal/metrics"
@@ -131,7 +132,7 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 	if err := validate([]*testbed.Site{tb.Site}, trace, opts.Handovers); err != nil {
 		return nil, err
 	}
-	run, err := stage(tb.Site, serviceKey, serviceKey, trace, opts)
+	run, err := stage(tb.Site, serviceKey, serviceKey, trace, nil, 1, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +143,15 @@ func ReplayWith(tb *testbed.Testbed, trace *Trace, serviceKey string, opts Optio
 // validate rejects a replay's inputs before anything is registered or
 // staged, so bad input never surfaces as a panic inside a kernel event.
 // Client c of the trace and of the handover schedule lives on
-// sites[c % len(sites)].
+// sites[c % len(sites)]; across several sites each site indexes its share
+// of the trace with int32s.
 func validate(sites []*testbed.Site, trace *Trace, handovers []Handover) error {
 	if trace == nil || trace.Config.Services <= 0 {
 		return fmt.Errorf("workload: trace has no services")
+	}
+	if len(sites) > 1 && len(trace.Requests) > math.MaxInt32 {
+		return fmt.Errorf("workload: a trace of %d requests is longer than a sharded replay indexes (%d)",
+			len(trace.Requests), math.MaxInt32)
 	}
 	for d, s := range sites {
 		if len(s.Clients) == 0 {
@@ -206,11 +212,16 @@ func inOrder(kind string, i int, prev, at time.Duration) error {
 type siteReplay struct {
 	site       *testbed.Site
 	serviceKey string
-	reqs       []Request // Client indexes site.Clients, modulo its length
-	first      []int     // per service, the index in reqs of its first request at this site (-1: none)
-	opts       Options
-	obs        replayObs
-	res        *ReplayResult
+	// trace is the caller's, read in place. The site's request i is
+	// trace.Requests[idx[i]], or trace.Requests[i] when idx is nil; its
+	// client c is site-local client c / regions, modulo len(site.Clients).
+	trace   *Trace
+	idx     []int32
+	regions int
+	first   []int // per service, the site's index of its first request at this site (-1: none)
+	opts    Options
+	obs     replayObs
+	res     *ReplayResult
 
 	inFlight int
 	queued   []int // arrival-order request indices waiting on MaxInFlight
@@ -218,13 +229,13 @@ type siteReplay struct {
 }
 
 // stage registers the trace's services at one site and schedules the site's
-// share of the replay (trace.Requests and opts.Handovers, client indices
-// site-local): preparation, then — anchored at preparation end, so arrival
-// spacing is preserved — the handover lane and the arrival lane. name
-// prefixes the result series. The inputs must have passed validate; nothing
-// runs until the caller runs the site's kernel.
-func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Options) (*siteReplay, error) {
-	services, reqs, handovers := trace.Config.Services, trace.Requests, opts.Handovers
+// share of the replay (the requests idx selects, see siteReplay, and
+// opts.Handovers, client indices site-local): preparation, then — anchored
+// at preparation end, so arrival spacing is preserved — the handover lane
+// and the arrival lane. name prefixes the result series. The inputs must
+// have passed validate; nothing runs until the caller runs the site's kernel.
+func stage(site *testbed.Site, name, serviceKey string, trace *Trace, idx []int32, regions int, opts Options) (*siteReplay, error) {
+	services, handovers := trace.Config.Services, opts.Handovers
 	exact := opts.ExactSamples
 	if exact == 0 {
 		exact = DefaultExactSamples
@@ -236,7 +247,7 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Optio
 		return metrics.NewBoundedSeries(name, exact)
 	}
 	r := &siteReplay{
-		site: site, serviceKey: serviceKey, reqs: reqs, opts: opts,
+		site: site, serviceKey: serviceKey, trace: trace, idx: idx, regions: regions, opts: opts,
 		obs: newReplayObs(opts.Trace, opts.Counters),
 		res: &ReplayResult{
 			Totals:        newSeries(name + "/totals"),
@@ -256,8 +267,8 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Optio
 	for s := range r.first {
 		r.first[s] = -1
 	}
-	for i, q := range reqs {
-		if r.first[q.Service] < 0 {
+	for i := range r.requests() {
+		if q := r.req(i); r.first[q.Service] < 0 {
 			r.first[q.Service] = i
 		}
 	}
@@ -296,9 +307,27 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, opts Optio
 		})
 	}
 	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		k.AtBatch(len(reqs), func(i int) sim.Time { return t0 + reqs[i].At }, r.arrive)
+		k.AtBatch(r.requests(), func(i int) sim.Time { return t0 + r.req(i).At }, r.arrive)
 	})
 	return r, nil
+}
+
+// requests returns the number of requests the site replays.
+func (r *siteReplay) requests() int {
+	if r.idx != nil {
+		return len(r.idx)
+	}
+	return len(r.trace.Requests)
+}
+
+// req returns the site's request i, its client site-local.
+func (r *siteReplay) req(i int) Request {
+	if r.idx != nil {
+		i = int(r.idx[i])
+	}
+	q := r.trace.Requests[i]
+	q.Client /= r.regions
+	return q
 }
 
 // arrive is the arrival lane's event: start request i now, or queue it
@@ -316,7 +345,7 @@ func (r *siteReplay) arrive(i int) {
 func (r *siteReplay) start(i int, at sim.Time) {
 	r.inFlight++
 	r.obs.in.Add(1)
-	q := r.reqs[i]
+	q := r.req(i)
 	r.site.RequestAsync(q.Client%len(r.site.Clients), r.res.Registrations[q.Service], r.serviceKey, r.opts.RequestTimeout,
 		func(hr *simnet.HTTPResult, err error) {
 			now := r.site.K.Now()
@@ -342,6 +371,6 @@ func (r *siteReplay) start(i int, at sim.Time) {
 
 // finish closes the site's result once its kernel has reached the run bound.
 func (r *siteReplay) finish() *ReplayResult {
-	r.res.Unfinished = len(r.reqs) - r.done
+	r.res.Unfinished = r.requests() - r.done
 	return r.res
 }

@@ -533,6 +533,42 @@ func TestWarmReplayHopsRideSolo(t *testing.T) {
 	}
 }
 
+// TestReplayShardedStagingMemory: a sharded replay indexes the caller's
+// trace in place, 4 B per request, instead of copying its 24-byte requests
+// into per-region shares, so staging 100k requests allocates at most 4 B per
+// extra request more than staging 10k (plus the rounding of each region's
+// index to the allocator's size classes).
+func TestReplayShardedStagingMemory(t *testing.T) {
+	const regions = 4
+	staged := func(n int) uint64 {
+		trace := Generate(Config{Seed: 1, Services: 8, TotalRequests: n, MinPerService: 2,
+			Duration: time.Minute, Clients: regions * 20})
+		rs := testbed.NewRegions(testbed.RegionOptions{Seed: 1, Regions: regions})
+		defer rs.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runs, err := stageSharded(rs, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged := 0
+		for _, r := range runs {
+			staged += r.requests()
+		}
+		if staged != n {
+			t.Fatalf("staged %d requests across %d regions, want %d", staged, regions, n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := staged(10_000), staged(100_000)
+	t.Logf("staging allocated %d B for 10k requests, %d B for 100k", small, large)
+	if limit := small + 4*90_000 + regions*8<<10; large > limit {
+		t.Fatalf("staging allocated %d B for 10k requests and %d B for 100k: %.1f B per extra request, want <= 4 (limit %d B)",
+			small, large, float64(large-small)/90_000, limit)
+	}
+}
+
 // settledGoroutines returns runtime.NumGoroutine() once it has stopped moving:
 // a shard window worker reports that it is exiting a moment before its
 // goroutine is gone, and nothing else can be waited on for that.

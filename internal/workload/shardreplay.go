@@ -33,68 +33,23 @@ type ShardReplayResult struct {
 // trace's services: every site deploys on demand for its own clients (the
 // paper's single-site scenario, tiled). Preparation runs per region and each
 // region's lanes anchor at its own preparation end, exactly as on the single
-// site.
+// site. The sites read the caller's trace in place, which must not change
+// until the call returns.
 //
 // Spans and counters go to the per-region handles built into rs
 // (testbed.RegionOptions.Traced / Counted); opts.Trace and opts.Counters
 // must be nil, because one tracer or registry would be written by concurrent
 // window workers.
 func ReplaySharded(rs *testbed.Regions, trace *Trace, serviceKey string, opts Options) (*ShardReplayResult, error) {
-	regions := len(rs.Sites)
-	if regions == 0 {
-		return nil, fmt.Errorf("workload: region set has no sites")
-	}
-	if opts.Trace != nil || opts.Counters != nil {
-		return nil, fmt.Errorf("workload: ReplaySharded takes no Options.Trace/Counters; " +
-			"build the regions with testbed.RegionOptions.Traced/Counted and read each site's handles")
-	}
-	if err := validate(rs.Sites, trace, opts.Handovers); err != nil {
+	runs, err := stageSharded(rs, trace, serviceKey, opts)
+	if err != nil {
 		return nil, err
-	}
-
-	// Partition by home region, preserving trace and schedule order; each
-	// share is sized by a counting pass first, so it is allocated once.
-	shares := make([]Trace, regions)
-	moves := make([][]Handover, regions)
-	reqsIn, movesIn := make([]int, regions), make([]int, regions)
-	for _, r := range trace.Requests {
-		reqsIn[r.Client%regions]++
-	}
-	for _, h := range opts.Handovers {
-		movesIn[h.Client%regions]++
-	}
-	for d := range shares {
-		shares[d].Requests = make([]Request, 0, reqsIn[d])
-		moves[d] = make([]Handover, 0, movesIn[d])
-	}
-	for _, r := range trace.Requests {
-		d := r.Client % regions
-		r.Client /= regions
-		shares[d].Requests = append(shares[d].Requests, r)
-	}
-	for _, h := range opts.Handovers {
-		d := h.Client % regions
-		h.Client /= regions
-		moves[d] = append(moves[d], h)
-	}
-
-	runs := make([]*siteReplay, regions)
-	for d, site := range rs.Sites {
-		shares[d].Config = trace.Config
-		siteOpts := opts
-		siteOpts.Handovers = moves[d]
-		siteOpts.Trace, siteOpts.Counters = site.Trace, site.Counters
-		run, err := stage(site, fmt.Sprintf("%s/r%d", serviceKey, d), serviceKey, &shares[d], siteOpts)
-		if err != nil {
-			return nil, err
-		}
-		runs[d] = run
 	}
 
 	rs.Group.RunUntil(runBound(trace))
 
 	res := &ShardReplayResult{
-		PerRegion: make([]*ReplayResult, regions),
+		PerRegion: make([]*ReplayResult, len(runs)),
 		Totals:    metrics.NewHist(serviceKey + "/totals"),
 	}
 	for d, run := range runs {
@@ -108,4 +63,64 @@ func ReplaySharded(rs *testbed.Regions, trace *Trace, serviceKey string, opts Op
 		}
 	}
 	return res, nil
+}
+
+// stageSharded validates a sharded replay's inputs and stages it on every
+// site; see ReplaySharded.
+func stageSharded(rs *testbed.Regions, trace *Trace, serviceKey string, opts Options) ([]*siteReplay, error) {
+	regions := len(rs.Sites)
+	if regions == 0 {
+		return nil, fmt.Errorf("workload: region set has no sites")
+	}
+	if opts.Trace != nil || opts.Counters != nil {
+		return nil, fmt.Errorf("workload: ReplaySharded takes no Options.Trace/Counters; " +
+			"build the regions with testbed.RegionOptions.Traced/Counted and read each site's handles")
+	}
+	if err := validate(rs.Sites, trace, opts.Handovers); err != nil {
+		return nil, err
+	}
+
+	// Partition by home region, preserving trace and schedule order. A
+	// region's requests are an index into the caller's trace, 4 B a request
+	// (a lone region has none and reads the trace whole); its handovers are a
+	// copy. Each is sized by a counting pass first, so it is allocated once.
+	idx := make([][]int32, regions)
+	moves := make([][]Handover, regions)
+	reqsIn, movesIn := make([]int, regions), make([]int, regions)
+	for _, r := range trace.Requests {
+		reqsIn[r.Client%regions]++
+	}
+	for _, h := range opts.Handovers {
+		movesIn[h.Client%regions]++
+	}
+	for d := range idx {
+		if regions > 1 {
+			idx[d] = make([]int32, 0, reqsIn[d])
+		}
+		moves[d] = make([]Handover, 0, movesIn[d])
+	}
+	if regions > 1 {
+		for i, r := range trace.Requests {
+			d := r.Client % regions
+			idx[d] = append(idx[d], int32(i))
+		}
+	}
+	for _, h := range opts.Handovers {
+		d := h.Client % regions
+		h.Client /= regions
+		moves[d] = append(moves[d], h)
+	}
+
+	runs := make([]*siteReplay, regions)
+	for d, site := range rs.Sites {
+		siteOpts := opts
+		siteOpts.Handovers = moves[d]
+		siteOpts.Trace, siteOpts.Counters = site.Trace, site.Counters
+		run, err := stage(site, fmt.Sprintf("%s/r%d", serviceKey, d), serviceKey, trace, idx[d], regions, siteOpts)
+		if err != nil {
+			return nil, err
+		}
+		runs[d] = run
+	}
+	return runs, nil
 }

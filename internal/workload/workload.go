@@ -63,12 +63,27 @@ type Trace struct {
 	Requests []Request
 }
 
-// Generate synthesizes a trace per cfg. It panics on infeasible parameters
+// Validate reports why Generate cannot synthesize a trace from cfg: no
+// services, fewer requests than every service's minimum, or an empty window.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Services <= 0:
+		return fmt.Errorf("workload: infeasible config: %d services, want at least 1", cfg.Services)
+	case cfg.TotalRequests < cfg.Services*cfg.MinPerService:
+		return fmt.Errorf("workload: infeasible config: %d services x %d min > %d total",
+			cfg.Services, cfg.MinPerService, cfg.TotalRequests)
+	case cfg.Duration <= 0:
+		return fmt.Errorf("workload: infeasible config: duration %v, want > 0", cfg.Duration)
+	}
+	return nil
+}
+
+// Generate synthesizes a trace per cfg; every arrival lies in
+// [0, cfg.Duration]. It panics on parameters Config.Validate rejects
 // (configuration errors).
 func Generate(cfg Config) *Trace {
-	if cfg.Services <= 0 || cfg.TotalRequests < cfg.Services*cfg.MinPerService {
-		panic(fmt.Sprintf("workload: infeasible config: %d services x %d min > %d total",
-			cfg.Services, cfg.MinPerService, cfg.TotalRequests))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -107,20 +122,26 @@ func Generate(cfg Config) *Trace {
 	// Arrival times. Each service is a "conversation" with an explicit
 	// start (its deployment trigger, fig. 10) followed by its remaining
 	// requests. Starts are a mixture: a share of conversations is already
-	// active when the capture begins (they start within the first
-	// seconds, producing the paper's burst of up to ~8 deployments per
-	// second), the rest spread over the window with a front-loaded bias.
-	var reqs []Request
+	// active when the capture begins (they start within the first three
+	// seconds, or the whole window if it is shorter, producing the paper's
+	// burst of up to ~8 deployments per second), the rest spread over the
+	// window with a front-loaded bias. The trace holds exactly
+	// TotalRequests requests.
+	reqs := make([]Request, 0, cfg.TotalRequests)
 	earlyShare := (cfg.Services*3 + 9) / 10 // 30% of conversations, rounded up
 	earlyPick := rng.Perm(cfg.Services)
-	early := make(map[int]bool, earlyShare)
+	early := make([]bool, cfg.Services)
 	for _, idx := range earlyPick[:earlyShare] {
 		early[idx] = true
 	}
 	for svc, n := range counts {
 		var start time.Duration
 		if early[svc] {
-			start = time.Duration(rng.Float64() * 3 * float64(time.Second))
+			u := rng.Float64()
+			start = time.Duration(u * 3 * float64(time.Second))
+			if cfg.Duration < 3*time.Second {
+				start = time.Duration(u * float64(cfg.Duration))
+			}
 		} else {
 			start = time.Duration(math.Pow(rng.Float64(), 1.1) * 0.9 * float64(cfg.Duration))
 		}

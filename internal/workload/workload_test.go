@@ -121,6 +121,69 @@ func TestInfeasibleConfigPanics(t *testing.T) {
 	Generate(Config{Services: 42, TotalRequests: 100, MinPerService: 20, Duration: time.Minute})
 }
 
+// TestConfigValidate: Validate names every configuration Generate cannot
+// satisfy, and Generate panics on exactly those.
+func TestConfigValidate(t *testing.T) {
+	feasible := Config{Services: 2, TotalRequests: 4, MinPerService: 2, Duration: time.Second}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string // "" = valid
+	}{
+		{"feasible", func(*Config) {}, ""},
+		{"no services", func(c *Config) { c.Services = 0 }, "0 services"},
+		{"negative services", func(c *Config) { c.Services = -3 }, "-3 services"},
+		{"below the minimum", func(c *Config) { c.TotalRequests = 3 }, "2 services x 2 min > 3 total"},
+		{"empty window", func(c *Config) { c.Duration = 0 }, "duration 0s"},
+		{"negative window", func(c *Config) { c.Duration = -5 * time.Second }, "duration -5s"},
+	} {
+		cfg := feasible
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Validate() = %v, want an error saying %q", tc.name, err, tc.want)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			Generate(cfg)
+			return false
+		}()
+		if panicked != (err != nil) {
+			t.Errorf("%s: Generate panicked %v, Validate returned %v", tc.name, panicked, err)
+		}
+	}
+}
+
+// TestGenerateArrivalsInWindow: every arrival lies in [0, Duration], also
+// in windows shorter than the three seconds over which the early
+// conversations start.
+func TestGenerateArrivalsInWindow(t *testing.T) {
+	for _, tc := range []struct {
+		window                  time.Duration
+		services, requests, min int
+	}{
+		{time.Nanosecond, 2, 10, 2},
+		{time.Millisecond, 4, 40, 2},
+		{500 * time.Millisecond, 2, 100, 2},
+		{2999 * time.Millisecond, 42, 1708, 20},
+		{3 * time.Second, 42, 1708, 20},
+		{5 * time.Minute, 42, 1708, 20},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			tr := Generate(Config{Seed: seed, Services: tc.services, TotalRequests: tc.requests,
+				MinPerService: tc.min, Duration: tc.window, Clients: 5})
+			if len(tr.Requests) != tc.requests {
+				t.Fatalf("window %v, seed %d: %d requests, want %d", tc.window, seed, len(tr.Requests), tc.requests)
+			}
+			for i, r := range tr.Requests {
+				if r.At < 0 || r.At > tc.window {
+					t.Fatalf("window %v, seed %d: request %d at %v, outside [0, %v]", tc.window, seed, i, r.At, tc.window)
+				}
+			}
+		}
+	}
+}
+
 // Property: for any feasible parameters, totals and minimums hold.
 func TestQuickGenerateInvariants(t *testing.T) {
 	f := func(services, minPer uint8, extra uint16) bool {
