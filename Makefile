@@ -35,7 +35,9 @@ race:
 # gates: internal/openflow's BenchmarkAddFlow (at1k/at10k, within-3x),
 # internal/kube's BenchmarkEnsureDeployed (at1/at500, within-2x),
 # internal/simnet's BenchmarkLinkContention (at1/at1024, within-4x of the
-# fair-share arithmetic), internal/sim's BenchmarkKernelSparseSweep
+# fair-share arithmetic), internal/simnet's BenchmarkHTTPExchange (one warm
+# HTTPGetAsync <-> ServeHTTPAsync exchange with RespondAfter and a deadline
+# over one link, at 0 allocs/op; TestAllocsHTTPExchange pins it), internal/sim's BenchmarkKernelSparseSweep
 # (gap1/gap200, within-2x), internal/sim's BenchmarkShardWindow (ns per
 # window of a two-kernel group with one event per kernel: the shard
 # barrier's cost) and internal/sim's BenchmarkKernelAtBatch (a 100k-event

@@ -24,8 +24,10 @@ func get(t *testing.T, b Behavior) *simnet.HTTPResult {
 	cli.HTTPGetAsync(srv.IP(), 80, &simnet.HTTPRequest{Method: "GET"}, 0, func(r *simnet.HTTPResult, err error) {
 		if err != nil {
 			t.Errorf("request: %v", err)
+			return
 		}
-		res = r
+		kept := *r // borrowed: valid only inside the callback
+		res = &kept
 	})
 	k.Run()
 	if res == nil {

@@ -272,11 +272,38 @@ type Switch struct {
 	fifo     []pendingPkt
 	fifoHead int
 	drainFn  func()
+	// ctrlq is the controller channel in both directions: packet-ins and
+	// flow-removed notices up, packet-outs down. ControllerLatency is
+	// constant too, so one FIFO drained by a persistent thunk delivers every
+	// message in send order without a closure per message.
+	ctrlq    []ctrlMsg
+	ctrlHead int
+	ctrlFn   func()
 }
 
 type pendingPkt struct {
 	inPort int
 	pkt    *simnet.Packet
+}
+
+// ctrlKind tags a controller-channel message.
+type ctrlKind uint8
+
+const (
+	msgPacketIn ctrlKind = iota
+	msgFlowRemoved
+	msgPacketOut
+	msgTableOut
+)
+
+// ctrlMsg is one message on the controller channel; which fields it uses
+// depends on its kind.
+type ctrlMsg struct {
+	kind    ctrlKind
+	inPort  int
+	pkt     *simnet.Packet
+	rule    *FlowRule
+	actions Actions
 }
 
 // NewSwitch creates a switch node.
@@ -292,6 +319,7 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		defaultOut: -1,
 	}
 	s.drainFn = s.drainOne
+	s.ctrlFn = s.deliverCtrl
 	n.Register(s)
 	return s
 }
@@ -460,9 +488,38 @@ func (s *Switch) notifyRemoved(r *FlowRule) {
 	if s.controller == nil {
 		return
 	}
-	s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
-		s.controller.HandleFlowRemoved(s, r)
-	})
+	s.sendCtrl(ctrlMsg{kind: msgFlowRemoved, rule: r})
+}
+
+// sendCtrl puts m on the controller channel, to arrive ControllerLatency
+// from now.
+func (s *Switch) sendCtrl(m ctrlMsg) {
+	s.ctrlq = append(s.ctrlq, m)
+	s.net.K.AfterFree(s.cfg.ControllerLatency, s.ctrlFn)
+}
+
+// deliverCtrl hands the oldest controller-channel message to its receiver:
+// the controller for packet-in and flow-removed, this switch's pipeline for
+// packet-out and table-out.
+func (s *Switch) deliverCtrl() {
+	m := s.ctrlq[s.ctrlHead]
+	s.ctrlq[s.ctrlHead] = ctrlMsg{}
+	s.ctrlHead++
+	if s.ctrlHead == len(s.ctrlq) {
+		s.ctrlq = s.ctrlq[:0]
+		s.ctrlHead = 0
+	}
+	switch m.kind {
+	case msgPacketIn:
+		s.controller.HandlePacketIn(PacketIn{Switch: s, InPort: m.inPort, Packet: m.pkt})
+	case msgFlowRemoved:
+		s.controller.HandleFlowRemoved(s, m.rule)
+	case msgPacketOut:
+		m.actions.apply(m.pkt)
+		s.output(m.actions, -1, m.pkt)
+	case msgTableOut:
+		s.process(-1, m.pkt)
+	}
 }
 
 // removeRule takes a live rule out of the table: it unlinks r from its
@@ -604,10 +661,7 @@ func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet) {
 		if s.controller == nil {
 			return
 		}
-		ev := PacketIn{Switch: s, InPort: inPort, Packet: pkt}
-		s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
-			s.controller.HandlePacketIn(ev)
-		})
+		s.sendCtrl(ctrlMsg{kind: msgPacketIn, inPort: inPort, pkt: pkt})
 	case OutputNormal:
 		out, ok := s.routes[pkt.DstIP]
 		if !ok {
@@ -635,17 +689,12 @@ func (s *Switch) ForwardNormal(pkt *simnet.Packet) {
 // directly (OFPT_PACKET_OUT with an action list). Use OutputNormal in a to
 // route by destination, or run it through the table with TableOut.
 func (s *Switch) PacketOut(pkt *simnet.Packet, a Actions) {
-	s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
-		a.apply(pkt)
-		s.output(a, -1, pkt)
-	})
+	s.sendCtrl(ctrlMsg{kind: msgPacketOut, pkt: pkt, actions: a})
 }
 
 // TableOut re-injects a packet to be processed by the (possibly updated)
 // flow table — the OFPP_TABLE output of packet-out, which the paper's
 // controller uses to release a held request after installing its flows.
 func (s *Switch) TableOut(pkt *simnet.Packet) {
-	s.net.K.AfterFree(s.cfg.ControllerLatency, func() {
-		s.process(-1, pkt)
-	})
+	s.sendCtrl(ctrlMsg{kind: msgTableOut, pkt: pkt})
 }

@@ -119,10 +119,7 @@ func (s *Server) Images() []string {
 	return refs
 }
 
-// handle answers one request after its service latency. RespondAfter pairs
-// timers with responses first-in first-out, which is only right for one
-// constant delay per connection; the manifest and blob latencies differ but
-// never share a connection, because HTTPGetAsync closes after one exchange.
+// handle answers one request after its service latency.
 func (s *Server) handle(c *simnet.HTTPServerConn, req *simnet.HTTPRequest) {
 	switch {
 	case strings.HasPrefix(req.Path, "/v2/manifests/"):

@@ -181,3 +181,52 @@ func TestAllocsHostDataReceive(t *testing.T) {
 		t.Fatalf("received %d, want 201", received-before)
 	}
 }
+
+// newExchangeRig links client a to server b (1 ms, 1 Gb/s), serves every
+// request on b after 1 ms of service time, and returns a function that runs
+// one HTTPGetAsync from a with the given deadline to completion, and the
+// count of exchanges answered with b's response.
+func newExchangeRig(timeout time.Duration) (exchange func(), answered *int) {
+	k := sim.New(1)
+	n := NewNetwork(k)
+	a := NewHost(n, "a", "10.0.0.1")
+	b := NewHost(n, "b", "10.0.0.2")
+	ha, hb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: Gbps})
+	a.SetUplink(ha)
+	b.SetUplink(hb)
+	resp := &HTTPResponse{Status: 200, Size: KiB}
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, _ *HTTPRequest) { c.RespondAfter(time.Millisecond, resp) })
+	req := &HTTPRequest{Method: "GET", Path: "/", Size: 256}
+	ok := 0
+	done := func(res *HTTPResult, err error) {
+		if err == nil && res.Resp == resp {
+			ok++
+		}
+	}
+	return func() {
+		a.HTTPGetAsync(b.IP(), 80, req, timeout, done)
+		k.Run()
+	}, &ok
+}
+
+// TestAllocsHTTPExchange pins a warm request exchange — HTTPGetAsync's dial,
+// request, RespondAfter's service time, response, and close on both ends — at
+// zero allocations, with and without a deadline: the call with its deadline
+// event, both connections and the server connection come back from their
+// free lists.
+func TestAllocsHTTPExchange(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Second} {
+		exchange, answered := newExchangeRig(timeout)
+		for i := 0; i < 10; i++ {
+			exchange()
+		}
+		before := *answered
+		avg := testing.AllocsPerRun(200, exchange)
+		if avg != 0 {
+			t.Errorf("timeout %v: %.1f allocs per HTTP exchange, want 0", timeout, avg)
+		}
+		if *answered-before != 201 {
+			t.Fatalf("timeout %v: %d exchanges answered, want 201", timeout, *answered-before)
+		}
+	}
+}

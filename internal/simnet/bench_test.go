@@ -23,6 +23,25 @@ func (l *loopNode) HandlePacket(in *Port, pkt *Packet) {
 	l.out.Send(pkt)
 }
 
+// BenchmarkHTTPExchange is the request exchange's per-layer gate: one warm
+// HTTPGetAsync ↔ ServeHTTPAsync exchange with RespondAfter and a deadline
+// over one link, expected at 0 allocs/op (TestAllocsHTTPExchange pins it).
+func BenchmarkHTTPExchange(b *testing.B) {
+	b.ReportAllocs()
+	exchange, answered := newExchangeRig(time.Second)
+	for i := 0; i < 10; i++ { // warm the free lists, pools and slice capacities
+		exchange()
+	}
+	before := *answered
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange()
+	}
+	if *answered-before != b.N {
+		b.Fatalf("%d of %d exchanges answered", *answered-before, b.N)
+	}
+}
+
 // BenchmarkLinkContention is the ledger's contended-hop unit: the host cost
 // of one packet's trip over a direction that 1 or 1024 transfers share
 // (zero propagation delay, so everything in flight is serializing). Fair

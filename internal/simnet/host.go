@@ -195,6 +195,51 @@ type Conn struct {
 	// DATA segment; the connection closes once everything before it has
 	// been delivered.
 	finSeq uint64
+	// reap is set by a pooled handler (httpCall, HTTPServerConn) that is done
+	// with the connection; see settle.
+	reap bool
+}
+
+// recycler is a ConnHandler whose state, its connection included, returns
+// to a free list once it has set Conn.reap.
+type recycler interface {
+	release()
+}
+
+// settle recycles c and its handler if the callback that just returned set
+// c.reap. It runs at the bottom of the HandlePacket arm, never inside the
+// callback: deliverInOrder still reads c after deliver returns, and a
+// completion may dial synchronously, which a LIFO pool would hand the very
+// objects still on the stack.
+func (c *Conn) settle() {
+	if c.reap {
+		c.handler.(recycler).release()
+	}
+}
+
+// newConn takes a connection from the network's free list (or builds one).
+// Every connection is made here; only a pooled handler ever gives one back.
+func (n *Network) newConn() *Conn {
+	if ln := len(n.connPool); ln > 0 {
+		c := n.connPool[ln-1]
+		n.connPool[ln-1] = nil
+		n.connPool = n.connPool[:ln-1]
+		return c
+	}
+	return &Conn{}
+}
+
+// freeConn returns a closed connection to the free list. Packets still in
+// the reorder buffer go back to the packet pool and the emptied map is kept;
+// every other field is zeroed, so a stale reference panics (nil host) rather
+// than reaching the connection's next owner.
+func (n *Network) freeConn(c *Conn) {
+	for _, p := range c.oooBuf {
+		n.FreePacket(p)
+	}
+	clear(c.oooBuf)
+	*c = Conn{oooBuf: c.oooBuf}
+	n.connPool = append(n.connPool, c)
 }
 
 func (h *Host) sendOut(pkt *Packet) {
@@ -249,12 +294,8 @@ func (h *Host) drainOut() {
 func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	lp := h.ephemeral
 	h.ephemeral++
-	c := &Conn{
-		host:    h,
-		local:   addrPort{h.ip, lp},
-		remote:  addrPort{dst, port},
-		handler: handler,
-	}
+	c := h.net.newConn()
+	c.host, c.local, c.remote, c.handler = h, addrPort{h.ip, lp}, addrPort{dst, port}, handler
 	h.conns[fourTuple{c.local, c.remote}] = c
 	syn := h.net.NewPacket()
 	syn.Kind, syn.SrcIP, syn.DstIP = KindSYN, h.ip, dst
@@ -288,12 +329,8 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 			return
 		}
 		h.net.FreePacket(pkt)
-		c := &Conn{
-			host:        h,
-			local:       key.local,
-			remote:      key.remote,
-			established: true,
-		}
+		c := h.net.newConn()
+		c.host, c.local, c.remote, c.established = h, key.local, key.remote, true
 		h.conns[key] = c
 		h.replySYNACK(c)
 		c.handler = l.attach(c)
@@ -313,11 +350,13 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 				c.closed = true
 				c.handler.ConnClosed(c)
 			}
+			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	case KindDATA:
 		if c, ok := h.conns[key]; ok && !c.closed {
 			c.deliverInOrder(pkt) // ownership moves to the conn; freed on delivery
+			c.settle()
 		} else {
 			h.net.FreePacket(pkt)
 		}
@@ -327,6 +366,7 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 			// delivered (the FIN carries the next sequence number).
 			c.finSeq = pkt.Seq
 			c.maybeFinish()
+			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,6 +44,158 @@ func TestHTTPKeepAlive(t *testing.T) {
 	}
 	if bodies[0] != 1 || bodies[1] != 2 || bodies[2] != 3 {
 		t.Fatalf("bodies = %v, want [1 2 3]", bodies)
+	}
+}
+
+// TestHTTPPipelinedResponsesInRequestOrder: requests pipelined on one
+// connection are answered in request order, each response no earlier than
+// its own service time ends (HTTP/1.1 head-of-line), whatever the mix of
+// RespondAfter delays and immediate Responds. The path names the delay. Over
+// pair's two 1 ms hops the requests reach the server at 6 ms and a response
+// sent at s reaches the client at s+2 ms.
+func TestHTTPPipelinedResponsesInRequestOrder(t *testing.T) {
+	type arrival struct {
+		path string
+		at   sim.Time
+	}
+	ms := func(n int) sim.Time { return sim.Time(n) * time.Millisecond }
+	delays := map[string]time.Duration{"/now": 0, "/fast": ms(1), "/ten": ms(10), "/slow": ms(50)}
+	for _, tc := range []struct {
+		name  string
+		paths []string
+		want  []arrival
+	}{
+		{"slow then fast", []string{"/slow", "/fast"}, []arrival{{"/slow", ms(58)}, {"/fast", ms(58)}}},
+		{"fast then slow", []string{"/fast", "/slow"}, []arrival{{"/fast", ms(9)}, {"/slow", ms(58)}}},
+		{"immediate behind delayed", []string{"/slow", "/now"}, []arrival{{"/slow", ms(58)}, {"/now", ms(58)}}},
+		{"equal delays", []string{"/ten", "/ten"}, []arrival{{"/ten", ms(18)}, {"/ten", ms(18)}}},
+		{"immediate between", []string{"/ten", "/now", "/fast"},
+			[]arrival{{"/ten", ms(18)}, {"/now", ms(18)}, {"/fast", ms(18)}}},
+	} {
+		k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			if d := delays[req.Path]; d > 0 {
+				c.RespondAfter(d, &HTTPResponse{Status: 200, Body: req.Path})
+			} else {
+				c.Respond(&HTTPResponse{Status: 200, Body: req.Path})
+			}
+		})
+		var got []arrival
+		k.Go("client", func(p *sim.Proc) {
+			c, err := a.Dial(p, b.IP(), 80, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for _, path := range tc.paths {
+				c.Send(minWireSize, &HTTPRequest{Method: "GET", Path: path})
+			}
+			for range tc.paths {
+				resp, err := c.Recv(p, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, arrival{resp.(*HTTPResponse).Body.(string), p.Now()})
+			}
+		})
+		k.Run()
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: responses %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestHTTPServerConnOutlivesClientTimeout: a client that gives up while its
+// response is still in service closes the connection, but the server
+// connection stays out of the free list until that response has drained —
+// into a closed connection, going nowhere — and only then serves anyone else.
+func TestHTTPServerConnOutlivesClientTimeout(t *testing.T) {
+	k, n, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
+	var served []*HTTPServerConn
+	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+		served = append(served, c)
+		if req.Path == "/slow" {
+			c.RespondAfter(100*time.Millisecond, &HTTPResponse{Status: 200})
+			return
+		}
+		c.Respond(&HTTPResponse{Status: 200})
+	})
+	var errs []error
+	get := func(path string, timeout time.Duration) {
+		a.HTTPGetAsync(b.IP(), 80, &HTTPRequest{Method: "GET", Path: path}, timeout,
+			func(_ *HTTPResult, err error) { errs = append(errs, err) })
+	}
+	get("/slow", 20*time.Millisecond) // in service from 6 ms to 106 ms
+	k.RunUntil(50 * time.Millisecond)
+	slow := served[0]
+	if len(errs) != 1 || !errors.Is(errs[0], ErrTimeout) {
+		t.Fatalf("first call ended with %v, want ErrTimeout", errs)
+	}
+	if slow.conn == nil || !slow.conn.closed || slow.timers != 1 {
+		t.Fatalf("at 50 ms the timed-out server connection is %+v, want closed and its response in service", slow)
+	}
+	get("/fast", 0)
+	k.RunUntil(100 * time.Millisecond)
+	if len(served) != 2 || served[1] == slow {
+		t.Fatalf("a second connection was served by the one whose response is in service")
+	}
+	k.Run()
+	if slow.conn != nil {
+		t.Fatal("the server connection was not recycled once its response drained")
+	}
+	get("/fast", 0)
+	k.Run()
+	if len(served) != 3 || served[2] != slow {
+		t.Errorf("the third connection did not reuse the drained server connection")
+	}
+	if len(errs) != 3 || errs[1] != nil || errs[2] != nil {
+		t.Errorf("calls ended with %v, want ErrTimeout then two successes", errs)
+	}
+	if a.OpenConns() != 0 || b.OpenConns() != 0 {
+		t.Errorf("%d client and %d server connections left open, want 0 and 0", a.OpenConns(), b.OpenConns())
+	}
+	if len(n.callPool) != 1 || len(n.connPool) != 3 {
+		t.Errorf("free lists hold %d calls and %d connections, want 1 and 3", len(n.callPool), len(n.connPool))
+	}
+}
+
+// TestHTTPFailedCallsRecycle: a refused dial (RST) and a dial that times out
+// before its SYN-ACK both return their call and client connection to the
+// network's free lists, so repeating them does not grow the lists.
+func TestHTTPFailedCallsRecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		port    int
+		timeout time.Duration
+		want    error
+	}{
+		{"refused", 81, 0, ErrConnRefused},
+		{"dial timeout", 80, 25 * time.Millisecond, ErrTimeout}, // the SYN-ACK is back at 40 ms
+	} {
+		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond})
+		b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
+			c.Respond(&HTTPResponse{Status: 200})
+		})
+		for i := 0; i < 3; i++ {
+			var err error
+			a.HTTPGetAsync(b.IP(), tc.port, &HTTPRequest{Method: "GET", Path: "/"}, tc.timeout,
+				func(_ *HTTPResult, e error) { err = e })
+			k.Run()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s: call %d ended with %v, want %v", tc.name, i, err, tc.want)
+			}
+			// The server's end of a timed-out dial stays established: nothing
+			// tells it the client gave up, and it is never recycled.
+			if len(n.callPool) != 1 || len(n.connPool) != 1 {
+				t.Fatalf("%s: after call %d the free lists hold %d calls and %d connections, want 1 and 1",
+					tc.name, i, len(n.callPool), len(n.connPool))
+			}
+		}
+		if a.OpenConns() != 0 {
+			t.Errorf("%s: %d connections left on the client, want 0", tc.name, a.OpenConns())
+		}
 	}
 }
 
@@ -106,7 +259,12 @@ func exchange(k *sim.Kernel, entry string, from *Host, dst Addr, req *HTTPReques
 	if entry == "HTTPGet" {
 		k.Go("client", func(p *sim.Proc) { res, err = from.HTTPGet(p, dst, 80, req, timeout) })
 	} else {
-		from.HTTPGetAsync(dst, 80, req, timeout, func(r *HTTPResult, e error) { res, err = r, e })
+		from.HTTPGetAsync(dst, 80, req, timeout, func(r *HTTPResult, e error) {
+			if err = e; r != nil {
+				kept := *r // borrowed: valid only inside the callback
+				res = &kept
+			}
+		})
 	}
 	k.Run()
 	return res, err

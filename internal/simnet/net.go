@@ -157,6 +157,8 @@ type Network struct {
 
 	pktPool  []*Packet   // recycled packets (NewPacket / FreePacket)
 	xferPool []*transfer // recycled link transfers with their events
+	connPool []*Conn     // recycled connections (newConn / freeConn)
+	callPool []*httpCall // recycled HTTPGetAsync calls with their deadline events
 
 	// DetachDrops counts packets dropped because their link was severed by a
 	// host detach/handover (these drops free to the pool, unlike loss/down

@@ -282,8 +282,9 @@ func (s *Site) Request(p *sim.Proc, cli int, reg spec.Registration, key string, 
 }
 
 // RequestAsync issues the same measured request as Request without blocking
-// a process: done runs inside the completion event. This is the replay
-// engine's hot path. It must run on the site's kernel.
+// a process: done runs inside the completion event, and the result it is
+// handed is borrowed, valid only until done returns (copy it to keep it).
+// This is the replay engine's hot path. It must run on the site's kernel.
 func (s *Site) RequestAsync(cli int, reg spec.Registration, key string, timeout time.Duration, done func(*simnet.HTTPResult, error)) {
 	s.Clients[cli].HTTPGetAsync(reg.VIP, reg.Port, catalog.Request(key), timeout, done)
 }

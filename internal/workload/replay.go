@@ -206,9 +206,9 @@ func inOrder(kind string, i int, prev, at time.Duration) error {
 
 // siteReplay is the replay engine: one site's share of a replay, staged on
 // that site's kernel and driven entirely by kernel events and callback I/O —
-// no process, channel or promise per request — so peak memory tracks
-// in-flight requests and the steady-state request path stays under ten
-// allocations. All of its state is touched from the site's kernel only.
+// no process, channel or promise per request, and in-flight records recycled
+// — so peak memory tracks in-flight requests and a steady-state request
+// allocates nothing. All of its state is touched from the site's kernel only.
 type siteReplay struct {
 	site       *testbed.Site
 	serviceKey string
@@ -226,6 +226,18 @@ type siteReplay struct {
 	inFlight int
 	queued   []int // arrival-order request indices waiting on MaxInFlight
 	done     int
+	free     []*flight // recycled in-flight records
+}
+
+// flight is one started request: the site's request index, its arrival, and
+// its service. complete is bound once per record and is the request's
+// completion callback.
+type flight struct {
+	r        *siteReplay
+	i        int
+	at       sim.Time
+	service  int
+	complete func(*simnet.HTTPResult, error)
 }
 
 // stage registers the trace's services at one site and schedules the site's
@@ -346,27 +358,44 @@ func (r *siteReplay) start(i int, at sim.Time) {
 	r.inFlight++
 	r.obs.in.Add(1)
 	q := r.req(i)
+	var f *flight
+	if n := len(r.free); n > 0 {
+		f = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		f = &flight{r: r}
+		f.complete = f.finish
+	}
+	f.i, f.at, f.service = i, at, q.Service
 	r.site.RequestAsync(q.Client%len(r.site.Clients), r.res.Registrations[q.Service], r.serviceKey, r.opts.RequestTimeout,
-		func(hr *simnet.HTTPResult, err error) {
-			now := r.site.K.Now()
-			r.inFlight--
-			r.done++
-			r.obs.in.Add(-1)
-			r.obs.request(at, now, r.serviceKey, err)
-			if err != nil {
-				r.res.Errors++
-			} else {
-				r.res.Totals.Add(at, hr.Total)
-				if r.first[q.Service] == i {
-					r.res.FirstRequests.Add(at, hr.Total)
-				}
-			}
-			if len(r.queued) > 0 { // only under MaxInFlight, and a slot just freed
-				next := r.queued[0]
-				r.queued = r.queued[1:]
-				r.start(next, now)
-			}
-		})
+		f.complete)
+}
+
+// finish accounts for the completed request (hr is borrowed, see
+// HTTPGetAsync). The record goes back to the free list before a queued
+// request starts, so that request may reuse it.
+func (f *flight) finish(hr *simnet.HTTPResult, err error) {
+	r, i, at, service := f.r, f.i, f.at, f.service
+	r.free = append(r.free, f)
+	now := r.site.K.Now()
+	r.inFlight--
+	r.done++
+	r.obs.in.Add(-1)
+	r.obs.request(at, now, r.serviceKey, err)
+	if err != nil {
+		r.res.Errors++
+	} else {
+		r.res.Totals.Add(at, hr.Total)
+		if r.first[service] == i {
+			r.res.FirstRequests.Add(at, hr.Total)
+		}
+	}
+	if len(r.queued) > 0 { // only under MaxInFlight, and a slot just freed
+		next := r.queued[0]
+		r.queued = r.queued[1:]
+		r.start(next, now)
+	}
 }
 
 // finish closes the site's result once its kernel has reached the run bound.

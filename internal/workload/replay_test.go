@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -140,18 +141,22 @@ func TestReplayArrivalInstantsFig9(t *testing.T) {
 // clients at the benchmark's flow-churn arrival rate, a 1 s switch idle
 // timeout under a 5 s FlowMemory one — and wants every request answered:
 // with no request bound, one whose SYN-ACK comes back un-rewritten stays
-// Unfinished for ever.
+// Unfinished for ever. The runs are traced and counted, and every packet
+// taken from the pool is back in it or counted as dropped once the replay is
+// over: recycling connections loses none and frees none twice.
 func TestReplayChurnServesEveryRequest(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		trace := Generate(Config{
 			Seed: seed, Services: 8, TotalRequests: 20000, MinPerService: 2,
 			Duration: 12 * time.Second, Clients: 2000, ZipfS: 1.15, FrontLoad: 1.1,
 		})
+		reg, tr := obs.NewRegistry(), obs.NewTracer(0)
 		tb := testbed.New(testbed.Options{
 			Seed: seed, EnableDocker: true, NumClients: 2000,
 			SwitchIdleTimeout: time.Second, MemoryIdleTimeout: 5 * time.Second,
+			Counters: reg, Trace: tr,
 		})
-		res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true})
+		res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true, Trace: tr, Counters: reg})
 		tb.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -159,6 +164,12 @@ func TestReplayChurnServesEveryRequest(t *testing.T) {
 		if res.Errors != 0 || res.Unfinished != 0 || res.Totals.Len() != len(trace.Requests) {
 			t.Errorf("seed %d: %d completed, %d failed, %d unfinished of %d requests", seed,
 				res.Totals.Len(), res.Errors, res.Unfinished, len(trace.Requests))
+		}
+		gets := reg.Counter("simnet_packet_pool_gets_total").Value()
+		puts := reg.Counter("simnet_packet_pool_puts_total").Value()
+		drops := reg.Counter("simnet_packet_drops_total").Value()
+		if gets == 0 || gets != puts+drops {
+			t.Errorf("seed %d: packet pool unbalanced: %d gets, %d puts, %d drops", seed, gets, puts, drops)
 		}
 	}
 }
@@ -430,6 +441,39 @@ func TestReplayMaxInFlight(t *testing.T) {
 		// total must stay above the bare client->EGS round trip.
 		if got.min <= 0 {
 			t.Errorf("%s: Totals.Min = %v", rig.name, got.min)
+		}
+	}
+}
+
+// TestReplayMaxInFlightOutcomesPinned: under MaxInFlight a completion starts
+// the next queued request from inside the finished request's callback, on
+// free lists the finished request has just returned its record to (its HTTP
+// call and connection follow once the callback returns). Every (arrival,
+// total) sample and the error count are pinned to what the replay produced
+// before anything was recycled, with requests ending both on their response
+// and on their deadline (the cold first requests outlast 2 s).
+func TestReplayMaxInFlightOutcomesPinned(t *testing.T) {
+	trace := Generate(Config{Seed: 2, Services: 3, TotalRequests: 60, MinPerService: 5,
+		Duration: 20 * time.Second, Clients: 5})
+	for _, tc := range []struct {
+		opts   Options
+		errors int
+		digest uint64
+	}{
+		{Options{PrePull: true, PreCreate: true, MaxInFlight: 1}, 0, 0xcc8b150dd1e96739},
+		{Options{MaxInFlight: 2, RequestTimeout: 2 * time.Second}, 5, 0x55e5b4f92001d60b},
+	} {
+		res, err := ReplayWith(newReplayTestbed(2, 5), trace, catalog.Nginx, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, s := range sortedSamples(res.Totals) {
+			fmt.Fprintf(h, "%d %d\n", s.At, s.Value)
+		}
+		if got := h.Sum64(); res.Errors != tc.errors || res.Unfinished != 0 || got != tc.digest {
+			t.Errorf("MaxInFlight %d, timeout %v: %d errors, %d unfinished, samples digest %#x; want %d, 0, %#x",
+				tc.opts.MaxInFlight, tc.opts.RequestTimeout, res.Errors, res.Unfinished, got, tc.errors, tc.digest)
 		}
 	}
 }
