@@ -3,7 +3,7 @@ package transparentedge_test
 import (
 	"testing"
 
-	edge "transparentedge"
+	"transparentedge/internal/experiments"
 )
 
 // TestReplayAllocsPerRequestRegression pins the replay engine's
@@ -30,11 +30,11 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 		replay       func(requests int) (errors int, err error)
 	}{
 		{"single-site", 2000, 8000, func(n int) (int, error) {
-			res, err := edge.RunReplayScale(seed, n)
+			res, err := experiments.ReplayScale(seed, n)
 			return res.Errors, err
 		}},
 		{"sharded", 8000, 32000, func(n int) (int, error) {
-			res, err := edge.RunReplayShard(seed, n, 1, nil)
+			res, err := experiments.ReplayShard(seed, n, 1, nil)
 			return res.Errors, err
 		}},
 	} {

@@ -7,7 +7,8 @@ import (
 	"slices"
 	"strings"
 
-	edge "transparentedge"
+	"transparentedge/internal/experiments"
+	"transparentedge/internal/obs"
 )
 
 // experiment is one row of the table that drives everything edgesim knows
@@ -35,17 +36,17 @@ const obsFlags = "trace counters attrib flame slo slo-dump"
 // or the JSON document on stdout) that every member run would overwrite.
 const perRunFlags = "json trace flame slo-dump"
 
-var experiments = []experiment{
+var table = []experiment{
 	{name: "table1", help: "Table I  — the four edge services and their images",
-		run: func(*flags, *obsRun) (output, error) { return rendered{text: edge.RunTableI().String()}, nil }},
+		run: func(*flags, *obsRun) (output, error) { return rendered{text: experiments.TableI().String()}, nil }},
 	{name: "fig9", help: "Fig. 9   — request distribution (1708 requests / 42 services)", flags: "seed",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			res := edge.RunFig9And10(f.seed)
+			res := experiments.Fig9And10(f.seed)
 			return rendered{text: res.String() + histogram("requests/s", res.Trace.RequestsPerSecond(), 10)}, nil
 		}},
 	{name: "fig10", help: "Fig. 10  — deployment distribution over five minutes", flags: "seed",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			res := edge.RunFig9And10(f.seed)
+			res := experiments.Fig9And10(f.seed)
 			return rendered{text: res.String() + histogram("deployments/s", res.DeploysPerSecond, 1)}, nil
 		}},
 	{name: "fig11", help: "Fig. 11  — scale-up total time, Docker vs Kubernetes", flags: "seed scale csv obs",
@@ -53,38 +54,44 @@ var experiments = []experiment{
 	{name: "fig12", help: "Fig. 12  — create + scale-up total time", flags: "seed scale csv obs",
 		run: scaleUp(false, false)},
 	{name: "fig13", help: "Fig. 13  — image pull times, public vs private registry", flags: "seed csv obs",
-		run: func(f *flags, o *obsRun) (output, error) { return f.figure(edge.RunFig13Pull(f.seed, o.options()...)) }},
+		run: func(f *flags, o *obsRun) (output, error) {
+			return f.figure(experiments.Fig13Pull(f.seed, o.options()...))
+		}},
 	{name: "fig14", help: "Fig. 14  — readiness wait after scale-up", flags: "seed scale csv obs",
 		run: scaleUp(true, true)},
 	{name: "fig15", help: "Fig. 15  — readiness wait after create + scale-up", flags: "seed scale csv obs",
 		run: scaleUp(false, true)},
 	{name: "fig16", help: "Fig. 16  — request time with running instances", flags: "seed requests csv obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			return f.figure(edge.RunFig16Warm(f.seed, f.requests, o.options()...))
+			return f.figure(experiments.Fig16Warm(f.seed, f.requests, o.options()...))
 		}},
 	{name: "hybrid", help: "§VII     — Docker-first hybrid deployment", flags: "seed csv obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			return f.figure(edge.RunHybridStudy(f.seed, o.options()...))
+			return f.figure(experiments.HybridStudy(f.seed, o.options()...))
 		}},
 	{name: "serverless", help: "§VIII future work: WASM cold start vs containers", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunFutureWorkServerless(f.seed)) }},
+		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.FutureWorkServerless(f.seed)) }},
 	{name: "ablation-memory", help: "FlowMemory on/off for returning clients", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationFlowMemory(f.seed)) }},
+		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationFlowMemory(f.seed)) }},
 	{name: "ablation-timeout", help: "switch idle-timeout sweep", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationIdleTimeout(f.seed, nil)) }},
+		run: func(f *flags, _ *obsRun) (output, error) {
+			return f.figure(experiments.AblationIdleTimeout(f.seed, nil))
+		}},
 	{name: "ablation-policy", help: "with-waiting vs no-wait vs hybrid", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationWaitingPolicy(f.seed)) }},
+		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationWaitingPolicy(f.seed)) }},
 	{name: "ablation-proactive", help: "on-demand vs EWMA-predicted proactive deployment", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationProactive(f.seed)) }},
+		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationProactive(f.seed)) }},
 	{name: "ablation-probe", help: "readiness-probe interval sweep", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationProbeInterval(f.seed, nil)) }},
+		run: func(f *flags, _ *obsRun) (output, error) {
+			return f.figure(experiments.AblationProbeInterval(f.seed, nil))
+		}},
 	{name: "ablation-hierarchy", help: "fig. 3: cold vs far-warm vs near-warm first request", flags: "seed csv",
-		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(edge.RunAblationHierarchy(f.seed)) }},
+		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationHierarchy(f.seed)) }},
 	{name: "scale-dispatch", help: "dispatch latency vs cluster count", flags: "seed clusters serial procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
 			d := dispatchOutput{f: f, o: o}
 			for _, clusters := range []int{1, f.clusters} {
-				res, err := edge.RunDispatchScale(f.seed, clusters, f.serial, o.options()...)
+				res, err := experiments.DispatchScale(f.seed, clusters, f.serial, o.options()...)
 				if err != nil {
 					return nil, err
 				}
@@ -94,47 +101,47 @@ var experiments = []experiment{
 		}},
 	{name: "scale-churn", help: "controller-state bounds under client churn", flags: "seed clients procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			return measured[edge.ExperimentJSON](edge.RunCookieChurn(f.seed, f.clients, o.options()...))
+			return measured[experiments.JSONResult](experiments.CookieChurn(f.seed, f.clients, o.options()...))
 		}},
 	{name: "scale-replay", help: "large-trace replay cost", flags: "seed replay-requests procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			res, err := edge.RunReplayScale(f.seed, f.replayRequests, o.options()...)
+			res, err := experiments.ReplayScale(f.seed, f.replayRequests, o.options()...)
 			if f.counters { // the JSON always carries it, as kernel_*
-				return measured[edge.ExperimentJSON](res, err, fmt.Sprintf("  kernel           %s\n", res.Kernel))
+				return measured[experiments.JSONResult](res, err, fmt.Sprintf("  kernel           %s\n", res.Kernel))
 			}
-			return measured[edge.ExperimentJSON](res, err)
+			return measured[experiments.JSONResult](res, err)
 		}},
 	{name: "scale-shard", help: "sharded multi-region replay; fingerprints are bit-identical\nat every shard count",
 		flags: "seed replay-requests shards procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			return measured[edge.ExperimentJSON](edge.RunReplayShard(f.seed, f.replayRequests, f.shards, nil, o.options()...))
+			return measured[experiments.JSONResult](experiments.ReplayShard(f.seed, f.replayRequests, f.shards, nil, o.options()...))
 		}},
 	{name: "scale-steer", help: "steering backend comparison: per-flow openflow rules vs\nstateless SRv6-style ingress encoding over a client-count axis",
 		flags: "seed replay-requests backend procs json",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			return measured[edge.ExperimentJSON](edge.RunSteerSweep(f.seed, f.replayRequests, f.backends))
+			return measured[experiments.JSONResult](experiments.SteerSweep(f.seed, f.replayRequests, f.backends))
 		}},
 	{name: "scale-mobility", help: "handover comparison under client mobility: continuity gap\nand flow-mod churn per backend across handover rates, with\nsharded fingerprint parity",
 		flags: "seed replay-requests backend procs json",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			return measured[edge.ExperimentJSON](edge.RunMobilitySweep(f.seed, f.replayRequests, f.backends))
+			return measured[experiments.JSONResult](experiments.MobilitySweep(f.seed, f.replayRequests, f.backends))
 		}},
 	{name: "scale-attrib", help: "latency attribution sweep: per-phase dispatch breakdown,\nopenflow vs srv6 across the client axis, plus the\nattribution determinism gates at shards 1/2/4/8",
 		flags: "seed replay-requests procs json",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			return measured[edge.ExperimentJSON](edge.RunAttribSweep(f.seed, f.replayRequests))
+			return measured[experiments.JSONResult](experiments.AttribSweep(f.seed, f.replayRequests))
 		}},
 	{name: "sweep", help: "parallel with/without-waiting sweep across seeds",
 		flags: "sweep-seeds sweep-requests procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			res, counters, err := o.runSweep(edge.WaitingSweepVariants(f.sweepSeeds, f.sweepRequests))
-			return measured[[]edge.ExperimentJSON](res, err, counters)
+			res, counters, err := o.runSweep(experiments.WaitingSweep(f.sweepSeeds, f.sweepRequests))
+			return measured[[]experiments.JSONResult](res, err, counters)
 		}},
 	{name: "scale-faults", help: "deterministic fault-injection sweep: retries, next-best\nfallback, and cloud fallback under increasing fault rates",
 		flags: "seed fault-rates sweep-requests procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			res, counters, err := o.runSweep(edge.FaultSweepVariants(f.seed, f.sweepRequests, f.rates))
-			return measured[[]edge.ExperimentJSON](edge.FaultSweepResult{SweepResult: res}, err, counters)
+			res, counters, err := o.runSweep(experiments.FaultSweepVariants(f.seed, f.sweepRequests, f.rates))
+			return measured[[]experiments.JSONResult](experiments.FaultSweepResult{SweepResult: res}, err, counters)
 		}},
 	// Every row above, in order: none is excluded. Its flags are the union
 	// of theirs minus perRunFlags (TestExperimentTable keeps that true).
@@ -145,7 +152,7 @@ var experiments = []experiment{
 
 // output is what an experiment hands back: its text rendering and, for the
 // experiments that list the json flag, the uniform JSON shape (one
-// edge.ExperimentJSON or a slice of them).
+// experiments.JSONResult or a slice of them).
 type output interface {
 	Text(w io.Writer) error
 	JSON() any
@@ -188,7 +195,7 @@ func (f *flags) figure(res interface {
 // its readiness-wait table (figs. 14/15) or its totals (figs. 11/12).
 func scaleUp(preCreate, readyWait bool) func(*flags, *obsRun) (output, error) {
 	return func(f *flags, o *obsRun) (output, error) {
-		res, err := edge.RunScaleUpStudy(f.seed, preCreate, f.scale, o.options()...)
+		res, err := experiments.ScaleUpStudy(f.seed, preCreate, f.scale, o.options()...)
 		if err != nil {
 			return nil, err
 		}
@@ -217,14 +224,14 @@ func measured[J any](res interface {
 // text is rendered, so the JSON counters cover exactly the runs the JSON
 // reports.
 type dispatchOutput struct {
-	runs []edge.DispatchScaleResult
+	runs []experiments.DispatchScaleResult
 	f    *flags
 	o    *obsRun
 }
 
 func (d dispatchOutput) Text(w io.Writer) error {
 	if !d.f.serial {
-		ref, err := edge.RunDispatchScale(d.f.seed, d.f.clusters, true, d.o.options()...)
+		ref, err := experiments.DispatchScale(d.f.seed, d.f.clusters, true, d.o.options()...)
 		if err != nil {
 			return err
 		}
@@ -237,7 +244,7 @@ func (d dispatchOutput) Text(w io.Writer) error {
 }
 
 func (d dispatchOutput) JSON() any {
-	var out []edge.ExperimentJSON
+	var out []experiments.JSONResult
 	for _, r := range d.runs {
 		out = append(out, r.JSON())
 	}
@@ -256,16 +263,16 @@ func (d dispatchOutput) JSON() any {
 // variant's registry in the Prometheus format under a comment header: what
 // -counters adds to the text rendering (the JSON entries carry the same as
 // their counters blocks).
-func (o *obsRun) runSweep(vs []edge.SweepVariant) (res edge.SweepResult, counters string, err error) {
+func (o *obsRun) runSweep(vs []experiments.SweepVariant) (res experiments.SweepResult, counters string, err error) {
 	for i := range vs {
 		if o.tracer != nil || o.col != nil {
-			vs[i].Trace = edge.NewTracer(0)
+			vs[i].Trace = obs.NewTracer(0)
 		}
 		if o.reg != nil {
-			vs[i].Counters = edge.NewCounterRegistry()
+			vs[i].Counters = obs.NewRegistry()
 		}
 	}
-	if res, err = edge.RunSweep(vs, o.f.procs); err != nil {
+	if res, err = (experiments.Sweep{Variants: vs, Procs: o.f.procs}).Run(); err != nil {
 		return res, "", err
 	}
 	if o.cw != nil || o.col != nil {
@@ -283,7 +290,7 @@ func (o *obsRun) runSweep(vs []edge.SweepVariant) (res edge.SweepResult, counter
 	for i := range vs {
 		if vs[i].Counters != nil {
 			fmt.Fprintf(&b, "# variant %s\n", vs[i].Label())
-			if err := edge.WritePrometheusText(&b, vs[i].Counters); err != nil {
+			if err := obs.WritePrometheus(&b, vs[i].Counters); err != nil {
 				return res, "", err
 			}
 		}
@@ -293,9 +300,9 @@ func (o *obsRun) runSweep(vs []edge.SweepVariant) (res edge.SweepResult, counter
 
 // lookup returns the named experiment, or nil.
 func lookup(name string) *experiment {
-	for i := range experiments {
-		if experiments[i].name == name {
-			return &experiments[i]
+	for i := range table {
+		if table[i].name == name {
+			return &table[i]
 		}
 	}
 	return nil
@@ -311,9 +318,9 @@ func contains(list, name string) bool { return slices.Contains(strings.Fields(li
 // names lists the experiments that satisfy keep (nil = all), in table order.
 func names(keep func(*experiment) bool) []string {
 	var out []string
-	for i := range experiments {
-		if keep == nil || keep(&experiments[i]) {
-			out = append(out, experiments[i].name)
+	for i := range table {
+		if keep == nil || keep(&table[i]) {
+			out = append(out, table[i].name)
 		}
 	}
 	return out
@@ -338,8 +345,8 @@ func checkApplicable(fs *flag.FlagSet, e *experiment) error {
 // usage prints the experiment table and the flag defaults.
 func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintf(w, "usage: edgesim [flags] <experiment>\n\nExperiments (each lists the flags it reads; any other flag is an error):\n")
-	for i := range experiments {
-		e := &experiments[i]
+	for i := range table {
+		e := &table[i]
 		fmt.Fprintf(w, "  %-18s %s\n", e.name, strings.ReplaceAll(e.help, "\n", "\n"+strings.Repeat(" ", 21)))
 		if e.flags != "" {
 			fmt.Fprintf(w, "%21s[-%s]\n", "", strings.Join(strings.Fields(e.flags), " -"))

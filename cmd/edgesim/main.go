@@ -20,7 +20,9 @@ import (
 	"strconv"
 	"strings"
 
-	edge "transparentedge"
+	"transparentedge/internal/experiments"
+	"transparentedge/internal/obs"
+	"transparentedge/internal/obs/attrib"
 )
 
 // flags holds one invocation's parsed command line.
@@ -37,7 +39,7 @@ type flags struct {
 	// Parsed by validate from -fault-rates, -backend and -slo.
 	rates    []float64
 	backends []string
-	slos     []edge.SLO
+	slos     []attrib.SLO
 }
 
 func newFlagSet(f *flags) *flag.FlagSet {
@@ -114,7 +116,7 @@ func (f *flags) validate() error {
 	if f.backends, err = parseBackends(f.backend); err != nil {
 		return fmt.Errorf("-backend: %v", err)
 	}
-	if f.slos, err = edge.ParseSLOs(f.slo); err != nil {
+	if f.slos, err = attrib.ParseSLOs(f.slo); err != nil {
 		return fmt.Errorf("-slo: %v", err)
 	}
 	return nil
@@ -203,11 +205,11 @@ func (f *flags) startProfiles() (stop func() error, err error) {
 type obsRun struct {
 	f      *flags
 	stderr io.Writer
-	tracer *edge.Tracer
-	reg    *edge.CounterRegistry
-	cw     *edge.ChromeTraceWriter
+	tracer *obs.Tracer
+	reg    *obs.Registry
+	cw     *obs.ChromeWriter
 	file   *os.File
-	col    *edge.AttribCollector
+	col    *attrib.Collector
 }
 
 func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
@@ -218,20 +220,20 @@ func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
 			return nil, err
 		}
 		o.file = file
-		o.cw = edge.NewChromeTraceWriter(file)
+		o.cw = obs.NewChromeWriter(file)
 		// A small ring suffices: the sink streams every span to disk.
-		o.tracer = edge.NewTracer(1024)
+		o.tracer = obs.NewTracer(1024)
 		o.tracer.SetSink(o.cw.Emit)
 	}
 	if f.counters {
-		o.reg = edge.NewCounterRegistry()
+		o.reg = obs.NewRegistry()
 	}
 	// -flame, -slo and -slo-dump imply -attrib.
 	if f.attrib || f.flame != "" || f.slo != "" || f.sloDump != "" {
 		dumped := false
-		o.col = edge.NewAttribCollector(edge.AttribOptions{
+		o.col = attrib.New(attrib.Options{
 			SLOs: f.slos,
-			OnBreach: func(b edge.AttribBreach) {
+			OnBreach: func(b attrib.Breach) {
 				fmt.Fprintf(stderr, "edgesim: SLO BREACH %v on %q: observed %v over %d samples (%d trees in flight recorder)\n",
 					b.SLO, b.Root, b.Observed, b.Samples, len(b.Trees))
 				if f.sloDump == "" || dumped {
@@ -249,8 +251,8 @@ func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
 
 // writeBreachDump flattens a breach's flight-recorder trees into one Chrome
 // trace-event file (the newest tree is the one that tipped the objective).
-func (o *obsRun) writeBreachDump(b edge.AttribBreach) error {
-	var spans []edge.Span
+func (o *obsRun) writeBreachDump(b attrib.Breach) error {
+	var spans []obs.Span
 	for _, tree := range b.Trees {
 		spans = append(spans, tree...)
 	}
@@ -258,7 +260,7 @@ func (o *obsRun) writeBreachDump(b edge.AttribBreach) error {
 	if err != nil {
 		return err
 	}
-	if err := edge.WriteChromeTrace(file, spans); err != nil {
+	if err := obs.WriteChrome(file, spans); err != nil {
 		file.Close()
 		return err
 	}
@@ -267,16 +269,16 @@ func (o *obsRun) writeBreachDump(b edge.AttribBreach) error {
 }
 
 // options returns the experiment options for the enabled sinks.
-func (o *obsRun) options() []edge.ExperimentOption {
-	var opts []edge.ExperimentOption
+func (o *obsRun) options() []experiments.Option {
+	var opts []experiments.Option
 	if o.tracer != nil {
-		opts = append(opts, edge.WithTrace(o.tracer))
+		opts = append(opts, experiments.WithTrace(o.tracer))
 	}
 	if o.reg != nil {
-		opts = append(opts, edge.WithCounters(o.reg))
+		opts = append(opts, experiments.WithCounters(o.reg))
 	}
 	if o.col != nil {
-		opts = append(opts, edge.WithAttrib(o.col))
+		opts = append(opts, experiments.WithAttrib(o.col))
 	}
 	return opts
 }
@@ -306,7 +308,7 @@ func (o *obsRun) finish(text io.Writer) error {
 		}
 	}
 	if o.reg != nil && text != nil {
-		return edge.WritePrometheusText(text, o.reg)
+		return obs.WritePrometheus(text, o.reg)
 	}
 	return nil
 }
@@ -314,7 +316,7 @@ func (o *obsRun) finish(text io.Writer) error {
 // writeFlame exports the report's flame graph: gzipped pprof proto for
 // .pb.gz / .pprof paths (go tool pprof -http), collapsed stacks otherwise
 // (flamegraph.pl, speedscope).
-func (o *obsRun) writeFlame(rep *edge.AttribReport) error {
+func (o *obsRun) writeFlame(rep *attrib.Report) error {
 	path := o.f.flame
 	file, err := os.Create(path)
 	if err != nil {
@@ -394,8 +396,8 @@ func (f *flags) run(e *experiment, stdout, stderr io.Writer) error {
 
 func (f *flags) runExperiment(e *experiment, stdout, stderr io.Writer) error {
 	if e.run == nil { // "all"
-		for i := range experiments {
-			if m := &experiments[i]; m.run != nil {
+		for i := range table {
+			if m := &table[i]; m.run != nil {
 				if err := f.runExperiment(m, stdout, stderr); err != nil {
 					return fmt.Errorf("%s: %w", m.name, err)
 				}
@@ -427,16 +429,16 @@ func (f *flags) runExperiment(e *experiment, stdout, stderr io.Writer) error {
 	// carry no counters of their own, the registry snapshot go on the last
 	// entry (the registry accumulates over all of an experiment's runs).
 	v := out.JSON()
-	entries, isList := v.([]edge.ExperimentJSON)
+	entries, isList := v.([]experiments.JSONResult)
 	if !isList {
-		entries = []edge.ExperimentJSON{v.(edge.ExperimentJSON)}
+		entries = []experiments.JSONResult{v.(experiments.JSONResult)}
 	}
 	last := &entries[len(entries)-1]
 	if last.Counters == nil {
 		last.Counters = o.reg.Map()
 	}
 	if o.col != nil {
-		edge.AttribReportMetrics(last.Metrics, o.col.Report())
+		experiments.AttribReportMetrics(last.Metrics, o.col.Report())
 	}
 	if err := o.finish(nil); err != nil {
 		return err

@@ -49,8 +49,8 @@ var masks = []struct {
 // and every -json-capable one in JSON mode, at small sizes, against
 // testdata/golden (regenerate with -update).
 func TestGoldenOutputs(t *testing.T) {
-	for i := range experiments {
-		e := &experiments[i]
+	for i := range table {
+		e := &table[i]
 		var args []string
 		for _, kv := range smallSizes {
 			if e.reads(kv[0]) {
@@ -204,8 +204,8 @@ func TestExperimentTable(t *testing.T) {
 	fs := newFlagSet(&f)
 	var usageText bytes.Buffer
 	usage(&usageText, fs)
-	for i := range experiments {
-		e := &experiments[i]
+	for i := range table {
+		e := &table[i]
 		if e.help == "" || !strings.Contains(usageText.String(), "  "+e.name+" ") {
 			t.Errorf("%s: no help text in the usage", e.name)
 		}
@@ -220,7 +220,7 @@ func TestExperimentTable(t *testing.T) {
 		// `all` runs every row that has a run func, so it excludes nothing
 		// but itself — which must be the table's last row for "every
 		// experiment above" to hold.
-		if (e.run == nil) != (e.name == "all") || (e.run == nil) != (i == len(experiments)-1) {
+		if (e.run == nil) != (e.name == "all") || (e.run == nil) != (i == len(table)-1) {
 			t.Errorf("%s (row %d): only the last row, all, may lack a run func", e.name, i)
 		}
 	}

@@ -62,51 +62,17 @@ func TestPublicTraceAPI(t *testing.T) {
 	}
 }
 
-func TestPublicTableI(t *testing.T) {
-	res := edge.RunTableI()
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-}
-
-func TestPublicExperimentWrappers(t *testing.T) {
-	if res := edge.RunFig9And10(7); len(res.PerService) != 42 {
-		t.Fatalf("fig9/10 = %d services", len(res.PerService))
-	}
-	su, err := edge.RunScaleUpStudy(7, true, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(su.Totals.Rows()) != 4 {
-		t.Fatalf("scale-up rows = %v", su.Totals.Rows())
-	}
-	fw, err := edge.RunFutureWorkServerless(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fw.Table.Rows()) != 3 {
-		t.Fatalf("serverless rows = %v", fw.Table.Rows())
-	}
-	pol, err := edge.RunAblationWaitingPolicy(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pol.Table.Rows()) != 3 {
-		t.Fatalf("policy rows = %v", pol.Table.Rows())
-	}
-	pred := edge.NewEWMAPredictor(0.3)
-	var _ edge.Predictor = pred
-}
-
-// A bad name handed to a public option comes back as an error from the
-// runner, not as a panic from deep inside testbed construction.
-func TestPublicRunnerRejectsUnknownBackend(t *testing.T) {
-	if _, err := edge.RunReplayScale(1, 100, edge.WithSteerBackend("bogus")); err == nil {
-		t.Fatal(`RunReplayScale with WithSteerBackend("bogus") returned no error`)
-	}
-	if _, err := edge.RunSteerSweep(1, 100, []string{"bogus"}); err == nil {
-		t.Fatal(`RunSteerSweep over backend "bogus" returned no error`)
-	}
+// TestPublicSignatures pins the shape of the facade: every constructor hands
+// back a public type the next call takes, so a caller holds each value under
+// a name of this package and never has to import an internal one.
+func TestPublicSignatures(t *testing.T) {
+	var (
+		_ func(edge.TestbedOptions) *edge.Testbed                                          = edge.NewTestbed
+		_ func(int64) *edge.Kernel                                                         = edge.NewKernel
+		_ func(edge.TraceConfig) *edge.Trace                                               = edge.GenerateTrace
+		_ func(*edge.Testbed, *edge.Trace, string, bool, bool) (*edge.ReplayResult, error) = edge.ReplayTrace
+		_ edge.Predictor                                                                   = edge.NewEWMAPredictor(0.3)
+	)
 }
 
 func TestPublicReplayTrace(t *testing.T) {

@@ -149,19 +149,14 @@ func AblationIdleTimeout(seed int64, timeouts []time.Duration) (*IdleTimeoutResu
 	return res, nil
 }
 
-// WaitingPolicyResult compares the three §IV deployment policies on a cold
-// edge.
-type WaitingPolicyResult struct {
-	*metrics.Table // first and tenth request latencies per policy
-}
-
-// AblationWaitingPolicy measures the first request (cold edge, images
-// cached) and a later request under: with-waiting (hold the request),
-// no-wait (serve from the cloud while deploying), and the §VII hybrid.
-func AblationWaitingPolicy(seed int64) (*WaitingPolicyResult, error) {
-	res := &WaitingPolicyResult{Table: metrics.NewTable(
+// AblationWaitingPolicy compares the three §IV deployment policies on a
+// cold edge: it measures the first request (images cached) and a later
+// request under with-waiting (hold the request), no-wait (serve from the
+// cloud while deploying), and the §VII hybrid.
+func AblationWaitingPolicy(seed int64) (*metrics.Table, error) {
+	res := metrics.NewTable(
 		"Ablation — deployment policy (nginx, images cached, cold edge)",
-		"first request", "later request")}
+		"first request", "later request")
 	type pol struct {
 		name  string
 		sched core.GlobalScheduler
@@ -205,7 +200,7 @@ func AblationWaitingPolicy(seed int64) (*WaitingPolicyResult, error) {
 		if rerr != nil {
 			return nil, fmt.Errorf("%s: %w", pl.name, rerr)
 		}
-		res.Table.AddRow(pl.name, first, later)
+		res.AddRow(pl.name, first, later)
 	}
 	return res, nil
 }
@@ -276,23 +271,18 @@ func AblationProactive(seed int64) (*ProactiveResult, error) {
 	return res, nil
 }
 
-// ProbeResult sweeps the controller's readiness-probe interval.
-type ProbeResult struct {
-	*metrics.Table
-}
-
-// AblationProbeInterval measures how the probe interval quantizes the
-// readiness wait (figs. 14/15): the expected detection lag is half the
-// interval, so coarse probing directly inflates the first-request latency
-// of fast-starting services.
-func AblationProbeInterval(seed int64, intervals []time.Duration) (*ProbeResult, error) {
+// AblationProbeInterval sweeps the controller's readiness-probe interval to
+// measure how it quantizes the readiness wait (figs. 14/15): the expected
+// detection lag is half the interval, so coarse probing directly inflates
+// the first-request latency of fast-starting services.
+func AblationProbeInterval(seed int64, intervals []time.Duration) (*metrics.Table, error) {
 	if len(intervals) == 0 {
 		intervals = []time.Duration{5 * time.Millisecond, 20 * time.Millisecond,
 			100 * time.Millisecond, 500 * time.Millisecond}
 	}
-	res := &ProbeResult{Table: metrics.NewTable(
+	res := metrics.NewTable(
 		"Ablation — readiness-probe interval (nginx on Docker, scale-up only)",
-		"median first request")}
+		"median first request")
 	for _, iv := range intervals {
 		tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, ProbeInterval: iv})
 		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
@@ -326,27 +316,23 @@ func AblationProbeInterval(seed int64, intervals []time.Duration) (*ProbeResult,
 		if rerr != nil {
 			return nil, rerr
 		}
-		res.Table.AddRow(iv.String(), series.Median())
+		res.AddRow(iv.String(), series.Median())
 	}
 	return res, nil
 }
 
-// HierarchyResult quantifies fig. 3's motivation: hierarchically higher
+// AblationHierarchy quantifies fig. 3's motivation: hierarchically higher
 // (farther) edge clusters are more likely to have a service warm, so the
 // first request can be served there instantly while the optimal edge
-// deploys in the background.
-type HierarchyResult struct {
-	*metrics.Table // first-request latency per initial placement
-}
-
-// AblationHierarchy measures the first request under three initial states
-// of a two-site edge hierarchy (near EGS + farther edge), images cached,
-// proximity scheduler: cold everywhere (wait for the near deployment),
-// warm at the far edge (served there, no waiting), warm at the near edge.
-func AblationHierarchy(seed int64) (*HierarchyResult, error) {
-	res := &HierarchyResult{Table: metrics.NewTable(
+// deploys in the background. It measures the first request under three
+// initial states of a two-site edge hierarchy (near EGS + farther edge),
+// images cached, proximity scheduler: cold everywhere (wait for the near
+// deployment), warm at the far edge (served there, no waiting), warm at the
+// near edge.
+func AblationHierarchy(seed int64) (*metrics.Table, error) {
+	res := metrics.NewTable(
 		"Ablation — fig. 3 hierarchy (nginx, images cached, proximity scheduler)",
-		"first request")}
+		"first request")
 	run := func(warmFar, warmNear bool) (time.Duration, error) {
 		tb := testbed.New(testbed.Options{
 			Seed: seed, EnableDocker: true, EnableFarEdge: true,
@@ -396,8 +382,8 @@ func AblationHierarchy(seed int64) (*HierarchyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Table.AddRow("cold everywhere (wait)", cold)
-	res.Table.AddRow("warm at far edge (no waiting)", far)
-	res.Table.AddRow("warm at near edge", near)
+	res.AddRow("cold everywhere (wait)", cold)
+	res.AddRow("warm at far edge (no waiting)", far)
+	res.AddRow("warm at near edge", near)
 	return res, nil
 }

@@ -57,9 +57,9 @@ func TestAblationWaitingPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFirst, _ := res.Table.Cell("with-waiting", "first request")
-	noWaitFirst, _ := res.Table.Cell("no-wait (cloud first)", "first request")
-	hybridFirst, _ := res.Table.Cell("hybrid docker-first", "first request")
+	waitFirst, _ := res.Cell("with-waiting", "first request")
+	noWaitFirst, _ := res.Cell("no-wait (cloud first)", "first request")
+	hybridFirst, _ := res.Cell("hybrid docker-first", "first request")
 	// No-wait answers the first request from the cloud: tens of ms, far
 	// below the with-waiting deployment.
 	if noWaitFirst >= waitFirst {
@@ -74,8 +74,8 @@ func TestAblationWaitingPolicy(t *testing.T) {
 	}
 	// All policies converge to edge latency for later requests (at most
 	// one controller dispatch including cluster state queries).
-	for _, row := range res.Table.Rows() {
-		later, _ := res.Table.Cell(row, "later request")
+	for _, row := range res.Rows() {
+		later, _ := res.Cell(row, "later request")
 		if later > 30*time.Millisecond {
 			t.Errorf("%s: later request %v, want edge latency", row, later)
 		}
@@ -87,9 +87,9 @@ func TestFutureWorkServerless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wasm, _ := res.Table.Cell("serverless (WASM)", "first request")
-	docker, _ := res.Table.Cell("docker", "first request")
-	k8s, _ := res.Table.Cell("kubernetes", "first request")
+	wasm, _ := res.Cell("serverless (WASM)", "first request")
+	docker, _ := res.Cell("docker", "first request")
+	k8s, _ := res.Cell("kubernetes", "first request")
 	// Cold-start ordering (Gackstatter et al.): WASM << container start
 	// << orchestrated container start.
 	if wasm > 100*time.Millisecond {
@@ -102,8 +102,8 @@ func TestFutureWorkServerless(t *testing.T) {
 		t.Errorf("k8s (%v) should dwarf docker (%v)", k8s, docker)
 	}
 	// Warm requests are equivalent across platforms.
-	for _, row := range res.Table.Rows() {
-		warm, _ := res.Table.Cell(row, "warm request")
+	for _, row := range res.Rows() {
+		warm, _ := res.Cell(row, "warm request")
 		if warm > 5*time.Millisecond {
 			t.Errorf("%s warm = %v", row, warm)
 		}
@@ -135,8 +135,8 @@ func TestAblationProbeInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _ := res.Table.Cell("5ms", "median first request")
-	coarse, _ := res.Table.Cell("500ms", "median first request")
+	fine, _ := res.Cell("5ms", "median first request")
+	coarse, _ := res.Cell("500ms", "median first request")
 	// Coarse probing adds detection lag on the order of the interval.
 	if coarse < fine+100*time.Millisecond {
 		t.Fatalf("coarse probing (%v) not slower than fine (%v)", coarse, fine)
@@ -151,9 +151,9 @@ func TestAblationHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := res.Table.Cell("cold everywhere (wait)", "first request")
-	far, _ := res.Table.Cell("warm at far edge (no waiting)", "first request")
-	near, _ := res.Table.Cell("warm at near edge", "first request")
+	cold, _ := res.Cell("cold everywhere (wait)", "first request")
+	far, _ := res.Cell("warm at far edge (no waiting)", "first request")
+	near, _ := res.Cell("warm at near edge", "first request")
 	// near < far << cold: the warm far edge answers in milliseconds (its
 	// extra link latency visible vs near), while cold pays the deployment.
 	if !(near < far && far < cold/5) {

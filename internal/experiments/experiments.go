@@ -266,20 +266,15 @@ func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) 
 	return res, nil
 }
 
-// PullResult is the fig. 13 table: total pull time per service from the
-// public registries (Docker Hub / GCR) and from the in-network private
-// registry.
-type PullResult struct {
-	*metrics.Table
-}
-
-// Fig13Pull measures cold image pulls onto the EGS per registry placement.
-func Fig13Pull(seed int64, options ...Option) (*PullResult, error) {
+// Fig13Pull measures cold image pulls onto the EGS per registry placement:
+// the fig. 13 table of total pull time per service from the public
+// registries (Docker Hub / GCR) and from the in-network private registry.
+func Fig13Pull(seed int64, options ...Option) (*metrics.Table, error) {
 	o := applyOpts(options)
 	tr := o.attribTracer()
-	res := &PullResult{Table: metrics.NewTable(
+	res := metrics.NewTable(
 		"Fig. 13 — total time to pull service images onto the EGS",
-		"DockerHub/GCR", "Private")}
+		"DockerHub/GCR", "Private")
 	for _, key := range catalog.Keys() {
 		var cells [2]time.Duration
 		for i, private := range []bool{false, true} {
@@ -302,27 +297,23 @@ func Fig13Pull(seed int64, options ...Option) (*PullResult, error) {
 			}
 			cells[i] = d
 		}
-		res.Table.AddRow(key, cells[0], cells[1])
+		res.AddRow(key, cells[0], cells[1])
 	}
 	o.attrib.EndStream()
 	return res, nil
 }
 
-// WarmResult is the fig. 16 table: request time with a running instance.
-type WarmResult struct {
-	*metrics.Table
-}
-
-// Fig16Warm measures requests against already-running instances.
-func Fig16Warm(seed int64, requests int, options ...Option) (*WarmResult, error) {
+// Fig16Warm measures requests against already-running instances: the
+// fig. 16 table of request time per service and cluster.
+func Fig16Warm(seed int64, requests int, options ...Option) (*metrics.Table, error) {
 	o := applyOpts(options)
 	tr := o.attribTracer()
 	if requests <= 0 {
 		requests = 200
 	}
-	res := &WarmResult{Table: metrics.NewTable(
+	res := metrics.NewTable(
 		"Fig. 16 — median total time for requests to running instances",
-		"Docker", "K8s")}
+		"Docker", "K8s")
 	for _, key := range catalog.Keys() {
 		cells := map[string]time.Duration{}
 		for _, kind := range clusterKinds {
@@ -362,7 +353,7 @@ func Fig16Warm(seed int64, requests int, options ...Option) (*WarmResult, error)
 			}
 			cells[clusterLabel(kind)] = series.Median()
 		}
-		res.Table.AddRow(key, cells["Docker"], cells["K8s"])
+		res.AddRow(key, cells["Docker"], cells["K8s"])
 	}
 	o.attrib.EndStream()
 	return res, nil

@@ -142,8 +142,8 @@ func TestFig13PullShapes(t *testing.T) {
 	pub := map[string]time.Duration{}
 	priv := map[string]time.Duration{}
 	for _, key := range catalog.Keys() {
-		pub[key], _ = res.Table.Cell(key, "DockerHub/GCR")
-		priv[key], _ = res.Table.Cell(key, "Private")
+		pub[key], _ = res.Cell(key, "DockerHub/GCR")
+		priv[key], _ = res.Cell(key, "Private")
 	}
 	// Ordering by size: Asm << Nginx < Nginx+Py < ResNet.
 	if !(pub[catalog.Asm] < pub[catalog.Nginx] &&
@@ -172,7 +172,7 @@ func TestFig16WarmShapes(t *testing.T) {
 	}
 	for _, key := range []string{catalog.Asm, catalog.Nginx, catalog.NginxPy} {
 		for _, col := range []string{"Docker", "K8s"} {
-			v, ok := res.Table.Cell(key, col)
+			v, ok := res.Cell(key, col)
 			if !ok {
 				t.Fatalf("missing cell %s/%s", key, col)
 			}
@@ -183,8 +183,8 @@ func TestFig16WarmShapes(t *testing.T) {
 		}
 	}
 	// No notable difference between the clusters once running.
-	ngxD, _ := res.Table.Cell(catalog.Nginx, "Docker")
-	ngxK, _ := res.Table.Cell(catalog.Nginx, "K8s")
+	ngxD, _ := res.Cell(catalog.Nginx, "Docker")
+	ngxK, _ := res.Cell(catalog.Nginx, "K8s")
 	diff := ngxD - ngxK
 	if diff < 0 {
 		diff = -diff
@@ -193,7 +193,7 @@ func TestFig16WarmShapes(t *testing.T) {
 		t.Errorf("cluster difference for warm nginx = %v, want negligible", diff)
 	}
 	// ResNet requires significantly longer.
-	resD, _ := res.Table.Cell(catalog.ResNet, "Docker")
+	resD, _ := res.Cell(catalog.ResNet, "Docker")
 	if resD < 100*time.Millisecond {
 		t.Errorf("warm ResNet = %v, want >>1ms", resD)
 	}

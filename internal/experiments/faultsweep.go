@@ -17,9 +17,6 @@ import (
 // path and must fingerprint bit-identically to a sweep without fault
 // support at all.
 func FaultSweepVariants(seed int64, requests int, rates []float64) []SweepVariant {
-	if seed == 0 {
-		seed = 1
-	}
 	if len(rates) == 0 {
 		rates = []float64{0, 0.1, 0.3, 0.5}
 	}
@@ -57,13 +54,6 @@ func FaultSweepVariants(seed int64, requests int, rates []float64) []SweepVarian
 // outputs (attempts, retries, failures, fallbacks).
 type FaultSweepResult struct {
 	SweepResult
-}
-
-// FaultSweep replays the seeded trace under each fault rate across a
-// bounded worker pool (procs <= 0 means GOMAXPROCS).
-func FaultSweep(seed int64, requests int, rates []float64, procs int) (FaultSweepResult, error) {
-	res, err := Sweep{Variants: FaultSweepVariants(seed, requests, rates), Procs: procs}.Run()
-	return FaultSweepResult{res}, err
 }
 
 var faultSweepColumns = []column[VariantResult]{

@@ -7,11 +7,17 @@ import (
 	"transparentedge/internal/faults"
 )
 
+// faultSweep runs the scale-faults variant set on procs workers, as edgesim
+// scale-faults does.
+func faultSweep(seed int64, requests int, rates []float64, procs int) FaultSweepResult {
+	return FaultSweepResult{must(Sweep{Variants: FaultSweepVariants(seed, requests, rates), Procs: procs}.Run())}
+}
+
 // TestFaultSweepSmoke: the baseline variant stays fault-free while the
 // faulty variant resolves every injected failure by retry or fallback — no
 // hung deployments, no dropped requests.
 func TestFaultSweepSmoke(t *testing.T) {
-	res := must(FaultSweep(7, 60, []float64{0, 0.5}, 2))
+	res := faultSweep(7, 60, []float64{0, 0.5}, 2)
 	if len(res.Variants) != 2 {
 		t.Fatalf("variants = %d, want 2", len(res.Variants))
 	}
@@ -52,8 +58,8 @@ func TestFaultSweepSmoke(t *testing.T) {
 // a parallel worker pool.
 func TestFaultSeedFingerprintParity(t *testing.T) {
 	rates := []float64{0, 0.35}
-	serial := must(FaultSweep(3, 48, rates, 1))
-	parallel := must(FaultSweep(3, 48, rates, 4))
+	serial := faultSweep(3, 48, rates, 1)
+	parallel := faultSweep(3, 48, rates, 4)
 	for i := range serial.Variants {
 		sf, pf := serial.Variants[i].Fingerprint(), parallel.Variants[i].Fingerprint()
 		if sf != pf {
@@ -64,6 +70,21 @@ func TestFaultSeedFingerprintParity(t *testing.T) {
 			t.Errorf("variant %s: attempts differ serial=%d parallel=%d",
 				serial.Variants[i].Variant.Label(),
 				serial.Variants[i].DeployAttempts, parallel.Variants[i].DeployAttempts)
+		}
+	}
+}
+
+// TestFaultSweepUsesSeedZero: the seed is used as given, so seed 0 replays
+// its own trace and fault plan rather than seed 1's.
+func TestFaultSweepUsesSeedZero(t *testing.T) {
+	rates := []float64{0, 0.3}
+	zero, one := faultSweep(0, 48, rates, 1), faultSweep(1, 48, rates, 1)
+	for i, v := range zero.Variants {
+		if v.Variant.Seed != 0 {
+			t.Errorf("variant %s ran seed %d, want 0", v.Variant.Label(), v.Variant.Seed)
+		}
+		if fp := v.Fingerprint(); fp == one.Variants[i].Fingerprint() {
+			t.Errorf("variant %s: seeds 0 and 1 fingerprint alike (%x)", v.Variant.Label(), fp)
 		}
 	}
 }
@@ -89,7 +110,7 @@ func TestDisabledFaultsAreZeroCost(t *testing.T) {
 // TestFaultSweepJSONShape: scale-faults emits the uniform JSON shape with
 // the fault metrics present.
 func TestFaultSweepJSONShape(t *testing.T) {
-	res := must(FaultSweep(5, 32, []float64{0.4}, 1))
+	res := faultSweep(5, 32, []float64{0.4}, 1)
 	js := res.JSON()
 	if len(js) != 1 {
 		t.Fatalf("JSON entries = %d, want 1", len(js))

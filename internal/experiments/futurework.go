@@ -9,21 +9,17 @@ import (
 	"transparentedge/internal/testbed"
 )
 
-// ServerlessResult is the §VIII future-work evaluation: the same tiny web
-// service deployed on demand through the transparent-access path as a
+// FutureWorkServerless runs the §VIII future-work evaluation: the same tiny
+// web service deployed on demand through the transparent-access path as a
 // container (Docker, Kubernetes) and as a WASM module (serverless), with
 // artifacts cached and services created — the pure cold-start comparison
 // the paper's future work asks for ("evaluate how well the latter would
-// perform in a transparent access approach").
-type ServerlessResult struct {
-	*metrics.Table // first and warm request latency per platform
-}
-
-// FutureWorkServerless runs the cold-start comparison.
-func FutureWorkServerless(seed int64) (*ServerlessResult, error) {
-	res := &ServerlessResult{Table: metrics.NewTable(
+// perform in a transparent access approach"). The table holds the first and
+// warm request latency per platform.
+func FutureWorkServerless(seed int64) (*metrics.Table, error) {
+	res := metrics.NewTable(
 		"§VIII — cold start via transparent access (web service, artifacts cached)",
-		"first request", "warm request")}
+		"first request", "warm request")
 	type platform struct {
 		name string
 		kind string
@@ -69,7 +65,7 @@ func FutureWorkServerless(seed int64) (*ServerlessResult, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		res.Table.AddRow(pf.name, first, warm)
+		res.AddRow(pf.name, first, warm)
 	}
 	return res, nil
 }

@@ -165,17 +165,6 @@ func runMobility(s pointSpec) (MobilityShardRun, pointRun, error) {
 	return out, run, nil
 }
 
-// RunMobilityShard executes one sharded mobility replay.
-func RunMobilityShard(seed int64, requests, shards int, dwell time.Duration, backend string) (MobilityShardRun, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	s := runOpts{steer: backend}.point(seed, requests)
-	s.Shards, s.Dwell = shards, dwell
-	m, _, err := runMobility(s)
-	return m, err
-}
-
 // MobilitySweep compares the steering backends (nil or empty = all of
 // SteerBackends) under client mobility: the Fondo-Ferreiro continuity-gap
 // recipe (EXPERIMENTS.md) across handover rates, plus the sharded

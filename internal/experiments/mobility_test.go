@@ -87,16 +87,23 @@ func TestMobilitySweepShape(t *testing.T) {
 // twice at the same shard count and across counts: same inputs, same
 // fingerprint, bit for bit.
 func TestMobilityShardDeterminism(t *testing.T) {
-	dwell := 10 * time.Second
-	a := must(RunMobilityShard(5, 160, 2, dwell, "openflow"))
-	b := must(RunMobilityShard(5, 160, 2, dwell, "openflow"))
+	run := func(shards int) MobilityShardRun {
+		s := runOpts{steer: "openflow"}.point(5, 160)
+		s.Shards, s.Dwell = shards, 10*time.Second
+		m, _, err := runMobility(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := run(2), run(2)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("same run twice: %016x vs %016x", a.Fingerprint(), b.Fingerprint())
 	}
 	if a.Handovers == 0 {
 		t.Error("sharded run executed no handovers")
 	}
-	c := must(RunMobilityShard(5, 160, 8, dwell, "openflow"))
+	c := run(8)
 	served(t, "2 shards", a.PointResult)
 	served(t, "8 shards", c.PointResult)
 	if a.Fingerprint() != c.Fingerprint() {

@@ -6,8 +6,10 @@ import (
 )
 
 // runOpts carries the cross-cutting observability wiring an experiment
-// runner accepts. The zero value (no tracer, no registry) is the default
-// zero-cost path — identical behavior to a build without obs at all.
+// runner accepts, plus the steering backend the backend sweeps set on the
+// points they build. The zero value (no tracer, no registry, default
+// backend) is the default zero-cost path — identical behavior to a build
+// without obs at all.
 type runOpts struct {
 	trace    *obs.Tracer
 	counters *obs.Registry
@@ -31,13 +33,6 @@ func WithTrace(tr *obs.Tracer) Option {
 // into it and can be snapshotted mid-run. Nil is accepted and means "off".
 func WithCounters(reg *obs.Registry) Option {
 	return func(o *runOpts) { o.counters = reg }
-}
-
-// WithSteerBackend selects the steering backend by name ("openflow",
-// "srv6"; "" keeps the default rule installer) for the runner's testbeds —
-// the axis the SteerSweep experiment compares. See testbed.NewSteering.
-func WithSteerBackend(name string) Option {
-	return func(o *runOpts) { o.steer = name }
 }
 
 // WithAttrib streams every span the run emits into a latency-attribution

@@ -22,12 +22,16 @@ func must[T any](v T, err error) T {
 // An unknown steering backend is an error from runPoint's up-front check at
 // every entry point that takes the name — never testbed.NewSteering's panic.
 func TestUnknownBackendIsAnError(t *testing.T) {
+	single := runOpts{steer: "bogus"}.point(1, 100)
+	sharded := single
+	sharded.Shards = 2
+	_, _, mobilityErr := runMobility(sharded)
 	for name, err := range map[string]error{
-		"ReplayScale":      second(ReplayScale(1, 100, WithSteerBackend("bogus"))),
-		"ReplayShard":      second(ReplayShard(1, 100, 2, nil, WithSteerBackend("bogus"))),
-		"SteerSweep":       second(SteerSweep(1, 100, []string{"bogus"})),
-		"MobilitySweep":    second(MobilitySweep(1, 100, []string{"bogus"})),
-		"RunMobilityShard": second(RunMobilityShard(1, 100, 2, 0, "bogus")),
+		"single-site point": second(runPoint(single)),
+		"sharded point":     second(runPoint(sharded)),
+		"SteerSweep":        second(SteerSweep(1, 100, []string{"bogus"})),
+		"MobilitySweep":     second(MobilitySweep(1, 100, []string{"bogus"})),
+		"sharded mobility":  mobilityErr,
 	} {
 		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
 			t.Errorf("%s with backend bogus: err = %v, want one naming the backend", name, err)

@@ -14,18 +14,18 @@ import (
 // backends; correctness is not.
 func TestSteerBackendParity(t *testing.T) {
 	type run struct {
-		res  ReplayScaleResult
+		res  PointResult
 		ctrs map[string]float64
 	}
 	runOne := func(backend string) run {
 		reg := obs.NewRegistry()
-		res := must(ReplayScale(21, 600, WithSteerBackend(backend), WithCounters(reg)))
-		return run{res: res, ctrs: reg.Map()}
+		res := must(runPoint(runOpts{steer: backend, counters: reg}.point(21, 600)))
+		return run{res: res.PointResult, ctrs: reg.Map()}
 	}
 	of := runOne("openflow")
 	sr := runOne("srv6")
-	served(t, "openflow", of.res.PointResult)
-	served(t, "srv6", sr.res.PointResult)
+	served(t, "openflow", of.res)
+	served(t, "srv6", sr.res)
 
 	if of.res.Errors != sr.res.Errors {
 		t.Errorf("errors: openflow %d, srv6 %d", of.res.Errors, sr.res.Errors)

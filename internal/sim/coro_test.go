@@ -94,14 +94,14 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 	park("chan", func(p *Proc) { never.Recv(p) })
 	park("sleep", func(p *Proc) { p.Sleep(time.Hour) })
 	park("promise", func(p *Proc) { NewPromise[int](k).Await(p) })
-	park("signal", func(p *Proc) { NewSignal(k).Wait(p) })
+	park("broadcast", func(p *Proc) { (&broadcast{k: k}).wait(p) })
 	k.Go("finishes", func(p *Proc) { p.Sleep(time.Millisecond) })
 	k.RunUntil(time.Second)
 	if s := k.Stats(); s.LiveProcs != 4 {
 		t.Fatalf("LiveProcs = %d before Close, want 4", s.LiveProcs)
 	}
 	k.Close()
-	if got := strings.Join(unwound, ","); got != "chan,sleep,promise,signal" {
+	if got := strings.Join(unwound, ","); got != "chan,sleep,promise,broadcast" {
 		t.Fatalf("unwound %q, want the four parked processes in creation order", got)
 	}
 	if s := k.Stats(); s.LiveProcs != 0 {

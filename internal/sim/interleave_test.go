@@ -7,7 +7,7 @@ import (
 )
 
 // procProgram is a seeded random process program on one kernel: procs that
-// sleep, pass values over Chans, await Promises, wait on a Signal and on
+// sleep, pass values over Chans, await Promises, wait on a broadcast and on
 // WaitGroups, and spawn children, with every step folded into one FNV-1a hash
 // of (now, proc, step). The random source is drawn from inside the procs, so
 // any change in the order two procs run — the thing a new hand-off mechanism
@@ -18,26 +18,46 @@ type procProgram struct {
 	h     uint64
 	procs int
 	chans []*Chan[int]
-	sig   *Signal
+	sig   *broadcast
 	// send, when set, ships v to a Chan of another domain (sharded runs).
 	send func(v int)
 }
 
 func newProcProgram(k *Kernel, seed int64, roots int) *procProgram {
-	pp := &procProgram{k: k, r: rand.New(rand.NewSource(seed)), h: 14695981039346656037, sig: NewSignal(k)}
+	pp := &procProgram{k: k, r: rand.New(rand.NewSource(seed)), h: 14695981039346656037, sig: &broadcast{k: k}}
 	for i := 0; i < 4; i++ {
 		pp.chans = append(pp.chans, NewChan[int](k))
 	}
 	pp.spawn("ticker", func(p *Proc, _ int) {
 		for i := 0; i < 40; i++ {
 			p.Sleep(100 * time.Microsecond)
-			pp.sig.Broadcast()
+			pp.sig.fire()
 		}
 	})
 	for i := 0; i < roots; i++ {
 		pp.spawnWalker(0)
 	}
 	return pp
+}
+
+// broadcast is an edge-triggered condition with no memory: every wait parks
+// its process until the next fire.
+type broadcast struct {
+	k       *Kernel
+	waiters []*Proc
+}
+
+func (b *broadcast) wait(p *Proc) {
+	b.waiters = append(b.waiters, p)
+	p.yield()
+}
+
+func (b *broadcast) fire() {
+	ws := b.waiters
+	b.waiters = nil
+	for _, w := range ws {
+		b.k.Defer(w.wakeFn)
+	}
 }
 
 func (pp *procProgram) log(proc, step int) {
@@ -101,7 +121,7 @@ func (pp *procProgram) step(p *Proc, id, depth int) {
 		}
 		pr.Await(p)
 	case 4:
-		pp.sig.Wait(p)
+		pp.sig.wait(p)
 	case 5:
 		wg, n := NewWaitGroup(k), 1+pp.r.Intn(3)
 		wg.Add(n)

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation (DES)
 // kernel with a virtual clock, cancellable events, coroutine-based
-// processes, and synchronization primitives (channels, promises, signals)
-// that block in virtual time.
+// processes, and synchronization primitives (channels, promises, wait
+// groups) that block in virtual time.
 //
 // All experiment latencies in this repository are composed on the sim
 // virtual clock, which makes runs deterministic (given a seed) and lets
@@ -23,10 +23,11 @@
 //     far-future overflow heap beyond the wheel horizon;
 //   - an immediate FIFO for zero-delay events (Defer) — appends are in
 //     (time, sequence) order by construction, so no queue ops are needed;
-//   - staged FIFOs ("lanes") of monotone batch schedules (AtBatch) — a
-//     batch reads the caller's pre-sorted schedule in place, so staging one
-//     costs O(1) memory however long it is; concurrent batches land in
-//     separate lanes so several overlapping schedules need no queue ops.
+//   - a flat list of pending monotone batch schedules (AtBatch) — a batch
+//     reads the caller's pre-sorted schedule in place, so staging one costs
+//     O(1) memory however long it is, and each batch's next entry is its
+//     minimum, so overlapping schedules need no queue ops; the list holds
+//     as many batches as are pending at once (one per region's arrivals).
 //
 // Fire-and-forget events scheduled with AfterFree additionally recycle
 // their Event structs through a free list, keeping the simulation's
@@ -92,21 +93,9 @@ type stagedBatch struct {
 	fn   func(int)
 	n    int
 	next int    // index of the next entry to fire
-	when Time   // at(next), cached: nextSource probes lane heads every step
+	when Time   // at(next), cached: nextSource probes every batch every step
 	seq  uint64 // sequence number of entry 0
 }
-
-// stagedLane is one monotone FIFO of staged batches. A lane only ever holds
-// non-decreasing timestamps, so the head batch's next entry is its minimum;
-// the kernel keeps several lanes so overlapping AtBatch schedules (e.g. one
-// arrival schedule per co-hosted region) each extend their own lane.
-type stagedLane struct {
-	batches []stagedBatch
-	head    int
-	tail    Time // due time of the last batch's last entry
-}
-
-func (ln *stagedLane) empty() bool { return ln.head >= len(ln.batches) }
 
 // Kernel is a discrete-event simulation executor. The zero value is not
 // usable; construct with New.
@@ -125,7 +114,8 @@ type Kernel struct {
 	imm     []immEvent // zero-delay FIFO (Defer)
 	immHead int
 
-	staged []stagedLane // monotone batch FIFOs (AtBatch)
+	staged     []stagedBatch // pending AtBatch batches, in no particular order
+	stagedHigh int           // peak len(staged) (KernelStats.LanesHighWater)
 
 	free []*Event // recycled AfterFree events
 
@@ -270,12 +260,6 @@ func (k *Kernel) AfterFree(d time.Duration, fn func()) {
 	k.wheel.add(timerEntry{when: e.when, seq: e.seq, stamp: e.stamp, ev: e})
 }
 
-// maxStagedLanes bounds the number of staged lanes the kernel keeps; a
-// batch that fits no lane once the cap is reached falls back to individual
-// heap scheduling (slower, ordered identically). The cap only exists to keep
-// nextSource's lane scan O(1)-ish for pathological callers.
-const maxStagedLanes = 32
-
 // AtBatch schedules fn(i) at at(i) for every i in [0, n). The schedule must
 // be non-decreasing with at(0) >= Now() (a monotone arrival schedule, e.g. a
 // trace sorted by arrival time); violations panic before anything is
@@ -285,11 +269,10 @@ const maxStagedLanes = 32
 // The kernel does not copy the schedule: it calls at again as the batch
 // runs, once per entry, so whatever at reads must not change until the
 // batch's last entry has fired. In exchange a batch costs O(1) memory
-// whatever n is. Each batch joins a staged lane whose tail is <= at(0) (or
-// opens a fresh lane), with no heap operations and no per-event closure, and
-// several overlapping batches (one arrival schedule per region) each get
-// their own lane. Only when the lane cap is exhausted does it fall back to
-// individual heap scheduling, which is slower but ordered identically.
+// whatever n is: it joins the kernel's list of pending batches, with no heap
+// operations and no per-event closure, and leaves it once its last entry has
+// fired. Step scans the list, so it is meant for a handful of concurrent
+// schedules (one arrival schedule per region), not for thousands.
 func (k *Kernel) AtBatch(n int, at func(i int) Time, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -306,40 +289,10 @@ func (k *Kernel) AtBatch(n int, at func(i int) Time, fn func(i int)) {
 		}
 		last = t
 	}
-	ln := k.stagedLaneFor(first)
-	if ln == nil {
-		for i := 0; i < n; i++ {
-			i := i
-			k.At(at(i), func() { fn(i) })
-		}
-		return
-	}
-	ln.batches = append(ln.batches, stagedBatch{at: at, fn: fn, n: n, when: first, seq: k.seq})
-	ln.tail = last
+	k.staged = append(k.staged, stagedBatch{at: at, fn: fn, n: n, when: first, seq: k.seq})
+	k.stagedHigh = max(k.stagedHigh, len(k.staged))
 	k.seq += uint64(n)
 	k.live += n
-}
-
-// stagedLaneFor picks the lane a batch starting at t can join while keeping
-// every lane monotone: the first empty or tail-compatible lane wins. It
-// returns nil when no lane fits and the lane cap is reached.
-func (k *Kernel) stagedLaneFor(t Time) *stagedLane {
-	for i := range k.staged {
-		ln := &k.staged[i]
-		if ln.empty() {
-			ln.batches = ln.batches[:0]
-			ln.head = 0
-			return ln
-		}
-		if ln.tail <= t {
-			return ln
-		}
-	}
-	if len(k.staged) >= maxStagedLanes {
-		return nil
-	}
-	k.staged = append(k.staged, stagedLane{})
-	return &k.staged[len(k.staged)-1]
 }
 
 // recycle returns a pooled event to the free list once it can no longer
@@ -365,7 +318,7 @@ const (
 const maxTime = Time(math.MaxInt64)
 
 // nextSource returns the queue holding the globally smallest (time, seq)
-// live event, the staged lane index when that queue is srcStaged, and the
+// live event, the staged batch index when that queue is srcStaged, and the
 // winner's timestamp — one probe answers both "what runs next" and "when".
 // Every candidate goes through the same consider() update so the (when,
 // seq) tie-break stays total no matter how many sources exist — adding a
@@ -377,12 +330,12 @@ const maxTime = Time(math.MaxInt64)
 // far-future timers. The returned timestamp is exact whenever it is <=
 // bound; beyond it the wheel may simply report the first entry it happens to
 // have collected.
-func (k *Kernel) nextSource(bound Time) (src, lane int, when Time) {
-	src, lane = srcNone, -1
+func (k *Kernel) nextSource(bound Time) (src, batch int, when Time) {
+	src, batch = srcNone, -1
 	var seq uint64
-	consider := func(s, ln int, w Time, q uint64) {
+	consider := func(s, b int, w Time, q uint64) {
 		if src == srcNone || w < when || (w == when && q < seq) {
-			src, lane, when, seq = s, ln, w, q
+			src, batch, when, seq = s, b, w, q
 		}
 	}
 	if k.immHead < len(k.imm) {
@@ -390,11 +343,8 @@ func (k *Kernel) nextSource(bound Time) (src, lane int, when Time) {
 		consider(srcImm, -1, ie.when, ie.seq)
 	}
 	for i := range k.staged {
-		ln := &k.staged[i]
-		if !ln.empty() {
-			b := &ln.batches[ln.head]
-			consider(srcStaged, i, b.when, b.seq+uint64(b.next))
-		}
+		b := &k.staged[i]
+		consider(srcStaged, i, b.when, b.seq+uint64(b.next))
 	}
 	limit := bound
 	if src != srcNone && when < limit {
@@ -403,20 +353,20 @@ func (k *Kernel) nextSource(bound Time) (src, lane int, when Time) {
 	if en := k.wheel.peek(limit); en != nil {
 		consider(srcWheel, -1, en.when, en.seq)
 	}
-	return src, lane, when
+	return src, batch, when
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed (false when the queue
 // is empty).
 func (k *Kernel) Step() bool {
-	src, lane, _ := k.nextSource(maxTime)
-	return k.exec(src, lane)
+	src, batch, _ := k.nextSource(maxTime)
+	return k.exec(src, batch)
 }
 
 // exec runs the head event of the queue nextSource picked. It reports false
 // for srcNone.
-func (k *Kernel) exec(src, lane int) bool {
+func (k *Kernel) exec(src, batch int) bool {
 	switch src {
 	case srcWheel:
 		en := k.wheel.pop()
@@ -445,21 +395,20 @@ func (k *Kernel) exec(src, lane int) bool {
 		ie.fn()
 		return true
 	case srcStaged:
-		// Every lane update happens before fn runs: fn may call AtBatch,
-		// which can grow k.staged or this lane's batch list.
-		ln := &k.staged[lane]
-		b := &ln.batches[ln.head]
+		// Every list update happens before fn runs: fn may call AtBatch,
+		// which appends to k.staged. A spent batch is swap-deleted; the order
+		// of the list does not matter, nextSource compares every batch.
+		b := &k.staged[batch]
 		i, fn := b.next, b.fn
 		k.now = b.when
 		k.ran = b.seq + uint64(i) + 1
 		if b.next++; b.next < b.n {
 			b.when = b.at(b.next)
 		} else {
-			*b = stagedBatch{}
-			if ln.head++; ln.head == len(ln.batches) {
-				ln.batches = ln.batches[:0]
-				ln.head = 0
-			}
+			last := len(k.staged) - 1
+			*b = k.staged[last]
+			k.staged[last] = stagedBatch{}
+			k.staged = k.staged[:last]
 		}
 		k.live--
 		k.stepped++
@@ -493,11 +442,11 @@ func (k *Kernel) NextWhen() (Time, bool) {
 // >= its local clock afterwards.
 func (k *Kernel) RunUntilBefore(t Time) {
 	for {
-		src, lane, when := k.nextSource(t)
+		src, batch, when := k.nextSource(t)
 		if src == srcNone || when >= t {
 			return
 		}
-		k.exec(src, lane)
+		k.exec(src, batch)
 	}
 }
 
@@ -505,11 +454,11 @@ func (k *Kernel) RunUntilBefore(t Time) {
 // exactly t. Events scheduled for after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
 	for {
-		src, lane, when := k.nextSource(t)
+		src, batch, when := k.nextSource(t)
 		if src == srcNone || when > t {
 			break
 		}
-		k.exec(src, lane)
+		k.exec(src, batch)
 	}
 	k.advance(t)
 	k.releaseIdle()

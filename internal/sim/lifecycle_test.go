@@ -102,9 +102,9 @@ func TestSchedulePooledEventPanics(t *testing.T) {
 }
 
 // Satellite regression for the nextSource restructure: events from every
-// source (heap via At, immediate via Defer, and two distinct staged lanes)
-// sharing one timestamp must run in global creation (seq) order — the
-// staged sources must compete on (when, seq) like everyone else.
+// source (heap via At, immediate via Defer, and two pending batches) sharing
+// one timestamp must run in global creation (seq) order — the batches must
+// compete on (when, seq) like everyone else.
 func TestSameInstantTieOrderAcrossAllSources(t *testing.T) {
 	k := New(1)
 	at := 5 * time.Millisecond
@@ -118,15 +118,15 @@ func TestSameInstantTieOrderAcrossAllSources(t *testing.T) {
 		got = append(got, "heap")
 		k.Defer(func() { got = append(got, "defer") })
 	})
-	// seq 1..2: first staged lane, whose tail extends past the instant.
+	// seq 1..2: batch A, whose tail extends past the instant.
 	atBatch(k, []Time{at, at + time.Millisecond}, func(i int) { got = append(got, "laneA") })
 	// seq 3: second heap event at the same instant.
 	k.At(at, func() { got = append(got, "heap2") })
-	// seq 4..5: overlapping batch starting before lane A's tail — must
-	// open a second lane, and still interleave purely by seq.
+	// seq 4..5: batch B, starting before batch A's tail — it still
+	// interleaves purely by seq.
 	atBatch(k, []Time{at, at}, func(i int) { got = append(got, "laneB") })
 	if len(k.staged) != 2 {
-		t.Fatalf("staged lanes = %d, want 2", len(k.staged))
+		t.Fatalf("pending batches = %d, want 2", len(k.staged))
 	}
 	k.Run()
 	want := []string{"heap", "laneA", "heap2", "laneB", "laneB", "defer", "laneA"}
@@ -140,8 +140,8 @@ func TestSameInstantTieOrderAcrossAllSources(t *testing.T) {
 	}
 }
 
-// Overlapping monotone batches must stay off the heap entirely (each in its
-// own lane) and drain in global (time, seq) order.
+// Overlapping monotone batches must stay off the heap entirely (each pending
+// in the batch list) and drain in global (time, seq) order.
 func TestAtBatchMultiLaneStaysOffHeap(t *testing.T) {
 	k := New(1)
 	var got []int
@@ -149,10 +149,10 @@ func TestAtBatchMultiLaneStaysOffHeap(t *testing.T) {
 	atBatch(k, []Time{2 * time.Millisecond, 3 * time.Millisecond}, func(i int) { got = append(got, 20+i) })
 	atBatch(k, []Time{2 * time.Millisecond, 12 * time.Millisecond}, func(i int) { got = append(got, 30+i) })
 	if n := k.wheel.entries(); n != 0 {
-		t.Fatalf("wheel has %d events, want 0 (batches must stage in lanes)", n)
+		t.Fatalf("wheel has %d events, want 0 (batches must stay in the batch list)", n)
 	}
 	if len(k.staged) != 3 {
-		t.Fatalf("staged lanes = %d, want 3", len(k.staged))
+		t.Fatalf("pending batches = %d, want 3", len(k.staged))
 	}
 	k.Run()
 	want := []int{10, 20, 30, 21, 11, 31}
@@ -163,8 +163,8 @@ func TestAtBatchMultiLaneStaysOffHeap(t *testing.T) {
 	}
 }
 
-// A drained lane must be reusable by a later batch instead of growing the
-// lane list without bound.
+// A spent batch must leave the list, so it holds only what is pending and
+// does not grow with the number of batches ever staged.
 func TestAtBatchLaneReuse(t *testing.T) {
 	k := New(1)
 	for round := 0; round < 100; round++ {
@@ -173,8 +173,9 @@ func TestAtBatchLaneReuse(t *testing.T) {
 		atBatch(k, []Time{base, base + 2*time.Microsecond}, func(int) {})
 		k.RunUntil(base + time.Millisecond/2)
 	}
-	if len(k.staged) > 2 {
-		t.Fatalf("staged lanes grew to %d, want <= 2 (lane reuse broken)", len(k.staged))
+	if len(k.staged) != 0 || k.Stats().LanesHighWater != 2 {
+		t.Fatalf("pending batches = %d, peak %d; want 0 and 2 (spent batches must leave the list)",
+			len(k.staged), k.Stats().LanesHighWater)
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", k.Pending())

@@ -19,7 +19,7 @@ type Proc struct {
 	co   *coro // runs the body; nil before the start event and once the body returned
 	dead bool
 	// wakeFn is the wake thunk, allocated once per process so the hot wake
-	// paths (Sleep, Chan, Promise, Signal, WaitGroup) can schedule it without
+	// paths (Sleep, Chan, Promise, WaitGroup) can schedule it without
 	// a fresh closure per wake-up.
 	wakeFn func()
 }
@@ -366,31 +366,6 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 		return zero, false
 	}
 	return c.pop(), true
-}
-
-// Signal is a broadcast condition: every Wait blocks until the next
-// Broadcast (edge-triggered, no memory).
-type Signal struct {
-	k       *Kernel
-	waiters []*Proc
-}
-
-// NewSignal returns a signal bound to kernel k.
-func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
-
-// Broadcast wakes every currently waiting process.
-func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		s.k.Defer(w.wakeFn)
-	}
-}
-
-// Wait blocks the process until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.yield()
 }
 
 // WaitGroup counts outstanding work items in virtual time.

@@ -208,23 +208,6 @@ func TestChanCloseWakesReceivers(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	k := New(1)
-	s := NewSignal(k)
-	n := 0
-	for i := 0; i < 4; i++ {
-		k.Go("w", func(p *Proc) {
-			s.Wait(p)
-			n++
-		})
-	}
-	k.After(time.Millisecond, func() { s.Broadcast() })
-	k.Run()
-	if n != 4 {
-		t.Fatalf("n = %d, want 4", n)
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	k := New(1)
 	wg := NewWaitGroup(k)

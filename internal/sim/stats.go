@@ -34,9 +34,8 @@ type KernelStats struct {
 	// NearHighWater is the peak occupancy of the wheel's near min-heap —
 	// the cursor-runs-ahead failure mode shows up here as unbounded growth.
 	NearHighWater int
-	// LanesHighWater is the peak number of staged AtBatch lanes needed
-	// simultaneously (lanes are only opened when no existing lane fits, and
-	// empty lanes are reused, so the open-lane count is the high-water).
+	// LanesHighWater is the peak number of AtBatch batches pending at once —
+	// the length of the list every step scans.
 	LanesHighWater int
 	// CoroutinesCreated is the number of coroutines the kernel had to create
 	// to run its processes; ProcStarts - CoroutinesCreated starts reused a
@@ -71,7 +70,7 @@ func (k *Kernel) Stats() KernelStats {
 		WheelCascades:     k.wheel.cascades,
 		WheelPromotions:   k.wheel.promotions,
 		NearHighWater:     k.wheel.nearHigh,
-		LanesHighWater:    len(k.staged),
+		LanesHighWater:    k.stagedHigh,
 		CoroutinesCreated: k.corosCreated,
 		ProcStarts:        k.procStarts,
 		ProcSwitches:      k.procSwitches,
