@@ -47,7 +47,11 @@ race:
 # BenchmarkWheelChurn (2000 idle timers re-armed a second ahead, one virtual
 # millisecond per op: retained-B, the slot and pool bytes the wheel holds
 # beyond its arena, stays flat as -benchtime grows, at 0 allocs/op;
-# TestWheelRetainsPeakNotHistory pins the bound).
+# TestWheelRetainsPeakNotHistory pins the bound) and internal/core's
+# BenchmarkDispatchChurn (one packet-in that misses the FlowMemory,
+# dispatched to a running instance, its redirect pair installed, idled out
+# and reported back by flow-removed: 2 allocs/op, the dispatch process's
+# Proc and wake thunk; TestAllocsControllerPacketIn pins it).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

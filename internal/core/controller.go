@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -235,6 +237,9 @@ type Controller struct {
 	tr     *obs.Tracer
 	reg    *obs.Registry
 	ctr    ctrlCounters
+	// freeDispatch recycles the per-dispatch records (dispatchRec); it holds
+	// at most the most dispatches ever in flight at once.
+	freeDispatch []*dispatchRec
 }
 
 // ClientLocation is the dispatcher's record of where a client was last seen
@@ -498,11 +503,48 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	}
 	// The dispatch span's ID is allocated before the process is spawned so
 	// the tree is rooted at intercept time; zero when tracing is off.
-	root := c.tr.NextID()
-	t0 := time.Duration(c.k.Now())
-	c.k.Go("dispatch:"+string(pkt.SrcIP), func(p *sim.Proc) {
-		c.dispatch(p, ev, svc, fk, root, t0)
-	})
+	d := c.newDispatch()
+	d.ev, d.svc, d.fk = ev, svc, fk
+	d.root, d.t0 = c.tr.NextID(), time.Duration(c.k.Now())
+	c.k.Go("dispatch", d.body)
+}
+
+// dispatchRec is the state of one dispatched packet-in, recycled through the
+// controller's free list: the packet-in's fields, the buffers buildState
+// fills (candidate indices, the scheduler's ClusterInfo slice and the
+// endpoints it points into), and body, the process body, bound once per
+// record. The State and Choice built from it are valid only until the
+// dispatch returns.
+type dispatchRec struct {
+	c     *Controller
+	ev    openflow.PacketIn
+	svc   *spec.Annotated
+	fk    FlowKey
+	root  uint64        // dispatch span ID (0 with tracing off)
+	t0    time.Duration // intercept time
+	cands []int
+	infos []ClusterInfo
+	eps   []cluster.Instance
+	body  func(p *sim.Proc)
+}
+
+func (c *Controller) newDispatch() *dispatchRec {
+	if n := len(c.freeDispatch); n > 0 {
+		d := c.freeDispatch[n-1]
+		c.freeDispatch[n-1] = nil
+		c.freeDispatch = c.freeDispatch[:n-1]
+		return d
+	}
+	d := &dispatchRec{c: c}
+	d.body = d.run
+	return d
+}
+
+func (d *dispatchRec) run(p *sim.Proc) {
+	c := d.c
+	c.dispatch(p, d)
+	d.ev, d.svc = openflow.PacketIn{}, nil
+	c.freeDispatch = append(c.freeDispatch, d)
 }
 
 // HandleFlowRemoved implements openflow.Controller: the controller-state
@@ -558,37 +600,40 @@ func (c *Controller) clusterByName(name string) (cluster.Cluster, bool) {
 // together, and since each takes the same constant latency they all answer at
 // the same instant: one latency is charged and the clusters are then sampled
 // in candidate order. Config.SerialStateQueries restores the paper's
-// one-after-another behavior (latency = sum over clusters).
-func (c *Controller) buildState(p *sim.Proc, svc *spec.Annotated, client simnet.Addr) State {
-	st := State{Service: svc, ClientIP: client}
+// one-after-another behavior (latency = sum over clusters). The state lives
+// in d's buffers.
+func (c *Controller) buildState(p *sim.Proc, d *dispatchRec) State {
+	svc, client := d.svc, d.fk.Client
 	allowed := c.allowedKinds[svc.RuntimeClass]
-	cands := make([]int, 0, len(c.clusters))
+	d.cands = d.cands[:0]
 	for i, e := range c.clusters {
 		if allowed != nil && !allowed[e.kind] {
 			continue
 		}
-		cands = append(cands, i)
+		d.cands = append(d.cands, i)
 	}
 	lat := c.cfg.StateQueryLatency
-	if lat > 0 && !c.cfg.SerialStateQueries && len(cands) > 0 {
+	if lat > 0 && !c.cfg.SerialStateQueries && len(d.cands) > 0 {
 		p.Sleep(lat)
 	}
-	st.Clusters = make([]ClusterInfo, 0, len(cands))
-	for _, i := range cands {
+	if len(d.eps) < len(d.cands) {
+		d.eps = make([]cluster.Instance, len(d.cands))
+	}
+	d.infos = d.infos[:0]
+	for n, i := range d.cands {
 		if lat > 0 && c.cfg.SerialStateQueries {
 			p.Sleep(lat)
 		}
-		st.Clusters = append(st.Clusters, c.queryCluster(i, svc, client))
+		d.infos = append(d.infos, c.queryCluster(i, svc, client, &d.eps[n]))
 	}
-	sort.SliceStable(st.Clusters, func(i, j int) bool {
-		return st.Clusters[i].Distance < st.Clusters[j].Distance
-	})
-	return st
+	slices.SortStableFunc(d.infos, func(a, b ClusterInfo) int { return cmp.Compare(a.Distance, b.Distance) })
+	return State{Service: svc, ClientIP: client, Clusters: d.infos}
 }
 
 // queryCluster samples one cluster's deployment state for a request (the
-// body of a single fig. 7 state query).
-func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr) ClusterInfo {
+// body of a single fig. 7 state query); a running endpoint is stored in ep,
+// which the result then points to.
+func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr, ep *cluster.Instance) ClusterInfo {
 	e := c.clusters[i]
 	info := ClusterInfo{
 		Cluster:   e.c,
@@ -597,9 +642,10 @@ func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr
 		Exists:    e.c.Exists(svc.UniqueName),
 		Running:   e.c.Running(svc.UniqueName),
 	}
-	if ep, ok := e.c.Endpoint(svc.UniqueName); ok {
-		info.Endpoint = &ep
-		info.Load = c.Memory.InstanceFlows(ep)
+	var ok bool
+	if *ep, ok = e.c.Endpoint(svc.UniqueName); ok {
+		info.Endpoint = ep
+		info.Load = c.Memory.InstanceFlows(*ep)
 		if me, ok := e.c.(cluster.MultiEndpoint); ok {
 			info.Load = 0
 			for _, in := range me.Endpoints(svc.UniqueName) {
@@ -615,10 +661,11 @@ func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr
 	return info
 }
 
-// dispatch runs the fig. 7 algorithm for one punted packet. root/t0 carry
-// the span-tree root ID and intercept time from HandlePacketIn (root is 0
-// when tracing is off).
-func (c *Controller) dispatch(p *sim.Proc, ev openflow.PacketIn, svc *spec.Annotated, fk FlowKey, root uint64, t0 time.Duration) {
+// dispatch runs the fig. 7 algorithm for the punted packet d holds. d.root
+// and d.t0 carry the span-tree root ID and intercept time from
+// HandlePacketIn (root is 0 when tracing is off).
+func (c *Controller) dispatch(p *sim.Proc, d *dispatchRec) {
+	ev, svc, fk, root, t0 := d.ev, d.svc, d.fk, d.root, d.t0
 	tr := c.tr
 	// endRoot closes the dispatch root span at the current virtual time;
 	// each terminal branch below calls it exactly once.
@@ -632,7 +679,7 @@ func (c *Controller) dispatch(p *sim.Proc, ev openflow.PacketIn, svc *spec.Annot
 	if tr != nil {
 		tr.Emit(obs.Span{Parent: root, Root: root, Name: "memory_miss", Cat: "flowmemory", Start: t0, End: t0})
 	}
-	st := c.buildState(p, svc, fk.Client)
+	st := c.buildState(p, d)
 	choice := c.cfg.Scheduler.Choose(st)
 	if tr != nil {
 		now := time.Duration(p.Now())

@@ -54,11 +54,14 @@ type spanRef struct{ parent, root uint64 }
 // this essential).
 type deployer struct {
 	ctrl    *Controller
-	pending map[string]*sim.Promise[cluster.Instance]
+	pending map[deployKey]*sim.Promise[cluster.Instance]
 }
 
+// deployKey names one (cluster, service) deployment.
+type deployKey struct{ cluster, service string }
+
 func newDeployer(c *Controller) *deployer {
-	return &deployer{ctrl: c, pending: make(map[string]*sim.Promise[cluster.Instance])}
+	return &deployer{ctrl: c, pending: make(map[deployKey]*sim.Promise[cluster.Instance])}
 }
 
 // ensureRunning drives the fig. 4 phases on cl until the service accepts
@@ -69,7 +72,7 @@ func newDeployer(c *Controller) *deployer {
 // the service already running, get performed=false — that distinction
 // keeps Stats.Deployments an exact count of deployments actually run.
 func (d *deployer) ensureRunning(p *sim.Proc, cl cluster.Cluster, svc *spec.Annotated, ref spanRef) (inst cluster.Instance, performed bool, err error) {
-	key := cl.Name() + "/" + svc.UniqueName
+	key := deployKey{cl.Name(), svc.UniqueName}
 	if pr, ok := d.pending[key]; ok {
 		tr := d.ctrl.tr
 		var t0 time.Duration
@@ -79,13 +82,18 @@ func (d *deployer) ensureRunning(p *sim.Proc, cl cluster.Cluster, svc *spec.Anno
 		inst, err = pr.Await(p)
 		if tr != nil {
 			s := obs.Span{Parent: ref.parent, Root: ref.root, Name: "deploy_wait", Cat: "deploy",
-				Detail: key, Start: t0, End: time.Duration(p.Now())}
+				Detail: key.cluster + "/" + key.service, Start: t0, End: time.Duration(p.Now())}
 			if err != nil {
 				s.Err = err.Error()
 			}
 			tr.Emit(s)
 		}
 		return inst, false, err
+	}
+	if ready(cl, svc) {
+		// run takes its branch that neither blocks nor deploys: no other
+		// caller can arrive while it runs, so there is nothing to share.
+		return d.run(p, cl, svc, ref)
 	}
 	pr := sim.NewPromise[cluster.Instance](d.ctrl.k)
 	d.pending[key] = pr
@@ -99,6 +107,16 @@ func (d *deployer) ensureRunning(p *sim.Proc, cl cluster.Cluster, svc *spec.Anno
 	}
 	pr.Resolve(inst)
 	return inst, performed, nil
+}
+
+// ready reports whether svc already runs on cl with an endpoint and nothing
+// left to pull or create: the state in which run returns at once.
+func ready(cl cluster.Cluster, svc *spec.Annotated) bool {
+	if !cl.Running(svc.UniqueName) || !cl.HasImages(svc) || !cl.Exists(svc.UniqueName) {
+		return false
+	}
+	_, ok := cl.Endpoint(svc.UniqueName)
+	return ok
 }
 
 // retryPhase runs one deployment-phase operation with up to

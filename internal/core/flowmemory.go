@@ -18,14 +18,20 @@ type FlowKey struct {
 }
 
 // MemEntry is one memorized flow: which instance a client's requests to a
-// registered service address are redirected to.
+// registered service address are redirected to. The memory recycles its
+// entries, so a *MemEntry never leaves it: Entries and ClientEntries hand out
+// copies.
 type MemEntry struct {
 	Key      FlowKey
 	Instance cluster.Instance
 	// idle is the entry's idle clock: Get and a re-pointing Put touch it, and
-	// it evicts the entry when it runs out. Unexported, so that the copies
-	// Entries and ClientEntries hand out cannot stop or re-arm anything.
-	idle sim.Idle
+	// it evicts the entry when it runs out, through evict, bound once per
+	// entry object. Unexported, so that the copies cannot stop or re-arm
+	// anything.
+	idle  sim.Idle
+	evict func()
+	// prev and next chain the entries of one client (perClient).
+	prev, next *MemEntry
 }
 
 // Last returns when the entry was last put or got.
@@ -54,9 +60,10 @@ type FlowMemory struct {
 	k          *sim.Kernel
 	idle       time.Duration
 	entries    map[FlowKey]*MemEntry
+	free       []*MemEntry // evicted entries, for the next new key
 	perInst    map[instanceKey]int
 	perService map[string]map[*MemEntry]struct{}
-	perClient  map[simnet.Addr]map[*MemEntry]struct{}
+	perClient  map[simnet.Addr]clientFlows
 	// draining marks instances with a scale-down in flight; the value flips
 	// to true when a flow is pointed at the instance mid-drain (see
 	// BeginDrain / EndDrain).
@@ -75,6 +82,13 @@ type FlowMemory struct {
 	// gEntries tracks the live entry count (its high-water mark is the
 	// memory-occupancy figure the steering sweep reports).
 	gEntries *obs.Gauge
+}
+
+// clientFlows is one client's memorized flows: a chain through
+// MemEntry.prev/next, and its length.
+type clientFlows struct {
+	head *MemEntry
+	n    int
 }
 
 // SetObs registers the memory's counters in the registry. A nil registry
@@ -99,7 +113,7 @@ func NewFlowMemory(k *sim.Kernel, idle time.Duration) *FlowMemory {
 		entries:    make(map[FlowKey]*MemEntry),
 		perInst:    make(map[instanceKey]int),
 		perService: make(map[string]map[*MemEntry]struct{}),
-		perClient:  make(map[simnet.Addr]map[*MemEntry]struct{}),
+		perClient:  make(map[simnet.Addr]clientFlows),
 	}
 }
 
@@ -113,20 +127,19 @@ func (m *FlowMemory) InstanceFlows(inst cluster.Instance) int {
 
 // ClientFlows returns how many memorized flows a client currently has.
 func (m *FlowMemory) ClientFlows(client simnet.Addr) int {
-	return len(m.perClient[client])
+	return m.perClient[client].n
 }
 
 // ClientEntries returns a snapshot of the client's memorized flows, sorted
-// by service address — the deterministic iteration order the handover path
-// needs when re-anchoring a moving client's flows (map order would make
-// sharded runs diverge).
+// by service address — the order the handover path re-anchors a moving
+// client's flows in.
 func (m *FlowMemory) ClientEntries(client simnet.Addr) []MemEntry {
-	set := m.perClient[client]
-	if len(set) == 0 {
+	cf := m.perClient[client]
+	if cf.n == 0 {
 		return nil
 	}
-	out := make([]MemEntry, 0, len(set))
-	for e := range set {
+	out := make([]MemEntry, 0, cf.n)
+	for e := cf.head; e != nil; e = e.next {
 		out = append(out, *e)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -211,19 +224,27 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 		m.noteAttach(ik)
 		return
 	}
-	e := &MemEntry{Key: key, Instance: inst}
+	var e *MemEntry
+	if n := len(m.free); n > 0 {
+		e, m.free[n-1] = m.free[n-1], nil
+		m.free = m.free[:n-1]
+	} else {
+		e = new(MemEntry)
+		e.evict = func() { m.remove(e) }
+	}
+	e.Key, e.Instance = key, inst
 	m.entries[key] = e
 	m.attachService(e)
 	m.perInst[ik]++
 	m.noteAttach(ik)
-	set := m.perClient[key.Client]
-	if set == nil {
-		set = make(map[*MemEntry]struct{})
-		m.perClient[key.Client] = set
+	cf := m.perClient[key.Client]
+	if cf.head != nil {
+		cf.head.prev = e
 	}
-	set[e] = struct{}{}
+	e.prev, e.next = nil, cf.head
+	m.perClient[key.Client] = clientFlows{head: e, n: cf.n + 1}
 	m.gEntries.Set(int64(len(m.entries)))
-	e.idle.Start(m.k, m.idle, func() { m.remove(e) })
+	e.idle.Start(m.k, m.idle, e.evict)
 }
 
 // RedirectService re-points every memorized flow of a service to a new
@@ -255,8 +276,9 @@ func (m *FlowMemory) Entries() []MemEntry {
 	return out
 }
 
-// remove drops e and stops its idle clock (a no-op when the clock itself
-// calls remove, as today), so a dropped entry can never leave an event behind.
+// remove drops e, stops its idle clock (a no-op when the clock itself calls
+// remove, as today), so a dropped entry can never leave an event behind, and
+// recycles it.
 func (m *FlowMemory) remove(e *MemEntry) {
 	e.idle.Stop()
 	m.cEvictions.Inc()
@@ -264,13 +286,25 @@ func (m *FlowMemory) remove(e *MemEntry) {
 	m.gEntries.Set(int64(len(m.entries)))
 	m.detachService(e)
 	m.decInstance(e.Instance)
-	set := m.perClient[e.Key.Client]
-	delete(set, e)
-	if len(set) == 0 {
-		delete(m.perClient, e.Key.Client)
-		if m.OnIdleClient != nil {
-			m.OnIdleClient(e.Key.Client)
-		}
+	client := e.Key.Client
+	cf := m.perClient[client]
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		cf.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+	m.free = append(m.free, e)
+	if cf.n--; cf.n > 0 {
+		m.perClient[client] = cf
+		return
+	}
+	delete(m.perClient, client)
+	if m.OnIdleClient != nil {
+		m.OnIdleClient(client)
 	}
 }
 
@@ -284,13 +318,10 @@ func (m *FlowMemory) attachService(e *MemEntry) {
 	set[e] = struct{}{}
 }
 
+// detachService leaves an emptied set in place, for the service's next flow:
+// there is one per service ever memorized.
 func (m *FlowMemory) detachService(e *MemEntry) {
-	svc := e.Instance.Service
-	set := m.perService[svc]
-	delete(set, e)
-	if len(set) == 0 {
-		delete(m.perService, svc)
-	}
+	delete(m.perService[e.Instance.Service], e)
 }
 
 func (m *FlowMemory) decInstance(inst cluster.Instance) {

@@ -131,7 +131,7 @@ type hotpathRig struct {
 	svc      *spec.Annotated
 }
 
-func newHotpathRig(t *testing.T, numClusters, numClients int, cfg Config) *hotpathRig {
+func newHotpathRig(t testing.TB, numClusters, numClients int, cfg Config) *hotpathRig {
 	t.Helper()
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -292,6 +292,43 @@ func TestControllerStateGC(t *testing.T) {
 	}
 	if n := rg.ctrl.Memory.Len(); n != 0 {
 		t.Errorf("memory entries = %d after idle timeouts, want 0", n)
+	}
+}
+
+// TestStaleFlowRemovedKeepsClient: a cloud-forwarded client (no memorized
+// flows) whose pair idles out while a dispatch re-installs it under a newer
+// cookie. The old pair's flow-removed arrives after the new pair is live; it
+// is stale and must not evict the client's location record or cookie.
+func TestStaleFlowRemovedKeepsClient(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SwitchIdleTimeout = time.Second
+	rg := newHotpathRig(t, 0, 1, cfg) // no cluster: every dispatch forwards to the cloud
+	cli := rg.clients[0]
+	rg.k.Go("ue", func(p *sim.Proc) { cli.Dial(p, "203.0.113.10", 80, 100*time.Millisecond) })
+	rg.k.RunUntil(500 * time.Millisecond)
+	if rg.ctrl.Stats.CloudForwards != 1 || rg.sw.RuleCount() != 2 || rg.ctrl.Memory.ClientFlows(cli.IP()) != 0 {
+		t.Fatalf("setup: %d cloud forwards, %d rules, %d memorized flows; want 1, punt + pair, 0",
+			rg.ctrl.Stats.CloudForwards, rg.sw.RuleCount(), rg.ctrl.Memory.ClientFlows(cli.IP()))
+	}
+	// Step to the pair's idle expiry: its flow-removed is now on the channel.
+	for rg.sw.RuleCount() == 2 {
+		if !rg.k.Step() {
+			t.Fatal("the pair never idled out")
+		}
+	}
+	// A dispatch finishing inside the channel latency re-installs the pair.
+	rg.ctrl.installCloudForward(rg.sw, FlowKey{Client: cli.IP(), VIP: "203.0.113.10", Port: 80})
+	rg.k.RunUntil(rg.k.Now() + 10*time.Millisecond)
+	if _, ok := rg.ctrl.ClientLocation(cli.IP()); !ok {
+		t.Error("the stale flow-removed evicted the client's location, though its new pair is live")
+	}
+	if n := rg.ctrl.CookieCount(); n != 1 || rg.sw.RuleCount() != 2 {
+		t.Errorf("%d cookies, %d rules after the stale notice, want the new pair's 1 and punt + pair", n, rg.sw.RuleCount())
+	}
+	// The new pair's own expiry is not stale: it releases everything.
+	rg.k.RunUntil(rg.k.Now() + 5*time.Second)
+	if rg.ctrl.TrackedClients() != 0 || rg.ctrl.CookieCount() != 0 {
+		t.Errorf("after the new pair idled out: %d clients, %d cookies, want 0, 0", rg.ctrl.TrackedClients(), rg.ctrl.CookieCount())
 	}
 }
 

@@ -104,6 +104,7 @@ func (c *Controller) StartProactive(pred Predictor, interval, horizon time.Durat
 	}
 	c.predictor = pred
 	c.k.Go("proactive-deployer", func(p *sim.Proc) {
+		d := &dispatchRec{c: c} // buildState's buffers, reused every round
 		for {
 			p.Sleep(interval)
 			for _, name := range pred.Predict(c.k.Now(), horizon) {
@@ -111,7 +112,8 @@ func (c *Controller) StartProactive(pred Predictor, interval, horizon time.Durat
 				if !ok {
 					continue
 				}
-				st := c.buildState(p, svc, "")
+				d.svc = svc
+				st := c.buildState(p, d)
 				choice := c.cfg.Scheduler.Choose(st)
 				target := choice.Best
 				if target == nil {

@@ -256,7 +256,8 @@ func TestStateQueryInstants(t *testing.T) {
 			var took time.Duration
 			rg.k.Go("driver", func(p *sim.Proc) {
 				t0 := p.Now()
-				st := rg.ctrl.buildState(p, rg.svc, rg.clients[0].IP())
+				d := &dispatchRec{c: rg.ctrl, svc: rg.svc, fk: FlowKey{Client: rg.clients[0].IP()}}
+				st := rg.ctrl.buildState(p, d)
 				took = time.Duration(p.Now() - t0)
 				for _, ci := range st.Clusters {
 					order = append(order, ci.Cluster.Name())

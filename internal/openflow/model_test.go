@@ -370,7 +370,7 @@ func (m *flowTableModel) check() {
 	// The signature array and the cookie index hold exactly the live rules.
 	indexed, cookies := 0, map[uint64]int{}
 	for sig, bucket := range sw.sigs {
-		if (bucket != nil) != (sw.liveSigs>>sig&1 == 1) || (bucket != nil && len(bucket) == 0) {
+		if (len(bucket) > 0) != (sw.liveSigs>>sig&1 == 1) {
 			t.Errorf("signature %04b: %d keys, live bit %d", sig, len(bucket), sw.liveSigs>>sig&1)
 		}
 		for key, r := range bucket {
@@ -405,7 +405,7 @@ func (m *flowTableModel) check() {
 }
 
 // drain deletes every rule and checks that the table leaves nothing behind:
-// no signature map, no cookie entry, no pending idle check.
+// no key in a signature map, no cookie entry, no pending idle check.
 func (m *flowTableModel) drain() {
 	for _, r := range m.sw.Rules() {
 		if !r.removed {
@@ -415,8 +415,8 @@ func (m *flowTableModel) drain() {
 	}
 	m.check()
 	for sig, bucket := range m.sw.sigs {
-		if bucket != nil {
-			m.t.Errorf("drained table kept the map of signature %04b", sig)
+		if len(bucket) != 0 {
+			m.t.Errorf("drained table kept %d keys under signature %04b", len(bucket), sig)
 		}
 	}
 	if m.sw.liveSigs != 0 || len(m.sw.byCookie) != 0 {

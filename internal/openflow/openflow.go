@@ -96,7 +96,9 @@ func (a Actions) apply(pkt *simnet.Packet) {
 	}
 }
 
-// FlowRule is one table entry.
+// FlowRule is one table entry. The switch recycles its rules: the pointer
+// AddFlow returns (or Rules lists) is valid while the rule is in the table,
+// and the one HandleFlowRemoved receives only for the duration of that call.
 type FlowRule struct {
 	Priority int
 	Match    Match
@@ -121,14 +123,23 @@ type FlowRule struct {
 	// in lookup order; sameCookie chains the rules of group, newest first.
 	sameKey, sameCookie *FlowRule
 	group               *cookieGroup
+	// A removed rule goes back to the switch's free list once nothing refers
+	// to it: not its flow-removed notice in flight (notifying), not its hard
+	// timer still queued (hardArmed). hardFn is that timer's thunk, bound
+	// once per rule object.
+	notifying, hardArmed bool
+	hardFn               func()
 }
 
 // cookieGroup is the live rules of one cookie and the idle clock they share.
-// It exists exactly while the table holds a rule of the cookie.
+// It is in byCookie exactly while the table holds a rule of the cookie, and
+// on the switch's free list otherwise; expire, its idle clock's callback, is
+// bound once per group object.
 type cookieGroup struct {
-	head  *FlowRule
-	idle  sim.Idle
-	timed bool // idle was started (by the first member with an IdleTimeout)
+	head   *FlowRule
+	idle   sim.Idle
+	timed  bool // idle was started (by the first member with an IdleTimeout)
+	expire func()
 }
 
 // Stats returns the rule's packet and byte counters.
@@ -233,15 +244,20 @@ type Switch struct {
 	// sigs is the single home of the live rules: one exact-match map per
 	// signature, each value the head of a FlowRule.sameKey chain whose first
 	// rule is the one a lookup picks (highest priority, earliest install).
-	// Bit sig of liveSigs is set exactly while sigs[sig] holds a rule; a
-	// signature's map is dropped when its last rule leaves, so lookups stop
-	// probing it. No structure keeps the table in order: only Rules reads
-	// order, and it sorts a copy.
+	// Bit sig of liveSigs is set exactly while sigs[sig] holds a rule, so
+	// lookups probe only those maps; an emptied map stays, for the
+	// signature's next rule. No structure keeps the table in order: only
+	// Rules reads order, and it sorts a copy.
 	sigs     [numSigs]map[matchKey]*FlowRule
 	liveSigs uint16
 	// byCookie finds each cookie's group, making DeleteFlows O(rules with
 	// that cookie).
-	byCookie   map[uint64]*cookieGroup
+	byCookie map[uint64]*cookieGroup
+	// freeRules and freeGroups recycle what the table is done with, so a
+	// warm flow-mod allocates nothing; each holds at most the table's high
+	// water.
+	freeRules  []*FlowRule
+	freeGroups []*cookieGroup
 	rules      int
 	seq        uint64
 	ports      map[int]*simnet.Port
@@ -424,9 +440,22 @@ func (s *Switch) RuleCount() int { return s.rules }
 
 // AddFlow installs a rule (flow-mod ADD) and returns it, at a cost that does
 // not depend on the table size. Among matching rules the highest priority
-// wins; among equal priorities, the earlier install.
+// wins; among equal priorities, the earlier install. Only rule's exported
+// fields are read.
 func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
-	r := rule
+	var r *FlowRule
+	if n := len(s.freeRules); n > 0 {
+		r, s.freeRules[n-1] = s.freeRules[n-1], nil
+		s.freeRules = s.freeRules[:n-1]
+	} else {
+		r = new(FlowRule)
+	}
+	*r = FlowRule{
+		Priority: rule.Priority, Match: rule.Match, Actions: rule.Actions,
+		IdleTimeout: rule.IdleTimeout, HardTimeout: rule.HardTimeout,
+		Cookie: rule.Cookie, NotifyRemoved: rule.NotifyRemoved,
+		hardFn: r.hardFn,
+	}
 	s.FlowMods++
 	s.nextCookie++
 	if r.Cookie == 0 {
@@ -438,57 +467,79 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	if s.rules++; s.rules > s.RuleHighWater {
 		s.RuleHighWater = s.rules
 	}
-	s.indexAdd(&r)
-	rp := &r
+	s.indexAdd(r)
 	g := r.group
 	g.idle.Touch(r.installed)
 	if r.IdleTimeout > 0 && !g.timed {
 		g.timed = true
-		g.idle.Start(s.net.K, r.IdleTimeout, func() { s.expireGroup(g) })
+		g.idle.Start(s.net.K, r.IdleTimeout, g.expire)
 	}
 	if r.HardTimeout > 0 {
-		s.net.K.AfterFree(r.HardTimeout, func() { s.expire(rp) })
+		if r.hardFn == nil {
+			r.hardFn = func() { s.expire(r) }
+		}
+		r.hardArmed = true
+		s.net.K.AfterFree(r.HardTimeout, r.hardFn)
 	}
-	return rp
+	return r
 }
 
-// expire is a rule's hard timeout.
+// expire is a rule's hard timeout. It fires even for a rule that left the
+// table before it, which is what lets that rule be recycled.
 func (s *Switch) expire(r *FlowRule) {
-	if r.removed {
-		return
+	r.hardArmed = false
+	if !r.removed {
+		s.removeRule(r)
+		if r.NotifyRemoved {
+			s.notifyRemoved(r)
+		}
 	}
-	s.removeRule(r)
-	if r.NotifyRemoved {
-		s.notifyRemoved(r)
-	}
+	s.release(r)
 }
 
 // expireGroup is a cookie's idle expiry: every rule of g leaves the table in
-// this one event.
+// this one event, and the oldest of them that set NotifyRemoved sends the
+// cookie's flow-removed.
 func (s *Switch) expireGroup(g *cookieGroup) {
-	if _, asked := s.removeGroup(g); asked != nil {
-		s.notifyRemoved(asked)
-	}
-}
-
-// removeGroup takes every rule of g out of the table, and returns how many
-// there were and the oldest of them that set NotifyRemoved.
-func (s *Switch) removeGroup(g *cookieGroup) (n int, asked *FlowRule) {
-	for r := g.head; r != nil; r = g.head {
+	var asked *FlowRule
+	for r := g.head; r != nil; r = r.sameCookie {
 		if r.NotifyRemoved {
 			asked = r
 		}
-		s.removeRule(r)
-		n++
 	}
-	return n, asked
+	if asked != nil {
+		s.notifyRemoved(asked) // before removeGroup, which would recycle it
+	}
+	s.removeGroup(g)
 }
 
+// removeGroup takes every rule of g out of the table and returns how many
+// there were.
+func (s *Switch) removeGroup(g *cookieGroup) (n int) {
+	for r := g.head; r != nil; r = g.head {
+		s.removeRule(r)
+		s.release(r)
+		n++
+	}
+	return n
+}
+
+// notifyRemoved sends r's flow-removed to the controller; r stays out of the
+// free list until the notice is delivered.
 func (s *Switch) notifyRemoved(r *FlowRule) {
 	if s.controller == nil {
 		return
 	}
+	r.notifying = true
 	s.sendCtrl(ctrlMsg{kind: msgFlowRemoved, rule: r})
+}
+
+// release puts a removed rule on the free list once nothing refers to it any
+// more. Every path that clears a reference calls it again.
+func (s *Switch) release(r *FlowRule) {
+	if !r.notifying && !r.hardArmed {
+		s.freeRules = append(s.freeRules, r)
+	}
 }
 
 // sendCtrl puts m on the controller channel, to arrive ControllerLatency
@@ -514,6 +565,8 @@ func (s *Switch) deliverCtrl() {
 		s.controller.HandlePacketIn(PacketIn{Switch: s, InPort: m.inPort, Packet: m.pkt})
 	case msgFlowRemoved:
 		s.controller.HandleFlowRemoved(s, m.rule)
+		m.rule.notifying = false
+		s.release(m.rule)
 	case msgPacketOut:
 		m.actions.apply(m.pkt)
 		s.output(m.actions, -1, m.pkt)
@@ -525,7 +578,8 @@ func (s *Switch) deliverCtrl() {
 // removeRule takes a live rule out of the table: it unlinks r from its
 // match-key chain and its cookie's group, dropping a chain's map entry — and
 // a signature's map, and the group with its idle clock, so that a deleted
-// rule leaves no event behind — when r was the last.
+// rule leaves no event behind — when r was the last. The group goes back to
+// the free list; r is the caller's to release.
 func (s *Switch) removeRule(r *FlowRule) {
 	r.removed = true
 	s.rules--
@@ -541,7 +595,6 @@ func (s *Switch) removeRule(r *FlowRule) {
 	if head != nil {
 		bucket[key] = head
 	} else if delete(bucket, key); len(bucket) == 0 {
-		s.sigs[sig] = nil
 		s.liveSigs &^= 1 << sig
 	}
 	g := r.group
@@ -553,6 +606,7 @@ func (s *Switch) removeRule(r *FlowRule) {
 	if g.head == nil {
 		g.idle.Stop()
 		delete(s.byCookie, r.Cookie)
+		s.freeGroups = append(s.freeGroups, g)
 	}
 }
 
@@ -563,8 +617,8 @@ func (s *Switch) indexAdd(r *FlowRule) {
 	if bucket == nil {
 		bucket = make(map[matchKey]*FlowRule)
 		s.sigs[sig] = bucket
-		s.liveSigs |= 1 << sig
 	}
+	s.liveSigs |= 1 << sig
 	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
 	// r is the newest rule, so in lookup order it goes behind every rule of
 	// its priority or higher.
@@ -577,7 +631,14 @@ func (s *Switch) indexAdd(r *FlowRule) {
 	bucket[key] = head
 	g := s.byCookie[r.Cookie]
 	if g == nil {
-		g = &cookieGroup{}
+		if n := len(s.freeGroups); n > 0 {
+			g, s.freeGroups[n-1] = s.freeGroups[n-1], nil
+			s.freeGroups = s.freeGroups[:n-1]
+			g.timed = false
+		} else {
+			g = &cookieGroup{}
+			g.expire = func() { s.expireGroup(g) }
+		}
 		s.byCookie[r.Cookie] = g
 	}
 	r.group = g
@@ -608,8 +669,7 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	if g == nil {
 		return 0
 	}
-	n, _ := s.removeGroup(g)
-	return n
+	return s.removeGroup(g)
 }
 
 // HandlePacket implements simnet.Node: run the packet through the table.

@@ -128,9 +128,103 @@ func TestIdleStopLeavesNothingPending(t *testing.T) {
 	}
 }
 
-// TestAllocsIdle pins what an owner pays for its idle clock: Start costs the
-// expire closure and the bound re-check, and neither Touch nor any number of
-// re-arms nor the expiry allocates again.
+// TestIdleRestart pins the restart contract: an Idle stopped, or expired, can
+// be started again — from its own expire callback too — and fires once per
+// Start, at that Start's deadline, with the pending count exact throughout.
+func TestIdleRestart(t *testing.T) {
+	t.Run("stop", func(t *testing.T) {
+		k := New(1)
+		var idle Idle
+		var fired []Time
+		expire := func() { fired = append(fired, k.Now()) }
+		idle.Start(k, time.Second, expire)
+		idle.Stop()
+		idle.Start(k, 3*time.Second, expire)
+		if k.Pending() != 1 {
+			t.Fatalf("%d events pending after stop and restart, want 1", k.Pending())
+		}
+		k.Run()
+		if len(fired) != 1 || fired[0] != 3*time.Second || k.Steps() != 1 {
+			t.Errorf("fired at %v in %d events, want once at 3s: the stopped arm fired", fired, k.Steps())
+		}
+	})
+	t.Run("expire", func(t *testing.T) {
+		k := New(1)
+		var idle Idle
+		var fired []Time
+		var expire func()
+		expire = func() {
+			fired = append(fired, k.Now())
+			if len(fired) < 3 {
+				idle.Start(k, time.Second, expire) // from the callback itself
+			}
+		}
+		idle.Start(k, time.Second, expire)
+		k.Run()
+		idle.Start(k, 2*time.Second, expire)
+		if k.Pending() != 1 {
+			t.Fatalf("%d events pending after restarting an expired Idle, want 1", k.Pending())
+		}
+		k.Run()
+		want := []Time{time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second}
+		if len(fired) != len(want) {
+			t.Fatalf("fired at %v, want %v", fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("fired at %v, want %v", fired, want)
+			}
+		}
+		if k.Pending() != 0 {
+			t.Errorf("%d events pending after the run", k.Pending())
+		}
+	})
+	t.Run("stale-entry-across-cascade", func(t *testing.T) {
+		// Ten seconds out the entry sits on an upper wheel level. Every
+		// stop-and-restart leaves the previous arm's entry in the same slot;
+		// when the cursor cascades the slot down, only the latest may
+		// survive. A restart that reset the event's stamp would bring an
+		// older entry back to life.
+		k := New(1)
+		var idle Idle
+		fires := 0
+		expire := func() { fires++ }
+		for i := 0; i < 4; i++ {
+			idle.Start(k, 10*time.Second, expire)
+			idle.Stop()
+		}
+		idle.Start(k, 10*time.Second, expire)
+		if k.Pending() != 1 {
+			t.Fatalf("%d events pending, want 1", k.Pending())
+		}
+		k.RunUntil(5 * time.Second)
+		if fires != 0 || k.Pending() != 1 {
+			t.Fatalf("after 5s: %d fires, %d pending, want 0 and 1", fires, k.Pending())
+		}
+		k.Run()
+		if fires != 1 || k.Now() != 10*time.Second || k.Steps() != 1 {
+			t.Errorf("%d fires, last at %v in %d events, want one at 10s", fires, k.Now(), k.Steps())
+		}
+		if k.Pending() != 0 || k.Stats().WheelCascades == 0 {
+			t.Errorf("%d pending, %d cascades: want 0 pending, and the entry cascaded", k.Pending(), k.Stats().WheelCascades)
+		}
+	})
+	t.Run("armed", func(t *testing.T) {
+		k := New(1)
+		var idle Idle
+		idle.Start(k, time.Second, func() {})
+		defer func() {
+			if recover() == nil {
+				t.Error("starting an armed Idle did not panic")
+			}
+		}()
+		idle.Start(k, time.Second, func() {})
+	})
+}
+
+// TestAllocsIdle pins what an owner pays for its idle clock: the first Start
+// binds the re-check, and neither Touch nor any number of re-arms nor the
+// expiry nor a restart allocates again.
 func TestAllocsIdle(t *testing.T) {
 	k := New(1)
 	owner := func(rearms int) func() {
@@ -158,8 +252,22 @@ func TestAllocsIdle(t *testing.T) {
 	if rearmed != bare {
 		t.Errorf("%.0f allocs with 3 re-arms, %.0f with none: re-arming allocates", rearmed, bare)
 	}
-	// The owner itself, and the two of Start.
+	// The owner itself, its expire closure and the bound re-check.
 	if bare > 3 {
 		t.Errorf("%.0f allocs per owner with an Idle, want <= 3 (owner + 2)", bare)
+	}
+	// A recycled owner: restarting after a stop or an expiry is free.
+	var idle Idle
+	expire := func() {}
+	idle.Start(k, time.Second, expire)
+	k.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		idle.Start(k, time.Second, expire)
+		k.RunUntil(k.Now() + 700*time.Millisecond)
+		idle.Stop()
+		idle.Start(k, time.Second, expire)
+		k.Run()
+	}); n != 0 {
+		t.Errorf("%.1f allocs per stop-and-restart cycle, want 0", n)
 	}
 }

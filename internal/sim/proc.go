@@ -18,9 +18,10 @@ type Proc struct {
 	name string
 	co   *coro // runs the body; nil before the start event and once the body returned
 	dead bool
-	// wakeFn is the wake thunk, allocated once per process so the hot wake
-	// paths (Sleep, Chan, Promise, WaitGroup) can schedule it without
-	// a fresh closure per wake-up.
+	fn   func(p *Proc) // the body, until the start event hands it to a coroutine
+	// wakeFn is the wake thunk, allocated once per process so the start event
+	// and the hot wake paths (Sleep, Chan, Promise, WaitGroup) can schedule it
+	// without a fresh closure each.
 	wakeFn func()
 }
 
@@ -34,11 +35,12 @@ func (p *Proc) Now() Time { return p.k.Now() }
 func (p *Proc) Name() string { return p.name }
 
 // Go spawns a new process. The process body starts executing at the current
-// simulation time (as a separate event), not synchronously.
+// simulation time (as a separate event), not synchronously. The start event
+// is the process's own wake thunk, so a start costs the Proc and that thunk.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
+	p := &Proc{k: k, name: name, fn: fn}
 	p.wakeFn = p.wake
-	k.Defer(func() { p.start(fn) })
+	k.Defer(p.wakeFn)
 	return p
 }
 
@@ -154,8 +156,9 @@ func (k *Kernel) Close() {
 
 // start runs the process body on a pooled coroutine, as the current event,
 // until the process parks or finishes. Called from kernel context.
-func (p *Proc) start(fn func(p *Proc)) {
-	k := p.k
+func (p *Proc) start() {
+	k, fn := p.k, p.fn
+	p.fn = nil
 	k.procs++
 	k.procStarts++
 	var c *coro
@@ -178,10 +181,15 @@ func (p *Proc) yield() {
 }
 
 // wake resumes a parked process from kernel (event) context and returns when
-// it parks again or finishes.
+// it parks again or finishes. Its first call is the start event, which starts
+// the body and is not a switch.
 func (p *Proc) wake() {
 	if p.dead { // its coroutine may be running another process by now
 		panic("sim: waking dead process " + p.name)
+	}
+	if p.co == nil {
+		p.start()
+		return
 	}
 	p.k.procSwitches++
 	p.co.resume()

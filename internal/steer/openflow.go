@@ -142,15 +142,18 @@ func (b *OpenFlow) ReAnchor(oldSw, newSw *openflow.Switch, f Flow, ep Endpoint) 
 
 // FlowRemoved implements Steering: a pair idle-expired on sw, and rule is
 // its forward (or cloud-forward) rule, whose match carries the flow. The
-// pair is forgotten unless the key was re-installed under a newer cookie
-// while the notification was in flight.
+// pair is forgotten and the flow reported — unless the notice is stale: the
+// key was re-installed under a newer cookie, or released, while it was in
+// flight. Then the flow's steering is not what expired, and the controller
+// must not forget the client.
 func (b *OpenFlow) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Flow, bool) {
 	f := Flow{Client: rule.Match.SrcIP, VIP: rule.Match.DstIP, Port: rule.Match.DstPort}
 	key := pairKey{sw, f}
-	if b.pairs[key] == rule.Cookie {
-		delete(b.pairs, key)
-		b.gEntries.Set(int64(len(b.pairs)))
+	if b.pairs[key] != rule.Cookie {
+		return f, false
 	}
+	delete(b.pairs, key)
+	b.gEntries.Set(int64(len(b.pairs)))
 	return f, true
 }
 

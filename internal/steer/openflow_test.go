@@ -120,15 +120,16 @@ func TestReAnchorAfterFullExpiry(t *testing.T) {
 	}
 }
 
-// recordingStub keeps what notifyStub passes on.
+// recordingStub keeps what notifyStub passes on (a copy of the rule, which
+// is only borrowed for the call).
 type recordingStub struct {
 	notifyStub
-	rules []*openflow.FlowRule
+	rules []openflow.FlowRule
 	flows []Flow
 }
 
 func (s *recordingStub) HandleFlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) {
-	s.rules = append(s.rules, rule)
+	s.rules = append(s.rules, *rule)
 	if f, ok := s.b.FlowRemoved(sw, rule); ok {
 		s.flows = append(s.flows, f)
 	}
@@ -159,9 +160,9 @@ func TestReverseNotificationDoesNotReportFlow(t *testing.T) {
 // TestAllocsInstallRecheckRelease pins the steady-state churn cycle of one
 // client's pair — InstallRedirect (which releases the previous pair), idle
 // re-checks while traffic keeps both rules alive, and the next install's
-// release — at a fixed allocation count that does not depend on how many
-// re-checks a pair lives through: the pair's cookie owns one re-armable idle
-// event.
+// release — at zero allocations however many re-checks a pair lives through:
+// the pair's cookie owns one re-armable idle event, and rules and cookie
+// groups come off the switch's free lists.
 func TestAllocsInstallRecheckRelease(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	k, b, sw, _ := steerRig(t, idle)
@@ -200,9 +201,7 @@ func TestAllocsInstallRecheckRelease(t *testing.T) {
 	if churned != bare {
 		t.Errorf("%.0f allocs per cycle with 3 re-checks, %.0f with none: re-checks allocate", churned, bare)
 	}
-	// Two rules, their cookie's group, and its clock's expire closure and
-	// bound re-check.
-	if bare > 5 {
-		t.Errorf("%.0f allocs per install/release cycle, want <= 5", bare)
+	if bare != 0 {
+		t.Errorf("%.0f allocs per install/release cycle, want 0", bare)
 	}
 }
