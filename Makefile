@@ -51,7 +51,12 @@ race:
 # BenchmarkDispatchChurn (one packet-in that misses the FlowMemory,
 # dispatched to a running instance, its redirect pair installed, idled out
 # and reported back by flow-removed: 2 allocs/op, the dispatch process's
-# Proc and wake thunk; TestAllocsControllerPacketIn pins it).
+# Proc and wake thunk; TestAllocsControllerPacketIn pins it). The sim
+# continuation form has two gates of its own: internal/sim's
+# TestContMatchesProc (a sim.Cont and a Proc run the same random script of
+# sleeps, charges, re-armed timers and channel receives: every step at the
+# same instant, in the same event, after the same sequence numbers) and
+# TestAllocsContCycle (a warm cycle through every wait, at 0 allocs).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

@@ -106,6 +106,9 @@ func (f *flags) validate() error {
 	if f.shards > maxShards {
 		return fmt.Errorf("-shards %d exceeds the maximum %d", f.shards, maxShards)
 	}
+	if f.procs < 0 {
+		return fmt.Errorf("-procs must be >= 0 (got %d)", f.procs)
+	}
 	if !(f.scale > 0 && f.scale <= 1) { // written so that NaN fails
 		return fmt.Errorf("-scale must be in (0,1] (got %v)", f.scale)
 	}

@@ -130,6 +130,7 @@ func TestValidateCounts(t *testing.T) {
 		"-clients -2000 scale-churn":      "-clients must be >= 1",
 		"-clusters 0 scale-dispatch":      "-clusters must be >= 1",
 		"-clusters -16 scale-dispatch":    "-clusters must be >= 1",
+		"-procs -3 sweep":                 "-procs must be >= 0",
 	})
 	if code, _, stderr := run("-replay-requests", "16", "-json", "scale-replay"); code != 0 {
 		t.Errorf("the smallest valid size was rejected: exit %d\n%s", code, stderr)
@@ -171,6 +172,7 @@ func TestSilentCasesRejected(t *testing.T) {
 		"-fault-rates 0.1,1 scale-faults":       "-fault-rates",
 		"-backend quic scale-steer":             "-backend",
 		"-slo request:p99 scale-replay":         "-slo",
+		"-slo dispach:p99=1us scale-replay":     "request, dispatch, deploy_best, handover",
 		"-attrib scale-attrib":                  "-attrib does not apply to scale-attrib",
 		"-counters scale-mobility":              "-counters does not apply to scale-mobility",
 		"-seed 7 sweep":                         "-seed does not apply to sweep",

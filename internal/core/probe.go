@@ -23,14 +23,14 @@ func (c *Controller) probeUntilOpen(p *sim.Proc, inst cluster.Instance) error {
 	if c.cfg.ProbeMaxWait > 0 {
 		pr.deadline = c.k.Now() + c.cfg.ProbeMaxWait
 	}
-	pr.timer = c.k.NewEvent(pr.onTimer)
-	pr.dial()
+	pr.Init(c.k, pr, 0)
+	dial(pr)
 	_, err := pr.done.Await(p)
 	return err
 }
 
 // prober is one readiness probing ("the controller continuously tests if the
-// respective port is open") as a state machine: it is the ConnHandler of each
+// respective port is open") as a continuation: it is the ConnHandler of each
 // round's dial, and its one timer is the dial timeout while a dial is in
 // flight and the ProbeInterval pause between rounds. A round is one SYN
 // answered by an RST (refused), by a SYN-ACK (open: the prober closes with a
@@ -38,41 +38,37 @@ func (c *Controller) probeUntilOpen(p *sim.Proc, inst cluster.Instance) error {
 // aborted, nothing more is sent). The ProbeMaxWait deadline is checked only
 // after a failed round, so a dial in flight at the deadline is not cut short.
 type prober struct {
+	sim.Cont[prober]
 	c        *Controller
 	inst     cluster.Instance
 	deadline sim.Time     // -1: wait forever
-	conn     *simnet.Conn // the dial in flight; nil while pausing
-	timer    *sim.Event
+	conn     *simnet.Conn // the dial in flight
 	done     *sim.Promise[struct{}]
 }
 
-func (pr *prober) dial() {
+func dial(pr *prober) sim.Step[prober] {
 	pr.conn = pr.c.probeHost.DialAsync(pr.inst.Addr, pr.inst.Port, pr)
-	pr.c.k.Schedule(pr.timer, pr.c.k.Now()+pr.c.cfg.ProbeDialTimeout)
+	pr.Sleep(pr.c.cfg.ProbeDialTimeout, dialTimedOut)
+	return nil
 }
 
-func (pr *prober) onTimer() {
-	if pr.conn == nil {
-		pr.dial()
-		return
-	}
+func dialTimedOut(pr *prober) sim.Step[prober] {
 	pr.conn.Abort()
 	pr.roundFailed()
+	return nil
 }
 
 // roundFailed ends a refused or timed-out round: give up past the deadline,
 // pause and dial again otherwise.
 func (pr *prober) roundFailed() {
-	pr.conn = nil
 	cfg := &pr.c.cfg
-	now := pr.c.k.Now()
-	if pr.deadline >= 0 && now >= pr.deadline {
-		pr.timer.Cancel()
+	if pr.deadline >= 0 && pr.Now() >= pr.deadline {
+		pr.Cancel()
 		pr.done.Fail(fmt.Errorf("%w: %s on %s (%s:%d) after %v",
 			ErrProbeTimeout, pr.inst.Service, pr.inst.Cluster, pr.inst.Addr, pr.inst.Port, cfg.ProbeMaxWait))
 		return
 	}
-	pr.c.k.Schedule(pr.timer, now+cfg.ProbeInterval)
+	pr.Sleep(cfg.ProbeInterval, dial)
 }
 
 // ConnEstablished implements simnet.ConnHandler.
@@ -81,8 +77,7 @@ func (pr *prober) ConnEstablished(c *simnet.Conn, ok bool) {
 		pr.roundFailed()
 		return
 	}
-	pr.timer.Cancel()
-	pr.conn = nil
+	pr.Cancel()
 	c.Close()
 	pr.done.Resolve(struct{}{})
 }

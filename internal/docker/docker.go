@@ -13,7 +13,8 @@ package docker
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"time"
 
@@ -273,12 +274,7 @@ func (e *Engine) Endpoint(name string) (cluster.Instance, bool) {
 
 // Services implements cluster.Cluster.
 func (e *Engine) Services() []string {
-	names := make([]string, 0, len(e.services))
-	for n := range e.services {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(e.services))
 }
 
 // Containers returns the containers of a service (diagnostics).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -104,6 +105,34 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 		}
 		if rep.Excl[attrib.PhaseReAnchor].Len() == 0 {
 			t.Error("re-anchor phase never observed")
+		}
+	}
+}
+
+// TestEmittedRootsAreRootNames: a traced cold run that deploys the best
+// location behind the fast one, plus a mobility run, emit only the roots
+// attrib.RootNames declares, and every one of them — the set ParseSLO
+// accepts is the set an objective can fire on.
+func TestEmittedRootsAreRootNames(t *testing.T) {
+	cold := runOpts{attrib: attrib.New(attrib.Options{})}.point(3, 320)
+	cold.Cold, cold.Clusters, cold.Scheduler = true, 2, "no-wait"
+	mob := runOpts{steer: "srv6", attrib: attrib.New(attrib.Options{})}.point(5, 240)
+	mob.GNBs, mob.Dwell = MobilityCells, 5*time.Second
+	seen := map[string]bool{}
+	for _, s := range []pointSpec{cold, mob} {
+		if _, err := runPoint(s); err != nil {
+			t.Fatal(err)
+		}
+		for name := range s.attrib.Report().Roots {
+			if !slices.Contains(attrib.RootNames, name) {
+				t.Errorf("root %q is not in attrib.RootNames %v", name, attrib.RootNames)
+			}
+			seen[name] = true
+		}
+	}
+	for _, name := range attrib.RootNames {
+		if !seen[name] {
+			t.Errorf("no run emitted a %q root", name)
 		}
 	}
 }

@@ -128,37 +128,41 @@ func (a *APIServer) Subscribe(kind Kind, fn func(Event)) {
 	a.subs[kind] = append(a.subs[kind], fn)
 }
 
-// subscribeQueued is Subscribe for a controller that feeds a work queue: fn
-// gets the events of an instant together, one zero-delay kernel event after
-// the first is delivered — after everything already scheduled for that
-// instant, which is where a process blocked on a watch channel would run. The
-// position matters because the work queues back up under deployment bursts
-// (a dozen keys deep on the 800-service hybrid): whether an Add finds its key
-// active, queued or neither depends on its order among the workers waking in
-// the same instant, and with it how many reconcile passes the burst costs.
-func (a *APIServer) subscribeQueued(kind Kind, fn func(Event)) {
-	var batch []Event
-	drain := func() {
-		for i := range batch {
-			fn(batch[i])
-			batch[i] = Event{}
-		}
-		batch = batch[:0]
-	}
-	a.Subscribe(kind, func(ev Event) {
-		batch = append(batch, ev)
-		if len(batch) == 1 {
-			a.k.Defer(drain)
-		}
-	})
-}
-
-// Watch is Subscribe for a consumer that is a process (the kubelet): events
-// queue on the returned channel, which is never closed.
+// Watch is Subscribe for a consumer that parks on a channel, a process (the
+// kubelet) or a continuation (a relay, the scheduler): events queue on the
+// returned channel, which is never closed.
 func (a *APIServer) Watch(kind Kind) *sim.Chan[Event] {
 	ch := sim.NewChan[Event](a.k)
 	a.Subscribe(kind, ch.Send)
 	return ch
+}
+
+// relay feeds a controller's work queue from a watch: fn gets the events of an
+// instant together, one zero-delay kernel event after the first is delivered —
+// after everything already scheduled for that instant, which is where a
+// process blocked on the watch channel would run. The position matters
+// because the work queues back up under deployment bursts (a dozen keys deep
+// on the 800-service hybrid): whether an Add finds its key active, queued or
+// neither depends on its order among the workers waking in the same instant,
+// and with it how many reconcile passes the burst costs.
+type relay struct {
+	sim.Cont[relay]
+	in *sim.Chan[Event]
+	fn func(Event)
+}
+
+func (a *APIServer) relay(kind Kind, fn func(Event)) {
+	r := &relay{in: a.Watch(kind), fn: fn}
+	r.Init(a.k, r, 0)
+	r.Park(r.in, drain)
+}
+
+func drain(r *relay) sim.Step[relay] {
+	for ev, ok := r.in.TryRecv(); ok; ev, ok = r.in.TryRecv() {
+		r.fn(ev)
+	}
+	r.Park(r.in, drain)
+	return nil
 }
 
 func (a *APIServer) publish(ev Event) {
@@ -184,49 +188,6 @@ func (a *APIServer) charge(p *sim.Proc) {
 	if p != nil && a.cfg.RequestLatency > 0 {
 		p.Sleep(a.cfg.RequestLatency)
 	}
-}
-
-// pass runs a control-plane activity — a reconcile, a bind, the bind wait, a
-// node-monitor sweep — on kernel callbacks. T holds its state, and each of
-// its steps is a plain function of *T, so a pass allocates nothing as it
-// goes. A step runs where a process doing the same work resumed: after a
-// Sleep (sleep), or after an API request's latency, in the timer event that
-// woke a charging process or inline when the latency is 0 (request, charge's
-// rule). A step makes that request itself, with a nil process, and returns
-// the step to request next, or nil when it slept or the pass is over.
-type pass[T any] struct {
-	api  *APIServer
-	self *T
-	next step[T]
-	run  func() // bound once: p.resume
-}
-
-type step[T any] func(*T) step[T]
-
-func (p *pass[T]) init(api *APIServer, self *T) {
-	p.api, p.self = api, self
-	p.run = p.resume
-}
-
-func (p *pass[T]) resume() { p.request(p.next(p.self)) }
-
-// request pays one API request's latency, then runs s, and so on for the
-// steps s returns.
-func (p *pass[T]) request(s step[T]) {
-	for lat := p.api.cfg.RequestLatency; s != nil; s = s(p.self) {
-		if lat > 0 {
-			p.next = s
-			p.api.k.AfterFree(lat, p.run)
-			return
-		}
-	}
-}
-
-// sleep runs s d from now (d = 0: one zero-delay event later, where
-// Kernel.Go started a process) and requests what it returns.
-func (p *pass[T]) sleep(d time.Duration, s step[T]) {
-	p.next = s
-	p.api.k.AfterFree(d, p.run)
 }
 
 // --- Deployments ---

@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -28,16 +29,16 @@ func DefaultControllerConfig() ControllerConfig {
 // a key is processed by at most one worker at a time, duplicate enqueues of
 // a pending key coalesce, and a key enqueued while active is re-processed
 // once the active pass finishes (level-based reconciliation). A worker is a
-// pass over one key at a time, not a process; an idle one costs nothing.
+// continuation over one key at a time, not a process; an idle one is parked
+// on keys and costs nothing.
 type workQueue struct {
 	k         *sim.Kernel
-	keys      *sim.Chan[string] // queued keys, oldest first; no process receives
-	idle      []*worker         // workers with no key and no wake-up pending
+	keys      *sim.Chan[string] // queued keys, oldest first
 	queued    map[string]bool
 	active    map[string]bool
 	again     map[string]bool
 	delay     time.Duration
-	reconcile step[worker] // a pass's first API request; the pass ends with w.done
+	reconcile sim.Step[worker] // a pass's first API request; the pass ends with w.done
 }
 
 func newWorkQueue(k *sim.Kernel) *workQueue {
@@ -52,7 +53,8 @@ func newWorkQueue(k *sim.Kernel) *workQueue {
 
 // worker is a controller's pass over key, with what it has read so far.
 type worker struct {
-	pass[worker]
+	sim.Cont[worker]
+	api  *APIServer
 	q    *workQueue
 	key  string
 	d    *Deployment
@@ -62,20 +64,20 @@ type worker struct {
 }
 
 // serve gives the queue cfg.Workers workers (at least one), whose passes pay
-// cfg.ReconcileDelay and then request reconcile, on api. They start idle: as
-// processes they parked one zero-delay event after their start, and no key
-// can be queued before then — Adds come from watch deliveries, which the
-// queue subscribed to after that event was scheduled.
-func (q *workQueue) serve(api *APIServer, cfg ControllerConfig, reconcile step[worker]) {
+// cfg.ReconcileDelay and then request reconcile, on api. They start parked on
+// the queue: as processes they parked one zero-delay event after their start,
+// and no key can be queued before then — Adds come from watch deliveries,
+// which the queue subscribed to after that event was scheduled.
+func (q *workQueue) serve(api *APIServer, cfg ControllerConfig, reconcile sim.Step[worker]) {
 	q.delay, q.reconcile = cfg.ReconcileDelay, reconcile
 	for i := 0; i < max(cfg.Workers, 1); i++ {
-		w := &worker{q: q}
-		w.init(api, w)
-		q.idle = append(q.idle, w)
+		w := &worker{api: api, q: q}
+		w.Init(q.k, w, api.cfg.RequestLatency)
+		w.Park(q.keys, take)
 	}
 }
 
-// Add enqueues a key (coalescing duplicates). An idle worker takes the
+// Add enqueues a key (coalescing duplicates). A parked worker takes the
 // queue's head one zero-delay event later, after everything already
 // scheduled for this instant: under a burst, whether a later Add of the
 // instant finds its key queued or active depends on that position (DESIGN
@@ -90,32 +92,27 @@ func (q *workQueue) Add(key string) {
 	}
 	q.queued[key] = true
 	q.keys.Send(key)
-	if n := len(q.idle); n > 0 {
-		w := q.idle[n-1]
-		q.idle = q.idle[:n-1]
-		w.sleep(0, (*worker).take)
-	}
 }
 
-// take starts a pass over the queue's head, or goes back to idle if the
-// queue is empty: a pass that ended since the wake-up took the key.
-func (w *worker) take() step[worker] {
+// take starts a pass over the queue's head, or parks again if the queue is
+// empty: a pass that ended since the wake-up took the key.
+func take(w *worker) sim.Step[worker] {
 	q := w.q
 	key, ok := q.keys.TryRecv()
 	if !ok {
-		q.idle = append(q.idle, w)
+		w.Park(q.keys, take)
 		return nil
 	}
 	w.key = key
 	delete(q.queued, key)
 	q.active[w.key] = true
-	w.sleep(q.delay, func(w *worker) step[worker] { return w.q.reconcile })
+	w.Sleep(q.delay, func(w *worker) sim.Step[worker] { return w.q.reconcile })
 	return nil
 }
 
 // done ends w's pass. A key Added while it was active is queued again, and
 // w takes the next key at once, as a worker process's next receive did.
-func (w *worker) done() step[worker] {
+func (w *worker) done() sim.Step[worker] {
 	q := w.q
 	delete(q.active, w.key)
 	if q.again[w.key] {
@@ -123,7 +120,7 @@ func (w *worker) done() step[worker] {
 		q.Add(w.key)
 	}
 	w.d, w.rs, w.pods = nil, nil, nil
-	return w.take()
+	return take(w)
 }
 
 // RunDeploymentController starts the Deployment controller: level-based
@@ -131,7 +128,7 @@ func (w *worker) done() step[worker] {
 // replica count.
 func RunDeploymentController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
-	api.subscribeQueued(KindDeployment, func(ev Event) { q.Add(ev.Name) })
+	api.relay(KindDeployment, func(ev Event) { q.Add(ev.Name) })
 	q.serve(api, cfg, reconcileDeployment)
 }
 
@@ -139,7 +136,7 @@ func rsName(deployment string) string { return deployment + "-rs" }
 
 // reconcileDeployment is the Deployment controller's pass over w.key, one
 // API request per step.
-func reconcileDeployment(w *worker) step[worker] {
+func reconcileDeployment(w *worker) sim.Step[worker] {
 	d, err := w.api.GetDeployment(nil, w.key)
 	if err != nil {
 		return deploymentCascade
@@ -149,26 +146,26 @@ func reconcileDeployment(w *worker) step[worker] {
 }
 
 // deploymentCascade deletes the ReplicaSet of a Deployment that is gone.
-func deploymentCascade(w *worker) step[worker] {
+func deploymentCascade(w *worker) sim.Step[worker] {
 	if _, err := w.api.GetReplicaSet(nil, rsName(w.key)); err != nil {
 		return w.done()
 	}
-	return func(w *worker) step[worker] {
+	return func(w *worker) sim.Step[worker] {
 		w.api.DeleteReplicaSet(nil, rsName(w.key))
 		return w.done()
 	}
 }
 
-func deploymentOwnRS(w *worker) step[worker] {
+func deploymentOwnRS(w *worker) sim.Step[worker] {
 	rs, err := w.api.GetReplicaSet(nil, rsName(w.key))
 	switch {
 	case err != nil:
-		return func(w *worker) step[worker] {
+		return func(w *worker) sim.Step[worker] {
 			d := w.d
 			w.api.CreateReplicaSet(nil, &ReplicaSet{
 				Name:          rsName(d.Name),
 				Owner:         d.Name,
-				Labels:        copyLabels(d.Labels),
+				Labels:        maps.Clone(d.Labels),
 				Replicas:      d.Replicas,
 				Template:      copyTemplate(d.Template),
 				SchedulerName: d.SchedulerName,
@@ -177,7 +174,7 @@ func deploymentOwnRS(w *worker) step[worker] {
 		}
 	case rs.Replicas != w.d.Replicas:
 		rs.Replicas, w.rs = w.d.Replicas, rs
-		return func(w *worker) step[worker] {
+		return func(w *worker) sim.Step[worker] {
 			w.api.UpdateReplicaSet(nil, w.rs)
 			return w.done()
 		}
@@ -191,8 +188,8 @@ func deploymentOwnRS(w *worker) step[worker] {
 // a failed node) are replaced.
 func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 	q := newWorkQueue(api.Kernel())
-	api.subscribeQueued(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
-	api.subscribeQueued(KindPod, func(ev Event) {
+	api.relay(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
+	api.relay(KindPod, func(ev Event) {
 		if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
 			q.Add(pod.Owner)
 		}
@@ -202,12 +199,12 @@ func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 
 // reconcileReplicaSet is the ReplicaSet controller's pass over w.key, one API
 // request per step.
-func reconcileReplicaSet(w *worker) step[worker] {
+func reconcileReplicaSet(w *worker) sim.Step[worker] {
 	w.rs, _ = w.api.GetReplicaSet(nil, w.key) // nil once it is gone: its pods go
 	return replicaSetListPods
 }
 
-func replicaSetListPods(w *worker) step[worker] {
+func replicaSetListPods(w *worker) sim.Step[worker] {
 	w.pods = w.api.ListPodsByOwner(nil, w.key)
 	switch {
 	case w.rs == nil: // gone: delete them all
@@ -220,11 +217,11 @@ func replicaSetListPods(w *worker) step[worker] {
 	return replicaSetDelete(w)
 }
 
-func replicaSetCreatePod(w *worker) step[worker] {
+func replicaSetCreatePod(w *worker) sim.Step[worker] {
 	rs := w.rs
 	w.api.CreatePod(nil, &Pod{
 		Owner:         rs.Name,
-		Labels:        copyLabels(rs.Template.Labels),
+		Labels:        maps.Clone(rs.Template.Labels),
 		Spec:          copyTemplate(rs.Template),
 		SchedulerName: rs.SchedulerName,
 		Phase:         PodPending,
@@ -238,11 +235,11 @@ func replicaSetCreatePod(w *worker) step[worker] {
 // replicaSetDelete deletes w.pods, one request each: the pods of a
 // ReplicaSet that is gone oldest first, surplus pods newest first
 // (Kubernetes' default victim preference for scale-down).
-func replicaSetDelete(w *worker) step[worker] {
+func replicaSetDelete(w *worker) sim.Step[worker] {
 	if len(w.pods) == 0 {
 		return w.done()
 	}
-	return func(w *worker) step[worker] {
+	return func(w *worker) sim.Step[worker] {
 		if w.rs == nil {
 			w.api.DeletePod(nil, w.pods[0].Name)
 			w.pods = w.pods[1:]
@@ -344,43 +341,33 @@ func RunScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 	if cfg.CycleDelay <= 0 {
 		cfg.CycleDelay = 30 * time.Millisecond
 	}
-	s := &scheduler{cfg: cfg, nodes: nodes, inflight: map[string]bool{}, unschedulable: map[string]bool{},
-		events: sim.NewChan[Event](api.k), waiting: true}
-	s.init(api, s)
-	api.Subscribe(KindPod, s.watch)
+	s := &scheduler{api: api, cfg: cfg, nodes: nodes, inflight: map[string]bool{}, unschedulable: map[string]bool{},
+		events: api.Watch(KindPod)}
+	s.Init(api.k, s, api.cfg.RequestLatency)
+	s.Park(s.events, schedule)
 }
 
 // scheduler is one scheduler instance: a serial loop over its pod watch that
 // runs one scheduling cycle at a time and hands each scheduled pod to a
-// binding of its own.
+// binding of its own. The loop starts parked on the watch, as a work queue's
+// workers do.
 type scheduler struct {
-	pass[scheduler]
+	sim.Cont[scheduler]
+	api           *APIServer
 	cfg           SchedulerConfig
 	nodes         []NodeRef
 	inflight      map[string]bool
 	unschedulable map[string]bool
-	events        *sim.Chan[Event] // the pod watch, buffered while the loop is busy; no process receives
+	events        *sim.Chan[Event] // the pod watch, buffered while a cycle runs
 	retry         []string         // parked pods still to retry, by name, ahead of later events
-	// waiting is set while the loop is idle: the next event wakes it one
-	// zero-delay event later, where a process blocked on the watch channel
-	// woke. The loop starts idle, as a work queue's workers do.
-	waiting bool
-	cycling string // the pod whose cycle is running
-}
-
-func (s *scheduler) watch(ev Event) {
-	s.events.Send(ev)
-	if s.waiting {
-		s.waiting = false
-		s.sleep(0, schedule)
-	}
+	cycling       string           // the pod whose cycle is running
 }
 
 // schedule runs the loop until a scheduling cycle starts or there is nothing
 // left to do. A deleted pod may have freed capacity: the parked pods are
 // retried by name — each cycle sleeps, so the retry order is the bind order,
 // and the binds it overlaps with edit the set.
-func schedule(s *scheduler) step[scheduler] {
+func schedule(s *scheduler) sim.Step[scheduler] {
 	for {
 		var name string
 		if len(s.retry) > 0 {
@@ -396,7 +383,7 @@ func schedule(s *scheduler) step[scheduler] {
 			}
 			name = ev.Name
 		} else {
-			s.waiting = true
+			s.Park(s.events, schedule)
 			return nil
 		}
 		pod := s.api.pods.byName[name]
@@ -407,10 +394,10 @@ func schedule(s *scheduler) step[scheduler] {
 		// starts one zero-delay event after it, where a bind process started.
 		s.inflight[name] = true
 		s.cycling = name
-		s.sleep(s.cfg.CycleDelay, func(s *scheduler) step[scheduler] {
+		s.Sleep(s.cfg.CycleDelay, func(s *scheduler) sim.Step[scheduler] {
 			b := &binding{s: s, name: s.cycling}
-			b.init(s.api, b)
-			b.sleep(0, bind)
+			b.Init(s.api.k, b, s.api.cfg.RequestLatency)
+			b.Sleep(0, bind)
 			return schedule(s)
 		})
 		return nil
@@ -429,22 +416,22 @@ func (s *scheduler) mine(pod *Pod) bool {
 // lists the nodes' pods, picks a node and writes the binding, one API request
 // each. Concurrent pods overlap here.
 type binding struct {
-	pass[binding]
+	sim.Cont[binding]
 	s    *scheduler
 	name string
 	pod  *Pod
 }
 
-func bind(b *binding) step[binding] {
+func bind(b *binding) sim.Step[binding] {
 	if rest := b.s.cfg.BindingDelay - b.s.cfg.CycleDelay; rest > 0 {
-		b.sleep(rest, func(*binding) step[binding] { return bindRead })
+		b.Sleep(rest, func(*binding) sim.Step[binding] { return bindRead })
 		return nil
 	}
 	return bindRead
 }
 
-func bindRead(b *binding) step[binding] {
-	pod, err := b.api.GetPod(nil, b.name)
+func bindRead(b *binding) sim.Step[binding] {
+	pod, err := b.s.api.GetPod(nil, b.name)
 	if err != nil || pod.NodeName != "" {
 		return b.end()
 	}
@@ -452,16 +439,16 @@ func bindRead(b *binding) step[binding] {
 	return bindPick // one list request covers every node's pods
 }
 
-func bindPick(b *binding) step[binding] {
+func bindPick(b *binding) sim.Step[binding] {
 	s := b.s
 	needCPU, needMem := podRequests(b.pod.Spec)
 	status := make([]NodeStatus, 0, len(s.nodes))
 	for _, n := range s.nodes {
-		if !b.api.nodeSchedulable(n.Name) {
+		if !s.api.nodeSchedulable(n.Name) {
 			continue
 		}
 		st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
-		for _, other := range b.api.podsByNode[n.Name].view() {
+		for _, other := range s.api.podsByNode[n.Name].view() {
 			st.Pods++
 			cpu, mem := podRequests(other.Spec)
 			st.CPUFree -= cpu
@@ -482,13 +469,13 @@ func bindPick(b *binding) step[binding] {
 	}
 	delete(s.unschedulable, b.name)
 	b.pod.NodeName = node
-	return func(b *binding) step[binding] {
-		b.api.UpdatePod(nil, b.pod)
+	return func(b *binding) sim.Step[binding] {
+		b.s.api.UpdatePod(nil, b.pod)
 		return b.end()
 	}
 }
 
-func (b *binding) end() step[binding] {
+func (b *binding) end() sim.Step[binding] {
 	delete(b.s.inflight, b.name)
 	return nil
 }

@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -76,9 +77,21 @@ func (q *chanWorkQueue) run(name string, workers int, process func(p *sim.Proc, 
 	}
 }
 
+// relayLoop is a relay as the process it was: it moves each event of the
+// watch channel into fn.
+func relayLoop(api *APIServer, kind Kind, fn func(Event)) {
+	ch := api.Watch(kind)
+	api.Kernel().Go("relay", func(p *sim.Proc) {
+		for {
+			ev, _ := ch.Recv(p)
+			fn(ev)
+		}
+	})
+}
+
 func runDeploymentControllerLoop(api *APIServer, cfg ControllerConfig) {
 	q := newChanWorkQueue(api.Kernel())
-	api.subscribeQueued(KindDeployment, func(ev Event) { q.Add(ev.Name) })
+	relayLoop(api, KindDeployment, func(ev Event) { q.Add(ev.Name) })
 	q.run("deployment-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
 		p.Sleep(cfg.ReconcileDelay)
 		reconcileDeploymentLoop(p, api, name)
@@ -98,7 +111,7 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 		api.CreateReplicaSet(p, &ReplicaSet{
 			Name:          rsName(d.Name),
 			Owner:         d.Name,
-			Labels:        copyLabels(d.Labels),
+			Labels:        maps.Clone(d.Labels),
 			Replicas:      d.Replicas,
 			Template:      copyTemplate(d.Template),
 			SchedulerName: d.SchedulerName,
@@ -113,8 +126,8 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 
 func runReplicaSetControllerLoop(api *APIServer, cfg ControllerConfig) {
 	q := newChanWorkQueue(api.Kernel())
-	api.subscribeQueued(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
-	api.subscribeQueued(KindPod, func(ev Event) {
+	relayLoop(api, KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
+	relayLoop(api, KindPod, func(ev Event) {
 		if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
 			q.Add(pod.Owner)
 		}
@@ -139,7 +152,7 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 		for i := len(pods); i < rs.Replicas; i++ {
 			api.CreatePod(p, &Pod{
 				Owner:         rs.Name,
-				Labels:        copyLabels(rs.Template.Labels),
+				Labels:        maps.Clone(rs.Template.Labels),
 				Spec:          copyTemplate(rs.Template),
 				SchedulerName: rs.SchedulerName,
 				Phase:         PodPending,

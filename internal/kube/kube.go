@@ -3,6 +3,9 @@ package kube
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -129,11 +132,10 @@ func (c *Cluster) Start() {
 
 // Kubelet returns the kubelet of a node (nil if unknown or not started).
 func (c *Cluster) Kubelet(nodeName string) *Kubelet {
-	n := c.nodeByName(nodeName)
-	if n == nil {
-		return nil
+	if n := c.nodeByName(nodeName); n != nil {
+		return n.kubelet
 	}
-	return n.kubelet
+	return nil
 }
 
 // Name implements cluster.Cluster.
@@ -234,10 +236,10 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 	}
 	d := &Deployment{
 		Name:     a.UniqueName,
-		Labels:   copyLabels(labels),
+		Labels:   labels,
 		Replicas: 0,
 		Template: PodTemplate{
-			Labels:     copyLabels(labels),
+			Labels:     labels,
 			Containers: append([]spec.ContainerSpec(nil), a.Containers...),
 		},
 		SchedulerName: schedulerNameOf(a),
@@ -249,7 +251,7 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 	c.nextPort++
 	svc := &Service{
 		Name:       a.UniqueName,
-		Labels:     copyLabels(labels),
+		Labels:     labels,
 		Selector:   map[string]string{"app": a.UniqueName},
 		Port:       a.Reg.Port,
 		TargetPort: a.TargetPort,
@@ -305,8 +307,8 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		deadline: p.Now() + bindMaxWait,
 		done:     sim.NewPromise[cluster.Instance](c.api.k),
 	}
-	w.init(c.api, w)
-	w.request(bindWaitRead)
+	w.Init(c.api.k, w, c.api.cfg.RequestLatency)
+	w.Charge(bindWaitRead)
 	return w.done.Await(p)
 }
 
@@ -322,12 +324,12 @@ var ErrBindTimeout = errors.New("kube: no pod was bound to a node")
 // that follows this one.
 const bindMaxWait = 5 * time.Minute
 
-// bindWait is ScaleUp's wait for a bound pod as a pass: pay the API request
-// latency of a pod list, read the service's pods, and if none is bound pause
-// BindPollInterval and list again. The bound is checked only after a list
+// bindWait is ScaleUp's wait for a bound pod as a continuation: pay the API
+// request latency of a pod list, read the service's pods, and if none is bound
+// pause BindPollInterval and list again. The bound is checked only after a list
 // that found nothing, as the controller's readiness probe checks its own.
 type bindWait struct {
-	pass[bindWait]
+	sim.Cont[bindWait]
 	c        *Cluster
 	name     string
 	port     int
@@ -336,7 +338,7 @@ type bindWait struct {
 	done     *sim.Promise[cluster.Instance]
 }
 
-func bindWaitRead(w *bindWait) step[bindWait] {
+func bindWaitRead(w *bindWait) sim.Step[bindWait] {
 	c := w.c
 	for _, pod := range c.api.podsMatching(w.selector) {
 		if pod.NodeName == "" {
@@ -357,40 +359,48 @@ func bindWaitRead(w *bindWait) step[bindWait] {
 		})
 		return nil
 	}
-	if c.api.k.Now() >= w.deadline {
+	if w.Now() >= w.deadline {
 		w.done.Fail(fmt.Errorf("%w: %s on %s after %v", ErrBindTimeout, w.name, c.name, bindMaxWait))
 		return nil
 	}
-	w.sleep(c.cfg.BindPollInterval, func(*bindWait) step[bindWait] { return bindWaitRead })
+	w.Sleep(c.cfg.BindPollInterval, func(*bindWait) sim.Step[bindWait] { return bindWaitRead })
 	return nil
 }
 
 // crashPod models a pod whose processes die right after the kubelet starts
-// them: a bounded watcher polls for the pod's containers to come up, kills
-// them once, and stops. The pod object stays Running — the kubelet does not
-// watch process health here — so only the controller's port probing notices
-// the crash; a retry's ScaleDown deletes the pod and schedules a fresh one.
-// The poll is one re-armable event; its first look is one zero-delay event
-// from now, where Kernel.Go started the watcher as a process.
+// them: a bounded watcher polls every 100 ms for the pod's containers to come
+// up, kills them once, and stops. The pod object stays Running — the kubelet
+// does not watch process health here — so only the controller's port probing
+// notices the crash; a retry's ScaleDown deletes the pod and schedules a fresh
+// one. The first look is one zero-delay event from now, where Kernel.Go
+// started the watcher as a process.
 func (c *Cluster) crashPod(podName string, n *node, svcName string) {
-	k := c.api.k
-	deadline := k.Now() + 30*time.Second
-	var poll *sim.Event
-	poll = k.NewEvent(func() {
-		if k.Now() >= deadline {
-			return
+	w := &crashWatch{n: n, pod: podName, svc: svcName, deadline: c.api.k.Now() + 30*time.Second}
+	w.Init(c.api.k, w, 0)
+	w.Sleep(0, crashPoll)
+}
+
+type crashWatch struct {
+	sim.Cont[crashWatch]
+	n        *node
+	pod, svc string
+	deadline sim.Time
+}
+
+func crashPoll(w *crashWatch) sim.Step[crashWatch] {
+	if w.Now() >= w.deadline {
+		return nil
+	}
+	killed := false
+	for _, ctr := range w.n.rt.List(map[string]string{"app": w.svc}) {
+		if strings.HasPrefix(ctr.Name(), w.pod+".") && ctr.Kill() == nil {
+			killed = true
 		}
-		killed := false
-		for _, ctr := range n.rt.List(map[string]string{"app": svcName}) {
-			if strings.HasPrefix(ctr.Name(), podName+".") && ctr.Kill() == nil {
-				killed = true
-			}
-		}
-		if !killed {
-			k.Schedule(poll, k.Now()+100*time.Millisecond)
-		}
-	})
-	k.Schedule(poll, k.Now())
+	}
+	if !killed {
+		w.Sleep(100*time.Millisecond, crashPoll)
+	}
+	return nil
 }
 
 // ScaleDown implements cluster.Cluster.
@@ -402,15 +412,7 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 	if err := c.faults.ScaleDownError(p.Now()); err != nil {
 		return err
 	}
-	d, err := c.api.GetDeployment(p, name)
-	if err != nil {
-		return err
-	}
-	if d.Replicas == 0 {
-		return nil
-	}
-	d.Replicas = 0
-	return c.api.UpdateDeployment(p, d)
+	return c.SetReplicas(p, name, 0)
 }
 
 // Remove implements cluster.Cluster: delete the Deployment (cascading to
@@ -433,50 +435,44 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 // started) pod of the service by name, exposed on its node at the service
 // NodePort.
 func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
-	var inst cluster.Instance
-	found := false
-	c.eachEndpoint(name, func(i cluster.Instance) bool {
-		inst, found = i, true
-		return false
-	})
-	return inst, found
+	for inst := range c.endpoints(name) {
+		return inst, true
+	}
+	return cluster.Instance{}, false
 }
 
-// eachEndpoint calls fn with the instance of each running pod of the
-// service, in pod-name order, until fn returns false.
-func (c *Cluster) eachEndpoint(name string, fn func(cluster.Instance) bool) {
-	svc, ok := c.api.services.byName[name]
-	if !ok {
-		return
-	}
-	for _, pod := range c.api.podsMatching(svc.Selector) {
-		if pod.Phase != PodRunning {
-			continue
-		}
-		n := c.nodeByName(pod.NodeName)
-		if n == nil {
-			continue
-		}
-		inst := cluster.Instance{
-			Service: name,
-			Cluster: c.name,
-			Addr:    n.rt.Host().IP(),
-			Port:    svc.NodePort,
-		}
-		if !fn(inst) {
+// endpoints yields the instance of each running pod of the service, in
+// pod-name order.
+func (c *Cluster) endpoints(name string) iter.Seq[cluster.Instance] {
+	return func(yield func(cluster.Instance) bool) {
+		svc, ok := c.api.services.byName[name]
+		if !ok {
 			return
+		}
+		for _, pod := range c.api.podsMatching(svc.Selector) {
+			if pod.Phase != PodRunning {
+				continue
+			}
+			n := c.nodeByName(pod.NodeName)
+			if n == nil {
+				continue
+			}
+			inst := cluster.Instance{
+				Service: name,
+				Cluster: c.name,
+				Addr:    n.rt.Host().IP(),
+				Port:    svc.NodePort,
+			}
+			if !yield(inst) {
+				return
+			}
 		}
 	}
 }
 
 // Services implements cluster.Cluster.
 func (c *Cluster) Services() []string {
-	names := make([]string, 0, len(c.services))
-	for n := range c.services {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(c.services))
 }
 
 // SetReplicas sets the Deployment's desired replica count directly (beyond
@@ -502,11 +498,7 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 // Endpoints implements cluster.MultiEndpoint: every running pod of the
 // service, exposed on its node at the service NodePort.
 func (c *Cluster) Endpoints(name string) []cluster.Instance {
-	var out []cluster.Instance
-	c.eachEndpoint(name, func(i cluster.Instance) bool {
-		out = append(out, i)
-		return true
-	})
+	out := slices.Collect(c.endpoints(name))
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }

@@ -646,7 +646,7 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 // run serves q with process as the body of every pass, each on a process of
 // its own: the proc-bodied form of serve the work-queue tests drive.
 func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key string)) {
-	q.serve(NewAPIServer(q.k, APIConfig{}), ControllerConfig{Workers: workers}, func(w *worker) step[worker] {
+	q.serve(NewAPIServer(q.k, APIConfig{}), ControllerConfig{Workers: workers}, func(w *worker) sim.Step[worker] {
 		q.k.Go(name, func(p *sim.Proc) {
 			process(p, w.key)
 			w.done()

@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -168,7 +169,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 			Image:     cs.Image,
 			AppPort:   cs.ContainerPort,
 			InitDelay: b.InitDelay,
-			Labels:    copyLabels(pod.Labels),
+			Labels:    maps.Clone(pod.Labels),
 			Env:       cs.Env,
 		}
 		if cs.ContainerPort > 0 {

@@ -77,26 +77,27 @@ func RunNodeLifecycleController(api *APIServer, cfg NodeLifecycleConfig) {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = 40 * time.Second
 	}
-	m := &nodeMonitor{cfg: cfg}
-	m.init(api, m)
-	m.sleep(0, monitorIdle)
+	m := &nodeMonitor{api: api, cfg: cfg}
+	m.Init(api.k, m, api.cfg.RequestLatency)
+	m.Sleep(0, monitorIdle)
 }
 
 // nodeMonitor is the node controller's loop. A sweep lists the nodes, marks
 // each stale one NotReady and evicts its pods, one API request each, and the
 // next sweep is due MonitorPeriod after this one ends.
 type nodeMonitor struct {
-	pass[nodeMonitor]
+	sim.Cont[nodeMonitor]
+	api   *APIServer
 	cfg   NodeLifecycleConfig
 	now   sim.Time // when the sweep began
 	nodes []*Node  // the sweep's nodes still to look at; nodes[0] is being evicted
 	pods  []*Pod   // nodes[0]'s pods still to delete
 }
 
-func monitorIdle(m *nodeMonitor) step[nodeMonitor] {
-	m.sleep(m.cfg.MonitorPeriod, func(m *nodeMonitor) step[nodeMonitor] {
-		m.now = m.api.k.Now()
-		return func(m *nodeMonitor) step[nodeMonitor] {
+func monitorIdle(m *nodeMonitor) sim.Step[nodeMonitor] {
+	m.Sleep(m.cfg.MonitorPeriod, func(m *nodeMonitor) sim.Step[nodeMonitor] {
+		m.now = m.Now()
+		return func(m *nodeMonitor) sim.Step[nodeMonitor] {
 			m.nodes = m.api.ListNodes(nil)
 			return monitorNext(m)
 		}
@@ -106,7 +107,7 @@ func monitorIdle(m *nodeMonitor) step[nodeMonitor] {
 
 // monitorNext marks the next stale node NotReady and lists its pods, or ends
 // the sweep.
-func monitorNext(m *nodeMonitor) step[nodeMonitor] {
+func monitorNext(m *nodeMonitor) sim.Step[nodeMonitor] {
 	for ; len(m.nodes) > 0; m.nodes = m.nodes[1:] {
 		if n := m.nodes[0]; n.Ready && m.now-n.LastHeartbeat > m.cfg.GracePeriod {
 			// Mark NotReady (keeping any heartbeat that landed since the
@@ -114,7 +115,7 @@ func monitorNext(m *nodeMonitor) step[nodeMonitor] {
 			stale := m.api.nodes.byName[n.Name].clone()
 			stale.Ready = false
 			m.api.nodes.put(stale, Modified)
-			return func(m *nodeMonitor) step[nodeMonitor] {
+			return func(m *nodeMonitor) sim.Step[nodeMonitor] {
 				m.pods = m.api.ListPodsByNode(nil, m.nodes[0].Name)
 				return monitorEvict(m)
 			}
@@ -123,12 +124,12 @@ func monitorNext(m *nodeMonitor) step[nodeMonitor] {
 	return monitorIdle(m)
 }
 
-func monitorEvict(m *nodeMonitor) step[nodeMonitor] {
+func monitorEvict(m *nodeMonitor) sim.Step[nodeMonitor] {
 	if len(m.pods) == 0 {
 		m.nodes = m.nodes[1:]
 		return monitorNext(m)
 	}
-	return func(m *nodeMonitor) step[nodeMonitor] {
+	return func(m *nodeMonitor) sim.Step[nodeMonitor] {
 		m.api.DeletePod(nil, m.pods[0].Name)
 		m.pods = m.pods[1:]
 		return monitorEvict(m)
@@ -141,24 +142,24 @@ func (kl *Kubelet) startHeartbeats(period time.Duration) {
 		return
 	}
 	h := &heartbeat{kl: kl, period: period}
-	h.init(kl.api, h)
-	h.sleep(0, beat)
+	h.Init(kl.api.k, h, kl.api.cfg.RequestLatency)
+	h.Sleep(0, beat)
 }
 
 type heartbeat struct {
-	pass[heartbeat]
+	sim.Cont[heartbeat]
 	kl     *Kubelet
 	period time.Duration
 }
 
-func beat(h *heartbeat) step[heartbeat] {
+func beat(h *heartbeat) sim.Step[heartbeat] {
 	if h.kl.failed {
-		h.sleep(h.period, beat)
+		h.Sleep(h.period, beat)
 		return nil
 	}
-	return func(h *heartbeat) step[heartbeat] {
-		h.api.UpsertNode(nil, h.kl.nodeName, true)
-		h.sleep(h.period, beat)
+	return func(h *heartbeat) sim.Step[heartbeat] {
+		h.kl.api.UpsertNode(nil, h.kl.nodeName, true)
+		h.Sleep(h.period, beat)
 		return nil
 	}
 }

@@ -19,6 +19,7 @@ package kube
 
 import (
 	"fmt"
+	"maps"
 
 	"transparentedge/internal/spec"
 )
@@ -146,20 +147,9 @@ func hasLabel(labels map[string]string, k, v string) bool {
 	return ok && got == v
 }
 
-func copyLabels(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 func copyTemplate(t PodTemplate) PodTemplate {
 	return PodTemplate{
-		Labels:     copyLabels(t.Labels),
+		Labels:     maps.Clone(t.Labels),
 		Containers: append([]spec.ContainerSpec(nil), t.Containers...),
 	}
 }
@@ -168,7 +158,7 @@ func (d *Deployment) meta() (string, *uint64) { return d.Name, &d.ResourceVersio
 
 func (d *Deployment) clone() *Deployment {
 	cp := *d
-	cp.Labels = copyLabels(d.Labels)
+	cp.Labels = maps.Clone(d.Labels)
 	cp.Template = copyTemplate(d.Template)
 	return &cp
 }
@@ -177,7 +167,7 @@ func (rs *ReplicaSet) meta() (string, *uint64) { return rs.Name, &rs.ResourceVer
 
 func (rs *ReplicaSet) clone() *ReplicaSet {
 	cp := *rs
-	cp.Labels = copyLabels(rs.Labels)
+	cp.Labels = maps.Clone(rs.Labels)
 	cp.Template = copyTemplate(rs.Template)
 	return &cp
 }
@@ -186,7 +176,7 @@ func (p *Pod) meta() (string, *uint64) { return p.Name, &p.ResourceVersion }
 
 func (p *Pod) clone() *Pod {
 	cp := *p
-	cp.Labels = copyLabels(p.Labels)
+	cp.Labels = maps.Clone(p.Labels)
 	cp.Spec = copyTemplate(p.Spec)
 	return &cp
 }
@@ -195,7 +185,7 @@ func (s *Service) meta() (string, *uint64) { return s.Name, &s.ResourceVersion }
 
 func (s *Service) clone() *Service {
 	cp := *s
-	cp.Labels = copyLabels(s.Labels)
-	cp.Selector = copyLabels(s.Selector)
+	cp.Labels = maps.Clone(s.Labels)
+	cp.Selector = maps.Clone(s.Selector)
 	return &cp
 }

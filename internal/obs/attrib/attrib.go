@@ -20,6 +20,8 @@
 package attrib
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,6 +128,11 @@ type Options struct {
 // DefaultFlightTrees is the flight-recorder ring capacity for Options
 // with FlightTrees <= 0.
 const DefaultFlightTrees = 32
+
+// RootNames are the root-span names the codebase emits: the replay's
+// "request", the dispatcher's "dispatch" and its background "deploy_best",
+// and the mobility layer's "handover". An SLO names one of them, or none.
+var RootNames = []string{"request", "dispatch", "deploy_best", "handover"}
 
 // Collector streams spans into the attribution state. It is a plain span
 // sink: connect it via obs.Tracer.SetSink (possibly chained after a trace
@@ -528,21 +535,11 @@ func (r *Report) Fingerprint() uint64 {
 		mix(r.Excl[p].Fingerprint())
 		mix(r.Crit[p].Fingerprint())
 	}
-	names := make([]string, 0, len(r.Roots))
-	for n := range r.Roots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(r.Roots)) {
 		mixs(n)
 		mix(r.Roots[n].Fingerprint())
 	}
-	stacks := make([]string, 0, len(r.Folded))
-	for s := range r.Folded {
-		stacks = append(stacks, s)
-	}
-	sort.Strings(stacks)
-	for _, s := range stacks {
+	for _, s := range slices.Sorted(maps.Keys(r.Folded)) {
 		mixs(s)
 		mix(uint64(r.Folded[s]))
 	}

@@ -5,7 +5,8 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -23,13 +24,8 @@ import (
 
 // WriteFolded writes the report's flame graph in collapsed-stack form.
 func (r *Report) WriteFolded(w io.Writer) error {
-	stacks := make([]string, 0, len(r.Folded))
-	for s := range r.Folded {
-		stacks = append(stacks, s)
-	}
-	sort.Strings(stacks)
 	bw := bufio.NewWriter(w)
-	for _, s := range stacks {
+	for _, s := range slices.Sorted(maps.Keys(r.Folded)) {
 		if _, err := fmt.Fprintf(bw, "%s %d\n", s, r.Folded[s]); err != nil {
 			return err
 		}
@@ -95,11 +91,7 @@ func (p *protoBuf) packed(field int, vs []uint64) {
 //	Line:      function_id=1
 //	Function:  id=1, name=2, system_name=3
 func (r *Report) WritePprof(w io.Writer) error {
-	stacks := make([]string, 0, len(r.Folded))
-	for s := range r.Folded {
-		stacks = append(stacks, s)
-	}
-	sort.Strings(stacks)
+	stacks := slices.Sorted(maps.Keys(r.Folded))
 
 	// String table: index 0 must be "".
 	strIdx := map[string]uint64{"": 0}

@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -15,8 +16,8 @@ import (
 // breach verdict is deterministic in virtual time — it does not depend on
 // wall-clock sampling.
 type SLO struct {
-	// Root is the root-span name the objective applies to ("request",
-	// "dispatch", ...). Empty means every root name (checked per name).
+	// Root is the root-span name the objective applies to, one of
+	// RootNames. Empty means every root name (checked per name).
 	Root string
 	// Quantile is the percentile in (0, 100].
 	Quantile float64
@@ -42,13 +43,17 @@ func (s SLO) String() string {
 }
 
 // ParseSLO parses "[root:]pQQ=duration" — e.g. "p99=2ms" (any root),
-// "request:p99.9=5ms", "dispatch:p50=300us".
+// "request:p99.9=5ms", "dispatch:p50=300us". A root outside RootNames is an
+// error: no span would ever reach the objective.
 func ParseSLO(spec string) (SLO, error) {
 	var slo SLO
 	rest := spec
 	if i := strings.IndexByte(rest, ':'); i >= 0 {
 		slo.Root = rest[:i]
 		rest = rest[i+1:]
+		if slo.Root != "" && !slices.Contains(RootNames, slo.Root) {
+			return SLO{}, fmt.Errorf("attrib: SLO %q: unknown root %q (want one of %s)", spec, slo.Root, strings.Join(RootNames, ", "))
+		}
 	}
 	eq := strings.IndexByte(rest, '=')
 	if eq < 0 || len(rest) == 0 || rest[0] != 'p' {

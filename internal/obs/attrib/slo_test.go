@@ -25,6 +25,10 @@ func TestParseSLO(t *testing.T) {
 		{"99=2ms", SLO{}, false},
 		{"", SLO{}, false},
 		{"request:", SLO{}, false},
+		{"handover:p90=1s", SLO{Root: "handover", Quantile: 90, Threshold: time.Second}, true},
+		{":p99=2ms", SLO{Quantile: 99, Threshold: 2 * time.Millisecond}, true}, // empty root: any
+		{"dispach:p99=1us", SLO{}, false},                                      // no emitter has that root
+		{"deploy:p99=1ms", SLO{}, false},                                       // a child span, never a root
 	}
 	for _, tc := range cases {
 		got, err := ParseSLO(tc.in)

@@ -2,7 +2,8 @@ package attrib
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 )
@@ -32,12 +33,7 @@ func (r *Report) Summary() string {
 			p, round(h.Sum()), round(h.Percentile(50)), round(h.Percentile(99)),
 			round(r.Crit[p].Sum()), h.Len())
 	}
-	names := make([]string, 0, len(r.Roots))
-	for n := range r.Roots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(r.Roots)) {
 		h := r.Roots[n]
 		fmt.Fprintf(&b, "  root %-12s p50 %10v  p99 %10v  n=%d\n",
 			n, round(h.Percentile(50)), round(h.Percentile(99)), h.Len())

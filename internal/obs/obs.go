@@ -16,6 +16,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -226,11 +228,7 @@ func (r *Registry) EachGauge(f func(name string, value, high int64)) {
 		return
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(r.gauges))
 	gauges := make([]*Gauge, len(names))
 	for i, n := range names {
 		gauges[i] = r.gauges[n]

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -108,10 +109,5 @@ func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 // SortedNames returns the map's keys sorted (test helper for stable
 // comparisons of parsed expositions).
 func SortedNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(m))
 }

@@ -15,7 +15,8 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -111,12 +112,7 @@ func (s *Server) Remove(ref string) {
 
 // Images returns the published image refs (sorted, diagnostic).
 func (s *Server) Images() []string {
-	refs := make([]string, 0, len(s.images))
-	for r := range s.images {
-		refs = append(refs, r)
-	}
-	sort.Strings(refs)
-	return refs
+	return slices.Sorted(maps.Keys(s.images))
 }
 
 // handle answers one request after its service latency.

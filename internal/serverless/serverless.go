@@ -16,7 +16,8 @@ package serverless
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"transparentedge/internal/cluster"
@@ -265,12 +266,7 @@ func (pl *Platform) Endpoint(name string) (cluster.Instance, bool) {
 
 // Services implements cluster.Cluster.
 func (pl *Platform) Services() []string {
-	names := make([]string, 0, len(pl.functions))
-	for n := range pl.functions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(pl.functions))
 }
 
 func (pl *Platform) instance(name string, f *function) cluster.Instance {

@@ -255,7 +255,6 @@ func (pr *Promise[T]) complete(v T, err error) {
 		pr.k.Defer(w.wakeFn)
 	}
 	for _, cb := range cbs {
-		cb := cb
 		pr.k.Defer(func() { cb(v, err) })
 	}
 }
@@ -281,8 +280,9 @@ func (pr *Promise[T]) OnDone(fn func(T, error)) {
 }
 
 // Chan is an unbounded FIFO message queue whose Recv blocks the receiving
-// process in virtual time. Sends never block (infinite buffer), which is the
-// common need in protocol simulations; use TryRecv for polling.
+// process in virtual time, and on which a continuation parks (Cont.Park).
+// Sends never block (infinite buffer), which is the common need in protocol
+// simulations; use TryRecv for polling.
 // The buffer and waiter queues are head-indexed rings rather than
 // reslice-on-pop ([1:]) windows: popping resets to the slice start once
 // drained, so steady-state Send/Recv traffic reuses capacity instead of
@@ -291,7 +291,7 @@ type Chan[T any] struct {
 	k       *Kernel
 	buf     []T
 	head    int
-	waiters []*Proc
+	waiters []func() // wake thunks of parked processes and continuations
 	whead   int
 	closed  bool
 }
@@ -319,7 +319,7 @@ func (c *Chan[T]) Close() {
 	}
 	c.closed = true
 	for _, w := range c.waiters[c.whead:] {
-		c.k.Defer(w.wakeFn)
+		c.k.Defer(w)
 	}
 	c.waiters = nil
 	c.whead = 0
@@ -336,7 +336,24 @@ func (c *Chan[T]) wakeOne() {
 		c.waiters = c.waiters[:0]
 		c.whead = 0
 	}
-	c.k.Defer(w.wakeFn)
+	c.k.Defer(w)
+}
+
+// park queues wake to run, one zero-delay event later, on the next Send or
+// Close. The channel must be empty and open. Several continuations parked on
+// one channel (a work queue's workers) seldom all wake at once, so the queue
+// would rarely drain back to its start: a full queue slides its live
+// waiters down before it grows.
+func (c *Chan[T]) park(wake func()) {
+	if c.Len() > 0 || c.closed {
+		panic("sim: parking on a non-empty or closed Chan")
+	}
+	if c.whead > 0 && len(c.waiters) == cap(c.waiters) {
+		n := copy(c.waiters, c.waiters[c.whead:])
+		clear(c.waiters[n:])
+		c.waiters, c.whead = c.waiters[:n], 0
+	}
+	c.waiters = append(c.waiters, wake)
 }
 
 func (c *Chan[T]) pop() T {
@@ -362,7 +379,7 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 			var zero T
 			return zero, false
 		}
-		c.waiters = append(c.waiters, p)
+		c.park(p.wakeFn)
 		p.yield()
 	}
 }

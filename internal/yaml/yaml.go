@@ -11,7 +11,8 @@ package yaml
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -673,11 +674,7 @@ func encodeValue(b *strings.Builder, v any, indent int, inSeq bool) {
 			fmt.Fprintf(b, "%s{}\n", seqPad(pad, inSeq))
 			return
 		}
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := slices.Sorted(maps.Keys(t))
 		for i, k := range keys {
 			prefix := pad
 			if inSeq && i == 0 {

@@ -109,6 +109,53 @@ func TestKernelGoCallSites(t *testing.T) {
 	}
 }
 
+// newEventCallSites is the number of non-test NewEvent calls outside
+// internal/sim and internal/simnet, whose per-link and per-call timers are
+// the data path's own. A re-armable event elsewhere is a state machine of its
+// own beside sim.Cont; the number only goes down.
+const newEventCallSites = 0
+
+// TestOneContinuationForm is the ratchet on continuations (DESIGN §21):
+// sim.Cont is the one form, so no non-test file outside internal/sim declares
+// a self-referential step type (type X[T any] func(*T) X[T]), and NewEvent
+// is called only where recorded.
+func TestOneContinuationForm(t *testing.T) {
+	nonTestFiles(t, ".", "internal/sim", func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.TypeParams == nil {
+				return true
+			}
+			if fn, ok := ts.Type.(*ast.FuncType); ok && fn.Results != nil {
+				for _, r := range fn.Results.List {
+					var x ast.Expr
+					switch r := r.Type.(type) {
+					case *ast.IndexExpr:
+						x = r.X
+					case *ast.IndexListExpr:
+						x = r.X
+					}
+					if id, ok := x.(*ast.Ident); ok && id.Name == ts.Name.Name {
+						t.Errorf("%s: step type %s outside internal/sim; use sim.Step", fset.Position(ts.Pos()), id.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	got := 0
+	nonTestCalls(t, ".", "internal/sim", func(pos token.Position, name string, args int) {
+		if name == "NewEvent" && !strings.HasPrefix(filepath.ToSlash(pos.Filename), "internal/simnet/") {
+			got++
+			t.Logf("%s", pos)
+		}
+	})
+	if got != newEventCallSites {
+		t.Errorf("%d NewEvent call sites outside internal/sim and internal/simnet, recorded %d: a timer of an activity is a sim.Cont; lower the number when one goes",
+			got, newEventCallSites)
+	}
+}
+
 // httpGetCallers lists, by file, the non-test callers of the blocking
 // Host.HTTPGet. It only shrinks: each is a process waiting to become an
 // HTTPGetAsync callback, and when the map is empty HTTPGet goes.
