@@ -56,7 +56,12 @@ race:
 # TestContMatchesProc (a sim.Cont and a Proc run the same random script of
 # sleeps, charges, re-armed timers and channel receives: every step at the
 # same instant, in the same event, after the same sequence numbers) and
-# TestAllocsContCycle (a warm cycle through every wait, at 0 allocs).
+# TestAllocsContCycle (a warm cycle through every wait, at 0 allocs). The
+# root package's go/parser ratchets hold the surfaces, each number only going
+# down: TestKernelGoCallSites (11 Kernel.Go sites under internal/),
+# TestBlockingConnCallSites (no Dial/Listen/Recv taking a *sim.Proc; HTTPGet
+# callers by file) and TestSurfaceCounts (core.Config 18 fields,
+# testbed.Options 24, *kube.APIServer 9 exported methods).
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

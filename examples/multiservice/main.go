@@ -49,14 +49,14 @@ func main() {
 	tb.K.RunUntil(5 * time.Minute)
 
 	fmt.Println("\ncluster objects after the deployment:")
-	for _, d := range tb.Kube.API().ListDeployments(nil) {
+	for _, d := range tb.Kube.API().Deployments.List(nil) {
 		fmt.Printf("  deployment %s  replicas=%d scheduler=%q\n", d.Name, d.Replicas, d.SchedulerName)
 	}
 	for _, pod := range tb.Kube.API().ListPods(nil, nil) {
 		fmt.Printf("  pod %s  node=%s phase=%s hostPort=%d containers=%d\n",
 			pod.Name, pod.NodeName, pod.Phase, pod.HostPort, len(pod.Spec.Containers))
 	}
-	for _, s := range tb.Kube.API().ListServices(nil) {
+	for _, s := range tb.Kube.API().Services.List(nil) {
 		fmt.Printf("  service %s  port=%d targetPort=%d nodePort=%d\n",
 			s.Name, s.Port, s.TargetPort, s.NodePort)
 	}

@@ -119,7 +119,7 @@ func TestPortServesAfterReady(t *testing.T) {
 		c, _ := rg.rt.Create(p, webConfig("c1", 200*time.Millisecond))
 		c.Start(p, 30080)
 		// Immediately after start the port must refuse (app initializing).
-		_, refusedErr = rg.client.Dial(p, rg.node.IP(), 30080, 0)
+		_, refusedErr = rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
 		c.AwaitReady(p, 10*time.Millisecond)
 		res, err := rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
 		okErr = err
@@ -147,7 +147,7 @@ func TestStopClosesPort(t *testing.T) {
 		if err2 := c.Stop(p); err2 != nil {
 			t.Errorf("stop: %v", err2)
 		}
-		_, err = rg.client.Dial(p, rg.node.IP(), 30080, 0)
+		_, err = rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
 	})
 	rg.k.Run()
 	if !errors.Is(err, simnet.ErrConnRefused) {
@@ -169,7 +169,7 @@ func TestRestartAfterStop(t *testing.T) {
 			return
 		}
 		c.AwaitReady(p, 5*time.Millisecond)
-		_, err := rg.client.Dial(p, rg.node.IP(), 30081, 0)
+		_, err := rg.client.HTTPGet(p, rg.node.IP(), 30081, &simnet.HTTPRequest{}, 0)
 		ok = err == nil
 	})
 	rg.k.Run()

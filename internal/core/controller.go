@@ -49,12 +49,10 @@ type Config struct {
 	// gets before the deployment is declared failed (0 = fail on the first
 	// error, the paper's behavior).
 	DeployRetries int
-	// DeployBackoffBase / DeployBackoffMax shape the capped exponential
-	// backoff between retry attempts: base, 2*base, 4*base, ... capped at
-	// max. Zero selects the defaults (50ms base, 2s cap); a negative base
-	// retries immediately.
+	// DeployBackoffBase starts the capped exponential backoff between retry
+	// attempts: base, 2*base, 4*base, ... capped at deployBackoffMax. Zero
+	// selects DefaultDeployBackoffBase; a negative base retries immediately.
 	DeployBackoffBase time.Duration
-	DeployBackoffMax  time.Duration
 	// StateQueryLatency is charged per cluster when the Dispatcher
 	// gathers the list of existing and running instances (fig. 7) — the
 	// Docker / Kubernetes API round trips of the paper's Python client
@@ -66,14 +64,6 @@ type Config struct {
 	// concurrent sim processes and the charged latency is the maximum
 	// over clusters, keeping dispatch ~flat in the cluster count.
 	SerialStateQueries bool
-	// MaxDeployRecords caps the retained DeployRecords: once reached,
-	// the oldest record is evicted ring-buffer style, so long trace
-	// replays do not grow controller memory without bound. 0 keeps every
-	// record (the evaluation experiments read them all).
-	MaxDeployRecords int
-	// FlowPriority/PuntPriority order the redirect vs. packet-in rules.
-	FlowPriority int
-	PuntPriority int
 	// AutoScaleDown scales a service down once its last memorized flow
 	// expires (§V: "our controller may automatically scale down idle edge
 	// service instances").
@@ -84,10 +74,6 @@ type Config struct {
 	// within the selected cluster (the Local Scheduler's traffic-level
 	// role, fig. 6); nil keeps the cluster's primary endpoint.
 	InstancePicker InstancePicker
-	// RuntimeClassKinds maps a service's runtimeClassName to the cluster
-	// kinds that can run it (§VIII side-by-side operation). Nil installs
-	// the defaults: "" -> {docker, kubernetes}, "wasm" -> {serverless}.
-	RuntimeClassKinds map[string][]string
 	// Events, when set, receives the controller's structured events
 	// (registrations, dispatch outcomes, deployment and scale-down
 	// failures; see obs.EventKind). Event.String renders each as one line.
@@ -118,11 +104,24 @@ type Config struct {
 // genuinely dead instances.
 const DefaultProbeMaxWait = 5 * time.Minute
 
-// Default retry-backoff shape (capped exponential).
+// DefaultDeployBackoffBase is the first retry's backoff; each later one
+// doubles, up to deployBackoffMax.
+const DefaultDeployBackoffBase = 50 * time.Millisecond
+
 const (
-	DefaultDeployBackoffBase = 50 * time.Millisecond
-	DefaultDeployBackoffMax  = 2 * time.Second
+	deployBackoffMax = 2 * time.Second
+	// flowPriority and puntPriority order the redirect rules above the
+	// packet-in rules.
+	flowPriority = 100
+	puntPriority = 50
 )
+
+// runtimeClassKinds maps a service's runtimeClassName to the cluster kinds
+// that can run it (§VIII side-by-side operation).
+var runtimeClassKinds = map[string]map[string]bool{
+	"":     {"docker": true, "kubernetes": true},
+	"wasm": {"serverless": true},
+}
 
 // DefaultConfig returns the controller defaults used in the evaluation.
 func DefaultConfig() Config {
@@ -134,8 +133,6 @@ func DefaultConfig() Config {
 		ProbeDialTimeout:  500 * time.Millisecond,
 		ProbeMaxWait:      DefaultProbeMaxWait,
 		StateQueryLatency: 8 * time.Millisecond,
-		FlowPriority:      100,
-		PuntPriority:      50,
 	}
 }
 
@@ -207,17 +204,13 @@ type Controller struct {
 	// registration wins), making name lookups and liveness checks O(1)
 	// on the packet-in hot path.
 	clusterIdx map[string]int
-	// allowedKinds is cfg.RuntimeClassKinds converted to sets at
-	// construction, so the per-request kind filter is a map probe.
-	allowedKinds map[string]map[string]bool
-	services     map[addrPort]*spec.Annotated
-	byName       map[string]*spec.Annotated
-	regByName    map[string]spec.Registration
-	Memory       *FlowMemory
-	deploy       *deployer
-	records      []DeployRecord
-	recHead      int // ring start once records is at MaxDeployRecords
-	clientLoc    map[simnet.Addr]ClientLocation
+	services   map[addrPort]*spec.Annotated
+	byName     map[string]*spec.Annotated
+	regByName  map[string]spec.Registration
+	Memory     *FlowMemory
+	deploy     *deployer
+	records    []DeployRecord
+	clientLoc  map[simnet.Addr]ClientLocation
 	// pendingHO records handovers a rule-based backend has not yet resolved
 	// (see handover.go); gaps collects one continuity-gap sample per
 	// resolved handover of a client with live flows. transit holds the
@@ -274,15 +267,6 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 	if cfg.DeployBackoffBase == 0 {
 		cfg.DeployBackoffBase = DefaultDeployBackoffBase
 	}
-	if cfg.DeployBackoffMax == 0 {
-		cfg.DeployBackoffMax = DefaultDeployBackoffMax
-	}
-	if cfg.FlowPriority == 0 {
-		cfg.FlowPriority = 100
-	}
-	if cfg.PuntPriority == 0 {
-		cfg.PuntPriority = 50
-	}
 	c := &Controller{
 		k:          k,
 		cfg:        cfg,
@@ -295,20 +279,6 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		pendingHO:  make(map[simnet.Addr]pendingHandover),
 		gaps:       metrics.NewHist("continuity_gap"),
 	}
-	if c.cfg.RuntimeClassKinds == nil {
-		c.cfg.RuntimeClassKinds = map[string][]string{
-			"":     {"docker", "kubernetes"},
-			"wasm": {"serverless"},
-		}
-	}
-	c.allowedKinds = make(map[string]map[string]bool, len(c.cfg.RuntimeClassKinds))
-	for class, kinds := range c.cfg.RuntimeClassKinds {
-		set := make(map[string]bool, len(kinds))
-		for _, kind := range kinds {
-			set[kind] = true
-		}
-		c.allowedKinds[class] = set
-	}
 	c.Memory = NewFlowMemory(k, cfg.MemoryIdleTimeout)
 	c.Memory.OnIdleInstance = c.onIdleInstance
 	c.Memory.OnIdleClient = c.onIdleClient
@@ -319,7 +289,7 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 	}
 	c.steerB.Bind(steer.Params{
 		Kernel:       k,
-		FlowPriority: c.cfg.FlowPriority,
+		FlowPriority: flowPriority,
 		IdleTimeout:  c.cfg.SwitchIdleTimeout,
 		// Stateless backends have no flow-removed notification; their
 		// idle-expired bindings reach steeringExpired directly.
@@ -436,7 +406,7 @@ func (c *Controller) ServiceNames() []string {
 
 func (c *Controller) installPunt(sw *openflow.Switch, ap addrPort) {
 	sw.AddFlow(openflow.FlowRule{
-		Priority: c.cfg.PuntPriority,
+		Priority: puntPriority,
 		Match:    openflow.Match{DstIP: ap.ip, DstPort: ap.port},
 		Actions:  openflow.Actions{Output: openflow.OutputController},
 	})
@@ -604,7 +574,7 @@ func (c *Controller) clusterByName(name string) (cluster.Cluster, bool) {
 // in d's buffers.
 func (c *Controller) buildState(p *sim.Proc, d *dispatchRec) State {
 	svc, client := d.svc, d.fk.Client
-	allowed := c.allowedKinds[svc.RuntimeClass]
+	allowed := runtimeClassKinds[svc.RuntimeClass]
 	d.cands = d.cands[:0]
 	for i, e := range c.clusters {
 		if allowed != nil && !allowed[e.kind] {
@@ -971,24 +941,9 @@ func (c *Controller) RemoveService(p *sim.Proc, clusterName, serviceName string)
 	return cl.Remove(p, serviceName)
 }
 
-// addRecord appends a deployment record. With Config.MaxDeployRecords set,
-// the slice acts as a ring buffer: the oldest record is overwritten once
-// the cap is reached, bounding controller memory on long trace replays.
-func (c *Controller) addRecord(rec DeployRecord) {
-	if max := c.cfg.MaxDeployRecords; max > 0 && len(c.records) >= max {
-		c.records[c.recHead] = rec
-		c.recHead = (c.recHead + 1) % len(c.records)
-		return
-	}
-	c.records = append(c.records, rec)
-}
-
-// Records returns the retained deployment records, oldest first.
+// Records returns a copy of the deployment records, oldest first.
 func (c *Controller) Records() []DeployRecord {
-	out := make([]DeployRecord, 0, len(c.records))
-	out = append(out, c.records[c.recHead:]...)
-	out = append(out, c.records[:c.recHead]...)
-	return out
+	return append(make([]DeployRecord, 0, len(c.records)), c.records...)
 }
 
 // RecordsFor filters records by cluster name ("" = any) and service name
@@ -1004,7 +959,7 @@ func (c *Controller) RecordsFor(clusterName, serviceName string) []DeployRecord 
 // assert on those.
 func (c *Controller) RecordsIncluding(clusterName, serviceName string, includeFailed bool) []DeployRecord {
 	var out []DeployRecord
-	for _, r := range c.Records() {
+	for _, r := range c.records {
 		if r.Err != nil && !includeFailed {
 			continue
 		}
@@ -1022,7 +977,6 @@ func (c *Controller) RecordsIncluding(clusterName, serviceName string, includeFa
 // ResetRecords clears the deployment records (between experiment runs).
 func (c *Controller) ResetRecords() {
 	c.records = nil
-	c.recHead = 0
 }
 
 // CookieCount returns how many per-flow steering decisions the backend

@@ -121,7 +121,7 @@ func ready(cl cluster.Cluster, svc *spec.Annotated) bool {
 
 // retryPhase runs one deployment-phase operation with up to
 // Config.DeployRetries retries under capped exponential backoff
-// (DeployBackoffBase doubling per attempt, capped at DeployBackoffMax),
+// (DeployBackoffBase doubling per attempt, capped at deployBackoffMax),
 // accounting retry attempts in the record, the controller stats, and the
 // per-phase/per-cluster retry counter.
 func (d *deployer) retryPhase(p *sim.Proc, rec *DeployRecord, phase string, op func() error) error {
@@ -142,10 +142,7 @@ func (d *deployer) retryPhase(p *sim.Proc, rec *DeployRecord, phase string, op f
 		}
 		if backoff > 0 {
 			p.Sleep(backoff)
-			backoff *= 2
-			if cfg.DeployBackoffMax > 0 && backoff > cfg.DeployBackoffMax {
-				backoff = cfg.DeployBackoffMax
-			}
+			backoff = min(2*backoff, deployBackoffMax)
 		}
 	}
 }
@@ -216,7 +213,7 @@ func (d *deployer) run(p *sim.Proc, cl cluster.Cluster, svc *spec.Annotated, ref
 		if reg := d.ctrl.reg; reg != nil {
 			reg.Counter(`deploy_failures_total{cluster="` + rec.Cluster + `"}`).Inc()
 		}
-		d.ctrl.addRecord(rec)
+		d.ctrl.records = append(d.ctrl.records, rec)
 		endDeploy(err.Error())
 		return cluster.Instance{}, rec.DidPull || rec.DidCreate || rec.DidScaleUp, err
 	}
@@ -295,7 +292,7 @@ func (d *deployer) run(p *sim.Proc, cl cluster.Cluster, svc *spec.Annotated, ref
 	}
 	rec.Attempts = rec.Retries + 1
 	if rec.DidPull || rec.DidCreate || rec.DidScaleUp {
-		d.ctrl.addRecord(rec)
+		d.ctrl.records = append(d.ctrl.records, rec)
 		endDeploy("")
 		return inst, true, nil
 	}

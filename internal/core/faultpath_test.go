@@ -211,8 +211,8 @@ func TestDrainInterruptionRedeploys(t *testing.T) {
 // successful-only contract; RecordsIncluding exposes the failures.
 func TestRecordsIncludingFailed(t *testing.T) {
 	rg := newHotpathRig(t, 1, 0, DefaultConfig())
-	rg.ctrl.addRecord(DeployRecord{Service: "ok", Cluster: "fc0", Attempts: 1})
-	rg.ctrl.addRecord(DeployRecord{Service: "bad", Cluster: "fc0", Attempts: 3, Retries: 2, Err: errors.New("boom")})
+	rg.ctrl.records = append(rg.ctrl.records, DeployRecord{Service: "ok", Cluster: "fc0", Attempts: 1})
+	rg.ctrl.records = append(rg.ctrl.records, DeployRecord{Service: "bad", Cluster: "fc0", Attempts: 3, Retries: 2, Err: errors.New("boom")})
 
 	if got := rg.ctrl.RecordsFor("fc0", ""); len(got) != 1 || got[0].Service != "ok" {
 		t.Fatalf("RecordsFor = %+v, want only the successful record", got)

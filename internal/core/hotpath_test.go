@@ -304,7 +304,7 @@ func TestStaleFlowRemovedKeepsClient(t *testing.T) {
 	cfg.SwitchIdleTimeout = time.Second
 	rg := newHotpathRig(t, 0, 1, cfg) // no cluster: every dispatch forwards to the cloud
 	cli := rg.clients[0]
-	rg.k.Go("ue", func(p *sim.Proc) { cli.Dial(p, "203.0.113.10", 80, 100*time.Millisecond) })
+	cli.HTTPGetAsync("203.0.113.10", 80, &simnet.HTTPRequest{}, 100*time.Millisecond, func(*simnet.HTTPResult, error) {})
 	rg.k.RunUntil(500 * time.Millisecond)
 	if rg.ctrl.Stats.CloudForwards != 1 || rg.sw.RuleCount() != 2 || rg.ctrl.Memory.ClientFlows(cli.IP()) != 0 {
 		t.Fatalf("setup: %d cloud forwards, %d rules, %d memorized flows; want 1, punt + pair, 0",
@@ -397,30 +397,6 @@ func TestRoundRobinPickerPerService(t *testing.T) {
 	}
 	if len(counts) == 0 {
 		t.Fatal("no picks recorded")
-	}
-}
-
-// TestDeployRecordsRingBuffer: MaxDeployRecords caps retention and keeps
-// the most recent records in order.
-func TestDeployRecordsRingBuffer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxDeployRecords = 3
-	rg := newHotpathRig(t, 1, 0, cfg)
-	for i := 0; i < 7; i++ {
-		rg.ctrl.addRecord(DeployRecord{Service: fmt.Sprintf("svc%d", i)})
-	}
-	recs := rg.ctrl.Records()
-	if len(recs) != 3 {
-		t.Fatalf("records = %d, want 3 (capped)", len(recs))
-	}
-	for i, want := range []string{"svc4", "svc5", "svc6"} {
-		if recs[i].Service != want {
-			t.Fatalf("records[%d] = %s, want %s (oldest-first order)", i, recs[i].Service, want)
-		}
-	}
-	rg.ctrl.ResetRecords()
-	if len(rg.ctrl.Records()) != 0 {
-		t.Fatal("ResetRecords left records behind")
 	}
 }
 

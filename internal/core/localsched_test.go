@@ -42,8 +42,8 @@ func TestInstancePickerSpreadsClients(t *testing.T) {
 	rt1 := container.NewRuntime(node1, registry.NewClient(node1, resolver, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
 	rt2 := container.NewRuntime(node2, registry.NewClient(node2, resolver, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
 	kc := kube.New("edge-k8s", k, kube.DefaultConfig())
-	kc.AddNode("n1", rt1, beh)
-	kc.AddNode("n2", rt2, beh)
+	kc.AddNode("n1", rt1, beh, kube.DefaultCapacity())
+	kc.AddNode("n2", rt2, beh, kube.DefaultCapacity())
 	kc.Start()
 
 	clients := make([]*simnet.Host, 4)

@@ -14,27 +14,60 @@ import (
 	"transparentedge/internal/simnet"
 )
 
-// procLoopProbe is the readiness probing as it ran before the prober: a
-// process that dials, and on failure checks the deadline and sleeps. Kept as
-// the oracle TestProbeMatchesProcLoop compares the state machine against.
-func procLoopProbe(p *sim.Proc, host *simnet.Host, cfg Config, inst cluster.Instance) error {
-	deadline := sim.Time(-1)
-	if cfg.ProbeMaxWait > 0 {
-		deadline = p.Now() + cfg.ProbeMaxWait
-	}
-	for {
-		conn, err := host.Dial(p, inst.Addr, inst.Port, cfg.ProbeDialTimeout)
-		if err == nil {
-			conn.Close()
-			return nil
-		}
-		if deadline >= 0 && p.Now() >= deadline {
-			return fmt.Errorf("%w: %s on %s (%s:%d) after %v",
-				ErrProbeTimeout, inst.Service, inst.Cluster, inst.Addr, inst.Port, cfg.ProbeMaxWait)
-		}
-		p.Sleep(cfg.ProbeInterval)
-	}
+// timerLoop is the readiness probing written with plain kernel timers and a
+// connection handler, the oracle TestProbeMatchesTimerLoop compares the
+// prober's sim.Cont against: dial; on a refusal, or a dial timeout (the dial
+// is aborted), give up once past the deadline, else pause and dial again;
+// close the connection that is accepted.
+type timerLoop struct {
+	k        *sim.Kernel
+	host     *simnet.Host
+	cfg      Config
+	inst     cluster.Instance
+	deadline sim.Time
+	timeout  *sim.Event
+	done     *sim.Promise[struct{}]
 }
+
+func timerLoopProbe(p *sim.Proc, host *simnet.Host, cfg Config, inst cluster.Instance) error {
+	l := &timerLoop{k: p.Kernel(), host: host, cfg: cfg, inst: inst, deadline: -1, done: sim.NewPromise[struct{}](p.Kernel())}
+	if cfg.ProbeMaxWait > 0 {
+		l.deadline = p.Now() + cfg.ProbeMaxWait
+	}
+	l.dial()
+	_, err := l.done.Await(p)
+	return err
+}
+
+func (l *timerLoop) dial() {
+	c := l.host.DialAsync(l.inst.Addr, l.inst.Port, l)
+	l.timeout = l.k.After(l.cfg.ProbeDialTimeout, func() {
+		c.Abort()
+		l.failed()
+	})
+}
+
+func (l *timerLoop) failed() {
+	if l.deadline >= 0 && l.k.Now() >= l.deadline {
+		l.done.Fail(fmt.Errorf("%w: %s on %s (%s:%d) after %v",
+			ErrProbeTimeout, l.inst.Service, l.inst.Cluster, l.inst.Addr, l.inst.Port, l.cfg.ProbeMaxWait))
+		return
+	}
+	l.k.After(l.cfg.ProbeInterval, l.dial)
+}
+
+func (l *timerLoop) ConnEstablished(c *simnet.Conn, ok bool) {
+	l.timeout.Cancel()
+	if !ok {
+		l.failed()
+		return
+	}
+	c.Close()
+	l.done.Resolve(struct{}{})
+}
+
+func (l *timerLoop) ConnMessage(*simnet.Conn, any) {}
+func (l *timerLoop) ConnClosed(*simnet.Conn)       {}
 
 // probeCase is one randomized probing scenario.
 type probeCase struct {
@@ -96,7 +129,7 @@ func deadlineCase(pc probeCase, seed int64) probeCase {
 	pc.cfg.ProbeDialTimeout = time.Second
 	pc.cfg.ProbeMaxWait = 1
 	rtt := runProbeCase(pc, seed, func(p *sim.Proc, c *Controller, inst cluster.Instance) error {
-		return procLoopProbe(p, c.probeHost, c.cfg, inst)
+		return timerLoopProbe(p, c.probeHost, c.cfg, inst)
 	}).done
 	pc.cfg.ProbeMaxWait = 3*(pc.cfg.ProbeInterval+rtt) + rtt
 	return pc
@@ -154,11 +187,11 @@ func runProbeCase(pc probeCase, seed int64, probe func(*sim.Proc, *Controller, c
 	return out
 }
 
-// TestProbeMatchesProcLoop: the prober is indistinguishable from the process
-// loop it replaced — same completion instant to the nanosecond, same error,
+// TestProbeMatchesTimerLoop: the prober is indistinguishable from the timer
+// loop — same completion instant to the nanosecond, same error,
 // same packets at the same instants with the same ephemeral ports, nothing
 // left behind on the probing host or in the kernel.
-func TestProbeMatchesProcLoop(t *testing.T) {
+func TestProbeMatchesTimerLoop(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 64; i++ {
@@ -167,7 +200,7 @@ func TestProbeMatchesProcLoop(t *testing.T) {
 				pc = deadlineCase(pc, seed)
 			}
 			want := runProbeCase(pc, seed, func(p *sim.Proc, c *Controller, inst cluster.Instance) error {
-				return procLoopProbe(p, c.probeHost, c.cfg, inst)
+				return timerLoopProbe(p, c.probeHost, c.cfg, inst)
 			})
 			got := runProbeCase(pc, seed, func(p *sim.Proc, c *Controller, inst cluster.Instance) error {
 				return c.probeUntilOpen(p, inst)

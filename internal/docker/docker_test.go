@@ -124,9 +124,7 @@ func TestFullPhasesAndServe(t *testing.T) {
 		}
 		// Probe until the port is open, then issue a request.
 		for {
-			c, derr := rg.client.Dial(p, inst.Addr, inst.Port, 0)
-			if derr == nil {
-				c.Close()
+			if _, derr := rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0); derr == nil {
 				break
 			}
 			p.Sleep(20 * time.Millisecond)
@@ -162,9 +160,7 @@ func TestScaleUpIsFast(t *testing.T) {
 			return
 		}
 		for {
-			c, derr := rg.client.Dial(p, inst.Addr, inst.Port, 0)
-			if derr == nil {
-				c.Close()
+			if _, derr := rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0); derr == nil {
 				break
 			}
 			p.Sleep(20 * time.Millisecond)
@@ -227,7 +223,7 @@ func TestScaleDownClosesEndpoint(t *testing.T) {
 		if _, ok := rg.eng.Endpoint(a.UniqueName); ok {
 			t.Error("endpoint still advertised after scale down")
 		}
-		_, dialErr = rg.client.Dial(p, inst.Addr, inst.Port, 0)
+		_, dialErr = rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0)
 	})
 	rg.k.Run()
 	if !errors.Is(dialErr, simnet.ErrConnRefused) {

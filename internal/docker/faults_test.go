@@ -7,6 +7,7 @@ import (
 
 	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
+	"transparentedge/internal/simnet"
 )
 
 func withFaults(r *rig, spec faults.ClusterSpec) *faults.Plan {
@@ -66,7 +67,7 @@ func TestFaultCrashAfterStart(t *testing.T) {
 			t.Error("service running after crash-after-start")
 		}
 		p.Sleep(2 * time.Second) // far beyond init; the port must stay closed
-		if _, err := r.client.Dial(p, inst.Addr, inst.Port, 50*time.Millisecond); err == nil {
+		if _, err := r.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 50*time.Millisecond); err == nil {
 			t.Error("crashed instance accepted a connection")
 		}
 		// Retry: containers restart from Stopped and the port opens.
@@ -75,9 +76,7 @@ func TestFaultCrashAfterStart(t *testing.T) {
 			t.Fatalf("retry scale-up: %v", err)
 		}
 		for {
-			c, err := r.client.Dial(p, inst2.Addr, inst2.Port, 50*time.Millisecond)
-			if err == nil {
-				c.Close()
+			if _, err := r.client.HTTPGet(p, inst2.Addr, inst2.Port, &simnet.HTTPRequest{}, 50*time.Millisecond); err == nil {
 				break
 			}
 			p.Sleep(20 * time.Millisecond)

@@ -35,19 +35,20 @@ func DefaultAPIConfig() APIConfig {
 // labelPair is one (label key, value) entry, the key of the label indexes.
 type labelPair struct{ key, value string }
 
-// APIServer is the versioned object store with watch support. Objects are
-// stored as immutable snapshots (see the package comment): List* methods and
-// watch events hand out the shared snapshots read-only, Get* methods return
+// APIServer is the versioned object store with watch support, one Store per
+// kind. Objects are stored as immutable snapshots (see the package comment):
+// lists and watch events hand out the shared snapshots read-only, Get returns
 // private copies.
 type APIServer struct {
 	k           *sim.Kernel
 	cfg         APIConfig
 	version     uint64
-	deployments *store[*Deployment]
-	replicaSets *store[*ReplicaSet]
-	pods        *store[*Pod]
-	services    *store[*Service]
-	nodes       *store[*Node]
+	Deployments *Store[*Deployment]
+	ReplicaSets *Store[*ReplicaSet]
+	Pods        *Store[*Pod] // created with a generated name and default phase
+	Services    *Store[*Service]
+	Nodes       Reader[*Node] // written only by heartbeats and the node monitor
+	nodes       *Store[*Node]
 	// Secondary indexes, maintained on every write by the stores' reindex
 	// hooks; every bucket is name-ordered.
 	rsByOwner     index[string, *ReplicaSet]
@@ -71,17 +72,26 @@ func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
 		svcBySelector: make(index[labelPair, *Service]),
 		subs:          make(map[Kind][]func(Event)),
 	}
-	a.deployments = newStore[*Deployment](a, KindDeployment, nil)
-	a.replicaSets = newStore(a, KindReplicaSet, keyed(a.rsByOwner, func(rs *ReplicaSet) string { return rs.Owner }))
+	a.Deployments = newStore[*Deployment](a, KindDeployment, nil)
+	a.ReplicaSets = newStore(a, KindReplicaSet, keyed(a.rsByOwner, func(rs *ReplicaSet) string { return rs.Owner }))
 	byOwner := keyed(a.podsByOwner, func(pod *Pod) string { return pod.Owner })
 	byNode := keyed(a.podsByNode, func(pod *Pod) string { return pod.NodeName })
-	a.pods = newStore(a, KindPod, func(old, cur *Pod) {
+	a.Pods = newStore(a, KindPod, func(old, cur *Pod) {
 		byOwner(old, cur)
 		byNode(old, cur)
 		a.reindexPodLabels(old, cur)
 	})
-	a.services = newStore(a, KindService, keyed(a.svcBySelector, func(s *Service) labelPair { return selectorKey(s.Selector) }))
+	a.Pods.admit = func(pod *Pod) {
+		if pod.Name == "" {
+			pod.Name = pod.Owner + "-" + a.nameSuffix()
+		}
+		if pod.Phase == "" {
+			pod.Phase = PodPending
+		}
+	}
+	a.Services = newStore(a, KindService, keyed(a.svcBySelector, func(s *Service) labelPair { return selectorKey(s.Selector) }))
 	a.nodes = newStore[*Node](a, KindNode, nil)
+	a.Nodes = a.nodes
 	return a
 }
 
@@ -116,9 +126,6 @@ func selectorKey(selector map[string]string) labelPair {
 	}
 	return least
 }
-
-// Kernel returns the kernel the API server runs on.
-func (a *APIServer) Kernel() *sim.Kernel { return a.k }
 
 // Subscribe registers fn for the events of kind. fn runs as a kernel event
 // WatchLatency after each write, in subscription order among the kind's
@@ -190,95 +197,25 @@ func (a *APIServer) charge(p *sim.Proc) {
 	}
 }
 
-// --- Deployments ---
-
-// CreateDeployment stores a copy of d as a new Deployment.
-func (a *APIServer) CreateDeployment(p *sim.Proc, d *Deployment) error {
-	return a.deployments.create(p, d)
-}
-
-// GetDeployment returns a private copy of the named Deployment.
-func (a *APIServer) GetDeployment(p *sim.Proc, name string) (*Deployment, error) {
-	return a.deployments.get(p, name)
-}
-
-// UpdateDeployment replaces the named Deployment with a copy of d.
-func (a *APIServer) UpdateDeployment(p *sim.Proc, d *Deployment) error {
-	return a.deployments.update(p, d)
-}
-
-// DeleteDeployment removes the named Deployment.
-func (a *APIServer) DeleteDeployment(p *sim.Proc, name string) error {
-	return a.deployments.delete(p, name)
-}
-
-// ListDeployments returns all Deployments, sorted by name, as read-only
-// snapshots (GetDeployment for a mutable copy).
-func (a *APIServer) ListDeployments(p *sim.Proc) []*Deployment { return a.deployments.list(p) }
-
-// --- ReplicaSets ---
-
-// CreateReplicaSet stores a copy of rs as a new ReplicaSet.
-func (a *APIServer) CreateReplicaSet(p *sim.Proc, rs *ReplicaSet) error {
-	return a.replicaSets.create(p, rs)
-}
-
-// GetReplicaSet returns a private copy of the named ReplicaSet.
-func (a *APIServer) GetReplicaSet(p *sim.Proc, name string) (*ReplicaSet, error) {
-	return a.replicaSets.get(p, name)
-}
-
-// UpdateReplicaSet replaces the named ReplicaSet with a copy of rs.
-func (a *APIServer) UpdateReplicaSet(p *sim.Proc, rs *ReplicaSet) error {
-	return a.replicaSets.update(p, rs)
-}
-
-// DeleteReplicaSet removes the named ReplicaSet.
-func (a *APIServer) DeleteReplicaSet(p *sim.Proc, name string) error {
-	return a.replicaSets.delete(p, name)
-}
-
-// ListReplicaSets returns the ReplicaSets owned by owner ("" for all),
-// sorted by name, as read-only snapshots (GetReplicaSet for a mutable copy).
+// ListReplicaSets returns the ReplicaSets owned by the given Deployment,
+// sorted by name, as read-only snapshots (ReplicaSets.List for all of them).
 func (a *APIServer) ListReplicaSets(p *sim.Proc, owner string) []*ReplicaSet {
-	if owner == "" {
-		return a.replicaSets.list(p)
-	}
 	a.charge(p)
 	return a.rsByOwner[owner].view()
 }
 
-// --- Pods ---
-
-// CreatePod stores a copy of pod as a new Pod and returns a private copy of
-// what was stored; an empty name gets a generated suffix.
+// CreatePod is Pods.Create returning a private copy of what was stored, whose
+// name is generated if pod's was empty; pod itself is not written.
 func (a *APIServer) CreatePod(p *sim.Proc, pod *Pod) (*Pod, error) {
-	a.charge(p)
-	if pod.Name == "" {
-		pod.Name = pod.Owner + "-" + a.nameSuffix()
+	snap, err := a.Pods.insert(p, pod.clone())
+	if err != nil {
+		return nil, err
 	}
-	if _, dup := a.pods.byName[pod.Name]; dup {
-		return nil, a.pods.errorf(ErrAlreadyExists, pod.Name)
-	}
-	cp := pod.clone()
-	if cp.Phase == "" {
-		cp.Phase = PodPending
-	}
-	a.pods.put(cp, Added)
-	return cp.clone(), nil
+	return snap.clone(), nil
 }
 
-// GetPod returns a private copy of the named Pod.
-func (a *APIServer) GetPod(p *sim.Proc, name string) (*Pod, error) { return a.pods.get(p, name) }
-
-// UpdatePod replaces the named Pod with a copy of pod.
-func (a *APIServer) UpdatePod(p *sim.Proc, pod *Pod) error { return a.pods.update(p, pod) }
-
-// DeletePod removes the named Pod.
-func (a *APIServer) DeletePod(p *sim.Proc, name string) error { return a.pods.delete(p, name) }
-
 // ListPods returns the pods matching selector (nil for all), sorted by name,
-// as read-only snapshots (GetPod for a mutable copy).
+// as read-only snapshots (Pods.Get for a mutable copy).
 func (a *APIServer) ListPods(p *sim.Proc, selector map[string]string) []*Pod {
 	a.charge(p)
 	return a.podsMatching(selector)
@@ -288,7 +225,7 @@ func (a *APIServer) ListPods(p *sim.Proc, selector map[string]string) []*Pod {
 // is a bucket as it stands, a longer one filters its smallest bucket.
 func (a *APIServer) podsMatching(selector map[string]string) []*Pod {
 	if len(selector) == 0 {
-		return a.pods.sorted.view()
+		return a.Pods.sorted.view()
 	}
 	var smallest *nameList[*Pod]
 	for k, v := range selector {
@@ -325,23 +262,6 @@ func (a *APIServer) ListPodsByNode(p *sim.Proc, node string) []*Pod {
 	a.charge(p)
 	return a.podsByNode[node].view()
 }
-
-// --- Services ---
-
-// CreateService stores a copy of s as a new Service.
-func (a *APIServer) CreateService(p *sim.Proc, s *Service) error { return a.services.create(p, s) }
-
-// GetService returns a private copy of the named Service.
-func (a *APIServer) GetService(p *sim.Proc, name string) (*Service, error) {
-	return a.services.get(p, name)
-}
-
-// DeleteService removes the named Service.
-func (a *APIServer) DeleteService(p *sim.Proc, name string) error { return a.services.delete(p, name) }
-
-// ListServices returns all Services, sorted by name, as read-only snapshots
-// (GetService for a mutable copy).
-func (a *APIServer) ListServices(p *sim.Proc) []*Service { return a.services.list(p) }
 
 // servicesSelecting returns the Services whose selector matches labels,
 // sorted by name.

@@ -27,17 +27,17 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 	if err := c.faults.ScaleUpError(p.Now()); err != nil {
 		return cluster.Instance{}, err
 	}
-	d, err := c.api.GetDeployment(p, name)
+	d, err := c.api.Deployments.Get(p, name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
 		d.Replicas = 1
-		if err := c.api.UpdateDeployment(p, d); err != nil {
+		if err := c.api.Deployments.Update(p, d); err != nil {
 			return cluster.Instance{}, err
 		}
 	}
-	svc, err := c.api.GetService(p, name)
+	svc, err := c.api.Services.Get(p, name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
@@ -67,7 +67,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 
 // crashPodLoop is Cluster.crashPod's watcher as a process.
 func crashPodLoop(c *Cluster, podName string, n *node, svcName string) {
-	c.api.Kernel().Go("faultcrash:"+c.name+":"+podName, func(p *sim.Proc) {
+	c.api.k.Go("faultcrash:"+c.name+":"+podName, func(p *sim.Proc) {
 		deadline := p.Now() + 30*time.Second
 		for p.Now() < deadline {
 			killed := false
@@ -183,7 +183,7 @@ func TestScaleUpBindTimeout(t *testing.T) {
 	r.k.Go("driver", func(p *sim.Proc) {
 		r.kc.Kubelet("egs").SetFailed(true)
 		p.Sleep(time.Minute) // past the 40 s grace period: the node is NotReady
-		if n := r.kc.API().GetNode(nil, "egs"); n == nil || n.Ready {
+		if n, _ := r.kc.API().Nodes.Get(nil, "egs"); n == nil || n.Ready {
 			t.Errorf("node = %+v, want NotReady", n)
 			return
 		}

@@ -127,7 +127,7 @@ func (w *worker) done() sim.Step[worker] {
 // reconciliation ensuring each Deployment owns one ReplicaSet with matching
 // replica count.
 func RunDeploymentController(api *APIServer, cfg ControllerConfig) {
-	q := newWorkQueue(api.Kernel())
+	q := newWorkQueue(api.k)
 	api.relay(KindDeployment, func(ev Event) { q.Add(ev.Name) })
 	q.serve(api, cfg, reconcileDeployment)
 }
@@ -137,7 +137,7 @@ func rsName(deployment string) string { return deployment + "-rs" }
 // reconcileDeployment is the Deployment controller's pass over w.key, one
 // API request per step.
 func reconcileDeployment(w *worker) sim.Step[worker] {
-	d, err := w.api.GetDeployment(nil, w.key)
+	d, err := w.api.Deployments.Get(nil, w.key)
 	if err != nil {
 		return deploymentCascade
 	}
@@ -147,22 +147,22 @@ func reconcileDeployment(w *worker) sim.Step[worker] {
 
 // deploymentCascade deletes the ReplicaSet of a Deployment that is gone.
 func deploymentCascade(w *worker) sim.Step[worker] {
-	if _, err := w.api.GetReplicaSet(nil, rsName(w.key)); err != nil {
+	if _, err := w.api.ReplicaSets.Get(nil, rsName(w.key)); err != nil {
 		return w.done()
 	}
 	return func(w *worker) sim.Step[worker] {
-		w.api.DeleteReplicaSet(nil, rsName(w.key))
+		w.api.ReplicaSets.Delete(nil, rsName(w.key))
 		return w.done()
 	}
 }
 
 func deploymentOwnRS(w *worker) sim.Step[worker] {
-	rs, err := w.api.GetReplicaSet(nil, rsName(w.key))
+	rs, err := w.api.ReplicaSets.Get(nil, rsName(w.key))
 	switch {
 	case err != nil:
 		return func(w *worker) sim.Step[worker] {
 			d := w.d
-			w.api.CreateReplicaSet(nil, &ReplicaSet{
+			w.api.ReplicaSets.Create(nil, &ReplicaSet{
 				Name:          rsName(d.Name),
 				Owner:         d.Name,
 				Labels:        maps.Clone(d.Labels),
@@ -175,7 +175,7 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 	case rs.Replicas != w.d.Replicas:
 		rs.Replicas, w.rs = w.d.Replicas, rs
 		return func(w *worker) sim.Step[worker] {
-			w.api.UpdateReplicaSet(nil, w.rs)
+			w.api.ReplicaSets.Update(nil, w.rs)
 			return w.done()
 		}
 	}
@@ -187,7 +187,7 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 // well as ReplicaSets, so pods deleted out from under it (e.g. evicted from
 // a failed node) are replaced.
 func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
-	q := newWorkQueue(api.Kernel())
+	q := newWorkQueue(api.k)
 	api.relay(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
 	api.relay(KindPod, func(ev Event) {
 		if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
@@ -200,7 +200,7 @@ func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 // reconcileReplicaSet is the ReplicaSet controller's pass over w.key, one API
 // request per step.
 func reconcileReplicaSet(w *worker) sim.Step[worker] {
-	w.rs, _ = w.api.GetReplicaSet(nil, w.key) // nil once it is gone: its pods go
+	w.rs, _ = w.api.ReplicaSets.Get(nil, w.key) // nil once it is gone: its pods go
 	return replicaSetListPods
 }
 
@@ -241,11 +241,11 @@ func replicaSetDelete(w *worker) sim.Step[worker] {
 	}
 	return func(w *worker) sim.Step[worker] {
 		if w.rs == nil {
-			w.api.DeletePod(nil, w.pods[0].Name)
+			w.api.Pods.Delete(nil, w.pods[0].Name)
 			w.pods = w.pods[1:]
 		} else {
 			last := len(w.pods) - 1
-			w.api.DeletePod(nil, w.pods[last].Name)
+			w.api.Pods.Delete(nil, w.pods[last].Name)
 			w.pods = w.pods[:last]
 		}
 		return replicaSetDelete(w)
@@ -386,7 +386,7 @@ func schedule(s *scheduler) sim.Step[scheduler] {
 			s.Park(s.events, schedule)
 			return nil
 		}
-		pod := s.api.pods.byName[name]
+		pod := s.api.Pods.byName[name]
 		if pod == nil || pod.NodeName != "" || pod.Phase != PodPending || s.inflight[name] || !s.mine(pod) {
 			continue
 		}
@@ -431,7 +431,7 @@ func bind(b *binding) sim.Step[binding] {
 }
 
 func bindRead(b *binding) sim.Step[binding] {
-	pod, err := b.s.api.GetPod(nil, b.name)
+	pod, err := b.s.api.Pods.Get(nil, b.name)
 	if err != nil || pod.NodeName != "" {
 		return b.end()
 	}
@@ -470,7 +470,7 @@ func bindPick(b *binding) sim.Step[binding] {
 	delete(s.unschedulable, b.name)
 	b.pod.NodeName = node
 	return func(b *binding) sim.Step[binding] {
-		b.s.api.UpdatePod(nil, b.pod)
+		b.s.api.Pods.Update(nil, b.pod)
 		return b.end()
 	}
 }

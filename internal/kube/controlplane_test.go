@@ -81,7 +81,7 @@ func (q *chanWorkQueue) run(name string, workers int, process func(p *sim.Proc, 
 // watch channel into fn.
 func relayLoop(api *APIServer, kind Kind, fn func(Event)) {
 	ch := api.Watch(kind)
-	api.Kernel().Go("relay", func(p *sim.Proc) {
+	api.k.Go("relay", func(p *sim.Proc) {
 		for {
 			ev, _ := ch.Recv(p)
 			fn(ev)
@@ -90,7 +90,7 @@ func relayLoop(api *APIServer, kind Kind, fn func(Event)) {
 }
 
 func runDeploymentControllerLoop(api *APIServer, cfg ControllerConfig) {
-	q := newChanWorkQueue(api.Kernel())
+	q := newChanWorkQueue(api.k)
 	relayLoop(api, KindDeployment, func(ev Event) { q.Add(ev.Name) })
 	q.run("deployment-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
 		p.Sleep(cfg.ReconcileDelay)
@@ -99,16 +99,16 @@ func runDeploymentControllerLoop(api *APIServer, cfg ControllerConfig) {
 }
 
 func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
-	d, err := api.GetDeployment(p, name)
+	d, err := api.Deployments.Get(p, name)
 	if err != nil {
-		if _, rserr := api.GetReplicaSet(p, rsName(name)); rserr == nil {
-			api.DeleteReplicaSet(p, rsName(name))
+		if _, rserr := api.ReplicaSets.Get(p, rsName(name)); rserr == nil {
+			api.ReplicaSets.Delete(p, rsName(name))
 		}
 		return
 	}
-	rs, err := api.GetReplicaSet(p, rsName(d.Name))
+	rs, err := api.ReplicaSets.Get(p, rsName(d.Name))
 	if err != nil {
-		api.CreateReplicaSet(p, &ReplicaSet{
+		api.ReplicaSets.Create(p, &ReplicaSet{
 			Name:          rsName(d.Name),
 			Owner:         d.Name,
 			Labels:        maps.Clone(d.Labels),
@@ -120,12 +120,12 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 	}
 	if rs.Replicas != d.Replicas {
 		rs.Replicas = d.Replicas
-		api.UpdateReplicaSet(p, rs)
+		api.ReplicaSets.Update(p, rs)
 	}
 }
 
 func runReplicaSetControllerLoop(api *APIServer, cfg ControllerConfig) {
-	q := newChanWorkQueue(api.Kernel())
+	q := newChanWorkQueue(api.k)
 	relayLoop(api, KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
 	relayLoop(api, KindPod, func(ev Event) {
 		if pod, _ := ev.Object.(*Pod); pod != nil && pod.Owner != "" {
@@ -139,10 +139,10 @@ func runReplicaSetControllerLoop(api *APIServer, cfg ControllerConfig) {
 }
 
 func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
-	rs, err := api.GetReplicaSet(p, name)
+	rs, err := api.ReplicaSets.Get(p, name)
 	if err != nil {
 		for _, pod := range api.ListPodsByOwner(p, name) {
-			api.DeletePod(p, pod.Name)
+			api.Pods.Delete(p, pod.Name)
 		}
 		return
 	}
@@ -160,7 +160,7 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 		}
 	case len(pods) > rs.Replicas:
 		for i := len(pods) - 1; i >= rs.Replicas; i-- {
-			api.DeletePod(p, pods[i].Name)
+			api.Pods.Delete(p, pods[i].Name)
 		}
 	}
 }
@@ -185,18 +185,18 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 		return want == cfg.Name
 	}
 	schedule := func(p *sim.Proc, name string) {
-		pod, err := api.GetPod(nil, name)
+		pod, err := api.Pods.Get(nil, name)
 		if err != nil || pod.NodeName != "" || pod.Phase != PodPending || inflight[pod.Name] || !mine(pod) {
 			return
 		}
 		inflight[pod.Name] = true
 		p.Sleep(cfg.CycleDelay)
-		api.Kernel().Go("scheduler:"+cfg.Name+":bind:"+name, func(bp *sim.Proc) {
+		api.k.Go("scheduler:"+cfg.Name+":bind:"+name, func(bp *sim.Proc) {
 			defer delete(inflight, name)
 			if rest := cfg.BindingDelay - cfg.CycleDelay; rest > 0 {
 				bp.Sleep(rest)
 			}
-			pod, err := api.GetPod(bp, name)
+			pod, err := api.Pods.Get(bp, name)
 			if err != nil || pod.NodeName != "" {
 				return
 			}
@@ -229,11 +229,11 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 			}
 			delete(unschedulable, name)
 			pod.NodeName = node
-			api.UpdatePod(bp, pod)
+			api.Pods.Update(bp, pod)
 		})
 	}
 	w := api.Watch(KindPod)
-	api.Kernel().Go("scheduler:"+cfg.Name, func(p *sim.Proc) {
+	api.k.Go("scheduler:"+cfg.Name, func(p *sim.Proc) {
 		for {
 			ev, ok := w.Recv(p)
 			if !ok {
@@ -263,11 +263,11 @@ func runNodeLifecycleLoop(api *APIServer, cfg NodeLifecycleConfig) {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = 40 * time.Second
 	}
-	api.Kernel().Go("node-lifecycle-controller", func(p *sim.Proc) {
+	api.k.Go("node-lifecycle-controller", func(p *sim.Proc) {
 		for {
 			p.Sleep(cfg.MonitorPeriod)
-			now := api.Kernel().Now()
-			for _, n := range api.ListNodes(p) {
+			now := api.k.Now()
+			for _, n := range api.Nodes.List(p) {
 				if !n.Ready || now-n.LastHeartbeat <= cfg.GracePeriod {
 					continue
 				}
@@ -275,7 +275,7 @@ func runNodeLifecycleLoop(api *APIServer, cfg NodeLifecycleConfig) {
 				stale.Ready = false
 				api.nodes.put(stale, Modified)
 				for _, pod := range api.ListPodsByNode(p, n.Name) {
-					api.DeletePod(p, pod.Name)
+					api.Pods.Delete(p, pod.Name)
 				}
 			}
 		}
@@ -286,7 +286,7 @@ func startHeartbeatLoop(kl *Kubelet, period time.Duration) {
 	if period <= 0 {
 		return
 	}
-	kl.api.Kernel().Go("kubelet:"+kl.nodeName+":heartbeat", func(p *sim.Proc) {
+	kl.api.k.Go("kubelet:"+kl.nodeName+":heartbeat", func(p *sim.Proc) {
 		for {
 			if !kl.failed {
 				kl.api.UpsertNode(p, kl.nodeName, true)
@@ -421,25 +421,25 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 								k.At(o.at, func() {
 									switch o.kind {
 									case 0: // create, or scale
-										if d, err := api.GetDeployment(nil, name(o.d)); err == nil {
+										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
 											d.Replicas = o.value
-											api.UpdateDeployment(nil, d)
+											api.Deployments.Update(nil, d)
 										} else {
-											api.CreateDeployment(nil, &Deployment{Name: name(o.d), Replicas: o.value,
+											api.Deployments.Create(nil, &Deployment{Name: name(o.d), Replicas: o.value,
 												Template: PodTemplate{Labels: map[string]string{"app": name(o.d)}}})
 										}
 									case 1: // delete the Deployment: cascade
-										api.DeleteDeployment(nil, name(o.d))
+										api.Deployments.Delete(nil, name(o.d))
 									case 2: // evict one pod: the ReplicaSet replaces it
 										if pods := api.ListPodsByOwner(nil, rsName(name(o.d))); len(pods) > 0 {
-											api.DeletePod(nil, pods[o.value%len(pods)].Name)
+											api.Pods.Delete(nil, pods[o.value%len(pods)].Name)
 										}
 									case 3: // delete the ReplicaSet: its pods go
-										api.DeleteReplicaSet(nil, rsName(name(o.d)))
+										api.ReplicaSets.Delete(nil, rsName(name(o.d)))
 									case 4: // scale to zero
-										if d, err := api.GetDeployment(nil, name(o.d)); err == nil {
+										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
 											d.Replicas = 0
-											api.UpdateDeployment(nil, d)
+											api.Deployments.Update(nil, d)
 										}
 									}
 								})
@@ -519,7 +519,7 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 										api.CreatePod(nil, &Pod{Name: name(o.pod), SchedulerName: sched,
 											Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", CPUMillis: o.cpu}}}})
 									case 2:
-										api.DeletePod(nil, name(o.pod))
+										api.Pods.Delete(nil, name(o.pod))
 									}
 								})
 							}
@@ -620,7 +620,7 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 				srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 				res := registry.NewResolver()
 				res.AddPrefix("", regHost.IP())
-				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig()), beh)
+				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig()), beh, DefaultCapacity())
 			}
 			if plane == 1 {
 				kc.Start()

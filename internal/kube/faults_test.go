@@ -7,6 +7,7 @@ import (
 
 	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
+	"transparentedge/internal/simnet"
 )
 
 func withFaults(r *rig, spec faults.ClusterSpec) {
@@ -66,7 +67,7 @@ func TestFaultCrashedPodPortNeverOpens(t *testing.T) {
 		// Give the kubelet ample time to start the pod and the crash watcher
 		// to kill it; the port must never be accepting afterwards.
 		p.Sleep(20 * time.Second)
-		if _, err := r.client.Dial(p, inst.Addr, inst.Port, 50*time.Millisecond); err == nil {
+		if _, err := r.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 50*time.Millisecond); err == nil {
 			t.Error("crashed pod accepted a connection")
 		}
 		// Recovery: delete the dead pod, schedule a fresh one.

@@ -92,15 +92,9 @@ func New(name string, k *sim.Kernel, cfg Config) *Cluster {
 // API exposes the API server (tests, custom controllers).
 func (c *Cluster) API() *APIServer { return c.api }
 
-// AddNode registers a worker node with default capacity (the EGS profile).
-// Must be called before Start.
-func (c *Cluster) AddNode(nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource) {
-	c.AddNodeWithCapacity(nodeName, rt, behaviors, DefaultCapacity())
-}
-
-// AddNodeWithCapacity registers a worker node with explicit schedulable
-// capacity. Must be called before Start.
-func (c *Cluster) AddNodeWithCapacity(nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource, cap Capacity) {
+// AddNode registers a worker node with its schedulable capacity
+// (DefaultCapacity is the EGS profile). Must be called before Start.
+func (c *Cluster) AddNode(nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource, cap Capacity) {
 	if c.started {
 		panic("kube: AddNode after Start")
 	}
@@ -186,7 +180,7 @@ func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	if err := c.faults.PullError(p.Now()); err != nil {
 		return err
 	}
-	k := c.api.Kernel()
+	k := c.api.k
 	wg := sim.NewWaitGroup(k)
 	var firstErr error
 	for _, n := range c.nodes {
@@ -216,7 +210,7 @@ func (c *Cluster) Exists(name string) bool {
 
 // Running implements cluster.Cluster (desired replicas > 0).
 func (c *Cluster) Running(name string) bool {
-	d, ok := c.api.deployments.byName[name]
+	d, ok := c.api.Deployments.byName[name]
 	return ok && d.Replicas > 0
 }
 
@@ -244,7 +238,7 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		},
 		SchedulerName: schedulerNameOf(a),
 	}
-	if err := c.api.CreateDeployment(p, d); err != nil {
+	if err := c.api.Deployments.Create(p, d); err != nil {
 		return err
 	}
 	nodePort := c.nextPort
@@ -257,7 +251,7 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		TargetPort: a.TargetPort,
 		NodePort:   nodePort,
 	}
-	if err := c.api.CreateService(p, svc); err != nil {
+	if err := c.api.Services.Create(p, svc); err != nil {
 		return err
 	}
 	c.services[a.UniqueName] = a
@@ -285,17 +279,17 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if err := c.faults.ScaleUpError(p.Now()); err != nil {
 		return cluster.Instance{}, err
 	}
-	d, err := c.api.GetDeployment(p, name)
+	d, err := c.api.Deployments.Get(p, name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
 		d.Replicas = 1
-		if err := c.api.UpdateDeployment(p, d); err != nil {
+		if err := c.api.Deployments.Update(p, d); err != nil {
 			return cluster.Instance{}, err
 		}
 	}
-	svc, err := c.api.GetService(p, name)
+	svc, err := c.api.Services.Get(p, name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
@@ -421,10 +415,10 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 	if _, ok := c.services[name]; !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrUnknownService, name)
 	}
-	if err := c.api.DeleteDeployment(p, name); err != nil {
+	if err := c.api.Deployments.Delete(p, name); err != nil {
 		return err
 	}
-	if err := c.api.DeleteService(p, name); err != nil {
+	if err := c.api.Services.Delete(p, name); err != nil {
 		return err
 	}
 	delete(c.services, name)
@@ -445,7 +439,7 @@ func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
 // pod-name order.
 func (c *Cluster) endpoints(name string) iter.Seq[cluster.Instance] {
 	return func(yield func(cluster.Instance) bool) {
-		svc, ok := c.api.services.byName[name]
+		svc, ok := c.api.Services.byName[name]
 		if !ok {
 			return
 		}
@@ -484,7 +478,7 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 	if replicas < 0 {
 		return fmt.Errorf("kube: negative replicas %d", replicas)
 	}
-	d, err := c.api.GetDeployment(p, name)
+	d, err := c.api.Deployments.Get(p, name)
 	if err != nil {
 		return err
 	}
@@ -492,7 +486,7 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 		return nil
 	}
 	d.Replicas = replicas
-	return c.api.UpdateDeployment(p, d)
+	return c.api.Deployments.Update(p, d)
 }
 
 // Endpoints implements cluster.MultiEndpoint: every running pod of the

@@ -66,7 +66,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 		mutate(&cfg)
 	}
 	kc := New("egs-k8s", k, cfg)
-	kc.AddNode("egs", rt, behaviors)
+	kc.AddNode("egs", rt, behaviors, DefaultCapacity())
 	kc.Start()
 	return &rig{k: k, node: node, client: cli, kc: kc, rt: rt}
 }
@@ -84,13 +84,11 @@ func annotated(t *testing.T, domain string) *spec.Annotated {
 	return a
 }
 
-// probeUntilOpen dials until accepted and returns the elapsed time.
+// probeUntilOpen requests until answered and returns the elapsed time.
 func probeUntilOpen(p *sim.Proc, cli *simnet.Host, inst cluster.Instance, every time.Duration) time.Duration {
 	start := p.Now()
 	for {
-		c, err := cli.Dial(p, inst.Addr, inst.Port, 0)
-		if err == nil {
-			c.Close()
+		if _, err := cli.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0); err == nil {
 			return p.Now() - start
 		}
 		p.Sleep(every)
@@ -207,7 +205,7 @@ func TestScaleDownStopsPodAndClosesPort(t *testing.T) {
 		if _, ok := rg.kc.Endpoint(a.UniqueName); ok {
 			t.Error("endpoint after scaledown")
 		}
-		_, dialErr = rg.client.Dial(p, inst.Addr, inst.Port, 0)
+		_, dialErr = rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0)
 	})
 	rg.k.RunUntil(10 * time.Minute)
 	if !errors.Is(dialErr, simnet.ErrConnRefused) {
@@ -227,10 +225,10 @@ func TestRemoveCascades(t *testing.T) {
 			t.Errorf("remove: %v", err)
 		}
 		p.Sleep(5 * time.Second)
-		if len(rg.kc.API().ListDeployments(nil)) != 0 {
+		if len(rg.kc.API().Deployments.List(nil)) != 0 {
 			t.Error("deployment survived remove")
 		}
-		if len(rg.kc.API().ListReplicaSets(nil, "")) != 0 {
+		if len(rg.kc.API().ReplicaSets.List(nil)) != 0 {
 			t.Error("replicaset survived remove")
 		}
 		if len(rg.kc.API().ListPods(nil, nil)) != 0 {
@@ -343,10 +341,10 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 	})
 	k.Go("writer", func(p *sim.Proc) {
 		d := &Deployment{Name: "d1", Replicas: 0}
-		api.CreateDeployment(p, d)
+		api.Deployments.Create(p, d)
 		d.Replicas = 1
-		api.UpdateDeployment(p, d)
-		api.DeleteDeployment(p, "d1")
+		api.Deployments.Update(p, d)
+		api.Deployments.Delete(p, "d1")
 	})
 	k.Run()
 	if len(events) != 3 || events[0].Type != Added || events[1].Type != Modified || events[2].Type != Deleted {
@@ -459,11 +457,11 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			d.Labels["a"] = "mutated"
 			mutateTemplate(&d.Template)
 		},
-		create: func(d *Deployment) { api.CreateDeployment(nil, d) },
-		update: func(d *Deployment) { api.UpdateDeployment(nil, d) },
-		get:    func() *Deployment { d, _ := api.GetDeployment(nil, "d1"); return d },
-		list:   func() []*Deployment { return api.ListDeployments(nil) },
-		stored: func() *Deployment { return api.deployments.byName["d1"] },
+		create: func(d *Deployment) { api.Deployments.Create(nil, d) },
+		update: func(d *Deployment) { api.Deployments.Update(nil, d) },
+		get:    func() *Deployment { d, _ := api.Deployments.Get(nil, "d1"); return d },
+		list:   func() []*Deployment { return api.Deployments.List(nil) },
+		stored: func() *Deployment { return api.Deployments.byName["d1"] },
 	}.run(t, k, api)
 	copyCase[*ReplicaSet]{
 		kind: KindReplicaSet,
@@ -472,11 +470,11 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			rs.Labels["a"] = "mutated"
 			mutateTemplate(&rs.Template)
 		},
-		create: func(rs *ReplicaSet) { api.CreateReplicaSet(nil, rs) },
-		update: func(rs *ReplicaSet) { api.UpdateReplicaSet(nil, rs) },
-		get:    func() *ReplicaSet { rs, _ := api.GetReplicaSet(nil, "rs1"); return rs },
+		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(nil, rs) },
+		update: func(rs *ReplicaSet) { api.ReplicaSets.Update(nil, rs) },
+		get:    func() *ReplicaSet { rs, _ := api.ReplicaSets.Get(nil, "rs1"); return rs },
 		list:   func() []*ReplicaSet { return api.ListReplicaSets(nil, "d1") },
-		stored: func() *ReplicaSet { return api.replicaSets.byName["rs1"] },
+		stored: func() *ReplicaSet { return api.ReplicaSets.byName["rs1"] },
 	}.run(t, k, api)
 	copyCase[*Pod]{
 		kind: KindPod,
@@ -486,14 +484,14 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			mutateTemplate(&pod.Spec)
 		},
 		create: func(pod *Pod) {
-			if created, _ := api.CreatePod(nil, pod); created == api.pods.byName["p1"] {
+			if created, _ := api.CreatePod(nil, pod); created == api.Pods.byName["p1"] {
 				t.Error("CreatePod returned the stored object, want a private copy")
 			}
 		},
-		update: func(pod *Pod) { api.UpdatePod(nil, pod) },
-		get:    func() *Pod { pod, _ := api.GetPod(nil, "p1"); return pod },
+		update: func(pod *Pod) { api.Pods.Update(nil, pod) },
+		get:    func() *Pod { pod, _ := api.Pods.Get(nil, "p1"); return pod },
 		list:   func() []*Pod { return api.ListPods(nil, map[string]string{"a": "1"}) },
-		stored: func() *Pod { return api.pods.byName["p1"] },
+		stored: func() *Pod { return api.Pods.byName["p1"] },
 	}.run(t, k, api)
 	copyCase[*Service]{
 		kind: KindService,
@@ -502,21 +500,48 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			s.Labels["a"] = "mutated"
 			s.Selector["a"] = "mutated"
 		},
-		create: func(s *Service) { api.CreateService(nil, s) },
-		get:    func() *Service { s, _ := api.GetService(nil, "s1"); return s },
-		list:   func() []*Service { return api.ListServices(nil) },
-		stored: func() *Service { return api.services.byName["s1"] },
+		create: func(s *Service) { api.Services.Create(nil, s) },
+		get:    func() *Service { s, _ := api.Services.Get(nil, "s1"); return s },
+		list:   func() []*Service { return api.Services.List(nil) },
+		stored: func() *Service { return api.Services.byName["s1"] },
 	}.run(t, k, api)
 	copyCase[*Node]{
 		kind:   KindNode,
 		obj:    &Node{Name: "n1", Ready: true},
 		mutate: func(n *Node) { n.Ready = false },
 		create: func(n *Node) { api.UpsertNode(nil, n.Name, n.Ready) },
-		get:    func() *Node { return api.GetNode(nil, "n1") },
-		list:   func() []*Node { return api.ListNodes(nil) },
+		get:    func() *Node { n, _ := api.Nodes.Get(nil, "n1"); return n },
+		list:   func() []*Node { return api.Nodes.List(nil) },
 		stored: func() *Node { return api.nodes.byName["n1"] },
 	}.run(t, k, api)
 	k.Run()
+}
+
+// TestPodCreateFillsTheCopy: a pod's generated name and default phase are
+// written on the stored copy, never into the caller's object, and both create
+// calls (CreatePod, Pods.Create) fill them in.
+func TestPodCreateFillsTheCopy(t *testing.T) {
+	api := NewAPIServer(sim.New(1), APIConfig{})
+	pod := &Pod{Owner: "rs1"}
+	got, err := api.CreatePod(nil, pod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pod.Name != "" || pod.Phase != "" {
+		t.Errorf("caller's pod = %q/%q after CreatePod, want it untouched", pod.Name, pod.Phase)
+	}
+	if got.Name != "rs1-00001" || got.Phase != PodPending {
+		t.Errorf("CreatePod returned %q/%q, want rs1-00001/%s", got.Name, got.Phase, PodPending)
+	}
+	if err := api.Pods.Create(nil, pod); err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := api.Pods.Get(nil, "rs1-00002"); err != nil || stored.Phase != PodPending {
+		t.Errorf("Pods.Create stored %+v, %v; want rs1-00002 %s", stored, err, PodPending)
+	}
+	if pod.Name != "" {
+		t.Errorf("caller's pod named %q after Pods.Create, want it untouched", pod.Name)
+	}
 }
 
 func TestLeastLoadedPicker(t *testing.T) {
@@ -567,8 +592,8 @@ func TestTwoNodeSpreading(t *testing.T) {
 	_, rt2 := mkNode("n2", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 	kc := New("multi", k, DefaultConfig())
-	kc.AddNode("n1", rt1, beh)
-	kc.AddNode("n2", rt2, beh)
+	kc.AddNode("n1", rt1, beh, DefaultCapacity())
+	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
 	a1 := annotated(t, "s1.example.com")
 	a2 := annotated(t, "s2.example.com")
@@ -625,9 +650,9 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 	rg.k.Go("driver", func(p *sim.Proc) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
-		d, _ := rg.kc.API().GetDeployment(p, a.UniqueName)
+		d, _ := rg.kc.API().Deployments.Get(p, a.UniqueName)
 		d.Replicas = 1
-		rg.kc.API().UpdateDeployment(p, d)
+		rg.kc.API().Deployments.Update(p, d)
 		p.Sleep(1200 * time.Millisecond) // pod bound, kubelet mid-startup
 		if err := rg.kc.ScaleDown(p, a.UniqueName); err != nil {
 			t.Errorf("scaledown: %v", err)
@@ -722,8 +747,8 @@ func TestMultiReplicaEndpoints(t *testing.T) {
 	rt2 := mkNode("n2", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 	kc := New("multi", k, DefaultConfig())
-	kc.AddNode("n1", rt1, beh)
-	kc.AddNode("n2", rt2, beh)
+	kc.AddNode("n1", rt1, beh, DefaultCapacity())
+	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
 	a := annotated(t, "web.example.com")
 	k.Go("driver", func(p *sim.Proc) {
@@ -795,8 +820,8 @@ func TestResourceAwareScheduling(t *testing.T) {
 	rtBig := mkNode("big", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 	kc := New("caps", k, DefaultConfig())
-	kc.AddNodeWithCapacity("small", rtSmall, beh, Capacity{CPUMillis: 2000, MemoryBytes: 4 << 30})
-	kc.AddNodeWithCapacity("big", rtBig, beh, Capacity{CPUMillis: 16000, MemoryBytes: 64 << 30})
+	kc.AddNode("small", rtSmall, beh, Capacity{CPUMillis: 2000, MemoryBytes: 4 << 30})
+	kc.AddNode("big", rtBig, beh, Capacity{CPUMillis: 16000, MemoryBytes: 64 << 30})
 	kc.Start()
 
 	def, err := spec.Parse(resourceYAML)
@@ -844,7 +869,7 @@ func TestUnschedulablePodWaitsForCapacity(t *testing.T) {
 	rt := container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 	kc := New("tight", k, DefaultConfig())
-	kc.AddNodeWithCapacity("node", rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 32 << 30})
+	kc.AddNode("node", rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 32 << 30})
 	kc.Start()
 
 	mk := func(domain string) *spec.Annotated {
@@ -875,9 +900,9 @@ spec:
 			return
 		}
 		// a2 cannot fit: its pod must stay Pending unbound.
-		d, _ := kc.API().GetDeployment(p, a2.UniqueName)
+		d, _ := kc.API().Deployments.Get(p, a2.UniqueName)
 		d.Replicas = 1
-		kc.API().UpdateDeployment(p, d)
+		kc.API().Deployments.Update(p, d)
 		p.Sleep(10 * time.Second)
 		pods := kc.API().ListPods(nil, map[string]string{"app": a2.UniqueName})
 		if len(pods) != 1 || pods[0].NodeName != "" {
@@ -934,8 +959,8 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		return LeastLoaded(pod, nodes)
 	}
 	kc := New("ha", k, cfg)
-	kc.AddNode("n1", rt1, beh)
-	kc.AddNode("n2", rt2, beh)
+	kc.AddNode("n1", rt1, beh, DefaultCapacity())
+	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
 	a := annotated(t, "web.example.com")
 	k.Go("driver", func(p *sim.Proc) {
@@ -955,7 +980,7 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		kc.Kubelet("n1").SetFailed(true)
 		// Wait past grace + monitor + reschedule + restart.
 		p.Sleep(time.Minute)
-		node := kc.API().GetNode(nil, "n1")
+		node, _ := kc.API().Nodes.Get(nil, "n1")
 		if node == nil || node.Ready {
 			t.Errorf("n1 = %+v, want NotReady", node)
 		}
@@ -976,12 +1001,12 @@ func TestNodeHeartbeatsKeepNodeReady(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(30 * time.Second)
-	node := rg.kc.API().GetNode(nil, "egs")
+	node, _ := rg.kc.API().Nodes.Get(nil, "egs")
 	if node == nil || !node.Ready {
 		t.Fatalf("node = %+v, want Ready with ongoing heartbeats", node)
 	}
-	if len(rg.kc.API().ListNodes(nil)) != 1 {
-		t.Fatalf("nodes = %d", len(rg.kc.API().ListNodes(nil)))
+	if len(rg.kc.API().Nodes.List(nil)) != 1 {
+		t.Fatalf("nodes = %d", len(rg.kc.API().Nodes.List(nil)))
 	}
 }
 
@@ -1015,7 +1040,7 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 				t.Errorf("run %d: bound %v while the blocker holds the node, want the blocker alone", run, bound)
 			}
 			bound = nil
-			api.DeletePod(p, "blocker")
+			api.Pods.Delete(p, "blocker")
 		})
 		k.RunUntil(time.Minute)
 		if !reflect.DeepEqual(bound, want) {

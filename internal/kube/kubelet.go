@@ -63,7 +63,7 @@ func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behavior
 		pods:      make(map[string]*podRuntime),
 	}
 	w := api.Watch(KindPod)
-	k := api.Kernel()
+	k := api.k
 	k.Go("kubelet:"+nodeName+":watch", func(p *sim.Proc) {
 		for {
 			ev, ok := w.Recv(p)
@@ -117,7 +117,7 @@ func (kl *Kubelet) resync(p *sim.Proc) {
 	// map iteration.
 	var gone []string
 	for name, pr := range kl.pods {
-		if pod := kl.api.pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !pr.starting {
+		if pod := kl.api.Pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !pr.starting {
 			gone = append(gone, name)
 		}
 	}
@@ -134,7 +134,7 @@ func (kl *Kubelet) maybeStart(pod *Pod) {
 	}
 	pr := &podRuntime{starting: true}
 	kl.pods[pod.Name] = pr
-	kl.api.Kernel().Go("kubelet:"+kl.nodeName+":start:"+pod.Name, func(p *sim.Proc) {
+	kl.api.k.Go("kubelet:"+kl.nodeName+":start:"+pod.Name, func(p *sim.Proc) {
 		kl.startPod(p, pod, pr)
 	})
 }
@@ -194,7 +194,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 	}
 	// The pod may have been deleted while we were starting it (the watch
 	// event then marked pr.deleted; the deferred cleanup handles it).
-	latest, err := kl.api.GetPod(p, pod.Name)
+	latest, err := kl.api.Pods.Get(p, pod.Name)
 	if err != nil {
 		pr.deleted = true
 		delete(kl.pods, pod.Name)
@@ -202,7 +202,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 	}
 	latest.Phase = PodRunning
 	latest.HostPort = kl.api.NodePortFor(latest, firstContainerPort(latest.Spec))
-	kl.api.UpdatePod(p, latest)
+	kl.api.Pods.Update(p, latest)
 }
 
 func firstContainerPort(t PodTemplate) int {

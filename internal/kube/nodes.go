@@ -30,17 +30,6 @@ func (a *APIServer) UpsertNode(p *sim.Proc, name string, ready bool) {
 	a.nodes.put(&Node{Name: name, Ready: ready, LastHeartbeat: a.k.Now()}, Modified)
 }
 
-// GetNode returns a private copy of the node object (nil if never
-// heartbeated).
-func (a *APIServer) GetNode(p *sim.Proc, name string) *Node {
-	n, _ := a.nodes.get(p, name)
-	return n
-}
-
-// ListNodes returns all node objects, sorted by name, as read-only snapshots
-// (GetNode for a mutable copy).
-func (a *APIServer) ListNodes(p *sim.Proc) []*Node { return a.nodes.list(p) }
-
 // nodeSchedulable reports whether a node may receive pods: unknown nodes
 // (no heartbeat yet, e.g. right after cluster start) are assumed fine;
 // known NotReady nodes are excluded.
@@ -98,7 +87,7 @@ func monitorIdle(m *nodeMonitor) sim.Step[nodeMonitor] {
 	m.Sleep(m.cfg.MonitorPeriod, func(m *nodeMonitor) sim.Step[nodeMonitor] {
 		m.now = m.Now()
 		return func(m *nodeMonitor) sim.Step[nodeMonitor] {
-			m.nodes = m.api.ListNodes(nil)
+			m.nodes = m.api.Nodes.List(nil)
 			return monitorNext(m)
 		}
 	})
@@ -130,7 +119,7 @@ func monitorEvict(m *nodeMonitor) sim.Step[nodeMonitor] {
 		return monitorNext(m)
 	}
 	return func(m *nodeMonitor) sim.Step[nodeMonitor] {
-		m.api.DeletePod(nil, m.pods[0].Name)
+		m.api.Pods.Delete(nil, m.pods[0].Name)
 		m.pods = m.pods[1:]
 		return monitorEvict(m)
 	}

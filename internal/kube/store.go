@@ -94,30 +94,43 @@ func (ix index[K, T]) remove(key K, name string) {
 	}
 }
 
-// store holds one kind's objects as immutable snapshots: a write copies the
+// Store holds one kind's objects as immutable snapshots: a write copies the
 // caller's object in and replaces the stored pointer, so the pointers handed
-// out by lists and watch events never change under their readers.
-type store[T object[T]] struct {
+// out by lists and watch events never change under their readers. Every
+// operation charges the API server's RequestLatency to p (nil charges
+// nothing: the caller is a continuation that charges its own steps).
+type Store[T object[T]] struct {
 	api    *APIServer
 	kind   Kind
 	byName map[string]T
 	sorted nameList[T]
+	// admit, if set, completes a new object on the store's copy before its
+	// name is checked (a pod's generated name and default phase), so no
+	// create of the kind skips it.
+	admit func(T)
 	// reindex, if set, keeps the kind's secondary indexes current; old is
 	// the zero T on create and cur the zero T on delete.
 	reindex func(old, cur T)
 }
 
-func newStore[T object[T]](api *APIServer, kind Kind, reindex func(old, cur T)) *store[T] {
-	return &store[T]{api: api, kind: kind, byName: make(map[string]T), reindex: reindex}
+// Reader is the read side of a Store, the handle of a kind that only the API
+// server writes (Nodes: UpsertNode and the node controller).
+type Reader[T any] interface {
+	Get(p *sim.Proc, name string) (T, error)
+	List(p *sim.Proc) []T
 }
 
-func (s *store[T]) errorf(err error, name string) error {
+func newStore[T object[T]](api *APIServer, kind Kind, reindex func(old, cur T)) *Store[T] {
+	return &Store[T]{api: api, kind: kind, byName: make(map[string]T), reindex: reindex}
+}
+
+func (s *Store[T]) errorf(err error, name string) error {
 	return fmt.Errorf("%w: %s %s", err, strings.ToLower(string(s.kind)), name)
 }
 
 // put stores snap (which the store now owns) under a fresh ResourceVersion
 // and publishes ev for it.
-func (s *store[T]) put(snap T, ev EventType) {
+func (s *Store[T]) put(snap T, ev EventType) {
 	name, version := snap.meta()
 	*version = s.api.bump()
 	old := s.byName[name]
@@ -129,18 +142,31 @@ func (s *store[T]) put(snap T, ev EventType) {
 	s.api.publish(Event{Type: ev, Kind: s.kind, Name: name, Object: snap})
 }
 
-func (s *store[T]) create(p *sim.Proc, obj T) error {
-	s.api.charge(p)
-	name := nameOf(obj)
-	if _, dup := s.byName[name]; dup {
-		return s.errorf(ErrAlreadyExists, name)
-	}
-	s.put(obj.clone(), Added)
-	return nil
+// Create stores a copy of obj as a new object.
+func (s *Store[T]) Create(p *sim.Proc, obj T) error {
+	_, err := s.insert(p, obj.clone())
+	return err
 }
 
-// get returns a private, mutable copy.
-func (s *store[T]) get(p *sim.Proc, name string) (T, error) {
+// insert stores snap, a copy the store now owns, as a new object. The caller
+// makes the copy: a clone called through T's methods makes the caller's
+// object escape to the heap, which CreatePod's concrete (*Pod).clone does not.
+func (s *Store[T]) insert(p *sim.Proc, snap T) (T, error) {
+	s.api.charge(p)
+	if s.admit != nil {
+		s.admit(snap)
+	}
+	name := nameOf(snap)
+	if _, dup := s.byName[name]; dup {
+		var none T
+		return none, s.errorf(ErrAlreadyExists, name)
+	}
+	s.put(snap, Added)
+	return snap, nil
+}
+
+// Get returns a private, mutable copy of the named object.
+func (s *Store[T]) Get(p *sim.Proc, name string) (T, error) {
 	s.api.charge(p)
 	obj, ok := s.byName[name]
 	if !ok {
@@ -149,7 +175,8 @@ func (s *store[T]) get(p *sim.Proc, name string) (T, error) {
 	return obj.clone(), nil
 }
 
-func (s *store[T]) update(p *sim.Proc, obj T) error {
+// Update replaces the object of obj's name with a copy of obj.
+func (s *Store[T]) Update(p *sim.Proc, obj T) error {
 	s.api.charge(p)
 	name := nameOf(obj)
 	if _, ok := s.byName[name]; !ok {
@@ -159,7 +186,8 @@ func (s *store[T]) update(p *sim.Proc, obj T) error {
 	return nil
 }
 
-func (s *store[T]) delete(p *sim.Proc, name string) error {
+// Delete removes the named object.
+func (s *Store[T]) Delete(p *sim.Proc, name string) error {
 	s.api.charge(p)
 	old, ok := s.byName[name]
 	if !ok {
@@ -175,8 +203,9 @@ func (s *store[T]) delete(p *sim.Proc, name string) error {
 	return nil
 }
 
-// list returns every snapshot, name-ordered and read-only.
-func (s *store[T]) list(p *sim.Proc) []T {
+// List returns every object, sorted by name, as read-only snapshots (Get for
+// a mutable copy).
+func (s *Store[T]) List(p *sim.Proc) []T {
 	s.api.charge(p)
 	return s.sorted.view()
 }

@@ -27,7 +27,7 @@ func newBareCluster(nodes ...string) *Cluster {
 	for i, name := range nodes {
 		h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
 		rt := container.NewRuntime(h, registry.NewClient(h, registry.NewResolver(), registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
-		kc.AddNode(name, rt, cluster.StaticBehaviors{})
+		kc.AddNode(name, rt, cluster.StaticBehaviors{}, DefaultCapacity())
 	}
 	return kc
 }
@@ -41,7 +41,7 @@ func sortedBy[T any](in []T, name func(T) string) []T {
 
 func brutePods(a *APIServer, keep func(*Pod) bool) []*Pod {
 	var out []*Pod
-	for _, pod := range a.pods.byName {
+	for _, pod := range a.Pods.byName {
 		if keep(pod) {
 			out = append(out, pod)
 		}
@@ -51,7 +51,7 @@ func brutePods(a *APIServer, keep func(*Pod) bool) []*Pod {
 
 func bruteServices(a *APIServer, keep func(*Service) bool) []*Service {
 	var out []*Service
-	for _, s := range a.services.byName {
+	for _, s := range a.Services.byName {
 		if keep(s) {
 			out = append(out, s)
 		}
@@ -69,7 +69,7 @@ func bruteNodePort(a *APIServer, pod *Pod, port int) int {
 }
 
 func bruteEndpoints(c *Cluster, name string) []cluster.Instance {
-	svc, ok := c.api.services.byName[name]
+	svc, ok := c.api.Services.byName[name]
 	if !ok {
 		return nil
 	}
@@ -144,31 +144,31 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 			case 0, 1:
 				a.CreatePod(nil, &Pod{Name: podName(), Owner: pick(owners), Labels: labels(), NodeName: pick(nodeNames)})
 			case 2, 3: // relabel / re-own
-				if pod, err := a.GetPod(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(nil, podName()); err == nil {
 					pod.Labels, pod.Owner = labels(), pick(owners)
-					a.UpdatePod(nil, pod)
+					a.Pods.Update(nil, pod)
 				}
 			case 4, 5: // bind and run, or unbind
-				if pod, err := a.GetPod(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(nil, podName()); err == nil {
 					pod.NodeName = pick(nodeNames)
 					pod.Phase = []PodPhase{PodPending, PodRunning}[rng.Intn(2)]
-					a.UpdatePod(nil, pod)
+					a.Pods.Update(nil, pod)
 				}
 			case 6:
-				a.DeletePod(nil, podName())
+				a.Pods.Delete(nil, podName())
 			case 7:
-				a.CreateService(nil, &Service{Name: svcName(), Selector: labels(), TargetPort: ports[rng.Intn(2)], NodePort: 30000 + rng.Intn(1000)})
+				a.Services.Create(nil, &Service{Name: svcName(), Selector: labels(), TargetPort: ports[rng.Intn(2)], NodePort: 30000 + rng.Intn(1000)})
 			case 8:
-				a.DeleteService(nil, svcName())
+				a.Services.Delete(nil, svcName())
 			case 9:
 				name := pick(rsNames)
-				if rs, err := a.GetReplicaSet(nil, name); err != nil {
-					a.CreateReplicaSet(nil, &ReplicaSet{Name: name, Owner: pick(owners)})
+				if rs, err := a.ReplicaSets.Get(nil, name); err != nil {
+					a.ReplicaSets.Create(nil, &ReplicaSet{Name: name, Owner: pick(owners)})
 				} else if rng.Intn(2) == 0 {
 					rs.Owner = pick(owners)
-					a.UpdateReplicaSet(nil, rs)
+					a.ReplicaSets.Update(nil, rs)
 				} else {
-					a.DeleteReplicaSet(nil, name)
+					a.ReplicaSets.Delete(nil, name)
 				}
 			}
 			fail := func(format string, args ...any) {
@@ -197,8 +197,8 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 					fail("ListPodsByOwner(%q) = %v, want %v", owner, got, want)
 				}
 				var want []*ReplicaSet
-				for _, rs := range a.replicaSets.byName {
-					if owner == "" || rs.Owner == owner {
+				for _, rs := range a.ReplicaSets.byName {
+					if rs.Owner == owner {
 						want = append(want, rs)
 					}
 				}
@@ -212,10 +212,10 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 					fail("ListPodsByNode(%q) = %v, want %v", node, got, want)
 				}
 			}
-			if got, want := a.ListServices(nil), bruteServices(a, func(*Service) bool { return true }); !slices.Equal(got, want) {
+			if got, want := a.Services.List(nil), bruteServices(a, func(*Service) bool { return true }); !slices.Equal(got, want) {
 				fail("ListServices = %v, want %v", got, want)
 			}
-			for _, pod := range a.pods.byName {
+			for _, pod := range a.Pods.byName {
 				for _, port := range ports {
 					if got, want := a.NodePortFor(pod, port), bruteNodePort(a, pod, port); got != want {
 						fail("NodePortFor(%s %v, %d) = %d, want %d", pod.Name, pod.Labels, port, got, want)
@@ -237,17 +237,17 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 
 			// Index sizes follow the store; no bucket is left empty.
 			nLabels := 0
-			for _, pod := range a.pods.byName {
+			for _, pod := range a.Pods.byName {
 				nLabels += len(pod.Labels)
 			}
 			if got := indexSize(t, "podsByLabel", a.podsByLabel); got != nLabels {
 				fail("podsByLabel holds %d entries, want %d", got, nLabels)
 			}
 			for what, n := range map[string][2]int{
-				"podsByOwner":   {indexSize(t, "podsByOwner", a.podsByOwner), len(a.pods.byName)},
-				"podsByNode":    {indexSize(t, "podsByNode", a.podsByNode), len(a.pods.byName)},
-				"svcBySelector": {indexSize(t, "svcBySelector", a.svcBySelector), len(a.services.byName)},
-				"rsByOwner":     {indexSize(t, "rsByOwner", a.rsByOwner), len(a.replicaSets.byName)},
+				"podsByOwner":   {indexSize(t, "podsByOwner", a.podsByOwner), len(a.Pods.byName)},
+				"podsByNode":    {indexSize(t, "podsByNode", a.podsByNode), len(a.Pods.byName)},
+				"svcBySelector": {indexSize(t, "svcBySelector", a.svcBySelector), len(a.Services.byName)},
+				"rsByOwner":     {indexSize(t, "rsByOwner", a.rsByOwner), len(a.ReplicaSets.byName)},
 			} {
 				if n[0] != n[1] {
 					fail("%s holds %d entries, want %d", what, n[0], n[1])
@@ -270,15 +270,15 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 
 		// Draining the store drains every index.
 		for _, pod := range a.ListPods(nil, nil) {
-			a.DeletePod(nil, pod.Name)
+			a.Pods.Delete(nil, pod.Name)
 		}
-		for _, s := range a.ListServices(nil) {
-			a.DeleteService(nil, s.Name)
+		for _, s := range a.Services.List(nil) {
+			a.Services.Delete(nil, s.Name)
 		}
-		for _, rs := range a.ListReplicaSets(nil, "") {
-			a.DeleteReplicaSet(nil, rs.Name)
+		for _, rs := range a.ReplicaSets.List(nil) {
+			a.ReplicaSets.Delete(nil, rs.Name)
 		}
-		if n := len(a.podsByLabel) + len(a.podsByOwner) + len(a.podsByNode) + len(a.svcBySelector) + len(a.rsByOwner) + len(a.pods.sorted.items); n != 0 {
+		if n := len(a.podsByLabel) + len(a.podsByOwner) + len(a.podsByNode) + len(a.svcBySelector) + len(a.rsByOwner) + len(a.Pods.sorted.items); n != 0 {
 			t.Fatalf("seed %d: %d index entries left in a drained store", seed, n)
 		}
 	}
@@ -304,14 +304,14 @@ func TestListSurvivesDeletesMidIteration(t *testing.T) {
 		var seen []string
 		for _, pod := range c.list() {
 			seen = append(seen, pod.Name)
-			api.DeletePod(nil, pod.Name)
+			api.Pods.Delete(nil, pod.Name)
 			api.CreatePod(nil, &Pod{Name: "a-" + pod.Name, Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 		}
 		if len(seen) != 10 || !sort.StringsAreSorted(seen) {
 			t.Errorf("%s saw %v while deleting mid-iteration", c.what, seen)
 		}
 		for _, pod := range api.ListPods(nil, nil) { // back to p0..p9 for the next case
-			api.DeletePod(nil, pod.Name)
+			api.Pods.Delete(nil, pod.Name)
 			api.CreatePod(nil, &Pod{Name: strings.TrimPrefix(pod.Name, "a-"), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 		}
 	}
@@ -325,7 +325,7 @@ func TestReadPathAllocations(t *testing.T) {
 		c := newBareCluster("n1")
 		for i := 0; i < pods; i++ {
 			name := fmt.Sprintf("svc-%04d", i)
-			c.api.CreateService(nil, &Service{Name: name, Selector: map[string]string{"app": name}, TargetPort: 80, NodePort: 30000 + i})
+			c.api.Services.Create(nil, &Service{Name: name, Selector: map[string]string{"app": name}, TargetPort: 80, NodePort: 30000 + i})
 			c.api.CreatePod(nil, &Pod{Name: name + "-rs-00001", Owner: name + "-rs", NodeName: "n1", Phase: PodRunning,
 				Labels: map[string]string{"app": name, "tier": "edge"}})
 		}
@@ -394,7 +394,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			res := registry.NewResolver()
 			res.AddPrefix("", regHost.IP())
 			rt := container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
-			kc.AddNodeWithCapacity(name, rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 8 << 30})
+			kc.AddNode(name, rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 8 << 30})
 		}
 		kc.Start()
 		def, err := spec.Parse(resourceYAML) // requests 4 cores / 8 GiB: a whole node
@@ -410,7 +410,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			kc.Pull(p, a)
 			kc.Create(p, a)
 			// A second Service, lower by name, selecting the same pods.
-			kc.API().CreateService(p, &Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
+			kc.API().Services.Create(p, &Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
 			kc.SetReplicas(p, a.UniqueName, 3)
 			for len(kc.Endpoints(a.UniqueName)) < 2 {
 				p.Sleep(200 * time.Millisecond)

@@ -191,9 +191,7 @@ func TestPacketInOnRegisteredAddress(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions:  Actions{Output: OutputController},
 	})
-	rg.k.Go("client", func(p *sim.Proc) {
-		rg.client.Dial(p, vip, 80, 100*time.Millisecond)
-	})
+	rg.client.HTTPGetAsync(vip, 80, &simnet.HTTPRequest{}, 100*time.Millisecond, func(*simnet.HTTPResult, error) {})
 	rg.k.Run()
 	if len(ctrl.packetIns) != 1 {
 		t.Fatalf("packet-ins = %d, want 1 (held SYN)", len(ctrl.packetIns))

@@ -7,6 +7,7 @@ import (
 
 	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
+	"transparentedge/internal/simnet"
 )
 
 func withFaults(r *rig, spec faults.ClusterSpec) {
@@ -59,7 +60,7 @@ func TestFaultCrashAfterInstantiate(t *testing.T) {
 			t.Error("function running after crash-after-instantiate")
 		}
 		p.Sleep(time.Second) // far beyond module init; port must stay closed
-		if _, err := r.client.Dial(p, inst.Addr, inst.Port, 50*time.Millisecond); err == nil {
+		if _, err := r.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 50*time.Millisecond); err == nil {
 			t.Error("crashed function accepted a connection")
 		}
 		inst2, err := r.pl.ScaleUp(p, a.UniqueName)
@@ -67,9 +68,7 @@ func TestFaultCrashAfterInstantiate(t *testing.T) {
 			t.Fatalf("retry scale-up: %v", err)
 		}
 		for {
-			c, err := r.client.Dial(p, inst2.Addr, inst2.Port, 50*time.Millisecond)
-			if err == nil {
-				c.Close()
+			if _, err := r.client.HTTPGet(p, inst2.Addr, inst2.Port, &simnet.HTTPRequest{}, 50*time.Millisecond); err == nil {
 				break
 			}
 			p.Sleep(10 * time.Millisecond)

@@ -100,9 +100,7 @@ func TestColdStartIsMilliseconds(t *testing.T) {
 		}
 		scaleUp = p.Now() - start
 		for {
-			c, derr := rg.client.Dial(p, inst.Addr, inst.Port, 0)
-			if derr == nil {
-				c.Close()
+			if _, derr := rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0); derr == nil {
 				break
 			}
 			p.Sleep(time.Millisecond)
@@ -174,7 +172,7 @@ func TestScaleDownClosesEndpoint(t *testing.T) {
 		if _, ok := rg.pl.Endpoint(a.UniqueName); ok {
 			t.Error("endpoint after scale down")
 		}
-		_, dialErr = rg.client.Dial(p, inst.Addr, inst.Port, 0)
+		_, dialErr = rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0)
 	})
 	rg.k.Run()
 	if !errors.Is(dialErr, simnet.ErrConnRefused) {
@@ -194,7 +192,7 @@ func TestStaleInstantiationIgnored(t *testing.T) {
 		inst, _ := rg.pl.ScaleUp(p, a.UniqueName)
 		rg.pl.ScaleDown(p, a.UniqueName) // before InitDelay elapses
 		p.Sleep(50 * time.Millisecond)
-		_, dialErr = rg.client.Dial(p, inst.Addr, inst.Port, 0)
+		_, dialErr = rg.client.HTTPGet(p, inst.Addr, inst.Port, &simnet.HTTPRequest{}, 0)
 	})
 	rg.k.Run()
 	if !errors.Is(dialErr, simnet.ErrConnRefused) {

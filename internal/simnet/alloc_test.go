@@ -129,8 +129,8 @@ func TestSchedulesPerHopBounded(t *testing.T) {
 
 // TestAllocsHostDataReceive pins the end-to-end DATA segment path across an
 // established connection — Conn.Send, link transfer, Host.HandlePacket
-// demux, in-order fast path, receiver wake-up, Conn.Recv, packet free — at
-// zero steady-state allocations.
+// demux, in-order fast path, the receiving handler's ConnMessage, packet
+// free — at zero steady-state allocations.
 func TestAllocsHostDataReceive(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
@@ -140,26 +140,14 @@ func TestAllocsHostDataReceive(t *testing.T) {
 	a.SetUplink(ha)
 	b.SetUplink(hb)
 
-	received := 0
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			if _, err := c.Recv(p, 0); err != nil {
-				return
-			}
-			received++
-		}
-	})
-	var conn *Conn
-	k.Go("dial", func(p *sim.Proc) {
-		c, err := a.Dial(p, b.IP(), 80, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn = c
-	})
+	// The server's record has room for every message, so keeping one
+	// allocates nothing.
+	server := &recorder{msgs: make([]any, 0, 256), at: make([]time.Duration, 0, 256)}
+	b.ListenAsync(80, func(*Conn) ConnHandler { return server })
+	var client recorder
+	conn := a.DialAsync(b.IP(), 80, &client)
 	k.Run()
-	if conn == nil {
+	if client.established != 1 {
 		t.Fatal("dial failed")
 	}
 
@@ -172,13 +160,13 @@ func TestAllocsHostDataReceive(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		send()
 	}
-	before := received
+	before := len(server.msgs)
 	avg := testing.AllocsPerRun(200, send)
 	if avg != 0 {
 		t.Errorf("%.1f allocs per DATA send+receive, want 0", avg)
 	}
-	if received-before != 201 {
-		t.Fatalf("received %d, want 201", received-before)
+	if got := len(server.msgs) - before; got != 201 {
+		t.Fatalf("received %d, want 201", got)
 	}
 }
 

@@ -55,63 +55,40 @@ func TestFabricHTTPAcrossShards(t *testing.T) {
 func TestFabricBandwidthSerialization(t *testing.T) {
 	cfg := LinkConfig{Name: "bw", Latency: 5 * time.Millisecond, Bandwidth: 8 * Mbps}
 	g, a, b := crossShardPair(2, cfg)
-	got := make(chan time.Duration, 1)
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		if _, err := c.Recv(p, 0); err == nil {
-			got <- time.Duration(p.Now())
-		}
-	})
-	g.Kernel(0).Go("client", func(p *sim.Proc) {
-		c, err := a.Dial(p, b.IP(), 80, 0)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		c.Send(1_000_000, "blob") // 1 MB at 1 MB/s = 1 s serialization
+	server := accept(b, 80)
+	g.Kernel(0).After(0, func() {
+		a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) {
+			c.Send(1_000_000, "blob") // 1 MB at 1 MB/s = 1 s serialization
+		}})
 	})
 	g.Run()
-	select {
-	case at := <-got:
-		// Handshake: SYN 5ms out (64B at 1MB/s is 64µs serialization),
-		// SYN-ACK back. Then 1s serialization + 5ms propagation. Just
-		// bound it: must be >= 1s and well under 1.1s.
-		if at < time.Second || at > 1100*time.Millisecond {
-			t.Fatalf("delivery at %v, want ~1.01s", at)
-		}
-	default:
+	if len(*server) != 1 || len((*server)[0].at) != 1 {
 		t.Fatal("payload never delivered")
+	}
+	// Handshake: SYN 5ms out (64B at 1MB/s is 64µs serialization),
+	// SYN-ACK back. Then 1s serialization + 5ms propagation. Just
+	// bound it: must be >= 1s and well under 1.1s.
+	if at := (*server)[0].at[0]; at < time.Second || at > 1100*time.Millisecond {
+		t.Fatalf("delivery at %v, want ~1.01s", at)
 	}
 }
 
 // Deterministic loss: the same link name produces the same drop pattern at
 // any shard count.
 func TestFabricLossParityAcrossShards(t *testing.T) {
-	run := func(shards int) (received int, dropped uint64) {
+	run := func(shards int) (int, uint64) {
 		cfg := LinkConfig{Name: "lossy", Latency: time.Millisecond, Loss: 0.3}
 		g, a, b := crossShardPair(shards, cfg)
-		b.Listen(80, func(p *sim.Proc, c *Conn) {
-			for {
-				if _, err := c.Recv(p, 0); err != nil {
-					return
+		server := accept(b, 80)
+		g.Kernel(0).After(0, func() {
+			redial(a, b.IP(), 80, 50*time.Millisecond, 0, func(c *Conn) {
+				for i := 0; i < 200; i++ {
+					c.Send(KiB, i)
 				}
-				received++
-			}
-		})
-		g.Kernel(0).Go("client", func(p *sim.Proc) {
-			var c *Conn
-			for c == nil {
-				var err error
-				c, err = a.Dial(p, b.IP(), 80, 50*time.Millisecond)
-				if err != nil {
-					c = nil
-				}
-			}
-			for i := 0; i < 200; i++ {
-				c.Send(KiB, i)
-			}
+			})
 		})
 		g.RunUntil(time.Minute)
-		return received, a.Uplink().Link().Dropped
+		return received(*server), a.Uplink().Link().Dropped
 	}
 	r1, d1 := run(1)
 	r2, d2 := run(2)

@@ -178,7 +178,7 @@ type ConnHandler interface {
 }
 
 // Conn is a TCP-ish connection endpoint: every event it sees goes to its
-// handler. Dial, Listen and Recv (procconn.go) are a handler that queues.
+// handler, the one way a Conn is driven.
 type Conn struct {
 	host        *Host
 	local       addrPort

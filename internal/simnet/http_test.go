@@ -17,28 +17,26 @@ func TestHTTPKeepAlive(t *testing.T) {
 		served++
 		c.Respond(&HTTPResponse{Status: 200, Size: KiB, Body: served})
 	})
-	var bodies []any
-	k.Go("client", func(p *sim.Proc) {
-		c, err := a.Dial(p, b.IP(), 80, 0)
-		if err != nil {
+	var client recorder
+	get := func(c *Conn) {
+		if err := c.Send(minWireSize, &HTTPRequest{Method: "GET", Path: "/"}); err != nil {
 			t.Error(err)
-			return
 		}
-		defer c.Close()
-		for i := 0; i < 3; i++ {
-			if err := c.Send(minWireSize, &HTTPRequest{Method: "GET", Path: "/"}); err != nil {
-				t.Error(err)
-				return
-			}
-			resp, err := c.Recv(p, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			bodies = append(bodies, resp.(*HTTPResponse).Body)
+	}
+	client.open = get
+	client.reply = func(c *Conn) {
+		if len(client.msgs) < 3 {
+			get(c)
+		} else {
+			c.Close()
 		}
-	})
+	}
+	a.DialAsync(b.IP(), 80, &client)
 	k.Run()
+	var bodies []any
+	for _, v := range client.msgs {
+		bodies = append(bodies, v.(*HTTPResponse).Body)
+	}
 	if served != 3 || len(bodies) != 3 {
 		t.Fatalf("served %d, got %d responses", served, len(bodies))
 	}
@@ -80,27 +78,23 @@ func TestHTTPPipelinedResponsesInRequestOrder(t *testing.T) {
 				c.Respond(&HTTPResponse{Status: 200, Body: req.Path})
 			}
 		})
-		var got []arrival
-		k.Go("client", func(p *sim.Proc) {
-			c, err := a.Dial(p, b.IP(), 80, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
+		var client recorder
+		client.open = func(c *Conn) {
 			for _, path := range tc.paths {
 				c.Send(minWireSize, &HTTPRequest{Method: "GET", Path: path})
 			}
-			for range tc.paths {
-				resp, err := c.Recv(p, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got = append(got, arrival{resp.(*HTTPResponse).Body.(string), p.Now()})
+		}
+		client.reply = func(c *Conn) {
+			if len(client.msgs) == len(tc.paths) {
+				c.Close()
 			}
-		})
+		}
+		a.DialAsync(b.IP(), 80, &client)
 		k.Run()
+		var got []arrival
+		for i, v := range client.msgs {
+			got = append(got, arrival{v.(*HTTPResponse).Body.(string), client.at[i]})
+		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: responses %v, want %v", tc.name, got, tc.want)
 		}
@@ -225,32 +219,19 @@ func TestHTTPIgnoresForeignPayload(t *testing.T) {
 	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
 		c.Respond(&HTTPResponse{Status: 200, Size: minWireSize})
 	})
-	var status int
-	k.Go("client", func(p *sim.Proc) {
-		c, err := a.Dial(p, b.IP(), 80, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer c.Close()
+	client := recorder{reply: (*Conn).Close}
+	client.open = func(c *Conn) {
 		if err := c.Send(minWireSize, "not an http request"); err != nil {
 			t.Error(err)
-			return
 		}
 		if err := c.Send(minWireSize, &HTTPRequest{Method: "GET", Path: "/"}); err != nil {
 			t.Error(err)
-			return
 		}
-		resp, err := c.Recv(p, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		status = resp.(*HTTPResponse).Status
-	})
+	}
+	a.DialAsync(b.IP(), 80, &client)
 	k.Run()
-	if status != 200 {
-		t.Fatalf("status = %d, want 200 (foreign payload must be skipped)", status)
+	if len(client.msgs) != 1 || client.msgs[0].(*HTTPResponse).Status != 200 {
+		t.Fatalf("responses = %v, want one 200 (foreign payload must be skipped)", client.msgs)
 	}
 }
 

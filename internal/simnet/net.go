@@ -30,7 +30,7 @@
 //     need no copy; Clone was retired with this rule);
 //   - terminal consumers return packets to the pool: hosts free control
 //     segments (SYN/SYN-ACK/RST/FIN) after handling them, and DATA segments
-//     are freed by Conn.Recv once the payload has been extracted;
+//     are freed as their payload is handed to the connection's handler;
 //   - a node that holds a packet across events (the SDN controller holding
 //     a punted SYN while a deployment runs) owns it until it re-injects it
 //     (TableOut/PacketOut) or drops it;

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,13 +54,11 @@ func TestDialAndRequest(t *testing.T) {
 
 func TestConnRefusedWhenNoListener(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	var err error
-	k.Go("client", func(p *sim.Proc) {
-		_, err = a.Dial(p, b.IP(), 8080, 0)
-	})
+	var h recorder
+	a.DialAsync(b.IP(), 8080, &h)
 	k.Run()
-	if !errors.Is(err, ErrConnRefused) {
-		t.Fatalf("err = %v, want ErrConnRefused", err)
+	if h.refused != 1 || h.established != 0 {
+		t.Fatalf("handler saw %d refusals and %d handshakes, want one refusal", h.refused, h.established)
 	}
 }
 
@@ -74,16 +71,9 @@ func TestConnRefusedThenOpen(t *testing.T) {
 		})
 	})
 	var okAt time.Duration
-	k.Go("prober", func(p *sim.Proc) {
-		for {
-			c, err := a.Dial(p, b.IP(), 80, 0)
-			if err == nil {
-				okAt = p.Now()
-				c.Close()
-				return
-			}
-			p.Sleep(10 * time.Millisecond)
-		}
+	redial(a, b.IP(), 80, 0, 10*time.Millisecond, func(c *Conn) {
+		okAt = k.Now()
+		c.Close()
 	})
 	k.Run()
 	if okAt < 50*time.Millisecond || okAt > 80*time.Millisecond {
@@ -92,21 +82,22 @@ func TestConnRefusedThenOpen(t *testing.T) {
 }
 
 func TestDialTimeout(t *testing.T) {
-	// Destination exists but no route -> SYN dropped -> timeout.
+	// Destination exists but no route -> SYN dropped -> no answer ever; the
+	// dialer gives up with Abort.
 	k := sim.New(1)
 	n := NewNetwork(k)
 	a := NewHost(n, "a", "10.0.0.1")
 	r := NewRouter(n, "r")
 	a.AttachTo(r, LinkConfig{Latency: time.Millisecond})
-	var err error
-	var at time.Duration
-	k.Go("client", func(p *sim.Proc) {
-		_, err = a.Dial(p, "10.9.9.9", 80, 2*time.Second)
-		at = p.Now()
-	})
+	var h recorder
+	c := a.DialAsync("10.9.9.9", 80, &h)
+	k.After(2*time.Second, c.Abort)
 	k.Run()
-	if !errors.Is(err, ErrTimeout) || at != 2*time.Second {
-		t.Fatalf("err=%v at=%v, want timeout at 2s", err, at)
+	if h.established+h.refused != 0 || k.Now() != 2*time.Second {
+		t.Fatalf("handler saw %+v, run ended at %v; want no verdict and the abort at 2s", h, k.Now())
+	}
+	if len(a.conns) != 0 {
+		t.Fatalf("%d connections left on the dialer after Abort, want 0", len(a.conns))
 	}
 }
 
@@ -138,23 +129,15 @@ func TestFairShareTwoTransfers(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: 0, Bandwidth: 8 * Mbps})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	var done []time.Duration
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			if _, err := c.Recv(p, 0); err != nil {
-				return
-			}
-			done = append(done, p.Now())
-		}
-	})
-	k.Go("clients", func(p *sim.Proc) {
-		c1, _ := a.Dial(p, b.IP(), 80, 0)
-		c2, _ := a.Dial(p, b.IP(), 80, 0)
-		// 1 MB each at 1 MB/s capacity: solo 1 s, shared 2 s.
-		c1.Send(1_000_000, "x")
-		c2.Send(1_000_000, "y")
-	})
+	server := accept(b, 80)
+	// 1 MB each at 1 MB/s capacity: solo 1 s, shared 2 s.
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) { c.Send(1_000_000, "x") }})
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) { c.Send(1_000_000, "y") }})
 	k.Run()
+	var done []time.Duration
+	for _, r := range *server {
+		done = append(done, r.at...)
+	}
 	if len(done) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(done))
 	}
@@ -177,24 +160,18 @@ func TestFairShareLateJoiner(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: 0, Bandwidth: 8 * Mbps})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	arrivals := map[string]time.Duration{}
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			v, err := c.Recv(p, 0)
-			if err != nil {
-				return
-			}
-			arrivals[v.(*HTTPRequest).Path] = p.Now()
-		}
-	})
-	k.Go("driver", func(p *sim.Proc) {
-		c1, _ := a.Dial(p, b.IP(), 80, 0)
-		c1.Send(2_000_000, &HTTPRequest{Path: "A"})
-		p.Sleep(time.Second)
-		c2, _ := a.Dial(p, b.IP(), 80, 0)
-		c2.Send(500_000, &HTTPRequest{Path: "B"})
+	server := accept(b, 80)
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) { c.Send(2_000_000, &HTTPRequest{Path: "A"}) }})
+	k.After(time.Second, func() {
+		a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) { c.Send(500_000, &HTTPRequest{Path: "B"}) }})
 	})
 	k.Run()
+	arrivals := map[string]time.Duration{}
+	for _, r := range *server {
+		for i, v := range r.msgs {
+			arrivals[v.(*HTTPRequest).Path] = r.at[i]
+		}
+	}
 	within := func(got, want time.Duration) bool {
 		diff := got - want
 		if diff < 0 {
@@ -224,29 +201,22 @@ func TestQuickBandwidthConservation(t *testing.T) {
 		pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 100 * Mbps})
 		a.SetUplink(pa)
 		b.SetUplink(pb)
-		var got Bytes
+		server := accept(b, 80)
 		var want Bytes
-		b.Listen(80, func(p *sim.Proc, c *Conn) {
-			for {
-				v, err := c.Recv(p, 0)
-				if err != nil {
-					return
-				}
-				got += v.(*HTTPRequest).Size
-			}
-		})
-		k.Go("driver", func(p *sim.Proc) {
-			c, err := a.Dial(p, b.IP(), 80, 0)
-			if err != nil {
-				return
-			}
+		a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) {
 			for _, s := range sizes {
 				sz := Bytes(s) + minWireSize
 				want += sz
 				c.Send(sz, &HTTPRequest{Size: sz})
 			}
-		})
+		}})
 		k.Run()
+		var got Bytes
+		for _, r := range *server {
+			for _, v := range r.msgs {
+				got += v.(*HTTPRequest).Size
+			}
+		}
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(9))}); err != nil {
@@ -254,40 +224,12 @@ func TestQuickBandwidthConservation(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		// Accept but never respond.
-		c.Recv(p, 0)
-	})
-	var err error
-	k.Go("client", func(p *sim.Proc) {
-		c, derr := a.Dial(p, b.IP(), 80, 0)
-		if derr != nil {
-			t.Errorf("dial: %v", derr)
-			return
-		}
-		_, err = c.Recv(p, 500*time.Millisecond)
-	})
-	k.Run()
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-}
-
 func TestCloseDeliversFIN(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	serverSawClose := false
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		_, err := c.Recv(p, 0)
-		serverSawClose = errors.Is(err, ErrConnClosed)
-	})
-	k.Go("client", func(p *sim.Proc) {
-		c, _ := a.Dial(p, b.IP(), 80, 0)
-		c.Close()
-	})
+	server := accept(b, 80)
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) { c.Close() }})
 	k.Run()
-	if !serverSawClose {
+	if len(*server) != 1 || (*server)[0].closed != 1 {
 		t.Fatal("server did not observe connection close")
 	}
 }
@@ -313,26 +255,23 @@ func TestDuplicateListenerPanics(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
 	h := NewHost(n, "h", "10.0.0.1")
-	h.Listen(80, func(p *sim.Proc, c *Conn) {})
+	accept(h, 80)
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Listen did not panic")
+			t.Error("duplicate ListenAsync did not panic")
 		}
 	}()
-	h.Listen(80, func(p *sim.Proc, c *Conn) {})
+	accept(h, 80)
 }
 
 func TestListenerCloseRefusesNew(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	l := b.Listen(80, func(p *sim.Proc, c *Conn) {})
-	l.Close()
-	var err error
-	k.Go("client", func(p *sim.Proc) {
-		_, err = a.Dial(p, b.IP(), 80, 0)
-	})
+	b.ListenAsync(80, func(*Conn) ConnHandler { return &recorder{} }).Close()
+	var h recorder
+	a.DialAsync(b.IP(), 80, &h)
 	k.Run()
-	if !errors.Is(err, ErrConnRefused) {
-		t.Fatalf("err = %v, want refused after listener close", err)
+	if h.refused != 1 {
+		t.Fatalf("handler saw %+v, want refused after listener close", h)
 	}
 }
 
@@ -343,9 +282,9 @@ func TestPortOpen(t *testing.T) {
 	if h.PortOpen(80) {
 		t.Fatal("PortOpen on fresh host")
 	}
-	l := h.Listen(80, func(p *sim.Proc, c *Conn) {})
+	l := h.ListenAsync(80, func(*Conn) ConnHandler { return &recorder{} })
 	if !h.PortOpen(80) {
-		t.Fatal("PortOpen = false after Listen")
+		t.Fatal("PortOpen = false after ListenAsync")
 	}
 	l.Close()
 	if h.PortOpen(80) {
@@ -454,26 +393,16 @@ func TestInOrderDeliveryUnderFairShare(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 8 * Mbps})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	var got []string
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			v, err := c.Recv(p, 0)
-			if err != nil {
-				return
-			}
-			got = append(got, v.(*HTTPRequest).Path)
-		}
-	})
-	k.Go("driver", func(p *sim.Proc) {
-		c, err := a.Dial(p, b.IP(), 80, 0)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
+	server := accept(b, 80)
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) {
 		c.Send(2_000_000, &HTTPRequest{Path: "big"})
 		c.Send(1_000, &HTTPRequest{Path: "small"})
-	})
+	}})
 	k.Run()
+	var got []string
+	for _, v := range (*server)[0].msgs {
+		got = append(got, v.(*HTTPRequest).Path)
+	}
 	if len(got) != 2 || got[0] != "big" || got[1] != "small" {
 		t.Fatalf("delivery order = %v, want [big small]", got)
 	}
@@ -490,30 +419,21 @@ func TestFINAfterPipelinedData(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 8 * Mbps})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	var got int
-	sawClose := false
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			_, err := c.Recv(p, 0)
-			if err != nil {
-				sawClose = errors.Is(err, ErrConnClosed)
-				return
-			}
-			got++
-		}
-	})
-	k.Go("driver", func(p *sim.Proc) {
-		c, _ := a.Dial(p, b.IP(), 80, 0)
+	var server recorder
+	msgsAtClose := -1
+	server.shut = func() { msgsAtClose = len(server.msgs) }
+	b.ListenAsync(80, func(*Conn) ConnHandler { return &server })
+	a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) {
 		c.Send(1_000_000, "one")
 		c.Send(1_000_000, "two")
 		c.Close()
-	})
+	}})
 	k.Run()
-	if got != 2 {
-		t.Fatalf("messages before close = %d, want 2 (FIN outran DATA?)", got)
-	}
-	if !sawClose {
+	if server.closed != 1 {
 		t.Fatal("receiver did not observe close")
+	}
+	if msgsAtClose != 2 {
+		t.Fatalf("messages before close = %d, want 2 (FIN outran DATA?)", msgsAtClose)
 	}
 }
 
@@ -531,30 +451,17 @@ func TestQuickInOrderDelivery(t *testing.T) {
 		pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Bandwidth: 50 * Mbps})
 		a.SetUplink(pa)
 		b.SetUplink(pb)
-		var got []int
-		b.Listen(80, func(p *sim.Proc, c *Conn) {
-			for {
-				v, err := c.Recv(p, 0)
-				if err != nil {
-					return
-				}
-				got = append(got, v.(int))
-			}
-		})
-		k.Go("driver", func(p *sim.Proc) {
-			c, err := a.Dial(p, b.IP(), 80, 0)
-			if err != nil {
-				return
-			}
+		server := accept(b, 80)
+		a.DialAsync(b.IP(), 80, &recorder{open: func(c *Conn) {
 			for i, s := range sizes {
 				c.Send(Bytes(s%2_000_000)+1, i)
 			}
-		})
+		}})
 		k.Run()
-		if len(got) != len(sizes) {
+		if len(*server) != 1 || len((*server)[0].msgs) != len(sizes) {
 			return false
 		}
-		for i, v := range got {
+		for i, v := range (*server)[0].msgs {
 			if v != i {
 				return false
 			}
@@ -579,18 +486,19 @@ func TestLinkDownDropsPackets(t *testing.T) {
 		c.Respond(&HTTPResponse{Status: 200})
 	})
 	link.SetDown(true)
-	var downErr, upErr error
-	k.Go("client", func(p *sim.Proc) {
-		_, downErr = a.Dial(p, b.IP(), 80, 200*time.Millisecond)
+	var down, up recorder
+	c := a.DialAsync(b.IP(), 80, &down)
+	k.After(200*time.Millisecond, func() {
+		c.Abort()
 		link.SetDown(false)
-		_, upErr = a.Dial(p, b.IP(), 80, 200*time.Millisecond)
+		a.DialAsync(b.IP(), 80, &up)
 	})
 	k.Run()
-	if !errors.Is(downErr, ErrTimeout) {
-		t.Fatalf("dial over down link = %v, want timeout", downErr)
+	if down.established+down.refused != 0 {
+		t.Fatalf("dial over down link saw %+v, want no answer", down)
 	}
-	if upErr != nil {
-		t.Fatalf("dial after link up = %v", upErr)
+	if up.established != 1 {
+		t.Fatalf("dial after link up saw %+v, want established", up)
 	}
 	if link.Dropped == 0 {
 		t.Fatal("no drops recorded")
@@ -605,31 +513,15 @@ func TestLinkLossDropsSomePackets(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond, Loss: 0.5})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	received := 0
-	b.Listen(80, func(p *sim.Proc, c *Conn) {
-		for {
-			if _, err := c.Recv(p, 0); err != nil {
-				return
-			}
-			received++
-		}
-	})
-	k.Go("client", func(p *sim.Proc) {
-		// Dial may need retries under 50% loss.
-		var c *Conn
-		for c == nil {
-			var err error
-			c, err = a.Dial(p, b.IP(), 80, 100*time.Millisecond)
-			if err != nil {
-				c = nil
-			}
-		}
+	server := accept(b, 80)
+	// The dial may need retries under 50% loss.
+	redial(a, b.IP(), 80, 100*time.Millisecond, 0, func(c *Conn) {
 		for i := 0; i < 100; i++ {
 			c.Send(KiB, i)
 		}
 	})
 	k.RunUntil(time.Minute)
-	if received == 0 || received == 100 {
+	if received := received(*server); received == 0 || received == 100 {
 		t.Fatalf("received = %d of 100 under 50%% loss, want some but not all", received)
 	}
 	if pa.Link().Dropped == 0 {
@@ -637,62 +529,121 @@ func TestLinkLossDropsSomePackets(t *testing.T) {
 	}
 }
 
-// dialProbe is a ConnHandler that records what a callback-mode dial reports.
-type dialProbe struct{ established, refused, closed int }
+// recorder is the ConnHandler of the connection tests: it counts the
+// handshake verdicts and closes it is told of and keeps every message with
+// the instant it arrived. The hooks, if set, run on an accepted dial (open),
+// after each message (reply), on a refused dial and on a close.
+type recorder struct {
+	established, refused, closed int
+	msgs                         []any
+	at                           []time.Duration
+	open, reply                  func(c *Conn)
+	refuse, shut                 func()
+}
 
-func (d *dialProbe) ConnEstablished(_ *Conn, ok bool) {
-	if ok {
-		d.established++
-	} else {
-		d.refused++
+func (r *recorder) ConnEstablished(c *Conn, ok bool) {
+	if !ok {
+		r.refused++
+		if r.refuse != nil {
+			r.refuse()
+		}
+		return
+	}
+	r.established++
+	if r.open != nil {
+		r.open(c)
 	}
 }
-func (d *dialProbe) ConnMessage(*Conn, any) {}
-func (d *dialProbe) ConnClosed(*Conn)       { d.closed++ }
+
+func (r *recorder) ConnMessage(c *Conn, payload any) {
+	r.msgs = append(r.msgs, payload)
+	r.at = append(r.at, time.Duration(c.host.net.K.Now()))
+	if r.reply != nil {
+		r.reply(c)
+	}
+}
+
+func (r *recorder) ConnClosed(*Conn) {
+	r.closed++
+	if r.shut != nil {
+		r.shut()
+	}
+}
+
+// told counts the events the recorder was told of.
+func (r *recorder) told() int { return r.established + r.refused + r.closed + len(r.msgs) }
+
+// accept listens on port, handing each inbound connection a fresh recorder;
+// the list holds them in arrival order.
+func accept(h *Host, port int) *[]*recorder {
+	rs := new([]*recorder)
+	h.ListenAsync(port, func(*Conn) ConnHandler {
+		r := &recorder{}
+		*rs = append(*rs, r)
+		return r
+	})
+	return rs
+}
+
+// received counts the messages the recorders were handed.
+func received(rs []*recorder) int {
+	n := 0
+	for _, r := range rs {
+		n += len(r.msgs)
+	}
+	return n
+}
+
+// redial dials from h until a connection is accepted and runs open on it. An
+// attempt that is refused, or that has no answer after timeout (it is
+// aborted; zero waits for the answer), is followed by the next pause later.
+func redial(h *Host, dst Addr, port int, timeout, pause time.Duration, open func(c *Conn)) {
+	k := h.net.K
+	again := func() { k.After(pause, func() { redial(h, dst, port, timeout, pause, open) }) }
+	r := &recorder{open: open, refuse: again}
+	c := h.DialAsync(dst, port, r)
+	if timeout > 0 {
+		k.After(timeout, func() {
+			if r.established+r.refused == 0 {
+				c.Abort()
+				again()
+			}
+		})
+	}
+}
 
 // TestAbortTimedOutDial: a dial given up on before its SYN-ACK arrives sends
 // the SYN and nothing else, leaves no connection on the dialing host, and the
-// late SYN-ACK is freed without reaching the handler — through Abort directly
-// exactly as through the blocking Dial's timeout.
+// late SYN-ACK is freed without reaching the handler.
 func TestAbortTimedOutDial(t *testing.T) {
-	for _, mode := range []string{"async", "process"} {
-		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
-		reg := obs.NewRegistry()
-		n.SetObs(reg)
-		fromA := 0
-		n.PktTrace = func(_ string, pkt *Packet) {
-			if pkt.SrcIP == a.IP() {
-				fromA++
-			}
+	k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
+	reg := obs.NewRegistry()
+	n.SetObs(reg)
+	fromA := 0
+	n.PktTrace = func(_ string, pkt *Packet) {
+		if pkt.SrcIP == a.IP() {
+			fromA++
 		}
-		b.ListenAsync(80, func(*Conn) ConnHandler { return &dialProbe{} })
-		const timeout = 25 * time.Millisecond // the SYN has arrived, the SYN-ACK has not
-		var h dialProbe
-		var dialErr error
-		if mode == "async" {
-			c := a.DialAsync(b.IP(), 80, &h)
-			k.After(timeout, c.Abort)
-		} else {
-			k.Go("dial", func(p *sim.Proc) { _, dialErr = a.Dial(p, b.IP(), 80, timeout) })
-		}
-		k.Run()
-		if mode == "process" && !errors.Is(dialErr, ErrTimeout) {
-			t.Errorf("%s: Dial err = %v, want ErrTimeout", mode, dialErr)
-		}
-		if h != (dialProbe{}) {
-			t.Errorf("%s: handler saw %+v after Abort, want nothing", mode, h)
-		}
-		if fromA != 2 { // the one SYN, seen at the router and at b
-			t.Errorf("%s: %d deliveries of packets from the dialer, want 2 (one SYN, two hops)", mode, fromA)
-		}
-		if len(a.conns) != 0 {
-			t.Errorf("%s: %d connections left on the dialer, want 0", mode, len(a.conns))
-		}
-		m := reg.Map()
-		gets, puts := m["simnet_packet_pool_gets_total"], m["simnet_packet_pool_puts_total"]
-		if gets != 2 || puts != 2 {
-			t.Errorf("%s: pool gets/puts = %v/%v, want 2/2 (SYN and the late SYN-ACK, both freed)", mode, gets, puts)
-		}
+	}
+	accept(b, 80)
+	const timeout = 25 * time.Millisecond // the SYN has arrived, the SYN-ACK has not
+	var h recorder
+	c := a.DialAsync(b.IP(), 80, &h)
+	k.After(timeout, c.Abort)
+	k.Run()
+	if h.told() != 0 {
+		t.Errorf("handler saw %+v after Abort, want nothing", h)
+	}
+	if fromA != 2 { // the one SYN, seen at the router and at b
+		t.Errorf("%d deliveries of packets from the dialer, want 2 (one SYN, two hops)", fromA)
+	}
+	if len(a.conns) != 0 {
+		t.Errorf("%d connections left on the dialer, want 0", len(a.conns))
+	}
+	m := reg.Map()
+	gets, puts := m["simnet_packet_pool_gets_total"], m["simnet_packet_pool_puts_total"]
+	if gets != 2 || puts != 2 {
+		t.Errorf("pool gets/puts = %v/%v, want 2/2 (SYN and the late SYN-ACK, both freed)", gets, puts)
 	}
 }
 
@@ -701,12 +652,11 @@ func TestAbortTimedOutDial(t *testing.T) {
 // a second Close and Abort report nothing.
 func TestCloseTellsHandler(t *testing.T) {
 	k, _, a, b := pair(t, LinkConfig{Latency: time.Millisecond})
-	var server dialProbe
-	b.ListenAsync(80, func(*Conn) ConnHandler { return &server })
-	var h dialProbe
+	server := accept(b, 80)
+	var h recorder
 	c := a.DialAsync(b.IP(), 80, &h)
 	k.Run()
-	if h != (dialProbe{established: 1}) {
+	if h.established != 1 || h.told() != 1 {
 		t.Fatalf("after the handshake the handler saw %+v, want one ConnEstablished", h)
 	}
 	c.Close()
@@ -715,14 +665,14 @@ func TestCloseTellsHandler(t *testing.T) {
 	}
 	c.Close()
 	k.Run()
-	if h.closed != 1 || server.closed != 1 {
-		t.Errorf("ConnClosed local/peer = %d/%d, want 1/1", h.closed, server.closed)
+	if h.closed != 1 || (*server)[0].closed != 1 {
+		t.Errorf("ConnClosed local/peer = %d/%d, want 1/1", h.closed, (*server)[0].closed)
 	}
 
-	var aborted dialProbe
+	var aborted recorder
 	a.DialAsync(b.IP(), 80, &aborted).Abort()
 	k.Run()
-	if aborted != (dialProbe{}) {
+	if aborted.told() != 0 {
 		t.Errorf("handler of an aborted dial saw %+v, want nothing", aborted)
 	}
 }

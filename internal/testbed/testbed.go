@@ -84,11 +84,9 @@ type Options struct {
 	// ProbeMaxWait overrides the controller's readiness-probe deadline when
 	// non-zero (negative waits forever, as before the deadline existed).
 	ProbeMaxWait time.Duration
-	// DeployRetries / DeployBackoffBase / DeployBackoffMax configure the
-	// controller's per-phase deployment retry policy when non-zero.
-	DeployRetries     int
-	DeployBackoffBase time.Duration
-	DeployBackoffMax  time.Duration
+	// DeployRetries sets the controller's per-phase deployment retries when
+	// non-zero.
+	DeployRetries int
 	// Faults, when non-nil and enabled, injects deterministic failures into
 	// the clusters and (via LinkLoss/LinkExtraLatency) the network. A nil or
 	// all-zero spec leaves every fault hook nil — zero cost, bit-identical
@@ -247,12 +245,6 @@ func New(opts Options) *Testbed {
 	if opts.DeployRetries > 0 {
 		ctrlCfg.DeployRetries = opts.DeployRetries
 	}
-	if opts.DeployBackoffBase != 0 {
-		ctrlCfg.DeployBackoffBase = opts.DeployBackoffBase
-	}
-	if opts.DeployBackoffMax != 0 {
-		ctrlCfg.DeployBackoffMax = opts.DeployBackoffMax
-	}
 	// Distance model: clusters on the EGS are nearest (0); the far edge
 	// ranks behind them (1); Docker vs Kubernetes on the same EGS tie and
 	// fall back to registration order.
@@ -359,7 +351,7 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 		}
 		kc := kube.New("egs-k8s", s.K, kubeCfg)
 		kc.SetObs(opts.Counters)
-		kc.AddNode("egs", s.Runtime, behaviors)
+		kc.AddNode("egs", s.Runtime, behaviors, kube.DefaultCapacity())
 		kc.Start()
 		tb.Kube = kc
 		s.Ctrl.AddCluster(tb.Kube, KindKubernetes)

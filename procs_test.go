@@ -90,7 +90,7 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 // kernel package itself, tests excluded) that start a process with
 // Kernel.Go. It only goes down: DESIGN.md §21 lists what is
 // left and in which order it is to be ported.
-const kernelGoCallSites = 12
+const kernelGoCallSites = 11
 
 // TestKernelGoCallSites is the ratchet on processes: it
 // counts the x.Go(name, func) calls. Nothing else in the module has a
@@ -167,23 +167,82 @@ var httpGetCallers = map[string]int{
 }
 
 // TestBlockingConnCallSites is the ratchet on the process-style connection
-// surface (DESIGN §15): outside internal/simnet only tests drive a Conn
-// through Dial, Listen and Recv(p, timeout) — so simnet/procconn.go can be
-// deleted with its tests — and HTTPGet is called only where recorded. The
-// argument counts tell these from sim.Chan's one-argument Recv.
+// surface (DESIGN §15): a Conn is driven only through a ConnHandler, so no
+// file outside internal/sim, tests included, declares a Dial, Listen or Recv
+// that takes a *sim.Proc, and HTTPGet is called only where recorded.
 func TestBlockingConnCallSites(t *testing.T) {
-	adapter := map[string]int{"Dial": 4, "Listen": 2, "Recv": 2}
-	got := map[string]int{}
-	nonTestCalls(t, ".", "internal/simnet", func(pos token.Position, name string, args int) {
-		if n, ok := adapter[name]; ok && n == args {
-			t.Errorf("%s: non-test call of the blocking %s; use the ConnHandler form", pos, name)
+	goFiles(t, ".", "internal/sim", true, func(fset *token.FileSet, f *ast.File) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || (fn.Name.Name != "Dial" && fn.Name.Name != "Listen" && fn.Name.Name != "Recv") {
+				continue
+			}
+			ast.Inspect(fn.Type.Params, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Proc" {
+					t.Errorf("%s: %s takes a *sim.Proc; drive the Conn through a ConnHandler", fset.Position(fn.Pos()), fn.Name.Name)
+				}
+				return true
+			})
 		}
+	})
+	got := map[string]int{}
+	nonTestCalls(t, ".", "", func(pos token.Position, name string, args int) {
 		if name == "HTTPGet" && args == 5 {
 			got[filepath.ToSlash(pos.Filename)]++
 		}
 	})
 	if !reflect.DeepEqual(got, httpGetCallers) {
 		t.Errorf("non-test HTTPGet callers by file = %v, recorded %v: shrink the record when one is ported; do not add one", got, httpGetCallers)
+	}
+}
+
+// surfaceCounts records the settings of core.Config and testbed.Options and
+// the exported methods of *kube.APIServer (its object stores are fields, one
+// per kind). Each number only goes down.
+var surfaceCounts = map[string]int{
+	"core.Config fields":              18,
+	"testbed.Options fields":          24,
+	"kube.APIServer exported methods": 9,
+}
+
+// TestSurfaceCounts is the ratchet on settings and pass-throughs: a field of
+// core.Config or testbed.Options that nothing sets, or a typed wrapper on
+// the API server around a Store operation, is a second way in.
+func TestSurfaceCounts(t *testing.T) {
+	got := map[string]int{}
+	count := func(dir, typ, key string) {
+		nonTestFiles(t, dir, "", func(_ *token.FileSet, f *ast.File) {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == typ {
+							for _, field := range ts.Type.(*ast.StructType).Fields.List {
+								got[key+" fields"] += max(len(field.Names), 1)
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					if d.Recv != nil && d.Name.IsExported() {
+						if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
+							if id, ok := star.X.(*ast.Ident); ok && id.Name == typ {
+								got[key+" exported methods"]++
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	count("internal/core", "Config", "core.Config")
+	count("internal/testbed", "Options", "testbed.Options")
+	count("internal/kube", "APIServer", "kube.APIServer")
+	for key, want := range surfaceCounts {
+		if got[key] > want {
+			t.Errorf("%s = %d, recorded %d: add no setting nothing sets and no pass-through", key, got[key], want)
+		} else if got[key] < want {
+			t.Errorf("%s = %d, recorded %d: lower the record", key, got[key], want)
+		}
 	}
 }
 
