@@ -31,37 +31,12 @@ race:
 # Performance numbers come from the repository benchmark below
 # (`make bench-repo`); the paper's figure tables come from `edgesim`
 # (`make experiments`) and are pinned by `make golden`'s files.
-# `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost
-# gates: internal/openflow's BenchmarkAddFlow (at1k/at10k, within-3x),
-# internal/kube's BenchmarkEnsureDeployed (at1/at500, within-2x),
-# internal/simnet's BenchmarkLinkContention (at1/at1024, within-4x of the
-# fair-share arithmetic), internal/simnet's BenchmarkHTTPExchange (one warm
-# HTTPGetAsync <-> ServeHTTPAsync exchange with RespondAfter and a deadline
-# over one link, at 0 allocs/op; TestAllocsHTTPExchange pins it), internal/sim's BenchmarkKernelSparseSweep
-# (gap1/gap200, within-2x), internal/sim's BenchmarkShardWindow (ns per
-# window of a two-kernel group with one event per kernel: the shard
-# barrier's cost) and internal/sim's BenchmarkKernelAtBatch (a 100k-event
-# arrival schedule staged and drained: B/op is the fresh kernel's wheel
-# arena, ~0.2 MB whatever the schedule's length, at under 10 allocs/op;
-# TestAtBatchMemoryIsConstant pins the staging side) and internal/sim's
-# BenchmarkWheelChurn (2000 idle timers re-armed a second ahead, one virtual
-# millisecond per op: retained-B, the slot and pool bytes the wheel holds
-# beyond its arena, stays flat as -benchtime grows, at 0 allocs/op;
-# TestWheelRetainsPeakNotHistory pins the bound) and internal/core's
-# BenchmarkDispatchChurn (one packet-in that misses the FlowMemory,
-# dispatched to a running instance, its redirect pair installed, idled out
-# and reported back by flow-removed: 2 allocs/op, the dispatch process's
-# Proc and wake thunk; TestAllocsControllerPacketIn pins it). The sim
-# continuation form has two gates of its own: internal/sim's
-# TestContMatchesProc (a sim.Cont and a Proc run the same random script of
-# sleeps, charges, re-armed timers and channel receives: every step at the
-# same instant, in the same event, after the same sequence numbers) and
-# TestAllocsContCycle (a warm cycle through every wait, at 0 allocs). The
-# root package's go/parser ratchets hold the surfaces, each number only going
-# down: TestKernelGoCallSites (11 Kernel.Go sites under internal/),
-# TestBlockingConnCallSites (no Dial/Listen/Recv taking a *sim.Proc; HTTPGet
-# callers by file) and TestSurfaceCounts (core.Config 18 fields,
-# testbed.Options 24, *kube.APIServer 9 exported methods).
+# `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost gates.
+# The root package's ratchets hold the surfaces, each number only going down:
+# TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts and
+# TestExportsHaveProgramCallers (go/types: every export under internal/ has a
+# caller outside the tests, or an allowlisted reason). What each gate pins,
+# and its current numbers, is in .claude/skills/verify/SKILL.md.
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

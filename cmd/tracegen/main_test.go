@@ -20,6 +20,10 @@ func TestBadConfigExits2(t *testing.T) {
 		{[]string{"-requests", "10"}, "42 services x 20 min > 10 total"},
 		{[]string{"-duration", "-5s", "-format", "csv"}, "duration -5s"},
 		{[]string{"-duration", "0s"}, "duration 0s"},
+		{[]string{"-services", "42", "-requests", "42", "-min", "0", "-format", "csv"}, "minimum 0 requests per service"},
+		{[]string{"-services", "42", "-requests", "42", "-min", "-1", "-format", "csv"}, "minimum -1 requests per service"},
+		{[]string{"-clients", "0"}, "0 clients"},
+		{[]string{"-clients", "-4"}, "-4 clients"},
 		{[]string{"-format", "xml"}, `unknown format "xml"`},
 	} {
 		var out, errb bytes.Buffer

@@ -41,14 +41,14 @@ func ExampleNewScheduler() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Println(s.Name())
+		fmt.Printf("%s: %T\n", name, s)
 	}
 	// Output:
-	// docker-first
-	// least-loaded
-	// no-wait
-	// proximity
-	// wait-nearest
+	// docker-first: core.DockerFirstScheduler
+	// least-loaded: core.LeastLoadedScheduler
+	// no-wait: core.NoWaitScheduler
+	// proximity: core.ProximityScheduler
+	// wait-nearest: core.WaitNearestScheduler
 }
 
 // The evaluation trace reproduces the paper's published marginals.

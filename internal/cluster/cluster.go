@@ -76,8 +76,6 @@ func (s StaticBehaviors) Behavior(imageRef string) Behavior { return s[imageRef]
 type Cluster interface {
 	// Name returns the cluster's identifier (e.g. "egs-docker").
 	Name() string
-	// Addr returns the node address instances are exposed on.
-	Addr() simnet.Addr
 	// HasImages reports whether every image of the service is cached.
 	HasImages(a *spec.Annotated) bool
 	// Pull fetches all images of the service (Pull phase).

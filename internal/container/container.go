@@ -52,7 +52,6 @@ var (
 	ErrImageNotPresent = errors.New("container: image not present (pull first)")
 	ErrBadState        = errors.New("container: operation invalid in current state")
 	ErrDuplicateName   = errors.New("container: duplicate container name")
-	ErrNotFound        = errors.New("container: no such container")
 )
 
 // Mount maps a host path into the container (the paper's Nginx+Py service
@@ -164,17 +163,11 @@ func (c *Container) Config() Config { return c.cfg }
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
 
-// HostPort returns the host port the app is exposed on (0 if none).
-func (c *Container) HostPort() int { return c.hostPort }
-
 // Ready reports whether the app's port is open and serving.
 func (c *Container) Ready() bool { return c.ready }
 
 // ReadyAt returns when the container last became ready.
 func (c *Container) ReadyAt() sim.Time { return c.readyAt }
-
-// Labels returns the container labels.
-func (c *Container) Labels() map[string]string { return c.cfg.Labels }
 
 // Create makes a new container from cfg. The image must be present.
 func (r *Runtime) Create(p *sim.Proc, cfg Config) (*Container, error) {
@@ -191,12 +184,6 @@ func (r *Runtime) Create(p *sim.Proc, cfg Config) (*Container, error) {
 	c := &Container{rt: r, cfg: cfg, state: StateCreated}
 	r.containers[cfg.Name] = c
 	return c, nil
-}
-
-// Get returns the container with the given name.
-func (r *Runtime) Get(name string) (*Container, bool) {
-	c, ok := r.containers[name]
-	return c, ok
 }
 
 // List returns containers sorted by name, optionally filtered by labels
@@ -224,8 +211,8 @@ func matchLabels(have, want map[string]string) bool {
 // Start launches the container process. hostPort is the node port to expose
 // AppPort on (ignored when AppPort is 0). Start returns once the process is
 // running; app readiness follows after InitDelay, at which point the port
-// opens. Callers that need readiness must probe (as the SDN controller
-// does) or use AwaitReady.
+// opens. Callers that need readiness must probe, as the SDN controller
+// does.
 func (c *Container) Start(p *sim.Proc, hostPort int) error {
 	if c.state != StateCreated && c.state != StateStopped {
 		return fmt.Errorf("%w: start in %s", ErrBadState, c.state)
@@ -249,14 +236,6 @@ func (c *Container) Start(p *sim.Proc, hostPort int) error {
 		}
 	})
 	return nil
-}
-
-// AwaitReady blocks until the container reports ready (local-knowledge
-// convenience for tests; the controller uses network probes instead).
-func (c *Container) AwaitReady(p *sim.Proc, pollEvery time.Duration) {
-	for !c.ready {
-		p.Sleep(pollEvery)
-	}
 }
 
 // Stop terminates the app process and closes its port.

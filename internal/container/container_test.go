@@ -10,6 +10,13 @@ import (
 	"transparentedge/internal/simnet"
 )
 
+// awaitReady polls c until it reports ready.
+func awaitReady(p *sim.Proc, c *Container, every time.Duration) {
+	for !c.Ready() {
+		p.Sleep(every)
+	}
+}
+
 // rig wires a node with a runtime and a registry holding test images.
 type rig struct {
 	k      *sim.Kernel
@@ -96,7 +103,7 @@ func TestLifecycleAndReadiness(t *testing.T) {
 		if c.Ready() {
 			t.Error("ready immediately after start")
 		}
-		c.AwaitReady(p, 10*time.Millisecond)
+		awaitReady(p, c, 10*time.Millisecond)
 		readyAt = p.Now() - t0
 	})
 	rg.k.Run()
@@ -120,7 +127,7 @@ func TestPortServesAfterReady(t *testing.T) {
 		c.Start(p, 30080)
 		// Immediately after start the port must refuse (app initializing).
 		_, refusedErr = rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
-		c.AwaitReady(p, 10*time.Millisecond)
+		awaitReady(p, c, 10*time.Millisecond)
 		res, err := rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
 		okErr = err
 		if err == nil && res.Resp.Status != 200 {
@@ -143,7 +150,7 @@ func TestStopClosesPort(t *testing.T) {
 		rg.rt.PullImage(p, "web:1")
 		c, _ := rg.rt.Create(p, webConfig("c1", 0))
 		c.Start(p, 30080)
-		c.AwaitReady(p, 5*time.Millisecond)
+		awaitReady(p, c, 5*time.Millisecond)
 		if err2 := c.Stop(p); err2 != nil {
 			t.Errorf("stop: %v", err2)
 		}
@@ -162,13 +169,13 @@ func TestRestartAfterStop(t *testing.T) {
 		rg.rt.PullImage(p, "web:1")
 		c, _ := rg.rt.Create(p, webConfig("c1", 0))
 		c.Start(p, 30080)
-		c.AwaitReady(p, 5*time.Millisecond)
+		awaitReady(p, c, 5*time.Millisecond)
 		c.Stop(p)
 		if err := c.Start(p, 30081); err != nil {
 			t.Errorf("restart: %v", err)
 			return
 		}
-		c.AwaitReady(p, 5*time.Millisecond)
+		awaitReady(p, c, 5*time.Millisecond)
 		_, err := rg.client.HTTPGet(p, rg.node.IP(), 30081, &simnet.HTTPRequest{}, 0)
 		ok = err == nil
 	})
@@ -191,7 +198,7 @@ func TestStaleInitEventIgnored(t *testing.T) {
 		c.Stop(p)
 		c.Start(p, 30080)
 		startDone := p.Now()
-		c.AwaitReady(p, time.Millisecond)
+		awaitReady(p, c, time.Millisecond)
 		readyAt = p.Now() - startDone
 	})
 	rg.k.Run()
@@ -235,14 +242,14 @@ func TestRemoveRunningContainer(t *testing.T) {
 		rg.rt.PullImage(p, "web:1")
 		c, _ := rg.rt.Create(p, webConfig("c1", 0))
 		c.Start(p, 30080)
-		c.AwaitReady(p, 5*time.Millisecond)
+		awaitReady(p, c, 5*time.Millisecond)
 		if err := c.Remove(p); err != nil {
 			t.Errorf("remove: %v", err)
 		}
 		if c.State() != StateRemoved {
 			t.Errorf("state = %v", c.State())
 		}
-		if _, ok := rg.rt.Get("c1"); ok {
+		if _, ok := rg.rt.containers["c1"]; ok {
 			t.Error("container still listed after remove")
 		}
 	})
@@ -277,7 +284,7 @@ func TestStartsCounter(t *testing.T) {
 		rg.rt.PullImage(p, "web:1")
 		c, _ := rg.rt.Create(p, webConfig("c1", 0))
 		c.Start(p, 30080)
-		c.AwaitReady(p, 5*time.Millisecond)
+		awaitReady(p, c, 5*time.Millisecond)
 		c.Stop(p)
 		c.Start(p, 30080)
 	})

@@ -72,7 +72,7 @@ func TestQuickLifecycleInvariants(t *testing.T) {
 					return
 				}
 				if c.State() == StateRemoved {
-					if _, listed := rg.rt.Get("c1"); listed {
+					if _, listed := rg.rt.containers["c1"]; listed {
 						okAll = false
 						return
 					}

@@ -37,8 +37,6 @@ type Config struct {
 	MemoryIdleTimeout time.Duration
 	// ProbeInterval is the pause between readiness probes.
 	ProbeInterval time.Duration
-	// ProbeDialTimeout bounds a single probe attempt.
-	ProbeDialTimeout time.Duration
 	// ProbeMaxWait bounds the overall readiness-probing of one scale-up: a
 	// port that never opens (crashed instance, partitioned cluster) turns
 	// into a deploy error instead of hanging the dispatcher and the held
@@ -49,15 +47,6 @@ type Config struct {
 	// gets before the deployment is declared failed (0 = fail on the first
 	// error, the paper's behavior).
 	DeployRetries int
-	// DeployBackoffBase starts the capped exponential backoff between retry
-	// attempts: base, 2*base, 4*base, ... capped at deployBackoffMax. Zero
-	// selects DefaultDeployBackoffBase; a negative base retries immediately.
-	DeployBackoffBase time.Duration
-	// StateQueryLatency is charged per cluster when the Dispatcher
-	// gathers the list of existing and running instances (fig. 7) — the
-	// Docker / Kubernetes API round trips of the paper's Python client
-	// libraries. Memory-served requests skip this entirely (§V).
-	StateQueryLatency time.Duration
 	// SerialStateQueries reproduces the paper's original dispatcher,
 	// which issued the per-cluster state queries one after another (total
 	// latency = sum over clusters). The default is false: queries run as
@@ -70,10 +59,6 @@ type Config struct {
 	AutoScaleDown bool
 	// Distance ranks clusters per client; nil means all distances are 0.
 	Distance DistanceFunc
-	// InstancePicker chooses among multiple ready instances of a service
-	// within the selected cluster (the Local Scheduler's traffic-level
-	// role, fig. 6); nil keeps the cluster's primary endpoint.
-	InstancePicker InstancePicker
 	// Events, when set, receives the controller's structured events
 	// (registrations, dispatch outcomes, deployment and scale-down
 	// failures; see obs.EventKind). Event.String renders each as one line.
@@ -104,12 +89,18 @@ type Config struct {
 // genuinely dead instances.
 const DefaultProbeMaxWait = 5 * time.Minute
 
-// DefaultDeployBackoffBase is the first retry's backoff; each later one
-// doubles, up to deployBackoffMax.
-const DefaultDeployBackoffBase = 50 * time.Millisecond
-
 const (
-	deployBackoffMax = 2 * time.Second
+	// probeDialTimeout bounds a single probe attempt.
+	probeDialTimeout = 500 * time.Millisecond
+	// deployBackoffBase starts the capped exponential backoff between retry
+	// attempts: base, 2*base, 4*base, ... capped at deployBackoffMax.
+	deployBackoffBase = 50 * time.Millisecond
+	deployBackoffMax  = 2 * time.Second
+	// stateQueryLatency is charged per cluster when the Dispatcher gathers
+	// the list of existing and running instances (fig. 7) — the Docker /
+	// Kubernetes API round trips of the paper's Python client libraries.
+	// Memory-served requests skip this entirely (§V).
+	stateQueryLatency = 8 * time.Millisecond
 	// flowPriority and puntPriority order the redirect rules above the
 	// packet-in rules.
 	flowPriority = 100
@@ -130,9 +121,7 @@ func DefaultConfig() Config {
 		SwitchIdleTimeout: 10 * time.Second,
 		MemoryIdleTimeout: 2 * time.Minute,
 		ProbeInterval:     20 * time.Millisecond,
-		ProbeDialTimeout:  500 * time.Millisecond,
 		ProbeMaxWait:      DefaultProbeMaxWait,
-		StateQueryLatency: 8 * time.Millisecond,
 	}
 }
 
@@ -258,14 +247,8 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 20 * time.Millisecond
 	}
-	if cfg.ProbeDialTimeout <= 0 {
-		cfg.ProbeDialTimeout = 500 * time.Millisecond
-	}
 	if cfg.ProbeMaxWait == 0 {
 		cfg.ProbeMaxWait = DefaultProbeMaxWait
-	}
-	if cfg.DeployBackoffBase == 0 {
-		cfg.DeployBackoffBase = DefaultDeployBackoffBase
 	}
 	c := &Controller{
 		k:          k,
@@ -318,9 +301,6 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 	}
 	return c
 }
-
-// Kernel returns the kernel the controller runs on.
-func (c *Controller) Kernel() *sim.Kernel { return c.k }
 
 // emit hands a structured event to the configured sink (Config.Events),
 // stamping the virtual time. Nil sink: the event struct is built but nothing else happens — all
@@ -386,12 +366,6 @@ func (c *Controller) RegisterService(yamlSrc string, reg spec.Registration) (*sp
 	}
 	c.emit(obs.Event{Kind: obs.EvRegistered, Service: a.UniqueName, Addr: string(reg.VIP), Port: reg.Port})
 	return a, nil
-}
-
-// Service returns the annotated definition registered at vip:port.
-func (c *Controller) Service(vip simnet.Addr, port int) (*spec.Annotated, bool) {
-	a, ok := c.services[addrPort{vip, port}]
-	return a, ok
 }
 
 // ServiceNames returns the registered unique service names (sorted).
@@ -582,17 +556,16 @@ func (c *Controller) buildState(p *sim.Proc, d *dispatchRec) State {
 		}
 		d.cands = append(d.cands, i)
 	}
-	lat := c.cfg.StateQueryLatency
-	if lat > 0 && !c.cfg.SerialStateQueries && len(d.cands) > 0 {
-		p.Sleep(lat)
+	if !c.cfg.SerialStateQueries && len(d.cands) > 0 {
+		p.Sleep(stateQueryLatency)
 	}
 	if len(d.eps) < len(d.cands) {
 		d.eps = make([]cluster.Instance, len(d.cands))
 	}
 	d.infos = d.infos[:0]
 	for n, i := range d.cands {
-		if lat > 0 && c.cfg.SerialStateQueries {
-			p.Sleep(lat)
+		if c.cfg.SerialStateQueries {
+			p.Sleep(stateQueryLatency)
 		}
 		d.infos = append(d.infos, c.queryCluster(i, svc, client, &d.eps[n]))
 	}
@@ -719,7 +692,6 @@ func (c *Controller) dispatch(p *sim.Proc, d *dispatchRec) {
 			c.Stats.Deployments++
 			c.ctr.deployments.Inc()
 		}
-		inst = c.pickInstance(target, fk.Client, inst)
 		c.Memory.Put(fk, inst)
 		// Re-read the client's location: a handover during the deployment
 		// means the rules and the held packet belong at the new switch, not
@@ -824,40 +796,6 @@ func (c *Controller) installRedirect(sw *openflow.Switch, fk FlowKey, inst clust
 // toward the real cloud unmodified.
 func (c *Controller) installCloudForward(sw *openflow.Switch, fk FlowKey) {
 	c.steerB.InstallCloudForward(sw, steer.Flow(fk))
-}
-
-// InstancePicker selects one of several ready instances of a service for a
-// client (round-robin, hashing, ...).
-type InstancePicker func(client simnet.Addr, insts []cluster.Instance) cluster.Instance
-
-// RoundRobinPicker returns a picker cycling through the instances in
-// order, with an independent rotation per service: interleaved picks for
-// different services must not skew each other's distribution.
-func RoundRobinPicker() InstancePicker {
-	next := make(map[string]int)
-	return func(client simnet.Addr, insts []cluster.Instance) cluster.Instance {
-		svc := insts[0].Service
-		in := insts[next[svc]%len(insts)]
-		next[svc]++
-		return in
-	}
-}
-
-// pickInstance applies the configured instance picker when the cluster
-// exposes several ready instances; fallback keeps the deployment result.
-func (c *Controller) pickInstance(cl cluster.Cluster, client simnet.Addr, fallback cluster.Instance) cluster.Instance {
-	if c.cfg.InstancePicker == nil {
-		return fallback
-	}
-	me, ok := cl.(cluster.MultiEndpoint)
-	if !ok {
-		return fallback
-	}
-	insts := me.Endpoints(fallback.Service)
-	if len(insts) < 2 {
-		return fallback
-	}
-	return c.cfg.InstancePicker(client, insts)
 }
 
 // onIdleInstance is the FlowMemory callback: optionally scale the idle
@@ -972,11 +910,6 @@ func (c *Controller) RecordsIncluding(clusterName, serviceName string, includeFa
 		out = append(out, r)
 	}
 	return out
-}
-
-// ResetRecords clears the deployment records (between experiment runs).
-func (c *Controller) ResetRecords() {
-	c.records = nil
 }
 
 // CookieCount returns how many per-flow steering decisions the backend

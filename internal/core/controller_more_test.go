@@ -63,16 +63,9 @@ func TestEnsureDeployedErrors(t *testing.T) {
 	rg.k.RunUntil(time.Minute)
 }
 
-func TestServiceLookupAndNames(t *testing.T) {
+func TestServiceNames(t *testing.T) {
 	rg := newMobilityRig(t)
 	a, _ := rg.ctrl.RegisterService(nginxYAML, spec.Registration{Domain: "web.example.com", VIP: "203.0.113.10", Port: 80})
-	got, ok := rg.ctrl.Service("203.0.113.10", 80)
-	if !ok || got.UniqueName != a.UniqueName {
-		t.Fatalf("Service() = %v, %v", got, ok)
-	}
-	if _, ok := rg.ctrl.Service("203.0.113.10", 81); ok {
-		t.Fatal("lookup on wrong port succeeded")
-	}
 	names := rg.ctrl.ServiceNames()
 	if len(names) != 1 || names[0] != a.UniqueName {
 		t.Fatalf("ServiceNames = %v", names)

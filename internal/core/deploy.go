@@ -121,12 +121,12 @@ func ready(cl cluster.Cluster, svc *spec.Annotated) bool {
 
 // retryPhase runs one deployment-phase operation with up to
 // Config.DeployRetries retries under capped exponential backoff
-// (DeployBackoffBase doubling per attempt, capped at deployBackoffMax),
+// (deployBackoffBase doubling per attempt, capped at deployBackoffMax),
 // accounting retry attempts in the record, the controller stats, and the
 // per-phase/per-cluster retry counter.
 func (d *deployer) retryPhase(p *sim.Proc, rec *DeployRecord, phase string, op func() error) error {
 	cfg := &d.ctrl.cfg
-	backoff := cfg.DeployBackoffBase
+	backoff := deployBackoffBase
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -140,10 +140,8 @@ func (d *deployer) retryPhase(p *sim.Proc, rec *DeployRecord, phase string, op f
 		if reg := d.ctrl.reg; reg != nil {
 			reg.Counter(`deploy_retries_total{cluster="` + rec.Cluster + `",phase="` + phase + `"}`).Inc()
 		}
-		if backoff > 0 {
-			p.Sleep(backoff)
-			backoff = min(2*backoff, deployBackoffMax)
-		}
+		p.Sleep(backoff)
+		backoff = min(2*backoff, deployBackoffMax)
 	}
 }
 

@@ -16,16 +16,14 @@ func ExampleRegisterScheduler() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(s.Name())
+	fmt.Printf("%T\n", s)
 	// Output:
-	// always-second
+	// core_test.alwaysSecond
 }
 
 // alwaysSecond is a toy policy: the second-nearest cluster serves, the
 // nearest is warmed in the background.
 type alwaysSecond struct{}
-
-func (alwaysSecond) Name() string { return "always-second" }
 
 func (alwaysSecond) Choose(st core.State) core.Choice {
 	if len(st.Clusters) < 2 {

@@ -53,7 +53,6 @@ func TestRetryRecoversCrashedStart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ProbeMaxWait = time.Second
 	cfg.DeployRetries = 2
-	cfg.DeployBackoffBase = 10 * time.Millisecond
 	rg := newHotpathRig(t, 1, 0, cfg)
 	fc := rg.clusters[0]
 	fc.crashStarts = 1

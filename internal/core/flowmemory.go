@@ -34,9 +34,6 @@ type MemEntry struct {
 	prev, next *MemEntry
 }
 
-// Last returns when the entry was last put or got.
-func (e *MemEntry) Last() sim.Time { return e.idle.Last() }
-
 type instanceKey struct {
 	addr simnet.Addr
 	port int

@@ -51,7 +51,6 @@ type hpCluster struct {
 }
 
 func (f *hpCluster) Name() string                   { return f.name }
-func (f *hpCluster) Addr() simnet.Addr              { return f.host.IP() }
 func (f *hpCluster) HasImages(*spec.Annotated) bool { return f.images }
 func (f *hpCluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	f.images = true
@@ -332,14 +331,12 @@ func TestStaleFlowRemovedKeepsClient(t *testing.T) {
 	}
 }
 
-// TestParallelStateQueriesLatency: with 4 clusters and a 50ms per-cluster
-// state-query latency, the default (parallel) dispatcher charges ~max
-// while SerialStateQueries charges ~sum.
+// TestParallelStateQueriesLatency: with 4 clusters the default (parallel)
+// dispatcher charges one per-cluster state-query latency and
+// SerialStateQueries charges four, so a request's total differs by three.
 func TestParallelStateQueriesLatency(t *testing.T) {
-	const queryLatency = 50 * time.Millisecond
 	measure := func(serial bool) time.Duration {
 		cfg := DefaultConfig()
-		cfg.StateQueryLatency = queryLatency
 		cfg.SerialStateQueries = serial
 		rg := newHotpathRig(t, 4, 1, cfg)
 		var total time.Duration
@@ -361,42 +358,9 @@ func TestParallelStateQueriesLatency(t *testing.T) {
 	}
 	parallel := measure(false)
 	serial := measure(true)
-	if parallel >= 2*queryLatency {
-		t.Errorf("parallel dispatch = %v, want ~one query latency (%v)", parallel, queryLatency)
-	}
-	if serial < 4*queryLatency {
-		t.Errorf("serial dispatch = %v, want >= 4 query latencies", serial)
-	}
-	if serial-parallel < 3*queryLatency-10*time.Millisecond {
-		t.Errorf("serial-parallel gap = %v, want ~3 query latencies", serial-parallel)
-	}
-}
-
-// TestRoundRobinPickerPerService: rotations of different services must not
-// skew each other (regression for the shared counter).
-func TestRoundRobinPickerPerService(t *testing.T) {
-	pick := RoundRobinPicker()
-	a := []cluster.Instance{mkInst("a", "10.0.0.1", 1), mkInst("a", "10.0.0.2", 1)}
-	b := []cluster.Instance{mkInst("b", "10.0.0.1", 2), mkInst("b", "10.0.0.2", 2), mkInst("b", "10.0.0.3", 2)}
-	var gotA []simnet.Addr
-	for i := 0; i < 4; i++ {
-		gotA = append(gotA, pick("ue1", a).Addr)
-		pick("ue2", b) // interleaved picks for b must not advance a's rotation
-		pick("ue3", b)
-	}
-	want := []simnet.Addr{"10.0.0.1", "10.0.0.2", "10.0.0.1", "10.0.0.2"}
-	for i := range want {
-		if gotA[i] != want[i] {
-			t.Fatalf("service a rotation = %v, want %v", gotA, want)
-		}
-	}
-	// Service b rotated independently: 8 picks over 3 instances.
-	counts := map[simnet.Addr]int{}
-	for i := 0; i < 1; i++ { // one more round to observe distribution
-		counts[pick("ue2", b).Addr]++
-	}
-	if len(counts) == 0 {
-		t.Fatal("no picks recorded")
+	if parallel < stateQueryLatency || serial-parallel != 3*stateQueryLatency {
+		t.Errorf("parallel dispatch = %v, serial %v: want at least one query latency (%v) and three more serially",
+			parallel, serial, stateQueryLatency)
 	}
 }
 

@@ -83,16 +83,6 @@ func (e *EWMAPredictor) Predict(now sim.Time, horizon time.Duration) []string {
 	return out
 }
 
-// ExpectedInterval returns the current inter-arrival estimate for a service
-// (0 if unknown; diagnostic).
-func (e *EWMAPredictor) ExpectedInterval(service string) time.Duration {
-	st, ok := e.stats[service]
-	if !ok || st.samples < 2 {
-		return 0
-	}
-	return time.Duration(st.interval)
-}
-
 // StartProactive runs the proactive deployment loop: every interval the
 // predictor is asked which services will be requested within the horizon,
 // and each predicted service that is not yet running is deployed to the

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"transparentedge/internal/sim"
 )
+
+// predictsWithin reports whether p, asked at svc's last observation last,
+// predicts svc within horizon: whether its interval estimate is at most
+// horizon.
+func predictsWithin(p *EWMAPredictor, svc string, last sim.Time, horizon time.Duration) bool {
+	return slices.Contains(p.Predict(last, horizon), svc)
+}
 
 func TestEWMAPredictorLearnsPeriod(t *testing.T) {
 	p := NewEWMAPredictor(0.3)
@@ -13,9 +21,9 @@ func TestEWMAPredictorLearnsPeriod(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Observe("svc", sim.Time(i)*sim.Time(time.Minute))
 	}
-	got := p.ExpectedInterval("svc")
-	if got < 55*time.Second || got > 65*time.Second {
-		t.Fatalf("interval = %v, want ~60s", got)
+	last := 4 * sim.Time(time.Minute)
+	if predictsWithin(p, "svc", last, 59*time.Second) || !predictsWithin(p, "svc", last, 61*time.Second) {
+		t.Fatal("interval estimate not ~60s")
 	}
 	// At t=4min (last seen), next expected at ~5min.
 	now := 4 * sim.Time(time.Minute)
@@ -49,9 +57,8 @@ func TestEWMAPredictorAdaptsToChange(t *testing.T) {
 		at += sim.Time(10 * time.Second)
 		p.Observe("svc", at)
 	}
-	got := p.ExpectedInterval("svc")
-	if got > 15*time.Second {
-		t.Fatalf("interval = %v, want adapted toward 10s", got)
+	if !predictsWithin(p, "svc", at, 15*time.Second) {
+		t.Fatal("interval estimate not adapted toward 10s")
 	}
 }
 
@@ -59,12 +66,13 @@ func TestEWMAPredictorConcurrentObservationsIgnored(t *testing.T) {
 	p := NewEWMAPredictor(0.3)
 	p.Observe("svc", sim.Time(time.Second))
 	p.Observe("svc", sim.Time(time.Second)) // same instant
-	if got := p.ExpectedInterval("svc"); got != 0 {
-		t.Fatalf("interval from zero-gap = %v, want 0", got)
+	if predictsWithin(p, "svc", sim.Time(time.Second), time.Hour) {
+		t.Fatal("zero gap gave an interval estimate")
 	}
-	p.Observe("svc", sim.Time(3*time.Second))
-	if got := p.ExpectedInterval("svc"); got != 2*time.Second {
-		t.Fatalf("interval = %v, want 2s", got)
+	last := sim.Time(3 * time.Second)
+	p.Observe("svc", last)
+	if predictsWithin(p, "svc", last, 2*time.Second-1) || !predictsWithin(p, "svc", last, 2*time.Second) {
+		t.Fatal("interval estimate not 2s")
 	}
 }
 

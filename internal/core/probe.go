@@ -34,7 +34,7 @@ func (c *Controller) probeUntilOpen(p *sim.Proc, inst cluster.Instance) error {
 // round's dial, and its one timer is the dial timeout while a dial is in
 // flight and the ProbeInterval pause between rounds. A round is one SYN
 // answered by an RST (refused), by a SYN-ACK (open: the prober closes with a
-// FIN and settles), or by nothing before ProbeDialTimeout (the dial is
+// FIN and settles), or by nothing before probeDialTimeout (the dial is
 // aborted, nothing more is sent). The ProbeMaxWait deadline is checked only
 // after a failed round, so a dial in flight at the deadline is not cut short.
 type prober struct {
@@ -48,7 +48,7 @@ type prober struct {
 
 func dial(pr *prober) sim.Step[prober] {
 	pr.conn = pr.c.probeHost.DialAsync(pr.inst.Addr, pr.inst.Port, pr)
-	pr.Sleep(pr.c.cfg.ProbeDialTimeout, dialTimedOut)
+	pr.Sleep(probeDialTimeout, dialTimedOut)
 	return nil
 }
 

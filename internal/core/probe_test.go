@@ -30,7 +30,8 @@ type timerLoop struct {
 }
 
 func timerLoopProbe(p *sim.Proc, host *simnet.Host, cfg Config, inst cluster.Instance) error {
-	l := &timerLoop{k: p.Kernel(), host: host, cfg: cfg, inst: inst, deadline: -1, done: sim.NewPromise[struct{}](p.Kernel())}
+	k := host.Network().K
+	l := &timerLoop{k: k, host: host, cfg: cfg, inst: inst, deadline: -1, done: sim.NewPromise[struct{}](k)}
 	if cfg.ProbeMaxWait > 0 {
 		l.deadline = p.Now() + cfg.ProbeMaxWait
 	}
@@ -41,7 +42,7 @@ func timerLoopProbe(p *sim.Proc, host *simnet.Host, cfg Config, inst cluster.Ins
 
 func (l *timerLoop) dial() {
 	c := l.host.DialAsync(l.inst.Addr, l.inst.Port, l)
-	l.timeout = l.k.After(l.cfg.ProbeDialTimeout, func() {
+	l.timeout = l.k.After(probeDialTimeout, func() {
 		c.Abort()
 		l.failed()
 	})
@@ -79,31 +80,30 @@ type probeCase struct {
 }
 
 func (pc probeCase) String() string {
-	return fmt.Sprintf("latency %v procDelay %v interval %v dialTimeout %v maxWait %v opens %v closes %v",
-		pc.latency, pc.procDelay, pc.cfg.ProbeInterval, pc.cfg.ProbeDialTimeout, pc.cfg.ProbeMaxWait, pc.opensAt, pc.closesAt)
+	return fmt.Sprintf("latency %v procDelay %v interval %v maxWait %v opens %v closes %v",
+		pc.latency, pc.procDelay, pc.cfg.ProbeInterval, pc.cfg.ProbeMaxWait, pc.opensAt, pc.closesAt)
 }
 
+// randomProbeCase draws the link latency around probeDialTimeout: the RTT
+// is 4*latency + 2*procDelay (the target host has no stack delay).
 func randomProbeCase(rng *rand.Rand) probeCase {
-	pc := probeCase{
-		latency:  time.Duration(50+rng.Intn(3000)) * time.Microsecond,
-		opensAt:  -1,
-		closesAt: -1,
-	}
+	pc := probeCase{opensAt: -1, closesAt: -1}
 	if rng.Intn(2) == 0 {
 		pc.procDelay = 20 * time.Microsecond
 	}
-	rtt := 4*pc.latency + 2*pc.procDelay // the target host has no stack delay
+	var rtt time.Duration
+	switch rng.Intn(4) {
+	case 0: // longer than the dial timeout: every dial times out, answers arrive late
+		rtt = probeDialTimeout + time.Duration(1+rng.Intn(500))*time.Millisecond
+	case 1: // the answer and the timeout fall in the same instant
+		rtt = probeDialTimeout
+	default:
+		rtt = probeDialTimeout - time.Duration(1+rng.Intn(20))*time.Millisecond
+	}
+	pc.latency = (rtt - 2*pc.procDelay) / 4
 	pc.cfg = DefaultConfig()
 	pc.cfg.ProbeInterval = time.Duration(1+rng.Intn(40)) * time.Millisecond
-	switch rng.Intn(4) {
-	case 0: // shorter than the RTT: every dial times out, answers arrive late
-		pc.cfg.ProbeDialTimeout = rtt / 2
-	case 1: // the answer and the timeout fall in the same instant
-		pc.cfg.ProbeDialTimeout = rtt
-	default:
-		pc.cfg.ProbeDialTimeout = rtt + time.Duration(1+rng.Intn(20))*time.Millisecond
-	}
-	pc.cfg.ProbeMaxWait = time.Duration(100+rng.Intn(900)) * time.Millisecond
+	pc.cfg.ProbeMaxWait = time.Duration(400+rng.Intn(3600)) * time.Millisecond
 	switch rng.Intn(4) {
 	case 0: // never opens
 	case 1: // opens, possibly after the deadline
@@ -114,7 +114,7 @@ func randomProbeCase(rng *rand.Rand) probeCase {
 		pc.opensAt = time.Duration(rng.Int63n(int64(pc.cfg.ProbeMaxWait)))
 		pc.closesAt = pc.opensAt + time.Duration(rng.Int63n(int64(3*pc.cfg.ProbeInterval)))
 	}
-	if pc.opensAt >= 0 && pc.closesAt < 0 && pc.cfg.ProbeDialTimeout > rtt && rng.Intn(4) == 0 {
+	if pc.opensAt >= 0 && pc.closesAt < 0 && probeDialTimeout > rtt && rng.Intn(4) == 0 {
 		pc.cfg.ProbeMaxWait = -1 // wait forever; the port does open and a dial can succeed
 	}
 	return pc
@@ -122,11 +122,12 @@ func randomProbeCase(rng *rand.Rand) probeCase {
 
 // deadlineCase turns pc into one whose fourth refused round ends in the very
 // instant of the ProbeMaxWait deadline, where the probing must give up. The
-// exact round trip is measured: a refused probing with a 1 ns deadline
-// returns when its first RST arrives.
+// latency is capped so that every RST beats the dial timeout, and the exact
+// round trip is measured: a refused probing with a 1 ns deadline returns when
+// its first RST arrives.
 func deadlineCase(pc probeCase, seed int64) probeCase {
 	pc.opensAt, pc.closesAt = -1, -1
-	pc.cfg.ProbeDialTimeout = time.Second
+	pc.latency = min(pc.latency, probeDialTimeout/8)
 	pc.cfg.ProbeMaxWait = 1
 	rtt := runProbeCase(pc, seed, func(p *sim.Proc, c *Controller, inst cluster.Instance) error {
 		return timerLoopProbe(p, c.probeHost, c.cfg, inst)
@@ -276,11 +277,10 @@ func TestAllocsProbeRound(t *testing.T) {
 // SerialStateQueries, and hands the scheduler the clusters in the same order
 // either way.
 func TestStateQueryInstants(t *testing.T) {
-	const L = 8 * time.Millisecond
+	const L = stateQueryLatency
 	for n := 2; n <= 4; n++ {
 		for _, serial := range []bool{false, true} {
 			cfg := DefaultConfig()
-			cfg.StateQueryLatency = L
 			cfg.SerialStateQueries = serial
 			tr := obs.NewTracer(0)
 			cfg.Trace = tr

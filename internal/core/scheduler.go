@@ -69,9 +69,6 @@ type Choice struct {
 
 // GlobalScheduler chooses the edge cluster(s) for a request.
 type GlobalScheduler interface {
-	// Name identifies the scheduler (the configuration key it was
-	// registered under).
-	Name() string
 	// Choose returns the FAST/BEST choice for the request.
 	Choose(st State) Choice
 }
@@ -134,9 +131,6 @@ func nearest(st State, pred func(ClusterInfo) bool) *ClusterInfo {
 // cluster and keep the request waiting (fig. 5).
 type ProximityScheduler struct{}
 
-// Name implements GlobalScheduler.
-func (ProximityScheduler) Name() string { return "proximity" }
-
 // Choose implements GlobalScheduler.
 func (ProximityScheduler) Choose(st State) Choice {
 	if len(st.Clusters) == 0 {
@@ -157,9 +151,6 @@ func (ProximityScheduler) Choose(st State) Choice {
 // experiments where every first request triggers a deployment).
 type WaitNearestScheduler struct{}
 
-// Name implements GlobalScheduler.
-func (WaitNearestScheduler) Name() string { return "wait-nearest" }
-
 // Choose implements GlobalScheduler.
 func (WaitNearestScheduler) Choose(st State) Choice {
 	if len(st.Clusters) == 0 {
@@ -173,9 +164,6 @@ func (WaitNearestScheduler) Choose(st State) Choice {
 // cloud if none exists, while the nearest cluster deploys in the background
 // (on-demand deployment *without waiting*).
 type NoWaitScheduler struct{}
-
-// Name implements GlobalScheduler.
-func (NoWaitScheduler) Name() string { return "no-wait" }
 
 // Choose implements GlobalScheduler.
 func (NoWaitScheduler) Choose(st State) Choice {
@@ -197,9 +185,6 @@ func (NoWaitScheduler) Choose(st State) Choice {
 // ProximityScheduler (deploy nearest and wait). The optimal (nearest)
 // cluster is still warmed in the background when a farther one serves.
 type LeastLoadedScheduler struct{}
-
-// Name implements GlobalScheduler.
-func (LeastLoadedScheduler) Name() string { return "least-loaded" }
 
 // Choose implements GlobalScheduler.
 func (LeastLoadedScheduler) Choose(st State) Choice {
@@ -232,9 +217,6 @@ func (LeastLoadedScheduler) Choose(st State) Choice {
 // same service to a Kubernetes cluster for future requests (automated
 // management). Once the Kubernetes instance runs, it is preferred.
 type DockerFirstScheduler struct{}
-
-// Name implements GlobalScheduler.
-func (DockerFirstScheduler) Name() string { return "docker-first" }
 
 // Choose implements GlobalScheduler.
 func (DockerFirstScheduler) Choose(st State) Choice {

@@ -5,7 +5,6 @@ import (
 
 	"transparentedge/internal/cluster"
 	"transparentedge/internal/sim"
-	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
 )
 
@@ -16,7 +15,6 @@ type fakeCluster struct {
 }
 
 func (f *fakeCluster) Name() string                            { return f.name }
-func (f *fakeCluster) Addr() simnet.Addr                       { return "10.0.0.1" }
 func (f *fakeCluster) HasImages(*spec.Annotated) bool          { return true }
 func (f *fakeCluster) Pull(*sim.Proc, *spec.Annotated) error   { return nil }
 func (f *fakeCluster) Exists(string) bool                      { return true }
@@ -154,14 +152,19 @@ func TestDockerFirstOnlyDocker(t *testing.T) {
 }
 
 func TestSchedulerRegistry(t *testing.T) {
-	for _, name := range []string{"proximity", "wait-nearest", "no-wait", "docker-first"} {
+	for name, want := range map[string]GlobalScheduler{
+		"proximity":    ProximityScheduler{},
+		"wait-nearest": WaitNearestScheduler{},
+		"no-wait":      NoWaitScheduler{},
+		"docker-first": DockerFirstScheduler{},
+	} {
 		s, err := NewScheduler(name)
 		if err != nil {
 			t.Errorf("NewScheduler(%q): %v", name, err)
 			continue
 		}
-		if s.Name() != name {
-			t.Errorf("Name() = %q, want %q", s.Name(), name)
+		if s != want {
+			t.Errorf("NewScheduler(%q) = %T, want %T", name, s, want)
 		}
 	}
 	if _, err := NewScheduler("nope"); err == nil {
@@ -239,19 +242,5 @@ func TestLeastLoadedDeploysNearestWhenColdElsewhere(t *testing.T) {
 	}
 	if ch := (LeastLoadedScheduler{}).Choose(stateOf()); ch.Fast != nil {
 		t.Fatalf("empty state choice = %+v", ch)
-	}
-}
-
-func TestRoundRobinPicker(t *testing.T) {
-	pick := RoundRobinPicker()
-	insts := []cluster.Instance{
-		{Service: "s", Addr: "10.0.1.1", Port: 30000},
-		{Service: "s", Addr: "10.0.2.1", Port: 30000},
-	}
-	a := pick("c1", insts)
-	b := pick("c2", insts)
-	c := pick("c3", insts)
-	if a.Addr != "10.0.1.1" || b.Addr != "10.0.2.1" || c.Addr != "10.0.1.1" {
-		t.Fatalf("round robin = %v %v %v", a.Addr, b.Addr, c.Addr)
 	}
 }

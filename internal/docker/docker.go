@@ -23,7 +23,6 @@ import (
 	"transparentedge/internal/faults"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
-	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
 )
 
@@ -88,13 +87,6 @@ func New(name string, rt *container.Runtime, behaviors cluster.BehaviorSource, c
 
 // Name implements cluster.Cluster.
 func (e *Engine) Name() string { return e.name }
-
-// Addr implements cluster.Cluster.
-func (e *Engine) Addr() simnet.Addr { return e.rt.Host().IP() }
-
-// Runtime exposes the underlying containerd runtime (shared with other
-// cluster types on the same node, as on the paper's EGS).
-func (e *Engine) Runtime() *container.Runtime { return e.rt }
 
 // HasImages implements cluster.Cluster.
 func (e *Engine) HasImages(a *spec.Annotated) bool {
@@ -277,15 +269,6 @@ func (e *Engine) Services() []string {
 	return slices.Sorted(maps.Keys(e.services))
 }
 
-// Containers returns the containers of a service (diagnostics).
-func (e *Engine) Containers(name string) []*container.Container {
-	s, ok := e.services[name]
-	if !ok {
-		return nil
-	}
-	return append([]*container.Container(nil), s.containers...)
-}
-
 func (e *Engine) instance(name string, s *service) cluster.Instance {
 	return cluster.Instance{
 		Service: name,
@@ -302,24 +285,5 @@ func (e *Engine) DeleteImages(p *sim.Proc, a *spec.Annotated) error {
 		p.Sleep(e.cfg.APILatency)
 		e.rt.Images().RemoveImage(cs.Image)
 	}
-	return nil
-}
-
-// KillService simulates a crash of every container of the service (the
-// engine notices and marks the service not running, as dockerd does when a
-// container exits).
-func (e *Engine) KillService(name string) error {
-	s, ok := e.services[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", cluster.ErrUnknownService, name)
-	}
-	for _, ctr := range s.containers {
-		if ctr.State() == container.StateRunning {
-			if err := ctr.Kill(); err != nil {
-				return err
-			}
-		}
-	}
-	s.running = false
 	return nil
 }

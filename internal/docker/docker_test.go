@@ -41,6 +41,7 @@ type rig struct {
 	k      *sim.Kernel
 	node   *simnet.Host
 	client *simnet.Host
+	rt     *container.Runtime
 	eng    *Engine
 }
 
@@ -76,7 +77,7 @@ func newRig(t *testing.T) *rig {
 		"nginx:1.23.2":  {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 		"env-writer-py": {InitDelay: 300 * time.Millisecond},
 	}
-	return &rig{k: k, node: node, client: cli, eng: New("egs-docker", rt, behaviors, DefaultConfig())}
+	return &rig{k: k, node: node, client: cli, rt: rt, eng: New("egs-docker", rt, behaviors, DefaultConfig())}
 }
 
 func annotated(t *testing.T, src, domain string) *spec.Annotated {
@@ -192,7 +193,7 @@ func TestTwoContainerService(t *testing.T) {
 		rg.eng.ScaleUp(p, a.UniqueName)
 		twoDur = p.Now() - start
 
-		if got := len(rg.eng.Containers(a.UniqueName)); got != 2 {
+		if got := len(rg.rt.List(map[string]string{spec.EdgeServiceLabel: a.UniqueName})); got != 2 {
 			t.Errorf("containers = %d, want 2", got)
 		}
 	})
@@ -265,7 +266,7 @@ func TestRemoveService(t *testing.T) {
 		if rg.eng.Exists(a.UniqueName) {
 			t.Error("service exists after remove")
 		}
-		if got := rg.eng.Runtime().List(map[string]string{spec.EdgeServiceLabel: a.UniqueName}); len(got) != 0 {
+		if got := rg.rt.List(map[string]string{spec.EdgeServiceLabel: a.UniqueName}); len(got) != 0 {
 			t.Errorf("containers remain after remove: %v", got)
 		}
 	})
@@ -325,7 +326,7 @@ func TestEdgeServiceLabelQuery(t *testing.T) {
 	rg.k.Go("driver", func(p *sim.Proc) {
 		rg.eng.Pull(p, a)
 		rg.eng.Create(p, a)
-		got := rg.eng.Runtime().List(map[string]string{spec.EdgeServiceLabel: a.UniqueName})
+		got := rg.rt.List(map[string]string{spec.EdgeServiceLabel: a.UniqueName})
 		if len(got) != 2 {
 			t.Errorf("label query returned %d containers, want 2", len(got))
 		}

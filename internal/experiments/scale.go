@@ -47,7 +47,6 @@ type stubCluster struct {
 }
 
 func (s *stubCluster) Name() string                   { return s.name }
-func (s *stubCluster) Addr() simnet.Addr              { return s.host.IP() }
 func (s *stubCluster) HasImages(*spec.Annotated) bool { return true }
 func (s *stubCluster) Pull(*sim.Proc, *spec.Annotated) error {
 	return nil

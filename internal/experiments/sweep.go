@@ -218,8 +218,6 @@ func (s Sweep) Run() (SweepResult, error) {
 	}
 	merged := metrics.NewHist("sweep/merged")
 	for i := range results {
-		// Same bucket config everywhere; Merge only fails on mismatched
-		// configs, which per-variant ToHist folds cannot produce.
 		if err := merged.Merge(results[i].Totals); err != nil {
 			return SweepResult{}, fmt.Errorf("merging variant %s: %w", results[i].Variant.Label(), err)
 		}

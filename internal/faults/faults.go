@@ -138,9 +138,6 @@ func NewPlan(spec Spec) *Plan {
 	return &Plan{spec: spec, injectors: make(map[string]*Injector)}
 }
 
-// Spec returns the plan's spec.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // For returns the injector of the named cluster, or nil when the cluster's
 // effective spec injects nothing — the nil injector is the documented
 // zero-cost off switch (all methods are nil-receiver no-ops).
@@ -165,32 +162,6 @@ func (p *Plan) For(clusterName string) *Injector {
 	return in
 }
 
-// Counts aggregates injected-fault totals across every injector.
-func (p *Plan) Counts() (c Counts) {
-	for _, in := range p.injectors {
-		ic := in.Counts()
-		c.Pulls += ic.Pulls
-		c.Creates += ic.Creates
-		c.ScaleUps += ic.ScaleUps
-		c.Crashes += ic.Crashes
-		c.Outages += ic.Outages
-	}
-	return c
-}
-
-// Counts tallies faults actually injected (not merely configured), so tests
-// can assert DeployRecord attempts against the executed plan.
-type Counts struct {
-	Pulls    int
-	Creates  int
-	ScaleUps int
-	Crashes  int
-	Outages  int
-}
-
-// Total returns the sum of all injected faults.
-func (c Counts) Total() int { return c.Pulls + c.Creates + c.ScaleUps + c.Crashes + c.Outages }
-
 // Injector makes the fault decisions of one cluster. A nil *Injector is
 // valid and injects nothing (zero cost when faults are off).
 type Injector struct {
@@ -201,7 +172,6 @@ type Injector struct {
 	// per-operation attempt counters (inputs to the hash, so decision
 	// sequences are independent of interleaving with other clusters).
 	pulls, creates, scaleUps, starts uint64
-	counts                           Counts
 	// fired counts every injected fault (nil without Plan.SetObs).
 	fired *obs.Counter
 }
@@ -213,22 +183,6 @@ const (
 	opScaleUp
 	opCrash
 )
-
-// Counts returns the injector's injected-fault tally so far.
-func (in *Injector) Counts() Counts {
-	if in == nil {
-		return Counts{}
-	}
-	return in.counts
-}
-
-// Cluster returns the cluster name the injector belongs to.
-func (in *Injector) Cluster() string {
-	if in == nil {
-		return ""
-	}
-	return in.cluster
-}
 
 // PullError decides whether the next Pull attempt fails. now is the current
 // simulated time (for outage windows).
@@ -242,7 +196,6 @@ func (in *Injector) PullError(now time.Duration) error {
 	n := in.pulls
 	in.pulls++
 	if int64(n) < int64(in.spec.FailFirstPulls) || in.roll(opPull, n) < in.spec.PullFailProb {
-		in.counts.Pulls++
 		in.fired.Inc()
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedPull, in.cluster, n+1)
 	}
@@ -260,7 +213,6 @@ func (in *Injector) CreateError(now time.Duration) error {
 	n := in.creates
 	in.creates++
 	if int64(n) < int64(in.spec.FailFirstCreates) || in.roll(opCreate, n) < in.spec.CreateFailProb {
-		in.counts.Creates++
 		in.fired.Inc()
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedCreate, in.cluster, n+1)
 	}
@@ -278,7 +230,6 @@ func (in *Injector) ScaleUpError(now time.Duration) error {
 	n := in.scaleUps
 	in.scaleUps++
 	if int64(n) < int64(in.spec.FailFirstScaleUps) || in.roll(opScaleUp, n) < in.spec.ScaleUpFailProb {
-		in.counts.ScaleUps++
 		in.fired.Inc()
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedScaleUp, in.cluster, n+1)
 	}
@@ -306,7 +257,6 @@ func (in *Injector) CrashAfterStart() bool {
 	n := in.starts
 	in.starts++
 	if int64(n) < int64(in.spec.CrashFirstStarts) || in.roll(opCrash, n) < in.spec.CrashProb {
-		in.counts.Crashes++
 		in.fired.Inc()
 		return true
 	}
@@ -317,7 +267,6 @@ func (in *Injector) CrashAfterStart() bool {
 func (in *Injector) outage(now time.Duration) error {
 	for _, w := range in.spec.Outages {
 		if w.Contains(now) {
-			in.counts.Outages++
 			in.fired.Inc()
 			return fmt.Errorf("%w (cluster %s at %v)", ErrOutage, in.cluster, now)
 		}

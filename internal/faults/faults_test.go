@@ -5,7 +5,17 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"transparentedge/internal/obs"
 )
+
+// injected attaches a registry to p and returns the cluster's
+// faults_injected_total counter.
+func injected(p *Plan, cluster string) *obs.Counter {
+	reg := obs.NewRegistry()
+	p.SetObs(reg)
+	return reg.Counter(`faults_injected_total{cluster="` + cluster + `"}`)
+}
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
@@ -23,9 +33,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	}
 	if in.CrashAfterStart() {
 		t.Fatal("nil CrashAfterStart = true")
-	}
-	if c := in.Counts(); c.Total() != 0 {
-		t.Fatalf("nil Counts = %+v", c)
 	}
 }
 
@@ -72,6 +79,7 @@ func TestFailFirstCountsAreExact(t *testing.T) {
 		FailFirstScaleUps: 1,
 		CrashFirstStarts:  2,
 	}})
+	fired := injected(p, "c")
 	in := p.For("c")
 	for i := 0; i < 3; i++ {
 		if err := in.PullError(0); !errors.Is(err, ErrInjectedPull) {
@@ -101,12 +109,8 @@ func TestFailFirstCountsAreExact(t *testing.T) {
 	if in.CrashAfterStart() {
 		t.Fatal("third start crashed (CrashFirstStarts = 2)")
 	}
-	want := Counts{Pulls: 3, Creates: 2, ScaleUps: 1, Crashes: 2}
-	if got := in.Counts(); got != want {
-		t.Fatalf("Counts = %+v, want %+v", got, want)
-	}
-	if got := p.Counts(); got != want {
-		t.Fatalf("plan Counts = %+v, want %+v", got, want)
+	if got := fired.Value(); got != 3+2+1+2 {
+		t.Fatalf("faults_injected_total = %d, want 8", got)
 	}
 }
 
@@ -115,6 +119,7 @@ func TestOutageWindows(t *testing.T) {
 		Outages: []Window{{From: time.Second, To: 2 * time.Second}},
 	}})
 	in := p.For("c")
+	fired := injected(p, "c")
 	if err := in.PullError(500 * time.Millisecond); err != nil {
 		t.Fatalf("before outage: %v", err)
 	}
@@ -133,8 +138,8 @@ func TestOutageWindows(t *testing.T) {
 	if err := in.PullError(2 * time.Second); err != nil {
 		t.Fatalf("at outage end (half-open): %v", err)
 	}
-	if got := in.Counts().Outages; got != 4 {
-		t.Fatalf("Outages = %d, want 4", got)
+	if got := fired.Value(); got != 4 {
+		t.Fatalf("faults_injected_total = %d, want 4 outages", got)
 	}
 }
 

@@ -51,7 +51,6 @@ type APIServer struct {
 	nodes       *Store[*Node]
 	// Secondary indexes, maintained on every write by the stores' reindex
 	// hooks; every bucket is name-ordered.
-	rsByOwner     index[string, *ReplicaSet]
 	podsByOwner   index[string, *Pod]
 	podsByNode    index[string, *Pod] // "" holds the unbound pods
 	podsByLabel   index[labelPair, *Pod]
@@ -65,7 +64,6 @@ func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
 	a := &APIServer{
 		k:             k,
 		cfg:           cfg,
-		rsByOwner:     make(index[string, *ReplicaSet]),
 		podsByOwner:   make(index[string, *Pod]),
 		podsByNode:    make(index[string, *Pod]),
 		podsByLabel:   make(index[labelPair, *Pod]),
@@ -73,7 +71,7 @@ func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
 		subs:          make(map[Kind][]func(Event)),
 	}
 	a.Deployments = newStore[*Deployment](a, KindDeployment, nil)
-	a.ReplicaSets = newStore(a, KindReplicaSet, keyed(a.rsByOwner, func(rs *ReplicaSet) string { return rs.Owner }))
+	a.ReplicaSets = newStore[*ReplicaSet](a, KindReplicaSet, nil)
 	byOwner := keyed(a.podsByOwner, func(pod *Pod) string { return pod.Owner })
 	byNode := keyed(a.podsByNode, func(pod *Pod) string { return pod.NodeName })
 	a.Pods = newStore(a, KindPod, func(old, cur *Pod) {
@@ -195,13 +193,6 @@ func (a *APIServer) charge(p *sim.Proc) {
 	if p != nil && a.cfg.RequestLatency > 0 {
 		p.Sleep(a.cfg.RequestLatency)
 	}
-}
-
-// ListReplicaSets returns the ReplicaSets owned by the given Deployment,
-// sorted by name, as read-only snapshots (ReplicaSets.List for all of them).
-func (a *APIServer) ListReplicaSets(p *sim.Proc, owner string) []*ReplicaSet {
-	a.charge(p)
-	return a.rsByOwner[owner].view()
 }
 
 // CreatePod is Pods.Create returning a private copy of what was stored, whose

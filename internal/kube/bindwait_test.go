@@ -103,7 +103,7 @@ type scaleUpResult struct {
 func bindWaitWorld(t *testing.T, mutate func(*Config), scaleUp func(*Cluster, *sim.Proc, string) (cluster.Instance, error)) (results []scaleUpResult, crashes int, readyAt map[string]sim.Time) {
 	t.Helper()
 	r := newRig(t, mutate)
-	withFaults(r, faults.ClusterSpec{CrashProb: 0.5})
+	fired := withFaults(r, faults.ClusterSpec{CrashProb: 0.5}) // crashes are the only faults
 	for i, domain := range []string{"a.example.com", "b.example.com", "c.example.com"} {
 		a := annotated(t, domain)
 		delay := time.Duration(i) * 7 * time.Millisecond
@@ -130,7 +130,7 @@ func bindWaitWorld(t *testing.T, mutate func(*Config), scaleUp func(*Cluster, *s
 	for _, ctr := range r.rt.List(nil) {
 		readyAt[ctr.Name()] = ctr.ReadyAt()
 	}
-	return results, r.kc.faults.Counts().Crashes, readyAt
+	return results, int(fired.Value()), readyAt
 }
 
 // TestBindWaitMatchesPollLoop: ScaleUp's bind wait is indistinguishable from
@@ -183,7 +183,7 @@ func TestScaleUpBindTimeout(t *testing.T) {
 	r.k.Go("driver", func(p *sim.Proc) {
 		r.kc.Kubelet("egs").SetFailed(true)
 		p.Sleep(time.Minute) // past the 40 s grace period: the node is NotReady
-		if n, _ := r.kc.API().Nodes.Get(nil, "egs"); n == nil || n.Ready {
+		if n, _ := r.kc.API().nodes.Get(nil, "egs"); n == nil || n.Ready {
 			t.Errorf("node = %+v, want NotReady", n)
 			return
 		}

@@ -656,11 +656,11 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 					kc.Pull(p, a)
 					kc.Create(p, a)
 					kc.ScaleUp(p, a.UniqueName)
-					p.SleepUntil(20 * time.Second)
+					p.Sleep(20*time.Second - p.Now())
 					if i == 1 {
 						kc.Kubelet("n1").SetFailed(true)
 					}
-					p.SleepUntil(90 * time.Second)
+					p.Sleep(90*time.Second - p.Now())
 					switch i {
 					case 1:
 						kc.Kubelet("n1").SetFailed(false)

@@ -6,16 +6,22 @@ import (
 	"time"
 
 	"transparentedge/internal/faults"
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 )
 
-func withFaults(r *rig, spec faults.ClusterSpec) {
+// withFaults installs spec on the rig's cluster and returns its
+// faults_injected_total counter.
+func withFaults(r *rig, spec faults.ClusterSpec) *obs.Counter {
 	plan := faults.NewPlan(faults.Spec{
 		Seed:     1,
 		Clusters: map[string]faults.ClusterSpec{"egs-k8s": spec},
 	})
+	reg := obs.NewRegistry()
+	plan.SetObs(reg)
 	r.kc.SetFaults(plan.For("egs-k8s"))
+	return reg.Counter(`faults_injected_total{cluster="egs-k8s"}`)
 }
 
 // TestFaultScaleUpFailsThenSucceeds: injected scale-up errors surface before
@@ -99,11 +105,11 @@ func TestFaultOutageMidDeploy(t *testing.T) {
 		if err := r.kc.Create(p, a); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		p.SleepUntil(35 * time.Second) // inside the outage
+		p.Sleep(35*time.Second - p.Now()) // inside the outage
 		if _, err := r.kc.ScaleUp(p, a.UniqueName); !errors.Is(err, faults.ErrOutage) {
 			t.Fatalf("scale-up during outage: err = %v, want ErrOutage", err)
 		}
-		p.SleepUntil(65 * time.Second) // outage over
+		p.Sleep(65*time.Second - p.Now()) // outage over
 		inst, err := r.kc.ScaleUp(p, a.UniqueName)
 		if err != nil {
 			t.Fatalf("scale-up after outage: %v", err)

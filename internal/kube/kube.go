@@ -15,7 +15,6 @@ import (
 	"transparentedge/internal/faults"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
-	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
 )
 
@@ -134,15 +133,6 @@ func (c *Cluster) Kubelet(nodeName string) *Kubelet {
 
 // Name implements cluster.Cluster.
 func (c *Cluster) Name() string { return c.name }
-
-// Addr implements cluster.Cluster (first node's address; single-node
-// clusters as in the paper's testbed have exactly one).
-func (c *Cluster) Addr() simnet.Addr {
-	if len(c.nodes) == 0 {
-		return ""
-	}
-	return c.nodes[0].rt.Host().IP()
-}
 
 func (c *Cluster) nodeByName(name string) *node {
 	for _, n := range c.nodes {

@@ -122,7 +122,7 @@ func TestDeploymentChainCreatesRunningPod(t *testing.T) {
 		wait = probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 		_ = start
 		// The full chain ran: a ReplicaSet and a Pod exist.
-		if rss := rg.kc.API().ListReplicaSets(nil, a.UniqueName); len(rss) != 1 {
+		if rss := rg.kc.API().ReplicaSets.List(nil); len(rss) != 1 {
 			t.Errorf("replicasets = %d, want 1", len(rss))
 		}
 		pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
@@ -473,7 +473,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(nil, rs) },
 		update: func(rs *ReplicaSet) { api.ReplicaSets.Update(nil, rs) },
 		get:    func() *ReplicaSet { rs, _ := api.ReplicaSets.Get(nil, "rs1"); return rs },
-		list:   func() []*ReplicaSet { return api.ListReplicaSets(nil, "d1") },
+		list:   func() []*ReplicaSet { return api.ReplicaSets.List(nil) },
 		stored: func() *ReplicaSet { return api.ReplicaSets.byName["rs1"] },
 	}.run(t, k, api)
 	copyCase[*Pod]{
@@ -510,7 +510,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		obj:    &Node{Name: "n1", Ready: true},
 		mutate: func(n *Node) { n.Ready = false },
 		create: func(n *Node) { api.UpsertNode(nil, n.Name, n.Ready) },
-		get:    func() *Node { n, _ := api.Nodes.Get(nil, "n1"); return n },
+		get:    func() *Node { n, _ := api.nodes.Get(nil, "n1"); return n },
 		list:   func() []*Node { return api.Nodes.List(nil) },
 		stored: func() *Node { return api.nodes.byName["n1"] },
 	}.run(t, k, api)
@@ -980,7 +980,7 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		kc.Kubelet("n1").SetFailed(true)
 		// Wait past grace + monitor + reschedule + restart.
 		p.Sleep(time.Minute)
-		node, _ := kc.API().Nodes.Get(nil, "n1")
+		node, _ := kc.API().nodes.Get(nil, "n1")
 		if node == nil || node.Ready {
 			t.Errorf("n1 = %+v, want NotReady", node)
 		}
@@ -1001,7 +1001,7 @@ func TestNodeHeartbeatsKeepNodeReady(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(30 * time.Second)
-	node, _ := rg.kc.API().Nodes.Get(nil, "egs")
+	node, _ := rg.kc.API().nodes.Get(nil, "egs")
 	if node == nil || !node.Ready {
 		t.Fatalf("node = %+v, want Ready with ongoing heartbeats", node)
 	}

@@ -157,6 +157,3 @@ func beat(h *heartbeat) sim.Step[heartbeat] {
 // and stops acting on pod events, so the node controller eventually marks
 // the node NotReady and evicts its pods. Setting false revives the node.
 func (kl *Kubelet) SetFailed(failed bool) { kl.failed = failed }
-
-// Failed reports whether the node is currently failed.
-func (kl *Kubelet) Failed() bool { return kl.failed }

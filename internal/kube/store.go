@@ -116,7 +116,6 @@ type Store[T object[T]] struct {
 // Reader is the read side of a Store, the handle of a kind that only the API
 // server writes (Nodes: UpsertNode and the node controller).
 type Reader[T any] interface {
-	Get(p *sim.Proc, name string) (T, error)
 	List(p *sim.Proc) []T
 }
 

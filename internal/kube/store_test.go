@@ -196,16 +196,6 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				if got, want := a.ListPodsByOwner(nil, owner), brutePods(a, func(p *Pod) bool { return p.Owner == owner }); !slices.Equal(got, want) {
 					fail("ListPodsByOwner(%q) = %v, want %v", owner, got, want)
 				}
-				var want []*ReplicaSet
-				for _, rs := range a.ReplicaSets.byName {
-					if rs.Owner == owner {
-						want = append(want, rs)
-					}
-				}
-				sortedBy(want, func(rs *ReplicaSet) string { return rs.Name })
-				if got := a.ListReplicaSets(nil, owner); !slices.Equal(got, want) {
-					fail("ListReplicaSets(%q) = %v, want %v", owner, got, want)
-				}
 			}
 			for _, node := range nodeNames {
 				if got, want := a.ListPodsByNode(nil, node), brutePods(a, func(p *Pod) bool { return p.NodeName == node }); !slices.Equal(got, want) {
@@ -247,7 +237,6 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				"podsByOwner":   {indexSize(t, "podsByOwner", a.podsByOwner), len(a.Pods.byName)},
 				"podsByNode":    {indexSize(t, "podsByNode", a.podsByNode), len(a.Pods.byName)},
 				"svcBySelector": {indexSize(t, "svcBySelector", a.svcBySelector), len(a.Services.byName)},
-				"rsByOwner":     {indexSize(t, "rsByOwner", a.rsByOwner), len(a.ReplicaSets.byName)},
 			} {
 				if n[0] != n[1] {
 					fail("%s holds %d entries, want %d", what, n[0], n[1])
@@ -278,7 +267,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		for _, rs := range a.ReplicaSets.List(nil) {
 			a.ReplicaSets.Delete(nil, rs.Name)
 		}
-		if n := len(a.podsByLabel) + len(a.podsByOwner) + len(a.podsByNode) + len(a.svcBySelector) + len(a.rsByOwner) + len(a.Pods.sorted.items); n != 0 {
+		if n := len(a.podsByLabel) + len(a.podsByOwner) + len(a.podsByNode) + len(a.svcBySelector) + len(a.Pods.sorted.items); n != 0 {
 			t.Fatalf("seed %d: %d index entries left in a drained store", seed, n)
 		}
 	}

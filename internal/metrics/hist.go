@@ -21,8 +21,8 @@ const (
 // Hist is a fixed-memory log-bucketed duration histogram: Add is O(1), the
 // footprint is bounded by the value range (not the sample count), and
 // Median/Percentile are drop-in compatible with Series at ≤1.6% relative
-// error. Count, sum, min and max are tracked exactly, so Len/Min/Max/Mean/
-// Stddev match Series precisely; only the quantiles are approximate.
+// error. Count, sum, min and max are tracked exactly, so Len/Max/Mean match
+// Series precisely; only the quantiles are approximate.
 type Hist struct {
 	Name   string
 	counts []uint64
@@ -30,44 +30,22 @@ type Hist struct {
 	sum    time.Duration
 	min    time.Duration
 	max    time.Duration
-	// sumsqHi/sumsqLo accumulate the sum of squared sample values as an
-	// exact 128-bit integer. Exactness matters beyond precision: integer
-	// accumulation is order-independent, so merging per-shard histograms
-	// yields bit-identical statistics (and fingerprints) to a histogram
-	// that saw every sample directly — float64 accumulation would make
-	// the fingerprint depend on merge order.
+	// sumsqHi/sumsqLo accumulate the sum of squared sample values, part of
+	// the fingerprint, as an exact 128-bit integer: integer accumulation is
+	// order-independent, so merging per-shard histograms yields
+	// bit-identical fingerprints to a histogram that saw every sample
+	// directly.
 	sumsqHi, sumsqLo uint64
-	// subBits is the per-histogram sub-bucket resolution; 0 means the
-	// package default (histSubBits). Histograms with different resolutions
-	// have incompatible bucket layouts and refuse to Merge.
-	subBits uint8
 }
 
-// NewHist returns an empty named histogram with the default resolution.
+// NewHist returns an empty named histogram.
 func NewHist(name string) *Hist { return &Hist{Name: name} }
 
-// NewHistSub returns an empty named histogram whose octaves are split into
-// 2^subBits linear sub-buckets (relative quantile error ≤ 2^-subBits).
-// subBits must be in [1, 20].
-func NewHistSub(name string, subBits int) *Hist {
-	if subBits < 1 || subBits > 20 {
-		panic(fmt.Sprintf("metrics: subBits %d out of range [1,20]", subBits))
-	}
-	return &Hist{Name: name, subBits: uint8(subBits)}
-}
-
-// sb returns the effective sub-bucket bits of this histogram.
-func (h *Hist) sb() uint {
-	if h.subBits == 0 {
-		return histSubBits
-	}
-	return uint(h.subBits)
-}
-
-// histIndexSub maps a duration to its bucket under sb sub-bucket bits:
-// values below 2^sb get exact unit buckets; above, the bucket keys on the
-// exponent and the top sb mantissa bits.
-func histIndexSub(v time.Duration, sb uint) int {
+// histIndex maps a duration to its bucket: values below 2^histSubBits get
+// exact unit buckets; above, the bucket keys on the exponent and the top
+// histSubBits mantissa bits.
+func histIndex(v time.Duration) int {
+	const sb = histSubBits
 	if v <= 0 {
 		return 0
 	}
@@ -80,35 +58,30 @@ func histIndexSub(v time.Duration, sb uint) int {
 	return int((uint64(e)-uint64(sb)+1)<<sb + m)
 }
 
-// histLowerSub returns the smallest duration mapping to bucket idx.
-func histLowerSub(idx int, sb uint) time.Duration {
+// histLower returns the smallest duration mapping to bucket idx.
+func histLower(idx int) time.Duration {
+	const sb = histSubBits
 	if idx < 1<<sb {
 		return time.Duration(idx)
 	}
-	e := int(sb) + (idx>>sb - 1)
+	e := uint(sb + (idx>>sb - 1))
 	m := idx & (1<<sb - 1)
-	return time.Duration((uint64(1)<<sb + uint64(m)) << (uint(e) - sb))
+	return time.Duration((uint64(1)<<sb + uint64(m)) << (e - sb))
 }
 
-// histWidthSub returns the number of distinct durations mapping to bucket idx.
-func histWidthSub(idx int, sb uint) time.Duration {
-	if idx < 1<<sb {
+// histWidth returns the number of distinct durations mapping to bucket idx.
+func histWidth(idx int) time.Duration {
+	if idx < 1<<histSubBits {
 		return 1
 	}
-	return time.Duration(uint64(1) << uint(idx>>sb-1))
+	return time.Duration(uint64(1) << uint(idx>>histSubBits-1))
 }
-
-// Default-resolution helpers (kept for tests and callers that never vary
-// the bucket config).
-func histIndex(v time.Duration) int   { return histIndexSub(v, histSubBits) }
-func histLower(idx int) time.Duration { return histLowerSub(idx, histSubBits) }
-func histWidth(idx int) time.Duration { return histWidthSub(idx, histSubBits) }
 
 // Add records one sample. The timestamp is accepted for Series
 // compatibility but not retained: a histogram has no per-sample memory.
 func (h *Hist) Add(at, value time.Duration) {
 	_ = at
-	idx := histIndexSub(value, h.sb())
+	idx := histIndex(value)
 	if idx >= len(h.counts) {
 		grown := make([]uint64, idx+1)
 		copy(grown, h.counts)
@@ -138,17 +111,8 @@ func (h *Hist) addSq(value time.Duration) {
 	h.sumsqHi += hi + carry
 }
 
-// sumsq returns the float64 view of the exact sum of squares (read-time
-// rounding only; the accumulator itself never rounds).
-func (h *Hist) sumsq() float64 {
-	return float64(h.sumsqHi)*float64(1<<32)*float64(1<<32) + float64(h.sumsqLo)
-}
-
 // Len returns the number of recorded samples.
 func (h *Hist) Len() int { return int(h.total) }
-
-// Min returns the smallest sample value (0 when empty).
-func (h *Hist) Min() time.Duration { return h.min }
 
 // Max returns the largest sample value (0 when empty).
 func (h *Hist) Max() time.Duration { return h.max }
@@ -159,19 +123,6 @@ func (h *Hist) Mean() time.Duration {
 		return 0
 	}
 	return h.sum / time.Duration(h.total)
-}
-
-// Stddev returns the population standard deviation.
-func (h *Hist) Stddev() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	mean := float64(h.sum) / float64(h.total)
-	v := h.sumsq()/float64(h.total) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return time.Duration(math.Sqrt(v))
 }
 
 // Median returns the approximate median (0 when empty).
@@ -205,7 +156,7 @@ func (h *Hist) Percentile(p float64) time.Duration {
 
 // valueAtRank estimates the value of the rank-th smallest sample (0-based).
 // It is exact when the containing bucket spans a single duration (the unit
-// region below 2^sb, or any bucket pinned by the min/max clamp) and accurate
+// region below 2^histSubBits, or any bucket pinned by the min/max clamp) and accurate
 // to the bucket width otherwise.
 func (h *Hist) valueAtRank(rank uint64) time.Duration {
 	// The extreme ranks are tracked exactly: the smallest sample is Min and
@@ -216,15 +167,14 @@ func (h *Hist) valueAtRank(rank uint64) time.Duration {
 	if rank >= h.total-1 {
 		return h.max
 	}
-	sb := h.sb()
 	var cum uint64
 	for idx, c := range h.counts {
 		if c == 0 {
 			continue
 		}
 		if cum+c > rank {
-			v := histLowerSub(idx, sb)
-			if w := histWidthSub(idx, sb); w > 1 {
+			v := histLower(idx)
+			if w := histWidth(idx); w > 1 {
 				frac := (float64(rank-cum) + 0.5) / float64(c)
 				v += time.Duration(frac * float64(w))
 			}
@@ -239,24 +189,6 @@ func (h *Hist) valueAtRank(rank uint64) time.Duration {
 		cum += c
 	}
 	return h.max
-}
-
-// Each yields the histogram's non-empty buckets as Prometheus-style
-// cumulative pairs (upper bound in seconds, cumulative count), in
-// increasing bound order — the shape obs.WriteHistText expects. The upper
-// bound of a bucket is the largest duration mapping into it (lower + width
-// - 1 ns).
-func (h *Hist) Each(yield func(le float64, cumulative uint64)) {
-	sb := h.sb()
-	var cum uint64
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		upper := histLowerSub(idx, sb) + histWidthSub(idx, sb) - 1
-		yield(upper.Seconds(), cum)
-	}
 }
 
 // Sum returns the exact sum of all recorded samples.
@@ -278,7 +210,7 @@ func (h *Hist) Fingerprint() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		f.Write(buf[:])
 	}
-	word(uint64(h.sb()))
+	word(histSubBits)
 	word(h.total)
 	word(uint64(h.sum))
 	word(uint64(h.min))
@@ -306,22 +238,12 @@ func (h *Hist) Clone() *Hist {
 // the same scheme, merging bucket counts is exact: the merged histogram is
 // bit-identical to one that had seen every sample directly, so the ≤1.6%
 // quantile error bound survives any merge tree (the property the parallel
-// sweep engine relies on when aggregating per-variant results).
-//
-// Histograms with different sub-bucket resolutions have incompatible bucket
-// layouts: merging them is rejected with an error — except into an *empty*
-// receiver, which is normalized by adopting other's configuration first.
-// other is not modified; merging a nil or empty other is a no-op.
+// sweep engine relies on when aggregating per-variant results). other is not
+// modified; merging a nil or empty other is a no-op. Every histogram buckets
+// alike, so Merge never fails: the error is always nil.
 func (h *Hist) Merge(other *Hist) error {
 	if other == nil || other.total == 0 {
 		return nil
-	}
-	if h.total == 0 {
-		h.subBits = other.subBits
-	}
-	if h.sb() != other.sb() {
-		return fmt.Errorf("metrics: cannot merge histograms with different bucket configs (2^%d vs 2^%d sub-buckets)",
-			h.sb(), other.sb())
 	}
 	if len(other.counts) > len(h.counts) {
 		grown := make([]uint64, len(other.counts))

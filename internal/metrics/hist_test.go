@@ -18,14 +18,14 @@ func TestHistSmallValuesExact(t *testing.T) {
 	if got := h.Median(); got != 20 {
 		t.Fatalf("Median = %v, want 20", got)
 	}
-	if h.Min() != 10 || h.Max() != 30 || h.Len() != 3 {
-		t.Fatalf("min/max/len = %v/%v/%d", h.Min(), h.Max(), h.Len())
+	if h.min != 10 || h.Max() != 30 || h.Len() != 3 {
+		t.Fatalf("min/max/len = %v/%v/%d", h.min, h.Max(), h.Len())
 	}
 }
 
 func TestHistExactStatsMatchSeries(t *testing.T) {
-	// Len/Min/Max/Mean/Stddev are tracked exactly and must equal the
-	// unbucketed Series values bit-for-bit.
+	// Len/Min/Max/Mean are tracked exactly and must equal the unbucketed
+	// Series values bit-for-bit.
 	rng := rand.New(rand.NewSource(7))
 	s := NewSeries("x")
 	h := NewHist("x")
@@ -34,15 +34,12 @@ func TestHistExactStatsMatchSeries(t *testing.T) {
 		s.Add(0, v)
 		h.Add(0, v)
 	}
-	if s.Len() != h.Len() || s.Min() != h.Min() || s.Max() != h.Max() {
+	if s.Len() != h.Len() || s.Percentile(0) != h.min || s.Max() != h.Max() {
 		t.Fatalf("len/min/max mismatch: series %d/%v/%v hist %d/%v/%v",
-			s.Len(), s.Min(), s.Max(), h.Len(), h.Min(), h.Max())
+			s.Len(), s.Percentile(0), s.Max(), h.Len(), h.min, h.Max())
 	}
 	if s.Mean() != h.Mean() {
 		t.Fatalf("Mean: series %v hist %v", s.Mean(), h.Mean())
-	}
-	if d := s.Stddev() - h.Stddev(); d < -time.Microsecond || d > time.Microsecond {
-		t.Fatalf("Stddev: series %v hist %v", s.Stddev(), h.Stddev())
 	}
 }
 
@@ -79,7 +76,7 @@ func TestHistQuantileError(t *testing.T) {
 
 func TestHistEmpty(t *testing.T) {
 	h := NewHist("x")
-	if h.Median() != 0 || h.Len() != 0 || h.Mean() != 0 || h.Stddev() != 0 {
+	if h.Median() != 0 || h.Len() != 0 || h.Mean() != 0 {
 		t.Fatal("empty hist summary stats should all be 0")
 	}
 }
@@ -100,15 +97,15 @@ func TestHistNonPositiveValues(t *testing.T) {
 	h.Add(0, -5*time.Millisecond)
 	h.Add(0, 0)
 	h.Add(0, time.Millisecond)
-	if h.Min() != -5*time.Millisecond {
-		t.Fatalf("Min = %v, want -5ms", h.Min())
+	if h.min != -5*time.Millisecond {
+		t.Fatalf("Min = %v, want -5ms", h.min)
 	}
 	if h.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", h.Len())
 	}
 	// Quantiles are clamped to [min, max], so nothing can escape the range.
-	if p := h.Percentile(0); p < h.Min() || p > h.Max() {
-		t.Fatalf("P0 = %v outside [%v, %v]", p, h.Min(), h.Max())
+	if p := h.Percentile(0); p < h.min || p > h.Max() {
+		t.Fatalf("P0 = %v outside [%v, %v]", p, h.min, h.Max())
 	}
 }
 
@@ -151,7 +148,7 @@ func TestHistQuickPercentileInvariants(t *testing.T) {
 			h.Add(0, time.Duration(v)*time.Microsecond)
 		}
 		med := h.Median()
-		if med < h.Min() || med > h.Max() {
+		if med < h.min || med > h.Max() {
 			return false
 		}
 		prev := time.Duration(-1) << 40
@@ -174,11 +171,11 @@ func TestBoundedSeriesFoldsAtThreshold(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		s.Add(0, ms(i))
 	}
-	if !s.Exact() {
+	if s.hist != nil {
 		t.Fatal("series folded at threshold, want fold only beyond it")
 	}
 	s.Add(0, ms(101))
-	if s.Exact() {
+	if s.hist == nil {
 		t.Fatal("series did not fold beyond threshold")
 	}
 	if s.Len() != 101 {
@@ -188,8 +185,8 @@ func TestBoundedSeriesFoldsAtThreshold(t *testing.T) {
 		t.Fatal("folded series should return nil raw samples")
 	}
 	// Summary stats survive the fold.
-	if s.Min() != ms(1) || s.Max() != ms(101) || s.Mean() != ms(51) {
-		t.Fatalf("min/max/mean after fold = %v/%v/%v", s.Min(), s.Max(), s.Mean())
+	if s.Percentile(0) != ms(1) || s.Max() != ms(101) || s.Mean() != ms(51) {
+		t.Fatalf("min/max/mean after fold = %v/%v/%v", s.Percentile(0), s.Max(), s.Mean())
 	}
 	med := s.Median()
 	if med < ms(50) || med > ms(52) {
@@ -290,7 +287,7 @@ func TestHistMergeProperty(t *testing.T) {
 				t.Fatalf("Merge: %v", err)
 			}
 		}
-		if merged.Len() != exact.Len() || merged.Min() != whole.Min() ||
+		if merged.Len() != exact.Len() || merged.min != whole.min ||
 			merged.Max() != whole.Max() || merged.Mean() != whole.Mean() {
 			t.Fatalf("merged summary stats diverge from whole histogram")
 		}
@@ -318,28 +315,6 @@ func TestHistMergeProperty(t *testing.T) {
 	}
 }
 
-func TestHistMergeConfigMismatch(t *testing.T) {
-	coarse := NewHistSub("coarse", 4)
-	fine := NewHist("fine") // default histSubBits = 6
-	coarse.Add(0, time.Millisecond)
-	fine.Add(0, time.Millisecond)
-	if err := fine.Merge(coarse); err == nil {
-		t.Fatal("merging mismatched bucket configs must fail")
-	}
-	// An empty receiver normalizes by adopting the other config.
-	empty := NewHist("empty")
-	if err := empty.Merge(coarse); err != nil {
-		t.Fatalf("empty receiver should adopt config: %v", err)
-	}
-	if empty.sb() != coarse.sb() || empty.Len() != 1 {
-		t.Fatalf("adopted sb=%d len=%d, want sb=%d len=1", empty.sb(), empty.Len(), coarse.sb())
-	}
-	// And having adopted, further mismatched merges are rejected.
-	if err := empty.Merge(fine); err == nil {
-		t.Fatal("post-adoption mismatched merge must fail")
-	}
-}
-
 func TestHistMergeEmptyOther(t *testing.T) {
 	h := NewHist("x")
 	h.Add(0, 10)
@@ -349,7 +324,7 @@ func TestHistMergeEmptyOther(t *testing.T) {
 	if err := h.Merge(NewHist("y")); err != nil {
 		t.Fatal(err)
 	}
-	if h.Len() != 1 || h.Min() != 10 || h.Max() != 10 {
+	if h.Len() != 1 || h.min != 10 || h.Max() != 10 {
 		t.Fatal("merging empty/nil must be a no-op")
 	}
 }
@@ -361,7 +336,7 @@ func TestSeriesToHist(t *testing.T) {
 		s.Add(0, time.Duration(rng.Intn(int(time.Second))))
 	}
 	h := s.ToHist()
-	if h.Len() != s.Len() || h.Min() != s.Min() || h.Max() != s.Max() || h.Mean() != s.Mean() {
+	if h.Len() != s.Len() || h.min != s.Percentile(0) || h.Max() != s.Max() || h.Mean() != s.Mean() {
 		t.Fatal("ToHist summary stats diverge from series")
 	}
 	// Folded bounded series: ToHist must return an independent copy.
@@ -463,5 +438,14 @@ func TestHistQuantileBucketBoundaryTwoBuckets(t *testing.T) {
 		if got, want := h2.Percentile(p), s2.Percentile(p); got != want {
 			t.Errorf("lopsided P%v = %v, want %v (Series)", p, got, want)
 		}
+	}
+}
+
+func TestHistSum(t *testing.T) {
+	h := NewHist("sum")
+	h.Add(0, 2*time.Millisecond)
+	h.Add(0, 3*time.Millisecond)
+	if got := h.Sum(); got != 5*time.Millisecond {
+		t.Fatalf("Sum = %v, want 5ms", got)
 	}
 }

@@ -40,7 +40,7 @@ func TestMergePartitionEqualsDirect(t *testing.T) {
 			}
 		}
 		return merged.Fingerprint() == direct.Fingerprint() &&
-			merged.Min() == direct.Min() &&
+			merged.min == direct.min &&
 			merged.Max() == direct.Max() &&
 			merged.Mean() == direct.Mean() &&
 			merged.Len() == direct.Len()
@@ -60,47 +60,14 @@ func TestMergeEmptyReceiverAdoptsStats(t *testing.T) {
 	if err := dst.Merge(src); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Min() != 5*time.Second {
-		t.Fatalf("Min = %v, want 5s (empty receiver clamped min to zero)", dst.Min())
+	if dst.min != 5*time.Second {
+		t.Fatalf("Min = %v, want 5s (empty receiver clamped min to zero)", dst.min)
 	}
 	if dst.Max() != 7*time.Second {
 		t.Fatalf("Max = %v, want 7s", dst.Max())
 	}
 	if dst.Mean() != 6*time.Second {
 		t.Fatalf("Mean = %v, want 6s", dst.Mean())
-	}
-}
-
-// Merging histograms with mismatched sub-bucket bounds must error in both
-// directions (never mis-bucket), while an empty receiver adopts the
-// incoming resolution and can then merge same-resolution peers.
-func TestMergeMismatchedSubBucketsErrors(t *testing.T) {
-	coarse := NewHistSub("coarse", 3)
-	fine := NewHistSub("fine", 8)
-	coarse.Add(0, time.Millisecond)
-	fine.Add(0, time.Millisecond)
-
-	if err := coarse.Merge(fine); err == nil {
-		t.Fatal("coarse.Merge(fine) must error")
-	}
-	if err := fine.Merge(coarse); err == nil {
-		t.Fatal("fine.Merge(coarse) must error")
-	}
-	// The failed merges must not have corrupted either histogram.
-	if coarse.Len() != 1 || fine.Len() != 1 {
-		t.Fatalf("failed merge mutated inputs: %d / %d samples", coarse.Len(), fine.Len())
-	}
-
-	empty := NewHist("empty")
-	if err := empty.Merge(fine); err != nil {
-		t.Fatalf("empty receiver must adopt incoming resolution: %v", err)
-	}
-	if empty.Fingerprint() != fine.Fingerprint() {
-		t.Fatal("adopting merge must reproduce the source exactly")
-	}
-	// Having adopted 8 sub-bits, merging a 3-bit histogram now errors.
-	if err := empty.Merge(coarse); err == nil {
-		t.Fatal("adopted receiver must reject mismatched resolution")
 	}
 }
 
@@ -135,16 +102,16 @@ func TestMergeAssociativity(t *testing.T) {
 }
 
 // Merging a nil or empty other is a no-op and must not disturb the
-// receiver's stats or resolution.
+// receiver.
 func TestMergeEmptyOtherNoop(t *testing.T) {
-	h := NewHistSub("h", 4)
+	h := NewHist("h")
 	h.Add(0, time.Second)
 	fp := h.Fingerprint()
 	if err := h.Merge(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Merge(NewHistSub("e", 9)); err != nil {
-		t.Fatalf("empty other with different resolution must no-op: %v", err)
+	if err := h.Merge(NewHist("e")); err != nil {
+		t.Fatal(err)
 	}
 	if h.Fingerprint() != fp {
 		t.Fatal("no-op merge changed the receiver")

@@ -23,8 +23,8 @@ type Sample struct {
 // A series built with NewSeries retains every sample exactly. A series
 // built with NewBoundedSeries folds into a fixed-memory log-bucketed Hist
 // once the sample count exceeds its threshold: summary statistics stay
-// available (quantiles become ≤1.6%-error approximations; Len/Min/Max/Mean/
-// Stddev remain exact) while memory stops growing with the sample count —
+// available (quantiles become ≤1.6%-error approximations; Len/Max/Mean
+// remain exact) while memory stops growing with the sample count —
 // the mode million-request replays run in.
 type Series struct {
 	Name    string
@@ -45,10 +45,6 @@ func NewSeries(name string) *Series { return &Series{Name: name} }
 func NewBoundedSeries(name string, maxExact int) *Series {
 	return &Series{Name: name, maxExact: maxExact}
 }
-
-// Exact reports whether the series still retains every sample (false once a
-// bounded series has folded into histogram mode).
-func (s *Series) Exact() bool { return s.hist == nil }
 
 // Add records a sample.
 func (s *Series) Add(at, value time.Duration) {
@@ -144,23 +140,6 @@ func (s *Series) Percentile(p float64) time.Duration {
 	return vals[lo] + time.Duration(frac*float64(vals[hi]-vals[lo]))
 }
 
-// Min returns the smallest sample value (0 for an empty series).
-func (s *Series) Min() time.Duration {
-	if s.hist != nil {
-		return s.hist.Min()
-	}
-	if len(s.samples) == 0 {
-		return 0
-	}
-	min := s.samples[0].Value
-	for _, smp := range s.samples[1:] {
-		if smp.Value < min {
-			min = smp.Value
-		}
-	}
-	return min
-}
-
 // Max returns the largest sample value (0 for an empty series).
 func (s *Series) Max() time.Duration {
 	if s.hist != nil {
@@ -190,24 +169,6 @@ func (s *Series) Mean() time.Duration {
 	return sum / time.Duration(len(s.samples))
 }
 
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() time.Duration {
-	if s.hist != nil {
-		return s.hist.Stddev()
-	}
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var acc float64
-	for _, smp := range s.samples {
-		d := float64(smp.Value) - mean
-		acc += d * d
-	}
-	return time.Duration(math.Sqrt(acc / float64(n)))
-}
-
 // ToHist returns the series' samples as a log-bucketed Hist: a copy of the
 // internal histogram once folded, or a fresh fold of the retained samples.
 // The result is independent of the series and safe to Merge elsewhere.
@@ -230,26 +191,6 @@ func (s *Series) RetainedBytes() int {
 	}
 	const sampleSize = 16 // two int64 fields
 	return cap(s.samples)*sampleSize + cap(s.sortedCache)*8
-}
-
-// Histogram buckets samples-per-interval over the observation window,
-// reproducing the shape of the paper's figs. 9/10 (events per second).
-// It returns one count per interval from t=0 to the last sample.
-func (s *Series) Histogram(interval time.Duration) []int {
-	if len(s.samples) == 0 || interval <= 0 {
-		return nil
-	}
-	var last time.Duration
-	for _, smp := range s.samples {
-		if smp.At > last {
-			last = smp.At
-		}
-	}
-	buckets := make([]int, int(last/interval)+1)
-	for _, smp := range s.samples {
-		buckets[int(smp.At/interval)]++
-	}
-	return buckets
 }
 
 // Table renders named rows of duration cells with a header, in the style of
@@ -277,15 +218,6 @@ func (t *Table) AddRow(name string, cells ...time.Duration) {
 			name, len(cells), len(t.Columns)))
 	}
 	t.rows = append(t.rows, tableRow{name: name, cells: cells})
-}
-
-// Rows returns the row names in insertion order.
-func (t *Table) Rows() []string {
-	names := make([]string, len(t.rows))
-	for i, r := range t.rows {
-		names[i] = r.name
-	}
-	return names
 }
 
 // Cell returns the value at (row name, column name); ok is false when the

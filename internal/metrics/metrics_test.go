@@ -69,38 +69,8 @@ func TestMinMaxMean(t *testing.T) {
 	for _, v := range []int{5, 1, 9, 5} {
 		s.Add(0, ms(v))
 	}
-	if s.Min() != ms(1) || s.Max() != ms(9) || s.Mean() != ms(5) {
-		t.Fatalf("min/max/mean = %v/%v/%v", s.Min(), s.Max(), s.Mean())
-	}
-}
-
-func TestStddevConstant(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 10; i++ {
-		s.Add(0, ms(7))
-	}
-	if s.Stddev() != 0 {
-		t.Fatalf("Stddev of constant = %v, want 0", s.Stddev())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	s := NewSeries("req")
-	// 3 samples in second 0, 1 in second 2.
-	s.Add(100*time.Millisecond, ms(1))
-	s.Add(200*time.Millisecond, ms(1))
-	s.Add(900*time.Millisecond, ms(1))
-	s.Add(2500*time.Millisecond, ms(1))
-	h := s.Histogram(time.Second)
-	if len(h) != 3 || h[0] != 3 || h[1] != 0 || h[2] != 1 {
-		t.Fatalf("Histogram = %v, want [3 0 1]", h)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	s := NewSeries("x")
-	if h := s.Histogram(time.Second); h != nil {
-		t.Fatalf("Histogram of empty = %v, want nil", h)
+	if s.Percentile(0) != ms(1) || s.Max() != ms(9) || s.Mean() != ms(5) {
+		t.Fatalf("min/max/mean = %v/%v/%v", s.Percentile(0), s.Max(), s.Mean())
 	}
 }
 
@@ -116,7 +86,7 @@ func TestQuickPercentileInvariants(t *testing.T) {
 			s.Add(0, time.Duration(v)*time.Microsecond)
 		}
 		med := s.Median()
-		if med < s.Min() || med > s.Max() {
+		if med < s.Percentile(0) || med > s.Max() {
 			return false
 		}
 		prev := time.Duration(-1)
@@ -147,9 +117,8 @@ func TestTableCells(t *testing.T) {
 	if _, ok := tb.Cell("Apache", "K8s"); ok {
 		t.Fatal("unknown row returned ok")
 	}
-	rows := tb.Rows()
-	if len(rows) != 2 || rows[0] != "Nginx" {
-		t.Fatalf("Rows = %v", rows)
+	if len(tb.rows) != 2 || tb.rows[0].name != "Nginx" {
+		t.Fatalf("rows = %v", tb.rows)
 	}
 }
 

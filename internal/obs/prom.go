@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Prometheus text exposition (version 0.0.4): the counter/gauge registry
@@ -37,33 +34,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			return err
 		}
 	}
-	return bw.Flush()
-}
-
-// WriteHistText renders a cumulative-bucket duration histogram in text
-// exposition format under the given base name (units: seconds, the
-// Prometheus convention). each must yield (upperBoundSeconds, cumulative
-// count) pairs in increasing bound order; count and sumSeconds are the
-// exact totals. The metrics package's log-bucketed Hist plugs in via its
-// Each iterator.
-func WriteHistText(w io.Writer, name string, each func(yield func(le float64, cumulative uint64)), count uint64, sum time.Duration) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
-	var ferr error
-	each(func(le float64, cumulative uint64) {
-		if ferr != nil {
-			return
-		}
-		_, ferr = fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, formatValue(le), cumulative)
-	})
-	if ferr != nil {
-		return ferr
-	}
-	fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
-	fmt.Fprintf(bw, "%s_sum %s\n", name, formatValue(sum.Seconds()))
-	fmt.Fprintf(bw, "%s_count %d\n", name, count)
 	return bw.Flush()
 }
 
@@ -104,10 +74,4 @@ func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SortedNames returns the map's keys sorted (test helper for stable
-// comparisons of parsed expositions).
-func SortedNames(m map[string]float64) []string {
-	return slices.Sorted(maps.Keys(m))
 }

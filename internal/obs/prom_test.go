@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestPrometheusRoundTrip writes a registry — including label-bearing
@@ -31,7 +30,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	want := r.Map()
 	if len(parsed) != len(want) {
-		t.Fatalf("parsed %d series, want %d: %v vs %v", len(parsed), len(want), SortedNames(parsed), SortedNames(want))
+		t.Fatalf("parsed %d series, want %d: %v vs %v", len(parsed), len(want), parsed, want)
 	}
 	for name, v := range want {
 		if parsed[name] != v {
@@ -50,39 +49,6 @@ func TestPrometheusParseErrors(t *testing.T) {
 	m, err := ParsePrometheus(strings.NewReader("# comment\n\nok 1\n"))
 	if err != nil || m["ok"] != 1 {
 		t.Fatalf("comment/blank handling: %v %v", m, err)
-	}
-}
-
-// TestWriteHistText checks the histogram exposition shape: cumulative
-// buckets in seconds, a +Inf bucket, _sum and _count.
-func TestWriteHistText(t *testing.T) {
-	var buf bytes.Buffer
-	each := func(yield func(le float64, cumulative uint64)) {
-		yield(0.001, 2)
-		yield(0.010, 5)
-	}
-	if err := WriteHistText(&buf, "request_seconds", each, 6, 60*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"# TYPE request_seconds histogram",
-		`request_seconds_bucket{le="0.001"} 2`,
-		`request_seconds_bucket{le="0.01"} 5`,
-		`request_seconds_bucket{le="+Inf"} 6`,
-		"request_seconds_sum 0.06",
-		"request_seconds_count 6",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-	parsed, err := ParsePrometheus(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed[`request_seconds_bucket{le="+Inf"}`] != 6 || parsed["request_seconds_count"] != 6 {
-		t.Fatalf("parsed histogram: %v", parsed)
 	}
 }
 

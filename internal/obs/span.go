@@ -147,11 +147,3 @@ func (t *Tracer) Emitted() uint64 {
 	defer t.mu.Unlock()
 	return t.total
 }
-
-// Cap returns the ring capacity (0 on a nil tracer).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return cap(t.ring)
-}

@@ -355,9 +355,6 @@ func (s *Switch) SetIngressSteer(fn func(sw *Switch, inPort int, pkt *simnet.Pac
 	s.ingressSteer = fn
 }
 
-// Network returns the network the switch is attached to.
-func (s *Switch) Network() *simnet.Network { return s.net }
-
 // AddPort registers a switch port under the given number.
 func (s *Switch) AddPort(num int, p *simnet.Port) {
 	if _, dup := s.ports[num]; dup {
@@ -403,14 +400,6 @@ func (s *Switch) SetRoute(ip simnet.Addr, num int) { s.routes[ip] = num }
 // SetDefaultRoute sets the port used when no route matches (the uplink
 // toward the cloud).
 func (s *Switch) SetDefaultRoute(num int) { s.defaultOut = num }
-
-// PortOf returns the port number a host's address routes to (-1 if none).
-func (s *Switch) PortOf(ip simnet.Addr) int {
-	if n, ok := s.routes[ip]; ok {
-		return n
-	}
-	return -1
-}
 
 // Rules returns a copy of the current flow table in match order: highest
 // priority first, earlier install first among equals. It gathers and sorts

@@ -111,7 +111,7 @@ func TestRedirectRewritesTransparently(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.PortOf(rg.edge.IP()),
+			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
 		},
 	})
 	// Reverse flow: edge:32000 -> appears as VIP:80.
@@ -158,7 +158,7 @@ func TestPriorityOrder(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 81,
-			Output: OutputPort, OutPort: rg.sw.PortOf(rg.edge.IP()),
+			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -222,7 +222,7 @@ func TestHeldPacketReleasedByTableOut(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-				Output: OutputPort, OutPort: ev.Switch.PortOf(rg.edge.IP()),
+				Output: OutputPort, OutPort: ev.Switch.routes[rg.edge.IP()],
 			},
 		})
 		ev.Switch.AddFlow(FlowRule{
@@ -287,7 +287,7 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.PortOf(rg.edge.IP()),
+			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
 		},
 		IdleTimeout: 300 * time.Millisecond,
 	})
@@ -389,7 +389,7 @@ func TestFlowStatsCount(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.PortOf(rg.edge.IP()),
+			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -439,7 +439,7 @@ func TestEqualPriorityFirstInstalledWins(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: port,
-				Output: OutputPort, OutPort: rg.sw.PortOf(rg.edge.IP()),
+				Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
 			},
 		})
 		rg.sw.AddFlow(FlowRule{

@@ -15,8 +15,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 	"time"
 
@@ -102,17 +100,6 @@ func (s *Server) Add(img Image) {
 	for _, l := range img.Layers {
 		s.blobs[l.Digest] = l
 	}
-}
-
-// Remove unpublishes an image ref; subsequent manifest requests 404. Blobs
-// are left in place: layers may be shared with other images.
-func (s *Server) Remove(ref string) {
-	delete(s.images, ref)
-}
-
-// Images returns the published image refs (sorted, diagnostic).
-func (s *Server) Images() []string {
-	return slices.Sorted(maps.Keys(s.images))
 }
 
 // handle answers one request after its service latency.
@@ -252,12 +239,6 @@ func (c *Client) HasImage(ref string) bool {
 
 // HasLayer reports whether a layer digest is in the local content store.
 func (c *Client) HasLayer(digest string) bool { return c.layers[digest] }
-
-// Image returns the locally known image for ref.
-func (c *Client) Image(ref string) (Image, bool) {
-	img, ok := c.images[ref]
-	return img, ok
-}
 
 // RemoveImage drops the manifest and any layers not referenced by another
 // cached image (the optional Delete phase of fig. 4).

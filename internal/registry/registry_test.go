@@ -243,19 +243,6 @@ func TestImageTotalSize(t *testing.T) {
 	}
 }
 
-func TestServerImagesSorted(t *testing.T) {
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	h := simnet.NewHost(n, "r", "1.1.1.1")
-	s := NewServer(h, ServerConfig{})
-	s.Add(testImage("zeta:1", 1))
-	s.Add(testImage("alpha:1", 1))
-	imgs := s.Images()
-	if len(imgs) != 2 || imgs[0] != "alpha:1" {
-		t.Fatalf("Images = %v", imgs)
-	}
-}
-
 func TestPullFailsWhenRegistryUnreachable(t *testing.T) {
 	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond, Bandwidth: simnet.Gbps},
 		ServerConfig{}, ClientConfig{RequestTimeout: 2 * time.Second})

@@ -112,9 +112,6 @@ func New(name string, host *simnet.Host, modules *registry.Client, behaviors clu
 // Name implements cluster.Cluster.
 func (pl *Platform) Name() string { return pl.name }
 
-// Addr implements cluster.Cluster.
-func (pl *Platform) Addr() simnet.Addr { return pl.host.IP() }
-
 // HasImages implements cluster.Cluster (modules are content-addressed like
 // images).
 func (pl *Platform) HasImages(a *spec.Annotated) bool {

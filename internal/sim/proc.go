@@ -25,14 +25,8 @@ type Proc struct {
 	wakeFn func()
 }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.Now() }
-
-// Name returns the diagnostic name given at spawn time.
-func (p *Proc) Name() string { return p.name }
 
 // Go spawns a new process. The process body starts executing at the current
 // simulation time (as a separate event), not synchronously. The start event
@@ -204,14 +198,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.yield()
 }
 
-// SleepUntil suspends the process until absolute time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.Now() {
-		return
-	}
-	p.Sleep(t - p.k.Now())
-}
-
 // Promise is a single-assignment value that processes can await. The zero
 // value is unusable; create with NewPromise.
 type Promise[T any] struct {
@@ -227,9 +213,6 @@ type Promise[T any] struct {
 func NewPromise[T any](k *Kernel) *Promise[T] {
 	return &Promise[T]{k: k}
 }
-
-// Done reports whether the promise has been resolved.
-func (pr *Promise[T]) Done() bool { return pr.done }
 
 // Resolve completes the promise with a value. Resolving twice panics.
 func (pr *Promise[T]) Resolve(v T) { pr.complete(v, nil) }

@@ -41,20 +41,6 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestSleepUntil(t *testing.T) {
-	k := New(1)
-	var at Time
-	k.Go("p", func(p *Proc) {
-		p.SleepUntil(50 * time.Millisecond)
-		p.SleepUntil(10 * time.Millisecond) // in the past: no-op
-		at = p.Now()
-	})
-	k.Run()
-	if at != 50*time.Millisecond {
-		t.Fatalf("at = %v, want 50ms", at)
-	}
-}
-
 func TestPromiseResolveBeforeAwait(t *testing.T) {
 	k := New(1)
 	pr := NewPromise[int](k)
@@ -254,7 +240,7 @@ func TestProcDeterminism(t *testing.T) {
 			k.Go(name, func(p *Proc) {
 				d := time.Duration(k.Rand().Intn(100)) * time.Millisecond
 				p.Sleep(d)
-				c.Send(p.Name())
+				c.Send(name)
 			})
 		}
 		k.Go("collector", func(p *Proc) {

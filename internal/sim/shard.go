@@ -129,9 +129,6 @@ func NewShardGroup(domains, shards int, seed int64, lookahead Time) *ShardGroup 
 // Shards returns the number of kernels.
 func (g *ShardGroup) Shards() int { return len(g.kernels) }
 
-// Domains returns the number of domains.
-func (g *ShardGroup) Domains() int { return len(g.domainOf) }
-
 // Lookahead returns the group's conservative lookahead window width.
 func (g *ShardGroup) Lookahead() Time { return g.look }
 

@@ -83,7 +83,7 @@ func TestSchedulesPerHopBounded(t *testing.T) {
 		pkt.Kind, pkt.Size = KindDATA, KiB+Bytes(i%7)
 		pa.Send(pkt)
 	}
-	if ab, _ := pa.Link().ActiveTransfers(); ab != cohort {
+	if ab, _ := pa.link.ActiveTransfers(); ab != cohort {
 		t.Fatalf("%d transfers serializing, want %d", ab, cohort)
 	}
 	if k.Pending() != 1 {

@@ -80,7 +80,7 @@ func BenchmarkLinkContention(b *testing.B) {
 			perOp[at] = b.Elapsed() / time.Duration(b.N)
 			// Same-size members complete at the same instant, ahead of their
 			// deliveries, so a few may be between the two stages right now.
-			if ab, _ := pa.Link().ActiveTransfers(); ab > at || ab < at-at/16 {
+			if ab, _ := pa.link.ActiveTransfers(); ab > at || ab < at-at/16 {
 				b.Fatalf("%d transfers serializing after the run, want about %d", ab, at)
 			}
 		})

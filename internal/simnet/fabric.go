@@ -30,9 +30,6 @@ func NewFabric(group *sim.ShardGroup) *Fabric {
 	return &Fabric{group: group}
 }
 
-// Group returns the underlying shard group.
-func (f *Fabric) Group() *sim.ShardGroup { return f.group }
-
 // remoteHalf is the shipping side of one half of a cross-shard link.
 type remoteHalf struct {
 	group     *sim.ShardGroup

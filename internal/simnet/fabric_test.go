@@ -88,7 +88,7 @@ func TestFabricLossParityAcrossShards(t *testing.T) {
 			})
 		})
 		g.RunUntil(time.Minute)
-		return received(*server), a.Uplink().Link().Dropped
+		return received(*server), a.uplink.link.Dropped
 	}
 	r1, d1 := run(1)
 	r2, d2 := run(2)

@@ -80,9 +80,6 @@ func (h *Host) SetUplink(p *Port) {
 	}
 }
 
-// Uplink returns the host's default output port.
-func (h *Host) Uplink() *Port { return h.uplink }
-
 // AttachTo connects the host to node sw (typically a switch) over a link
 // with the given config and wires the uplink.
 func (h *Host) AttachTo(sw Node, cfg LinkConfig) (hostPort, swPort *Port) {

@@ -11,7 +11,6 @@ type HTTPRequest struct {
 	Method string
 	Path   string
 	Size   Bytes // on-wire request size (headers + body)
-	Body   any
 }
 
 // HTTPResponse is a minimal HTTP-like response message.

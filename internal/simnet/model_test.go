@@ -204,7 +204,7 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	a := &recorderNode{name: "a", net: n, log: &got}
 	b := &recorderNode{name: "b", net: n, log: &got}
 	pa, pb := n.Connect(a, b, LinkConfig{Name: "l", Latency: sc.latency, Bandwidth: sc.bw})
-	link := pa.Link()
+	link := pa.link
 	ue := NewHost(n, "ue", "10.0.0.1") // only there to Detach the link
 	ue.SetUplink(pa)
 	send := func(id uint64, op linkOp) {
@@ -608,7 +608,7 @@ func TestActiveTransfersCountsSolo(t *testing.T) {
 			want int
 		}{{0, 1}, {soloDue() - 1, 1}, {soloDue(), 0}, {soloDue() + 1, 0}} {
 			runUntil(tc.at)
-			if ab, ba := pa.Link().ActiveTransfers(); ab != tc.want || ba != 0 {
+			if ab, ba := pa.link.ActiveTransfers(); ab != tc.want || ba != 0 {
 				t.Errorf("%s: at %v: ActiveTransfers = %d, %d, want %d, 0", rig.name, tc.at, ab, ba, tc.want)
 			}
 			if k.Pending() != 1 {

@@ -243,18 +243,11 @@ type LinkConfig struct {
 
 // Port is one end of a link, attached to a node.
 type Port struct {
-	node  Node
-	link  *Link
-	dir   *direction // transmit direction for this port
-	peer  *Port
-	Label string
+	node Node
+	link *Link
+	dir  *direction // transmit direction for this port
+	peer *Port
 }
-
-// Node returns the node the port is attached to.
-func (p *Port) Node() Node { return p.node }
-
-// Link returns the link the port belongs to.
-func (p *Port) Link() *Link { return p.link }
 
 // Send transmits pkt out of this port toward the peer node, transferring
 // ownership of pkt to the network. Delivery happens after serialization
@@ -316,9 +309,6 @@ func (l *Link) latency() time.Duration { return l.cfg.Latency + l.extraLatency }
 // SetDown takes the link down (packets are silently dropped) or brings it
 // back up — the simulation's cable pull for failure injection.
 func (l *Link) SetDown(down bool) { l.down = down }
-
-// Config returns the link's configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Connect creates a link between nodes a and b and returns the two ports
 // (the first attached to a, the second to b).

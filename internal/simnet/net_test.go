@@ -337,11 +337,11 @@ func TestTracerRecordsDeliveries(t *testing.T) {
 		a.HTTPGet(p, b.IP(), 80, &HTTPRequest{}, 0)
 	})
 	k.Run()
-	if tr.Len() == 0 {
+	if len(tr.entries) == 0 {
 		t.Fatal("tracer recorded nothing")
 	}
 	// The SYN reaches the router first, then host b.
-	entries := tr.Entries()
+	entries := tr.entries
 	if entries[0].Kind != KindSYN || entries[0].Node != "r" {
 		t.Fatalf("first entry = %+v", entries[0])
 	}
@@ -354,8 +354,8 @@ func TestTracerRecordsDeliveries(t *testing.T) {
 	if !sawData {
 		t.Fatalf("no DATA delivery to b in trace:\n%s", tr.String())
 	}
-	tr.Reset()
-	if tr.Len() != 0 {
+	tr.entries = nil
+	if len(tr.entries) != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -372,10 +372,10 @@ func TestTracerFilterAndLimit(t *testing.T) {
 		a.HTTPGet(p, b.IP(), 80, &HTTPRequest{}, 0)
 	})
 	k.Run()
-	if tr.Len() != 2 {
-		t.Fatalf("entries = %d, want limit 2", tr.Len())
+	if len(tr.entries) != 2 {
+		t.Fatalf("entries = %d, want limit 2", len(tr.entries))
 	}
-	for _, e := range tr.Entries() {
+	for _, e := range tr.entries {
 		if e.Dst[:len(e.Dst)-3] != string(b.IP()) && e.Dst != string(b.IP())+":80" {
 			t.Fatalf("filter leaked entry %+v", e)
 		}
@@ -481,7 +481,7 @@ func TestLinkDownDropsPackets(t *testing.T) {
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond})
 	a.SetUplink(pa)
 	b.SetUplink(pb)
-	link := pa.Link()
+	link := pa.link
 	b.ServeHTTPAsync(80, func(c *HTTPServerConn, req *HTTPRequest) {
 		c.Respond(&HTTPResponse{Status: 200})
 	})
@@ -524,7 +524,7 @@ func TestLinkLossDropsSomePackets(t *testing.T) {
 	if received := received(*server); received == 0 || received == 100 {
 		t.Fatalf("received = %d of 100 under 50%% loss, want some but not all", received)
 	}
-	if pa.Link().Dropped == 0 {
+	if pa.link.Dropped == 0 {
 		t.Fatal("no drops recorded")
 	}
 }

@@ -41,13 +41,6 @@ func NewTracer(n *Network) *Tracer {
 	return t
 }
 
-// Detach removes the tracer from the network.
-func (t *Tracer) Detach() {
-	if t.net.PktTrace != nil {
-		t.net.PktTrace = nil
-	}
-}
-
 func (t *Tracer) record(where string, pkt *Packet) {
 	if t.Filter != nil && !t.Filter(pkt.SrcIP, pkt.DstIP) {
 		return
@@ -64,17 +57,6 @@ func (t *Tracer) record(where string, pkt *Packet) {
 		Size: pkt.Size,
 	})
 }
-
-// Entries returns the recorded deliveries in order.
-func (t *Tracer) Entries() []TraceEntry {
-	return append([]TraceEntry(nil), t.entries...)
-}
-
-// Len returns the number of recorded entries.
-func (t *Tracer) Len() int { return len(t.entries) }
-
-// Reset clears the recorded entries.
-func (t *Tracer) Reset() { t.entries = nil }
 
 // String renders the trace, one delivery per line.
 func (t *Tracer) String() string {

@@ -77,9 +77,6 @@ func New() *SRv6 {
 	return b
 }
 
-// Name implements steer.Steering.
-func (b *SRv6) Name() string { return "srv6" }
-
 // Stateless implements steer.Steering: every attached switch shares the one
 // binding table, so a decision is valid wherever the client shows up next —
 // a handover needs no packet-in and no install at the new switch.

@@ -43,9 +43,6 @@ func NewOpenFlow() *OpenFlow {
 	return &OpenFlow{pairs: make(map[pairKey]uint64)}
 }
 
-// Name implements Steering.
-func (b *OpenFlow) Name() string { return "openflow" }
-
 // Stateless implements Steering: rule installs are per-switch state.
 func (b *OpenFlow) Stateless() bool { return false }
 

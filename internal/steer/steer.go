@@ -78,8 +78,6 @@ type TableStats struct {
 // effect immediately, mirroring the synchronous AddFlow model (the held
 // packet's TableOut re-injection pays the controller latency either way).
 type Steering interface {
-	// Name identifies the backend ("openflow", "srv6").
-	Name() string
 	// Stateless reports whether steering decisions are valid at every
 	// attached switch without per-switch installs (srsteer's shared binding
 	// table, consulted by each ingress hook). The controller uses this on

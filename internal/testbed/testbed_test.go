@@ -9,9 +9,12 @@ import (
 
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/core"
+	"transparentedge/internal/faults"
 	"transparentedge/internal/kube"
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
+	"transparentedge/internal/spec"
 )
 
 func TestOnDemandWithWaitingDocker(t *testing.T) {
@@ -71,7 +74,6 @@ func TestWarmScaleUpDockerUnderOneSecond(t *testing.T) {
 		}
 		tb.Ctrl.ScaleDownService(p, "egs-docker", a.UniqueName)
 		p.Sleep(time.Second)
-		tb.Ctrl.ResetRecords()
 		var err error
 		res, err = tb.Request(p, 0, reg, catalog.Nginx, 0)
 		if err != nil {
@@ -86,8 +88,8 @@ func TestWarmScaleUpDockerUnderOneSecond(t *testing.T) {
 		t.Fatalf("docker scale-up total = %v, want <1s (paper fig. 11)", res.Total)
 	}
 	recs := tb.Ctrl.RecordsFor("egs-docker", a.UniqueName)
-	if len(recs) != 1 || recs[0].DidPull || recs[0].DidCreate || !recs[0].DidScaleUp {
-		t.Fatalf("records = %+v, want scale-up only", recs)
+	if len(recs) != 2 || recs[1].DidPull || recs[1].DidCreate || !recs[1].DidScaleUp {
+		t.Fatalf("records = %+v, want the warm-up's and then a scale-up only", recs)
 	}
 }
 
@@ -374,7 +376,7 @@ func TestConcurrentClientsShareOneDeployment(t *testing.T) {
 	if deployed != 1 {
 		t.Fatalf("deployments = %d, want 1 (deduplicated)", deployed)
 	}
-	if got := len(tb.Docker.Containers(a.UniqueName)); got != 1 {
+	if got := len(tb.Runtime.List(map[string]string{spec.EdgeServiceLabel: a.UniqueName})); got != 1 {
 		t.Fatalf("containers = %d, want 1", got)
 	}
 }
@@ -749,56 +751,43 @@ func TestRuntimeClassPlacement(t *testing.T) {
 }
 
 func TestCrashedInstanceIsRedeployedOnNextRequest(t *testing.T) {
-	// Resilience: a crashed container leaves a stale FlowMemory entry and
-	// stale switch flows. After the switch flow idle-expires, the next
-	// request punts to the controller, the memory entry fails the
-	// liveness check, and the dispatcher redeploys — the client just sees
-	// one slower request.
+	// Resilience: every Docker start crashes before its port opens. The
+	// probe gives up after ProbeMaxWait, the dead instance is not kept, the
+	// held request is answered by the cloud origin, and the next request
+	// starts a fresh deployment instead of joining the dead one.
+	reg := obs.NewRegistry()
 	tb := New(Options{
 		Seed: 1, EnableDocker: true,
 		SwitchIdleTimeout: time.Second,
+		ProbeMaxWait:      2 * time.Second,
+		Faults:            &faults.Spec{Seed: 1, Clusters: map[string]faults.ClusterSpec{"egs-docker": {CrashProb: 1}}},
+		Counters:          reg,
 	})
-	a, reg, _ := tb.RegisterCatalogService(catalog.Nginx)
-	var afterCrash *simnet.HTTPResult
+	a, svc, _ := tb.RegisterCatalogService(catalog.Nginx)
 	tb.K.Go("driver", func(p *sim.Proc) {
-		if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
-			t.Errorf("first: %v", err)
-			return
-		}
-		if err := tb.Docker.KillService(a.UniqueName); err != nil {
-			t.Errorf("kill: %v", err)
-			return
-		}
-		if tb.Docker.Running(a.UniqueName) {
-			t.Error("service still running after kill")
-		}
-		p.Sleep(5 * time.Second) // switch flow expires
-		var err error
-		afterCrash, err = tb.Request(p, 0, reg, catalog.Nginx, 0)
-		if err != nil {
-			t.Errorf("after crash: %v", err)
-			return
+		for i := range 2 {
+			if _, err := tb.Request(p, 0, svc, catalog.Nginx, 0); err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			p.Sleep(5 * time.Second) // the cloud flow expires
 		}
 	})
 	tb.K.RunUntil(10 * time.Minute)
-	if afterCrash == nil {
-		t.Fatal("no response after crash")
+	if tb.Docker.Running(a.UniqueName) {
+		t.Error("crashed service reported running")
 	}
-	// The request triggered a fresh scale-up (sub-second on Docker).
-	if afterCrash.Total < 300*time.Millisecond || afterCrash.Total > 1500*time.Millisecond {
-		t.Fatalf("post-crash request = %v, want a redeployment", afterCrash.Total)
+	recs := tb.Ctrl.RecordsIncluding("egs-docker", a.UniqueName, true)
+	if len(recs) != 2 {
+		t.Fatalf("deployments = %d, want 2 (one per request)", len(recs))
 	}
-	if !tb.Docker.Running(a.UniqueName) {
-		t.Fatal("service not redeployed after crash")
-	}
-	redeploys := 0
-	for _, r := range tb.Ctrl.RecordsFor("egs-docker", a.UniqueName) {
-		if r.DidScaleUp {
-			redeploys++
+	for i, r := range recs {
+		if !errors.Is(r.Err, core.ErrProbeTimeout) {
+			t.Errorf("deployment %d: err = %v, want ErrProbeTimeout", i, r.Err)
 		}
 	}
-	if redeploys != 2 {
-		t.Fatalf("scale-ups = %d, want 2 (initial + post-crash)", redeploys)
+	if got := reg.Counter(`faults_injected_total{cluster="egs-docker"}`).Value(); got != 2 {
+		t.Errorf("faults_injected_total = %d, want 2 crashes", got)
 	}
 }
 
@@ -908,8 +897,13 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 	a, reg, _ := tb.RegisterCatalogService(catalog.Nginx)
 	cli := tb.Clients[0]
 	fromClient := string(cli.IP()) + ":"
-	tr := simnet.NewTracer(tb.Net)
-	tr.Filter = func(src, dst simnet.Addr) bool { return src == cli.IP() || dst == cli.IP() }
+	var seen []simnet.TraceEntry // every delivery of the client's packets
+	tb.Net.PktTrace = func(where string, pkt *simnet.Packet) {
+		if pkt.SrcIP == cli.IP() || pkt.DstIP == cli.IP() {
+			seen = append(seen, simnet.TraceEntry{At: tb.K.Now(), Node: where, Kind: pkt.Kind,
+				Src: fmt.Sprintf("%s:%d", pkt.SrcIP, pkt.SrcPort), Dst: fmt.Sprintf("%s:%d", pkt.DstIP, pkt.DstPort)})
+		}
+	}
 
 	var second *simnet.HTTPResult
 	var secondAt sim.Time
@@ -924,7 +918,7 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 		// What the switch saw of the exchange: when the SYN reached it, and
 		// the last packet of each direction.
 		var synAt, fwdLast, revLast sim.Time
-		for _, e := range tr.Entries() {
+		for _, e := range seen {
 			if e.Node != tb.Switch.Name() {
 				continue
 			}
@@ -943,7 +937,7 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 		target := revLast + idle + (fwdLast-revLast)*quarter/4
 		secondAt = target - (synAt - t0)
 		p.Sleep(secondAt - p.Now())
-		tr.Reset()
+		seen = nil
 		var err error
 		if second, err = tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
 			t.Errorf("second request: %v", err)
@@ -954,10 +948,10 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 		return
 	}
 	if second == nil {
-		t.Fatalf("the request issued at %v (%d/4 into the window) never completed:\n%s", secondAt, quarter, tr)
+		t.Fatalf("the request issued at %v (%d/4 into the window) never completed:\n%v", secondAt, quarter, seen)
 	}
 	vip := fmt.Sprintf("%s:%d", reg.VIP, reg.Port)
-	for _, e := range tr.Entries() {
+	for _, e := range seen {
 		if e.Node == cli.Name() && e.Kind == simnet.KindSYNACK && e.Src != vip {
 			t.Errorf("the client saw a SYN-ACK from %s, want the address it dialed, %s", e.Src, vip)
 		}

@@ -24,20 +24,6 @@ type MobilityConfig struct {
 	MinDwell  time.Duration
 }
 
-// DefaultMobilityConfig matches the default trace shape (20 clients over
-// five minutes) with two cells and a 45s mean dwell — about six handovers
-// per client over the window.
-func DefaultMobilityConfig(seed int64) MobilityConfig {
-	return MobilityConfig{
-		Seed:      seed,
-		Clients:   20,
-		Cells:     2,
-		Duration:  5 * time.Minute,
-		MeanDwell: 45 * time.Second,
-		MinDwell:  2 * time.Second,
-	}
-}
-
 // Handover is one scheduled re-attachment: at offset At from the replay
 // anchor, Client moves from cell From to cell To. Cells are per-client
 // indices; the testbed maps (client, cell) to a concrete gNB switch.

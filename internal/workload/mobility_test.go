@@ -6,7 +6,8 @@ import (
 )
 
 func TestGenerateHandoversDeterministic(t *testing.T) {
-	cfg := DefaultMobilityConfig(42)
+	cfg := MobilityConfig{Seed: 42, Clients: 20, Cells: 2, Duration: 5 * time.Minute,
+		MeanDwell: 45 * time.Second, MinDwell: 2 * time.Second}
 	a := GenerateHandovers(cfg)
 	b := GenerateHandovers(cfg)
 	if len(a) == 0 {

@@ -11,9 +11,9 @@ import (
 
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/core"
+	"transparentedge/internal/faults"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/obs"
-	"transparentedge/internal/registry"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
@@ -191,7 +191,6 @@ func sortedSamples(s *metrics.Series) []metrics.Sample {
 type replayRig struct {
 	name   string
 	sites  []*testbed.Site
-	hub    *registry.Server
 	replay func(trace *Trace, opts Options) (replayOutcome, error)
 }
 
@@ -202,25 +201,29 @@ type replayOutcome struct {
 
 const replayRigRegions = 2
 
-func replayRigs(seed int64, clients, gnbs int) []replayRig {
-	tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, NumClients: clients, GNBs: gnbs})
+// pullsFail is a fault plan under which no edge cluster can pull an image.
+var pullsFail = &faults.Spec{Seed: 1, Default: faults.ClusterSpec{FailFirstPulls: 1 << 30}}
+
+// replayRigs builds the two rigs; fs, when set, is their fault plan.
+func replayRigs(seed int64, clients, gnbs int, fs *faults.Spec) []replayRig {
+	tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, NumClients: clients, GNBs: gnbs, Faults: fs})
 	rs := testbed.NewRegions(testbed.RegionOptions{
-		Seed: seed, Regions: replayRigRegions, Shards: replayRigRegions, ClientsPerRegion: clients, GNBs: gnbs,
+		Seed: seed, Regions: replayRigRegions, Shards: replayRigRegions, ClientsPerRegion: clients, GNBs: gnbs, Faults: fs,
 	})
 	return []replayRig{
-		{"ReplayWith", []*testbed.Site{tb.Site}, tb.Hub, func(trace *Trace, opts Options) (replayOutcome, error) {
+		{"ReplayWith", []*testbed.Site{tb.Site}, func(trace *Trace, opts Options) (replayOutcome, error) {
 			res, err := ReplayWith(tb, trace, catalog.Nginx, opts)
 			if err != nil {
 				return replayOutcome{}, err
 			}
-			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.FirstRequests.Len(), res.Totals.Min()}, nil
+			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.FirstRequests.Len(), res.Totals.Percentile(0)}, nil
 		}},
-		{"ReplaySharded", rs.Sites, rs.Hub, func(trace *Trace, opts Options) (replayOutcome, error) {
+		{"ReplaySharded", rs.Sites, func(trace *Trace, opts Options) (replayOutcome, error) {
 			res, err := ReplaySharded(rs, trace, catalog.Nginx, opts)
 			if err != nil {
 				return replayOutcome{}, err
 			}
-			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.Deployments, res.Totals.Min()}, nil
+			return replayOutcome{res.Errors, res.Unfinished, res.Totals.Len(), res.Deployments, res.Totals.Percentile(0)}, nil
 		}},
 	}
 }
@@ -230,7 +233,7 @@ func replayRigs(seed int64, clients, gnbs int) []replayRig {
 // sabotage, when set, breaks the freshly built scenario first.
 func expectRejected(t *testing.T, name string, gnbs int, trace *Trace, opts Options, sabotage func(rig replayRig)) {
 	t.Helper()
-	for _, rig := range replayRigs(1, 5, gnbs) {
+	for _, rig := range replayRigs(1, 5, gnbs, nil) {
 		if sabotage != nil {
 			sabotage(rig)
 		}
@@ -297,7 +300,7 @@ func TestReplayGuardScheduleOrder(t *testing.T) {
 			Options{Handovers: []Handover{{At: -time.Second, To: 1}}}, "handover 0 is at negative offset -1s"},
 	} {
 		expectRejected(t, tc.name, tc.gnbs, tc.trace, tc.opts, nil)
-		err := validate(replayRigs(1, 5, tc.gnbs)[0].sites, tc.trace, tc.opts.Handovers)
+		err := validate(replayRigs(1, 5, tc.gnbs, nil)[0].sites, tc.trace, tc.opts.Handovers)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one saying %q", tc.name, err, tc.want)
 		}
@@ -348,9 +351,7 @@ func TestReplayErrorAccountingPrepFailure(t *testing.T) {
 	cfg := Config{Seed: 1, Services: 2, TotalRequests: 8, MinPerService: 4,
 		Duration: 10 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	for _, rig := range replayRigs(1, 5, 0) {
-		// Unpublish the image so the pre-pull manifest request 404s.
-		rig.hub.Remove(catalog.ImgNginx)
+	for _, rig := range replayRigs(1, 5, 0, pullsFail) {
 		got, err := rig.replay(trace, Options{PrePull: true})
 		if err != nil {
 			t.Fatal(err)
@@ -371,7 +372,7 @@ func TestReplayErrorAccountingRequestFailure(t *testing.T) {
 	cfg := Config{Seed: 1, Services: 2, TotalRequests: 8, MinPerService: 4,
 		Duration: 10 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	for _, rig := range replayRigs(1, 5, 0) {
+	for _, rig := range replayRigs(1, 5, 0, nil) {
 		got, err := rig.replay(trace, Options{RequestTimeout: time.Microsecond}) // shorter than any RTT
 		if err != nil {
 			t.Fatal(err)
@@ -384,7 +385,7 @@ func TestReplayErrorAccountingRequestFailure(t *testing.T) {
 }
 
 // TestReplayUnfinished: requests still open at the run bound are reported,
-// not lost. Edge deployment is broken (image unpublished), so every request
+// not lost. Edge deployment is broken (no pull succeeds), so every request
 // is forwarded to the cloud, where a stand-in origin on the service's VIP
 // accepts the connection and never answers; with RequestTimeout 0 the
 // clients wait forever.
@@ -392,8 +393,7 @@ func TestReplayUnfinished(t *testing.T) {
 	cfg := Config{Seed: 1, Services: 1, TotalRequests: 6, MinPerService: 6,
 		Duration: 10 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	for _, rig := range replayRigs(1, 5, 0) {
-		rig.hub.Remove(catalog.ImgNginx)
+	for _, rig := range replayRigs(1, 5, 0, pullsFail) {
 		for _, s := range rig.sites {
 			// The site's first registration gets VIP 203.<domain>.113.10; a
 			// switch route to the stand-in beats the default route to the
@@ -417,7 +417,7 @@ func TestReplayMaxInFlight(t *testing.T) {
 	cfg := Config{Seed: 2, Services: 3, TotalRequests: 30, MinPerService: 5,
 		Duration: 20 * time.Second, Clients: 5}
 	trace := Generate(cfg)
-	for _, rig := range replayRigs(2, 5, 0) {
+	for _, rig := range replayRigs(2, 5, 0, nil) {
 		// Every site deploys each service its own clients ask for.
 		deployments := make(map[[2]int]bool)
 		for _, r := range trace.Requests {
@@ -489,7 +489,7 @@ func TestReplayHistogramModeAboveThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Totals.Exact() {
+	if res.Totals.Samples() != nil {
 		t.Fatal("Totals did not fold into histogram mode above the threshold")
 	}
 	if res.Totals.Len() != cfg.TotalRequests {

@@ -64,14 +64,20 @@ type Trace struct {
 }
 
 // Validate reports why Generate cannot synthesize a trace from cfg: no
-// services, fewer requests than every service's minimum, or an empty window.
+// services, a per-service minimum below the one start request every service
+// gets, fewer requests than every service's minimum, no clients, or an empty
+// window.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Services <= 0:
 		return fmt.Errorf("workload: infeasible config: %d services, want at least 1", cfg.Services)
+	case cfg.MinPerService < 1:
+		return fmt.Errorf("workload: infeasible config: minimum %d requests per service, want at least 1", cfg.MinPerService)
 	case cfg.TotalRequests < cfg.Services*cfg.MinPerService:
 		return fmt.Errorf("workload: infeasible config: %d services x %d min > %d total",
 			cfg.Services, cfg.MinPerService, cfg.TotalRequests)
+	case cfg.Clients < 1:
+		return fmt.Errorf("workload: infeasible config: %d clients, want at least 1", cfg.Clients)
 	case cfg.Duration <= 0:
 		return fmt.Errorf("workload: infeasible config: duration %v, want > 0", cfg.Duration)
 	}
@@ -84,9 +90,6 @@ func (cfg Config) Validate() error {
 func Generate(cfg Config) *Trace {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
 	}
 	if cfg.ZipfS <= 0 {
 		cfg.ZipfS = 1.15

@@ -124,7 +124,7 @@ func TestInfeasibleConfigPanics(t *testing.T) {
 // TestConfigValidate: Validate names every configuration Generate cannot
 // satisfy, and Generate panics on exactly those.
 func TestConfigValidate(t *testing.T) {
-	feasible := Config{Services: 2, TotalRequests: 4, MinPerService: 2, Duration: time.Second}
+	feasible := Config{Services: 2, TotalRequests: 4, MinPerService: 2, Clients: 1, Duration: time.Second}
 	for _, tc := range []struct {
 		name string
 		edit func(*Config)
@@ -134,6 +134,10 @@ func TestConfigValidate(t *testing.T) {
 		{"no services", func(c *Config) { c.Services = 0 }, "0 services"},
 		{"negative services", func(c *Config) { c.Services = -3 }, "-3 services"},
 		{"below the minimum", func(c *Config) { c.TotalRequests = 3 }, "2 services x 2 min > 3 total"},
+		{"no minimum", func(c *Config) { c.MinPerService = 0 }, "minimum 0 requests per service"},
+		{"negative minimum", func(c *Config) { c.MinPerService = -1 }, "minimum -1 requests per service"},
+		{"no clients", func(c *Config) { c.Clients = 0 }, "0 clients"},
+		{"negative clients", func(c *Config) { c.Clients = -4 }, "-4 clients"},
 		{"empty window", func(c *Config) { c.Duration = 0 }, "duration 0s"},
 		{"negative window", func(c *Config) { c.Duration = -5 * time.Second }, "duration -5s"},
 	} {

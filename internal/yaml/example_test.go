@@ -6,28 +6,6 @@ import (
 	"transparentedge/internal/yaml"
 )
 
-// Decode parses the Kubernetes-style subset used by service definitions.
-func ExampleDecode() {
-	v, err := yaml.Decode(`
-metadata:
-  name: web
-spec:
-  replicas: 0
-  ports: [80, 443]
-`)
-	if err != nil {
-		panic(err)
-	}
-	m := v.(map[string]any)
-	fmt.Println(m["metadata"].(map[string]any)["name"])
-	fmt.Println(m["spec"].(map[string]any)["replicas"])
-	fmt.Println(m["spec"].(map[string]any)["ports"])
-	// Output:
-	// web
-	// 0
-	// [80 443]
-}
-
 // Encode renders canonical values deterministically (sorted keys), so the
 // output is stable and re-decodable.
 func ExampleEncode() {

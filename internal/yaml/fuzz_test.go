@@ -30,17 +30,17 @@ func FuzzDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		v, err := Decode(src)
+		v, err := decode(src)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		enc := Encode(v)
-		v2, err := Decode(enc)
+		v2, err := decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of encoded failed: %v\nvalue: %#v\nencoded:\n%s", err, v, enc)
 		}
 		enc2 := Encode(v2)
-		v3, err := Decode(enc2)
+		v3, err := decode(enc2)
 		if err != nil {
 			t.Fatalf("third decode failed: %v", err)
 		}

@@ -17,18 +17,6 @@ import (
 	"strings"
 )
 
-// Decode parses the first document in src.
-func Decode(src string) (any, error) {
-	docs, err := DecodeAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	return docs[0], nil
-}
-
 // DecodeAll parses every document in src (documents are separated by ---).
 func DecodeAll(src string) ([]any, error) {
 	lines := splitLines(src)

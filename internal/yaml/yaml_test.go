@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// decode parses the first document in src.
+func decode(src string) (any, error) {
+	docs, err := DecodeAll(src)
+	if err != nil || len(docs) == 0 {
+		return nil, err
+	}
+	return docs[0], nil
+}
+
 func TestDecodeScalars(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -26,7 +35,7 @@ func TestDecodeScalars(t *testing.T) {
 		{`"esc\nape"`, "esc\nape"},
 	}
 	for _, c := range cases {
-		got, err := Decode(c.in)
+		got, err := decode(c.in)
 		if err != nil {
 			t.Errorf("Decode(%q) error: %v", c.in, err)
 			continue
@@ -38,7 +47,7 @@ func TestDecodeScalars(t *testing.T) {
 }
 
 func TestDecodeMapping(t *testing.T) {
-	got, err := Decode("name: nginx\nreplicas: 3\nenabled: true\n")
+	got, err := decode("name: nginx\nreplicas: 3\nenabled: true\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ metadata:
 spec:
   replicas: 2
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ names:
   - alpha
   - beta
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ containers:
   - name: sidecar
     image: env-writer-py
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +146,7 @@ spec:
   - name: a
   - name: b
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +163,7 @@ name: web  # trailing comment
 image: "nginx:1.23.2" # with quotes
 tag: 'v#1'
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +180,7 @@ labels: {app: web, "edge.service": true}
 empty: []
 none: {}
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ kind: Service
 }
 
 func TestDecodeNullValueKey(t *testing.T) {
-	got, err := Decode("emptyDir:\nname: x\n")
+	got, err := decode("emptyDir:\nname: x\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +231,13 @@ func TestDecodeNullValueKey(t *testing.T) {
 }
 
 func TestDecodeDuplicateKeyError(t *testing.T) {
-	if _, err := Decode("a: 1\na: 2\n"); err == nil {
+	if _, err := decode("a: 1\na: 2\n"); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
 }
 
 func TestDecodeTabIndentError(t *testing.T) {
-	if _, err := Decode("a:\n\tb: 1\n"); err == nil {
+	if _, err := decode("a:\n\tb: 1\n"); err == nil {
 		t.Fatal("tab indentation accepted")
 	}
 }
@@ -262,7 +271,7 @@ spec:
       - name: shared
         emptyDir: {}
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +319,7 @@ func TestEncodeRoundTripDeployment(t *testing.T) {
 		},
 	}
 	enc := Encode(orig)
-	dec, err := Decode(enc)
+	dec, err := decode(enc)
 	if err != nil {
 		t.Fatalf("decode of encoded: %v\n%s", err, enc)
 	}
@@ -323,9 +332,9 @@ func TestEncodeScalarQuoting(t *testing.T) {
 	cases := []any{"true", "123", "", "a: b", "web.example.com:80", "plain", int64(5), true, nil, 2.5}
 	for _, v := range cases {
 		enc := Encode(map[string]any{"k": v})
-		dec, err := Decode(enc)
+		dec, err := decode(enc)
 		if err != nil {
-			t.Errorf("Decode(Encode(%#v)) error: %v (%q)", v, err, enc)
+			t.Errorf("decode(Encode(%#v)) error: %v (%q)", v, err, enc)
 			continue
 		}
 		got := dec.(map[string]any)["k"]
@@ -412,7 +421,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	f := func() bool {
 		v := genValue(r, 4)
 		enc := Encode(v)
-		dec, err := Decode(enc)
+		dec, err := decode(enc)
 		if err != nil {
 			t.Logf("decode error: %v\nvalue: %#v\nyaml:\n%s", err, v, enc)
 			return false
@@ -453,27 +462,27 @@ func normalize(v any) any {
 }
 
 func TestDecodeErrorsCarryLineNumbers(t *testing.T) {
-	_, err := Decode("a: 1\nb: [1, 2\n")
+	_, err := decode("a: 1\nb: [1, 2\n")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 mention", err)
 	}
 }
 
 func TestDecodeEmpty(t *testing.T) {
-	got, err := Decode("")
+	got, err := decode("")
 	if err != nil || got != nil {
-		t.Fatalf("Decode(\"\") = %#v, %v", got, err)
+		t.Fatalf("decode(\"\") = %#v, %v", got, err)
 	}
-	got, err = Decode("# only comments\n\n")
+	got, err = decode("# only comments\n\n")
 	if err != nil || got != nil {
-		t.Fatalf("Decode(comments) = %#v, %v", got, err)
+		t.Fatalf("decode(comments) = %#v, %v", got, err)
 	}
 }
 
 func TestEscapedQuoteBeforeComment(t *testing.T) {
 	// Regression (found by fuzzing): a backslash-escaped quote inside a
 	// double-quoted scalar must not confuse comment stripping.
-	got, err := Decode(`k: "0\"00 #"` + "\n")
+	got, err := decode(`k: "0\"00 #"` + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +490,7 @@ func TestEscapedQuoteBeforeComment(t *testing.T) {
 		t.Fatalf("got %#v", got)
 	}
 	// And in flow context.
-	got, err = Decode(`k: ["a\"b", 2]` + "\n")
+	got, err = decode(`k: ["a\"b", 2]` + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +509,7 @@ script: |
   echo world
 after: 1
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +524,7 @@ after: 1
 }
 
 func TestBlockScalarLiteralStrip(t *testing.T) {
-	got, err := Decode("s: |-\n  line1\n  line2\n")
+	got, err := decode("s: |-\n  line1\n  line2\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +541,7 @@ msg: >
 
   second paragraph
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +558,7 @@ cfg: |
     listen 80;
   }
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +569,7 @@ cfg: |
 }
 
 func TestBlockScalarEmpty(t *testing.T) {
-	got, err := Decode("s: |\nnext: 2\n")
+	got, err := decode("s: |\nnext: 2\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +591,7 @@ data:
     welcome to
     the edge
 `
-	got, err := Decode(src)
+	got, err := decode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +609,7 @@ func TestQuotedKeyWithEscapedBackslash(t *testing.T) {
 	// must round-trip through Encode/Decode.
 	orig := map[string]any{`!\`: nil}
 	enc := Encode(orig)
-	got, err := Decode(enc)
+	got, err := decode(enc)
 	if err != nil {
 		t.Fatalf("decode %q: %v", enc, err)
 	}
