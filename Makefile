@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race bench-repo golden fuzz experiments examples clean
+.PHONY: all check fmt build vet test race bench-repo fingerprints golden fuzz experiments examples clean
 
 all: check
 
@@ -43,6 +43,27 @@ race:
 # bench/out/. The benchmark driver's entry point is `bash bench/run.sh`.
 bench-repo:
 	$(GO) run ./bench
+
+# Check the benchmark's eight fingerprints (testdata/bench_fingerprints.txt:
+# seed, workload, the fingerprint of its first timed rep) and that no request
+# failed: one untraced rep of each workload at each seed, a few minutes in
+# all, so not part of `check`. A change that claims to leave the simulation
+# alone must pass it; a change that moves a fingerprint on purpose updates
+# the file.
+fingerprints:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; status=0; \
+	while read -r seed workload want; do \
+		case "$$seed" in ""|"#"*) continue;; esac; \
+		out="$$dir/$$workload-$$seed"; \
+		if ! $(GO) run ./bench -reps 1 -trace 0 -seed "$$seed" -workload "$$workload" -out "$$out" >/dev/null; then \
+			echo "FAIL seed $$seed $$workload: the benchmark exited with an error"; status=1; continue; fi; \
+		got=$$(grep -m1 '"fingerprint"' "$$out/results.json" | sed 's/.*"fingerprint": *"\([0-9a-f]*\)".*/\1/'); \
+		failed=$$(grep -m1 '"failed"' "$$out/results.json" | sed 's/.*"failed": *\([0-9]*\).*/\1/'); \
+		if [ "$$got" = "$$want" ] && [ "$$failed" = 0 ]; then \
+			echo "ok   seed $$seed $$workload $$got"; \
+		else \
+			echo "FAIL seed $$seed $$workload: fingerprint $$got (want $$want), failed $$failed (want 0)"; status=1; fi; \
+	done < testdata/bench_fingerprints.txt; exit $$status
 
 # Rewrite cmd/edgesim/testdata/golden from the current CLI output (every
 # experiment in text mode, every -json-capable one in JSON mode, small

@@ -31,9 +31,10 @@ import (
 // The control-path entry is the flow-churn shape: 2 000 clients, a 1 s switch
 // and a 5 s FlowMemory idle timeout, a one-minute window. Nearly every request
 // punts at these sizes, and most of those are full dispatches; rules, cookie
-// groups, memorized entries and dispatch records recycle, and what a request
-// still pays is mostly the dispatch process (its Proc and wake thunk). It
-// stays below 2.5.
+// groups, memorized entries and dispatch records recycle, and a dispatch to a
+// running instance starts no process. What a request still pays is the free
+// lists growing to the peak in flight and the process of each dispatch that
+// waits for a deployment. It stays below 1.
 func TestReplayAllocsPerRequestRegression(t *testing.T) {
 	const seed = 42
 	for _, ep := range []struct {
@@ -50,7 +51,7 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 			res, err := experiments.ReplayShard(seed, n, 1, nil)
 			return res.Errors, err
 		}},
-		{"control-path", 10000, 40000, 2.5, func(n int) (int, error) {
+		{"control-path", 10000, 40000, 1, func(n int) (int, error) {
 			tb := testbed.New(testbed.Options{
 				Seed: seed, EnableDocker: true, NumClients: 2000,
 				SwitchIdleTimeout: time.Second, MemoryIdleTimeout: 5 * time.Second,

@@ -90,7 +90,8 @@ var table = []experiment{
 	{name: "scale-dispatch", help: "dispatch latency vs cluster count", flags: "seed clusters serial procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
 			d := dispatchOutput{f: f, o: o}
-			for _, clusters := range []int{1, f.clusters} {
+			// -clusters 1 is the baseline itself: one run, not two.
+			for _, clusters := range slices.Compact([]int{1, f.clusters}) {
 				res, err := experiments.DispatchScale(f.seed, clusters, f.serial, o.options()...)
 				if err != nil {
 					return nil, err
@@ -218,8 +219,8 @@ func measured[J any](res interface {
 	return rendered{res.String() + strings.Join(extra, ""), res.JSON()}, nil
 }
 
-// dispatchOutput is scale-dispatch's pair of measurements (1 cluster, then
-// -clusters). Unless -serial already selected it, the text appends the
+// dispatchOutput is scale-dispatch's measurements: 1 cluster, then
+// -clusters when that is more. Unless -serial already selected it, the text appends the
 // paper's original serial dispatcher for comparison — run only when the
 // text is rendered, so the JSON counters cover exactly the runs the JSON
 // reports.

@@ -246,6 +246,40 @@ func TestExperimentTable(t *testing.T) {
 	}
 }
 
+// scale-dispatch -clusters 1 measures the one-cluster baseline once: one
+// line per dispatcher in text mode, one entry in JSON mode.
+func TestScaleDispatchOneCluster(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		lines []string
+	}{
+		{nil, []string{"(parallel state queries)", "(serial state queries)"}},
+		{[]string{"-serial"}, []string{"(serial state queries)"}},
+	} {
+		args := append([]string{"-clusters", "1"}, tc.args...)
+		code, stdout, stderr := run(append(args, "scale-dispatch")...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", args, code, stderr)
+		}
+		got := strings.Split(strings.TrimSpace(stdout), "\n")
+		if len(got) != len(tc.lines) {
+			t.Fatalf("%v: %d lines, want %d:\n%s", args, len(got), len(tc.lines), stdout)
+		}
+		for i, want := range tc.lines {
+			if !strings.HasPrefix(got[i], "dispatch over 1 clusters "+want) {
+				t.Errorf("%v: line %d is %q, want dispatch over 1 clusters %s", args, i+1, got[i], want)
+			}
+		}
+		code, stdout, stderr = run(append(args, "-json", "scale-dispatch")...)
+		if code != 0 {
+			t.Fatalf("%v -json: exit %d\n%s", args, code, stderr)
+		}
+		if n := strings.Count(stdout, `"experiment": "scale-dispatch"`); n != 1 {
+			t.Errorf("%v -json: %d entries, want 1:\n%s", args, n, stdout)
+		}
+	}
+}
+
 // Every experiment honors -cpuprofile/-memprofile: the profile files must
 // exist and be non-empty after the run. table1 keeps the test cheap — the
 // profiling wrapper is experiment-agnostic (it brackets runExperiment).

@@ -393,8 +393,8 @@ func (c *Controller) ClientLocation(ip simnet.Addr) (ClientLocation, bool) {
 }
 
 // HandlePacketIn implements openflow.Controller: the fig. 7 dispatching
-// algorithm. Runs in kernel context; long work is spawned as a process
-// while the packet stays held.
+// algorithm. Runs in kernel context; a FlowMemory miss becomes a dispatch
+// continuation (dispatchRec) while the packet stays held.
 func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	pkt := ev.Packet
 	c.Stats.PacketIns++
@@ -445,31 +445,32 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 		}
 		return
 	}
-	// The dispatch span's ID is allocated before the process is spawned so
-	// the tree is rooted at intercept time; zero when tracing is off.
+	// The dispatch span's ID is allocated at intercept time so the tree is
+	// rooted there; zero when tracing is off. The first step is one
+	// zero-delay event out, where a process started here would begin.
 	d := c.newDispatch()
 	d.ev, d.svc, d.fk = ev, svc, fk
 	d.root, d.t0 = c.tr.NextID(), time.Duration(c.k.Now())
-	c.k.Go("dispatch", d.body)
+	d.Sleep(0, (*dispatchRec).stateQuery)
 }
 
-// dispatchRec is the state of one dispatched packet-in, recycled through the
-// controller's free list: the packet-in's fields, the buffers buildState
-// fills (candidate indices, the scheduler's ClusterInfo slice and the
-// endpoints it points into), and body, the process body, bound once per
-// record. The State and Choice built from it are valid only until the
-// dispatch returns.
+// dispatchRec is one dispatched packet-in: a continuation (sim.Cont) whose
+// steps run the fig. 7 algorithm, recycled through the controller's free
+// list and bound to its kernel once. It holds the packet-in's fields, the
+// state-query buffers (the candidate clusters with the endpoints the
+// scheduler's ClusterInfo slice points into) and the scheduler's Choice; the
+// State and Choice built from them are valid until the dispatch ends.
 type dispatchRec struct {
-	c     *Controller
-	ev    openflow.PacketIn
-	svc   *spec.Annotated
-	fk    FlowKey
-	root  uint64        // dispatch span ID (0 with tracing off)
-	t0    time.Duration // intercept time
-	cands []int
-	infos []ClusterInfo
-	eps   []cluster.Instance
-	body  func(p *sim.Proc)
+	sim.Cont[dispatchRec]
+	c      *Controller
+	ev     openflow.PacketIn
+	svc    *spec.Annotated
+	fk     FlowKey
+	root   uint64        // dispatch span ID (0 with tracing off)
+	t0     time.Duration // intercept time
+	cands  []candidate
+	infos  []ClusterInfo
+	choice Choice
 }
 
 func (c *Controller) newDispatch() *dispatchRec {
@@ -480,15 +481,14 @@ func (c *Controller) newDispatch() *dispatchRec {
 		return d
 	}
 	d := &dispatchRec{c: c}
-	d.body = d.run
+	d.Init(c.k, d, 0)
 	return d
 }
 
-func (d *dispatchRec) run(p *sim.Proc) {
-	c := d.c
-	c.dispatch(p, d)
-	d.ev, d.svc = openflow.PacketIn{}, nil
-	c.freeDispatch = append(c.freeDispatch, d)
+// free ends the dispatch and returns d to the free list.
+func (d *dispatchRec) free() {
+	d.ev, d.svc, d.choice = openflow.PacketIn{}, nil, Choice{}
+	d.c.freeDispatch = append(d.c.freeDispatch, d)
 }
 
 // HandleFlowRemoved implements openflow.Controller: the controller-state
@@ -539,38 +539,59 @@ func (c *Controller) clusterByName(name string) (cluster.Cluster, bool) {
 	return c.clusters[i].c, true
 }
 
-// buildState gathers the fig. 7 inputs for the Global Scheduler, charging
-// the per-cluster state-query latency. By default the queries go out
-// together, and since each takes the same constant latency they all answer at
-// the same instant: one latency is charged and the clusters are then sampled
-// in candidate order. Config.SerialStateQueries restores the paper's
-// one-after-another behavior (latency = sum over clusters). The state lives
-// in d's buffers.
-func (c *Controller) buildState(p *sim.Proc, d *dispatchRec) State {
-	svc, client := d.svc, d.fk.Client
-	allowed := runtimeClassKinds[svc.RuntimeClass]
-	d.cands = d.cands[:0]
+// candidate is one cluster a state query goes to.
+type candidate struct {
+	i  int              // index in Controller.clusters
+	ep cluster.Instance // its endpoint, which the cluster's ClusterInfo points to
+}
+
+// candidates resets d's state buffers to the clusters svc's runtime class can
+// run on and returns how many there are. The buffers are sized for every
+// cluster, so no append moves an endpoint a ClusterInfo points to.
+func (d *dispatchRec) candidates() int {
+	c := d.c
+	if n := len(c.clusters); cap(d.cands) < n {
+		d.cands, d.infos = make([]candidate, 0, n), make([]ClusterInfo, 0, n)
+	}
+	allowed := runtimeClassKinds[d.svc.RuntimeClass]
+	d.cands, d.infos = d.cands[:0], d.infos[:0]
 	for i, e := range c.clusters {
 		if allowed != nil && !allowed[e.kind] {
 			continue
 		}
-		d.cands = append(d.cands, i)
+		d.cands = append(d.cands, candidate{i: i})
 	}
-	if !c.cfg.SerialStateQueries && len(d.cands) > 0 {
-		p.Sleep(stateQueryLatency)
-	}
-	if len(d.eps) < len(d.cands) {
-		d.eps = make([]cluster.Instance, len(d.cands))
-	}
-	d.infos = d.infos[:0]
-	for n, i := range d.cands {
+	return len(d.cands)
+}
+
+// sample reads the candidates one state-query latency has paid for — all of
+// them, or the next one under SerialStateQueries — and reports whether every
+// candidate has answered.
+func (d *dispatchRec) sample() bool {
+	c := d.c
+	for n := len(d.infos); n < len(d.cands); n++ {
+		cd := &d.cands[n]
+		d.infos = append(d.infos, c.queryCluster(cd.i, d.svc, d.fk.Client, &cd.ep))
 		if c.cfg.SerialStateQueries {
-			p.Sleep(stateQueryLatency)
+			break
 		}
-		d.infos = append(d.infos, c.queryCluster(i, svc, client, &d.eps[n]))
 	}
+	return len(d.infos) == len(d.cands)
+}
+
+// state orders the answers by distance into the scheduler's input.
+func (d *dispatchRec) state() State {
 	slices.SortStableFunc(d.infos, func(a, b ClusterInfo) int { return cmp.Compare(a.Distance, b.Distance) })
-	return State{Service: svc, ClientIP: client, Clusters: d.infos}
+	return State{Service: d.svc, ClientIP: d.fk.Client, Clusters: d.infos}
+}
+
+// buildState is the state query on a process: the proactive deployer's.
+func (c *Controller) buildState(p *sim.Proc, d *dispatchRec) State {
+	if d.candidates() > 0 {
+		for p.Sleep(stateQueryLatency); !d.sample(); p.Sleep(stateQueryLatency) {
+		}
+	}
+	return d.state()
 }
 
 // queryCluster samples one cluster's deployment state for a request (the
@@ -604,153 +625,201 @@ func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr
 	return info
 }
 
-// dispatch runs the fig. 7 algorithm for the punted packet d holds. d.root
-// and d.t0 carry the span-tree root ID and intercept time from
-// HandlePacketIn (root is 0 when tracing is off).
-func (c *Controller) dispatch(p *sim.Proc, d *dispatchRec) {
-	ev, svc, fk, root, t0 := d.ev, d.svc, d.fk, d.root, d.t0
-	tr := c.tr
-	// endRoot closes the dispatch root span at the current virtual time;
-	// each terminal branch below calls it exactly once.
-	endRoot := func(errText string) {
-		if tr == nil {
-			return
-		}
-		tr.Emit(obs.Span{ID: root, Root: root, Name: "dispatch", Cat: "dispatch",
-			Detail: svc.UniqueName + "<-" + string(fk.Client), Start: t0, End: time.Duration(p.Now()), Err: errText})
+// stateQuery is the dispatch's first step, one zero-delay event after the
+// packet-in: it picks the candidate clusters and sends their fig. 7 state
+// queries, which gather the Global Scheduler's inputs. Each takes the same
+// constant latency, so queries sent together all answer in the same instant:
+// one latency is charged and the clusters are sampled in candidate order.
+// Config.SerialStateQueries restores the paper's one-after-another queries
+// (latency = sum over clusters).
+func (d *dispatchRec) stateQuery() sim.Step[dispatchRec] {
+	if tr := d.c.tr; tr != nil {
+		tr.Emit(obs.Span{Parent: d.root, Root: d.root, Name: "memory_miss", Cat: "flowmemory", Start: d.t0, End: d.t0})
 	}
-	if tr != nil {
-		tr.Emit(obs.Span{Parent: root, Root: root, Name: "memory_miss", Cat: "flowmemory", Start: t0, End: t0})
+	if d.candidates() == 0 {
+		return (*dispatchRec).decide
 	}
-	st := c.buildState(p, d)
-	choice := c.cfg.Scheduler.Choose(st)
-	if tr != nil {
-		now := time.Duration(p.Now())
-		tr.Emit(obs.Span{Parent: root, Root: root, Name: "state_query", Cat: "dispatch",
-			Detail: fmt.Sprintf("%d clusters", len(st.Clusters)), Start: t0, End: now})
+	d.Sleep(stateQueryLatency, (*dispatchRec).query)
+	return nil
+}
+
+// query samples what the latest state-query latency paid for, and pays for
+// the next serial query until every candidate has answered.
+func (d *dispatchRec) query() sim.Step[dispatchRec] {
+	if d.sample() {
+		return (*dispatchRec).decide
+	}
+	d.Sleep(stateQueryLatency, (*dispatchRec).query)
+	return nil
+}
+
+// decide asks the Global Scheduler and acts on its choice. A cloud forward,
+// and a redirect to an instance that is ready with no deployment of it
+// pending, finish inline; anything that can block on a deployment goes on to
+// a process (deploy).
+func (d *dispatchRec) decide() sim.Step[dispatchRec] {
+	c, svc := d.c, d.svc
+	st := d.state()
+	d.choice = c.cfg.Scheduler.Choose(st)
+	if tr := c.tr; tr != nil {
+		now := time.Duration(c.k.Now())
+		tr.Emit(obs.Span{Parent: d.root, Root: d.root, Name: "state_query", Cat: "dispatch",
+			Detail: fmt.Sprintf("%d clusters", len(st.Clusters)), Start: d.t0, End: now})
 		target := "cloud"
-		if choice.Fast != nil {
-			target = choice.Fast.Cluster.Name()
+		if d.choice.Fast != nil {
+			target = d.choice.Fast.Cluster.Name()
 		}
-		tr.Emit(obs.Span{Parent: root, Root: root, Name: "schedule", Cat: "dispatch",
+		tr.Emit(obs.Span{Parent: d.root, Root: d.root, Name: "schedule", Cat: "dispatch",
 			Detail: target, Start: now, End: now})
 	}
-
-	if choice.Fast == nil {
+	if d.choice.Fast == nil {
 		// No edge location can serve the request now: forward toward the
 		// cloud (fig. 1), still installing a flow so subsequent packets
 		// bypass the controller.
 		c.Stats.CloudForwards++
 		c.ctr.cloudForwards.Inc()
-		c.emit(obs.Event{Kind: obs.EvCloudForward, Service: svc.UniqueName, Client: string(fk.Client)})
-		// Install — and release the held packet — at the client's *current*
-		// switch: the client may have handed over while dispatch ran, and a
-		// rule at the packet-in switch would be orphaned at the old location.
-		sw := c.currentSwitch(fk.Client, ev.Switch)
-		c.installCloudForward(sw, fk)
-		c.resolveHandover(fk.Client, "cloud_forward", sw)
-		sw.TableOut(ev.Packet)
-		if tr != nil {
-			now := time.Duration(p.Now())
-			tr.Emit(obs.Span{Parent: root, Root: root, Name: "cloud_forward", Cat: "dispatch", Start: now, End: now})
-		}
-		endRoot("")
+		c.emit(obs.Event{Kind: obs.EvCloudForward, Service: svc.UniqueName, Client: string(d.fk.Client)})
+		d.forward("", "")
+	} else if inst, ok := c.deploy.serveReady(d.choice.Fast.Cluster, svc, spanRef{d.root, d.root}); ok {
+		d.redirect(inst)
 	} else {
-		// performed (not the pre-dedup Running bit of the scheduler
-		// state) decides the Deployments count: concurrent requests that
-		// joined one in-flight deployment must not double-count it.
-		target := choice.Fast.Cluster
-		inst, performed, err := c.deploy.ensureRunning(p, target, svc, spanRef{root, root})
-		if err != nil {
-			// Degradation ladder: the chosen cluster failed even after
-			// retries, so walk the remaining candidates in distance order
-			// before giving the request up to the cloud.
-			c.emit(obs.Event{Kind: obs.EvDeployFailed, Service: svc.UniqueName, Cluster: target.Name(), Err: err})
-			inst, target, performed, err = c.fallbackDeploy(p, st, svc, target, root)
-		}
-		if err != nil {
-			// Every edge candidate failed: degrade to cloud forwarding —
-			// the held packet is still released, never dropped.
-			c.emit(obs.Event{Kind: obs.EvAllEdgeFailed, Service: svc.UniqueName, Client: string(fk.Client), Err: err})
-			c.Stats.CloudForwards++
-			c.Stats.CloudFallbacks++
-			c.ctr.cloudForwards.Inc()
-			c.ctr.cloudFallbacks.Inc()
-			sw := c.currentSwitch(fk.Client, ev.Switch)
-			c.installCloudForward(sw, fk)
-			c.resolveHandover(fk.Client, "cloud_forward", sw)
-			sw.TableOut(ev.Packet)
-			if tr != nil {
-				now := time.Duration(p.Now())
-				tr.Emit(obs.Span{Parent: root, Root: root, Name: "cloud_forward", Cat: "dispatch",
-					Detail: "fallback", Start: now, End: now})
+		d.Go("dispatch", (*dispatchRec).deploy)
+		return nil
+	}
+	d.deployBest()
+	d.free()
+	return nil
+}
+
+// deploy is the process a dispatch blocks on while the chosen cluster
+// deploys the service, or another dispatch's deployment of it finishes.
+func (d *dispatchRec) deploy(p *sim.Proc) {
+	c, svc := d.c, d.svc
+	// performed (not the pre-dedup Running bit of the scheduler state)
+	// decides the Deployments count: concurrent requests that joined one
+	// in-flight deployment must not double-count it.
+	target := d.choice.Fast.Cluster
+	inst, performed, err := c.deploy.ensureRunning(p, target, svc, spanRef{d.root, d.root})
+	if err != nil {
+		// Degradation ladder: the chosen cluster failed even after retries,
+		// so walk the remaining candidates in distance order before giving
+		// the request up to the cloud.
+		c.emit(obs.Event{Kind: obs.EvDeployFailed, Service: svc.UniqueName, Cluster: target.Name(), Err: err})
+		inst, performed, err = d.fallbackDeploy(p, target)
+	}
+	if err != nil {
+		// Every edge candidate failed: degrade to cloud forwarding — the
+		// held packet is still released, never dropped.
+		c.emit(obs.Event{Kind: obs.EvAllEdgeFailed, Service: svc.UniqueName, Client: string(d.fk.Client), Err: err})
+		c.Stats.CloudForwards++
+		c.Stats.CloudFallbacks++
+		c.ctr.cloudForwards.Inc()
+		c.ctr.cloudFallbacks.Inc()
+		d.forward("fallback", err.Error())
+		d.free()
+		return
+	}
+	if performed {
+		c.Stats.Deployments++
+		c.ctr.deployments.Inc()
+	}
+	d.redirect(inst)
+	d.deployBest()
+	d.free()
+}
+
+// redirect memorizes the flow to inst, steers it there and releases the held
+// packet. Rules and packet go to the client's *current* switch: a handover
+// while the dispatch ran means they belong at the new switch, not the one
+// that punted the packet (which the client already left).
+func (d *dispatchRec) redirect(inst cluster.Instance) {
+	c := d.c
+	c.Memory.Put(d.fk, inst)
+	sw := c.currentSwitch(d.fk.Client, d.ev.Switch)
+	c.installRedirect(sw, d.fk, inst)
+	c.resolveHandover(d.fk.Client, "flow_install", sw)
+	sw.TableOut(d.ev.Packet)
+	if tr := c.tr; tr != nil {
+		now := time.Duration(c.k.Now())
+		tr.Emit(obs.Span{Parent: d.root, Root: d.root, Name: "flow_install", Cat: "dispatch",
+			Detail: inst.Cluster, Start: now, End: now})
+	}
+	d.endRoot("")
+	c.emit(obs.Event{Kind: obs.EvDispatched, Service: d.svc.UniqueName, Client: string(d.fk.Client),
+		Cluster: inst.Cluster, Addr: string(inst.Addr), Port: inst.Port})
+}
+
+// forward installs a cloud-forward pair at the client's current switch and
+// releases the held packet there; detail and errText annotate the spans.
+func (d *dispatchRec) forward(detail, errText string) {
+	c := d.c
+	sw := c.currentSwitch(d.fk.Client, d.ev.Switch)
+	c.installCloudForward(sw, d.fk)
+	c.resolveHandover(d.fk.Client, "cloud_forward", sw)
+	sw.TableOut(d.ev.Packet)
+	if tr := c.tr; tr != nil {
+		now := time.Duration(c.k.Now())
+		tr.Emit(obs.Span{Parent: d.root, Root: d.root, Name: "cloud_forward", Cat: "dispatch",
+			Detail: detail, Start: now, End: now})
+	}
+	d.endRoot(errText)
+}
+
+// endRoot closes the dispatch root span at the current virtual time; every
+// dispatch calls it exactly once.
+func (d *dispatchRec) endRoot(errText string) {
+	if tr := d.c.tr; tr != nil {
+		tr.Emit(obs.Span{ID: d.root, Root: d.root, Name: "dispatch", Cat: "dispatch",
+			Detail: d.svc.UniqueName + "<-" + string(d.fk.Client), Start: d.t0, End: time.Duration(d.c.k.Now()), Err: errText})
+	}
+}
+
+// deployBest is on-demand deployment *without waiting*: when the scheduler
+// served the request from elsewhere, deploy the BEST location in the
+// background and re-point future requests once it runs (fig. 3).
+func (d *dispatchRec) deployBest() {
+	choice := d.choice
+	if choice.Best == nil || (choice.Fast != nil && choice.Best.Cluster.Name() == choice.Fast.Cluster.Name()) {
+		return
+	}
+	c, svc, best := d.c, d.svc, choice.Best.Cluster
+	c.k.Go("deploy-best:"+svc.UniqueName, func(bp *sim.Proc) {
+		// The background deployment is its own span tree: it outlives
+		// the dispatch that triggered it.
+		broot := c.tr.NextID()
+		bt0 := time.Duration(bp.Now())
+		endBest := func(errText string) {
+			if c.tr == nil {
+				return
 			}
-			endRoot(err.Error())
+			c.tr.Emit(obs.Span{ID: broot, Root: broot, Name: "deploy_best", Cat: "background",
+				Detail: svc.UniqueName + "@" + best.Name(), Start: bt0, End: time.Duration(bp.Now()), Err: errText})
+		}
+		inst, performed, err := c.deploy.ensureRunning(bp, best, svc, spanRef{broot, broot})
+		if err != nil {
+			c.emit(obs.Event{Kind: obs.EvBackgroundFailed, Service: svc.UniqueName, Cluster: best.Name(), Err: err})
+			endBest(err.Error())
 			return
 		}
 		if performed {
 			c.Stats.Deployments++
 			c.ctr.deployments.Inc()
 		}
-		c.Memory.Put(fk, inst)
-		// Re-read the client's location: a handover during the deployment
-		// means the rules and the held packet belong at the new switch, not
-		// the one that punted the packet (which the client already left).
-		sw := c.currentSwitch(fk.Client, ev.Switch)
-		c.installRedirect(sw, fk, inst)
-		c.resolveHandover(fk.Client, "flow_install", sw)
-		sw.TableOut(ev.Packet)
-		if tr != nil {
-			now := time.Duration(p.Now())
-			tr.Emit(obs.Span{Parent: root, Root: root, Name: "flow_install", Cat: "dispatch",
-				Detail: inst.Cluster, Start: now, End: now})
-		}
-		endRoot("")
-		c.emit(obs.Event{Kind: obs.EvDispatched, Service: svc.UniqueName, Client: string(fk.Client),
-			Cluster: inst.Cluster, Addr: string(inst.Addr), Port: inst.Port})
-	}
-
-	// On-demand deployment *without waiting*: deploy the BEST location in
-	// the background and re-point future requests once it runs (fig. 3).
-	if choice.Best != nil && (choice.Fast == nil || choice.Best.Cluster.Name() != choice.Fast.Cluster.Name()) {
-		best := choice.Best.Cluster
-		c.k.Go("deploy-best:"+svc.UniqueName, func(bp *sim.Proc) {
-			// The background deployment is its own span tree: it outlives
-			// the dispatch that triggered it.
-			broot := c.tr.NextID()
-			bt0 := time.Duration(bp.Now())
-			endBest := func(errText string) {
-				if c.tr == nil {
-					return
-				}
-				c.tr.Emit(obs.Span{ID: broot, Root: broot, Name: "deploy_best", Cat: "background",
-					Detail: svc.UniqueName + "@" + best.Name(), Start: bt0, End: time.Duration(bp.Now()), Err: errText})
-			}
-			inst, performed, err := c.deploy.ensureRunning(bp, best, svc, spanRef{broot, broot})
-			if err != nil {
-				c.emit(obs.Event{Kind: obs.EvBackgroundFailed, Service: svc.UniqueName, Cluster: best.Name(), Err: err})
-				endBest(err.Error())
-				return
-			}
-			if performed {
-				c.Stats.Deployments++
-				c.ctr.deployments.Inc()
-			}
-			n := c.Memory.RedirectService(svc.UniqueName, inst)
-			c.Stats.Redirections += uint64(n)
-			c.ctr.redirections.Add(uint64(n))
-			c.emit(obs.Event{Kind: obs.EvOptimalReady, Service: svc.UniqueName, Cluster: best.Name(),
-				Addr: string(inst.Addr), Port: inst.Port, N: n})
-			endBest("")
-		})
-	}
+		n := c.Memory.RedirectService(svc.UniqueName, inst)
+		c.Stats.Redirections += uint64(n)
+		c.ctr.redirections.Add(uint64(n))
+		c.emit(obs.Event{Kind: obs.EvOptimalReady, Service: svc.UniqueName, Cluster: best.Name(),
+			Addr: string(inst.Addr), Port: inst.Port, N: n})
+		endBest("")
+	})
 }
 
 // fallbackDeploy walks the scheduler state's remaining candidate clusters
 // (already sorted by distance) after the first choice failed, returning the
 // first successful deployment. The caller falls back to the cloud path when
 // every candidate errors.
-func (c *Controller) fallbackDeploy(p *sim.Proc, st State, svc *spec.Annotated, failed cluster.Cluster, root uint64) (cluster.Instance, cluster.Cluster, bool, error) {
+func (d *dispatchRec) fallbackDeploy(p *sim.Proc, failed cluster.Cluster) (cluster.Instance, bool, error) {
+	c, svc, root := d.c, d.svc, d.root
 	tr := c.tr
 	fid := tr.NextID()
 	var f0 time.Duration
@@ -765,7 +834,7 @@ func (c *Controller) fallbackDeploy(p *sim.Proc, st State, svc *spec.Annotated, 
 			Detail: detail, Start: f0, End: time.Duration(p.Now()), Err: errText})
 	}
 	lastErr := ErrNoCluster
-	for _, ci := range st.Clusters {
+	for _, ci := range d.infos {
 		if ci.Cluster.Name() == failed.Name() {
 			continue
 		}
@@ -779,10 +848,10 @@ func (c *Controller) fallbackDeploy(p *sim.Proc, st State, svc *spec.Annotated, 
 		c.ctr.fallbackDeploys.Inc()
 		c.emit(obs.Event{Kind: obs.EvFallbackOK, Service: svc.UniqueName, Cluster: ci.Cluster.Name()})
 		endFallback(ci.Cluster.Name(), "")
-		return inst, ci.Cluster, performed, nil
+		return inst, performed, nil
 	}
 	endFallback("exhausted", lastErr.Error())
-	return cluster.Instance{}, nil, false, lastErr
+	return cluster.Instance{}, false, lastErr
 }
 
 // installRedirect steers one client/service pair to an instance through the

@@ -90,10 +90,8 @@ func (d *deployer) ensureRunning(p *sim.Proc, cl cluster.Cluster, svc *spec.Anno
 		}
 		return inst, false, err
 	}
-	if ready(cl, svc) {
-		// run takes its branch that neither blocks nor deploys: no other
-		// caller can arrive while it runs, so there is nothing to share.
-		return d.run(p, cl, svc, ref)
+	if inst, ok := d.serveReady(cl, svc, ref); ok {
+		return inst, false, nil
 	}
 	pr := sim.NewPromise[cluster.Instance](d.ctrl.k)
 	d.pending[key] = pr
@@ -109,14 +107,31 @@ func (d *deployer) ensureRunning(p *sim.Proc, cl cluster.Cluster, svc *spec.Anno
 	return inst, performed, nil
 }
 
-// ready reports whether svc already runs on cl with an endpoint and nothing
-// left to pull or create: the state in which run returns at once.
-func ready(cl cluster.Cluster, svc *spec.Annotated) bool {
-	if !cl.Running(svc.UniqueName) || !cl.HasImages(svc) || !cl.Exists(svc.UniqueName) {
-		return false
+// serveReady is ensureRunning's branch that neither blocks nor deploys, which
+// a dispatch takes without a process: when no deployment of svc on cl is
+// pending and svc already runs there with an endpoint and nothing left to
+// pull or create, it returns that endpoint and emits the deploy span run
+// would — no phase, one attempt, no DeployRecord. ok is false otherwise.
+func (d *deployer) serveReady(cl cluster.Cluster, svc *spec.Annotated, ref spanRef) (inst cluster.Instance, ok bool) {
+	if _, pending := d.pending[deployKey{cl.Name(), svc.UniqueName}]; pending {
+		return cluster.Instance{}, false
 	}
-	_, ok := cl.Endpoint(svc.UniqueName)
-	return ok
+	if !cl.Running(svc.UniqueName) || !cl.HasImages(svc) || !cl.Exists(svc.UniqueName) {
+		return cluster.Instance{}, false
+	}
+	if inst, ok = cl.Endpoint(svc.UniqueName); !ok {
+		return cluster.Instance{}, false
+	}
+	if tr := d.ctrl.tr; tr != nil {
+		id := tr.NextID()
+		if ref.root == 0 {
+			ref.root = id
+		}
+		now := time.Duration(d.ctrl.k.Now())
+		tr.Emit(obs.Span{ID: id, Parent: ref.parent, Root: ref.root, Name: "deploy", Cat: "deploy",
+			Detail: svc.UniqueName + "@" + cl.Name(), Start: now, End: now, Attempts: 1})
+	}
+	return inst, true
 }
 
 // retryPhase runs one deployment-phase operation with up to

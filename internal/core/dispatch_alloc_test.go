@@ -29,26 +29,24 @@ func newChurnRig(t testing.TB, memoryIdle time.Duration) *churnRig {
 	return &churnRig{hotpathRig: rg, cli: rg.clients[0].IP()}
 }
 
-// punt runs one SYN from the client into the switch and steps the kernel for
-// d, or until it is idle when d is 0. It steps rather than calling Run, which
-// would stop the pooled coroutine a dispatch process starts on.
+// punt runs one SYN from the client into the switch and runs the kernel for
+// d, or until it is idle when d is 0.
 func (rg *churnRig) punt(d time.Duration) {
 	rg.pkt = simnet.Packet{Kind: simnet.KindSYN, SrcIP: rg.cli, DstIP: "203.0.113.10", SrcPort: 40000, DstPort: 80, Size: 64}
 	rg.sw.HandlePacket(nil, &rg.pkt)
 	if d == 0 {
-		for rg.k.Step() {
-		}
+		rg.k.Run()
 		return
 	}
 	rg.k.RunUntilBefore(rg.k.Now() + d)
 }
 
 // TestAllocsControllerPacketIn pins the controller's share of a punted
-// packet. A FlowMemory hit reinstalls the pair with no allocation. A miss
-// redirected to a running instance costs the dispatch process alone: its
-// Proc and wake thunk (the dispatch record and its buffers, the memorized
-// entry, the rules and their cookie group come off free lists, and a running
-// service needs no deployment promise).
+// packet. A FlowMemory hit reinstalls the pair with no allocation, and so
+// does a miss redirected to a running instance: the dispatch is a
+// continuation that starts no process, and its record and buffers, the
+// memorized entry, the rules and their cookie group come off free lists (a
+// running service needs no deployment promise).
 func TestAllocsControllerPacketIn(t *testing.T) {
 	t.Run("memory-hit", func(t *testing.T) {
 		rg := newChurnRig(t, time.Hour)
@@ -71,8 +69,12 @@ func TestAllocsControllerPacketIn(t *testing.T) {
 			cycle()
 		}
 		ins, served := rg.ctrl.Stats.PacketIns, rg.ctrl.Stats.MemoryServed
-		if n := testing.AllocsPerRun(200, cycle); n > 2 {
-			t.Errorf("%.1f allocs per dispatched packet-in cycle, want <= 2 (the Proc and its wake thunk)", n)
+		starts := rg.k.Stats().ProcStarts
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("%.1f allocs per dispatched packet-in cycle, want 0", n)
+		}
+		if n := rg.k.Stats().ProcStarts - starts; n != 0 {
+			t.Errorf("%d processes started by 201 dispatches to a running instance, want 0", n)
 		}
 		if ins, served := rg.ctrl.Stats.PacketIns-ins, rg.ctrl.Stats.MemoryServed-served; ins != 201 || served != 0 {
 			t.Fatalf("%d packet-ins, %d memory hits over 201 cycles; want 201 full dispatches", ins, served)
@@ -88,7 +90,7 @@ func TestAllocsControllerPacketIn(t *testing.T) {
 // packet-in that misses the FlowMemory, its dispatch to the running
 // instance, the redirect pair's install, the pair's idle expiry and the
 // flow-removed that comes back, and the memorized flow's own expiry.
-// allocs/op must stay at the dispatch process's 2.
+// allocs/op must stay 0.
 func BenchmarkDispatchChurn(b *testing.B) {
 	rg := newChurnRig(b, 2*time.Second)
 	for i := 0; i < 5; i++ {

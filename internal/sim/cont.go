@@ -15,15 +15,17 @@ import "time"
 //   - Park: one zero-delay event after the Send that wakes it, as after
 //     Chan.Recv.
 //
-// A step returns the step to Charge next, or nil when it armed a wait itself
-// or the activity is over; one wait is pending at a time. The timer is one
-// Event held by value and bound once: Init allocates the bound resume and
-// nothing after it does. A T must not move once its Cont is initialised.
+// A step returns the step to Charge next, or nil when it armed a wait itself,
+// handed the activity to a process (Go), or the activity is over; one wait
+// is pending at a time. The timer is one Event held by value and bound once:
+// Init allocates the bound resume, and nothing after it allocates but the
+// process Go starts. A T must not move once its Cont is initialised.
 type Cont[T any] struct {
 	ev      Event // fires resume; its fn is also the wake thunk Park queues
 	self    *T
 	next    Step[T]
 	latency time.Duration
+	body    func(*T, *Proc) // what Go runs on a process
 }
 
 // Step is one step of a continuation over T.
@@ -73,3 +75,15 @@ func (c *Cont[T]) Park(ch Inbox, s Step[T]) {
 	c.next = s
 	ch.park(c.ev.fn)
 }
+
+// Go hands the activity to a process, for work that blocks on an API taking a
+// *Proc: body runs on a process started inside the current event — where a
+// process that woke here would go on — until it first blocks. Call it from a
+// step that arms no wait; body owns the activity until it returns. The start
+// costs the Proc and its wake thunk and nothing else.
+func (c *Cont[T]) Go(name string, body func(*T, *Proc)) {
+	c.body = body
+	c.ev.k.newProc(name, c).start()
+}
+
+func (c *Cont[T]) runProc(p *Proc) { c.body(c.self, p) }

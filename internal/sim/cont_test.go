@@ -242,3 +242,59 @@ func TestAllocsContCycle(t *testing.T) {
 		t.Errorf("after the cycles: %d items queued, %d events pending; want 0, 0", ch.Len(), k.Pending())
 	}
 }
+
+// goCont hands itself to a process that sleeps once; log records where its
+// step and its process ran.
+type goCont struct {
+	Cont[goCont]
+	log []scriptMark
+}
+
+func (c *goCont) mark(who string) {
+	k := c.ev.k
+	c.log = append(c.log, scriptMark{who, len(c.log), k.now, k.ran, k.seq})
+}
+
+func goStep(c *goCont) Step[goCont] {
+	c.mark("step")
+	c.Go("go", goBody)
+	c.mark("step returned")
+	return nil
+}
+
+func goBody(c *goCont, p *Proc) {
+	c.mark("body")
+	p.Sleep(time.Millisecond)
+	c.mark("body woke")
+}
+
+// TestContGo: the body Go hands the activity to runs inside the step's own
+// event, before the step goes on, and its start draws no sequence number, so
+// it stands where a process that woke in that event would go on. The start
+// costs the Proc and its wake thunk.
+func TestContGo(t *testing.T) {
+	k := New(1)
+	var c goCont
+	c.Init(k, &c, 0)
+	k.AfterFree(time.Millisecond, func() { c.Sleep(0, goStep) })
+	k.Run()
+	s, b, r, w := c.log[0], c.log[1], c.log[2], c.log[3]
+	if b.now != s.now || b.ran != s.ran || b.seqs != s.seqs || r.ran != s.ran || r.seqs != s.seqs+1 {
+		t.Errorf("step %+v, body %+v, step returned %+v: want the body inside the step's event, drawing no sequence number to start", s, b, r)
+	}
+	if w.now != s.now+time.Millisecond {
+		t.Errorf("the body woke at %v, want %v", w.now, s.now+time.Millisecond)
+	}
+	if st := k.Stats(); st.ProcStarts != 1 || st.ProcSwitches != 1 || st.LiveProcs != 0 {
+		t.Errorf("stats %v: want one process started, one wake-up, none live", st)
+	}
+	cycle := func() { // steps rather than Run, which would stop the idle coroutine
+		c.log = c.log[:0]
+		c.Sleep(0, goStep)
+		for k.Step() {
+		}
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 2 {
+		t.Errorf("a Go cycle allocates %v times, want 2 (the Proc and its wake thunk)", n)
+	}
+}

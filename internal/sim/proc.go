@@ -18,7 +18,7 @@ type Proc struct {
 	name string
 	co   *coro // runs the body; nil before the start event and once the body returned
 	dead bool
-	fn   func(p *Proc) // the body, until the start event hands it to a coroutine
+	body procBody // until the start event hands it to a coroutine
 	// wakeFn is the wake thunk, allocated once per process so the start event
 	// and the hot wake paths (Sleep, Chan, Promise, WaitGroup) can schedule it
 	// without a fresh closure each.
@@ -32,11 +32,25 @@ func (p *Proc) Now() Time { return p.k.Now() }
 // simulation time (as a separate event), not synchronously. The start event
 // is the process's own wake thunk, so a start costs the Proc and that thunk.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn}
-	p.wakeFn = p.wake
+	p := k.newProc(name, procFunc(fn))
 	k.Defer(p.wakeFn)
 	return p
 }
+
+func (k *Kernel) newProc(name string, body procBody) *Proc {
+	p := &Proc{k: k, name: name, body: body}
+	p.wakeFn = p.wake
+	return p
+}
+
+// procBody is what a process runs: a function (Kernel.Go) or a continuation
+// that hands its activity to a process (Cont.Go). A function value and a
+// pointer both fit in the interface without an allocation.
+type procBody interface{ runProc(p *Proc) }
+
+type procFunc func(p *Proc)
+
+func (f procFunc) runProc(p *Proc) { f(p) }
 
 // coro is one coroutine of a kernel's pool. It runs one process body at a
 // time; when the body returns it goes on the kernel's idle list and the next
@@ -47,7 +61,7 @@ type coro struct {
 	stop   func()                  // iter.Pull's stop: makes the pending park return false
 	park   func(struct{}) bool     // the sequence's yield: back to whoever called resume or stop
 	p      *Proc                   // the process being run; nil while idle
-	fn     func(p *Proc)
+	body   procBody
 }
 
 // procKilled is what a parked process panics with when its coroutine is
@@ -99,7 +113,7 @@ func (c *coro) run() (reusable bool) {
 	p := c.p
 	defer func() {
 		p.dead, p.co = true, nil
-		c.p, c.fn = nil, nil
+		c.p, c.body = nil, nil
 		p.k.procs--
 		if r := recover(); r != nil {
 			if _, killed := r.(procKilled); !killed {
@@ -107,7 +121,7 @@ func (c *coro) run() (reusable bool) {
 			}
 		}
 	}()
-	c.fn(p)
+	c.body.runProc(p)
 	return true
 }
 
@@ -151,8 +165,8 @@ func (k *Kernel) Close() {
 // start runs the process body on a pooled coroutine, as the current event,
 // until the process parks or finishes. Called from kernel context.
 func (p *Proc) start() {
-	k, fn := p.k, p.fn
-	p.fn = nil
+	k, body := p.k, p.body
+	p.body = nil
 	k.procs++
 	k.procStarts++
 	var c *coro
@@ -162,7 +176,7 @@ func (p *Proc) start() {
 	} else {
 		c = k.newCoro()
 	}
-	c.p, c.fn, p.co = p, fn, c
+	c.p, c.body, p.co = p, body, c
 	c.resume()
 }
 

@@ -87,14 +87,15 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 }
 
 // kernelGoCallSites is the number of places under internal/ (outside the
-// kernel package itself, tests excluded) that start a process with
-// Kernel.Go. It only goes down: DESIGN.md §21 lists what is
-// left and in which order it is to be ported.
+// kernel package itself, tests excluded) that start a process: with
+// Kernel.Go, or with Cont.Go, which hands a continuation's activity to a
+// process. It only goes down: DESIGN.md §21 lists what is left and in which
+// order it is to be ported.
 const kernelGoCallSites = 11
 
-// TestKernelGoCallSites is the ratchet on processes: it
-// counts the x.Go(name, func) calls. Nothing else in the module has a
-// two-argument method named Go.
+// TestKernelGoCallSites is the ratchet on processes: it counts the
+// x.Go(name, body) calls. Nothing else in the module has a two-argument
+// method named Go.
 func TestKernelGoCallSites(t *testing.T) {
 	got := 0
 	nonTestCalls(t, "internal", "internal/sim", func(pos token.Position, name string, args int) {
@@ -104,7 +105,7 @@ func TestKernelGoCallSites(t *testing.T) {
 		}
 	})
 	if got != kernelGoCallSites {
-		t.Errorf("%d Kernel.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs a row in DESIGN §21",
+		t.Errorf("%d Kernel.Go and Cont.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs a row in DESIGN §21",
 			got, kernelGoCallSites)
 	}
 }
