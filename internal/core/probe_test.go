@@ -239,9 +239,10 @@ func firstDiff(got, want []string) string {
 	return fmt.Sprintf("lengths %d and %d", len(got), len(want))
 }
 
-// TestAllocsProbeRound pins what one refused probe round allocates: the
-// connection, and nothing else — no channel, promise, timer or closure per
-// round, which is what a process-mode Dial costs.
+// TestAllocsProbeRound pins what one refused probe round allocates: nothing.
+// The connection goes back to the network's free list once its refusal has
+// been handled, and there is no channel, promise, timer or closure per round,
+// which is what a process-mode Dial costs.
 func TestAllocsProbeRound(t *testing.T) {
 	const latency = 50 * time.Microsecond
 	cfg := DefaultConfig()
@@ -267,9 +268,127 @@ func TestAllocsProbeRound(t *testing.T) {
 	if ids := n.NextPacketID() - sent - 1; ids != 2*201 {
 		t.Fatalf("%d packets over 201 round lengths, want a SYN and an RST each", ids)
 	}
-	if avg != 1 {
-		t.Errorf("%.2f allocs per refused probe round, want 1 (the Conn)", avg)
+	if avg != 0 {
+		t.Errorf("%.2f allocs per refused probe round, want 0", avg)
 	}
+}
+
+// TestProbeRecyclesConns: every connection a probe dials goes back to the
+// network's free list exactly once — after a refused round (the RST), after a
+// timed-out round whose SYN-ACK comes back after the Abort, and after the open
+// round the prober closes. Before every packet delivery no Conn is on the free
+// list twice or both on it and in a host's connection table, either of which
+// would hand one Conn to two holders; between rounds every Conn the run made
+// is in one of the two. The free list and the tables are simnet's unexported
+// state, read through reflect.
+func TestProbeRecyclesConns(t *testing.T) {
+	const latency = 50 * time.Microsecond
+	cfg := DefaultConfig()
+	cfg.ProbeMaxWait = -1
+	k := sim.New(1)
+	n := simnet.NewNetwork(k)
+	egs := simnet.NewHost(n, "egs", "10.0.0.10")
+	target := simnet.NewHost(n, "edge", "10.0.2.1")
+	hp, tp := n.Connect(egs, target, simnet.LinkConfig{Latency: latency, Bandwidth: simnet.Gbps})
+	egs.SetUplink(hp)
+	target.SetUplink(tp)
+	ctrl := New(k, egs, cfg)
+	respond := func(c *simnet.HTTPServerConn, _ *simnet.HTTPRequest) { c.Respond(&simnet.HTTPResponse{Status: 200}) }
+
+	field := func(v any, name string) reflect.Value { return reflect.ValueOf(v).Elem().FieldByName(name) }
+	free := func() []uintptr {
+		pool := field(n, "connPool")
+		out := make([]uintptr, pool.Len())
+		for i := range out {
+			out[i] = pool.Index(i).Pointer()
+		}
+		return out
+	}
+	held := func() []uintptr {
+		var out []uintptr
+		for _, h := range []*simnet.Host{egs, target} {
+			for it := field(h, "conns").MapRange(); it.Next(); {
+				out = append(out, it.Value().Pointer())
+			}
+		}
+		return out
+	}
+	exclusive := func(when string) {
+		seen := map[uintptr]bool{}
+		for _, c := range free() {
+			if seen[c] {
+				t.Fatalf("%s: a Conn is on the free list twice", when)
+			}
+			seen[c] = true
+		}
+		for _, c := range held() {
+			if seen[c] {
+				t.Fatalf("%s: a Conn is on the free list and in a host's table", when)
+			}
+		}
+	}
+	var total int
+	accounted := func(when string) {
+		exclusive(when)
+		if got := len(free()) + len(held()); got != total {
+			t.Errorf("%s: %d Conns on the free list or in a table, want all %d", when, got, total)
+		}
+	}
+
+	// Fill the free list with three exchanges' connections, so no round below
+	// has to make one.
+	target.ServeHTTPAsync(80, respond)
+	for i := 0; i < 3; i++ {
+		egs.HTTPGetAsync(target.IP(), 80, &simnet.HTTPRequest{}, 0, func(*simnet.HTTPResult, error) {})
+	}
+	k.Run()
+	total = len(free())
+	if total != 6 || len(held()) != 0 {
+		t.Fatalf("after three exchanges %d Conns are free and %d held, want 6 and 0", total, len(held()))
+	}
+	lateSYNACK := false
+	n.PktTrace = func(where string, pkt *simnet.Packet) {
+		exclusive(fmt.Sprintf("at %v, %v to %s", time.Duration(k.Now()), pkt.Kind, where))
+		if where == "egs" && pkt.Kind == simnet.KindSYNACK && egs.OpenConns() == 0 {
+			lateSYNACK = true
+		}
+	}
+
+	var probeErr error
+	done := false
+	start := k.Now()
+	k.Go("deployer", func(p *sim.Proc) {
+		probeErr = ctrl.probeUntilOpen(p, cluster.Instance{Service: "svc", Cluster: "fc0", Addr: target.IP(), Port: 32000})
+		done = true
+	})
+	// The port is closed: each round is refused. Check mid-pause, with no
+	// dial in flight.
+	round := cfg.ProbeInterval + 2*latency
+	for i := 1; i <= 3; i++ {
+		k.RunUntil(start + sim.Time(i)*round - cfg.ProbeInterval/2)
+		accounted(fmt.Sprintf("after refused round %d", i))
+	}
+	// The port opens, but the answer leaves the target only after the dial
+	// timeout: the prober aborts, and the SYN-ACK finds no connection.
+	dialAt := start + 3*round
+	target.ProcDelay = probeDialTimeout + cfg.ProbeInterval/4
+	target.ServeHTTPAsync(32000, respond)
+	k.RunUntil(dialAt + probeDialTimeout + cfg.ProbeInterval/2)
+	if !lateSYNACK {
+		t.Fatal("no SYN-ACK reached the prober after its Abort")
+	}
+	if egs.OpenConns() != 0 || target.OpenConns() != 1 {
+		t.Fatalf("after the timed-out round %d and %d connections are open, want 0 on the prober and the target's half-open one",
+			egs.OpenConns(), target.OpenConns())
+	}
+	accounted("after the timed-out round")
+	// The next round is answered in time and the prober closes it.
+	target.ProcDelay = 0
+	k.RunUntil(dialAt + 2*probeDialTimeout)
+	if !done || probeErr != nil {
+		t.Fatalf("probing done %v, err %v; want the open round to end it", done, probeErr)
+	}
+	accounted("after the open round")
 }
 
 // TestStateQueryInstants: the dispatcher's state query costs one

@@ -37,8 +37,7 @@ type labelPair struct{ key, value string }
 
 // APIServer is the versioned object store with watch support, one Store per
 // kind. Objects are stored as immutable snapshots (see the package comment):
-// lists and watch events hand out the shared snapshots read-only, Get returns
-// private copies.
+// Get, lists and watch events hand out the shared snapshots read-only.
 type APIServer struct {
 	k           *sim.Kernel
 	cfg         APIConfig
@@ -195,18 +194,14 @@ func (a *APIServer) charge(p *sim.Proc) {
 	}
 }
 
-// CreatePod is Pods.Create returning a private copy of what was stored, whose
+// CreatePod is Pods.Create returning the stored snapshot (read-only), whose
 // name is generated if pod's was empty; pod itself is not written.
 func (a *APIServer) CreatePod(p *sim.Proc, pod *Pod) (*Pod, error) {
-	snap, err := a.Pods.insert(p, pod.clone())
-	if err != nil {
-		return nil, err
-	}
-	return snap.clone(), nil
+	return a.Pods.insert(p, pod.clone())
 }
 
 // ListPods returns the pods matching selector (nil for all), sorted by name,
-// as read-only snapshots (Pods.Get for a mutable copy).
+// as read-only snapshots.
 func (a *APIServer) ListPods(p *sim.Proc, selector map[string]string) []*Pod {
 	a.charge(p)
 	return a.podsMatching(selector)

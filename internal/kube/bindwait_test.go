@@ -32,6 +32,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
+		d = d.clone()
 		d.Replicas = 1
 		if err := c.api.Deployments.Update(p, d); err != nil {
 			return cluster.Instance{}, err

@@ -173,7 +173,8 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 			return w.done()
 		}
 	case rs.Replicas != w.d.Replicas:
-		rs.Replicas, w.rs = w.d.Replicas, rs
+		w.rs = rs.clone()
+		w.rs.Replicas = w.d.Replicas
 		return func(w *worker) sim.Step[worker] {
 			w.api.ReplicaSets.Update(nil, w.rs)
 			return w.done()
@@ -290,7 +291,8 @@ func podRequests(t PodTemplate) (cpu, mem int64) {
 }
 
 // PickNodeFunc selects a node name for a pod (the Local Scheduler decision
-// point of §IV-B). Returning "" leaves the pod unscheduled.
+// point of §IV-B). Returning "" leaves the pod unscheduled. pod is the
+// store's shared snapshot: read-only.
 type PickNodeFunc func(pod *Pod, nodes []NodeStatus) string
 
 // LeastLoaded is the default node picker: fewest bound pods, ties broken by
@@ -468,6 +470,7 @@ func bindPick(b *binding) sim.Step[binding] {
 		return b.end()
 	}
 	delete(s.unschedulable, b.name)
+	b.pod = b.pod.clone()
 	b.pod.NodeName = node
 	return func(b *binding) sim.Step[binding] {
 		b.s.api.Pods.Update(nil, b.pod)

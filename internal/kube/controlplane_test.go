@@ -119,6 +119,7 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 		return
 	}
 	if rs.Replicas != d.Replicas {
+		rs = rs.clone()
 		rs.Replicas = d.Replicas
 		api.ReplicaSets.Update(p, rs)
 	}
@@ -228,6 +229,7 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 				return
 			}
 			delete(unschedulable, name)
+			pod = pod.clone()
 			pod.NodeName = node
 			api.Pods.Update(bp, pod)
 		})
@@ -422,6 +424,7 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 									switch o.kind {
 									case 0: // create, or scale
 										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
+											d = d.clone()
 											d.Replicas = o.value
 											api.Deployments.Update(nil, d)
 										} else {
@@ -438,6 +441,7 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 										api.ReplicaSets.Delete(nil, rsName(name(o.d)))
 									case 4: // scale to zero
 										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
+											d = d.clone()
 											d.Replicas = 0
 											api.Deployments.Update(nil, d)
 										}

@@ -274,6 +274,7 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
+		d = d.clone()
 		d.Replicas = 1
 		if err := c.api.Deployments.Update(p, d); err != nil {
 			return cluster.Instance{}, err
@@ -475,6 +476,7 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 	if d.Replicas == replicas {
 		return nil
 	}
+	d = d.clone()
 	d.Replicas = replicas
 	return c.api.Deployments.Update(p, d)
 }

@@ -362,9 +362,11 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 	}
 }
 
-// copyCase drives one kind through the store's copy contract: the store
-// copies objects in on Create/Update and out on Get, and what List and watch
-// events hand out are snapshots that no later write changes.
+// copyCase drives one kind through the store's snapshot contract: Create
+// copies the caller's object in; Get, List and watch events hand out the
+// stored snapshot itself; Update stores the caller's private copy (a clone of
+// what it read) as the next snapshot; and no write changes a snapshot a
+// reader already holds.
 type copyCase[T object[T]] struct {
 	kind   Kind
 	obj    T          // the object to create
@@ -373,7 +375,7 @@ type copyCase[T object[T]] struct {
 	update func(T)    // Update, nil if the kind has none
 	get    func() T   // Get
 	list   func() []T // List
-	stored func() T   // the stored snapshot itself, not a copy
+	stored func() T   // the stored snapshot itself
 }
 
 func (c copyCase[T]) run(t *testing.T, k *sim.Kernel, api *APIServer) {
@@ -390,48 +392,46 @@ func (c copyCase[T]) run(t *testing.T, k *sim.Kernel, api *APIServer) {
 	})
 	k.Go("copy:"+string(c.kind), func(p *sim.Proc) {
 		stored := c.stored
-		unchanged := func(when string, want T) {
-			t.Helper()
-			if got := stored(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: %s changed the store: %+v, want %+v", c.kind, when, got, want)
-			}
-		}
 		c.create(c.obj)
 		want := stored().clone()
 		c.mutate(c.obj)
-		unchanged("mutating the object after Create", want)
+		if got := stored(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: mutating the object after Create changed the store: %+v, want %+v", c.kind, got, want)
+		}
 
 		got := c.get()
-		if got == stored() {
-			t.Errorf("%s: Get returned the stored object, want a private copy", c.kind)
+		if got != stored() {
+			t.Errorf("%s: Get returned a copy, want the stored snapshot", c.kind)
 		}
-		c.mutate(got)
-		unchanged("mutating a Get result", want)
-
 		listed := c.list()
 		if len(listed) != 1 || listed[0] != stored() {
 			t.Errorf("%s: List = %v, want the stored snapshot itself", c.kind, listed)
 			return
 		}
 		if c.update != nil {
-			c.update(got) // got is mutated: the store now differs from want
+			private := got.clone()
+			c.mutate(private)
+			c.update(private)
+			if stored() != private {
+				t.Errorf("%s: Update stored a copy, want the caller's private copy itself", c.kind)
+			}
 			if reflect.DeepEqual(stored(), want) {
 				t.Errorf("%s: Update stored nothing new", c.kind)
 			}
-			now := stored().clone()
-			c.mutate(got)
-			unchanged("mutating the object after Update", now)
-		}
-		if !reflect.DeepEqual(listed[0], want) {
-			t.Errorf("%s: a listed snapshot changed under its reader: %+v, want %+v", c.kind, listed[0], want)
 		}
 		p.Sleep(time.Second) // let the watch events arrive
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a snapshot changed under its Get reader: %+v, want %+v", c.kind, got, want)
+		}
+		if !reflect.DeepEqual(listed[0], want) {
+			t.Errorf("%s: a snapshot changed under its List reader: %+v, want %+v", c.kind, listed[0], want)
+		}
 		if len(events) == 0 {
 			t.Errorf("%s: no watch events", c.kind)
 			return
 		}
-		if first := events[0].Object.(T); !reflect.DeepEqual(first, want) {
-			t.Errorf("%s: first event carries %+v, want the object as created %+v", c.kind, first, want)
+		if first := events[0].Object.(T); first != got || !reflect.DeepEqual(first, want) {
+			t.Errorf("%s: first event carries %+v, want the snapshot Get returned, as created: %+v", c.kind, first, want)
 		}
 		if last := events[len(events)-1].Object.(T); last != stored() {
 			t.Errorf("%s: last event does not carry the stored snapshot", c.kind)
@@ -484,8 +484,8 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			mutateTemplate(&pod.Spec)
 		},
 		create: func(pod *Pod) {
-			if created, _ := api.CreatePod(nil, pod); created == api.Pods.byName["p1"] {
-				t.Error("CreatePod returned the stored object, want a private copy")
+			if created, _ := api.CreatePod(nil, pod); created != api.Pods.byName["p1"] {
+				t.Error("CreatePod returned a copy, want the stored snapshot")
 			}
 		},
 		update: func(pod *Pod) { api.Pods.Update(nil, pod) },
@@ -651,6 +651,7 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
 		d, _ := rg.kc.API().Deployments.Get(p, a.UniqueName)
+		d = d.clone()
 		d.Replicas = 1
 		rg.kc.API().Deployments.Update(p, d)
 		p.Sleep(1200 * time.Millisecond) // pod bound, kubelet mid-startup
@@ -901,6 +902,7 @@ spec:
 		}
 		// a2 cannot fit: its pod must stay Pending unbound.
 		d, _ := kc.API().Deployments.Get(p, a2.UniqueName)
+		d = d.clone()
 		d.Replicas = 1
 		kc.API().Deployments.Update(p, d)
 		p.Sleep(10 * time.Second)

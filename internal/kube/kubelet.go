@@ -200,6 +200,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 		delete(kl.pods, pod.Name)
 		return
 	}
+	latest = latest.clone()
 	latest.Phase = PodRunning
 	latest.HostPort = kl.api.NodePortFor(latest, firstContainerPort(latest.Spec))
 	kl.api.Pods.Update(p, latest)

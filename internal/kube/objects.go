@@ -10,11 +10,12 @@
 // kubelet sync -> sandbox + container start. Each hop pays API and watch
 // latency, and the sum reproduces the orchestrator overhead.
 //
-// The API server stores objects as immutable snapshots: a write copies the
-// caller's object in and replaces the stored pointer. List* results and
-// watch Event.Object are those shared snapshots, name-ordered, served from
-// maintained indexes without copying — treat them as read-only. Get* returns
-// a private copy to modify and pass to Update*.
+// The API server stores objects as immutable snapshots: a write replaces the
+// stored pointer and never changes a snapshot. Get, List* results and watch
+// Event.Object are those shared snapshots (lists name-ordered, served from
+// maintained indexes) without copying — treat them as read-only. A writer
+// clones what it read, changes the clone and passes it to Update, which keeps
+// it; Create copies the caller's object in.
 package kube
 
 import (

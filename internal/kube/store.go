@@ -94,9 +94,10 @@ func (ix index[K, T]) remove(key K, name string) {
 	}
 }
 
-// Store holds one kind's objects as immutable snapshots: a write copies the
-// caller's object in and replaces the stored pointer, so the pointers handed
-// out by lists and watch events never change under their readers. Every
+// Store holds one kind's objects as immutable snapshots: a write replaces the
+// stored pointer and never changes a snapshot, so the pointers handed out by
+// Get, lists and watch events never change under their readers. A writer
+// clones what it read, changes the clone and hands it to Update. Every
 // operation charges the API server's RequestLatency to p (nil charges
 // nothing: the caller is a continuation that charges its own steps).
 type Store[T object[T]] struct {
@@ -164,24 +165,27 @@ func (s *Store[T]) insert(p *sim.Proc, snap T) (T, error) {
 	return snap, nil
 }
 
-// Get returns a private, mutable copy of the named object.
+// Get returns the named object's stored snapshot, which is read-only: clone
+// it to change it.
 func (s *Store[T]) Get(p *sim.Proc, name string) (T, error) {
 	s.api.charge(p)
 	obj, ok := s.byName[name]
 	if !ok {
 		return obj, s.errorf(ErrNotFound, name)
 	}
-	return obj.clone(), nil
+	return obj, nil
 }
 
-// Update replaces the object of obj's name with a copy of obj.
+// Update replaces the object of obj's name with obj itself, which the store
+// now owns: obj is the caller's private copy (a clone of what it read), and
+// the caller does not touch it again.
 func (s *Store[T]) Update(p *sim.Proc, obj T) error {
 	s.api.charge(p)
 	name := nameOf(obj)
 	if _, ok := s.byName[name]; !ok {
 		return s.errorf(ErrNotFound, name)
 	}
-	s.put(obj.clone(), Modified)
+	s.put(obj, Modified)
 	return nil
 }
 
@@ -202,8 +206,7 @@ func (s *Store[T]) Delete(p *sim.Proc, name string) error {
 	return nil
 }
 
-// List returns every object, sorted by name, as read-only snapshots (Get for
-// a mutable copy).
+// List returns every object, sorted by name, as read-only snapshots.
 func (s *Store[T]) List(p *sim.Proc) []T {
 	s.api.charge(p)
 	return s.sorted.view()

@@ -145,11 +145,13 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				a.CreatePod(nil, &Pod{Name: podName(), Owner: pick(owners), Labels: labels(), NodeName: pick(nodeNames)})
 			case 2, 3: // relabel / re-own
 				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+					pod = pod.clone()
 					pod.Labels, pod.Owner = labels(), pick(owners)
 					a.Pods.Update(nil, pod)
 				}
 			case 4, 5: // bind and run, or unbind
 				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+					pod = pod.clone()
 					pod.NodeName = pick(nodeNames)
 					pod.Phase = []PodPhase{PodPending, PodRunning}[rng.Intn(2)]
 					a.Pods.Update(nil, pod)
@@ -165,6 +167,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				if rs, err := a.ReplicaSets.Get(nil, name); err != nil {
 					a.ReplicaSets.Create(nil, &ReplicaSet{Name: name, Owner: pick(owners)})
 				} else if rng.Intn(2) == 0 {
+					rs = rs.clone()
 					rs.Owner = pick(owners)
 					a.ReplicaSets.Update(nil, rs)
 				} else {

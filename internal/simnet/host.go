@@ -164,7 +164,8 @@ func (l *Listener) Close() {
 // inside the packet-delivery event and must not block; model time by
 // scheduling kernel events.
 type ConnHandler interface {
-	// ConnEstablished reports handshake completion: ok=false means refused.
+	// ConnEstablished reports handshake completion: ok=false means refused,
+	// and the Conn is recycled once the call returns.
 	ConnEstablished(c *Conn, ok bool)
 	// ConnMessage delivers one in-order application payload.
 	ConnMessage(c *Conn, payload any)
@@ -192,8 +193,9 @@ type Conn struct {
 	// DATA segment; the connection closes once everything before it has
 	// been delivered.
 	finSeq uint64
-	// reap is set by a pooled handler (httpCall, HTTPServerConn) that is done
-	// with the connection; see settle.
+	// reap marks a connection nobody holds any more: set by Close, by a
+	// refused handshake and by a pooled handler (httpCall, HTTPServerConn)
+	// that is done with it; see settle.
 	reap bool
 }
 
@@ -203,19 +205,26 @@ type recycler interface {
 	release()
 }
 
-// settle recycles c and its handler if the callback that just returned set
-// c.reap. It runs at the bottom of the HandlePacket arm, never inside the
-// callback: deliverInOrder still reads c after deliver returns, and a
-// completion may dial synchronously, which a LIFO pool would hand the very
-// objects still on the stack.
+// settle recycles c if the callback that just returned set c.reap, with its
+// handler if that is pooled. It runs at the bottom of the HandlePacket arm,
+// never inside the callback: deliverInOrder still reads c after deliver
+// returns, and a completion may dial synchronously, which a LIFO pool would
+// hand the very objects still on the stack.
 func (c *Conn) settle() {
-	if c.reap {
-		c.handler.(recycler).release()
+	if !c.reap {
+		return
+	}
+	if r, ok := c.handler.(recycler); ok {
+		r.release()
+	} else {
+		c.host.net.freeConn(c)
 	}
 }
 
 // newConn takes a connection from the network's free list (or builds one).
-// Every connection is made here; only a pooled handler ever gives one back.
+// Every connection is made here. One goes back once nobody holds it: at the
+// end of the callback that closed it or was told of its refusal (settle), at
+// Abort, or when its pooled handler is released.
 func (n *Network) newConn() *Conn {
 	if ln := len(n.connPool); ln > 0 {
 		c := n.connPool[ln-1]
@@ -335,6 +344,7 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 		if c, ok := h.conns[key]; ok && !c.established && !c.closed {
 			c.established = true
 			c.handler.ConnEstablished(c, true)
+			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	case KindRST:
@@ -343,6 +353,7 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 			if !c.established {
 				c.closed = true
 				c.handler.ConnEstablished(c, false)
+				c.reap = true // nothing touches a refused dial after its callback
 			} else if !c.closed {
 				c.closed = true
 				c.handler.ConnClosed(c)
@@ -445,23 +456,26 @@ func (c *Conn) maybeFinish() {
 	}
 }
 
-// Abort forgets a connection whose handshake has not completed: it leaves the
-// host's connection table and nothing is sent, so a SYN-ACK or RST that still
+// Abort forgets a dial that has had no answer: it leaves the host's
+// connection table and nothing is sent, so a SYN-ACK or RST that still
 // arrives finds no connection and is freed. The handler gets no further
-// callback. This is how a dial ends on timeout or refusal; an established
-// connection ends with Close.
+// callback. This is how a dial ends on timeout; a refused one is over when
+// its ConnEstablished returns, an established connection ends with Close.
+// The Conn goes back to the network's free list at once, so the caller drops
+// it: nothing may touch a Conn after Abort.
 func (c *Conn) Abort() {
-	c.closed = true
 	delete(c.host.conns, fourTuple{c.local, c.remote})
+	c.host.net.freeConn(c)
 }
 
 // Close tears an established connection down on both ends (FIN) and tells
-// the handler.
+// the handler. Closed inside one of its own callbacks, the Conn is recycled
+// once that callback returns, so the handler drops it there.
 func (c *Conn) Close() {
 	if c.closed {
 		return
 	}
-	c.closed = true
+	c.closed, c.reap = true, true
 	delete(c.host.conns, fourTuple{c.local, c.remote})
 	fin := c.host.net.NewPacket()
 	fin.Kind, fin.SrcIP, fin.DstIP = KindFIN, c.local.ip, c.remote.ip

@@ -262,13 +262,15 @@ func (call *httpCall) finish(err error) {
 	}
 	call.settled = true
 	call.timer.Cancel()
-	c := call.c
-	if c.established {
-		c.Close()
+	if c := call.c; c.established || c.closed {
+		c.Close() // a no-op once the peer closed it or refused the dial
+		c.reap = true
 	} else {
-		c.Abort() // timed out dialing: the peer may never have seen this connection
+		// Timed out dialing: the peer may never have seen this connection,
+		// and Abort has recycled it.
+		c.Abort()
+		call.c = nil
 	}
-	c.reap = true
 	if err != nil {
 		call.done(nil, err)
 		return
@@ -283,11 +285,13 @@ func (call *httpCall) onTimeout() {
 	call.release()
 }
 
-// release returns the call, with its deadline event, and its Conn to the
-// network's free lists.
+// release returns the call, with its deadline event, and its Conn (unless
+// Abort already did) to the network's free lists.
 func (call *httpCall) release() {
 	n := call.h.net
-	n.freeConn(call.c)
+	if call.c != nil {
+		n.freeConn(call.c)
+	}
 	*call = httpCall{timer: call.timer}
 	n.callPool = append(n.callPool, call)
 }

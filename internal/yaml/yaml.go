@@ -509,6 +509,9 @@ func parseScalar(s string) (any, error) {
 	case "false", "False", "FALSE":
 		return false, nil
 	}
+	if !startsNumber(s[0]) {
+		return s, nil // neither parse below could succeed: skip their errors' allocations
+	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i, nil
 	}
@@ -516,6 +519,13 @@ func parseScalar(s string) (any, error) {
 		return f, nil
 	}
 	return s, nil
+}
+
+// startsNumber reports whether b can begin a scalar that ParseInt (base 10)
+// accepts, or that ParseFloat accepts and looksNumeric lets through: a digit,
+// a sign or a decimal point.
+func startsNumber(b byte) bool {
+	return (b >= '0' && b <= '9') || b == '-' || b == '+' || b == '.'
 }
 
 // looksNumeric guards against ParseFloat accepting "Inf"/"NaN"-ish strings

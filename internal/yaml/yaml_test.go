@@ -26,6 +26,11 @@ func TestDecodeScalars(t *testing.T) {
 		{"42", int64(42)},
 		{"-7", int64(-7)},
 		{"3.14", 3.14},
+		{"+3", int64(3)},
+		{".5", 0.5},
+		{"-.5e1", -5.0},
+		{"e5", "e5"},
+		{"Inf", "Inf"},
 		{"true", true},
 		{"false", false},
 		{"null", nil},
@@ -43,6 +48,17 @@ func TestDecodeScalars(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Decode(%q) = %#v, want %#v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestPlainWordSkipsNumberParses: a plain scalar that cannot start a number
+// costs only its boxing into the returned interface, not the two
+// *strconv.NumError a failed ParseInt and ParseFloat would allocate.
+func TestPlainWordSkipsNumberParses(t *testing.T) {
+	var sink any
+	avg := testing.AllocsPerRun(100, func() { sink, _ = parseScalar("nginx:1.25") })
+	if sink != "nginx:1.25" || avg > 1 {
+		t.Errorf("parseScalar of a plain word: %v in %.0f allocs, want it back in at most 1", sink, avg)
 	}
 }
 
