@@ -58,7 +58,7 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 			return res.Errors, err
 		}},
 		{"sharded", 8000, 32000, 1, func(n int) (int, error) {
-			res, err := experiments.ReplayShard(seed, n, 1, nil)
+			res, err := experiments.ReplayShard(seed, n, 1)
 			return res.Errors, err
 		}},
 		{"control-path", 10000, 40000, 1, func(n int) (int, error) {

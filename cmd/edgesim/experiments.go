@@ -75,7 +75,7 @@ var table = []experiment{
 		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationFlowMemory(f.seed)) }},
 	{name: "ablation-timeout", help: "switch idle-timeout sweep", flags: "seed csv",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			return f.figure(experiments.AblationIdleTimeout(f.seed, nil))
+			return f.figure(experiments.AblationIdleTimeout(f.seed))
 		}},
 	{name: "ablation-policy", help: "with-waiting vs no-wait vs hybrid", flags: "seed csv",
 		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationWaitingPolicy(f.seed)) }},
@@ -83,7 +83,7 @@ var table = []experiment{
 		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationProactive(f.seed)) }},
 	{name: "ablation-probe", help: "readiness-probe interval sweep", flags: "seed csv",
 		run: func(f *flags, _ *obsRun) (output, error) {
-			return f.figure(experiments.AblationProbeInterval(f.seed, nil))
+			return f.figure(experiments.AblationProbeInterval(f.seed))
 		}},
 	{name: "ablation-hierarchy", help: "fig. 3: cold vs far-warm vs near-warm first request", flags: "seed csv",
 		run: func(f *flags, _ *obsRun) (output, error) { return f.figure(experiments.AblationHierarchy(f.seed)) }},
@@ -115,7 +115,7 @@ var table = []experiment{
 	{name: "scale-shard", help: "sharded multi-region replay; fingerprints are bit-identical\nat every shard count",
 		flags: "seed replay-requests shards procs json obs",
 		run: func(f *flags, o *obsRun) (output, error) {
-			return measured[experiments.JSONResult](experiments.ReplayShard(f.seed, f.replayRequests, f.shards, nil, o.options()...))
+			return measured[experiments.JSONResult](experiments.ReplayShard(f.seed, f.replayRequests, f.shards, o.options()...))
 		}},
 	{name: "scale-steer", help: "steering backend comparison: per-flow openflow rules vs\nstateless SRv6-style ingress encoding over a client-count axis",
 		flags: "seed replay-requests backend procs json",

@@ -1,6 +1,7 @@
 package transparentedge_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ var exportAllowlist = map[string]string{
 	"sim.ShardGroup.Run":            "(c) runs a shard group's windows to completion, the loop RunUntil runs",
 	"simnet.Host.PortOpen":          "(b) the listening state the container lifecycle tests hold against readiness",
 	"simnet.Host.OpenConns":         "(b) connections left on a host, which tests check drain to zero",
-	"simnet.Link.SetDown":           "(c) cuts a link, driving the loss and timeout paths programs run",
+	"simnet.Link.SetDown":           "(c) cuts a link, driving the timeout paths programs run",
 	"simnet.Link.ActiveTransfers":   "(b) the fair-share cohort size the link model tests check",
 }
 
@@ -55,8 +57,7 @@ var exportAllowlist = map[string]string{
 // satisfies an interface whose method is used, and String, Error and Unwrap
 // count as used because fmt and errors call them.
 func TestExportsHaveProgramCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs := checkModule(t, fset)
+	fset, pkgs := checkModule(t)
 
 	used := map[types.Object]bool{}
 	ifaceMethods := map[*types.Func]bool{} // used methods of interfaces
@@ -156,16 +157,159 @@ func TestExportsHaveProgramCallers(t *testing.T) {
 	}
 }
 
+// settingsAllowlist names the exported fields under internal/ that no
+// program writes but that stay, each with its reason, in the categories of
+// exportAllowlist. Entries are only ever removed; settingsAllowlistRecord is
+// its size.
+const settingsAllowlistRecord = 4
+
+var settingsAllowlist = map[string]string{
+	"faults.ClusterSpec.FailFirstPulls":    "(c) fails exactly the first pulls, driving the retry path programs run",
+	"faults.ClusterSpec.FailFirstScaleUps": "(c) fails exactly the first scale-ups, driving the fallback ladder programs run",
+	"faults.ClusterSpec.CrashFirstStarts":  "(c) crashes exactly the first starts, driving the probe-timeout path programs run",
+	"faults.Spec.Clusters":                 "(c) fails one cluster alone, which the fallback-ladder tests need",
+}
+
+// TestSettingsHaveProgramWriters is the ratchet on settings: every exported
+// struct field declared in a non-test file under internal/ is written by
+// non-test code. A field only tests write holds its zero value in every run
+// a program makes, and the branch it selects runs in none: delete both, or
+// allowlist the field above with its reason. A write is a composite-literal
+// key, a positional literal of the field's struct, an assignment, op= or
+// ++/-- whose target selects the field, or taking its address. Embedded
+// fields are exempt.
+func TestSettingsHaveProgramWriters(t *testing.T) {
+	fset, pkgs := checkModule(t)
+
+	written := map[types.Object]bool{}
+	// target marks every field on the selector chain a write goes through:
+	// c.Stats.Deploys++ writes Deploys and Stats.
+	target := func(info *types.Info, e ast.Expr) {
+		for {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				written[origin(s.Obj())] = true
+			}
+			e = sel.X
+		}
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := p.info.Types[n].Type
+					if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = ptr.Elem() // an elided &T in []*T{{...}}
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[origin(p.info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else {
+							written[origin(st.Field(i))] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(p.info, lhs)
+					}
+				case *ast.IncDecStmt:
+					target(p.info, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(p.info, n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unwritten []string
+	allowed := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), "transparentedge/internal/") {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for f := range st.Fields() {
+				if !f.Exported() || f.Embedded() || written[f] {
+					continue
+				}
+				key := path.Base(p.pkg.Path()) + "." + name + "." + f.Name()
+				if _, ok := settingsAllowlist[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				unwritten = append(unwritten, fset.Position(f.Pos()).String()+": "+key)
+			}
+		}
+	}
+	sort.Strings(unwritten)
+	for _, u := range unwritten {
+		t.Errorf("%s is a field no program writes: delete it with the branch it selects, or allowlist it with its reason", u)
+	}
+	for name, reason := range settingsAllowlist {
+		if !allowed[name] {
+			t.Errorf("allowlisted %s is gone or written by a program: remove its entry", name)
+		}
+		if c := reason[:min(len(reason), 4)]; c != "(a) " && c != "(b) " && c != "(c) " && c != "(d) " {
+			t.Errorf("allowlisted %s: reason %q names no category (a)-(d)", name, reason)
+		}
+	}
+	if n := len(settingsAllowlist); n > settingsAllowlistRecord {
+		t.Errorf("%d allowlist entries, recorded %d: entries are only removed", n, settingsAllowlistRecord)
+	} else if n < settingsAllowlistRecord {
+		t.Errorf("%d allowlist entries, recorded %d: lower the record", n, settingsAllowlistRecord)
+	}
+}
+
 // checkedPackage is one type-checked package of the module.
 type checkedPackage struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // checkModule type-checks every non-test package of the module in dependency
-// order, the standard library from source.
-func checkModule(t *testing.T, fset *token.FileSet) []checkedPackage {
+// order, the standard library from source. The check runs once per test
+// binary; the ratchets share it.
+func checkModule(t *testing.T) (*token.FileSet, []checkedPackage) {
 	t.Helper()
+	m := loadModule()
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.fset, m.pkgs
+}
+
+var loadModule = sync.OnceValue(func() (m struct {
+	fset *token.FileSet
+	pkgs []checkedPackage
+	err  error
+}) {
+	m.fset = token.NewFileSet()
+	m.pkgs, m.err = typeCheckModule(m.fset)
+	return m
+})
+
+func typeCheckModule(fset *token.FileSet) ([]checkedPackage, error) {
 	type parsed struct {
 		path    string
 		files   []*ast.File
@@ -201,22 +345,25 @@ func checkModule(t *testing.T, fset *token.FileSet) []checkedPackage {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	std := importer.ForCompiler(fset, "source", nil)
 	done := map[string]*types.Package{}
 	var out []checkedPackage
-	var check func(p *parsed)
-	check = func(p *parsed) {
+	var check func(p *parsed) error
+	check = func(p *parsed) error {
 		if done[p.path] != nil {
-			return
+			return nil
 		}
 		for _, imp := range p.imports {
 			if dep := byPath[imp]; dep != nil {
-				check(dep)
+				if err := check(dep); err != nil {
+					return err
+				}
 			}
 		}
 		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
@@ -228,10 +375,11 @@ func checkModule(t *testing.T, fset *token.FileSet) []checkedPackage {
 		})}
 		pkg, err := conf.Check(p.path, fset, p.files, info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.path, err)
+			return fmt.Errorf("type-checking %s: %v", p.path, err)
 		}
 		done[p.path] = pkg
-		out = append(out, checkedPackage{pkg, info})
+		out = append(out, checkedPackage{pkg, info, p.files})
+		return nil
 	}
 	paths := make([]string, 0, len(byPath))
 	for p := range byPath {
@@ -239,9 +387,11 @@ func checkModule(t *testing.T, fset *token.FileSet) []checkedPackage {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		check(byPath[p])
+		if err := check(byPath[p]); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -55,8 +55,8 @@ type Engine struct {
 	ops obs.ClusterOps
 }
 
-// SetFaults attaches a fault injector (nil disables injection). Each fig. 4
-// phase consults it at entry; CrashAfterStart kills a freshly started
+// SetFaults attaches a fault injector (nil disables injection). Pull and
+// ScaleUp consult it at entry; CrashAfterStart kills a freshly started
 // service before its port ever opens.
 func (e *Engine) SetFaults(in *faults.Injector) { e.faults = in }
 
@@ -102,7 +102,7 @@ func (e *Engine) HasImages(a *spec.Annotated) bool {
 // `docker pull` does for distinct images.
 func (e *Engine) Pull(p *sim.Proc, a *spec.Annotated) error {
 	e.ops.Pull.Inc()
-	if err := e.faults.PullError(p.Now()); err != nil {
+	if err := e.faults.PullError(); err != nil {
 		return err
 	}
 	for _, c := range a.Containers {
@@ -134,9 +134,6 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
 	e.ops.Create.Inc()
-	if err := e.faults.CreateError(p.Now()); err != nil {
-		return err
-	}
 	s := &service{annotated: a}
 	for _, cs := range a.Containers {
 		p.Sleep(e.cfg.APILatency)
@@ -183,7 +180,7 @@ func (e *Engine) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		return e.instance(name, s), nil
 	}
 	e.ops.ScaleUp.Inc()
-	if err := e.faults.ScaleUpError(p.Now()); err != nil {
+	if err := e.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
 	for _, ctr := range s.containers {

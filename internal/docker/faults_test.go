@@ -87,26 +87,3 @@ func TestFaultCrashAfterStart(t *testing.T) {
 	})
 	r.k.RunUntil(time.Minute)
 }
-
-// TestFaultOutageWindow: every phase fails inside the outage window and
-// works again after it closes.
-func TestFaultOutageWindow(t *testing.T) {
-	r := newRig(t)
-	withFaults(r, faults.ClusterSpec{
-		Outages: []faults.Window{{From: 0, To: time.Second}},
-	})
-	a := annotated(t, nginxYAML, "web.example.com")
-	r.k.Go("driver", func(p *sim.Proc) {
-		if err := r.eng.Pull(p, a); !errors.Is(err, faults.ErrOutage) {
-			t.Errorf("pull during outage: err = %v, want ErrOutage", err)
-		}
-		p.Sleep(1500 * time.Millisecond)
-		if err := r.eng.Pull(p, a); err != nil {
-			t.Errorf("pull after outage: %v, want success", err)
-		}
-		if err := r.eng.Create(p, a); err != nil {
-			t.Errorf("create after outage: %v, want success", err)
-		}
-	})
-	r.k.RunUntil(time.Minute)
-}

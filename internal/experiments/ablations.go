@@ -103,14 +103,11 @@ func (r *IdleTimeoutResult) Notes() string {
 // requests every 5 s: short timeouts keep the flow table small but cost a
 // controller round trip per request; long timeouts do the opposite — the
 // trade-off the FlowMemory design targets.
-func AblationIdleTimeout(seed int64, timeouts []time.Duration) (*IdleTimeoutResult, error) {
-	if len(timeouts) == 0 {
-		timeouts = []time.Duration{time.Second, 10 * time.Second, time.Minute}
-	}
+func AblationIdleTimeout(seed int64) (*IdleTimeoutResult, error) {
 	res := &IdleTimeoutResult{Table: metrics.NewTable(
 		"Ablation — switch idle timeout sweep (client requests every 5 s)",
 		"median request")}
-	for _, to := range timeouts {
+	for _, to := range []time.Duration{time.Second, 10 * time.Second, time.Minute} {
 		tb := testbed.New(testbed.Options{
 			Seed: seed, EnableDocker: true,
 			SwitchIdleTimeout: to,
@@ -234,8 +231,6 @@ func AblationProactive(seed int64) (*ProactiveResult, error) {
 			SwitchIdleTimeout: 5 * time.Second,
 			MemoryIdleTimeout: 20 * time.Second,
 			Predictor:         pred,
-			PredictInterval:   5 * time.Second,
-			PredictHorizon:    15 * time.Second,
 		})
 		_, reg, err := tb.RegisterCatalogService(catalog.Nginx)
 		if err != nil {
@@ -275,15 +270,12 @@ func AblationProactive(seed int64) (*ProactiveResult, error) {
 // measure how it quantizes the readiness wait (figs. 14/15): the expected
 // detection lag is half the interval, so coarse probing directly inflates
 // the first-request latency of fast-starting services.
-func AblationProbeInterval(seed int64, intervals []time.Duration) (*metrics.Table, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{5 * time.Millisecond, 20 * time.Millisecond,
-			100 * time.Millisecond, 500 * time.Millisecond}
-	}
+func AblationProbeInterval(seed int64) (*metrics.Table, error) {
 	res := metrics.NewTable(
 		"Ablation — readiness-probe interval (nginx on Docker, scale-up only)",
 		"median first request")
-	for _, iv := range intervals {
+	for _, iv := range []time.Duration{5 * time.Millisecond, 20 * time.Millisecond,
+		100 * time.Millisecond, 500 * time.Millisecond} {
 		tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, ProbeInterval: iv})
 		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
 		if err != nil {

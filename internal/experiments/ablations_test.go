@@ -25,8 +25,7 @@ func TestAblationFlowMemory(t *testing.T) {
 }
 
 func TestAblationIdleTimeout(t *testing.T) {
-	timeouts := []time.Duration{time.Second, 10 * time.Second, time.Minute}
-	res, err := AblationIdleTimeout(1, timeouts)
+	res, err := AblationIdleTimeout(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestAblationProactive(t *testing.T) {
 }
 
 func TestAblationProbeInterval(t *testing.T) {
-	res, err := AblationProbeInterval(1, []time.Duration{5 * time.Millisecond, 500 * time.Millisecond})
+	res, err := AblationProbeInterval(1)
 	if err != nil {
 		t.Fatal(err)
 	}

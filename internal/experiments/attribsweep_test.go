@@ -63,7 +63,7 @@ func requireSumProperty(t *testing.T, col *attrib.Collector, workloadName string
 // plain sharded replay.
 func TestAttribSumPropertyReplay(t *testing.T) {
 	col := attrib.New(attrib.Options{})
-	served(t, "replay", must(ReplayShard(7, 320, 2, nil, WithAttrib(col))).PointResult)
+	served(t, "replay", must(ReplayShard(7, 320, 2, WithAttrib(col))).PointResult)
 	requireSumProperty(t, col, "replay")
 }
 
@@ -78,10 +78,11 @@ func TestAttribSumPropertyFaultPlan(t *testing.T) {
 			ScaleUpFailProb: 0.1,
 			CrashProb:       0.05,
 		},
-		LinkLoss: 0.01,
 	}
 	col := attrib.New(attrib.Options{})
-	must(ReplayShard(3, 320, 4, spec, WithAttrib(col)))
+	s := runOpts{attrib: col}.point(3, 320)
+	s.Shards, s.Faults = 4, spec
+	must(replayShard(s))
 	requireSumProperty(t, col, "fault-plan")
 }
 
@@ -177,7 +178,7 @@ func TestKernelStatsSurfaced(t *testing.T) {
 		}
 	}
 
-	rs := must(ReplayShard(13, 160, 4, nil))
+	rs := must(ReplayShard(13, 160, 4))
 	if rs.Group.Windows == 0 || len(rs.Group.Shards) != 4 {
 		t.Errorf("group stats = windows %d shards %d, want > 0 and 4", rs.Group.Windows, len(rs.Group.Shards))
 	}

@@ -60,6 +60,7 @@ var faultSweepColumns = []column[VariantResult]{
 	{"variant", "", "%-16s", func(v VariantResult) any { return v.Variant.Label() }},
 	{"requests", "requests", "%8d", func(v VariantResult) any { return v.Requests }},
 	{"errors", "errors", "%7d", func(v VariantResult) any { return v.Errors }},
+	{"", "unfinished", "", func(v VariantResult) any { return v.Unfinished }},
 	{"deploys", "deployments", "%8d", func(v VariantResult) any { return v.Deployments }},
 	{"attempts", "deploy_attempts", "%9d", func(v VariantResult) any { return v.DeployAttempts }},
 	{"retries", "deploy_retries", "%8d", func(v VariantResult) any { return v.DeployRetries }},

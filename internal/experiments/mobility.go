@@ -75,6 +75,7 @@ var mobilityColumns = []column[MobilityPoint]{
 	{"mods/ho", "flow_mods_per_handover", "%10.2f", func(p MobilityPoint) any { return p.FlowModsPerHandover }},
 	{"", "reanchors", "", func(p MobilityPoint) any { return p.ReAnchors }},
 	{"", "errors", "", func(p MobilityPoint) any { return p.Errors }},
+	{"", "unfinished", "", func(p MobilityPoint) any { return p.Unfinished }},
 	{"median", "median_ms", "%10v", func(p MobilityPoint) any { return p.Median }},
 	{"", "p95_ms", "", func(p MobilityPoint) any { return p.P95 }},
 	{"", "deployments", "", func(p MobilityPoint) any { return p.Deployments }},

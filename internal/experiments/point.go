@@ -44,8 +44,8 @@ func replayScaleConfig(seed int64, requests, clients int) workload.Config {
 type pointSpec struct {
 	// SweepVariant carries what a point shares with the public sweep API:
 	// seed, trace length (clamped up to the generator's minimum; the result
-	// reports the clamped value), λ scale, in-flight cap, request timeout,
-	// cold start, the fault plan, the Trace/Counters handles — and, for the
+	// reports the clamped value), request timeout, cold start, the fault
+	// plan, the Trace/Counters handles — and, for the
 	// single-site testbed only (the region scenario has no such options),
 	// scheduler, far edge (Clusters >= 2), deploy retries and probe wait.
 	SweepVariant
@@ -164,15 +164,10 @@ func runPoint(s pointSpec) (pointRun, error) {
 	if s.Shards > 0 {
 		sites = testbed.DefaultRegions
 	}
-	cfg := replayScaleConfig(s.Seed, requests, clients*sites)
-	if s.LambdaScale > 0 && s.LambdaScale != 1 {
-		cfg.Duration = time.Duration(float64(cfg.Duration) / s.LambdaScale)
-	}
-	trace := workload.Generate(cfg)
+	trace := workload.Generate(replayScaleConfig(s.Seed, requests, clients*sites))
 	opts := workload.Options{
 		PrePull:        !s.Cold,
 		PreCreate:      !s.Cold,
-		MaxInFlight:    s.MaxInFlight,
 		RequestTimeout: s.RequestTimeout,
 	}
 	if s.GNBs > 0 {

@@ -129,7 +129,7 @@ func TestParityGate(t *testing.T) {
 		}
 		return 1, nil
 	}
-	serial, shardOK, instrOK, err := parityGate(fp, pointSpec{Shards: 1}, []int{2, 8}, func(s *pointSpec) { s.MaxInFlight = 1 })
+	serial, shardOK, instrOK, err := parityGate(fp, pointSpec{Shards: 1}, []int{2, 8}, func(s *pointSpec) { s.Clients = 40 })
 	if err != nil || serial != 1 || !shardOK || !instrOK {
 		t.Errorf("matching gate = %d/%v/%v/%v, want 1/true/true/nil", serial, shardOK, instrOK, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
 )
 
@@ -30,6 +29,7 @@ var replayScaleColumns = []column[ReplayScaleResult]{
 	{"median", "median_ms", "%v", func(r ReplayScaleResult) any { return r.Median }},
 	{"/ p95", "p95_ms", "%v", func(r ReplayScaleResult) any { return r.P95 }},
 	{"errors", "errors", "%d", func(r ReplayScaleResult) any { return r.Errors }},
+	{"", "unfinished", "", func(r ReplayScaleResult) any { return r.Unfinished }},
 	{"deployments", "deployments", "%d", func(r ReplayScaleResult) any { return r.Deployments }},
 }
 
@@ -113,6 +113,7 @@ var replayShardColumns = []column[ReplayShardResult]{
 	{"median", "median_ms", "%v", func(r ReplayShardResult) any { return r.Median }},
 	{"/ p95", "p95_ms", "%v", func(r ReplayShardResult) any { return r.P95 }},
 	{"errors", "errors", "%d", func(r ReplayShardResult) any { return r.Errors }},
+	{"", "unfinished", "", func(r ReplayShardResult) any { return r.Unfinished }},
 	{"deployments", "deployments", "%d", func(r ReplayShardResult) any { return r.Deployments }},
 	// The full 64 bits, not a digest: the key predates the 52-bit convention.
 	{"fingerprint", "fingerprint", "%016x", func(r ReplayShardResult) any { return r.Fingerprint() }},
@@ -142,14 +143,13 @@ func (r ReplayShardResult) JSON() JSONResult {
 // cloud backbone, one 20-client population per region) on the given number
 // of kernels. shards == 1 is the serial degenerate case; any other value
 // must produce a bit-identical Fingerprint, which the shard parity tests
-// enforce. spec, when non-nil, injects the deterministic fault plan into
-// every region.
-func ReplayShard(seed int64, requests, shards int, spec *faults.Spec, options ...Option) (ReplayShardResult, error) {
+// enforce.
+func ReplayShard(seed int64, requests, shards int, options ...Option) (ReplayShardResult, error) {
 	if shards < 1 {
 		shards = 1
 	}
 	s := applyOpts(options).point(seed, requests)
-	s.Shards, s.Faults = shards, spec
+	s.Shards = shards
 	return replayShard(s)
 }
 

@@ -13,10 +13,10 @@ import (
 // sharded runs must produce bit-identical fingerprints.
 func TestReplayShardParitySerialVsSharded(t *testing.T) {
 	const seed, requests = 7, 640
-	serial := must(ReplayShard(seed, requests, 1, nil))
+	serial := must(ReplayShard(seed, requests, 1))
 	served(t, "serial", serial.PointResult)
 	for _, shards := range []int{2, 4, 8} {
-		got := must(ReplayShard(seed, requests, shards, nil))
+		got := must(ReplayShard(seed, requests, shards))
 		served(t, fmt.Sprintf("%d shards", shards), got.PointResult)
 		if got.Shards != shards {
 			t.Fatalf("shards = %d, want %d", got.Shards, shards)
@@ -42,12 +42,12 @@ func TestReplayShardParitySerialVsSharded(t *testing.T) {
 // every shard count (spans are drained in region order).
 func TestReplayShardObsParity(t *testing.T) {
 	const seed, requests = 11, 320
-	bare := must(ReplayShard(seed, requests, 4, nil))
+	bare := must(ReplayShard(seed, requests, 4))
 
 	run := func(shards int) ReplayShardResult {
 		tr := obs.NewTracer(1 << 16)
 		reg := obs.NewRegistry()
-		return must(ReplayShard(seed, requests, shards, nil, WithTrace(tr), WithCounters(reg)))
+		return must(ReplayShard(seed, requests, shards, WithTrace(tr), WithCounters(reg)))
 	}
 	traced := run(4)
 	if traced.Fingerprint() != bare.Fingerprint() {
@@ -80,9 +80,8 @@ func TestReplayShardObsParity(t *testing.T) {
 	}
 }
 
-// Fault injection keys on per-region cluster and link names — never on
-// scheduling — so a faulty scenario stays bit-identical across shard
-// counts, including deterministic link loss on the cross-shard uplinks.
+// Fault injection keys on per-region cluster names — never on scheduling —
+// so a faulty scenario stays bit-identical across shard counts.
 func TestReplayShardParityUnderFaults(t *testing.T) {
 	const seed, requests = 3, 320
 	spec := &faults.Spec{
@@ -92,15 +91,18 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 			ScaleUpFailProb: 0.1,
 			CrashProb:       0.05,
 		},
-		LinkLoss: 0.01,
 	}
-	serial := must(ReplayShard(seed, requests, 1, spec))
-	faulty := must(ReplayShard(seed, requests, 4, spec))
+	faultyOn := func(shards int) ReplayShardResult {
+		s := runOpts{}.point(seed, requests)
+		s.Shards, s.Faults = shards, spec
+		return must(replayShard(s))
+	}
+	serial, faulty := faultyOn(1), faultyOn(4)
 	if serial.Fingerprint() != faulty.Fingerprint() {
 		t.Fatalf("fault plan breaks shard parity: shards=1 %016x shards=4 %016x",
 			serial.Fingerprint(), faulty.Fingerprint())
 	}
-	clean := must(ReplayShard(seed, requests, 4, nil))
+	clean := must(ReplayShard(seed, requests, 4))
 	if clean.Fingerprint() == faulty.Fingerprint() {
 		t.Fatal("fault plan had no observable effect (injection not wired?)")
 	}
@@ -109,8 +111,8 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 // The same sharded run twice in one process must reproduce itself — no
 // global state leaks across region builds or window workers.
 func TestReplayShardDeterministicRepeat(t *testing.T) {
-	a := must(ReplayShard(5, 160, 4, nil))
-	b := must(ReplayShard(5, 160, 4, nil))
+	a := must(ReplayShard(5, 160, 4))
+	b := must(ReplayShard(5, 160, 4))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("repeat run diverged: %016x != %016x", a.Fingerprint(), b.Fingerprint())
 	}

@@ -63,6 +63,7 @@ var steerColumns = []column[SteerPoint]{
 	{"flow-mods", "flow_mods", "%10d", func(p SteerPoint) any { return p.FlowMods }},
 	{"entries", "entries_peak", "%10d", func(p SteerPoint) any { return p.EntriesHighWater }},
 	{"", "errors", "", func(p SteerPoint) any { return p.Errors }},
+	{"", "unfinished", "", func(p SteerPoint) any { return p.Unfinished }},
 	{"median", "median_ms", "%10v", func(p SteerPoint) any { return p.Median }},
 	{"p95", "p95_ms", "%10v", func(p SteerPoint) any { return p.P95 }},
 	{"", "deployments", "", func(p SteerPoint) any { return p.Deployments }},

@@ -32,11 +32,6 @@ type SweepVariant struct {
 	// Clusters selects the edge topology: 1 = the Docker edge cluster only
 	// (default), 2 = add the far-edge Docker cluster (fig. 3 scenario).
 	Clusters int
-	// LambdaScale multiplies the mean arrival rate (λ): 2 packs the same
-	// trace into half the duration. 0 or 1 leaves the default rate.
-	LambdaScale float64
-	// MaxInFlight bounds concurrently executing requests (0 = unbounded).
-	MaxInFlight int
 	// Cold skips image pre-pull and instance pre-create, so the sweep
 	// measures on-demand deployment costs too.
 	Cold bool
@@ -254,6 +249,7 @@ var sweepColumns = []column[VariantResult]{
 	{"variant", "", "%-24s", func(v VariantResult) any { return v.Variant.Label() }},
 	{"requests", "requests", "%10d", func(v VariantResult) any { return v.Requests }},
 	{"errors", "errors", "%8d", func(v VariantResult) any { return v.Errors }},
+	{"", "unfinished", "", func(v VariantResult) any { return v.Unfinished }},
 	{"deploys", "deployments", "%8d", func(v VariantResult) any { return v.Deployments }},
 	{"median", "median_ms", "%10v", func(v VariantResult) any { return v.Median }},
 	{"p95", "p95_ms", "%10v", func(v VariantResult) any { return v.P95 }},

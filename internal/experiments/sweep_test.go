@@ -9,7 +9,7 @@ func paritySweepVariants() []SweepVariant {
 		{Name: "w1", Seed: 1, Requests: 400, Scheduler: "wait-nearest"},
 		{Name: "n1", Seed: 1, Requests: 400, Scheduler: "no-wait"},
 		{Name: "w2", Seed: 2, Requests: 400, Scheduler: "wait-nearest", Clusters: 2},
-		{Name: "n2", Seed: 2, Requests: 400, Scheduler: "no-wait", Clusters: 2, LambdaScale: 2},
+		{Name: "n2", Seed: 2, Requests: 400, Scheduler: "no-wait", Clusters: 2},
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package faults is the deterministic fault-injection plan of the testbed:
-// a seed-driven description of which deployment operations fail, which
-// started instances crash before their port ever opens, when whole clusters
-// are unreachable, and how much loss/latency the network links add.
+// a seed-driven description of which deployment operations fail and which
+// started instances crash before their port ever opens.
 //
 // The plan is consulted by the cluster implementations (docker, kube,
-// serverless) at the entry of each fig. 4 phase and by simnet links, so any
+// serverless) at the entry of the pull and scale-up phases of fig. 4, so any
 // experiment can run under injected faults without changing its own code.
 // Two properties make the results bit-reproducible:
 //
@@ -20,7 +19,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"transparentedge/internal/obs"
 )
@@ -28,31 +26,18 @@ import (
 // Injected-fault sentinels; cluster errors wrap these so consumers can
 // errors.Is on the fault class.
 var (
-	ErrInjectedPull      = errors.New("faults: injected pull failure")
-	ErrInjectedCreate    = errors.New("faults: injected create failure")
-	ErrInjectedScaleUp   = errors.New("faults: injected scale-up failure")
-	ErrInjectedScaleDown = errors.New("faults: injected scale-down failure")
-	ErrOutage            = errors.New("faults: cluster outage")
+	ErrInjectedPull    = errors.New("faults: injected pull failure")
+	ErrInjectedScaleUp = errors.New("faults: injected scale-up failure")
 )
-
-// Window is a half-open interval [From, To) of simulated time, used for
-// cluster outages.
-type Window struct {
-	From, To time.Duration
-}
-
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t time.Duration) bool { return t >= w.From && t < w.To }
 
 // ClusterSpec describes the faults of one cluster. Probabilities are per
 // attempt in [0,1); the FailFirst/CrashFirst counters force the first N
 // attempts to fail deterministically (exact-count test plans), applied
 // before the probabilistic draw.
 type ClusterSpec struct {
-	// PullFailProb / CreateFailProb / ScaleUpFailProb fail the respective
-	// fig. 4 phase at entry (registry outage, API error, scheduler error).
+	// PullFailProb / ScaleUpFailProb fail the respective fig. 4 phase at
+	// entry (registry outage, scheduler error).
 	PullFailProb    float64
-	CreateFailProb  float64
 	ScaleUpFailProb float64
 	// CrashProb makes a successful scale-up return an instance whose port
 	// never opens: the process crashes right after start, before readiness.
@@ -60,19 +45,14 @@ type ClusterSpec struct {
 	// FailFirstPulls etc. deterministically fail the first N attempts of
 	// the operation (then the probabilistic model takes over).
 	FailFirstPulls    int
-	FailFirstCreates  int
 	FailFirstScaleUps int
 	CrashFirstStarts  int
-	// Outages are intervals of simulated time during which every operation
-	// on the cluster fails with ErrOutage.
-	Outages []Window
 }
 
 // Enabled reports whether the spec injects anything at all.
 func (s ClusterSpec) Enabled() bool {
-	return s.PullFailProb > 0 || s.CreateFailProb > 0 || s.ScaleUpFailProb > 0 ||
-		s.CrashProb > 0 || s.FailFirstPulls > 0 || s.FailFirstCreates > 0 ||
-		s.FailFirstScaleUps > 0 || s.CrashFirstStarts > 0 || len(s.Outages) > 0
+	return s.PullFailProb > 0 || s.ScaleUpFailProb > 0 || s.CrashProb > 0 ||
+		s.FailFirstPulls > 0 || s.FailFirstScaleUps > 0 || s.CrashFirstStarts > 0
 }
 
 // Spec is a whole-testbed fault plan.
@@ -84,15 +64,11 @@ type Spec struct {
 	Default ClusterSpec
 	// Clusters overrides Default per cluster name.
 	Clusters map[string]ClusterSpec
-	// LinkLoss adds packet-loss probability to every network link;
-	// LinkExtraLatency adds one-way propagation delay.
-	LinkLoss         float64
-	LinkExtraLatency time.Duration
 }
 
-// Enabled reports whether the plan injects any cluster or link fault.
+// Enabled reports whether the plan injects any fault.
 func (s Spec) Enabled() bool {
-	if s.Default.Enabled() || s.LinkLoss > 0 || s.LinkExtraLatency > 0 {
+	if s.Default.Enabled() {
 		return true
 	}
 	for _, cs := range s.Clusters {
@@ -171,27 +147,24 @@ type Injector struct {
 	clusterHash uint64
 	// per-operation attempt counters (inputs to the hash, so decision
 	// sequences are independent of interleaving with other clusters).
-	pulls, creates, scaleUps, starts uint64
+	pulls, scaleUps, starts uint64
 	// fired counts every injected fault (nil without Plan.SetObs).
 	fired *obs.Counter
 }
 
-// Operation codes mixed into the decision hash.
+// Operation codes mixed into the decision hash. Code 2 stays unused:
+// renumbering would move every recorded fault decision.
 const (
 	opPull uint64 = iota + 1
-	opCreate
+	_
 	opScaleUp
 	opCrash
 )
 
-// PullError decides whether the next Pull attempt fails. now is the current
-// simulated time (for outage windows).
-func (in *Injector) PullError(now time.Duration) error {
+// PullError decides whether the next Pull attempt fails.
+func (in *Injector) PullError() error {
 	if in == nil {
 		return nil
-	}
-	if err := in.outage(now); err != nil {
-		return err
 	}
 	n := in.pulls
 	in.pulls++
@@ -202,48 +175,16 @@ func (in *Injector) PullError(now time.Duration) error {
 	return nil
 }
 
-// CreateError decides whether the next Create attempt fails.
-func (in *Injector) CreateError(now time.Duration) error {
-	if in == nil {
-		return nil
-	}
-	if err := in.outage(now); err != nil {
-		return err
-	}
-	n := in.creates
-	in.creates++
-	if int64(n) < int64(in.spec.FailFirstCreates) || in.roll(opCreate, n) < in.spec.CreateFailProb {
-		in.fired.Inc()
-		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedCreate, in.cluster, n+1)
-	}
-	return nil
-}
-
 // ScaleUpError decides whether the next ScaleUp attempt fails outright.
-func (in *Injector) ScaleUpError(now time.Duration) error {
+func (in *Injector) ScaleUpError() error {
 	if in == nil {
 		return nil
-	}
-	if err := in.outage(now); err != nil {
-		return err
 	}
 	n := in.scaleUps
 	in.scaleUps++
 	if int64(n) < int64(in.spec.FailFirstScaleUps) || in.roll(opScaleUp, n) < in.spec.ScaleUpFailProb {
 		in.fired.Inc()
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedScaleUp, in.cluster, n+1)
-	}
-	return nil
-}
-
-// ScaleDownError decides whether the next ScaleDown attempt fails (only
-// outage windows apply: a partitioned cluster cannot scale down either).
-func (in *Injector) ScaleDownError(now time.Duration) error {
-	if in == nil {
-		return nil
-	}
-	if err := in.outage(now); err != nil {
-		return fmt.Errorf("%w: %w", ErrInjectedScaleDown, err)
 	}
 	return nil
 }
@@ -261,17 +202,6 @@ func (in *Injector) CrashAfterStart() bool {
 		return true
 	}
 	return false
-}
-
-// outage returns ErrOutage when now falls inside a configured window.
-func (in *Injector) outage(now time.Duration) error {
-	for _, w := range in.spec.Outages {
-		if w.Contains(now) {
-			in.fired.Inc()
-			return fmt.Errorf("%w (cluster %s at %v)", ErrOutage, in.cluster, now)
-		}
-	}
-	return nil
 }
 
 // roll maps (seed, cluster, op, attempt) to [0,1) with a splitmix64-style

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"transparentedge/internal/obs"
 )
@@ -19,17 +18,11 @@ func injected(p *Plan, cluster string) *obs.Counter {
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
-	if err := in.PullError(0); err != nil {
+	if err := in.PullError(); err != nil {
 		t.Fatalf("nil PullError = %v", err)
 	}
-	if err := in.CreateError(0); err != nil {
-		t.Fatalf("nil CreateError = %v", err)
-	}
-	if err := in.ScaleUpError(0); err != nil {
+	if err := in.ScaleUpError(); err != nil {
 		t.Fatalf("nil ScaleUpError = %v", err)
-	}
-	if err := in.ScaleDownError(0); err != nil {
-		t.Fatalf("nil ScaleDownError = %v", err)
 	}
 	if in.CrashAfterStart() {
 		t.Fatal("nil CrashAfterStart = true")
@@ -60,10 +53,7 @@ func TestSpecEnabled(t *testing.T) {
 	cases := []Spec{
 		{Default: ClusterSpec{PullFailProb: 0.1}},
 		{Default: ClusterSpec{CrashFirstStarts: 1}},
-		{Default: ClusterSpec{Outages: []Window{{0, time.Second}}}},
-		{Clusters: map[string]ClusterSpec{"x": {CreateFailProb: 0.5}}},
-		{LinkLoss: 0.01},
-		{LinkExtraLatency: time.Millisecond},
+		{Clusters: map[string]ClusterSpec{"x": {ScaleUpFailProb: 0.5}}},
 	}
 	for i, s := range cases {
 		if !s.Enabled() {
@@ -75,32 +65,23 @@ func TestSpecEnabled(t *testing.T) {
 func TestFailFirstCountsAreExact(t *testing.T) {
 	p := NewPlan(Spec{Seed: 1, Default: ClusterSpec{
 		FailFirstPulls:    3,
-		FailFirstCreates:  2,
 		FailFirstScaleUps: 1,
 		CrashFirstStarts:  2,
 	}})
 	fired := injected(p, "c")
 	in := p.For("c")
 	for i := 0; i < 3; i++ {
-		if err := in.PullError(0); !errors.Is(err, ErrInjectedPull) {
+		if err := in.PullError(); !errors.Is(err, ErrInjectedPull) {
 			t.Fatalf("pull %d: %v, want ErrInjectedPull", i, err)
 		}
 	}
-	if err := in.PullError(0); err != nil {
+	if err := in.PullError(); err != nil {
 		t.Fatalf("pull 4: %v, want nil", err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := in.CreateError(0); !errors.Is(err, ErrInjectedCreate) {
-			t.Fatalf("create %d: %v", i, err)
-		}
-	}
-	if err := in.CreateError(0); err != nil {
-		t.Fatalf("create 3: %v, want nil", err)
-	}
-	if err := in.ScaleUpError(0); !errors.Is(err, ErrInjectedScaleUp) {
+	if err := in.ScaleUpError(); !errors.Is(err, ErrInjectedScaleUp) {
 		t.Fatalf("scale-up 1: %v", err)
 	}
-	if err := in.ScaleUpError(0); err != nil {
+	if err := in.ScaleUpError(); err != nil {
 		t.Fatalf("scale-up 2: %v, want nil", err)
 	}
 	if !in.CrashAfterStart() || !in.CrashAfterStart() {
@@ -109,37 +90,8 @@ func TestFailFirstCountsAreExact(t *testing.T) {
 	if in.CrashAfterStart() {
 		t.Fatal("third start crashed (CrashFirstStarts = 2)")
 	}
-	if got := fired.Value(); got != 3+2+1+2 {
-		t.Fatalf("faults_injected_total = %d, want 8", got)
-	}
-}
-
-func TestOutageWindows(t *testing.T) {
-	p := NewPlan(Spec{Seed: 1, Default: ClusterSpec{
-		Outages: []Window{{From: time.Second, To: 2 * time.Second}},
-	}})
-	in := p.For("c")
-	fired := injected(p, "c")
-	if err := in.PullError(500 * time.Millisecond); err != nil {
-		t.Fatalf("before outage: %v", err)
-	}
-	if err := in.PullError(time.Second); !errors.Is(err, ErrOutage) {
-		t.Fatalf("at outage start: %v, want ErrOutage", err)
-	}
-	if err := in.ScaleUpError(1500 * time.Millisecond); !errors.Is(err, ErrOutage) {
-		t.Fatalf("mid outage: %v, want ErrOutage", err)
-	}
-	if err := in.ScaleDownError(1500 * time.Millisecond); !errors.Is(err, ErrOutage) {
-		t.Fatalf("scale-down mid outage: %v, want ErrOutage", err)
-	}
-	if !errors.Is(in.ScaleDownError(1500*time.Millisecond), ErrInjectedScaleDown) {
-		t.Fatal("scale-down outage must also wrap ErrInjectedScaleDown")
-	}
-	if err := in.PullError(2 * time.Second); err != nil {
-		t.Fatalf("at outage end (half-open): %v", err)
-	}
-	if got := fired.Value(); got != 4 {
-		t.Fatalf("faults_injected_total = %d, want 4 outages", got)
+	if got := fired.Value(); got != 3+1+2 {
+		t.Fatalf("faults_injected_total = %d, want 6", got)
 	}
 }
 
@@ -154,10 +106,10 @@ func TestDecisionsAreDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			if interleave {
 				// beta draws interleaved with alpha must not change alpha.
-				b.PullError(0)
+				b.PullError()
 				b.CrashAfterStart()
 			}
-			pulls = append(pulls, a.PullError(0) != nil)
+			pulls = append(pulls, a.PullError() != nil)
 			crashes = append(crashes, a.CrashAfterStart())
 		}
 		return pulls, crashes
@@ -181,7 +133,7 @@ func TestProbabilityRoughlyMatchesRate(t *testing.T) {
 		in := p.For("c")
 		fails := 0
 		for i := 0; i < n; i++ {
-			if in.PullError(0) != nil {
+			if in.PullError() != nil {
 				fails++
 			}
 		}
@@ -198,7 +150,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 		in := NewPlan(Spec{Seed: seed, Default: ClusterSpec{PullFailProb: 0.5}}).For("c")
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = in.PullError(0) != nil
+			out[i] = in.PullError() != nil
 		}
 		return out
 	}
@@ -225,7 +177,7 @@ func TestPerClusterOverride(t *testing.T) {
 	if in := p.For("clean"); in != nil {
 		t.Fatal("override to empty spec must yield nil injector")
 	}
-	if err := p.For("other").PullError(0); !errors.Is(err, ErrInjectedPull) {
+	if err := p.For("other").PullError(); !errors.Is(err, ErrInjectedPull) {
 		t.Fatalf("default cluster first pull: %v", err)
 	}
 }
@@ -233,10 +185,10 @@ func TestPerClusterOverride(t *testing.T) {
 // TestForIsMemoized: counters persist across For calls.
 func TestForIsMemoized(t *testing.T) {
 	p := NewPlan(Spec{Seed: 3, Default: ClusterSpec{FailFirstPulls: 1}})
-	if err := p.For("c").PullError(0); err == nil {
+	if err := p.For("c").PullError(); err == nil {
 		t.Fatal("first pull must fail")
 	}
-	if err := p.For("c").PullError(0); err != nil {
+	if err := p.For("c").PullError(); err != nil {
 		t.Fatalf("second pull through a fresh For: %v, want nil (memoized counter)", err)
 	}
 }

@@ -24,7 +24,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleUp.Inc()
-	if err := c.faults.ScaleUpError(p.Now()); err != nil {
+	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
 	d, err := c.api.Deployments.Get(p, name)

@@ -89,32 +89,3 @@ func TestFaultCrashedPodPortNeverOpens(t *testing.T) {
 	})
 	r.k.RunUntil(5 * time.Minute)
 }
-
-// TestFaultOutageMidDeploy: an outage window opening between Create and
-// ScaleUp fails the scale-up; after the window the deployment completes.
-func TestFaultOutageMidDeploy(t *testing.T) {
-	r := newRig(t, nil)
-	withFaults(r, faults.ClusterSpec{
-		Outages: []faults.Window{{From: 30 * time.Second, To: 60 * time.Second}},
-	})
-	a := annotated(t, "web.example.com")
-	r.k.Go("driver", func(p *sim.Proc) {
-		if err := r.kc.Pull(p, a); err != nil {
-			t.Fatalf("pull: %v", err)
-		}
-		if err := r.kc.Create(p, a); err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		p.Sleep(35*time.Second - p.Now()) // inside the outage
-		if _, err := r.kc.ScaleUp(p, a.UniqueName); !errors.Is(err, faults.ErrOutage) {
-			t.Fatalf("scale-up during outage: err = %v, want ErrOutage", err)
-		}
-		p.Sleep(65*time.Second - p.Now()) // outage over
-		inst, err := r.kc.ScaleUp(p, a.UniqueName)
-		if err != nil {
-			t.Fatalf("scale-up after outage: %v", err)
-		}
-		probeUntilOpen(p, r.client, inst, 50*time.Millisecond)
-	})
-	r.k.RunUntil(5 * time.Minute)
-}

@@ -60,8 +60,8 @@ type Cluster struct {
 	ops obs.ClusterOps
 }
 
-// SetFaults attaches a fault injector (nil disables injection). Each fig. 4
-// phase consults it at entry; CrashAfterStart crashes the scheduled pod's
+// SetFaults attaches a fault injector (nil disables injection). Pull and
+// ScaleUp consult it at entry; CrashAfterStart crashes the scheduled pod's
 // containers right after the kubelet starts them, so the pod looks Running
 // but its NodePort never opens.
 func (c *Cluster) SetFaults(in *faults.Injector) { c.faults = in }
@@ -167,7 +167,7 @@ func (c *Cluster) HasImages(a *spec.Annotated) bool {
 // concurrently, one process each; a node that has them all costs nothing.
 func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	c.ops.Pull.Inc()
-	if err := c.faults.PullError(p.Now()); err != nil {
+	if err := c.faults.PullError(); err != nil {
 		return err
 	}
 	k := c.api.k
@@ -211,9 +211,6 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
 	c.ops.Create.Inc()
-	if err := c.faults.CreateError(p.Now()); err != nil {
-		return err
-	}
 	labels := map[string]string{
 		"app":                 a.UniqueName,
 		spec.EdgeServiceLabel: a.UniqueName,
@@ -266,7 +263,7 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleUp.Inc()
-	if err := c.faults.ScaleUpError(p.Now()); err != nil {
+	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
 	d, err := c.api.Deployments.Get(p, name)
@@ -394,9 +391,6 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleDown.Inc()
-	if err := c.faults.ScaleDownError(p.Now()); err != nil {
-		return err
-	}
 	return c.SetReplicas(p, name, 0)
 }
 

@@ -23,14 +23,11 @@ type SLO struct {
 	Quantile float64
 	// Threshold is the maximum acceptable duration at that quantile.
 	Threshold time.Duration
-	// MinSamples is the warm-up: no verdict before this many samples of the
-	// root's duration exist (<= 0 selects DefaultSLOMinSamples). Without it
-	// the first slow request of a cold run would trip a p99 objective.
-	MinSamples int
 }
 
-// DefaultSLOMinSamples is the warm-up sample count for SLOs that leave
-// MinSamples unset.
+// DefaultSLOMinSamples is the warm-up: no SLO verdict before this many
+// samples of the root's duration exist. Without it the first slow request
+// of a cold run would trip a p99 objective.
 const DefaultSLOMinSamples = 100
 
 // String renders the SLO in ParseSLO's input syntax.
@@ -124,11 +121,7 @@ func (c *Collector) checkSLOs(root obs.Span) {
 			continue
 		}
 		h := c.roots[root.Name]
-		min := st.slo.MinSamples
-		if min <= 0 {
-			min = DefaultSLOMinSamples
-		}
-		if h.Len() < min {
+		if h.Len() < DefaultSLOMinSamples {
 			continue
 		}
 		got := h.Percentile(st.slo.Quantile)

@@ -55,12 +55,13 @@ func TestParseSLO(t *testing.T) {
 
 // TestSLOBreachFiresOnceWithFlightDump drives request roots under the
 // threshold through warm-up, then past it: the breach must fire exactly
-// once, after MinSamples, with the flight dump ending at the tipping tree.
+// once, after DefaultSLOMinSamples, with the flight dump ending at the
+// tipping tree.
 func TestSLOBreachFiresOnceWithFlightDump(t *testing.T) {
 	var fired []Breach
 	c := New(Options{
 		FlightTrees: 4,
-		SLOs:        []SLO{{Root: "request", Quantile: 99, Threshold: 2 * time.Millisecond, MinSamples: 10}},
+		SLOs:        []SLO{{Root: "request", Quantile: 99, Threshold: 2 * time.Millisecond}},
 		OnBreach:    func(b Breach) { fired = append(fired, b) },
 	})
 	emit := func(i int, d time.Duration) {
@@ -68,22 +69,24 @@ func TestSLOBreachFiresOnceWithFlightDump(t *testing.T) {
 		c.Observe(obs.Span{ID: id, Root: id, Name: "request",
 			Start: 0, End: d})
 	}
-	// 9 fast requests: under MinSamples, no verdict even though a p99 of
-	// 9 samples would not breach anyway.
-	for i := 0; i < 9; i++ {
+	// The first request is slow, so a p99 of the samples so far breaches,
+	// but the warm-up holds the verdict until DefaultSLOMinSamples; the
+	// fast requests that follow keep it under the threshold meanwhile.
+	emit(0, 50*time.Millisecond)
+	for i := 1; i < DefaultSLOMinSamples-1; i++ {
 		emit(i, time.Millisecond)
 	}
 	if len(fired) != 0 {
 		t.Fatalf("breach fired during warm-up")
 	}
-	// 10th request is slow: p99 of {1ms x9, 50ms} > 2ms -> breach.
-	emit(9, 50*time.Millisecond)
+	// The last warm-up request is slow: p99 of {1ms x98, 50ms x2} > 2ms.
+	emit(DefaultSLOMinSamples-1, 50*time.Millisecond)
 	if len(fired) != 1 {
 		t.Fatalf("breaches = %d, want 1", len(fired))
 	}
 	b := fired[0]
-	if b.Root != "request" || b.Samples != 10 || b.Observed <= 2*time.Millisecond {
-		t.Errorf("breach = %+v, want root=request samples=10 observed>2ms", b)
+	if b.Root != "request" || b.Samples != DefaultSLOMinSamples || b.Observed <= 2*time.Millisecond {
+		t.Errorf("breach = %+v, want root=request samples=%d observed>2ms", b, DefaultSLOMinSamples)
 	}
 	if len(b.Trees) != 4 {
 		t.Fatalf("flight dump = %d trees, want 4 (ring capacity)", len(b.Trees))
@@ -93,7 +96,7 @@ func TestSLOBreachFiresOnceWithFlightDump(t *testing.T) {
 		t.Errorf("newest dumped tree end = %v, want the 50ms tipping tree", last[0].End)
 	}
 	// Further slow requests must not re-fire.
-	for i := 10; i < 20; i++ {
+	for i := DefaultSLOMinSamples; i < DefaultSLOMinSamples+10; i++ {
 		emit(i, 50*time.Millisecond)
 	}
 	if len(fired) != 1 {
@@ -108,15 +111,17 @@ func TestSLOBreachFiresOnceWithFlightDump(t *testing.T) {
 // against every root name independently.
 func TestSLOEmptyRootMatchesPerRoot(t *testing.T) {
 	c := New(Options{
-		SLOs: []SLO{{Quantile: 50, Threshold: time.Millisecond, MinSamples: 1}},
+		SLOs: []SLO{{Quantile: 50, Threshold: time.Millisecond}},
 	})
 	id := uint64(0)
 	emit := func(name string, d time.Duration) {
 		id++
 		c.Observe(obs.Span{ID: id, Root: id, Name: name, Start: 0, End: d})
 	}
-	emit("request", 5*time.Millisecond)
-	emit("dispatch", 5*time.Millisecond)
+	for range DefaultSLOMinSamples {
+		emit("request", 5*time.Millisecond)
+		emit("dispatch", 5*time.Millisecond)
+	}
 	r := c.Report()
 	if len(r.Breaches) != 2 {
 		t.Fatalf("breaches = %d, want 2 (one per root name)", len(r.Breaches))

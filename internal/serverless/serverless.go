@@ -73,8 +73,8 @@ type Platform struct {
 	ops obs.ClusterOps
 }
 
-// SetFaults attaches a fault injector (nil disables injection). Each fig. 4
-// phase consults it at entry; CrashAfterStart models a module instance that
+// SetFaults attaches a fault injector (nil disables injection). Pull and
+// ScaleUp consult it at entry; CrashAfterStart models a module instance that
 // traps immediately after instantiation, so its endpoint never opens.
 func (pl *Platform) SetFaults(in *faults.Injector) { pl.faults = in }
 
@@ -126,7 +126,7 @@ func (pl *Platform) HasImages(a *spec.Annotated) bool {
 // Pull implements cluster.Cluster.
 func (pl *Platform) Pull(p *sim.Proc, a *spec.Annotated) error {
 	pl.ops.Pull.Inc()
-	if err := pl.faults.PullError(p.Now()); err != nil {
+	if err := pl.faults.PullError(); err != nil {
 		return err
 	}
 	for _, cs := range a.Containers {
@@ -161,9 +161,6 @@ func (pl *Platform) Create(p *sim.Proc, a *spec.Annotated) error {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
 	pl.ops.Create.Inc()
-	if err := pl.faults.CreateError(p.Now()); err != nil {
-		return err
-	}
 	if len(a.Containers) != 1 {
 		return fmt.Errorf("serverless: %s: %d containers; only single-function services are supported",
 			a.UniqueName, len(a.Containers))
@@ -188,7 +185,7 @@ func (pl *Platform) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) 
 		return pl.instance(name, f), nil
 	}
 	pl.ops.ScaleUp.Inc()
-	if err := pl.faults.ScaleUpError(p.Now()); err != nil {
+	if err := pl.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
 	p.Sleep(pl.cfg.APILatency + pl.cfg.InstantiateDelay)
@@ -224,9 +221,6 @@ func (pl *Platform) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	pl.ops.ScaleDown.Inc()
-	if err := pl.faults.ScaleDownError(p.Now()); err != nil {
-		return err
-	}
 	if !f.running {
 		return nil
 	}

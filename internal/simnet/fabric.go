@@ -8,8 +8,8 @@ import (
 
 // Fabric stitches the per-domain Networks of a sharded scenario together
 // with cross-shard links. Each cross-shard link is modelled as two half
-// links, one per network: the sending half performs loss, fair-share
-// serialization, and the propagation delay exactly like a local link, but
+// links, one per network: the sending half performs fair-share
+// serialization and the propagation delay exactly like a local link, but
 // the delivery lands on the peer network's node via a timestamped
 // inter-shard message (sim.ShardGroup.Send). Because every cross-shard
 // link's latency is at least the group's lookahead, a delivery time is
@@ -42,7 +42,7 @@ type remoteHalf struct {
 // Connect creates a cross-shard link between node a in domain da (network
 // na) and node b in domain db (network nb), returning a's port and b's
 // port. The link behaves like a local Connect link — same LinkConfig
-// semantics, same fair-share serialization, deterministic loss — except
+// semantics, same fair-share serialization — except
 // that each direction's propagation crosses the shard boundary. cfg.Latency
 // must be at least the shard group's lookahead; Connect panics otherwise,
 // because such a link would let one shard schedule inside another's current
@@ -58,18 +58,14 @@ func (f *Fabric) Connect(na *Network, a Node, da int, nb *Network, b Node, db in
 	la := &Link{net: na, cfg: cfg}
 	lb := &Link{net: nb, cfg: cfg}
 	// Each half owns only its transmit direction (and that direction's
-	// completion event, on its own kernel); seeds mirror Connect's so the
-	// drop pattern of a direction depends only on the link name and which
-	// end sends.
+	// completion event, on its own kernel).
 	pa, pb := &la.a, &lb.a
 	*pa = Port{node: a, link: la, dir: &la.ab, peer: pb}
 	*pb = Port{node: b, link: lb, dir: &lb.ab, peer: pa}
-	la.ab.init(pa, 1)
-	lb.ab.init(pb, 2)
+	la.ab.init(pa)
+	lb.ab.init(pb)
 	la.remote = &remoteHalf{group: f.group, srcDomain: da, dstDomain: db, dst: pb, dstNet: nb}
 	lb.remote = &remoteHalf{group: f.group, srcDomain: db, dstDomain: da, dst: pa, dstNet: na}
-	na.links = append(na.links, la)
-	nb.links = append(nb.links, lb)
 	return pa, pb
 }
 

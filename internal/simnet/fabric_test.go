@@ -73,33 +73,6 @@ func TestFabricBandwidthSerialization(t *testing.T) {
 	}
 }
 
-// Deterministic loss: the same link name produces the same drop pattern at
-// any shard count.
-func TestFabricLossParityAcrossShards(t *testing.T) {
-	run := func(shards int) (int, uint64) {
-		cfg := LinkConfig{Name: "lossy", Latency: time.Millisecond, Loss: 0.3}
-		g, a, b := crossShardPair(shards, cfg)
-		server := accept(b, 80)
-		g.Kernel(0).After(0, func() {
-			redial(a, b.IP(), 80, 50*time.Millisecond, 0, func(c *Conn) {
-				for i := 0; i < 200; i++ {
-					c.Send(KiB, i)
-				}
-			})
-		})
-		g.RunUntil(time.Minute)
-		return received(*server), a.uplink.link.Dropped
-	}
-	r1, d1 := run(1)
-	r2, d2 := run(2)
-	if r1 == 0 || r1 == 200 {
-		t.Fatalf("received = %d of 200 under 30%% loss, want some but not all", r1)
-	}
-	if r1 != r2 || d1 != d2 {
-		t.Fatalf("loss pattern diverged across shard counts: recv %d vs %d, dropped %d vs %d", r1, r2, d1, d2)
-	}
-}
-
 // A fabric link faster than the lookahead would let one shard schedule
 // into another's executing window; Connect must refuse it.
 func TestFabricSubLookaheadLatencyPanics(t *testing.T) {

@@ -493,25 +493,11 @@ type Router struct {
 	name     string
 	routes   map[Addr]*Port
 	fallback *Port
-	// FwdDelay is per-packet forwarding latency (switching fabric).
-	FwdDelay time.Duration
-	net      *Network
-	// FIFO of packets waiting out FwdDelay (constant delay + pooled events
-	// keep arrival order; the persistent drainFn avoids per-packet closures).
-	fwdq    []routerFwd
-	fwdHead int
-	drainFn func()
-}
-
-type routerFwd struct {
-	out *Port
-	pkt *Packet
 }
 
 // NewRouter creates a router node.
 func NewRouter(n *Network, name string) *Router {
-	r := &Router{name: name, routes: make(map[Addr]*Port), net: n}
-	r.drainFn = r.drainFwd
+	r := &Router{name: name, routes: make(map[Addr]*Port)}
 	n.Register(r)
 	return r
 }
@@ -539,21 +525,5 @@ func (r *Router) HandlePacket(in *Port, pkt *Packet) {
 	if out == nil || out == in {
 		return // drop: no route (left to GC, never recycled)
 	}
-	if r.FwdDelay > 0 {
-		r.fwdq = append(r.fwdq, routerFwd{out, pkt})
-		r.net.K.AfterFree(r.FwdDelay, r.drainFn)
-		return
-	}
 	out.Send(pkt)
-}
-
-func (r *Router) drainFwd() {
-	e := r.fwdq[r.fwdHead]
-	r.fwdq[r.fwdHead] = routerFwd{}
-	r.fwdHead++
-	if r.fwdHead == len(r.fwdq) {
-		r.fwdq = r.fwdq[:0]
-		r.fwdHead = 0
-	}
-	e.out.Send(e.pkt)
 }

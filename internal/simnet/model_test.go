@@ -30,7 +30,7 @@ type cohortTransfer struct {
 
 // cohortLink is what the two reference directions share: the link's state.
 type cohortLink struct {
-	latency time.Duration // configured + impairment; read when serialization ends
+	latency time.Duration
 	down    bool
 	severed bool
 	dropped uint64 // severed-link drops
@@ -135,8 +135,6 @@ type linkOp struct {
 	at     sim.Time
 	size   Bytes // send: bytes on the wire, transmitted by a, or by b if fromB
 	fromB  bool
-	impair bool // Impair(0, extra)
-	extra  time.Duration
 	detach bool
 	down   bool // SetDown(true)
 	up     bool // SetDown(false)
@@ -252,9 +250,6 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 		id, op := uint64(i+1), op
 		var do, refDo func()
 		switch {
-		case op.impair:
-			do = func() { link.Impair(0, op.extra) }
-			refDo = func() { rl.latency = sc.latency + op.extra }
 		case op.detach:
 			do = ue.Detach
 			refDo = func() { rl.severed = true }
@@ -331,8 +326,7 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 
 // genArrivals draws a schedule that keeps both directions contended: bursts
 // of up to 40 same-instant sends, gaps sized so the offered load hovers
-// around the link rate, sizes from control-segment to multi-MTU. Now and then
-// the link's extra latency changes, at an arrival instant or between two.
+// around the link rate, sizes from control-segment to multi-MTU.
 func genArrivals(rng *rand.Rand, n int, bw BitsPerSec) []linkOp {
 	out := make([]linkOp, 0, n)
 	var now sim.Time
@@ -356,10 +350,6 @@ func genArrivals(rng *rand.Rand, n int, bw BitsPerSec) []linkOp {
 		// Time the burst needs at line rate, scaled by 0.25..1.5.
 		need := time.Duration(float64(sent) * 8 / float64(bw) * float64(time.Second))
 		gap := time.Duration(float64(need) * (0.25 + 1.25*rng.Float64()))
-		if rng.Intn(40) == 0 {
-			extra := time.Duration(rng.Intn(3)) * time.Duration(rng.Intn(2000)) * time.Microsecond
-			out = append(out, linkOp{at: now + time.Duration(rng.Int63n(int64(gap)+1)), impair: true, extra: extra})
-		}
 		now += gap
 		if rng.Intn(50) == 0 {
 			now += time.Duration(rng.Intn(5000)) * time.Microsecond // let it drain
@@ -446,41 +436,6 @@ func TestSoloTieAtDue(t *testing.T) {
 		}
 		if at := out.at(t, 1); at != due+lat {
 			t.Errorf("arrival ordered after the solo's end: first packet delivered at %v, want %v", at, due+lat)
-		}
-	}
-}
-
-func TestSoloImpair(t *testing.T) {
-	const start = sim.Time(1000)
-	due := start + soloDue()
-	lat, extra := 300*time.Microsecond, 70*time.Microsecond
-	for _, tc := range []struct {
-		name         string
-		at, armAt    sim.Time
-		wantExtra    time.Duration
-		materialised uint64
-	}{
-		{"mid-serialization", start + soloDue()/2, 0, extra, 1},
-		{"at due, ordered before", due, 0, extra, 1},
-		{"at due, ordered after", due, start + 1, 0, 0},
-		{"mid-propagation", due + lat/2, 0, 0, 0},
-	} {
-		sc := linkScenario{bw: soloBW, latency: lat, ops: []linkOp{
-			{at: start, size: soloSize},
-			{at: start, size: soloSize, fromB: true},
-			{at: tc.at, armAt: tc.armAt, impair: true, extra: extra},
-			// Same extra latency again: nothing to materialise for.
-			{at: due + 2*lat, size: soloSize},
-			{at: due + 2*lat + 10, impair: true, extra: extra},
-		}}
-		out := runLinkScenario(t, 1, sc)
-		if out.materialised != 2*tc.materialised {
-			t.Errorf("%s: %d materialised, want %d", tc.name, out.materialised, 2*tc.materialised)
-		}
-		for id := uint64(1); id <= 2; id++ {
-			if at := out.at(t, id); at != due+lat+tc.wantExtra {
-				t.Errorf("%s: packet %d delivered at %v, want %v", tc.name, id, at, due+lat+tc.wantExtra)
-			}
 		}
 	}
 }

@@ -34,7 +34,7 @@
 //   - a node that holds a packet across events (the SDN controller holding
 //     a punted SYN while a deployment runs) owns it until it re-injects it
 //     (TableOut/PacketOut) or drops it;
-//   - dropped packets (link down, loss, no route) are left to the garbage
+//   - dropped packets (link down, no route) are left to the garbage
 //     collector: drops are off the hot path and never recycled, which keeps
 //     the rules simple and use-after-free impossible on error paths;
 //   - the one exception is a *severed* link (Host.Detach / Host.MoveTo): the
@@ -150,7 +150,6 @@ type Node interface {
 // Network owns the kernel, nodes, and links of one emulated topology.
 type Network struct {
 	K        *sim.Kernel
-	links    []*Link
 	nextPkt  uint64
 	nodes    []Node
 	PktTrace func(where string, pkt *Packet) // optional debug hook
@@ -161,7 +160,7 @@ type Network struct {
 	callPool []*httpCall // recycled HTTPGetAsync calls with their deadline events
 
 	// DetachDrops counts packets dropped because their link was severed by a
-	// host detach/handover (these drops free to the pool, unlike loss/down
+	// host detach/handover (these drops free to the pool, unlike down
 	// drops — see the package comment).
 	DetachDrops uint64
 
@@ -173,7 +172,7 @@ type Network struct {
 	cPoolGets, cPoolPuts, cDrops, cDetachDrops *obs.Counter
 	// How the link model's lone-transfer shortcut fared (see direction):
 	// transfers that crossed their link on one event, and solos a second
-	// arrival, an Impair or a Detach turned back into cohort members.
+	// arrival or a Detach turned back into cohort members.
 	cSoloDone, cSoloMaterialised *obs.Counter
 }
 
@@ -233,12 +232,6 @@ type LinkConfig struct {
 	Name      string
 	Latency   time.Duration // one-way propagation delay
 	Bandwidth BitsPerSec    // per-direction capacity; 0 = infinite
-	// Loss is the probability in [0,1) that a packet is dropped on this
-	// link. Draws come from a per-link-direction counter-keyed hash (not
-	// the kernel RNG), so a link's drop pattern depends only on its name
-	// and its own packet sequence — never on event interleaving elsewhere,
-	// which keeps sharded runs bit-identical to serial ones.
-	Loss float64
 }
 
 // Port is one end of a link, attached to a node.
@@ -274,37 +267,14 @@ type Link struct {
 	// stage (serialization, propagation) would have ended and returns it to
 	// the pool; nothing is ever delivered from either port again.
 	severed bool
-	// extraLoss / extraLatency are fault-injection impairments added on
-	// top of the configured loss and propagation delay (see Impair). Both
-	// zero by default, in which case the datapath behaves exactly as
-	// configured — no extra RNG draw, no added delay.
-	extraLoss    float64
-	extraLatency time.Duration
-	// Dropped counts packets lost to failures or configured loss.
+	// Dropped counts packets lost to a down or severed link.
 	Dropped uint64
 	// remote, when non-nil, marks this link as the local half of a
-	// cross-shard link (see Fabric): serialization and loss happen here,
+	// cross-shard link (see Fabric): serialization happens here,
 	// but instead of local delivery the packet ships to another domain's
 	// network as a timestamped inter-shard message.
 	remote *remoteHalf
 }
-
-// Impair adds loss probability and one-way latency to the link on top of
-// its configuration — the fault plan's degraded-backhaul knob. Impair(0, 0)
-// restores the configured behavior. A packet takes the latency in force when
-// its last byte leaves the wire, so a lone transfer still serializing — whose
-// delivery was scheduled with the old one — first goes back to being a cohort
-// member that reads it then.
-func (l *Link) Impair(loss float64, extraLatency time.Duration) {
-	if extraLatency != l.extraLatency {
-		l.unsolo()
-	}
-	l.extraLoss = loss
-	l.extraLatency = extraLatency
-}
-
-// latency returns the effective one-way propagation delay.
-func (l *Link) latency() time.Duration { return l.cfg.Latency + l.extraLatency }
 
 // SetDown takes the link down (packets are silently dropped) or brings it
 // back up — the simulation's cable pull for failure injection.
@@ -317,19 +287,9 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Port, *Port) {
 	pa, pb := &l.a, &l.b
 	*pa = Port{node: a, link: l, dir: &l.ab, peer: pb}
 	*pb = Port{node: b, link: l, dir: &l.ba, peer: pa}
-	l.ab.init(pa, 1)
-	l.ba.init(pb, 2)
-	n.links = append(n.links, l)
+	l.ab.init(pa)
+	l.ba.init(pb)
 	return pa, pb
-}
-
-// ImpairAll applies the same loss/latency impairment to every link of the
-// network (the fault plan's whole-backhaul degradation). Zero arguments
-// restore configured behavior everywhere.
-func (n *Network) ImpairAll(loss float64, extraLatency time.Duration) {
-	for _, l := range n.links {
-		l.Impair(loss, extraLatency)
-	}
 }
 
 // deliverToPeer ends a packet's trip out of port p: trace hook, then hand the
@@ -414,7 +374,7 @@ func (n *Network) putTransfer(t *transfer) {
 // A transfer that enters an empty direction of a local link is not put in
 // active: it is the direction's solo, with the full rate, and its one event is
 // its own delivery at due + latency. Whoever next needs the direction's state
-// (transmit, Link.Impair, Host.Detach, ActiveTransfers) first resolves the
+// (transmit, Host.Detach, ActiveTransfers) first resolves the
 // solo: past its due it has left the wire and is forgotten; before it, it is
 // materialised — delivery cancelled, appended to active — and from there on
 // it is an ordinary member (DESIGN.md §20).
@@ -431,51 +391,13 @@ type direction struct {
 	active []*transfer
 	head   *transfer  // least (due, arrival order) of active; nil when empty
 	done   *sim.Event // persistent; armed at head.due (allocated at Connect)
-	// lossSeed/lossN drive the deterministic per-direction loss draws: the
-	// n-th packet entering this direction sees splitmix64(seed, n), which
-	// is independent of every other link and of event interleaving.
-	lossSeed uint64
-	lossN    uint64
 }
 
 // init binds d to its transmitting port and allocates its completion event.
-// which is 1 for the a->b direction and 2 for b->a, so a direction's drop
-// pattern depends only on the link name and which end sends.
-func (d *direction) init(p *Port, which uint64) {
+func (d *direction) init(p *Port) {
 	d.link = p.link
 	d.port = p
-	d.lossSeed = splitmix64(fnv64(d.link.cfg.Name) ^ which)
 	d.done = d.link.net.K.NewEvent(d.completeHead)
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap
-// high-quality bijective mixer (same construction the fault plan uses for
-// interleaving-independent decisions).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// fnv64 hashes a string with FNV-1a (seed material for loss draws).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// lossDraw returns the next uniform [0,1) variate of this direction's
-// deterministic drop sequence.
-func (d *direction) lossDraw() float64 {
-	d.lossN++
-	return float64(splitmix64(d.lossSeed+d.lossN)>>11) / float64(1<<53)
 }
 
 func (d *direction) capacityBps() float64 {
@@ -491,13 +413,12 @@ func (d *direction) transmit(pkt *Packet) {
 		d.link.net.FreePacket(pkt)
 		return
 	}
-	loss := d.link.cfg.Loss + d.link.extraLoss
-	if d.link.down || (loss > 0 && d.lossDraw() < loss) {
+	if d.link.down {
 		d.link.Dropped++
 		d.link.net.cDrops.Inc()
 		return // dropped packets are not recycled (see package comment)
 	}
-	lat := d.link.latency()
+	lat := d.link.cfg.Latency
 	if d.link.cfg.Bandwidth <= 0 {
 		if d.link.remote != nil {
 			// Infinite bandwidth on a cross-shard link: ship immediately
@@ -570,8 +491,8 @@ func (d *direction) materialise() bool {
 }
 
 // unsolo materialises the solo of either direction and arms done for it, so
-// that what is about to change — the latency, the link being severed — meets
-// the transfer at the end of its serialization, as it meets a cohort's.
+// that a link being severed meets the transfer at the end of its
+// serialization, as it meets a cohort's.
 func (l *Link) unsolo() {
 	for _, d := range [...]*direction{&l.ab, &l.ba} {
 		if d.materialise() {
@@ -661,11 +582,11 @@ func (d *direction) completeHead() {
 		// (the sender may not schedule into the receiver's window).
 		pkt := t.pkt
 		d.link.net.putTransfer(t)
-		d.link.shipRemote(pkt, k.Now()+d.link.latency())
+		d.link.shipRemote(pkt, k.Now()+d.link.cfg.Latency)
 		return
 	}
 	// Enter the latency stage on the transfer's own event.
-	k.Schedule(t.finish, k.Now()+d.link.latency())
+	k.Schedule(t.finish, k.Now()+d.link.cfg.Latency)
 }
 
 // countSevered accounts one severed-link drop (per-link and network-wide).

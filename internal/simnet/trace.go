@@ -23,13 +23,10 @@ func (e TraceEntry) String() string {
 }
 
 // Tracer records packet deliveries across the network — the simulation's
-// tcpdump. Install with Attach; optionally filter to specific addresses.
+// tcpdump. NewTracer installs it on the network's packet hook.
 type Tracer struct {
 	net     *Network
 	entries []TraceEntry
-	// Filter, when non-nil, keeps only packets whose src or dst address
-	// it accepts.
-	Filter func(src, dst Addr) bool
 	// Limit caps the number of stored entries (0 = unlimited).
 	Limit int
 }
@@ -42,9 +39,6 @@ func NewTracer(n *Network) *Tracer {
 }
 
 func (t *Tracer) record(where string, pkt *Packet) {
-	if t.Filter != nil && !t.Filter(pkt.SrcIP, pkt.DstIP) {
-		return
-	}
 	if t.Limit > 0 && len(t.entries) >= t.Limit {
 		return
 	}

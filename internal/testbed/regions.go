@@ -39,8 +39,7 @@ type RegionOptions struct {
 	Counted bool
 	// Faults, when non-nil and enabled, builds one deterministic fault
 	// plan per region (injector decisions key on the per-region cluster
-	// names, so sites fail independently but reproducibly) and impairs
-	// every network when link faults are configured.
+	// names, so sites fail independently but reproducibly).
 	Faults *faults.Spec
 	// SteerBackend selects each region's steering backend by name (see
 	// NewSteering); every region gets its own fresh backend instance.
@@ -133,9 +132,6 @@ func NewRegions(opts RegionOptions) *Regions {
 			rs.Router.AddRoute(cli.IP(), rtPort)
 		}
 		rs.Sites = append(rs.Sites, site)
-	}
-	if opts.Faults != nil && opts.Faults.Enabled() {
-		impair(rs.CloudNet, opts.Faults)
 	}
 	return rs
 }

@@ -150,7 +150,7 @@ func newSite(c siteConfig) *Site {
 		s.attachClient()
 	}
 
-	// Fault plan: attached last so every cluster and link exists. For a nil
+	// Fault plan: attached last so every cluster exists. For a nil
 	// or disabled spec this leaves every injector nil (the zero-cost path).
 	// Injector decisions key on the cluster names, so sites fail
 	// independently but reproducibly.
@@ -162,16 +162,8 @@ func newSite(c siteConfig) *Site {
 				f.SetFaults(s.FaultPlan.For(cl.Name()))
 			}
 		}
-		impair(s.Net, c.faults)
 	}
 	return s
-}
-
-// impair applies a fault spec's link faults to every link of a network.
-func impair(n *simnet.Network, f *faults.Spec) {
-	if f.LinkLoss > 0 || f.LinkExtraLatency > 0 {
-		n.ImpairAll(f.LinkLoss, f.LinkExtraLatency)
-	}
 }
 
 // label is the site's name followed by sep, or nothing at the single site:

@@ -88,16 +88,13 @@ type Options struct {
 	// non-zero.
 	DeployRetries int
 	// Faults, when non-nil and enabled, injects deterministic failures into
-	// the clusters and (via LinkLoss/LinkExtraLatency) the network. A nil or
-	// all-zero spec leaves every fault hook nil — zero cost, bit-identical
-	// traces.
+	// the clusters. A nil or all-zero spec leaves every fault hook nil —
+	// zero cost, bit-identical traces.
 	Faults *faults.Spec
 	// Predictor, when set, enables proactive deployment: the controller
 	// pre-deploys services the predictor expects to be requested within
-	// PredictHorizon, checking every PredictInterval.
-	Predictor       core.Predictor
-	PredictInterval time.Duration
-	PredictHorizon  time.Duration
+	// predictHorizon, checking every predictInterval.
+	Predictor core.Predictor
 	// Events receives the controller's structured events.
 	Events func(obs.Event)
 	// Trace, when set, records per-request span trees across the whole
@@ -190,6 +187,11 @@ const (
 	gcrBlobLatency      = 100 * time.Millisecond
 	privManifestLatency = 8 * time.Millisecond
 	privBlobLatency     = 4 * time.Millisecond
+
+	// The proactive deployer looks predictHorizon ahead every
+	// predictInterval.
+	predictInterval = 5 * time.Second
+	predictHorizon  = 15 * time.Second
 )
 
 // DockerConfig returns the calibrated Docker engine configuration.
@@ -380,15 +382,7 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 	}
 
 	if opts.Predictor != nil {
-		interval := opts.PredictInterval
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		horizon := opts.PredictHorizon
-		if horizon <= 0 {
-			horizon = 15 * time.Second
-		}
-		s.Ctrl.StartProactive(opts.Predictor, interval, horizon)
+		s.Ctrl.StartProactive(opts.Predictor, predictInterval, predictHorizon)
 	}
 }
 

@@ -23,9 +23,8 @@ const DefaultExactSamples = 65536
 // ReplayResult aggregates one trace replay.
 type ReplayResult struct {
 	// Totals holds every request's client-measured total time (timecurl's
-	// time_total), stamped at the request's arrival time. Above the exact
-	// sample threshold it degrades to a log-bucketed histogram (see
-	// Options.ExactSamples).
+	// time_total), stamped at the request's arrival time. Above
+	// DefaultExactSamples it degrades to a log-bucketed histogram.
 	Totals *metrics.Series
 	// FirstRequests holds only each service's first request (the
 	// on-demand deployment requests of figs. 11/12).
@@ -33,7 +32,7 @@ type ReplayResult struct {
 	// Errors counts failed requests.
 	Errors int
 	// Unfinished counts requests that had not completed when the run bound
-	// was reached — in flight, queued behind MaxInFlight, or not yet arrived.
+	// was reached — in flight or not yet arrived.
 	// They are neither sampled nor counted in Errors.
 	Unfinished int
 	// Registrations are the per-service registrations used.
@@ -45,16 +44,6 @@ type Options struct {
 	// PrePull / PreCreate run the fig. 11 warm conditions before t=0.
 	PrePull   bool
 	PreCreate bool
-	// MaxInFlight bounds concurrently executing requests (0 = unlimited).
-	// Arrivals beyond the cap queue FIFO and start as running requests
-	// finish; their measured latency still spans arrival to completion, so
-	// queueing shows up in the totals. In a sharded replay the cap applies
-	// per site.
-	MaxInFlight int
-	// ExactSamples is the per-series sample threshold beyond which result
-	// series fold into fixed-memory histograms. 0 means
-	// DefaultExactSamples; negative means never fold (retain every sample).
-	ExactSamples int
 	// RequestTimeout bounds each request (0 = wait forever, the paper's
 	// on-demand-with-waiting behavior). Timed-out requests count as errors.
 	RequestTimeout time.Duration
@@ -223,10 +212,8 @@ type siteReplay struct {
 	obs     replayObs
 	res     *ReplayResult
 
-	inFlight int
-	queued   []int // arrival-order request indices waiting on MaxInFlight
-	done     int
-	free     []*flight // recycled in-flight records
+	done int
+	free []*flight // recycled in-flight records
 }
 
 // flight is one started request: the site's request index, its arrival, and
@@ -248,22 +235,12 @@ type flight struct {
 // have passed validate; nothing runs until the caller runs the site's kernel.
 func stage(site *testbed.Site, name, serviceKey string, trace *Trace, idx []int32, regions int, opts Options) (*siteReplay, error) {
 	services, handovers := trace.Config.Services, opts.Handovers
-	exact := opts.ExactSamples
-	if exact == 0 {
-		exact = DefaultExactSamples
-	}
-	newSeries := func(name string) *metrics.Series {
-		if exact < 0 {
-			return metrics.NewSeries(name)
-		}
-		return metrics.NewBoundedSeries(name, exact)
-	}
 	r := &siteReplay{
 		site: site, serviceKey: serviceKey, trace: trace, idx: idx, regions: regions, opts: opts,
 		obs: newReplayObs(opts.Trace, opts.Counters),
 		res: &ReplayResult{
-			Totals:        newSeries(name + "/totals"),
-			FirstRequests: newSeries(name + "/first"),
+			Totals:        metrics.NewBoundedSeries(name+"/totals", DefaultExactSamples),
+			FirstRequests: metrics.NewBoundedSeries(name+"/first", DefaultExactSamples),
 			Registrations: make([]spec.Registration, services),
 		},
 	}
@@ -319,7 +296,7 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, idx []int3
 		})
 	}
 	prepDone.OnDone(func(t0 sim.Time, _ error) {
-		k.AtBatch(r.requests(), func(i int) sim.Time { return t0 + r.req(i).At }, r.arrive)
+		k.AtBatch(r.requests(), func(i int) sim.Time { return t0 + r.req(i).At }, r.start)
 	})
 	return r, nil
 }
@@ -342,20 +319,9 @@ func (r *siteReplay) req(i int) Request {
 	return q
 }
 
-// arrive is the arrival lane's event: start request i now, or queue it
-// behind the in-flight cap.
-func (r *siteReplay) arrive(i int) {
-	if r.opts.MaxInFlight > 0 && r.inFlight >= r.opts.MaxInFlight {
-		r.queued = append(r.queued, i)
-		return
-	}
-	r.start(i, r.site.K.Now())
-}
-
-// start issues request i, measured from its arrival at, and accounts for it
-// when it completes.
-func (r *siteReplay) start(i int, at sim.Time) {
-	r.inFlight++
+// start is the arrival lane's event: it issues request i, measured from now,
+// and accounts for it when it completes.
+func (r *siteReplay) start(i int) {
 	r.obs.in.Add(1)
 	q := r.req(i)
 	var f *flight
@@ -367,19 +333,17 @@ func (r *siteReplay) start(i int, at sim.Time) {
 		f = &flight{r: r}
 		f.complete = f.finish
 	}
-	f.i, f.at, f.service = i, at, q.Service
+	f.i, f.at, f.service = i, r.site.K.Now(), q.Service
 	r.site.RequestAsync(q.Client%len(r.site.Clients), r.res.Registrations[q.Service], r.serviceKey, r.opts.RequestTimeout,
 		f.complete)
 }
 
 // finish accounts for the completed request (hr is borrowed, see
-// HTTPGetAsync). The record goes back to the free list before a queued
-// request starts, so that request may reuse it.
+// HTTPGetAsync) and returns the record to the free list.
 func (f *flight) finish(hr *simnet.HTTPResult, err error) {
 	r, i, at, service := f.r, f.i, f.at, f.service
 	r.free = append(r.free, f)
 	now := r.site.K.Now()
-	r.inFlight--
 	r.done++
 	r.obs.in.Add(-1)
 	r.obs.request(at, now, r.serviceKey, err)
@@ -390,11 +354,6 @@ func (f *flight) finish(hr *simnet.HTTPResult, err error) {
 		if r.first[service] == i {
 			r.res.FirstRequests.Add(at, hr.Total)
 		}
-	}
-	if len(r.queued) > 0 { // only under MaxInFlight, and a slot just freed
-		next := r.queued[0]
-		r.queued = r.queued[1:]
-		r.start(next, now)
 	}
 }
 

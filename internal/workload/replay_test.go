@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
@@ -413,79 +412,12 @@ func TestReplayUnfinished(t *testing.T) {
 	}
 }
 
-func TestReplayMaxInFlight(t *testing.T) {
-	cfg := Config{Seed: 2, Services: 3, TotalRequests: 30, MinPerService: 5,
-		Duration: 20 * time.Second, Clients: 5}
-	trace := Generate(cfg)
-	for _, rig := range replayRigs(2, 5, 0, nil) {
-		// Every site deploys each service its own clients ask for.
-		deployments := make(map[[2]int]bool)
-		for _, r := range trace.Requests {
-			deployments[[2]int{r.Client % len(rig.sites), r.Service}] = true
-		}
-		got, err := rig.replay(trace, Options{PrePull: true, PreCreate: true, MaxInFlight: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.errors != 0 || got.unfinished != 0 {
-			t.Errorf("%s: errors %d, unfinished %d", rig.name, got.errors, got.unfinished)
-		}
-		if got.completed != cfg.TotalRequests {
-			t.Errorf("%s: completed %d, want %d — queued arrivals lost?", rig.name, got.completed, cfg.TotalRequests)
-		}
-		if got.firsts != len(deployments) {
-			t.Errorf("%s: first requests %d, want %d", rig.name, got.firsts, len(deployments))
-		}
-		// With cap 1 a queued request's measured total includes its queueing
-		// delay, so no sample can undercut the uncontended fast path: every
-		// total must stay above the bare client->EGS round trip.
-		if got.min <= 0 {
-			t.Errorf("%s: Totals.Min = %v", rig.name, got.min)
-		}
-	}
-}
-
-// TestReplayMaxInFlightOutcomesPinned: under MaxInFlight a completion starts
-// the next queued request from inside the finished request's callback, on
-// free lists the finished request has just returned its record to (its HTTP
-// call and connection follow once the callback returns). Every (arrival,
-// total) sample and the error count are pinned to what the replay produced
-// before anything was recycled, with requests ending both on their response
-// and on their deadline (the cold first requests outlast 2 s).
-func TestReplayMaxInFlightOutcomesPinned(t *testing.T) {
-	trace := Generate(Config{Seed: 2, Services: 3, TotalRequests: 60, MinPerService: 5,
-		Duration: 20 * time.Second, Clients: 5})
-	for _, tc := range []struct {
-		opts   Options
-		errors int
-		digest uint64
-	}{
-		{Options{PrePull: true, PreCreate: true, MaxInFlight: 1}, 0, 0xcc8b150dd1e96739},
-		{Options{MaxInFlight: 2, RequestTimeout: 2 * time.Second}, 5, 0x55e5b4f92001d60b},
-	} {
-		res, err := ReplayWith(newReplayTestbed(2, 5), trace, catalog.Nginx, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		for _, s := range sortedSamples(res.Totals) {
-			fmt.Fprintf(h, "%d %d\n", s.At, s.Value)
-		}
-		if got := h.Sum64(); res.Errors != tc.errors || res.Unfinished != 0 || got != tc.digest {
-			t.Errorf("MaxInFlight %d, timeout %v: %d errors, %d unfinished, samples digest %#x; want %d, 0, %#x",
-				tc.opts.MaxInFlight, tc.opts.RequestTimeout, res.Errors, res.Unfinished, got, tc.errors, tc.digest)
-		}
-	}
-}
-
 func TestReplayHistogramModeAboveThreshold(t *testing.T) {
-	cfg := Config{Seed: 3, Services: 2, TotalRequests: 40, MinPerService: 5,
-		Duration: 20 * time.Second, Clients: 5}
+	cfg := Config{Seed: 3, Services: 2, TotalRequests: DefaultExactSamples + 1, MinPerService: 5,
+		Duration: time.Minute, Clients: 20}
 	trace := Generate(cfg)
-	tb := newReplayTestbed(3, 5)
-	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{
-		PrePull: true, PreCreate: true, ExactSamples: 10,
-	})
+	tb := newReplayTestbed(3, 20)
+	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
