@@ -41,10 +41,13 @@ import (
 // behind the Docker-first scheduler, images pre-pulled, four requests per
 // service, at 16 and 64 services, so its delta is what one more service's
 // registration, two deployments and four requests cost. Probe dials recycle
-// their connections and kube reads share the stored snapshots; what remains
-// is the spec parse, the API objects each deployment creates, the
-// deployment's processes and continuations, and the requests. It measures
-// 77.6; the bound leaves about 10 %.
+// their connections, kube reads share the stored snapshots and their label
+// maps and templates, watch deliveries recycle, and the controller parses a
+// definition once per YAML source and renders no documents; what remains is
+// the service's annotation (its container list), its cloud-origin host, the
+// API objects each deployment creates, the deployment's processes and
+// continuations, and the requests. It measures 41.6; the bound leaves about
+// 10 %.
 func TestReplayAllocsPerRequestRegression(t *testing.T) {
 	const seed = 42
 	for _, ep := range []struct {
@@ -77,7 +80,7 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 			}
 			return res.Errors, nil
 		}},
-		{"deployment-path", 4 * 16, 4 * 64, 85, func(n int) (int, error) {
+		{"deployment-path", 4 * 16, 4 * 64, 47, func(n int) (int, error) {
 			tb := testbed.New(testbed.Options{
 				Seed: seed, EnableDocker: true, EnableKube: true,
 				Scheduler: core.DockerFirstScheduler{},

@@ -196,6 +196,7 @@ type Controller struct {
 	services   map[addrPort]*spec.Annotated
 	byName     map[string]*spec.Annotated
 	regByName  map[string]spec.Registration
+	defs       map[string]*spec.Definition // by YAML source, parsed once, read-only
 	Memory     *FlowMemory
 	deploy     *deployer
 	records    []DeployRecord
@@ -258,6 +259,7 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		services:   make(map[addrPort]*spec.Annotated),
 		byName:     make(map[string]*spec.Annotated),
 		regByName:  make(map[string]spec.Registration),
+		defs:       make(map[string]*spec.Definition),
 		clientLoc:  make(map[simnet.Addr]ClientLocation),
 		pendingHO:  make(map[simnet.Addr]pendingHandover),
 		gaps:       metrics.NewHist("continuity_gap"),
@@ -343,12 +345,16 @@ func (c *Controller) Clusters() []cluster.Cluster {
 }
 
 // RegisterService registers an edge service: the YAML definition is parsed
-// and annotated (§V), and every switch gets a punt rule so requests to the
-// service address reach the controller.
+// (once per distinct source) and annotated (§V), and every switch gets a
+// punt rule so requests to the service address reach the controller.
 func (c *Controller) RegisterService(yamlSrc string, reg spec.Registration) (*spec.Annotated, error) {
-	def, err := spec.Parse(yamlSrc)
-	if err != nil {
-		return nil, err
+	def := c.defs[yamlSrc]
+	if def == nil {
+		var err error
+		if def, err = spec.Parse(yamlSrc); err != nil {
+			return nil, err
+		}
+		c.defs[yamlSrc] = def
 	}
 	a, err := spec.Annotate(def, reg, spec.Options{SchedulerName: c.cfg.LocalSchedulerName})
 	if err != nil {

@@ -55,6 +55,7 @@ type APIServer struct {
 	podsByLabel   index[labelPair, *Pod]
 	svcBySelector index[labelPair, *Service] // under selectorKey only
 	subs          map[Kind][]func(Event)     // watch subscribers, in subscription order
+	freeDelivery  []*delivery                // recycled watch deliveries
 	nextSuffix    int
 }
 
@@ -169,11 +170,39 @@ func drain(r *relay) sim.Step[relay] {
 	return nil
 }
 
+// delivery is one watch event on its way to one subscriber. fire is bound
+// once, when the record is first made, and the record is recycled through
+// APIServer.freeDelivery, so a publish allocates nothing once the free list
+// holds the most deliveries ever in flight.
+type delivery struct {
+	a    *APIServer
+	fn   func(Event)
+	ev   Event
+	fire func()
+}
+
 func (a *APIServer) publish(ev Event) {
 	for _, fn := range a.subs[ev.Kind] {
-		fn := fn
-		a.k.AfterFree(a.cfg.WatchLatency, func() { fn(ev) })
+		var d *delivery
+		if n := len(a.freeDelivery); n > 0 {
+			d = a.freeDelivery[n-1]
+			a.freeDelivery = a.freeDelivery[:n-1]
+		} else {
+			d = &delivery{a: a}
+			d.fire = d.deliver
+		}
+		d.fn, d.ev = fn, ev
+		a.k.AfterFree(a.cfg.WatchLatency, d.fire)
 	}
+}
+
+// deliver returns the record to the free list before it calls the
+// subscriber, which may publish (and so reuse the record) in turn.
+func (d *delivery) deliver() {
+	fn, ev := d.fn, d.ev
+	d.fn, d.ev = nil, Event{}
+	d.a.freeDelivery = append(d.a.freeDelivery, d)
+	fn(ev)
 }
 
 func (a *APIServer) bump() uint64 {

@@ -1,7 +1,6 @@
 package kube
 
 import (
-	"maps"
 	"sort"
 	"time"
 
@@ -165,9 +164,9 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 			w.api.ReplicaSets.Create(nil, &ReplicaSet{
 				Name:          rsName(d.Name),
 				Owner:         d.Name,
-				Labels:        maps.Clone(d.Labels),
+				Labels:        d.Labels,
 				Replicas:      d.Replicas,
-				Template:      copyTemplate(d.Template),
+				Template:      d.Template,
 				SchedulerName: d.SchedulerName,
 			})
 			return w.done()
@@ -222,8 +221,8 @@ func replicaSetCreatePod(w *worker) sim.Step[worker] {
 	rs := w.rs
 	w.api.CreatePod(nil, &Pod{
 		Owner:         rs.Name,
-		Labels:        maps.Clone(rs.Template.Labels),
-		Spec:          copyTemplate(rs.Template),
+		Labels:        rs.Template.Labels,
+		Spec:          rs.Template,
 		SchedulerName: rs.SchedulerName,
 		Phase:         PodPending,
 	})

@@ -2,7 +2,6 @@ package kube
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -111,9 +110,9 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 		api.ReplicaSets.Create(p, &ReplicaSet{
 			Name:          rsName(d.Name),
 			Owner:         d.Name,
-			Labels:        maps.Clone(d.Labels),
+			Labels:        d.Labels,
 			Replicas:      d.Replicas,
-			Template:      copyTemplate(d.Template),
+			Template:      d.Template,
 			SchedulerName: d.SchedulerName,
 		})
 		return
@@ -153,8 +152,8 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 		for i := len(pods); i < rs.Replicas; i++ {
 			api.CreatePod(p, &Pod{
 				Owner:         rs.Name,
-				Labels:        maps.Clone(rs.Template.Labels),
-				Spec:          copyTemplate(rs.Template),
+				Labels:        rs.Template.Labels,
+				Spec:          rs.Template,
 				SchedulerName: rs.SchedulerName,
 				Phase:         PodPending,
 			})

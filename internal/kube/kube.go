@@ -221,9 +221,9 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		Replicas: 0,
 		Template: PodTemplate{
 			Labels:     labels,
-			Containers: append([]spec.ContainerSpec(nil), a.Containers...),
+			Containers: a.Containers,
 		},
-		SchedulerName: schedulerNameOf(a),
+		SchedulerName: a.SchedulerName,
 	}
 	if err := c.api.Deployments.Create(p, d); err != nil {
 		return err
@@ -243,14 +243,6 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 	}
 	c.services[a.UniqueName] = a
 	return nil
-}
-
-func schedulerNameOf(a *spec.Annotated) string {
-	specMap, _ := a.Deployment["spec"].(map[string]any)
-	tmpl, _ := specMap["template"].(map[string]any)
-	podSpec, _ := tmpl["spec"].(map[string]any)
-	s, _ := podSpec["schedulerName"].(string)
-	return s
 }
 
 // ScaleUp implements cluster.Cluster: raise replicas to one and block until

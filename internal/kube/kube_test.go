@@ -363,14 +363,15 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 }
 
 // copyCase drives one kind through the store's snapshot contract: Create
-// copies the caller's object in; Get, List and watch events hand out the
+// copies the caller's struct in; Get, List and watch events hand out the
 // stored snapshot itself; Update stores the caller's private copy (a clone of
 // what it read) as the next snapshot; and no write changes a snapshot a
-// reader already holds.
+// reader already holds. Writers set fields and never write into a map or
+// slice, which snapshots and their clones share.
 type copyCase[T object[T]] struct {
 	kind   Kind
 	obj    T          // the object to create
-	mutate func(T)    // changes every reference-typed field in place
+	mutate func(T)    // sets every field, replacing maps and slices
 	create func(T)    // Create (or UpsertNode)
 	update func(T)    // Update, nil if the kind has none
 	get    func() T   // Get
@@ -443,18 +444,18 @@ func TestAPIServerCopySemantics(t *testing.T) {
 	k := sim.New(1)
 	api := NewAPIServer(k, APIConfig{})
 	labels := func() map[string]string { return map[string]string{"a": "1"} }
+	mutated := func() map[string]string { return map[string]string{"a": "mutated"} }
 	template := func() PodTemplate {
 		return PodTemplate{Labels: labels(), Containers: []spec.ContainerSpec{{Name: "c", Image: "img"}}}
 	}
 	mutateTemplate := func(pt *PodTemplate) {
-		pt.Labels["a"] = "mutated"
-		pt.Containers[0].Image = "mutated"
+		*pt = PodTemplate{Labels: mutated(), Containers: []spec.ContainerSpec{{Name: "c", Image: "mutated"}}}
 	}
 	copyCase[*Deployment]{
 		kind: KindDeployment,
 		obj:  &Deployment{Name: "d1", Labels: labels(), Template: template()},
 		mutate: func(d *Deployment) {
-			d.Labels["a"] = "mutated"
+			d.Labels = mutated()
 			mutateTemplate(&d.Template)
 		},
 		create: func(d *Deployment) { api.Deployments.Create(nil, d) },
@@ -467,7 +468,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		kind: KindReplicaSet,
 		obj:  &ReplicaSet{Name: "rs1", Owner: "d1", Labels: labels(), Template: template()},
 		mutate: func(rs *ReplicaSet) {
-			rs.Labels["a"] = "mutated"
+			rs.Labels = mutated()
 			mutateTemplate(&rs.Template)
 		},
 		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(nil, rs) },
@@ -480,7 +481,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		kind: KindPod,
 		obj:  &Pod{Name: "p1", Owner: "rs1", Labels: labels(), Spec: template()},
 		mutate: func(pod *Pod) {
-			pod.Labels["a"] = "mutated"
+			pod.Labels = mutated()
 			mutateTemplate(&pod.Spec)
 		},
 		create: func(pod *Pod) {
@@ -497,8 +498,8 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		kind: KindService,
 		obj:  &Service{Name: "s1", Labels: labels(), Selector: labels()},
 		mutate: func(s *Service) {
-			s.Labels["a"] = "mutated"
-			s.Selector["a"] = "mutated"
+			s.Labels = mutated()
+			s.Selector = mutated()
 		},
 		create: func(s *Service) { api.Services.Create(nil, s) },
 		get:    func() *Service { s, _ := api.Services.Get(nil, "s1"); return s },

@@ -1,7 +1,6 @@
 package kube
 
 import (
-	"maps"
 	"sort"
 	"time"
 
@@ -169,7 +168,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 			Image:     cs.Image,
 			AppPort:   cs.ContainerPort,
 			InitDelay: b.InitDelay,
-			Labels:    maps.Clone(pod.Labels),
+			Labels:    pod.Labels,
 			Env:       cs.Env,
 		}
 		if cs.ContainerPort > 0 {

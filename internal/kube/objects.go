@@ -13,14 +13,17 @@
 // The API server stores objects as immutable snapshots: a write replaces the
 // stored pointer and never changes a snapshot. Get, List* results and watch
 // Event.Object are those shared snapshots (lists name-ordered, served from
-// maintained indexes) without copying — treat them as read-only. A writer
-// clones what it read, changes the clone and passes it to Update, which keeps
-// it; Create copies the caller's object in.
+// maintained indexes) without copying — treat them as read-only. The maps and
+// slices of an object (labels, selectors, pod templates) are never written
+// once the object exists, so snapshots, their clones and the objects built
+// from them share them. A writer clones what it read (a copy of the struct),
+// sets fields of the clone and passes it to Update, which keeps it; Create
+// copies the caller's struct in, and the caller's maps and slices become the
+// store's.
 package kube
 
 import (
 	"fmt"
-	"maps"
 
 	"transparentedge/internal/spec"
 )
@@ -45,7 +48,8 @@ const (
 	PodRunning PodPhase = "Running"
 )
 
-// PodTemplate describes the pods a workload creates.
+// PodTemplate describes the pods a workload creates. Its label map and
+// container list are shared by every object built from it, read-only.
 type PodTemplate struct {
 	Labels     map[string]string
 	Containers []spec.ContainerSpec
@@ -148,19 +152,10 @@ func hasLabel(labels map[string]string, k, v string) bool {
 	return ok && got == v
 }
 
-func copyTemplate(t PodTemplate) PodTemplate {
-	return PodTemplate{
-		Labels:     maps.Clone(t.Labels),
-		Containers: append([]spec.ContainerSpec(nil), t.Containers...),
-	}
-}
-
 func (d *Deployment) meta() (string, *uint64) { return d.Name, &d.ResourceVersion }
 
 func (d *Deployment) clone() *Deployment {
 	cp := *d
-	cp.Labels = maps.Clone(d.Labels)
-	cp.Template = copyTemplate(d.Template)
 	return &cp
 }
 
@@ -168,8 +163,6 @@ func (rs *ReplicaSet) meta() (string, *uint64) { return rs.Name, &rs.ResourceVer
 
 func (rs *ReplicaSet) clone() *ReplicaSet {
 	cp := *rs
-	cp.Labels = maps.Clone(rs.Labels)
-	cp.Template = copyTemplate(rs.Template)
 	return &cp
 }
 
@@ -177,8 +170,6 @@ func (p *Pod) meta() (string, *uint64) { return p.Name, &p.ResourceVersion }
 
 func (p *Pod) clone() *Pod {
 	cp := *p
-	cp.Labels = maps.Clone(p.Labels)
-	cp.Spec = copyTemplate(p.Spec)
 	return &cp
 }
 
@@ -186,7 +177,5 @@ func (s *Service) meta() (string, *uint64) { return s.Name, &s.ResourceVersion }
 
 func (s *Service) clone() *Service {
 	cp := *s
-	cp.Labels = maps.Clone(s.Labels)
-	cp.Selector = maps.Clone(s.Selector)
 	return &cp
 }

@@ -14,7 +14,8 @@ type object[T any] interface {
 	comparable
 	// meta exposes the object's name and its ResourceVersion field.
 	meta() (name string, version *uint64)
-	// clone returns a deep copy.
+	// clone returns a copy of the struct; maps and slices stay shared, since
+	// no one writes them (see the package comment).
 	clone() T
 }
 
@@ -142,7 +143,8 @@ func (s *Store[T]) put(snap T, ev EventType) {
 	s.api.publish(Event{Type: ev, Kind: s.kind, Name: name, Object: snap})
 }
 
-// Create stores a copy of obj as a new object.
+// Create stores a copy of obj's struct as a new object; obj's maps and
+// slices become the store's, so the caller does not write them again.
 func (s *Store[T]) Create(p *sim.Proc, obj T) error {
 	_, err := s.insert(p, obj.clone())
 	return err

@@ -6,9 +6,10 @@
 // schedulerName for a configured Local Scheduler — and generates the
 // Kubernetes Service definition if the developer did not include one.
 //
-// The same (annotated) definition drives both cluster types: Kubernetes
-// consumes the full Deployment/Service documents, Docker parses the subset
-// it needs (containers, ports, env, volume mounts).
+// The same (annotated) definition drives every cluster type through the
+// subset they consume (containers, ports, env, volume mounts, the target
+// port and the scheduler name); the full annotated Deployment/Service
+// documents are rendered only for printing (Annotated.EncodeYAML).
 package spec
 
 import (
@@ -45,11 +46,14 @@ type Registration struct {
 func (r Registration) UniqueName() string {
 	d := strings.ToLower(r.Domain)
 	if d == "" {
-		d = strings.ReplaceAll(string(r.VIP), ".", "-")
+		d = string(r.VIP)
 	}
-	d = strings.NewReplacer(".", "-", "/", "-", ":", "-").Replace(d)
-	return fmt.Sprintf("edge-%s-%d", d, r.Port)
+	return "edge-" + nameReplacer.Replace(d) + "-" + strconv.Itoa(r.Port)
 }
+
+// nameReplacer maps the separators a domain or address may carry to the
+// hyphens a Kubernetes object name allows.
+var nameReplacer = strings.NewReplacer(".", "-", "/", "-", ":", "-")
 
 // ContainerSpec is the per-container subset both cluster types consume.
 type ContainerSpec struct {
@@ -72,7 +76,8 @@ type Mount struct {
 	HostPath      string
 }
 
-// Definition is a parsed service definition file.
+// Definition is a parsed service definition file. Annotate only reads it,
+// so one Definition may back any number of registrations.
 type Definition struct {
 	Deployment map[string]any
 	Service    map[string]any // nil unless the developer supplied one
@@ -112,13 +117,12 @@ func Parse(src string) (*Definition, error) {
 	return def, nil
 }
 
-// Annotated is the deployment-ready service: fully annotated documents and
-// the parsed container list.
+// Annotated is the deployment-ready service: what the clusters consume of
+// the annotated definition. The annotated documents themselves are rendered
+// only when printed (EncodeYAML).
 type Annotated struct {
 	Reg        Registration
 	UniqueName string
-	Deployment map[string]any
-	Service    map[string]any
 	Containers []ContainerSpec
 	// TargetPort is the container port the generated/declared Service
 	// forwards to (the port the controller probes for readiness).
@@ -128,6 +132,10 @@ type Annotated struct {
 	// placement signal for side-by-side container/serverless operation
 	// (paper §VIII).
 	RuntimeClass string
+	// SchedulerName is the pod template's schedulerName after annotation:
+	// the configured Local Scheduler, else the developer's own, else "".
+	SchedulerName string
+	def           *Definition // shared, read-only
 }
 
 // Options configures annotation.
@@ -138,10 +146,57 @@ type Options struct {
 }
 
 // Annotate applies the automatic annotations of §V to def for the given
-// registration and returns the deployment-ready service.
+// registration and returns the deployment-ready service. def is only read:
+// the result keeps a reference to it, and the same def may be annotated for
+// any number of registrations.
 func Annotate(def *Definition, reg Registration, opts Options) (*Annotated, error) {
-	name := reg.UniqueName()
-	dep := deepCopy(def.Deployment).(map[string]any)
+	specMap, _ := def.Deployment["spec"].(map[string]any)
+	tmpl, _ := specMap["template"].(map[string]any)
+	podSpec, _ := tmpl["spec"].(map[string]any)
+
+	containers, err := parseContainers(podSpec)
+	if err != nil {
+		return nil, err
+	}
+	runtimeClass, _ := podSpec["runtimeClassName"].(string)
+	schedulerName := opts.SchedulerName
+	if schedulerName == "" {
+		schedulerName, _ = podSpec["schedulerName"].(string)
+	}
+
+	targetPort := 0
+	for _, c := range containers {
+		if c.ContainerPort > 0 {
+			targetPort = c.ContainerPort
+			break
+		}
+	}
+	if targetPort == 0 {
+		targetPort = reg.Port
+	}
+	if def.Service != nil {
+		if tp := declaredTargetPort(def.Service); tp > 0 {
+			targetPort = tp
+		}
+	}
+
+	return &Annotated{
+		Reg:           reg,
+		UniqueName:    reg.UniqueName(),
+		Containers:    containers,
+		TargetPort:    targetPort,
+		RuntimeClass:  runtimeClass,
+		SchedulerName: schedulerName,
+		def:           def,
+	}, nil
+}
+
+// documents renders the annotated Deployment and Service: copies of the
+// definition's documents carrying the unique name, the labels, replicas=0
+// and the scheduler, and a generated Service if the developer supplied none.
+func (a *Annotated) documents() (dep, svc map[string]any) {
+	name := a.UniqueName
+	dep = deepCopy(a.def.Deployment).(map[string]any)
 
 	ensureMap(dep, "metadata")["name"] = name
 	labels := ensureMap(ensureMap(dep, "metadata"), "labels")
@@ -161,29 +216,11 @@ func Annotate(def *Definition, reg Registration, opts Options) (*Annotated, erro
 	tmplLabels["app"] = name
 	tmplLabels[EdgeServiceLabel] = name
 	podSpec := ensureMap(tmpl, "spec")
-	if opts.SchedulerName != "" {
-		podSpec["schedulerName"] = opts.SchedulerName
+	if a.SchedulerName != "" {
+		podSpec["schedulerName"] = a.SchedulerName
 	}
 
-	containers, err := parseContainers(podSpec)
-	if err != nil {
-		return nil, err
-	}
-	runtimeClass, _ := podSpec["runtimeClassName"].(string)
-
-	targetPort := 0
-	for _, c := range containers {
-		if c.ContainerPort > 0 {
-			targetPort = c.ContainerPort
-			break
-		}
-	}
-	if targetPort == 0 {
-		targetPort = reg.Port
-	}
-
-	svc := def.Service
-	if svc == nil {
+	if a.def.Service == nil {
 		svc = map[string]any{
 			"apiVersion": "v1",
 			"kind":       "Service",
@@ -195,30 +232,18 @@ func Annotate(def *Definition, reg Registration, opts Options) (*Annotated, erro
 				"selector": map[string]any{"app": name},
 				"ports": []any{map[string]any{
 					"protocol":   "TCP",
-					"port":       int64(reg.Port),
-					"targetPort": int64(targetPort),
+					"port":       int64(a.Reg.Port),
+					"targetPort": int64(a.TargetPort),
 				}},
 			},
 		}
 	} else {
-		svc = deepCopy(svc).(map[string]any)
+		svc = deepCopy(a.def.Service).(map[string]any)
 		ensureMap(svc, "metadata")["name"] = name
 		ensureMap(ensureMap(svc, "metadata"), "labels")[EdgeServiceLabel] = name
 		ensureMap(ensureMap(svc, "spec"), "selector")["app"] = name
-		if tp := declaredTargetPort(svc); tp > 0 {
-			targetPort = tp
-		}
 	}
-
-	return &Annotated{
-		Reg:          reg,
-		UniqueName:   name,
-		Deployment:   dep,
-		Service:      svc,
-		Containers:   containers,
-		TargetPort:   targetPort,
-		RuntimeClass: runtimeClass,
-	}, nil
+	return dep, svc
 }
 
 func declaredTargetPort(svc map[string]any) int {
@@ -292,10 +317,14 @@ func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {
 					continue
 				}
 				name, _ := em["name"].(string)
-				val := fmt.Sprint(em["value"])
-				if name != "" {
-					cs.Env[name] = val
+				if name == "" {
+					continue
 				}
+				val := "" // an absent or null value is empty, as in Kubernetes
+				if v := em["value"]; v != nil {
+					val = fmt.Sprint(v)
+				}
+				cs.Env[name] = val
 			}
 		}
 		if res, ok := cm["resources"].(map[string]any); ok {
@@ -333,19 +362,20 @@ func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {
 // EncodeYAML renders the annotated deployment and service as a two-document
 // YAML stream (what would be applied to a real cluster).
 func (a *Annotated) EncodeYAML() string {
-	return yaml.EncodeAll([]any{a.Deployment, a.Service})
+	dep, svc := a.documents()
+	return yaml.EncodeAll([]any{dep, svc})
 }
 
 // ParseCPU parses a Kubernetes CPU quantity ("500m", "2", 0.5) into
-// millicores. nil yields 0.
+// millicores. nil yields 0; a negative quantity is an error.
 func ParseCPU(v any) (int64, error) {
 	switch t := v.(type) {
 	case nil:
 		return 0, nil
 	case int64:
-		return t * 1000, nil
+		return nonNegative("cpu", v, t*1000)
 	case float64:
-		return int64(t * 1000), nil
+		return nonNegative("cpu", v, t*1000)
 	case string:
 		s := strings.TrimSpace(t)
 		if s == "" {
@@ -356,27 +386,27 @@ func ParseCPU(v any) (int64, error) {
 			if err != nil {
 				return 0, fmt.Errorf("invalid cpu quantity %q", t)
 			}
-			return n, nil
+			return nonNegative("cpu", v, n)
 		}
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid cpu quantity %q", t)
 		}
-		return int64(f * 1000), nil
+		return nonNegative("cpu", v, f*1000)
 	}
 	return 0, fmt.Errorf("invalid cpu quantity %v", v)
 }
 
 // ParseMemory parses a Kubernetes memory quantity ("128Mi", "1Gi", "64M",
-// plain bytes) into bytes. nil yields 0.
+// plain bytes) into bytes. nil yields 0; a negative quantity is an error.
 func ParseMemory(v any) (int64, error) {
 	switch t := v.(type) {
 	case nil:
 		return 0, nil
 	case int64:
-		return t, nil
+		return nonNegative("memory", v, t)
 	case float64:
-		return int64(t), nil
+		return nonNegative("memory", v, t)
 	case string:
 		s := strings.TrimSpace(t)
 		if s == "" {
@@ -395,16 +425,25 @@ func ParseMemory(v any) (int64, error) {
 				if err != nil {
 					return 0, fmt.Errorf("invalid memory quantity %q", t)
 				}
-				return n * u.mult, nil
+				return nonNegative("memory", v, n*u.mult)
 			}
 		}
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid memory quantity %q", t)
 		}
-		return n, nil
+		return nonNegative("memory", v, n)
 	}
 	return 0, fmt.Errorf("invalid memory quantity %v", v)
+}
+
+// nonNegative returns n as an integer quantity, or an error naming the
+// resource and the original value v if n is negative.
+func nonNegative[N int64 | float64](resource string, v any, n N) (int64, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("negative %s quantity %v", resource, v)
+	}
+	return int64(n), nil
 }
 
 func ensureMap(m map[string]any, key string) map[string]any {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,7 +96,8 @@ func TestAnnotateSetsNameLabelsReplicas(t *testing.T) {
 	if a.UniqueName != "edge-web-example-com-80" {
 		t.Errorf("UniqueName = %q", a.UniqueName)
 	}
-	meta := a.Deployment["metadata"].(map[string]any)
+	dep, _ := a.documents()
+	meta := dep["metadata"].(map[string]any)
 	if meta["name"] != a.UniqueName {
 		t.Errorf("metadata.name = %v", meta["name"])
 	}
@@ -103,7 +105,7 @@ func TestAnnotateSetsNameLabelsReplicas(t *testing.T) {
 	if labels[EdgeServiceLabel] != a.UniqueName || labels["app"] != a.UniqueName {
 		t.Errorf("labels = %#v", labels)
 	}
-	spec := a.Deployment["spec"].(map[string]any)
+	spec := dep["spec"].(map[string]any)
 	if spec["replicas"] != int64(0) {
 		t.Errorf("replicas = %v, want 0 (scale to zero)", spec["replicas"])
 	}
@@ -131,24 +133,88 @@ func TestAnnotateDoesNotMutateInput(t *testing.T) {
 func TestAnnotateSchedulerName(t *testing.T) {
 	def, _ := Parse(nginxYAML)
 	a, _ := Annotate(def, reg, Options{SchedulerName: "matching-sched"})
-	podSpec := a.Deployment["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)
+	if a.SchedulerName != "matching-sched" {
+		t.Fatalf("SchedulerName = %q", a.SchedulerName)
+	}
+	dep, _ := a.documents()
+	podSpec := dep["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)
 	if podSpec["schedulerName"] != "matching-sched" {
 		t.Fatalf("schedulerName = %v", podSpec["schedulerName"])
 	}
 	b, _ := Annotate(def, reg, Options{})
-	podSpecB := b.Deployment["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)
+	if b.SchedulerName != "" {
+		t.Fatalf("SchedulerName = %q without a configured Local Scheduler", b.SchedulerName)
+	}
+	depB, _ := b.documents()
+	podSpecB := depB["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)
 	if _, present := podSpecB["schedulerName"]; present {
 		t.Fatal("schedulerName set without a configured Local Scheduler")
+	}
+	// A developer's own schedulerName holds unless a Local Scheduler is
+	// configured.
+	own, _ := Parse(strings.Replace(nginxYAML, "      containers:", "      schedulerName: own-sched\n      containers:", 1))
+	if c, _ := Annotate(own, reg, Options{}); c.SchedulerName != "own-sched" {
+		t.Fatalf("SchedulerName = %q, want the developer's own-sched", c.SchedulerName)
+	}
+	if c, _ := Annotate(own, reg, Options{SchedulerName: "matching-sched"}); c.SchedulerName != "matching-sched" {
+		t.Fatalf("SchedulerName = %q, want the configured matching-sched", c.SchedulerName)
+	}
+}
+
+// TestAnnotateNeverWritesDefinition: a Definition is parsed once per YAML
+// source and shared by every registration made from it, so neither Annotate
+// nor rendering may write into it, and each rendering carries only its own
+// registration's name and scheduler.
+func TestAnnotateNeverWritesDefinition(t *testing.T) {
+	other := Registration{Domain: "other.example.com", VIP: "203.0.113.11", Port: 8080}
+	// nginxYAML gets a generated Service, multiYAML keeps the developer's.
+	for _, src := range []string{nginxYAML, multiYAML} {
+		def, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := func() string { return fmt.Sprintf("%#v", def) }
+		before := digest()
+		a, err := Annotate(def, reg, Options{SchedulerName: "matching-sched"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Annotate(def, other, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outA, outB := a.EncodeYAML(), b.EncodeYAML()
+		if digest() != before {
+			t.Fatalf("annotating and rendering changed the shared definition:\n%s\nwant\n%s", digest(), before)
+		}
+		for _, c := range []struct {
+			out, own, foreign string
+			sched             bool
+		}{
+			{outA, a.UniqueName, b.UniqueName, true},
+			{outB, b.UniqueName, a.UniqueName, false},
+		} {
+			if !strings.Contains(c.out, c.own) {
+				t.Errorf("rendering lacks its own name %s:\n%s", c.own, c.out)
+			}
+			if strings.Contains(c.out, c.foreign) {
+				t.Errorf("rendering carries the other registration's name %s:\n%s", c.foreign, c.out)
+			}
+			if got := strings.Contains(c.out, "matching-sched"); got != c.sched {
+				t.Errorf("rendering names the scheduler: %v, want %v:\n%s", got, c.sched, c.out)
+			}
+		}
 	}
 }
 
 func TestAnnotateGeneratesService(t *testing.T) {
 	def, _ := Parse(nginxYAML)
 	a, _ := Annotate(def, reg, Options{})
-	if a.Service == nil {
+	_, svc := a.documents()
+	if svc == nil {
 		t.Fatal("no Service generated")
 	}
-	sspec := a.Service["spec"].(map[string]any)
+	sspec := svc["spec"].(map[string]any)
 	ports := sspec["ports"].([]any)[0].(map[string]any)
 	if ports["protocol"] != "TCP" || ports["port"] != int64(80) || ports["targetPort"] != int64(80) {
 		t.Fatalf("ports = %#v", ports)
@@ -170,7 +236,8 @@ func TestAnnotateKeepsDeveloperService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sspec := a.Service["spec"].(map[string]any)
+	_, svc := a.documents()
+	sspec := svc["spec"].(map[string]any)
 	ports := sspec["ports"].([]any)[0].(map[string]any)
 	if ports["targetPort"] != int64(8080) {
 		t.Fatalf("developer targetPort overridden: %#v", ports)
@@ -202,6 +269,31 @@ func TestParseContainersMultiple(t *testing.T) {
 	if len(nginx.Mounts) != 1 || nginx.Mounts[0].HostPath != "/srv/shared" ||
 		nginx.Mounts[0].ContainerPath != "/usr/share/nginx/html" {
 		t.Errorf("mounts = %#v", nginx.Mounts)
+	}
+}
+
+func TestParseContainerEnv(t *testing.T) {
+	for _, c := range []struct {
+		name, entry string
+		want        string
+	}{
+		{"integer", "{name: A, value: 1}", "1"},
+		{"string", "{name: A, value: on}", "on"},
+		{"absent", "{name: A}", ""},
+		{"null", "{name: A, value: null}", ""},
+	} {
+		src := "spec:\n  template:\n    spec:\n      containers:\n      - image: x:1\n        env: [" + c.entry + "]\n"
+		def, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		a, err := Annotate(def, reg, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, ok := a.Containers[0].Env["A"]; !ok || got != c.want {
+			t.Errorf("%s: Env[A] = %q (present %v), want %q", c.name, got, ok, c.want)
+		}
 	}
 }
 
@@ -270,6 +362,10 @@ func TestParseCPU(t *testing.T) {
 		{"", 0, false},
 		{"abc", 0, true},
 		{[]any{}, 0, true},
+		{"-500m", 0, true},
+		{"-2", 0, true},
+		{-0.5, 0, true},
+		{int64(-1), 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseCPU(c.in)
@@ -296,6 +392,10 @@ func TestParseMemory(t *testing.T) {
 		{int64(77), 77, false},
 		{"xMi", 0, true},
 		{"many", 0, true},
+		{"-1Gi", 0, true},
+		{"-1024", 0, true},
+		{-1.0, 0, true},
+		{int64(-77), 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseMemory(c.in)
@@ -345,6 +445,27 @@ spec:
 	defBad, _ := Parse(bad)
 	if _, err := Annotate(defBad, reg, Options{}); err == nil {
 		t.Fatal("invalid cpu quantity accepted")
+	}
+	// So do negative ones, naming the container.
+	for _, req := range []string{"cpu: -500m", "memory: -1Gi"} {
+		neg := `
+spec:
+  template:
+    spec:
+      containers:
+      - image: ok:1
+      - image: x:1
+        resources:
+          requests:
+            ` + req + "\n"
+		defNeg, err := Parse(neg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Annotate(defNeg, reg, Options{})
+		if err == nil || !strings.Contains(err.Error(), "container 1") || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: err = %v, want a negative-quantity error for container 1", req, err)
+		}
 	}
 }
 

@@ -957,3 +957,32 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 		}
 	}
 }
+
+// BenchmarkRegisterCatalogService is the host cost of registering one more
+// catalog service on a built hybrid testbed: the annotation (the definition
+// is parsed once per testbed), the punt rules and the cloud-origin host. The
+// testbed is rebuilt off the clock every window registrations, so the
+// population stays bounded however large b.N grows.
+func BenchmarkRegisterCatalogService(b *testing.B) {
+	const window = 1000
+	b.ReportAllocs()
+	var tb *Testbed
+	for i := 0; i < b.N; i++ {
+		if i%window == 0 {
+			b.StopTimer()
+			if tb != nil {
+				tb.Close()
+			}
+			tb = New(Options{Seed: 1, EnableDocker: true, EnableKube: true})
+			if _, _, err := tb.RegisterCatalogService(catalog.Nginx); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, _, err := tb.RegisterCatalogService(catalog.Nginx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	tb.Close()
+}
