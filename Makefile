@@ -33,10 +33,12 @@ race:
 # (`make experiments`) and are pinned by `make golden`'s files.
 # `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost gates.
 # The root package's ratchets hold the surfaces, each number only going down:
-# TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts and
+# TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts,
 # TestExportsHaveProgramCallers (go/types: every export under internal/ has a
-# caller outside the tests, or an allowlisted reason). What each gate pins,
-# and its current numbers, is in .claude/skills/verify/SKILL.md.
+# caller outside the tests, or an allowlisted reason) and
+# TestSettingsHaveProgramWriters (every exported field under internal/ is
+# written by a program, a …Config field from outside its own package). What
+# each gate pins, and its current numbers, is in .claude/skills/verify/SKILL.md.
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

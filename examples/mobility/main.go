@@ -59,14 +59,14 @@ func main() {
 	resolver := registry.NewResolver()
 	resolver.AddPrefix("", hub.IP())
 
-	rt := container.NewRuntime(egs, registry.NewClient(egs, resolver, registry.DefaultClientConfig()),
+	rt := container.NewRuntime(egs, registry.NewClient(egs, resolver),
 		container.DefaultRuntimeConfig())
 	var behaviors cluster.BehaviorSource = catalog.Behaviors()
-	eng := docker.New("egs-docker", rt, behaviors, docker.DefaultConfig())
+	eng := docker.New("egs-docker", rt, behaviors)
 
-	cfg := core.DefaultConfig()
-	cfg.Events = func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) }
-	ctrl := core.New(k, egs, cfg)
+	ctrl := core.New(k, egs, core.Config{
+		Events: func(e edge.ObsEvent) { fmt.Printf("controller: %s\n", e) },
+	})
 	ctrl.AddSwitch(gnb1)
 	ctrl.AddSwitch(gnb2)
 	ctrl.AddCluster(eng, "docker")

@@ -43,7 +43,7 @@ func newRig(t *testing.T, rtCfg RuntimeConfig) *rig {
 	srv.Add(registry.Image{Ref: "web:1", Layers: []registry.Layer{{Digest: "web-0", Size: simnet.MiB}}})
 	res := registry.NewResolver()
 	res.AddPrefix("", reg.IP())
-	images := registry.NewClient(node, res, registry.DefaultClientConfig())
+	images := registry.NewClient(node, res)
 	return &rig{k: k, node: node, client: cli, rt: NewRuntime(node, images, rtCfg)}
 }
 

@@ -114,17 +114,6 @@ var runtimeClassKinds = map[string]map[string]bool{
 	"wasm": {"serverless": true},
 }
 
-// DefaultConfig returns the controller defaults used in the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		Scheduler:         ProximityScheduler{},
-		SwitchIdleTimeout: 10 * time.Second,
-		MemoryIdleTimeout: 2 * time.Minute,
-		ProbeInterval:     20 * time.Millisecond,
-		ProbeMaxWait:      DefaultProbeMaxWait,
-	}
-}
-
 type addrPort struct {
 	ip   simnet.Addr
 	port int

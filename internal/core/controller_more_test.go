@@ -88,7 +88,7 @@ func TestSchedulerWithNoClustersForwardsToCloud(t *testing.T) {
 	probe := simnet.NewHost(n, "probe", "10.0.0.9")
 	sw.AttachHost(probe, 4, simnet.LinkConfig{Latency: time.Millisecond})
 
-	ctrl := core.New(k, probe, core.DefaultConfig())
+	ctrl := core.New(k, probe, core.Config{})
 	ctrl.AddSwitch(sw)
 	if _, err := ctrl.RegisterService(nginxYAML, spec.Registration{Domain: "web.example.com", VIP: "203.0.113.10", Port: 80}); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestAutoScaleDownCancelledByFreshFlow(t *testing.T) {
 	// that arrives between expiry and the check must keep the service up.
 	rg := newMobilityRig(t)
 	// Rebuild controller with auto scale-down and tiny memory timeout.
-	cfg := core.DefaultConfig()
+	cfg := core.Config{}
 	cfg.AutoScaleDown = true
 	cfg.MemoryIdleTimeout = 2 * time.Second
 	cfg.SwitchIdleTimeout = time.Second

@@ -19,7 +19,7 @@ type churnRig struct {
 }
 
 func newChurnRig(t testing.TB, memoryIdle time.Duration) *churnRig {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.SwitchIdleTimeout = time.Second
 	cfg.MemoryIdleTimeout = memoryIdle
 	rg := newHotpathRig(t, 0, 1, cfg)

@@ -106,7 +106,7 @@ spec:
 
 func dispatchOrderRun(t *testing.T, b *strings.Builder, serial bool) {
 	tr := obs.NewTracer(0)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.SerialStateQueries = serial
 	cfg.Trace = tr
 	var events []string

@@ -14,7 +14,7 @@ import (
 // turn the (previously eternal) probe loop into a deployment error once
 // ProbeMaxWait elapses.
 func TestProbeMaxWaitConvertsToError(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ProbeMaxWait = 2 * time.Second
 	rg := newHotpathRig(t, 1, 0, cfg)
 	fc := rg.clusters[0]
@@ -50,7 +50,7 @@ func TestProbeMaxWaitConvertsToError(t *testing.T) {
 // (probe timeout) is retried under backoff and the deployment succeeds; the
 // record counts both attempts.
 func TestRetryRecoversCrashedStart(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ProbeMaxWait = time.Second
 	cfg.DeployRetries = 2
 	rg := newHotpathRig(t, 1, 0, cfg)
@@ -88,7 +88,7 @@ func TestRetryRecoversCrashedStart(t *testing.T) {
 // fails, the held first request must be served by the next-best cluster
 // instead of being dropped.
 func TestDispatchFallsBackToNextCluster(t *testing.T) {
-	rg := newHotpathRig(t, 2, 1, DefaultConfig())
+	rg := newHotpathRig(t, 2, 1, Config{})
 	rg.clusters[0].failScaleUps = 100 // fc0 (nearest) never comes up
 
 	served := false
@@ -120,7 +120,7 @@ func TestDispatchFallsBackToNextCluster(t *testing.T) {
 // the held first packet must be released toward the cloud origin (not
 // dropped), and the failure surfaced in the stats.
 func TestDispatchReleasesHeldPacketToCloud(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ProbeMaxWait = 2 * time.Second
 	rg := newHotpathRig(t, 1, 1, cfg)
 	rg.clusters[0].failScaleUps = 100
@@ -157,7 +157,7 @@ func TestDispatchReleasesHeldPacketToCloud(t *testing.T) {
 // logged instead of silently swallowed (the old `if err == nil` bug), and
 // must leave the instance running.
 func TestScaleDownFailureCounted(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.AutoScaleDown = true
 	cfg.SwitchIdleTimeout = time.Second
 	cfg.MemoryIdleTimeout = 2 * time.Second
@@ -209,7 +209,7 @@ func TestDrainInterruptionRedeploys(t *testing.T) {
 // TestRecordsIncludingFailed: RecordsFor keeps its historic
 // successful-only contract; RecordsIncluding exposes the failures.
 func TestRecordsIncludingFailed(t *testing.T) {
-	rg := newHotpathRig(t, 1, 0, DefaultConfig())
+	rg := newHotpathRig(t, 1, 0, Config{})
 	rg.ctrl.records = append(rg.ctrl.records, DeployRecord{Service: "ok", Cluster: "fc0", Attempts: 1})
 	rg.ctrl.records = append(rg.ctrl.records, DeployRecord{Service: "bad", Cluster: "fc0", Attempts: 3, Retries: 2, Err: errors.New("boom")})
 

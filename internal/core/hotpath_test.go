@@ -155,9 +155,6 @@ func newHotpathRig(t testing.TB, numClusters, numClients int, cfg Config) *hotpa
 		rg.clients = append(rg.clients, h)
 	}
 
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = WaitNearestScheduler{}
-	}
 	rg.ctrl = New(k, rg.egs, cfg)
 	rg.ctrl.AddSwitch(rg.sw)
 	for _, fc := range rg.clusters {
@@ -178,7 +175,7 @@ func newHotpathRig(t testing.TB, numClusters, numClients int, cfg Config) *hotpa
 // Deployments increment, one ScaleUp, and every client pointed at the
 // same instance.
 func TestConcurrentDispatchDedup(t *testing.T) {
-	rg := newHotpathRig(t, 1, 5, DefaultConfig())
+	rg := newHotpathRig(t, 1, 5, Config{})
 	rg.clusters[0].scaleDelay = 200 * time.Millisecond
 	okCount := 0
 	for _, cli := range rg.clients {
@@ -219,7 +216,7 @@ func TestConcurrentDispatchDedup(t *testing.T) {
 // deployer.pending clean (both for the initiator and for a concurrent
 // joiner) so a later retry succeeds.
 func TestFailedDeploymentAllowsRetry(t *testing.T) {
-	rg := newHotpathRig(t, 1, 0, DefaultConfig())
+	rg := newHotpathRig(t, 1, 0, Config{})
 	fc := rg.clusters[0]
 	fc.failScaleUps = 1
 
@@ -264,7 +261,7 @@ func TestFailedDeploymentAllowsRetry(t *testing.T) {
 // must drain back to zero once switch flows and memorized flows idle out
 // (the regression for the unbounded cookies/clientLoc maps).
 func TestControllerStateGC(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.SwitchIdleTimeout = time.Second
 	cfg.MemoryIdleTimeout = 3 * time.Second
 	rg := newHotpathRig(t, 1, 3, cfg)
@@ -299,7 +296,7 @@ func TestControllerStateGC(t *testing.T) {
 // cookie. The old pair's flow-removed arrives after the new pair is live; it
 // is stale and must not evict the client's location record or cookie.
 func TestStaleFlowRemovedKeepsClient(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.SwitchIdleTimeout = time.Second
 	rg := newHotpathRig(t, 0, 1, cfg) // no cluster: every dispatch forwards to the cloud
 	cli := rg.clients[0]
@@ -336,7 +333,7 @@ func TestStaleFlowRemovedKeepsClient(t *testing.T) {
 // SerialStateQueries charges four, so a request's total differs by three.
 func TestParallelStateQueriesLatency(t *testing.T) {
 	measure := func(serial bool) time.Duration {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.SerialStateQueries = serial
 		rg := newHotpathRig(t, 4, 1, cfg)
 		var total time.Duration

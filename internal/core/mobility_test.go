@@ -81,14 +81,14 @@ func newMobilityRigWith(t *testing.T, steering steer.Steering, opts ...func(*cor
 	srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: 10 * simnet.MiB}}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	images := registry.NewClient(rg.egs, res, registry.DefaultClientConfig())
+	images := registry.NewClient(rg.egs, res)
 	rt := container.NewRuntime(rg.egs, images, container.DefaultRuntimeConfig())
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 250 * time.Microsecond, RespSize: simnet.KiB},
 	}
-	rg.eng = docker.New("egs-docker", rt, behaviors, docker.DefaultConfig())
+	rg.eng = docker.New("egs-docker", rt, behaviors)
 
-	cfg := core.DefaultConfig()
+	cfg := core.Config{}
 	cfg.Scheduler = core.WaitNearestScheduler{}
 	cfg.SwitchIdleTimeout = 30 * time.Second
 	cfg.Steering = steering
@@ -226,11 +226,11 @@ func TestPerClientProximity(t *testing.T) {
 	rg.gnb1.SetRoute(edge2.IP(), 10)
 	res := registry.NewResolver()
 	res.AddPrefix("", "198.51.100.1") // the rig's hub
-	rt2 := container.NewRuntime(edge2, registry.NewClient(edge2, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+	rt2 := container.NewRuntime(edge2, registry.NewClient(edge2, res), container.DefaultRuntimeConfig())
 	beh := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 250 * time.Microsecond, RespSize: simnet.KiB},
 	}
-	eng2 := docker.New("edge2-docker", rt2, beh, docker.DefaultConfig())
+	eng2 := docker.New("edge2-docker", rt2, beh)
 
 	// Second client behind gnb2.
 	ue2 := simnet.NewHost(rg.n, "ue2", "10.0.1.2")
@@ -244,7 +244,7 @@ func TestPerClientProximity(t *testing.T) {
 		"egs-docker":   rg.gnb1,
 		"edge2-docker": rg.gnb2,
 	}
-	cfg := core.DefaultConfig()
+	cfg := core.Config{}
 	cfg.Scheduler = core.WaitNearestScheduler{}
 	var ctrl *core.Controller
 	cfg.Distance = func(client simnet.Addr, cl cluster.Cluster) int {

@@ -16,7 +16,7 @@ import (
 // fake cluster actually did (images pre-pulled, so create/scale_up/probe but
 // no pull).
 func TestDispatchSpanTreeCold(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	tr := obs.NewTracer(0)
 	reg := obs.NewRegistry()
 	cfg.Trace = tr
@@ -125,7 +125,7 @@ func TestDispatchSpanTreeCold(t *testing.T) {
 // packet produces a dispatch root with a single memory_hit child and no
 // scheduling or deploy spans.
 func TestMemoryHitSpan(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	tr := obs.NewTracer(0)
 	cfg.Trace = tr
 	rg := newHotpathRig(t, 1, 1, cfg)

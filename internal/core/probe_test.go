@@ -101,7 +101,7 @@ func randomProbeCase(rng *rand.Rand) probeCase {
 		rtt = probeDialTimeout - time.Duration(1+rng.Intn(20))*time.Millisecond
 	}
 	pc.latency = (rtt - 2*pc.procDelay) / 4
-	pc.cfg = DefaultConfig()
+	pc.cfg = Config{}
 	pc.cfg.ProbeInterval = time.Duration(1+rng.Intn(40)) * time.Millisecond
 	pc.cfg.ProbeMaxWait = time.Duration(400+rng.Intn(3600)) * time.Millisecond
 	switch rng.Intn(4) {
@@ -245,7 +245,7 @@ func firstDiff(got, want []string) string {
 // which is what a process-mode Dial costs.
 func TestAllocsProbeRound(t *testing.T) {
 	const latency = 50 * time.Microsecond
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ProbeMaxWait = -1 // the port never opens: probe until the test stops running the kernel
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -283,7 +283,7 @@ func TestAllocsProbeRound(t *testing.T) {
 // state, read through reflect.
 func TestProbeRecyclesConns(t *testing.T) {
 	const latency = 50 * time.Microsecond
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ProbeMaxWait = -1
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -363,17 +363,17 @@ func TestProbeRecyclesConns(t *testing.T) {
 	})
 	// The port is closed: each round is refused. Check mid-pause, with no
 	// dial in flight.
-	round := cfg.ProbeInterval + 2*latency
+	round := ctrl.cfg.ProbeInterval + 2*latency
 	for i := 1; i <= 3; i++ {
-		k.RunUntil(start + sim.Time(i)*round - cfg.ProbeInterval/2)
+		k.RunUntil(start + sim.Time(i)*round - ctrl.cfg.ProbeInterval/2)
 		accounted(fmt.Sprintf("after refused round %d", i))
 	}
 	// The port opens, but the answer leaves the target only after the dial
 	// timeout: the prober aborts, and the SYN-ACK finds no connection.
 	dialAt := start + 3*round
-	target.ProcDelay = probeDialTimeout + cfg.ProbeInterval/4
+	target.ProcDelay = probeDialTimeout + ctrl.cfg.ProbeInterval/4
 	target.ServeHTTPAsync(32000, respond)
-	k.RunUntil(dialAt + probeDialTimeout + cfg.ProbeInterval/2)
+	k.RunUntil(dialAt + probeDialTimeout + ctrl.cfg.ProbeInterval/2)
 	if !lateSYNACK {
 		t.Fatal("no SYN-ACK reached the prober after its Abort")
 	}
@@ -399,7 +399,7 @@ func TestStateQueryInstants(t *testing.T) {
 	const L = stateQueryLatency
 	for n := 2; n <= 4; n++ {
 		for _, serial := range []bool{false, true} {
-			cfg := DefaultConfig()
+			cfg := Config{}
 			cfg.SerialStateQueries = serial
 			tr := obs.NewTracer(0)
 			cfg.Trace = tr

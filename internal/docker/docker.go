@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-
 	"time"
 
 	"transparentedge/internal/cluster"
@@ -26,26 +25,20 @@ import (
 	"transparentedge/internal/spec"
 )
 
-// Config models engine-level behavior.
-type Config struct {
-	// APILatency is the per-engine-API-call overhead (HTTP API, dockerd
+// The engine's calibration: a local dockerd on the paper's EGS.
+const (
+	// apiLatency is the per-engine-API-call overhead (HTTP API, dockerd
 	// bookkeeping).
-	APILatency time.Duration
-	// PortRangeStart is the first host port used for published ports.
-	PortRangeStart int
-}
-
-// DefaultConfig mirrors a local dockerd.
-func DefaultConfig() Config {
-	return Config{APILatency: 25 * time.Millisecond, PortRangeStart: 32000}
-}
+	apiLatency = 25 * time.Millisecond
+	// portRangeStart is the first host port used for published ports.
+	portRangeStart = 32000
+)
 
 // Engine is a Docker-like engine managing one node's containers.
 type Engine struct {
 	name      string
 	rt        *container.Runtime
 	behaviors cluster.BehaviorSource
-	cfg       Config
 	services  map[string]*service
 	nextPort  int
 	// faults is the engine's fault injector; nil (the default) injects
@@ -71,17 +64,13 @@ type service struct {
 }
 
 // New creates an engine on top of a container runtime.
-func New(name string, rt *container.Runtime, behaviors cluster.BehaviorSource, cfg Config) *Engine {
-	if cfg.PortRangeStart <= 0 {
-		cfg.PortRangeStart = 32000
-	}
+func New(name string, rt *container.Runtime, behaviors cluster.BehaviorSource) *Engine {
 	return &Engine{
 		name:      name,
 		rt:        rt,
 		behaviors: behaviors,
-		cfg:       cfg,
 		services:  make(map[string]*service),
-		nextPort:  cfg.PortRangeStart,
+		nextPort:  portRangeStart,
 	}
 }
 
@@ -106,7 +95,7 @@ func (e *Engine) Pull(p *sim.Proc, a *spec.Annotated) error {
 		return err
 	}
 	for _, c := range a.Containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		if err := e.rt.PullImage(p, c.Image); err != nil {
 			return fmt.Errorf("docker: pull %s: %w", c.Image, err)
 		}
@@ -136,7 +125,7 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 	e.ops.Create.Inc()
 	s := &service{annotated: a}
 	for _, cs := range a.Containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		b := e.behaviors.Behavior(cs.Image)
 		cfg := container.Config{
 			Name:      a.UniqueName + "." + cs.Name,
@@ -184,7 +173,7 @@ func (e *Engine) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		return cluster.Instance{}, err
 	}
 	for _, ctr := range s.containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		hostPort := 0
 		if ctr.Config().AppPort > 0 {
 			if s.hostPort == 0 {
@@ -225,7 +214,7 @@ func (e *Engine) ScaleDown(p *sim.Proc, name string) error {
 	}
 	e.ops.ScaleDown.Inc()
 	for _, ctr := range s.containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		if ctr.State() == container.StateRunning {
 			if err := ctr.Stop(p); err != nil {
 				return fmt.Errorf("docker: stop %s: %w", ctr.Name(), err)
@@ -243,7 +232,7 @@ func (e *Engine) Remove(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrUnknownService, name)
 	}
 	for _, ctr := range s.containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		if err := ctr.Remove(p); err != nil {
 			return fmt.Errorf("docker: remove %s: %w", ctr.Name(), err)
 		}
@@ -279,7 +268,7 @@ func (e *Engine) instance(name string, s *service) cluster.Instance {
 // from the node's content store (shared layers survive while referenced).
 func (e *Engine) DeleteImages(p *sim.Proc, a *spec.Annotated) error {
 	for _, cs := range a.Containers {
-		p.Sleep(e.cfg.APILatency)
+		p.Sleep(apiLatency)
 		e.rt.Images().RemoveImage(cs.Image)
 	}
 	return nil

@@ -71,13 +71,13 @@ func newRig(t *testing.T) *rig {
 	}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	images := registry.NewClient(node, res, registry.DefaultClientConfig())
+	images := registry.NewClient(node, res)
 	rt := container.NewRuntime(node, images, container.DefaultRuntimeConfig())
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2":  {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 		"env-writer-py": {InitDelay: 300 * time.Millisecond},
 	}
-	return &rig{k: k, node: node, client: cli, rt: rt, eng: New("egs-docker", rt, behaviors, DefaultConfig())}
+	return &rig{k: k, node: node, client: cli, rt: rt, eng: New("egs-docker", rt, behaviors)}
 }
 
 func annotated(t *testing.T, src, domain string) *spec.Annotated {

@@ -122,10 +122,11 @@ func newScaleRig(seed int64, o runOpts, clusters int, tune func(*core.Config)) (
 	}
 	egs := r.attach("egs", "10.0.0.10", 1)
 
-	cfg := core.DefaultConfig()
-	cfg.Scheduler = core.WaitNearestScheduler{}
-	cfg.Trace = o.attribTracer()
-	cfg.Counters = o.counters
+	cfg := core.Config{
+		Scheduler: core.WaitNearestScheduler{},
+		Trace:     o.attribTracer(),
+		Counters:  o.counters,
+	}
 	tune(&cfg)
 	r.ctrl = core.New(k, egs, cfg)
 	r.ctrl.AddSwitch(r.sw)

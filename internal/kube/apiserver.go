@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"transparentedge/internal/sim"
 )
@@ -16,22 +15,6 @@ var (
 	ErrAlreadyExists = errors.New("kube: object already exists")
 )
 
-// APIConfig models API-server-side latencies.
-type APIConfig struct {
-	// RequestLatency is charged on every synchronous API operation.
-	RequestLatency time.Duration
-	// WatchLatency is the delay before a watch event reaches a watcher.
-	WatchLatency time.Duration
-}
-
-// DefaultAPIConfig reflects a lightly loaded single-node control plane.
-func DefaultAPIConfig() APIConfig {
-	return APIConfig{
-		RequestLatency: 15 * time.Millisecond,
-		WatchLatency:   30 * time.Millisecond,
-	}
-}
-
 // labelPair is one (label key, value) entry, the key of the label indexes.
 type labelPair struct{ key, value string }
 
@@ -40,7 +23,7 @@ type labelPair struct{ key, value string }
 // Get, lists and watch events hand out the shared snapshots read-only.
 type APIServer struct {
 	k           *sim.Kernel
-	cfg         APIConfig
+	t           timing // the control plane's, read by every component
 	version     uint64
 	Deployments *Store[*Deployment]
 	ReplicaSets *Store[*ReplicaSet]
@@ -60,10 +43,10 @@ type APIServer struct {
 }
 
 // NewAPIServer creates an empty API server on kernel k.
-func NewAPIServer(k *sim.Kernel, cfg APIConfig) *APIServer {
+func NewAPIServer(k *sim.Kernel) *APIServer {
 	a := &APIServer{
 		k:             k,
-		cfg:           cfg,
+		t:             calibrated,
 		podsByOwner:   make(index[string, *Pod]),
 		podsByNode:    make(index[string, *Pod]),
 		podsByLabel:   make(index[labelPair, *Pod]),
@@ -126,7 +109,7 @@ func selectorKey(selector map[string]string) labelPair {
 }
 
 // Subscribe registers fn for the events of kind. fn runs as a kernel event
-// WatchLatency after each write, in subscription order among the kind's
+// the watch latency after each write, in subscription order among the kind's
 // subscribers, and must not block. Event.Object is a shared read-only
 // snapshot.
 func (a *APIServer) Subscribe(kind Kind, fn func(Event)) {
@@ -192,7 +175,7 @@ func (a *APIServer) publish(ev Event) {
 			d.fire = d.deliver
 		}
 		d.fn, d.ev = fn, ev
-		a.k.AfterFree(a.cfg.WatchLatency, d.fire)
+		a.k.AfterFree(a.t.watch, d.fire)
 	}
 }
 
@@ -218,8 +201,8 @@ func (a *APIServer) nameSuffix() string {
 }
 
 func (a *APIServer) charge(p *sim.Proc) {
-	if p != nil && a.cfg.RequestLatency > 0 {
-		p.Sleep(a.cfg.RequestLatency)
+	if p != nil && a.t.request > 0 {
+		p.Sleep(a.t.request)
 	}
 }
 

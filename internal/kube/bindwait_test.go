@@ -16,7 +16,7 @@ import (
 
 // pollLoopScaleUp is ScaleUp as it ran before bindWait: after the same
 // deployment update it lists the service's pods from the calling process and
-// sleeps BindPollInterval between lists, without bound, and a crashing pod's
+// sleeps the bind poll interval between lists, without bound, and a crashing pod's
 // watcher is a process (crashPodLoop). Kept as the oracle
 // TestBindWaitMatchesPollLoop compares the passes against.
 func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, error) {
@@ -62,7 +62,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 				Port:    svc.NodePort,
 			}, nil
 		}
-		p.Sleep(c.cfg.BindPollInterval)
+		p.Sleep(c.api.t.bindPoll)
 	}
 }
 
@@ -101,7 +101,7 @@ type scaleUpResult struct {
 // fresh rig — half of the started pods crash — and reports each ScaleUp's
 // result, how many crashes the injector drew, and when each container of the
 // node became ready.
-func bindWaitWorld(t *testing.T, mutate func(*Config), scaleUp func(*Cluster, *sim.Proc, string) (cluster.Instance, error)) (results []scaleUpResult, crashes int, readyAt map[string]sim.Time) {
+func bindWaitWorld(t *testing.T, mutate func(*Cluster), scaleUp func(*Cluster, *sim.Proc, string) (cluster.Instance, error)) (results []scaleUpResult, crashes int, readyAt map[string]sim.Time) {
 	t.Helper()
 	r := newRig(t, mutate)
 	fired := withFaults(r, faults.ClusterSpec{CrashProb: 0.5}) // crashes are the only faults
@@ -144,17 +144,15 @@ func TestBindWaitMatchesPollLoop(t *testing.T) {
 	for _, tc := range []struct {
 		requestLatency, poll, binding time.Duration
 	}{
-		{15 * time.Millisecond, 50 * time.Millisecond, 350 * time.Millisecond}, // the defaults
+		{requestLatency, bindPollInterval, bindingDelay}, // the calibration
 		{0, 50 * time.Millisecond, 350 * time.Millisecond},
 		{0, time.Millisecond, 350 * time.Millisecond}, // every bind lands on a list
 		{4 * time.Millisecond, time.Millisecond, 63 * time.Millisecond},
 		{15 * time.Millisecond, 7 * time.Millisecond, 100 * time.Millisecond},
 		{3 * time.Millisecond, 0, 350 * time.Millisecond}, // back-to-back lists
 	} {
-		mutate := func(cfg *Config) {
-			cfg.API.RequestLatency = tc.requestLatency
-			cfg.BindPollInterval = tc.poll
-			cfg.Scheduler.BindingDelay = tc.binding
+		mutate := func(c *Cluster) {
+			c.api.t.request, c.api.t.bindPoll, c.api.t.binding = tc.requestLatency, tc.poll, tc.binding
 		}
 		want, wantCrashes, wantReady := bindWaitWorld(t, mutate, pollLoopScaleUp)
 		got, gotCrashes, gotReady := bindWaitWorld(t, mutate, (*Cluster).ScaleUp)
@@ -206,7 +204,7 @@ func TestScaleUpBindTimeout(t *testing.T) {
 	}
 	// Three API requests precede the wait; each list then costs one request
 	// latency and is followed by one poll interval.
-	lat, poll := r.kc.cfg.API.RequestLatency, r.kc.cfg.BindPollInterval
+	lat, poll := r.kc.api.t.request, r.kc.api.t.bindPoll
 	waitFrom := 3 * lat
 	at := waitFrom + lat
 	for at < waitFrom+bindMaxWait {

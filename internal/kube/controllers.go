@@ -7,23 +7,6 @@ import (
 	"transparentedge/internal/sim"
 )
 
-// ControllerConfig models reconcile characteristics of the controller
-// manager.
-type ControllerConfig struct {
-	// ReconcileDelay is charged per reconcile pass (informer cache reads,
-	// work item processing).
-	ReconcileDelay time.Duration
-	// Workers is the parallel worker count per controller (Kubernetes'
-	// default concurrent syncs is 5). Bursts of deployments are absorbed
-	// by parallel workers; a single deployment still pays the full chain.
-	Workers int
-}
-
-// DefaultControllerConfig mirrors a lightly loaded controller manager.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{ReconcileDelay: 60 * time.Millisecond, Workers: 5}
-}
-
 // workQueue is a keyed work queue with the kubernetes workqueue semantics:
 // a key is processed by at most one worker at a time, duplicate enqueues of
 // a pending key coalesce, and a key enqueued while active is re-processed
@@ -62,16 +45,16 @@ type worker struct {
 	n    int // pods still to create
 }
 
-// serve gives the queue cfg.Workers workers (at least one), whose passes pay
-// cfg.ReconcileDelay and then request reconcile, on api. They start parked on
-// the queue: as processes they parked one zero-delay event after their start,
-// and no key can be queued before then — Adds come from watch deliveries,
-// which the queue subscribed to after that event was scheduled.
-func (q *workQueue) serve(api *APIServer, cfg ControllerConfig, reconcile sim.Step[worker]) {
-	q.delay, q.reconcile = cfg.ReconcileDelay, reconcile
-	for i := 0; i < max(cfg.Workers, 1); i++ {
+// serve gives the queue api's workers, whose passes pay its reconcile delay
+// and then request reconcile. They start parked on the queue: as processes
+// they parked one zero-delay event after their start, and no key can be
+// queued before then — Adds come from watch deliveries, which the queue
+// subscribed to after that event was scheduled.
+func (q *workQueue) serve(api *APIServer, reconcile sim.Step[worker]) {
+	q.delay, q.reconcile = api.t.reconcile, reconcile
+	for i := 0; i < api.t.workers; i++ {
 		w := &worker{api: api, q: q}
-		w.Init(q.k, w, api.cfg.RequestLatency)
+		w.Init(q.k, w, api.t.request)
 		w.Park(q.keys, take)
 	}
 }
@@ -125,10 +108,10 @@ func (w *worker) done() sim.Step[worker] {
 // RunDeploymentController starts the Deployment controller: level-based
 // reconciliation ensuring each Deployment owns one ReplicaSet with matching
 // replica count.
-func RunDeploymentController(api *APIServer, cfg ControllerConfig) {
+func RunDeploymentController(api *APIServer) {
 	q := newWorkQueue(api.k)
 	api.relay(KindDeployment, func(ev Event) { q.Add(ev.Name) })
-	q.serve(api, cfg, reconcileDeployment)
+	q.serve(api, reconcileDeployment)
 }
 
 func rsName(deployment string) string { return deployment + "-rs" }
@@ -186,7 +169,7 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 // deletes pods to match each ReplicaSet's replica count. It watches pods as
 // well as ReplicaSets, so pods deleted out from under it (e.g. evicted from
 // a failed node) are replaced.
-func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
+func RunReplicaSetController(api *APIServer) {
 	q := newWorkQueue(api.k)
 	api.relay(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
 	api.relay(KindPod, func(ev Event) {
@@ -194,7 +177,7 @@ func RunReplicaSetController(api *APIServer, cfg ControllerConfig) {
 			q.Add(pod.Owner)
 		}
 	})
-	q.serve(api, cfg, reconcileReplicaSet)
+	q.serve(api, reconcileReplicaSet)
 }
 
 // reconcileReplicaSet is the ReplicaSet controller's pass over w.key, one API
@@ -289,14 +272,10 @@ func podRequests(t PodTemplate) (cpu, mem int64) {
 	return cpu, mem
 }
 
-// PickNodeFunc selects a node name for a pod (the Local Scheduler decision
-// point of §IV-B). Returning "" leaves the pod unscheduled. pod is the
-// store's shared snapshot: read-only.
-type PickNodeFunc func(pod *Pod, nodes []NodeStatus) string
-
-// LeastLoaded is the default node picker: fewest bound pods, ties broken by
-// name.
-func LeastLoaded(pod *Pod, nodes []NodeStatus) string {
+// leastLoaded is every scheduler's node pick, among the nodes with room for
+// pod: fewest bound pods, ties broken by name. pod is the store's shared
+// snapshot: read-only.
+func leastLoaded(pod *Pod, nodes []NodeStatus) string {
 	best := ""
 	bestPods := int(^uint(0) >> 1)
 	for _, n := range nodes {
@@ -313,39 +292,26 @@ type SchedulerConfig struct {
 	// scheduler uses "default-scheduler" and also adopts pods with an
 	// empty schedulerName.
 	Name string
-	// CycleDelay is the serial scheduling cycle (filter + score); the
-	// scheduler handles one cycle at a time, as kube-scheduler does.
-	CycleDelay time.Duration
 	// BindingDelay is the pod's total scheduling latency including the
 	// asynchronous bind; concurrent pods overlap in the bind phase.
 	BindingDelay time.Duration
-	// Pick selects the node; nil means LeastLoaded.
-	Pick PickNodeFunc
 }
 
 // DefaultSchedulerName is the name of the built-in scheduler.
 const DefaultSchedulerName = "default-scheduler"
 
-// RunScheduler starts a scheduler instance binding pending pods whose
+// runScheduler starts a scheduler instance binding pending pods whose
 // schedulerName matches cfg.Name. nodes lists the schedulable nodes with
 // their capacities; load and free resources are computed from current pod
 // bindings, and nodes without room for the pod's requests are filtered out
-// before the Pick function runs. Pods that fit nowhere stay Pending and are
-// retried whenever a pod is deleted (capacity may have freed up).
-func RunScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
-	if cfg.Pick == nil {
-		cfg.Pick = LeastLoaded
-	}
-	if cfg.Name == "" {
-		cfg.Name = DefaultSchedulerName
-	}
-	if cfg.CycleDelay <= 0 {
-		cfg.CycleDelay = 30 * time.Millisecond
-	}
-	s := &scheduler{api: api, cfg: cfg, nodes: nodes, inflight: map[string]bool{}, unschedulable: map[string]bool{},
-		events: api.Watch(KindPod)}
-	s.Init(api.k, s, api.cfg.RequestLatency)
+// before the pick. Pods that fit nowhere stay Pending and are retried
+// whenever a pod is deleted (capacity may have freed up).
+func runScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) *scheduler {
+	s := &scheduler{api: api, cfg: cfg, cycle: api.t.cycle, pick: leastLoaded, nodes: nodes,
+		inflight: map[string]bool{}, unschedulable: map[string]bool{}, events: api.Watch(KindPod)}
+	s.Init(api.k, s, api.t.request)
 	s.Park(s.events, schedule)
+	return s
 }
 
 // scheduler is one scheduler instance: a serial loop over its pod watch that
@@ -356,6 +322,8 @@ type scheduler struct {
 	sim.Cont[scheduler]
 	api           *APIServer
 	cfg           SchedulerConfig
+	cycle         time.Duration                             // the serial cycle, api's unless a test sets one
+	pick          func(pod *Pod, nodes []NodeStatus) string // leastLoaded unless a test sets one
 	nodes         []NodeRef
 	inflight      map[string]bool
 	unschedulable map[string]bool
@@ -395,9 +363,9 @@ func schedule(s *scheduler) sim.Step[scheduler] {
 		// starts one zero-delay event after it, where a bind process started.
 		s.inflight[name] = true
 		s.cycling = name
-		s.Sleep(s.cfg.CycleDelay, func(s *scheduler) sim.Step[scheduler] {
+		s.Sleep(s.cycle, func(s *scheduler) sim.Step[scheduler] {
 			b := &binding{s: s, name: s.cycling}
-			b.Init(s.api.k, b, s.api.cfg.RequestLatency)
+			b.Init(s.api.k, b, s.api.t.request)
 			b.Sleep(0, bind)
 			return schedule(s)
 		})
@@ -424,7 +392,7 @@ type binding struct {
 }
 
 func bind(b *binding) sim.Step[binding] {
-	if rest := b.s.cfg.BindingDelay - b.s.cfg.CycleDelay; rest > 0 {
+	if rest := b.s.cfg.BindingDelay - b.s.cycle; rest > 0 {
 		b.Sleep(rest, func(*binding) sim.Step[binding] { return bindRead })
 		return nil
 	}
@@ -461,7 +429,7 @@ func bindPick(b *binding) sim.Step[binding] {
 	}
 	node := ""
 	if len(status) > 0 {
-		node = s.cfg.Pick(b.pod, status)
+		node = s.pick(b.pod, status)
 	}
 	if node == "" {
 		// Nothing fits: keep Pending, retry on capacity changes.

@@ -88,11 +88,11 @@ func relayLoop(api *APIServer, kind Kind, fn func(Event)) {
 	})
 }
 
-func runDeploymentControllerLoop(api *APIServer, cfg ControllerConfig) {
+func runDeploymentControllerLoop(api *APIServer) {
 	q := newChanWorkQueue(api.k)
 	relayLoop(api, KindDeployment, func(ev Event) { q.Add(ev.Name) })
-	q.run("deployment-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
-		p.Sleep(cfg.ReconcileDelay)
+	q.run("deployment-controller:worker", api.t.workers, func(p *sim.Proc, name string) {
+		p.Sleep(api.t.reconcile)
 		reconcileDeploymentLoop(p, api, name)
 	})
 }
@@ -124,7 +124,7 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 	}
 }
 
-func runReplicaSetControllerLoop(api *APIServer, cfg ControllerConfig) {
+func runReplicaSetControllerLoop(api *APIServer) {
 	q := newChanWorkQueue(api.k)
 	relayLoop(api, KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
 	relayLoop(api, KindPod, func(ev Event) {
@@ -132,8 +132,8 @@ func runReplicaSetControllerLoop(api *APIServer, cfg ControllerConfig) {
 			q.Add(pod.Owner)
 		}
 	})
-	q.run("replicaset-controller:worker", cfg.Workers, func(p *sim.Proc, name string) {
-		p.Sleep(cfg.ReconcileDelay)
+	q.run("replicaset-controller:worker", api.t.workers, func(p *sim.Proc, name string) {
+		p.Sleep(api.t.reconcile)
 		reconcileReplicaSetLoop(p, api, name)
 	})
 }
@@ -165,16 +165,7 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 	}
 }
 
-func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
-	if cfg.Pick == nil {
-		cfg.Pick = LeastLoaded
-	}
-	if cfg.Name == "" {
-		cfg.Name = DefaultSchedulerName
-	}
-	if cfg.CycleDelay <= 0 {
-		cfg.CycleDelay = 30 * time.Millisecond
-	}
+func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, pick pickFunc, nodes []NodeRef) {
 	inflight := map[string]bool{}
 	unschedulable := map[string]bool{}
 	mine := func(pod *Pod) bool {
@@ -190,10 +181,10 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 			return
 		}
 		inflight[pod.Name] = true
-		p.Sleep(cfg.CycleDelay)
+		p.Sleep(cycle)
 		api.k.Go("scheduler:"+cfg.Name+":bind:"+name, func(bp *sim.Proc) {
 			defer delete(inflight, name)
-			if rest := cfg.BindingDelay - cfg.CycleDelay; rest > 0 {
+			if rest := cfg.BindingDelay - cycle; rest > 0 {
 				bp.Sleep(rest)
 			}
 			pod, err := api.Pods.Get(bp, name)
@@ -222,7 +213,7 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 				unschedulable[name] = true
 				return
 			}
-			node := cfg.Pick(pod, status)
+			node := pick(pod, status)
 			if node == "" {
 				unschedulable[name] = true
 				return
@@ -257,19 +248,13 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) {
 	})
 }
 
-func runNodeLifecycleLoop(api *APIServer, cfg NodeLifecycleConfig) {
-	if cfg.MonitorPeriod <= 0 {
-		cfg.MonitorPeriod = 5 * time.Second
-	}
-	if cfg.GracePeriod <= 0 {
-		cfg.GracePeriod = 40 * time.Second
-	}
+func runNodeLifecycleLoop(api *APIServer) {
 	api.k.Go("node-lifecycle-controller", func(p *sim.Proc) {
 		for {
-			p.Sleep(cfg.MonitorPeriod)
+			p.Sleep(api.t.monitor)
 			now := api.k.Now()
 			for _, n := range api.Nodes.List(p) {
-				if !n.Ready || now-n.LastHeartbeat <= cfg.GracePeriod {
+				if !n.Ready || now-n.LastHeartbeat <= api.t.grace {
 					continue
 				}
 				stale := api.nodes.byName[n.Name].clone()
@@ -283,35 +268,42 @@ func runNodeLifecycleLoop(api *APIServer, cfg NodeLifecycleConfig) {
 	})
 }
 
-func startHeartbeatLoop(kl *Kubelet, period time.Duration) {
-	if period <= 0 {
-		return
-	}
+func startHeartbeatLoop(kl *Kubelet) {
 	kl.api.k.Go("kubelet:"+kl.nodeName+":heartbeat", func(p *sim.Proc) {
 		for {
 			if !kl.failed {
 				kl.api.UpsertNode(p, kl.nodeName, true)
 			}
-			p.Sleep(period)
+			p.Sleep(kl.api.t.heartbeat)
 		}
 	})
+}
+
+// pickFunc is a scheduler's node pick; the scheduler test records each call
+// and gives its second scheduler a pick of its own.
+type pickFunc = func(pod *Pod, nodes []NodeStatus) string
+
+// runSchedulerWith is runScheduler with the cycle and pick the test chose.
+func runSchedulerWith(api *APIServer, cfg SchedulerConfig, cycle time.Duration, pick pickFunc, nodes []NodeRef) {
+	s := runScheduler(api, cfg, nodes)
+	s.cycle, s.pick = cycle, pick
 }
 
 // planes are the two control planes under comparison: the process oracle
 // first, the callbacks second.
 var planes = []struct {
-	deployments func(*APIServer, ControllerConfig)
-	replicaSets func(*APIServer, ControllerConfig)
-	scheduler   func(*APIServer, SchedulerConfig, []NodeRef)
-	lifecycle   func(*APIServer, NodeLifecycleConfig)
-	heartbeats  func(*Kubelet, time.Duration)
+	deployments func(*APIServer)
+	replicaSets func(*APIServer)
+	scheduler   func(*APIServer, SchedulerConfig, time.Duration, pickFunc, []NodeRef)
+	lifecycle   func(*APIServer)
+	heartbeats  func(*Kubelet)
 }{
 	{runDeploymentControllerLoop, runReplicaSetControllerLoop, runSchedulerLoop, runNodeLifecycleLoop, startHeartbeatLoop},
-	{RunDeploymentController, RunReplicaSetController, RunScheduler, RunNodeLifecycleController, (*Kubelet).startHeartbeats},
+	{RunDeploymentController, RunReplicaSetController, runSchedulerWith, RunNodeLifecycleController, (*Kubelet).startHeartbeats},
 }
 
 // apiWrite is one write to the API server, as a subscriber to every kind saw
-// it: each delivery comes WatchLatency after its write, in write order.
+// it: each delivery comes the watch latency after its write, in write order.
 type apiWrite struct {
 	At      sim.Time
 	Type    EventType
@@ -329,7 +321,7 @@ func recordWrites(api *APIServer) *[]apiWrite {
 	var log []apiWrite
 	for _, kind := range []Kind{KindDeployment, KindReplicaSet, KindPod, KindService, KindNode} {
 		api.Subscribe(kind, func(ev Event) {
-			w := apiWrite{At: api.k.Now() - api.cfg.WatchLatency, Type: ev.Type, Kind: ev.Kind, Name: ev.Name}
+			w := apiWrite{At: api.k.Now() - api.t.watch, Type: ev.Type, Kind: ev.Kind, Name: ev.Name}
 			switch o := ev.Object.(type) {
 			case *Deployment:
 				w.Version, w.What = o.ResourceVersion, fmt.Sprint("replicas=", o.Replicas)
@@ -411,10 +403,10 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 						what := fmt.Sprintf("seed %d workers %d latency %v reconcile %v watch %v", seed, workers, lat, delay, watch)
 						compareWorlds(t, what, func(plane int) ([]apiWrite, any) {
 							k := sim.New(1)
-							api := NewAPIServer(k, APIConfig{RequestLatency: lat, WatchLatency: watch})
-							cfg := ControllerConfig{ReconcileDelay: delay, Workers: workers}
-							planes[plane].deployments(api, cfg)
-							planes[plane].replicaSets(api, cfg)
+							api := NewAPIServer(k)
+							api.t.request, api.t.watch, api.t.reconcile, api.t.workers = lat, watch, delay, workers
+							planes[plane].deployments(api)
+							planes[plane].replicaSets(api)
 							log := recordWrites(api)
 							name := func(d int) string { return fmt.Sprintf("d%02d", d) }
 							for _, o := range ops {
@@ -458,12 +450,13 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 }
 
 // TestSchedulerMatchesProcLoop: the scheduler's loop and binds as callbacks
-// make every write, every Pick call and every binding of the process loop
-// with its bind processes, at the same nanosecond and in the same order. Two
+// make every write, every pick and every binding of the process loop with its
+// bind processes, at the same nanosecond and in the same order. Two
 // schedulers (the default one and a second, LocalSched-style, with its own
-// Pick) share three nodes, one of them NotReady; pods that fit nowhere park
-// and are retried after a delete; BindingDelay below, at and above
-// CycleDelay; request and watch latency 0 and > 0, on a millisecond grid.
+// cycle and pick) share three nodes, one of them NotReady; pods that fit
+// nowhere park and are retried after a delete; BindingDelay below, at and
+// above the cycle; request and watch latency 0 and > 0, on a millisecond
+// grid.
 func TestSchedulerMatchesProcLoop(t *testing.T) {
 	type op struct {
 		at   time.Duration
@@ -494,9 +487,10 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 						what := fmt.Sprintf("seed %d cycle %v binding %v latency %v watch %v", seed, cycle, binding, lat, watch)
 						compareWorlds(t, what, func(plane int) ([]apiWrite, any) {
 							k := sim.New(1)
-							api := NewAPIServer(k, APIConfig{RequestLatency: lat, WatchLatency: watch})
+							api := NewAPIServer(k)
+							api.t.request, api.t.watch = lat, watch
 							var picks []string
-							pick := func(who string, choose func([]NodeStatus) string) PickNodeFunc {
+							pick := func(who string, choose func([]NodeStatus) string) pickFunc {
 								return func(pod *Pod, st []NodeStatus) string {
 									node := choose(st)
 									picks = append(picks, fmt.Sprintf("%v %s %s %v -> %s", k.Now(), who, pod.Name, st, node))
@@ -504,10 +498,10 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 								}
 							}
 							api.UpsertNode(nil, "n3", false)
-							planes[plane].scheduler(api, SchedulerConfig{CycleDelay: cycle, BindingDelay: binding,
-								Pick: pick("default", func(st []NodeStatus) string { return LeastLoaded(nil, st) })}, nodes)
-							planes[plane].scheduler(api, SchedulerConfig{Name: "local", CycleDelay: cycle / 2, BindingDelay: binding,
-								Pick: pick("local", func(st []NodeStatus) string { return st[len(st)-1].Name })}, nodes)
+							planes[plane].scheduler(api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: binding}, cycle,
+								pick("default", func(st []NodeStatus) string { return leastLoaded(nil, st) }), nodes)
+							planes[plane].scheduler(api, SchedulerConfig{Name: "local", BindingDelay: binding}, cycle/2,
+								pick("local", func(st []NodeStatus) string { return st[len(st)-1].Name }), nodes)
 							log := recordWrites(api)
 							name := func(i int) string { return fmt.Sprintf("pod-%02d", i) }
 							for _, o := range ops {
@@ -545,18 +539,20 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 // instant ran first, which is the order of their start events; both start
 // orders run.
 func TestNodeLifecycleMatchesProcLoop(t *testing.T) {
-	for _, cfg := range []NodeLifecycleConfig{
-		{HeartbeatPeriod: time.Second, MonitorPeriod: time.Second, GracePeriod: 500 * time.Millisecond},
-		{HeartbeatPeriod: time.Second, MonitorPeriod: time.Second, GracePeriod: 2 * time.Second},
-		{HeartbeatPeriod: 2 * time.Second, MonitorPeriod: time.Second, GracePeriod: 3 * time.Second},
-		{HeartbeatPeriod: time.Second, MonitorPeriod: 2 * time.Second, GracePeriod: 2 * time.Second},
+	for _, cfg := range []struct{ heartbeat, monitor, grace time.Duration }{
+		{heartbeat: time.Second, monitor: time.Second, grace: 500 * time.Millisecond},
+		{heartbeat: time.Second, monitor: time.Second, grace: 2 * time.Second},
+		{heartbeat: 2 * time.Second, monitor: time.Second, grace: 3 * time.Second},
+		{heartbeat: time.Second, monitor: 2 * time.Second, grace: 2 * time.Second},
 	} {
 		for _, lat := range []time.Duration{0, 15 * time.Millisecond, time.Second} {
 			for _, monitorFirst := range []bool{false, true} {
 				what := fmt.Sprintf("%+v latency %v monitor started first %v", cfg, lat, monitorFirst)
 				compareWorlds(t, what, func(plane int) ([]apiWrite, any) {
 					k := sim.New(1)
-					api := NewAPIServer(k, APIConfig{RequestLatency: lat, WatchLatency: 10 * time.Millisecond})
+					api := NewAPIServer(k)
+					api.t.request, api.t.watch = lat, 10*time.Millisecond
+					api.t.heartbeat, api.t.monitor, api.t.grace = cfg.heartbeat, cfg.monitor, cfg.grace
 					log := recordWrites(api)
 					var kubelets []*Kubelet
 					for _, n := range []string{"n1", "n2", "n3"} {
@@ -566,13 +562,13 @@ func TestNodeLifecycleMatchesProcLoop(t *testing.T) {
 						}
 					}
 					if monitorFirst {
-						planes[plane].lifecycle(api, cfg)
+						planes[plane].lifecycle(api)
 					}
 					for _, kl := range kubelets {
-						planes[plane].heartbeats(kl, cfg.HeartbeatPeriod)
+						planes[plane].heartbeats(kl)
 					}
 					if !monitorFirst {
-						planes[plane].lifecycle(api, cfg)
+						planes[plane].lifecycle(api)
 					}
 					k.At(3*time.Second, func() { kubelets[0].SetFailed(true) })
 					k.At(4500*time.Millisecond, func() { kubelets[1].SetFailed(true) })
@@ -595,21 +591,22 @@ func TestNodeLifecycleMatchesProcLoop(t *testing.T) {
 // a scale-down and a removal, and compares every API write and every
 // container's ready instant and final state.
 func TestControlPlaneMatchesProcLoops(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(*Config) {},
-		func(cfg *Config) { cfg.API.RequestLatency = 0 },
-		func(cfg *Config) {
-			cfg.Controller.Workers = 1
-			cfg.NodeLifecycle = NodeLifecycleConfig{HeartbeatPeriod: time.Second, MonitorPeriod: time.Second, GracePeriod: 3 * time.Second}
+	local := SchedulerConfig{Name: "edge-local-sched", BindingDelay: 100 * time.Millisecond}
+	for _, mutate := range []func(*timing){
+		func(*timing) {},
+		func(tm *timing) { tm.request = 0 },
+		func(tm *timing) {
+			tm.workers = 1
+			tm.heartbeat, tm.monitor, tm.grace = time.Second, time.Second, 3*time.Second
 		},
 	} {
-		cfg := DefaultConfig()
-		cfg.LocalSched = &SchedulerConfig{Name: "edge-local-sched", BindingDelay: 100 * time.Millisecond}
-		mutate(&cfg)
-		compareWorlds(t, fmt.Sprintf("%+v", cfg), func(plane int) ([]apiWrite, any) {
+		tm := calibrated
+		mutate(&tm)
+		compareWorlds(t, fmt.Sprintf("%+v", tm), func(plane int) ([]apiWrite, any) {
 			k := sim.New(1)
 			n := simnet.NewNetwork(k)
-			kc := New("k8s", k, cfg)
+			kc := New("k8s", k, Config{LocalSched: &local})
+			kc.api.t = tm
 			beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 			for i, name := range []string{"n1", "n2"} {
 				h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
@@ -623,23 +620,23 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 				srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 				res := registry.NewResolver()
 				res.AddPrefix("", regHost.IP())
-				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig()), beh, DefaultCapacity())
+				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig()), beh, DefaultCapacity())
 			}
 			if plane == 1 {
 				kc.Start()
 			} else {
 				pl := planes[0]
 				kc.started = true
-				pl.deployments(kc.api, cfg.Controller)
-				pl.replicaSets(kc.api, cfg.Controller)
+				pl.deployments(kc.api)
+				pl.replicaSets(kc.api)
 				refs := []NodeRef{{Name: "n1", Cap: DefaultCapacity()}, {Name: "n2", Cap: DefaultCapacity()}}
-				pl.scheduler(kc.api, cfg.Scheduler, refs)
-				pl.scheduler(kc.api, *cfg.LocalSched, refs)
+				pl.scheduler(kc.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: tm.binding}, tm.cycle, leastLoaded, refs)
+				pl.scheduler(kc.api, local, tm.cycle, leastLoaded, refs)
 				for _, nd := range kc.nodes {
-					nd.kubelet = RunKubelet(kc.api, nd.name, nd.rt, nd.beh, cfg.Kubelet)
-					pl.heartbeats(nd.kubelet, cfg.NodeLifecycle.HeartbeatPeriod)
+					nd.kubelet = RunKubelet(kc.api, nd.name, nd.rt, nd.beh)
+					pl.heartbeats(nd.kubelet)
 				}
-				pl.lifecycle(kc.api, cfg.NodeLifecycle)
+				pl.lifecycle(kc.api)
 			}
 			log := recordWrites(kc.api)
 			var services []*spec.Annotated

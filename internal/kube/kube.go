@@ -18,30 +18,74 @@ import (
 	"transparentedge/internal/spec"
 )
 
-// Config assembles the control-plane latency model of one cluster.
-type Config struct {
-	API           APIConfig
-	Controller    ControllerConfig
-	Scheduler     SchedulerConfig // the default scheduler
-	LocalSched    *SchedulerConfig
-	Kubelet       KubeletConfig
-	NodeLifecycle NodeLifecycleConfig
-	NodePortStart int
-	// BindPollInterval is how often ScaleUp re-checks for a bound pod.
-	BindPollInterval time.Duration
+// The control plane's calibration: a lightly loaded single-node cluster on
+// the paper's EGS (fig. 8), with Kubernetes' own defaults for the controller
+// workers and the node lifecycle.
+const (
+	// requestLatency is charged on every synchronous API operation.
+	requestLatency = 15 * time.Millisecond
+	// watchLatency is the delay before a watch event reaches a watcher.
+	watchLatency = 30 * time.Millisecond
+	// reconcileDelay is charged per controller pass (informer cache reads,
+	// work item processing).
+	reconcileDelay = 60 * time.Millisecond
+	// controllerWorkers is the parallel worker count per controller
+	// (Kubernetes' concurrent syncs): bursts of deployments are absorbed by
+	// parallel workers, a single deployment still pays the full chain.
+	controllerWorkers = 5
+	// cycleDelay is a scheduler's serial scheduling cycle (filter + score):
+	// it handles one cycle at a time, as kube-scheduler does.
+	cycleDelay = 30 * time.Millisecond
+	// bindingDelay is the default scheduler's total scheduling latency,
+	// including the asynchronous bind.
+	bindingDelay = 400 * time.Millisecond
+	// syncPeriod is the kubelet's periodic reconcile (the backstop for
+	// missed watch events, which also quantizes its latency).
+	syncPeriod = time.Second
+	// processDelay is the kubelet's per-pod-sync overhead (PLEG, cgroup and
+	// volume bookkeeping).
+	processDelay = 120 * time.Millisecond
+	// sandboxDelay is pod sandbox setup: pause container plus CNI network
+	// namespace wiring, the dominant per-pod cost (cf. Mohan et al.).
+	sandboxDelay = 1350 * time.Millisecond
+	// heartbeatPeriod, gracePeriod and monitorPeriod are the node
+	// controller's timing: 10 s heartbeats, stale after 40 s, checked every
+	// 5 s.
+	heartbeatPeriod = 10 * time.Second
+	gracePeriod     = 40 * time.Second
+	monitorPeriod   = 5 * time.Second
+	// nodePortStart is the first NodePort a Service gets.
+	nodePortStart = 30000
+	// bindPollInterval is how often ScaleUp re-checks for a bound pod.
+	bindPollInterval = 50 * time.Millisecond
+)
+
+// timing is one control plane's copy of the calibration, held by its API
+// server and read by every component. Programs run it as calibrated; the
+// package's tests sweep it.
+type timing struct {
+	request, watch            time.Duration
+	reconcile                 time.Duration
+	workers                   int
+	cycle, binding            time.Duration
+	sync, process, sandbox    time.Duration
+	heartbeat, grace, monitor time.Duration
+	bindPoll                  time.Duration
 }
 
-// DefaultConfig mirrors a single-node cluster on the paper's EGS.
-func DefaultConfig() Config {
-	return Config{
-		API:              DefaultAPIConfig(),
-		Controller:       DefaultControllerConfig(),
-		Scheduler:        SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: 350 * time.Millisecond},
-		Kubelet:          DefaultKubeletConfig(),
-		NodeLifecycle:    DefaultNodeLifecycleConfig(),
-		NodePortStart:    30000,
-		BindPollInterval: 50 * time.Millisecond,
-	}
+var calibrated = timing{
+	request: requestLatency, watch: watchLatency,
+	reconcile: reconcileDelay, workers: controllerWorkers,
+	cycle: cycleDelay, binding: bindingDelay,
+	sync: syncPeriod, process: processDelay, sandbox: sandboxDelay,
+	heartbeat: heartbeatPeriod, grace: gracePeriod, monitor: monitorPeriod,
+	bindPoll: bindPollInterval,
+}
+
+// Config is what a program chooses about a cluster: a Local Scheduler
+// (§IV-B) to run beside the default one, or nil for none.
+type Config struct {
+	LocalSched *SchedulerConfig
 }
 
 // Cluster is a mini-Kubernetes cluster implementing cluster.Cluster.
@@ -81,10 +125,10 @@ type node struct {
 func New(name string, k *sim.Kernel, cfg Config) *Cluster {
 	return &Cluster{
 		name:     name,
-		api:      NewAPIServer(k, cfg.API),
+		api:      NewAPIServer(k),
 		cfg:      cfg,
 		services: make(map[string]*spec.Annotated),
-		nextPort: cfg.NodePortStart,
+		nextPort: nodePortStart,
 	}
 }
 
@@ -106,21 +150,21 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.started = true
-	RunDeploymentController(c.api, c.cfg.Controller)
-	RunReplicaSetController(c.api, c.cfg.Controller)
+	RunDeploymentController(c.api)
+	RunReplicaSetController(c.api)
 	refs := make([]NodeRef, len(c.nodes))
 	for i, n := range c.nodes {
 		refs[i] = NodeRef{Name: n.name, Cap: n.cap}
 	}
-	RunScheduler(c.api, c.cfg.Scheduler, refs)
+	runScheduler(c.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: c.api.t.binding}, refs)
 	if c.cfg.LocalSched != nil {
-		RunScheduler(c.api, *c.cfg.LocalSched, refs)
+		runScheduler(c.api, *c.cfg.LocalSched, refs)
 	}
 	for _, n := range c.nodes {
-		n.kubelet = RunKubelet(c.api, n.name, n.rt, n.beh, c.cfg.Kubelet)
-		n.kubelet.startHeartbeats(c.cfg.NodeLifecycle.HeartbeatPeriod)
+		n.kubelet = RunKubelet(c.api, n.name, n.rt, n.beh)
+		n.kubelet.startHeartbeats()
 	}
-	RunNodeLifecycleController(c.api, c.cfg.NodeLifecycle)
+	RunNodeLifecycleController(c.api)
 }
 
 // Kubelet returns the kubelet of a node (nil if unknown or not started).
@@ -281,7 +325,7 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 		deadline: p.Now() + bindMaxWait,
 		done:     sim.NewPromise[cluster.Instance](c.api.k),
 	}
-	w.Init(c.api.k, w, c.api.cfg.RequestLatency)
+	w.Init(c.api.k, w, c.api.t.request)
 	w.Charge(bindWaitRead)
 	return w.done.Await(p)
 }
@@ -300,7 +344,7 @@ const bindMaxWait = 5 * time.Minute
 
 // bindWait is ScaleUp's wait for a bound pod as a continuation: pay the API
 // request latency of a pod list, read the service's pods, and if none is bound
-// pause BindPollInterval and list again. The bound is checked only after a list
+// pause bindPoll and list again. The bound is checked only after a list
 // that found nothing, as the controller's readiness probe checks its own.
 type bindWait struct {
 	sim.Cont[bindWait]
@@ -337,7 +381,7 @@ func bindWaitRead(w *bindWait) sim.Step[bindWait] {
 		w.done.Fail(fmt.Errorf("%w: %s on %s after %v", ErrBindTimeout, w.name, c.name, bindMaxWait))
 		return nil
 	}
-	w.Sleep(c.cfg.BindPollInterval, func(*bindWait) sim.Step[bindWait] { return bindWaitRead })
+	w.Sleep(c.api.t.bindPoll, func(*bindWait) sim.Step[bindWait] { return bindWaitRead })
 	return nil
 }
 

@@ -34,7 +34,9 @@ type rig struct {
 	rt     *container.Runtime
 }
 
-func newRig(t *testing.T, mutate func(*Config)) *rig {
+// newRig builds a one-node cluster; mutate, if set, edits it before it
+// starts.
+func newRig(t *testing.T, mutate func(*Cluster)) *rig {
 	t.Helper()
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -56,19 +58,26 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	images := registry.NewClient(node, res, registry.DefaultClientConfig())
+	images := registry.NewClient(node, res)
 	rt := container.NewRuntime(node, images, container.DefaultRuntimeConfig())
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 	}
-	cfg := DefaultConfig()
+	kc := New("egs-k8s", k, Config{})
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(kc)
 	}
-	kc := New("egs-k8s", k, cfg)
 	kc.AddNode("egs", rt, behaviors, DefaultCapacity())
 	kc.Start()
 	return &rig{k: k, node: node, client: cli, kc: kc, rt: rt}
+}
+
+// newBareAPIServer returns an API server whose requests, watch deliveries and
+// component timings take no time.
+func newBareAPIServer(k *sim.Kernel) *APIServer {
+	api := NewAPIServer(k)
+	api.t = timing{}
+	return api
 }
 
 func annotated(t *testing.T, domain string) *spec.Annotated {
@@ -261,17 +270,11 @@ func TestScaleUpIdempotent(t *testing.T) {
 	rg.k.RunUntil(10 * time.Minute)
 }
 
+// TestCustomLocalScheduler: a pod annotated with a Local Scheduler's name is
+// bound by that scheduler, which the default one leaves it to.
 func TestCustomLocalScheduler(t *testing.T) {
-	picked := ""
-	rg := newRig(t, func(cfg *Config) {
-		cfg.LocalSched = &SchedulerConfig{
-			Name:         "edge-local-sched",
-			BindingDelay: 100 * time.Millisecond,
-			Pick: func(pod *Pod, nodes []NodeStatus) string {
-				picked = pod.Name
-				return nodes[0].Name
-			},
-		}
+	rg := newRig(t, func(c *Cluster) {
+		c.cfg.LocalSched = &SchedulerConfig{Name: "edge-local-sched", BindingDelay: 100 * time.Millisecond}
 	})
 	def, _ := spec.Parse(nginxYAML)
 	a, _ := spec.Annotate(def, spec.Registration{Domain: "web.example.com", VIP: "203.0.113.10", Port: 80},
@@ -287,17 +290,18 @@ func TestCustomLocalScheduler(t *testing.T) {
 		probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 	})
 	rg.k.RunUntil(10 * time.Minute)
-	if picked == "" {
-		t.Fatal("custom Local Scheduler was not invoked")
+	pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+	if len(pods) != 1 || pods[0].SchedulerName != "edge-local-sched" || pods[0].NodeName == "" {
+		t.Fatalf("pods = %+v, want one bound by the custom Local Scheduler", pods)
 	}
 }
 
 func TestKubeletResyncBackstop(t *testing.T) {
 	// Disable watch-driven startup by making watch latency enormous; the
 	// periodic resync must still start the pod.
-	rg := newRig(t, func(cfg *Config) {
-		cfg.API.WatchLatency = 30 * time.Millisecond
-		cfg.Kubelet.SyncPeriod = 500 * time.Millisecond
+	rg := newRig(t, func(c *Cluster) {
+		c.api.t.watch = 30 * time.Millisecond
+		c.api.t.sync = 500 * time.Millisecond
 	})
 	a := annotated(t, "web.example.com")
 	rg.k.Go("driver", func(p *sim.Proc) {
@@ -327,7 +331,8 @@ func TestErrorsOnMissingService(t *testing.T) {
 
 func TestAPIServerWatchAndVersions(t *testing.T) {
 	k := sim.New(1)
-	api := NewAPIServer(k, APIConfig{RequestLatency: 0, WatchLatency: 10 * time.Millisecond})
+	api := NewAPIServer(k)
+	api.t.request, api.t.watch = 0, 10*time.Millisecond
 	var events []Event
 	w := api.Watch(KindDeployment)
 	k.Go("watcher", func(p *sim.Proc) {
@@ -442,7 +447,7 @@ func (c copyCase[T]) run(t *testing.T, k *sim.Kernel, api *APIServer) {
 
 func TestAPIServerCopySemantics(t *testing.T) {
 	k := sim.New(1)
-	api := NewAPIServer(k, APIConfig{})
+	api := newBareAPIServer(k)
 	labels := func() map[string]string { return map[string]string{"a": "1"} }
 	mutated := func() map[string]string { return map[string]string{"a": "mutated"} }
 	template := func() PodTemplate {
@@ -522,7 +527,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 // written on the stored copy, never into the caller's object, and both create
 // calls (CreatePod, Pods.Create) fill them in.
 func TestPodCreateFillsTheCopy(t *testing.T) {
-	api := NewAPIServer(sim.New(1), APIConfig{})
+	api := newBareAPIServer(sim.New(1))
 	pod := &Pod{Owner: "rs1"}
 	got, err := api.CreatePod(nil, pod)
 	if err != nil {
@@ -547,15 +552,15 @@ func TestPodCreateFillsTheCopy(t *testing.T) {
 
 func TestLeastLoadedPicker(t *testing.T) {
 	nodes := []NodeStatus{{Name: "b", Pods: 2}, {Name: "a", Pods: 2}, {Name: "c", Pods: 1}}
-	if got := LeastLoaded(&Pod{}, nodes); got != "c" {
-		t.Fatalf("LeastLoaded = %q, want c", got)
+	if got := leastLoaded(&Pod{}, nodes); got != "c" {
+		t.Fatalf("leastLoaded = %q, want c", got)
 	}
 	tie := []NodeStatus{{Name: "b", Pods: 1}, {Name: "a", Pods: 1}}
-	if got := LeastLoaded(&Pod{}, tie); got != "a" {
-		t.Fatalf("LeastLoaded tie = %q, want a", got)
+	if got := leastLoaded(&Pod{}, tie); got != "a" {
+		t.Fatalf("leastLoaded tie = %q, want a", got)
 	}
-	if got := LeastLoaded(&Pod{}, nil); got != "" {
-		t.Fatalf("LeastLoaded(empty) = %q", got)
+	if got := leastLoaded(&Pod{}, nil); got != "" {
+		t.Fatalf("leastLoaded(empty) = %q", got)
 	}
 }
 
@@ -572,7 +577,7 @@ func TestMatchLabels(t *testing.T) {
 }
 
 func TestTwoNodeSpreading(t *testing.T) {
-	// Two nodes, two services: LeastLoaded spreads pods across nodes.
+	// Two nodes, two services: leastLoaded spreads pods across nodes.
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
 	mkNode := func(name string, ip simnet.Addr) (*simnet.Host, *container.Runtime) {
@@ -587,12 +592,12 @@ func TestTwoNodeSpreading(t *testing.T) {
 		srv := registry.NewServer(regHost, registry.ServerConfig{})
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res.AddPrefix("", regHost.IP())
-		return h, container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+		return h, container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 	}
 	_, rt1 := mkNode("n1", "10.0.1.1")
 	_, rt2 := mkNode("n2", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("multi", k, DefaultConfig())
+	kc := New("multi", k, Config{})
 	kc.AddNode("n1", rt1, beh, DefaultCapacity())
 	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
@@ -673,7 +678,9 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 // run serves q with process as the body of every pass, each on a process of
 // its own: the proc-bodied form of serve the work-queue tests drive.
 func (q *workQueue) run(name string, workers int, process func(p *sim.Proc, key string)) {
-	q.serve(NewAPIServer(q.k, APIConfig{}), ControllerConfig{Workers: workers}, func(w *worker) sim.Step[worker] {
+	api := newBareAPIServer(q.k)
+	api.t.workers = workers
+	q.serve(api, func(w *worker) sim.Step[worker] {
 		q.k.Go(name, func(p *sim.Proc) {
 			process(p, w.key)
 			w.done()
@@ -743,12 +750,12 @@ func TestMultiReplicaEndpoints(t *testing.T) {
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res := registry.NewResolver()
 		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 	}
 	rt1 := mkNode("n1", "10.0.1.1")
 	rt2 := mkNode("n2", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("multi", k, DefaultConfig())
+	kc := New("multi", k, Config{})
 	kc.AddNode("n1", rt1, beh, DefaultCapacity())
 	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
@@ -800,7 +807,7 @@ spec:
 
 func TestResourceAwareScheduling(t *testing.T) {
 	// One small node (2 cores) and one big node (16 cores): a pod asking
-	// for 4 cores must land on the big node even though LeastLoaded would
+	// for 4 cores must land on the big node even though leastLoaded would
 	// otherwise prefer the emptier small node.
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -816,12 +823,12 @@ func TestResourceAwareScheduling(t *testing.T) {
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res := registry.NewResolver()
 		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 	}
 	rtSmall := mkNode("small", "10.0.1.1")
 	rtBig := mkNode("big", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("caps", k, DefaultConfig())
+	kc := New("caps", k, Config{})
 	kc.AddNode("small", rtSmall, beh, Capacity{CPUMillis: 2000, MemoryBytes: 4 << 30})
 	kc.AddNode("big", rtBig, beh, Capacity{CPUMillis: 16000, MemoryBytes: 64 << 30})
 	kc.Start()
@@ -868,9 +875,9 @@ func TestUnschedulablePodWaitsForCapacity(t *testing.T) {
 	srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	rt := container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("tight", k, DefaultConfig())
+	kc := New("tight", k, Config{})
 	kc.AddNode("node", rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 32 << 30})
 	kc.Start()
 
@@ -941,27 +948,15 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res := registry.NewResolver()
 		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 	}
 	rt1 := mkNode("n1", "10.0.1.1")
 	rt2 := mkNode("n2", "10.0.2.1")
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	cfg := DefaultConfig()
-	cfg.NodeLifecycle = NodeLifecycleConfig{
-		HeartbeatPeriod: 2 * time.Second,
-		GracePeriod:     8 * time.Second,
-		MonitorPeriod:   2 * time.Second,
-	}
-	// Pin the first pod to n1 so the failure is deterministic.
-	cfg.Scheduler.Pick = func(pod *Pod, nodes []NodeStatus) string {
-		for _, st := range nodes {
-			if st.Name == "n1" {
-				return "n1"
-			}
-		}
-		return LeastLoaded(pod, nodes)
-	}
-	kc := New("ha", k, cfg)
+	kc := New("ha", k, Config{})
+	kc.api.t.heartbeat, kc.api.t.grace, kc.api.t.monitor = 2*time.Second, 8*time.Second, 2*time.Second
+	// Both nodes are empty, so leastLoaded's tie-break by name puts the first
+	// pod on n1 and the failure is deterministic.
 	kc.AddNode("n1", rt1, beh, DefaultCapacity())
 	kc.AddNode("n2", rt2, beh, DefaultCapacity())
 	kc.Start()
@@ -996,12 +991,8 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 }
 
 func TestNodeHeartbeatsKeepNodeReady(t *testing.T) {
-	rg := newRig(t, func(cfg *Config) {
-		cfg.NodeLifecycle = NodeLifecycleConfig{
-			HeartbeatPeriod: time.Second,
-			GracePeriod:     4 * time.Second,
-			MonitorPeriod:   time.Second,
-		}
+	rg := newRig(t, func(c *Cluster) {
+		c.api.t.heartbeat, c.api.t.grace, c.api.t.monitor = time.Second, 4*time.Second, time.Second
 	})
 	rg.k.RunUntil(30 * time.Second)
 	node, _ := rg.kc.API().nodes.Get(nil, "egs")
@@ -1021,8 +1012,9 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 	want := []string{"parked-a", "parked-b", "parked-c"}
 	for run := 0; run < 20; run++ {
 		k := sim.New(1)
-		api := NewAPIServer(k, APIConfig{})
-		RunScheduler(api, SchedulerConfig{}, []NodeRef{{Name: "node", Cap: Capacity{CPUMillis: 3000, MemoryBytes: 1 << 30}}})
+		api := newBareAPIServer(k)
+		api.t.cycle = cycleDelay
+		runScheduler(api, SchedulerConfig{Name: DefaultSchedulerName}, []NodeRef{{Name: "node", Cap: Capacity{CPUMillis: 3000, MemoryBytes: 1 << 30}}})
 		var bound []string
 		api.Subscribe(KindPod, func(ev Event) {
 			if pod := ev.Object.(*Pod); ev.Type == Modified && pod.NodeName != "" {

@@ -2,34 +2,11 @@ package kube
 
 import (
 	"sort"
-	"time"
 
 	"transparentedge/internal/cluster"
 	"transparentedge/internal/container"
 	"transparentedge/internal/sim"
 )
-
-// KubeletConfig models node-agent latencies.
-type KubeletConfig struct {
-	// SyncPeriod is the periodic reconcile interval (backstop for missed
-	// watch events; also what makes kubelet latency partly quantized).
-	SyncPeriod time.Duration
-	// ProcessDelay is per-pod-sync overhead (PLEG, cgroup and volume
-	// bookkeeping).
-	ProcessDelay time.Duration
-	// SandboxDelay is pod sandbox setup: pause container plus CNI network
-	// namespace wiring — the dominant per-pod cost (cf. Mohan et al.).
-	SandboxDelay time.Duration
-}
-
-// DefaultKubeletConfig mirrors a single-node kubelet on server hardware.
-func DefaultKubeletConfig() KubeletConfig {
-	return KubeletConfig{
-		SyncPeriod:   time.Second,
-		ProcessDelay: 120 * time.Millisecond,
-		SandboxDelay: 1100 * time.Millisecond,
-	}
-}
 
 // Kubelet drives the container runtime of one node from the API server's
 // pod objects.
@@ -38,7 +15,6 @@ type Kubelet struct {
 	nodeName  string
 	rt        *container.Runtime
 	behaviors cluster.BehaviorSource
-	cfg       KubeletConfig
 	pods      map[string]*podRuntime
 	failed    bool
 }
@@ -52,13 +28,12 @@ type podRuntime struct {
 }
 
 // RunKubelet starts a kubelet for nodeName on the given runtime.
-func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource, cfg KubeletConfig) *Kubelet {
+func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource) *Kubelet {
 	kl := &Kubelet{
 		api:       api,
 		nodeName:  nodeName,
 		rt:        rt,
 		behaviors: behaviors,
-		cfg:       cfg,
 		pods:      make(map[string]*podRuntime),
 	}
 	w := api.Watch(KindPod)
@@ -72,14 +47,12 @@ func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behavior
 			kl.handleEvent(p, ev)
 		}
 	})
-	if cfg.SyncPeriod > 0 {
-		k.Go("kubelet:"+nodeName+":sync", func(p *sim.Proc) {
-			for {
-				p.Sleep(cfg.SyncPeriod)
-				kl.resync(p)
-			}
-		})
-	}
+	k.Go("kubelet:"+nodeName+":sync", func(p *sim.Proc) {
+		for {
+			p.Sleep(api.t.sync)
+			kl.resync(p)
+		}
+	})
 	return kl
 }
 
@@ -146,7 +119,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 			kl.teardownRuntime(p, pr)
 		}
 	}()
-	p.Sleep(kl.cfg.ProcessDelay)
+	p.Sleep(kl.api.t.process)
 	// Image pull policy IfNotPresent: the Pull phase normally ran already,
 	// but the kubelet remains correct without it.
 	for _, cs := range pod.Spec.Containers {
@@ -157,7 +130,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 			}
 		}
 	}
-	p.Sleep(kl.cfg.SandboxDelay)
+	p.Sleep(kl.api.t.sandbox)
 	for _, cs := range pod.Spec.Containers {
 		if pr.deleted {
 			return

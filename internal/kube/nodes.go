@@ -1,10 +1,6 @@
 package kube
 
-import (
-	"time"
-
-	"transparentedge/internal/sim"
-)
+import "transparentedge/internal/sim"
 
 // KindNode is the node object kind.
 const KindNode Kind = "Node"
@@ -38,53 +34,29 @@ func (a *APIServer) nodeSchedulable(name string) bool {
 	return !ok || n.Ready
 }
 
-// NodeLifecycleConfig models the node controller's timing (Kubernetes
-// defaults: 10 s heartbeats, 40 s grace, 5 s monitor period).
-type NodeLifecycleConfig struct {
-	HeartbeatPeriod time.Duration
-	GracePeriod     time.Duration
-	MonitorPeriod   time.Duration
-}
-
-// DefaultNodeLifecycleConfig returns the Kubernetes-like defaults.
-func DefaultNodeLifecycleConfig() NodeLifecycleConfig {
-	return NodeLifecycleConfig{
-		HeartbeatPeriod: 10 * time.Second,
-		GracePeriod:     40 * time.Second,
-		MonitorPeriod:   5 * time.Second,
-	}
-}
-
 // RunNodeLifecycleController starts the node controller: nodes whose
 // heartbeat is older than the grace period are marked NotReady and their
 // pods evicted (deleted), so the ReplicaSet controller recreates them and
 // the scheduler places them on surviving nodes.
-func RunNodeLifecycleController(api *APIServer, cfg NodeLifecycleConfig) {
-	if cfg.MonitorPeriod <= 0 {
-		cfg.MonitorPeriod = 5 * time.Second
-	}
-	if cfg.GracePeriod <= 0 {
-		cfg.GracePeriod = 40 * time.Second
-	}
-	m := &nodeMonitor{api: api, cfg: cfg}
-	m.Init(api.k, m, api.cfg.RequestLatency)
+func RunNodeLifecycleController(api *APIServer) {
+	m := &nodeMonitor{api: api}
+	m.Init(api.k, m, api.t.request)
 	m.Sleep(0, monitorIdle)
 }
 
 // nodeMonitor is the node controller's loop. A sweep lists the nodes, marks
 // each stale one NotReady and evicts its pods, one API request each, and the
-// next sweep is due MonitorPeriod after this one ends.
+// next sweep is due a monitor period after this one ends.
 type nodeMonitor struct {
 	sim.Cont[nodeMonitor]
 	api   *APIServer
-	cfg   NodeLifecycleConfig
 	now   sim.Time // when the sweep began
 	nodes []*Node  // the sweep's nodes still to look at; nodes[0] is being evicted
 	pods  []*Pod   // nodes[0]'s pods still to delete
 }
 
 func monitorIdle(m *nodeMonitor) sim.Step[nodeMonitor] {
-	m.Sleep(m.cfg.MonitorPeriod, func(m *nodeMonitor) sim.Step[nodeMonitor] {
+	m.Sleep(m.api.t.monitor, func(m *nodeMonitor) sim.Step[nodeMonitor] {
 		m.now = m.Now()
 		return func(m *nodeMonitor) sim.Step[nodeMonitor] {
 			m.nodes = m.api.Nodes.List(nil)
@@ -98,7 +70,7 @@ func monitorIdle(m *nodeMonitor) sim.Step[nodeMonitor] {
 // the sweep.
 func monitorNext(m *nodeMonitor) sim.Step[nodeMonitor] {
 	for ; len(m.nodes) > 0; m.nodes = m.nodes[1:] {
-		if n := m.nodes[0]; n.Ready && m.now-n.LastHeartbeat > m.cfg.GracePeriod {
+		if n := m.nodes[0]; n.Ready && m.now-n.LastHeartbeat > m.api.t.grace {
 			// Mark NotReady (keeping any heartbeat that landed since the
 			// list) and evict.
 			stale := m.api.nodes.byName[n.Name].clone()
@@ -126,29 +98,25 @@ func monitorEvict(m *nodeMonitor) sim.Step[nodeMonitor] {
 }
 
 // startHeartbeats runs the kubelet's node-status loop.
-func (kl *Kubelet) startHeartbeats(period time.Duration) {
-	if period <= 0 {
-		return
-	}
-	h := &heartbeat{kl: kl, period: period}
-	h.Init(kl.api.k, h, kl.api.cfg.RequestLatency)
+func (kl *Kubelet) startHeartbeats() {
+	h := &heartbeat{kl: kl}
+	h.Init(kl.api.k, h, kl.api.t.request)
 	h.Sleep(0, beat)
 }
 
 type heartbeat struct {
 	sim.Cont[heartbeat]
-	kl     *Kubelet
-	period time.Duration
+	kl *Kubelet
 }
 
 func beat(h *heartbeat) sim.Step[heartbeat] {
 	if h.kl.failed {
-		h.Sleep(h.period, beat)
+		h.Sleep(h.kl.api.t.heartbeat, beat)
 		return nil
 	}
 	return func(h *heartbeat) sim.Step[heartbeat] {
 		h.kl.api.UpsertNode(nil, h.kl.nodeName, true)
-		h.Sleep(h.period, beat)
+		h.Sleep(h.kl.api.t.heartbeat, beat)
 		return nil
 	}
 }

@@ -24,9 +24,10 @@ func newBareCluster(nodes ...string) *Cluster {
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
 	kc := New("bare", k, Config{})
+	kc.api.t = timing{}
 	for i, name := range nodes {
 		h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
-		rt := container.NewRuntime(h, registry.NewClient(h, registry.NewResolver(), registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+		rt := container.NewRuntime(h, registry.NewClient(h, registry.NewResolver()), container.DefaultRuntimeConfig())
 		kc.AddNode(name, rt, cluster.StaticBehaviors{}, DefaultCapacity())
 	}
 	return kc
@@ -280,7 +281,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 // eviction loop and the ReplicaSet controller rely on: deleting while
 // ranging over a list neither skips nor repeats an element.
 func TestListSurvivesDeletesMidIteration(t *testing.T) {
-	api := NewAPIServer(sim.New(1), APIConfig{})
+	api := newBareAPIServer(sim.New(1))
 	for i := 0; i < 10; i++ {
 		api.CreatePod(nil, &Pod{Name: fmt.Sprintf("p%d", i), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 	}
@@ -371,7 +372,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 	run := func() answer {
 		k := sim.New(1)
 		n := simnet.NewNetwork(k)
-		kc := New("multi", k, DefaultConfig())
+		kc := New("multi", k, Config{})
 		beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 		for i, name := range []string{"n1", "n2"} {
 			h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
@@ -385,7 +386,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 			res := registry.NewResolver()
 			res.AddPrefix("", regHost.IP())
-			rt := container.NewRuntime(h, registry.NewClient(h, res, registry.DefaultClientConfig()), container.DefaultRuntimeConfig())
+			rt := container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
 			kc.AddNode(name, rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 8 << 30})
 		}
 		kc.Start()

@@ -98,10 +98,9 @@ func redirectPair(cookie uint64, idle time.Duration) (fwd, rev FlowRule) {
 
 // TestAllocsFlowMods pins the write side of the flow table at zero
 // allocations once warm: rules and cookie groups come off the switch's free
-// lists and their timers' callbacks are bound once. Three cycles: a redirect
-// pair installed and deleted; a pair that idles out and whose flow-removed
-// reaches the controller; and a rule with a hard timeout that is deleted
-// first, so it is recycled only when its timer has fired.
+// lists and their timers' callbacks are bound once. Two cycles: a redirect
+// pair installed and deleted, and a pair that idles out and whose
+// flow-removed reaches the controller.
 func TestAllocsFlowMods(t *testing.T) {
 	k := sim.New(1)
 	sw := NewSwitch(simnet.NewNetwork(k), "sw", DefaultConfig())
@@ -133,14 +132,6 @@ func TestAllocsFlowMods(t *testing.T) {
 				t.Fatal("no flow-removed for the idled-out pair")
 			}
 		}},
-		{"hard-timeout-after-delete", func() {
-			cookie++
-			fwd, _ := redirectPair(cookie, 0)
-			fwd.HardTimeout = time.Second
-			sw.AddFlow(fwd)
-			sw.DeleteFlows(cookie)
-			k.Run()
-		}},
 	} {
 		for i := 0; i < 5; i++ {
 			tc.cycle()
@@ -156,8 +147,7 @@ func TestAllocsFlowMods(t *testing.T) {
 
 // TestRuleRecycledOnlyWhenUnreferenced pins when a removed rule may be reused:
 // not while its flow-removed notice is in flight — the controller must see
-// the rule as it expired — and not while its hard timer is queued, which
-// would otherwise expire the rule's next occupant.
+// the rule as it expired.
 func TestRuleRecycledOnlyWhenUnreferenced(t *testing.T) {
 	k := sim.New(1)
 	sw := NewSwitch(simnet.NewNetwork(k), "sw", DefaultConfig())
@@ -181,22 +171,6 @@ func TestRuleRecycledOnlyWhenUnreferenced(t *testing.T) {
 	}
 	if r := sw.AddFlow(other); r != r1 {
 		t.Fatal("a delivered rule was not recycled")
-	}
-
-	// Hard timer queued.
-	hard := FlowRule{Priority: 1, Cookie: 9, Match: Match{DstIP: "198.51.100.2"}, Actions: Actions{Output: OutputDrop}, HardTimeout: time.Second}
-	r2 := sw.AddFlow(hard)
-	sw.DeleteFlows(9)
-	next := FlowRule{Priority: 1, Cookie: 10, Match: Match{DstIP: "198.51.100.3"}, Actions: Actions{Output: OutputDrop}}
-	if r := sw.AddFlow(next); r == r2 {
-		t.Fatal("a rule with a queued hard timer was reused")
-	}
-	k.Run() // r2's timer fires, and must not touch the rule installed after it
-	if sw.RuleCount() != 3 {
-		t.Fatalf("%d rules after the hard timeout, want 3", sw.RuleCount())
-	}
-	if r := sw.AddFlow(other); r != r2 {
-		t.Fatal("a rule was not recycled once its hard timer fired")
 	}
 }
 

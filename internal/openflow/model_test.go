@@ -91,9 +91,6 @@ func (s *refSwitch) addFlow(rule FlowRule) *refRule {
 		}
 		s.scheduleIdleCheck(r.Cookie, r.founder, r.lastUsed, r.IdleTimeout)
 	}
-	if r.HardTimeout > 0 {
-		s.k.AfterFree(r.HardTimeout, func() { s.expire(r) })
-	}
 	return r
 }
 
@@ -121,16 +118,6 @@ func (s *refSwitch) scheduleIdleCheck(cookie, founder uint64, lastUsed sim.Time,
 			s.notify(oldest)
 		}
 	})
-}
-
-func (s *refSwitch) expire(r *refRule) {
-	if r.removed {
-		return
-	}
-	s.removeRule(r)
-	if r.NotifyRemoved {
-		s.notify(r)
-	}
 }
 
 func (s *refSwitch) notify(r *refRule) {
@@ -207,7 +194,6 @@ var (
 	modelPorts    = []int{0, 80, 443, 8080}
 	modelPrios    = []int{1, 5, 5, 9}
 	modelIdles    = []time.Duration{0, 0, 50 * time.Millisecond, 200 * time.Millisecond}
-	modelHards    = []time.Duration{0, 0, 0, 300 * time.Millisecond}
 	modelAdvances = []time.Duration{time.Millisecond, 20 * time.Millisecond, 60 * time.Millisecond, 250 * time.Millisecond}
 )
 
@@ -279,7 +265,6 @@ func (m *flowTableModel) add(a, b, c byte) {
 		},
 		Actions:       Actions{Output: OutputDrop},
 		IdleTimeout:   modelIdles[b>>2&3],
-		HardTimeout:   modelHards[b>>4&3],
 		NotifyRemoved: b>>6&1 == 1,
 	}
 	if c&1 == 1 {
@@ -422,8 +407,8 @@ func (m *flowTableModel) drain() {
 	if m.sw.liveSigs != 0 || len(m.sw.byCookie) != 0 {
 		m.t.Errorf("drained table left live signatures %016b, %d cookies", m.sw.liveSigs, len(m.sw.byCookie))
 	}
-	// What is still queued are hard timeouts and notifications in flight;
-	// a second outlasts them all.
+	// What is still queued are notifications in flight; a second outlasts
+	// them all.
 	m.advance(time.Second)
 	m.check()
 	if n := m.sw.net.K.Pending(); n != 0 {
@@ -433,7 +418,7 @@ func (m *flowTableModel) drain() {
 
 // TestFlowTableMatchesBruteForce is the model-based check of the flow
 // table's write path: random adds (mixed priorities, shared and auto
-// cookies, idle, hard and no timeouts), deletes, clock advances that expire
+// cookies, idle and no timeouts), deletes, clock advances that expire
 // rules, traffic that refreshes idle clocks and lookups, with the switch
 // compared against the ordered-slice reference after every step.
 func TestFlowTableMatchesBruteForce(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package openflow models the SDN data plane of the paper: an OVS-like
 // switch with a priority-matched flow table, header-rewrite actions
 // (set-field on IP/port — the packet filtering and rewriting capabilities
-// of OpenFlow the transparent-access approach relies on), idle and hard
-// timeouts with flow-removed notifications, packet-in on registered
-// addresses, and packet-out / flow-mod from the controller.
+// of OpenFlow the transparent-access approach relies on), idle timeouts with
+// flow-removed notifications, packet-in on registered addresses, and
+// packet-out / flow-mod from the controller.
 //
 // The switch also offers a NORMAL action (as OVS does): plain L3 forwarding
 // via a static route table, used for all traffic that is not redirected.
@@ -108,7 +108,6 @@ type FlowRule struct {
 	// the IdleTimeout of the first of them to set one; a hit on any of them
 	// refreshes it, and when it runs out they all leave the table together.
 	IdleTimeout time.Duration
-	HardTimeout time.Duration // 0 = no hard expiry
 	Cookie      uint64
 	// NotifyRemoved requests a flow-removed message on expiry. A cookie that
 	// idles out sends one, for the oldest of its rules that asked.
@@ -123,12 +122,9 @@ type FlowRule struct {
 	// in lookup order; sameCookie chains the rules of group, newest first.
 	sameKey, sameCookie *FlowRule
 	group               *cookieGroup
-	// A removed rule goes back to the switch's free list once nothing refers
-	// to it: not its flow-removed notice in flight (notifying), not its hard
-	// timer still queued (hardArmed). hardFn is that timer's thunk, bound
-	// once per rule object.
-	notifying, hardArmed bool
-	hardFn               func()
+	// A removed rule goes back to the switch's free list once its
+	// flow-removed notice is no longer in flight.
+	notifying bool
 }
 
 // cookieGroup is the live rules of one cookie and the idle clock they share.
@@ -441,9 +437,7 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 	}
 	*r = FlowRule{
 		Priority: rule.Priority, Match: rule.Match, Actions: rule.Actions,
-		IdleTimeout: rule.IdleTimeout, HardTimeout: rule.HardTimeout,
-		Cookie: rule.Cookie, NotifyRemoved: rule.NotifyRemoved,
-		hardFn: r.hardFn,
+		IdleTimeout: rule.IdleTimeout, Cookie: rule.Cookie, NotifyRemoved: rule.NotifyRemoved,
 	}
 	s.FlowMods++
 	s.nextCookie++
@@ -463,27 +457,7 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 		g.timed = true
 		g.idle.Start(s.net.K, r.IdleTimeout, g.expire)
 	}
-	if r.HardTimeout > 0 {
-		if r.hardFn == nil {
-			r.hardFn = func() { s.expire(r) }
-		}
-		r.hardArmed = true
-		s.net.K.AfterFree(r.HardTimeout, r.hardFn)
-	}
 	return r
-}
-
-// expire is a rule's hard timeout. It fires even for a rule that left the
-// table before it, which is what lets that rule be recycled.
-func (s *Switch) expire(r *FlowRule) {
-	r.hardArmed = false
-	if !r.removed {
-		s.removeRule(r)
-		if r.NotifyRemoved {
-			s.notifyRemoved(r)
-		}
-	}
-	s.release(r)
 }
 
 // expireGroup is a cookie's idle expiry: every rule of g leaves the table in
@@ -526,7 +500,7 @@ func (s *Switch) notifyRemoved(r *FlowRule) {
 // release puts a removed rule on the free list once nothing refers to it any
 // more. Every path that clears a reference calls it again.
 func (s *Switch) release(r *FlowRule) {
-	if !r.notifying && !r.hardArmed {
+	if !r.notifying {
 		s.freeRules = append(s.freeRules, r)
 	}
 }

@@ -313,24 +313,6 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 	}
 }
 
-func TestHardTimeout(t *testing.T) {
-	rg := newRig(t)
-	rg.sw.AddFlow(FlowRule{
-		Priority:    10,
-		Match:       Match{DstIP: "1.2.3.4"},
-		Actions:     Actions{Output: OutputDrop},
-		HardTimeout: time.Second,
-	})
-	rg.k.RunUntil(500 * time.Millisecond)
-	if len(rg.sw.Rules()) != 1 {
-		t.Fatal("rule expired before hard timeout")
-	}
-	rg.k.RunUntil(2 * time.Second)
-	if len(rg.sw.Rules()) != 0 {
-		t.Fatal("rule survived hard timeout")
-	}
-}
-
 func TestDeleteFlowsByCookie(t *testing.T) {
 	rg := newRig(t)
 	rg.sw.AddFlow(FlowRule{Priority: 1, Cookie: 7, Match: Match{DstIP: "a"}, Actions: Actions{Output: OutputDrop}})

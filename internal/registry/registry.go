@@ -167,30 +167,33 @@ func (r *Resolver) Resolve(ref string) (simnet.Addr, error) {
 	return addr, nil
 }
 
-// ClientConfig models the pulling side (containerd defaults).
-type ClientConfig struct {
-	// MaxConcurrentDownloads caps parallel blob downloads per pull
-	// (containerd/docker default: 3).
-	MaxConcurrentDownloads int
-	// UnpackRate is the local layer verification+extraction throughput.
-	UnpackRate simnet.BitsPerSec
-	// UnpackPerLayer is a fixed per-layer unpack overhead.
-	UnpackPerLayer time.Duration
-	// RequestTimeout bounds each registry request (manifest or blob); an
-	// unreachable registry fails the pull instead of hanging the
-	// deployment forever. Zero means 90 seconds.
-	RequestTimeout time.Duration
+// The pulling side's calibration: containerd defaults on server-class
+// hardware.
+const (
+	// maxDownloads caps parallel blob downloads per pull (the containerd
+	// and docker default).
+	maxDownloads = 3
+	// unpackRate is the local layer verification and extraction
+	// throughput, ~300 MB/s sequential.
+	unpackRate = 2400 * simnet.Mbps
+	// unpackPerLayer is a fixed per-layer unpack overhead.
+	unpackPerLayer = 15 * time.Millisecond
+	// requestTimeout bounds each registry request (manifest or blob): an
+	// unreachable registry fails the pull instead of hanging the deployment
+	// forever.
+	requestTimeout = 90 * time.Second
+)
+
+// pullTiming is one client's copy of the calibration, which the package's
+// tests sweep.
+type pullTiming struct {
+	downloads      int
+	unpackRate     simnet.BitsPerSec
+	unpackPerLayer time.Duration
+	timeout        time.Duration
 }
 
-// DefaultClientConfig mirrors containerd defaults on server-class hardware.
-func DefaultClientConfig() ClientConfig {
-	return ClientConfig{
-		MaxConcurrentDownloads: 3,
-		UnpackRate:             2400 * simnet.Mbps, // ~300 MB/s sequential unpack
-		UnpackPerLayer:         15 * time.Millisecond,
-		RequestTimeout:         90 * time.Second,
-	}
-}
+var calibrated = pullTiming{maxDownloads, unpackRate, unpackPerLayer, requestTimeout}
 
 // Client pulls images onto one node, deduplicating layers via a local
 // content store shared by every runtime on the node (the paper's EGS runs
@@ -198,7 +201,7 @@ func DefaultClientConfig() ClientConfig {
 type Client struct {
 	host     *simnet.Host
 	resolver *Resolver
-	cfg      ClientConfig
+	t        pullTiming
 	layers   map[string]bool // digest -> present
 	images   map[string]Image
 	// PullCount counts completed image pulls (diagnostics).
@@ -206,17 +209,11 @@ type Client struct {
 }
 
 // NewClient returns a pull client for the given host.
-func NewClient(h *simnet.Host, r *Resolver, cfg ClientConfig) *Client {
-	if cfg.MaxConcurrentDownloads <= 0 {
-		cfg.MaxConcurrentDownloads = 3
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 90 * time.Second
-	}
+func NewClient(h *simnet.Host, r *Resolver) *Client {
 	return &Client{
 		host:     h,
 		resolver: r,
-		cfg:      cfg,
+		t:        calibrated,
 		layers:   make(map[string]bool),
 		images:   make(map[string]Image),
 	}
@@ -275,7 +272,7 @@ func (c *Client) Pull(p *sim.Proc, ref string) error {
 		Method: "GET",
 		Path:   "/v2/manifests/" + ref,
 		Size:   1 * simnet.KiB,
-	}, c.cfg.RequestTimeout)
+	}, c.t.timeout)
 	if err != nil {
 		return fmt.Errorf("registry: manifest %s: %w", ref, err)
 	}
@@ -295,7 +292,7 @@ func (c *Client) Pull(p *sim.Proc, ref string) error {
 	k := c.host.Network().K
 	wg := sim.NewWaitGroup(k)
 	var firstErr error
-	slots := c.cfg.MaxConcurrentDownloads
+	slots := c.t.downloads
 	queue := sim.NewChan[Layer](k)
 	for _, l := range missing {
 		queue.Send(l)
@@ -314,7 +311,7 @@ func (c *Client) Pull(p *sim.Proc, ref string) error {
 					Method: "GET",
 					Path:   "/v2/blobs/" + l.Digest,
 					Size:   512,
-				}, c.cfg.RequestTimeout)
+				}, c.t.timeout)
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
@@ -328,9 +325,9 @@ func (c *Client) Pull(p *sim.Proc, ref string) error {
 					return
 				}
 				// Verify + unpack locally (serialized per worker).
-				unpack := c.cfg.UnpackPerLayer
-				if c.cfg.UnpackRate > 0 {
-					unpack += time.Duration(float64(l.Size*8) / float64(c.cfg.UnpackRate) * float64(time.Second))
+				unpack := c.t.unpackPerLayer
+				if c.t.unpackRate > 0 {
+					unpack += time.Duration(float64(l.Size*8) / float64(c.t.unpackRate) * float64(time.Second))
 				}
 				wp.Sleep(unpack)
 				c.layers[l.Digest] = true

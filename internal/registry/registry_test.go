@@ -17,7 +17,7 @@ type rig struct {
 	client *Client
 }
 
-func newRig(t *testing.T, link simnet.LinkConfig, srvCfg ServerConfig, cliCfg ClientConfig) *rig {
+func newRig(t *testing.T, link simnet.LinkConfig, srvCfg ServerConfig, timing pullTiming) *rig {
 	t.Helper()
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -31,7 +31,9 @@ func newRig(t *testing.T, link simnet.LinkConfig, srvCfg ServerConfig, cliCfg Cl
 	srv := NewServer(reg, srvCfg)
 	resolver := NewResolver()
 	resolver.AddPrefix("", reg.IP())
-	return &rig{k: k, edge: edge, server: srv, client: NewClient(edge, resolver, cliCfg)}
+	client := NewClient(edge, resolver)
+	client.t = timing
+	return &rig{k: k, edge: edge, server: srv, client: client}
 }
 
 func testImage(ref string, layerSizes ...simnet.Bytes) Image {
@@ -47,7 +49,7 @@ func testImage(ref string, layerSizes ...simnet.Bytes) Image {
 
 func TestPullStoresImageAndLayers(t *testing.T) {
 	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond, Bandwidth: 1 * simnet.Gbps},
-		ServerConfig{}, DefaultClientConfig())
+		ServerConfig{}, calibrated)
 	img := testImage("nginx:1", 10*simnet.MiB, 5*simnet.MiB)
 	rg.server.Add(img)
 	var err error
@@ -70,7 +72,7 @@ func TestPullStoresImageAndLayers(t *testing.T) {
 }
 
 func TestPullUnknownImage(t *testing.T) {
-	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond}, ServerConfig{}, DefaultClientConfig())
+	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond}, ServerConfig{}, calibrated)
 	var err error
 	rg.k.Go("pull", func(p *sim.Proc) { err = rg.client.Pull(p, "ghost:1") })
 	rg.k.Run()
@@ -81,7 +83,7 @@ func TestPullUnknownImage(t *testing.T) {
 
 func TestPullSkipsCachedLayers(t *testing.T) {
 	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond, Bandwidth: 100 * simnet.Mbps},
-		ServerConfig{}, DefaultClientConfig())
+		ServerConfig{}, calibrated)
 	shared := Layer{Digest: "base-0", Size: 50 * simnet.MiB}
 	a := Image{Ref: "a:1", Layers: []Layer{shared, {Digest: "a-1", Size: simnet.MiB}}}
 	b := Image{Ref: "b:1", Layers: []Layer{shared, {Digest: "b-1", Size: simnet.MiB}}}
@@ -112,7 +114,7 @@ func TestPullSkipsCachedLayers(t *testing.T) {
 func TestPullTimeScalesWithBandwidth(t *testing.T) {
 	pull := func(bw simnet.BitsPerSec) time.Duration {
 		rg := newRig(t, simnet.LinkConfig{Latency: 10 * time.Millisecond, Bandwidth: bw},
-			ServerConfig{}, ClientConfig{MaxConcurrentDownloads: 3, UnpackRate: 0})
+			ServerConfig{}, pullTiming{downloads: 3, timeout: requestTimeout})
 		rg.server.Add(testImage("big:1", 100*simnet.MiB))
 		var d time.Duration
 		rg.k.Go("pull", func(p *sim.Proc) {
@@ -138,7 +140,7 @@ func TestPerLayerLatencyMatters(t *testing.T) {
 	pull := func(nLayers int) time.Duration {
 		rg := newRig(t, simnet.LinkConfig{Latency: 30 * time.Millisecond, Bandwidth: 1 * simnet.Gbps},
 			ServerConfig{ManifestLatency: 100 * time.Millisecond, BlobLatency: 150 * time.Millisecond},
-			ClientConfig{MaxConcurrentDownloads: 1, UnpackRate: 0})
+			pullTiming{downloads: 1, timeout: requestTimeout})
 		total := 60 * simnet.MiB
 		img := Image{Ref: "img:1"}
 		for i := 0; i < nLayers; i++ {
@@ -173,7 +175,7 @@ func TestConcurrentDownloadsBounded(t *testing.T) {
 	mk := func(conc int) time.Duration {
 		rg := newRig(t, simnet.LinkConfig{Latency: 50 * time.Millisecond, Bandwidth: 0},
 			ServerConfig{BlobLatency: 100 * time.Millisecond},
-			ClientConfig{MaxConcurrentDownloads: conc, UnpackRate: 0})
+			pullTiming{downloads: conc, timeout: requestTimeout})
 		img := Image{Ref: "i:1"}
 		for i := 0; i < 6; i++ {
 			img.Layers = append(img.Layers, Layer{Digest: "d" + string(rune('0'+i)), Size: simnet.KiB})
@@ -195,7 +197,7 @@ func TestConcurrentDownloadsBounded(t *testing.T) {
 }
 
 func TestRemoveImageKeepsSharedLayers(t *testing.T) {
-	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond}, ServerConfig{}, DefaultClientConfig())
+	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond}, ServerConfig{}, calibrated)
 	shared := Layer{Digest: "base", Size: simnet.MiB}
 	rg.server.Add(Image{Ref: "a:1", Layers: []Layer{shared, {Digest: "a1", Size: simnet.KiB}}})
 	rg.server.Add(Image{Ref: "b:1", Layers: []Layer{shared, {Digest: "b1", Size: simnet.KiB}}})
@@ -245,13 +247,14 @@ func TestImageTotalSize(t *testing.T) {
 
 func TestPullFailsWhenRegistryUnreachable(t *testing.T) {
 	rg := newRig(t, simnet.LinkConfig{Latency: time.Millisecond, Bandwidth: simnet.Gbps},
-		ServerConfig{}, ClientConfig{RequestTimeout: 2 * time.Second})
+		ServerConfig{}, pullTiming{downloads: maxDownloads, timeout: 2 * time.Second})
 	rg.server.Add(testImage("nginx:1", simnet.MiB))
 	// Resolve the image to an address where nothing listens: the SYN is
 	// dropped and the request must time out instead of hanging forever.
 	res2 := NewResolver()
 	res2.AddPrefix("", "203.0.113.250") // nothing there
-	client := NewClient(rg.edge, res2, ClientConfig{RequestTimeout: 2 * time.Second})
+	client := NewClient(rg.edge, res2)
+	client.t = rg.client.t
 	var err error
 	var took time.Duration
 	rg.k.Go("pull", func(p *sim.Proc) {

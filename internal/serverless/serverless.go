@@ -29,30 +29,20 @@ import (
 	"transparentedge/internal/spec"
 )
 
-// Config models the platform's latencies.
-type Config struct {
-	// APILatency is the per-platform-API-call overhead.
-	APILatency time.Duration
-	// RegisterDelay is the Create phase: registering the function
+// The platform's calibration: an ahead-of-time-compiled WASM runtime on
+// server hardware, with single-digit-millisecond cold starts.
+const (
+	// apiLatency is the per-platform-API-call overhead.
+	apiLatency = 3 * time.Millisecond
+	// registerDelay is the Create phase: registering the function
 	// (metadata only — no snapshots or sandboxes to prepare).
-	RegisterDelay time.Duration
-	// InstantiateDelay is the cold start: compiling/instantiating the
+	registerDelay = 2 * time.Millisecond
+	// instantiateDelay is the cold start: compiling/instantiating the
 	// module in a fresh isolation context.
-	InstantiateDelay time.Duration
-	// PortRangeStart is the first host port used for function endpoints.
-	PortRangeStart int
-}
-
-// DefaultConfig mirrors an ahead-of-time-compiled WASM runtime on server
-// hardware: single-digit-millisecond cold starts.
-func DefaultConfig() Config {
-	return Config{
-		APILatency:       3 * time.Millisecond,
-		RegisterDelay:    2 * time.Millisecond,
-		InstantiateDelay: 9 * time.Millisecond,
-		PortRangeStart:   34000,
-	}
-}
+	instantiateDelay = 9 * time.Millisecond
+	// portRangeStart is the first host port used for function endpoints.
+	portRangeStart = 34000
+)
 
 // Platform is a serverless runtime on one node, implementing
 // cluster.Cluster.
@@ -61,7 +51,6 @@ type Platform struct {
 	host      *simnet.Host
 	modules   *registry.Client
 	behaviors cluster.BehaviorSource
-	cfg       Config
 	functions map[string]*function
 	nextPort  int
 	// ColdStarts counts instantiations (diagnostics).
@@ -94,18 +83,14 @@ type function struct {
 // New creates a platform on host; modules are fetched via the given
 // registry client (modules are distributed through the same registries as
 // container images).
-func New(name string, host *simnet.Host, modules *registry.Client, behaviors cluster.BehaviorSource, cfg Config) *Platform {
-	if cfg.PortRangeStart <= 0 {
-		cfg.PortRangeStart = 34000
-	}
+func New(name string, host *simnet.Host, modules *registry.Client, behaviors cluster.BehaviorSource) *Platform {
 	return &Platform{
 		name:      name,
 		host:      host,
 		modules:   modules,
 		behaviors: behaviors,
-		cfg:       cfg,
 		functions: make(map[string]*function),
-		nextPort:  cfg.PortRangeStart,
+		nextPort:  portRangeStart,
 	}
 }
 
@@ -130,7 +115,7 @@ func (pl *Platform) Pull(p *sim.Proc, a *spec.Annotated) error {
 		return err
 	}
 	for _, cs := range a.Containers {
-		p.Sleep(pl.cfg.APILatency)
+		p.Sleep(apiLatency)
 		if pl.modules.HasImage(cs.Image) {
 			continue
 		}
@@ -169,7 +154,7 @@ func (pl *Platform) Create(p *sim.Proc, a *spec.Annotated) error {
 	if !pl.modules.HasImage(cs.Image) {
 		return fmt.Errorf("serverless: module %s not present (pull first)", cs.Image)
 	}
-	p.Sleep(pl.cfg.APILatency + pl.cfg.RegisterDelay)
+	p.Sleep(apiLatency + registerDelay)
 	pl.functions[a.UniqueName] = &function{spec: cs}
 	return nil
 }
@@ -188,7 +173,7 @@ func (pl *Platform) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) 
 	if err := pl.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
-	p.Sleep(pl.cfg.APILatency + pl.cfg.InstantiateDelay)
+	p.Sleep(apiLatency + instantiateDelay)
 	if f.port == 0 {
 		f.port = pl.nextPort
 		pl.nextPort++
@@ -221,27 +206,32 @@ func (pl *Platform) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	pl.ops.ScaleDown.Inc()
+	pl.stop(p, f)
+	return nil
+}
+
+// stop tears down f's instance, if one runs.
+func (pl *Platform) stop(p *sim.Proc, f *function) {
 	if !f.running {
-		return nil
+		return
 	}
-	p.Sleep(pl.cfg.APILatency)
+	p.Sleep(apiLatency)
 	f.running = false
 	if f.listener != nil {
 		f.listener.Close()
 		f.listener = nil
 	}
-	return nil
 }
 
-// Remove implements cluster.Cluster.
+// Remove implements cluster.Cluster: stop the instance, as ScaleDown does
+// but uncounted, and unregister the function.
 func (pl *Platform) Remove(p *sim.Proc, name string) error {
-	if _, ok := pl.functions[name]; !ok {
+	f, ok := pl.functions[name]
+	if !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrUnknownService, name)
 	}
-	if err := pl.ScaleDown(p, name); err != nil {
-		return err
-	}
-	p.Sleep(pl.cfg.APILatency)
+	pl.stop(p, f)
+	p.Sleep(apiLatency)
 	delete(pl.functions, name)
 	return nil
 }

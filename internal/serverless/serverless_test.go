@@ -59,11 +59,11 @@ func newRig(t *testing.T) *rig {
 	srv.Add(registry.Image{Ref: "web:wasm", Layers: []registry.Layer{{Digest: "w0", Size: 60 * simnet.KiB}}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	modules := registry.NewClient(node, res, registry.DefaultClientConfig())
+	modules := registry.NewClient(node, res)
 	behaviors := cluster.StaticBehaviors{
 		"web:wasm": {InitDelay: 500 * time.Microsecond, ServiceTime: 150 * time.Microsecond, RespSize: 256},
 	}
-	return &rig{k: k, node: node, client: cli, pl: New("egs-serverless", node, modules, behaviors, DefaultConfig())}
+	return &rig{k: k, node: node, client: cli, pl: New("egs-serverless", node, modules, behaviors)}
 }
 
 func annotated(t *testing.T, src string) *spec.Annotated {

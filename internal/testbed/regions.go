@@ -93,8 +93,7 @@ func NewRegions(opts RegionOptions) *Regions {
 	var resolver *registry.Resolver
 	rs.Hub, rs.GCR, resolver = backbone.publicRegistries()
 
-	ctrlCfg := core.DefaultConfig()
-	ctrlCfg.Scheduler = core.WaitNearestScheduler{}
+	ctrlCfg := core.Config{Scheduler: core.WaitNearestScheduler{}}
 	for i := 0; i < opts.Regions; i++ {
 		c := siteConfig{
 			k:        group.Kernel(i + 1),

@@ -120,7 +120,7 @@ func newSite(c siteConfig) *Site {
 	s.cloud, resolver = c.uplink(s)
 
 	// The containerd runtime on the EGS, shared by every cluster type there.
-	images := registry.NewClient(s.EGS, resolver, registry.DefaultClientConfig())
+	images := registry.NewClient(s.EGS, resolver)
 	s.Runtime = container.NewRuntime(s.EGS, images, RuntimeConfig())
 
 	c.ctrl.Trace = c.trace
@@ -138,7 +138,7 @@ func newSite(c siteConfig) *Site {
 		if s.name != "" {
 			name = s.name + "-docker"
 		}
-		s.Docker = docker.New(name, s.Runtime, catalog.Behaviors(), DockerConfig())
+		s.Docker = docker.New(name, s.Runtime, catalog.Behaviors())
 		s.Docker.SetObs(c.counters)
 		s.Ctrl.AddCluster(s.Docker, KindDocker)
 	}

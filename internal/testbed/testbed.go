@@ -194,11 +194,6 @@ const (
 	predictHorizon  = 15 * time.Second
 )
 
-// DockerConfig returns the calibrated Docker engine configuration.
-func DockerConfig() docker.Config {
-	return docker.Config{APILatency: 25 * time.Millisecond, PortRangeStart: 32000}
-}
-
 // RuntimeConfig returns the calibrated containerd configuration for the EGS.
 func RuntimeConfig() container.RuntimeConfig {
 	return container.RuntimeConfig{
@@ -209,14 +204,6 @@ func RuntimeConfig() container.RuntimeConfig {
 	}
 }
 
-// KubeConfig returns the calibrated single-node Kubernetes configuration.
-func KubeConfig() kube.Config {
-	cfg := kube.DefaultConfig()
-	cfg.Scheduler.BindingDelay = 400 * time.Millisecond
-	cfg.Kubelet.SandboxDelay = 1350 * time.Millisecond
-	return cfg
-}
-
 // New assembles a testbed.
 func New(opts Options) *Testbed {
 	if opts.NumClients <= 0 {
@@ -224,28 +211,19 @@ func New(opts Options) *Testbed {
 	}
 	tb := &Testbed{}
 
-	ctrlCfg := core.DefaultConfig()
-	ctrlCfg.Scheduler = opts.Scheduler
+	ctrlCfg := core.Config{
+		Scheduler:          opts.Scheduler,
+		AutoScaleDown:      opts.AutoScaleDown,
+		LocalSchedulerName: opts.LocalSchedulerName,
+		Events:             opts.Events,
+		SwitchIdleTimeout:  opts.SwitchIdleTimeout,
+		MemoryIdleTimeout:  opts.MemoryIdleTimeout,
+		ProbeInterval:      opts.ProbeInterval,
+		ProbeMaxWait:       opts.ProbeMaxWait,
+		DeployRetries:      opts.DeployRetries,
+	}
 	if ctrlCfg.Scheduler == nil {
 		ctrlCfg.Scheduler = core.WaitNearestScheduler{}
-	}
-	ctrlCfg.AutoScaleDown = opts.AutoScaleDown
-	ctrlCfg.LocalSchedulerName = opts.LocalSchedulerName
-	ctrlCfg.Events = opts.Events
-	if opts.SwitchIdleTimeout > 0 {
-		ctrlCfg.SwitchIdleTimeout = opts.SwitchIdleTimeout
-	}
-	if opts.MemoryIdleTimeout > 0 {
-		ctrlCfg.MemoryIdleTimeout = opts.MemoryIdleTimeout
-	}
-	if opts.ProbeInterval > 0 {
-		ctrlCfg.ProbeInterval = opts.ProbeInterval
-	}
-	if opts.ProbeMaxWait != 0 {
-		ctrlCfg.ProbeMaxWait = opts.ProbeMaxWait
-	}
-	if opts.DeployRetries > 0 {
-		ctrlCfg.DeployRetries = opts.DeployRetries
 	}
 	// Distance model: clusters on the EGS are nearest (0); the far edge
 	// ranks behind them (1); Docker vs Kubernetes on the same EGS tie and
@@ -342,7 +320,7 @@ func (c *cloud) publicRegistries() (hub, gcr *registry.Server, resolver *registr
 func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Options) {
 	behaviors := catalog.Behaviors()
 	if opts.EnableKube {
-		kubeCfg := KubeConfig()
+		var kubeCfg kube.Config
 		if opts.LocalSchedulerName != "" {
 			// Run the configured Local Scheduler (§IV-B) alongside the
 			// default scheduler so annotated pods get bound.
@@ -362,8 +340,8 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 	if opts.EnableServerless {
 		// The platform keeps its own module store: WASM modules are a
 		// different artifact type than container images.
-		moduleStore := registry.NewClient(s.EGS, resolver, registry.DefaultClientConfig())
-		tb.Serverless = serverless.New("egs-serverless", s.EGS, moduleStore, behaviors, serverless.DefaultConfig())
+		moduleStore := registry.NewClient(s.EGS, resolver)
+		tb.Serverless = serverless.New("egs-serverless", s.EGS, moduleStore, behaviors)
 		tb.Serverless.SetObs(opts.Counters)
 		s.Ctrl.AddCluster(tb.Serverless, KindServerless)
 	}
@@ -374,9 +352,9 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 		s.Switch.AttachHost(tb.FarHost, 4, simnet.LinkConfig{
 			Name: "far-edge", Latency: 2 * time.Millisecond, Bandwidth: 1 * simnet.Gbps,
 		})
-		farImages := registry.NewClient(tb.FarHost, resolver, registry.DefaultClientConfig())
+		farImages := registry.NewClient(tb.FarHost, resolver)
 		tb.FarRuntime = container.NewRuntime(tb.FarHost, farImages, RuntimeConfig())
-		tb.FarDocker = docker.New("far-docker", tb.FarRuntime, behaviors, DockerConfig())
+		tb.FarDocker = docker.New("far-docker", tb.FarRuntime, behaviors)
 		tb.FarDocker.SetObs(opts.Counters)
 		s.Ctrl.AddCluster(tb.FarDocker, KindDocker)
 	}

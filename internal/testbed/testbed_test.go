@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"transparentedge/internal/catalog"
+	"transparentedge/internal/cluster"
 	"transparentedge/internal/core"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/kube"
@@ -750,6 +751,54 @@ func TestRuntimeClassPlacement(t *testing.T) {
 	}
 }
 
+// TestClusterOpCountsAgree: one Pull, Create, ScaleUp, ScaleDown and Remove
+// of a service count one operation of each kind on every cluster type, so
+// cluster_ops_total compares the three. Remove counts no scale-down of its
+// own on any of them.
+func TestClusterOpCountsAgree(t *testing.T) {
+	reg := obs.NewRegistry()
+	tb := New(Options{Seed: 1, EnableDocker: true, EnableKube: true, EnableServerless: true, Counters: reg})
+	ctr, _, err := tb.RegisterCatalogService(catalog.Nginx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _, err := tb.RegisterCatalogService(catalog.AsmWasm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := []struct {
+		cl cluster.Cluster
+		a  *spec.Annotated
+	}{{tb.Docker, ctr}, {tb.Kube, ctr}, {tb.Serverless, fn}}
+	tb.K.Go("driver", func(p *sim.Proc) {
+		for _, c := range clusters {
+			name := c.a.UniqueName
+			for _, step := range []func() error{
+				func() error { return c.cl.Pull(p, c.a) },
+				func() error { return c.cl.Create(p, c.a) },
+				func() error { _, err := c.cl.ScaleUp(p, name); return err },
+				func() error { return c.cl.ScaleDown(p, name) },
+				func() error { return c.cl.Remove(p, name) },
+			} {
+				if err := step(); err != nil {
+					t.Errorf("%s: %v", c.cl.Name(), err)
+					return
+				}
+			}
+		}
+	})
+	tb.K.RunUntil(10 * time.Minute)
+	counts := reg.Map()
+	for _, c := range clusters {
+		for _, op := range []string{"pull", "create", "scale_up", "scale_down"} {
+			key := `cluster_ops_total{cluster="` + c.cl.Name() + `",op="` + op + `"}`
+			if got := counts[key]; got != 1 {
+				t.Errorf("%s = %v, want 1", key, got)
+			}
+		}
+	}
+}
+
 func TestCrashedInstanceIsRedeployedOnNextRequest(t *testing.T) {
 	// Resilience: every Docker start crashes before its port opens. The
 	// probe gives up after ProbeMaxWait, the dead instance is not kept, the
@@ -835,9 +884,9 @@ func TestBindTimeoutReleasesHeldRequestToCloud(t *testing.T) {
 		t.Fatalf("records = %+v, want two failed deployments (the second request starts its own)", failed)
 	}
 	// ScaleUp makes three API requests, then lists pods — one request
-	// latency each, one poll interval apart — until the bound has passed.
-	cfg := kube.DefaultConfig()
-	lat, poll := cfg.API.RequestLatency, cfg.BindPollInterval
+	// latency each, one poll interval apart — until the bound has passed. The
+	// latency and the interval are kube's calibration.
+	lat, poll := 15*time.Millisecond, 50*time.Millisecond
 	waitFrom := 3 * lat
 	want := waitFrom + lat
 	for want < waitFrom+core.DefaultProbeMaxWait {
