@@ -264,12 +264,24 @@ func (m *FlowMemory) RedirectService(service string, to cluster.Instance) int {
 	return n
 }
 
-// Entries returns a snapshot of all memorized flows.
+// Entries returns a snapshot of all memorized flows, ordered by client, then
+// VIP, then port, so that what is printed from it does not depend on map
+// iteration order.
 func (m *FlowMemory) Entries() []MemEntry {
 	out := make([]MemEntry, 0, len(m.entries))
 	for _, e := range m.entries {
 		out = append(out, *e)
 	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Key, out[j].Key
+		if a.Client != b.Client {
+			return a.Client < b.Client
+		}
+		if a.VIP != b.VIP {
+			return a.VIP < b.VIP
+		}
+		return a.Port < b.Port
+	})
 	return out
 }
 

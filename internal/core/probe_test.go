@@ -162,7 +162,7 @@ func runProbeCase(pc probeCase, seed int64, probe func(*sim.Proc, *Controller, c
 	ctrl := New(k, egs, pc.cfg)
 
 	var out probeOutcome
-	n.PktTrace = func(where string, pkt *simnet.Packet) {
+	n.PktTrace = func(_ sim.Time, where string, pkt *simnet.Packet) {
 		out.packets = append(out.packets, fmt.Sprintf("%d %s %v %d->%d", k.Now(), where, pkt.Kind, pkt.SrcPort, pkt.DstPort))
 	}
 	const port = 32000
@@ -347,7 +347,7 @@ func TestProbeRecyclesConns(t *testing.T) {
 		t.Fatalf("after three exchanges %d Conns are free and %d held, want 6 and 0", total, len(held()))
 	}
 	lateSYNACK := false
-	n.PktTrace = func(where string, pkt *simnet.Packet) {
+	n.PktTrace = func(_ sim.Time, where string, pkt *simnet.Packet) {
 		exclusive(fmt.Sprintf("at %v, %v to %s", time.Duration(k.Now()), pkt.Kind, where))
 		if where == "egs" && pkt.Kind == simnet.KindSYNACK && egs.OpenConns() == 0 {
 			lateSYNACK = true

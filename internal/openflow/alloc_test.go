@@ -20,8 +20,8 @@ func (s *sinkNode) HandlePacket(in *simnet.Port, pkt *simnet.Packet) {
 	s.net.FreePacket(pkt)
 }
 
-// TestAllocsSwitchProcessHit pins the flow-table hit path — FwdDelay FIFO,
-// signature-indexed lookup, in-place Actions.apply rewrite, port output —
+// TestAllocsSwitchProcessHit pins the flow-table hit path — the FwdDelay
+// stage riding the link's delivery, signature-indexed lookup, in-place Actions.apply rewrite, port output —
 // at zero steady-state allocations per packet.
 func TestAllocsSwitchProcessHit(t *testing.T) {
 	k := sim.New(1)

@@ -12,6 +12,7 @@ package openflow
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -258,6 +259,10 @@ type Switch struct {
 	seq        uint64
 	ports      map[int]*simnet.Port
 	portOf     map[*simnet.Port]int
+	// retired keeps the numbers of ports DetachPort forgot within the last
+	// pipeline stage: a packet that reached the switch through one before it
+	// was forgotten is processed under the in-port it arrived on.
+	retired    []retiredPort
 	routes     map[simnet.Addr]int
 	defaultOut int // port used when no route matches (toward the cloud); -1 = none
 	controller Controller
@@ -278,12 +283,6 @@ type Switch struct {
 	// forwarded, or dropped it); false falls through to the flow table. A
 	// nil hook costs one predictable branch per packet.
 	ingressSteer func(sw *Switch, inPort int, pkt *simnet.Packet) bool
-	// FIFO of packets waiting out the FwdDelay pipeline stage. FwdDelay is
-	// constant, so pooled AfterFree events with a persistent drain thunk
-	// preserve arrival order without a per-packet closure.
-	fifo     []pendingPkt
-	fifoHead int
-	drainFn  func()
 	// ctrlq is the controller channel in both directions: packet-ins and
 	// flow-removed notices up, packet-outs down. ControllerLatency is
 	// constant too, so one FIFO drained by a persistent thunk delivers every
@@ -293,9 +292,11 @@ type Switch struct {
 	ctrlFn   func()
 }
 
-type pendingPkt struct {
-	inPort int
-	pkt    *simnet.Packet
+// retiredPort is a port DetachPort forgot, at the instant it did.
+type retiredPort struct {
+	port *simnet.Port
+	num  int
+	at   sim.Time
 }
 
 // ctrlKind tags a controller-channel message.
@@ -330,7 +331,6 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		routes:     make(map[simnet.Addr]int),
 		defaultOut: -1,
 	}
-	s.drainFn = s.drainOne
 	s.ctrlFn = s.deliverCtrl
 	n.Register(s)
 	return s
@@ -338,6 +338,10 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 
 // Name implements simnet.Node.
 func (s *Switch) Name() string { return s.name }
+
+// PipelineDelay implements simnet.StagedNode: a link hands the switch a
+// packet FwdDelay after it arrived, and the switch processes it at once.
+func (s *Switch) PipelineDelay() time.Duration { return s.cfg.FwdDelay }
 
 // SetController wires the SDN controller.
 func (s *Switch) SetController(c Controller) { s.controller = c }
@@ -372,12 +376,17 @@ func (s *Switch) AttachHost(h *simnet.Host, num int, link simnet.LinkConfig) {
 // through it — the switch side of a host handover. The link itself is not
 // touched here (the departing host severs it via Detach/MoveTo); the switch
 // merely stops routing through the dead port, so a later AddPort may reuse
-// the number (ping-pong handovers). Unknown port numbers are a no-op.
+// the number (ping-pong handovers). A packet that arrived through the port
+// before it was forgotten and is still in the pipeline stage keeps num as
+// its in-port. Unknown port numbers are a no-op.
 func (s *Switch) DetachPort(num int) {
 	p, ok := s.ports[num]
 	if !ok {
 		return
 	}
+	now := s.net.K.Now()
+	s.retired = slices.DeleteFunc(s.retired, func(r retiredPort) bool { return r.at+s.cfg.FwdDelay < now })
+	s.retired = append(s.retired, retiredPort{port: p, num: num, at: now})
 	delete(s.ports, num)
 	delete(s.portOf, p)
 	for ip, out := range s.routes {
@@ -635,26 +644,27 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	return s.removeGroup(g)
 }
 
-// HandlePacket implements simnet.Node: run the packet through the table.
+// HandlePacket implements simnet.Node: run the packet through the table. A
+// link calls it when the packet's pipeline stage ends (PipelineDelay), so
+// lookup, counters, idle clocks and output all happen at that instant.
 func (s *Switch) HandlePacket(in *simnet.Port, pkt *simnet.Packet) {
-	inPort := s.portOf[in]
-	if s.cfg.FwdDelay > 0 {
-		s.fifo = append(s.fifo, pendingPkt{inPort, pkt})
-		s.net.K.AfterFree(s.cfg.FwdDelay, s.drainFn)
-		return
-	}
-	s.process(inPort, pkt)
+	s.process(s.inPort(in), pkt)
 }
 
-func (s *Switch) drainOne() {
-	e := s.fifo[s.fifoHead]
-	s.fifo[s.fifoHead] = pendingPkt{}
-	s.fifoHead++
-	if s.fifoHead == len(s.fifo) {
-		s.fifo = s.fifo[:0]
-		s.fifoHead = 0
+// inPort returns the number in is registered under: the one it had when the
+// packet now leaving the pipeline arrived, if DetachPort has forgotten it
+// since.
+func (s *Switch) inPort(in *simnet.Port) int {
+	if num, ok := s.portOf[in]; ok {
+		return num
 	}
-	s.process(e.inPort, e.pkt)
+	arrived := s.net.K.Now() - s.cfg.FwdDelay
+	for _, r := range s.retired {
+		if r.port == in && arrived <= r.at {
+			return r.num
+		}
+	}
+	return 0
 }
 
 func (s *Switch) process(inPort int, pkt *simnet.Packet) {

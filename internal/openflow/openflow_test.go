@@ -208,6 +208,43 @@ func TestPacketInOnRegisteredAddress(t *testing.T) {
 	}
 }
 
+// TestHandoverKeepsPipelineInPort: a packet that reached the switch before
+// its sender handed over is processed when its pipeline stage ends, under the
+// in-port it arrived on although DetachPort has forgotten the port by then;
+// one still propagating when the link is severed dies on the link.
+func TestHandoverKeepsPipelineInPort(t *testing.T) {
+	// The SYN reaches the switch after 200 µs of latency and 512 ns of
+	// serialization, and leaves the 20 µs pipeline at 220.512 µs.
+	const arrive = 200*time.Microsecond + 512
+	for _, tc := range []struct {
+		name      string
+		handover  time.Duration
+		packetIns int
+	}{
+		{"in the pipeline stage", arrive + 10*time.Microsecond, 1},
+		{"in propagation", arrive - 100*time.Microsecond, 0},
+	} {
+		rg := newRig(t)
+		ctrl := &recordingController{}
+		rg.sw.SetController(ctrl)
+		vip := simnet.Addr("203.0.113.99")
+		rg.sw.AddFlow(FlowRule{Priority: 50, Match: Match{DstIP: vip, DstPort: 80}, Actions: Actions{Output: OutputController}})
+		rg.client.HTTPGetAsync(vip, 80, &simnet.HTTPRequest{}, 100*time.Millisecond, func(*simnet.HTTPResult, error) {})
+		rg.k.At(tc.handover, func() {
+			rg.sw.DetachPort(1)
+			rg.client.Detach()
+		})
+		rg.k.Run()
+		if len(ctrl.packetIns) != tc.packetIns || rg.n.DetachDrops != uint64(1-tc.packetIns) {
+			t.Fatalf("%s: %d packet-ins, %d detach drops, want %d, %d",
+				tc.name, len(ctrl.packetIns), rg.n.DetachDrops, tc.packetIns, 1-tc.packetIns)
+		}
+		if tc.packetIns > 0 && ctrl.packetIns[0].InPort != 1 {
+			t.Errorf("%s: in-port %d, want 1, the port the SYN arrived on", tc.name, ctrl.packetIns[0].InPort)
+		}
+	}
+}
+
 func TestHeldPacketReleasedByTableOut(t *testing.T) {
 	// The on-demand-with-waiting mechanism: SYN is held at the controller,
 	// flows get installed, then the SYN is released through the table.

@@ -197,9 +197,32 @@ func (k *Kernel) Schedule(e *Event, t Time) {
 		// fire; re-arming one from user code would corrupt the pool.
 		panic("sim: Schedule on a pooled (AfterFree) event")
 	}
-	e.when = t
 	e.seq = k.seq
 	k.seq++
+	k.arm(e, t)
+}
+
+// Retime arms e at absolute time t like Schedule, but keeps the sequence
+// number e drew when it was last scheduled: among the events due at t it runs
+// where an event armed at that earlier moment would. A model that folded two
+// events into one arms the folded event early, for the later instant; when it
+// has to unfold, Retime moves the event back to the first instant without
+// moving it in the order of that instant (simnet's host stage, DESIGN.md
+// §20). Like Schedule it re-arms a fired or cancelled event, and panics for t
+// before now.
+func (k *Kernel) Retime(e *Event, t Time) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: re-timing event to %v before now %v", t, k.now))
+	}
+	if e.k != k || e.pooled {
+		panic("sim: Retime on a pooled event or one from another kernel")
+	}
+	k.arm(e, t)
+}
+
+// arm queues e at t under its current sequence number.
+func (k *Kernel) arm(e *Event, t Time) {
+	e.when = t
 	e.stamp++ // any queued entry for the previous arm is now stale
 	if e.cancelled || e.fired {
 		e.cancelled = false

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -529,6 +530,93 @@ func TestScheduleForeignKernelPanics(t *testing.T) {
 		}
 	}()
 	k2.Schedule(e, 10)
+}
+
+func TestRetimeKeepsPlace(t *testing.T) {
+	// An event armed for a later instant and re-timed to an earlier one runs
+	// there in the place its original arming gives it among that instant's
+	// events: after those armed before it, before those armed after it,
+	// whichever queue they are in.
+	k := New(1)
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	var before, after bool // Precedes(e), asked by the events either side of it
+	var e *Event
+	k.At(10, func() { order, before = append(order, "before"), k.Precedes(e) })
+	e = k.NewEvent(log("retimed"))
+	k.Schedule(e, 500)
+	k.At(10, func() { order, after = append(order, "after"), k.Precedes(e) })
+	k.At(5, func() {
+		k.Retime(e, 10)
+		k.At(10, log("armed at 5"))
+	})
+	k.At(10, func() { k.Defer(log("deferred")) })
+	k.Run()
+	want := []string{"before", "retimed", "after", "armed at 5", "deferred"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	if !before || after {
+		t.Errorf("Precedes(e) %v before it and %v after it, want true, false", before, after)
+	}
+	if st := k.Stats(); st.Scheduled != 7 || st.Pending != 0 {
+		t.Errorf("%d scheduled, %d pending, want 7, 0: a re-time draws no sequence number", st.Scheduled, st.Pending)
+	}
+	// Re-timed to a later instant it moves there, just as far ahead of the
+	// events armed after it.
+	k = New(1)
+	order = nil
+	e = k.NewEvent(log("retimed"))
+	k.Schedule(e, 10)
+	k.At(20, log("after"))
+	k.Retime(e, 20)
+	k.Run()
+	if fmt.Sprint(order) != "[retimed after]" {
+		t.Errorf("order %v, want [retimed after]", order)
+	}
+}
+
+func TestRetimeRearms(t *testing.T) {
+	// A fired or cancelled event re-timed is armed again, still under the
+	// sequence number it last drew.
+	k := New(1)
+	var order []string
+	e := k.NewEvent(func() { order = append(order, fmt.Sprint("e@", int64(k.Now()))) })
+	k.Schedule(e, 10)
+	k.At(20, func() { order = append(order, "other@20") })
+	k.RunUntil(15)
+	k.Retime(e, 20) // fired: armed again, ahead of the event armed after it
+	if k.Pending() != 2 {
+		t.Errorf("fired event re-timed: %d pending, want 2", k.Pending())
+	}
+	k.Run()
+	k.At(40, func() { order = append(order, "other@40") })
+	k.Schedule(e, 40)
+	e.Cancel()
+	if k.Pending() != 1 {
+		t.Errorf("%d pending after Cancel, want 1", k.Pending())
+	}
+	k.Retime(e, 40) // cancelled: armed again, behind the event armed before it
+	k.Run()
+	want := "[e@10 e@20 other@20 other@40 e@40]"
+	if fmt.Sprint(order) != want || k.Pending() != 0 {
+		t.Errorf("order %v, %d pending; want %s, 0", order, k.Pending(), want)
+	}
+}
+
+func TestRetimePastPanics(t *testing.T) {
+	k := New(1)
+	e := k.NewEvent(func() {})
+	k.Schedule(e, 100)
+	k.After(50, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Retime before now did not panic")
+			}
+		}()
+		k.Retime(e, 40)
+	})
+	k.Run()
 }
 
 func TestPrecedes(t *testing.T) {

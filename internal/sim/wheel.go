@@ -23,10 +23,10 @@ package sim
 // enough that its O(log m) sift is cheap. Pop takes the heap minimum, which
 // is exactly the global (when, seq) minimum: every uncollected entry is >=
 // swept and every near entry is < swept. A heap rather than a sorted run
-// because stragglers arrive in no particular order: every packet's latency
-// event, every host and switch delay stage lands a few microseconds ahead of
-// the clock and so, as often as not, behind the boundary; a sorted run would
-// pay an O(m) memmove for each.
+// because stragglers arrive in no particular order: every event armed a few
+// microseconds ahead of the clock, such as a packet's delivery on a short
+// hop, lands as often as not behind the boundary; a sorted run would pay an
+// O(m) memmove for each.
 //
 // Cancellation and re-scheduling are lazy: entries carry the stamp their
 // event had at insert time, Event.stamp increments on every Schedule, and

@@ -70,7 +70,9 @@ func TestAllocsPortSendDeliver(t *testing.T) {
 // its arrival and at its departure, plus its own latency event) and the
 // timer queue never holds more than the cohort's worth of entries. Re-arming
 // every member on every membership change would enqueue ~1024 per packet.
-// A packet that meets no other costs one enqueue and one event.
+// A packet that meets no other costs one enqueue and one event, and so does
+// one that also waits out a quiet host's stack stage before the hop and a
+// staged receiver's pipeline stage after it.
 func TestSchedulesPerHopBounded(t *testing.T) {
 	const cohort = 1024
 	k := sim.New(1)
@@ -125,7 +127,40 @@ func TestSchedulesPerHopBounded(t *testing.T) {
 		t.Errorf("%d lone packets: %d enqueues and %d fired events beyond the sends themselves, want %d and %d",
 			lone, sched, fired, lone, lone)
 	}
+
+	// Stages included: a quiet host's stack stage, the hop and the
+	// receiver's pipeline stage cost one enqueue and one fired event.
+	k = sim.New(1)
+	n = NewNetwork(k)
+	h := NewHost(n, "h", "10.0.0.1")
+	h.ProcDelay = 200 * time.Microsecond
+	sw := &stagedSink{sinkNode{name: "sw", net: n}, 20 * time.Microsecond}
+	hp, _ := n.Connect(h, sw, LinkConfig{Latency: 150 * time.Microsecond, Bandwidth: Gbps})
+	h.SetUplink(hp)
+	for i := 0; i < lone; i++ {
+		pkt := n.NewPacket()
+		pkt.Kind, pkt.Size = KindDATA, KiB
+		k.At(sim.Time(i)*time.Millisecond, func() { h.sendOut(pkt) })
+	}
+	base = k.Stats()
+	k.Run()
+	st = k.Stats()
+	if sw.got != lone {
+		t.Fatalf("staged: delivered %d, want %d", sw.got, lone)
+	}
+	if sched, fired := st.Scheduled-base.Scheduled, st.Events-lone; sched != lone || fired != lone {
+		t.Errorf("%d lone packets through a host stack into a staged node: %d enqueues and %d fired events beyond the sends themselves, want %d and %d",
+			lone, sched, fired, lone, lone)
+	}
 }
+
+// stagedSink is a sinkNode with a pipeline stage, as a switch has.
+type stagedSink struct {
+	sinkNode
+	stage time.Duration
+}
+
+func (s *stagedSink) PipelineDelay() time.Duration { return s.stage }
 
 // TestAllocsHostDataReceive pins the end-to-end DATA segment path across an
 // established connection — Conn.Send, link transfer, Host.HandlePacket

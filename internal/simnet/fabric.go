@@ -71,17 +71,18 @@ func (f *Fabric) Connect(na *Network, a Node, da int, nb *Network, b Node, db in
 
 // shipRemote crosses the shard boundary: copy the packet by value into the
 // message, free it to the sending pool, and deliver a fresh packet from the
-// receiving pool at time at on the destination kernel.
+// receiving pool on the destination kernel, where it arrives at at — at the
+// end of its pipeline stage for a StagedNode, as on a local link.
 func (l *Link) shipRemote(pkt *Packet, at sim.Time) {
 	r := l.remote
 	cp := *pkt
 	l.net.FreePacket(pkt)
-	r.group.Send(r.srcDomain, r.dstDomain, at, func() {
+	r.group.Send(r.srcDomain, r.dstDomain, at+l.ab.stage, func() {
 		np := r.dstNet.NewPacket()
 		*np = cp
 		dst := r.dst
 		if dst.link.net.PktTrace != nil {
-			dst.link.net.PktTrace(dst.node.Name(), np)
+			dst.link.net.PktTrace(at, dst.node.Name(), np)
 		}
 		dst.node.HandlePacket(dst, np)
 	})

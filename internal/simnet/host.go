@@ -35,12 +35,9 @@ type Host struct {
 	// ProcDelay is the per-packet processing overhead of this host's stack
 	// (e.g. Raspberry Pi clients are slower than the EGS).
 	ProcDelay time.Duration
-	// outq is the FIFO of packets waiting out the ProcDelay stage; drainFn
-	// is the persistent drain thunk (ProcDelay is constant per host, so
-	// pooled AfterFree events preserve send order).
-	outq    []*Packet
-	outHead int
-	drainFn func()
+	// staged counts the packets in the stack stage that wait for their own
+	// event to reach the uplink; a fused one (see stack) is not among them.
+	staged int
 	// detached distinguishes a host that deliberately left its attachment
 	// point (Detach/MoveTo — sends drop deterministically) from one that was
 	// never wired up (sends panic, a topology bug).
@@ -57,7 +54,6 @@ func NewHost(n *Network, name string, ip Addr) *Host {
 		conns:     make(map[fourTuple]*Conn),
 		ephemeral: 32768,
 	}
-	h.drainFn = h.drainOut
 	n.Register(h)
 	return h
 }
@@ -73,7 +69,11 @@ func (h *Host) Network() *Network { return h.net }
 
 // SetUplink attaches the host's single network port. Use after
 // Network.Connect: the port returned for this host becomes its uplink.
+// Packets still in the host's stack leave it through p.
 func (h *Host) SetUplink(p *Port) {
+	if h.uplink != nil {
+		h.uplink.dir.settleFused()
+	}
 	h.uplink = p
 	if p != nil {
 		h.detached = false
@@ -89,22 +89,21 @@ func (h *Host) AttachTo(sw Node, cfg LinkConfig) (hostPort, swPort *Port) {
 }
 
 // Detach severs the host's uplink — the first half of a handover. The old
-// link is cut permanently: every packet already in flight on it (either
-// direction) is dropped when the stage it is in — serialization, propagation
-// — would have ended, counted, and returned to the pool, and nothing is ever
-// delivered from its ports again. Packets still inside the host's own
-// ProcDelay stage have not left the stack yet; they go out the new uplink if
-// one is attached by their drain time, and are dropped (counted, pooled)
+// link is cut permanently: every packet already on it (either direction) is
+// dropped when the stage it is in — serialization, propagation — would have
+// ended, counted, and returned to the pool, and nothing is ever delivered
+// from its ports again, except that a packet that has already reached a
+// StagedNode (the switch at the far end) is still processed when its
+// pipeline stage ends. Packets still inside the host's own ProcDelay stage
+// have not left the stack yet, even one whose delivery was armed when it
+// entered the stack (Detach un-fuses it); they go out the new uplink if one
+// is attached by the end of their stage, and are dropped (counted, pooled)
 // otherwise. Detaching a detached host is a no-op.
 func (h *Host) Detach() {
 	if h.uplink == nil {
 		return
 	}
-	l := h.uplink.link
-	// A lone transfer still serializing dies when its last byte would have
-	// left the wire, not when its delivery was scheduled: back to the cohort.
-	l.unsolo()
-	l.severed = true
+	h.uplink.link.sever()
 	h.uplink = nil
 	h.detached = true
 }
@@ -254,42 +253,64 @@ func (h *Host) sendOut(pkt *Packet) {
 	}
 	pkt.ID = h.net.NextPacketID()
 	if h.ProcDelay > 0 {
-		// The packet enters the host's own stack regardless of attachment;
-		// whether it goes out (and over which uplink) is decided at drain
-		// time, when it actually reaches the NIC.
-		h.outq = append(h.outq, pkt)
-		h.net.K.AfterFree(h.ProcDelay, h.drainFn)
+		h.stack(pkt)
 		return
 	}
 	if h.uplink == nil {
-		// Between Detach and re-attach: the stack has no way out.
-		h.net.DetachDrops++
-		h.net.cDetachDrops.Inc()
-		h.net.FreePacket(pkt)
+		h.dropDetached(pkt)
 		return
 	}
 	h.uplink.Send(pkt)
 }
 
-// drainOut sends the oldest queued packet after its ProcDelay elapsed. A
-// packet drained while the host is detached is dropped (counted, pooled);
-// one drained after a MoveTo re-attach goes out the new uplink — it had not
-// left the host stack when the old link died.
-func (h *Host) drainOut() {
-	pkt := h.outq[h.outHead]
-	h.outq[h.outHead] = nil
-	h.outHead++
-	if h.outHead == len(h.outq) {
-		h.outq = h.outq[:0]
-		h.outHead = 0
+// stack puts pkt into the host's stack stage, which it leaves ProcDelay from
+// now. The packet enters it regardless of attachment; whether it goes out
+// (and over which uplink) is decided when the stage ends. A quiet host — no
+// other packet in its stack, and an uplink direction that fuse accepts — arms
+// the packet's delivery at once, stage, serialization and propagation in one
+// event; otherwise the packet's event is armed for the end of the stage,
+// where unstack sends it. Every packet's event draws its sequence number
+// here, so packets leave the stack in send order.
+func (h *Host) stack(pkt *Packet) {
+	if pkt.Size < minWireSize {
+		pkt.Size = minWireSize
 	}
+	t := h.net.getTransfer(nil)
+	t.pkt, t.host = pkt, h
+	t.updated = h.net.K.Now() + h.ProcDelay
+	if h.uplink != nil {
+		d := h.uplink.dir
+		d.settleFused() // a fused packet still in the stack is no longer alone
+		if h.staged == 0 && d.fuse(t) {
+			return
+		}
+	}
+	h.staged++
+	h.net.K.Schedule(t.finish, t.updated)
+}
+
+// unstack sends a packet whose stack stage has ended. One leaving the stack
+// while the host is detached is dropped (counted, pooled); one leaving it
+// after a MoveTo re-attach goes out the new uplink — it had not left the host
+// when the old link died.
+func (h *Host) unstack(t *transfer) {
+	h.staged--
 	if h.uplink == nil {
-		h.net.DetachDrops++
-		h.net.cDetachDrops.Inc()
-		h.net.FreePacket(pkt)
+		pkt := t.pkt
+		h.net.putTransfer(t)
+		h.dropDetached(pkt)
 		return
 	}
-	h.uplink.Send(pkt)
+	t.dir = h.uplink.dir
+	t.dir.send(t)
+}
+
+// dropDetached drops a packet sent between Detach and re-attach: the stack
+// has no way out.
+func (h *Host) dropDetached(pkt *Packet) {
+	h.net.DetachDrops++
+	h.net.cDetachDrops.Inc()
+	h.net.FreePacket(pkt)
 }
 
 // DialAsync opens a connection: nothing blocks, and handler receives

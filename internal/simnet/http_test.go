@@ -261,7 +261,7 @@ func TestHTTPSizeClamping(t *testing.T) {
 	for _, entry := range httpEntryPoints {
 		k, n, a, b := pair(t, LinkConfig{Latency: time.Millisecond, Bandwidth: 8 * Mbps})
 		var wire []Bytes
-		n.PktTrace = func(_ string, pkt *Packet) {
+		n.PktTrace = func(_ sim.Time, _ string, pkt *Packet) {
 			if pkt.Kind == KindDATA {
 				wire = append(wire, pkt.Size)
 			}
@@ -301,7 +301,7 @@ func TestHTTPDialTimeoutSendsNoFIN(t *testing.T) {
 	for _, entry := range httpEntryPoints {
 		k, n, a, b := pair(t, LinkConfig{Latency: 10 * time.Millisecond}) // RTT 40 ms
 		var fromA []PacketKind
-		n.PktTrace = func(where string, pkt *Packet) {
+		n.PktTrace = func(_ sim.Time, where string, pkt *Packet) {
 			if pkt.SrcIP == a.IP() && where == "b" {
 				fromA = append(fromA, pkt.Kind)
 			}

@@ -11,12 +11,14 @@ import (
 )
 
 // The fair-share link used to give every serializing transfer its own kernel
-// event and re-arm the whole cohort on every arrival and departure. That
-// algorithm is kept here, on its own kernel, as the reference the
-// implementation — one event per contended direction, one event per lone
-// transfer — must match to the nanosecond (DESIGN.md §20): same delivery
-// instants, same delivery order across both directions of a link, same drops
-// when the link is severed mid-run.
+// event and re-arm the whole cohort on every arrival and departure, and the
+// stages on either side of a hop — the sending host's stack and a switch's
+// pipeline — had an event each. That algorithm is kept here, on its own
+// kernel, as the reference the implementation — one event per contended
+// direction, one event per lone transfer, stages riding it — must match to
+// the nanosecond (DESIGN.md §20): same delivery instants, same delivery order
+// across both directions of a link, same drops when the link is severed
+// mid-run.
 
 // cohortTransfer is one packet of the reference model.
 type cohortTransfer struct {
@@ -111,7 +113,8 @@ type delivery struct {
 }
 
 // recorderNode frees every delivered packet, logs the delivery and hands the
-// packet's ID on (the harness may answer it from inside the callback).
+// packet's ID on (the harness may answer it from inside the callback). A
+// packet's ID in a scenario is its Seq: a host stack numbers packets itself.
 type recorderNode struct {
 	name      string
 	net       *Network
@@ -121,13 +124,21 @@ type recorderNode struct {
 
 func (r *recorderNode) Name() string { return r.name }
 func (r *recorderNode) HandlePacket(in *Port, pkt *Packet) {
-	id := pkt.ID
+	id := pkt.Seq
 	*r.log = append(*r.log, delivery{id: id, node: r.name, at: r.net.K.Now()})
 	r.net.FreePacket(pkt)
 	if r.delivered != nil {
 		r.delivered(id)
 	}
 }
+
+// stagedRecorder is a recorderNode with a pipeline stage, as a switch has.
+type stagedRecorder struct {
+	recorderNode
+	stage time.Duration
+}
+
+func (r *stagedRecorder) PipelineDelay() time.Duration { return r.stage }
 
 // linkOp is one step of a scenario: a send (size > 0) from one end, or a
 // change of the link's state.
@@ -136,6 +147,7 @@ type linkOp struct {
 	size   Bytes // send: bytes on the wire, transmitted by a, or by b if fromB
 	fromB  bool
 	detach bool
+	move   bool // MoveTo: a's host re-attaches to b over a fresh link
 	down   bool // SetDown(true)
 	up     bool // SetDown(false)
 	// armAt, when set, stages the op from an event at that instant instead of
@@ -152,12 +164,18 @@ const echoBase = 1 << 32
 type linkScenario struct {
 	bw      BitsPerSec
 	latency time.Duration
-	ops     []linkOp
+	// stack, when set, is the ProcDelay of the host a's sends go out from:
+	// they enter its stack stage first, and a Detach or MoveTo is that host's.
+	stack time.Duration
+	// stage, when set, makes b a StagedNode with that pipeline stage.
+	stage time.Duration
+	ops   []linkOp
 	// echo sends a packet from inside the delivery callback of the packet
 	// with the given ID; the echoed packet's ID is echoBase + that ID.
 	echo map[uint64]linkOp
-	// samples are instants at which the drop counters are compared (drops
-	// deliver nothing, so the log alone does not place them in time).
+	// samples are instants at which the drop counters and the link's
+	// ActiveTransfers are compared (drops deliver nothing, so the log alone
+	// does not place them in time).
 	samples []sim.Time
 }
 
@@ -166,9 +184,12 @@ type linkOutcome struct {
 	log          []delivery
 	dropped      uint64 // severed-link drops
 	lost         uint64 // link-down drops
+	unstacked    uint64 // dropped on leaving a's stack while detached
 	solo         uint64 // transfers that completed solo
 	materialised uint64
+	fused        uint64 // sends that left a's stack on their delivery event
 	events       uint64
+	refEvents    uint64
 }
 
 // at returns when packet id was delivered, or fails.
@@ -183,13 +204,21 @@ func (o *linkOutcome) at(t *testing.T, id uint64) sim.Time {
 	return 0
 }
 
+// linkSample is what a sample instant reads on either side.
+type linkSample struct {
+	dropped, detachDrops uint64
+	ab, ba               int
+}
+
 // runLinkScenario plays sc on the implementation and on the reference model,
 // each on its own kernel with everything staged in the same order (so
 // same-instant ties break the same way), and asserts that the two agree on
 // every delivery — packet, node, nanosecond, order across both directions —
-// on the drop counters at every sample, and that the implementation ends
-// clean: pool balanced, nothing serializing, nothing armed, and exactly the
-// reference's fired events minus one per transfer that completed solo.
+// on the drop counters and the link's ActiveTransfers at every sample, and
+// that the implementation ends clean: pool balanced, nothing serializing,
+// nothing armed, and the reference's fired events minus one per transfer
+// that completed solo, one per packet that reached a staged b, and up to one
+// per packet sent through a's stack (the ones that stayed fused).
 func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	t.Helper()
 
@@ -200,64 +229,112 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	n.SetObs(reg)
 	var got []delivery
 	a := &recorderNode{name: "a", net: n, log: &got}
-	b := &recorderNode{name: "b", net: n, log: &got}
-	pa, pb := n.Connect(a, b, LinkConfig{Name: "l", Latency: sc.latency, Bandwidth: sc.bw})
+	var b Node
+	var bRec *recorderNode
+	if sc.stage > 0 {
+		sb := &stagedRecorder{recorderNode{name: "b", net: n, log: &got}, sc.stage}
+		b, bRec = sb, &sb.recorderNode
+	} else {
+		bRec = &recorderNode{name: "b", net: n, log: &got}
+		b = bRec
+	}
+	cfg := LinkConfig{Name: "l", Latency: sc.latency, Bandwidth: sc.bw}
+	pa, pb := n.Connect(a, b, cfg)
 	link := pa.link
-	ue := NewHost(n, "ue", "10.0.0.1") // only there to Detach the link
+	links := []*Link{link}
+	ue := NewHost(n, "ue", "10.0.0.1") // a's stack, and the host a Detach or MoveTo moves
+	ue.ProcDelay = sc.stack
 	ue.SetUplink(pa)
 	send := func(id uint64, op linkOp) {
 		pkt := n.NewPacket()
-		pkt.Kind, pkt.ID, pkt.Size = KindDATA, id, op.size
-		if op.fromB {
+		pkt.Kind, pkt.Seq, pkt.Size = KindDATA, id, op.size
+		switch {
+		case op.fromB:
 			pb.Send(pkt)
-		} else {
+		case sc.stack > 0:
+			ue.sendOut(pkt)
+		default:
 			pa.Send(pkt)
 		}
 	}
 
-	// Reference: the cohort re-arm model on its own kernel.
+	// Reference: the cohort re-arm model on its own kernel, with an event per
+	// stage.
 	rk := sim.New(seed)
 	var want []delivery
 	rl := &cohortLink{latency: sc.latency}
 	var ref [2]*cohortDirection
-	refSend := func(id uint64, op linkOp) {
-		if op.fromB {
-			ref[1].transmit(id, op.size)
-		} else {
-			ref[0].transmit(id, op.size)
-		}
-	}
-	for i, to := range []string{"b", "a"} {
-		to := to
-		d := &cohortDirection{k: rk, link: rl, capacity: float64(sc.bw) / 8}
+	refDetached := false
+	var unstacked uint64
+	var refSend func(id uint64, op linkOp)
+	newRefDir := func(l *cohortLink, to string) *cohortDirection {
+		d := &cohortDirection{k: rk, link: l, capacity: float64(sc.bw) / 8}
 		d.deliver = func(id uint64) {
-			want = append(want, delivery{id: id, node: to, at: rk.Now()})
-			if op, ok := sc.echo[id]; ok {
-				refSend(echoBase+id, op)
+			handle := func() {
+				want = append(want, delivery{id: id, node: to, at: rk.Now()})
+				if op, ok := sc.echo[id]; ok {
+					refSend(echoBase+id, op)
+				}
+			}
+			if to == "b" && sc.stage > 0 {
+				rk.After(sc.stage, handle)
+			} else {
+				handle()
 			}
 		}
-		ref[i] = d
+		return d
+	}
+	ref[0], ref[1] = newRefDir(rl, "b"), newRefDir(rl, "a")
+	origAB, origBA := ref[0], ref[1]
+	refSend = func(id uint64, op linkOp) {
+		switch {
+		case op.fromB:
+			ref[1].transmit(id, op.size)
+		case sc.stack > 0:
+			rk.After(sc.stack, func() {
+				if refDetached {
+					unstacked++
+					return
+				}
+				ref[0].transmit(id, op.size) // a's way to b when the stage ends
+			})
+		default:
+			ref[0].transmit(id, op.size)
+		}
 	}
 	echo := func(id uint64) {
 		if op, ok := sc.echo[id]; ok {
 			send(echoBase+id, op)
 		}
 	}
-	a.delivered, b.delivered = echo, echo
+	a.delivered, bRec.delivered = echo, echo
 
 	sends := uint64(len(sc.echo))
+	stackSends := uint64(0)
 	for i, op := range sc.ops {
 		id, op := uint64(i+1), op
 		var do, refDo func()
 		switch {
 		case op.detach:
 			do = ue.Detach
-			refDo = func() { rl.severed = true }
+			refDo = func() { rl.severed, refDetached = true, true }
+		case op.move:
+			do = func() {
+				hp, _ := ue.MoveTo(b, cfg)
+				links = append(links, hp.link)
+			}
+			refDo = func() {
+				rl.severed = true
+				ref[0] = newRefDir(&cohortLink{latency: sc.latency}, "b")
+			}
 		case op.down, op.up:
 			do = func() { link.SetDown(op.down) }
 			refDo = func() { rl.down = op.down }
 		default:
 			sends++
+			if !op.fromB && sc.stack > 0 {
+				stackSends++
+			}
 			do = func() { send(id, op) }
 			refDo = func() { refSend(id, op) }
 		}
@@ -269,17 +346,26 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 			rk.At(op.at, refDo)
 		}
 	}
-	var gotDrops, wantDrops []uint64
+	var gotSamples, wantSamples []linkSample
 	for _, at := range sc.samples {
-		k.At(at, func() { gotDrops = append(gotDrops, link.Dropped) })
-		rk.At(at, func() { wantDrops = append(wantDrops, rl.dropped+rl.lost) })
+		k.At(at, func() {
+			var dropped uint64
+			for _, l := range links {
+				dropped += l.Dropped
+			}
+			ab, ba := link.ActiveTransfers()
+			gotSamples = append(gotSamples, linkSample{dropped, n.DetachDrops, ab, ba})
+		})
+		rk.At(at, func() {
+			wantSamples = append(wantSamples, linkSample{rl.dropped + rl.lost, rl.dropped + unstacked, len(origAB.active), len(origBA.active)})
+		})
 	}
 	k.Run()
 	rk.Run()
 
-	for i := range gotDrops {
-		if gotDrops[i] != wantDrops[i] {
-			t.Fatalf("drop sample %d (%v): %d dropped, reference %d", i, sc.samples[i], gotDrops[i], wantDrops[i])
+	for i := range gotSamples {
+		if gotSamples[i] != wantSamples[i] {
+			t.Fatalf("sample %d (%v): %+v, reference %+v", i, sc.samples[i], gotSamples[i], wantSamples[i])
 		}
 	}
 	if len(got) != len(want) {
@@ -291,11 +377,12 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 				i, got[i].id, got[i].node, got[i].at, want[i].id, want[i].node, want[i].at)
 		}
 	}
-	if link.Dropped != rl.dropped+rl.lost || n.DetachDrops != rl.dropped {
-		t.Errorf("Link.Dropped %d, DetachDrops %d, reference dropped %d severed + %d down", link.Dropped, n.DetachDrops, rl.dropped, rl.lost)
+	if link.Dropped != rl.dropped+rl.lost || n.DetachDrops != rl.dropped+unstacked {
+		t.Errorf("Link.Dropped %d, DetachDrops %d, reference dropped %d severed + %d down, %d on leaving the stack",
+			link.Dropped, n.DetachDrops, rl.dropped, rl.lost, unstacked)
 	}
-	if uint64(len(got))+link.Dropped != sends {
-		t.Errorf("%d delivered + %d dropped != %d sent", len(got), link.Dropped, sends)
+	if uint64(len(got))+link.Dropped+unstacked != sends {
+		t.Errorf("%d delivered + %d dropped + %d dropped leaving the stack != %d sent", len(got), link.Dropped, unstacked, sends)
 	}
 	// Link-down drops are left to the garbage collector; everything else
 	// goes back to the pool.
@@ -304,23 +391,39 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	if gets != puts+rl.lost {
 		t.Errorf("packet pool unbalanced: %d gets, %d puts, %d link-down drops", gets, puts, rl.lost)
 	}
-	if ab, ba := link.ActiveTransfers(); ab != 0 || ba != 0 {
-		t.Errorf("ActiveTransfers = %d, %d after the run, want 0, 0", ab, ba)
+	for _, l := range links {
+		if ab, ba := l.ActiveTransfers(); ab != 0 || ba != 0 {
+			t.Errorf("ActiveTransfers = %d, %d after the run, want 0, 0", ab, ba)
+		}
 	}
 	if k.Pending() != 0 {
 		t.Errorf("%d events still pending: an empty direction kept an event armed", k.Pending())
 	}
 	out := linkOutcome{
-		log: got, dropped: rl.dropped, lost: rl.lost,
+		log: got, dropped: rl.dropped, lost: rl.lost, unstacked: unstacked,
 		solo:         reg.Counter("simnet_solo_transfers_total").Value(),
 		materialised: reg.Counter("simnet_solo_materialised_total").Value(),
 		events:       k.Stats().Events,
+		refEvents:    rk.Stats().Events,
 	}
-	// A transfer that stayed solo fired its delivery and nothing else; every
-	// other one fired exactly the reference's two events.
-	if out.events != rk.Stats().Events-out.solo {
-		t.Errorf("fired %d events, want the reference's %d minus %d solo transfers", out.events, rk.Stats().Events, out.solo)
+	// A transfer that stayed solo fired its delivery and nothing else, a
+	// packet that reached a staged b was handled in its delivery, and a
+	// packet that stayed fused left a's stack without an event; every other
+	// one fired exactly the reference's events.
+	staged := uint64(0)
+	if sc.stage > 0 {
+		for _, d := range got {
+			if d.node == "b" {
+				staged++
+			}
+		}
 	}
+	saved := int64(out.refEvents) - int64(out.solo) - int64(staged) - int64(out.events)
+	if saved < 0 || uint64(saved) > stackSends {
+		t.Errorf("fired %d events, want the reference's %d minus %d solo transfers, %d staged deliveries and at most %d fused sends",
+			out.events, out.refEvents, out.solo, staged, stackSends)
+	}
+	out.fused = uint64(max(saved, 0))
 	return out
 }
 
@@ -358,37 +461,57 @@ func genArrivals(rng *rand.Rand, n int, bw BitsPerSec) []linkOp {
 	return out
 }
 
+// TestDirectionMatchesCohortRearm runs long random schedules against the
+// reference: bare links, then with a's sends going through a host stack into
+// a staged b, where the link is severed by a Detach or a MoveTo.
 func TestDirectionMatchesCohortRearm(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			bw := []BitsPerSec{Mbps, 37 * Mbps, 100 * Mbps, Gbps}[seed-1] + BitsPerSec(rng.Intn(1000))
-			sc := linkScenario{bw: bw, latency: time.Duration(50+rng.Intn(5000)) * time.Microsecond}
-			sc.ops = genArrivals(rng, 6000, bw)
-			// Sever the link while the last fifth of the schedule is still
-			// arriving: a cohort is serializing and packets are propagating.
-			// The detach is staged where the schedule reaches its instant.
-			cut := len(sc.ops) * 4 / 5
-			detachAt := sc.ops[cut].at + 1
-			for sc.ops[cut].at < detachAt {
-				cut++
+	for _, variant := range []string{"link", "stages+detach", "stages+move"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			name := fmt.Sprintf("%s/seed=%d", variant, seed)
+			if variant == "link" {
+				name = fmt.Sprintf("seed=%d", seed) // the bare link's cases keep their names
 			}
-			sc.ops = append(sc.ops[:cut], append([]linkOp{{at: detachAt, detach: true}}, sc.ops[cut:]...)...)
-			// The doomed cohort must die at the same instants on both sides,
-			// not just in the same number.
-			last := sc.ops[len(sc.ops)-1].at
-			step := (last - detachAt + 4*sc.latency) / 64
-			for i := 1; i <= 80; i++ {
-				sc.samples = append(sc.samples, detachAt+sim.Time(i)*step)
-			}
-			out := runLinkScenario(t, seed, sc)
-			if out.dropped == 0 || len(out.log) == 0 {
-				t.Fatalf("degenerate run: %d deliveries, %d drops", len(out.log), out.dropped)
-			}
-			if out.solo == 0 || out.materialised == 0 {
-				t.Fatalf("degenerate run: %d solo transfers, %d materialised", out.solo, out.materialised)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				bw := []BitsPerSec{Mbps, 37 * Mbps, 100 * Mbps, Gbps}[seed-1] + BitsPerSec(rng.Intn(1000))
+				sc := linkScenario{bw: bw, latency: time.Duration(50+rng.Intn(5000)) * time.Microsecond}
+				sc.ops = genArrivals(rng, 6000, bw)
+				sever := linkOp{detach: true}
+				if variant != "link" {
+					sc.stack = time.Duration(1+rng.Intn(300)) * time.Microsecond
+					sc.stage = time.Duration(1+rng.Intn(50)) * time.Microsecond
+					if variant == "stages+move" {
+						sever = linkOp{move: true}
+					}
+				}
+				// Sever the link while the last fifth of the schedule is still
+				// arriving: a cohort is serializing and packets are propagating.
+				// The detach is staged where the schedule reaches its instant.
+				cut := len(sc.ops) * 4 / 5
+				sever.at = sc.ops[cut].at + 1
+				for sc.ops[cut].at < sever.at {
+					cut++
+				}
+				sc.ops = append(sc.ops[:cut], append([]linkOp{sever}, sc.ops[cut:]...)...)
+				// The doomed cohort must die at the same instants on both sides,
+				// not just in the same number.
+				last := sc.ops[len(sc.ops)-1].at
+				step := (last - sever.at + 4*sc.latency) / 64
+				for i := 1; i <= 80; i++ {
+					sc.samples = append(sc.samples, sever.at+sim.Time(i)*step)
+				}
+				out := runLinkScenario(t, seed, sc)
+				if out.dropped == 0 || len(out.log) == 0 {
+					t.Fatalf("degenerate run: %d deliveries, %d drops", len(out.log), out.dropped)
+				}
+				if out.solo == 0 || out.materialised == 0 {
+					t.Fatalf("degenerate run: %d solo transfers, %d materialised", out.solo, out.materialised)
+				}
+				if variant != "link" && out.fused == 0 {
+					t.Fatalf("degenerate run: no send stayed fused")
+				}
+			})
+		}
 	}
 }
 
@@ -574,5 +697,172 @@ func TestActiveTransfersCountsSolo(t *testing.T) {
 		if len(log) != 1 || log[0].at != soloDue()+time.Millisecond {
 			t.Errorf("%s: deliveries %v, want one at %v", rig.name, log, soloDue()+time.Millisecond)
 		}
+	}
+}
+
+// Deterministic cases around the stages that ride a hop: a's sends go
+// through a 50 µs host stack, and b has a 20 µs pipeline stage. A lone
+// soloSize packet sent at start leaves the stack at start+stack, is due off
+// the wire stageDue() later, reaches b at arrive() and is processed stage
+// after that.
+const (
+	stackDelay = 50 * time.Microsecond
+	stageDelay = 20 * time.Microsecond
+	stageLat   = 300 * time.Microsecond
+)
+
+func stageScenario(ops ...linkOp) linkScenario {
+	return linkScenario{bw: soloBW, latency: stageLat, stack: stackDelay, stage: stageDelay, ops: ops}
+}
+
+// stageDue is when a soloSize packet sent at start is off the wire.
+func stageDue(start sim.Time) sim.Time { return start + stackDelay + soloDue() }
+
+// arrive is when it reaches b.
+func arrive(start sim.Time) sim.Time { return stageDue(start) + stageLat }
+
+func TestStageQuietSend(t *testing.T) {
+	const start = sim.Time(1000)
+	out := runLinkScenario(t, 1, stageScenario(linkOp{at: start, size: soloSize}))
+	// The scenario's own event sends; stack, hop and pipeline are one more.
+	if out.fused != 1 || out.solo != 1 || out.events != 2 {
+		t.Errorf("%d fused, %d solo, %d events, want 1, 1, 2", out.fused, out.solo, out.events)
+	}
+	if at := out.at(t, 1); at != arrive(start)+stageDelay {
+		t.Errorf("processed at %v, want %v", at, arrive(start)+stageDelay)
+	}
+}
+
+func TestStageSecondSendUnfuses(t *testing.T) {
+	const start = sim.Time(1000)
+	// The second send enters the stack while the first is still in it: the
+	// first leaves the stack on its own event, as the second does, and the
+	// second meets it on the wire.
+	out := runLinkScenario(t, 1, stageScenario(
+		linkOp{at: start, size: soloSize},
+		linkOp{at: start + stackDelay/2, size: 300},
+	))
+	if out.fused != 0 || out.materialised != 1 {
+		t.Errorf("%d fused, %d materialised, want 0, 1", out.fused, out.materialised)
+	}
+	// The same in one nanosecond: the second send is ordered before the
+	// first one's stage ends, and after it.
+	for _, armAt := range []sim.Time{0, start + 1} {
+		out = runLinkScenario(t, 1, stageScenario(
+			linkOp{at: start, size: soloSize},
+			linkOp{at: start + stackDelay, armAt: armAt, size: 300},
+		))
+		if out.materialised != 1 {
+			t.Errorf("armAt %v: %d materialised, want 1", armAt, out.materialised)
+		}
+	}
+}
+
+func TestStageEndsAtSoloDue(t *testing.T) {
+	const start = sim.Time(1000)
+	// The second packet's stage ends at the nanosecond the first is off the
+	// wire: the second was sent after the first's stage ended, so the first
+	// is gone and both cross alone, fused.
+	out := runLinkScenario(t, 1, stageScenario(
+		linkOp{at: start, size: soloSize},
+		linkOp{at: stageDue(start) - stackDelay, size: soloSize},
+	))
+	if out.fused != 2 || out.solo != 2 || out.materialised != 0 {
+		t.Errorf("%d fused, %d solo, %d materialised, want 2, 2, 0", out.fused, out.solo, out.materialised)
+	}
+	if at := out.at(t, 2); at != stageDue(start)+soloDue()+stageLat+stageDelay {
+		t.Errorf("second packet processed at %v, want %v", at, stageDue(start)+soloDue()+stageLat+stageDelay)
+	}
+}
+
+func TestStageSever(t *testing.T) {
+	const start = sim.Time(1000)
+	for _, tc := range []struct {
+		name      string
+		at, armAt sim.Time
+		delivered bool
+		dropped   uint64 // on the link
+		unstacked uint64 // on leaving the stack
+	}{
+		{"in the sender stage", start + stackDelay/2, 0, false, 0, 1},
+		{"in propagation", arrive(start) - stageLat/2, 0, false, 1, 0},
+		{"at arrival, ordered before", arrive(start), 0, false, 1, 0},
+		{"at arrival, ordered after", arrive(start), stageDue(start) + 1, true, 0, 0},
+		{"in the receiver stage", arrive(start) + stageDelay/2, 0, true, 0, 0},
+	} {
+		for _, move := range []bool{false, true} {
+			name := "Detach " + tc.name
+			if move {
+				name = "MoveTo " + tc.name
+			}
+			sc := stageScenario(
+				linkOp{at: start, size: soloSize},
+				linkOp{at: tc.at, armAt: tc.armAt, detach: !move, move: move},
+			)
+			// A sample staged before the run is ordered before anything
+			// armed during it, so a drop shows one nanosecond after it
+			// happens.
+			sc.samples = []sim.Time{start + stackDelay, start + stackDelay + 1, arrive(start), arrive(start) + 1, arrive(start) + stageDelay + 1}
+			out := runLinkScenario(t, 1, sc)
+			wantUnstacked, wantDelivered := tc.unstacked, tc.delivered
+			if move && tc.unstacked > 0 {
+				// Re-attached before the stage ends: out the new link.
+				wantUnstacked, wantDelivered = 0, true
+			}
+			if out.dropped != tc.dropped || out.unstacked != wantUnstacked || (len(out.log) == 1) != wantDelivered {
+				t.Errorf("%s: %d dropped, %d dropped leaving the stack, %d delivered; want %d, %d, delivered %v",
+					name, out.dropped, out.unstacked, len(out.log), tc.dropped, wantUnstacked, wantDelivered)
+			}
+		}
+	}
+}
+
+func TestStageSetDown(t *testing.T) {
+	const start = sim.Time(1000)
+	// Pulled while the packet is in the stack: it meets the down link when it
+	// leaves the stack. Pulled and put back inside the stack: it goes out.
+	// Pulled once it serializes: SetDown only gates new sends.
+	for _, tc := range []struct {
+		name string
+		ops  []linkOp
+		lost uint64
+	}{
+		{"down in the stack", []linkOp{{at: start + stackDelay/2, down: true}}, 1},
+		{"down and up in the stack", []linkOp{{at: start + stackDelay/4, down: true}, {at: start + stackDelay/2, up: true}}, 0},
+		{"down on the wire", []linkOp{{at: start + stackDelay + soloDue()/2, down: true}}, 0},
+		// A second send un-fuses the first, whose event is re-timed to the
+		// end of its stage. The cable is pulled at that nanosecond from an
+		// event armed inside the stage: the first packet, whose stage end
+		// was armed before that, still goes out; the second is lost.
+		{"down at the end of a re-timed stage", []linkOp{
+			{at: start + stackDelay/2, size: 300},
+			{at: start + stackDelay, armAt: start + 1, down: true},
+		}, 1},
+	} {
+		sc := stageScenario(append([]linkOp{{at: start, size: soloSize}}, tc.ops...)...)
+		out := runLinkScenario(t, 1, sc)
+		sent := uint64(0)
+		for _, op := range sc.ops {
+			if op.size > 0 {
+				sent++
+			}
+		}
+		if out.lost != tc.lost || uint64(len(out.log)) != sent-tc.lost {
+			t.Errorf("%s: %d lost, %d delivered, want %d, %d", tc.name, out.lost, len(out.log), tc.lost, sent-tc.lost)
+		}
+	}
+}
+
+func TestStageActiveTransfers(t *testing.T) {
+	const start = sim.Time(1000)
+	// A packet in the stack is not on the wire: ActiveTransfers counts it from
+	// the end of its stage (a sample at that nanosecond is ordered before it)
+	// to its due, and it stays fused, because ActiveTransfers only looks.
+	sc := stageScenario(linkOp{at: start, size: soloSize}, linkOp{at: start, size: soloSize, fromB: true})
+	sc.samples = []sim.Time{start, start + stackDelay/2, start + stackDelay, start + stackDelay + 1,
+		stageDue(start) - 1, stageDue(start), stageDue(start) + 1}
+	out := runLinkScenario(t, 1, sc)
+	if out.fused != 1 {
+		t.Errorf("%d fused, want 1", out.fused)
 	}
 }

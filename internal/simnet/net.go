@@ -15,7 +15,11 @@
 // A hop costs the kernel one event when the packet has its link direction to
 // itself from first byte to last — its delivery, armed when it is sent — and
 // two when it shares it: the direction's completion event, then its own for
-// the propagation delay (see direction; DESIGN.md §20).
+// the propagation delay (see direction; DESIGN.md §20). The stages on either
+// side of a hop ride that event too: a quiet host arms it when the packet
+// enters its stack (Host.ProcDelay), and a link into a StagedNode (an OpenFlow
+// switch) arms it for the end of the receiver's pipeline stage, so a packet
+// that meets nothing costs one event per hop, stages included.
 //
 // # Packet ownership
 //
@@ -147,12 +151,25 @@ type Node interface {
 	HandlePacket(in *Port, pkt *Packet)
 }
 
+// A StagedNode processes what it receives a fixed pipeline stage after the
+// packet arrives. A link delivers to it by calling HandlePacket at the end of
+// that stage, from the packet's one delivery event; a packet whose link is
+// severed while it is still propagating dies at its arrival instant, one that
+// has arrived is processed. The stage is read when the link is connected.
+type StagedNode interface {
+	Node
+	PipelineDelay() time.Duration
+}
+
 // Network owns the kernel, nodes, and links of one emulated topology.
 type Network struct {
-	K        *sim.Kernel
-	nextPkt  uint64
-	nodes    []Node
-	PktTrace func(where string, pkt *Packet) // optional debug hook
+	K       *sim.Kernel
+	nextPkt uint64
+	nodes   []Node
+	// PktTrace, when set, is called for every packet a link delivers, with
+	// the instant the packet reached the node: for a StagedNode that is its
+	// pipeline stage earlier than the call.
+	PktTrace func(at sim.Time, where string, pkt *Packet)
 
 	pktPool  []*Packet   // recycled packets (NewPacket / FreePacket)
 	xferPool []*transfer // recycled link transfers with their events
@@ -277,8 +294,13 @@ type Link struct {
 }
 
 // SetDown takes the link down (packets are silently dropped) or brings it
-// back up — the simulation's cable pull for failure injection.
-func (l *Link) SetDown(down bool) { l.down = down }
+// back up — the simulation's cable pull for failure injection. A packet still
+// in its sender's stack stage meets the new state when it leaves the stack.
+func (l *Link) SetDown(down bool) {
+	l.ab.settleFused()
+	l.ba.settleFused()
+	l.down = down
+}
 
 // Connect creates a link between nodes a and b and returns the two ports
 // (the first attached to a, the second to b).
@@ -292,54 +314,77 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Port, *Port) {
 	return pa, pb
 }
 
-// deliverToPeer ends a packet's trip out of port p: trace hook, then hand the
-// packet to the peer node.
-func (p *Port) deliverToPeer(delivered *Packet) {
+// deliverToPeer ends a packet's trip out of port p, which reached the peer
+// node at at: trace hook, then hand the packet to the peer node.
+func (p *Port) deliverToPeer(delivered *Packet, at sim.Time) {
 	peer := p.peer
 	if peer == nil {
 		return
 	}
 	if p.link.net.PktTrace != nil {
-		p.link.net.PktTrace(peer.node.Name(), delivered)
+		p.link.net.PktTrace(at, peer.node.Name(), delivered)
 	}
 	peer.node.HandlePacket(peer, delivered)
 }
 
-// transfer is one in-flight transmission on a link. While it serializes it
-// carries only arithmetic (bytes left, current share, the instant it would
-// complete at that share). Alone on its direction — the direction's solo — its
-// own persistent re-armable event, finish, is armed once for the delivery
-// instant, serialization and propagation together; as a member of a cohort it
-// waits for the direction's event to fire for whichever member is due first,
-// and finish covers only the propagation stage that follows. Transfers are
-// recycled through the network's free list, so the steady-state per-packet
-// datapath performs zero heap allocations.
+// transfer is one packet on its way from a host stack or a port to the next
+// node. While it serializes it carries only arithmetic (bytes left, current
+// share, the instant it would complete at that share). Alone on its direction
+// — the direction's solo — its own persistent re-armable event, finish, is
+// armed once for the delivery, serialization and propagation together (and
+// the sender's stack stage before them when the sender was quiet, the
+// receiver's pipeline stage after them when it has one); as a member of a
+// cohort it waits for the direction's event to fire for whichever member is
+// due first, and finish covers only what follows serialization. A packet in
+// its sender's stack that could not fuse has no direction yet, and finish is
+// armed for the end of the stage. Transfers are recycled through the
+// network's free list, so the steady-state per-packet datapath performs zero
+// heap allocations.
 type transfer struct {
-	dir       *direction
-	remaining float64 // bytes left to serialize
-	rate      float64 // current bytes/sec share
-	updated   sim.Time
+	dir       *direction // nil while the packet waits out its sender's stack stage
+	remaining float64    // bytes left to serialize
+	rate      float64    // current bytes/sec share
+	updated   sim.Time   // last settled; for a packet in a stack, the stage's end
 	due       sim.Time   // serialization completes here at the current share
-	finish    *sim.Event // persistent; armed for delivery (solo) or the latency stage (cohort)
+	finish    *sim.Event // persistent; armed for delivery (solo), what follows serialization (cohort), or the stack's end
 	pkt       *Packet
+	host      *Host    // the sending host while the packet is in (or fused with) its stack stage
+	arrive    sim.Time // the packet reaches the receiver here
+	// cut marks a delivery Host.Detach moved back to the arrival instant: the
+	// packet was still propagating toward a staged receiver and dies there.
+	cut bool
+	// prev and next link the transfers in flight toward a staged receiver
+	// (direction.flight), the ones Detach may have to cut.
+	prev, next *transfer
 }
 
-// fire is the transfer's event callback: the propagation delay has elapsed.
+// fire is the transfer's event callback: the packet has left its sender's
+// stack, or has reached the receiver (and, for a staged one, its pipeline
+// stage has elapsed).
 func (t *transfer) fire() {
 	d := t.dir
-	if d.solo == t {
+	if d == nil {
+		t.host.unstack(t)
+		return
+	}
+	if d.fused == t {
+		d.fused = nil
+		d.soloDone()
+	} else if d.solo == t {
 		d.soloDone()
 	}
-	if d.link.severed {
+	d.unflight(t)
+	if d.link.severed && (t.cut || d.stage == 0) {
 		// The link was cut while this packet was propagating: it dies here,
-		// deterministically, at the time its delivery was due. No delivery
-		// from a dead port.
+		// deterministically, at the time it was due to arrive. No delivery
+		// from a dead port. A packet that had reached a staged receiver
+		// before the cut is still processed.
 		d.dropSevered(t)
 		return
 	}
-	pkt := t.pkt
+	pkt, at := t.pkt, t.arrive
 	d.link.net.putTransfer(t)
-	d.port.deliverToPeer(pkt)
+	d.port.deliverToPeer(pkt, at)
 }
 
 // getTransfer takes a transfer from the free list (or builds one with its
@@ -360,8 +405,7 @@ func (n *Network) getTransfer(d *direction) *transfer {
 // putTransfer returns a transfer (with its persistent event) to the free
 // list once its packet has been handed on or dropped.
 func (n *Network) putTransfer(t *transfer) {
-	t.pkt = nil
-	t.dir = nil
+	t.pkt, t.dir, t.host, t.cut = nil, nil, nil, false
 	n.xferPool = append(n.xferPool, t)
 }
 
@@ -379,24 +423,39 @@ func (n *Network) putTransfer(t *transfer) {
 // materialised — delivery cancelled, appended to active — and from there on
 // it is an ordinary member (DESIGN.md §20).
 //
-// Invariant: a direction with a solo has an empty cohort and arms nothing of
-// its own; a non-empty cohort has exactly one armed kernel event, done, set
-// for head — the member with the least (due, arrival order). Only the head
-// can complete before the next membership change, and that change recomputes
-// every due anyway, so no other member needs an event of its own.
+// A packet that enters a quiet host's stack is fused: it becomes the
+// direction's next solo, due to start serializing when the stage ends, and its
+// one event is armed at once for its delivery. Whoever reaches the direction
+// before the stage ends (a send, Detach, SetDown) un-fuses it: its event is
+// re-timed to the end of the stage, keeping its sequence number, and from
+// there on it is an ordinary staged packet (Host.stack).
+//
+// Invariant: a direction with a solo or a fused transfer has an empty cohort
+// and arms nothing of its own; a non-empty cohort has exactly one armed kernel
+// event, done, set for head — the member with the least (due, arrival order).
+// Only the head can complete before the next membership change, and that
+// change recomputes every due anyway, so no other member needs an event of its
+// own.
 type direction struct {
 	link   *Link
 	port   *Port     // the end that transmits into this direction
 	solo   *transfer // lone transfer riding its own delivery event; active is empty
+	fused  *transfer // next solo, still in (or just out of) its sender's stack; solo is gone by its start
 	active []*transfer
-	head   *transfer  // least (due, arrival order) of active; nil when empty
-	done   *sim.Event // persistent; armed at head.due (allocated at Connect)
+	head   *transfer     // least (due, arrival order) of active; nil when empty
+	done   *sim.Event    // persistent; armed at head.due (allocated at Connect)
+	stage  time.Duration // the receiver's pipeline stage (StagedNode), 0 for other nodes
+	flight *transfer     // with a stage: the transfers whose delivery is armed
 }
 
-// init binds d to its transmitting port and allocates its completion event.
+// init binds d to its transmitting port, reads the receiver's pipeline stage
+// and allocates the direction's completion event.
 func (d *direction) init(p *Port) {
 	d.link = p.link
 	d.port = p
+	if s, ok := p.peer.node.(StagedNode); ok {
+		d.stage = s.PipelineDelay()
+	}
 	d.done = d.link.net.K.NewEvent(d.completeHead)
 }
 
@@ -405,36 +464,43 @@ func (d *direction) capacityBps() float64 {
 }
 
 func (d *direction) transmit(pkt *Packet) {
-	k := d.link.net.K
+	t := d.link.net.getTransfer(d)
+	t.pkt = pkt
+	d.send(t)
+}
+
+// send puts t's packet on the wire now, or drops it.
+func (d *direction) send(t *transfer) {
+	net, k := d.link.net, d.link.net.K
 	if d.link.severed {
 		// A send into a severed link (e.g. the peer switch still routing at
 		// the old port) drops immediately, back to the pool.
 		d.countSevered()
-		d.link.net.FreePacket(pkt)
+		net.FreePacket(t.pkt)
+		net.putTransfer(t)
 		return
 	}
 	if d.link.down {
 		d.link.Dropped++
-		d.link.net.cDrops.Inc()
-		return // dropped packets are not recycled (see package comment)
+		net.cDrops.Inc()
+		net.putTransfer(t) // the packet is not recycled (see package comment)
+		return
 	}
 	lat := d.link.cfg.Latency
 	if d.link.cfg.Bandwidth <= 0 {
 		if d.link.remote != nil {
 			// Infinite bandwidth on a cross-shard link: ship immediately
 			// with the propagation delay as the delivery offset.
+			pkt := t.pkt
+			net.putTransfer(t)
 			d.link.shipRemote(pkt, k.Now()+lat)
 			return
 		}
 		// Infinite bandwidth: propagation only.
-		t := d.link.net.getTransfer(d)
-		t.pkt = pkt
-		k.Schedule(t.finish, k.Now()+lat)
+		d.propagate(t, k.Now()+lat)
 		return
 	}
-	t := d.link.net.getTransfer(d)
-	t.pkt = pkt
-	t.remaining = float64(pkt.Size)
+	t.remaining = float64(t.pkt.Size)
 	t.updated = k.Now()
 	d.materialise()
 	if len(d.active) == 0 && d.link.remote == nil {
@@ -444,20 +510,118 @@ func (d *direction) transmit(pkt *Packet) {
 		t.rate = d.capacityBps()
 		t.due = t.updated + time.Duration(t.remaining/t.rate*float64(time.Second))
 		d.solo = t
-		k.Schedule(t.finish, t.due+lat)
+		d.propagate(t, t.due+lat)
 		return
 	}
 	d.active = append(d.active, t)
 	d.rebalance()
 }
 
-// soloOnWire reports whether the direction's solo is still serializing. At
-// the very nanosecond it is due, the answer is what the cohort code's would
-// be: done, armed where finish was, fires after the running event exactly if
-// that event precedes the arming (a sender that met the last sub-nanosecond
-// residue of the solo shares the wire with it; one that came after does not).
-func (d *direction) soloOnWire() bool {
-	t, k := d.solo, d.link.net.K
+// fuse makes t, a packet entering its sender's stack now, the direction's next
+// solo if nothing can reach it first: the link is up, unsevered, local and has
+// bandwidth, and the direction will be idle when the stage ends at t.updated —
+// no cohort, and a solo (if any) due by then. (A packet whose stage ends at a
+// solo's due finds it off the wire: it draws its sequence number after the
+// solo's.) The delivery is armed now, for what the solo transmit would arm at
+// the stage's end, and fuse reports true; the caller has already settled d.
+func (d *direction) fuse(t *transfer) bool {
+	l := d.link
+	busy := len(d.active) > 0 || d.solo != nil && d.solo.due > t.updated
+	if l.down || l.severed || l.remote != nil || l.cfg.Bandwidth <= 0 || busy {
+		return false
+	}
+	t.dir = d
+	t.remaining = float64(t.pkt.Size)
+	t.rate = d.capacityBps()
+	t.due = t.updated + time.Duration(t.remaining/t.rate*float64(time.Second))
+	d.fused = t
+	d.propagate(t, t.due+l.cfg.Latency)
+	return true
+}
+
+// inStack reports whether t is still in its sender's stack stage. At the
+// nanosecond the stage ends, it is exactly if the code now running precedes
+// the stage's end, whose sequence number t's event carries.
+func (d *direction) inStack(t *transfer) bool {
+	k := d.link.net.K
+	return k.Now() < t.updated || k.Now() == t.updated && k.Precedes(t.finish)
+}
+
+// settleFused resolves the fused transfer before the direction's state is
+// read or changed: one still in its sender's stack is un-fused — its event
+// re-timed to the end of the stage, keeping its sequence number, so it leaves
+// the stack where and in the order an unfused packet would — and one past it
+// becomes the solo, its predecessor having left the wire by then.
+func (d *direction) settleFused() {
+	t := d.fused
+	if t == nil {
+		return
+	}
+	d.fused = nil
+	if d.inStack(t) {
+		d.unflight(t)
+		t.dir = nil
+		t.host.staged++
+		d.link.net.K.Retime(t.finish, t.updated)
+		return
+	}
+	if d.solo != nil {
+		d.soloDone()
+	}
+	d.solo = t
+}
+
+// propagate arms t's delivery for a packet that reaches the receiver at
+// arrive: then, or at the end of the receiver's pipeline stage.
+func (d *direction) propagate(t *transfer, arrive sim.Time) {
+	t.arrive = arrive
+	if d.stage > 0 {
+		t.prev, t.next = nil, d.flight
+		if d.flight != nil {
+			d.flight.prev = t
+		}
+		d.flight = t
+	}
+	d.link.net.K.Schedule(t.finish, arrive+d.stage)
+}
+
+// unflight takes t out of the flight list of a staged direction.
+func (d *direction) unflight(t *transfer) {
+	if d.stage == 0 {
+		return
+	}
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		d.flight = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	t.prev, t.next = nil, nil
+}
+
+// cut re-times every delivery still propagating toward the staged receiver
+// to its arrival instant, where fire drops it. A packet that has arrived — at
+// this very nanosecond too, if its arrival is ordered before the running code
+// — stays armed for the end of the pipeline stage.
+func (d *direction) cut() {
+	k := d.link.net.K
+	for t := d.flight; t != nil; t = t.next {
+		if k.Now() < t.arrive || k.Now() == t.arrive && k.Precedes(t.finish) {
+			t.cut = true
+			k.Retime(t.finish, t.arrive)
+		}
+	}
+}
+
+// soloOnWire reports whether solo t is still serializing. At the very
+// nanosecond it is due, the answer is what the cohort code's would be: done,
+// armed where finish was, fires after the running event exactly if that event
+// precedes the arming (a sender that met the last sub-nanosecond residue of
+// the solo shares the wire with it; one that came after does not).
+func (d *direction) soloOnWire(t *transfer) bool {
+	k := d.link.net.K
 	return k.Now() < t.due || k.Now() == t.due && k.Precedes(t.finish)
 }
 
@@ -469,36 +633,43 @@ func (d *direction) soloDone() {
 	d.link.net.cSoloDone.Inc()
 }
 
-// materialise resolves the direction's solo before its state is read or
-// changed. A solo still serializing becomes the cohort's only member, its
-// delivery cancelled, with the fields rebalance would have left it — the
-// caller arms done (transmit does by rebalancing) — and materialise reports
+// materialise resolves the direction's fused transfer and solo before its
+// state is read or changed. A solo still serializing becomes the cohort's only
+// member, its delivery cancelled, with the fields rebalance would have left it
+// — the caller arms done (send does by rebalancing) — and materialise reports
 // true; one that has left the wire is forgotten.
 func (d *direction) materialise() bool {
+	d.settleFused()
 	t := d.solo
 	if t == nil {
 		return false
 	}
-	if !d.soloOnWire() {
+	if !d.soloOnWire(t) {
 		d.soloDone()
 		return false
 	}
 	d.solo = nil
 	t.finish.Cancel()
+	d.unflight(t)
 	d.active = append(d.active, t)
 	d.link.net.cSoloMaterialised.Inc()
 	return true
 }
 
-// unsolo materialises the solo of either direction and arms done for it, so
-// that a link being severed meets the transfer at the end of its
-// serialization, as it meets a cohort's.
-func (l *Link) unsolo() {
+// sever cuts the link for good (Host.Detach): in both directions a packet
+// still in its sender's stack is un-fused, a solo still serializing goes back
+// to the cohort with done armed for it, so that it dies at the end of its
+// serialization as a cohort member does, and deliveries still propagating
+// toward a staged receiver are cut back to their arrival.
+func (l *Link) sever() {
 	for _, d := range [...]*direction{&l.ab, &l.ba} {
 		if d.materialise() {
 			d.arm(d.active[0])
 		}
 	}
+	l.severed = true
+	l.ab.cut()
+	l.ba.cut()
 }
 
 // rebalance settles every active transfer's remaining bytes to now at its old
@@ -586,7 +757,7 @@ func (d *direction) completeHead() {
 		return
 	}
 	// Enter the latency stage on the transfer's own event.
-	k.Schedule(t.finish, k.Now()+d.link.cfg.Latency)
+	d.propagate(t, k.Now()+d.link.cfg.Latency)
 }
 
 // countSevered accounts one severed-link drop (per-link and network-wide).
@@ -607,16 +778,24 @@ func (d *direction) dropSevered(t *transfer) {
 }
 
 // ActiveTransfers returns the number of transfers currently serializing a->b
-// and b->a (diagnostic; packets in the propagation stage are not counted). A
-// count of one may be a solo, whose only event is its delivery; any other
-// non-zero count is backed by the direction's one armed event.
+// and b->a (diagnostic; packets in a host stack or the propagation stage are
+// not counted). A count of one may be a solo, whose only event is its
+// delivery; any other non-zero count is backed by the direction's one armed
+// event.
 func (l *Link) ActiveTransfers() (ab, ba int) {
 	return l.ab.serializing(), l.ba.serializing()
 }
 
-// serializing counts the transfers on the wire without resolving the solo.
+// serializing counts the transfers on the wire without resolving anything: a
+// fused transfer past its stack stage is the solo, its predecessor gone.
 func (d *direction) serializing() int {
-	if d.solo != nil && d.soloOnWire() {
+	if t := d.fused; t != nil && !d.inStack(t) {
+		if d.soloOnWire(t) {
+			return 1
+		}
+		return 0
+	}
+	if d.solo != nil && d.soloOnWire(d.solo) {
 		return 1
 	}
 	return len(d.active)

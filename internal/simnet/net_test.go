@@ -571,7 +571,7 @@ func TestAbortTimedOutDial(t *testing.T) {
 	reg := obs.NewRegistry()
 	n.SetObs(reg)
 	fromA := 0
-	n.PktTrace = func(_ string, pkt *Packet) {
+	n.PktTrace = func(_ sim.Time, _ string, pkt *Packet) {
 		if pkt.SrcIP == a.IP() {
 			fromA++
 		}

@@ -947,9 +947,9 @@ func requestInWindow(t *testing.T, backend string, idle, quarter time.Duration) 
 	cli := tb.Clients[0]
 	fromClient := string(cli.IP()) + ":"
 	var seen []simnet.TraceEntry // every delivery of the client's packets
-	tb.Net.PktTrace = func(where string, pkt *simnet.Packet) {
+	tb.Net.PktTrace = func(at sim.Time, where string, pkt *simnet.Packet) {
 		if pkt.SrcIP == cli.IP() || pkt.DstIP == cli.IP() {
-			seen = append(seen, simnet.TraceEntry{At: tb.K.Now(), Node: where, Kind: pkt.Kind,
+			seen = append(seen, simnet.TraceEntry{At: at, Node: where, Kind: pkt.Kind,
 				Src: fmt.Sprintf("%s:%d", pkt.SrcIP, pkt.SrcPort), Dst: fmt.Sprintf("%s:%d", pkt.DstIP, pkt.DstPort)})
 		}
 	}

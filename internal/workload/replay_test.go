@@ -484,7 +484,8 @@ func TestProcSwitchBudget(t *testing.T) {
 // pays on the paper's steady state (fig. 16: instances running, rules
 // installed): on a warm replay shaped like the benchmark's, at least nine
 // link crossings in ten meet no other packet on their direction and cost one
-// kernel event, not two (DESIGN.md §20).
+// kernel event, not two, and the host stack and switch pipeline stages ride
+// those events, so a request costs at most 13 (DESIGN.md §20).
 func TestWarmReplayHopsRideSolo(t *testing.T) {
 	trace := Generate(Config{
 		Seed: 42, Services: 8, TotalRequests: 5000, MinPerService: 2,
@@ -494,10 +495,16 @@ func TestWarmReplayHopsRideSolo(t *testing.T) {
 	tb := testbed.New(testbed.Options{Seed: 42, EnableDocker: true, Counters: reg})
 	defer tb.Close()
 	hops := 0
-	tb.Net.PktTrace = func(string, *simnet.Packet) { hops++ } // one call per delivery
+	tb.Net.PktTrace = func(sim.Time, string, *simnet.Packet) { hops++ } // one call per delivery
+	before := tb.K.Stats().Events
 	res, err := ReplayWith(tb, trace, catalog.Nginx, Options{PrePull: true, PreCreate: true, Counters: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A warm request is five packets over two hops each, plus the server's
+	// app delay and the arrival: 12 events when every stage rides its hop.
+	if perReq := float64(tb.K.Stats().Events-before) / float64(len(trace.Requests)); perReq > 13 {
+		t.Errorf("%.2f kernel events per request, want <= 13 (22.3 while the host stack and switch pipeline stages had events of their own)", perReq)
 	}
 	if res.Errors != 0 || res.Unfinished != 0 {
 		t.Fatalf("errors %d, unfinished %d, want a clean replay", res.Errors, res.Unfinished)
