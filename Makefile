@@ -31,7 +31,10 @@ race:
 # Performance numbers come from the repository benchmark below
 # (`make bench-repo`); the paper's figure tables come from `edgesim`
 # (`make experiments`) and are pinned by `make golden`'s files.
-# `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost gates.
+# `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost gates
+# (among them BenchmarkFlowTableLookup's forward, reverse and unnamed-source
+# lookups at 0 allocs/op, whose probe sets TestLookupProbesNamedSignatures
+# pins).
 # The root package's ratchets hold the surfaces, each number only going down:
 # TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts,
 # TestExportsHaveProgramCallers (go/types: every export under internal/ has a

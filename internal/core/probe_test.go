@@ -279,8 +279,8 @@ func TestAllocsProbeRound(t *testing.T) {
 // round the prober closes. Before every packet delivery no Conn is on the free
 // list twice or both on it and in a host's connection table, either of which
 // would hand one Conn to two holders; between rounds every Conn the run made
-// is in one of the two. The free list and the tables are simnet's unexported
-// state, read through reflect.
+// is in one of the two. The free list and the tables (each a map of chains)
+// are simnet's unexported state, read through reflect.
 func TestProbeRecyclesConns(t *testing.T) {
 	const latency = 50 * time.Microsecond
 	cfg := Config{}
@@ -308,7 +308,9 @@ func TestProbeRecyclesConns(t *testing.T) {
 		var out []uintptr
 		for _, h := range []*simnet.Host{egs, target} {
 			for it := field(h, "conns").MapRange(); it.Next(); {
-				out = append(out, it.Value().Pointer())
+				for c := it.Value(); !c.IsNil(); c = c.Elem().FieldByName("samePorts") {
+					out = append(out, c.Pointer())
+				}
 			}
 		}
 		return out

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -157,6 +158,53 @@ func (s *refSwitch) lookup(pkt *simnet.Packet) *refRule {
 	return nil
 }
 
+// refRoutes is the reference of NORMAL forwarding: a plain route map, the
+// default port and which of the switch's ports are attached.
+type refRoutes struct {
+	routes     map[simnet.Addr]int
+	defaultOut int
+	attached   map[int]bool
+}
+
+// out returns the port a NORMAL output of a packet to dst leaves by, or -1
+// when it is dropped.
+func (r *refRoutes) out(dst simnet.Addr) int {
+	out, ok := r.routes[dst]
+	if !ok {
+		out = r.defaultOut
+	}
+	if out < 0 || !r.attached[out] {
+		return -1
+	}
+	return out
+}
+
+func (r *refRoutes) detach(num int) {
+	if !r.attached[num] {
+		return
+	}
+	delete(r.attached, num)
+	for ip, out := range r.routes {
+		if out == num {
+			delete(r.routes, ip)
+		}
+	}
+	if r.defaultOut == num {
+		r.defaultOut = -1
+	}
+}
+
+// modelSink is the node behind one switch port; it logs the port of every
+// packet it receives.
+type modelSink struct {
+	name string
+	port int
+	log  *[]int
+}
+
+func (s *modelSink) Name() string                              { return s.name }
+func (s *modelSink) HandlePacket(*simnet.Port, *simnet.Packet) { *s.log = append(*s.log, s.port) }
+
 // modelController logs the switch's flow-removed notifications.
 type modelController struct {
 	k       *sim.Kernel
@@ -188,10 +236,17 @@ func (b *stepBytes) next() (byte, bool) {
 }
 
 // Small value domains, so that random rules collide on match keys, cookies
-// and priorities, and random packets hit them.
+// and priorities, and random packets hit them. A packet's fields also take
+// values no rule's match names: 10.0.0.7, which only SetDstIP and routes
+// name; 10.0.0.9, which nothing names (address number 0); port 9999; and a
+// port past a key's 32 bits, which truncates to 80.
 var (
 	modelIPs      = []simnet.Addr{"", "10.0.0.1", "10.0.0.2", "10.0.0.3"}
 	modelPorts    = []int{0, 80, 443, 8080}
+	modelPktIPs   = []simnet.Addr{"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.7", "10.0.0.9"}
+	modelPktPorts = []int{80, 443, 8080, 9999, maxPort + 80}
+	modelSetDsts  = []simnet.Addr{"", "10.0.0.2", "10.0.0.7", "10.0.0.8"}
+	modelRouteIPs = []simnet.Addr{"10.0.0.1", "10.0.0.2", "10.0.0.7", "10.0.0.8"}
 	modelPrios    = []int{1, 5, 5, 9}
 	modelIdles    = []time.Duration{0, 0, 50 * time.Millisecond, 200 * time.Millisecond}
 	modelAdvances = []time.Duration{time.Millisecond, 20 * time.Millisecond, 60 * time.Millisecond, 250 * time.Millisecond}
@@ -201,24 +256,44 @@ var (
 // an add on a full table becomes a delete.
 const modelTableCap = 160
 
+// modelSwitchPorts is the number of switch ports, 1 to modelSwitchPorts, each
+// with a modelSink behind it.
+const modelSwitchPorts = 3
+
 // flowTableModel drives a switch and the reference through the same steps.
 type flowTableModel struct {
-	t    *testing.T
-	sw   *Switch
-	ctrl *modelController
-	ref  *refSwitch
-	src  *stepBytes
-	step int
+	t      *testing.T
+	sw     *Switch
+	ctrl   *modelController
+	ref    *refSwitch
+	routes *refRoutes
+	ports  [1 + modelSwitchPorts]*simnet.Port
+	out    []int // ports of the packets the sinks received in this step
+	// rerouted counts packets a rule's SetDstIP rewrote and NORMAL output
+	// delivered, and unnamed those from or to an address with no number.
+	rerouted, unnamed int
+	src               *stepBytes
+	step              int
 }
 
 func newFlowTableModel(t *testing.T, src *stepBytes) *flowTableModel {
-	cfg := Config{ControllerLatency: 300 * time.Microsecond, MissBehavior: OutputDrop}
+	cfg := Config{ControllerLatency: 300 * time.Microsecond, MissBehavior: OutputNormal}
 	k := sim.New(1)
-	sw := NewSwitch(simnet.NewNetwork(k), "sw", cfg)
+	n := simnet.NewNetwork(k)
+	sw := NewSwitch(n, "sw", cfg)
 	ctrl := &modelController{k: k}
 	sw.SetController(ctrl)
 	ref := &refSwitch{k: sim.New(1), latency: cfg.ControllerLatency}
-	return &flowTableModel{t: t, sw: sw, ctrl: ctrl, ref: ref, src: src}
+	m := &flowTableModel{t: t, sw: sw, ctrl: ctrl, ref: ref, src: src,
+		routes: &refRoutes{routes: map[simnet.Addr]int{}, defaultOut: modelSwitchPorts, attached: map[int]bool{}}}
+	for num := 1; num <= modelSwitchPorts; num++ {
+		sink := &modelSink{name: fmt.Sprintf("sink%d", num), port: num, log: &m.out}
+		m.ports[num], _ = n.Connect(sw, sink, simnet.LinkConfig{})
+		sw.AddPort(num, m.ports[num])
+		m.routes.attached[num] = true
+	}
+	sw.SetDefaultRoute(modelSwitchPorts)
+	return m
 }
 
 // run interprets up to steps steps (fewer if the bytes run out), checking
@@ -232,7 +307,7 @@ func (m *flowTableModel) run(steps int) {
 		a, _ := m.src.next()
 		b, _ := m.src.next()
 		c, _ := m.src.next()
-		switch op % 8 {
+		switch op % 9 {
 		case 0, 1, 2:
 			if m.sw.RuleCount() < modelTableCap {
 				m.add(a, b, c)
@@ -247,11 +322,14 @@ func (m *flowTableModel) run(steps int) {
 			m.traffic(a, b)
 		case 7:
 			pkt := m.packet(a, b)
-			m.sameRule("lookup", m.sw.lookup(pkt), m.ref.lookup(pkt))
+			got, _ := m.sw.lookup(pkt)
+			m.sameRule("lookup", got, m.ref.lookup(pkt))
+		case 8:
+			m.route(a, b)
 		}
 		m.check()
 		if m.t.Failed() {
-			m.t.Fatalf("model diverged at step %d (op %d, args %d %d %d)", m.step, op%8, a, b, c)
+			m.t.Fatalf("model diverged at step %d (op %d, args %d %d %d)", m.step, op%9, a, b, c)
 		}
 	}
 }
@@ -266,6 +344,9 @@ func (m *flowTableModel) add(a, b, c byte) {
 		Actions:       Actions{Output: OutputDrop},
 		IdleTimeout:   modelIdles[b>>2&3],
 		NotifyRemoved: b>>6&1 == 1,
+	}
+	if c>>4&1 == 1 {
+		rule.Actions = Actions{SetDstIP: modelSetDsts[c>>5&3], Output: OutputNormal}
 	}
 	if c&1 == 1 {
 		rule.Cookie = 1000 + uint64(c>>1&7) // one of eight shared cookies
@@ -293,23 +374,68 @@ func (m *flowTableModel) advance(d time.Duration) {
 func (m *flowTableModel) packet(a, b byte) *simnet.Packet {
 	return &simnet.Packet{
 		Kind:  simnet.KindDATA,
-		SrcIP: modelIPs[1+a%3], DstIP: modelIPs[1+a>>2%3],
-		SrcPort: modelPorts[1+a>>4%3], DstPort: modelPorts[1+b%3],
+		SrcIP: modelPktIPs[a%5], DstIP: modelPktIPs[a/5%5],
+		SrcPort: modelPktPorts[a/25%5], DstPort: modelPktPorts[b%5],
 		Size: 100,
 	}
 }
 
 // traffic runs one packet through the pipeline, refreshing the idle clock
-// and the counters of the rule it hits.
+// and the counters of the rule it hits, and checks the port it leaves by
+// against the reference routes, after the rule's rewrite.
 func (m *flowTableModel) traffic(a, b byte) {
 	pkt := m.packet(a, b)
 	want := m.ref.lookup(pkt)
+	wantOut := -1
 	if want != nil {
 		want.packets++
 		want.bytes += pkt.Size
 		m.ref.touch(want.Cookie)
+		if want.Actions.Output == OutputNormal {
+			dst := pkt.DstIP
+			if want.Actions.SetDstIP != "" {
+				dst = want.Actions.SetDstIP
+			}
+			wantOut = m.routes.out(dst)
+		}
+	} else {
+		wantOut = m.routes.out(pkt.DstIP) // MissBehavior is OutputNormal
 	}
+	m.out = m.out[:0]
 	m.sw.process(-1, pkt)
+	m.sw.net.K.RunUntil(m.sw.net.K.Now()) // the links have no latency
+	if wantOut < 0 && len(m.out) != 0 || wantOut >= 0 && (len(m.out) != 1 || m.out[0] != wantOut) {
+		m.t.Errorf("packet %v left by ports %v, reference port %d (-1: dropped)", pkt, m.out, wantOut)
+	}
+	if want != nil && want.Actions.SetDstIP != "" && wantOut >= 0 {
+		m.rerouted++
+	}
+	if m.sw.addrs[pkt.SrcIP] == 0 || m.sw.addrs[pkt.DstIP] == 0 {
+		m.unnamed++
+	}
+}
+
+// route changes NORMAL forwarding: a route, the detach of a port (and its
+// routes), a detached port's return, or the default route.
+func (m *flowTableModel) route(a, b byte) {
+	num := 1 + int(b)%modelSwitchPorts
+	switch a & 3 {
+	case 0, 1:
+		ip := modelRouteIPs[a>>2&3]
+		m.sw.SetRoute(ip, num)
+		m.routes.routes[ip] = num
+	case 2:
+		m.sw.DetachPort(num)
+		m.routes.detach(num)
+	case 3:
+		if !m.routes.attached[num] {
+			m.sw.AddPort(num, m.ports[num])
+			m.routes.attached[num] = true
+		} else {
+			m.sw.SetDefaultRoute(num)
+			m.routes.defaultOut = num
+		}
+	}
 }
 
 func (m *flowTableModel) sameRule(what string, got *FlowRule, want *refRule) {
@@ -352,6 +478,8 @@ func (m *flowTableModel) check() {
 		}
 	}
 
+	m.checkNumbers()
+
 	// The signature array and the cookie index hold exactly the live rules.
 	indexed, cookies := 0, map[uint64]int{}
 	for sig, bucket := range sw.sigs {
@@ -362,9 +490,14 @@ func (m *flowTableModel) check() {
 			for prev := (*FlowRule)(nil); r != nil; prev, r = r, r.sameKey {
 				indexed++
 				cookies[r.Cookie]++
-				if r.removed || signatureOf(r.Match) != sigKey(sig) ||
-					keyOf(sigKey(sig), r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort) != key {
-					t.Errorf("rule %d filed under the wrong key, or removed", r.seq)
+				if r.removed || signatureOf(r.Match) != sigKey(sig) || r.key != key || m.numberedKey(r) != key {
+					t.Errorf("rule %d filed under key %+v, want %+v by its addresses' numbers, or removed", r.seq, key, m.numberedKey(r))
+				}
+				if sig&int(sigSrcIP) != 0 && sw.nums[key.srcIP].asSrc>>sig&1 == 0 || sig&int(sigDstIP) != 0 && sw.nums[key.dstIP].asDst>>sig&1 == 0 {
+					t.Errorf("rule %d (%v): its addresses' masks miss signature %04b", r.seq, r.Match, sig)
+				}
+				if r.setDst != sw.addrs[r.Actions.SetDstIP] {
+					t.Errorf("rule %d: SetDstIP %q numbered %d, want %d", r.seq, r.Actions.SetDstIP, r.setDst, sw.addrs[r.Actions.SetDstIP])
 				}
 				if prev != nil && !prev.before(r) {
 					t.Errorf("rule %d chained ahead of rule %d", prev.seq, r.seq)
@@ -385,6 +518,66 @@ func (m *flowTableModel) check() {
 		}
 		if n != cookies[cookie] {
 			t.Errorf("cookie %d chains %d rules, table has %d", cookie, n, cookies[cookie])
+		}
+	}
+}
+
+// numberedKey is r's match key spelled out from the switch's address numbers.
+func (m *flowTableModel) numberedKey(r *FlowRule) matchKey {
+	num := func(ip simnet.Addr) uint32 {
+		if ip == "" {
+			return 0
+		}
+		n, ok := m.sw.addrs[ip]
+		if !ok || n == 0 {
+			m.t.Errorf("rule %d names %q, which has no number", r.seq, ip)
+		}
+		return n
+	}
+	return matchKey{num(r.Match.SrcIP), num(r.Match.DstIP), uint32(r.Match.SrcPort), uint32(r.Match.DstPort)}
+}
+
+// checkNumbers checks the address numbering against the reference routes:
+// numbers 1 to n name n distinct addresses, 0 none, each has an entry, and a
+// number's route is the reference route of its address. It also checks the
+// wildcard masks against the signatures they stand for.
+func (m *flowTableModel) checkNumbers() {
+	t, sw := m.t, m.sw
+	if len(sw.nums) != len(sw.addrs)+1 {
+		t.Errorf("%d addresses numbered, but %d entries", len(sw.addrs), len(sw.nums))
+		return
+	}
+	if sw.nums[0] != (addrEntry{route: -1}) {
+		t.Errorf("number 0 has entry %+v; it names no address", sw.nums[0])
+	}
+	seen := make([]bool, len(sw.nums))
+	for ip, n := range sw.addrs {
+		if n == 0 || int(n) >= len(seen) || seen[n] {
+			t.Errorf("address %q numbered %d: zero, out of range or shared", ip, n)
+			continue
+		}
+		seen[n] = true
+		want, ok := m.routes.routes[ip]
+		if !ok {
+			want = -1
+		}
+		if sw.nums[n].route != want {
+			t.Errorf("address %q (number %d) routes to port %d, reference %d", ip, n, sw.nums[n].route, want)
+		}
+	}
+	for ip := range m.routes.routes {
+		if _, ok := sw.addrs[ip]; !ok {
+			t.Errorf("routed address %q has no number", ip)
+		}
+	}
+	for sig := 0; sig < numSigs; sig++ {
+		for _, f := range []struct {
+			field sigKey
+			mask  uint16
+		}{{sigSrcIP, noSrcIP}, {sigDstIP, noDstIP}, {sigSrcPort, noSrcPort}, {sigDstPort, noDstPort}} {
+			if (sigKey(sig)&f.field == 0) != (f.mask>>sig&1 == 1) {
+				t.Errorf("mask %016b disagrees with signature %04b on field %04b", f.mask, sig, f.field)
+			}
 		}
 	}
 }
@@ -418,9 +611,12 @@ func (m *flowTableModel) drain() {
 
 // TestFlowTableMatchesBruteForce is the model-based check of the flow
 // table's write path: random adds (mixed priorities, shared and auto
-// cookies, idle and no timeouts), deletes, clock advances that expire
-// rules, traffic that refreshes idle clocks and lookups, with the switch
-// compared against the ordered-slice reference after every step.
+// cookies, idle and no timeouts, drop and NORMAL outputs with and without a
+// destination rewrite), deletes, clock advances that expire rules, routes
+// set and detached, traffic that refreshes idle clocks and lookups, some of
+// it from, to or on addresses and ports no rule names, with the switch
+// compared against the ordered-slice reference and a plain route map after
+// every step.
 func TestFlowTableMatchesBruteForce(t *testing.T) {
 	steps := 10000
 	if testing.Short() {
@@ -432,9 +628,9 @@ func TestFlowTableMatchesBruteForce(t *testing.T) {
 		if m.step != steps {
 			t.Fatalf("seed %d stopped after %d steps", seed, m.step)
 		}
-		if len(m.ctrl.removed) == 0 || m.sw.RuleHighWater < modelTableCap/2 {
-			t.Fatalf("seed %d: %d notifications, high water %d: the steps no longer exercise the table",
-				seed, len(m.ctrl.removed), m.sw.RuleHighWater)
+		if len(m.ctrl.removed) == 0 || m.sw.RuleHighWater < modelTableCap/2 || m.rerouted == 0 || m.unnamed == 0 {
+			t.Fatalf("seed %d: %d notifications, high water %d, %d rewritten packets routed, %d from or to unnumbered addresses: the steps no longer exercise the table",
+				seed, len(m.ctrl.removed), m.sw.RuleHighWater, m.rerouted, m.unnamed)
 		}
 		m.drain()
 	}

@@ -7,6 +7,12 @@
 //
 // The switch also offers a NORMAL action (as OVS does): plain L3 forwarding
 // via a static route table, used for all traffic that is not redirected.
+//
+// The flow table and the routes hash no address string per packet: the
+// switch numbers every address a rule or route names, a lookup numbers the
+// packet's two addresses once and probes only the signatures whose address
+// fields those addresses have appeared in, with a 16-byte integer key, and
+// NORMAL output routes by number (DESIGN.md §19).
 package openflow
 
 import (
@@ -14,6 +20,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"transparentedge/internal/sim"
@@ -60,8 +67,9 @@ func (m Match) Matches(pkt *simnet.Packet) bool {
 	return true
 }
 
+// String prints the match as src=IP:port dst=IP:port, a wildcard field as *.
 func (m Match) String() string {
-	return fmt.Sprintf("src=%s:%d dst=%s:%d", orAny(string(m.SrcIP)), m.SrcPort, orAny(string(m.DstIP)), m.DstPort)
+	return fmt.Sprintf("src=%s:%s dst=%s:%s", orAny(string(m.SrcIP)), portOrAny(m.SrcPort), orAny(string(m.DstIP)), portOrAny(m.DstPort))
 }
 
 func orAny(s string) string {
@@ -69,6 +77,13 @@ func orAny(s string) string {
 		return "*"
 	}
 	return s
+}
+
+func portOrAny(p int) string {
+	if p == 0 {
+		return "*"
+	}
+	return strconv.Itoa(p)
 }
 
 // Actions rewrites headers (set-field) and outputs the packet. Zero-valued
@@ -119,6 +134,11 @@ type FlowRule struct {
 	bytes     simnet.Bytes
 	removed   bool
 	seq       uint64 // insertion order (tie-break among equal priorities)
+	// key is the rule's match key under its signature, and setDst the number
+	// of Actions.SetDstIP (0 when the rule does not rewrite the destination),
+	// so a hit routes the rewritten packet without looking its address up.
+	key    matchKey
+	setDst uint32
 	// sameKey chains the rules sharing this rule's signature and match key
 	// in lookup order; sameCookie chains the rules of group, newest first.
 	sameKey, sameCookie *FlowRule
@@ -192,6 +212,19 @@ const (
 	numSigs = 1 << iota
 )
 
+// Signature sets (bit sig stands for signature sig, as in liveSigs) that
+// wildcard one match field: a packet field no rule names can match only rules
+// of these signatures.
+const (
+	noSrcIP   uint16 = 0x5555 // sigSrcIP clear
+	noDstIP   uint16 = 0x3333 // sigDstIP clear
+	noSrcPort uint16 = 0x0F0F // sigSrcPort clear
+	noDstPort uint16 = 0x00FF // sigDstPort clear
+)
+
+// maxPort bounds match ports: a key holds a port in 32 bits, exactly.
+const maxPort = 1 << 32
+
 func signatureOf(m Match) sigKey {
 	var s sigKey
 	if m.SrcIP != "" {
@@ -210,13 +243,13 @@ func signatureOf(m Match) sigKey {
 }
 
 // matchKey is the concrete field tuple of a rule (or packet) under one
-// signature.
+// signature, addresses by their switch-local numbers. It is 16 bytes, which
+// the runtime hashes as one 128-bit word.
 type matchKey struct {
-	srcIP, dstIP     simnet.Addr
-	srcPort, dstPort int
+	srcIP, dstIP, srcPort, dstPort uint32
 }
 
-func keyOf(sig sigKey, srcIP, dstIP simnet.Addr, srcPort, dstPort int) matchKey {
+func keyOf(sig sigKey, srcIP, dstIP, srcPort, dstPort uint32) matchKey {
 	var k matchKey
 	if sig&sigSrcIP != 0 {
 		k.srcIP = srcIP
@@ -247,6 +280,13 @@ type Switch struct {
 	// Rules reads order, and it sorts a copy.
 	sigs     [numSigs]map[matchKey]*FlowRule
 	liveSigs uint16
+	// addrs numbers every address a rule's match or SetDstIP, or a route,
+	// has named, from 1 in order of first mention; 0 stands for an address
+	// none has. Numbers are never taken back, so the table grows with the
+	// distinct addresses (hosts and service VIPs), not with installs. nums
+	// holds what the switch keeps per number, number 0's entry included.
+	addrs map[simnet.Addr]uint32
+	nums  []addrEntry
 	// byCookie finds each cookie's group, making DeleteFlows O(rules with
 	// that cookie).
 	byCookie map[uint64]*cookieGroup
@@ -263,7 +303,6 @@ type Switch struct {
 	// pipeline stage: a packet that reached the switch through one before it
 	// was forgotten is processed under the in-port it arrived on.
 	retired    []retiredPort
-	routes     map[simnet.Addr]int
 	defaultOut int // port used when no route matches (toward the cloud); -1 = none
 	controller Controller
 	nextCookie uint64
@@ -290,6 +329,15 @@ type Switch struct {
 	ctrlq    []ctrlMsg
 	ctrlHead int
 	ctrlFn   func()
+}
+
+// addrEntry is what the switch keeps per address number: as bit sig, whether
+// a rule of signature sig has ever named the address as its source (asSrc)
+// or destination (asDst) — a bit is never cleared, so a stale one costs a
+// probe, never a wrong answer — and the address's NORMAL port, -1 for none.
+type addrEntry struct {
+	asSrc, asDst uint16
+	route        int
 }
 
 // retiredPort is a port DetachPort forgot, at the instant it did.
@@ -328,7 +376,8 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		byCookie:   make(map[uint64]*cookieGroup),
 		ports:      make(map[int]*simnet.Port),
 		portOf:     make(map[*simnet.Port]int),
-		routes:     make(map[simnet.Addr]int),
+		addrs:      make(map[simnet.Addr]uint32),
+		nums:       []addrEntry{{route: -1}},
 		defaultOut: -1,
 	}
 	s.ctrlFn = s.deliverCtrl
@@ -389,9 +438,9 @@ func (s *Switch) DetachPort(num int) {
 	s.retired = append(s.retired, retiredPort{port: p, num: num, at: now})
 	delete(s.ports, num)
 	delete(s.portOf, p)
-	for ip, out := range s.routes {
-		if out == num {
-			delete(s.routes, ip)
+	for i := range s.nums {
+		if s.nums[i].route == num {
+			s.nums[i].route = -1
 		}
 	}
 	if s.defaultOut == num {
@@ -399,8 +448,25 @@ func (s *Switch) DetachPort(num int) {
 	}
 }
 
-// SetRoute adds a NORMAL-forwarding route for ip via port num.
-func (s *Switch) SetRoute(ip simnet.Addr, num int) { s.routes[ip] = num }
+// SetRoute adds a NORMAL-forwarding route for ip via port num (≥ 0).
+func (s *Switch) SetRoute(ip simnet.Addr, num int) {
+	if num < 0 {
+		panic(fmt.Sprintf("openflow: %s: route to negative port %d", s.name, num))
+	}
+	s.nums[s.number(ip)].route = num
+}
+
+// number returns ip's address number, assigning the next one if no rule or
+// route has named ip before.
+func (s *Switch) number(ip simnet.Addr) uint32 {
+	n, ok := s.addrs[ip]
+	if !ok {
+		n = uint32(len(s.nums))
+		s.addrs[ip] = n
+		s.nums = append(s.nums, addrEntry{route: -1})
+	}
+	return n
+}
 
 // SetDefaultRoute sets the port used when no route matches (the uplink
 // toward the cloud).
@@ -435,8 +501,11 @@ func (s *Switch) RuleCount() int { return s.rules }
 // AddFlow installs a rule (flow-mod ADD) and returns it, at a cost that does
 // not depend on the table size. Among matching rules the highest priority
 // wins; among equal priorities, the earlier install. Only rule's exported
-// fields are read.
+// fields are read. A match port outside [0, 2^32) panics.
 func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
+	if m := rule.Match; uint64(m.SrcPort) >= maxPort || uint64(m.DstPort) >= maxPort {
+		panic(fmt.Sprintf("openflow: %s: match port out of range in %v", s.name, m))
+	}
 	var r *FlowRule
 	if n := len(s.freeRules); n > 0 {
 		r, s.freeRules[n-1] = s.freeRules[n-1], nil
@@ -541,7 +610,7 @@ func (s *Switch) deliverCtrl() {
 		s.release(m.rule)
 	case msgPacketOut:
 		m.actions.apply(m.pkt)
-		s.output(m.actions, -1, m.pkt)
+		s.output(m.actions, -1, m.pkt, s.addrs[m.pkt.DstIP])
 	case msgTableOut:
 		s.process(-1, m.pkt)
 	}
@@ -555,9 +624,8 @@ func (s *Switch) deliverCtrl() {
 func (s *Switch) removeRule(r *FlowRule) {
 	r.removed = true
 	s.rules--
-	sig := signatureOf(r.Match)
+	sig, key := signatureOf(r.Match), r.key
 	bucket := s.sigs[sig]
-	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
 	head := bucket[key]
 	at := &head
 	for *at != r {
@@ -582,16 +650,31 @@ func (s *Switch) removeRule(r *FlowRule) {
 	}
 }
 
-// indexAdd links r into its match-key chain and its cookie's group.
+// indexAdd numbers r's addresses and links r into its match-key chain and
+// its cookie's group.
 func (s *Switch) indexAdd(r *FlowRule) {
-	sig := signatureOf(r.Match)
+	m := &r.Match
+	sig := signatureOf(*m)
+	var src, dst uint32
+	if sig&sigSrcIP != 0 {
+		src = s.number(m.SrcIP)
+		s.nums[src].asSrc |= 1 << sig
+	}
+	if sig&sigDstIP != 0 {
+		dst = s.number(m.DstIP)
+		s.nums[dst].asDst |= 1 << sig
+	}
+	if r.Actions.SetDstIP != "" {
+		r.setDst = s.number(r.Actions.SetDstIP)
+	}
 	bucket := s.sigs[sig]
 	if bucket == nil {
 		bucket = make(map[matchKey]*FlowRule)
 		s.sigs[sig] = bucket
 	}
 	s.liveSigs |= 1 << sig
-	key := keyOf(sig, r.Match.SrcIP, r.Match.DstIP, r.Match.SrcPort, r.Match.DstPort)
+	key := keyOf(sig, src, dst, uint32(m.SrcPort), uint32(m.DstPort))
+	r.key = key
 	// r is the newest rule, so in lookup order it goes behind every rule of
 	// its priority or higher.
 	head := bucket[key]
@@ -618,18 +701,39 @@ func (s *Switch) indexAdd(r *FlowRule) {
 }
 
 // lookup finds the highest-priority matching rule (first-installed among
-// equals) via the signature index: one map probe per signature that
-// currently holds a rule, independent of the rule count.
-func (s *Switch) lookup(pkt *simnet.Packet) *FlowRule {
-	var best *FlowRule
-	for live := s.liveSigs; live != 0; live &= live - 1 {
+// equals) via the signature index, and returns it with the number of the
+// packet's destination. It numbers the packet's two addresses once, then
+// probes each signature in probes: one map probe per signature that holds a
+// rule the packet's addresses and ports could match, independent of the rule
+// count.
+func (s *Switch) lookup(pkt *simnet.Packet) (best *FlowRule, dst uint32) {
+	src, dst := s.addrs[pkt.SrcIP], s.addrs[pkt.DstIP]
+	sp, dp := uint32(pkt.SrcPort), uint32(pkt.DstPort)
+	for live := s.probes(src, dst, pkt.SrcPort, pkt.DstPort); live != 0; live &= live - 1 {
 		sig := sigKey(bits.TrailingZeros16(live))
-		r := s.sigs[sig][keyOf(sig, pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort)]
+		r := s.sigs[sig][keyOf(sig, src, dst, sp, dp)]
 		if r != nil && (best == nil || r.before(best)) {
 			best = r
 		}
 	}
-	return best
+	return best, dst
+}
+
+// probes returns the signatures a lookup probes for a packet from address
+// number src to dst with the given ports: the live ones that wildcard the
+// source or hold a rule that has named src as its source, likewise for the
+// destination, and that key no port outside a key's 32 bits. An unnumbered
+// address (0) is named by no rule, so it is probed only in signatures that
+// wildcard it.
+func (s *Switch) probes(src, dst uint32, srcPort, dstPort int) uint16 {
+	live := s.liveSigs & (noSrcIP | s.nums[src].asSrc) & (noDstIP | s.nums[dst].asDst)
+	if uint64(srcPort) >= maxPort {
+		live &= noSrcPort
+	}
+	if uint64(dstPort) >= maxPort {
+		live &= noDstPort
+	}
+	return live
 }
 
 // DeleteFlows removes all rules with the given cookie (flow-mod DELETE)
@@ -671,18 +775,24 @@ func (s *Switch) process(inPort int, pkt *simnet.Packet) {
 	if s.ingressSteer != nil && s.ingressSteer(s, inPort, pkt) {
 		return
 	}
-	if r := s.lookup(pkt); r != nil {
+	r, dst := s.lookup(pkt)
+	if r != nil {
 		r.packets++
 		r.bytes += pkt.Size
 		r.group.idle.Touch(s.net.K.Now())
 		r.Actions.apply(pkt)
-		s.output(r.Actions, inPort, pkt)
+		if r.setDst != 0 {
+			dst = r.setDst
+		}
+		s.output(r.Actions, inPort, pkt, dst)
 		return
 	}
-	s.output(Actions{Output: s.cfg.MissBehavior}, inPort, pkt)
+	s.output(Actions{Output: s.cfg.MissBehavior}, inPort, pkt, dst)
 }
 
-func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet) {
+// output carries out a's output; dst is the number of pkt's destination,
+// which OutputNormal routes by.
+func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet, dst uint32) {
 	switch a.Output {
 	case OutputDrop:
 	case OutputPort:
@@ -696,8 +806,8 @@ func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet) {
 		}
 		s.sendCtrl(ctrlMsg{kind: msgPacketIn, inPort: inPort, pkt: pkt})
 	case OutputNormal:
-		out, ok := s.routes[pkt.DstIP]
-		if !ok {
+		out := s.nums[dst].route
+		if out < 0 {
 			out = s.defaultOut
 		}
 		if out < 0 {
@@ -714,7 +824,7 @@ func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet) {
 // in-place encap/decap. It is the OutputNormal leg of the pipeline without a
 // table lookup and costs no allocation.
 func (s *Switch) ForwardNormal(pkt *simnet.Packet) {
-	s.output(Actions{Output: OutputNormal}, -1, pkt)
+	s.output(Actions{Output: OutputNormal}, -1, pkt, s.addrs[pkt.DstIP])
 }
 
 // PacketOut re-injects a packet from the controller into the switch

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,7 +112,7 @@ func TestRedirectRewritesTransparently(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
 		},
 	})
 	// Reverse flow: edge:32000 -> appears as VIP:80.
@@ -158,7 +159,7 @@ func TestPriorityOrder(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 81,
-			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -259,7 +260,7 @@ func TestHeldPacketReleasedByTableOut(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-				Output: OutputPort, OutPort: ev.Switch.routes[rg.edge.IP()],
+				Output: OutputPort, OutPort: ev.Switch.nums[ev.Switch.addrs[rg.edge.IP()]].route,
 			},
 		})
 		ev.Switch.AddFlow(FlowRule{
@@ -324,7 +325,7 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
 		},
 		IdleTimeout: 300 * time.Millisecond,
 	})
@@ -408,7 +409,7 @@ func TestFlowStatsCount(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -427,22 +428,52 @@ func TestFlowStatsCount(t *testing.T) {
 	}
 }
 
+// TestMatchWildcards: a zero field matches anything, and prints as *.
 func TestMatchWildcards(t *testing.T) {
 	pkt := &simnet.Packet{SrcIP: "1.1.1.1", DstIP: "2.2.2.2", SrcPort: 5, DstPort: 80}
 	cases := []struct {
 		m    Match
 		want bool
+		str  string
 	}{
-		{Match{}, true},
-		{Match{DstIP: "2.2.2.2"}, true},
-		{Match{DstIP: "2.2.2.2", DstPort: 80}, true},
-		{Match{DstIP: "9.9.9.9"}, false},
-		{Match{SrcPort: 5, DstPort: 80, SrcIP: "1.1.1.1", DstIP: "2.2.2.2"}, true},
-		{Match{SrcPort: 6}, false},
+		{Match{}, true, "src=*:* dst=*:*"},
+		{Match{DstIP: "2.2.2.2"}, true, "src=*:* dst=2.2.2.2:*"},
+		{Match{DstIP: "2.2.2.2", DstPort: 80}, true, "src=*:* dst=2.2.2.2:80"},
+		{Match{DstIP: "9.9.9.9"}, false, "src=*:* dst=9.9.9.9:*"},
+		{Match{SrcPort: 5, DstPort: 80, SrcIP: "1.1.1.1", DstIP: "2.2.2.2"}, true, "src=1.1.1.1:5 dst=2.2.2.2:80"},
+		{Match{SrcPort: 6}, false, "src=*:6 dst=*:*"},
+		{Match{SrcIP: "1.1.1.1", DstIP: "2.2.2.2", DstPort: 80}, true, "src=1.1.1.1:* dst=2.2.2.2:80"},
 	}
 	for _, c := range cases {
 		if got := c.m.Matches(pkt); got != c.want {
 			t.Errorf("%v.Matches = %v, want %v", c.m, got, c.want)
+		}
+		if got := c.m.String(); got != c.str {
+			t.Errorf("String() = %q, want %q", got, c.str)
+		}
+	}
+}
+
+// TestAddFlowRejectsPortsBeyondKey: a match key holds a port in 32 bits, so
+// AddFlow refuses a port it would truncate (or a negative one) rather than
+// install a rule that matches another port; the largest port that fits is
+// installed and matched exactly.
+func TestAddFlowRejectsPortsBeyondKey(t *testing.T) {
+	sw := NewSwitch(simnet.NewNetwork(sim.New(1)), "sw", Config{})
+	for _, m := range []Match{{DstPort: maxPort + 80}, {SrcPort: maxPort}, {SrcPort: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddFlow(%v) installed a port outside [0, 2^32)", m)
+				}
+			}()
+			sw.AddFlow(FlowRule{Match: m})
+		}()
+	}
+	r := sw.AddFlow(FlowRule{Match: Match{DstPort: maxPort - 1}})
+	for port, want := range map[int]*FlowRule{maxPort - 1: r, 2*maxPort - 1: nil, -1: nil} {
+		if got, _ := sw.lookup(&simnet.Packet{DstPort: port}); got != want {
+			t.Errorf("packet to port %d hit %v, want %v", port, got, want)
 		}
 	}
 }
@@ -458,7 +489,7 @@ func TestEqualPriorityFirstInstalledWins(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: port,
-				Output: OutputPort, OutPort: rg.sw.routes[rg.edge.IP()],
+				Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
 			},
 		})
 		rg.sw.AddFlow(FlowRule{
@@ -553,33 +584,103 @@ func TestQuickHighestPriorityWins(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowTableLookup measures the indexed lookup with a large table
-// of fully-specified client flows plus a handful of wildcard punt rules —
-// the shape a busy gNB switch accumulates.
-func BenchmarkFlowTableLookup(b *testing.B) {
-	k := sim.New(2)
-	n := simnet.NewNetwork(k)
-	sw := NewSwitch(n, "sw", Config{})
-	for i := 0; i < 2000; i++ {
-		client := simnet.Addr(fmt.Sprintf("10.0.%d.%d", i/250, i%250))
-		sw.AddFlow(FlowRule{
-			Priority: 100,
-			Match:    Match{SrcIP: client, DstIP: "203.0.113.10", DstPort: 80},
-			Actions:  Actions{SetDstIP: "10.0.0.10", SetDstPort: 32000, Output: OutputDrop},
-		})
-	}
+// warmReplayTable is the table a busy gNB switch holds under warm-replay's
+// traffic: a punt rule per service VIP, and for each of 2 000 clients the
+// redirect pair steer.OpenFlow installs, a forward rule (client to VIP:80,
+// rewritten to an instance) and a reverse rule (instance to client). It
+// returns a packet of each kind the benchmark and the probe test look up: a
+// client's request to its VIP, the instance's answer, and one between two
+// addresses no rule names.
+func warmReplayTable() (sw *Switch, forward, reverse, unnamed *simnet.Packet) {
+	sw = NewSwitch(simnet.NewNetwork(sim.New(2)), "sw", Config{})
+	vip := func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("203.0.113.%d", 10+i)) }
+	instance := func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("10.0.0.%d", 10+i%8)) }
 	for i := 0; i < 42; i++ {
+		sw.AddFlow(FlowRule{Priority: 50, Match: Match{DstIP: vip(i), DstPort: 80}, Actions: Actions{Output: OutputController}})
+	}
+	for i := 0; i < 2000; i++ {
+		client := simnet.Addr(fmt.Sprintf("10.1.%d.%d", i/250, i%250))
 		sw.AddFlow(FlowRule{
-			Priority: 50,
-			Match:    Match{DstIP: simnet.Addr(fmt.Sprintf("203.0.113.%d", 10+i)), DstPort: 80},
-			Actions:  Actions{Output: OutputDrop},
+			Priority: 100, Cookie: uint64(i + 1),
+			Match:   Match{SrcIP: client, DstIP: vip(i % 42), DstPort: 80},
+			Actions: Actions{SetDstIP: instance(i), SetDstPort: 32000 + i%42, Output: OutputNormal},
+		})
+		sw.AddFlow(FlowRule{
+			Priority: 100, Cookie: uint64(i + 1),
+			Match:   Match{SrcIP: instance(i), SrcPort: 32000 + i%42, DstIP: client},
+			Actions: Actions{SetSrcIP: vip(i % 42), SetSrcPort: 80, Output: OutputNormal},
 		})
 	}
-	pkt := &simnet.Packet{Kind: simnet.KindDATA, SrcIP: "10.0.3.17", DstIP: "203.0.113.10", SrcPort: 40000, DstPort: 80, Size: 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := sw.lookup(pkt); r == nil {
-			b.Fatal("no match")
+	const i = 3*250 + 17
+	forward = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: "10.1.3.17", DstIP: vip(i % 42), SrcPort: 40000, DstPort: 80, Size: 100}
+	reverse = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: instance(i), DstIP: "10.1.3.17", SrcPort: 32000 + i%42, DstPort: 40000, Size: 100}
+	unnamed = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: "192.0.2.1", DstIP: "192.0.2.2", SrcPort: 40000, DstPort: 80, Size: 100}
+	return sw, forward, reverse, unnamed
+}
+
+// BenchmarkFlowTableLookup is the ledger's lookup unit on warmReplayTable:
+// a forward packet (hits its client's forward rule), a reverse packet (hits
+// the reverse rule) and a packet from an address no rule names to a VIP
+// (hits the punt rule), each at 0 allocs/op.
+func BenchmarkFlowTableLookup(b *testing.B) {
+	sw, forward, reverse, _ := warmReplayTable()
+	unnamedSource := *forward
+	unnamedSource.SrcIP = "192.0.2.1"
+	for _, tc := range []struct {
+		name string
+		pkt  *simnet.Packet
+		prio int
+	}{{"forward", forward, 100}, {"reverse", reverse, 100}, {"unnamed-source", &unnamedSource, 50}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			if r, _ := sw.lookup(tc.pkt); r == nil || r.Priority != tc.prio {
+				b.Fatalf("lookup hit %v, want a priority-%d rule", r, tc.prio)
+			}
+			if n := testing.AllocsPerRun(100, func() { sw.lookup(tc.pkt) }); n != 0 {
+				b.Fatalf("%.1f allocs per lookup, want 0", n)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.lookup(tc.pkt)
+			}
+		})
+	}
+}
+
+// TestLookupProbesNamedSignatures: on warmReplayTable a lookup probes only
+// the signatures whose address fields the packet's addresses appear in — 2
+// for a forward packet (the forward and the punt signature), 1 for a reverse
+// packet — and a packet between two addresses no rule names probes only
+// signatures that wildcard both addresses. It reads the signature set lookup
+// probes, and checks each packet still hits its rule.
+func TestLookupProbesNamedSignatures(t *testing.T) {
+	sw, forward, reverse, unnamed := warmReplayTable()
+	probes := func(pkt *simnet.Packet) uint16 {
+		return sw.probes(sw.addrs[pkt.SrcIP], sw.addrs[pkt.DstIP], pkt.SrcPort, pkt.DstPort)
+	}
+	fwdSig := signatureOf(Match{SrcIP: "a", DstIP: "b", DstPort: 1})
+	revSig := signatureOf(Match{SrcIP: "a", SrcPort: 1, DstIP: "b"})
+	puntSig := signatureOf(Match{DstIP: "b", DstPort: 1})
+	if want := uint16(1)<<fwdSig | 1<<revSig | 1<<puntSig; sw.liveSigs != want {
+		t.Fatalf("live signatures %016b, want %016b", sw.liveSigs, want)
+	}
+	for _, tc := range []struct {
+		name string
+		pkt  *simnet.Packet
+		want uint16
+		prio int
+	}{
+		{"forward", forward, 1<<fwdSig | 1<<puntSig, 100},
+		{"reverse", reverse, 1 << revSig, 100},
+		{"unnamed", unnamed, 0, -1},
+	} {
+		got := probes(tc.pkt)
+		if got != tc.want {
+			t.Errorf("%s packet probes signatures %016b (%d), want %016b (%d)", tc.name, got, bits.OnesCount16(got), tc.want, bits.OnesCount16(tc.want))
+		}
+		r, _ := sw.lookup(tc.pkt)
+		if tc.prio < 0 && r != nil || tc.prio >= 0 && (r == nil || r.Priority != tc.prio) {
+			t.Errorf("%s packet hit %v, want priority %d (-1: none)", tc.name, r, tc.prio)
 		}
 	}
 }
@@ -651,15 +752,15 @@ func TestLookupPrefersIndexedAndWildcardConsistently(t *testing.T) {
 		Actions:  Actions{Output: OutputDrop},
 	})
 	pkt := &simnet.Packet{SrcIP: "1.1.1.1", DstIP: "2.2.2.2", SrcPort: 5, DstPort: 80, Size: 64}
-	if got := sw.lookup(pkt); got != wild {
+	if got, _ := sw.lookup(pkt); got != wild {
 		t.Fatalf("lookup = %+v, want the high-priority wildcard", got.Match)
 	}
 	sw.removeRule(wild)
-	if got := sw.lookup(pkt); got != exact {
+	if got, _ := sw.lookup(pkt); got != exact {
 		t.Fatalf("lookup after removal = %v, want the exact rule", got)
 	}
 	sw.removeRule(exact)
-	if got := sw.lookup(pkt); got != nil {
+	if got, _ := sw.lookup(pkt); got != nil {
 		t.Fatalf("lookup on empty = %v, want nil", got)
 	}
 }

@@ -18,8 +18,10 @@ type addrPort struct {
 	port int
 }
 
-type fourTuple struct {
-	local, remote addrPort
+// portPair is a connection's key in its host's table: its local port in the
+// high 32 bits, its remote port in the low ones.
+func portPair(local, remote int) uint64 {
+	return uint64(uint32(local))<<32 | uint64(uint32(remote))
 }
 
 // Host is an end system (client device, edge server, cloud server) with one
@@ -30,7 +32,12 @@ type Host struct {
 	ip        Addr
 	uplink    *Port
 	listeners map[int]*Listener
-	conns     map[fourTuple]*Conn
+	// conns files every connection under its portPair, the head of a chain
+	// through Conn.samePorts; the few that share a pair (a server's peers
+	// that dial from the same ephemeral port) are told apart by address.
+	// nconns counts them all.
+	conns     map[uint64]*Conn
+	nconns    int
 	ephemeral int
 	// ProcDelay is the per-packet processing overhead of this host's stack
 	// (e.g. Raspberry Pi clients are slower than the EGS).
@@ -51,7 +58,7 @@ func NewHost(n *Network, name string, ip Addr) *Host {
 		name:      name,
 		ip:        ip,
 		listeners: make(map[int]*Listener),
-		conns:     make(map[fourTuple]*Conn),
+		conns:     make(map[uint64]*Conn),
 		ephemeral: 32768,
 	}
 	n.Register(h)
@@ -151,7 +158,43 @@ func (h *Host) PortOpen(port int) bool {
 // OpenConns returns the number of connections in the host's table: dials in
 // flight and connections not yet closed (diagnostics; a finished client
 // should leave none behind).
-func (h *Host) OpenConns() int { return len(h.conns) }
+func (h *Host) OpenConns() int { return h.nconns }
+
+// conn returns the connection with this local and remote end, or nil.
+func (h *Host) conn(local, remote addrPort) *Conn {
+	c := h.conns[portPair(local.port, remote.port)]
+	for c != nil && (c.local != local || c.remote != remote) {
+		c = c.samePorts
+	}
+	return c
+}
+
+// addConn files c at the head of its pair's chain. The table never holds c's
+// tuple already: a connection leaves it the moment it closes (Close,
+// maybeFinish, RST) or is aborted, a dial's local port is fresh, and the SYN
+// arm adds only a tuple conn did not find.
+func (h *Host) addConn(c *Conn) {
+	key := portPair(c.local.port, c.remote.port)
+	c.samePorts, h.conns[key] = h.conns[key], c
+	h.nconns++
+}
+
+// delConn takes c, which is in the table, out of it.
+func (h *Host) delConn(c *Conn) {
+	key := portPair(c.local.port, c.remote.port)
+	head := h.conns[key]
+	at := &head
+	for *at != c {
+		at = &(*at).samePorts
+	}
+	*at = c.samePorts
+	if head != nil {
+		h.conns[key] = head
+	} else {
+		delete(h.conns, key)
+	}
+	h.nconns--
+}
 
 // Close removes the listener; established connections survive.
 func (l *Listener) Close() {
@@ -180,6 +223,7 @@ type Conn struct {
 	host        *Host
 	local       addrPort
 	remote      addrPort
+	samePorts   *Conn // next in the host table's chain of this port pair
 	handler     ConnHandler
 	established bool // handshake completed
 	closed      bool
@@ -323,7 +367,7 @@ func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	h.ephemeral++
 	c := h.net.newConn()
 	c.host, c.local, c.remote, c.handler = h, addrPort{h.ip, lp}, addrPort{dst, port}, handler
-	h.conns[fourTuple{c.local, c.remote}] = c
+	h.addConn(c)
 	syn := h.net.NewPacket()
 	syn.Kind, syn.SrcIP, syn.DstIP = KindSYN, h.ip, dst
 	syn.SrcPort, syn.DstPort, syn.Size = lp, port, minWireSize
@@ -331,15 +375,14 @@ func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	return c
 }
 
-// HandlePacket implements Node: demultiplex to connections and listeners.
+// HandlePacket implements Node: demultiplex to connections and listeners. A
+// connection in the table is never closed (it leaves the table as it
+// closes), so a segment that finds one is for a live connection.
 func (h *Host) HandlePacket(in *Port, pkt *Packet) {
-	key := fourTuple{
-		local:  addrPort{pkt.DstIP, pkt.DstPort},
-		remote: addrPort{pkt.SrcIP, pkt.SrcPort},
-	}
+	local, remote := addrPort{pkt.DstIP, pkt.DstPort}, addrPort{pkt.SrcIP, pkt.SrcPort}
 	switch pkt.Kind {
 	case KindSYN:
-		if c, ok := h.conns[key]; ok && !c.closed {
+		if c := h.conn(local, remote); c != nil {
 			// Duplicate SYN (e.g. retry); re-acknowledge idempotently.
 			h.net.FreePacket(pkt)
 			h.replySYNACK(c)
@@ -357,40 +400,39 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 		}
 		h.net.FreePacket(pkt)
 		c := h.net.newConn()
-		c.host, c.local, c.remote, c.established = h, key.local, key.remote, true
-		h.conns[key] = c
+		c.host, c.local, c.remote, c.established = h, local, remote, true
+		h.addConn(c)
 		h.replySYNACK(c)
 		c.handler = l.attach(c)
 	case KindSYNACK:
-		if c, ok := h.conns[key]; ok && !c.established && !c.closed {
+		if c := h.conn(local, remote); c != nil && !c.established {
 			c.established = true
 			c.handler.ConnEstablished(c, true)
 			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	case KindRST:
-		if c, ok := h.conns[key]; ok {
-			delete(h.conns, key)
+		if c := h.conn(local, remote); c != nil {
+			h.delConn(c)
+			c.closed = true
 			if !c.established {
-				c.closed = true
 				c.handler.ConnEstablished(c, false)
 				c.reap = true // nothing touches a refused dial after its callback
-			} else if !c.closed {
-				c.closed = true
+			} else {
 				c.handler.ConnClosed(c)
 			}
 			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	case KindDATA:
-		if c, ok := h.conns[key]; ok && !c.closed {
+		if c := h.conn(local, remote); c != nil {
 			c.deliverInOrder(pkt) // ownership moves to the conn; freed on delivery
 			c.settle()
 		} else {
 			h.net.FreePacket(pkt)
 		}
 	case KindFIN:
-		if c, ok := h.conns[key]; ok {
+		if c := h.conn(local, remote); c != nil {
 			// Close only after all DATA before the FIN has been
 			// delivered (the FIN carries the next sequence number).
 			c.finSeq = pkt.Seq
@@ -472,7 +514,7 @@ func (c *Conn) maybeFinish() {
 	}
 	if c.recvNext+1 >= c.finSeq {
 		c.closed = true
-		delete(c.host.conns, fourTuple{c.local, c.remote})
+		c.host.delConn(c)
 		c.handler.ConnClosed(c)
 	}
 }
@@ -485,7 +527,7 @@ func (c *Conn) maybeFinish() {
 // The Conn goes back to the network's free list at once, so the caller drops
 // it: nothing may touch a Conn after Abort.
 func (c *Conn) Abort() {
-	delete(c.host.conns, fourTuple{c.local, c.remote})
+	c.host.delConn(c)
 	c.host.net.freeConn(c)
 }
 
@@ -497,7 +539,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed, c.reap = true, true
-	delete(c.host.conns, fourTuple{c.local, c.remote})
+	c.host.delConn(c)
 	fin := c.host.net.NewPacket()
 	fin.Kind, fin.SrcIP, fin.DstIP = KindFIN, c.local.ip, c.remote.ip
 	fin.SrcPort, fin.DstPort, fin.Size = c.local.port, c.remote.port, minWireSize

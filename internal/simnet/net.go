@@ -21,6 +21,11 @@
 // switch) arms it for the end of the receiver's pipeline stage, so a packet
 // that meets nothing costs one event per hop, stages included.
 //
+// A host demultiplexes by port pair: its connection table is keyed by the
+// local and remote port, and the few connections that share a pair (a
+// server's peers dialing from the same ephemeral port) are told apart by
+// address.
+//
 // # Packet ownership
 //
 // Packets are recycled through a per-Network free list (NewPacket /

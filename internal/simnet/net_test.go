@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,8 +97,8 @@ func TestDialTimeout(t *testing.T) {
 	if h.established+h.refused != 0 || k.Now() != 2*time.Second {
 		t.Fatalf("handler saw %+v, run ended at %v; want no verdict and the abort at 2s", h, k.Now())
 	}
-	if len(a.conns) != 0 {
-		t.Fatalf("%d connections left on the dialer after Abort, want 0", len(a.conns))
+	if len(a.conns) != 0 || a.OpenConns() != 0 {
+		t.Fatalf("%d connections left on the dialer after Abort (OpenConns %d), want 0", len(a.conns), a.OpenConns())
 	}
 }
 
@@ -588,8 +589,8 @@ func TestAbortTimedOutDial(t *testing.T) {
 	if fromA != 2 { // the one SYN, seen at the router and at b
 		t.Errorf("%d deliveries of packets from the dialer, want 2 (one SYN, two hops)", fromA)
 	}
-	if len(a.conns) != 0 {
-		t.Errorf("%d connections left on the dialer, want 0", len(a.conns))
+	if len(a.conns) != 0 || a.OpenConns() != 0 {
+		t.Errorf("%d connections left on the dialer (OpenConns %d), want 0", len(a.conns), a.OpenConns())
 	}
 	m := reg.Map()
 	gets, puts := m["simnet_packet_pool_gets_total"], m["simnet_packet_pool_puts_total"]
@@ -625,5 +626,109 @@ func TestCloseTellsHandler(t *testing.T) {
 	k.Run()
 	if aborted.told() != 0 {
 		t.Errorf("handler of an aborted dial saw %+v, want nothing", aborted)
+	}
+}
+
+// TestPortPairCollision: two clients dial the same server port from the same
+// ephemeral port (every host starts at 32768), so the server files both
+// connections under one port pair, and tells them apart by address. Their
+// exchanges interleave over one switch without crossing, closing one leaves
+// the other serving, OpenConns counts right throughout, and a SYN that
+// reuses the closed connection's tuple is accepted as a new connection.
+func TestPortPairCollision(t *testing.T) {
+	k := sim.New(1)
+	n := NewNetwork(k)
+	srv := NewHost(n, "srv", "10.0.0.1")
+	a := NewHost(n, "a", "10.0.1.1")
+	b := NewHost(n, "b", "10.0.1.2")
+	sw := NewRouter(n, "sw")
+	for _, h := range []*Host{srv, a, b} {
+		_, p := h.AttachTo(sw, LinkConfig{Latency: time.Millisecond, Bandwidth: Gbps})
+		sw.AddRoute(h.IP(), p)
+	}
+	var served []*recorder // one per accepted connection, echoing each message
+	srv.ListenAsync(80, func(*Conn) ConnHandler {
+		r := &recorder{}
+		r.reply = func(c *Conn) { c.Send(100, r.msgs[len(r.msgs)-1]) }
+		served = append(served, r)
+		return r
+	})
+	// filed counts the connections in h's table by walking every chain.
+	filed := func(h *Host) int {
+		total := 0
+		for _, c := range h.conns {
+			for ; c != nil; c = c.samePorts {
+				total++
+			}
+		}
+		return total
+	}
+	counts := func(when string, want ...int) {
+		t.Helper()
+		for i, h := range []*Host{srv, a, b} {
+			if h.OpenConns() != want[i] || filed(h) != want[i] {
+				t.Fatalf("%s: %s has OpenConns %d, %d filed, want %d", when, h.Name(), h.OpenConns(), filed(h), want[i])
+			}
+		}
+	}
+	same := func(what string, got []any, want ...any) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s got %v, want %v", what, got, want)
+		}
+	}
+
+	ra, rb := &recorder{}, &recorder{}
+	ca, cb := a.DialAsync(srv.IP(), 80, ra), b.DialAsync(srv.IP(), 80, rb)
+	k.Run()
+	if ca.local.port != cb.local.port || ra.established != 1 || rb.established != 1 {
+		t.Fatalf("dials from ports %d and %d, established %d and %d; want one port, both up",
+			ca.local.port, cb.local.port, ra.established, rb.established)
+	}
+	counts("both established", 2, 1, 1)
+	if len(srv.conns) != 1 {
+		t.Fatalf("server filed the two connections under %d port pairs, want 1", len(srv.conns))
+	}
+
+	ca.Send(100, "a1")
+	cb.Send(100, "b1")
+	cb.Send(100, "b2")
+	ca.Send(100, "a2")
+	k.Run()
+	same("server's connection from a", served[0].msgs, "a1", "a2")
+	same("server's connection from b", served[1].msgs, "b1", "b2")
+	same("a", ra.msgs, "a1", "a2")
+	same("b", rb.msgs, "b1", "b2")
+
+	ca.Close()
+	k.Run()
+	counts("a closed", 1, 0, 1)
+	if served[0].closed != 1 || served[1].closed != 0 {
+		t.Fatalf("server saw closes %d and %d, want a's alone", served[0].closed, served[1].closed)
+	}
+	cb.Send(100, "b3")
+	k.Run()
+	same("b after a closed", rb.msgs, "b1", "b2", "b3")
+
+	a.ephemeral = ca.local.port // the next dial reuses the closed tuple
+	ra2 := &recorder{}
+	ca2 := a.DialAsync(srv.IP(), 80, ra2)
+	k.Run()
+	if ra2.established != 1 || len(served) != 3 {
+		t.Fatalf("redial established %d times, server accepted %d connections; want 1 and 3", ra2.established, len(served))
+	}
+	counts("tuple reused", 2, 1, 1)
+	ca2.Send(100, "a3")
+	k.Run()
+	same("a's second connection", ra2.msgs, "a3")
+	same("server's second connection from a", served[2].msgs, "a3")
+	same("server's first connection from a", served[0].msgs, "a1", "a2")
+
+	cb.Close()
+	ca2.Close()
+	k.Run()
+	counts("all closed", 0, 0, 0)
+	if len(srv.conns) != 0 {
+		t.Fatalf("server kept %d port pairs with no connection", len(srv.conns))
 	}
 }
