@@ -38,10 +38,12 @@ race:
 # The root package's ratchets hold the surfaces, each number only going down:
 # TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts,
 # TestExportsHaveProgramCallers (go/types: every export under internal/ has a
-# caller outside the tests, or an allowlisted reason) and
+# caller outside the tests, or an allowlisted reason),
 # TestSettingsHaveProgramWriters (every exported field under internal/ is
-# written by a program, a …Config field from outside its own package). What
-# each gate pins, and its current numbers, is in .claude/skills/verify/SKILL.md.
+# written by a program, a …Config field from outside its own package) and
+# TestFieldsHaveProgramReaders (every exported field of an exported struct
+# under internal/ is read by a program). What each gate pins, and its current
+# numbers, is in .claude/skills/verify/SKILL.md.
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics with tracing off plus the traced per-layer ledger, written to

@@ -7,13 +7,18 @@
 // Usage:
 //
 //	edgectl schedulers
-//	edgectl annotate <Asm|Nginx|ResNet|Nginx+Py>
-//	edgectl demo [-scheduler name] [-docker] [-kube] [-far] [-seed N]
+//	edgectl annotate <Asm|Nginx|ResNet|Nginx+Py|Asm-Wasm>
+//	edgectl demo [-scheduler name] [-docker] [-kube] [-far] [-seed N] [-trace] [-trace-max N]
+//
+// A usage error (an unknown command, a stray argument, a bad flag or flag
+// value) exits 2 with a message naming it; a command that fails exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -25,32 +30,56 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(cli(os.Args[1:], os.Stderr))
+}
+
+// usageError is a mistake in how edgectl was invoked: it exits 2. An empty
+// one was already reported by the flag package.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// cli is one edgectl invocation: 0 on success, 1 when a command fails, 2 on
+// a usage error.
+func cli(args []string, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
 	var err error
-	switch os.Args[1] {
+	switch args[0] {
 	case "schedulers":
+		if len(args) > 1 {
+			err = usageError(fmt.Sprintf("schedulers: unexpected argument %q", args[1]))
+			break
+		}
 		for _, n := range edge.SchedulerNames() {
 			fmt.Println(n)
 		}
 	case "annotate":
-		err = annotate(os.Args[2:])
+		err = annotate(args[1:])
 	case "demo":
-		err = demo(os.Args[2:])
+		err = demo(args[1:], stderr)
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edgectl:", err)
-		os.Exit(1)
+	var ue usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		if ue != "" {
+			fmt.Fprintln(stderr, "edgectl:", ue)
+		}
+		return 2
 	}
+	fmt.Fprintln(stderr, "edgectl:", err)
+	return 1
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage:
   edgectl schedulers                 list registered Global Schedulers
   edgectl annotate <service>        print the auto-annotated YAML (§V)
   edgectl demo [flags]              run a scenario and dump controller state
@@ -59,7 +88,7 @@ func usage() {
 
 func annotate(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("annotate: exactly one Table I service key expected")
+		return usageError("annotate: exactly one Table I service key expected")
 	}
 	svc, err := catalog.Get(args[0])
 	if err != nil {
@@ -80,16 +109,28 @@ func annotate(args []string) error {
 	return nil
 }
 
-func demo(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
+func demo(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	schedName := fs.String("scheduler", "proximity", "Global Scheduler to load")
 	useDocker := fs.Bool("docker", true, "enable the EGS Docker cluster")
 	useKube := fs.Bool("kube", false, "enable the EGS Kubernetes cluster")
 	useFar := fs.Bool("far", false, "enable the farther-away edge cluster")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	trace := fs.Bool("trace", false, "record and print a packet trace (simulated tcpdump)")
-	traceMax := fs.Int("trace-max", 40, "maximum packet-trace lines")
-	fs.Parse(args)
+	traceMax := fs.Int("trace-max", 40, "maximum packet-trace lines (at least 1)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError("")
+	}
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("demo: unexpected argument %q", fs.Arg(0)))
+	}
+	if *traceMax < 1 {
+		return usageError(fmt.Sprintf("demo: -trace-max %d, want at least 1", *traceMax))
+	}
 
 	sched, err := edge.NewScheduler(*schedName)
 	if err != nil {

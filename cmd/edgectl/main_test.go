@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +27,7 @@ func TestDemoTraceGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := captureStdout(t, func() {
-				if err := demo(tc.args); err != nil {
+				if err := demo(tc.args, io.Discard); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -50,6 +52,33 @@ func TestDemoTraceGolden(t *testing.T) {
 				t.Fatalf("%d lines, %s has %d", len(gl), path, len(wl))
 			}
 		})
+	}
+}
+
+// TestUsageErrorsExit2: a stray argument or an out-of-range flag value is a
+// usage error naming it, reported before anything runs.
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"demo", "foo"}, `unexpected argument "foo"`},
+		{[]string{"demo", "-trace", "extra"}, `unexpected argument "extra"`},
+		{[]string{"demo", "-trace", "-trace-max", "-1"}, "-trace-max -1"},
+		{[]string{"demo", "-trace", "-trace-max", "0"}, "-trace-max 0"},
+		{[]string{"demo", "-no-such-flag"}, "-no-such-flag"},
+		{[]string{"schedulers", "extra"}, `unexpected argument "extra"`},
+		{[]string{"annotate"}, "exactly one Table I service key"},
+		{[]string{"frobnicate"}, "usage:"},
+		{nil, "usage:"},
+	} {
+		var errb bytes.Buffer
+		var code int
+		out := captureStdout(t, func() { code = cli(tc.args, &errb) })
+		if code != 2 || out != "" || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("edgectl %v: exit %d, stdout %q, stderr %q; want exit 2, no output and an error saying %q",
+				tc.args, code, out, errb.String(), tc.want)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tracegen [-seed N] [-services N] [-requests N] [-min N] [-clients N]
-//	         [-duration D] [-format csv|summary]
+//	         [-duration D] [-format csv|summary] [-load file]
 package main
 
 import (
@@ -44,6 +44,10 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "tracegen: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	if *format != "csv" && *format != "summary" {

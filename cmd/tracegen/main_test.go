@@ -25,6 +25,8 @@ func TestBadConfigExits2(t *testing.T) {
 		{[]string{"-clients", "0"}, "0 clients"},
 		{[]string{"-clients", "-4"}, "-4 clients"},
 		{[]string{"-format", "xml"}, `unknown format "xml"`},
+		{[]string{"extra"}, `unexpected argument "extra"`},
+		{[]string{"-seed", "7", "extra"}, `unexpected argument "extra"`},
 	} {
 		var out, errb bytes.Buffer
 		code := cli(tc.args, &out, &errb)

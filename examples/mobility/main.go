@@ -59,8 +59,7 @@ func main() {
 	resolver := registry.NewResolver()
 	resolver.AddPrefix("", hub.IP())
 
-	rt := container.NewRuntime(egs, registry.NewClient(egs, resolver),
-		container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(egs, registry.NewClient(egs, resolver))
 	var behaviors cluster.BehaviorSource = catalog.Behaviors()
 	eng := docker.New("egs-docker", rt, behaviors)
 
@@ -98,7 +97,7 @@ func main() {
 		gnb2.AddPort(2, np)
 		gnb2.SetRoute(ue.IP(), 2)
 		gnb1.SetRoute(ue.IP(), 10)
-		ctrl.NoteHandover(ue.IP(), gnb2, 2)
+		ctrl.NoteHandover(ue.IP(), gnb2)
 		fmt.Println("--- handover: ue now behind gnb2 ---")
 
 		res, err = ue.HTTPGet(p, "203.0.113.10", 80, catalog.Request(edge.Nginx), 0)
@@ -106,8 +105,8 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("at gnb2: request        %v (FlowMemory re-served, no re-deployment)\n", res.Total)
-		if loc, ok := ctrl.ClientLocation(ue.IP()); ok {
-			fmt.Printf("controller sees the client at switch %s\n", loc.Switch.Name())
+		if sw, ok := ctrl.ClientLocation(ue.IP()); ok {
+			fmt.Printf("controller sees the client at switch %s\n", sw.Name())
 		}
 	})
 	k.RunUntil(time.Minute)

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -315,6 +316,130 @@ func TestSettingsHaveProgramWriters(t *testing.T) {
 		t.Errorf("%d allowlist entries, recorded %d: entries are only removed", n, settingsAllowlistRecord)
 	} else if n < settingsAllowlistRecord {
 		t.Errorf("%d allowlist entries, recorded %d: lower the record", n, settingsAllowlistRecord)
+	}
+}
+
+// fieldsAllowlist names the exported fields under internal/ that no program
+// reads but that stay, each with its reason, in the categories of
+// settingsAllowlist. Entries are only ever removed; fieldsAllowlistRecord is
+// its size.
+const fieldsAllowlistRecord = 7
+
+var fieldsAllowlist = map[string]string{
+	"core.ClusterInfo.HasImages": "(d) fig. 7's state-query answer a scheduler registered through edge.RegisterScheduler receives",
+	"core.ClusterInfo.Exists":    "(d) fig. 7's state-query answer a scheduler registered through edge.RegisterScheduler receives",
+	"core.ClusterInfo.Endpoint":  "(d) fig. 7's state-query answer a scheduler registered through edge.RegisterScheduler receives",
+	"core.State.Service":         "(d) fig. 7's state-query answer a scheduler registered through edge.RegisterScheduler receives",
+	"core.State.ClientIP":        "(d) fig. 7's state-query answer a scheduler registered through edge.RegisterScheduler receives",
+	"metrics.Hist.Name":          "(e) bench/units.go names its histogram through metrics.NewHist",
+	"simnet.HTTPRequest.Method":  "(e) bench/units.go sets it on the request its HTTP unit sends",
+}
+
+// TestFieldsHaveProgramReaders is the ratchet on recorded state: every
+// exported field of an exported struct declared in a non-test file under
+// internal/ is read by non-test code. A field only tests read is bookkeeping
+// a program pays for on every packet, dispatch or deployment and never looks
+// at: delete it with the code that fills it, or allowlist it above with its
+// reason. A read is a field selector anywhere but the target of =, op=, ++ or
+// --, a composite-literal key, or the x.F of x.F = append(x.F, ...). A field
+// with a json tag counts as read, since encoding/json reads it. Embedded
+// fields are exempt.
+func TestFieldsHaveProgramReaders(t *testing.T) {
+	fset, pkgs := checkModule(t)
+
+	read := map[types.Object]bool{}
+	for _, p := range pkgs {
+		// notRead holds the selectors in the positions that only write.
+		notRead := map[*ast.SelectorExpr]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.DEFINE {
+						break
+					}
+					for i, lhs := range n.Lhs {
+						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						notRead[sel] = true
+						if len(n.Rhs) != len(n.Lhs) {
+							continue
+						}
+						// x.F = append(x.F, ...) only grows the field.
+						if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 {
+							if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" && p.info.Uses[id] == types.Universe.Lookup("append") {
+								if arg, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok && types.ExprString(arg) == types.ExprString(sel) {
+									notRead[arg] = true
+								}
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						notRead[sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for sel, s := range p.info.Selections {
+			if s.Kind() == types.FieldVal && !notRead[sel] {
+				read[origin(s.Obj())] = true
+			}
+		}
+	}
+
+	var unread []string
+	allowed := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), "transparentedge/internal/") {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() || read[f] {
+					continue
+				}
+				if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok && tag != "-" {
+					continue
+				}
+				key := path.Base(p.pkg.Path()) + "." + name + "." + f.Name()
+				if _, ok := fieldsAllowlist[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				unread = append(unread, fset.Position(f.Pos()).String()+": "+key)
+			}
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is a field no program reads: delete it with the code that fills it, or allowlist it with its reason", u)
+	}
+	for name, reason := range fieldsAllowlist {
+		if !allowed[name] {
+			t.Errorf("allowlisted %s is gone or read by a program: remove its entry", name)
+		}
+		if c := reason[:min(len(reason), 4)]; c != "(a) " && c != "(b) " && c != "(c) " && c != "(d) " && c != "(e) " {
+			t.Errorf("allowlisted %s: reason %q names no category (a)-(e)", name, reason)
+		}
+	}
+	if n := len(fieldsAllowlist); n > fieldsAllowlistRecord {
+		t.Errorf("%d allowlist entries, recorded %d: entries are only removed", n, fieldsAllowlistRecord)
+	} else if n < fieldsAllowlistRecord {
+		t.Errorf("%d allowlist entries, recorded %d: lower the record", n, fieldsAllowlistRecord)
 	}
 }
 

@@ -56,11 +56,10 @@ const (
 
 // Service is one Table I row.
 type Service struct {
-	Key         string
-	Description string
-	Images      []string
-	Containers  int
-	HTTPMethod  string
+	Key        string
+	Images     []string
+	Containers int
+	HTTPMethod string
 	// Request is the client request shape (83 KiB cat picture for ResNet).
 	RequestSize simnet.Bytes
 	// YAML is the service definition file (§V) for this service.
@@ -101,9 +100,9 @@ func Get(key string) (Service, error) {
 // rows.
 func WasmServices() []Service {
 	return []Service{
+		// Assembler web server compiled to a WebAssembly module (serverless).
 		{
 			Key:         AsmWasm,
-			Description: "Assembler web server compiled to a WebAssembly module (serverless)",
 			Images:      []string{ImgAsmWasm},
 			Containers:  1,
 			HTTPMethod:  "GET",
@@ -126,9 +125,9 @@ spec:
 // Services returns all Table I entries.
 func Services() []Service {
 	return []Service{
+		// Assembler web server (asmttpd): the smallest and fastest web service possible.
 		{
 			Key:         Asm,
-			Description: "Assembler web server (asmttpd): the smallest and fastest web service possible",
 			Images:      []string{ImgAsm},
 			Containers:  1,
 			HTTPMethod:  "GET",
@@ -144,9 +143,9 @@ spec:
         - containerPort: 80
 `,
 		},
+		// Nginx web server: the most popular container image.
 		{
 			Key:         Nginx,
-			Description: "Nginx web server: the most popular container image",
 			Images:      []string{ImgNginx},
 			Containers:  1,
 			HTTPMethod:  "GET",
@@ -162,9 +161,9 @@ spec:
         - containerPort: 80
 `,
 		},
+		// TensorFlow Serving with a pre-trained ResNet50 model (image classification).
 		{
 			Key:         ResNet,
-			Description: "TensorFlow Serving with a pre-trained ResNet50 model (image classification)",
 			Images:      []string{ImgResNet},
 			Containers:  1,
 			HTTPMethod:  "POST",
@@ -180,9 +179,9 @@ spec:
         - containerPort: 8501
 `,
 		},
+		// Nginx + Python env-writer app sharing a host folder (multi-container service).
 		{
 			Key:         NginxPy,
-			Description: "Nginx + Python env-writer app sharing a host folder (multi-container service)",
 			Images:      []string{ImgNginx, ImgPy},
 			Containers:  2,
 			HTTPMethod:  "GET",

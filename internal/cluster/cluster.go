@@ -18,6 +18,7 @@ import (
 	"errors"
 	"time"
 
+	"transparentedge/internal/container"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
@@ -66,6 +67,18 @@ type BehaviorSource interface {
 	Behavior(imageRef string) Behavior
 }
 
+// ContainerConfig is the container one entry of a service definition runs as:
+// its image and port, with the start-up delay and request handler src gives
+// the image. The caller names and labels it.
+func ContainerConfig(src BehaviorSource, cs spec.ContainerSpec, name string, labels map[string]string) container.Config {
+	b := src.Behavior(cs.Image)
+	cfg := container.Config{Name: name, Image: cs.Image, AppPort: cs.ContainerPort, InitDelay: b.InitDelay, Labels: labels}
+	if cs.ContainerPort > 0 {
+		cfg.AsyncHandler = b.AsyncHandler()
+	}
+	return cfg
+}
+
 // StaticBehaviors is a map-backed BehaviorSource.
 type StaticBehaviors map[string]Behavior
 
@@ -99,15 +112,6 @@ type Cluster interface {
 	Endpoint(service string) (Instance, bool)
 	// Services lists created services (sorted).
 	Services() []string
-}
-
-// MultiEndpoint is implemented by clusters that can run several instances
-// of one service (e.g. a Kubernetes Deployment with replicas > 1). The
-// controller's instance picker — the paper's Local Scheduler role at the
-// traffic level — chooses among them.
-type MultiEndpoint interface {
-	// Endpoints returns every ready instance of the service.
-	Endpoints(service string) []Instance
 }
 
 // ImageDeleter is implemented by clusters that can delete cached images

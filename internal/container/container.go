@@ -54,14 +54,6 @@ var (
 	ErrDuplicateName   = errors.New("container: duplicate container name")
 )
 
-// Mount maps a host path into the container (the paper's Nginx+Py service
-// shares a folder between its two containers this way).
-type Mount struct {
-	Name          string
-	HostPath      string
-	ContainerPath string
-}
-
 // Config describes one container to create.
 type Config struct {
 	Name  string
@@ -76,49 +68,43 @@ type Config struct {
 	// apps).
 	AsyncHandler simnet.HTTPAsyncHandler
 	Labels       map[string]string
-	Env          map[string]string
-	Mounts       []Mount
 }
 
-// RuntimeConfig models the node-level lifecycle costs.
-type RuntimeConfig struct {
-	// CreateDelay covers snapshot preparation and container metadata
+// The node-level lifecycle costs of containerd on the EGS, server-class x86.
+const (
+	// createDelay covers snapshot preparation and container metadata
 	// writes.
-	CreateDelay time.Duration
-	// StartDelay covers namespace/cgroup/rootfs setup and process exec —
+	createDelay = 45 * time.Millisecond
+	// startDelay covers namespace/cgroup/rootfs setup and process exec —
 	// the dominant cold-start cost per Mohan et al.
-	StartDelay time.Duration
-	// StopDelay and RemoveDelay cover SIGTERM handling and snapshot GC.
-	StopDelay   time.Duration
-	RemoveDelay time.Duration
+	startDelay = 380 * time.Millisecond
+	// stopDelay and removeDelay cover SIGTERM handling and snapshot GC.
+	stopDelay   = 60 * time.Millisecond
+	removeDelay = 40 * time.Millisecond
+)
+
+// timing is one runtime's copy of the lifecycle costs. Programs run it as
+// calibrated; the package's tests sweep it.
+type timing struct {
+	create, start, stop, remove time.Duration
 }
 
-// DefaultRuntimeConfig reflects containerd on server-class x86 (the EGS).
-func DefaultRuntimeConfig() RuntimeConfig {
-	return RuntimeConfig{
-		CreateDelay: 45 * time.Millisecond,
-		StartDelay:  320 * time.Millisecond,
-		StopDelay:   60 * time.Millisecond,
-		RemoveDelay: 40 * time.Millisecond,
-	}
-}
+var calibrated = timing{create: createDelay, start: startDelay, stop: stopDelay, remove: removeDelay}
 
 // Runtime is the per-node container runtime.
 type Runtime struct {
 	host       *simnet.Host
 	images     *registry.Client
-	cfg        RuntimeConfig
+	t          timing
 	containers map[string]*Container
-	// Starts counts container starts (diagnostics).
-	Starts int
 }
 
 // NewRuntime creates a runtime on host using images for pulls.
-func NewRuntime(host *simnet.Host, images *registry.Client, cfg RuntimeConfig) *Runtime {
+func NewRuntime(host *simnet.Host, images *registry.Client) *Runtime {
 	return &Runtime{
 		host:       host,
 		images:     images,
-		cfg:        cfg,
+		t:          calibrated,
 		containers: make(map[string]*Container),
 	}
 }
@@ -180,7 +166,7 @@ func (r *Runtime) Create(p *sim.Proc, cfg Config) (*Container, error) {
 	if !r.images.HasImage(cfg.Image) {
 		return nil, fmt.Errorf("%w: %q", ErrImageNotPresent, cfg.Image)
 	}
-	p.Sleep(r.cfg.CreateDelay)
+	p.Sleep(r.t.create)
 	c := &Container{rt: r, cfg: cfg, state: StateCreated}
 	r.containers[cfg.Name] = c
 	return c, nil
@@ -217,9 +203,8 @@ func (c *Container) Start(p *sim.Proc, hostPort int) error {
 	if c.state != StateCreated && c.state != StateStopped {
 		return fmt.Errorf("%w: start in %s", ErrBadState, c.state)
 	}
-	p.Sleep(c.rt.cfg.StartDelay)
+	p.Sleep(c.rt.t.start)
 	c.state = StateRunning
-	c.rt.Starts++
 	c.generation++
 	gen := c.generation
 	if c.cfg.AppPort > 0 {
@@ -243,7 +228,7 @@ func (c *Container) Stop(p *sim.Proc) error {
 	if c.state != StateRunning {
 		return fmt.Errorf("%w: stop in %s", ErrBadState, c.state)
 	}
-	p.Sleep(c.rt.cfg.StopDelay)
+	p.Sleep(c.rt.t.stop)
 	c.teardown()
 	c.state = StateStopped
 	return nil
@@ -267,7 +252,7 @@ func (c *Container) Remove(p *sim.Proc) error {
 			return err
 		}
 	}
-	p.Sleep(c.rt.cfg.RemoveDelay)
+	p.Sleep(c.rt.t.remove)
 	c.state = StateRemoved
 	delete(c.rt.containers, c.cfg.Name)
 	return nil

@@ -25,7 +25,7 @@ type rig struct {
 	rt     *Runtime
 }
 
-func newRig(t *testing.T, rtCfg RuntimeConfig) *rig {
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.New(1)
 	n := simnet.NewNetwork(k)
@@ -44,7 +44,7 @@ func newRig(t *testing.T, rtCfg RuntimeConfig) *rig {
 	res := registry.NewResolver()
 	res.AddPrefix("", reg.IP())
 	images := registry.NewClient(node, res)
-	return &rig{k: k, node: node, client: cli, rt: NewRuntime(node, images, rtCfg)}
+	return &rig{k: k, node: node, client: cli, rt: NewRuntime(node, images)}
 }
 
 func webConfig(name string, init time.Duration) Config {
@@ -61,7 +61,7 @@ func webConfig(name string, init time.Duration) Config {
 }
 
 func TestCreateRequiresImage(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		_, err = rg.rt.Create(p, webConfig("c1", 0))
@@ -73,12 +73,8 @@ func TestCreateRequiresImage(t *testing.T) {
 }
 
 func TestLifecycleAndReadiness(t *testing.T) {
-	rg := newRig(t, RuntimeConfig{
-		CreateDelay: 50 * time.Millisecond,
-		StartDelay:  300 * time.Millisecond,
-		StopDelay:   20 * time.Millisecond,
-		RemoveDelay: 10 * time.Millisecond,
-	})
+	rg := newRig(t)
+	rg.rt.t = timing{create: 50 * time.Millisecond, start: 300 * time.Millisecond, stop: 20 * time.Millisecond, remove: 10 * time.Millisecond}
 	var createdAt, startedAt, readyAt time.Duration
 	rg.k.Go("t", func(p *sim.Proc) {
 		if err := rg.rt.PullImage(p, "web:1"); err != nil {
@@ -119,7 +115,7 @@ func TestLifecycleAndReadiness(t *testing.T) {
 }
 
 func TestPortServesAfterReady(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	var refusedErr, okErr error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -144,7 +140,7 @@ func TestPortServesAfterReady(t *testing.T) {
 }
 
 func TestStopClosesPort(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -163,7 +159,7 @@ func TestStopClosesPort(t *testing.T) {
 }
 
 func TestRestartAfterStop(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	ok := false
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -188,7 +184,8 @@ func TestRestartAfterStop(t *testing.T) {
 func TestStaleInitEventIgnored(t *testing.T) {
 	// Start, stop before InitDelay elapses, restart: the first (stale)
 	// init event must not mark the restarted container ready early.
-	rg := newRig(t, RuntimeConfig{StartDelay: 10 * time.Millisecond})
+	rg := newRig(t)
+	rg.rt.t = timing{start: 10 * time.Millisecond}
 	var readyAt time.Duration
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -208,7 +205,7 @@ func TestStaleInitEventIgnored(t *testing.T) {
 }
 
 func TestDoubleStartFails(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -223,7 +220,7 @@ func TestDoubleStartFails(t *testing.T) {
 }
 
 func TestDuplicateNameFails(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
@@ -237,7 +234,7 @@ func TestDuplicateNameFails(t *testing.T) {
 }
 
 func TestRemoveRunningContainer(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
 		c, _ := rg.rt.Create(p, webConfig("c1", 0))
@@ -257,7 +254,7 @@ func TestRemoveRunningContainer(t *testing.T) {
 }
 
 func TestListByLabel(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
+	rg := newRig(t)
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
 		a := webConfig("a", 0)
@@ -276,20 +273,4 @@ func TestListByLabel(t *testing.T) {
 		}
 	})
 	rg.k.Run()
-}
-
-func TestStartsCounter(t *testing.T) {
-	rg := newRig(t, DefaultRuntimeConfig())
-	rg.k.Go("t", func(p *sim.Proc) {
-		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 0))
-		c.Start(p, 30080)
-		awaitReady(p, c, 5*time.Millisecond)
-		c.Stop(p)
-		c.Start(p, 30080)
-	})
-	rg.k.Run()
-	if rg.rt.Starts != 2 {
-		t.Fatalf("Starts = %d, want 2", rg.rt.Starts)
-	}
 }

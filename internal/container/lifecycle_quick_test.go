@@ -26,7 +26,7 @@ func TestQuickLifecycleInvariants(t *testing.T) {
 		opCount
 	)
 	f := func(ops []uint8) bool {
-		rg := newRig(t, DefaultRuntimeConfig())
+		rg := newRig(t)
 		okAll := true
 		rg.k.Go("driver", func(p *sim.Proc) {
 			if err := rg.rt.PullImage(p, "web:1"); err != nil {

@@ -144,9 +144,6 @@ type Stats struct {
 	// candidate failed (a subset of CloudForwards).
 	FallbackDeployments uint64
 	CloudFallbacks      uint64
-	// ScaleDownFailures counts idle-instance scale-downs that returned an
-	// error (previously silently dropped).
-	ScaleDownFailures uint64
 	// Handovers counts NoteHandover calls; HandoverReAnchors counts flows
 	// re-anchored eagerly at handover time (stateless backends only —
 	// rule-based backends re-anchor lazily at the next packet-in).
@@ -189,7 +186,7 @@ type Controller struct {
 	Memory     *FlowMemory
 	deploy     *deployer
 	records    []DeployRecord
-	clientLoc  map[simnet.Addr]ClientLocation
+	clientLoc  map[simnet.Addr]*openflow.Switch
 	// pendingHO records handovers a rule-based backend has not yet resolved
 	// (see handover.go); gaps collects one continuity-gap sample per
 	// resolved handover of a client with live flows. transit holds the
@@ -212,14 +209,6 @@ type Controller struct {
 	// freeDispatch recycles the per-dispatch records (dispatchRec); it holds
 	// at most the most dispatches ever in flight at once.
 	freeDispatch []*dispatchRec
-}
-
-// ClientLocation is the dispatcher's record of where a client was last seen
-// (§IV-B: "this component also tracks the clients' current location").
-type ClientLocation struct {
-	Switch *openflow.Switch
-	InPort int
-	SeenAt sim.Time
 }
 
 // New creates a controller. probeHost is the host the controller's
@@ -249,7 +238,7 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		byName:     make(map[string]*spec.Annotated),
 		regByName:  make(map[string]spec.Registration),
 		defs:       make(map[string]*spec.Definition),
-		clientLoc:  make(map[simnet.Addr]ClientLocation),
+		clientLoc:  make(map[simnet.Addr]*openflow.Switch),
 		pendingHO:  make(map[simnet.Addr]pendingHandover),
 		gaps:       metrics.NewHist("continuity_gap"),
 	}
@@ -294,13 +283,13 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 }
 
 // emit hands a structured event to the configured sink (Config.Events),
-// stamping the virtual time. Nil sink: the event struct is built but nothing else happens — all
-// emit sites are off the memory-served hot path.
+// which reads the virtual time from the kernel if it wants it. Nil sink: the
+// event struct is built but nothing else happens — all emit sites are off
+// the memory-served hot path.
 func (c *Controller) emit(e obs.Event) {
 	if c.events == nil {
 		return
 	}
-	e.Time = time.Duration(c.k.Now())
 	c.events(e)
 }
 
@@ -381,10 +370,12 @@ func (c *Controller) installPunt(sw *openflow.Switch, ap addrPort) {
 	})
 }
 
-// ClientLocation returns where a client was last seen.
-func (c *Controller) ClientLocation(ip simnet.Addr) (ClientLocation, bool) {
-	loc, ok := c.clientLoc[ip]
-	return loc, ok
+// ClientLocation returns the switch a client was last seen at: the
+// dispatcher's location record (§IV-B: "this component also tracks the
+// clients' current location").
+func (c *Controller) ClientLocation(ip simnet.Addr) (*openflow.Switch, bool) {
+	sw, ok := c.clientLoc[ip]
+	return sw, ok
 }
 
 // HandlePacketIn implements openflow.Controller: the fig. 7 dispatching
@@ -397,7 +388,7 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	// The previous location is captured before the update: a memory hit at
 	// a different switch is a handover and re-anchors the steering state.
 	prev := c.clientLoc[pkt.SrcIP]
-	c.clientLoc[pkt.SrcIP] = ClientLocation{Switch: ev.Switch, InPort: ev.InPort, SeenAt: c.k.Now()}
+	c.clientLoc[pkt.SrcIP] = ev.Switch
 	svc, ok := c.services[addrPort{pkt.DstIP, pkt.DstPort}]
 	if !ok {
 		// Not a registered service: forward normally.
@@ -416,8 +407,8 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 		c.ctr.memoryServed.Inc()
 		// After an explicit NoteHandover the location record already points
 		// at this switch, so the stale anchor — where the rules actually
-		// live — is the pending record's `from`, not prev.Switch.
-		from := prev.Switch
+		// live — is the pending record's `from`, not prev.
+		from := prev
 		if ph, pending := c.pendingHO[pkt.SrcIP]; pending {
 			from = ph.from
 		}
@@ -605,12 +596,6 @@ func (c *Controller) queryCluster(i int, svc *spec.Annotated, client simnet.Addr
 	if *ep, ok = e.c.Endpoint(svc.UniqueName); ok {
 		info.Endpoint = ep
 		info.Load = c.Memory.InstanceFlows(*ep)
-		if me, ok := e.c.(cluster.MultiEndpoint); ok {
-			info.Load = 0
-			for _, in := range me.Endpoints(svc.UniqueName) {
-				info.Load += c.Memory.InstanceFlows(in)
-			}
-		}
 	}
 	if c.cfg.Distance != nil {
 		info.Distance = c.cfg.Distance(client, e.c)
@@ -882,7 +867,6 @@ func (c *Controller) onIdleInstance(inst cluster.Instance) {
 		err := cl.ScaleDown(p, inst.Service)
 		interrupted := c.Memory.EndDrain(inst)
 		if err != nil {
-			c.Stats.ScaleDownFailures++
 			c.ctr.scaleDownFailures.Inc()
 			c.emit(obs.Event{Kind: obs.EvScaleDownFailed, Service: inst.Service, Cluster: inst.Cluster, Err: err})
 			return

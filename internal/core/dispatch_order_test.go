@@ -12,6 +12,7 @@ import (
 	"transparentedge/internal/cluster"
 	"transparentedge/internal/obs"
 	"transparentedge/internal/openflow"
+	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
 )
@@ -110,10 +111,10 @@ func dispatchOrderRun(t *testing.T, b *strings.Builder, serial bool) {
 	cfg.SerialStateQueries = serial
 	cfg.Trace = tr
 	var events []string
-	var steps func() uint64 // nil while the rig registers its services
+	var k *sim.Kernel // nil while the rig registers its services
 	cfg.Events = func(e obs.Event) {
-		if steps != nil {
-			events = append(events, fmt.Sprintf("%v #%d %s", e.Time, steps(), e))
+		if k != nil {
+			events = append(events, fmt.Sprintf("%v #%d %s", time.Duration(k.Now()), k.Steps(), e))
 		}
 	}
 	// ue0 is nearest to fc0, everyone else to fc1.
@@ -135,10 +136,21 @@ func dispatchOrderRun(t *testing.T, b *strings.Builder, serial bool) {
 			t.Fatal(err)
 		}
 	}
-	steps = rg.k.Steps
+	k = rg.k
 	var releases []string
-	rg.sw.SetIngressSteer(func(_ *openflow.Switch, inPort int, pkt *simnet.Packet) bool {
-		if inPort == -1 {
+	// A link hands the switch its packets right after the trace hook sees
+	// them; a packet the ingress hook meets without that is the controller's
+	// TableOut release.
+	var delivered *simnet.Packet
+	rg.egs.Network().PktTrace = func(_ sim.Time, where string, pkt *simnet.Packet) {
+		if where == rg.sw.Name() {
+			delivered = pkt
+		}
+	}
+	rg.sw.SetIngressSteer(func(_ *openflow.Switch, pkt *simnet.Packet) bool {
+		fromLink := pkt == delivered
+		delivered = nil
+		if !fromLink {
 			releases = append(releases, fmt.Sprintf("%v #%d %s -> %s:%d", rg.k.Now(), rg.k.Steps(), pkt.SrcIP, pkt.DstIP, pkt.DstPort))
 		}
 		return false

@@ -72,8 +72,6 @@ type FlowMemory struct {
 	// client's last memorized flow expires — the controller uses it to
 	// evict the client's location record.
 	OnIdleClient func(client simnet.Addr)
-	// Hits and Misses count lookups (diagnostics).
-	Hits, Misses uint64
 	// Obs counter handles (nil without SetObs — *obs.Counter no-ops on nil).
 	cHits, cMisses, cEvictions, cDrains, cDrainInterrupts *obs.Counter
 	// gEntries tracks the live entry count (its high-water mark is the
@@ -198,11 +196,9 @@ func (m *FlowMemory) noteAttach(ik instanceKey) {
 func (m *FlowMemory) Get(key FlowKey) (cluster.Instance, bool) {
 	e, ok := m.entries[key]
 	if !ok {
-		m.Misses++
 		m.cMisses.Inc()
 		return cluster.Instance{}, false
 	}
-	m.Hits++
 	m.cHits.Inc()
 	e.idle.Touch(m.k.Now())
 	return e.Instance, true

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"transparentedge/internal/cluster"
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 )
@@ -22,6 +23,8 @@ func mkKey(client string) FlowKey {
 func TestFlowMemoryPutGet(t *testing.T) {
 	k := sim.New(1)
 	m := NewFlowMemory(k, time.Minute)
+	reg := obs.NewRegistry()
+	m.SetObs(reg)
 	in := mkInst("svc", "10.0.0.1", 32000)
 	m.Put(mkKey("10.0.1.1"), in)
 	got, ok := m.Get(mkKey("10.0.1.1"))
@@ -31,8 +34,8 @@ func TestFlowMemoryPutGet(t *testing.T) {
 	if _, ok := m.Get(mkKey("10.0.1.2")); ok {
 		t.Fatal("unexpected hit")
 	}
-	if m.Hits != 1 || m.Misses != 1 {
-		t.Fatalf("hits/misses = %d/%d", m.Hits, m.Misses)
+	if hits, misses := reg.Counter("flowmemory_hits_total").Value(), reg.Counter("flowmemory_misses_total").Value(); hits != 1 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d", hits, misses)
 	}
 }
 

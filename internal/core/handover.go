@@ -47,13 +47,13 @@ func (c *Controller) AddTransitSwitch(sw *openflow.Switch) {
 // zero. A rule-based backend must wait for the client's next packet-in at
 // the new switch to re-anchor (reactive SDN), so the handover is recorded
 // as pending and the continuity gap runs until that resolution.
-func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch, inPort int) {
+func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 	now := c.k.Now()
-	prev, hadPrev := c.clientLoc[client]
-	c.clientLoc[client] = ClientLocation{Switch: sw, InPort: inPort, SeenAt: now}
+	prev := c.clientLoc[client]
+	c.clientLoc[client] = sw
 	c.Stats.Handovers++
 	c.ctr.handovers.Inc()
-	if !hadPrev || prev.Switch == nil || prev.Switch == sw {
+	if prev == nil || prev == sw {
 		// Nothing is anchored anywhere else; only the location changed.
 		c.emit(obs.Event{Kind: obs.EvHandover, Client: string(client), Addr: sw.Name()})
 		return
@@ -68,11 +68,11 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch, inPor
 			vias = make([]string, 0, len(entries))
 		}
 		for _, e := range entries {
-			c.steerB.ReAnchor(prev.Switch, sw, steer.Flow(e.Key),
+			c.steerB.ReAnchor(prev, sw, steer.Flow(e.Key),
 				steer.Endpoint{Addr: e.Instance.Addr, Port: e.Instance.Port})
 			if vias != nil {
 				vias = append(vias, e.Instance.Service+"@"+string(e.Instance.Addr)+
-					" "+prev.Switch.Name()+"->"+sw.Name())
+					" "+prev.Name()+"->"+sw.Name())
 			}
 		}
 		c.Stats.HandoverReAnchors += uint64(len(entries))
@@ -88,7 +88,7 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch, inPor
 		// them. A repeated handover before any packet keeps the original
 		// anchor (that is where the rules still are) and restarts the gap
 		// clock — an idle client suffers no continuity gap.
-		ph := pendingHandover{at: now, from: prev.Switch}
+		ph := pendingHandover{at: now, from: prev}
 		if old, ok := c.pendingHO[client]; ok {
 			ph.from = old.from
 		}
@@ -103,8 +103,8 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch, inPor
 // so a client that handed over while its deployment ran gets its rules and
 // its held packet at the switch it actually sits behind.
 func (c *Controller) currentSwitch(client simnet.Addr, fallback *openflow.Switch) *openflow.Switch {
-	if loc, ok := c.clientLoc[client]; ok && loc.Switch != nil {
-		return loc.Switch
+	if sw := c.clientLoc[client]; sw != nil {
+		return sw
 	}
 	return fallback
 }

@@ -52,7 +52,7 @@ func TestHandoverDuringDeployInstallsAtNewSwitch(t *testing.T) {
 		if gnb1Rules != 0 {
 			t.Errorf("gnb1 redirect rules = %d, want 0 (client left before install)", gnb1Rules)
 		}
-		if loc, ok := rg.ctrl.ClientLocation(rg.client.IP()); !ok || loc.Switch != rg.gnb2 {
+		if loc, ok := rg.ctrl.ClientLocation(rg.client.IP()); !ok || loc != rg.gnb2 {
 			t.Errorf("client location = %+v, want gnb2", loc)
 		}
 		if rg.ctrl.PendingHandovers() != 0 {

@@ -82,7 +82,7 @@ func newMobilityRigWith(t *testing.T, steering steer.Steering, opts ...func(*cor
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
 	images := registry.NewClient(rg.egs, res)
-	rt := container.NewRuntime(rg.egs, images, container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(rg.egs, images)
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 250 * time.Microsecond, RespSize: simnet.KiB},
 	}
@@ -112,7 +112,7 @@ func (rg *mobilityRig) moveClientToGnb2() {
 	rg.gnb2.AddPort(2, np)
 	rg.gnb2.SetRoute(rg.client.IP(), 2)
 	rg.gnb1.SetRoute(rg.client.IP(), 10) // now via the inter-switch link
-	rg.ctrl.NoteHandover(rg.client.IP(), rg.gnb2, 2)
+	rg.ctrl.NoteHandover(rg.client.IP(), rg.gnb2)
 }
 
 func TestClientMobilityAcrossSwitches(t *testing.T) {
@@ -133,7 +133,7 @@ func TestClientMobilityAcrossSwitches(t *testing.T) {
 			return
 		}
 		loc, ok := rg.ctrl.ClientLocation(rg.client.IP())
-		if !ok || loc.Switch != rg.gnb1 {
+		if !ok || loc != rg.gnb1 {
 			t.Errorf("client location = %+v, want gnb1", loc)
 		}
 
@@ -150,7 +150,7 @@ func TestClientMobilityAcrossSwitches(t *testing.T) {
 			return
 		}
 		loc, ok = rg.ctrl.ClientLocation(rg.client.IP())
-		if !ok || loc.Switch != rg.gnb2 {
+		if !ok || loc != rg.gnb2 {
 			t.Errorf("client location after handover = %+v, want gnb2", loc)
 		}
 		// gnb2 now has redirect flows of its own (checked before they
@@ -226,7 +226,7 @@ func TestPerClientProximity(t *testing.T) {
 	rg.gnb1.SetRoute(edge2.IP(), 10)
 	res := registry.NewResolver()
 	res.AddPrefix("", "198.51.100.1") // the rig's hub
-	rt2 := container.NewRuntime(edge2, registry.NewClient(edge2, res), container.DefaultRuntimeConfig())
+	rt2 := container.NewRuntime(edge2, registry.NewClient(edge2, res))
 	beh := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 250 * time.Microsecond, RespSize: simnet.KiB},
 	}
@@ -248,7 +248,7 @@ func TestPerClientProximity(t *testing.T) {
 	cfg.Scheduler = core.WaitNearestScheduler{}
 	var ctrl *core.Controller
 	cfg.Distance = func(client simnet.Addr, cl cluster.Cluster) int {
-		if loc, ok := ctrl.ClientLocation(client); ok && siteOf[cl.Name()] == loc.Switch {
+		if loc, ok := ctrl.ClientLocation(client); ok && siteOf[cl.Name()] == loc {
 			return 0
 		}
 		return 1

@@ -260,13 +260,15 @@ func TestAllocsProbeRound(t *testing.T) {
 	})
 	// One round is the pause plus the refused dial's round trip.
 	round := ctrl.cfg.ProbeInterval + 2*latency
+	delivered := 0
+	n.PktTrace = func(sim.Time, string, *simnet.Packet) { delivered++ }
 	k.RunUntil(100 * round) // warm the packet, transfer and event pools
-	sent := n.NextPacketID()
+	sent := delivered
 	avg := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + round) })
-	// AllocsPerRun runs once extra to warm up; a SYN and the RST made of it
-	// each take a packet ID.
-	if ids := n.NextPacketID() - sent - 1; ids != 2*201 {
-		t.Fatalf("%d packets over 201 round lengths, want a SYN and an RST each", ids)
+	// AllocsPerRun runs once extra to warm up; each round delivers a SYN and
+	// the RST made of it.
+	if got := delivered - sent; got != 2*201 {
+		t.Fatalf("%d packets delivered over 201 round lengths, want a SYN and an RST each", got)
 	}
 	if avg != 0 {
 		t.Errorf("%.2f allocs per refused probe round, want 0", avg)

@@ -116,8 +116,7 @@ func (e *Engine) Running(name string) bool {
 }
 
 // Create implements cluster.Cluster: one container per entry in the service
-// definition, all labelled with edge.service=<name>, volumes mapped to the
-// host file system.
+// definition, all labelled with edge.service=<name>.
 func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 	if _, dup := e.services[a.UniqueName]; dup {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
@@ -126,28 +125,10 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 	s := &service{annotated: a}
 	for _, cs := range a.Containers {
 		p.Sleep(apiLatency)
-		b := e.behaviors.Behavior(cs.Image)
-		cfg := container.Config{
-			Name:      a.UniqueName + "." + cs.Name,
-			Image:     cs.Image,
-			AppPort:   cs.ContainerPort,
-			InitDelay: b.InitDelay,
-			Labels: map[string]string{
-				spec.EdgeServiceLabel:        a.UniqueName,
-				"com.docker.compose.service": cs.Name,
-			},
-			Env: cs.Env,
-		}
-		if cs.ContainerPort > 0 {
-			cfg.AsyncHandler = b.AsyncHandler()
-		}
-		for _, m := range cs.Mounts {
-			cfg.Mounts = append(cfg.Mounts, container.Mount{
-				Name:          m.Name,
-				HostPath:      m.HostPath,
-				ContainerPath: m.ContainerPath,
-			})
-		}
+		cfg := cluster.ContainerConfig(e.behaviors, cs, a.UniqueName+"."+cs.Name, map[string]string{
+			spec.EdgeServiceLabel:        a.UniqueName,
+			"com.docker.compose.service": cs.Name,
+		})
 		ctr, err := e.rt.Create(p, cfg)
 		if err != nil {
 			return fmt.Errorf("docker: create %s: %w", cfg.Name, err)

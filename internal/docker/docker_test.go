@@ -72,7 +72,7 @@ func newRig(t *testing.T) *rig {
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
 	images := registry.NewClient(node, res)
-	rt := container.NewRuntime(node, images, container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(node, images)
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2":  {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 		"env-writer-py": {InitDelay: 300 * time.Millisecond},

@@ -33,8 +33,8 @@ type AttribPhase struct {
 type AttribPoint struct {
 	Backend string
 	Clients int
-	// Trees / Spans count finalized span trees and observed spans.
-	Trees, Spans uint64
+	// Trees counts finalized span trees.
+	Trees uint64
 	// DispatchP50/P99 summarize the dispatch root-span durations — the
 	// quantity the phase breakdown decomposes.
 	DispatchP50, DispatchP99 time.Duration
@@ -124,7 +124,6 @@ func runAttribPoint(seed int64, requests, clients int, backend string) (AttribPo
 		Backend: backend,
 		Clients: clients,
 		Trees:   rep.Trees,
-		Spans:   rep.Spans,
 	}
 	if h := rep.Roots["dispatch"]; h != nil {
 		out.DispatchP50 = h.Percentile(50)

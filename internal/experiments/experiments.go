@@ -200,11 +200,6 @@ type ScaleUpResult struct {
 	// ReadyWait is the median controller-side port-probe wait: fig. 14 or
 	// fig. 15.
 	ReadyWait *metrics.Table
-	// Deployments counts deployments measured per cell.
-	Deployments int
-	// PreCreated says whether services were created ahead of the run
-	// (true = fig. 11/14 conditions, false = fig. 12/15).
-	PreCreated bool
 }
 
 // ScaleUpStudy replays the evaluation trace once per (service type,
@@ -222,9 +217,8 @@ func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) 
 		titleWait = "Fig. 15 — median wait until ready after create + scale up"
 	}
 	res := &ScaleUpResult{
-		Totals:     metrics.NewTable(titleTotals, "Docker", "K8s"),
-		ReadyWait:  metrics.NewTable(titleWait, "Docker", "K8s"),
-		PreCreated: preCreate,
+		Totals:    metrics.NewTable(titleTotals, "Docker", "K8s"),
+		ReadyWait: metrics.NewTable(titleWait, "Docker", "K8s"),
 	}
 	for _, key := range catalog.Keys() {
 		cells := map[string]time.Duration{}
@@ -254,7 +248,6 @@ func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) 
 			for _, rec := range tb.Ctrl.RecordsFor(clusterName(kind), "") {
 				if rec.DidScaleUp {
 					wait.Add(time.Duration(rec.StartedAt), rec.ReadyWait)
-					res.Deployments++
 				}
 			}
 			waits[clusterLabel(kind)] = wait.Median()

@@ -104,11 +104,8 @@ type PointResult struct {
 	// time — the pooled Sweep variants do not report allocations.
 	Wall             time.Duration
 	AllocsPerRequest float64
-	// Spans is the span count emitted when the run was traced (0 untraced);
-	// SpanDigest digests the retained spans of a sharded run drained in
-	// region order — the trace-byte determinism check.
-	Spans      uint64
-	SpanDigest uint64
+	// Spans is the span count emitted when the run was traced (0 untraced).
+	Spans uint64
 	// Counters is the registry snapshot when counters were attached.
 	Counters map[string]float64
 }
@@ -266,29 +263,20 @@ func runPoint(s pointSpec) (pointRun, error) {
 }
 
 // drainSiteObs drains a sharded run's per-site obs deterministically in
-// region order: spans into the caller's tracer (and a digest for the
-// trace-byte parity check) and the attribution collector, counters and
-// gauges folded into the caller's registry. Each site owns its own tracer
-// with its own span-ID space, so the collector sees an EndStream boundary
-// between sites.
+// region order: spans into the caller's tracer and the attribution
+// collector, counters and gauges folded into the caller's registry. Each site
+// owns its own tracer with its own span-ID space, so the collector sees an
+// EndStream boundary between sites.
 func (r *pointRun) drainSiteObs(o pointSpec) {
 	if o.Trace != nil || o.attrib != nil {
-		digest := newFNV()
 		for _, site := range r.rs.Sites {
 			r.Spans += site.Trace.Emitted()
 			for _, s := range site.Trace.Spans() {
-				digest.str(s.Name)
-				digest.str(s.Cat)
-				digest.str(s.Detail)
-				digest.str(s.Err)
-				digest.u64(uint64(s.Start))
-				digest.u64(uint64(s.End))
 				o.Trace.Emit(s)
 				o.attrib.Observe(s)
 			}
 			o.attrib.EndStream()
 		}
-		r.SpanDigest = uint64(digest)
 	}
 	if o.Counters != nil {
 		// Counters add up, and gauges carry both their instantaneous value
@@ -315,7 +303,7 @@ func (r *pointRun) drainSiteObs(o pointSpec) {
 }
 
 // fnv is the package's one fingerprint mixer: FNV-1a steps over the
-// little-endian bytes of a uint64 or the bytes of a string. It starts from
+// little-endian bytes of a uint64. It starts from
 // the literal every fingerprint in this package has always started from —
 // which is NOT the standard 64-bit FNV offset basis (that one ends in ...037).
 // Switching to hash/fnv or "correcting" the constant would re-baseline every
@@ -329,13 +317,6 @@ func (h *fnv) u64(v uint64) {
 		*h ^= fnv(v & 0xff)
 		*h *= 1099511628211
 		v >>= 8
-	}
-}
-
-func (h *fnv) str(s string) {
-	for i := 0; i < len(s); i++ {
-		*h ^= fnv(s[i])
-		*h *= 1099511628211
 	}
 }
 

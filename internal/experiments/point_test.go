@@ -105,6 +105,14 @@ func TestPointsWithoutFaultsServeEveryRequest(t *testing.T) {
 	}
 }
 
+// str mixes the bytes of a string, for tests that digest text.
+func (h *fnv) str(s string) {
+	for i := 0; i < len(s); i++ {
+		*h ^= fnv(s[i])
+		*h *= 1099511628211
+	}
+}
+
 // Every fingerprint in the package starts from the historical literal, not
 // the standard FNV-1a offset basis: pin the mixer's output so "fixing" the
 // constant (or swapping in hash/fnv) fails here before it re-baselines

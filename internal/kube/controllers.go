@@ -146,8 +146,6 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 			d := w.d
 			w.api.ReplicaSets.Create(nil, &ReplicaSet{
 				Name:          rsName(d.Name),
-				Owner:         d.Name,
-				Labels:        d.Labels,
 				Replicas:      d.Replicas,
 				Template:      d.Template,
 				SchedulerName: d.SchedulerName,

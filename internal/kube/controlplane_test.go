@@ -109,8 +109,6 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 	if err != nil {
 		api.ReplicaSets.Create(p, &ReplicaSet{
 			Name:          rsName(d.Name),
-			Owner:         d.Name,
-			Labels:        d.Labels,
 			Replicas:      d.Replicas,
 			Template:      d.Template,
 			SchedulerName: d.SchedulerName,
@@ -620,7 +618,7 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 				srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 				res := registry.NewResolver()
 				res.AddPrefix("", regHost.IP())
-				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig()), beh, DefaultCapacity())
+				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res)), beh, DefaultCapacity())
 			}
 			if plane == 1 {
 				kc.Start()

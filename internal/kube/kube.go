@@ -3,10 +3,8 @@ package kube
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -255,16 +253,14 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
 	c.ops.Create.Inc()
-	labels := map[string]string{
-		"app":                 a.UniqueName,
-		spec.EdgeServiceLabel: a.UniqueName,
-	}
 	d := &Deployment{
 		Name:     a.UniqueName,
-		Labels:   labels,
 		Replicas: 0,
 		Template: PodTemplate{
-			Labels:     labels,
+			Labels: map[string]string{
+				"app":                 a.UniqueName,
+				spec.EdgeServiceLabel: a.UniqueName,
+			},
 			Containers: a.Containers,
 		},
 		SchedulerName: a.SchedulerName,
@@ -276,7 +272,6 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 	c.nextPort++
 	svc := &Service{
 		Name:       a.UniqueName,
-		Labels:     labels,
 		Selector:   map[string]string{"app": a.UniqueName},
 		Port:       a.Reg.Port,
 		TargetPort: a.TargetPort,
@@ -427,7 +422,7 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleDown.Inc()
-	return c.SetReplicas(p, name, 0)
+	return c.setReplicas(p, name, 0)
 }
 
 // Remove implements cluster.Cluster: delete the Deployment (cascading to
@@ -450,39 +445,19 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 // started) pod of the service by name, exposed on its node at the service
 // NodePort.
 func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
-	for inst := range c.endpoints(name) {
-		return inst, true
+	svc, ok := c.api.Services.byName[name]
+	if !ok {
+		return cluster.Instance{}, false
+	}
+	for _, pod := range c.api.podsMatching(svc.Selector) {
+		if pod.Phase != PodRunning {
+			continue
+		}
+		if n := c.nodeByName(pod.NodeName); n != nil {
+			return cluster.Instance{Service: name, Cluster: c.name, Addr: n.rt.Host().IP(), Port: svc.NodePort}, true
+		}
 	}
 	return cluster.Instance{}, false
-}
-
-// endpoints yields the instance of each running pod of the service, in
-// pod-name order.
-func (c *Cluster) endpoints(name string) iter.Seq[cluster.Instance] {
-	return func(yield func(cluster.Instance) bool) {
-		svc, ok := c.api.Services.byName[name]
-		if !ok {
-			return
-		}
-		for _, pod := range c.api.podsMatching(svc.Selector) {
-			if pod.Phase != PodRunning {
-				continue
-			}
-			n := c.nodeByName(pod.NodeName)
-			if n == nil {
-				continue
-			}
-			inst := cluster.Instance{
-				Service: name,
-				Cluster: c.name,
-				Addr:    n.rt.Host().IP(),
-				Port:    svc.NodePort,
-			}
-			if !yield(inst) {
-				return
-			}
-		}
-	}
 }
 
 // Services implements cluster.Cluster.
@@ -490,15 +465,8 @@ func (c *Cluster) Services() []string {
 	return slices.Sorted(maps.Keys(c.services))
 }
 
-// SetReplicas sets the Deployment's desired replica count directly (beyond
-// the on-demand 0->1 scale-up).
-func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
-	if _, ok := c.services[name]; !ok {
-		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
-	}
-	if replicas < 0 {
-		return fmt.Errorf("kube: negative replicas %d", replicas)
-	}
+// setReplicas sets a created service's desired replica count directly.
+func (c *Cluster) setReplicas(p *sim.Proc, name string, replicas int) error {
 	d, err := c.api.Deployments.Get(p, name)
 	if err != nil {
 		return err
@@ -509,12 +477,4 @@ func (c *Cluster) SetReplicas(p *sim.Proc, name string, replicas int) error {
 	d = d.clone()
 	d.Replicas = replicas
 	return c.api.Deployments.Update(p, d)
-}
-
-// Endpoints implements cluster.MultiEndpoint: every running pod of the
-// service, exposed on its node at the service NodePort.
-func (c *Cluster) Endpoints(name string) []cluster.Instance {
-	out := slices.Collect(c.endpoints(name))
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }

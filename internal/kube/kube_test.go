@@ -59,7 +59,7 @@ func newRig(t *testing.T, mutate func(*Cluster)) *rig {
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
 	images := registry.NewClient(node, res)
-	rt := container.NewRuntime(node, images, container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(node, images)
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 	}
@@ -458,9 +458,8 @@ func TestAPIServerCopySemantics(t *testing.T) {
 	}
 	copyCase[*Deployment]{
 		kind: KindDeployment,
-		obj:  &Deployment{Name: "d1", Labels: labels(), Template: template()},
+		obj:  &Deployment{Name: "d1", Template: template()},
 		mutate: func(d *Deployment) {
-			d.Labels = mutated()
 			mutateTemplate(&d.Template)
 		},
 		create: func(d *Deployment) { api.Deployments.Create(nil, d) },
@@ -471,9 +470,8 @@ func TestAPIServerCopySemantics(t *testing.T) {
 	}.run(t, k, api)
 	copyCase[*ReplicaSet]{
 		kind: KindReplicaSet,
-		obj:  &ReplicaSet{Name: "rs1", Owner: "d1", Labels: labels(), Template: template()},
+		obj:  &ReplicaSet{Name: "rs1", Template: template()},
 		mutate: func(rs *ReplicaSet) {
-			rs.Labels = mutated()
 			mutateTemplate(&rs.Template)
 		},
 		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(nil, rs) },
@@ -501,9 +499,8 @@ func TestAPIServerCopySemantics(t *testing.T) {
 	}.run(t, k, api)
 	copyCase[*Service]{
 		kind: KindService,
-		obj:  &Service{Name: "s1", Labels: labels(), Selector: labels()},
+		obj:  &Service{Name: "s1", Selector: labels()},
 		mutate: func(s *Service) {
-			s.Labels = mutated()
 			s.Selector = mutated()
 		},
 		create: func(s *Service) { api.Services.Create(nil, s) },
@@ -592,7 +589,7 @@ func TestTwoNodeSpreading(t *testing.T) {
 		srv := registry.NewServer(regHost, registry.ServerConfig{})
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res.AddPrefix("", regHost.IP())
-		return h, container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
+		return h, container.NewRuntime(h, registry.NewClient(h, res))
 	}
 	_, rt1 := mkNode("n1", "10.0.1.1")
 	_, rt2 := mkNode("n2", "10.0.2.1")
@@ -616,10 +613,21 @@ func TestTwoNodeSpreading(t *testing.T) {
 	k.RunUntil(60 * time.Second)
 }
 
-// TestEndpointsControllerTracksReadyPods: Cluster.Endpoints, which derives a
-// Service's backends from its running pods on every call, is the endpoints
-// controller — empty before scale-up and while the pod starts, the one pod
-// once it runs, empty again after scale-down.
+// runningPods counts the service's pods in phase Running.
+func runningPods(kc *Cluster, service string) int {
+	n := 0
+	for _, pod := range kc.API().ListPods(nil, map[string]string{"app": service}) {
+		if pod.Phase == PodRunning {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEndpointsControllerTracksReadyPods: Cluster.Endpoint, which derives a
+// Service's backend from its running pods on every call, is the endpoints
+// controller — none before scale-up and while the pod starts, the one pod
+// once it runs, none again after scale-down.
 func TestEndpointsControllerTracksReadyPods(t *testing.T) {
 	rg := newRig(t, nil)
 	a := annotated(t, "web.example.com")
@@ -627,22 +635,22 @@ func TestEndpointsControllerTracksReadyPods(t *testing.T) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
 		p.Sleep(2 * time.Second)
-		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
-			t.Errorf("endpoints before scale-up = %+v", eps)
+		if ep, ok := rg.kc.Endpoint(a.UniqueName); ok {
+			t.Errorf("endpoint before scale-up = %+v", ep)
 		}
 		inst, _ := rg.kc.ScaleUp(p, a.UniqueName)
-		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
-			t.Errorf("endpoints of a pod that is bound but not started = %+v", eps)
+		if ep, ok := rg.kc.Endpoint(a.UniqueName); ok {
+			t.Errorf("endpoint of a pod that is bound but not started = %+v", ep)
 		}
 		probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
-		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 1 || eps[0] != inst {
-			t.Fatalf("endpoints after scale-up = %+v, want [%+v]", eps, inst)
+		if ep, ok := rg.kc.Endpoint(a.UniqueName); !ok || ep != inst || runningPods(rg.kc, a.UniqueName) != 1 {
+			t.Fatalf("endpoint after scale-up = %+v %v with %d pods running, want %+v of one", ep, ok, runningPods(rg.kc, a.UniqueName), inst)
 		}
-		// Scale down: the endpoints empty out.
+		// Scale down: the endpoint goes.
 		rg.kc.ScaleDown(p, a.UniqueName)
 		p.Sleep(10 * time.Second)
-		if eps := rg.kc.Endpoints(a.UniqueName); len(eps) != 0 {
-			t.Errorf("endpoints after scale-down = %+v", eps)
+		if ep, ok := rg.kc.Endpoint(a.UniqueName); ok {
+			t.Errorf("endpoint after scale-down = %+v", ep)
 		}
 	})
 	rg.k.RunUntil(10 * time.Minute)
@@ -734,62 +742,6 @@ func TestWorkQueueCoalescesAndSerializes(t *testing.T) {
 	}
 }
 
-func TestMultiReplicaEndpoints(t *testing.T) {
-	// Two nodes, replicas=2: Endpoints exposes both pods' instances.
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	mkNode := func(name string, ip simnet.Addr) *container.Runtime {
-		h := simnet.NewHost(n, name, ip)
-		regHost := simnet.NewHost(n, name+"-reg", ip+"0")
-		r := simnet.NewRouter(n, name+"-r")
-		_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		r.AddRoute(h.IP(), hp)
-		r.AddRoute(regHost.IP(), rp)
-		srv := registry.NewServer(regHost, registry.ServerConfig{})
-		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-		res := registry.NewResolver()
-		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
-	}
-	rt1 := mkNode("n1", "10.0.1.1")
-	rt2 := mkNode("n2", "10.0.2.1")
-	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("multi", k, Config{})
-	kc.AddNode("n1", rt1, beh, DefaultCapacity())
-	kc.AddNode("n2", rt2, beh, DefaultCapacity())
-	kc.Start()
-	a := annotated(t, "web.example.com")
-	k.Go("driver", func(p *sim.Proc) {
-		kc.Pull(p, a)
-		kc.Create(p, a)
-		if err := kc.SetReplicas(p, a.UniqueName, 2); err != nil {
-			t.Errorf("SetReplicas: %v", err)
-			return
-		}
-		// Wait for both pods to run.
-		for len(kc.Endpoints(a.UniqueName)) < 2 {
-			p.Sleep(200 * time.Millisecond)
-		}
-		eps := kc.Endpoints(a.UniqueName)
-		if len(eps) != 2 || eps[0].Addr == eps[1].Addr {
-			t.Errorf("endpoints = %+v, want one per node", eps)
-		}
-		// Scale back to one: endpoints shrink.
-		kc.SetReplicas(p, a.UniqueName, 1)
-		for len(kc.Endpoints(a.UniqueName)) != 1 {
-			p.Sleep(200 * time.Millisecond)
-		}
-		if err := kc.SetReplicas(p, a.UniqueName, -1); err == nil {
-			t.Error("negative replicas accepted")
-		}
-		if err := kc.SetReplicas(p, "ghost", 1); err == nil {
-			t.Error("SetReplicas on unknown service accepted")
-		}
-	})
-	k.RunUntil(5 * time.Minute)
-}
-
 const resourceYAML = `
 spec:
   template:
@@ -823,7 +775,7 @@ func TestResourceAwareScheduling(t *testing.T) {
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res := registry.NewResolver()
 		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
+		return container.NewRuntime(h, registry.NewClient(h, res))
 	}
 	rtSmall := mkNode("small", "10.0.1.1")
 	rtBig := mkNode("big", "10.0.2.1")
@@ -875,7 +827,7 @@ func TestUnschedulablePodWaitsForCapacity(t *testing.T) {
 	srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 	res := registry.NewResolver()
 	res.AddPrefix("", regHost.IP())
-	rt := container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
+	rt := container.NewRuntime(h, registry.NewClient(h, res))
 	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
 	kc := New("tight", k, Config{})
 	kc.AddNode("node", rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 32 << 30})
@@ -948,7 +900,7 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
 		res := registry.NewResolver()
 		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res), container.DefaultRuntimeConfig())
+		return container.NewRuntime(h, registry.NewClient(h, res))
 	}
 	rt1 := mkNode("n1", "10.0.1.1")
 	rt2 := mkNode("n2", "10.0.2.1")
@@ -982,9 +934,9 @@ func TestNodeFailureEvictsAndReschedules(t *testing.T) {
 		if node == nil || node.Ready {
 			t.Errorf("n1 = %+v, want NotReady", node)
 		}
-		eps := kc.Endpoints(a.UniqueName)
-		if len(eps) != 1 || eps[0].Addr != "10.0.2.1" {
-			t.Errorf("endpoints after failure = %+v, want rescheduled on n2", eps)
+		ep, ok := kc.Endpoint(a.UniqueName)
+		if n := runningPods(kc, a.UniqueName); !ok || n != 1 || ep.Addr != "10.0.2.1" {
+			t.Errorf("endpoint after failure = %+v %v with %d pods running, want one, rescheduled on n2", ep, ok, n)
 		}
 	})
 	k.RunUntil(10 * time.Minute)

@@ -135,24 +135,7 @@ func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 		if pr.deleted {
 			return
 		}
-		b := kl.behaviors.Behavior(cs.Image)
-		cfg := container.Config{
-			Name:      pod.Name + "." + cs.Name,
-			Image:     cs.Image,
-			AppPort:   cs.ContainerPort,
-			InitDelay: b.InitDelay,
-			Labels:    pod.Labels,
-			Env:       cs.Env,
-		}
-		if cs.ContainerPort > 0 {
-			cfg.AsyncHandler = b.AsyncHandler()
-		}
-		for _, m := range cs.Mounts {
-			cfg.Mounts = append(cfg.Mounts, container.Mount{
-				Name: m.Name, HostPath: m.HostPath, ContainerPath: m.ContainerPath,
-			})
-		}
-		ctr, err := kl.rt.Create(p, cfg)
+		ctr, err := kl.rt.Create(p, cluster.ContainerConfig(kl.behaviors, cs, pod.Name+"."+cs.Name, pod.Labels))
 		if err != nil {
 			continue
 		}

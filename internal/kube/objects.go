@@ -58,7 +58,6 @@ type PodTemplate struct {
 // Deployment is the workload object edge services are defined as.
 type Deployment struct {
 	Name            string
-	Labels          map[string]string
 	Replicas        int
 	Template        PodTemplate
 	SchedulerName   string
@@ -68,8 +67,6 @@ type Deployment struct {
 // ReplicaSet is the intermediate object a Deployment manages.
 type ReplicaSet struct {
 	Name            string
-	Owner           string // owning Deployment
-	Labels          map[string]string
 	Replicas        int
 	Template        PodTemplate
 	SchedulerName   string
@@ -95,7 +92,6 @@ type Pod struct {
 // listens on the NodePort directly.
 type Service struct {
 	Name            string
-	Labels          map[string]string
 	Selector        map[string]string
 	Port            int
 	TargetPort      int

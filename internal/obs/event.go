@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // EventKind enumerates the controller's structured events. Event.String
 // formats each kind as one log line (what the examples print).
@@ -56,8 +53,6 @@ const (
 // (see the kind constants); unused fields are zero.
 type Event struct {
 	Kind EventKind
-	// Time is the virtual time the event was emitted at.
-	Time time.Duration
 	// Service / Cluster / Client / Addr name the involved parties (Addr is
 	// an instance or VIP address rendered as a string).
 	Service string

@@ -178,9 +178,13 @@ func TestRuleRecycledOnlyWhenUnreferenced(t *testing.T) {
 // to the switch with release, over the controller channel.
 type releaseController struct {
 	release func(sw *Switch, pkt *simnet.Packet)
+	punted  int
 }
 
-func (c *releaseController) HandlePacketIn(ev PacketIn)           { c.release(ev.Switch, ev.Packet) }
+func (c *releaseController) HandlePacketIn(ev PacketIn) {
+	c.punted++
+	c.release(ev.Switch, ev.Packet)
+}
 func (c *releaseController) HandleFlowRemoved(*Switch, *FlowRule) {}
 
 // TestAllocsControllerRoundTrip pins a punted packet's round trip — packet-in
@@ -203,7 +207,8 @@ func TestAllocsControllerRoundTrip(t *testing.T) {
 		k := sim.New(1)
 		n := simnet.NewNetwork(k)
 		sw := NewSwitch(n, "sw", DefaultConfig())
-		sw.SetController(&releaseController{release: tc.release})
+		ctrl := &releaseController{release: tc.release}
+		sw.SetController(ctrl)
 		src := &sinkNode{name: "src", net: n}
 		dst := &sinkNode{name: "dst", net: n}
 		srcPort, swIn := n.Connect(src, sw, simnet.LinkConfig{Latency: time.Millisecond})
@@ -223,13 +228,13 @@ func TestAllocsControllerRoundTrip(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			send()
 		}
-		before, punted := dst.got, sw.PacketsIn
+		before, punted := dst.got, ctrl.punted
 		avg := testing.AllocsPerRun(200, send)
 		if avg != 0 {
 			t.Errorf("%s: %.1f allocs per packet-in round trip, want 0", tc.name, avg)
 		}
-		if dst.got-before != 201 || sw.PacketsIn-punted != 201 {
-			t.Fatalf("%s: %d punted, %d delivered, want 201 each", tc.name, sw.PacketsIn-punted, dst.got-before)
+		if dst.got-before != 201 || ctrl.punted-punted != 201 {
+			t.Fatalf("%s: %d punted, %d delivered, want 201 each", tc.name, ctrl.punted-punted, dst.got-before)
 		}
 	}
 }

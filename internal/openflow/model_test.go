@@ -31,7 +31,6 @@ type refSwitch struct {
 	table      []*refRule
 	seq        uint64
 	nextCookie uint64
-	flowMods   uint64
 	highWater  int
 	removed    []removal
 }
@@ -68,7 +67,6 @@ func (s *refSwitch) touch(cookie uint64) {
 
 func (s *refSwitch) addFlow(rule FlowRule) *refRule {
 	r := &refRule{FlowRule: rule}
-	s.flowMods++
 	s.nextCookie++
 	if r.Cookie == 0 {
 		r.Cookie = s.nextCookie
@@ -136,7 +134,6 @@ func (s *refSwitch) removeRule(r *refRule) {
 }
 
 func (s *refSwitch) deleteFlows(cookie uint64) int {
-	s.flowMods++
 	n := 0
 	for _, r := range append([]*refRule(nil), s.table...) {
 		if r.Cookie == cookie {
@@ -402,7 +399,7 @@ func (m *flowTableModel) traffic(a, b byte) {
 		wantOut = m.routes.out(pkt.DstIP) // MissBehavior is OutputNormal
 	}
 	m.out = m.out[:0]
-	m.sw.process(-1, pkt)
+	m.sw.process(pkt)
 	m.sw.net.K.RunUntil(m.sw.net.K.Now()) // the links have no latency
 	if wantOut < 0 && len(m.out) != 0 || wantOut >= 0 && (len(m.out) != 1 || m.out[0] != wantOut) {
 		m.t.Errorf("packet %v left by ports %v, reference port %d (-1: dropped)", pkt, m.out, wantOut)
@@ -465,8 +462,8 @@ func (m *flowTableModel) check() {
 	for i, r := range rules {
 		m.sameRule("Rules() order", r, ref.table[i])
 	}
-	if sw.RuleHighWater != ref.highWater || sw.FlowMods != ref.flowMods {
-		t.Errorf("RuleHighWater %d FlowMods %d, reference %d %d", sw.RuleHighWater, sw.FlowMods, ref.highWater, ref.flowMods)
+	if sw.RuleHighWater != ref.highWater {
+		t.Errorf("RuleHighWater %d, reference %d", sw.RuleHighWater, ref.highWater)
 	}
 	if len(m.ctrl.removed) != len(ref.removed) {
 		t.Errorf("%d flow-removed notifications, reference %d", len(m.ctrl.removed), len(ref.removed))

@@ -18,7 +18,6 @@ package openflow
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -166,7 +165,6 @@ func (r *FlowRule) Stats() (packets uint64, bytes simnet.Bytes) { return r.packe
 // OutputController (or on table miss if the switch is so configured).
 type PacketIn struct {
 	Switch *Switch
-	InPort int
 	Packet *simnet.Packet
 }
 
@@ -298,20 +296,9 @@ type Switch struct {
 	rules      int
 	seq        uint64
 	ports      map[int]*simnet.Port
-	portOf     map[*simnet.Port]int
-	// retired keeps the numbers of ports DetachPort forgot within the last
-	// pipeline stage: a packet that reached the switch through one before it
-	// was forgotten is processed under the in-port it arrived on.
-	retired    []retiredPort
 	defaultOut int // port used when no route matches (toward the cloud); -1 = none
 	controller Controller
 	nextCookie uint64
-	// PacketsIn counts packets punted to the controller (diagnostics).
-	PacketsIn uint64
-	// FlowMods counts flow-mod messages received from the controller (one
-	// per AddFlow, one per DeleteFlows call) — the control-channel traffic
-	// the stateless steering backend exists to eliminate.
-	FlowMods uint64
 	// RuleHighWater is the peak flow-table size ever observed — the
 	// table-pressure metric of the steering comparison. Updated on AddFlow,
 	// so it needs no sampler process.
@@ -321,7 +308,7 @@ type Switch struct {
 	// true means the hook took ownership of the packet (rewrote and
 	// forwarded, or dropped it); false falls through to the flow table. A
 	// nil hook costs one predictable branch per packet.
-	ingressSteer func(sw *Switch, inPort int, pkt *simnet.Packet) bool
+	ingressSteer func(sw *Switch, pkt *simnet.Packet) bool
 	// ctrlq is the controller channel in both directions: packet-ins and
 	// flow-removed notices up, packet-outs down. ControllerLatency is
 	// constant too, so one FIFO drained by a persistent thunk delivers every
@@ -340,13 +327,6 @@ type addrEntry struct {
 	route        int
 }
 
-// retiredPort is a port DetachPort forgot, at the instant it did.
-type retiredPort struct {
-	port *simnet.Port
-	num  int
-	at   sim.Time
-}
-
 // ctrlKind tags a controller-channel message.
 type ctrlKind uint8
 
@@ -361,7 +341,6 @@ const (
 // depends on its kind.
 type ctrlMsg struct {
 	kind    ctrlKind
-	inPort  int
 	pkt     *simnet.Packet
 	rule    *FlowRule
 	actions Actions
@@ -375,7 +354,6 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		cfg:        cfg,
 		byCookie:   make(map[uint64]*cookieGroup),
 		ports:      make(map[int]*simnet.Port),
-		portOf:     make(map[*simnet.Port]int),
 		addrs:      make(map[simnet.Addr]uint32),
 		nums:       []addrEntry{{route: -1}},
 		defaultOut: -1,
@@ -400,7 +378,7 @@ func (s *Switch) SetController(c Controller) { s.controller = c }
 // stateless steering backend to apply controller-decided encapsulation
 // without any per-flow table entries. The hook runs in kernel context and
 // must not block or allocate on the steady-state path.
-func (s *Switch) SetIngressSteer(fn func(sw *Switch, inPort int, pkt *simnet.Packet) bool) {
+func (s *Switch) SetIngressSteer(fn func(sw *Switch, pkt *simnet.Packet) bool) {
 	s.ingressSteer = fn
 }
 
@@ -410,7 +388,6 @@ func (s *Switch) AddPort(num int, p *simnet.Port) {
 		panic(fmt.Sprintf("openflow: %s: duplicate port %d", s.name, num))
 	}
 	s.ports[num] = p
-	s.portOf[p] = num
 }
 
 // AttachHost connects a host to the switch with one link, registers the
@@ -426,18 +403,13 @@ func (s *Switch) AttachHost(h *simnet.Host, num int, link simnet.LinkConfig) {
 // touched here (the departing host severs it via Detach/MoveTo); the switch
 // merely stops routing through the dead port, so a later AddPort may reuse
 // the number (ping-pong handovers). A packet that arrived through the port
-// before it was forgotten and is still in the pipeline stage keeps num as
-// its in-port. Unknown port numbers are a no-op.
+// before it was forgotten and is still in the pipeline stage is processed
+// all the same. Unknown port numbers are a no-op.
 func (s *Switch) DetachPort(num int) {
-	p, ok := s.ports[num]
-	if !ok {
+	if _, ok := s.ports[num]; !ok {
 		return
 	}
-	now := s.net.K.Now()
-	s.retired = slices.DeleteFunc(s.retired, func(r retiredPort) bool { return r.at+s.cfg.FwdDelay < now })
-	s.retired = append(s.retired, retiredPort{port: p, num: num, at: now})
 	delete(s.ports, num)
-	delete(s.portOf, p)
 	for i := range s.nums {
 		if s.nums[i].route == num {
 			s.nums[i].route = -1
@@ -517,7 +489,6 @@ func (s *Switch) AddFlow(rule FlowRule) *FlowRule {
 		Priority: rule.Priority, Match: rule.Match, Actions: rule.Actions,
 		IdleTimeout: rule.IdleTimeout, Cookie: rule.Cookie, NotifyRemoved: rule.NotifyRemoved,
 	}
-	s.FlowMods++
 	s.nextCookie++
 	if r.Cookie == 0 {
 		r.Cookie = s.nextCookie
@@ -603,16 +574,16 @@ func (s *Switch) deliverCtrl() {
 	}
 	switch m.kind {
 	case msgPacketIn:
-		s.controller.HandlePacketIn(PacketIn{Switch: s, InPort: m.inPort, Packet: m.pkt})
+		s.controller.HandlePacketIn(PacketIn{Switch: s, Packet: m.pkt})
 	case msgFlowRemoved:
 		s.controller.HandleFlowRemoved(s, m.rule)
 		m.rule.notifying = false
 		s.release(m.rule)
 	case msgPacketOut:
 		m.actions.apply(m.pkt)
-		s.output(m.actions, -1, m.pkt, s.addrs[m.pkt.DstIP])
+		s.output(m.actions, m.pkt, s.addrs[m.pkt.DstIP])
 	case msgTableOut:
-		s.process(-1, m.pkt)
+		s.process(m.pkt)
 	}
 }
 
@@ -740,7 +711,6 @@ func (s *Switch) probes(src, dst uint32, srcPort, dstPort int) uint16 {
 // and returns how many were removed, in O(rules removed). No flow-removed
 // messages are sent.
 func (s *Switch) DeleteFlows(cookie uint64) int {
-	s.FlowMods++
 	g := s.byCookie[cookie]
 	if g == nil {
 		return 0
@@ -752,27 +722,11 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 // link calls it when the packet's pipeline stage ends (PipelineDelay), so
 // lookup, counters, idle clocks and output all happen at that instant.
 func (s *Switch) HandlePacket(in *simnet.Port, pkt *simnet.Packet) {
-	s.process(s.inPort(in), pkt)
+	s.process(pkt)
 }
 
-// inPort returns the number in is registered under: the one it had when the
-// packet now leaving the pipeline arrived, if DetachPort has forgotten it
-// since.
-func (s *Switch) inPort(in *simnet.Port) int {
-	if num, ok := s.portOf[in]; ok {
-		return num
-	}
-	arrived := s.net.K.Now() - s.cfg.FwdDelay
-	for _, r := range s.retired {
-		if r.port == in && arrived <= r.at {
-			return r.num
-		}
-	}
-	return 0
-}
-
-func (s *Switch) process(inPort int, pkt *simnet.Packet) {
-	if s.ingressSteer != nil && s.ingressSteer(s, inPort, pkt) {
+func (s *Switch) process(pkt *simnet.Packet) {
+	if s.ingressSteer != nil && s.ingressSteer(s, pkt) {
 		return
 	}
 	r, dst := s.lookup(pkt)
@@ -784,15 +738,15 @@ func (s *Switch) process(inPort int, pkt *simnet.Packet) {
 		if r.setDst != 0 {
 			dst = r.setDst
 		}
-		s.output(r.Actions, inPort, pkt, dst)
+		s.output(r.Actions, pkt, dst)
 		return
 	}
-	s.output(Actions{Output: s.cfg.MissBehavior}, inPort, pkt, dst)
+	s.output(Actions{Output: s.cfg.MissBehavior}, pkt, dst)
 }
 
 // output carries out a's output; dst is the number of pkt's destination,
 // which OutputNormal routes by.
-func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet, dst uint32) {
+func (s *Switch) output(a Actions, pkt *simnet.Packet, dst uint32) {
 	switch a.Output {
 	case OutputDrop:
 	case OutputPort:
@@ -800,11 +754,10 @@ func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet, dst uint32) {
 			p.Send(pkt)
 		}
 	case OutputController:
-		s.PacketsIn++
 		if s.controller == nil {
 			return
 		}
-		s.sendCtrl(ctrlMsg{kind: msgPacketIn, inPort: inPort, pkt: pkt})
+		s.sendCtrl(ctrlMsg{kind: msgPacketIn, pkt: pkt})
 	case OutputNormal:
 		out := s.nums[dst].route
 		if out < 0 {
@@ -824,7 +777,7 @@ func (s *Switch) output(a Actions, inPort int, pkt *simnet.Packet, dst uint32) {
 // in-place encap/decap. It is the OutputNormal leg of the pipeline without a
 // table lookup and costs no allocation.
 func (s *Switch) ForwardNormal(pkt *simnet.Packet) {
-	s.output(Actions{Output: OutputNormal}, -1, pkt, s.addrs[pkt.DstIP])
+	s.output(Actions{Output: OutputNormal}, pkt, s.addrs[pkt.DstIP])
 }
 
 // PacketOut re-injects a packet from the controller into the switch

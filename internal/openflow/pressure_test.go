@@ -10,14 +10,13 @@ import (
 
 // TestTablePressureAccounting drives install/delete churn through a switch
 // and checks the table-pressure accounting the steering sweep reports:
-// RuleHighWater tracks the peak live table size, FlowMods counts every
-// flow-mod message (adds and delete requests), and neither is disturbed by
-// rules coming back out of the table.
+// RuleHighWater tracks the peak live table size and is not disturbed by rules
+// coming back out of the table.
 func TestTablePressureAccounting(t *testing.T) {
 	rg := newRig(t)
 	base := rg.sw.RuleCount()
-	if rg.sw.FlowMods != 0 || rg.sw.RuleHighWater != base {
-		t.Fatalf("fresh switch: FlowMods=%d RuleHighWater=%d", rg.sw.FlowMods, rg.sw.RuleHighWater)
+	if rg.sw.RuleHighWater != base {
+		t.Fatalf("fresh switch: RuleHighWater=%d", rg.sw.RuleHighWater)
 	}
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -34,11 +33,7 @@ func TestTablePressureAccounting(t *testing.T) {
 	if rg.sw.RuleHighWater != base+n {
 		t.Fatalf("RuleHighWater = %d, want %d", rg.sw.RuleHighWater, base+n)
 	}
-	if rg.sw.FlowMods != n {
-		t.Fatalf("FlowMods = %d, want %d after %d adds", rg.sw.FlowMods, n, n)
-	}
-	// Delete half: each DeleteFlows call is one flow-mod message; the
-	// high-water mark must hold at the peak.
+	// Delete half: the high-water mark must hold at the peak.
 	for i := 0; i < n/2; i++ {
 		rg.sw.DeleteFlows(uint64(1000 + i))
 	}
@@ -47,9 +42,6 @@ func TestTablePressureAccounting(t *testing.T) {
 	}
 	if rg.sw.RuleHighWater != base+n {
 		t.Fatalf("RuleHighWater after deletes = %d, want peak %d", rg.sw.RuleHighWater, base+n)
-	}
-	if rg.sw.FlowMods != n+n/2 {
-		t.Fatalf("FlowMods = %d, want %d", rg.sw.FlowMods, n+n/2)
 	}
 	// Refill past the old peak: the high-water mark advances again.
 	for i := 0; i < n; i++ {
@@ -66,9 +58,8 @@ func TestTablePressureAccounting(t *testing.T) {
 }
 
 // TestTablePressureEvictionBookkeeping lets rules idle-expire under churn
-// and checks that expiry evicts table occupancy (RuleCount falls), delivers
-// the FlowRemoved notification, and — unlike a controller-requested delete —
-// does not count as a flow-mod message.
+// and checks that expiry evicts table occupancy (RuleCount falls) and delivers
+// the FlowRemoved notification.
 func TestTablePressureEvictionBookkeeping(t *testing.T) {
 	rg := newRig(t)
 	ctrl := &recordingController{}
@@ -85,17 +76,12 @@ func TestTablePressureEvictionBookkeeping(t *testing.T) {
 			NotifyRemoved: true,
 		})
 	}
-	modsAfterAdds := rg.sw.FlowMods
 	rg.k.Run() // idle clocks run out; every rule expires and notifies
 	if got := rg.sw.RuleCount(); got != base {
 		t.Fatalf("RuleCount after expiry = %d, want %d", got, base)
 	}
 	if len(ctrl.removed) != n {
 		t.Fatalf("FlowRemoved notifications = %d, want %d", len(ctrl.removed), n)
-	}
-	if rg.sw.FlowMods != modsAfterAdds {
-		t.Fatalf("FlowMods grew on expiry: %d -> %d (evictions are not flow-mods)",
-			modsAfterAdds, rg.sw.FlowMods)
 	}
 	if rg.sw.RuleHighWater != base+n {
 		t.Fatalf("RuleHighWater = %d, want %d", rg.sw.RuleHighWater, base+n)

@@ -73,7 +73,6 @@ type ServerConfig struct {
 
 // Server is a registry service running on a simnet host.
 type Server struct {
-	Host   *simnet.Host
 	cfg    ServerConfig
 	images map[string]Image
 	blobs  map[string]Layer
@@ -84,7 +83,6 @@ type Server struct {
 // NewServer installs a registry service on h.
 func NewServer(h *simnet.Host, cfg ServerConfig) *Server {
 	s := &Server{
-		Host:   h,
 		cfg:    cfg,
 		images: make(map[string]Image),
 		blobs:  make(map[string]Layer),
@@ -204,8 +202,6 @@ type Client struct {
 	t        pullTiming
 	layers   map[string]bool // digest -> present
 	images   map[string]Image
-	// PullCount counts completed image pulls (diagnostics).
-	PullCount int
 }
 
 // NewClient returns a pull client for the given host.
@@ -339,6 +335,5 @@ func (c *Client) Pull(p *sim.Proc, ref string) error {
 		return firstErr
 	}
 	c.images[ref] = Image{Ref: man.Ref, Layers: man.Layers}
-	c.PullCount++
 	return nil
 }

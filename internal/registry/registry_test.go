@@ -65,9 +65,9 @@ func TestPullStoresImageAndLayers(t *testing.T) {
 		if !rg.client.HasLayer(l.Digest) {
 			t.Fatalf("layer %s missing", l.Digest)
 		}
-	}
-	if rg.client.PullCount != 1 {
-		t.Fatalf("PullCount = %d", rg.client.PullCount)
+		if n := rg.server.Pulls[l.Digest]; n != 1 {
+			t.Fatalf("layer %s downloaded %d times, want 1", l.Digest, n)
+		}
 	}
 }
 

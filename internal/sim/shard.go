@@ -68,7 +68,6 @@ type ShardGroup struct {
 	busyWins  []uint64
 	idleWins  []uint64
 	sentMsgs  []uint64
-	recvMsgs  []uint64
 	vStall    []Time
 	wStall    []time.Duration
 	wallDone  []time.Duration // per-window scratch: worker completion offsets
@@ -112,7 +111,6 @@ func NewShardGroup(domains, shards int, seed int64, lookahead Time) *ShardGroup 
 		busyWins: make([]uint64, shards),
 		idleWins: make([]uint64, shards),
 		sentMsgs: make([]uint64, shards),
-		recvMsgs: make([]uint64, shards),
 		vStall:   make([]Time, shards),
 		wStall:   make([]time.Duration, shards),
 		wallDone: make([]time.Duration, shards),
@@ -179,7 +177,6 @@ func (g *ShardGroup) drain() {
 	})
 	for _, m := range g.pending {
 		ki := g.domainOf[m.dst]
-		g.recvMsgs[ki]++
 		g.kernels[ki].At(m.at, m.fn)
 	}
 	for i := range g.pending {

@@ -80,8 +80,6 @@ func (k *Kernel) Stats() KernelStats {
 
 // ShardStats is one shard's slice of a ShardGroup run.
 type ShardStats struct {
-	// Shard is the kernel index within the group.
-	Shard int
 	// Kernel is the hosted kernel's counter snapshot.
 	Kernel KernelStats
 	// BusyWindows counts lookahead windows in which this shard had events
@@ -89,9 +87,8 @@ type ShardStats struct {
 	BusyWindows uint64
 	IdleWindows uint64
 	// SentMessages counts cross-shard closures originating from domains
-	// hosted on this shard; RecvMessages counts closures delivered to it.
+	// hosted on this shard.
 	SentMessages uint64
-	RecvMessages uint64
 	// BarrierStallVirtual accumulates, per busy window, how far short of
 	// the window horizon this shard's clock stopped — virtual time the
 	// shard spent waiting on the barrier with no work left.
@@ -129,12 +126,10 @@ func (g *ShardGroup) Stats() GroupStats {
 	}
 	for i, k := range g.kernels {
 		out.Shards[i] = ShardStats{
-			Shard:               i,
 			Kernel:              k.Stats(),
 			BusyWindows:         g.busyWins[i],
 			IdleWindows:         g.idleWins[i],
 			SentMessages:        g.sentMsgs[i],
-			RecvMessages:        g.recvMsgs[i],
 			BarrierStallVirtual: g.vStall[i],
 			BarrierStallWall:    g.wStall[i],
 		}

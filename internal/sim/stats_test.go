@@ -129,28 +129,27 @@ func TestShardGroupStats(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("Shards = %d, want 2", len(st.Shards))
 	}
-	var sent, recv, busy uint64
-	for _, s := range st.Shards {
+	var sent, busy uint64
+	for i, s := range st.Shards {
 		sent += s.SentMessages
-		recv += s.RecvMessages
 		busy += s.BusyWindows
 		if s.BusyWindows+s.IdleWindows != st.Windows {
 			t.Fatalf("shard %d: busy %d + idle %d != windows %d",
-				s.Shard, s.BusyWindows, s.IdleWindows, st.Windows)
+				i, s.BusyWindows, s.IdleWindows, st.Windows)
 		}
 	}
-	if sent != 2 || recv != 2 {
-		t.Fatalf("sent/recv = %d/%d, want 2/2", sent, recv)
+	if sent != 2 {
+		t.Fatalf("sent = %d, want 2", sent)
 	}
 	if busy == 0 {
 		t.Fatal("no shard was ever busy")
 	}
 	// Every busy window ends at most at the horizon, so total virtual stall
 	// is bounded by busyWindows * lookahead.
-	for _, s := range st.Shards {
+	for i, s := range st.Shards {
 		if s.BarrierStallVirtual < 0 || s.BarrierStallVirtual > Time(s.BusyWindows)*look {
 			t.Fatalf("shard %d: virtual stall %v out of range [0, %v]",
-				s.Shard, s.BarrierStallVirtual, Time(s.BusyWindows)*look)
+				i, s.BarrierStallVirtual, Time(s.BusyWindows)*look)
 		}
 	}
 

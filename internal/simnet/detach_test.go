@@ -8,6 +8,14 @@ import (
 	"transparentedge/internal/sim"
 )
 
+// detachDrops attaches a registry to n and returns a reader of its
+// severed-link drop counter.
+func detachDrops(n *Network) func() uint64 {
+	reg := obs.NewRegistry()
+	n.SetObs(reg)
+	return reg.Counter("simnet_detach_drops_total").Value
+}
+
 // TestDetachDropsInFlightPackets pins the severed-link semantics of a
 // handover: every packet in flight on the old radio link (either direction)
 // is dropped at its own transfer event, counted as a detach drop, and
@@ -51,11 +59,8 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 	if firstErr == nil {
 		t.Error("request over the severed link succeeded, want timeout")
 	}
-	if n.DetachDrops == 0 {
+	if reg.Counter("simnet_detach_drops_total").Value() == 0 {
 		t.Error("no detach drops counted for the in-flight packet")
-	}
-	if got := reg.Counter("simnet_detach_drops_total").Value(); got != n.DetachDrops {
-		t.Errorf("counter simnet_detach_drops_total = %d, want %d", got, n.DetachDrops)
 	}
 	if secondErr != nil {
 		t.Fatalf("request after re-attach: %v", secondErr)
@@ -79,6 +84,7 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 func TestDetachedHostSendDrops(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
+	drops := detachDrops(n)
 	a := NewHost(n, "a", "10.0.0.1")
 	sink := &sinkNode{name: "s", net: n}
 	a.AttachTo(sink, LinkConfig{Latency: time.Millisecond})
@@ -92,8 +98,8 @@ func TestDetachedHostSendDrops(t *testing.T) {
 	a.Detach()
 	send()
 	k.Run()
-	if n.DetachDrops != 1 {
-		t.Fatalf("detached send: drops = %d, want 1", n.DetachDrops)
+	if drops() != 1 {
+		t.Fatalf("detached send: drops = %d, want 1", drops())
 	}
 	if sink.got != 0 {
 		t.Fatalf("detached send delivered %d packets", sink.got)
@@ -108,16 +114,16 @@ func TestDetachedHostSendDrops(t *testing.T) {
 	if sink.got != 1 {
 		t.Fatalf("queued packet after re-attach: delivered %d, want 1", sink.got)
 	}
-	if n.DetachDrops != 1 {
-		t.Fatalf("queued packet was dropped: drops = %d, want 1", n.DetachDrops)
+	if drops() != 1 {
+		t.Fatalf("queued packet was dropped: drops = %d, want 1", drops())
 	}
 
 	// The same queued packet with no re-attach by drain time is dropped.
 	a.Detach()
 	send()
 	k.Run()
-	if n.DetachDrops != 2 || sink.got != 1 {
-		t.Fatalf("drain while detached: drops = %d delivered = %d, want 2/1", n.DetachDrops, sink.got)
+	if drops() != 2 || sink.got != 1 {
+		t.Fatalf("drain while detached: drops = %d delivered = %d, want 2/1", drops(), sink.got)
 	}
 }
 
@@ -126,6 +132,7 @@ func TestDetachedHostSendDrops(t *testing.T) {
 func TestSeveredLinkNeverDelivers(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
+	drops := detachDrops(n)
 	a := &sinkNode{name: "a", net: n}
 	host := NewHost(n, "h", "10.0.0.9")
 	_, peer := host.AttachTo(a, LinkConfig{Latency: time.Millisecond})
@@ -135,7 +142,7 @@ func TestSeveredLinkNeverDelivers(t *testing.T) {
 	pkt.Kind, pkt.SrcIP, pkt.DstIP, pkt.Size = KindDATA, Addr("10.0.0.2"), host.IP(), KiB
 	peer.Send(pkt)
 	k.Run()
-	if n.DetachDrops != 1 {
-		t.Errorf("send into severed link: drops = %d, want 1", n.DetachDrops)
+	if drops() != 1 {
+		t.Errorf("send into severed link: drops = %d, want 1", drops())
 	}
 }

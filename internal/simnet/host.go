@@ -295,7 +295,6 @@ func (h *Host) sendOut(pkt *Packet) {
 	if h.uplink == nil && !h.detached {
 		panic(fmt.Sprintf("simnet: host %s has no uplink", h.name))
 	}
-	pkt.ID = h.net.NextPacketID()
 	if h.ProcDelay > 0 {
 		h.stack(pkt)
 		return
@@ -352,7 +351,6 @@ func (h *Host) unstack(t *transfer) {
 // dropDetached drops a packet sent between Detach and re-attach: the stack
 // has no way out.
 func (h *Host) dropDetached(pkt *Packet) {
-	h.net.DetachDrops++
 	h.net.cDetachDrops.Inc()
 	h.net.FreePacket(pkt)
 }

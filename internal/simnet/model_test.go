@@ -206,8 +206,8 @@ func (o *linkOutcome) at(t *testing.T, id uint64) sim.Time {
 
 // linkSample is what a sample instant reads on either side.
 type linkSample struct {
-	dropped, detachDrops uint64
-	ab, ba               int
+	downDrops, detachDrops uint64
+	ab, ba                 int
 }
 
 // runLinkScenario plays sc on the implementation and on the reference model,
@@ -227,6 +227,7 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	n := NewNetwork(k)
 	reg := obs.NewRegistry()
 	n.SetObs(reg)
+	downDrops, detachDrops := reg.Counter("simnet_packet_drops_total"), reg.Counter("simnet_detach_drops_total")
 	var got []delivery
 	a := &recorderNode{name: "a", net: n, log: &got}
 	var b Node
@@ -349,15 +350,11 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	var gotSamples, wantSamples []linkSample
 	for _, at := range sc.samples {
 		k.At(at, func() {
-			var dropped uint64
-			for _, l := range links {
-				dropped += l.Dropped
-			}
 			ab, ba := link.ActiveTransfers()
-			gotSamples = append(gotSamples, linkSample{dropped, n.DetachDrops, ab, ba})
+			gotSamples = append(gotSamples, linkSample{downDrops.Value(), detachDrops.Value(), ab, ba})
 		})
 		rk.At(at, func() {
-			wantSamples = append(wantSamples, linkSample{rl.dropped + rl.lost, rl.dropped + unstacked, len(origAB.active), len(origBA.active)})
+			wantSamples = append(wantSamples, linkSample{rl.lost, rl.dropped + unstacked, len(origAB.active), len(origBA.active)})
 		})
 	}
 	k.Run()
@@ -377,12 +374,12 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 				i, got[i].id, got[i].node, got[i].at, want[i].id, want[i].node, want[i].at)
 		}
 	}
-	if link.Dropped != rl.dropped+rl.lost || n.DetachDrops != rl.dropped+unstacked {
-		t.Errorf("Link.Dropped %d, DetachDrops %d, reference dropped %d severed + %d down, %d on leaving the stack",
-			link.Dropped, n.DetachDrops, rl.dropped, rl.lost, unstacked)
+	if downDrops.Value() != rl.lost || detachDrops.Value() != rl.dropped+unstacked {
+		t.Errorf("%d link-down drops, %d detach drops, reference %d down, %d severed + %d on leaving the stack",
+			downDrops.Value(), detachDrops.Value(), rl.lost, rl.dropped, unstacked)
 	}
-	if uint64(len(got))+link.Dropped+unstacked != sends {
-		t.Errorf("%d delivered + %d dropped + %d dropped leaving the stack != %d sent", len(got), link.Dropped, unstacked, sends)
+	if uint64(len(got))+downDrops.Value()+detachDrops.Value() != sends {
+		t.Errorf("%d delivered + %d link-down drops + %d detach drops != %d sent", len(got), downDrops.Value(), detachDrops.Value(), sends)
 	}
 	// Link-down drops are left to the garbage collector; everything else
 	// goes back to the pool.

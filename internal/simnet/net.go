@@ -49,8 +49,8 @@
 //   - the one exception is a *severed* link (Host.Detach / Host.MoveTo): the
 //     handover path is deliberately exercised at scale, so packets caught on
 //     a dying link are dropped deterministically at the instant their
-//     serialization or propagation would have ended, counted (Link.Dropped,
-//     Network.DetachDrops), and returned to the pool — a mobility workload
+//     serialization or propagation would have ended, counted
+//     (simnet_detach_drops_total), and returned to the pool — a mobility workload
 //     must not leak a packet per handover.
 package simnet
 
@@ -122,21 +122,10 @@ type Packet struct {
 	DstPort int
 	Size    Bytes // total size on the wire
 	Payload any   // application payload, opaque to the network
-	ID      uint64
 	// Seq orders DATA segments within a connection (TCP never delivers
 	// out of order, but fair-shared links can complete a small later
 	// transfer before a large earlier one; the receiver re-sequences).
 	Seq uint64
-	// Encap marks an SRv6-style outer header applied in place at a steering
-	// ingress point: DstIP/DstPort carry the encoded segment endpoint (the
-	// instance) while InnerDstIP/InnerDstPort preserve the original service
-	// address. Only the packet's current owner may set or clear these (the
-	// same ownership rules as any header rewrite); FreePacket resets them
-	// with the rest of the struct, so recycled packets never leak an old
-	// encapsulation.
-	Encap        bool
-	InnerDstIP   Addr
-	InnerDstPort int
 }
 
 func (p *Packet) String() string {
@@ -168,9 +157,8 @@ type StagedNode interface {
 
 // Network owns the kernel, nodes, and links of one emulated topology.
 type Network struct {
-	K       *sim.Kernel
-	nextPkt uint64
-	nodes   []Node
+	K     *sim.Kernel
+	nodes []Node
 	// PktTrace, when set, is called for every packet a link delivers, with
 	// the instant the packet reached the node: for a StagedNode that is its
 	// pipeline stage earlier than the call.
@@ -180,11 +168,6 @@ type Network struct {
 	xferPool []*transfer // recycled link transfers with their events
 	connPool []*Conn     // recycled connections (newConn / freeConn)
 	callPool []*httpCall // recycled HTTPGetAsync calls with their deadline events
-
-	// DetachDrops counts packets dropped because their link was severed by a
-	// host detach/handover (these drops free to the pool, unlike down
-	// drops — see the package comment).
-	DetachDrops uint64
 
 	// Obs counter handles (nil without SetObs; nil *obs.Counter no-ops).
 	// gets - puts - drops bounds the packets still alive outside the free
@@ -218,12 +201,6 @@ func NewNetwork(k *sim.Kernel) *Network { return &Network{K: k} }
 
 // Register records a node for diagnostics (attachment happens via Connect).
 func (n *Network) Register(node Node) { n.nodes = append(n.nodes, node) }
-
-// NextPacketID returns a fresh unique packet ID.
-func (n *Network) NextPacketID() uint64 {
-	n.nextPkt++
-	return n.nextPkt
-}
 
 // NewPacket returns a zeroed packet from the network's free list (or a fresh
 // one). The caller owns it until it is handed to Port.Send.
@@ -289,8 +266,6 @@ type Link struct {
 	// stage (serialization, propagation) would have ended and returns it to
 	// the pool; nothing is ever delivered from either port again.
 	severed bool
-	// Dropped counts packets lost to a down or severed link.
-	Dropped uint64
 	// remote, when non-nil, marks this link as the local half of a
 	// cross-shard link (see Fabric): serialization happens here,
 	// but instead of local delivery the packet ships to another domain's
@@ -480,13 +455,12 @@ func (d *direction) send(t *transfer) {
 	if d.link.severed {
 		// A send into a severed link (e.g. the peer switch still routing at
 		// the old port) drops immediately, back to the pool.
-		d.countSevered()
+		d.link.net.cDetachDrops.Inc()
 		net.FreePacket(t.pkt)
 		net.putTransfer(t)
 		return
 	}
 	if d.link.down {
-		d.link.Dropped++
 		net.cDrops.Inc()
 		net.putTransfer(t) // the packet is not recycled (see package comment)
 		return
@@ -765,19 +739,12 @@ func (d *direction) completeHead() {
 	d.propagate(t, k.Now()+d.link.cfg.Latency)
 }
 
-// countSevered accounts one severed-link drop (per-link and network-wide).
-func (d *direction) countSevered() {
-	d.link.Dropped++
-	d.link.net.DetachDrops++
-	d.link.net.cDetachDrops.Inc()
-}
-
 // dropSevered retires a transfer whose link was severed mid-flight: the
 // packet returns to the pool, the drop is counted, and the transfer (with
 // its persistent event) is recycled.
 func (d *direction) dropSevered(t *transfer) {
 	net := d.link.net
-	d.countSevered()
+	d.link.net.cDetachDrops.Inc()
 	net.FreePacket(t.pkt)
 	net.putTransfer(t)
 }

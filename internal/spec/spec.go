@@ -60,20 +60,10 @@ type ContainerSpec struct {
 	Name          string
 	Image         string
 	ContainerPort int // 0 when the container exposes no port
-	Env           map[string]string
-	Mounts        []Mount
 	// CPUMillis / MemoryBytes are the container's resource requests
 	// (resources.requests in the definition); zero means unspecified.
 	CPUMillis   int64
 	MemoryBytes int64
-}
-
-// Mount is a volume mount (name -> path in container); HostPath is filled
-// from the pod-level volume when it is a hostPath volume.
-type Mount struct {
-	Name          string
-	ContainerPath string
-	HostPath      string
 }
 
 // Definition is a parsed service definition file. Annotate only reads it,
@@ -269,23 +259,6 @@ func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {
 	if len(raw) == 0 {
 		return nil, ErrNoContainers
 	}
-	// Pod-level volumes: name -> host path (hostPath volumes only; other
-	// volume types have no host directory to share).
-	hostPaths := map[string]string{}
-	if vols, ok := podSpec["volumes"].([]any); ok {
-		for _, vv := range vols {
-			vm, ok := vv.(map[string]any)
-			if !ok {
-				continue
-			}
-			vname, _ := vm["name"].(string)
-			if hp, ok := vm["hostPath"].(map[string]any); ok {
-				if path, ok := hp["path"].(string); ok {
-					hostPaths[vname] = path
-				}
-			}
-		}
-	}
 	var out []ContainerSpec
 	for i, cv := range raw {
 		cm, ok := cv.(map[string]any)
@@ -309,24 +282,6 @@ func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {
 				}
 			}
 		}
-		if envs, ok := cm["env"].([]any); ok {
-			cs.Env = map[string]string{}
-			for _, ev := range envs {
-				em, ok := ev.(map[string]any)
-				if !ok {
-					continue
-				}
-				name, _ := em["name"].(string)
-				if name == "" {
-					continue
-				}
-				val := "" // an absent or null value is empty, as in Kubernetes
-				if v := em["value"]; v != nil {
-					val = fmt.Sprint(v)
-				}
-				cs.Env[name] = val
-			}
-		}
 		if res, ok := cm["resources"].(map[string]any); ok {
 			if reqs, ok := res["requests"].(map[string]any); ok {
 				if cpu, err := ParseCPU(reqs["cpu"]); err != nil {
@@ -339,19 +294,6 @@ func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {
 				} else {
 					cs.MemoryBytes = mem
 				}
-			}
-		}
-		if mounts, ok := cm["volumeMounts"].([]any); ok {
-			for _, mv := range mounts {
-				mm, ok := mv.(map[string]any)
-				if !ok {
-					continue
-				}
-				m := Mount{}
-				m.Name, _ = mm["name"].(string)
-				m.ContainerPath, _ = mm["mountPath"].(string)
-				m.HostPath = hostPaths[m.Name]
-				cs.Mounts = append(cs.Mounts, m)
 			}
 		}
 		out = append(out, cs)

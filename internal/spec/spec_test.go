@@ -263,15 +263,10 @@ func TestParseContainersMultiple(t *testing.T) {
 	if writer.Image != "josefhammer/env-writer-py" || writer.ContainerPort != 0 {
 		t.Errorf("writer = %+v", writer)
 	}
-	if writer.Env["INTERVAL"] != "1" {
-		t.Errorf("env = %#v", writer.Env)
-	}
-	if len(nginx.Mounts) != 1 || nginx.Mounts[0].HostPath != "/srv/shared" ||
-		nginx.Mounts[0].ContainerPath != "/usr/share/nginx/html" {
-		t.Errorf("mounts = %#v", nginx.Mounts)
-	}
 }
 
+// TestParseContainerEnv: an env entry of any value shape is accepted and
+// reaches the annotated Deployment as written.
 func TestParseContainerEnv(t *testing.T) {
 	for _, c := range []struct {
 		name, entry string
@@ -291,8 +286,15 @@ func TestParseContainerEnv(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got, ok := a.Containers[0].Env["A"]; !ok || got != c.want {
-			t.Errorf("%s: Env[A] = %q (present %v), want %q", c.name, got, ok, c.want)
+		dep, _ := a.documents()
+		ctr := dep["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)["containers"].([]any)[0].(map[string]any)
+		env := ctr["env"].([]any)[0].(map[string]any)
+		val := ""
+		if v := env["value"]; v != nil {
+			val = fmt.Sprint(v)
+		}
+		if env["name"] != "A" || val != c.want {
+			t.Errorf("%s: annotated env entry %v, want A = %q", c.name, env, c.want)
 		}
 	}
 }

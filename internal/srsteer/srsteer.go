@@ -58,7 +58,7 @@ type SRv6 struct {
 	fwd     map[fwdKey]*binding
 	rev     map[revKey]*binding
 	high    int
-	ingress func(sw *openflow.Switch, inPort int, pkt *simnet.Packet) bool
+	ingress func(sw *openflow.Switch, pkt *simnet.Packet) bool
 
 	// Obs handles (nil without Params.Counters; nil handles no-op).
 	gEntries         *obs.Gauge
@@ -102,7 +102,7 @@ func (b *SRv6) AttachSwitch(sw *openflow.Switch) {
 // steerPacket is the per-packet ingress hook: one map probe per direction,
 // in-place encap/decap, normal forwarding. Zero allocations steady-state —
 // pinned by TestAllocsSRv6Ingress.
-func (b *SRv6) steerPacket(sw *openflow.Switch, inPort int, pkt *simnet.Packet) bool {
+func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
 	if e, ok := b.fwd[fwdKey{pkt.SrcIP, pkt.DstIP, pkt.DstPort}]; ok {
 		e.idle.Touch(b.k.Now())
 		if e.cloud {
@@ -111,12 +111,9 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, inPort int, pkt *simnet.Packet) 
 			sw.ForwardNormal(pkt)
 			return true
 		}
-		// SRv6-style encap in place: the service address becomes the inner
-		// destination, the outer destination is the segment endpoint.
+		// SRv6-style encap in place: the destination becomes the segment
+		// endpoint; the binding remembers the service address for the decap.
 		b.cEncaps.Inc()
-		pkt.Encap = true
-		pkt.InnerDstIP = pkt.DstIP
-		pkt.InnerDstPort = pkt.DstPort
 		pkt.DstIP = e.ep.Addr
 		pkt.DstPort = e.ep.Port
 		sw.ForwardNormal(pkt)
@@ -127,9 +124,6 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, inPort int, pkt *simnet.Packet) 
 		// Decap of the return direction: the client must see the service
 		// address it dialed.
 		b.cDecaps.Inc()
-		pkt.Encap = false
-		pkt.InnerDstIP = ""
-		pkt.InnerDstPort = 0
 		pkt.SrcIP = e.f.VIP
 		pkt.SrcPort = e.f.Port
 		sw.ForwardNormal(pkt)
@@ -206,13 +200,8 @@ func (b *SRv6) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (steer.
 // Entries implements steer.Steering.
 func (b *SRv6) Entries() int { return len(b.fwd) }
 
-// Stats implements steer.Steering: zero flow-mods, zero switch rules — the
-// headline numbers of the comparison.
+// Stats implements steer.Steering: zero flow-mods — the headline number of
+// the comparison.
 func (b *SRv6) Stats() steer.TableStats {
-	return steer.TableStats{
-		Entries:          len(b.fwd),
-		EntriesHighWater: b.high,
-		FlowMods:         0,
-		SwitchRules:      0,
-	}
+	return steer.TableStats{EntriesHighWater: b.high}
 }

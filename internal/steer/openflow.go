@@ -28,7 +28,6 @@ type OpenFlow struct {
 	p        Params
 	pairs    map[pairKey]uint64 // cookie of each installed pair
 	seq      uint64
-	switches []*openflow.Switch
 	high     int
 	flowMods uint64
 
@@ -55,11 +54,8 @@ func (b *OpenFlow) Bind(p Params) {
 	}
 }
 
-// AttachSwitch implements Steering: rule installs need no per-switch setup;
-// the switch list only feeds the Stats snapshot.
-func (b *OpenFlow) AttachSwitch(sw *openflow.Switch) {
-	b.switches = append(b.switches, sw)
-}
+// AttachSwitch implements Steering: rule installs need no per-switch setup.
+func (b *OpenFlow) AttachSwitch(*openflow.Switch) {}
 
 // countMods accounts n flow-mods sent to a switch.
 func (b *OpenFlow) countMods(n uint64) {
@@ -157,18 +153,7 @@ func (b *OpenFlow) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Fl
 // Entries implements Steering.
 func (b *OpenFlow) Entries() int { return len(b.pairs) }
 
-// Stats implements Steering. SwitchRules is the summed live table size of
-// every attached switch (punt rules included — they are part of the
-// table-pressure the backend imposes).
+// Stats implements Steering.
 func (b *OpenFlow) Stats() TableStats {
-	rules := 0
-	for _, sw := range b.switches {
-		rules += sw.RuleCount()
-	}
-	return TableStats{
-		Entries:          len(b.pairs),
-		EntriesHighWater: b.high,
-		FlowMods:         b.flowMods,
-		SwitchRules:      rules,
-	}
+	return TableStats{EntriesHighWater: b.high, FlowMods: b.flowMods}
 }

@@ -58,19 +58,14 @@ type Params struct {
 // TableStats summarizes a backend's data-plane footprint — the quantities
 // the SteerSweep experiment compares across backends.
 type TableStats struct {
-	// Entries is the current number of tracked per-flow steering decisions
-	// (openflow: installed redirect/cloud-forward pairs; srsteer:
-	// controller-side bindings).
-	Entries int
-	// EntriesHighWater is the peak of Entries over the run.
+	// EntriesHighWater is the peak number of tracked per-flow steering
+	// decisions over the run (openflow: installed redirect/cloud-forward
+	// pairs; srsteer: controller-side bindings).
 	EntriesHighWater int
 	// FlowMods counts flow-mod messages the backend sent to switches
 	// (add + delete). Zero for the stateless backend — its decisions never
 	// touch a switch table.
 	FlowMods uint64
-	// SwitchRules counts rules the backend currently accounts to switch
-	// tables (2 per redirect, 1 per cloud forward; 0 for srsteer).
-	SwitchRules int
 }
 
 // Steering is the pluggable dispatch-to-dataplane mechanism. All methods run
@@ -104,8 +99,8 @@ type Steering interface {
 	// releasing backend bookkeeping. It returns the flow the rule steered
 	// so the controller can GC its own per-client state.
 	FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Flow, bool)
-	// Entries returns TableStats().Entries without building the struct
-	// (dispatch-hot-path friendly).
+	// Entries returns the current number of tracked per-flow steering
+	// decisions.
 	Entries() int
 	// Stats snapshots the backend's data-plane footprint.
 	Stats() TableStats

@@ -73,6 +73,6 @@ func (s *Site) Handover(cli, to int) {
 	s.GNBs[to].AddPort(port, np)
 	s.GNBs[to].SetRoute(host.IP(), port)
 	s.Switch.SetRoute(host.IP(), gnbSitePortBase+to)
-	s.Ctrl.NoteHandover(host.IP(), s.GNBs[to], port)
+	s.Ctrl.NoteHandover(host.IP(), s.GNBs[to])
 	s.gnbOf[cli] = to
 }

@@ -64,8 +64,6 @@ type Regions struct {
 
 	CloudNet *simnet.Network
 	Router   *simnet.Router
-	Hub      *registry.Server
-	GCR      *registry.Server
 }
 
 // NewRegions assembles the sharded scenario. Every structural decision —
@@ -90,8 +88,7 @@ func NewRegions(opts RegionOptions) *Regions {
 	rs.CloudNet = simnet.NewNetwork(group.Kernel(0))
 	rs.Router = simnet.NewRouter(rs.CloudNet, "backbone")
 	backbone := &cloud{net: rs.CloudNet, router: rs.Router}
-	var resolver *registry.Resolver
-	rs.Hub, rs.GCR, resolver = backbone.publicRegistries()
+	resolver := backbone.publicRegistries()
 
 	ctrlCfg := core.Config{Scheduler: core.WaitNearestScheduler{}}
 	for i := 0; i < opts.Regions; i++ {

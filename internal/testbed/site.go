@@ -121,7 +121,7 @@ func newSite(c siteConfig) *Site {
 
 	// The containerd runtime on the EGS, shared by every cluster type there.
 	images := registry.NewClient(s.EGS, resolver)
-	s.Runtime = container.NewRuntime(s.EGS, images, RuntimeConfig())
+	s.Runtime = container.NewRuntime(s.EGS, images)
 
 	c.ctrl.Trace = c.trace
 	c.ctrl.Counters = c.counters

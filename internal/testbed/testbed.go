@@ -151,8 +151,6 @@ type Testbed struct {
 	FarHost    *simnet.Host
 	FarRuntime *container.Runtime
 
-	Hub     *registry.Server
-	GCR     *registry.Server
 	Private *registry.Server
 }
 
@@ -193,16 +191,6 @@ const (
 	predictInterval = 5 * time.Second
 	predictHorizon  = 15 * time.Second
 )
-
-// RuntimeConfig returns the calibrated containerd configuration for the EGS.
-func RuntimeConfig() container.RuntimeConfig {
-	return container.RuntimeConfig{
-		CreateDelay: 45 * time.Millisecond,
-		StartDelay:  380 * time.Millisecond,
-		StopDelay:   60 * time.Millisecond,
-		RemoveDelay: 40 * time.Millisecond,
-	}
-}
 
 // New assembles a testbed.
 func New(opts Options) *Testbed {
@@ -268,8 +256,7 @@ func (tb *Testbed) buildCloud(s *Site, usePrivate bool) (*cloud, *registry.Resol
 	s.Switch.SetDefaultRoute(uplinkPort)
 	c.router.SetDefault(crPort) // back toward the edge network
 
-	var resolver *registry.Resolver
-	tb.Hub, tb.GCR, resolver = c.publicRegistries()
+	resolver := c.publicRegistries()
 	privHost := simnet.NewHost(n, "private-registry", "10.0.0.50")
 	s.Switch.AttachHost(privHost, 3, simnet.LinkConfig{
 		Name: "private", Latency: privLinkLatency, Bandwidth: privLinkBandwidth,
@@ -291,15 +278,15 @@ func (tb *Testbed) buildCloud(s *Site, usePrivate bool) (*cloud, *registry.Resol
 // publicRegistries stands up Docker Hub and GCR behind the cloud router,
 // publishes the catalog images where the paper pulls them from, and returns
 // the resolver that routes pulls there.
-func (c *cloud) publicRegistries() (hub, gcr *registry.Server, resolver *registry.Resolver) {
+func (c *cloud) publicRegistries() *registry.Resolver {
 	hubHost := simnet.NewHost(c.net, "docker-hub", "198.51.100.10")
 	c.attach(hubHost, simnet.LinkConfig{Name: "hub", Latency: hubLinkLatency, Bandwidth: hubLinkBandwidth})
-	hub = registry.NewServer(hubHost, registry.ServerConfig{
+	hub := registry.NewServer(hubHost, registry.ServerConfig{
 		ManifestLatency: hubManifestLatency, BlobLatency: hubBlobLatency,
 	})
 	gcrHost := simnet.NewHost(c.net, "gcr", "198.51.100.20")
 	c.attach(gcrHost, simnet.LinkConfig{Name: "gcr", Latency: gcrLinkLatency, Bandwidth: gcrLinkBandwidth})
-	gcr = registry.NewServer(gcrHost, registry.ServerConfig{
+	gcr := registry.NewServer(gcrHost, registry.ServerConfig{
 		ManifestLatency: gcrManifestLatency, BlobLatency: gcrBlobLatency,
 	})
 	for _, img := range catalog.Images() {
@@ -309,10 +296,10 @@ func (c *cloud) publicRegistries() (hub, gcr *registry.Server, resolver *registr
 			hub.Add(img)
 		}
 	}
-	resolver = registry.NewResolver()
+	resolver := registry.NewResolver()
 	resolver.AddPrefix("", hubHost.IP())
 	resolver.AddPrefix("gcr.io/", gcrHost.IP())
-	return hub, gcr, resolver
+	return resolver
 }
 
 // addClusters adds the cluster types only the single-site testbed has —
@@ -353,7 +340,7 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 			Name: "far-edge", Latency: 2 * time.Millisecond, Bandwidth: 1 * simnet.Gbps,
 		})
 		farImages := registry.NewClient(tb.FarHost, resolver)
-		tb.FarRuntime = container.NewRuntime(tb.FarHost, farImages, RuntimeConfig())
+		tb.FarRuntime = container.NewRuntime(tb.FarHost, farImages)
 		tb.FarDocker = docker.New("far-docker", tb.FarRuntime, behaviors)
 		tb.FarDocker.SetObs(opts.Counters)
 		s.Ctrl.AddCluster(tb.FarDocker, KindDocker)

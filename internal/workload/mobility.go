@@ -25,18 +25,18 @@ type MobilityConfig struct {
 }
 
 // Handover is one scheduled re-attachment: at offset At from the replay
-// anchor, Client moves from cell From to cell To. Cells are per-client
-// indices; the testbed maps (client, cell) to a concrete gNB switch.
+// anchor, Client moves to cell To, from the cell its previous handover (or
+// StartCell) put it in. Cells are per-client indices; the testbed maps
+// (client, cell) to a concrete gNB switch.
 type Handover struct {
 	At     time.Duration
 	Client int
-	From   int
 	To     int
 }
 
 // StartCell returns the cell a client occupies at t=0 — the attachment the
-// testbed establishes before replay, and the From of the client's first
-// handover: client i starts at cell i % cells.
+// testbed establishes before replay, and the cell its first handover leaves:
+// client i starts at cell i % cells.
 func StartCell(client, cells int) int {
 	if cells <= 0 {
 		return 0
@@ -78,7 +78,7 @@ func GenerateHandovers(cfg MobilityConfig) []Handover {
 			if to >= cell {
 				to++
 			}
-			out = append(out, Handover{At: t, Client: c, From: cell, To: to})
+			out = append(out, Handover{At: t, Client: c, To: to})
 			cell = to
 		}
 	}

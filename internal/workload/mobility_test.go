@@ -60,11 +60,8 @@ func TestGenerateHandoversShape(t *testing.T) {
 		if h.At < 0 || h.At >= cfg.Duration {
 			t.Errorf("handover outside the window: %+v", h)
 		}
-		if h.From == h.To {
-			t.Errorf("self-handover: %+v", h)
-		}
-		if h.From != cell[h.Client] {
-			t.Errorf("handover %d: From = %d, client is at %d", i, h.From, cell[h.Client])
+		if h.To == cell[h.Client] {
+			t.Errorf("self-handover: %+v, client is at %d", h, cell[h.Client])
 		}
 		if h.To < 0 || h.To >= cfg.Cells {
 			t.Errorf("handover to cell %d outside [0,%d)", h.To, cfg.Cells)
