@@ -23,14 +23,12 @@ type labelPair struct{ key, value string }
 // Get, lists and watch events hand out the shared snapshots read-only.
 type APIServer struct {
 	k           *sim.Kernel
-	t           timing // the control plane's, read by every component
+	t           calibration // the control plane's, read by every component
 	version     uint64
 	Deployments *Store[*Deployment]
 	ReplicaSets *Store[*ReplicaSet]
 	Pods        *Store[*Pod] // created with a generated name and default phase
 	Services    *Store[*Service]
-	Nodes       Reader[*Node] // written only by heartbeats and the node monitor
-	nodes       *Store[*Node]
 	// Secondary indexes, maintained on every write by the stores' reindex
 	// hooks; every bucket is name-ordered.
 	podsByOwner   index[string, *Pod]
@@ -71,8 +69,6 @@ func NewAPIServer(k *sim.Kernel) *APIServer {
 		}
 	}
 	a.Services = newStore(a, KindService, keyed(a.svcBySelector, func(s *Service) labelPair { return selectorKey(s.Selector) }))
-	a.nodes = newStore[*Node](a, KindNode, nil)
-	a.Nodes = a.nodes
 	return a
 }
 

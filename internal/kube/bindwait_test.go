@@ -12,6 +12,7 @@ import (
 	"transparentedge/internal/container"
 	"transparentedge/internal/faults"
 	"transparentedge/internal/sim"
+	"transparentedge/internal/spec"
 )
 
 // pollLoopScaleUp is ScaleUp as it ran before bindWait: after the same
@@ -45,20 +46,16 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 	selector := map[string]string{"app": name}
 	for {
 		for _, pod := range c.api.ListPods(p, selector) {
-			if pod.NodeName == "" {
-				continue
-			}
-			n := c.nodeByName(pod.NodeName)
-			if n == nil {
+			if pod.NodeName != c.node.name {
 				continue
 			}
 			if c.faults.CrashAfterStart() {
-				crashPodLoop(c, pod.Name, n, name)
+				crashPodLoop(c, pod.Name, name)
 			}
 			return cluster.Instance{
 				Service: name,
 				Cluster: c.name,
-				Addr:    n.rt.Host().IP(),
+				Addr:    c.node.rt.Host().IP(),
 				Port:    svc.NodePort,
 			}, nil
 		}
@@ -67,12 +64,12 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 }
 
 // crashPodLoop is Cluster.crashPod's watcher as a process.
-func crashPodLoop(c *Cluster, podName string, n *node, svcName string) {
+func crashPodLoop(c *Cluster, podName, svcName string) {
 	c.api.k.Go("faultcrash:"+c.name+":"+podName, func(p *sim.Proc) {
 		deadline := p.Now() + 30*time.Second
 		for p.Now() < deadline {
 			killed := false
-			for _, ctr := range n.rt.List(map[string]string{"app": svcName}) {
+			for _, ctr := range c.node.rt.List(map[string]string{"app": svcName}) {
 				if !strings.HasPrefix(ctr.Name(), podName+".") {
 					continue
 				}
@@ -171,21 +168,25 @@ func TestBindWaitMatchesPollLoop(t *testing.T) {
 	}
 }
 
-// TestScaleUpBindTimeout: with the only node NotReady the pod is parked in
-// the scheduler's unschedulable set, and ScaleUp gives up with ErrBindTimeout
-// at the first list at or after the bound instead of polling forever.
+// TestScaleUpBindTimeout: a pod that requests more CPU than the node has is
+// parked in the scheduler's unschedulable set, and ScaleUp gives up with
+// ErrBindTimeout at the first list at or after the bound instead of polling
+// forever.
 func TestScaleUpBindTimeout(t *testing.T) {
 	r := newRig(t, nil)
-	a := annotated(t, "web.example.com")
+	def, err := spec.Parse(strings.Replace(resourceYAML, "cpu: 4", "cpu: 16", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := spec.Annotate(def, spec.Registration{Domain: "heavy.example.com", VIP: "203.0.113.10", Port: 80}, spec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Containers[0].CPUMillis <= nodeCPUMillis {
+		t.Fatalf("the pod requests %d millicores, want more than the node's %d", a.Containers[0].CPUMillis, nodeCPUMillis)
+	}
 	var start, end sim.Time
-	var err error
 	r.k.Go("driver", func(p *sim.Proc) {
-		r.kc.Kubelet("egs").SetFailed(true)
-		p.Sleep(time.Minute) // past the 40 s grace period: the node is NotReady
-		if n, _ := r.kc.API().nodes.Get(nil, "egs"); n == nil || n.Ready {
-			t.Errorf("node = %+v, want NotReady", n)
-			return
-		}
 		if perr := r.kc.Pull(p, a); perr != nil {
 			t.Errorf("pull: %v", perr)
 			return
@@ -225,7 +226,7 @@ func TestScaleUpBindTimeout(t *testing.T) {
 // the kill leaves it never ready. Started 1–250 ms earlier, the watcher finds
 // it on a later 100 ms poll, after it has become ready.
 func TestCrashWatchMatchesProcLoop(t *testing.T) {
-	world := func(crash func(c *Cluster, pod string, n *node, svc string), early time.Duration, runningAt sim.Time) (runningAtOut, readyAt sim.Time, state container.State) {
+	world := func(crash func(c *Cluster, pod, svc string), early time.Duration, runningAt sim.Time) (runningAtOut, readyAt sim.Time, state container.State) {
 		r := newRig(t, nil)
 		a := annotated(t, "web.example.com")
 		r.k.Go("driver", func(p *sim.Proc) {
@@ -236,7 +237,7 @@ func TestCrashWatchMatchesProcLoop(t *testing.T) {
 		if runningAt > 0 {
 			r.k.At(runningAt-early, func() {
 				pod := r.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})[0]
-				crash(r.kc, pod.Name, r.kc.nodeByName(pod.NodeName), a.UniqueName)
+				crash(r.kc, pod.Name, a.UniqueName)
 			})
 		}
 		r.k.RunUntil(time.Minute)

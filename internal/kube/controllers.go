@@ -165,8 +165,7 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 
 // RunReplicaSetController starts the ReplicaSet controller: it creates or
 // deletes pods to match each ReplicaSet's replica count. It watches pods as
-// well as ReplicaSets, so pods deleted out from under it (e.g. evicted from
-// a failed node) are replaced.
+// well as ReplicaSets, so pods deleted out from under it are replaced.
 func RunReplicaSetController(api *APIServer) {
 	q := newWorkQueue(api.k)
 	api.relay(KindReplicaSet, func(ev Event) { q.Add(ev.Name) })
@@ -233,34 +232,6 @@ func replicaSetDelete(w *worker) sim.Step[worker] {
 	}
 }
 
-// Capacity is a node's schedulable resources.
-type Capacity struct {
-	CPUMillis   int64
-	MemoryBytes int64
-}
-
-// DefaultCapacity mirrors a well-equipped edge node (the paper's EGS: 12
-// cores / 32 GiB).
-func DefaultCapacity() Capacity {
-	return Capacity{CPUMillis: 12000, MemoryBytes: 32 << 30}
-}
-
-// NodeRef names a schedulable node and its capacity.
-type NodeRef struct {
-	Name string
-	Cap  Capacity
-}
-
-// NodeStatus is what a scheduler sees about a node.
-type NodeStatus struct {
-	Name string
-	Pods int // pods currently bound to the node
-	// CPUFree / MemFree are the unreserved resources after subtracting
-	// the requests of bound pods.
-	CPUFree int64
-	MemFree int64
-}
-
 // podRequests sums the resource requests of a pod's containers.
 func podRequests(t PodTemplate) (cpu, mem int64) {
 	for _, c := range t.Containers {
@@ -268,20 +239,6 @@ func podRequests(t PodTemplate) (cpu, mem int64) {
 		mem += c.MemoryBytes
 	}
 	return cpu, mem
-}
-
-// leastLoaded is every scheduler's node pick, among the nodes with room for
-// pod: fewest bound pods, ties broken by name. pod is the store's shared
-// snapshot: read-only.
-func leastLoaded(pod *Pod, nodes []NodeStatus) string {
-	best := ""
-	bestPods := int(^uint(0) >> 1)
-	for _, n := range nodes {
-		if n.Pods < bestPods || (n.Pods == bestPods && n.Name < best) {
-			best, bestPods = n.Name, n.Pods
-		}
-	}
-	return best
 }
 
 // SchedulerConfig configures one scheduler instance.
@@ -299,13 +256,12 @@ type SchedulerConfig struct {
 const DefaultSchedulerName = "default-scheduler"
 
 // runScheduler starts a scheduler instance binding pending pods whose
-// schedulerName matches cfg.Name. nodes lists the schedulable nodes with
-// their capacities; load and free resources are computed from current pod
-// bindings, and nodes without room for the pod's requests are filtered out
-// before the pick. Pods that fit nowhere stay Pending and are retried
-// whenever a pod is deleted (capacity may have freed up).
-func runScheduler(api *APIServer, cfg SchedulerConfig, nodes []NodeRef) *scheduler {
-	s := &scheduler{api: api, cfg: cfg, cycle: api.t.cycle, pick: leastLoaded, nodes: nodes,
+// schedulerName matches cfg.Name to node. A pod binds if its requests fit in
+// the node's calibrated resources less the requests of the pods bound to it;
+// a pod that does not fit stays Pending and is retried whenever a pod is
+// deleted (capacity may have freed up).
+func runScheduler(api *APIServer, cfg SchedulerConfig, node string) *scheduler {
+	s := &scheduler{api: api, cfg: cfg, cycle: api.t.cycle, node: node,
 		inflight: map[string]bool{}, unschedulable: map[string]bool{}, events: api.Watch(KindPod)}
 	s.Init(api.k, s, api.t.request)
 	s.Park(s.events, schedule)
@@ -320,9 +276,8 @@ type scheduler struct {
 	sim.Cont[scheduler]
 	api           *APIServer
 	cfg           SchedulerConfig
-	cycle         time.Duration                             // the serial cycle, api's unless a test sets one
-	pick          func(pod *Pod, nodes []NodeStatus) string // leastLoaded unless a test sets one
-	nodes         []NodeRef
+	cycle         time.Duration // the serial cycle, api's unless a test sets one
+	node          string
 	inflight      map[string]bool
 	unschedulable map[string]bool
 	events        *sim.Chan[Event] // the pod watch, buffered while a cycle runs
@@ -380,8 +335,8 @@ func (s *scheduler) mine(pod *Pod) bool {
 }
 
 // binding binds one pod: BindingDelay after its cycle began it reads the pod,
-// lists the nodes' pods, picks a node and writes the binding, one API request
-// each. Concurrent pods overlap here.
+// lists the node's pods and, if the pod fits, writes the binding, one API
+// request each. Concurrent pods overlap here.
 type binding struct {
 	sim.Cont[binding]
 	s    *scheduler
@@ -403,40 +358,26 @@ func bindRead(b *binding) sim.Step[binding] {
 		return b.end()
 	}
 	b.pod = pod
-	return bindPick // one list request covers every node's pods
+	return bindFit // one list request
 }
 
-func bindPick(b *binding) sim.Step[binding] {
+// bindFit binds the pod if its requests fit in what the node's bound pods
+// leave free; otherwise it parks the pod until a delete.
+func bindFit(b *binding) sim.Step[binding] {
 	s := b.s
-	needCPU, needMem := podRequests(b.pod.Spec)
-	status := make([]NodeStatus, 0, len(s.nodes))
-	for _, n := range s.nodes {
-		if !s.api.nodeSchedulable(n.Name) {
-			continue
-		}
-		st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
-		for _, other := range s.api.podsByNode[n.Name].view() {
-			st.Pods++
-			cpu, mem := podRequests(other.Spec)
-			st.CPUFree -= cpu
-			st.MemFree -= mem
-		}
-		if st.CPUFree >= needCPU && st.MemFree >= needMem {
-			status = append(status, st)
-		}
+	cpuFree, memFree := s.api.t.nodeCPU, s.api.t.nodeMem
+	for _, other := range s.api.podsByNode[s.node].view() {
+		cpu, mem := podRequests(other.Spec)
+		cpuFree -= cpu
+		memFree -= mem
 	}
-	node := ""
-	if len(status) > 0 {
-		node = s.pick(b.pod, status)
-	}
-	if node == "" {
-		// Nothing fits: keep Pending, retry on capacity changes.
+	if cpu, mem := podRequests(b.pod.Spec); cpu > cpuFree || mem > memFree {
 		s.unschedulable[b.name] = true
 		return b.end()
 	}
 	delete(s.unschedulable, b.name)
 	b.pod = b.pod.clone()
-	b.pod.NodeName = node
+	b.pod.NodeName = s.node
 	return func(b *binding) sim.Step[binding] {
 		b.s.api.Pods.Update(nil, b.pod)
 		return b.end()

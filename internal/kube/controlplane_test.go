@@ -17,9 +17,8 @@ import (
 )
 
 // The control plane's loops as they ran before they became passes: one
-// process per work-queue worker parked on a sim.Chan, a scheduler process
-// with one process per bind, and node-lifecycle and heartbeat processes. Kept
-// as the oracles the tests below compare the callback control plane against,
+// process per work-queue worker parked on a sim.Chan, and a scheduler process
+// with one process per bind. Kept as the oracles the tests below compare the callback control plane against,
 // each on a kernel of its own.
 
 type chanWorkQueue struct {
@@ -163,7 +162,7 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 	}
 }
 
-func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, pick pickFunc, nodes []NodeRef) {
+func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, node string) {
 	inflight := map[string]bool{}
 	unschedulable := map[string]bool{}
 	mine := func(pod *Pod) bool {
@@ -190,29 +189,13 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 				return
 			}
 			needCPU, needMem := podRequests(pod.Spec)
-			status := make([]NodeStatus, 0, len(nodes))
-			api.charge(bp)
-			for _, n := range nodes {
-				if !api.nodeSchedulable(n.Name) {
-					continue
-				}
-				st := NodeStatus{Name: n.Name, CPUFree: n.Cap.CPUMillis, MemFree: n.Cap.MemoryBytes}
-				for _, other := range api.podsByNode[n.Name].view() {
-					st.Pods++
-					cpu, mem := podRequests(other.Spec)
-					st.CPUFree -= cpu
-					st.MemFree -= mem
-				}
-				if st.CPUFree >= needCPU && st.MemFree >= needMem {
-					status = append(status, st)
-				}
+			cpuFree, memFree := api.t.nodeCPU, api.t.nodeMem
+			for _, other := range api.ListPodsByNode(bp, node) {
+				cpu, mem := podRequests(other.Spec)
+				cpuFree -= cpu
+				memFree -= mem
 			}
-			if len(status) == 0 {
-				unschedulable[name] = true
-				return
-			}
-			node := pick(pod, status)
-			if node == "" {
+			if cpuFree < needCPU || memFree < needMem {
 				unschedulable[name] = true
 				return
 			}
@@ -246,45 +229,9 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 	})
 }
 
-func runNodeLifecycleLoop(api *APIServer) {
-	api.k.Go("node-lifecycle-controller", func(p *sim.Proc) {
-		for {
-			p.Sleep(api.t.monitor)
-			now := api.k.Now()
-			for _, n := range api.Nodes.List(p) {
-				if !n.Ready || now-n.LastHeartbeat <= api.t.grace {
-					continue
-				}
-				stale := api.nodes.byName[n.Name].clone()
-				stale.Ready = false
-				api.nodes.put(stale, Modified)
-				for _, pod := range api.ListPodsByNode(p, n.Name) {
-					api.Pods.Delete(p, pod.Name)
-				}
-			}
-		}
-	})
-}
-
-func startHeartbeatLoop(kl *Kubelet) {
-	kl.api.k.Go("kubelet:"+kl.nodeName+":heartbeat", func(p *sim.Proc) {
-		for {
-			if !kl.failed {
-				kl.api.UpsertNode(p, kl.nodeName, true)
-			}
-			p.Sleep(kl.api.t.heartbeat)
-		}
-	})
-}
-
-// pickFunc is a scheduler's node pick; the scheduler test records each call
-// and gives its second scheduler a pick of its own.
-type pickFunc = func(pod *Pod, nodes []NodeStatus) string
-
-// runSchedulerWith is runScheduler with the cycle and pick the test chose.
-func runSchedulerWith(api *APIServer, cfg SchedulerConfig, cycle time.Duration, pick pickFunc, nodes []NodeRef) {
-	s := runScheduler(api, cfg, nodes)
-	s.cycle, s.pick = cycle, pick
+// runSchedulerWith is runScheduler with the cycle the test chose.
+func runSchedulerWith(api *APIServer, cfg SchedulerConfig, cycle time.Duration, node string) {
+	runScheduler(api, cfg, node).cycle = cycle
 }
 
 // planes are the two control planes under comparison: the process oracle
@@ -292,12 +239,10 @@ func runSchedulerWith(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 var planes = []struct {
 	deployments func(*APIServer)
 	replicaSets func(*APIServer)
-	scheduler   func(*APIServer, SchedulerConfig, time.Duration, pickFunc, []NodeRef)
-	lifecycle   func(*APIServer)
-	heartbeats  func(*Kubelet)
+	scheduler   func(*APIServer, SchedulerConfig, time.Duration, string)
 }{
-	{runDeploymentControllerLoop, runReplicaSetControllerLoop, runSchedulerLoop, runNodeLifecycleLoop, startHeartbeatLoop},
-	{RunDeploymentController, RunReplicaSetController, runSchedulerWith, RunNodeLifecycleController, (*Kubelet).startHeartbeats},
+	{runDeploymentControllerLoop, runReplicaSetControllerLoop, runSchedulerLoop},
+	{RunDeploymentController, RunReplicaSetController, runSchedulerWith},
 }
 
 // apiWrite is one write to the API server, as a subscriber to every kind saw
@@ -308,7 +253,7 @@ type apiWrite struct {
 	Kind    Kind
 	Name    string
 	Version uint64 // the snapshot's ResourceVersion: the last one for a delete
-	What    string // what the control plane decides: replicas, binding, phase, readiness
+	What    string // what the control plane decides: replicas, binding, phase
 }
 
 func (w apiWrite) String() string {
@@ -317,7 +262,7 @@ func (w apiWrite) String() string {
 
 func recordWrites(api *APIServer) *[]apiWrite {
 	var log []apiWrite
-	for _, kind := range []Kind{KindDeployment, KindReplicaSet, KindPod, KindService, KindNode} {
+	for _, kind := range []Kind{KindDeployment, KindReplicaSet, KindPod, KindService} {
 		api.Subscribe(kind, func(ev Event) {
 			w := apiWrite{At: api.k.Now() - api.t.watch, Type: ev.Type, Kind: ev.Kind, Name: ev.Name}
 			switch o := ev.Object.(type) {
@@ -329,8 +274,6 @@ func recordWrites(api *APIServer) *[]apiWrite {
 				w.Version, w.What = o.ResourceVersion, fmt.Sprintf("node=%s phase=%s", o.NodeName, o.Phase)
 			case *Service:
 				w.Version = o.ResourceVersion
-			case *Node:
-				w.Version, w.What = o.ResourceVersion, fmt.Sprintf("ready=%v heartbeat=%v", o.Ready, o.LastHeartbeat)
 			}
 			log = append(log, w)
 		})
@@ -422,7 +365,7 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 										}
 									case 1: // delete the Deployment: cascade
 										api.Deployments.Delete(nil, name(o.d))
-									case 2: // evict one pod: the ReplicaSet replaces it
+									case 2: // delete one pod: the ReplicaSet replaces it
 										if pods := api.ListPodsByOwner(nil, rsName(name(o.d))); len(pods) > 0 {
 											api.Pods.Delete(nil, pods[o.value%len(pods)].Name)
 										}
@@ -448,13 +391,12 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 }
 
 // TestSchedulerMatchesProcLoop: the scheduler's loop and binds as callbacks
-// make every write, every pick and every binding of the process loop with its
-// bind processes, at the same nanosecond and in the same order. Two
-// schedulers (the default one and a second, LocalSched-style, with its own
-// cycle and pick) share three nodes, one of them NotReady; pods that fit
-// nowhere park and are retried after a delete; BindingDelay below, at and
-// above the cycle; request and watch latency 0 and > 0, on a millisecond
-// grid.
+// make every write and every binding of the process loop with its bind
+// processes, at the same nanosecond and in the same order. Two schedulers
+// (the default one and a second, LocalSched-style, with half its cycle)
+// share the node; pods that do not fit park and are retried after a delete;
+// BindingDelay below, at and above the cycle; request and watch latency 0 and
+// > 0, on a millisecond grid.
 func TestSchedulerMatchesProcLoop(t *testing.T) {
 	type op struct {
 		at   time.Duration
@@ -471,11 +413,6 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 		sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 		return ops
 	}
-	nodes := []NodeRef{
-		{Name: "n1", Cap: Capacity{CPUMillis: 3000, MemoryBytes: 1 << 30}},
-		{Name: "n2", Cap: Capacity{CPUMillis: 2000, MemoryBytes: 1 << 30}},
-		{Name: "n3", Cap: Capacity{CPUMillis: 8000, MemoryBytes: 1 << 30}}, // NotReady
-	}
 	for seed := int64(1); seed <= 3; seed++ {
 		ops := script(seed)
 		for _, cycle := range []time.Duration{10 * time.Millisecond, 30 * time.Millisecond} {
@@ -487,19 +424,9 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 							k := sim.New(1)
 							api := NewAPIServer(k)
 							api.t.request, api.t.watch = lat, watch
-							var picks []string
-							pick := func(who string, choose func([]NodeStatus) string) pickFunc {
-								return func(pod *Pod, st []NodeStatus) string {
-									node := choose(st)
-									picks = append(picks, fmt.Sprintf("%v %s %s %v -> %s", k.Now(), who, pod.Name, st, node))
-									return node
-								}
-							}
-							api.UpsertNode(nil, "n3", false)
-							planes[plane].scheduler(api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: binding}, cycle,
-								pick("default", func(st []NodeStatus) string { return leastLoaded(nil, st) }), nodes)
-							planes[plane].scheduler(api, SchedulerConfig{Name: "local", BindingDelay: binding}, cycle/2,
-								pick("local", func(st []NodeStatus) string { return st[len(st)-1].Name }), nodes)
+							api.t.nodeCPU, api.t.nodeMem = 4000, 1<<30
+							planes[plane].scheduler(api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: binding}, cycle, "n1")
+							planes[plane].scheduler(api, SchedulerConfig{Name: "local", BindingDelay: binding}, cycle/2, "n1")
 							log := recordWrites(api)
 							name := func(i int) string { return fmt.Sprintf("pod-%02d", i) }
 							for _, o := range ops {
@@ -519,7 +446,7 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 								})
 							}
 							k.RunUntil(10 * time.Second)
-							return *log, picks
+							return *log, nil
 						})
 					}
 				}
@@ -528,98 +455,39 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 	}
 }
 
-// TestNodeLifecycleMatchesProcLoop: the node monitor and the heartbeats as
-// callbacks make every write of their process loops — each heartbeat, each
-// NotReady mark, each eviction — at the same nanosecond, through a node that
-// fails, a second that fails later, and the first coming back
-// (Kubelet.SetFailed). Equal heartbeat and monitor periods with a grace below
-// them make a sweep's outcome hang on whether the heartbeat of the same
-// instant ran first, which is the order of their start events; both start
-// orders run.
-func TestNodeLifecycleMatchesProcLoop(t *testing.T) {
-	for _, cfg := range []struct{ heartbeat, monitor, grace time.Duration }{
-		{heartbeat: time.Second, monitor: time.Second, grace: 500 * time.Millisecond},
-		{heartbeat: time.Second, monitor: time.Second, grace: 2 * time.Second},
-		{heartbeat: 2 * time.Second, monitor: time.Second, grace: 3 * time.Second},
-		{heartbeat: time.Second, monitor: 2 * time.Second, grace: 2 * time.Second},
-	} {
-		for _, lat := range []time.Duration{0, 15 * time.Millisecond, time.Second} {
-			for _, monitorFirst := range []bool{false, true} {
-				what := fmt.Sprintf("%+v latency %v monitor started first %v", cfg, lat, monitorFirst)
-				compareWorlds(t, what, func(plane int) ([]apiWrite, any) {
-					k := sim.New(1)
-					api := NewAPIServer(k)
-					api.t.request, api.t.watch = lat, 10*time.Millisecond
-					api.t.heartbeat, api.t.monitor, api.t.grace = cfg.heartbeat, cfg.monitor, cfg.grace
-					log := recordWrites(api)
-					var kubelets []*Kubelet
-					for _, n := range []string{"n1", "n2", "n3"} {
-						kubelets = append(kubelets, &Kubelet{api: api, nodeName: n})
-						for i := 0; i < 2; i++ {
-							api.CreatePod(nil, &Pod{Name: fmt.Sprintf("%s-pod-%d", n, i), NodeName: n})
-						}
-					}
-					if monitorFirst {
-						planes[plane].lifecycle(api)
-					}
-					for _, kl := range kubelets {
-						planes[plane].heartbeats(kl)
-					}
-					if !monitorFirst {
-						planes[plane].lifecycle(api)
-					}
-					k.At(3*time.Second, func() { kubelets[0].SetFailed(true) })
-					k.At(4500*time.Millisecond, func() { kubelets[1].SetFailed(true) })
-					k.At(12*time.Second, func() {
-						kubelets[0].SetFailed(false)
-						api.CreatePod(nil, &Pod{Name: "n1-pod-late", NodeName: "n1"})
-					})
-					k.RunUntil(30 * time.Second)
-					return *log, nil
-				})
-			}
-		}
-	}
-}
-
-// TestControlPlaneMatchesProcLoops runs whole clusters — two nodes with real
-// kubelets, the default and a local scheduler — under Cluster.Start and under
-// the process control plane, through deployments on both schedulers, a node
-// failure (eviction, rescheduling) and the node's return,
+// TestControlPlaneMatchesProcLoops runs whole clusters — the node's real
+// kubelet, the default and a local scheduler — under Cluster.Start and under
+// the process control plane, through deployments on both schedulers, a pod
+// deleted out from under its ReplicaSet (replaced, bound and started again),
 // a scale-down and a removal, and compares every API write and every
 // container's ready instant and final state.
 func TestControlPlaneMatchesProcLoops(t *testing.T) {
 	local := SchedulerConfig{Name: "edge-local-sched", BindingDelay: 100 * time.Millisecond}
-	for _, mutate := range []func(*timing){
-		func(*timing) {},
-		func(tm *timing) { tm.request = 0 },
-		func(tm *timing) {
-			tm.workers = 1
-			tm.heartbeat, tm.monitor, tm.grace = time.Second, time.Second, 3*time.Second
-		},
+	for _, mutate := range []func(*calibration){
+		func(*calibration) {},
+		func(tm *calibration) { tm.request = 0 },
+		func(tm *calibration) { tm.workers = 1 },
 	} {
 		tm := calibrated
 		mutate(&tm)
 		compareWorlds(t, fmt.Sprintf("%+v", tm), func(plane int) ([]apiWrite, any) {
 			k := sim.New(1)
 			n := simnet.NewNetwork(k)
-			kc := New("k8s", k, Config{LocalSched: &local})
-			kc.api.t = tm
+			h := simnet.NewHost(n, "n1", "10.0.1.1")
+			regHost := simnet.NewHost(n, "reg", "10.0.1.10")
+			r := simnet.NewRouter(n, "r")
+			_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
+			_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
+			r.AddRoute(h.IP(), hp)
+			r.AddRoute(regHost.IP(), rp)
+			srv := registry.NewServer(regHost, registry.ServerConfig{})
+			srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
+			res := registry.NewResolver()
+			res.AddPrefix("", regHost.IP())
+			rt := container.NewRuntime(h, registry.NewClient(h, res))
 			beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-			for i, name := range []string{"n1", "n2"} {
-				h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
-				regHost := simnet.NewHost(n, name+"-reg", simnet.Addr(fmt.Sprintf("10.0.%d.10", i+1)))
-				r := simnet.NewRouter(n, name+"-r")
-				_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-				_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-				r.AddRoute(h.IP(), hp)
-				r.AddRoute(regHost.IP(), rp)
-				srv := registry.NewServer(regHost, registry.ServerConfig{})
-				srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-				res := registry.NewResolver()
-				res.AddPrefix("", regHost.IP())
-				kc.AddNode(name, container.NewRuntime(h, registry.NewClient(h, res)), beh, DefaultCapacity())
-			}
+			kc := New("k8s", k, Config{LocalSched: &local}, "n1", rt, beh)
+			kc.api.t = tm
 			if plane == 1 {
 				kc.Start()
 			} else {
@@ -627,14 +495,9 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 				kc.started = true
 				pl.deployments(kc.api)
 				pl.replicaSets(kc.api)
-				refs := []NodeRef{{Name: "n1", Cap: DefaultCapacity()}, {Name: "n2", Cap: DefaultCapacity()}}
-				pl.scheduler(kc.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: tm.binding}, tm.cycle, leastLoaded, refs)
-				pl.scheduler(kc.api, local, tm.cycle, leastLoaded, refs)
-				for _, nd := range kc.nodes {
-					nd.kubelet = RunKubelet(kc.api, nd.name, nd.rt, nd.beh)
-					pl.heartbeats(nd.kubelet)
-				}
-				pl.lifecycle(kc.api)
+				pl.scheduler(kc.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: tm.binding}, tm.cycle, "n1")
+				pl.scheduler(kc.api, local, tm.cycle, "n1")
+				RunKubelet(kc.api, "n1", rt, beh)
 			}
 			log := recordWrites(kc.api)
 			var services []*spec.Annotated
@@ -656,12 +519,11 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 					kc.ScaleUp(p, a.UniqueName)
 					p.Sleep(20*time.Second - p.Now())
 					if i == 1 {
-						kc.Kubelet("n1").SetFailed(true)
+						pods := kc.api.ListPods(p, map[string]string{"app": a.UniqueName})
+						kc.api.Pods.Delete(p, pods[0].Name)
 					}
 					p.Sleep(90*time.Second - p.Now())
 					switch i {
-					case 1:
-						kc.Kubelet("n1").SetFailed(false)
 					case 2:
 						kc.ScaleDown(p, a.UniqueName)
 					case 3:
@@ -671,10 +533,8 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 			}
 			k.RunUntil(3 * time.Minute)
 			var ctrs []string
-			for _, nd := range kc.nodes {
-				for _, ctr := range nd.rt.List(nil) {
-					ctrs = append(ctrs, fmt.Sprintf("%s/%s ready %v %v", nd.name, ctr.Name(), ctr.ReadyAt(), ctr.State()))
-				}
+			for _, ctr := range rt.List(nil) {
+				ctrs = append(ctrs, fmt.Sprintf("%s ready %v %v", ctr.Name(), ctr.ReadyAt(), ctr.State()))
 			}
 			return *log, ctrs
 		})

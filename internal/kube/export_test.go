@@ -1,7 +1,7 @@
 package kube
 
 // ObservePublishes calls fn with every snapshot a store of a publishes — on
-// every create, update and node heartbeat — inside the write, after the
+// every create and update — inside the write, after the
 // store's own indexes are current. The external tests use it to watch the
 // snapshots from the moment they are shared.
 func ObservePublishes(a *APIServer, fn func(snap any)) {
@@ -9,7 +9,6 @@ func ObservePublishes(a *APIServer, fn func(snap any)) {
 	observe(a.ReplicaSets, fn)
 	observe(a.Pods, fn)
 	observe(a.Services, fn)
-	observe(a.nodes, fn)
 }
 
 func observe[T object[T]](s *Store[T], fn func(any)) {

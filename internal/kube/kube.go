@@ -18,7 +18,7 @@ import (
 
 // The control plane's calibration: a lightly loaded single-node cluster on
 // the paper's EGS (fig. 8), with Kubernetes' own defaults for the controller
-// workers and the node lifecycle.
+// workers.
 const (
 	// requestLatency is charged on every synchronous API operation.
 	requestLatency = 15 * time.Millisecond
@@ -46,37 +46,35 @@ const (
 	// sandboxDelay is pod sandbox setup: pause container plus CNI network
 	// namespace wiring, the dominant per-pod cost (cf. Mohan et al.).
 	sandboxDelay = 1350 * time.Millisecond
-	// heartbeatPeriod, gracePeriod and monitorPeriod are the node
-	// controller's timing: 10 s heartbeats, stale after 40 s, checked every
-	// 5 s.
-	heartbeatPeriod = 10 * time.Second
-	gracePeriod     = 40 * time.Second
-	monitorPeriod   = 5 * time.Second
+	// nodeCPUMillis and nodeMemoryBytes are the node's schedulable
+	// resources: the EGS's 12 cores and 32 GiB.
+	nodeCPUMillis   = 12000
+	nodeMemoryBytes = 32 << 30
 	// nodePortStart is the first NodePort a Service gets.
 	nodePortStart = 30000
 	// bindPollInterval is how often ScaleUp re-checks for a bound pod.
 	bindPollInterval = 50 * time.Millisecond
 )
 
-// timing is one control plane's copy of the calibration, held by its API
-// server and read by every component. Programs run it as calibrated; the
+// calibration is one control plane's copy of the calibration, held by its
+// API server and read by every component. Programs run it as calibrated; the
 // package's tests sweep it.
-type timing struct {
-	request, watch            time.Duration
-	reconcile                 time.Duration
-	workers                   int
-	cycle, binding            time.Duration
-	sync, process, sandbox    time.Duration
-	heartbeat, grace, monitor time.Duration
-	bindPoll                  time.Duration
+type calibration struct {
+	request, watch         time.Duration
+	reconcile              time.Duration
+	workers                int
+	cycle, binding         time.Duration
+	sync, process, sandbox time.Duration
+	nodeCPU, nodeMem       int64
+	bindPoll               time.Duration
 }
 
-var calibrated = timing{
+var calibrated = calibration{
 	request: requestLatency, watch: watchLatency,
 	reconcile: reconcileDelay, workers: controllerWorkers,
 	cycle: cycleDelay, binding: bindingDelay,
 	sync: syncPeriod, process: processDelay, sandbox: sandboxDelay,
-	heartbeat: heartbeatPeriod, grace: gracePeriod, monitor: monitorPeriod,
+	nodeCPU: nodeCPUMillis, nodeMem: nodeMemoryBytes,
 	bindPoll: bindPollInterval,
 }
 
@@ -86,12 +84,13 @@ type Config struct {
 	LocalSched *SchedulerConfig
 }
 
-// Cluster is a mini-Kubernetes cluster implementing cluster.Cluster.
+// Cluster is a mini-Kubernetes cluster implementing cluster.Cluster. It has
+// one node, as the paper's EGS runs it (fig. 8).
 type Cluster struct {
 	name     string
 	api      *APIServer
 	cfg      Config
-	nodes    []*node
+	node     node
 	started  bool
 	services map[string]*spec.Annotated
 	nextPort int
@@ -111,20 +110,22 @@ func (c *Cluster) SetFaults(in *faults.Injector) { c.faults = in }
 // SetObs registers the cluster's cluster_ops_total counters (nil disables).
 func (c *Cluster) SetObs(reg *obs.Registry) { c.ops = obs.NewClusterOps(reg, c.name) }
 
+// node is the cluster's worker node: its kubelet drives rt, and its
+// schedulable resources are the calibration's.
 type node struct {
-	name    string
-	rt      *container.Runtime
-	beh     cluster.BehaviorSource
-	cap     Capacity
-	kubelet *Kubelet
+	name string
+	rt   *container.Runtime
+	beh  cluster.BehaviorSource
 }
 
-// New creates a cluster (call AddNode, then Start).
-func New(name string, k *sim.Kernel, cfg Config) *Cluster {
+// New creates a cluster whose one node, nodeName, runs its pods on rt with
+// the given behaviours (call Start to run it).
+func New(name string, k *sim.Kernel, cfg Config, nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource) *Cluster {
 	return &Cluster{
 		name:     name,
 		api:      NewAPIServer(k),
 		cfg:      cfg,
+		node:     node{name: nodeName, rt: rt, beh: behaviors},
 		services: make(map[string]*spec.Annotated),
 		nextPort: nodePortStart,
 	}
@@ -133,16 +134,7 @@ func New(name string, k *sim.Kernel, cfg Config) *Cluster {
 // API exposes the API server (tests, custom controllers).
 func (c *Cluster) API() *APIServer { return c.api }
 
-// AddNode registers a worker node with its schedulable capacity
-// (DefaultCapacity is the EGS profile). Must be called before Start.
-func (c *Cluster) AddNode(nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource, cap Capacity) {
-	if c.started {
-		panic("kube: AddNode after Start")
-	}
-	c.nodes = append(c.nodes, &node{name: nodeName, rt: rt, beh: behaviors, cap: cap})
-}
-
-// Start launches the control plane: controllers, scheduler(s), kubelets.
+// Start launches the control plane: controllers, scheduler(s), kubelet.
 func (c *Cluster) Start() {
 	if c.started {
 		return
@@ -150,87 +142,44 @@ func (c *Cluster) Start() {
 	c.started = true
 	RunDeploymentController(c.api)
 	RunReplicaSetController(c.api)
-	refs := make([]NodeRef, len(c.nodes))
-	for i, n := range c.nodes {
-		refs[i] = NodeRef{Name: n.name, Cap: n.cap}
-	}
-	runScheduler(c.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: c.api.t.binding}, refs)
+	runScheduler(c.api, SchedulerConfig{Name: DefaultSchedulerName, BindingDelay: c.api.t.binding}, c.node.name)
 	if c.cfg.LocalSched != nil {
-		runScheduler(c.api, *c.cfg.LocalSched, refs)
+		runScheduler(c.api, *c.cfg.LocalSched, c.node.name)
 	}
-	for _, n := range c.nodes {
-		n.kubelet = RunKubelet(c.api, n.name, n.rt, n.beh)
-		n.kubelet.startHeartbeats()
-	}
-	RunNodeLifecycleController(c.api)
-}
-
-// Kubelet returns the kubelet of a node (nil if unknown or not started).
-func (c *Cluster) Kubelet(nodeName string) *Kubelet {
-	if n := c.nodeByName(nodeName); n != nil {
-		return n.kubelet
-	}
-	return nil
+	RunKubelet(c.api, c.node.name, c.node.rt, c.node.beh)
 }
 
 // Name implements cluster.Cluster.
 func (c *Cluster) Name() string { return c.name }
 
-func (c *Cluster) nodeByName(name string) *node {
-	for _, n := range c.nodes {
-		if n.name == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// hasImages reports whether the node's runtime holds every image of a.
-func (n *node) hasImages(a *spec.Annotated) bool {
-	for _, cs := range a.Containers {
-		if !n.rt.HasImage(cs.Image) {
-			return false
-		}
-	}
-	return true
-}
-
-// HasImages implements cluster.Cluster: every node must have every image.
+// HasImages implements cluster.Cluster: the node's runtime holds every image
+// of a.
 func (c *Cluster) HasImages(a *spec.Annotated) bool {
-	for _, n := range c.nodes {
-		if !n.hasImages(a) {
+	for _, cs := range a.Containers {
+		if !c.node.rt.HasImage(cs.Image) {
 			return false
 		}
 	}
 	return true
 }
 
-// Pull implements cluster.Cluster: the nodes missing an image pull
-// concurrently, one process each; a node that has them all costs nothing.
+// Pull implements cluster.Cluster: a node missing an image pulls every image
+// of a in the caller's process and returns the first error; a node that has
+// them all costs nothing.
 func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
 	c.ops.Pull.Inc()
 	if err := c.faults.PullError(); err != nil {
 		return err
 	}
-	k := c.api.k
-	wg := sim.NewWaitGroup(k)
-	var firstErr error
-	for _, n := range c.nodes {
-		n := n
-		if n.hasImages(a) {
-			continue
-		}
-		wg.Add(1)
-		k.Go("pull:"+c.name+":"+n.name, func(np *sim.Proc) {
-			defer wg.Done()
-			for _, cs := range a.Containers {
-				if err := n.rt.PullImage(np, cs.Image); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("kube: pull %s on %s: %w", cs.Image, n.name, err)
-				}
-			}
-		})
+	if c.HasImages(a) {
+		return nil
 	}
-	wg.Wait(p)
+	var firstErr error
+	for _, cs := range a.Containers {
+		if err := c.node.rt.PullImage(p, cs.Image); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("kube: pull %s on %s: %w", cs.Image, c.node.name, err)
+		}
+	}
 	return firstErr
 }
 
@@ -326,9 +275,9 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 }
 
 // ErrBindTimeout is returned (wrapped) by ScaleUp when no pod of the service
-// was bound to a node within bindMaxWait: the pod fits nowhere, or every
-// node is NotReady.
-var ErrBindTimeout = errors.New("kube: no pod was bound to a node")
+// was bound to the node within bindMaxWait: the pod's requests do not fit in
+// what the node's bound pods leave free.
+var ErrBindTimeout = errors.New("kube: no pod was bound to the node")
 
 // bindMaxWait bounds ScaleUp's wait for a bound pod, so a pod parked in the
 // scheduler's unschedulable set becomes a deployment error (retried, then
@@ -354,20 +303,16 @@ type bindWait struct {
 func bindWaitRead(w *bindWait) sim.Step[bindWait] {
 	c := w.c
 	for _, pod := range c.api.podsMatching(w.selector) {
-		if pod.NodeName == "" {
-			continue
-		}
-		n := c.nodeByName(pod.NodeName)
-		if n == nil {
+		if pod.NodeName != c.node.name {
 			continue
 		}
 		if c.faults.CrashAfterStart() {
-			c.crashPod(pod.Name, n, w.name)
+			c.crashPod(pod.Name, w.name)
 		}
 		w.done.Resolve(cluster.Instance{
 			Service: w.name,
 			Cluster: c.name,
-			Addr:    n.rt.Host().IP(),
+			Addr:    c.node.rt.Host().IP(),
 			Port:    w.port,
 		})
 		return nil
@@ -387,15 +332,15 @@ func bindWaitRead(w *bindWait) sim.Step[bindWait] {
 // notices the crash; a retry's ScaleDown deletes the pod and schedules a fresh
 // one. The first look is one zero-delay event from now, where Kernel.Go
 // started the watcher as a process.
-func (c *Cluster) crashPod(podName string, n *node, svcName string) {
-	w := &crashWatch{n: n, pod: podName, svc: svcName, deadline: c.api.k.Now() + 30*time.Second}
+func (c *Cluster) crashPod(podName, svcName string) {
+	w := &crashWatch{rt: c.node.rt, pod: podName, svc: svcName, deadline: c.api.k.Now() + 30*time.Second}
 	w.Init(c.api.k, w, 0)
 	w.Sleep(0, crashPoll)
 }
 
 type crashWatch struct {
 	sim.Cont[crashWatch]
-	n        *node
+	rt       *container.Runtime
 	pod, svc string
 	deadline sim.Time
 }
@@ -405,7 +350,7 @@ func crashPoll(w *crashWatch) sim.Step[crashWatch] {
 		return nil
 	}
 	killed := false
-	for _, ctr := range w.n.rt.List(map[string]string{"app": w.svc}) {
+	for _, ctr := range w.rt.List(map[string]string{"app": w.svc}) {
 		if strings.HasPrefix(ctr.Name(), w.pod+".") && ctr.Kill() == nil {
 			killed = true
 		}
@@ -442,7 +387,7 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 }
 
 // Endpoint implements cluster.Cluster: the first running (containers
-// started) pod of the service by name, exposed on its node at the service
+// started) pod of the service by name, exposed on the node at the service
 // NodePort.
 func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
 	svc, ok := c.api.Services.byName[name]
@@ -450,11 +395,8 @@ func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
 		return cluster.Instance{}, false
 	}
 	for _, pod := range c.api.podsMatching(svc.Selector) {
-		if pod.Phase != PodRunning {
-			continue
-		}
-		if n := c.nodeByName(pod.NodeName); n != nil {
-			return cluster.Instance{Service: name, Cluster: c.name, Addr: n.rt.Host().IP(), Port: svc.NodePort}, true
+		if pod.Phase == PodRunning && pod.NodeName == c.node.name {
+			return cluster.Instance{Service: name, Cluster: c.name, Addr: c.node.rt.Host().IP(), Port: svc.NodePort}, true
 		}
 	}
 	return cluster.Instance{}, false

@@ -63,11 +63,10 @@ func newRig(t *testing.T, mutate func(*Cluster)) *rig {
 	behaviors := cluster.StaticBehaviors{
 		"nginx:1.23.2": {InitDelay: 60 * time.Millisecond, ServiceTime: 300 * time.Microsecond, RespSize: simnet.KiB},
 	}
-	kc := New("egs-k8s", k, Config{})
+	kc := New("egs-k8s", k, Config{}, "egs", rt, behaviors)
 	if mutate != nil {
 		mutate(kc)
 	}
-	kc.AddNode("egs", rt, behaviors, DefaultCapacity())
 	kc.Start()
 	return &rig{k: k, node: node, client: cli, kc: kc, rt: rt}
 }
@@ -76,7 +75,7 @@ func newRig(t *testing.T, mutate func(*Cluster)) *rig {
 // component timings take no time.
 func newBareAPIServer(k *sim.Kernel) *APIServer {
 	api := NewAPIServer(k)
-	api.t = timing{}
+	api.t = calibration{}
 	return api
 }
 
@@ -377,7 +376,7 @@ type copyCase[T object[T]] struct {
 	kind   Kind
 	obj    T          // the object to create
 	mutate func(T)    // sets every field, replacing maps and slices
-	create func(T)    // Create (or UpsertNode)
+	create func(T)    // Create
 	update func(T)    // Update, nil if the kind has none
 	get    func() T   // Get
 	list   func() []T // List
@@ -508,15 +507,6 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		list:   func() []*Service { return api.Services.List(nil) },
 		stored: func() *Service { return api.Services.byName["s1"] },
 	}.run(t, k, api)
-	copyCase[*Node]{
-		kind:   KindNode,
-		obj:    &Node{Name: "n1", Ready: true},
-		mutate: func(n *Node) { n.Ready = false },
-		create: func(n *Node) { api.UpsertNode(nil, n.Name, n.Ready) },
-		get:    func() *Node { n, _ := api.nodes.Get(nil, "n1"); return n },
-		list:   func() []*Node { return api.Nodes.List(nil) },
-		stored: func() *Node { return api.nodes.byName["n1"] },
-	}.run(t, k, api)
 	k.Run()
 }
 
@@ -547,20 +537,6 @@ func TestPodCreateFillsTheCopy(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedPicker(t *testing.T) {
-	nodes := []NodeStatus{{Name: "b", Pods: 2}, {Name: "a", Pods: 2}, {Name: "c", Pods: 1}}
-	if got := leastLoaded(&Pod{}, nodes); got != "c" {
-		t.Fatalf("leastLoaded = %q, want c", got)
-	}
-	tie := []NodeStatus{{Name: "b", Pods: 1}, {Name: "a", Pods: 1}}
-	if got := leastLoaded(&Pod{}, tie); got != "a" {
-		t.Fatalf("leastLoaded tie = %q, want a", got)
-	}
-	if got := leastLoaded(&Pod{}, nil); got != "" {
-		t.Fatalf("leastLoaded(empty) = %q", got)
-	}
-}
-
 func TestMatchLabels(t *testing.T) {
 	if !MatchLabels(map[string]string{"a": "1", "b": "2"}, map[string]string{"a": "1"}) {
 		t.Error("subset did not match")
@@ -571,46 +547,6 @@ func TestMatchLabels(t *testing.T) {
 	if !MatchLabels(nil, nil) {
 		t.Error("empty selector must match")
 	}
-}
-
-func TestTwoNodeSpreading(t *testing.T) {
-	// Two nodes, two services: leastLoaded spreads pods across nodes.
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	mkNode := func(name string, ip simnet.Addr) (*simnet.Host, *container.Runtime) {
-		h := simnet.NewHost(n, name, ip)
-		res := registry.NewResolver()
-		regHost := simnet.NewHost(n, name+"-reg", ip+"0")
-		r := simnet.NewRouter(n, name+"-r")
-		_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		r.AddRoute(h.IP(), hp)
-		r.AddRoute(regHost.IP(), rp)
-		srv := registry.NewServer(regHost, registry.ServerConfig{})
-		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-		res.AddPrefix("", regHost.IP())
-		return h, container.NewRuntime(h, registry.NewClient(h, res))
-	}
-	_, rt1 := mkNode("n1", "10.0.1.1")
-	_, rt2 := mkNode("n2", "10.0.2.1")
-	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("multi", k, Config{})
-	kc.AddNode("n1", rt1, beh, DefaultCapacity())
-	kc.AddNode("n2", rt2, beh, DefaultCapacity())
-	kc.Start()
-	a1 := annotated(t, "s1.example.com")
-	a2 := annotated(t, "s2.example.com")
-	k.Go("driver", func(p *sim.Proc) {
-		kc.Pull(p, a1)
-		kc.Create(p, a1)
-		kc.Create(p, a2)
-		i1, _ := kc.ScaleUp(p, a1.UniqueName)
-		i2, _ := kc.ScaleUp(p, a2.UniqueName)
-		if i1.Addr == i2.Addr {
-			t.Errorf("both pods on %s; want spread across nodes", i1.Addr)
-		}
-	})
-	k.RunUntil(60 * time.Second)
 }
 
 // runningPods counts the service's pods in phase Running.
@@ -757,81 +693,11 @@ spec:
             memory: 8Gi
 `
 
-func TestResourceAwareScheduling(t *testing.T) {
-	// One small node (2 cores) and one big node (16 cores): a pod asking
-	// for 4 cores must land on the big node even though leastLoaded would
-	// otherwise prefer the emptier small node.
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	mkNode := func(name string, ip simnet.Addr) *container.Runtime {
-		h := simnet.NewHost(n, name, ip)
-		regHost := simnet.NewHost(n, name+"-reg", ip+"0")
-		r := simnet.NewRouter(n, name+"-r")
-		_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		r.AddRoute(h.IP(), hp)
-		r.AddRoute(regHost.IP(), rp)
-		srv := registry.NewServer(regHost, registry.ServerConfig{})
-		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-		res := registry.NewResolver()
-		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res))
-	}
-	rtSmall := mkNode("small", "10.0.1.1")
-	rtBig := mkNode("big", "10.0.2.1")
-	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("caps", k, Config{})
-	kc.AddNode("small", rtSmall, beh, Capacity{CPUMillis: 2000, MemoryBytes: 4 << 30})
-	kc.AddNode("big", rtBig, beh, Capacity{CPUMillis: 16000, MemoryBytes: 64 << 30})
-	kc.Start()
-
-	def, err := spec.Parse(resourceYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := spec.Annotate(def, spec.Registration{Domain: "heavy.example.com", VIP: "203.0.113.10", Port: 80}, spec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Containers[0].CPUMillis != 4000 || a.Containers[0].MemoryBytes != 8<<30 {
-		t.Fatalf("requests parsed = %d / %d", a.Containers[0].CPUMillis, a.Containers[0].MemoryBytes)
-	}
-	k.Go("driver", func(p *sim.Proc) {
-		kc.Pull(p, a)
-		kc.Create(p, a)
-		inst, err := kc.ScaleUp(p, a.UniqueName)
-		if err != nil {
-			t.Errorf("scaleup: %v", err)
-			return
-		}
-		if inst.Addr != "10.0.2.1" {
-			t.Errorf("pod landed on %s, want the big node", inst.Addr)
-		}
-	})
-	k.RunUntil(5 * time.Minute)
-}
-
 func TestUnschedulablePodWaitsForCapacity(t *testing.T) {
 	// One node with 4 cores; two pods asking 3 cores each: the second
 	// stays Pending until the first is deleted, then binds.
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	h := simnet.NewHost(n, "node", "10.0.1.1")
-	regHost := simnet.NewHost(n, "reg", "10.0.9.1")
-	r := simnet.NewRouter(n, "r")
-	_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-	_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-	r.AddRoute(h.IP(), hp)
-	r.AddRoute(regHost.IP(), rp)
-	srv := registry.NewServer(regHost, registry.ServerConfig{})
-	srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-	res := registry.NewResolver()
-	res.AddPrefix("", regHost.IP())
-	rt := container.NewRuntime(h, registry.NewClient(h, res))
-	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("tight", k, Config{})
-	kc.AddNode("node", rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 32 << 30})
-	kc.Start()
+	rg := newRig(t, func(c *Cluster) { c.api.t.nodeCPU = 4000 })
+	k, kc := rg.k, rg.kc
 
 	mk := func(domain string) *spec.Annotated {
 		def, _ := spec.Parse(`
@@ -882,80 +748,6 @@ spec:
 	k.RunUntil(10 * time.Minute)
 }
 
-func TestNodeFailureEvictsAndReschedules(t *testing.T) {
-	// Two nodes; node n1 dies after the pod lands there. The node
-	// controller marks it NotReady after the grace period, evicts the
-	// pod, and the replacement is scheduled on the surviving node n2.
-	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	mkNode := func(name string, ip simnet.Addr) *container.Runtime {
-		h := simnet.NewHost(n, name, ip)
-		regHost := simnet.NewHost(n, name+"-reg", ip+"0")
-		r := simnet.NewRouter(n, name+"-r")
-		_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-		r.AddRoute(h.IP(), hp)
-		r.AddRoute(regHost.IP(), rp)
-		srv := registry.NewServer(regHost, registry.ServerConfig{})
-		srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-		res := registry.NewResolver()
-		res.AddPrefix("", regHost.IP())
-		return container.NewRuntime(h, registry.NewClient(h, res))
-	}
-	rt1 := mkNode("n1", "10.0.1.1")
-	rt2 := mkNode("n2", "10.0.2.1")
-	beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-	kc := New("ha", k, Config{})
-	kc.api.t.heartbeat, kc.api.t.grace, kc.api.t.monitor = 2*time.Second, 8*time.Second, 2*time.Second
-	// Both nodes are empty, so leastLoaded's tie-break by name puts the first
-	// pod on n1 and the failure is deterministic.
-	kc.AddNode("n1", rt1, beh, DefaultCapacity())
-	kc.AddNode("n2", rt2, beh, DefaultCapacity())
-	kc.Start()
-	a := annotated(t, "web.example.com")
-	k.Go("driver", func(p *sim.Proc) {
-		kc.Pull(p, a)
-		kc.Create(p, a)
-		inst, err := kc.ScaleUp(p, a.UniqueName)
-		if err != nil {
-			t.Errorf("scaleup: %v", err)
-			return
-		}
-		if inst.Addr != "10.0.1.1" {
-			t.Errorf("pod on %s, want pinned to n1", inst.Addr)
-			return
-		}
-		p.Sleep(5 * time.Second)
-		// Node n1 dies.
-		kc.Kubelet("n1").SetFailed(true)
-		// Wait past grace + monitor + reschedule + restart.
-		p.Sleep(time.Minute)
-		node, _ := kc.API().nodes.Get(nil, "n1")
-		if node == nil || node.Ready {
-			t.Errorf("n1 = %+v, want NotReady", node)
-		}
-		ep, ok := kc.Endpoint(a.UniqueName)
-		if n := runningPods(kc, a.UniqueName); !ok || n != 1 || ep.Addr != "10.0.2.1" {
-			t.Errorf("endpoint after failure = %+v %v with %d pods running, want one, rescheduled on n2", ep, ok, n)
-		}
-	})
-	k.RunUntil(10 * time.Minute)
-}
-
-func TestNodeHeartbeatsKeepNodeReady(t *testing.T) {
-	rg := newRig(t, func(c *Cluster) {
-		c.api.t.heartbeat, c.api.t.grace, c.api.t.monitor = time.Second, 4*time.Second, time.Second
-	})
-	rg.k.RunUntil(30 * time.Second)
-	node, _ := rg.kc.API().nodes.Get(nil, "egs")
-	if node == nil || !node.Ready {
-		t.Fatalf("node = %+v, want Ready with ongoing heartbeats", node)
-	}
-	if len(rg.kc.API().Nodes.List(nil)) != 1 {
-		t.Fatalf("nodes = %d", len(rg.kc.API().Nodes.List(nil)))
-	}
-}
-
 // TestSchedulerRetriesParkedPodsInNameOrder: three pods park behind one that
 // fills the node; deleting it frees room for all three, and the scheduler
 // retries them one serial cycle each — so the retry order is the bind order.
@@ -966,7 +758,8 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 		k := sim.New(1)
 		api := newBareAPIServer(k)
 		api.t.cycle = cycleDelay
-		runScheduler(api, SchedulerConfig{Name: DefaultSchedulerName}, []NodeRef{{Name: "node", Cap: Capacity{CPUMillis: 3000, MemoryBytes: 1 << 30}}})
+		api.t.nodeCPU, api.t.nodeMem = 3000, 1<<30
+		runScheduler(api, SchedulerConfig{Name: DefaultSchedulerName}, "node")
 		var bound []string
 		api.Subscribe(KindPod, func(ev Event) {
 			if pod := ev.Object.(*Pod); ev.Type == Modified && pod.NodeName != "" {
@@ -996,11 +789,20 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 	}
 }
 
-// TestKubeletTearsDownOrphansInNameOrder: pods evicted while their node was
-// NotReady are orphans on the kubelet when the node comes back, and its
-// resync stops their containers one after the other — each stop sleeps — so
-// the order is the stop order. It must not depend on Go's map iteration:
-// every kernel stops them by pod name.
+// forget removes a pod from the store and its indexes without a watch event:
+// to the kubelet and the controllers it is a missed delete.
+func forget(api *APIServer, name string) {
+	s := api.Pods
+	old := s.byName[name]
+	delete(s.byName, name)
+	s.sorted.remove(name)
+	s.reindex(old, nil)
+}
+
+// TestKubeletTearsDownOrphansInNameOrder: pods whose delete the kubelet
+// missed are orphans on it, and its resync stops their containers one after
+// the other — each stop sleeps — so the order is the stop order. It must not
+// depend on Go's map iteration: every kernel stops them by pod name.
 func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 	type stop struct {
 		container string
@@ -1022,13 +824,9 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 				probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 			}
 			running := rg.rt.List(nil)
-			kl := rg.kc.Kubelet("egs")
-			kl.SetFailed(true)
-			p.Sleep(time.Minute) // past the grace period: the pods are evicted
-			if pods := rg.kc.API().ListPodsByNode(nil, "egs"); len(pods) != 0 {
-				t.Errorf("run %d: %d pods still bound to the failed node", run, len(pods))
+			for _, pod := range rg.kc.API().ListPodsByNode(nil, "egs") {
+				forget(rg.kc.api, pod.Name)
 			}
-			kl.SetFailed(false)
 			stopped := map[string]bool{}
 			for len(stops) < len(running) && p.Now() < 2*time.Minute {
 				p.Sleep(time.Millisecond)
@@ -1042,7 +840,7 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 		})
 		rg.k.RunUntil(5 * time.Minute)
 		if len(stops) != len(services) {
-			t.Fatalf("run %d: %d containers stopped after the node came back, want %d", run, len(stops), len(services))
+			t.Fatalf("run %d: %d containers stopped after their pods were forgotten, want %d", run, len(stops), len(services))
 		}
 		if !sort.SliceIsSorted(stops, func(i, j int) bool { return stops[i].container < stops[j].container }) {
 			t.Fatalf("run %d: stopped %v, want by pod name", run, stops)

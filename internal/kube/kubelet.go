@@ -8,15 +8,14 @@ import (
 	"transparentedge/internal/sim"
 )
 
-// Kubelet drives the container runtime of one node from the API server's
+// kubelet drives the container runtime of one node from the API server's
 // pod objects.
-type Kubelet struct {
+type kubelet struct {
 	api       *APIServer
 	nodeName  string
 	rt        *container.Runtime
 	behaviors cluster.BehaviorSource
 	pods      map[string]*podRuntime
-	failed    bool
 }
 
 type podRuntime struct {
@@ -28,8 +27,8 @@ type podRuntime struct {
 }
 
 // RunKubelet starts a kubelet for nodeName on the given runtime.
-func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource) *Kubelet {
-	kl := &Kubelet{
+func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behaviors cluster.BehaviorSource) {
+	kl := &kubelet{
 		api:       api,
 		nodeName:  nodeName,
 		rt:        rt,
@@ -53,13 +52,9 @@ func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behavior
 			kl.resync(p)
 		}
 	})
-	return kl
 }
 
-func (kl *Kubelet) handleEvent(p *sim.Proc, ev Event) {
-	if kl.failed {
-		return
-	}
+func (kl *kubelet) handleEvent(p *sim.Proc, ev Event) {
 	switch ev.Type {
 	case Deleted:
 		pod, _ := ev.Object.(*Pod)
@@ -75,10 +70,7 @@ func (kl *Kubelet) handleEvent(p *sim.Proc, ev Event) {
 	}
 }
 
-func (kl *Kubelet) resync(p *sim.Proc) {
-	if kl.failed {
-		return
-	}
+func (kl *kubelet) resync(p *sim.Proc) {
 	// Start pods we missed; tear down containers whose pod is gone.
 	for _, pod := range kl.api.ListPodsByNode(p, kl.nodeName) {
 		if pod.Phase == PodPending {
@@ -100,7 +92,7 @@ func (kl *Kubelet) resync(p *sim.Proc) {
 }
 
 // maybeStart launches a startup worker for the pod unless one ran already.
-func (kl *Kubelet) maybeStart(pod *Pod) {
+func (kl *kubelet) maybeStart(pod *Pod) {
 	if _, tracked := kl.pods[pod.Name]; tracked {
 		return
 	}
@@ -111,7 +103,7 @@ func (kl *Kubelet) maybeStart(pod *Pod) {
 	})
 }
 
-func (kl *Kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
+func (kl *kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
 	defer func() {
 		pr.starting = false
 		if pr.deleted {
@@ -170,7 +162,7 @@ func firstContainerPort(t PodTemplate) int {
 	return 0
 }
 
-func (kl *Kubelet) teardown(p *sim.Proc, podName string) {
+func (kl *kubelet) teardown(p *sim.Proc, podName string) {
 	pr, ok := kl.pods[podName]
 	if !ok {
 		return
@@ -185,7 +177,7 @@ func (kl *Kubelet) teardown(p *sim.Proc, podName string) {
 	kl.teardownRuntime(p, pr)
 }
 
-func (kl *Kubelet) teardownRuntime(p *sim.Proc, pr *podRuntime) {
+func (kl *kubelet) teardownRuntime(p *sim.Proc, pr *podRuntime) {
 	for _, ctr := range pr.containers {
 		if ctr.State() == container.StateRunning {
 			ctr.Stop(p)

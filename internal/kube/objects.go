@@ -1,7 +1,7 @@
 // Package kube implements a miniature Kubernetes: an API server with
 // versioned objects and watches, the Deployment and ReplicaSet controllers,
-// a pluggable scheduler (the paper's Local Scheduler slot), and a kubelet
-// per node driving the containerd runtime.
+// a pluggable scheduler (the paper's Local Scheduler slot), and the kubelet
+// of the cluster's one node, the EGS, driving the containerd runtime.
 //
 // The point of modelling the control plane as actual chained watch/reconcile
 // loops — rather than a single sleep — is that the paper's headline result

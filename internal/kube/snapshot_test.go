@@ -75,7 +75,7 @@ func TestModelNeverWritesSnapshots(t *testing.T) {
 			t.Errorf("a snapshot changed after it was published: now %+v", snap)
 		}
 	}
-	for _, kind := range []string{"*kube.Deployment", "*kube.ReplicaSet", "*kube.Pod", "*kube.Service", "*kube.Node"} {
+	for _, kind := range []string{"*kube.Deployment", "*kube.ReplicaSet", "*kube.Pod", "*kube.Service"} {
 		if kinds[kind] == 0 {
 			t.Errorf("no %s snapshot was published: the scenario does not reach that store (%v)", kind, kinds)
 		}

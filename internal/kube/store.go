@@ -115,12 +115,6 @@ type Store[T object[T]] struct {
 	reindex func(old, cur T)
 }
 
-// Reader is the read side of a Store, the handle of a kind that only the API
-// server writes (Nodes: UpsertNode and the node controller).
-type Reader[T any] interface {
-	List(p *sim.Proc) []T
-}
-
 func newStore[T object[T]](api *APIServer, kind Kind, reindex func(old, cur T)) *Store[T] {
 	return &Store[T]{api: api, kind: kind, byName: make(map[string]T), reindex: reindex}
 }

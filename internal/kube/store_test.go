@@ -19,17 +19,13 @@ import (
 )
 
 // newBareCluster returns an unstarted cluster (no controllers, so the test
-// owns every write) with the named nodes.
-func newBareCluster(nodes ...string) *Cluster {
+// owns every write) whose node is n1.
+func newBareCluster() *Cluster {
 	k := sim.New(1)
-	n := simnet.NewNetwork(k)
-	kc := New("bare", k, Config{})
-	kc.api.t = timing{}
-	for i, name := range nodes {
-		h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
-		rt := container.NewRuntime(h, registry.NewClient(h, registry.NewResolver()))
-		kc.AddNode(name, rt, cluster.StaticBehaviors{}, DefaultCapacity())
-	}
+	h := simnet.NewHost(simnet.NewNetwork(k), "n1", "10.0.1.1")
+	rt := container.NewRuntime(h, registry.NewClient(h, registry.NewResolver()))
+	kc := New("bare", k, Config{}, "n1", rt, cluster.StaticBehaviors{})
+	kc.api.t = calibration{}
 	return kc
 }
 
@@ -75,10 +71,10 @@ func bruteEndpoints(c *Cluster, name string) []cluster.Instance {
 		return nil
 	}
 	var out []cluster.Instance
-	for _, pod := range brutePods(c.api, func(p *Pod) bool {
-		return p.Phase == PodRunning && c.nodeByName(p.NodeName) != nil && MatchLabels(p.Labels, svc.Selector)
+	for range brutePods(c.api, func(p *Pod) bool {
+		return p.Phase == PodRunning && p.NodeName == c.node.name && MatchLabels(p.Labels, svc.Selector)
 	}) {
-		out = append(out, cluster.Instance{Service: name, Cluster: c.name, Addr: c.nodeByName(pod.NodeName).rt.Host().IP(), Port: svc.NodePort})
+		out = append(out, cluster.Instance{Service: name, Cluster: c.name, Addr: c.node.rt.Host().IP(), Port: svc.NodePort})
 	}
 	return out
 }
@@ -106,11 +102,11 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 	keys := []string{"app", "tier", ""}
 	values := []string{"a", "b", ""}
 	owners := []string{"", "rs-a", "rs-b", "rs-c"}
-	nodeNames := []string{"", "n1", "n2", "ghost"} // ghost: bound to a node the cluster lacks
+	nodeNames := []string{"", "n1", "n2", "ghost"} // n2, ghost: bound to nodes the cluster lacks
 	ports := []int{80, 8080}
 	for _, seed := range []int64{1, 2, 3, 42} {
 		rng := rand.New(rand.NewSource(seed))
-		c := newBareCluster("n1", "n2")
+		c := newBareCluster()
 		a := c.api
 		pick := func(s []string) string { return s[rng.Intn(len(s))] }
 		labels := func() map[string]string {
@@ -274,8 +270,8 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 }
 
 // TestListSurvivesDeletesMidIteration is the copy-on-write contract the
-// eviction loop and the ReplicaSet controller rely on: deleting while
-// ranging over a list neither skips nor repeats an element.
+// ReplicaSet controller relies on: deleting while ranging over a list neither
+// skips nor repeats an element.
 func TestListSurvivesDeletesMidIteration(t *testing.T) {
 	api := newBareAPIServer(sim.New(1))
 	for i := 0; i < 10; i++ {
@@ -311,7 +307,7 @@ func TestListSurvivesDeletesMidIteration(t *testing.T) {
 // query): a small constant number of allocations, whatever the store holds.
 func TestReadPathAllocations(t *testing.T) {
 	measure := func(pods int) (list, byOwner, endpoint float64) {
-		c := newBareCluster("n1")
+		c := newBareCluster()
 		for i := 0; i < pods; i++ {
 			name := fmt.Sprintf("svc-%04d", i)
 			c.api.Services.Create(nil, &Service{Name: name, Selector: map[string]string{"app": name}, TargetPort: 80, NodePort: 30000 + i})
@@ -353,12 +349,13 @@ func TestReadPathAllocations(t *testing.T) {
 	}
 }
 
-// TestLowestNameFirstIsDeterministic repeats a 3-replica / 2-node scenario
-// with two Services selecting the same pods on the same targetPort. Each node
-// has room for one pod, so two replicas run and the third stays Pending (two
-// pods of one Service cannot share a node: they would listen on one NodePort).
-// The pre-index code answered the first two questions below from a map range;
-// they must be lowest-name-first, and all three the same on every run.
+// TestLowestNameFirstIsDeterministic repeats a 2-replica scenario with two
+// Services selecting the same pods on the same targetPort. The node has room
+// for one whole pod, so one replica runs and the second stays Pending (two
+// pods of one Service cannot share the node: they would listen on one
+// NodePort). The pre-index code answered the pod's NodePort from a map range;
+// it must be the lowest-named Service's, and every answer the same on every
+// run.
 func TestLowestNameFirstIsDeterministic(t *testing.T) {
 	type answer struct {
 		endpoint cluster.Instance
@@ -366,26 +363,8 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 		alt      cluster.Instance // Endpoint of the lower-named Service
 	}
 	run := func() answer {
-		k := sim.New(1)
-		n := simnet.NewNetwork(k)
-		kc := New("multi", k, Config{})
-		beh := cluster.StaticBehaviors{"nginx:1.23.2": {InitDelay: 10 * time.Millisecond}}
-		for i, name := range []string{"n1", "n2"} {
-			h := simnet.NewHost(n, name, simnet.Addr(fmt.Sprintf("10.0.%d.1", i+1)))
-			regHost := simnet.NewHost(n, name+"-reg", simnet.Addr(fmt.Sprintf("10.0.%d.10", i+1)))
-			r := simnet.NewRouter(n, name+"-r")
-			_, hp := h.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-			_, rp := regHost.AttachTo(r, simnet.LinkConfig{Latency: time.Millisecond})
-			r.AddRoute(h.IP(), hp)
-			r.AddRoute(regHost.IP(), rp)
-			srv := registry.NewServer(regHost, registry.ServerConfig{})
-			srv.Add(registry.Image{Ref: "nginx:1.23.2", Layers: []registry.Layer{{Digest: "n0", Size: simnet.MiB}}})
-			res := registry.NewResolver()
-			res.AddPrefix("", regHost.IP())
-			rt := container.NewRuntime(h, registry.NewClient(h, res))
-			kc.AddNode(name, rt, beh, Capacity{CPUMillis: 4000, MemoryBytes: 8 << 30})
-		}
-		kc.Start()
+		rg := newRig(t, func(c *Cluster) { c.api.t.nodeCPU, c.api.t.nodeMem = 4000, 8<<30 })
+		k, kc := rg.k, rg.kc
 		def, err := spec.Parse(resourceYAML) // requests 4 cores / 8 GiB: a whole node
 		if err != nil {
 			t.Fatal(err)
@@ -400,28 +379,23 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			kc.Create(p, a)
 			// A second Service, lower by name, selecting the same pods.
 			kc.API().Services.Create(p, &Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
-			kc.setReplicas(p, a.UniqueName, 3)
-			for runningPods(kc, a.UniqueName) < 2 {
+			kc.setReplicas(p, a.UniqueName, 2)
+			for runningPods(kc, a.UniqueName) < 1 {
 				p.Sleep(200 * time.Millisecond)
 			}
-			p.Sleep(5 * time.Second) // let the third pod settle as Pending
+			p.Sleep(5 * time.Second) // let the second pod settle as Pending
 			got.endpoint, _ = kc.Endpoint(a.UniqueName)
 			pods := kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
-			if len(pods) != 3 || pods[2].Phase != PodPending {
-				t.Errorf("pods = %+v, want two running and the third Pending", pods)
+			if len(pods) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodPending || pods[1].NodeName != "" {
+				t.Errorf("pods = %+v, want the first running and the second Pending", pods)
 				return
 			}
 			got.hostPort = pods[0].HostPort
-			lowest := kc.nodeByName(pods[0].NodeName).rt.Host().IP()
-			if got.endpoint.Addr != lowest {
-				t.Errorf("Endpoint = %v, want the lowest-named pod's node %v", got.endpoint.Addr, lowest)
+			if got.endpoint.Addr != rg.node.IP() {
+				t.Errorf("Endpoint = %v, want the node %v", got.endpoint.Addr, rg.node.IP())
 			}
 			if got.hostPort != 31999 {
 				t.Errorf("HostPort = %d, want the lower-named Service's NodePort 31999", got.hostPort)
-			}
-			if n := runningPods(kc, a.UniqueName); n != 2 {
-				t.Errorf("%d pods running, want two", n)
-				return
 			}
 			got.alt, _ = kc.Endpoint("00-alt")
 			if got.alt.Port != 31999 || got.alt.Addr != got.endpoint.Addr || got.endpoint.Port == 31999 {
@@ -433,7 +407,7 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 	}
 	first := run()
 	if first.endpoint.Addr == "" {
-		t.Fatal("scenario never reached two running replicas")
+		t.Fatal("scenario never reached a running replica")
 	}
 	for i := 1; i < 50 && !t.Failed(); i++ {
 		if got := run(); got != first {

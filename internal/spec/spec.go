@@ -15,6 +15,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -309,15 +310,16 @@ func (a *Annotated) EncodeYAML() string {
 }
 
 // ParseCPU parses a Kubernetes CPU quantity ("500m", "2", 0.5) into
-// millicores. nil yields 0; a negative quantity is an error.
+// millicores. nil yields 0; a negative, non-finite or out-of-range quantity
+// is an error.
 func ParseCPU(v any) (int64, error) {
 	switch t := v.(type) {
 	case nil:
 		return 0, nil
 	case int64:
-		return nonNegative("cpu", v, t*1000)
+		return quantity("cpu", v, t, 1000)
 	case float64:
-		return nonNegative("cpu", v, t*1000)
+		return quantity("cpu", v, t, 1000)
 	case string:
 		s := strings.TrimSpace(t)
 		if s == "" {
@@ -328,27 +330,28 @@ func ParseCPU(v any) (int64, error) {
 			if err != nil {
 				return 0, fmt.Errorf("invalid cpu quantity %q", t)
 			}
-			return nonNegative("cpu", v, n)
+			return quantity("cpu", v, n, 1)
 		}
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid cpu quantity %q", t)
 		}
-		return nonNegative("cpu", v, f*1000)
+		return quantity("cpu", v, f, 1000)
 	}
 	return 0, fmt.Errorf("invalid cpu quantity %v", v)
 }
 
 // ParseMemory parses a Kubernetes memory quantity ("128Mi", "1Gi", "64M",
-// plain bytes) into bytes. nil yields 0; a negative quantity is an error.
+// plain bytes) into bytes. nil yields 0; a negative, non-finite or
+// out-of-range quantity is an error.
 func ParseMemory(v any) (int64, error) {
 	switch t := v.(type) {
 	case nil:
 		return 0, nil
 	case int64:
-		return nonNegative("memory", v, t)
+		return quantity("memory", v, t, 1)
 	case float64:
-		return nonNegative("memory", v, t)
+		return quantity("memory", v, t, 1)
 	case string:
 		s := strings.TrimSpace(t)
 		if s == "" {
@@ -367,25 +370,41 @@ func ParseMemory(v any) (int64, error) {
 				if err != nil {
 					return 0, fmt.Errorf("invalid memory quantity %q", t)
 				}
-				return nonNegative("memory", v, n*u.mult)
+				return quantity("memory", v, n, u.mult)
 			}
 		}
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid memory quantity %q", t)
 		}
-		return nonNegative("memory", v, n)
+		return quantity("memory", v, n, 1)
 	}
 	return 0, fmt.Errorf("invalid memory quantity %v", v)
 }
 
-// nonNegative returns n as an integer quantity, or an error naming the
-// resource and the original value v if n is negative.
-func nonNegative[N int64 | float64](resource string, v any, n N) (int64, error) {
-	if n < 0 {
+// quantity returns n units as an integer quantity, or an error naming the
+// resource and the original value v if n is not finite, is negative, or
+// n × unit does not fit in an int64. The checks come before any integer
+// multiplication or conversion, so none of them wraps.
+func quantity[N int64 | float64](resource string, v any, n N, unit int64) (int64, error) {
+	f := float64(n)
+	switch {
+	case math.IsNaN(f) || math.IsInf(f, 0):
+		return 0, fmt.Errorf("non-finite %s quantity %v", resource, v)
+	case n < 0:
 		return 0, fmt.Errorf("negative %s quantity %v", resource, v)
 	}
-	return int64(n), nil
+	if i, isInt := any(n).(int64); isInt {
+		if i > math.MaxInt64/unit {
+			return 0, fmt.Errorf("%s quantity %v out of range", resource, v)
+		}
+		return i * unit, nil
+	}
+	x := f * float64(unit)
+	if x >= 1<<63 {
+		return 0, fmt.Errorf("%s quantity %v out of range", resource, v)
+	}
+	return int64(x), nil
 }
 
 func ensureMap(m map[string]any, key string) map[string]any {

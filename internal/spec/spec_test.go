@@ -3,6 +3,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -350,61 +351,103 @@ func TestEncodeYAMLRoundTrips(t *testing.T) {
 	}
 }
 
-func TestParseCPU(t *testing.T) {
-	cases := []struct {
-		in   any
-		want int64
-		err  bool
-	}{
-		{nil, 0, false},
-		{"500m", 500, false},
-		{"2", 2000, false},
-		{0.5, 500, false},
-		{int64(3), 3000, false},
-		{"", 0, false},
-		{"abc", 0, true},
-		{[]any{}, 0, true},
-		{"-500m", 0, true},
-		{"-2", 0, true},
-		{-0.5, 0, true},
-		{int64(-1), 0, true},
-	}
+// quantityCase is one parser input: the quantity it yields, or a fragment of
+// the error it must give ("" for none). A rejected quantity yields 0.
+type quantityCase struct {
+	in   any
+	want int64
+	err  string
+}
+
+func checkQuantities(t *testing.T, name string, parse func(any) (int64, error), cases []quantityCase) {
+	t.Helper()
 	for _, c := range cases {
-		got, err := ParseCPU(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseCPU(%v) = %d, %v; want %d err=%v", c.in, got, err, c.want, c.err)
+		got, err := parse(c.in)
+		ok := got == c.want
+		if c.err == "" {
+			ok = ok && err == nil
+		} else {
+			ok = ok && err != nil && strings.Contains(err.Error(), c.err) && strings.Contains(err.Error(), fmt.Sprint(c.in))
+		}
+		if !ok {
+			t.Errorf("%s(%T %v) = %d, %v; want %d, error containing %q and the value", name, c.in, c.in, got, err, c.want, c.err)
 		}
 	}
 }
 
+func TestParseCPU(t *testing.T) {
+	checkQuantities(t, "ParseCPU", ParseCPU, []quantityCase{
+		{nil, 0, ""},
+		{"", 0, ""},
+		{[]any{}, 0, "invalid"},
+		// int64: whole cores.
+		{int64(3), 3000, ""},
+		{int64(math.MaxInt64 / 1000), math.MaxInt64 / 1000 * 1000, ""},
+		{int64(-1), 0, "negative"},
+		{int64(10000000000000000), 0, "out of range"},
+		{int64(math.MaxInt64), 0, "out of range"},
+		// float64: fractional cores.
+		{0.5, 500, ""},
+		{-0.5, 0, "negative"},
+		{math.NaN(), 0, "non-finite"},
+		{math.Inf(1), 0, "non-finite"},
+		{math.Inf(-1), 0, "non-finite"},
+		{1e300, 0, "out of range"},
+		{9.3e15, 0, "out of range"},
+		// plain string: cores.
+		{"2", 2000, ""},
+		{"abc", 0, "invalid"},
+		{"-2", 0, "negative"},
+		{"NaN", 0, "non-finite"},
+		{"inf", 0, "non-finite"},
+		{"-Inf", 0, "non-finite"},
+		{"1e300", 0, "out of range"},
+		{"10000000000000000", 0, "out of range"},
+		// suffixed string: millicores.
+		{"500m", 500, ""},
+		{"9223372036854775807m", math.MaxInt64, ""},
+		{"-500m", 0, "negative"},
+		{"NaNm", 0, "invalid"},
+		{"9223372036854775808m", 0, "invalid"},
+	})
+}
+
 func TestParseMemory(t *testing.T) {
-	cases := []struct {
-		in   any
-		want int64
-		err  bool
-	}{
-		{nil, 0, false},
-		{"128Mi", 128 << 20, false},
-		{"1Gi", 1 << 30, false},
-		{"2Ki", 2048, false},
-		{"64M", 64_000_000, false},
-		{"1G", 1_000_000_000, false},
-		{"5K", 5_000, false},
-		{"1024", 1024, false},
-		{int64(77), 77, false},
-		{"xMi", 0, true},
-		{"many", 0, true},
-		{"-1Gi", 0, true},
-		{"-1024", 0, true},
-		{-1.0, 0, true},
-		{int64(-77), 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseMemory(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseMemory(%v) = %d, %v; want %d err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
+	checkQuantities(t, "ParseMemory", ParseMemory, []quantityCase{
+		{nil, 0, ""},
+		{"", 0, ""},
+		{[]any{}, 0, "invalid"},
+		// int64: bytes.
+		{int64(77), 77, ""},
+		{int64(math.MaxInt64), math.MaxInt64, ""},
+		{int64(-77), 0, "negative"},
+		// float64: bytes.
+		{1024.0, 1024, ""},
+		{-1.0, 0, "negative"},
+		{math.NaN(), 0, "non-finite"},
+		{math.Inf(1), 0, "non-finite"},
+		{1e300, 0, "out of range"},
+		{9.3e18, 0, "out of range"},
+		// plain string: bytes.
+		{"1024", 1024, ""},
+		{"many", 0, "invalid"},
+		{"-1024", 0, "negative"},
+		{"NaN", 0, "invalid"},
+		{"9223372036854775808", 0, "invalid"},
+		// suffixed string: binary and decimal units.
+		{"128Mi", 128 << 20, ""},
+		{"1Gi", 1 << 30, ""},
+		{"2Ki", 2048, ""},
+		{"64M", 64_000_000, ""},
+		{"1G", 1_000_000_000, ""},
+		{"5K", 5_000, ""},
+		{"8589934591Gi", 8589934591 << 30, ""},
+		{"xMi", 0, "invalid"},
+		{"-1Gi", 0, "negative"},
+		{"8589934592Gi", 0, "out of range"},
+		{"9000000000Gi", 0, "out of range"},
+		{"9300000000000000K", 0, "out of range"},
+	})
 }
 
 func TestAnnotateParsesResourceRequests(t *testing.T) {
@@ -448,8 +491,16 @@ spec:
 	if _, err := Annotate(defBad, reg, Options{}); err == nil {
 		t.Fatal("invalid cpu quantity accepted")
 	}
-	// So do negative ones, naming the container.
-	for _, req := range []string{"cpu: -500m", "memory: -1Gi"} {
+	// So do negative, non-finite and out-of-range ones, naming the container.
+	for req, want := range map[string]string{
+		"cpu: -500m":             "negative",
+		"memory: -1Gi":           "negative",
+		"cpu: 1e300":             "out of range",
+		`cpu: "NaN"`:             "non-finite",
+		"cpu: 10000000000000000": "out of range",
+		"memory: 9000000000Gi":   "out of range",
+		"memory: 1e300":          "out of range",
+	} {
 		neg := `
 spec:
   template:
@@ -465,8 +516,8 @@ spec:
 			t.Fatal(err)
 		}
 		_, err = Annotate(defNeg, reg, Options{})
-		if err == nil || !strings.Contains(err.Error(), "container 1") || !strings.Contains(err.Error(), "negative") {
-			t.Errorf("%s: err = %v, want a negative-quantity error for container 1", req, err)
+		if err == nil || !strings.Contains(err.Error(), "container 1") || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a %q error for container 1", req, err, want)
 		}
 	}
 }

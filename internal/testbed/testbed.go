@@ -154,10 +154,9 @@ type Testbed struct {
 	Private *registry.Server
 }
 
-// Close ends the processes the testbed leaves parked (the Kubernetes model
-// alone keeps twenty: work-queue workers, scheduler, node lifecycle, kubelet
-// loops), which otherwise pin their goroutines and the whole testbed for the
-// life of the program. Call it when done with a testbed; results, counters and
+// Close ends the processes the testbed leaves parked (the Kubernetes model's
+// kubelet keeps two, its watch and sync loops), which otherwise pin their
+// goroutines and the whole testbed for the life of the program. Call it when done with a testbed; results, counters and
 // stats stay readable, but the kernel must not run again.
 func (tb *Testbed) Close() { tb.K.Close() }
 
@@ -316,9 +315,8 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 				BindingDelay: 300 * time.Millisecond,
 			}
 		}
-		kc := kube.New("egs-k8s", s.K, kubeCfg)
+		kc := kube.New("egs-k8s", s.K, kubeCfg, "egs", s.Runtime, behaviors)
 		kc.SetObs(opts.Counters)
-		kc.AddNode("egs", s.Runtime, behaviors, kube.DefaultCapacity())
 		kc.Start()
 		tb.Kube = kc
 		s.Ctrl.AddCluster(tb.Kube, KindKubernetes)

@@ -841,27 +841,38 @@ func TestCrashedInstanceIsRedeployedOnNextRequest(t *testing.T) {
 }
 
 func TestBindTimeoutReleasesHeldRequestToCloud(t *testing.T) {
-	// The only Kubernetes node is NotReady, so the pod of a scaled-up
-	// service is never bound. The deployment must fail once the bind wait's
-	// bound is reached — not poll forever — so that the request held behind
-	// it is released to the cloud origin, and a later request starts a fresh
+	// The service requests 16 cores of the 12-core Kubernetes node, so its
+	// pod is never bound. The deployment must fail once the bind wait's bound
+	// is reached — not poll forever — so that the request held behind it is
+	// released to the cloud origin, and a later request starts a fresh
 	// deployment instead of joining the dead one.
 	tb := New(Options{Seed: 1, EnableKube: true})
-	a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
+	const heavyYAML = `
+spec:
+  template:
+    spec:
+      containers:
+      - name: nginx
+        image: nginx:1.23.2
+        ports:
+        - containerPort: 80
+        resources:
+          requests:
+            cpu: 16
+`
+	a, reg, err := tb.RegisterService(heavyYAML, "heavy.example.com")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var deployErr error
 	var deployEnd sim.Time
 	tb.K.Go("operator", func(p *sim.Proc) {
-		tb.Kube.Kubelet("egs").SetFailed(true)
-		p.Sleep(time.Minute) // past the 40 s grace period: the node is NotReady
 		_, deployErr = tb.Ctrl.EnsureDeployed(p, "egs-k8s", a.UniqueName)
 		deployEnd = p.Now()
 	})
 	var heldEnd, secondStart, secondEnd sim.Time
 	tb.K.Go("clients", func(p *sim.Proc) {
-		p.Sleep(time.Minute + 10*time.Second) // the deployment is waiting for the bind
+		p.Sleep(10 * time.Second) // the deployment is waiting for the bind
 		if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
 			t.Errorf("held request: %v", err)
 			return
