@@ -36,7 +36,9 @@ race:
 # lookups at 0 allocs/op, whose probe sets TestLookupProbesNamedSignatures
 # pins).
 # The root package's ratchets hold the surfaces, each number only going down:
-# TestKernelGoCallSites, TestBlockingConnCallSites, TestSurfaceCounts,
+# TestKernelGoCallSites, TestNodeRunsOnKernel (the node's packages take no
+# *sim.Proc beyond the two pull adapters, and kube starts no process),
+# TestBlockingConnCallSites, TestSurfaceCounts,
 # TestExportsHaveProgramCallers (go/types: every export under internal/ has a
 # caller outside the tests, or an allowlisted reason),
 # TestSettingsHaveProgramWriters (every exported field under internal/ is

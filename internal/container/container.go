@@ -83,19 +83,21 @@ const (
 	removeDelay = 40 * time.Millisecond
 )
 
-// timing is one runtime's copy of the lifecycle costs. Programs run it as
-// calibrated; the package's tests sweep it.
-type timing struct {
-	create, start, stop, remove time.Duration
+// Delays are a runtime's lifecycle costs. The operations take effect at once:
+// their caller pays the delay first, as a kube store operation pays its
+// request latency before it runs. Programs run the calibration; the
+// package's tests sweep it.
+type Delays struct {
+	Create, Start, Stop, Remove time.Duration
 }
 
-var calibrated = timing{create: createDelay, start: startDelay, stop: stopDelay, remove: removeDelay}
+var calibrated = Delays{Create: createDelay, Start: startDelay, Stop: stopDelay, Remove: removeDelay}
 
 // Runtime is the per-node container runtime.
 type Runtime struct {
 	host       *simnet.Host
 	images     *registry.Client
-	t          timing
+	t          Delays
 	containers map[string]*Container
 }
 
@@ -111,6 +113,9 @@ func NewRuntime(host *simnet.Host, images *registry.Client) *Runtime {
 
 // Host returns the node the runtime runs on.
 func (r *Runtime) Host() *simnet.Host { return r.host }
+
+// Delays returns the costs a caller pays before each container operation.
+func (r *Runtime) Delays() Delays { return r.t }
 
 // Images returns the runtime's image/content store client.
 func (r *Runtime) Images() *registry.Client { return r.images }
@@ -156,7 +161,7 @@ func (c *Container) Ready() bool { return c.ready }
 func (c *Container) ReadyAt() sim.Time { return c.readyAt }
 
 // Create makes a new container from cfg. The image must be present.
-func (r *Runtime) Create(p *sim.Proc, cfg Config) (*Container, error) {
+func (r *Runtime) Create(cfg Config) (*Container, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("container: empty name")
 	}
@@ -166,7 +171,6 @@ func (r *Runtime) Create(p *sim.Proc, cfg Config) (*Container, error) {
 	if !r.images.HasImage(cfg.Image) {
 		return nil, fmt.Errorf("%w: %q", ErrImageNotPresent, cfg.Image)
 	}
-	p.Sleep(r.t.create)
 	c := &Container{rt: r, cfg: cfg, state: StateCreated}
 	r.containers[cfg.Name] = c
 	return c, nil
@@ -195,15 +199,14 @@ func matchLabels(have, want map[string]string) bool {
 }
 
 // Start launches the container process. hostPort is the node port to expose
-// AppPort on (ignored when AppPort is 0). Start returns once the process is
-// running; app readiness follows after InitDelay, at which point the port
-// opens. Callers that need readiness must probe, as the SDN controller
+// AppPort on (ignored when AppPort is 0; 0 publishes no port). The process
+// runs from now; app readiness follows after InitDelay, at which point the
+// port opens. Callers that need readiness must probe, as the SDN controller
 // does.
-func (c *Container) Start(p *sim.Proc, hostPort int) error {
+func (c *Container) Start(hostPort int) error {
 	if c.state != StateCreated && c.state != StateStopped {
 		return fmt.Errorf("%w: start in %s", ErrBadState, c.state)
 	}
-	p.Sleep(c.rt.t.start)
 	c.state = StateRunning
 	c.generation++
 	gen := c.generation
@@ -216,7 +219,7 @@ func (c *Container) Start(p *sim.Proc, hostPort int) error {
 		}
 		c.ready = true
 		c.readyAt = c.rt.host.Network().K.Now()
-		if c.cfg.AppPort > 0 && c.cfg.AsyncHandler != nil {
+		if c.hostPort > 0 && c.cfg.AsyncHandler != nil {
 			c.listener = c.rt.host.ServeHTTPAsync(c.hostPort, c.cfg.AsyncHandler)
 		}
 	})
@@ -224,11 +227,10 @@ func (c *Container) Start(p *sim.Proc, hostPort int) error {
 }
 
 // Stop terminates the app process and closes its port.
-func (c *Container) Stop(p *sim.Proc) error {
+func (c *Container) Stop() error {
 	if c.state != StateRunning {
 		return fmt.Errorf("%w: stop in %s", ErrBadState, c.state)
 	}
-	p.Sleep(c.rt.t.stop)
 	c.teardown()
 	c.state = StateStopped
 	return nil
@@ -242,17 +244,13 @@ func (c *Container) teardown() {
 	}
 }
 
-// Remove deletes the container (stopping it first if needed).
-func (c *Container) Remove(p *sim.Proc) error {
+// Remove deletes the container, stopping it first if it runs: removing a
+// running container costs the Stop delay as well.
+func (c *Container) Remove() error {
 	if c.state == StateRemoved {
 		return fmt.Errorf("%w: remove in %s", ErrBadState, c.state)
 	}
-	if c.state == StateRunning {
-		if err := c.Stop(p); err != nil {
-			return err
-		}
-	}
-	p.Sleep(c.rt.t.remove)
+	c.teardown()
 	c.state = StateRemoved
 	delete(c.rt.containers, c.cfg.Name)
 	return nil

@@ -17,6 +17,31 @@ func awaitReady(p *sim.Proc, c *Container, every time.Duration) {
 	}
 }
 
+// create, start, stop and remove pay the runtime's delay and then run the
+// operation, as the runtime's callers do.
+func create(p *sim.Proc, r *Runtime, cfg Config) (*Container, error) {
+	p.Sleep(r.t.Create)
+	return r.Create(cfg)
+}
+
+func start(p *sim.Proc, c *Container, hostPort int) error {
+	p.Sleep(c.rt.t.Start)
+	return c.Start(hostPort)
+}
+
+func stop(p *sim.Proc, c *Container) error {
+	p.Sleep(c.rt.t.Stop)
+	return c.Stop()
+}
+
+func remove(p *sim.Proc, c *Container) error {
+	if c.State() == StateRunning {
+		p.Sleep(c.rt.t.Stop)
+	}
+	p.Sleep(c.rt.t.Remove)
+	return c.Remove()
+}
+
 // rig wires a node with a runtime and a registry holding test images.
 type rig struct {
 	k      *sim.Kernel
@@ -64,7 +89,7 @@ func TestCreateRequiresImage(t *testing.T) {
 	rg := newRig(t)
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
-		_, err = rg.rt.Create(p, webConfig("c1", 0))
+		_, err = create(p, rg.rt, webConfig("c1", 0))
 	})
 	rg.k.Run()
 	if !errors.Is(err, ErrImageNotPresent) {
@@ -74,7 +99,7 @@ func TestCreateRequiresImage(t *testing.T) {
 
 func TestLifecycleAndReadiness(t *testing.T) {
 	rg := newRig(t)
-	rg.rt.t = timing{create: 50 * time.Millisecond, start: 300 * time.Millisecond, stop: 20 * time.Millisecond, remove: 10 * time.Millisecond}
+	rg.rt.t = Delays{Create: 50 * time.Millisecond, Start: 300 * time.Millisecond, Stop: 20 * time.Millisecond, Remove: 10 * time.Millisecond}
 	var createdAt, startedAt, readyAt time.Duration
 	rg.k.Go("t", func(p *sim.Proc) {
 		if err := rg.rt.PullImage(p, "web:1"); err != nil {
@@ -82,7 +107,7 @@ func TestLifecycleAndReadiness(t *testing.T) {
 			return
 		}
 		t0 := p.Now()
-		c, err := rg.rt.Create(p, webConfig("c1", 100*time.Millisecond))
+		c, err := create(p, rg.rt, webConfig("c1", 100*time.Millisecond))
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -91,7 +116,7 @@ func TestLifecycleAndReadiness(t *testing.T) {
 		if c.State() != StateCreated {
 			t.Errorf("state = %v", c.State())
 		}
-		if err := c.Start(p, 30080); err != nil {
+		if err := start(p, c, 30080); err != nil {
 			t.Errorf("start: %v", err)
 			return
 		}
@@ -119,8 +144,8 @@ func TestPortServesAfterReady(t *testing.T) {
 	var refusedErr, okErr error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 200*time.Millisecond))
-		c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 200*time.Millisecond))
+		start(p, c, 30080)
 		// Immediately after start the port must refuse (app initializing).
 		_, refusedErr = rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
 		awaitReady(p, c, 10*time.Millisecond)
@@ -144,10 +169,10 @@ func TestStopClosesPort(t *testing.T) {
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 0))
-		c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 0))
+		start(p, c, 30080)
 		awaitReady(p, c, 5*time.Millisecond)
-		if err2 := c.Stop(p); err2 != nil {
+		if err2 := stop(p, c); err2 != nil {
 			t.Errorf("stop: %v", err2)
 		}
 		_, err = rg.client.HTTPGet(p, rg.node.IP(), 30080, &simnet.HTTPRequest{}, 0)
@@ -163,11 +188,11 @@ func TestRestartAfterStop(t *testing.T) {
 	ok := false
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 0))
-		c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 0))
+		start(p, c, 30080)
 		awaitReady(p, c, 5*time.Millisecond)
-		c.Stop(p)
-		if err := c.Start(p, 30081); err != nil {
+		stop(p, c)
+		if err := start(p, c, 30081); err != nil {
 			t.Errorf("restart: %v", err)
 			return
 		}
@@ -185,15 +210,15 @@ func TestStaleInitEventIgnored(t *testing.T) {
 	// Start, stop before InitDelay elapses, restart: the first (stale)
 	// init event must not mark the restarted container ready early.
 	rg := newRig(t)
-	rg.rt.t = timing{start: 10 * time.Millisecond}
+	rg.rt.t = Delays{Start: 10 * time.Millisecond}
 	var readyAt time.Duration
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 500*time.Millisecond))
-		c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 500*time.Millisecond))
+		start(p, c, 30080)
 		p.Sleep(100 * time.Millisecond) // init pending
-		c.Stop(p)
-		c.Start(p, 30080)
+		stop(p, c)
+		start(p, c, 30080)
 		startDone := p.Now()
 		awaitReady(p, c, time.Millisecond)
 		readyAt = p.Now() - startDone
@@ -209,9 +234,9 @@ func TestDoubleStartFails(t *testing.T) {
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 0))
-		c.Start(p, 30080)
-		err = c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 0))
+		start(p, c, 30080)
+		err = start(p, c, 30080)
 	})
 	rg.k.Run()
 	if !errors.Is(err, ErrBadState) {
@@ -224,8 +249,8 @@ func TestDuplicateNameFails(t *testing.T) {
 	var err error
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		rg.rt.Create(p, webConfig("c1", 0))
-		_, err = rg.rt.Create(p, webConfig("c1", 0))
+		create(p, rg.rt, webConfig("c1", 0))
+		_, err = create(p, rg.rt, webConfig("c1", 0))
 	})
 	rg.k.Run()
 	if !errors.Is(err, ErrDuplicateName) {
@@ -237,10 +262,10 @@ func TestRemoveRunningContainer(t *testing.T) {
 	rg := newRig(t)
 	rg.k.Go("t", func(p *sim.Proc) {
 		rg.rt.PullImage(p, "web:1")
-		c, _ := rg.rt.Create(p, webConfig("c1", 0))
-		c.Start(p, 30080)
+		c, _ := create(p, rg.rt, webConfig("c1", 0))
+		start(p, c, 30080)
 		awaitReady(p, c, 5*time.Millisecond)
-		if err := c.Remove(p); err != nil {
+		if err := remove(p, c); err != nil {
 			t.Errorf("remove: %v", err)
 		}
 		if c.State() != StateRemoved {
@@ -261,8 +286,8 @@ func TestListByLabel(t *testing.T) {
 		a.Labels = map[string]string{"edge.service": "svc1", "role": "web"}
 		b := webConfig("b", 0)
 		b.Labels = map[string]string{"edge.service": "svc2"}
-		rg.rt.Create(p, a)
-		rg.rt.Create(p, b)
+		create(p, rg.rt, a)
+		create(p, rg.rt, b)
 		got := rg.rt.List(map[string]string{"edge.service": "svc1"})
 		if len(got) != 1 || got[0].Name() != "a" {
 			t.Errorf("List = %v", got)

@@ -33,7 +33,7 @@ func TestQuickLifecycleInvariants(t *testing.T) {
 				okAll = false
 				return
 			}
-			c, err := rg.rt.Create(p, webConfig("c1", 30*time.Millisecond))
+			c, err := create(p, rg.rt, webConfig("c1", 30*time.Millisecond))
 			if err != nil {
 				okAll = false
 				return
@@ -43,21 +43,21 @@ func TestQuickLifecycleInvariants(t *testing.T) {
 				prev := c.State()
 				switch op {
 				case opStart:
-					err := c.Start(p, 30080)
+					err := start(p, c, 30080)
 					wantOK := prev == StateCreated || prev == StateStopped
 					if (err == nil) != wantOK {
 						okAll = false
 						return
 					}
 				case opStop:
-					err := c.Stop(p)
+					err := stop(p, c)
 					wantOK := prev == StateRunning
 					if (err == nil) != wantOK {
 						okAll = false
 						return
 					}
 				case opRemove:
-					err := c.Remove(p)
+					err := remove(p, c)
 					wantOK := prev != StateRemoved
 					if (err == nil) != wantOK {
 						okAll = false

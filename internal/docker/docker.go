@@ -129,7 +129,8 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 			spec.EdgeServiceLabel:        a.UniqueName,
 			"com.docker.compose.service": cs.Name,
 		})
-		ctr, err := e.rt.Create(p, cfg)
+		p.Sleep(e.rt.Delays().Create)
+		ctr, err := e.rt.Create(cfg)
 		if err != nil {
 			return fmt.Errorf("docker: create %s: %w", cfg.Name, err)
 		}
@@ -140,7 +141,8 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 }
 
 // ScaleUp implements cluster.Cluster: start every container of the service
-// (in definition order) and publish the HTTP container's port.
+// (in definition order) and publish the port of the one the service targets,
+// which Kubernetes gives the NodePort.
 func (e *Engine) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	s, ok := e.services[name]
 	if !ok {
@@ -156,14 +158,15 @@ func (e *Engine) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	for _, ctr := range s.containers {
 		p.Sleep(apiLatency)
 		hostPort := 0
-		if ctr.Config().AppPort > 0 {
+		if port := ctr.Config().AppPort; port > 0 && port == s.annotated.TargetPort {
 			if s.hostPort == 0 {
 				s.hostPort = e.nextPort
 				e.nextPort++
 			}
 			hostPort = s.hostPort
 		}
-		if err := ctr.Start(p, hostPort); err != nil {
+		p.Sleep(e.rt.Delays().Start)
+		if err := ctr.Start(hostPort); err != nil {
 			return cluster.Instance{}, fmt.Errorf("docker: start %s: %w", ctr.Name(), err)
 		}
 	}
@@ -197,7 +200,8 @@ func (e *Engine) ScaleDown(p *sim.Proc, name string) error {
 	for _, ctr := range s.containers {
 		p.Sleep(apiLatency)
 		if ctr.State() == container.StateRunning {
-			if err := ctr.Stop(p); err != nil {
+			p.Sleep(e.rt.Delays().Stop)
+			if err := ctr.Stop(); err != nil {
 				return fmt.Errorf("docker: stop %s: %w", ctr.Name(), err)
 			}
 		}
@@ -214,7 +218,11 @@ func (e *Engine) Remove(p *sim.Proc, name string) error {
 	}
 	for _, ctr := range s.containers {
 		p.Sleep(apiLatency)
-		if err := ctr.Remove(p); err != nil {
+		if ctr.State() == container.StateRunning {
+			p.Sleep(e.rt.Delays().Stop)
+		}
+		p.Sleep(e.rt.Delays().Remove)
+		if err := ctr.Remove(); err != nil {
 			return fmt.Errorf("docker: remove %s: %w", ctr.Name(), err)
 		}
 	}

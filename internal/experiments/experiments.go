@@ -51,8 +51,8 @@ func clusterLabel(kind string) string {
 
 // drive runs body as the driver process of the scenario on k until the
 // virtual instant until, returns body's error, and closes the kernel: the
-// processes the scenario leaves parked (a Kubernetes testbed keeps twenty)
-// end with it instead of pinning their goroutines and the testbed for the
+// processes the scenario leaves parked (those the instant until cut off) end
+// with it instead of pinning their goroutines and the testbed for the
 // life of the program. What the scenario recorded stays readable.
 func drive(k *sim.Kernel, until time.Duration, body func(p *sim.Proc) error) error {
 	var err error

@@ -112,9 +112,8 @@ func (a *APIServer) Subscribe(kind Kind, fn func(Event)) {
 	a.subs[kind] = append(a.subs[kind], fn)
 }
 
-// Watch is Subscribe for a consumer that parks on a channel, a process (the
-// kubelet) or a continuation (a relay, the scheduler): events queue on the
-// returned channel, which is never closed.
+// Watch is Subscribe for a continuation that parks on a channel (a relay, the
+// scheduler): events queue on the returned channel.
 func (a *APIServer) Watch(kind Kind) *sim.Chan[Event] {
 	ch := sim.NewChan[Event](a.k)
 	a.Subscribe(kind, ch.Send)

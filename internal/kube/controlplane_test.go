@@ -17,13 +17,50 @@ import (
 )
 
 // The control plane's loops as they ran before they became passes: one
-// process per work-queue worker parked on a sim.Chan, and a scheduler process
+// process per work-queue worker parked on a queue, and a scheduler process
 // with one process per bind. Kept as the oracles the tests below compare the callback control plane against,
 // each on a kernel of its own.
 
+// procQueue is an unbounded queue processes receive from: Send appends and
+// resolves the oldest waiter's promise, which wakes that process one
+// zero-delay event after the Send, as a receive on a sim.Chan did.
+type procQueue[T any] struct {
+	k       *sim.Kernel
+	items   []T
+	waiters []*sim.Promise[struct{}]
+}
+
+func (q *procQueue[T]) Send(v T) {
+	q.items = append(q.items, v)
+	if len(q.waiters) > 0 {
+		w := q.waiters[0]
+		q.waiters = q.waiters[1:]
+		w.Resolve(struct{}{})
+	}
+}
+
+// recv pops the oldest item, or awaits the next Send when there is none.
+func (q *procQueue[T]) recv(p *sim.Proc) T {
+	for len(q.items) == 0 {
+		pr := sim.NewPromise[struct{}](q.k)
+		q.waiters = append(q.waiters, pr)
+		pr.Await(p)
+	}
+	v := q.items[0]
+	q.items = q.items[1:]
+	return v
+}
+
+// watch subscribes a procQueue to kind.
+func watch(api *APIServer, kind Kind) *procQueue[Event] {
+	q := &procQueue[Event]{k: api.k}
+	api.Subscribe(kind, q.Send)
+	return q
+}
+
 type chanWorkQueue struct {
 	k      *sim.Kernel
-	ch     *sim.Chan[string]
+	ch     *procQueue[string]
 	queued map[string]bool
 	active map[string]bool
 	again  map[string]bool
@@ -32,7 +69,7 @@ type chanWorkQueue struct {
 func newChanWorkQueue(k *sim.Kernel) *chanWorkQueue {
 	return &chanWorkQueue{
 		k:      k,
-		ch:     sim.NewChan[string](k),
+		ch:     &procQueue[string]{k: k},
 		queued: make(map[string]bool),
 		active: make(map[string]bool),
 		again:  make(map[string]bool),
@@ -58,10 +95,7 @@ func (q *chanWorkQueue) run(name string, workers int, process func(p *sim.Proc, 
 	for i := 0; i < workers; i++ {
 		q.k.Go(name, func(p *sim.Proc) {
 			for {
-				key, ok := q.ch.Recv(p)
-				if !ok {
-					return
-				}
+				key := q.ch.recv(p)
 				delete(q.queued, key)
 				q.active[key] = true
 				process(p, key)
@@ -78,11 +112,10 @@ func (q *chanWorkQueue) run(name string, workers int, process func(p *sim.Proc, 
 // relayLoop is a relay as the process it was: it moves each event of the
 // watch channel into fn.
 func relayLoop(api *APIServer, kind Kind, fn func(Event)) {
-	ch := api.Watch(kind)
+	ch := watch(api, kind)
 	api.k.Go("relay", func(p *sim.Proc) {
 		for {
-			ev, _ := ch.Recv(p)
-			fn(ev)
+			fn(ch.recv(p))
 		}
 	})
 }
@@ -205,13 +238,10 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 			api.Pods.Update(bp, pod)
 		})
 	}
-	w := api.Watch(KindPod)
+	w := watch(api, KindPod)
 	api.k.Go("scheduler:"+cfg.Name, func(p *sim.Proc) {
 		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
+			ev := w.recv(p)
 			if ev.Type == Deleted {
 				delete(unschedulable, ev.Name)
 				parked := make([]string, 0, len(unschedulable))

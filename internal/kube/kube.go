@@ -367,7 +367,13 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleDown.Inc()
-	return c.setReplicas(p, name, 0)
+	d, err := c.api.Deployments.Get(p, name)
+	if err != nil || d.Replicas == 0 {
+		return err
+	}
+	d = d.clone()
+	d.Replicas = 0
+	return c.api.Deployments.Update(p, d)
 }
 
 // Remove implements cluster.Cluster: delete the Deployment (cascading to
@@ -405,18 +411,4 @@ func (c *Cluster) Endpoint(name string) (cluster.Instance, bool) {
 // Services implements cluster.Cluster.
 func (c *Cluster) Services() []string {
 	return slices.Sorted(maps.Keys(c.services))
-}
-
-// setReplicas sets a created service's desired replica count directly.
-func (c *Cluster) setReplicas(p *sim.Proc, name string, replicas int) error {
-	d, err := c.api.Deployments.Get(p, name)
-	if err != nil {
-		return err
-	}
-	if d.Replicas == replicas {
-		return nil
-	}
-	d = d.clone()
-	d.Replicas = replicas
-	return c.api.Deployments.Update(p, d)
 }

@@ -333,16 +333,7 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 	api := NewAPIServer(k)
 	api.t.request, api.t.watch = 0, 10*time.Millisecond
 	var events []Event
-	w := api.Watch(KindDeployment)
-	k.Go("watcher", func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
-			events = append(events, ev)
-		}
-	})
+	api.Subscribe(KindDeployment, func(ev Event) { events = append(events, ev) })
 	k.Go("writer", func(p *sim.Proc) {
 		d := &Deployment{Name: "d1", Replicas: 0}
 		api.Deployments.Create(p, d)
@@ -384,17 +375,8 @@ type copyCase[T object[T]] struct {
 }
 
 func (c copyCase[T]) run(t *testing.T, k *sim.Kernel, api *APIServer) {
-	w := api.Watch(c.kind)
 	var events []Event
-	k.Go("watch:"+string(c.kind), func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
-			events = append(events, ev)
-		}
-	})
+	api.Subscribe(c.kind, func(ev Event) { events = append(events, ev) })
 	k.Go("copy:"+string(c.kind), func(p *sim.Proc) {
 		stored := c.stored
 		c.create(c.obj)
@@ -800,9 +782,11 @@ func forget(api *APIServer, name string) {
 }
 
 // TestKubeletTearsDownOrphansInNameOrder: pods whose delete the kubelet
-// missed are orphans on it, and its resync stops their containers one after
-// the other — each stop sleeps — so the order is the stop order. It must not
-// depend on Go's map iteration: every kernel stops them by pod name.
+// missed are orphans on it, and its resync forgets them, so that their
+// workers stop their containers in one instant, in the order the resync
+// forgot them. It must not depend on Go's map iteration: every kernel stops
+// them by pod name. The kernel is stepped one event at a time, so the order
+// within the instant shows.
 func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 	type stop struct {
 		container string
@@ -816,6 +800,7 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 			services = append(services, annotated(t, domain))
 		}
 		var stops []stop
+		var running []*container.Container
 		rg.k.Go("driver", func(p *sim.Proc) {
 			for _, a := range services {
 				rg.kc.Pull(p, a)
@@ -823,22 +808,21 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 				inst, _ := rg.kc.ScaleUp(p, a.UniqueName)
 				probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 			}
-			running := rg.rt.List(nil)
+			running = rg.rt.List(nil)
 			for _, pod := range rg.kc.API().ListPodsByNode(nil, "egs") {
 				forget(rg.kc.api, pod.Name)
 			}
-			stopped := map[string]bool{}
-			for len(stops) < len(running) && p.Now() < 2*time.Minute {
-				p.Sleep(time.Millisecond)
-				for _, ctr := range running {
-					if ctr.State() != container.StateRunning && !stopped[ctr.Name()] {
-						stopped[ctr.Name()] = true
-						stops = append(stops, stop{ctr.Name(), p.Now()})
-					}
+		})
+		stopped := map[string]bool{}
+		for (running == nil || len(stops) < len(running)) && rg.k.Now() < 2*time.Minute && rg.k.Step() {
+			for _, ctr := range running {
+				if ctr.State() != container.StateRunning && !stopped[ctr.Name()] {
+					stopped[ctr.Name()] = true
+					stops = append(stops, stop{ctr.Name(), rg.k.Now()})
 				}
 			}
-		})
-		rg.k.RunUntil(5 * time.Minute)
+		}
+		rg.k.Close()
 		if len(stops) != len(services) {
 			t.Fatalf("run %d: %d containers stopped after their pods were forgotten, want %d", run, len(stops), len(services))
 		}
@@ -849,6 +833,48 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 			first = stops
 		} else if !reflect.DeepEqual(stops, first) {
 			t.Fatalf("run %d stopped %v, run 0 %v", run, stops, first)
+		}
+	}
+}
+
+// TestPodTeardownsOverlap deletes two running pods in one instant. Each pod's
+// worker tears its own pod down, so both containers stop one Stop delay after
+// the kubelet hears of the deletes, neither waiting for the other.
+func TestPodTeardownsOverlap(t *testing.T) {
+	rg := newRig(t, nil)
+	api := rg.kc.API()
+	rg.k.Go("deploy", func(p *sim.Proc) {
+		for _, domain := range []string{"a.example.com", "b.example.com"} {
+			a := annotated(t, domain)
+			if err := rg.kc.Pull(p, a); err != nil {
+				t.Errorf("pull: %v", err)
+			}
+			rg.kc.Create(p, a)
+			if _, err := rg.kc.ScaleUp(p, a.UniqueName); err != nil {
+				t.Errorf("scale-up: %v", err)
+			}
+		}
+	})
+	rg.k.RunUntil(time.Minute)
+	pods := api.Pods.List(nil)
+	ctrs := rg.rt.List(nil)
+	if len(pods) != 2 || len(ctrs) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodRunning {
+		t.Fatalf("pods %+v, containers %v: want two running pods of one container each", pods, ctrs)
+	}
+	stopped := rg.k.Now() + api.t.watch + rg.rt.Delays().Stop
+	for _, pod := range pods {
+		api.Pods.Delete(nil, pod.Name)
+	}
+	for _, want := range []container.State{container.StateRunning, container.StateStopped} {
+		at := stopped
+		if want == container.StateRunning {
+			at--
+		}
+		rg.k.RunUntil(at)
+		for _, ctr := range ctrs {
+			if ctr.State() != want {
+				t.Errorf("at %v: %s is %v, want %v", at, ctr.Name(), ctr.State(), want)
+			}
 		}
 	}
 }

@@ -9,21 +9,16 @@ import (
 )
 
 // kubelet drives the container runtime of one node from the API server's
-// pod objects.
+// pod objects: a relay on the pod watch starts a worker for each pod bound to
+// the node and forgets deleted ones, and the kubelet itself is the periodic
+// resync, a continuation whose steps pay the API request latency.
 type kubelet struct {
+	sim.Cont[kubelet]
 	api       *APIServer
 	nodeName  string
 	rt        *container.Runtime
 	behaviors cluster.BehaviorSource
-	pods      map[string]*podRuntime
-}
-
-type podRuntime struct {
-	containers []*container.Container
-	starting   bool
-	// deleted marks that the pod was removed while its startup worker was
-	// still running; the worker cleans up whatever it started afterwards.
-	deleted bool
+	pods      map[string]*podWorker
 }
 
 // RunKubelet starts a kubelet for nodeName on the given runtime.
@@ -33,124 +28,178 @@ func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behavior
 		nodeName:  nodeName,
 		rt:        rt,
 		behaviors: behaviors,
-		pods:      make(map[string]*podRuntime),
+		pods:      make(map[string]*podWorker),
 	}
-	w := api.Watch(KindPod)
-	k := api.k
-	k.Go("kubelet:"+nodeName+":watch", func(p *sim.Proc) {
-		for {
-			ev, ok := w.Recv(p)
-			if !ok {
-				return
-			}
-			kl.handleEvent(p, ev)
-		}
-	})
-	k.Go("kubelet:"+nodeName+":sync", func(p *sim.Proc) {
-		for {
-			p.Sleep(api.t.sync)
-			kl.resync(p)
-		}
-	})
+	api.relay(KindPod, kl.handle)
+	kl.Init(api.k, kl, api.t.request)
+	kl.Sleep(0, resyncWait) // where Kernel.Go started the sync loop
 }
 
-func (kl *kubelet) handleEvent(p *sim.Proc, ev Event) {
-	switch ev.Type {
-	case Deleted:
-		pod, _ := ev.Object.(*Pod)
-		if pod != nil && pod.NodeName == kl.nodeName {
-			kl.teardown(p, ev.Name)
-		}
-	case Added, Modified:
-		pod, _ := ev.Object.(*Pod)
-		if pod == nil || pod.NodeName != kl.nodeName {
-			return
-		}
+func (kl *kubelet) handle(ev Event) {
+	pod, _ := ev.Object.(*Pod)
+	if pod == nil || pod.NodeName != kl.nodeName {
+		return
+	}
+	if ev.Type == Deleted {
+		kl.forget(ev.Name)
+	} else {
 		kl.maybeStart(pod)
 	}
 }
 
-func (kl *kubelet) resync(p *sim.Proc) {
-	// Start pods we missed; tear down containers whose pod is gone.
-	for _, pod := range kl.api.ListPodsByNode(p, kl.nodeName) {
+func resyncWait(kl *kubelet) sim.Step[kubelet] {
+	kl.Sleep(kl.api.t.sync, func(*kubelet) sim.Step[kubelet] { return resync })
+	return nil
+}
+
+// resync lists the node's pods, starts the ones the watch missed and forgets,
+// by name, the ones that are gone.
+func resync(kl *kubelet) sim.Step[kubelet] {
+	for _, pod := range kl.api.ListPodsByNode(nil, kl.nodeName) {
 		if pod.Phase == PodPending {
 			kl.maybeStart(pod)
 		}
 	}
-	// Each teardown sleeps, so the order is the stop order: by name, not by
-	// map iteration.
 	var gone []string
-	for name, pr := range kl.pods {
-		if pod := kl.api.Pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !pr.starting {
+	for name, w := range kl.pods {
+		if pod := kl.api.Pods.byName[name]; (pod == nil || pod.NodeName != kl.nodeName) && !w.starting {
 			gone = append(gone, name)
 		}
 	}
 	sort.Strings(gone)
 	for _, name := range gone {
-		kl.teardown(p, name)
+		kl.forget(name)
 	}
+	return resyncWait(kl)
 }
 
-// maybeStart launches a startup worker for the pod unless one ran already.
+// podWorker is one pod's worker, as in the real kubelet: a continuation that
+// starts the pod's containers and, once the pod is gone, stops and removes
+// them. Its steps pay the API request latency; the container operations pay
+// the runtime's delays.
+type podWorker struct {
+	sim.Cont[podWorker]
+	kl         *kubelet
+	pod        *Pod
+	containers []*container.Container
+	starting   bool
+	deleted    bool // the pod is gone: tear it down once start-up ends
+	i          int  // the container spec to pull or start next
+}
+
+// maybeStart starts a worker for the pod unless it has one.
 func (kl *kubelet) maybeStart(pod *Pod) {
 	if _, tracked := kl.pods[pod.Name]; tracked {
 		return
 	}
-	pr := &podRuntime{starting: true}
-	kl.pods[pod.Name] = pr
-	kl.api.k.Go("kubelet:"+kl.nodeName+":start:"+pod.Name, func(p *sim.Proc) {
-		kl.startPod(p, pod, pr)
+	w := &podWorker{kl: kl, pod: pod, starting: true}
+	kl.pods[pod.Name] = w
+	w.Init(kl.api.k, w, kl.api.t.request)
+	w.Sleep(0, func(w *podWorker) sim.Step[podWorker] { // where Kernel.Go started a process
+		w.Sleep(w.kl.api.t.process, podPull)
+		return nil
 	})
 }
 
-func (kl *kubelet) startPod(p *sim.Proc, pod *Pod, pr *podRuntime) {
-	defer func() {
-		pr.starting = false
-		if pr.deleted {
-			// The pod was deleted while we were starting it: undo.
-			kl.teardownRuntime(p, pr)
-		}
-	}()
-	p.Sleep(kl.api.t.process)
-	// Image pull policy IfNotPresent: the Pull phase normally ran already,
-	// but the kubelet remains correct without it.
-	for _, cs := range pod.Spec.Containers {
-		if !kl.rt.HasImage(cs.Image) {
-			if err := kl.rt.PullImage(p, cs.Image); err != nil {
-				delete(kl.pods, pod.Name)
-				return
-			}
-		}
-	}
-	p.Sleep(kl.api.t.sandbox)
-	for _, cs := range pod.Spec.Containers {
-		if pr.deleted {
-			return
-		}
-		ctr, err := kl.rt.Create(p, cluster.ContainerConfig(kl.behaviors, cs, pod.Name+"."+cs.Name, pod.Labels))
-		if err != nil {
-			continue
-		}
-		hostPort := 0
-		if cs.ContainerPort > 0 {
-			hostPort = kl.api.NodePortFor(pod, cs.ContainerPort)
-		}
-		if err := ctr.Start(p, hostPort); err == nil {
-			pr.containers = append(pr.containers, ctr)
-		}
-	}
-	// The pod may have been deleted while we were starting it (the watch
-	// event then marked pr.deleted; the deferred cleanup handles it).
-	latest, err := kl.api.Pods.Get(p, pod.Name)
-	if err != nil {
-		pr.deleted = true
-		delete(kl.pods, pod.Name)
+// forget drops a deleted pod; its worker tears it down now, or once its
+// start-up ends.
+func (kl *kubelet) forget(podName string) {
+	w, ok := kl.pods[podName]
+	if !ok {
 		return
 	}
-	latest = latest.clone()
-	latest.Phase = PodRunning
-	latest.HostPort = kl.api.NodePortFor(latest, firstContainerPort(latest.Spec))
-	kl.api.Pods.Update(p, latest)
+	delete(kl.pods, podName)
+	w.deleted = true
+	if !w.starting {
+		podTeardown(w)
+	}
+}
+
+// podPull pulls the pod's missing images one after another (pull policy
+// IfNotPresent: the Pull phase normally ran already, but the kubelet remains
+// correct without it), then sets up the sandbox.
+func podPull(w *podWorker) sim.Step[podWorker] {
+	for ; w.i < len(w.pod.Spec.Containers); w.i++ {
+		if img := w.pod.Spec.Containers[w.i].Image; !w.kl.rt.HasImage(img) {
+			w.kl.rt.Images().PullAsync(img, w.pulled)
+			return nil
+		}
+	}
+	w.i = 0
+	w.Sleep(w.kl.api.t.sandbox, podCreate)
+	return nil
+}
+
+// pulled goes on one zero-delay event after the pull, where a process
+// waiting for it woke. A failed pull ends the start-up and leaves the pod to
+// the next event or resync.
+func (w *podWorker) pulled(err error) {
+	w.Sleep(0, func(w *podWorker) sim.Step[podWorker] {
+		if err != nil {
+			delete(w.kl.pods, w.pod.Name)
+			return w.started()
+		}
+		w.i++
+		return podPull(w)
+	})
+}
+
+// podCreate creates and starts the pod's next container, or reads the pod
+// back once all are started; a pod deleted meanwhile ends the start-up.
+func podCreate(w *podWorker) sim.Step[podWorker] {
+	if w.i == len(w.pod.Spec.Containers) {
+		return podGet
+	}
+	if w.deleted {
+		return w.started()
+	}
+	w.Sleep(w.kl.rt.Delays().Create, podCreated)
+	return nil
+}
+
+// podCreated starts the container just created on the NodePort of the
+// Service targeting its port, if any.
+func podCreated(w *podWorker) sim.Step[podWorker] {
+	kl, cs := w.kl, w.pod.Spec.Containers[w.i]
+	w.i++
+	ctr, err := kl.rt.Create(cluster.ContainerConfig(kl.behaviors, cs, w.pod.Name+"."+cs.Name, w.pod.Labels))
+	if err != nil {
+		return podCreate(w)
+	}
+	w.containers = append(w.containers, ctr)
+	port := kl.api.NodePortFor(w.pod, cs.ContainerPort)
+	w.Sleep(kl.rt.Delays().Start, func(w *podWorker) sim.Step[podWorker] {
+		w.containers[len(w.containers)-1].Start(port)
+		return podCreate(w)
+	})
+	return nil
+}
+
+// podGet reads the pod back: one deleted while it started is torn down, a
+// live one is marked Running with its NodePort.
+func podGet(w *podWorker) sim.Step[podWorker] {
+	latest, err := w.kl.api.Pods.Get(nil, w.pod.Name)
+	if err != nil {
+		w.deleted = true
+		delete(w.kl.pods, w.pod.Name)
+		return w.started()
+	}
+	w.pod = latest.clone()
+	w.pod.Phase = PodRunning
+	w.pod.HostPort = w.kl.api.NodePortFor(w.pod, firstContainerPort(w.pod.Spec))
+	return func(w *podWorker) sim.Step[podWorker] {
+		w.kl.api.Pods.Update(nil, w.pod)
+		return w.started()
+	}
+}
+
+// started ends the start-up; a pod deleted meanwhile is torn down now.
+func (w *podWorker) started() sim.Step[podWorker] {
+	w.starting = false
+	if w.deleted {
+		return podTeardown(w)
+	}
+	return nil
 }
 
 func firstContainerPort(t PodTemplate) int {
@@ -162,29 +211,22 @@ func firstContainerPort(t PodTemplate) int {
 	return 0
 }
 
-func (kl *kubelet) teardown(p *sim.Proc, podName string) {
-	pr, ok := kl.pods[podName]
-	if !ok {
-		return
+// podTeardown stops and removes the pod's containers, one after another.
+func podTeardown(w *podWorker) sim.Step[podWorker] {
+	if len(w.containers) == 0 {
+		return nil
 	}
-	delete(kl.pods, podName)
-	pr.deleted = true
-	if pr.starting {
-		// The startup worker is still running; it cleans up what it
-		// started once it finishes (deferred teardownRuntime).
-		return
+	if w.containers[0].State() == container.StateRunning {
+		w.Sleep(w.kl.rt.Delays().Stop, func(w *podWorker) sim.Step[podWorker] {
+			w.containers[0].Stop()
+			return podTeardown(w)
+		})
+	} else {
+		w.Sleep(w.kl.rt.Delays().Remove, func(w *podWorker) sim.Step[podWorker] {
+			w.containers[0].Remove()
+			w.containers = w.containers[1:]
+			return podTeardown(w)
+		})
 	}
-	kl.teardownRuntime(p, pr)
-}
-
-func (kl *kubelet) teardownRuntime(p *sim.Proc, pr *podRuntime) {
-	for _, ctr := range pr.containers {
-		if ctr.State() == container.StateRunning {
-			ctr.Stop(p)
-		}
-		if ctr.State() != container.StateRemoved {
-			ctr.Remove(p)
-		}
-	}
-	pr.containers = nil
+	return nil
 }

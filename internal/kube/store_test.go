@@ -379,7 +379,10 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			kc.Create(p, a)
 			// A second Service, lower by name, selecting the same pods.
 			kc.API().Services.Create(p, &Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
-			kc.setReplicas(p, a.UniqueName, 2)
+			d, _ := kc.API().Deployments.Get(p, a.UniqueName)
+			d = d.clone()
+			d.Replicas = 2
+			kc.API().Deployments.Update(p, d)
 			for runningPods(kc, a.UniqueName) < 1 {
 				p.Sleep(200 * time.Millisecond)
 			}

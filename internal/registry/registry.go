@@ -256,84 +256,112 @@ func (c *Client) RemoveImage(ref string) {
 	}
 }
 
-// Pull fetches ref: manifest, missing layers (bounded concurrency), unpack.
-// It blocks the calling process for the full pull duration and is safe to
-// call concurrently from many processes (downloads contend on the links).
+// Pull is PullAsync for a caller that is a sim process: it blocks p until the
+// pull is done.
 func (c *Client) Pull(p *sim.Proc, ref string) error {
+	pr := sim.NewPromise[struct{}](c.host.Network().K)
+	c.PullAsync(ref, pr.Fail) // Fail(nil) resolves
+	_, err := pr.Await(p)
+	return err
+}
+
+// PullAsync fetches ref — the manifest, then the missing layers over
+// t.downloads slots, each downloading and unpacking one layer at a time — and
+// calls done in the event that ends the pull, or at once when no registry
+// serves ref. Concurrent pulls contend on the links. The zero-delay hops
+// (Defer) keep each step where a pull's processes ran it, so a pull costs
+// the events it did: the caller woke one hop after the manifest, each
+// download worker started one hop after that, and a worker woke one hop after
+// its blob.
+func (c *Client) PullAsync(ref string, done func(error)) {
 	addr, err := c.resolver.Resolve(ref)
 	if err != nil {
-		return err
+		done(err)
+		return
 	}
-	res, err := c.host.HTTPGet(p, addr, Port, &simnet.HTTPRequest{
-		Method: "GET",
-		Path:   "/v2/manifests/" + ref,
-		Size:   1 * simnet.KiB,
-	}, c.t.timeout)
-	if err != nil {
-		return fmt.Errorf("registry: manifest %s: %w", ref, err)
-	}
-	if res.Resp.Status != 200 {
-		return fmt.Errorf("%w: %q", ErrUnknownImage, ref)
-	}
-	man := res.Resp.Body.(*Manifest)
+	req := &simnet.HTTPRequest{Method: "GET", Path: "/v2/manifests/" + ref, Size: 1 * simnet.KiB}
+	c.host.HTTPGetAsync(addr, Port, req, c.t.timeout, func(res *simnet.HTTPResult, err error) {
+		switch {
+		case err != nil:
+			done(fmt.Errorf("registry: manifest %s: %w", ref, err))
+		case res.Resp.Status != 200:
+			done(fmt.Errorf("%w: %q", ErrUnknownImage, ref))
+		default:
+			pl := &pull{c: c, addr: addr, ref: ref, man: res.Resp.Body.(*Manifest), open: c.t.downloads, done: done}
+			c.host.Network().K.Defer(pl.start)
+		}
+	})
+}
 
-	var missing []Layer
-	for _, l := range man.Layers {
-		if !c.layers[l.Digest] {
-			missing = append(missing, l)
+// pull is one PullAsync past its manifest: the missing layers, which its
+// download slots take in order.
+type pull struct {
+	c       *Client
+	addr    simnet.Addr
+	ref     string
+	man     *Manifest
+	missing []Layer
+	open    int // slots still running
+	err     error
+	done    func(error)
+}
+
+// start starts the slots on the layers missing now.
+func (pl *pull) start() {
+	for _, l := range pl.man.Layers {
+		if !pl.c.layers[l.Digest] {
+			pl.missing = append(pl.missing, l)
 		}
 	}
+	k, take := pl.c.host.Network().K, pl.take
+	for range pl.open {
+		k.Defer(take)
+	}
+}
 
-	// Download missing layers with bounded concurrency.
-	k := c.host.Network().K
-	wg := sim.NewWaitGroup(k)
-	var firstErr error
-	slots := c.t.downloads
-	queue := sim.NewChan[Layer](k)
-	for _, l := range missing {
-		queue.Send(l)
+// take has a slot download the next missing layer and unpack it (serialized
+// per slot), then take the next; a slot with none left, or whose download
+// failed, closes.
+func (pl *pull) take() {
+	if len(pl.missing) == 0 {
+		pl.close(nil)
+		return
 	}
-	queue.Close()
-	wg.Add(slots)
-	for i := 0; i < slots; i++ {
-		k.Go(fmt.Sprintf("pull:%s:worker%d", ref, i), func(wp *sim.Proc) {
-			defer wg.Done()
-			for {
-				l, ok := queue.Recv(wp)
-				if !ok {
-					return
-				}
-				r, err := c.host.HTTPGet(wp, addr, Port, &simnet.HTTPRequest{
-					Method: "GET",
-					Path:   "/v2/blobs/" + l.Digest,
-					Size:   512,
-				}, c.t.timeout)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if r.Resp.Status != 200 {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%w: %s", ErrUnknownBlob, l.Digest)
-					}
-					return
-				}
-				// Verify + unpack locally (serialized per worker).
-				unpack := c.t.unpackPerLayer
-				if c.t.unpackRate > 0 {
-					unpack += time.Duration(float64(l.Size*8) / float64(c.t.unpackRate) * float64(time.Second))
-				}
-				wp.Sleep(unpack)
-				c.layers[l.Digest] = true
+	l, t, k := pl.missing[0], pl.c.t, pl.c.host.Network().K
+	pl.missing = pl.missing[1:]
+	req := &simnet.HTTPRequest{Method: "GET", Path: "/v2/blobs/" + l.Digest, Size: 512}
+	pl.c.host.HTTPGetAsync(pl.addr, Port, req, t.timeout, func(res *simnet.HTTPResult, err error) {
+		if err == nil && res.Resp.Status != 200 {
+			err = fmt.Errorf("%w: %s", ErrUnknownBlob, l.Digest)
+		}
+		k.Defer(func() {
+			if err != nil {
+				pl.close(err)
+				return
 			}
+			unpack := t.unpackPerLayer
+			if t.unpackRate > 0 {
+				unpack += time.Duration(float64(l.Size*8) / float64(t.unpackRate) * float64(time.Second))
+			}
+			k.AfterFree(unpack, func() {
+				pl.c.layers[l.Digest] = true
+				pl.take()
+			})
 		})
+	})
+}
+
+// close ends one slot. The last one records the image unless a download
+// failed, and ends the pull with the first error.
+func (pl *pull) close(err error) {
+	if pl.err == nil {
+		pl.err = err
 	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return firstErr
+	if pl.open--; pl.open > 0 {
+		return
 	}
-	c.images[ref] = Image{Ref: man.Ref, Layers: man.Layers}
-	return nil
+	if pl.err == nil {
+		pl.c.images[pl.ref] = Image{Ref: pl.man.Ref, Layers: pl.man.Layers}
+	}
+	pl.done(pl.err)
 }

@@ -2,6 +2,8 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -268,5 +270,81 @@ func TestPullFailsWhenRegistryUnreachable(t *testing.T) {
 	}
 	if took < 2*time.Second || took > 3*time.Second {
 		t.Fatalf("pull failed after %v, want ~RequestTimeout", took)
+	}
+}
+
+// asyncPull is a continuation that pulls one image.
+type asyncPull struct {
+	sim.Cont[asyncPull]
+	c   *Client
+	ref string
+	log *[]string
+}
+
+// TestPullAsyncMatchesPull pulls two images that share a layer, at once, on
+// twin rigs: from processes with Pull on one, from continuations with
+// PullAsync on the other, whose callback goes on one zero-delay event later,
+// as the kubelet's does. Each layer and image is recorded at the same instant
+// and in the same kernel step on both, and each pull ends at the same instant.
+func TestPullAsyncMatchesPull(t *testing.T) {
+	shared := Layer{Digest: "base", Size: 8 * simnet.MiB}
+	images := []Image{
+		{Ref: "a:1", Layers: []Layer{shared, {"a-1", 30 * simnet.MiB}, {"a-2", 2 * simnet.MiB}, {"a-3", 9 * simnet.MiB}, {"a-4", simnet.MiB}}},
+		{Ref: "b:1", Layers: []Layer{{"b-1", 3 * simnet.MiB}, shared, {"b-2", 12 * simnet.MiB}}},
+	}
+	run := func(async bool) []string {
+		rg := newRig(t, simnet.LinkConfig{Latency: 5 * time.Millisecond, Bandwidth: 200 * simnet.Mbps},
+			ServerConfig{ManifestLatency: 10 * time.Millisecond, BlobLatency: 20 * time.Millisecond}, calibrated)
+		defer rg.k.Close()
+		var log []string
+		for _, img := range images {
+			rg.server.Add(img)
+			ref := img.Ref
+			if !async {
+				rg.k.Go("pull", func(p *sim.Proc) {
+					err := rg.client.Pull(p, ref)
+					log = append(log, fmt.Sprintf("%v: %s pulled, %v", p.Now(), ref, err))
+				})
+				continue
+			}
+			a := &asyncPull{c: rg.client, ref: ref, log: &log}
+			a.Init(rg.k, a, 0)
+			a.Sleep(0, func(a *asyncPull) sim.Step[asyncPull] { // where Kernel.Go starts a process
+				a.c.PullAsync(a.ref, func(err error) {
+					a.Sleep(0, func(a *asyncPull) sim.Step[asyncPull] { // where the process woke
+						*a.log = append(*a.log, fmt.Sprintf("%v: %s pulled, %v", a.Now(), a.ref, err))
+						return nil
+					})
+				})
+				return nil
+			})
+		}
+		seen := map[string]bool{}
+		for rg.k.Step() {
+			var got []string
+			for d := range rg.client.layers {
+				if !seen[d] {
+					seen[d] = true
+					got = append(got, "layer "+d)
+				}
+			}
+			for ref := range rg.client.images {
+				if !seen[ref] {
+					seen[ref] = true
+					got = append(got, "image "+ref)
+				}
+			}
+			slices.Sort(got)
+			for _, g := range got {
+				log = append(log, fmt.Sprintf("%v step %d: %s", rg.k.Now(), rg.k.Steps(), g))
+			}
+		}
+		return log
+	}
+	want, got := run(false), run(true)
+	slices.Sort(want)
+	slices.Sort(got)
+	if len(want) != 7+2+2 || !slices.Equal(got, want) { // 7 layers, 2 images, 2 pulls
+		t.Fatalf("PullAsync from continuations:\n%v\nPull from processes:\n%v", got, want)
 	}
 }

@@ -57,12 +57,12 @@ func BenchmarkChanPingPong(b *testing.B) {
 	k.Go("a", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			ping.Send(i)
-			pong.Recv(p)
+			recv(pong, p)
 		}
 	})
 	k.Go("b", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			v, _ := ping.Recv(p)
+			v := recv(ping, p)
 			pong.Send(v)
 		}
 	})

@@ -12,8 +12,8 @@ import "time"
 //   - Sleep: in the timer event, as after Proc.Sleep;
 //   - Charge: after the continuation's latency, as after a Sleep of it, or
 //     inline when the latency is 0, as a process pays no zero cost;
-//   - Park: one zero-delay event after the Send that wakes it, as after
-//     Chan.Recv.
+//   - Park: one zero-delay event after the Send that wakes it, where a
+//     process blocked on the channel woke.
 //
 // A step returns the step to Charge next, or nil when it armed a wait itself,
 // handed the activity to a process (Go), or the activity is over; one wait
@@ -68,9 +68,9 @@ func (c *Cont[T]) Sleep(d time.Duration, s Step[T]) {
 // Cancel disarms a pending Sleep or Charge; its step does not run.
 func (c *Cont[T]) Cancel() { c.ev.Cancel() }
 
-// Park parks c on ch, which the caller found empty and which is open: s runs
-// one zero-delay event after the Send or Close that wakes it, takes the item
-// itself (TryRecv), and what it returns is charged.
+// Park parks c on ch, which the caller found empty: s runs one zero-delay
+// event after the Send that wakes it, takes the item itself (TryRecv), and
+// what it returns is charged.
 func (c *Cont[T]) Park(ch Inbox, s Step[T]) {
 	c.next = s
 	ch.park(c.ev.fn)

@@ -95,7 +95,7 @@ func (w *scriptWorld) runProc(latency time.Duration) {
 				w.k.After(op.d, func() {}).Cancel()
 				p.Sleep(op.d2)
 			case opRecv:
-				w.ch.Recv(p)
+				recv(w.ch, p)
 			}
 			w.mark("script", i)
 		}

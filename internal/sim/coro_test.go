@@ -91,7 +91,7 @@ func TestKernelCloseUnwindsParkedProcs(t *testing.T) {
 		})
 	}
 	never := NewChan[int](k)
-	park("chan", func(p *Proc) { never.Recv(p) })
+	park("chan", func(p *Proc) { recv(never, p) })
 	park("sleep", func(p *Proc) { p.Sleep(time.Hour) })
 	park("promise", func(p *Proc) { NewPromise[int](k).Await(p) })
 	park("broadcast", func(p *Proc) { (&broadcast{k: k}).wait(p) })
@@ -129,7 +129,7 @@ func TestShardGroupCloseLeavesNoGoroutine(t *testing.T) {
 			})
 			k.Go("parked", func(p *Proc) {
 				p.Sleep(time.Millisecond)
-				never.Recv(p)
+				recv(never, p)
 			})
 		}
 	}

@@ -7,8 +7,24 @@ import (
 	"transparentedge/internal/sim"
 )
 
-// Two processes coordinate through a channel entirely in virtual time: the
-// five-second scenario executes instantly and deterministically.
+// worker drains a job channel as a continuation: parked on the channel, it
+// runs one zero-delay event after each Send.
+type worker struct {
+	sim.Cont[worker]
+	jobs *sim.Chan[string]
+}
+
+func work(w *worker) sim.Step[worker] {
+	for job, ok := w.jobs.TryRecv(); ok; job, ok = w.jobs.TryRecv() {
+		fmt.Printf("%v: %s\n", w.Now(), job)
+	}
+	w.Park(w.jobs, work)
+	return nil
+}
+
+// A process and a continuation coordinate through a channel entirely in
+// virtual time: the three-second scenario executes instantly and
+// deterministically.
 func Example() {
 	k := sim.New(42)
 	jobs := sim.NewChan[string](k)
@@ -18,17 +34,10 @@ func Example() {
 			p.Sleep(time.Second)
 			jobs.Send(job)
 		}
-		jobs.Close()
 	})
-	k.Go("worker", func(p *sim.Proc) {
-		for {
-			job, ok := jobs.Recv(p)
-			if !ok {
-				return
-			}
-			fmt.Printf("%v: %s\n", p.Now(), job)
-		}
-	})
+	w := &worker{jobs: jobs}
+	w.Init(k, w, 0)
+	w.Park(jobs, work)
 	k.Run()
 	// Output:
 	// 1s: pull

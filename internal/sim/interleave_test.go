@@ -8,7 +8,7 @@ import (
 
 // procProgram is a seeded random process program on one kernel: procs that
 // sleep, pass values over Chans, await Promises, wait on a broadcast and on
-// WaitGroups, and spawn children, with every step folded into one FNV-1a hash
+// wait groups, and spawn children, with every step folded into one FNV-1a hash
 // of (now, proc, step). The random source is drawn from inside the procs, so
 // any change in the order two procs run — the thing a new hand-off mechanism
 // could get wrong — changes every later draw and the hash with it.
@@ -60,6 +60,41 @@ func (b *broadcast) fire() {
 	}
 }
 
+// recv blocks p until c holds an item and takes it; p wakes one zero-delay
+// event after the Send. The pinned interleavings were recorded with processes
+// receiving this way.
+func recv[T any](c *Chan[T], p *Proc) T {
+	for c.Len() == 0 {
+		c.park(p.wakeFn)
+		p.yield()
+	}
+	return c.pop()
+}
+
+// waitGroup counts outstanding work items; wait parks a process until none
+// is left, which wakes it one zero-delay event after the last done.
+type waitGroup struct {
+	k       *Kernel
+	n       int
+	waiters []*Proc
+}
+
+func (wg *waitGroup) done() {
+	if wg.n--; wg.n == 0 {
+		for _, w := range wg.waiters {
+			wg.k.Defer(w.wakeFn)
+		}
+		wg.waiters = nil
+	}
+}
+
+func (wg *waitGroup) wait(p *Proc) {
+	for wg.n > 0 {
+		wg.waiters = append(wg.waiters, p)
+		p.yield()
+	}
+}
+
 func (pp *procProgram) log(proc, step int) {
 	for _, v := range [3]uint64{uint64(pp.k.Now()), uint64(proc), uint64(step)} {
 		for i := 0; i < 8; i++ {
@@ -107,8 +142,7 @@ func (pp *procProgram) step(p *Proc, id, depth int) {
 		if pp.r.Intn(4) != 0 { // otherwise it may park for good
 			k.AfterFree(pp.pause(), func() { c.Send(-id) })
 		}
-		v, _ := c.Recv(p)
-		pp.log(id, 1000+v)
+		pp.log(id, 1000+recv(c, p))
 	case 3:
 		pr, d := NewPromise[int](k), pp.pause()
 		if pp.r.Intn(2) == 0 {
@@ -123,16 +157,15 @@ func (pp *procProgram) step(p *Proc, id, depth int) {
 	case 4:
 		pp.sig.wait(p)
 	case 5:
-		wg, n := NewWaitGroup(k), 1+pp.r.Intn(3)
-		wg.Add(n)
-		for i := 0; i < n; i++ {
+		wg := &waitGroup{k: k, n: 1 + pp.r.Intn(3)}
+		for i := 0; i < wg.n; i++ {
 			d := pp.pause()
 			pp.spawn("worker", func(q *Proc, _ int) {
 				q.Sleep(d)
-				wg.Done()
+				wg.done()
 			})
 		}
-		wg.Wait(p)
+		wg.wait(p)
 	case 6:
 		if depth < 2 {
 			pp.spawnWalker(depth + 1)

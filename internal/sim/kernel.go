@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation (DES)
-// kernel with a virtual clock, cancellable events, coroutine-based
-// processes, and synchronization primitives (channels, promises, wait
-// groups) that block in virtual time.
+// kernel with a virtual clock, cancellable events, continuations,
+// coroutine-based processes, and the channels and promises they wait on in
+// virtual time.
 //
 // All experiment latencies in this repository are composed on the sim
 // virtual clock, which makes runs deterministic (given a seed) and lets

@@ -8,11 +8,11 @@ import (
 )
 
 // Proc is a simulation process: a body running on a coroutine (iter.Pull)
-// whose blocking operations (Sleep, channel receives, promise awaits) suspend
-// it in virtual time. Only one process (or event callback) executes at a time:
-// the kernel switches into the coroutine and the coroutine switches back, with
-// no run queue and no second thread involved, so execution remains
-// deterministic and a hand-off costs no scheduler wake-up.
+// whose blocking operations (Sleep, promise awaits) suspend it in virtual
+// time. Only one process (or event callback) executes at a time: the kernel
+// switches into the coroutine and the coroutine switches back, with no run
+// queue and no second thread involved, so execution remains deterministic and
+// a hand-off costs no scheduler wake-up.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -20,8 +20,8 @@ type Proc struct {
 	dead bool
 	body procBody // until the start event hands it to a coroutine
 	// wakeFn is the wake thunk, allocated once per process so the start event
-	// and the hot wake paths (Sleep, Chan, Promise, WaitGroup) can schedule it
-	// without a fresh closure each.
+	// and the hot wake paths (Sleep, Promise) can schedule it without a fresh
+	// closure each.
 	wakeFn func()
 }
 
@@ -276,21 +276,19 @@ func (pr *Promise[T]) OnDone(fn func(T, error)) {
 	pr.callback = append(pr.callback, fn)
 }
 
-// Chan is an unbounded FIFO message queue whose Recv blocks the receiving
-// process in virtual time, and on which a continuation parks (Cont.Park).
-// Sends never block (infinite buffer), which is the common need in protocol
-// simulations; use TryRecv for polling.
+// Chan is an unbounded FIFO message queue on which a continuation parks
+// (Cont.Park) and takes items with TryRecv. Sends never block (infinite
+// buffer), which is the common need in protocol simulations.
 // The buffer and waiter queues are head-indexed rings rather than
 // reslice-on-pop ([1:]) windows: popping resets to the slice start once
-// drained, so steady-state Send/Recv traffic reuses capacity instead of
+// drained, so steady-state Send/TryRecv traffic reuses capacity instead of
 // allocating a fresh backing array per round trip.
 type Chan[T any] struct {
 	k       *Kernel
 	buf     []T
 	head    int
-	waiters []func() // wake thunks of parked processes and continuations
+	waiters []func() // wake thunks of parked continuations
 	whead   int
-	closed  bool
 }
 
 // NewChan returns an empty queue bound to kernel k.
@@ -301,25 +299,8 @@ func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
 // Send enqueues v and wakes one waiting receiver (if any).
 func (c *Chan[T]) Send(v T) {
-	if c.closed {
-		panic("sim: send on closed Chan")
-	}
 	c.buf = append(c.buf, v)
 	c.wakeOne()
-}
-
-// Close marks the channel closed. Blocked and future receivers get ok=false
-// once the buffer drains.
-func (c *Chan[T]) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, w := range c.waiters[c.whead:] {
-		c.k.Defer(w)
-	}
-	c.waiters = nil
-	c.whead = 0
 }
 
 func (c *Chan[T]) wakeOne() {
@@ -336,14 +317,14 @@ func (c *Chan[T]) wakeOne() {
 	c.k.Defer(w)
 }
 
-// park queues wake to run, one zero-delay event later, on the next Send or
-// Close. The channel must be empty and open. Several continuations parked on
-// one channel (a work queue's workers) seldom all wake at once, so the queue
-// would rarely drain back to its start: a full queue slides its live
-// waiters down before it grows.
+// park queues wake to run, one zero-delay event later, on the next Send. The
+// channel must be empty. Several continuations parked on one channel (a work
+// queue's workers) seldom all wake at once, so the queue would rarely drain
+// back to its start: a full queue slides its live waiters down before it
+// grows.
 func (c *Chan[T]) park(wake func()) {
-	if c.Len() > 0 || c.closed {
-		panic("sim: parking on a non-empty or closed Chan")
+	if c.Len() > 0 {
+		panic("sim: parking on a non-empty Chan")
 	}
 	if c.whead > 0 && len(c.waiters) == cap(c.waiters) {
 		n := copy(c.waiters, c.waiters[c.whead:])
@@ -365,22 +346,6 @@ func (c *Chan[T]) pop() T {
 	return v
 }
 
-// Recv blocks until an item is available (or the channel is closed and
-// drained) and returns it.
-func (c *Chan[T]) Recv(p *Proc) (T, bool) {
-	for {
-		if c.Len() > 0 {
-			return c.pop(), true
-		}
-		if c.closed {
-			var zero T
-			return zero, false
-		}
-		c.park(p.wakeFn)
-		p.yield()
-	}
-}
-
 // TryRecv returns an item without blocking; ok is false if none buffered.
 func (c *Chan[T]) TryRecv() (T, bool) {
 	if c.Len() == 0 {
@@ -388,40 +353,4 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 		return zero, false
 	}
 	return c.pop(), true
-}
-
-// WaitGroup counts outstanding work items in virtual time.
-type WaitGroup struct {
-	k       *Kernel
-	n       int
-	waiters []*Proc
-}
-
-// NewWaitGroup returns a wait group bound to kernel k.
-func NewWaitGroup(k *Kernel) *WaitGroup { return &WaitGroup{k: k} }
-
-// Add increments the counter by delta. A negative result panics.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		ws := wg.waiters
-		wg.waiters = nil
-		for _, w := range ws {
-			wg.k.Defer(w.wakeFn)
-		}
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks the process until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.n > 0 {
-		wg.waiters = append(wg.waiters, p)
-		p.yield()
-	}
 }

@@ -130,12 +130,8 @@ func TestChanSendRecv(t *testing.T) {
 	c := NewChan[int](k)
 	var got []int
 	k.Go("rx", func(p *Proc) {
-		for {
-			v, ok := c.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
+		for i := 0; i < 3; i++ {
+			got = append(got, recv(c, p))
 		}
 	})
 	k.Go("tx", func(p *Proc) {
@@ -143,7 +139,6 @@ func TestChanSendRecv(t *testing.T) {
 			c.Send(i)
 			p.Sleep(time.Millisecond)
 		}
-		c.Close()
 	})
 	k.Run()
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
@@ -156,7 +151,7 @@ func TestChanRecvBlocksInVirtualTime(t *testing.T) {
 	c := NewChan[int](k)
 	var at Time
 	k.Go("rx", func(p *Proc) {
-		c.Recv(p)
+		recv(c, p)
 		at = p.Now()
 	})
 	k.After(3*time.Second, func() { c.Send(9) })
@@ -179,57 +174,6 @@ func TestChanTryRecv(t *testing.T) {
 	}
 }
 
-func TestChanCloseWakesReceivers(t *testing.T) {
-	k := New(1)
-	c := NewChan[int](k)
-	closedSeen := false
-	k.Go("rx", func(p *Proc) {
-		_, ok := c.Recv(p)
-		closedSeen = !ok
-	})
-	k.After(time.Millisecond, func() { c.Close() })
-	k.Run()
-	if !closedSeen {
-		t.Fatal("receiver not woken by Close")
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := New(1)
-	wg := NewWaitGroup(k)
-	wg.Add(3)
-	var doneAt Time
-	k.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		k.Go("worker", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Second)
-			wg.Done()
-		})
-	}
-	k.Run()
-	if doneAt != 3*time.Second {
-		t.Fatalf("waiter finished at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	k := New(1)
-	wg := NewWaitGroup(k)
-	ran := false
-	k.Go("w", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	k.Run()
-	if !ran {
-		t.Fatal("Wait on zero counter blocked")
-	}
-}
-
 func TestProcDeterminism(t *testing.T) {
 	run := func() []string {
 		k := New(99)
@@ -245,7 +189,7 @@ func TestProcDeterminism(t *testing.T) {
 		}
 		k.Go("collector", func(p *Proc) {
 			for i := 0; i < 10; i++ {
-				v, _ := c.Recv(p)
+				v := recv(c, p)
 				log = append(log, v)
 			}
 		})
@@ -276,7 +220,7 @@ func TestManyProcsStress(t *testing.T) {
 	}
 	k.Go("collector", func(p *Proc) {
 		for j := 0; j < n; j++ {
-			c.Recv(p)
+			recv(c, p)
 			done++
 		}
 	})

@@ -59,7 +59,7 @@ func TestKernelStatsProcs(t *testing.T) {
 	})
 	k.Go("returns-at-once", func(*Proc) {})
 	never := NewChan[int](k)
-	k.Go("parked", func(p *Proc) { never.Recv(p) })
+	k.Go("parked", func(p *Proc) { recv(never, p) })
 	if s := k.Stats(); s.ProcStarts != 0 || s.LiveProcs != 0 {
 		t.Fatalf("before Run: %+v, want no process started yet", s)
 	}

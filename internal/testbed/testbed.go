@@ -154,10 +154,11 @@ type Testbed struct {
 	Private *registry.Server
 }
 
-// Close ends the processes the testbed leaves parked (the Kubernetes model's
-// kubelet keeps two, its watch and sync loops), which otherwise pin their
-// goroutines and the whole testbed for the life of the program. Call it when done with a testbed; results, counters and
-// stats stay readable, but the kernel must not run again.
+// Close ends the processes a run left parked (a deployment or a scripted
+// client the run stopped short of; the model's own loops park none), which
+// otherwise pin their goroutines and the whole testbed for the life of the
+// program. Call it when done with a testbed; results, counters and stats stay
+// readable, but the kernel must not run again.
 func (tb *Testbed) Close() { tb.K.Close() }
 
 // Calibrated constants (see package comment).

@@ -1046,3 +1046,46 @@ func BenchmarkRegisterCatalogService(b *testing.B) {
 	b.StopTimer()
 	tb.Close()
 }
+
+// TestMultiPortServiceServedByTargetContainer registers a service whose pod
+// has one to three port containers and whose Service targets the first one's
+// port. On either cluster the first request is answered, and by the target
+// container: only it publishes the port, so killing it closes the port.
+func TestMultiPortServiceServedByTargetContainer(t *testing.T) {
+	for _, kind := range []string{KindDocker, KindKubernetes} {
+		for n := 1; n <= 3; n++ {
+			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
+				var y strings.Builder
+				y.WriteString("apiVersion: apps/v1\nkind: Deployment\nspec:\n  template:\n    spec:\n      containers:\n")
+				for i, port := range []int{80, 8080, 9090}[:n] {
+					fmt.Fprintf(&y, "      - name: web%d\n        image: %s\n        ports:\n        - containerPort: %d\n", i, catalog.ImgNginx, port)
+				}
+				y.WriteString("---\napiVersion: v1\nkind: Service\nspec:\n  ports:\n  - port: 80\n    targetPort: 80\n")
+				tb := New(Options{Seed: 1, EnableDocker: kind == KindDocker, EnableKube: kind == KindKubernetes})
+				defer tb.Close()
+				a, reg, err := tb.RegisterService(y.String(), "multi.example.com")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var res *simnet.HTTPResult
+				tb.K.Go("client", func(p *sim.Proc) { res, err = tb.Request(p, 0, reg, catalog.Nginx, 0) })
+				tb.K.RunUntil(5 * time.Minute)
+				if err != nil || res == nil || res.Resp.Status != 200 {
+					t.Fatalf("request = %+v, %v; want served", res, err)
+				}
+				inst, ok := tb.ClusterByKind(kind).Endpoint(a.UniqueName)
+				if !ok || inst.Addr != tb.EGS.IP() || !tb.EGS.PortOpen(inst.Port) {
+					t.Fatalf("endpoint %+v (%v) is not open on the EGS", inst, ok)
+				}
+				for _, ctr := range tb.Runtime.List(nil) {
+					if strings.HasSuffix(ctr.Name(), ".web0") {
+						ctr.Kill()
+					}
+				}
+				if tb.EGS.PortOpen(inst.Port) {
+					t.Errorf("port %d still open with the target container killed", inst.Port)
+				}
+			})
+		}
+	}
+}

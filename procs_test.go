@@ -1,6 +1,7 @@
 package transparentedge_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,7 +93,7 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 // Kernel.Go, or with Cont.Go, which hands a continuation's activity to a
 // process. It only goes down: DESIGN.md §21 lists what is left and in which
 // order it is to be ported.
-const kernelGoCallSites = 10
+const kernelGoCallSites = 6
 
 // TestKernelGoCallSites is the ratchet on processes: it counts the
 // x.Go(name, body) calls. Nothing else in the module has a two-argument
@@ -108,6 +110,66 @@ func TestKernelGoCallSites(t *testing.T) {
 		t.Errorf("%d Kernel.Go and Cont.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs a row in DESIGN §21",
 			got, kernelGoCallSites)
 	}
+}
+
+// nodeProcTakers are the only functions under the node's packages
+// (internal/container, internal/registry) that take a *sim.Proc: the blocking
+// adapters the clusters' Pull phases call. The node's own work runs on kernel
+// callbacks and continuations.
+var nodeProcTakers = []string{"Client.Pull", "Runtime.PullImage"}
+
+// TestNodeRunsOnKernel is the ratchet on the node layer: no other function or
+// function literal under internal/container or internal/registry takes a
+// *sim.Proc, and nothing under internal/kube starts a process (Kernel.Go or
+// Cont.Go), the kubelet included.
+func TestNodeRunsOnKernel(t *testing.T) {
+	var got []string
+	takesProc := func(ft *ast.FuncType) bool {
+		found := false
+		ast.Inspect(ft.Params, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Proc" {
+				found = true
+			}
+			return true
+		})
+		return found
+	}
+	for _, dir := range []string{"internal/container", "internal/registry"} {
+		nonTestFiles(t, dir, "", func(fset *token.FileSet, f *ast.File) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if takesProc(n.Type) {
+						name := n.Name.Name
+						if n.Recv != nil {
+							recv := n.Recv.List[0].Type
+							if star, ok := recv.(*ast.StarExpr); ok {
+								recv = star.X
+							}
+							if id, ok := recv.(*ast.Ident); ok {
+								name = id.Name + "." + name
+							}
+						}
+						got = append(got, name)
+					}
+				case *ast.FuncLit:
+					if takesProc(n.Type) {
+						got = append(got, fmt.Sprintf("func literal at %s", fset.Position(n.Pos())))
+					}
+				}
+				return true
+			})
+		})
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, nodeProcTakers) {
+		t.Errorf("functions under internal/container and internal/registry taking a *sim.Proc = %v, want only %v: run the node's work on kernel callbacks", got, nodeProcTakers)
+	}
+	nonTestCalls(t, "internal/kube", "", func(pos token.Position, name string, args int) {
+		if name == "Go" && args == 2 {
+			t.Errorf("%s: a process started under internal/kube; run it as a sim.Cont", pos)
+		}
+	})
 }
 
 // newEventCallSites is the number of non-test NewEvent calls outside
@@ -163,7 +225,6 @@ func TestOneContinuationForm(t *testing.T) {
 var httpGetCallers = map[string]int{
 	"examples/mobility/main.go":     3,
 	"internal/experiments/scale.go": 1,
-	"internal/registry/registry.go": 2,
 	"internal/testbed/site.go":      1,
 }
 
