@@ -34,7 +34,9 @@ race:
 # `go test -bench . -run '^$$' ./internal/...` runs the per-layer cost gates
 # (among them BenchmarkFlowTableLookup's forward, reverse and unnamed-source
 # lookups at 0 allocs/op, whose probe sets TestLookupProbesNamedSignatures
-# pins).
+# pins, and BenchmarkKubeletResync, one resync pass over the node's pods at
+# 0 allocs/op, whose reads of the node's pod index TestNodeReadsCopyNothing
+# pins to copy nothing on the next write).
 # The root package's ratchets hold the surfaces, each number only going down:
 # TestKernelGoCallSites, TestNodeRunsOnKernel (the node's packages take no
 # *sim.Proc beyond the two pull adapters, and kube starts no process),

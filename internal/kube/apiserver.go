@@ -38,6 +38,11 @@ type APIServer struct {
 	subs          map[Kind][]func(Event)     // watch subscribers, in subscription order
 	freeDelivery  []*delivery                // recycled watch deliveries
 	nextSuffix    int
+	// podWrites counts the pod writes, each published as one watch event,
+	// and departed, per node, the pods that left it: deleted, or bound
+	// elsewhere. The kubelet compares them with the events it has heard.
+	podWrites int
+	departed  map[string]int
 }
 
 // NewAPIServer creates an empty API server on kernel k.
@@ -49,6 +54,7 @@ func NewAPIServer(k *sim.Kernel) *APIServer {
 		podsByNode:    make(index[string, *Pod]),
 		podsByLabel:   make(index[labelPair, *Pod]),
 		svcBySelector: make(index[labelPair, *Service]),
+		departed:      make(map[string]int),
 		subs:          make(map[Kind][]func(Event)),
 	}
 	a.Deployments = newStore[*Deployment](a, KindDeployment, nil)
@@ -56,8 +62,12 @@ func NewAPIServer(k *sim.Kernel) *APIServer {
 	byOwner := keyed(a.podsByOwner, func(pod *Pod) string { return pod.Owner })
 	byNode := keyed(a.podsByNode, func(pod *Pod) string { return pod.NodeName })
 	a.Pods = newStore(a, KindPod, func(old, cur *Pod) {
+		a.podWrites++
 		byOwner(old, cur)
 		byNode(old, cur)
+		if old != nil && old.NodeName != "" && (cur == nil || cur.NodeName != old.NodeName) {
+			a.departed[old.NodeName]++
+		}
 		a.reindexPodLabels(old, cur)
 	})
 	a.Pods.admit = func(pod *Pod) {
@@ -249,13 +259,6 @@ func (a *APIServer) ListPodsByOwner(p *sim.Proc, owner string) []*Pod {
 	return a.podsByOwner[owner].view()
 }
 
-// ListPodsByNode returns the pods bound to the given node ("" for the
-// unbound ones), sorted by name, as read-only snapshots.
-func (a *APIServer) ListPodsByNode(p *sim.Proc, node string) []*Pod {
-	a.charge(p)
-	return a.podsByNode[node].view()
-}
-
 // servicesSelecting returns the Services whose selector matches labels,
 // sorted by name.
 func (a *APIServer) servicesSelecting(labels map[string]string) []*Service {
@@ -288,4 +291,46 @@ func (a *APIServer) NodePortFor(pod *Pod, containerPort int) int {
 		}
 	}
 	return 0
+}
+
+// nodePortTaken reports whether a Service that gives pod a NodePort (one that
+// selects it and whose targetPort a container of pod declares) already
+// selects a pod bound to node: both would listen on the NodePort, a node
+// resource as a host port is to Kubernetes' NodePorts filter.
+func (a *APIServer) nodePortTaken(pod *Pod, node string) bool {
+	taken := func(key labelPair) bool {
+		for _, s := range a.svcBySelector[key].scan() {
+			if s.NodePort == 0 || !declaresPort(pod.Spec, s.TargetPort) || !MatchLabels(pod.Labels, s.Selector) {
+				continue
+			}
+			selected := a.podsByNode[node].scan()
+			if len(s.Selector) > 0 {
+				selected = a.podsByLabel[selectorKey(s.Selector)].scan()
+			}
+			for _, other := range selected {
+				if other.NodeName == node && declaresPort(other.Spec, s.TargetPort) && MatchLabels(other.Labels, s.Selector) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if taken(labelPair{}) {
+		return true
+	}
+	for k, v := range pod.Labels {
+		if key := (labelPair{k, v}); key != (labelPair{}) && taken(key) {
+			return true
+		}
+	}
+	return false
+}
+
+func declaresPort(t PodTemplate, port int) bool {
+	for _, c := range t.Containers {
+		if c.ContainerPort == port {
+			return true
+		}
+	}
+	return false
 }

@@ -257,9 +257,10 @@ const DefaultSchedulerName = "default-scheduler"
 
 // runScheduler starts a scheduler instance binding pending pods whose
 // schedulerName matches cfg.Name to node. A pod binds if its requests fit in
-// the node's calibrated resources less the requests of the pods bound to it;
-// a pod that does not fit stays Pending and is retried whenever a pod is
-// deleted (capacity may have freed up).
+// the node's calibrated resources less the requests of the pods bound to it,
+// and no pod bound to it holds the NodePort it would listen on; a pod that
+// does not fit stays Pending and is retried whenever a pod is deleted
+// (capacity or the port may have freed up).
 func runScheduler(api *APIServer, cfg SchedulerConfig, node string) *scheduler {
 	s := &scheduler{api: api, cfg: cfg, cycle: api.t.cycle, node: node,
 		inflight: map[string]bool{}, unschedulable: map[string]bool{}, events: api.Watch(KindPod)}
@@ -362,16 +363,17 @@ func bindRead(b *binding) sim.Step[binding] {
 }
 
 // bindFit binds the pod if its requests fit in what the node's bound pods
-// leave free; otherwise it parks the pod until a delete.
+// leave free and its NodePort is free on the node; otherwise it parks the pod
+// until a delete.
 func bindFit(b *binding) sim.Step[binding] {
 	s := b.s
 	cpuFree, memFree := s.api.t.nodeCPU, s.api.t.nodeMem
-	for _, other := range s.api.podsByNode[s.node].view() {
+	for _, other := range s.api.podsByNode[s.node].scan() {
 		cpu, mem := podRequests(other.Spec)
 		cpuFree -= cpu
 		memFree -= mem
 	}
-	if cpu, mem := podRequests(b.pod.Spec); cpu > cpuFree || mem > memFree {
+	if cpu, mem := podRequests(b.pod.Spec); cpu > cpuFree || mem > memFree || s.api.nodePortTaken(b.pod, s.node) {
 		s.unschedulable[b.name] = true
 		return b.end()
 	}

@@ -223,7 +223,8 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 			}
 			needCPU, needMem := podRequests(pod.Spec)
 			cpuFree, memFree := api.t.nodeCPU, api.t.nodeMem
-			for _, other := range api.ListPodsByNode(bp, node) {
+			api.charge(bp)
+			for _, other := range api.podsByNode[node].scan() {
 				cpu, mem := podRequests(other.Spec)
 				cpuFree -= cpu
 				memFree -= mem

@@ -32,6 +32,7 @@ type rig struct {
 	client *simnet.Host
 	kc     *Cluster
 	rt     *container.Runtime
+	srv    *registry.Server
 }
 
 // newRig builds a one-node cluster; mutate, if set, edits it before it
@@ -68,7 +69,7 @@ func newRig(t *testing.T, mutate func(*Cluster)) *rig {
 		mutate(kc)
 	}
 	kc.Start()
-	return &rig{k: k, node: node, client: cli, kc: kc, rt: rt}
+	return &rig{k: k, node: node, client: cli, kc: kc, rt: rt, srv: srv}
 }
 
 // newBareAPIServer returns an API server whose requests, watch deliveries and
@@ -809,7 +810,7 @@ func TestKubeletTearsDownOrphansInNameOrder(t *testing.T) {
 				probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 			}
 			running = rg.rt.List(nil)
-			for _, pod := range rg.kc.API().ListPodsByNode(nil, "egs") {
+			for _, pod := range rg.kc.api.podsByNode["egs"].view() {
 				forget(rg.kc.api, pod.Name)
 			}
 		})
@@ -876,5 +877,126 @@ func TestPodTeardownsOverlap(t *testing.T) {
 				t.Errorf("at %v: %s is %v, want %v", at, ctr.Name(), ctr.State(), want)
 			}
 		}
+	}
+}
+
+// TestResyncForgetsDeleteInFlight deletes a running pod half a watch latency
+// before a resync. The delete is a departure the kubelet has not heard yet,
+// so that resync forgets the pod: its container stops one Stop delay after
+// the resync instant, not after the watch event.
+func TestResyncForgetsDeleteInFlight(t *testing.T) {
+	rg := newRig(t, nil)
+	api := rg.kc.API()
+	rg.k.Go("deploy", func(p *sim.Proc) {
+		a := annotated(t, "web.example.com")
+		if err := rg.kc.Pull(p, a); err != nil {
+			t.Errorf("pull: %v", err)
+		}
+		rg.kc.Create(p, a)
+		if _, err := rg.kc.ScaleUp(p, a.UniqueName); err != nil {
+			t.Errorf("scale-up: %v", err)
+		}
+	})
+	rg.k.RunUntil(time.Minute)
+	pods, ctrs := api.Pods.List(nil), rg.rt.List(nil)
+	if len(pods) != 1 || len(ctrs) != 1 || pods[0].Phase != PodRunning {
+		t.Fatalf("pods %+v, containers %v: want one running pod of one container", pods, ctrs)
+	}
+	// The kubelet starts with the cluster, at 0; each resync sleeps the sync
+	// period and then pays one request.
+	period := api.t.sync + api.t.request
+	resync := (rg.k.Now() + api.t.watch + period - 1) / period * period
+	rg.k.RunUntil(resync - api.t.watch/2)
+	api.Pods.Delete(nil, pods[0].Name)
+	stopped := resync + rg.rt.Delays().Stop
+	rg.k.RunUntil(stopped - 1)
+	if ctrs[0].State() != container.StateRunning {
+		t.Fatalf("at %v: %s is %v, want still running", rg.k.Now(), ctrs[0].Name(), ctrs[0].State())
+	}
+	rg.k.RunUntil(stopped)
+	if ctrs[0].State() != container.StateStopped {
+		t.Errorf("at %v: %s is %v, want stopped one Stop delay after the resync at %v", rg.k.Now(), ctrs[0].Name(), ctrs[0].State(), resync)
+	}
+}
+
+// TestResyncStartsBindInFlight binds a pod to the node half a watch latency
+// before a resync. Its event is still in flight, so that resync starts the
+// pod: its container is created the worker's delays after the resync
+// instant, not after the watch event.
+func TestResyncStartsBindInFlight(t *testing.T) {
+	rg := newRig(t, nil)
+	api := rg.kc.API()
+	a := annotated(t, "web.example.com")
+	rg.k.Go("pull", func(p *sim.Proc) {
+		if err := rg.kc.Pull(p, a); err != nil {
+			t.Errorf("pull: %v", err)
+		}
+	})
+	rg.k.RunUntil(time.Minute)
+	period := api.t.sync + api.t.request // as in TestResyncForgetsDeleteInFlight
+	resync := (rg.k.Now() + api.t.watch + period - 1) / period * period
+	rg.k.RunUntil(resync - api.t.watch/2)
+	api.CreatePod(nil, &Pod{Name: "bound", NodeName: "egs", Spec: PodTemplate{Containers: a.Containers}})
+	created := resync + api.t.process + api.t.sandbox + rg.rt.Delays().Create
+	for _, want := range []int{0, 1} {
+		at := created
+		if want == 0 {
+			at--
+		}
+		rg.k.RunUntil(at)
+		if n := len(rg.rt.List(nil)); n != want {
+			t.Errorf("at %v: %d containers, want %d (the resync at %v starts the pod)", at, n, want, resync)
+		}
+	}
+}
+
+// TestResyncRestartsPodAfterFailedPull: a pod whose image pull fails is left
+// Pending and untracked, and no event will come for it. The resyncs start it
+// again, so it runs once its image is in the registry.
+func TestResyncRestartsPodAfterFailedPull(t *testing.T) {
+	rg := newRig(t, nil)
+	api := rg.kc.API()
+	api.CreatePod(nil, &Pod{Name: "late", NodeName: "egs", Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", Image: "late:1"}}}})
+	rg.k.RunUntil(10 * time.Second)
+	if pod, _ := api.Pods.Get(nil, "late"); pod.Phase != PodPending {
+		t.Fatalf("pod is %s with its image missing, want Pending", pod.Phase)
+	}
+	rg.srv.Add(registry.Image{Ref: "late:1", Layers: []registry.Layer{{Digest: "late-0", Size: simnet.MiB}}})
+	rg.k.RunUntil(20 * time.Second)
+	if pod, _ := api.Pods.Get(nil, "late"); pod.Phase != PodRunning {
+		t.Errorf("pod is %s 10 s after its image was pushed, want Running", pod.Phase)
+	}
+}
+
+// TestSecondPodOfServiceStaysUnschedulable: a Service's pods all listen on
+// its NodePort, so with room for two pods and two replicas one pod runs and
+// the other stays Pending and unbound, where binding it would start a second
+// listener on the port.
+func TestSecondPodOfServiceStaysUnschedulable(t *testing.T) {
+	rg := newRig(t, func(c *Cluster) { c.api.t.nodeCPU, c.api.t.nodeMem = 8000, 16<<30 })
+	def, err := spec.Parse(resourceYAML) // requests 4 cores / 8 GiB: half the node
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := spec.Annotate(def, spec.Registration{Domain: "web.example.com", VIP: "203.0.113.10", Port: 80}, spec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := rg.kc.API()
+	rg.k.Go("driver", func(p *sim.Proc) {
+		rg.kc.Pull(p, a)
+		rg.kc.Create(p, a)
+		d, _ := api.Deployments.Get(p, a.UniqueName)
+		d = d.clone()
+		d.Replicas = 2
+		api.Deployments.Update(p, d)
+	})
+	rg.k.RunUntil(time.Minute)
+	pods := api.ListPods(nil, map[string]string{"app": a.UniqueName})
+	if len(pods) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodPending || pods[1].NodeName != "" {
+		t.Fatalf("pods = %+v, want the first running and the second Pending, unbound", pods)
+	}
+	if n := len(rg.rt.List(nil)); n != 1 {
+		t.Errorf("%d containers on the node, want 1", n)
 	}
 }

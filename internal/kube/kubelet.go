@@ -19,6 +19,9 @@ type kubelet struct {
 	rt        *container.Runtime
 	behaviors cluster.BehaviorSource
 	pods      map[string]*podWorker
+	heard     int  // pod events received
+	deletes   int  // Deleted events of the node's pods received
+	retry     bool // a failed pull left a Pending pod of the node untracked
 }
 
 // RunKubelet starts a kubelet for nodeName on the given runtime.
@@ -36,11 +39,13 @@ func RunKubelet(api *APIServer, nodeName string, rt *container.Runtime, behavior
 }
 
 func (kl *kubelet) handle(ev Event) {
+	kl.heard++
 	pod, _ := ev.Object.(*Pod)
 	if pod == nil || pod.NodeName != kl.nodeName {
 		return
 	}
 	if ev.Type == Deleted {
+		kl.deletes++
 		kl.forget(ev.Name)
 	} else {
 		kl.maybeStart(pod)
@@ -53,12 +58,24 @@ func resyncWait(kl *kubelet) sim.Step[kubelet] {
 }
 
 // resync lists the node's pods, starts the ones the watch missed and forgets,
-// by name, the ones that are gone.
+// by name, the ones that are gone. Each pass runs only when it can find
+// something. A Pending pod of the node is untracked only while its event is
+// in flight, or after a failed pull untracked it: while the kubelet has heard
+// every pod write and no pull failed, there is nothing to start. A tracked
+// pod is gone only after a departure from the node that the watch has not
+// delivered as a delete: while every departure the store counted was heard,
+// there is nothing to forget.
 func resync(kl *kubelet) sim.Step[kubelet] {
-	for _, pod := range kl.api.ListPodsByNode(nil, kl.nodeName) {
-		if pod.Phase == PodPending {
-			kl.maybeStart(pod)
+	if kl.heard != kl.api.podWrites || kl.retry {
+		kl.retry = false
+		for _, pod := range kl.api.podsByNode[kl.nodeName].scan() {
+			if pod.Phase == PodPending {
+				kl.maybeStart(pod)
+			}
 		}
+	}
+	if kl.deletes == kl.api.departed[kl.nodeName] {
+		return resyncWait(kl)
 	}
 	var gone []string
 	for name, w := range kl.pods {
@@ -137,6 +154,7 @@ func (w *podWorker) pulled(err error) {
 	w.Sleep(0, func(w *podWorker) sim.Step[podWorker] {
 		if err != nil {
 			delete(w.kl.pods, w.pod.Name)
+			w.kl.retry = true
 			return w.started()
 		}
 		w.i++

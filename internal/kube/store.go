@@ -26,7 +26,9 @@ func nameOf[T object[T]](obj T) string {
 
 // nameList is a name-ordered list of snapshots. Views handed to readers stay
 // valid forever: the first write after a view copies the backing array
-// (copy-on-write), so a reader may sleep or delete mid-iteration.
+// (copy-on-write), so a reader may sleep or delete mid-iteration. A reader
+// that is done before the next write reads the list in place (scan) and
+// costs no copy.
 type nameList[T object[T]] struct {
 	items  []T
 	shared bool // a reader holds items; the next write must copy first
@@ -39,6 +41,15 @@ func (l *nameList[T]) view() []T {
 	}
 	l.shared = true
 	return l.items[:len(l.items):len(l.items)]
+}
+
+// scan returns the list in place without marking it shared: the caller reads
+// it within its step and keeps it past no write to the store.
+func (l *nameList[T]) scan() []T {
+	if l == nil {
+		return nil
+	}
+	return l.items
 }
 
 func (l *nameList[T]) find(name string) (int, bool) {

@@ -198,8 +198,8 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 				}
 			}
 			for _, node := range nodeNames {
-				if got, want := a.ListPodsByNode(nil, node), brutePods(a, func(p *Pod) bool { return p.NodeName == node }); !slices.Equal(got, want) {
-					fail("ListPodsByNode(%q) = %v, want %v", node, got, want)
+				if got, want := a.podsByNode[node].view(), brutePods(a, func(p *Pod) bool { return p.NodeName == node }); !slices.Equal(got, want) {
+					fail("podsByNode[%q] = %v, want %v", node, got, want)
 				}
 			}
 			if got, want := a.Services.List(nil), bruteServices(a, func(*Service) bool { return true }); !slices.Equal(got, want) {
@@ -284,7 +284,7 @@ func TestListSurvivesDeletesMidIteration(t *testing.T) {
 		{"ListPods(nil)", func() []*Pod { return api.ListPods(nil, nil) }},
 		{"ListPods(selector)", func() []*Pod { return api.ListPods(nil, map[string]string{"app": "x"}) }},
 		{"ListPodsByOwner", func() []*Pod { return api.ListPodsByOwner(nil, "rs") }},
-		{"ListPodsByNode", func() []*Pod { return api.ListPodsByNode(nil, "n1") }},
+		{"podsByNode", func() []*Pod { return api.podsByNode["n1"].view() }},
 	} {
 		var seen []string
 		for _, pod := range c.list() {
@@ -346,6 +346,72 @@ func TestReadPathAllocations(t *testing.T) {
 		if m.large > 1 || m.large != m.small {
 			t.Errorf("%s: %.0f allocs on 1000 pods, %.0f on 10; want the same and at most 1", m.what, m.large, m.small)
 		}
+	}
+}
+
+// kubeletWithPods returns a bare API server holding n running pods bound to
+// node n1, and a kubelet of n1 that tracks every one of them.
+func kubeletWithPods(n int) *kubelet {
+	api := newBareAPIServer(sim.New(1))
+	kl := &kubelet{api: api, nodeName: "n1", pods: make(map[string]*podWorker)}
+	kl.Init(api.k, kl, api.t.request)
+	for i := 0; i < n; i++ {
+		pod, _ := api.CreatePod(nil, &Pod{Name: fmt.Sprintf("p%04d", i), Owner: "rs", NodeName: "n1", Phase: PodRunning,
+			Labels: map[string]string{"app": fmt.Sprintf("svc-%04d", i)}})
+		kl.pods[pod.Name] = &podWorker{kl: kl, pod: pod}
+	}
+	return kl
+}
+
+// TestNodeReadsCopyNothing: the resync and the scheduler's capacity sum read
+// the node's pods in place, so the next pod write does not copy the node's
+// pod list. A resync pass and a bind read followed by one pod Update allocate
+// what the Update alone does, whatever the node holds.
+func TestNodeReadsCopyNothing(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		kl := kubeletWithPods(n)
+		api := kl.api
+		s := &scheduler{api: api, node: "n1", inflight: map[string]bool{}, unschedulable: map[string]bool{}}
+		big := &Pod{Name: "big", Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", CPUMillis: 1000}}}}
+		b := &binding{s: s, name: big.Name, pod: big} // more than the bare node holds: it parks
+		update := func() {
+			pod := api.Pods.byName["p0000"].clone()
+			pod.HostPort++
+			api.Pods.Update(nil, pod)
+		}
+		alone := testing.AllocsPerRun(100, update)
+		withReads := testing.AllocsPerRun(100, func() {
+			resync(kl)
+			bindFit(b)
+			update()
+		})
+		if withReads != alone {
+			t.Errorf("%d pods: resync, bind read and Update allocate %.0f, the Update alone %.0f; want the same", n, withReads, alone)
+		}
+		if !s.unschedulable[big.Name] {
+			t.Errorf("%d pods: the oversized pod was not parked", n)
+		}
+	}
+}
+
+// BenchmarkKubeletResync is one resync pass over a node of 800 running pods,
+// all tracked, as on cold-hybrid, at 0 allocs/op. caught-up: the kubelet has
+// heard every pod write, so the pass walks nothing. in-flight: a pod event is
+// still on its way, so the pass reads the node's pods in place for Pending
+// ones; every departure was heard, so it walks no tracked pod.
+func BenchmarkKubeletResync(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		behind int
+	}{{"caught-up", 0}, {"in-flight", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			kl := kubeletWithPods(800)
+			kl.heard = kl.api.podWrites - c.behind
+			b.ReportAllocs()
+			for b.Loop() {
+				resync(kl)
+			}
+		})
 	}
 }
 

@@ -165,10 +165,14 @@ func Annotate(def *Definition, reg Registration, opts Options) (*Annotated, erro
 	if targetPort == 0 {
 		targetPort = reg.Port
 	}
+	declared := false // the Service names its targetPort
 	if def.Service != nil {
-		if tp := declaredTargetPort(def.Service); tp > 0 {
-			targetPort = tp
+		if tp, isTarget := declaredTargetPort(def.Service); tp > 0 {
+			targetPort, declared = tp, isTarget
 		}
+	}
+	if err := checkTargetPort(reg, containers, targetPort, declared); err != nil {
+		return nil, err
 	}
 
 	return &Annotated{
@@ -237,7 +241,9 @@ func (a *Annotated) documents() (dep, svc map[string]any) {
 	return dep, svc
 }
 
-func declaredTargetPort(svc map[string]any) int {
+// declaredTargetPort returns the first port entry's targetPort, or its port,
+// which Kubernetes defaults the targetPort to; isTarget tells which.
+func declaredTargetPort(svc map[string]any) (port int, isTarget bool) {
 	spec, _ := svc["spec"].(map[string]any)
 	ports, _ := spec["ports"].([]any)
 	for _, pv := range ports {
@@ -246,13 +252,41 @@ func declaredTargetPort(svc map[string]any) int {
 			continue
 		}
 		if tp, ok := pm["targetPort"].(int64); ok {
-			return int(tp)
+			return int(tp), true
 		}
 		if pp, ok := pm["port"].(int64); ok {
-			return int(pp)
+			return int(pp), false
 		}
 	}
-	return 0
+	return 0, false
+}
+
+// checkTargetPort rejects a service whose target port does not name exactly
+// one container port, once a container declares a port or the Service a
+// targetPort: with none, no container serves the Service; with two, both
+// would listen on its host port. A definition with no port anywhere (a
+// serverless function) needs none.
+func checkTargetPort(reg Registration, containers []ContainerSpec, targetPort int, declared bool) error {
+	ported, matches := declared, 0
+	for _, c := range containers {
+		if c.ContainerPort > 0 {
+			ported = true
+			if c.ContainerPort == targetPort {
+				matches++
+			}
+		}
+	}
+	if !ported || matches == 1 {
+		return nil
+	}
+	var ports []int
+	for _, c := range containers {
+		if c.ContainerPort > 0 {
+			ports = append(ports, c.ContainerPort)
+		}
+	}
+	return fmt.Errorf("spec: service %s: target port %d must name exactly one container port, the containers declare %v",
+		reg.UniqueName(), targetPort, ports)
 }
 
 func parseContainers(podSpec map[string]any) ([]ContainerSpec, error) {

@@ -47,6 +47,8 @@ spec:
           mountPath: /usr/share/nginx/html
       - name: writer
         image: josefhammer/env-writer-py
+        ports:
+        - containerPort: 8080
         env:
         - name: INTERVAL
           value: 1
@@ -261,7 +263,7 @@ func TestParseContainersMultiple(t *testing.T) {
 	if nginx.Name != "nginx" || nginx.ContainerPort != 80 {
 		t.Errorf("nginx = %+v", nginx)
 	}
-	if writer.Image != "josefhammer/env-writer-py" || writer.ContainerPort != 0 {
+	if writer.Image != "josefhammer/env-writer-py" || writer.ContainerPort != 8080 {
 		t.Errorf("writer = %+v", writer)
 	}
 }
@@ -539,5 +541,63 @@ spec:
 	}
 	if a.RuntimeClass != "wasm" {
 		t.Fatalf("RuntimeClass = %q", a.RuntimeClass)
+	}
+}
+
+// TestAnnotateTargetPortNamesOneContainer: once a container declares a port
+// or the Service a targetPort, the target port must name exactly one
+// container port. With none, no container serves the Service; with two,
+// both would listen on its host port. A definition with no port anywhere
+// needs none.
+func TestAnnotateTargetPortNamesOneContainer(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		ports   []int  // one container each, 0 for none
+		service string // the Service's port entry, "" for a generated Service
+		want    int    // the target port, 0 for an error
+		listed  string // the declared ports the error names
+	}{
+		{"no port anywhere", []int{0}, "", 80, ""},
+		{"no container port, Service port only", []int{0, 0}, "port: 9000", 9000, ""},
+		{"one container port", []int{80}, "", 80, ""},
+		{"targetPort names the second container", []int{80, 8080}, "port: 80\n    targetPort: 8080", 8080, ""},
+		{"targetPort names no container", []int{80}, "port: 80\n    targetPort: 7070", 0, "[80]"},
+		{"Service port names no container", []int{80}, "port: 8080", 0, "[80]"},
+		{"targetPort with no container port", []int{0}, "port: 80\n    targetPort: 80", 0, "[]"},
+		{"two containers on the target port", []int{80, 80}, "", 0, "[80 80]"},
+		{"two containers on the declared target port", []int{80, 9090, 9090}, "port: 80\n    targetPort: 9090", 0, "[80 9090 9090]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var y strings.Builder
+			y.WriteString("spec:\n  template:\n    spec:\n      containers:\n")
+			for i, port := range c.ports {
+				fmt.Fprintf(&y, "      - name: c%d\n        image: nginx:1.23.2\n", i)
+				if port > 0 {
+					fmt.Fprintf(&y, "        ports:\n        - containerPort: %d\n", port)
+				}
+			}
+			if c.service != "" {
+				fmt.Fprintf(&y, "---\nkind: Service\nspec:\n  ports:\n  - %s\n", c.service)
+			}
+			def, err := Parse(y.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := Annotate(def, reg, Options{})
+			if c.want > 0 {
+				if err != nil || a.TargetPort != c.want {
+					t.Fatalf("Annotate = %+v, %v; want target port %d", a, err, c.want)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("Annotate accepted target port %d over container ports %v", a.TargetPort, c.ports)
+			}
+			for _, want := range []string{reg.UniqueName(), "target port", c.listed} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }

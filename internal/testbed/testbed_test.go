@@ -1047,6 +1047,41 @@ func BenchmarkRegisterCatalogService(b *testing.B) {
 	tb.Close()
 }
 
+// TestRegisterRejectsTargetPortMismatch: a Service whose target port names no
+// container port would never be answered, and one that names two would have
+// both containers listen on its host port. Registration refuses both, on the
+// Docker and on the hybrid testbed, and registers nothing.
+func TestRegisterRejectsTargetPortMismatch(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		ports []int
+		svc   string
+	}{
+		{"no-container", []int{80}, "  - port: 80\n    targetPort: 7070\n"},
+		{"two-containers", []int{80, 80}, "  - port: 80\n    targetPort: 80\n"},
+	} {
+		var y strings.Builder
+		y.WriteString("apiVersion: apps/v1\nkind: Deployment\nspec:\n  template:\n    spec:\n      containers:\n")
+		for i, port := range c.ports {
+			fmt.Fprintf(&y, "      - name: web%d\n        image: %s\n        ports:\n        - containerPort: %d\n", i, catalog.ImgNginx, port)
+		}
+		y.WriteString("---\napiVersion: v1\nkind: Service\nspec:\n  ports:\n" + c.svc)
+		for _, kind := range []string{KindDocker, "hybrid"} {
+			t.Run(c.name+"/"+kind, func(t *testing.T) {
+				tb := New(Options{Seed: 1, EnableDocker: true, EnableKube: kind == "hybrid"})
+				defer tb.Close()
+				if _, _, err := tb.RegisterService(y.String(), "bad.example.com"); err == nil || !strings.Contains(err.Error(), "target port") {
+					t.Fatalf("RegisterService err = %v, want a target port error", err)
+				}
+				if names := tb.Ctrl.ServiceNames(); len(names) != 0 {
+					t.Errorf("registered %v after the error, want nothing", names)
+				}
+				tb.K.RunUntil(time.Minute)
+			})
+		}
+	}
+}
+
 // TestMultiPortServiceServedByTargetContainer registers a service whose pod
 // has one to three port containers and whose Service targets the first one's
 // port. On either cluster the first request is answered, and by the target

@@ -264,7 +264,7 @@ func TestBlockingConnCallSites(t *testing.T) {
 var surfaceCounts = map[string]int{
 	"core.Config fields":              14,
 	"testbed.Options fields":          22,
-	"kube.APIServer exported methods": 7,
+	"kube.APIServer exported methods": 6,
 }
 
 // TestSurfaceCounts is the ratchet on settings and pass-throughs: a field of
