@@ -114,8 +114,9 @@ var runtimeClassKinds = map[string]map[string]bool{
 	"wasm": {"serverless": true},
 }
 
-type addrPort struct {
-	ip   simnet.Addr
+// serviceKey is a registered service address, the VIP by its number.
+type serviceKey struct {
+	vip  uint32
 	port int
 }
 
@@ -179,19 +180,28 @@ type Controller struct {
 	// registration wins), making name lookups and liveness checks O(1)
 	// on the packet-in hot path.
 	clusterIdx map[string]int
-	services   map[addrPort]*spec.Annotated
-	byName     map[string]*spec.Annotated
-	regByName  map[string]spec.Registration
-	defs       map[string]*spec.Definition // by YAML source, parsed once, read-only
-	Memory     *FlowMemory
-	deploy     *deployer
-	records    []DeployRecord
-	clientLoc  map[simnet.Addr]*openflow.Switch
-	// pendingHO records handovers a rule-based backend has not yet resolved
-	// (see handover.go); gaps collects one continuity-gap sample per
+	// net is the network of the probe host and the switches, whose address
+	// numbers packet-ins carry; services, clientLoc and pendingHO are keyed
+	// by them.
+	net       *simnet.Network
+	services  map[serviceKey]*spec.Annotated
+	byName    map[string]*spec.Annotated
+	regByName map[string]spec.Registration
+	defs      map[string]*spec.Definition // by YAML source, parsed once, read-only
+	Memory    *FlowMemory
+	deploy    *deployer
+	records   []DeployRecord
+	// clientLoc is each client's location record by the client's number, nil
+	// for none; located counts the records.
+	clientLoc []*openflow.Switch
+	located   int
+	// pendingHO records, by client number, the handovers a rule-based
+	// backend has not yet resolved (see handover.go; from is nil for none),
+	// and pending counts them; gaps collects one continuity-gap sample per
 	// resolved handover of a client with live flows. transit holds the
 	// switches attached without punt rules (AddTransitSwitch).
-	pendingHO map[simnet.Addr]pendingHandover
+	pendingHO []pendingHandover
+	pending   int
 	gaps      *metrics.Hist
 	transit   []*openflow.Switch
 	// steerB is the pluggable data-plane mechanism (DESIGN.md §14): the
@@ -234,15 +244,15 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		cfg:        cfg,
 		probeHost:  probeHost,
 		clusterIdx: make(map[string]int),
-		services:   make(map[addrPort]*spec.Annotated),
+		net:        probeHost.Network(),
+		services:   make(map[serviceKey]*spec.Annotated),
 		byName:     make(map[string]*spec.Annotated),
 		regByName:  make(map[string]spec.Registration),
 		defs:       make(map[string]*spec.Definition),
-		clientLoc:  make(map[simnet.Addr]*openflow.Switch),
-		pendingHO:  make(map[simnet.Addr]pendingHandover),
 		gaps:       metrics.NewHist("continuity_gap"),
 	}
 	c.Memory = NewFlowMemory(k, cfg.MemoryIdleTimeout)
+	c.Memory.ids = &c.net.Numbering
 	c.Memory.OnIdleInstance = c.onIdleInstance
 	c.Memory.OnIdleClient = c.onIdleClient
 	c.deploy = newDeployer(c)
@@ -294,13 +304,23 @@ func (c *Controller) emit(e obs.Event) {
 }
 
 // AddSwitch attaches the controller to a switch and installs the packet-in
-// punt rules for every registered service.
+// punt rules for every registered service. The switch must be in the probe
+// host's network, whose address numbers the controller keys by.
 func (c *Controller) AddSwitch(sw *openflow.Switch) {
+	c.sameNetwork(sw)
 	c.switches = append(c.switches, sw)
 	sw.SetController(c)
 	c.steerB.AttachSwitch(sw)
-	for ap := range c.services {
-		c.installPunt(sw, ap)
+	for _, a := range c.services {
+		c.installPunt(sw, a.Reg)
+	}
+}
+
+// sameNetwork panics unless sw is in c's network: a packet-in from another
+// network would carry numbers of other addresses.
+func (c *Controller) sameNetwork(sw *openflow.Switch) {
+	if sw.Network() != c.net {
+		panic(fmt.Sprintf("core: switch %s is not in the controller's network", sw.Name()))
 	}
 }
 
@@ -338,15 +358,15 @@ func (c *Controller) RegisterService(yamlSrc string, reg spec.Registration) (*sp
 	if err != nil {
 		return nil, err
 	}
-	ap := addrPort{reg.VIP, reg.Port}
-	if _, dup := c.services[ap]; dup {
+	key := serviceKey{c.net.Number(reg.VIP), reg.Port}
+	if _, dup := c.services[key]; dup {
 		return nil, fmt.Errorf("core: service address %s:%d already registered", reg.VIP, reg.Port)
 	}
-	c.services[ap] = a
+	c.services[key] = a
 	c.byName[a.UniqueName] = a
 	c.regByName[a.UniqueName] = reg
 	for _, sw := range c.switches {
-		c.installPunt(sw, ap)
+		c.installPunt(sw, reg)
 	}
 	c.emit(obs.Event{Kind: obs.EvRegistered, Service: a.UniqueName, Addr: string(reg.VIP), Port: reg.Port})
 	return a, nil
@@ -362,10 +382,10 @@ func (c *Controller) ServiceNames() []string {
 	return names
 }
 
-func (c *Controller) installPunt(sw *openflow.Switch, ap addrPort) {
+func (c *Controller) installPunt(sw *openflow.Switch, reg spec.Registration) {
 	sw.AddFlow(openflow.FlowRule{
 		Priority: puntPriority,
-		Match:    openflow.Match{DstIP: ap.ip, DstPort: ap.port},
+		Match:    openflow.Match{DstIP: reg.VIP, DstPort: reg.Port},
 		Actions:  openflow.Actions{Output: openflow.OutputController},
 	})
 }
@@ -374,8 +394,28 @@ func (c *Controller) installPunt(sw *openflow.Switch, ap addrPort) {
 // dispatcher's location record (§IV-B: "this component also tracks the
 // clients' current location").
 func (c *Controller) ClientLocation(ip simnet.Addr) (*openflow.Switch, bool) {
-	sw, ok := c.clientLoc[ip]
-	return sw, ok
+	sw := c.location(c.net.Lookup(ip))
+	return sw, sw != nil
+}
+
+// location returns the switch the client numbered client was last seen at,
+// or nil.
+func (c *Controller) location(client uint32) *openflow.Switch {
+	if int(client) < len(c.clientLoc) {
+		return c.clientLoc[client]
+	}
+	return nil
+}
+
+// locate records that the client numbered client is at sw.
+func (c *Controller) locate(client uint32, sw *openflow.Switch) {
+	for int(client) >= len(c.clientLoc) {
+		c.clientLoc = append(c.clientLoc, nil)
+	}
+	if c.clientLoc[client] == nil {
+		c.located++
+	}
+	c.clientLoc[client] = sw
 }
 
 // HandlePacketIn implements openflow.Controller: the fig. 7 dispatching
@@ -387,9 +427,10 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	c.ctr.packetIns.Inc()
 	// The previous location is captured before the update: a memory hit at
 	// a different switch is a handover and re-anchors the steering state.
-	prev := c.clientLoc[pkt.SrcIP]
-	c.clientLoc[pkt.SrcIP] = ev.Switch
-	svc, ok := c.services[addrPort{pkt.DstIP, pkt.DstPort}]
+	client := pkt.SrcID
+	prev := c.location(client)
+	c.locate(client, ev.Switch)
+	svc, ok := c.services[serviceKey{pkt.DstID, pkt.DstPort}]
 	if !ok {
 		// Not a registered service: forward normally.
 		ev.Switch.PacketOut(pkt, openflow.Actions{Output: openflow.OutputNormal})
@@ -399,7 +440,8 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 		c.predictor.Observe(svc.UniqueName, c.k.Now())
 	}
 	fk := FlowKey{Client: pkt.SrcIP, VIP: pkt.DstIP, Port: pkt.DstPort}
-	if inst, ok := c.Memory.Get(fk); ok && c.instanceAlive(inst) {
+	id := flowID{client, pkt.DstID, pkt.DstPort}
+	if e := c.Memory.get(id); e != nil && c.instanceAlive(e.Instance) {
 		// Memorized flow: reinstall steering without scheduling (§V). A hit
 		// from a new attachment point is a handover — the steering state is
 		// re-anchored there and the stale switch's state released eagerly.
@@ -409,17 +451,17 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 		// at this switch, so the stale anchor — where the rules actually
 		// live — is the pending record's `from`, not prev.
 		from := prev
-		if ph, pending := c.pendingHO[pkt.SrcIP]; pending {
+		if ph := c.pendingOf(client); ph.from != nil {
 			from = ph.from
 		}
 		action := "flow_install"
 		if from != nil && from != ev.Switch {
-			c.steerB.ReAnchor(from, ev.Switch, steer.Flow(fk), steer.Endpoint{Addr: inst.Addr, Port: inst.Port})
+			c.steerB.ReAnchor(from, ev.Switch, steer.Flow(fk), steer.Endpoint{Addr: e.Instance.Addr, Port: e.Instance.Port})
 			action = "reanchor"
 		} else {
-			c.installRedirect(ev.Switch, fk, inst)
+			c.installRedirect(ev.Switch, fk, e.Instance)
 		}
-		c.resolveHandover(pkt.SrcIP, action, ev.Switch)
+		c.resolveHandover(client, action, ev.Switch)
 		ev.Switch.TableOut(pkt)
 		if tr := c.tr; tr != nil {
 			now := time.Duration(c.k.Now())
@@ -427,7 +469,7 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 			tr.Emit(obs.Span{ID: root, Root: root, Name: "dispatch", Cat: "dispatch",
 				Detail: svc.UniqueName + "<-" + string(fk.Client), Start: now, End: now})
 			tr.Emit(obs.Span{Parent: root, Root: root, Name: "memory_hit", Cat: "flowmemory",
-				Detail: inst.Cluster, Start: now, End: now})
+				Detail: e.Instance.Cluster, Start: now, End: now})
 		}
 		return
 	}
@@ -435,7 +477,7 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	// rooted there; zero when tracing is off. The first step is one
 	// zero-delay event out, where a process started here would begin.
 	d := c.newDispatch()
-	d.ev, d.svc, d.fk = ev, svc, fk
+	d.ev, d.svc, d.fk, d.id = ev, svc, fk, id
 	d.root, d.t0 = c.tr.NextID(), time.Duration(c.k.Now())
 	d.Sleep(0, (*dispatchRec).stateQuery)
 }
@@ -452,6 +494,7 @@ type dispatchRec struct {
 	ev     openflow.PacketIn
 	svc    *spec.Annotated
 	fk     FlowKey
+	id     flowID        // fk by number
 	root   uint64        // dispatch span ID (0 with tracing off)
 	t0     time.Duration // intercept time
 	cands  []candidate
@@ -483,28 +526,35 @@ func (d *dispatchRec) free() {
 // bookkeeping for its client/service pair is released.
 func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) {
 	// Only the forward rule of a pair notifies; its match carries the
-	// original flow key (client -> VIP:port). The backend releases its own
-	// bookkeeping and reports which flow expired.
-	if f, ok := c.steerB.FlowRemoved(sw, rule); ok {
-		c.steeringExpired(f)
+	// original flow key (client -> VIP:port) and the client's number. The
+	// backend releases its own bookkeeping and reports whether the flow's
+	// steering expired.
+	if _, ok := c.steerB.FlowRemoved(sw, rule); ok {
+		client, _ := rule.MatchIDs()
+		c.clientExpired(client)
 	}
 }
 
-// steeringExpired is where both backends report a flow whose steering state
-// idled out. A client whose last memorized flow is also gone needs no
-// location record anymore — the next packet-in re-learns it — so
-// cloud-forwarded clients (which never enter the FlowMemory) are evicted
-// here too.
+// steeringExpired is where a backend without flow-removed notices (the
+// stateless one) reports a flow whose steering state idled out.
 func (c *Controller) steeringExpired(f steer.Flow) {
-	if c.Memory.ClientFlows(f.Client) == 0 {
-		c.dropHandoverState(f.Client)
+	c.clientExpired(c.net.Lookup(f.Client))
+}
+
+// clientExpired follows a client's expired steering state. A client whose
+// last memorized flow is also gone needs no location record anymore — the
+// next packet-in re-learns it — so cloud-forwarded clients (which never enter
+// the FlowMemory) are evicted here too.
+func (c *Controller) clientExpired(client uint32) {
+	if c.Memory.client(client).n == 0 {
+		c.dropHandoverState(client)
 	}
 }
 
 // onIdleClient is the FlowMemory callback: the client's last memorized
 // flow expired, so its location record is dropped (re-learned on the next
 // packet-in). Keeps clientLoc bounded by the set of active clients.
-func (c *Controller) onIdleClient(client simnet.Addr) {
+func (c *Controller) onIdleClient(_ simnet.Addr, client uint32) {
 	c.dropHandoverState(client)
 }
 
@@ -714,10 +764,10 @@ func (d *dispatchRec) deploy(p *sim.Proc) {
 // that punted the packet (which the client already left).
 func (d *dispatchRec) redirect(inst cluster.Instance) {
 	c := d.c
-	c.Memory.Put(d.fk, inst)
-	sw := c.currentSwitch(d.fk.Client, d.ev.Switch)
-	c.installRedirect(sw, d.fk, inst)
-	c.resolveHandover(d.fk.Client, "flow_install", sw)
+	e := c.Memory.put(d.fk, d.id, inst)
+	sw := c.currentSwitch(d.id.client, d.ev.Switch)
+	c.installRedirect(sw, d.fk, e.Instance)
+	c.resolveHandover(d.id.client, "flow_install", sw)
 	sw.TableOut(d.ev.Packet)
 	if tr := c.tr; tr != nil {
 		now := time.Duration(c.k.Now())
@@ -733,9 +783,9 @@ func (d *dispatchRec) redirect(inst cluster.Instance) {
 // releases the held packet there; detail and errText annotate the spans.
 func (d *dispatchRec) forward(detail, errText string) {
 	c := d.c
-	sw := c.currentSwitch(d.fk.Client, d.ev.Switch)
+	sw := c.currentSwitch(d.id.client, d.ev.Switch)
 	c.installCloudForward(sw, d.fk)
-	c.resolveHandover(d.fk.Client, "cloud_forward", sw)
+	c.resolveHandover(d.id.client, "cloud_forward", sw)
 	sw.TableOut(d.ev.Packet)
 	if tr := c.tr; tr != nil {
 		now := time.Duration(c.k.Now())
@@ -972,7 +1022,7 @@ func (c *Controller) SteerStats() steer.TableStats { return c.steerB.Stats() }
 // TrackedClients returns how many client location records the dispatcher
 // holds. Bounded: a record is evicted when the client's last memorized
 // flow (or, for cloud-forwarded clients, its switch flow) expires.
-func (c *Controller) TrackedClients() int { return len(c.clientLoc) }
+func (c *Controller) TrackedClients() int { return c.located }
 
 // ErrNoCluster is returned when a scheduler picks no cluster and no cloud
 // path exists.

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"transparentedge/internal/core"
+	"transparentedge/internal/openflow"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
@@ -25,6 +27,49 @@ func TestRegisterServiceDuplicateAddress(t *testing.T) {
 	reg3 := spec.Registration{Domain: "c.example.com", VIP: "203.0.113.10", Port: 443}
 	if _, err := rg.ctrl.RegisterService(nginxYAML, reg3); err != nil {
 		t.Fatalf("different port rejected: %v", err)
+	}
+}
+
+// A switch attached after the registrations gets a punt rule for every
+// registered service address, also for two registrations of one domain on
+// different addresses (which share a unique name).
+func TestAddSwitchPuntsEveryServiceAddress(t *testing.T) {
+	rg := newMobilityRig(t)
+	for _, vip := range []simnet.Addr{"203.0.113.30", "203.0.113.31"} {
+		if _, err := rg.ctrl.RegisterService(nginxYAML, spec.Registration{Domain: "same.example.com", VIP: vip, Port: 80}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw := openflow.NewSwitch(rg.n, "gnb3", openflow.DefaultConfig())
+	rg.ctrl.AddSwitch(sw)
+	var punted []string
+	for _, r := range sw.Rules() {
+		if r.Actions.Output == openflow.OutputController {
+			punted = append(punted, r.Match.String())
+		}
+	}
+	sort.Strings(punted)
+	if len(punted) != 2 || !strings.Contains(punted[0], "203.0.113.30") || !strings.Contains(punted[1], "203.0.113.31") {
+		t.Fatalf("punt rules on the new switch = %v, want one per service address", punted)
+	}
+}
+
+// The controller keys its state by the numbers of its own network, so it
+// refuses a switch of another one.
+func TestAddSwitchRejectsOtherNetwork(t *testing.T) {
+	rg := newMobilityRig(t)
+	other := openflow.NewSwitch(simnet.NewNetwork(rg.k), "far", openflow.DefaultConfig())
+	for name, add := range map[string]func(*openflow.Switch){
+		"AddSwitch": rg.ctrl.AddSwitch, "AddTransitSwitch": rg.ctrl.AddTransitSwitch,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a switch of another network", name)
+				}
+			}()
+			add(other)
+		}()
 	}
 }
 

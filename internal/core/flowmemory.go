@@ -17,6 +17,13 @@ type FlowKey struct {
 	Port   int
 }
 
+// flowID is a FlowKey by its addresses' numbers (simnet.Numbering): what the
+// memory is keyed by, and what a packet-in's packet carries.
+type flowID struct {
+	client, vip uint32
+	port        int
+}
+
 // MemEntry is one memorized flow: which instance a client's requests to a
 // registered service address are redirected to. The memory recycles its
 // entries, so a *MemEntry never leaves it: Entries and ClientEntries hand out
@@ -24,6 +31,8 @@ type FlowKey struct {
 type MemEntry struct {
 	Key      FlowKey
 	Instance cluster.Instance
+	// client and vip are the numbers of Key's addresses, inst of Instance's.
+	client, vip, inst uint32
 	// idle is the entry's idle clock: Get and a re-pointing Put touch it, and
 	// it evicts the entry when it runs out, through evict, bound once per
 	// entry object. Unexported, so that the copies cannot stop or re-arm
@@ -34,10 +43,17 @@ type MemEntry struct {
 	prev, next *MemEntry
 }
 
+// instanceKey is an instance endpoint, its address by number.
 type instanceKey struct {
-	addr simnet.Addr
+	addr uint32
 	port int
 }
+
+// id returns e's key by number.
+func (e *MemEntry) id() flowID { return flowID{e.client, e.vip, e.Key.Port} }
+
+// endpoint returns e's instance endpoint.
+func (e *MemEntry) endpoint() instanceKey { return instanceKey{e.inst, e.Instance.Port} }
 
 // FlowMemory memorizes installed redirect flows (paper §V). It allows the
 // switch-side idle timeouts to stay low — a returning client is re-served
@@ -52,15 +68,22 @@ type instanceKey struct {
 // service's entries instead of walking the whole memory). A per-client
 // index additionally drives the dispatcher's location-record GC and the
 // handover path's re-anchoring (ClientEntries walks only the moving
-// client's flows).
+// client's flows). Addresses are keyed by number: the controller's
+// packet-ins carry them, and a caller that holds only the address strings
+// has them numbered on the way in.
 type FlowMemory struct {
-	k          *sim.Kernel
-	idle       time.Duration
-	entries    map[FlowKey]*MemEntry
+	k    *sim.Kernel
+	idle time.Duration
+	// ids numbers addresses: the controller's network's numbering, whose
+	// numbers its packet-ins carry, or the memory's own.
+	ids        *simnet.Numbering
+	entries    map[flowID]*MemEntry
 	free       []*MemEntry // evicted entries, for the next new key
 	perInst    map[instanceKey]int
 	perService map[string]map[*MemEntry]struct{}
-	perClient  map[simnet.Addr]clientFlows
+	// perClient holds each client's flows by the client's number; an entry
+	// with n == 0 is a client with none.
+	perClient []clientFlows
 	// draining marks instances with a scale-down in flight; the value flips
 	// to true when a flow is pointed at the instance mid-drain (see
 	// BeginDrain / EndDrain).
@@ -68,10 +91,11 @@ type FlowMemory struct {
 	// OnIdleInstance, when set, is invoked (in kernel context) when the
 	// last memorized flow to an instance expires.
 	OnIdleInstance func(inst cluster.Instance)
-	// OnIdleClient, when set, is invoked (in kernel context) when a
-	// client's last memorized flow expires — the controller uses it to
-	// evict the client's location record.
-	OnIdleClient func(client simnet.Addr)
+	// OnIdleClient, when set, is invoked (in kernel context) with the
+	// client's address and its number when the client's last memorized flow
+	// expires — the controller uses it to evict the client's location
+	// record.
+	OnIdleClient func(client simnet.Addr, id uint32)
 	// Obs counter handles (nil without SetObs — *obs.Counter no-ops on nil).
 	cHits, cMisses, cEvictions, cDrains, cDrainInterrupts *obs.Counter
 	// gEntries tracks the live entry count (its high-water mark is the
@@ -105,11 +129,42 @@ func NewFlowMemory(k *sim.Kernel, idle time.Duration) *FlowMemory {
 	return &FlowMemory{
 		k:          k,
 		idle:       idle,
-		entries:    make(map[FlowKey]*MemEntry),
+		ids:        new(simnet.Numbering),
+		entries:    make(map[flowID]*MemEntry),
 		perInst:    make(map[instanceKey]int),
 		perService: make(map[string]map[*MemEntry]struct{}),
-		perClient:  make(map[simnet.Addr]clientFlows),
 	}
+}
+
+// idOf numbers key's addresses.
+func (m *FlowMemory) idOf(key FlowKey) flowID {
+	return flowID{m.ids.Number(key.Client), m.ids.Number(key.VIP), key.Port}
+}
+
+// instanceOf returns inst's endpoint key, its address numbered.
+func (m *FlowMemory) instanceOf(inst cluster.Instance) instanceKey {
+	return instanceKey{m.ids.Number(inst.Addr), inst.Port}
+}
+
+// Readers number nothing: an address without a number is in no flow, and
+// its key, holding 0, finds nothing.
+
+// lookupID returns key by its addresses' numbers.
+func (m *FlowMemory) lookupID(key FlowKey) flowID {
+	return flowID{m.ids.Lookup(key.Client), m.ids.Lookup(key.VIP), key.Port}
+}
+
+// lookupInstance returns inst's endpoint key.
+func (m *FlowMemory) lookupInstance(inst cluster.Instance) instanceKey {
+	return instanceKey{m.ids.Lookup(inst.Addr), inst.Port}
+}
+
+// client returns the flows of the client numbered id.
+func (m *FlowMemory) client(id uint32) clientFlows {
+	if int(id) < len(m.perClient) {
+		return m.perClient[id]
+	}
+	return clientFlows{}
 }
 
 // Len returns the number of memorized flows.
@@ -117,19 +172,14 @@ func (m *FlowMemory) Len() int { return len(m.entries) }
 
 // InstanceFlows returns how many memorized flows point at the instance.
 func (m *FlowMemory) InstanceFlows(inst cluster.Instance) int {
-	return m.perInst[instanceKey{inst.Addr, inst.Port}]
-}
-
-// ClientFlows returns how many memorized flows a client currently has.
-func (m *FlowMemory) ClientFlows(client simnet.Addr) int {
-	return m.perClient[client].n
+	return m.perInst[m.lookupInstance(inst)]
 }
 
 // ClientEntries returns a snapshot of the client's memorized flows, sorted
 // by service address — the order the handover path re-anchors a moving
 // client's flows in.
 func (m *FlowMemory) ClientEntries(client simnet.Addr) []MemEntry {
-	cf := m.perClient[client]
+	cf := m.client(m.ids.Lookup(client))
 	if cf.n == 0 {
 		return nil
 	}
@@ -158,7 +208,9 @@ func (m *FlowMemory) ServiceFlows(service string) int {
 // scale-down. While the mark is set, any Put or RedirectService that points
 // a flow at the instance records the interruption for EndDrain.
 func (m *FlowMemory) BeginDrain(inst cluster.Instance) bool {
-	ik := instanceKey{inst.Addr, inst.Port}
+	// The mark is looked up by number when a flow is pointed at the
+	// instance, so the address is numbered here, not just looked up.
+	ik := m.instanceOf(inst)
 	if m.perInst[ik] > 0 {
 		return false
 	}
@@ -174,7 +226,7 @@ func (m *FlowMemory) BeginDrain(inst cluster.Instance) bool {
 // at the instance while the drain was in progress — the signal that the
 // scaled-down instance must be brought back.
 func (m *FlowMemory) EndDrain(inst cluster.Instance) (interrupted bool) {
-	ik := instanceKey{inst.Addr, inst.Port}
+	ik := m.lookupInstance(inst)
 	interrupted = m.draining[ik]
 	delete(m.draining, ik)
 	if interrupted {
@@ -194,28 +246,41 @@ func (m *FlowMemory) noteAttach(ik instanceKey) {
 // Get returns the memorized instance for a key and refreshes its idle
 // timer. The second result is false on a miss.
 func (m *FlowMemory) Get(key FlowKey) (cluster.Instance, bool) {
-	e, ok := m.entries[key]
-	if !ok {
+	if e := m.get(m.lookupID(key)); e != nil {
+		return e.Instance, true
+	}
+	return cluster.Instance{}, false
+}
+
+// get is Get by the key's numbers: the entry, or nil on a miss. The entry
+// stays the memory's.
+func (m *FlowMemory) get(id flowID) *MemEntry {
+	e := m.entries[id]
+	if e == nil {
 		m.cMisses.Inc()
-		return cluster.Instance{}, false
+		return nil
 	}
 	m.cHits.Inc()
 	e.idle.Touch(m.k.Now())
-	return e.Instance, true
+	return e
 }
 
 // Put memorizes (or re-points) a flow.
-func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
-	ik := instanceKey{inst.Addr, inst.Port}
-	if old, ok := m.entries[key]; ok {
+func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) { m.put(key, m.idOf(key), inst) }
+
+// put is Put with the key's numbers, id. It returns the entry, which stays
+// the memory's.
+func (m *FlowMemory) put(key FlowKey, id flowID, inst cluster.Instance) *MemEntry {
+	ik := m.instanceOf(inst)
+	if old, ok := m.entries[id]; ok {
 		m.detachService(old)
-		m.decInstance(old.Instance)
-		old.Instance = inst
+		m.decInstance(old)
+		old.Instance, old.inst = inst, ik.addr
 		old.idle.Touch(m.k.Now())
 		m.attachService(old)
 		m.perInst[ik]++
 		m.noteAttach(ik)
-		return
+		return old
 	}
 	var e *MemEntry
 	if n := len(m.free); n > 0 {
@@ -226,18 +291,23 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 		e.evict = func() { m.remove(e) }
 	}
 	e.Key, e.Instance = key, inst
-	m.entries[key] = e
+	e.client, e.vip, e.inst = id.client, id.vip, ik.addr
+	m.entries[id] = e
 	m.attachService(e)
 	m.perInst[ik]++
 	m.noteAttach(ik)
-	cf := m.perClient[key.Client]
+	for int(id.client) >= len(m.perClient) {
+		m.perClient = append(m.perClient, clientFlows{})
+	}
+	cf := &m.perClient[id.client]
 	if cf.head != nil {
 		cf.head.prev = e
 	}
 	e.prev, e.next = nil, cf.head
-	m.perClient[key.Client] = clientFlows{head: e, n: cf.n + 1}
+	cf.head, cf.n = e, cf.n+1
 	m.gEntries.Set(int64(len(m.entries)))
 	e.idle.Start(m.k, m.idle, e.evict)
+	return e
 }
 
 // RedirectService re-points every memorized flow of a service to a new
@@ -247,14 +317,15 @@ func (m *FlowMemory) Put(key FlowKey, inst cluster.Instance) {
 // not the whole memory.
 func (m *FlowMemory) RedirectService(service string, to cluster.Instance) int {
 	n := 0
+	ik := m.instanceOf(to)
 	for e := range m.perService[service] {
-		if e.Instance.Addr == to.Addr && e.Instance.Port == to.Port {
+		if e.endpoint() == ik {
 			continue
 		}
-		m.decInstance(e.Instance)
-		e.Instance = to
-		m.perInst[instanceKey{to.Addr, to.Port}]++
-		m.noteAttach(instanceKey{to.Addr, to.Port})
+		m.decInstance(e)
+		e.Instance, e.inst = to, ik.addr
+		m.perInst[ik]++
+		m.noteAttach(ik)
 		n++
 	}
 	return n
@@ -287,12 +358,11 @@ func (m *FlowMemory) Entries() []MemEntry {
 func (m *FlowMemory) remove(e *MemEntry) {
 	e.idle.Stop()
 	m.cEvictions.Inc()
-	delete(m.entries, e.Key)
+	delete(m.entries, e.id())
 	m.gEntries.Set(int64(len(m.entries)))
 	m.detachService(e)
-	m.decInstance(e.Instance)
-	client := e.Key.Client
-	cf := m.perClient[client]
+	m.decInstance(e)
+	cf := &m.perClient[e.client]
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -303,13 +373,8 @@ func (m *FlowMemory) remove(e *MemEntry) {
 	}
 	e.prev, e.next = nil, nil
 	m.free = append(m.free, e)
-	if cf.n--; cf.n > 0 {
-		m.perClient[client] = cf
-		return
-	}
-	delete(m.perClient, client)
-	if m.OnIdleClient != nil {
-		m.OnIdleClient(client)
+	if cf.n--; cf.n == 0 && m.OnIdleClient != nil {
+		m.OnIdleClient(e.Key.Client, e.client)
 	}
 }
 
@@ -329,13 +394,14 @@ func (m *FlowMemory) detachService(e *MemEntry) {
 	delete(m.perService[e.Instance.Service], e)
 }
 
-func (m *FlowMemory) decInstance(inst cluster.Instance) {
-	ik := instanceKey{inst.Addr, inst.Port}
+// decInstance takes e's flow off its instance's count.
+func (m *FlowMemory) decInstance(e *MemEntry) {
+	ik := e.endpoint()
 	m.perInst[ik]--
 	if m.perInst[ik] <= 0 {
 		delete(m.perInst, ik)
 		if m.OnIdleInstance != nil {
-			m.OnIdleInstance(inst)
+			m.OnIdleInstance(e.Instance)
 		}
 	}
 }

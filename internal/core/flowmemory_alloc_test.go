@@ -25,7 +25,7 @@ func TestAllocsFlowMemoryAccessors(t *testing.T) {
 	probe := FlowKey{Client: simAddr(17), VIP: "203.0.113.10", Port: 80}
 
 	if n := testing.AllocsPerRun(200, func() {
-		if m.ServiceFlows("svc-0") == 0 || m.ClientFlows(probe.Client) == 0 || m.InstanceFlows(inst) == 0 {
+		if m.ServiceFlows("svc-0") == 0 || m.clientFlows(probe.Client) == 0 || m.InstanceFlows(inst) == 0 {
 			t.Fatal("index lookup lost entries")
 		}
 	}); n != 0 {
@@ -53,7 +53,7 @@ func TestAllocsFlowMemoryPutEvict(t *testing.T) {
 	k := sim.New(1)
 	m := NewFlowMemory(k, time.Second)
 	idleClients := 0
-	m.OnIdleClient = func(simnet.Addr) { idleClients++ }
+	m.OnIdleClient = func(simnet.Addr, uint32) { idleClients++ }
 	inst := cluster.Instance{Service: "svc-0", Cluster: "edge", Addr: "10.0.0.50", Port: 30000}
 	keys := make([]FlowKey, 8)
 	for i := range keys {
@@ -64,7 +64,7 @@ func TestAllocsFlowMemoryPutEvict(t *testing.T) {
 			m.Put(key, inst)
 		}
 		k.Run()
-		if m.Len() != 0 || m.ClientFlows(keys[0].Client) != 0 {
+		if m.Len() != 0 || m.clientFlows(keys[0].Client) != 0 {
 			t.Fatal("the entries did not idle out")
 		}
 	}

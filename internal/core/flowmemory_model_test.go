@@ -143,7 +143,7 @@ func TestFlowMemoryMatchesBruteForce(t *testing.T) {
 		m := NewFlowMemory(k, idle)
 		var log []string
 		m.OnIdleInstance = func(inst cluster.Instance) { log = append(log, idleInstanceLine(k, inst)) }
-		m.OnIdleClient = func(client simnet.Addr) { log = append(log, idleClientLine(k, client)) }
+		m.OnIdleClient = func(client simnet.Addr, _ uint32) { log = append(log, idleClientLine(k, client)) }
 		ref := &refMemory{k: sim.New(1), idle: idle, entries: map[FlowKey]*refEntry{}}
 		evictions := 0
 
@@ -174,8 +174,8 @@ func TestFlowMemoryMatchesBruteForce(t *testing.T) {
 				clients[key.Client]++
 			}
 			for _, key := range keys {
-				if got, want := m.ClientFlows(key.Client), clients[key.Client]; got != want {
-					t.Fatalf("ClientFlows(%s) = %d, reference %d", key.Client, got, want)
+				if got, want := m.clientFlows(key.Client), clients[key.Client]; got != want {
+					t.Fatalf("clientFlows(%s) = %d, reference %d", key.Client, got, want)
 				}
 			}
 			if len(log) != len(ref.log) {

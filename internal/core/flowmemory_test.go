@@ -16,6 +16,11 @@ func mkInst(svc string, addr simnet.Addr, port int) cluster.Instance {
 	return cluster.Instance{Service: svc, Cluster: "c", Addr: addr, Port: port}
 }
 
+// clientFlows returns how many memorized flows a client currently has.
+func (m *FlowMemory) clientFlows(client simnet.Addr) int {
+	return m.client(m.ids.Number(client)).n
+}
+
 func mkKey(client string) FlowKey {
 	return FlowKey{Client: simnet.Addr(client), VIP: "203.0.113.10", Port: 80}
 }
@@ -167,10 +172,10 @@ func TestQuickFlowMemoryCounters(t *testing.T) {
 		// Verify counters against entries.
 		counts := map[instanceKey]int{}
 		for _, e := range m.Entries() {
-			counts[instanceKey{e.Instance.Addr, e.Instance.Port}]++
+			counts[m.instanceOf(e.Instance)]++
 		}
 		for _, in := range insts {
-			if m.InstanceFlows(in) != counts[instanceKey{in.Addr, in.Port}] {
+			if m.InstanceFlows(in) != counts[m.instanceOf(in)] {
 				return false
 			}
 		}

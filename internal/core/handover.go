@@ -15,10 +15,30 @@ import (
 // backend has not yet resolved: the steering state is still anchored at
 // `from` until the client's next packet-in triggers a ReAnchor (or a
 // dispatch in flight installs at the new location). The gap between the
-// handover instant and that resolution is the continuity gap.
+// handover instant and that resolution is the continuity gap. A record with
+// a nil from is no handover.
 type pendingHandover struct {
-	at   sim.Time
-	from *openflow.Switch
+	at     sim.Time
+	from   *openflow.Switch
+	client simnet.Addr
+}
+
+// pendingOf returns the pending handover of the client numbered client.
+func (c *Controller) pendingOf(client uint32) pendingHandover {
+	if int(client) < len(c.pendingHO) {
+		return c.pendingHO[client]
+	}
+	return pendingHandover{}
+}
+
+// takePending returns the client's pending handover and forgets it.
+func (c *Controller) takePending(client uint32) pendingHandover {
+	ph := c.pendingOf(client)
+	if ph.from != nil {
+		c.pendingHO[client] = pendingHandover{}
+		c.pending--
+	}
+	return ph
 }
 
 // AddTransitSwitch attaches the controller to a switch that only carries
@@ -26,8 +46,10 @@ type pendingHandover struct {
 // aggregation switch). The steering backend hooks it (srsteer's ingress
 // decap runs wherever reverse traffic enters), but no packet-in punt rules
 // are installed — a cloud-forwarded packet whose destination is still the
-// VIP must transit toward the cloud, not bounce back to the controller.
+// VIP must transit toward the cloud, not bounce back to the controller. Like
+// AddSwitch, it takes only a switch in the controller's network.
 func (c *Controller) AddTransitSwitch(sw *openflow.Switch) {
+	c.sameNetwork(sw)
 	c.transit = append(c.transit, sw)
 	sw.SetController(c)
 	c.steerB.AttachSwitch(sw)
@@ -49,8 +71,9 @@ func (c *Controller) AddTransitSwitch(sw *openflow.Switch) {
 // as pending and the continuity gap runs until that resolution.
 func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 	now := c.k.Now()
-	prev := c.clientLoc[client]
-	c.clientLoc[client] = sw
+	id := c.net.Number(client)
+	prev := c.location(id)
+	c.locate(id, sw)
 	c.Stats.Handovers++
 	c.ctr.handovers.Inc()
 	if prev == nil || prev == sw {
@@ -88,11 +111,16 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 		// them. A repeated handover before any packet keeps the original
 		// anchor (that is where the rules still are) and restarts the gap
 		// clock — an idle client suffers no continuity gap.
-		ph := pendingHandover{at: now, from: prev}
-		if old, ok := c.pendingHO[client]; ok {
+		ph := pendingHandover{at: now, from: prev, client: client}
+		if old := c.pendingOf(id); old.from != nil {
 			ph.from = old.from
+		} else {
+			c.pending++
 		}
-		c.pendingHO[client] = ph
+		for int(id) >= len(c.pendingHO) {
+			c.pendingHO = append(c.pendingHO, pendingHandover{})
+		}
+		c.pendingHO[id] = ph
 	}
 	c.emit(obs.Event{Kind: obs.EvHandover, Client: string(client), Addr: sw.Name()})
 }
@@ -102,8 +130,8 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 // record. Deployment paths call it at install time — not packet-in time —
 // so a client that handed over while its deployment ran gets its rules and
 // its held packet at the switch it actually sits behind.
-func (c *Controller) currentSwitch(client simnet.Addr, fallback *openflow.Switch) *openflow.Switch {
-	if sw := c.clientLoc[client]; sw != nil {
+func (c *Controller) currentSwitch(client uint32, fallback *openflow.Switch) *openflow.Switch {
+	if sw := c.location(client); sw != nil {
 		return sw
 	}
 	return fallback
@@ -117,21 +145,20 @@ func (c *Controller) currentSwitch(client simnet.Addr, fallback *openflow.Switch
 // become the re-anchor child span's detail. The detail string is only built
 // once a pending handover exists and tracing is on, keeping the untraced
 // hot path allocation-free.
-func (c *Controller) resolveHandover(client simnet.Addr, action string, sw *openflow.Switch) {
-	ph, ok := c.pendingHO[client]
-	if !ok {
+func (c *Controller) resolveHandover(client uint32, action string, sw *openflow.Switch) {
+	ph := c.takePending(client)
+	if ph.from == nil {
 		return
 	}
-	delete(c.pendingHO, client)
 	var vias []string
 	if c.tr != nil {
 		via := action
-		if ph.from != nil && sw != nil {
+		if sw != nil {
 			via = action + " " + ph.from.Name() + "->" + sw.Name()
 		}
 		vias = []string{via}
 	}
-	c.recordGap(client, ph.at, c.k.Now(), vias)
+	c.recordGap(ph.client, ph.at, c.k.Now(), vias)
 }
 
 // recordGap records one continuity-gap sample and its handover span tree:
@@ -156,10 +183,13 @@ func (c *Controller) recordGap(client simnet.Addr, start, end sim.Time, vias []s
 }
 
 // dropHandoverState forgets a client's pending-handover record alongside
-// its location record, keeping both maps bounded by the active client set.
-func (c *Controller) dropHandoverState(client simnet.Addr) {
-	delete(c.clientLoc, client)
-	delete(c.pendingHO, client)
+// its location record, keeping both counts bounded by the active client set.
+func (c *Controller) dropHandoverState(client uint32) {
+	if c.location(client) != nil {
+		c.clientLoc[client] = nil
+		c.located--
+	}
+	c.takePending(client)
 }
 
 // ContinuityGaps returns the per-handover continuity-gap histogram: one
@@ -170,4 +200,4 @@ func (c *Controller) ContinuityGaps() *metrics.Hist { return c.gaps }
 
 // PendingHandovers returns how many clients currently await re-anchoring
 // (diagnostics; bounded like clientLoc).
-func (c *Controller) PendingHandovers() int { return len(c.pendingHO) }
+func (c *Controller) PendingHandovers() int { return c.pending }

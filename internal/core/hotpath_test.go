@@ -302,9 +302,9 @@ func TestStaleFlowRemovedKeepsClient(t *testing.T) {
 	cli := rg.clients[0]
 	cli.HTTPGetAsync("203.0.113.10", 80, &simnet.HTTPRequest{}, 100*time.Millisecond, func(*simnet.HTTPResult, error) {})
 	rg.k.RunUntil(500 * time.Millisecond)
-	if rg.ctrl.Stats.CloudForwards != 1 || rg.sw.RuleCount() != 2 || rg.ctrl.Memory.ClientFlows(cli.IP()) != 0 {
+	if rg.ctrl.Stats.CloudForwards != 1 || rg.sw.RuleCount() != 2 || rg.ctrl.Memory.clientFlows(cli.IP()) != 0 {
 		t.Fatalf("setup: %d cloud forwards, %d rules, %d memorized flows; want 1, punt + pair, 0",
-			rg.ctrl.Stats.CloudForwards, rg.sw.RuleCount(), rg.ctrl.Memory.ClientFlows(cli.IP()))
+			rg.ctrl.Stats.CloudForwards, rg.sw.RuleCount(), rg.ctrl.Memory.clientFlows(cli.IP()))
 	}
 	// Step to the pair's idle expiry: its flow-removed is now on the channel.
 	for rg.sw.RuleCount() == 2 {
@@ -367,13 +367,13 @@ func TestFlowMemoryClientIndex(t *testing.T) {
 	k := sim.New(1)
 	m := NewFlowMemory(k, time.Second)
 	var idleClients []simnet.Addr
-	m.OnIdleClient = func(c simnet.Addr) { idleClients = append(idleClients, c) }
+	m.OnIdleClient = func(c simnet.Addr, _ uint32) { idleClients = append(idleClients, c) }
 	in := mkInst("svc", "10.0.0.1", 32000)
 	m.Put(FlowKey{Client: "ue1", VIP: "203.0.113.10", Port: 80}, in)
 	m.Put(FlowKey{Client: "ue1", VIP: "203.0.113.11", Port: 80}, in)
 	m.Put(FlowKey{Client: "ue2", VIP: "203.0.113.10", Port: 80}, in)
-	if m.ClientFlows("ue1") != 2 || m.ClientFlows("ue2") != 1 {
-		t.Fatalf("ClientFlows = %d/%d, want 2/1", m.ClientFlows("ue1"), m.ClientFlows("ue2"))
+	if m.clientFlows("ue1") != 2 || m.clientFlows("ue2") != 1 {
+		t.Fatalf("clientFlows = %d/%d, want 2/1", m.clientFlows("ue1"), m.clientFlows("ue2"))
 	}
 	if m.ServiceFlows("svc") != 3 {
 		t.Fatalf("ServiceFlows = %d, want 3", m.ServiceFlows("svc"))
@@ -382,7 +382,7 @@ func TestFlowMemoryClientIndex(t *testing.T) {
 	if len(idleClients) != 2 {
 		t.Fatalf("idle-client callbacks = %v, want one per client", idleClients)
 	}
-	if m.ClientFlows("ue1") != 0 || m.ServiceFlows("svc") != 0 {
+	if m.clientFlows("ue1") != 0 || m.ServiceFlows("svc") != 0 {
 		t.Fatal("indexes not drained after expiry")
 	}
 }

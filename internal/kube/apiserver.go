@@ -43,6 +43,27 @@ type APIServer struct {
 	// elsewhere. The kubelet compares them with the events it has heard.
 	podWrites int
 	departed  map[string]int
+	// requested totals, per node, the resource requests of the pods bound
+	// to it: what the scheduler's fit check subtracts from the node.
+	requested map[string]requests
+}
+
+// requests is a sum of pod resource requests.
+type requests struct {
+	cpu, mem int64
+}
+
+// add adds (sign 1) or subtracts (sign -1) pod's requests to its node's
+// total; an unbound pod has none.
+func (a *APIServer) add(pod *Pod, sign int64) {
+	if pod == nil || pod.NodeName == "" {
+		return
+	}
+	cpu, mem := podRequests(pod.Spec)
+	r := a.requested[pod.NodeName]
+	r.cpu += sign * cpu
+	r.mem += sign * mem
+	a.requested[pod.NodeName] = r
 }
 
 // NewAPIServer creates an empty API server on kernel k.
@@ -55,6 +76,7 @@ func NewAPIServer(k *sim.Kernel) *APIServer {
 		podsByLabel:   make(index[labelPair, *Pod]),
 		svcBySelector: make(index[labelPair, *Service]),
 		departed:      make(map[string]int),
+		requested:     make(map[string]requests),
 		subs:          make(map[Kind][]func(Event)),
 	}
 	a.Deployments = newStore[*Deployment](a, KindDeployment, nil)
@@ -68,6 +90,8 @@ func NewAPIServer(k *sim.Kernel) *APIServer {
 		if old != nil && old.NodeName != "" && (cur == nil || cur.NodeName != old.NodeName) {
 			a.departed[old.NodeName]++
 		}
+		a.add(old, -1)
+		a.add(cur, 1)
 		a.reindexPodLabels(old, cur)
 	})
 	a.Pods.admit = func(pod *Pod) {

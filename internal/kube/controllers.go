@@ -363,16 +363,12 @@ func bindRead(b *binding) sim.Step[binding] {
 }
 
 // bindFit binds the pod if its requests fit in what the node's bound pods
-// leave free and its NodePort is free on the node; otherwise it parks the pod
-// until a delete.
+// leave free (the API server's running total) and its NodePort is free on the
+// node; otherwise it parks the pod until a delete.
 func bindFit(b *binding) sim.Step[binding] {
 	s := b.s
-	cpuFree, memFree := s.api.t.nodeCPU, s.api.t.nodeMem
-	for _, other := range s.api.podsByNode[s.node].scan() {
-		cpu, mem := podRequests(other.Spec)
-		cpuFree -= cpu
-		memFree -= mem
-	}
+	used := s.api.requested[s.node]
+	cpuFree, memFree := s.api.t.nodeCPU-used.cpu, s.api.t.nodeMem-used.mem
 	if cpu, mem := podRequests(b.pod.Spec); cpu > cpuFree || mem > memFree || s.api.nodePortTaken(b.pod, s.node) {
 		s.unschedulable[b.name] = true
 		return b.end()

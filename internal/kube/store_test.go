@@ -92,6 +92,59 @@ func indexSize[K comparable, T object[T]](t *testing.T, what string, ix index[K,
 	return n
 }
 
+// TestRequestedMatchesNodeScan: the per-node request totals the Pods reindex
+// hook keeps, which the scheduler's fit check reads, equal the sum over the
+// pods the node index holds, after every step of a seeded mix of creates
+// (bound and not), binds, rebinds, spec changes and deletes.
+func TestRequestedMatchesNodeScan(t *testing.T) {
+	nodeNames := []string{"", "n1", "n2"}
+	for _, seed := range []int64{1, 7, 42} {
+		rng := rand.New(rand.NewSource(seed))
+		a := newBareCluster().api
+		podName := func() string { return fmt.Sprintf("p%d", rng.Intn(40)) }
+		template := func() PodTemplate {
+			var t PodTemplate
+			for i := rng.Intn(3); i > 0; i-- {
+				t.Containers = append(t.Containers, spec.ContainerSpec{
+					Name: fmt.Sprintf("c%d", i), CPUMillis: int64(rng.Intn(2000)), MemoryBytes: int64(rng.Intn(1 << 30)),
+				})
+			}
+			return t
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(6); op {
+			case 0:
+				a.CreatePod(nil, &Pod{Name: podName(), Spec: template(), NodeName: nodeNames[rng.Intn(3)]})
+			case 1, 2: // bind, rebind or unbind
+				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+					pod = pod.clone()
+					pod.NodeName = nodeNames[rng.Intn(3)]
+					a.Pods.Update(nil, pod)
+				}
+			case 3: // a new spec in place
+				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+					pod = pod.clone()
+					pod.Spec = template()
+					a.Pods.Update(nil, pod)
+				}
+			default:
+				a.Pods.Delete(nil, podName())
+			}
+			for _, node := range nodeNames[1:] {
+				var want requests
+				for _, pod := range a.podsByNode[node].scan() {
+					cpu, mem := podRequests(pod.Spec)
+					want.cpu += cpu
+					want.mem += mem
+				}
+				if got := a.requested[node]; got != want {
+					t.Fatalf("seed %d step %d: node %s requested %+v, its pods sum to %+v", seed, step, node, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestStoreMatchesBruteForce drives random Create / Update-with-relabel /
 // bind / Delete traffic at the store and checks after every step that every
 // indexed answer equals a filter + sort over the name -> object map, that no

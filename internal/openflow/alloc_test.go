@@ -197,7 +197,9 @@ func TestAllocsControllerRoundTrip(t *testing.T) {
 		release func(sw *Switch, pkt *simnet.Packet)
 	}{
 		{"TableOut", func(sw *Switch, pkt *simnet.Packet) {
-			pkt.DstIP = "10.0.0.2" // the controller owns the held packet
+			// The controller owns the held packet; a rewrite sets the
+			// address's number with it.
+			pkt.DstIP, pkt.DstID = "10.0.0.2", sw.Network().Number("10.0.0.2")
 			sw.TableOut(pkt)
 		}},
 		{"PacketOut", func(sw *Switch, pkt *simnet.Packet) {

@@ -235,8 +235,9 @@ func (b *stepBytes) next() (byte, bool) {
 // Small value domains, so that random rules collide on match keys, cookies
 // and priorities, and random packets hit them. A packet's fields also take
 // values no rule's match names: 10.0.0.7, which only SetDstIP and routes
-// name; 10.0.0.9, which nothing names (address number 0); port 9999; and a
-// port past a key's 32 bits, which truncates to 80.
+// name; 10.0.0.9, which nothing names (the switch keeps no entry for it, so it
+// reads number 0's); port 9999; and a port past a key's 32 bits, which
+// truncates to 80.
 var (
 	modelIPs      = []simnet.Addr{"", "10.0.0.1", "10.0.0.2", "10.0.0.3"}
 	modelPorts    = []int{0, 80, 443, 8080}
@@ -267,7 +268,8 @@ type flowTableModel struct {
 	ports  [1 + modelSwitchPorts]*simnet.Port
 	out    []int // ports of the packets the sinks received in this step
 	// rerouted counts packets a rule's SetDstIP rewrote and NORMAL output
-	// delivered, and unnamed those from or to an address with no number.
+	// delivered, and unnamed those from or to an address no rule or route
+	// names.
 	rerouted, unnamed int
 	src               *stepBytes
 	step              int
@@ -319,7 +321,8 @@ func (m *flowTableModel) run(steps int) {
 			m.traffic(a, b)
 		case 7:
 			pkt := m.packet(a, b)
-			got, _ := m.sw.lookup(pkt)
+			m.sw.net.NumberPacket(pkt) // as process does first
+			got := m.sw.lookup(pkt)
 			m.sameRule("lookup", got, m.ref.lookup(pkt))
 		case 8:
 			m.route(a, b)
@@ -407,7 +410,7 @@ func (m *flowTableModel) traffic(a, b byte) {
 	if want != nil && want.Actions.SetDstIP != "" && wantOut >= 0 {
 		m.rerouted++
 	}
-	if m.sw.addrs[pkt.SrcIP] == 0 || m.sw.addrs[pkt.DstIP] == 0 {
+	if *m.sw.entry(pkt.SrcID) == (addrEntry{route: -1}) || *m.sw.entry(pkt.DstID) == (addrEntry{route: -1}) {
 		m.unnamed++
 	}
 }
@@ -493,8 +496,9 @@ func (m *flowTableModel) check() {
 				if sig&int(sigSrcIP) != 0 && sw.nums[key.srcIP].asSrc>>sig&1 == 0 || sig&int(sigDstIP) != 0 && sw.nums[key.dstIP].asDst>>sig&1 == 0 {
 					t.Errorf("rule %d (%v): its addresses' masks miss signature %04b", r.seq, r.Match, sig)
 				}
-				if r.setDst != sw.addrs[r.Actions.SetDstIP] {
-					t.Errorf("rule %d: SetDstIP %q numbered %d, want %d", r.seq, r.Actions.SetDstIP, r.setDst, sw.addrs[r.Actions.SetDstIP])
+				if r.setDst != sw.net.Lookup(r.Actions.SetDstIP) || r.setSrc != sw.net.Lookup(r.Actions.SetSrcIP) {
+					t.Errorf("rule %d: SetDstIP %q numbered %d, SetSrcIP %q %d; want %d, %d", r.seq, r.Actions.SetDstIP, r.setDst,
+						r.Actions.SetSrcIP, r.setSrc, sw.net.Lookup(r.Actions.SetDstIP), sw.net.Lookup(r.Actions.SetSrcIP))
 				}
 				if prev != nil && !prev.before(r) {
 					t.Errorf("rule %d chained ahead of rule %d", prev.seq, r.seq)
@@ -519,52 +523,55 @@ func (m *flowTableModel) check() {
 	}
 }
 
-// numberedKey is r's match key spelled out from the switch's address numbers.
+// numberedKey is r's match key spelled out from the network's address
+// numbers.
 func (m *flowTableModel) numberedKey(r *FlowRule) matchKey {
 	num := func(ip simnet.Addr) uint32 {
 		if ip == "" {
 			return 0
 		}
-		n, ok := m.sw.addrs[ip]
-		if !ok || n == 0 {
-			m.t.Errorf("rule %d names %q, which has no number", r.seq, ip)
+		n := m.sw.net.Lookup(ip)
+		if n == 0 || int(n) >= len(m.sw.nums) {
+			m.t.Errorf("rule %d names %q, which has number %d and %d switch entries", r.seq, ip, n, len(m.sw.nums))
 		}
 		return n
 	}
 	return matchKey{num(r.Match.SrcIP), num(r.Match.DstIP), uint32(r.Match.SrcPort), uint32(r.Match.DstPort)}
 }
 
-// checkNumbers checks the address numbering against the reference routes:
-// numbers 1 to n name n distinct addresses, 0 none, each has an entry, and a
-// number's route is the reference route of its address. It also checks the
-// wildcard masks against the signatures they stand for.
+// checkNumbers checks the switch's entries, indexed by the network's
+// address numbers, against the reference routes: the addresses the model
+// names have distinct numbers, 0 none, a routed address has an entry, and an
+// address's route is its reference route. It also checks the wildcard masks
+// against the signatures they stand for.
 func (m *flowTableModel) checkNumbers() {
 	t, sw := m.t, m.sw
-	if len(sw.nums) != len(sw.addrs)+1 {
-		t.Errorf("%d addresses numbered, but %d entries", len(sw.addrs), len(sw.nums))
-		return
-	}
 	if sw.nums[0] != (addrEntry{route: -1}) {
 		t.Errorf("number 0 has entry %+v; it names no address", sw.nums[0])
 	}
-	seen := make([]bool, len(sw.nums))
-	for ip, n := range sw.addrs {
-		if n == 0 || int(n) >= len(seen) || seen[n] {
-			t.Errorf("address %q numbered %d: zero, out of range or shared", ip, n)
-			continue
-		}
-		seen[n] = true
-		want, ok := m.routes.routes[ip]
-		if !ok {
-			want = -1
-		}
-		if sw.nums[n].route != want {
-			t.Errorf("address %q (number %d) routes to port %d, reference %d", ip, n, sw.nums[n].route, want)
+	owner := map[uint32]simnet.Addr{}
+	for _, ips := range [][]simnet.Addr{modelIPs, modelPktIPs, modelSetDsts, modelRouteIPs} {
+		for _, ip := range ips {
+			n := sw.net.Lookup(ip)
+			if ip == "" || n == 0 {
+				continue
+			}
+			if o, ok := owner[n]; ok && o != ip {
+				t.Errorf("addresses %q and %q share number %d", o, ip, n)
+			}
+			owner[n] = ip
+			want, ok := m.routes.routes[ip]
+			if !ok {
+				want = -1
+			}
+			if got := sw.entry(n).route; got != want {
+				t.Errorf("address %q (number %d) routes to port %d, reference %d", ip, n, got, want)
+			}
 		}
 	}
 	for ip := range m.routes.routes {
-		if _, ok := sw.addrs[ip]; !ok {
-			t.Errorf("routed address %q has no number", ip)
+		if n := sw.net.Lookup(ip); n == 0 || int(n) >= len(sw.nums) {
+			t.Errorf("routed address %q has number %d, %d switch entries", ip, n, len(sw.nums))
 		}
 	}
 	for sig := 0; sig < numSigs; sig++ {

@@ -8,9 +8,9 @@
 // The switch also offers a NORMAL action (as OVS does): plain L3 forwarding
 // via a static route table, used for all traffic that is not redirected.
 //
-// The flow table and the routes hash no address string per packet: the
-// switch numbers every address a rule or route names, a lookup numbers the
-// packet's two addresses once and probes only the signatures whose address
+// The flow table and the routes hash no address string per packet: both are
+// indexed by the network's address numbers (simnet.Network.Number), which
+// the packet carries; a lookup probes only the signatures whose address
 // fields those addresses have appeared in, with a 16-byte integer key, and
 // NORMAL output routes by number (DESIGN.md §19).
 package openflow
@@ -96,12 +96,14 @@ type Actions struct {
 	OutPort    int // valid when Output == OutputPort
 }
 
-func (a Actions) apply(pkt *simnet.Packet) {
+// apply rewrites pkt's headers; src and dst are the numbers of SetSrcIP and
+// SetDstIP, which a rewrite sets with the address.
+func (a *Actions) apply(pkt *simnet.Packet, src, dst uint32) {
 	if a.SetSrcIP != "" {
-		pkt.SrcIP = a.SetSrcIP
+		pkt.SrcIP, pkt.SrcID = a.SetSrcIP, src
 	}
 	if a.SetDstIP != "" {
-		pkt.DstIP = a.SetDstIP
+		pkt.DstIP, pkt.DstID = a.SetDstIP, dst
 	}
 	if a.SetSrcPort != 0 {
 		pkt.SrcPort = a.SetSrcPort
@@ -133,11 +135,12 @@ type FlowRule struct {
 	bytes     simnet.Bytes
 	removed   bool
 	seq       uint64 // insertion order (tie-break among equal priorities)
-	// key is the rule's match key under its signature, and setDst the number
-	// of Actions.SetDstIP (0 when the rule does not rewrite the destination),
-	// so a hit routes the rewritten packet without looking its address up.
-	key    matchKey
-	setDst uint32
+	// key is the rule's match key under its signature, and setSrc and setDst
+	// the numbers of Actions.SetSrcIP and SetDstIP (0 when the rule does not
+	// rewrite that address), so a hit rewrites a packet's address numbers
+	// with its addresses and routes it without looking an address up.
+	key            matchKey
+	setSrc, setDst uint32
 	// sameKey chains the rules sharing this rule's signature and match key
 	// in lookup order; sameCookie chains the rules of group, newest first.
 	sameKey, sameCookie *FlowRule
@@ -160,6 +163,10 @@ type cookieGroup struct {
 
 // Stats returns the rule's packet and byte counters.
 func (r *FlowRule) Stats() (packets uint64, bytes simnet.Bytes) { return r.packets, r.bytes }
+
+// MatchIDs returns the network's numbers of the rule's match addresses, 0 for
+// a wildcard.
+func (r *FlowRule) MatchIDs() (src, dst uint32) { return r.key.srcIP, r.key.dstIP }
 
 // PacketIn is the event handed to the controller on a table hit with
 // OutputController (or on table miss if the switch is so configured).
@@ -241,7 +248,7 @@ func signatureOf(m Match) sigKey {
 }
 
 // matchKey is the concrete field tuple of a rule (or packet) under one
-// signature, addresses by their switch-local numbers. It is 16 bytes, which
+// signature, addresses by their network numbers. It is 16 bytes, which
 // the runtime hashes as one 128-bit word.
 type matchKey struct {
 	srcIP, dstIP, srcPort, dstPort uint32
@@ -278,13 +285,11 @@ type Switch struct {
 	// Rules reads order, and it sorts a copy.
 	sigs     [numSigs]map[matchKey]*FlowRule
 	liveSigs uint16
-	// addrs numbers every address a rule's match or SetDstIP, or a route,
-	// has named, from 1 in order of first mention; 0 stands for an address
-	// none has. Numbers are never taken back, so the table grows with the
-	// distinct addresses (hosts and service VIPs), not with installs. nums
-	// holds what the switch keeps per number, number 0's entry included.
-	addrs map[simnet.Addr]uint32
-	nums  []addrEntry
+	// nums holds what the switch keeps per address, indexed by the address's
+	// number in the network. It reaches as far as the highest number a rule's
+	// match or set-field, or a route, has named; a number past its end reads
+	// as number 0's entry, which stands for an address none has named.
+	nums []addrEntry
 	// byCookie finds each cookie's group, making DeleteFlows O(rules with
 	// that cookie).
 	byCookie map[uint64]*cookieGroup
@@ -354,7 +359,6 @@ func NewSwitch(n *simnet.Network, name string, cfg Config) *Switch {
 		cfg:        cfg,
 		byCookie:   make(map[uint64]*cookieGroup),
 		ports:      make(map[int]*simnet.Port),
-		addrs:      make(map[simnet.Addr]uint32),
 		nums:       []addrEntry{{route: -1}},
 		defaultOut: -1,
 	}
@@ -428,16 +432,22 @@ func (s *Switch) SetRoute(ip simnet.Addr, num int) {
 	s.nums[s.number(ip)].route = num
 }
 
-// number returns ip's address number, assigning the next one if no rule or
-// route has named ip before.
+// number returns ip's number in the network, extending nums to hold its
+// entry.
 func (s *Switch) number(ip simnet.Addr) uint32 {
-	n, ok := s.addrs[ip]
-	if !ok {
-		n = uint32(len(s.nums))
-		s.addrs[ip] = n
+	n := s.net.Number(ip)
+	for int(n) >= len(s.nums) {
 		s.nums = append(s.nums, addrEntry{route: -1})
 	}
 	return n
+}
+
+// entry returns what the switch keeps for address number n.
+func (s *Switch) entry(n uint32) *addrEntry {
+	if int(n) < len(s.nums) {
+		return &s.nums[n]
+	}
+	return &s.nums[0]
 }
 
 // SetDefaultRoute sets the port used when no route matches (the uplink
@@ -580,11 +590,31 @@ func (s *Switch) deliverCtrl() {
 		m.rule.notifying = false
 		s.release(m.rule)
 	case msgPacketOut:
-		m.actions.apply(m.pkt)
-		s.output(m.actions, m.pkt, s.addrs[m.pkt.DstIP])
+		s.packetOut(m.pkt, &m.actions)
 	case msgTableOut:
 		s.process(m.pkt)
 	}
+}
+
+// packetOut carries out a packet-out's actions on pkt: its set-fields, which
+// set the numbers of the addresses they write, then its output.
+func (s *Switch) packetOut(pkt *simnet.Packet, a *Actions) {
+	s.net.NumberPacket(pkt)
+	src, dst := s.setIDs(a)
+	a.apply(pkt, src, dst)
+	s.output(a, pkt)
+}
+
+// setIDs returns the numbers of the addresses a's set-fields write, 0 for
+// one it leaves alone.
+func (s *Switch) setIDs(a *Actions) (src, dst uint32) {
+	if a.SetSrcIP != "" {
+		src = s.number(a.SetSrcIP)
+	}
+	if a.SetDstIP != "" {
+		dst = s.number(a.SetDstIP)
+	}
+	return src, dst
 }
 
 // removeRule takes a live rule out of the table: it unlinks r from its
@@ -635,9 +665,7 @@ func (s *Switch) indexAdd(r *FlowRule) {
 		dst = s.number(m.DstIP)
 		s.nums[dst].asDst |= 1 << sig
 	}
-	if r.Actions.SetDstIP != "" {
-		r.setDst = s.number(r.Actions.SetDstIP)
-	}
+	r.setSrc, r.setDst = s.setIDs(&r.Actions)
 	bucket := s.sigs[sig]
 	if bucket == nil {
 		bucket = make(map[matchKey]*FlowRule)
@@ -672,13 +700,12 @@ func (s *Switch) indexAdd(r *FlowRule) {
 }
 
 // lookup finds the highest-priority matching rule (first-installed among
-// equals) via the signature index, and returns it with the number of the
-// packet's destination. It numbers the packet's two addresses once, then
-// probes each signature in probes: one map probe per signature that holds a
-// rule the packet's addresses and ports could match, independent of the rule
-// count.
-func (s *Switch) lookup(pkt *simnet.Packet) (best *FlowRule, dst uint32) {
-	src, dst := s.addrs[pkt.SrcIP], s.addrs[pkt.DstIP]
+// equals) via the signature index, for a packet that carries its address
+// numbers. It probes each signature in probes: one map probe per signature
+// that holds a rule the packet's addresses and ports could match,
+// independent of the rule count.
+func (s *Switch) lookup(pkt *simnet.Packet) (best *FlowRule) {
+	src, dst := pkt.SrcID, pkt.DstID
 	sp, dp := uint32(pkt.SrcPort), uint32(pkt.DstPort)
 	for live := s.probes(src, dst, pkt.SrcPort, pkt.DstPort); live != 0; live &= live - 1 {
 		sig := sigKey(bits.TrailingZeros16(live))
@@ -687,17 +714,17 @@ func (s *Switch) lookup(pkt *simnet.Packet) (best *FlowRule, dst uint32) {
 			best = r
 		}
 	}
-	return best, dst
+	return best
 }
 
 // probes returns the signatures a lookup probes for a packet from address
 // number src to dst with the given ports: the live ones that wildcard the
 // source or hold a rule that has named src as its source, likewise for the
-// destination, and that key no port outside a key's 32 bits. An unnumbered
-// address (0) is named by no rule, so it is probed only in signatures that
+// destination, and that key no port outside a key's 32 bits. An address no
+// rule names reads number 0's entry, so it is probed only in signatures that
 // wildcard it.
 func (s *Switch) probes(src, dst uint32, srcPort, dstPort int) uint16 {
-	live := s.liveSigs & (noSrcIP | s.nums[src].asSrc) & (noDstIP | s.nums[dst].asDst)
+	live := s.liveSigs & (noSrcIP | s.entry(src).asSrc) & (noDstIP | s.entry(dst).asDst)
 	if uint64(srcPort) >= maxPort {
 		live &= noSrcPort
 	}
@@ -726,27 +753,24 @@ func (s *Switch) HandlePacket(in *simnet.Port, pkt *simnet.Packet) {
 }
 
 func (s *Switch) process(pkt *simnet.Packet) {
+	s.net.NumberPacket(pkt)
 	if s.ingressSteer != nil && s.ingressSteer(s, pkt) {
 		return
 	}
-	r, dst := s.lookup(pkt)
-	if r != nil {
+	if r := s.lookup(pkt); r != nil {
 		r.packets++
 		r.bytes += pkt.Size
 		r.group.idle.Touch(s.net.K.Now())
-		r.Actions.apply(pkt)
-		if r.setDst != 0 {
-			dst = r.setDst
-		}
-		s.output(r.Actions, pkt, dst)
+		r.Actions.apply(pkt, r.setSrc, r.setDst)
+		s.output(&r.Actions, pkt)
 		return
 	}
-	s.output(Actions{Output: s.cfg.MissBehavior}, pkt, dst)
+	s.output(&Actions{Output: s.cfg.MissBehavior}, pkt)
 }
 
-// output carries out a's output; dst is the number of pkt's destination,
-// which OutputNormal routes by.
-func (s *Switch) output(a Actions, pkt *simnet.Packet, dst uint32) {
+// output carries out a's output; OutputNormal routes by the number of pkt's
+// destination.
+func (s *Switch) output(a *Actions, pkt *simnet.Packet) {
 	switch a.Output {
 	case OutputDrop:
 	case OutputPort:
@@ -759,7 +783,7 @@ func (s *Switch) output(a Actions, pkt *simnet.Packet, dst uint32) {
 		}
 		s.sendCtrl(ctrlMsg{kind: msgPacketIn, pkt: pkt})
 	case OutputNormal:
-		out := s.nums[dst].route
+		out := s.entry(pkt.DstID).route
 		if out < 0 {
 			out = s.defaultOut
 		}
@@ -774,11 +798,16 @@ func (s *Switch) output(a Actions, pkt *simnet.Packet, dst uint32) {
 
 // ForwardNormal sends a (possibly rewritten) packet out via the static L3
 // routes — the forwarding primitive the ingress steering hook uses after an
-// in-place encap/decap. It is the OutputNormal leg of the pipeline without a
-// table lookup and costs no allocation.
+// in-place encap/decap, which sets the rewritten address's number with it.
+// It is the OutputNormal leg of the pipeline without a table lookup and
+// costs no allocation.
 func (s *Switch) ForwardNormal(pkt *simnet.Packet) {
-	s.output(Actions{Output: OutputNormal}, pkt, s.addrs[pkt.DstIP])
+	s.output(&Actions{Output: OutputNormal}, pkt)
 }
+
+// Network returns the network the switch is in, whose numbers its packets
+// carry.
+func (s *Switch) Network() *simnet.Network { return s.net }
 
 // PacketOut re-injects a packet from the controller into the switch
 // pipeline after the controller latency, applying the given actions

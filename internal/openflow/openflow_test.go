@@ -113,7 +113,7 @@ func TestRedirectRewritesTransparently(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.net.Lookup(rg.edge.IP())].route,
 		},
 	})
 	// Reverse flow: edge:32000 -> appears as VIP:80.
@@ -160,7 +160,7 @@ func TestPriorityOrder(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 81,
-			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.net.Lookup(rg.edge.IP())].route,
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -255,7 +255,7 @@ func TestHeldPacketReleasedByTableOut(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-				Output: OutputPort, OutPort: ev.Switch.nums[ev.Switch.addrs[rg.edge.IP()]].route,
+				Output: OutputPort, OutPort: ev.Switch.nums[ev.Switch.net.Lookup(rg.edge.IP())].route,
 			},
 		})
 		ev.Switch.AddFlow(FlowRule{
@@ -320,7 +320,7 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.net.Lookup(rg.edge.IP())].route,
 		},
 		IdleTimeout: 300 * time.Millisecond,
 	})
@@ -404,7 +404,7 @@ func TestFlowStatsCount(t *testing.T) {
 		Match:    Match{DstIP: vip, DstPort: 80},
 		Actions: Actions{
 			SetDstIP: rg.edge.IP(), SetDstPort: 32000,
-			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
+			Output: OutputPort, OutPort: rg.sw.nums[rg.sw.net.Lookup(rg.edge.IP())].route,
 		},
 	})
 	rg.sw.AddFlow(FlowRule{
@@ -467,7 +467,7 @@ func TestAddFlowRejectsPortsBeyondKey(t *testing.T) {
 	}
 	r := sw.AddFlow(FlowRule{Match: Match{DstPort: maxPort - 1}})
 	for port, want := range map[int]*FlowRule{maxPort - 1: r, 2*maxPort - 1: nil, -1: nil} {
-		if got, _ := sw.lookup(&simnet.Packet{DstPort: port}); got != want {
+		if got := sw.lookup(&simnet.Packet{DstPort: port}); got != want {
 			t.Errorf("packet to port %d hit %v, want %v", port, got, want)
 		}
 	}
@@ -484,7 +484,7 @@ func TestEqualPriorityFirstInstalledWins(t *testing.T) {
 			Match:    Match{DstIP: vip, DstPort: 80},
 			Actions: Actions{
 				SetDstIP: rg.edge.IP(), SetDstPort: port,
-				Output: OutputPort, OutPort: rg.sw.nums[rg.sw.addrs[rg.edge.IP()]].route,
+				Output: OutputPort, OutPort: rg.sw.nums[rg.sw.net.Lookup(rg.edge.IP())].route,
 			},
 		})
 		rg.sw.AddFlow(FlowRule{
@@ -610,6 +610,9 @@ func warmReplayTable() (sw *Switch, forward, reverse, unnamed *simnet.Packet) {
 	forward = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: "10.1.3.17", DstIP: vip(i % 42), SrcPort: 40000, DstPort: 80, Size: 100}
 	reverse = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: instance(i), DstIP: "10.1.3.17", SrcPort: 32000 + i%42, DstPort: 40000, Size: 100}
 	unnamed = &simnet.Packet{Kind: simnet.KindDATA, SrcIP: "192.0.2.1", DstIP: "192.0.2.2", SrcPort: 40000, DstPort: 80, Size: 100}
+	for _, pkt := range []*simnet.Packet{forward, reverse, unnamed} {
+		sw.net.NumberPacket(pkt) // as process does first
+	}
 	return sw, forward, reverse, unnamed
 }
 
@@ -620,7 +623,7 @@ func warmReplayTable() (sw *Switch, forward, reverse, unnamed *simnet.Packet) {
 func BenchmarkFlowTableLookup(b *testing.B) {
 	sw, forward, reverse, _ := warmReplayTable()
 	unnamedSource := *forward
-	unnamedSource.SrcIP = "192.0.2.1"
+	unnamedSource.SrcIP, unnamedSource.SrcID = "192.0.2.1", sw.net.Number("192.0.2.1")
 	for _, tc := range []struct {
 		name string
 		pkt  *simnet.Packet
@@ -628,7 +631,7 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 	}{{"forward", forward, 100}, {"reverse", reverse, 100}, {"unnamed-source", &unnamedSource, 50}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			if r, _ := sw.lookup(tc.pkt); r == nil || r.Priority != tc.prio {
+			if r := sw.lookup(tc.pkt); r == nil || r.Priority != tc.prio {
 				b.Fatalf("lookup hit %v, want a priority-%d rule", r, tc.prio)
 			}
 			if n := testing.AllocsPerRun(100, func() { sw.lookup(tc.pkt) }); n != 0 {
@@ -651,7 +654,7 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 func TestLookupProbesNamedSignatures(t *testing.T) {
 	sw, forward, reverse, unnamed := warmReplayTable()
 	probes := func(pkt *simnet.Packet) uint16 {
-		return sw.probes(sw.addrs[pkt.SrcIP], sw.addrs[pkt.DstIP], pkt.SrcPort, pkt.DstPort)
+		return sw.probes(pkt.SrcID, pkt.DstID, pkt.SrcPort, pkt.DstPort)
 	}
 	fwdSig := signatureOf(Match{SrcIP: "a", DstIP: "b", DstPort: 1})
 	revSig := signatureOf(Match{SrcIP: "a", SrcPort: 1, DstIP: "b"})
@@ -673,7 +676,7 @@ func TestLookupProbesNamedSignatures(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s packet probes signatures %016b (%d), want %016b (%d)", tc.name, got, bits.OnesCount16(got), tc.want, bits.OnesCount16(tc.want))
 		}
-		r, _ := sw.lookup(tc.pkt)
+		r := sw.lookup(tc.pkt)
 		if tc.prio < 0 && r != nil || tc.prio >= 0 && (r == nil || r.Priority != tc.prio) {
 			t.Errorf("%s packet hit %v, want priority %d (-1: none)", tc.name, r, tc.prio)
 		}
@@ -747,15 +750,16 @@ func TestLookupPrefersIndexedAndWildcardConsistently(t *testing.T) {
 		Actions:  Actions{Output: OutputDrop},
 	})
 	pkt := &simnet.Packet{SrcIP: "1.1.1.1", DstIP: "2.2.2.2", SrcPort: 5, DstPort: 80, Size: 64}
-	if got, _ := sw.lookup(pkt); got != wild {
+	n.NumberPacket(pkt) // as process does first
+	if got := sw.lookup(pkt); got != wild {
 		t.Fatalf("lookup = %+v, want the high-priority wildcard", got.Match)
 	}
 	sw.removeRule(wild)
-	if got, _ := sw.lookup(pkt); got != exact {
+	if got := sw.lookup(pkt); got != exact {
 		t.Fatalf("lookup after removal = %v, want the exact rule", got)
 	}
 	sw.removeRule(exact)
-	if got, _ := sw.lookup(pkt); got != nil {
+	if got := sw.lookup(pkt); got != nil {
 		t.Fatalf("lookup on empty = %v, want nil", got)
 	}
 }

@@ -72,7 +72,9 @@ func (f *Fabric) Connect(na *Network, a Node, da int, nb *Network, b Node, db in
 // shipRemote crosses the shard boundary: copy the packet by value into the
 // message, free it to the sending pool, and deliver a fresh packet from the
 // receiving pool on the destination kernel, where it arrives at at — at the
-// end of its pipeline stage for a StagedNode, as on a local link.
+// end of its pipeline stage for a StagedNode, as on a local link. Address
+// numbers are per network, so the copy is renumbered in the destination
+// network, on its kernel.
 func (l *Link) shipRemote(pkt *Packet, at sim.Time) {
 	r := l.remote
 	cp := *pkt
@@ -80,6 +82,7 @@ func (l *Link) shipRemote(pkt *Packet, at sim.Time) {
 	r.group.Send(r.srcDomain, r.dstDomain, at+l.ab.stage, func() {
 		np := r.dstNet.NewPacket()
 		*np = cp
+		r.dstNet.renumber(np)
 		dst := r.dst
 		if dst.link.net.PktTrace != nil {
 			dst.link.net.PktTrace(at, dst.node.Name(), np)

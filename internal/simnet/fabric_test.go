@@ -89,3 +89,39 @@ func TestFabricSubLookaheadLatencyPanics(t *testing.T) {
 	}()
 	f.Connect(na, a, 0, nb, b, 1, LinkConfig{Name: "fast", Latency: time.Millisecond})
 }
+
+// recordNode keeps a copy of every packet it receives.
+type recordNode struct {
+	name string
+	got  []Packet
+}
+
+func (r *recordNode) Name() string                      { return r.name }
+func (r *recordNode) HandlePacket(_ *Port, pkt *Packet) { r.got = append(r.got, *pkt) }
+
+// Address numbers are per network: a packet crossing a fabric link arrives
+// carrying its addresses' numbers in the destination network, not the
+// sender's, at 1 and 2 shards.
+func TestFabricRenumbersInDestinationNetwork(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := LinkConfig{Name: "x", Latency: 2 * time.Millisecond}
+		g := sim.NewShardGroup(2, shards, 1, cfg.Latency)
+		na, nb := NewNetwork(g.Kernel(0)), NewNetwork(g.Kernel(1))
+		nb.Number("10.9.0.1") // nb numbers the two ends in another order than na
+		a := NewHost(na, "a", "10.0.0.1")
+		dst := &recordNode{name: "b"}
+		pa, _ := NewFabric(g).Connect(na, a, 0, nb, dst, 1, cfg)
+		a.SetUplink(pa)
+		g.Kernel(0).After(0, func() { a.DialAsync("10.1.0.1", 80, &recorder{}) })
+		g.Run()
+		if len(dst.got) != 1 {
+			t.Fatalf("shards=%d: %d packets arrived, want the SYN", shards, len(dst.got))
+		}
+		got := dst.got[0]
+		src, to := nb.Lookup("10.0.0.1"), nb.Lookup("10.1.0.1")
+		if got.SrcID != src || got.DstID != to || src == na.Lookup("10.0.0.1") || to == na.Lookup("10.1.0.1") {
+			t.Errorf("shards=%d: SYN arrived numbered %d->%d; destination network's numbers %d->%d, sender's %d->%d",
+				shards, got.SrcID, got.DstID, src, to, na.Lookup("10.0.0.1"), na.Lookup("10.1.0.1"))
+		}
+	}
+}

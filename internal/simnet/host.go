@@ -30,11 +30,13 @@ type Host struct {
 	net       *Network
 	name      string
 	ip        Addr
+	id        uint32 // ip's number in net
 	uplink    *Port
 	listeners map[int]*Listener
 	// conns files every connection under its portPair, the head of a chain
 	// through Conn.samePorts; the few that share a pair (a server's peers
-	// that dial from the same ephemeral port) are told apart by address.
+	// that dial from the same ephemeral port) are told apart by address
+	// number.
 	// nconns counts them all.
 	conns     map[uint64]*Conn
 	nconns    int
@@ -57,6 +59,7 @@ func NewHost(n *Network, name string, ip Addr) *Host {
 		net:       n,
 		name:      name,
 		ip:        ip,
+		id:        n.Number(ip),
 		listeners: make(map[int]*Listener),
 		conns:     make(map[uint64]*Conn),
 		ephemeral: 32768,
@@ -160,10 +163,11 @@ func (h *Host) PortOpen(port int) bool {
 // should leave none behind).
 func (h *Host) OpenConns() int { return h.nconns }
 
-// conn returns the connection with this local and remote end, or nil.
-func (h *Host) conn(local, remote addrPort) *Conn {
-	c := h.conns[portPair(local.port, remote.port)]
-	for c != nil && (c.local != local || c.remote != remote) {
+// conn returns the connection a segment from address number src and port
+// srcPort to dst and dstPort belongs to, or nil.
+func (h *Host) conn(dst uint32, dstPort int, src uint32, srcPort int) *Conn {
+	c := h.conns[portPair(dstPort, srcPort)]
+	for c != nil && (c.localID != dst || c.remoteID != src || c.local.port != dstPort || c.remote.port != srcPort) {
 		c = c.samePorts
 	}
 	return c
@@ -220,13 +224,15 @@ type ConnHandler interface {
 // Conn is a TCP-ish connection endpoint: every event it sees goes to its
 // handler, the one way a Conn is driven.
 type Conn struct {
-	host        *Host
-	local       addrPort
-	remote      addrPort
-	samePorts   *Conn // next in the host table's chain of this port pair
-	handler     ConnHandler
-	established bool // handshake completed
-	closed      bool
+	host   *Host
+	local  addrPort
+	remote addrPort
+	// localID and remoteID are the ends' address numbers in the host's
+	// network: what every segment the connection sends carries, and what
+	// tells apart the connections of one port pair.
+	localID, remoteID uint32
+	samePorts         *Conn // next in the host table's chain of this port pair
+	handler           ConnHandler
 	// TCP-like in-order delivery of DATA segments: the sender numbers
 	// them, the receiver buffers out-of-order arrivals.
 	sendSeq  uint64
@@ -235,7 +241,9 @@ type Conn struct {
 	// finSeq, when non-zero, is the sequence number just past the last
 	// DATA segment; the connection closes once everything before it has
 	// been delivered.
-	finSeq uint64
+	finSeq      uint64
+	established bool // handshake completed
+	closed      bool
 	// reap marks a connection nobody holds any more: set by Close, by a
 	// refused handshake and by a pooled handler (httpCall, HTTPServerConn)
 	// that is done with it; see settle.
@@ -364,11 +372,12 @@ func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 	lp := h.ephemeral
 	h.ephemeral++
 	c := h.net.newConn()
-	c.host, c.local, c.remote, c.handler = h, addrPort{h.ip, lp}, addrPort{dst, port}, handler
+	c.host, c.handler = h, handler
+	c.local, c.remote = addrPort{h.ip, lp}, addrPort{dst, port}
+	c.localID, c.remoteID = h.id, h.net.Number(dst)
 	h.addConn(c)
 	syn := h.net.NewPacket()
-	syn.Kind, syn.SrcIP, syn.DstIP = KindSYN, h.ip, dst
-	syn.SrcPort, syn.DstPort, syn.Size = lp, port, minWireSize
+	c.address(syn, KindSYN)
 	h.sendOut(syn)
 	return c
 }
@@ -377,10 +386,10 @@ func (h *Host) DialAsync(dst Addr, port int, handler ConnHandler) *Conn {
 // connection in the table is never closed (it leaves the table as it
 // closes), so a segment that finds one is for a live connection.
 func (h *Host) HandlePacket(in *Port, pkt *Packet) {
-	local, remote := addrPort{pkt.DstIP, pkt.DstPort}, addrPort{pkt.SrcIP, pkt.SrcPort}
+	h.net.NumberPacket(pkt)
 	switch pkt.Kind {
 	case KindSYN:
-		if c := h.conn(local, remote); c != nil {
+		if c := h.conn(pkt.DstID, pkt.DstPort, pkt.SrcID, pkt.SrcPort); c != nil {
 			// Duplicate SYN (e.g. retry); re-acknowledge idempotently.
 			h.net.FreePacket(pkt)
 			h.replySYNACK(c)
@@ -391,26 +400,29 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 			// Reuse the consumed SYN as the RST reply.
 			pkt.Kind = KindRST
 			pkt.SrcIP, pkt.DstIP = pkt.DstIP, pkt.SrcIP
+			pkt.SrcID, pkt.DstID = pkt.DstID, pkt.SrcID
 			pkt.SrcPort, pkt.DstPort = pkt.DstPort, pkt.SrcPort
 			pkt.Size = minWireSize
 			h.sendOut(pkt)
 			return
 		}
-		h.net.FreePacket(pkt)
 		c := h.net.newConn()
-		c.host, c.local, c.remote, c.established = h, local, remote, true
+		c.host, c.established = h, true
+		c.local, c.remote = addrPort{pkt.DstIP, pkt.DstPort}, addrPort{pkt.SrcIP, pkt.SrcPort}
+		c.localID, c.remoteID = pkt.DstID, pkt.SrcID
+		h.net.FreePacket(pkt)
 		h.addConn(c)
 		h.replySYNACK(c)
 		c.handler = l.attach(c)
 	case KindSYNACK:
-		if c := h.conn(local, remote); c != nil && !c.established {
+		if c := h.conn(pkt.DstID, pkt.DstPort, pkt.SrcID, pkt.SrcPort); c != nil && !c.established {
 			c.established = true
 			c.handler.ConnEstablished(c, true)
 			c.settle()
 		}
 		h.net.FreePacket(pkt)
 	case KindRST:
-		if c := h.conn(local, remote); c != nil {
+		if c := h.conn(pkt.DstID, pkt.DstPort, pkt.SrcID, pkt.SrcPort); c != nil {
 			h.delConn(c)
 			c.closed = true
 			if !c.established {
@@ -423,14 +435,14 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 		}
 		h.net.FreePacket(pkt)
 	case KindDATA:
-		if c := h.conn(local, remote); c != nil {
+		if c := h.conn(pkt.DstID, pkt.DstPort, pkt.SrcID, pkt.SrcPort); c != nil {
 			c.deliverInOrder(pkt) // ownership moves to the conn; freed on delivery
 			c.settle()
 		} else {
 			h.net.FreePacket(pkt)
 		}
 	case KindFIN:
-		if c := h.conn(local, remote); c != nil {
+		if c := h.conn(pkt.DstID, pkt.DstPort, pkt.SrcID, pkt.SrcPort); c != nil {
 			// Close only after all DATA before the FIN has been
 			// delivered (the FIN carries the next sequence number).
 			c.finSeq = pkt.Seq
@@ -443,9 +455,16 @@ func (h *Host) HandlePacket(in *Port, pkt *Packet) {
 
 func (h *Host) replySYNACK(c *Conn) {
 	sa := h.net.NewPacket()
-	sa.Kind, sa.SrcIP, sa.DstIP = KindSYNACK, c.local.ip, c.remote.ip
-	sa.SrcPort, sa.DstPort, sa.Size = c.local.port, c.remote.port, minWireSize
+	c.address(sa, KindSYNACK)
 	h.sendOut(sa)
+}
+
+// address makes p a control segment of kind k from c's local end to its
+// remote one, address numbers included.
+func (c *Conn) address(p *Packet, k PacketKind) {
+	p.Kind, p.Size = k, minWireSize
+	p.SrcIP, p.SrcID, p.SrcPort = c.local.ip, c.localID, c.local.port
+	p.DstIP, p.DstID, p.DstPort = c.remote.ip, c.remoteID, c.remote.port
 }
 
 // Send transmits an application message of the given size on the connection.
@@ -457,8 +476,7 @@ func (c *Conn) Send(size Bytes, payload any) error {
 	}
 	c.sendSeq++
 	d := c.host.net.NewPacket()
-	d.Kind, d.SrcIP, d.DstIP = KindDATA, c.local.ip, c.remote.ip
-	d.SrcPort, d.DstPort = c.local.port, c.remote.port
+	c.address(d, KindDATA)
 	d.Size, d.Payload, d.Seq = size, payload, c.sendSeq
 	c.host.sendOut(d)
 	return nil
@@ -539,8 +557,7 @@ func (c *Conn) Close() {
 	c.closed, c.reap = true, true
 	c.host.delConn(c)
 	fin := c.host.net.NewPacket()
-	fin.Kind, fin.SrcIP, fin.DstIP = KindFIN, c.local.ip, c.remote.ip
-	fin.SrcPort, fin.DstPort, fin.Size = c.local.port, c.remote.port, minWireSize
+	c.address(fin, KindFIN)
 	fin.Seq = c.sendSeq + 1
 	c.host.sendOut(fin)
 	c.handler.ConnClosed(c)
@@ -551,14 +568,17 @@ func (c *Conn) Close() {
 // plain (non-OpenFlow) parts of the topology, e.g. the path toward the
 // cloud.
 type Router struct {
-	name     string
-	routes   map[Addr]*Port
+	net  *Network
+	name string
+	// routes holds the port of each routed address, by the address's number
+	// in net; a number past its end has none.
+	routes   []*Port
 	fallback *Port
 }
 
 // NewRouter creates a router node.
 func NewRouter(n *Network, name string) *Router {
-	r := &Router{name: name, routes: make(map[Addr]*Port)}
+	r := &Router{net: n, name: name}
 	n.Register(r)
 	return r
 }
@@ -567,22 +587,30 @@ func NewRouter(n *Network, name string) *Router {
 func (r *Router) Name() string { return r.name }
 
 // AddRoute forwards packets destined to ip out of port p.
-func (r *Router) AddRoute(ip Addr, p *Port) { r.routes[ip] = p }
+func (r *Router) AddRoute(ip Addr, p *Port) {
+	id := r.net.Number(ip)
+	for int(id) >= len(r.routes) {
+		r.routes = append(r.routes, nil)
+	}
+	r.routes[id] = p
+}
 
 // SetDefault sets the default (gateway) port.
 func (r *Router) SetDefault(p *Port) { r.fallback = p }
 
-// Lookup returns the port a destination routes to (nil if none).
-func (r *Router) Lookup(ip Addr) *Port {
-	if p, ok := r.routes[ip]; ok {
-		return p
+// route returns the port the destination with address number id routes to
+// (nil if none).
+func (r *Router) route(id uint32) *Port {
+	if int(id) < len(r.routes) && r.routes[id] != nil {
+		return r.routes[id]
 	}
 	return r.fallback
 }
 
 // HandlePacket implements Node.
 func (r *Router) HandlePacket(in *Port, pkt *Packet) {
-	out := r.Lookup(pkt.DstIP)
+	r.net.NumberPacket(pkt)
+	out := r.route(pkt.DstID)
 	if out == nil || out == in {
 		return // drop: no route (left to GC, never recycled)
 	}

@@ -24,7 +24,8 @@
 // A host demultiplexes by port pair: its connection table is keyed by the
 // local and remote port, and the few connections that share a pair (a
 // server's peers dialing from the same ephemeral port) are told apart by
-// address.
+// address number. Every address is numbered by its network (Numbering), and
+// packets carry the numbers, so no node hashes an address string per packet.
 //
 // # Packet ownership
 //
@@ -115,9 +116,16 @@ func (k PacketKind) String() string {
 // owner of a packet (see the package comment's ownership rules) may rewrite
 // them in flight, as an OpenFlow switch does.
 type Packet struct {
-	Kind    PacketKind
-	SrcIP   Addr
-	DstIP   Addr
+	Kind  PacketKind
+	SrcIP Addr
+	DstIP Addr
+	// SrcID and DstID are SrcIP's and DstIP's numbers in the network the
+	// packet is in (Network.Number), or 0 for a packet built from its
+	// addresses alone, which the first switch, router or host it reaches
+	// numbers (Network.NumberPacket). A rewrite of an address sets its number
+	// with it.
+	SrcID   uint32
+	DstID   uint32
 	SrcPort int
 	DstPort int
 	Size    Bytes // total size on the wire
@@ -155,8 +163,36 @@ type StagedNode interface {
 	PipelineDelay() time.Duration
 }
 
-// Network owns the kernel, nodes, and links of one emulated topology.
+// Numbering numbers addresses from 1 in order of first mention, so that
+// what is kept per address can be kept by number: in a slice, or under an
+// integer map key. 0 is no address's number. Numbers are never taken back,
+// so the table grows with the distinct addresses (hosts and service
+// addresses), not with traffic.
+type Numbering struct {
+	ids map[Addr]uint32
+}
+
+// Number returns a's number, assigning the next one if a has none yet.
+func (t *Numbering) Number(a Addr) uint32 {
+	id, ok := t.ids[a]
+	if !ok {
+		if t.ids == nil {
+			t.ids = make(map[Addr]uint32)
+		}
+		id = uint32(len(t.ids) + 1)
+		t.ids[a] = id
+	}
+	return id
+}
+
+// Lookup returns a's number, or 0 if it has none; it assigns nothing.
+func (t *Numbering) Lookup(a Addr) uint32 { return t.ids[a] }
+
+// Network owns the kernel, nodes, and links of one emulated topology. Its
+// Numbering numbers every address its packets carry: a host's own when it is
+// created, a connection's peer when it dials, the rest when first named.
 type Network struct {
+	Numbering
 	K     *sim.Kernel
 	nodes []Node
 	// PktTrace, when set, is called for every packet a link delivers, with
@@ -213,6 +249,20 @@ func (n *Network) NewPacket() *Packet {
 		return p
 	}
 	return &Packet{}
+}
+
+// NumberPacket gives a packet built from its addresses alone (SrcID or DstID
+// 0) its addresses' numbers — the slow path of the nodes that read them — and
+// leaves a numbered one as it is.
+func (n *Network) NumberPacket(p *Packet) {
+	if p.SrcID == 0 || p.DstID == 0 {
+		n.renumber(p)
+	}
+}
+
+// renumber sets p's address numbers to its addresses' numbers in n.
+func (n *Network) renumber(p *Packet) {
+	p.SrcID, p.DstID = n.Number(p.SrcIP), n.Number(p.DstIP)
 }
 
 // FreePacket returns a packet to the free list. Only the packet's current

@@ -71,6 +71,11 @@ func TestAllocsSRv6Ingress(t *testing.T) {
 	if client.last.SrcIP != "203.0.113.99" || client.last.SrcPort != 80 {
 		t.Fatalf("reverse decap wrong: %+v", client.last)
 	}
+	// The rewrites set the numbers of the addresses they write.
+	if inst.last.DstID != n.Lookup("10.0.0.2") || client.last.SrcID != n.Lookup("203.0.113.99") {
+		t.Fatalf("encap numbered the destination %d (want %d), decap the source %d (want %d)",
+			inst.last.DstID, n.Lookup("10.0.0.2"), client.last.SrcID, n.Lookup("203.0.113.99"))
+	}
 
 	before := inst.got + client.got
 	if avg := testing.AllocsPerRun(200, sendFwd); avg != 0 {

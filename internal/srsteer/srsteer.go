@@ -26,19 +26,19 @@ import (
 )
 
 // fwdKey mirrors the forward rewrite rule's match: client source, service
-// VIP and port, with the client's source port wildcarded.
+// VIP and port, with the client's source port wildcarded. Addresses are keyed
+// by their numbers in the switches' network, which packets carry.
 type fwdKey struct {
-	client simnet.Addr
-	vip    simnet.Addr
-	port   int
+	client, vip uint32
+	port        int
 }
 
 // revKey mirrors the reverse rewrite rule's match: instance source address
 // and port toward a specific client, destination port wildcarded.
 type revKey struct {
-	instAddr simnet.Addr
+	inst     uint32
 	instPort int
-	client   simnet.Addr
+	client   uint32
 }
 
 // binding is one controller-side steering decision.
@@ -46,6 +46,11 @@ type binding struct {
 	f     steer.Flow
 	ep    steer.Endpoint
 	cloud bool // forward unmodified toward the cloud (no encap)
+	// fk and rk are the binding's keys in fwd and rev (rk unused for a
+	// cloud binding); fk.vip and rk.inst are the numbers an encap or decap
+	// sets with the address it rewrites.
+	fk fwdKey
+	rk revKey
 	// idle is the one clock of both directions: either refreshes it, and the
 	// binding leaves fwd and rev together when it runs out.
 	idle sim.Idle
@@ -103,7 +108,7 @@ func (b *SRv6) AttachSwitch(sw *openflow.Switch) {
 // in-place encap/decap, normal forwarding. Zero allocations steady-state —
 // pinned by TestAllocsSRv6Ingress.
 func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
-	if e, ok := b.fwd[fwdKey{pkt.SrcIP, pkt.DstIP, pkt.DstPort}]; ok {
+	if e, ok := b.fwd[fwdKey{pkt.SrcID, pkt.DstID, pkt.DstPort}]; ok {
 		e.idle.Touch(b.k.Now())
 		if e.cloud {
 			// Cloud-forwarded flow: pass through unmodified (the openflow
@@ -114,17 +119,17 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
 		// SRv6-style encap in place: the destination becomes the segment
 		// endpoint; the binding remembers the service address for the decap.
 		b.cEncaps.Inc()
-		pkt.DstIP = e.ep.Addr
+		pkt.DstIP, pkt.DstID = e.ep.Addr, e.rk.inst
 		pkt.DstPort = e.ep.Port
 		sw.ForwardNormal(pkt)
 		return true
 	}
-	if e, ok := b.rev[revKey{pkt.SrcIP, pkt.SrcPort, pkt.DstIP}]; ok {
+	if e, ok := b.rev[revKey{pkt.SrcID, pkt.SrcPort, pkt.DstID}]; ok {
 		e.idle.Touch(b.k.Now())
 		// Decap of the return direction: the client must see the service
 		// address it dialed.
 		b.cDecaps.Inc()
-		pkt.SrcIP = e.f.VIP
+		pkt.SrcIP, pkt.SrcID = e.f.VIP, e.fk.vip
 		pkt.SrcPort = e.f.Port
 		sw.ForwardNormal(pkt)
 		return true
@@ -132,16 +137,19 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
 	return false // fall through to the table (punt rule → dispatch)
 }
 
-// install replaces any binding for f with a fresh one.
-func (b *SRv6) install(f steer.Flow, ep steer.Endpoint, cloud bool) {
-	fk := fwdKey{f.Client, f.VIP, f.Port}
+// install replaces any binding for f with a fresh one; sw's network numbers
+// the addresses.
+func (b *SRv6) install(sw *openflow.Switch, f steer.Flow, ep steer.Endpoint, cloud bool) {
+	n := sw.Network()
+	fk := fwdKey{n.Number(f.Client), n.Number(f.VIP), f.Port}
 	if old, ok := b.fwd[fk]; ok {
 		b.drop(old)
 	}
-	e := &binding{f: f, ep: ep, cloud: cloud}
+	e := &binding{f: f, ep: ep, cloud: cloud, fk: fk}
 	b.fwd[fk] = e
 	if !cloud {
-		b.rev[revKey{ep.Addr, ep.Port, f.Client}] = e
+		e.rk = revKey{n.Number(ep.Addr), ep.Port, fk.client}
+		b.rev[e.rk] = e
 	}
 	if len(b.fwd) > b.high {
 		b.high = len(b.fwd)
@@ -161,14 +169,12 @@ func (b *SRv6) install(f steer.Flow, ep steer.Endpoint, cloud bool) {
 // entry for its keys).
 func (b *SRv6) drop(e *binding) {
 	e.idle.Stop()
-	fk := fwdKey{e.f.Client, e.f.VIP, e.f.Port}
-	if cur, ok := b.fwd[fk]; ok && cur == e {
-		delete(b.fwd, fk)
+	if cur, ok := b.fwd[e.fk]; ok && cur == e {
+		delete(b.fwd, e.fk)
 	}
 	if !e.cloud {
-		rk := revKey{e.ep.Addr, e.ep.Port, e.f.Client}
-		if cur, ok := b.rev[rk]; ok && cur == e {
-			delete(b.rev, rk)
+		if cur, ok := b.rev[e.rk]; ok && cur == e {
+			delete(b.rev, e.rk)
 		}
 	}
 	b.gEntries.Set(int64(len(b.fwd)))
@@ -176,19 +182,19 @@ func (b *SRv6) drop(e *binding) {
 
 // InstallRedirect implements steer.Steering.
 func (b *SRv6) InstallRedirect(sw *openflow.Switch, f steer.Flow, ep steer.Endpoint) {
-	b.install(f, ep, false)
+	b.install(sw, f, ep, false)
 }
 
 // InstallCloudForward implements steer.Steering.
 func (b *SRv6) InstallCloudForward(sw *openflow.Switch, f steer.Flow) {
-	b.install(f, steer.Endpoint{}, true)
+	b.install(sw, f, steer.Endpoint{}, true)
 }
 
 // ReAnchor implements steer.Steering: bindings are switch-agnostic (every
 // attached switch shares the table), so a handover is just a refresh — the
 // stateless backend's whole point. No switch state exists to move.
 func (b *SRv6) ReAnchor(oldSw, newSw *openflow.Switch, f steer.Flow, ep steer.Endpoint) {
-	b.install(f, ep, false)
+	b.install(newSw, f, ep, false)
 }
 
 // FlowRemoved implements steer.Steering. The backend installs no rules, so

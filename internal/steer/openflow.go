@@ -10,10 +10,18 @@ import (
 // pair can never remove a punt rule.
 const controllerCookieBase uint64 = 1 << 32
 
-// pairKey identifies one installed redirect/cloud-forward pair.
+// pairKey identifies one installed redirect/cloud-forward pair: its switch
+// and its flow, the addresses by their numbers in the switch's network.
 type pairKey struct {
-	sw *openflow.Switch
-	f  Flow
+	sw          *openflow.Switch
+	client, vip uint32
+	port        int
+}
+
+// keyOf returns the key of f's pair at sw.
+func keyOf(sw *openflow.Switch, f Flow) pairKey {
+	n := sw.Network()
+	return pairKey{sw, n.Number(f.Client), n.Number(f.VIP), f.Port}
 }
 
 // OpenFlow is the paper's steering mechanism: per-flow forward and reverse
@@ -81,7 +89,7 @@ func (b *OpenFlow) release(key pairKey) {
 // flow-removed notification, so the cookie and client-location bookkeeping
 // is garbage-collected on idle expiry.
 func (b *OpenFlow) install(sw *openflow.Switch, f Flow, a openflow.Actions) (cookie uint64) {
-	key := pairKey{sw, f}
+	key := keyOf(sw, f)
 	b.release(key)
 	b.seq++
 	cookie = controllerCookieBase + b.seq
@@ -108,6 +116,13 @@ func (b *OpenFlow) install(sw *openflow.Switch, f Flow, a openflow.Actions) (coo
 // cookie.
 func (b *OpenFlow) InstallRedirect(sw *openflow.Switch, f Flow, ep Endpoint) {
 	cookie := b.install(sw, f, openflow.Actions{SetDstIP: ep.Addr, SetDstPort: ep.Port, Output: openflow.OutputNormal})
+	b.addReverse(sw, cookie, f, ep)
+}
+
+// addReverse adds the reverse rule of f's pair, steered to ep, under cookie.
+// It is a call of its own so that its rule is not on the stack while install
+// runs: a dispatch's process runs both.
+func (b *OpenFlow) addReverse(sw *openflow.Switch, cookie uint64, f Flow, ep Endpoint) {
 	sw.AddFlow(openflow.FlowRule{
 		Priority: b.p.FlowPriority,
 		Cookie:   cookie,
@@ -129,19 +144,20 @@ func (b *OpenFlow) InstallCloudForward(sw *openflow.Switch, f Flow) {
 // the old pair already idle-expired, release is a no-op: the cookie is not
 // double-released and no phantom flow-mod is counted.
 func (b *OpenFlow) ReAnchor(oldSw, newSw *openflow.Switch, f Flow, ep Endpoint) {
-	b.release(pairKey{oldSw, f})
+	b.release(keyOf(oldSw, f))
 	b.InstallRedirect(newSw, f, ep)
 }
 
 // FlowRemoved implements Steering: a pair idle-expired on sw, and rule is
-// its forward (or cloud-forward) rule, whose match carries the flow. The
-// pair is forgotten and the flow reported — unless the notice is stale: the
-// key was re-installed under a newer cookie, or released, while it was in
-// flight. Then the flow's steering is not what expired, and the controller
-// must not forget the client.
+// its forward (or cloud-forward) rule, whose match carries the flow and its
+// address numbers. The pair is forgotten and the flow reported — unless the
+// notice is stale: the key was re-installed under a newer cookie, or
+// released, while it was in flight. Then the flow's steering is not what
+// expired, and the controller must not forget the client.
 func (b *OpenFlow) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Flow, bool) {
 	f := Flow{Client: rule.Match.SrcIP, VIP: rule.Match.DstIP, Port: rule.Match.DstPort}
-	key := pairKey{sw, f}
+	client, vip := rule.MatchIDs()
+	key := pairKey{sw, client, vip, f.Port}
 	if b.pairs[key] != rule.Cookie {
 		return f, false
 	}
