@@ -11,6 +11,22 @@ import (
 	"transparentedge/internal/workload"
 )
 
+// tableReplay runs the named replay experiment of experiments.Table and
+// returns its failed-request count.
+func tableReplay(t *testing.T, name string, p experiments.Params) (errors int, err error) {
+	for _, e := range experiments.Table {
+		if e.Name == name {
+			out, err := e.Run(p)
+			if err != nil {
+				return 0, err
+			}
+			return int(out.JSON.(experiments.JSONResult).Metrics["errors"]), nil
+		}
+	}
+	t.Fatalf("no experiment %s", name)
+	return 0, nil
+}
+
 // TestReplayAllocsPerRequestRegression pins the replay engine's
 // steady-state allocation rate (DESIGN.md §15). It is measured with
 // testing.AllocsPerRun at two trace sizes: the delta between the larger and
@@ -22,9 +38,10 @@ import (
 // The data-path entries stay below one per request: a warm request recycles
 // its in-flight record, HTTP call, connections and server connection, and
 // what remains is the odd packet-in and free lists growing to the peak in
-// flight. They cover both entry points: the single-site replay and the
-// sharded one on a single kernel (the same engine staged once per region, so
-// the same bound). The sharded pair is four times larger because its trace
+// flight. They cover both entry points, scale-replay and scale-shard as
+// edgesim runs them: the single-site replay and the sharded one on a single
+// kernel (the same engine staged once per region, so the same bound). The
+// sharded pair is four times larger because its trace
 // spreads over eight times the clients: below 8k requests a client's gap
 // between requests outlasts the switch idle timeout and every request pays a
 // packet-in, which is control-path cost, not the steady state.
@@ -57,12 +74,10 @@ func TestReplayAllocsPerRequestRegression(t *testing.T) {
 		replay       func(requests int) (errors int, err error)
 	}{
 		{"single-site", 2000, 8000, 1, func(n int) (int, error) {
-			res, err := experiments.ReplayScale(seed, n)
-			return res.Errors, err
+			return tableReplay(t, "scale-replay", experiments.Params{Seed: seed, ReplayRequests: n})
 		}},
 		{"sharded", 8000, 32000, 1, func(n int) (int, error) {
-			res, err := experiments.ReplayShard(seed, n, 1)
-			return res.Errors, err
+			return tableReplay(t, "scale-shard", experiments.Params{Seed: seed, ReplayRequests: n, Shards: 1})
 		}},
 		{"control-path", 10000, 40000, 1, func(n int) (int, error) {
 			tb := testbed.New(testbed.Options{

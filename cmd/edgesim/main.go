@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,41 +26,39 @@ import (
 	"transparentedge/internal/obs/attrib"
 )
 
-// flags holds one invocation's parsed command line.
+// flags holds one invocation's parsed command line: the experiments'
+// knobs, and what the command line owns — sink files, profiles and the
+// flags validate parses into the knobs.
 type flags struct {
-	seed  int64
-	scale float64
+	p experiments.Params
 
-	requests, clusters, clients, replayRequests, shards, procs, sweepSeeds, sweepRequests int
-
-	csv, serial, json, counters, attrib bool
+	counters, attrib bool
 
 	backend, faultRates, trace, flame, slo, sloDump, cpuProfile, memProfile string
 
-	// Parsed by validate from -fault-rates, -backend and -slo.
-	rates    []float64
-	backends []string
-	slos     []attrib.SLO
+	// Parsed by validate from -slo.
+	slos []attrib.SLO
 }
 
 func newFlagSet(f *flags) *flag.FlagSet {
+	p := &f.p
 	fs := flag.NewFlagSet("edgesim", flag.ContinueOnError)
-	fs.Int64Var(&f.seed, "seed", 42, "simulation seed (runs are deterministic per seed)")
-	fs.Float64Var(&f.scale, "scale", 1, "trace scale in (0,1] for the trace-driven figures")
-	fs.IntVar(&f.requests, "requests", 200, "warm requests per service for fig16")
-	fs.BoolVar(&f.csv, "csv", false, "emit tables as CSV (milliseconds) instead of text")
-	fs.IntVar(&f.clusters, "clusters", 16, "edge cluster count for scale-dispatch")
-	fs.IntVar(&f.clients, "clients", 2000, "one-shot client count for scale-churn")
-	fs.BoolVar(&f.serial, "serial", false, "scale-dispatch: serial per-cluster state queries (the paper's original dispatcher)")
+	fs.Int64Var(&p.Seed, "seed", 42, "simulation seed (runs are deterministic per seed)")
+	fs.Float64Var(&p.Scale, "scale", 1, "trace scale in (0,1] for the trace-driven figures")
+	fs.IntVar(&p.Requests, "requests", 200, "warm requests per service for fig16")
+	fs.BoolVar(&p.CSV, "csv", false, "emit tables as CSV (milliseconds) instead of text")
+	fs.IntVar(&p.Clusters, "clusters", 16, "edge cluster count for scale-dispatch")
+	fs.IntVar(&p.Clients, "clients", 2000, "one-shot client count for scale-churn")
+	fs.BoolVar(&p.Serial, "serial", false, "scale-dispatch: serial per-cluster state queries (the paper's original dispatcher)")
 
-	fs.IntVar(&f.replayRequests, "replay-requests", 10000, "trace length for the scale-replay, -shard, -steer, -mobility and -attrib replays")
+	fs.IntVar(&p.ReplayRequests, "replay-requests", 10000, "trace length for the scale-replay, -shard, -steer, -mobility and -attrib replays")
 	fs.StringVar(&f.backend, "backend", "both", "scale-steer, scale-mobility: steering backend to sweep (openflow, srv6, both)")
-	fs.IntVar(&f.shards, "shards", 1, "scale-shard: kernel count for the sharded multi-region replay (1 = serial)")
+	fs.IntVar(&p.Shards, "shards", 1, "scale-shard: kernel count for the sharded multi-region replay (1 = serial)")
 
-	fs.IntVar(&f.procs, "procs", 0, "worker/CPU bound for sweep and the scale-* experiments (0 = all cores)")
-	fs.BoolVar(&f.json, "json", false, "sweep/scale-*: emit the uniform JSON result shape instead of text")
-	fs.IntVar(&f.sweepSeeds, "sweep-seeds", 4, "sweep: number of seeds (variants = seeds x 2 waiting modes)")
-	fs.IntVar(&f.sweepRequests, "sweep-requests", 2000, "sweep, scale-faults: requests per variant")
+	fs.IntVar(&p.Procs, "procs", 0, "worker/CPU bound for sweep and the scale-* experiments (0 = all cores)")
+	fs.BoolVar(&p.JSON, "json", false, "sweep/scale-*: emit the uniform JSON result shape instead of text")
+	fs.IntVar(&p.SweepSeeds, "sweep-seeds", 4, "sweep: number of seeds (variants = seeds x 2 waiting modes)")
+	fs.IntVar(&p.SweepRequests, "sweep-requests", 2000, "sweep, scale-faults: requests per variant")
 
 	fs.StringVar(&f.faultRates, "fault-rates", "0,0.1,0.3,0.5", "scale-faults: comma-separated injected fault rates in [0,1)")
 
@@ -76,6 +75,73 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	return fs
 }
 
+// obsFlags attach the run-wide collectors. The experiments that do not list
+// them either produce no spans or own their per-point collectors
+// (scale-steer, scale-mobility, scale-attrib).
+const obsFlags = "trace counters attrib flame slo slo-dump"
+
+// perRunFlags are left out of `all`'s list: each names one output (a file,
+// or the JSON document on stdout) that every member run would overwrite.
+const perRunFlags = "json trace flame slo-dump"
+
+// lookup returns the named experiment, or nil.
+func lookup(name string) *experiments.Experiment {
+	for i := range experiments.Table {
+		if experiments.Table[i].Name == name {
+			return &experiments.Table[i]
+		}
+	}
+	return nil
+}
+
+// reads reports whether the experiment lists the flag.
+func reads(e *experiments.Experiment, name string) bool {
+	return contains(e.Flags, name) || (contains(e.Flags, "obs") && contains(obsFlags, name))
+}
+
+func contains(list, name string) bool { return slices.Contains(strings.Fields(list), name) }
+
+// names lists the experiments that satisfy keep (nil = all), in table order.
+func names(keep func(*experiments.Experiment) bool) []string {
+	var out []string
+	for i := range experiments.Table {
+		if keep == nil || keep(&experiments.Table[i]) {
+			out = append(out, experiments.Table[i].Name)
+		}
+	}
+	return out
+}
+
+// checkApplicable rejects every flag set on the command line that the
+// experiment does not read: a flag that would be silently ignored is a
+// mistake worth a usage error (an empty trace file, a text table where JSON
+// was asked for).
+func checkApplicable(fs *flag.FlagSet, e *experiments.Experiment) error {
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		if err != nil || fl.Name == "cpuprofile" || fl.Name == "memprofile" || reads(e, fl.Name) {
+			return
+		}
+		readers := names(func(x *experiments.Experiment) bool { return reads(x, fl.Name) })
+		err = fmt.Errorf("-%s does not apply to %s (it is read by: %s)", fl.Name, e.Name, strings.Join(readers, ", "))
+	})
+	return err
+}
+
+// usage prints the experiment table and the flag defaults.
+func usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintf(w, "usage: edgesim [flags] <experiment>\n\nExperiments (each lists the flags it reads; any other flag is an error):\n")
+	for _, e := range experiments.Table {
+		fmt.Fprintf(w, "  %-18s %s\n", e.Name, strings.ReplaceAll(e.Help, "\n", "\n"+strings.Repeat(" ", 21)))
+		if e.Flags != "" {
+			fmt.Fprintf(w, "%21s[-%s]\n", "", strings.Join(strings.Fields(e.Flags), " -"))
+		}
+	}
+	fmt.Fprintf(w, "\n-obs stands for -%s; -cpuprofile and -memprofile work everywhere.\n\nFlags:\n",
+		strings.Join(strings.Fields(obsFlags), " -"))
+	fs.PrintDefaults()
+}
+
 // maxShards bounds -shards: the scenario has only DefaultRegions+1 = 9
 // domains, so more kernels than that can never help; 64 leaves headroom if
 // the region count grows, while still rejecting nonsense values early.
@@ -87,36 +153,37 @@ const maxShards = 64
 // defaults and run anyway. Flags the chosen experiment does not read still
 // hold their (valid) defaults — checkApplicable has rejected the rest.
 func (f *flags) validate() error {
+	p := &f.p
 	for _, c := range []struct {
 		name string
 		n    int
 	}{
-		{"-replay-requests", f.replayRequests},
-		{"-sweep-requests", f.sweepRequests},
-		{"-sweep-seeds", f.sweepSeeds},
-		{"-requests", f.requests},
-		{"-clients", f.clients},
-		{"-clusters", f.clusters},
-		{"-shards", f.shards},
+		{"-replay-requests", p.ReplayRequests},
+		{"-sweep-requests", p.SweepRequests},
+		{"-sweep-seeds", p.SweepSeeds},
+		{"-requests", p.Requests},
+		{"-clients", p.Clients},
+		{"-clusters", p.Clusters},
+		{"-shards", p.Shards},
 	} {
 		if c.n < 1 {
 			return fmt.Errorf("%s must be >= 1 (got %d)", c.name, c.n)
 		}
 	}
-	if f.shards > maxShards {
-		return fmt.Errorf("-shards %d exceeds the maximum %d", f.shards, maxShards)
+	if p.Shards > maxShards {
+		return fmt.Errorf("-shards %d exceeds the maximum %d", p.Shards, maxShards)
 	}
-	if f.procs < 0 {
-		return fmt.Errorf("-procs must be >= 0 (got %d)", f.procs)
+	if p.Procs < 0 {
+		return fmt.Errorf("-procs must be >= 0 (got %d)", p.Procs)
 	}
-	if !(f.scale > 0 && f.scale <= 1) { // written so that NaN fails
-		return fmt.Errorf("-scale must be in (0,1] (got %v)", f.scale)
+	if !(p.Scale > 0 && p.Scale <= 1) { // written so that NaN fails
+		return fmt.Errorf("-scale must be in (0,1] (got %v)", p.Scale)
 	}
 	var err error
-	if f.rates, err = parseRates(f.faultRates); err != nil {
+	if p.Rates, err = parseRates(f.faultRates); err != nil {
 		return fmt.Errorf("-fault-rates: %v", err)
 	}
-	if f.backends, err = parseBackends(f.backend); err != nil {
+	if p.Backends, err = parseBackends(f.backend); err != nil {
 		return fmt.Errorf("-backend: %v", err)
 	}
 	if f.slos, err = attrib.ParseSLOs(f.slo); err != nil {
@@ -202,21 +269,21 @@ func (f *flags) startProfiles() (stop func() error, err error) {
 }
 
 // obsRun bundles the -trace / -counters / -attrib wiring of one experiment:
-// a tracer streaming into a Chrome trace-event file, a counter registry,
-// and/or a latency-attribution collector. The zero handles mean "off" end
-// to end (the library's nil-sink zero-cost path).
+// the sinks it sets on the experiment's Params — a tracer streaming into a
+// Chrome trace-event file, a counter registry, a latency-attribution
+// collector — and the files they end in. The zero handles mean "off" end to
+// end (the library's nil-sink zero-cost path).
 type obsRun struct {
 	f      *flags
+	p      *experiments.Params
 	stderr io.Writer
-	tracer *obs.Tracer
-	reg    *obs.Registry
 	cw     *obs.ChromeWriter
 	file   *os.File
-	col    *attrib.Collector
 }
 
-func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
-	o := &obsRun{f: f, stderr: stderr}
+// newObsRun opens the sinks f asks for and sets them on p.
+func newObsRun(f *flags, p *experiments.Params, stderr io.Writer) (*obsRun, error) {
+	o := &obsRun{f: f, p: p, stderr: stderr}
 	if f.trace != "" {
 		file, err := os.Create(f.trace)
 		if err != nil {
@@ -225,16 +292,16 @@ func newObsRun(f *flags, stderr io.Writer) (*obsRun, error) {
 		o.file = file
 		o.cw = obs.NewChromeWriter(file)
 		// A small ring suffices: the sink streams every span to disk.
-		o.tracer = obs.NewTracer(1024)
-		o.tracer.SetSink(o.cw.Emit)
+		p.Trace = obs.NewTracer(1024)
+		p.Trace.SetSink(o.cw.Emit)
 	}
 	if f.counters {
-		o.reg = obs.NewRegistry()
+		p.Counters = obs.NewRegistry()
 	}
 	// -flame, -slo and -slo-dump imply -attrib.
 	if f.attrib || f.flame != "" || f.slo != "" || f.sloDump != "" {
 		dumped := false
-		o.col = attrib.New(attrib.Options{
+		p.Attrib = attrib.New(attrib.Options{
 			SLOs: f.slos,
 			OnBreach: func(b attrib.Breach) {
 				fmt.Fprintf(stderr, "edgesim: SLO BREACH %v on %q: observed %v over %d samples (%d trees in flight recorder)\n",
@@ -271,21 +338,6 @@ func (o *obsRun) writeBreachDump(b attrib.Breach) error {
 	return file.Close()
 }
 
-// options returns the experiment options for the enabled sinks.
-func (o *obsRun) options() []experiments.Option {
-	var opts []experiments.Option
-	if o.tracer != nil {
-		opts = append(opts, experiments.WithTrace(o.tracer))
-	}
-	if o.reg != nil {
-		opts = append(opts, experiments.WithCounters(o.reg))
-	}
-	if o.col != nil {
-		opts = append(opts, experiments.WithAttrib(o.col))
-	}
-	return opts
-}
-
 // finish closes the trace file (if any), writes the flame graph, and, in
 // text mode, prints the attribution summary and the counter snapshot as
 // Prometheus text.
@@ -299,8 +351,8 @@ func (o *obsRun) finish(text io.Writer) error {
 			return err
 		}
 	}
-	if o.col != nil {
-		rep := o.col.Report()
+	if o.p.Attrib != nil {
+		rep := o.p.Attrib.Report()
 		if o.f.flame != "" {
 			if err := o.writeFlame(rep); err != nil {
 				return err
@@ -310,8 +362,8 @@ func (o *obsRun) finish(text io.Writer) error {
 			fmt.Fprint(text, rep.Summary())
 		}
 	}
-	if o.reg != nil && text != nil {
-		return obs.WritePrometheus(text, o.reg)
+	if o.p.Counters != nil && text != nil {
+		return obs.WritePrometheus(text, o.p.Counters)
 	}
 	return nil
 }
@@ -385,7 +437,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 // run wraps one invocation's experiment(s) in the optional -cpuprofile /
 // -memprofile collection; profiling is started once even when the
 // experiment is "all".
-func (f *flags) run(e *experiment, stdout, stderr io.Writer) error {
+func (f *flags) run(e *experiments.Experiment, stdout, stderr io.Writer) error {
 	stopProfiles, err := f.startProfiles()
 	if err != nil {
 		return err
@@ -397,85 +449,42 @@ func (f *flags) run(e *experiment, stdout, stderr io.Writer) error {
 	return stopProfiles()
 }
 
-func (f *flags) runExperiment(e *experiment, stdout, stderr io.Writer) error {
-	if e.run == nil { // "all"
-		for i := range table {
-			if m := &table[i]; m.run != nil {
+func (f *flags) runExperiment(e *experiments.Experiment, stdout, stderr io.Writer) error {
+	if e.Run == nil { // "all"
+		for i := range experiments.Table {
+			if m := &experiments.Table[i]; m.Run != nil {
 				if err := f.runExperiment(m, stdout, stderr); err != nil {
-					return fmt.Errorf("%s: %w", m.name, err)
+					return fmt.Errorf("%s: %w", m.Name, err)
 				}
 				fmt.Fprintln(stdout)
 			}
 		}
 		return nil
 	}
-	if f.procs > 0 && e.reads("procs") {
+	if f.p.Procs > 0 && reads(e, "procs") {
 		// Bounds the Go scheduler for the single-kernel scale-* experiments
 		// (the sweep engine bounds its own worker pool as well).
-		runtime.GOMAXPROCS(f.procs)
+		runtime.GOMAXPROCS(f.p.Procs)
 	}
-	o, err := newObsRun(f, stderr)
+	p := f.p
+	o, err := newObsRun(f, &p, stderr)
 	if err != nil {
 		return err
 	}
-	out, err := e.run(f, o)
+	out, err := e.Run(p)
 	if err != nil {
 		return err
 	}
-	if !f.json {
-		if err := out.Text(stdout); err != nil {
+	if !p.JSON {
+		if _, err := io.WriteString(stdout, out.Text); err != nil {
 			return err
 		}
 		return o.finish(stdout)
-	}
-	// The uniform JSON shape: the attribution block and, for results that
-	// carry no counters of their own, the registry snapshot go on the last
-	// entry (the registry accumulates over all of an experiment's runs).
-	v := out.JSON()
-	entries, isList := v.([]experiments.JSONResult)
-	if !isList {
-		entries = []experiments.JSONResult{v.(experiments.JSONResult)}
-	}
-	last := &entries[len(entries)-1]
-	if last.Counters == nil {
-		last.Counters = o.reg.Map()
-	}
-	if o.col != nil {
-		experiments.AttribReportMetrics(last.Metrics, o.col.Report())
 	}
 	if err := o.finish(nil); err != nil {
 		return err
 	}
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if isList {
-		return enc.Encode(entries)
-	}
-	return enc.Encode(entries[0])
-}
-
-// histogram renders counts-per-bin as an ASCII bar chart, aggregating
-// groupSecs bins per row.
-func histogram(label string, bins []int, groupSecs int) string {
-	max := 0
-	grouped := make([]int, 0, len(bins)/groupSecs+1)
-	for i := 0; i < len(bins); i += groupSecs {
-		sum := 0
-		for j := i; j < i+groupSecs && j < len(bins); j++ {
-			sum += bins[j]
-		}
-		grouped = append(grouped, sum)
-		if sum > max {
-			max = sum
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s over time:\n", label)
-	for i, v := range grouped {
-		fmt.Fprintf(&b, "%4ds %4d %s\n", i*groupSecs, v, strings.Repeat("#", v*50/max))
-	}
-	return b.String()
+	return enc.Encode(out.JSON)
 }

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"transparentedge/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current output (make golden)")
@@ -49,20 +51,20 @@ var masks = []struct {
 // and every -json-capable one in JSON mode, at small sizes, against
 // testdata/golden (regenerate with -update).
 func TestGoldenOutputs(t *testing.T) {
-	for i := range table {
-		e := &table[i]
+	for i := range experiments.Table {
+		e := &experiments.Table[i]
 		var args []string
 		for _, kv := range smallSizes {
-			if e.reads(kv[0]) {
+			if reads(e, kv[0]) {
 				args = append(args, "-"+kv[0], kv[1])
 			}
 		}
-		modes := map[string][]string{e.name + ".txt": args}
-		if e.reads("json") {
-			modes[e.name+".json"] = append([]string{"-json"}, args...)
+		modes := map[string][]string{e.Name + ".txt": args}
+		if reads(e, "json") {
+			modes[e.Name+".json"] = append([]string{"-json"}, args...)
 		}
 		for file, args := range modes {
-			args := append(args, e.name)
+			args := append(args, e.Name)
 			t.Run(file, func(t *testing.T) {
 				t.Parallel()
 				code, got, stderr := run(args...)
@@ -206,24 +208,23 @@ func TestExperimentTable(t *testing.T) {
 	fs := newFlagSet(&f)
 	var usageText bytes.Buffer
 	usage(&usageText, fs)
-	for i := range table {
-		e := &table[i]
-		if e.help == "" || !strings.Contains(usageText.String(), "  "+e.name+" ") {
-			t.Errorf("%s: no help text in the usage", e.name)
+	for i, e := range experiments.Table {
+		if e.Help == "" || !strings.Contains(usageText.String(), "  "+e.Name+" ") {
+			t.Errorf("%s: no help text in the usage", e.Name)
 		}
-		if _, err := os.Stat(filepath.Join("testdata", "golden", e.name+".txt")); err != nil {
-			t.Errorf("%s: no golden: %v", e.name, err)
+		if _, err := os.Stat(filepath.Join("testdata", "golden", e.Name+".txt")); err != nil {
+			t.Errorf("%s: no golden: %v", e.Name, err)
 		}
-		for _, name := range strings.Fields(strings.Replace(e.flags, "obs", obsFlags, 1)) {
+		for _, name := range strings.Fields(strings.Replace(e.Flags, "obs", obsFlags, 1)) {
 			if fs.Lookup(name) == nil {
-				t.Errorf("%s lists -%s, which is not a flag", e.name, name)
+				t.Errorf("%s lists -%s, which is not a flag", e.Name, name)
 			}
 		}
 		// `all` runs every row that has a run func, so it excludes nothing
 		// but itself — which must be the table's last row for "every
 		// experiment above" to hold.
-		if (e.run == nil) != (e.name == "all") || (e.run == nil) != (i == len(table)-1) {
-			t.Errorf("%s (row %d): only the last row, all, may lack a run func", e.name, i)
+		if (e.Run == nil) != (e.Name == "all") || (e.Run == nil) != (i == len(experiments.Table)-1) {
+			t.Errorf("%s (row %d): only the last row, all, may lack a run func", e.Name, i)
 		}
 	}
 	flagCount := 0
@@ -232,12 +233,12 @@ func TestExperimentTable(t *testing.T) {
 		if fl.Name == "cpuprofile" || fl.Name == "memprofile" {
 			return
 		}
-		readers := names(func(e *experiment) bool { return e.run != nil && e.reads(fl.Name) })
+		readers := names(func(e *experiments.Experiment) bool { return e.Run != nil && reads(e, fl.Name) })
 		if len(readers) == 0 {
 			t.Errorf("-%s is read by no experiment", fl.Name)
 		}
 		// `all` takes what any member takes, except the one-output flags.
-		if want := !contains(perRunFlags, fl.Name); lookup("all").reads(fl.Name) != want {
+		if want := !contains(perRunFlags, fl.Name); reads(lookup("all"), fl.Name) != want {
 			t.Errorf("all reads -%s = %v, want %v (members reading it: %v)", fl.Name, !want, want, readers)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -311,8 +312,13 @@ func (c *Controller) AddSwitch(sw *openflow.Switch) {
 	c.switches = append(c.switches, sw)
 	sw.SetController(c)
 	c.steerB.AttachSwitch(sw)
-	for _, a := range c.services {
-		c.installPunt(sw, a.Reg)
+	// In address order: the switch numbers the punt rules' cookies in the
+	// order they come, and a walk of the map would shuffle them.
+	keys := slices.SortedFunc(maps.Keys(c.services), func(a, b serviceKey) int {
+		return cmp.Or(cmp.Compare(a.vip, b.vip), cmp.Compare(a.port, b.port))
+	})
+	for _, k := range keys {
+		c.installPunt(sw, c.services[k].Reg)
 	}
 }
 

@@ -1,7 +1,8 @@
 package core_test
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,26 +32,36 @@ func TestRegisterServiceDuplicateAddress(t *testing.T) {
 }
 
 // A switch attached after the registrations gets a punt rule for every
-// registered service address, also for two registrations of one domain on
-// different addresses (which share a unique name).
+// registered service address, also for registrations of one domain on
+// different addresses (which share a unique name), and in every rig the
+// same cookie for the same address.
 func TestAddSwitchPuntsEveryServiceAddress(t *testing.T) {
-	rg := newMobilityRig(t)
-	for _, vip := range []simnet.Addr{"203.0.113.30", "203.0.113.31"} {
-		if _, err := rg.ctrl.RegisterService(nginxYAML, spec.Registration{Domain: "same.example.com", VIP: vip, Port: 80}); err != nil {
-			t.Fatal(err)
+	vips := []simnet.Addr{"203.0.113.33", "203.0.113.30", "203.0.113.32", "203.0.113.31"}
+	var first map[uint64]simnet.Addr
+	for i := 0; i < 20; i++ {
+		rg := newMobilityRig(t)
+		for _, vip := range vips {
+			if _, err := rg.ctrl.RegisterService(nginxYAML, spec.Registration{Domain: "same.example.com", VIP: vip, Port: 80}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	sw := openflow.NewSwitch(rg.n, "gnb3", openflow.DefaultConfig())
-	rg.ctrl.AddSwitch(sw)
-	var punted []string
-	for _, r := range sw.Rules() {
-		if r.Actions.Output == openflow.OutputController {
-			punted = append(punted, r.Match.String())
+		sw := openflow.NewSwitch(rg.n, "gnb3", openflow.DefaultConfig())
+		rg.ctrl.AddSwitch(sw)
+		punted := map[uint64]simnet.Addr{} // cookie -> VIP
+		for _, r := range sw.Rules() {
+			if r.Actions.Output == openflow.OutputController {
+				punted[r.Cookie] = r.Match.DstIP
+			}
 		}
-	}
-	sort.Strings(punted)
-	if len(punted) != 2 || !strings.Contains(punted[0], "203.0.113.30") || !strings.Contains(punted[1], "203.0.113.31") {
-		t.Fatalf("punt rules on the new switch = %v, want one per service address", punted)
+		if got := slices.Sorted(maps.Values(punted)); !slices.Equal(got, slices.Sorted(slices.Values(vips))) {
+			t.Fatalf("punt rules on the new switch = %v, want one per service address", punted)
+		}
+		// The same cookies for the same addresses in every rig.
+		if i == 0 {
+			first = punted
+		} else if !maps.Equal(punted, first) {
+			t.Fatalf("rig %d punts %v, rig 0 %v", i, punted, first)
+		}
 	}
 }
 

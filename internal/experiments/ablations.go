@@ -7,7 +7,6 @@ import (
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/core"
 	"transparentedge/internal/metrics"
-	"transparentedge/internal/sim"
 	"transparentedge/internal/testbed"
 )
 
@@ -15,78 +14,63 @@ import (
 // the switch idle timeout, and the waiting policy. They go beyond the
 // paper's figures but quantify the paper's §V design arguments.
 
-// FlowMemoryResult compares a returning client's request latency and the
+// flowMemoryResult compares a returning client's request latency and the
 // controller work with and without the FlowMemory (§V's argument: the
 // memory allows low switch idle timeouts because returning clients are
 // re-served "without the scheduling process").
-type FlowMemoryResult struct {
+type flowMemoryResult struct {
 	*metrics.Table
 	// PacketIns counts packet-ins in each mode (identical: the memory
 	// saves scheduling work, not packet-ins).
 	PacketInsWith, PacketInsWithout uint64
 }
 
-// Notes is the line edgesim prints under the table.
-func (r *FlowMemoryResult) Notes() string {
-	return fmt.Sprintf("packet-ins: with memory %d, without %d\n", r.PacketInsWith, r.PacketInsWithout)
-}
-
-// AblationFlowMemory measures the latency of a returning client whose
+// ablationFlowMemory measures the latency of a returning client whose
 // switch flow has idle-expired: with the FlowMemory the controller
 // re-installs the memorized flow immediately; without it the full
 // dispatch/scheduling path runs again.
-func AblationFlowMemory(seed int64) (*FlowMemoryResult, error) {
-	res := &FlowMemoryResult{Table: metrics.NewTable(
+func ablationFlowMemory(seed int64) (flowMemoryResult, error) {
+	res := flowMemoryResult{Table: metrics.NewTable(
 		"Ablation — returning client after switch-flow expiry (nginx, Docker)",
 		"median request")}
-	run := func(memory bool) (time.Duration, uint64, error) {
-		memIdle := 30 * time.Minute
-		if !memory {
-			memIdle = time.Millisecond // effectively disabled
-		}
-		tb := testbed.New(testbed.Options{
+	for _, mode := range []struct {
+		row       string
+		memIdle   time.Duration
+		packetIns *uint64
+	}{
+		{"with FlowMemory", 30 * time.Minute, &res.PacketInsWith},
+		{"without FlowMemory", time.Millisecond, &res.PacketInsWithout}, // effectively disabled
+	} {
+		series := metrics.NewSeries("returning")
+		tb, err := script(testbed.Options{
 			Seed: seed, EnableDocker: true,
 			SwitchIdleTimeout: time.Second,
-			MemoryIdleTimeout: memIdle,
-		})
-		_, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return 0, 0, err
-		}
-		series := metrics.NewSeries("returning")
-		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
-			if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
+			MemoryIdleTimeout: mode.memIdle,
+		}, catalog.Nginx, 30*time.Minute, func(s *scenario) error {
+			if _, err := s.request(0); err != nil {
 				return err
 			}
 			for i := 0; i < 20; i++ {
-				p.Sleep(5 * time.Second) // switch flow idle-expires
-				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
+				s.p.Sleep(5 * time.Second) // switch flow idle-expires
+				d, err := s.request(0)
 				if err != nil {
 					return err
 				}
-				series.Add(p.Now(), hr.Total)
+				series.Add(s.p.Now(), d)
 			}
 			return nil
 		})
-		return series.Median(), tb.Ctrl.Stats.PacketIns, rerr
+		if err != nil {
+			return flowMemoryResult{}, err
+		}
+		res.Table.AddRow(mode.row, series.Median())
+		*mode.packetIns = tb.Ctrl.Stats.PacketIns
 	}
-	with, pktWith, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	without, pktWithout, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	res.Table.AddRow("with FlowMemory", with)
-	res.Table.AddRow("without FlowMemory", without)
-	res.PacketInsWith = pktWith
-	res.PacketInsWithout = pktWithout
 	return res, nil
 }
 
-// IdleTimeoutResult sweeps the switch idle timeout.
-type IdleTimeoutResult struct {
+// idleTimeoutResult sweeps the switch idle timeout.
+type idleTimeoutResult struct {
 	*metrics.Table // row per timeout: median request latency
 	// PacketIns per timeout value (same row order).
 	PacketIns []uint64
@@ -94,50 +78,40 @@ type IdleTimeoutResult struct {
 	FlowTableSizes []int
 }
 
-// Notes is the line edgesim prints under the table.
-func (r *IdleTimeoutResult) Notes() string {
-	return fmt.Sprintf("packet-ins per setting: %v, peak flow rules: %v\n", r.PacketIns, r.FlowTableSizes)
-}
-
-// AblationIdleTimeout sweeps the switch-side idle timeout for a client that
+// ablationIdleTimeout sweeps the switch-side idle timeout for a client that
 // requests every 5 s: short timeouts keep the flow table small but cost a
 // controller round trip per request; long timeouts do the opposite — the
 // trade-off the FlowMemory design targets.
-func AblationIdleTimeout(seed int64) (*IdleTimeoutResult, error) {
-	res := &IdleTimeoutResult{Table: metrics.NewTable(
+func ablationIdleTimeout(seed int64) (idleTimeoutResult, error) {
+	res := idleTimeoutResult{Table: metrics.NewTable(
 		"Ablation — switch idle timeout sweep (client requests every 5 s)",
 		"median request")}
 	for _, to := range []time.Duration{time.Second, 10 * time.Second, time.Minute} {
-		tb := testbed.New(testbed.Options{
+		series := metrics.NewSeries("req")
+		peak := 0
+		tb, err := script(testbed.Options{
 			Seed: seed, EnableDocker: true,
 			SwitchIdleTimeout: to,
 			MemoryIdleTimeout: 30 * time.Minute,
-		})
-		_, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return nil, err
-		}
-		series := metrics.NewSeries("req")
-		peak := 0
-		rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
-			if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
+		}, catalog.Nginx, time.Hour, func(s *scenario) error {
+			if _, err := s.request(0); err != nil {
 				return err
 			}
 			for i := 0; i < 30; i++ {
-				p.Sleep(5 * time.Second)
-				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
+				s.p.Sleep(5 * time.Second)
+				d, err := s.request(0)
 				if err != nil {
 					return err
 				}
-				series.Add(p.Now(), hr.Total)
-				if n := tb.Switch.RuleCount(); n > peak {
+				series.Add(s.p.Now(), d)
+				if n := s.tb.Switch.RuleCount(); n > peak {
 					peak = n
 				}
 			}
 			return nil
 		})
-		if rerr != nil {
-			return nil, rerr
+		if err != nil {
+			return idleTimeoutResult{}, err
 		}
 		res.Table.AddRow(to.String(), series.Median())
 		res.PacketIns = append(res.PacketIns, tb.Ctrl.Stats.PacketIns)
@@ -146,11 +120,11 @@ func AblationIdleTimeout(seed int64) (*IdleTimeoutResult, error) {
 	return res, nil
 }
 
-// AblationWaitingPolicy compares the three §IV deployment policies on a
+// ablationWaitingPolicy compares the three §IV deployment policies on a
 // cold edge: it measures the first request (images cached) and a later
 // request under with-waiting (hold the request), no-wait (serve from the
 // cloud while deploying), and the §VII hybrid.
-func AblationWaitingPolicy(seed int64) (*metrics.Table, error) {
+func ablationWaitingPolicy(seed int64) (*metrics.Table, error) {
 	res := metrics.NewTable(
 		"Ablation — deployment policy (nginx, images cached, cold edge)",
 		"first request", "later request")
@@ -165,155 +139,120 @@ func AblationWaitingPolicy(seed int64) (*metrics.Table, error) {
 		{"hybrid docker-first", core.DockerFirstScheduler{}, true},
 	}
 	for _, pl := range pols {
-		tb := testbed.New(testbed.Options{
+		var first, later time.Duration
+		if _, err := script(testbed.Options{
 			Seed: seed, EnableDocker: true, EnableKube: pl.kube,
 			Scheduler:         pl.sched,
 			SwitchIdleTimeout: 2 * time.Second,
-		})
-		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return nil, err
-		}
-		var first, later time.Duration
-		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
-			for _, cl := range tb.Ctrl.Clusters() {
-				if err := cl.Pull(p, a); err != nil {
-					return err
-				}
-			}
-			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
-			if err != nil {
+		}, catalog.Nginx, 30*time.Minute, func(s *scenario) error {
+			if err := s.prepare(false); err != nil {
 				return err
 			}
-			first = hr.Total
-			p.Sleep(time.Minute) // background deployments settle
-			hr, err = tb.Request(p, 0, reg, catalog.Nginx, 0)
-			if err != nil {
+			var err error
+			if first, err = s.request(0); err != nil {
 				return err
 			}
-			later = hr.Total
-			return nil
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("%s: %w", pl.name, rerr)
+			s.p.Sleep(time.Minute) // background deployments settle
+			later, err = s.request(0)
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("%s: %w", pl.name, err)
 		}
 		res.AddRow(pl.name, first, later)
 	}
 	return res, nil
 }
 
-// ProactiveResult compares a periodic client's request latency with and
+// proactiveResult compares a periodic client's request latency with and
 // without proactive deployment (§I/§VII: prediction pre-deploys services
 // just in time; on-demand remains the fallback for mispredictions).
-type ProactiveResult struct {
+type proactiveResult struct {
 	*metrics.Table
 	// ProactiveDeployments counts predictor-initiated deployments.
 	ProactiveDeployments uint64
 }
 
-// Notes is the line edgesim prints under the table.
-func (r *ProactiveResult) Notes() string {
-	return fmt.Sprintf("proactive deployments: %d\n", r.ProactiveDeployments)
-}
-
-// AblationProactive runs a client requesting every 45 s against a testbed
+// ablationProactive runs a client requesting every 45 s against a testbed
 // that aggressively scales idle services down: without prediction every
 // request pays a cold scale-up; with the EWMA predictor the service is
 // redeployed shortly before each request.
-func AblationProactive(seed int64) (*ProactiveResult, error) {
-	res := &ProactiveResult{Table: metrics.NewTable(
+func ablationProactive(seed int64) (proactiveResult, error) {
+	res := proactiveResult{Table: metrics.NewTable(
 		"Ablation — periodic client vs. aggressive scale-down (nginx, Docker)",
 		"median request")}
-	run := func(pred core.Predictor) (time.Duration, uint64, error) {
-		tb := testbed.New(testbed.Options{
+	for _, mode := range []struct {
+		row  string
+		pred core.Predictor
+	}{{"on-demand only", nil}, {"with EWMA prediction", core.NewEWMAPredictor(0.3)}} {
+		series := metrics.NewSeries("periodic")
+		tb, err := script(testbed.Options{
 			Seed: seed, EnableDocker: true,
 			AutoScaleDown:     true,
 			SwitchIdleTimeout: 5 * time.Second,
 			MemoryIdleTimeout: 20 * time.Second,
-			Predictor:         pred,
-		})
-		_, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return 0, 0, err
-		}
-		series := metrics.NewSeries("periodic")
-		rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
+			Predictor:         mode.pred,
+		}, catalog.Nginx, time.Hour, func(s *scenario) error {
 			for i := 0; i < 20; i++ {
-				hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
+				d, err := s.request(0)
 				if err != nil {
 					return err
 				}
 				if i >= 3 { // skip warm-up (predictor needs samples)
-					series.Add(p.Now(), hr.Total)
+					series.Add(s.p.Now(), d)
 				}
-				p.Sleep(45 * time.Second)
+				s.p.Sleep(45 * time.Second)
 			}
 			return nil
 		})
-		return series.Median(), tb.Ctrl.Stats.ProactiveDeployments, rerr
+		if err != nil {
+			return proactiveResult{}, err
+		}
+		res.Table.AddRow(mode.row, series.Median())
+		res.ProactiveDeployments = tb.Ctrl.Stats.ProactiveDeployments
 	}
-	without, _, err := run(nil)
-	if err != nil {
-		return nil, err
-	}
-	with, proactive, err := run(core.NewEWMAPredictor(0.3))
-	if err != nil {
-		return nil, err
-	}
-	res.Table.AddRow("on-demand only", without)
-	res.Table.AddRow("with EWMA prediction", with)
-	res.ProactiveDeployments = proactive
 	return res, nil
 }
 
-// AblationProbeInterval sweeps the controller's readiness-probe interval to
+// ablationProbeInterval sweeps the controller's readiness-probe interval to
 // measure how it quantizes the readiness wait (figs. 14/15): the expected
 // detection lag is half the interval, so coarse probing directly inflates
 // the first-request latency of fast-starting services.
-func AblationProbeInterval(seed int64) (*metrics.Table, error) {
+func ablationProbeInterval(seed int64) (*metrics.Table, error) {
 	res := metrics.NewTable(
 		"Ablation — readiness-probe interval (nginx on Docker, scale-up only)",
 		"median first request")
 	for _, iv := range []time.Duration{5 * time.Millisecond, 20 * time.Millisecond,
 		100 * time.Millisecond, 500 * time.Millisecond} {
-		tb := testbed.New(testbed.Options{Seed: seed, EnableDocker: true, ProbeInterval: iv})
-		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return nil, err
-		}
 		series := metrics.NewSeries(iv.String())
-		rerr := drive(tb.K, 2*time.Hour, func(p *sim.Proc) error {
-			// Pull + create ahead; measure repeated cold scale-ups.
-			for _, cl := range tb.Ctrl.Clusters() {
-				if err := cl.Pull(p, a); err != nil {
+		if _, err := script(testbed.Options{Seed: seed, EnableDocker: true, ProbeInterval: iv},
+			catalog.Nginx, 2*time.Hour, func(s *scenario) error {
+				// Pull + create ahead; measure repeated cold scale-ups.
+				if err := s.prepare(true); err != nil {
 					return err
 				}
-				if err := cl.Create(p, a); err != nil {
-					return err
+				for i := 0; i < 10; i++ {
+					d, err := s.request(i % len(s.tb.Clients))
+					if err != nil {
+						return err
+					}
+					series.Add(s.p.Now(), d)
+					// Scale down and let flows/memory drain so the next
+					// request is a cold scale-up again.
+					if err := s.tb.Ctrl.ScaleDownService(s.p, "egs-docker", s.a.UniqueName); err != nil {
+						return err
+					}
+					s.p.Sleep(3 * time.Minute)
 				}
-			}
-			for i := 0; i < 10; i++ {
-				hr, err := tb.Request(p, i%len(tb.Clients), reg, catalog.Nginx, 0)
-				if err != nil {
-					return err
-				}
-				series.Add(p.Now(), hr.Total)
-				// Scale down and let flows/memory drain so the next
-				// request is a cold scale-up again.
-				tb.Ctrl.ScaleDownService(p, "egs-docker", a.UniqueName)
-				p.Sleep(3 * time.Minute)
-			}
-			return nil
-		})
-		if rerr != nil {
-			return nil, rerr
+				return nil
+			}); err != nil {
+			return nil, err
 		}
 		res.AddRow(iv.String(), series.Median())
 	}
 	return res, nil
 }
 
-// AblationHierarchy quantifies fig. 3's motivation: hierarchically higher
+// ablationHierarchy quantifies fig. 3's motivation: hierarchically higher
 // (farther) edge clusters are more likely to have a service warm, so the
 // first request can be served there instantly while the optimal edge
 // deploys in the background. It measures the first request under three
@@ -321,61 +260,44 @@ func AblationProbeInterval(seed int64) (*metrics.Table, error) {
 // images cached, proximity scheduler: cold everywhere (wait for the near
 // deployment), warm at the far edge (served there, no waiting), warm at the
 // near edge.
-func AblationHierarchy(seed int64) (*metrics.Table, error) {
+func ablationHierarchy(seed int64) (*metrics.Table, error) {
 	res := metrics.NewTable(
 		"Ablation — fig. 3 hierarchy (nginx, images cached, proximity scheduler)",
 		"first request")
-	run := func(warmFar, warmNear bool) (time.Duration, error) {
-		tb := testbed.New(testbed.Options{
+	for _, state := range []struct {
+		row               string
+		warmFar, warmNear bool
+	}{
+		{"cold everywhere (wait)", false, false},
+		{"warm at far edge (no waiting)", true, false},
+		{"warm at near edge", false, true},
+	} {
+		var first time.Duration
+		if _, err := script(testbed.Options{
 			Seed: seed, EnableDocker: true, EnableFarEdge: true,
 			Scheduler: core.ProximityScheduler{},
-		})
-		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return 0, err
-		}
-		var first time.Duration
-		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
+		}, catalog.Nginx, 30*time.Minute, func(s *scenario) error {
 			// Cache images at both sites.
-			if err := tb.Docker.Pull(p, a); err != nil {
+			if err := s.prepare(false); err != nil {
 				return err
 			}
-			if err := tb.FarDocker.Pull(p, a); err != nil {
-				return err
+			if state.warmFar {
+				if err := s.warm(s.tb.FarDocker); err != nil {
+					return err
+				}
 			}
-			if warmFar {
-				tb.FarDocker.Create(p, a)
-				tb.FarDocker.ScaleUp(p, a.UniqueName)
-				p.Sleep(time.Second)
+			if state.warmNear {
+				if err := s.warm(s.tb.Docker); err != nil {
+					return err
+				}
 			}
-			if warmNear {
-				tb.Docker.Create(p, a)
-				tb.Docker.ScaleUp(p, a.UniqueName)
-				p.Sleep(time.Second)
-			}
-			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
-			if err != nil {
-				return err
-			}
-			first = hr.Total
-			return nil
-		})
-		return first, rerr
+			var err error
+			first, err = s.request(0)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		res.AddRow(state.row, first)
 	}
-	cold, err := run(false, false)
-	if err != nil {
-		return nil, err
-	}
-	far, err := run(true, false)
-	if err != nil {
-		return nil, err
-	}
-	near, err := run(false, true)
-	if err != nil {
-		return nil, err
-	}
-	res.AddRow("cold everywhere (wait)", cold)
-	res.AddRow("warm at far edge (no waiting)", far)
-	res.AddRow("warm at near edge", near)
 	return res, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationFlowMemory(t *testing.T) {
-	res, err := AblationFlowMemory(1)
+	res, err := ablationFlowMemory(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestAblationFlowMemory(t *testing.T) {
 }
 
 func TestAblationIdleTimeout(t *testing.T) {
-	res, err := AblationIdleTimeout(1)
+	res, err := ablationIdleTimeout(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAblationIdleTimeout(t *testing.T) {
 }
 
 func TestAblationWaitingPolicy(t *testing.T) {
-	res, err := AblationWaitingPolicy(1)
+	res, err := ablationWaitingPolicy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAblationWaitingPolicy(t *testing.T) {
 }
 
 func TestFutureWorkServerless(t *testing.T) {
-	res, err := FutureWorkServerless(1)
+	res, err := futureWorkServerless(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFutureWorkServerless(t *testing.T) {
 }
 
 func TestAblationProactive(t *testing.T) {
-	res, err := AblationProactive(1)
+	res, err := ablationProactive(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAblationProactive(t *testing.T) {
 }
 
 func TestAblationProbeInterval(t *testing.T) {
-	res, err := AblationProbeInterval(1)
+	res, err := ablationProbeInterval(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAblationProbeInterval(t *testing.T) {
 }
 
 func TestAblationHierarchy(t *testing.T) {
-	res, err := AblationHierarchy(1)
+	res, err := ablationHierarchy(1)
 	if err != nil {
 		t.Fatal(err)
 	}

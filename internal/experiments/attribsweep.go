@@ -8,19 +8,14 @@ import (
 	"transparentedge/internal/obs/attrib"
 )
 
-// attribSweepClients is the client-count axis, shared with the steering
-// sweep: more clients mean more concurrent flows, which is where the
-// rule-based and stateless backends' dispatch latencies diverge.
-var attribSweepClients = []int{20, 80, 320}
-
 // attribParityShards are the shard counts at which the attribution-on
 // replay's result fingerprint must be byte-identical to the
 // attribution-off replay's — and the attribution report itself identical
 // across shard counts.
 var attribParityShards = []int{1, 2, 4, 8}
 
-// AttribPhase is one phase's latency summary at one sweep point.
-type AttribPhase struct {
+// attribPhase is one phase's latency summary at one sweep point.
+type attribPhase struct {
 	Phase attrib.Phase
 	// Total is the exclusive virtual time attributed to the phase across
 	// the whole replay; P50/P99 summarize its per-span distribution.
@@ -29,8 +24,8 @@ type AttribPhase struct {
 	Count    int
 }
 
-// AttribPoint is one (backend, client count) attribution measurement.
-type AttribPoint struct {
+// attribPoint is one (backend, client count) attribution measurement.
+type attribPoint struct {
 	Backend string
 	Clients int
 	// Trees counts finalized span trees.
@@ -39,30 +34,23 @@ type AttribPoint struct {
 	// quantity the phase breakdown decomposes.
 	DispatchP50, DispatchP99 time.Duration
 	// Phases holds the nonzero phases, in Phase order.
-	Phases []AttribPhase
+	Phases []attribPhase
 }
 
-// AttribParity is one shard count's determinism gate.
-type AttribParity struct {
-	Shards int
-	// Match is true when the attribution-on replay fingerprinted
-	// byte-identical to the attribution-off replay at this shard count.
-	Match bool
-	// ReportFingerprint digests the attribution report itself; it must be
-	// identical at every shard count (the report is virtual-time only).
-	ReportFingerprint uint64
-}
-
-// AttribSweepResult compares per-phase dispatch latency between steering
-// backends across the client axis, plus the attribution determinism gates.
-type AttribSweepResult struct {
+// attribSweepResult compares per-phase dispatch latency between steering
+// backends across the client axis, plus the attribution determinism gates:
+// at every shard count, whether the attribution-on replay fingerprinted
+// byte-identical to the attribution-off one, and the attribution report's
+// own fingerprint, which must be identical at every shard count (the report
+// is virtual-time only).
+type attribSweepResult struct {
 	Requests int
-	Points   []AttribPoint
-	Parity   []AttribParity
+	Points   []attribPoint
+	Parity   []parity
 }
 
 // String renders the comparison and the gates.
-func (r AttribSweepResult) String() string {
+func (r attribSweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "latency attribution sweep (%d requests)\n", r.Requests)
 	for _, p := range r.Points {
@@ -75,21 +63,13 @@ func (r AttribSweepResult) String() string {
 				ph.P50.Round(time.Microsecond), ph.P99.Round(time.Microsecond), ph.Count)
 		}
 	}
-	for _, pr := range r.Parity {
-		fmt.Fprintf(&b, "  parity[shards=%d]: %s\n", pr.Shards, inline(attribParityColumns, pr))
-	}
+	parityLines(&b, r.Parity)
 	return b.String()
-}
-
-// attribParityColumns flatten under shard<N>_.
-var attribParityColumns = []column[AttribParity]{
-	{"fingerprint_match", "parity", "%v", func(p AttribParity) any { return p.Match }},
-	{"report", "report_fp", "%016x", func(p AttribParity) any { return digest(p.ReportFingerprint) }},
 }
 
 // JSON returns the uniform result shape: per point and phase,
 // backend_c<clients>_<phase>_<metric>; per gate, shard<N>_parity.
-func (r AttribSweepResult) JSON() JSONResult {
+func (r attribSweepResult) JSON() JSONResult {
 	m := map[string]float64{"requests": float64(r.Requests)}
 	for _, p := range r.Points {
 		k := fmt.Sprintf("%s_c%d_", p.Backend, p.Clients)
@@ -103,24 +83,20 @@ func (r AttribSweepResult) JSON() JSONResult {
 			m[pk+"p99_ms"] = ms(ph.P99)
 		}
 	}
-	for _, pr := range r.Parity {
-		flatten(m, fmt.Sprintf("shard%d_", pr.Shards), attribParityColumns, pr)
-	}
+	parityMetrics(m, r.Parity)
 	return JSONResult{Experiment: "scale-attrib", Metrics: m}
 }
 
 // runAttribPoint replays one (backend, clients) point with an attribution
 // collector attached and summarizes the dispatch phase breakdown.
-func runAttribPoint(seed int64, requests, clients int, backend string) (AttribPoint, int, error) {
+func runAttribPoint(seed int64, requests, clients int, backend string) (attribPoint, int, error) {
 	col := attrib.New(attrib.Options{})
-	s := runOpts{steer: backend, attrib: col}.point(seed, requests)
-	s.Clients = clients
-	run, err := runPoint(s)
+	run, err := runPoint(pointSpec{Seed: seed, Requests: requests, Backend: backend, Clients: clients, attrib: col})
 	if err != nil {
-		return AttribPoint{}, 0, err
+		return attribPoint{}, 0, err
 	}
 	rep := col.Report()
-	out := AttribPoint{
+	out := attribPoint{
 		Backend: backend,
 		Clients: clients,
 		Trees:   rep.Trees,
@@ -134,7 +110,7 @@ func runAttribPoint(seed int64, requests, clients int, backend string) (AttribPo
 		if h.Len() == 0 || h.Sum() == 0 {
 			continue
 		}
-		out.Phases = append(out.Phases, AttribPhase{
+		out.Phases = append(out.Phases, attribPhase{
 			Phase: p,
 			Total: h.Sum(),
 			P50:   h.Percentile(50),
@@ -145,15 +121,15 @@ func runAttribPoint(seed int64, requests, clients int, backend string) (AttribPo
 	return out, run.Requests, nil
 }
 
-// AttribSweep runs the per-phase dispatch-latency comparison (openflow vs
+// attribSweep runs the per-phase dispatch-latency comparison (openflow vs
 // srv6 across the client axis), then the PR-10 determinism gates: at every
 // shard count in attribParityShards, a replay with attribution attached
 // must produce a result fingerprint byte-identical to one without, and the
 // attribution report's own fingerprint must not depend on the shard count.
-func AttribSweep(seed int64, requests int) (AttribSweepResult, error) {
-	var out AttribSweepResult
-	for _, backend := range SteerBackends {
-		for _, clients := range attribSweepClients {
+func attribSweep(seed int64, requests int) (attribSweepResult, error) {
+	var out attribSweepResult
+	for _, backend := range steerBackends {
+		for _, clients := range steerSweepClients {
 			p, replayed, err := runAttribPoint(seed, requests, clients, backend)
 			if err != nil {
 				return out, err
@@ -164,17 +140,13 @@ func AttribSweep(seed int64, requests int) (AttribSweepResult, error) {
 	}
 	for _, shards := range attribParityShards {
 		col := attrib.New(attrib.Options{})
-		base := runOpts{}.point(seed, requests)
-		base.Shards = shards
+		base := pointSpec{Seed: seed, Requests: requests, Shards: shards}
 		_, _, match, err := parityGate(shardFingerprint, base, nil, func(s *pointSpec) { s.attrib = col })
 		if err != nil {
 			return out, err
 		}
-		out.Parity = append(out.Parity, AttribParity{
-			Shards:            shards,
-			Match:             match,
-			ReportFingerprint: col.Report().Fingerprint(),
-		})
+		out.Parity = append(out.Parity, parity{name: fmt.Sprintf("shards=%d", shards), key: fmt.Sprintf("shard%d", shards),
+			match: match, report: digest(col.Report().Fingerprint())})
 	}
 	return out, nil
 }

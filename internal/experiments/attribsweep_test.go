@@ -15,8 +15,8 @@ import (
 // byte-identical to attribution-off at shards {1,2,4,8}, and the
 // attribution report itself is shard-count-independent.
 func TestAttribSweepShapeAndParity(t *testing.T) {
-	r := must(AttribSweep(11, 160))
-	if want := len(SteerBackends) * len(attribSweepClients); len(r.Points) != want {
+	r := must(attribSweep(11, 160))
+	if want := len(steerBackends) * len(steerSweepClients); len(r.Points) != want {
 		t.Fatalf("points = %d, want %d", len(r.Points), want)
 	}
 	for _, p := range r.Points {
@@ -34,12 +34,12 @@ func TestAttribSweepShapeAndParity(t *testing.T) {
 		t.Fatalf("parity gates = %d, want %d", len(r.Parity), len(attribParityShards))
 	}
 	for _, pr := range r.Parity {
-		if !pr.Match {
-			t.Errorf("shards=%d: attribution-on fingerprint != attribution-off", pr.Shards)
+		if pr.match != true {
+			t.Errorf("%s: attribution-on fingerprint != attribution-off", pr.name)
 		}
-		if pr.ReportFingerprint != r.Parity[0].ReportFingerprint {
-			t.Errorf("attribution report depends on shard count: shards=%d %016x != shards=%d %016x",
-				pr.Shards, pr.ReportFingerprint, r.Parity[0].Shards, r.Parity[0].ReportFingerprint)
+		if pr.report != r.Parity[0].report {
+			t.Errorf("attribution report depends on shard count: %s %016x != %s %016x",
+				pr.name, pr.report, r.Parity[0].name, r.Parity[0].report)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func requireSumProperty(t *testing.T, col *attrib.Collector, workloadName string
 // plain sharded replay.
 func TestAttribSumPropertyReplay(t *testing.T) {
 	col := attrib.New(attrib.Options{})
-	served(t, "replay", must(ReplayShard(7, 320, 2, WithAttrib(col))).PointResult)
+	served(t, "replay", must(replayShard(Params{Seed: 7, ReplayRequests: 320, Shards: 2, Attrib: col})).pointResult)
 	requireSumProperty(t, col, "replay")
 }
 
@@ -80,9 +80,7 @@ func TestAttribSumPropertyFaultPlan(t *testing.T) {
 		},
 	}
 	col := attrib.New(attrib.Options{})
-	s := runOpts{attrib: col}.point(3, 320)
-	s.Shards, s.Faults = 4, spec
-	must(replayShard(s))
+	must(shardRun(pointSpec{Seed: 3, Requests: 320, Shards: 4, Faults: spec, attrib: col}))
 	requireSumProperty(t, col, "fault-plan")
 }
 
@@ -91,13 +89,11 @@ func TestAttribSumPropertyFaultPlan(t *testing.T) {
 // the re-anchor phase actually shows up.
 func TestAttribSumPropertyMobility(t *testing.T) {
 	col := attrib.New(attrib.Options{})
-	s := runOpts{steer: "srv6", attrib: col}.point(5, 240)
-	s.GNBs, s.Dwell = MobilityCells, 5*time.Second
-	run, err := runPoint(s)
+	run, err := runPoint(pointSpec{Seed: 5, Requests: 240, Backend: "srv6", GNBs: mobilityCells, Dwell: 5 * time.Second, attrib: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	served(t, "mobility", run.PointResult)
+	served(t, "mobility", run.pointResult)
 	requireSumProperty(t, col, "mobility")
 	rep := col.Report()
 	if run.tb.Ctrl.Stats.HandoverReAnchors > 0 {
@@ -115,10 +111,8 @@ func TestAttribSumPropertyMobility(t *testing.T) {
 // attrib.RootNames declares, and every one of them — the set ParseSLO
 // accepts is the set an objective can fire on.
 func TestEmittedRootsAreRootNames(t *testing.T) {
-	cold := runOpts{attrib: attrib.New(attrib.Options{})}.point(3, 320)
-	cold.Cold, cold.Clusters, cold.Scheduler = true, 2, "no-wait"
-	mob := runOpts{steer: "srv6", attrib: attrib.New(attrib.Options{})}.point(5, 240)
-	mob.GNBs, mob.Dwell = MobilityCells, 5*time.Second
+	cold := pointSpec{Seed: 3, Requests: 320, Cold: true, Clusters: 2, Scheduler: "no-wait", attrib: attrib.New(attrib.Options{})}
+	mob := pointSpec{Seed: 5, Requests: 240, Backend: "srv6", GNBs: mobilityCells, Dwell: 5 * time.Second, attrib: attrib.New(attrib.Options{})}
 	seen := map[string]bool{}
 	for _, s := range []pointSpec{cold, mob} {
 		if _, err := runPoint(s); err != nil {
@@ -143,10 +137,10 @@ func TestEmittedRootsAreRootNames(t *testing.T) {
 // traced run sees (same report fingerprint).
 func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 	alone := attrib.New(attrib.Options{})
-	must(ReplayScale(9, 160, WithAttrib(alone)))
+	must(replayScale(Params{Seed: 9, ReplayRequests: 160, Attrib: alone}))
 
 	chained := attrib.New(attrib.Options{})
-	must(ReplayScale(9, 160, WithAttrib(chained), WithTrace(obs.NewTracer(0))))
+	must(replayScale(Params{Seed: 9, ReplayRequests: 160, Attrib: chained, Trace: obs.NewTracer(0)}))
 
 	if a, b := alone.Report().Fingerprint(), chained.Report().Fingerprint(); a != b {
 		t.Fatalf("attrib-only report %016x != attrib+trace report %016x", a, b)
@@ -156,7 +150,7 @@ func TestWithAttribWithoutTraceMatchesTraced(t *testing.T) {
 // TestKernelStatsSurfaced checks the kernel/shard-group introspection
 // reaches the results and the uniform JSON shape.
 func TestKernelStatsSurfaced(t *testing.T) {
-	r := must(ReplayScale(13, 160))
+	r := must(replayScale(Params{Seed: 13, ReplayRequests: 160}))
 	if r.Kernel.Events == 0 || r.Kernel.Scheduled < r.Kernel.Events {
 		t.Errorf("kernel stats = %+v, want events > 0 and scheduled >= events", r.Kernel)
 	}
@@ -178,7 +172,7 @@ func TestKernelStatsSurfaced(t *testing.T) {
 		}
 	}
 
-	rs := must(ReplayShard(13, 160, 4))
+	rs := must(replayShard(Params{Seed: 13, ReplayRequests: 160, Shards: 4}))
 	if rs.Group.Windows == 0 || len(rs.Group.Shards) != 4 {
 		t.Errorf("group stats = windows %d shards %d, want > 0 and 4", rs.Group.Windows, len(rs.Group.Shards))
 	}

@@ -10,8 +10,8 @@ import (
 	"transparentedge/internal/sim"
 )
 
-// JSONResult is the uniform machine-readable shape every edgesim scale/sweep
-// subcommand emits: the experiment kind, an optional variant name and seed,
+// JSONResult is the uniform machine-readable shape every scale and sweep
+// experiment emits: the experiment kind, an optional variant name and seed,
 // and a flat metric map (durations in milliseconds), so downstream plotting
 // never needs per-experiment parsing.
 type JSONResult struct {
@@ -24,7 +24,7 @@ type JSONResult struct {
 	Counters map[string]float64 `json:"counters,omitempty"`
 	// DeployErrors lists deployments that exhausted retries, with their
 	// attempt counts and error strings (scale-faults variants).
-	DeployErrors []DeployError `json:"deploy_errors,omitempty"`
+	DeployErrors []deployError `json:"deploy_errors,omitempty"`
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -90,11 +90,12 @@ func number(v any) float64 {
 	return math.NaN()
 }
 
-// flatten writes every keyed column of row into m under prefix+key.
+// flatten writes every keyed column of row into m under prefix+key, but
+// for a cell that is nil.
 func flatten[T any](m map[string]float64, prefix string, cols []column[T], row T) {
 	for _, c := range cols {
-		if c.key != "" {
-			m[prefix+c.key] = number(c.get(row))
+		if v := c.get(row); c.key != "" && v != nil {
+			m[prefix+c.key] = number(v)
 		}
 	}
 }
@@ -144,11 +145,12 @@ func listing[T any](b *strings.Builder, cols []column[T], row T) {
 	}
 }
 
-// inline renders row's text columns as space-separated header=value pairs.
+// inline renders row's text columns as space-separated header=value pairs,
+// skipping a cell that is nil.
 func inline[T any](cols []column[T], row T) string {
 	var pairs []string
 	for _, c := range cols {
-		if c.format != "" {
+		if c.format != "" && c.get(row) != nil {
 			pairs = append(pairs, c.header+"="+c.cell(row))
 		}
 	}
@@ -170,12 +172,12 @@ func kernelStatsMetrics(m map[string]float64, s sim.KernelStats) {
 	m["kernel_live_procs"] = float64(s.LiveProcs)
 }
 
-// AttribReportMetrics flattens a latency-attribution report into the
-// uniform metric map (the edgesim CLI merges it into whichever experiment
-// ran with -attrib): tree/span totals, the report's shard-count-independent
+// attribReportMetrics flattens a latency-attribution report into the
+// uniform metric map (measured merges it into whichever experiment ran with
+// a collector attached): tree/span totals, the report's shard-count-independent
 // fingerprint, and per-phase exclusive totals and tail quantiles for every
 // phase that saw time.
-func AttribReportMetrics(m map[string]float64, rep *attrib.Report) {
+func attribReportMetrics(m map[string]float64, rep *attrib.Report) {
 	m["attrib_trees"] = float64(rep.Trees)
 	m["attrib_spans"] = float64(rep.Spans)
 	m["attrib_dropped_spans"] = float64(rep.DroppedSpans)
@@ -233,20 +235,24 @@ func groupStatsMetrics(m map[string]float64, g sim.GroupStats) {
 	}
 }
 
-// JSON returns the uniform result shape.
-func (r DispatchScaleResult) JSON() JSONResult {
-	return JSONResult{
-		Experiment: "scale-dispatch",
-		Metrics: map[string]float64{
-			"clusters":    float64(r.Clusters),
-			"serial":      number(r.Serial),
-			"dispatch_ms": ms(r.Dispatch),
-		},
+// JSON returns one uniform entry per measurement.
+func (r dispatchScaleResult) JSON() []JSONResult {
+	var out []JSONResult
+	for _, d := range r {
+		out = append(out, JSONResult{
+			Experiment: "scale-dispatch",
+			Metrics: map[string]float64{
+				"clusters":    float64(d.Clusters),
+				"serial":      number(d.Serial),
+				"dispatch_ms": ms(d.Dispatch),
+			},
+		})
 	}
+	return out
 }
 
 // JSON returns the uniform result shape.
-func (r CookieChurnResult) JSON() JSONResult {
+func (r cookieChurnResult) JSON() JSONResult {
 	return JSONResult{
 		Experiment: "scale-churn",
 		Metrics: map[string]float64{

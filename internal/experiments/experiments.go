@@ -1,21 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§VI) on the simulated C³ testbed. Each runner builds a fresh
-// testbed, drives the corresponding workload, and returns the same
-// rows/series the paper reports; benchmarks and the edgesim command print
-// them, and EXPERIMENTS.md records paper-vs-measured values.
-//
-// Index (see DESIGN.md §4):
-//
-//	Table I — the service/image catalog
-//	Fig. 9  — request distribution over 42 services / 5 minutes
-//	Fig. 10 — deployment distribution (first contacts)
-//	Fig. 11 — scale-up total time, Docker vs Kubernetes, 4 services
-//	Fig. 12 — create + scale-up total time
-//	Fig. 13 — image pull times, public vs private registry
-//	Fig. 14 — readiness wait after scale-up
-//	Fig. 15 — readiness wait after create + scale-up
-//	Fig. 16 — request time with the instance already running
-//	§VII    — the Docker-then-Kubernetes hybrid (ablation)
+// evaluation (§VI), its §VII hybrid and §VIII future work on the simulated
+// C³ testbed, plus the ablations and the scale sweeps. Each runner builds
+// fresh testbeds, drives the corresponding workload, and returns the same
+// rows/series the paper reports. Table lists them all, one row per edgesim
+// experiment; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (
@@ -24,15 +12,17 @@ import (
 	"time"
 
 	"transparentedge/internal/catalog"
+	"transparentedge/internal/cluster"
 	"transparentedge/internal/core"
 	"transparentedge/internal/metrics"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
+	"transparentedge/internal/spec"
 	"transparentedge/internal/testbed"
 	"transparentedge/internal/workload"
 )
 
-// Clusters evaluated in the paper's figures.
+// Clusters evaluated in the paper's figures, in their column order.
 var clusterKinds = []string{testbed.KindDocker, testbed.KindKubernetes}
 
 func clusterName(kind string) string {
@@ -40,13 +30,6 @@ func clusterName(kind string) string {
 		return "egs-docker"
 	}
 	return "egs-k8s"
-}
-
-func clusterLabel(kind string) string {
-	if kind == testbed.KindDocker {
-		return "Docker"
-	}
-	return "K8s"
 }
 
 // drive runs body as the driver process of the scenario on k until the
@@ -62,10 +45,10 @@ func drive(k *sim.Kernel, until time.Duration, body func(p *sim.Proc) error) err
 	return err
 }
 
-// TraceConfig returns the workload configuration used by the trace-driven
+// traceConfig returns the workload configuration used by the trace-driven
 // figures. Scale reduces the request volume for quick runs (1 = the paper's
 // full 1708-request trace).
-func TraceConfig(seed int64, scale float64) workload.Config {
+func traceConfig(seed int64, scale float64) workload.Config {
 	cfg := workload.DefaultConfig(seed)
 	if scale > 0 && scale < 1 {
 		cfg.TotalRequests = int(float64(cfg.TotalRequests) * scale)
@@ -80,13 +63,13 @@ func TraceConfig(seed int64, scale float64) workload.Config {
 	return cfg
 }
 
-// TableIResult is the catalog rendered as Table I.
-type TableIResult struct {
-	Rows []TableIRow
+// tableIResult is the catalog rendered as Table I.
+type tableIResult struct {
+	Rows []tableIRow
 }
 
-// TableIRow is one Table I line.
-type TableIRow struct {
+// tableIRow is one Table I line.
+type tableIRow struct {
 	Service    string
 	Images     string
 	Size       simnet.Bytes
@@ -95,8 +78,8 @@ type TableIRow struct {
 	HTTP       string
 }
 
-// TableI reproduces Table I from the catalog.
-func TableI() TableIResult {
+// tableI reproduces Table I from the catalog.
+func tableI() tableIResult {
 	imgInfo := map[string]struct {
 		size   simnet.Bytes
 		layers int
@@ -107,9 +90,9 @@ func TableI() TableIResult {
 			layers int
 		}{img.TotalSize(), len(img.Layers)}
 	}
-	var res TableIResult
+	var res tableIResult
 	for _, s := range catalog.Services() {
-		row := TableIRow{
+		row := tableIRow{
 			Service:    s.Key,
 			Images:     strings.Join(s.Images, " + "),
 			Containers: s.Containers,
@@ -125,7 +108,7 @@ func TableI() TableIResult {
 }
 
 // String renders Table I.
-func (r TableIResult) String() string {
+func (r tableIResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table I — Edge services\n")
 	fmt.Fprintf(&b, "%-10s %-60s %14s %7s %11s %6s\n", "Service", "Image(s)", "Size", "Layers", "Containers", "HTTP")
@@ -146,18 +129,18 @@ func formatBytes(v simnet.Bytes) string {
 	return fmt.Sprintf("%d B", v)
 }
 
-// TraceResult summarizes figs. 9 and 10.
-type TraceResult struct {
+// traceResult summarizes figs. 9 and 10.
+type traceResult struct {
 	Trace            *workload.Trace
 	PerService       []int // requests per service (fig. 9)
 	DeploysPerSecond []int // deployments per second (fig. 10)
 	MaxDeploysPerSec int
 }
 
-// Fig9And10 generates the evaluation trace and its distributions.
-func Fig9And10(seed int64) TraceResult {
+// fig9And10 generates the evaluation trace and its distributions.
+func fig9And10(seed int64) traceResult {
 	tr := workload.Generate(workload.DefaultConfig(seed))
-	res := TraceResult{
+	res := traceResult{
 		Trace:            tr,
 		PerService:       tr.RequestsPerService(),
 		DeploysPerSecond: tr.DeploymentsPerSecond(),
@@ -171,7 +154,7 @@ func Fig9And10(seed int64) TraceResult {
 }
 
 // String renders the fig. 9/10 summary.
-func (r TraceResult) String() string {
+func (r traceResult) String() string {
 	var b strings.Builder
 	total := 0
 	min, max := 1<<30, 0
@@ -190,9 +173,9 @@ func (r TraceResult) String() string {
 	return b.String()
 }
 
-// ScaleUpResult carries the fig. 11/12 (totals) and fig. 14/15 (readiness
+// scaleUpResult carries the fig. 11/12 (totals) and fig. 14/15 (readiness
 // waits) tables of one study.
-type ScaleUpResult struct {
+type scaleUpResult struct {
 	// Totals is the median client-measured total time of the deployment-
 	// triggering first requests: fig. 11 (scale-up only) or fig. 12
 	// (create + scale-up).
@@ -202,177 +185,215 @@ type ScaleUpResult struct {
 	ReadyWait *metrics.Table
 }
 
-// ScaleUpStudy replays the evaluation trace once per (service type,
+// scaleUpStudy replays the evaluation trace once per (service type,
 // cluster) pair with images cached, measuring every first request. With
 // preCreate, services are also created beforehand so only the Scale Up
 // phase runs (fig. 11/14); otherwise Create runs on demand too
-// (fig. 12/15). scale in (0,1] shrinks the trace for quick runs.
-func ScaleUpStudy(seed int64, preCreate bool, scale float64, options ...Option) (*ScaleUpResult, error) {
-	o := applyOpts(options)
-	tr := o.attribTracer()
+// (fig. 12/15). p.Scale in (0,1] shrinks the trace for quick runs.
+func scaleUpStudy(p Params, preCreate bool) (scaleUpResult, error) {
+	tr := attribTracer(p.Trace, p.Attrib)
 	titleTotals := "Fig. 11 — median total time to scale up (s)"
 	titleWait := "Fig. 14 — median wait until ready after scale up"
 	if !preCreate {
 		titleTotals = "Fig. 12 — median total time to create + scale up (s)"
 		titleWait = "Fig. 15 — median wait until ready after create + scale up"
 	}
-	res := &ScaleUpResult{
+	res := scaleUpResult{
 		Totals:    metrics.NewTable(titleTotals, "Docker", "K8s"),
 		ReadyWait: metrics.NewTable(titleWait, "Docker", "K8s"),
 	}
 	for _, key := range catalog.Keys() {
-		cells := map[string]time.Duration{}
-		waits := map[string]time.Duration{}
-		for _, kind := range clusterKinds {
+		var cells, waits [2]time.Duration
+		for i, kind := range clusterKinds {
 			tb := testbed.New(testbed.Options{
-				Seed:         seed,
+				Seed:         p.Seed,
 				EnableDocker: kind == testbed.KindDocker,
 				EnableKube:   kind == testbed.KindKubernetes,
 				Trace:        tr,
-				Counters:     o.counters,
+				Counters:     p.Counters,
 			})
-			wt := workload.Generate(TraceConfig(seed, scale))
+			wt := workload.Generate(traceConfig(p.Seed, p.Scale))
 			rr, err := workload.ReplayWith(tb, wt, key, workload.Options{
 				PrePull: true, PreCreate: preCreate,
-				Trace: tr, Counters: o.counters,
+				Trace: tr, Counters: p.Counters,
 			})
 			tb.Close()
 			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", key, kind, err)
+				return scaleUpResult{}, fmt.Errorf("%s on %s: %w", key, kind, err)
 			}
 			if rr.Errors > 0 {
-				return nil, fmt.Errorf("%s on %s: %d failed requests", key, kind, rr.Errors)
+				return scaleUpResult{}, fmt.Errorf("%s on %s: %d failed requests", key, kind, rr.Errors)
 			}
-			cells[clusterLabel(kind)] = rr.FirstRequests.Median()
+			cells[i] = rr.FirstRequests.Median()
 			wait := metrics.NewSeries("wait")
 			for _, rec := range tb.Ctrl.RecordsFor(clusterName(kind), "") {
 				if rec.DidScaleUp {
 					wait.Add(time.Duration(rec.StartedAt), rec.ReadyWait)
 				}
 			}
-			waits[clusterLabel(kind)] = wait.Median()
+			waits[i] = wait.Median()
 		}
-		res.Totals.AddRow(key, cells["Docker"], cells["K8s"])
-		res.ReadyWait.AddRow(key, waits["Docker"], waits["K8s"])
+		res.Totals.AddRow(key, cells[0], cells[1])
+		res.ReadyWait.AddRow(key, waits[0], waits[1])
 	}
-	o.attrib.EndStream()
+	p.Attrib.EndStream()
 	return res, nil
 }
 
-// Fig13Pull measures cold image pulls onto the EGS per registry placement:
+// scenario is a scripted run on a testbed with one catalog service
+// registered: the steps its script takes as the driver process.
+type scenario struct {
+	tb  *testbed.Testbed
+	a   *spec.Annotated
+	reg spec.Registration
+	key string
+	p   *sim.Proc
+}
+
+// script builds a testbed from o, registers the catalog service key on it
+// and drives body as the scenario until the virtual instant until (see
+// drive). It returns body's error and the closed testbed, whose recorded
+// state stays readable.
+func script(o testbed.Options, key string, until time.Duration, body func(s *scenario) error) (*testbed.Testbed, error) {
+	tb := testbed.New(o)
+	a, reg, err := tb.RegisterCatalogService(key)
+	if err != nil {
+		tb.Close()
+		return tb, err
+	}
+	s := &scenario{tb: tb, a: a, reg: reg, key: key}
+	return tb, drive(tb.K, until, func(p *sim.Proc) error {
+		s.p = p
+		return body(s)
+	})
+}
+
+// request sends one request from client cli and returns its total time.
+func (s *scenario) request(cli int) (time.Duration, error) {
+	hr, err := s.tb.Request(s.p, cli, s.reg, s.key, 0)
+	if err != nil {
+		return 0, err
+	}
+	return hr.Total, nil
+}
+
+// prepare pulls the service's images onto every cluster and, with create,
+// creates the service there too, so that a request pays only the rest.
+func (s *scenario) prepare(create bool) error {
+	for _, cl := range s.tb.Ctrl.Clusters() {
+		if err := cl.Pull(s.p, s.a); err != nil {
+			return err
+		}
+		if create {
+			if err := cl.Create(s.p, s.a); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// warm creates the service on cl and scales it up, then lets it settle.
+func (s *scenario) warm(cl cluster.Cluster) error {
+	if err := cl.Create(s.p, s.a); err != nil {
+		return err
+	}
+	if _, err := cl.ScaleUp(s.p, s.a.UniqueName); err != nil {
+		return err
+	}
+	s.p.Sleep(time.Second)
+	return nil
+}
+
+// fig13Pull measures cold image pulls onto the EGS per registry placement:
 // the fig. 13 table of total pull time per service from the public
 // registries (Docker Hub / GCR) and from the in-network private registry.
-func Fig13Pull(seed int64, options ...Option) (*metrics.Table, error) {
-	o := applyOpts(options)
-	tr := o.attribTracer()
+func fig13Pull(p Params) (*metrics.Table, error) {
+	tr := attribTracer(p.Trace, p.Attrib)
 	res := metrics.NewTable(
 		"Fig. 13 — total time to pull service images onto the EGS",
 		"DockerHub/GCR", "Private")
 	for _, key := range catalog.Keys() {
 		var cells [2]time.Duration
 		for i, private := range []bool{false, true} {
-			tb := testbed.New(testbed.Options{
-				Seed: seed, EnableDocker: true, UsePrivateRegistry: private,
-				Trace: tr, Counters: o.counters,
-			})
-			a, _, err := tb.RegisterCatalogService(key)
-			if err != nil {
-				return nil, err
-			}
-			var d time.Duration
-			if err := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
-				t0 := p.Now()
-				err := tb.Docker.Pull(p, a)
-				d = p.Now() - t0
+			if _, err := script(testbed.Options{
+				Seed: p.Seed, EnableDocker: true, UsePrivateRegistry: private,
+				Trace: tr, Counters: p.Counters,
+			}, key, 30*time.Minute, func(s *scenario) error {
+				t0 := s.p.Now()
+				err := s.tb.Docker.Pull(s.p, s.a)
+				cells[i] = s.p.Now() - t0
 				return err
 			}); err != nil {
 				return nil, err
 			}
-			cells[i] = d
 		}
 		res.AddRow(key, cells[0], cells[1])
 	}
-	o.attrib.EndStream()
+	p.Attrib.EndStream()
 	return res, nil
 }
 
-// Fig16Warm measures requests against already-running instances: the
+// fig16Warm measures requests against already-running instances: the
 // fig. 16 table of request time per service and cluster.
-func Fig16Warm(seed int64, requests int, options ...Option) (*metrics.Table, error) {
-	o := applyOpts(options)
-	tr := o.attribTracer()
-	if requests <= 0 {
-		requests = 200
-	}
+func fig16Warm(p Params) (*metrics.Table, error) {
+	tr := attribTracer(p.Trace, p.Attrib)
 	res := metrics.NewTable(
 		"Fig. 16 — median total time for requests to running instances",
 		"Docker", "K8s")
 	for _, key := range catalog.Keys() {
-		cells := map[string]time.Duration{}
-		for _, kind := range clusterKinds {
-			tb := testbed.New(testbed.Options{
-				Seed:         seed,
+		var cells [2]time.Duration
+		for i, kind := range clusterKinds {
+			series := metrics.NewSeries(key)
+			if _, err := script(testbed.Options{
+				Seed:         p.Seed,
 				EnableDocker: kind == testbed.KindDocker,
 				EnableKube:   kind == testbed.KindKubernetes,
 				Trace:        tr,
-				Counters:     o.counters,
-			})
-			a, reg, err := tb.RegisterCatalogService(key)
-			if err != nil {
-				return nil, err
-			}
-			series := metrics.NewSeries(key)
-			rerr := drive(tb.K, time.Hour, func(p *sim.Proc) error {
-				if _, err := tb.Ctrl.EnsureDeployed(p, clusterName(kind), a.UniqueName); err != nil {
+				Counters:     p.Counters,
+			}, key, time.Hour, func(s *scenario) error {
+				if _, err := s.tb.Ctrl.EnsureDeployed(s.p, clusterName(kind), s.a.UniqueName); err != nil {
 					return err
 				}
 				// Prime the redirect flow, then measure.
-				if _, err := tb.Request(p, 0, reg, key, 0); err != nil {
+				if _, err := s.request(0); err != nil {
 					return err
 				}
-				for i := 0; i < requests; i++ {
-					cli := i % len(tb.Clients)
-					hr, err := tb.Request(p, cli, reg, key, 0)
+				for i := 0; i < p.Requests; i++ {
+					d, err := s.request(i % len(s.tb.Clients))
 					if err != nil {
 						return err
 					}
-					series.Add(p.Now(), hr.Total)
-					p.Sleep(50 * time.Millisecond) // keep flows warm, spread load
+					series.Add(s.p.Now(), d)
+					s.p.Sleep(50 * time.Millisecond) // keep flows warm, spread load
 				}
 				return nil
-			})
-			if rerr != nil {
-				return nil, rerr
+			}); err != nil {
+				return nil, err
 			}
-			cells[clusterLabel(kind)] = series.Median()
+			cells[i] = series.Median()
 		}
-		res.AddRow(key, cells["Docker"], cells["K8s"])
+		res.AddRow(key, cells[0], cells[1])
 	}
-	o.attrib.EndStream()
+	p.Attrib.EndStream()
 	return res, nil
 }
 
-// HybridResult compares first-request latency across deployment policies
+// hybridResult compares first-request latency across deployment policies
 // (§VII's discussion): pure Docker, pure Kubernetes, and the hybrid
 // (Docker answers first, Kubernetes takes over).
-type HybridResult struct {
+type hybridResult struct {
 	*metrics.Table
 	// KubernetesTookOver reports whether the hybrid's later requests were
 	// served by the Kubernetes instance.
 	KubernetesTookOver bool
 }
 
-// Notes is the line edgesim prints under the table.
-func (r *HybridResult) Notes() string {
-	return fmt.Sprintf("kubernetes took over future requests: %v\n", r.KubernetesTookOver)
-}
-
-// HybridStudy measures the §VII Docker-then-Kubernetes strategy on the
+// hybridStudy measures the §VII Docker-then-Kubernetes strategy on the
 // Nginx service with cached images and pre-created services.
-func HybridStudy(seed int64, options ...Option) (*HybridResult, error) {
-	o := applyOpts(options)
-	tr := o.attribTracer()
-	res := &HybridResult{Table: metrics.NewTable(
+func hybridStudy(p Params) (hybridResult, error) {
+	tr := attribTracer(p.Trace, p.Attrib)
+	res := hybridResult{Table: metrics.NewTable(
 		"§VII — first-request total time by policy (nginx, images cached)",
 		"first request")}
 	type policy struct {
@@ -387,59 +408,44 @@ func HybridStudy(seed int64, options ...Option) (*HybridResult, error) {
 		{"hybrid", true, true, core.DockerFirstScheduler{}},
 	}
 	for _, pol := range policies {
-		tb := testbed.New(testbed.Options{
-			Seed:         seed,
+		var first time.Duration
+		if _, err := script(testbed.Options{
+			Seed:         p.Seed,
 			EnableDocker: pol.docker,
 			EnableKube:   pol.kube,
 			Scheduler:    pol.scheduler,
 			Trace:        tr,
-			Counters:     o.counters,
+			Counters:     p.Counters,
 			// Short switch flows so later requests re-consult the
 			// (redirected) FlowMemory.
 			SwitchIdleTimeout: 2 * time.Second,
-		})
-		a, reg, err := tb.RegisterCatalogService(catalog.Nginx)
-		if err != nil {
-			return nil, err
-		}
-		var first time.Duration
-		tookOver := false
-		rerr := drive(tb.K, 30*time.Minute, func(p *sim.Proc) error {
+		}, catalog.Nginx, 30*time.Minute, func(s *scenario) error {
 			// Cache images and create everywhere (isolate start times).
-			for _, cl := range tb.Ctrl.Clusters() {
-				if err := cl.Pull(p, a); err != nil {
-					return err
-				}
-				if err := cl.Create(p, a); err != nil {
-					return err
-				}
-			}
-			hr, err := tb.Request(p, 0, reg, catalog.Nginx, 0)
-			if err != nil {
+			if err := s.prepare(true); err != nil {
 				return err
 			}
-			first = hr.Total
-			if pol.name == "hybrid" {
-				p.Sleep(30 * time.Second)
-				if _, err := tb.Request(p, 0, reg, catalog.Nginx, 0); err != nil {
-					return err
-				}
-				for _, e := range tb.Ctrl.Memory.Entries() {
-					if e.Instance.Cluster == "egs-k8s" {
-						tookOver = true
-					}
+			var err error
+			if first, err = s.request(0); err != nil {
+				return err
+			}
+			if pol.name != "hybrid" {
+				return nil
+			}
+			s.p.Sleep(30 * time.Second)
+			if _, err := s.request(0); err != nil {
+				return err
+			}
+			for _, e := range s.tb.Ctrl.Memory.Entries() {
+				if e.Instance.Cluster == "egs-k8s" {
+					res.KubernetesTookOver = true
 				}
 			}
 			return nil
-		})
-		if rerr != nil {
-			return nil, rerr
+		}); err != nil {
+			return hybridResult{}, err
 		}
 		res.Table.AddRow(pol.name, first)
-		if pol.name == "hybrid" {
-			res.KubernetesTookOver = tookOver
-		}
 	}
-	o.attrib.EndStream()
+	p.Attrib.EndStream()
 	return res, nil
 }

@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"transparentedge/internal/catalog"
+	"transparentedge/internal/faults"
 	"transparentedge/internal/simnet"
+	"transparentedge/internal/testbed"
 )
 
 func TestTableI(t *testing.T) {
-	res := TableI()
+	res := tableI()
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byKey := map[string]TableIRow{}
+	byKey := map[string]tableIRow{}
 	for _, r := range res.Rows {
 		byKey[r.Service] = r
 	}
@@ -34,7 +36,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestFig9And10(t *testing.T) {
-	res := Fig9And10(1)
+	res := fig9And10(1)
 	total := 0
 	for _, c := range res.PerService {
 		total += c
@@ -61,7 +63,7 @@ func TestFig9And10(t *testing.T) {
 func TestScaleUpStudyShape(t *testing.T) {
 	// Reduced trace volume: shape assertions only need the 42 first
 	// requests, which a 0.2x trace still contains.
-	res, err := ScaleUpStudy(1, true, 0.2)
+	res, err := scaleUpStudy(Params{Seed: 1, Scale: 0.2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +118,11 @@ func TestScaleUpStudyShape(t *testing.T) {
 }
 
 func TestCreateAddsOverhead(t *testing.T) {
-	with, err := ScaleUpStudy(1, true, 0.1)
+	with, err := scaleUpStudy(Params{Seed: 1, Scale: 0.1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := ScaleUpStudy(1, false, 0.1)
+	without, err := scaleUpStudy(Params{Seed: 1, Scale: 0.1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestCreateAddsOverhead(t *testing.T) {
 }
 
 func TestFig13PullShapes(t *testing.T) {
-	res, err := Fig13Pull(1)
+	res, err := fig13Pull(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestFig13PullShapes(t *testing.T) {
 }
 
 func TestFig16WarmShapes(t *testing.T) {
-	res, err := Fig16Warm(1, 50)
+	res, err := fig16Warm(Params{Seed: 1, Requests: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +206,13 @@ func TestFig16WarmShapes(t *testing.T) {
 // parked control loops, and leaves no goroutine of them behind.
 func TestHybridStudy(t *testing.T) {
 	base := runtime.NumGoroutine()
-	res, err := HybridStudy(1)
+	res, err := hybridStudy(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// More, not different: an earlier test's shard workers may still be exiting.
 	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after HybridStudy, %d before: a testbed was left unclosed", n, base)
+		t.Errorf("%d goroutines after hybridStudy, %d before: a testbed was left unclosed", n, base)
 	}
 	dkr, _ := res.Table.Cell("docker-only", "first request")
 	k8s, _ := res.Table.Cell("k8s-only", "first request")
@@ -229,15 +231,31 @@ func TestHybridStudy(t *testing.T) {
 }
 
 func TestTraceConfigScaling(t *testing.T) {
-	full := TraceConfig(1, 1)
+	full := traceConfig(1, 1)
 	if full.TotalRequests != 1708 {
 		t.Fatalf("full = %d", full.TotalRequests)
 	}
-	small := TraceConfig(1, 0.1)
+	small := traceConfig(1, 0.1)
 	if small.TotalRequests >= full.TotalRequests {
 		t.Fatalf("scaled = %d", small.TotalRequests)
 	}
 	if small.TotalRequests < small.Services*small.MinPerService {
 		t.Fatal("scaled config infeasible")
+	}
+}
+
+// A scenario step whose cluster operation fails ends the run with that
+// error, so an ablation reports it instead of a row measured on a cluster
+// that never came up.
+func TestScenarioStepErrors(t *testing.T) {
+	fail := &faults.Spec{Seed: 1, Default: faults.ClusterSpec{ScaleUpFailProb: 1}}
+	_, err := script(testbed.Options{Seed: 1, EnableDocker: true, Faults: fail}, catalog.Nginx, time.Hour, func(s *scenario) error {
+		if err := s.prepare(false); err != nil {
+			return err
+		}
+		return s.warm(s.tb.Docker)
+	})
+	if err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Fatalf("a scale-up that always fails: err = %v, want its error", err)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // faultSweep runs the scale-faults variant set on procs workers, as edgesim
 // scale-faults does.
-func faultSweep(seed int64, requests int, rates []float64, procs int) FaultSweepResult {
-	return FaultSweepResult{must(Sweep{Variants: FaultSweepVariants(seed, requests, rates), Procs: procs}.Run())}
+func faultSweep(seed int64, requests int, rates []float64, procs int) faultSweepResult {
+	return faultSweepResult{must(runSweep(Params{Procs: procs}, faultSweepVariants(seed, requests, rates)))}
 }
 
 // TestFaultSweepSmoke: the baseline variant stays fault-free while the
@@ -64,11 +64,11 @@ func TestFaultSeedFingerprintParity(t *testing.T) {
 		sf, pf := serial.Variants[i].Fingerprint(), parallel.Variants[i].Fingerprint()
 		if sf != pf {
 			t.Errorf("variant %s: serial fingerprint %x != parallel %x",
-				serial.Variants[i].Variant.Label(), sf, pf)
+				serial.Variants[i].Variant.Name, sf, pf)
 		}
 		if serial.Variants[i].DeployAttempts != parallel.Variants[i].DeployAttempts {
 			t.Errorf("variant %s: attempts differ serial=%d parallel=%d",
-				serial.Variants[i].Variant.Label(),
+				serial.Variants[i].Variant.Name,
 				serial.Variants[i].DeployAttempts, parallel.Variants[i].DeployAttempts)
 		}
 	}
@@ -81,10 +81,10 @@ func TestFaultSweepUsesSeedZero(t *testing.T) {
 	zero, one := faultSweep(0, 48, rates, 1), faultSweep(1, 48, rates, 1)
 	for i, v := range zero.Variants {
 		if v.Variant.Seed != 0 {
-			t.Errorf("variant %s ran seed %d, want 0", v.Variant.Label(), v.Variant.Seed)
+			t.Errorf("variant %s ran seed %d, want 0", v.Variant.Name, v.Variant.Seed)
 		}
 		if fp := v.Fingerprint(); fp == one.Variants[i].Fingerprint() {
-			t.Errorf("variant %s: seeds 0 and 1 fingerprint alike (%x)", v.Variant.Label(), fp)
+			t.Errorf("variant %s: seeds 0 and 1 fingerprint alike (%x)", v.Variant.Name, fp)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestFaultSweepUsesSeedZero(t *testing.T) {
 // spec must be bit-identical to one with no fault spec at all — the
 // injector hooks stay nil and never touch the kernel RNG or the clock.
 func TestDisabledFaultsAreZeroCost(t *testing.T) {
-	plain := SweepVariant{Seed: 11, Requests: 48, Clusters: 2, Cold: true}
+	plain := pointSpec{Seed: 11, Requests: 48, Clusters: 2, Cold: true}
 	disabled := plain
 	disabled.Faults = &faults.Spec{Seed: 99} // non-nil but all-zero rates
 

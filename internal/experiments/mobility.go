@@ -8,19 +8,19 @@ import (
 	"transparentedge/internal/metrics"
 )
 
-// MobilityCells is the number of gNB attachment points per site in the
+// mobilityCells is the number of gNB attachment points per site in the
 // mobility scenarios: enough to hand over between, small enough that every
 // cell keeps several clients.
-const MobilityCells = 2
+const mobilityCells = 2
 
 // mobilityDwells is the handover-rate axis: the mean per-client dwell time
 // between handovers. Halving the dwell doubles the handover pressure.
 var mobilityDwells = []time.Duration{20 * time.Second, 5 * time.Second}
 
-// MobilityPoint is one (backend, dwell) measurement of the mobility replay:
+// mobilityPoint is one (backend, dwell) measurement of the mobility replay:
 // the Fondo-Ferreiro comparison quantities — continuity gap and per-handover
-// signalling — next to the usual replay outcomes (the embedded PointResult).
-type MobilityPoint struct {
+// signalling — next to the usual replay outcomes (the embedded pointResult).
+type mobilityPoint struct {
 	Backend   string
 	MeanDwell time.Duration
 	// Handovers counts executed handover events; GapSamples the resolved
@@ -44,19 +44,19 @@ type MobilityPoint struct {
 	// srsteer, where no FlowRemoved notification ever fires.
 	TrackedClients   int
 	PendingHandovers int
-	PointResult
+	pointResult
 }
 
-// MobilitySweepResult is the handover comparison across backends and
+// mobilitySweepResult is the handover comparison across backends and
 // handover rates.
-type MobilitySweepResult struct {
+type mobilitySweepResult struct {
 	Requests int
 	Cells    int
-	Points   []MobilityPoint
+	Points   []mobilityPoint
 	// Parity is each backend's sharded-replay determinism gate under
 	// mobility: the fingerprint at every parityShards count must equal the
 	// serial one.
-	Parity []BackendParity
+	Parity []parity
 	// DecisionParity reports whether both backends made identical scheduler
 	// decisions (deployments, errors, served requests) at every dwell —
 	// the backends must differ in continuity gap and signalling only.
@@ -64,43 +64,41 @@ type MobilitySweepResult struct {
 }
 
 // mobilityColumns flatten under <backend>_d<dwellSeconds>_.
-var mobilityColumns = []column[MobilityPoint]{
-	{"backend", "", "%-9s", func(p MobilityPoint) any { return p.Backend }},
-	{"dwell", "", "%8v", func(p MobilityPoint) any { return p.MeanDwell }},
-	{"handovers", "handovers", "%10d", func(p MobilityPoint) any { return p.Handovers }},
-	{"", "gap_samples", "", func(p MobilityPoint) any { return p.GapSamples }},
-	{"gap-p50", "gap_p50_ms", "%10v", func(p MobilityPoint) any { return p.GapP50 }},
-	{"gap-p99", "gap_p99_ms", "%10v", func(p MobilityPoint) any { return p.GapP99 }},
-	{"flow-mods", "flow_mods", "%10d", func(p MobilityPoint) any { return p.FlowMods }},
-	{"mods/ho", "flow_mods_per_handover", "%10.2f", func(p MobilityPoint) any { return p.FlowModsPerHandover }},
-	{"", "reanchors", "", func(p MobilityPoint) any { return p.ReAnchors }},
-	{"", "errors", "", func(p MobilityPoint) any { return p.Errors }},
-	{"", "unfinished", "", func(p MobilityPoint) any { return p.Unfinished }},
-	{"median", "median_ms", "%10v", func(p MobilityPoint) any { return p.Median }},
-	{"", "p95_ms", "", func(p MobilityPoint) any { return p.P95 }},
-	{"", "deployments", "", func(p MobilityPoint) any { return p.Deployments }},
-	{"", "tracked_clients", "", func(p MobilityPoint) any { return p.TrackedClients }},
-	{"", "pending_handovers", "", func(p MobilityPoint) any { return p.PendingHandovers }},
-	{"", "wall_ms", "", func(p MobilityPoint) any { return p.Wall }},
+var mobilityColumns = []column[mobilityPoint]{
+	{"backend", "", "%-9s", func(p mobilityPoint) any { return p.Backend }},
+	{"dwell", "", "%8v", func(p mobilityPoint) any { return p.MeanDwell }},
+	{"handovers", "handovers", "%10d", func(p mobilityPoint) any { return p.Handovers }},
+	{"", "gap_samples", "", func(p mobilityPoint) any { return p.GapSamples }},
+	{"gap-p50", "gap_p50_ms", "%10v", func(p mobilityPoint) any { return p.GapP50 }},
+	{"gap-p99", "gap_p99_ms", "%10v", func(p mobilityPoint) any { return p.GapP99 }},
+	{"flow-mods", "flow_mods", "%10d", func(p mobilityPoint) any { return p.FlowMods }},
+	{"mods/ho", "flow_mods_per_handover", "%10.2f", func(p mobilityPoint) any { return p.FlowModsPerHandover }},
+	{"", "reanchors", "", func(p mobilityPoint) any { return p.ReAnchors }},
+	{"", "errors", "", func(p mobilityPoint) any { return p.Errors }},
+	{"", "unfinished", "", func(p mobilityPoint) any { return p.Unfinished }},
+	{"median", "median_ms", "%10v", func(p mobilityPoint) any { return p.Median }},
+	{"", "p95_ms", "", func(p mobilityPoint) any { return p.P95 }},
+	{"", "deployments", "", func(p mobilityPoint) any { return p.Deployments }},
+	{"", "tracked_clients", "", func(p mobilityPoint) any { return p.TrackedClients }},
+	{"", "pending_handovers", "", func(p mobilityPoint) any { return p.PendingHandovers }},
+	{"", "wall_ms", "", func(p mobilityPoint) any { return p.Wall }},
 }
 
 // String renders the comparison table.
-func (r MobilitySweepResult) String() string {
+func (r mobilitySweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mobility sweep (%d requests, %d cells)\n", r.Requests, r.Cells)
 	tableHeader(&b, mobilityColumns)
 	for _, p := range r.Points {
 		tableRow(&b, mobilityColumns, p)
 	}
-	for _, pr := range r.Parity {
-		fmt.Fprintf(&b, "  parity[%s]: %s\n", pr.Backend, inline(parityColumns[:2], pr))
-	}
+	parityLines(&b, r.Parity)
 	fmt.Fprintf(&b, "  decision parity: %v\n", r.DecisionParity)
 	return b.String()
 }
 
 // JSON returns the uniform result shape, keyed backend_d<dwellSeconds>_<metric>.
-func (r MobilitySweepResult) JSON() JSONResult {
+func (r mobilitySweepResult) JSON() JSONResult {
 	m := map[string]float64{
 		"requests":        float64(r.Requests),
 		"cells":           float64(r.Cells),
@@ -109,18 +107,16 @@ func (r MobilitySweepResult) JSON() JSONResult {
 	for _, p := range r.Points {
 		flatten(m, fmt.Sprintf("%s_d%d_", p.Backend, int(p.MeanDwell/time.Second)), mobilityColumns, p)
 	}
-	for _, pr := range r.Parity {
-		flatten(m, pr.Backend+"_", parityColumns[:2], pr)
-	}
+	parityMetrics(m, r.Parity)
 	return JSONResult{Experiment: "scale-mobility", Metrics: m}
 }
 
-// MobilityShardRun is one mobility replay — sharded multi-region with
+// mobilityRun is one mobility replay — sharded multi-region with
 // intra-region handovers, or the single gNB-topology site — with the
 // handover quantities summed over its sites and their continuity-gap
 // histograms merged in region order.
-type MobilityShardRun struct {
-	PointResult
+type mobilityRun struct {
+	pointResult
 	Gaps      *metrics.Hist
 	Handovers uint64
 	FlowMods  uint64
@@ -129,7 +125,7 @@ type MobilityShardRun struct {
 // Fingerprint digests every deterministic output of the mobility run: the
 // replay outcomes plus the handover counts and the merged continuity-gap
 // histogram. It must be bit-identical at every shard count.
-func (m MobilityShardRun) Fingerprint() uint64 {
+func (m mobilityRun) Fingerprint() uint64 {
 	h := newFNV()
 	h.u64(uint64(m.Errors))
 	h.u64(uint64(m.Deployments))
@@ -145,17 +141,17 @@ func (m MobilityShardRun) Fingerprint() uint64 {
 	return uint64(h)
 }
 
-// runMobility replays s over MobilityCells gNB cells per site and samples
+// runMobility replays s over mobilityCells gNB cells per site and samples
 // the handover quantities. The trace and the handover schedule depend only
 // on (seed, requests, dwell) — never on the shard count — and every handover
 // is intra-region, so the run partitions cleanly onto any number of kernels.
-func runMobility(s pointSpec) (MobilityShardRun, pointRun, error) {
-	s.GNBs = MobilityCells
+func runMobility(s pointSpec) (mobilityRun, pointRun, error) {
+	s.GNBs = mobilityCells
 	run, err := runPoint(s)
 	if err != nil {
-		return MobilityShardRun{}, run, err
+		return mobilityRun{}, run, err
 	}
-	out := MobilityShardRun{PointResult: run.PointResult, Gaps: metrics.NewHist("continuity_gap")}
+	out := mobilityRun{pointResult: run.pointResult, Gaps: metrics.NewHist("continuity_gap")}
 	for _, site := range run.sites() {
 		out.Handovers += site.Ctrl.Stats.Handovers
 		out.FlowMods += site.Ctrl.SteerStats().FlowMods
@@ -166,29 +162,27 @@ func runMobility(s pointSpec) (MobilityShardRun, pointRun, error) {
 	return out, run, nil
 }
 
-// MobilitySweep compares the steering backends (nil or empty = all of
-// SteerBackends) under client mobility: the Fondo-Ferreiro continuity-gap
+// mobilitySweep compares the steering backends (nil or empty = all of
+// steerBackends) under client mobility: the Fondo-Ferreiro continuity-gap
 // recipe (EXPERIMENTS.md) across handover rates, plus the sharded
 // fingerprint-parity gates. The expected shape — asserted by
 // TestMobilitySweepShape — is a zero continuity gap and zero flow-mod churn
 // for srv6, a punt-round-trip gap and ~O(flows) mods per handover for
 // openflow, at identical scheduler decisions.
-func MobilitySweep(seed int64, requests int, backends []string) (MobilitySweepResult, error) {
+func mobilitySweep(seed int64, requests int, backends []string) (mobilitySweepResult, error) {
 	if len(backends) == 0 {
-		backends = SteerBackends
+		backends = steerBackends
 	}
-	out := MobilitySweepResult{Cells: MobilityCells, DecisionParity: true}
-	byDwell := make(map[time.Duration][]MobilityPoint)
+	out := mobilitySweepResult{Cells: mobilityCells, DecisionParity: true}
+	byDwell := make(map[time.Duration][]mobilityPoint)
 	for _, backend := range backends {
 		for _, dwell := range mobilityDwells {
-			s := runOpts{steer: backend}.point(seed, requests)
-			s.Dwell = dwell
-			m, run, err := runMobility(s)
+			m, run, err := runMobility(pointSpec{Seed: seed, Requests: requests, Backend: backend, Dwell: dwell})
 			if err != nil {
 				return out, err
 			}
 			ctrl := run.tb.Ctrl
-			p := MobilityPoint{
+			p := mobilityPoint{
 				Backend:          backend,
 				MeanDwell:        dwell,
 				Handovers:        m.Handovers,
@@ -199,7 +193,7 @@ func MobilitySweep(seed int64, requests int, backends []string) (MobilitySweepRe
 				ReAnchors:        ctrl.Stats.HandoverReAnchors,
 				TrackedClients:   ctrl.TrackedClients(),
 				PendingHandovers: ctrl.PendingHandovers(),
-				PointResult:      m.PointResult,
+				pointResult:      m.pointResult,
 			}
 			if p.Handovers > 0 {
 				p.FlowModsPerHandover = float64(p.FlowMods) / float64(p.Handovers)
@@ -226,15 +220,12 @@ func MobilitySweep(seed int64, requests int, backends []string) (MobilitySweepRe
 		return m.Fingerprint(), nil
 	}
 	for _, backend := range backends {
-		pr := BackendParity{Backend: backend}
-		base := runOpts{steer: backend}.point(seed, requests)
-		base.Shards, base.Dwell = 1, mobilityDwells[len(mobilityDwells)-1]
-		var err error
-		pr.Serial, pr.ShardMatch, _, err = parityGate(fingerprint, base, parityShards, nil)
+		base := pointSpec{Seed: seed, Requests: requests, Backend: backend, Shards: 1, Dwell: mobilityDwells[len(mobilityDwells)-1]}
+		serial, shardOK, _, err := parityGate(fingerprint, base, parityShards, nil)
 		if err != nil {
 			return out, err
 		}
-		out.Parity = append(out.Parity, pr)
+		out.Parity = append(out.Parity, parity{name: backend, key: backend, serial: digest(serial), shards: shardOK})
 	}
 	return out, nil
 }

@@ -13,13 +13,13 @@ import (
 // rule-based one, bit-identical sharded fingerprints at every shard count,
 // and bounded controller state after the run.
 func TestMobilitySweepShape(t *testing.T) {
-	r := must(MobilitySweep(23, 160, nil))
+	r := must(mobilitySweep(23, 160, nil))
 	if !r.DecisionParity {
 		t.Error("backends made different scheduler decisions under mobility")
 	}
-	byBackend := map[string][]MobilityPoint{}
+	byBackend := map[string][]mobilityPoint{}
 	for _, p := range r.Points {
-		served(t, fmt.Sprintf("%s, dwell %v", p.Backend, p.MeanDwell), p.PointResult)
+		served(t, fmt.Sprintf("%s, dwell %v", p.Backend, p.MeanDwell), p.pointResult)
 		byBackend[p.Backend] = append(byBackend[p.Backend], p)
 	}
 	of, sr := byBackend["openflow"], byBackend["srv6"]
@@ -74,11 +74,11 @@ func TestMobilitySweepShape(t *testing.T) {
 		t.Fatalf("parity entries = %d, want one per backend", len(r.Parity))
 	}
 	for _, pr := range r.Parity {
-		if !pr.ShardMatch {
-			t.Errorf("%s: sharded mobility fingerprints diverge from serial", pr.Backend)
+		if pr.shards != true {
+			t.Errorf("%s: sharded mobility fingerprints diverge from serial", pr.name)
 		}
-		if pr.Serial == 0 {
-			t.Errorf("%s: zero fingerprint", pr.Backend)
+		if pr.serial == digest(0) {
+			t.Errorf("%s: zero fingerprint", pr.name)
 		}
 	}
 }
@@ -87,10 +87,8 @@ func TestMobilitySweepShape(t *testing.T) {
 // twice at the same shard count and across counts: same inputs, same
 // fingerprint, bit for bit.
 func TestMobilityShardDeterminism(t *testing.T) {
-	run := func(shards int) MobilityShardRun {
-		s := runOpts{steer: "openflow"}.point(5, 160)
-		s.Shards, s.Dwell = shards, 10*time.Second
-		m, _, err := runMobility(s)
+	run := func(shards int) mobilityRun {
+		m, _, err := runMobility(pointSpec{Seed: 5, Requests: 160, Backend: "openflow", Shards: shards, Dwell: 10 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +102,8 @@ func TestMobilityShardDeterminism(t *testing.T) {
 		t.Error("sharded run executed no handovers")
 	}
 	c := run(8)
-	served(t, "2 shards", a.PointResult)
-	served(t, "8 shards", c.PointResult)
+	served(t, "2 shards", a.pointResult)
+	served(t, "8 shards", c.pointResult)
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Errorf("2 vs 8 shards: %016x vs %016x", a.Fingerprint(), c.Fingerprint())
 	}

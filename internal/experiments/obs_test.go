@@ -11,7 +11,7 @@ import (
 // produce a bit-identical fingerprint to the uninstrumented run. The obs
 // layer records the simulation — it must never perturb it.
 func TestTracedFingerprintParity(t *testing.T) {
-	base := SweepVariant{Seed: 7, Requests: 400, Clusters: 2, Cold: true}
+	base := pointSpec{Seed: 7, Requests: 400, Clusters: 2, Cold: true}
 
 	bare := runVariant(base)
 	if bare.Err != nil {
@@ -45,7 +45,7 @@ func TestTracedFingerprintParity(t *testing.T) {
 func TestReplayScaleSpanCount(t *testing.T) {
 	tr := obs.NewTracer(0) // default capacity comfortably covers the trace
 	reg := obs.NewRegistry()
-	res := must(ReplayScale(11, 300, WithTrace(tr), WithCounters(reg)))
+	res := must(replayScale(Params{Seed: 11, ReplayRequests: 300, Trace: tr, Counters: reg}))
 	if res.Errors != 0 {
 		t.Fatalf("%d replay errors", res.Errors)
 	}
@@ -63,10 +63,10 @@ func TestReplayScaleSpanCount(t *testing.T) {
 // TestReplayScaleResultParity: every deterministic replay output must be
 // identical with tracing on.
 func TestReplayScaleResultParity(t *testing.T) {
-	bare := must(ReplayScale(3, 250))
-	traced := must(ReplayScale(3, 250, WithTrace(obs.NewTracer(0)), WithCounters(obs.NewRegistry())))
-	served(t, "bare", bare.PointResult)
-	served(t, "traced", traced.PointResult)
+	bare := must(replayScale(Params{Seed: 3, ReplayRequests: 250}))
+	traced := must(replayScale(Params{Seed: 3, ReplayRequests: 250, Trace: obs.NewTracer(0), Counters: obs.NewRegistry()}))
+	served(t, "bare", bare.pointResult)
+	served(t, "traced", traced.pointResult)
 	if bare.Requests != traced.Requests || bare.Errors != traced.Errors ||
 		bare.Median != traced.Median || bare.P95 != traced.P95 ||
 		bare.Deployments != traced.Deployments {

@@ -7,7 +7,9 @@ import (
 
 	"transparentedge/internal/catalog"
 	"transparentedge/internal/core"
+	"transparentedge/internal/faults"
 	"transparentedge/internal/metrics"
+	"transparentedge/internal/obs"
 	"transparentedge/internal/obs/attrib"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/testbed"
@@ -38,17 +40,40 @@ func replayScaleConfig(seed int64, requests, clients int) workload.Config {
 
 // pointSpec describes one scale-trace replay point: which trace to
 // generate, which scenario to build, how to replay it, and where its obs
-// streams go. The zero value of every field but Seed and Requests is the
-// scale-replay default: warm, 20 clients, one Docker site, default
-// scheduler and steering, no faults, no mobility, obs off.
+// streams go. Every field but Seed and Requests is zero at the scale-replay
+// default: warm, 20 clients, one Docker site, default scheduler and
+// steering, no faults, no mobility, obs off. A sweep variant is a point
+// too, one of many run on a worker pool.
 type pointSpec struct {
-	// SweepVariant carries what a point shares with the public sweep API:
-	// seed, trace length (clamped up to the generator's minimum; the result
-	// reports the clamped value), request timeout, cold start, the fault
-	// plan, the Trace/Counters handles — and, for the
-	// single-site testbed only (the region scenario has no such options),
-	// scheduler, far edge (Clusters >= 2), deploy retries and probe wait.
-	SweepVariant
+	// Name labels the point in sweep results.
+	Name string
+	// Seed drives both trace generation and testbed randomness.
+	Seed int64
+	// Requests is the synthetic trace length, clamped up to the generator's
+	// minimum; the result reports the clamped value.
+	Requests int
+	// Scheduler is a core scheduler name ("wait-nearest", "no-wait",
+	// "proximity", "docker-first"; "" = testbed default). "no-wait" vs the
+	// default is the paper's with/without-waiting axis. Like Clusters,
+	// DeployRetries and ProbeMaxWait it applies to the single-site testbed
+	// only: the region scenario has no such options.
+	Scheduler string
+	// Clusters selects the edge topology: 1 = the Docker edge cluster only
+	// (default), 2 = add the far-edge Docker cluster (fig. 3 scenario).
+	Clusters int
+	// Cold skips image pre-pull and instance pre-create, so the point
+	// measures on-demand deployment costs too.
+	Cold bool
+	// DeployRetries / ProbeMaxWait configure the controller's fault
+	// hardening (0 = testbed defaults); RequestTimeout bounds each replayed
+	// request (0 = wait forever). Timed-out requests count as errors.
+	DeployRetries  int
+	ProbeMaxWait   time.Duration
+	RequestTimeout time.Duration
+	// Faults, when non-nil and enabled, is the deterministic fault plan.
+	// Nil is the fault-free zero-cost path: the outputs are bit-identical
+	// to a build without fault injection at all.
+	Faults *faults.Spec
 	// Clients is the client population per site (0 = 20).
 	Clients int
 	// Shards selects the scenario: 0 is the single-site testbed.Testbed,
@@ -60,23 +85,20 @@ type pointSpec struct {
 	Dwell time.Duration
 	// Backend names the steering backend ("" = the default rule installer).
 	Backend string
-	// attrib, when set, receives every span the run emits.
-	attrib *attrib.Collector
+	// Trace, Counters and attrib are the point's obs sinks (nil = off at
+	// zero cost, with outputs bit-identical to an uninstrumented run).
+	// Points run in parallel need their own: the types are
+	// concurrency-safe, but one tracer ring shared across points would
+	// interleave spans in completion order.
+	Trace    *obs.Tracer
+	Counters *obs.Registry
+	attrib   *attrib.Collector
 }
 
-// point returns the spec of a default point wired to o's handles.
-func (o runOpts) point(seed int64, requests int) pointSpec {
-	return pointSpec{
-		SweepVariant: SweepVariant{Seed: seed, Requests: requests, Trace: o.trace, Counters: o.counters},
-		Backend:      o.steer,
-		attrib:       o.attrib,
-	}
-}
-
-// PointResult is what every replay point reports: the simulated outcome
+// pointResult is what every replay point reports: the simulated outcome
 // summary plus the harness cost of producing it. The typed results
-// (ReplayScaleResult, SteerPoint, VariantResult, ...) embed it.
-type PointResult struct {
+// (replayScaleResult, steerPoint, variantResult, ...) embed it.
+type pointResult struct {
 	// Requests is the replayed trace length (after clamping).
 	Requests int
 	// Errors counts failed requests, Unfinished those incomplete at the run
@@ -101,7 +123,7 @@ type PointResult struct {
 	// scenario build excluded); AllocsPerRequest is heap allocations over
 	// the same interval divided by trace length. Both are process-wide
 	// measurements, so they mean something only for points run one at a
-	// time — the pooled Sweep variants do not report allocations.
+	// time — the pooled sweep variants do not report allocations.
 	Wall             time.Duration
 	AllocsPerRequest float64
 	// Spans is the span count emitted when the run was traced (0 untraced).
@@ -116,7 +138,7 @@ type PointResult struct {
 // records). The kernel counters are sampled before the close, which ends the
 // parked processes LiveProcs counts.
 type pointRun struct {
-	PointResult
+	pointResult
 	tb     *testbed.Testbed // Shards == 0
 	rs     *testbed.Regions // Shards >= 1
 	kernel sim.KernelStats  // of tb
@@ -180,7 +202,7 @@ func runPoint(s pointSpec) (pointRun, error) {
 		})
 	}
 	if s.Shards == 0 {
-		opts.Trace = runOpts{trace: s.Trace, attrib: s.attrib}.attribTracer()
+		opts.Trace = attribTracer(s.Trace, s.attrib)
 		opts.Counters = s.Counters
 		run.tb = testbed.New(testbed.Options{
 			Seed:          s.Seed,
@@ -256,49 +278,76 @@ func runPoint(s pointSpec) (pointRun, error) {
 		for _, rres := range sharded.PerRegion {
 			run.PerRegionRequests = append(run.PerRegionRequests, rres.Totals.Len())
 		}
-		run.drainSiteObs(s)
+		if s.Trace != nil || s.attrib != nil {
+			tracers := make([]*obs.Tracer, len(run.rs.Sites))
+			for i, site := range run.rs.Sites {
+				tracers[i] = site.Trace
+				run.Spans += site.Trace.Emitted()
+			}
+			drain(s.Trace, s.attrib, tracers)
+		}
+		if s.Counters != nil {
+			foldSiteCounters(s.Counters, run.rs.Sites)
+		}
 	}
 	run.Counters = s.Counters.Map()
 	return run, nil
 }
 
-// drainSiteObs drains a sharded run's per-site obs deterministically in
-// region order: spans into the caller's tracer and the attribution
-// collector, counters and gauges folded into the caller's registry. Each site
-// owns its own tracer with its own span-ID space, so the collector sees an
-// EndStream boundary between sites.
-func (r *pointRun) drainSiteObs(o pointSpec) {
-	if o.Trace != nil || o.attrib != nil {
-		for _, site := range r.rs.Sites {
-			r.Spans += site.Trace.Emitted()
-			for _, s := range site.Trace.Spans() {
-				o.Trace.Emit(s)
-				o.attrib.Observe(s)
-			}
-			o.attrib.EndStream()
-		}
+// attribTracer returns the tracer a single-kernel run wires into its
+// testbed and workload: tr itself when no attribution is requested,
+// otherwise a minimal internal tracer whose sink streams every span into
+// col and forwards it (IDs intact) to tr, if any. Span IDs are assigned by
+// the internal tracer exactly as they would have been by tr — emission
+// order is unchanged, so traced output stays byte-identical.
+func attribTracer(tr *obs.Tracer, col *attrib.Collector) *obs.Tracer {
+	if col == nil {
+		return tr
 	}
-	if o.Counters != nil {
-		// Counters add up, and gauges carry both their instantaneous value
-		// and their high-water mark. Peaks sum across sites (each site's
-		// peak was a real concurrent occupancy somewhere in the run), so
-		// the caller's "<name>_max" export survives even though every site
-		// gauge has drained back to zero by end of run.
-		highs := make(map[string]int64)
-		for _, site := range r.rs.Sites {
-			for _, s := range site.Counters.Snapshot() {
-				if s.Kind == "counter" {
-					o.Counters.Counter(s.Name).Add(uint64(s.Value))
-				}
+	in := obs.NewTracer(1)
+	in.SetSink(func(s obs.Span) {
+		col.Observe(s)
+		tr.Emit(s)
+	})
+	return in
+}
+
+// drain streams the retained spans of private tracers — a sharded run's
+// sites', a sweep's variants' — in order into the shared tracer and the
+// attribution collector, so both are deterministic whatever ran in
+// parallel. Each private tracer has its own span-ID space, so the collector
+// sees an EndStream boundary after each.
+func drain(into *obs.Tracer, col *attrib.Collector, from []*obs.Tracer) {
+	for _, tr := range from {
+		for _, s := range tr.Spans() {
+			into.Emit(s)
+			col.Observe(s)
+		}
+		col.EndStream()
+	}
+}
+
+// foldSiteCounters folds the sites' counters and gauges into the caller's
+// registry, in region order. Counters add up, and gauges carry both their
+// instantaneous value and their high-water mark. Peaks sum across sites
+// (each site's peak was a real concurrent occupancy somewhere in the run),
+// so the caller's "<name>_max" export survives even though every site gauge
+// has drained back to zero by end of run.
+func foldSiteCounters(into *obs.Registry, sites []*testbed.Site) {
+	highs := make(map[string]int64)
+	for _, site := range sites {
+		for _, s := range site.Counters.Snapshot() {
+			if s.Kind == "counter" {
+				into.Counter(s.Name).Add(uint64(s.Value))
 			}
-			site.Counters.EachGauge(func(name string, v, hi int64) {
-				o.Counters.Gauge(name).Add(v)
-				highs[name] += hi
-			})
 		}
-		for name, hi := range highs {
-			o.Counters.Gauge(name).RaiseHigh(hi)
-		}
+		site.Counters.EachGauge(func(name string, v, hi int64) {
+			into.Gauge(name).Add(v)
+			highs[name] += hi
+		})
+	}
+	for name, hi := range highs {
+		into.Gauge(name).RaiseHigh(hi)
 	}
 }
 

@@ -22,15 +22,15 @@ func must[T any](v T, err error) T {
 // An unknown steering backend is an error from runPoint's up-front check at
 // every entry point that takes the name — never testbed.NewSteering's panic.
 func TestUnknownBackendIsAnError(t *testing.T) {
-	single := runOpts{steer: "bogus"}.point(1, 100)
+	single := pointSpec{Seed: 1, Requests: 100, Backend: "bogus"}
 	sharded := single
 	sharded.Shards = 2
 	_, _, mobilityErr := runMobility(sharded)
 	for name, err := range map[string]error{
 		"single-site point": second(runPoint(single)),
 		"sharded point":     second(runPoint(sharded)),
-		"SteerSweep":        second(SteerSweep(1, 100, []string{"bogus"})),
-		"MobilitySweep":     second(MobilitySweep(1, 100, []string{"bogus"})),
+		"steerSweep":        second(steerSweep(1, 100, []string{"bogus"})),
+		"mobilitySweep":     second(mobilitySweep(1, 100, []string{"bogus"})),
 		"sharded mobility":  mobilityErr,
 	} {
 		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
@@ -49,7 +49,7 @@ func second[T any](_ T, err error) error { return err }
 // every request of its trace: none failed, none was still incomplete at the
 // run bound. A request nobody answers is a bug (the transparency the paper
 // claims means the client cannot tell, let alone recover), not an outcome.
-func served(t *testing.T, what string, p PointResult) {
+func served(t *testing.T, what string, p pointResult) {
 	t.Helper()
 	if p.Errors != 0 || p.Unfinished != 0 {
 		t.Errorf("%s: %d failed and %d unfinished of %d requests, want every one served", what, p.Errors, p.Unfinished, p.Requests)
@@ -61,40 +61,31 @@ func served(t *testing.T, what string, p PointResult) {
 // mobility, attribution attached — and the reruns of the parity gate, whose
 // results the sweeps drop after fingerprinting them.
 func TestPointsWithoutFaultsServeEveryRequest(t *testing.T) {
-	mobile := func(s pointSpec) pointSpec {
-		s.GNBs, s.Dwell = MobilityCells, mobilityDwells[len(mobilityDwells)-1]
-		return s
-	}
-	sharded := func(s pointSpec, shards int) pointSpec {
-		s.Shards = shards
-		return s
-	}
-	many := runOpts{}.point(13, 600)
-	many.Clients = 200
+	dwell := mobilityDwells[len(mobilityDwells)-1]
 	for name, s := range map[string]pointSpec{
-		"replay":                     runOpts{}.point(3, 600),
-		"replay, 200 clients":        many,
-		"replay, 2 shards":           sharded(runOpts{}.point(7, 600), 2),
-		"srv6":                       runOpts{steer: "srv6"}.point(21, 600),
-		"attrib, 4 shards":           sharded(runOpts{attrib: attrib.New(attrib.Options{})}.point(7, 320), 4),
-		"mobility openflow":          mobile(runOpts{steer: "openflow"}.point(11, 1000)),
-		"mobility srv6":              mobile(runOpts{steer: "srv6"}.point(11, 1000)),
-		"mobility openflow, 1 shard": sharded(mobile(runOpts{steer: "openflow"}.point(6, 2500)), 1),
+		"replay":                     {Seed: 3, Requests: 600},
+		"replay, 200 clients":        {Seed: 13, Requests: 600, Clients: 200},
+		"replay, 2 shards":           {Seed: 7, Requests: 600, Shards: 2},
+		"srv6":                       {Seed: 21, Requests: 600, Backend: "srv6"},
+		"attrib, 4 shards":           {Seed: 7, Requests: 320, Shards: 4, attrib: attrib.New(attrib.Options{})},
+		"mobility openflow":          {Seed: 11, Requests: 1000, Backend: "openflow", GNBs: mobilityCells, Dwell: dwell},
+		"mobility srv6":              {Seed: 11, Requests: 1000, Backend: "srv6", GNBs: mobilityCells, Dwell: dwell},
+		"mobility openflow, 1 shard": {Seed: 6, Requests: 2500, Backend: "openflow", GNBs: mobilityCells, Dwell: dwell, Shards: 1},
 	} {
 		run, err := runPoint(s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		served(t, name, run.PointResult)
+		served(t, name, run.pointResult)
 	}
 
-	for _, backend := range SteerBackends {
-		base := sharded(runOpts{steer: backend}.point(13, 400), 1)
+	for _, backend := range steerBackends {
+		base := pointSpec{Seed: 13, Requests: 400, Backend: backend, Shards: 1}
 		reruns := 0
 		fingerprint := func(s pointSpec) (uint64, error) {
-			r, err := replayShard(s)
+			r, err := shardRun(s)
 			reruns++
-			served(t, fmt.Sprintf("%s gate rerun %d (%d shards)", backend, reruns, s.Shards), r.PointResult)
+			served(t, fmt.Sprintf("%s gate rerun %d (%d shards)", backend, reruns, s.Shards), r.pointResult)
 			return r.Fingerprint(), err
 		}
 		_, shardOK, tracedOK, err := parityGate(fingerprint, base, parityShards,

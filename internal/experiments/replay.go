@@ -7,11 +7,11 @@ import (
 	"transparentedge/internal/sim"
 )
 
-// ReplayScaleResult reports one large-trace replay measurement: the
+// replayScaleResult reports one large-trace replay measurement: the
 // simulated request latencies plus the harness cost of producing them
 // (wall clock, allocations, retained metrics memory).
-type ReplayScaleResult struct {
-	PointResult
+type replayScaleResult struct {
+	pointResult
 	// RequestSpans counts the per-request root spans still held in the
 	// tracer ring, which equals Requests whenever the ring capacity covers
 	// the trace.
@@ -21,28 +21,32 @@ type ReplayScaleResult struct {
 	Kernel sim.KernelStats
 }
 
-var replayScaleColumns = []column[ReplayScaleResult]{
-	{"", "requests", "", func(r ReplayScaleResult) any { return r.Requests }},
-	{"wall time", "wall_ms", "%v", func(r ReplayScaleResult) any { return hostWall(r.Wall) }},
-	{"allocs/request", "allocs_per_req", "%.1f", func(r ReplayScaleResult) any { return r.AllocsPerRequest }},
-	{"series memory", "series_bytes", "%d bytes", func(r ReplayScaleResult) any { return r.SeriesBytes }},
-	{"median", "median_ms", "%v", func(r ReplayScaleResult) any { return r.Median }},
-	{"/ p95", "p95_ms", "%v", func(r ReplayScaleResult) any { return r.P95 }},
-	{"errors", "errors", "%d", func(r ReplayScaleResult) any { return r.Errors }},
-	{"", "unfinished", "", func(r ReplayScaleResult) any { return r.Unfinished }},
-	{"deployments", "deployments", "%d", func(r ReplayScaleResult) any { return r.Deployments }},
+var replayScaleColumns = []column[replayScaleResult]{
+	{"", "requests", "", func(r replayScaleResult) any { return r.Requests }},
+	{"wall time", "wall_ms", "%v", func(r replayScaleResult) any { return hostWall(r.Wall) }},
+	{"allocs/request", "allocs_per_req", "%.1f", func(r replayScaleResult) any { return r.AllocsPerRequest }},
+	{"series memory", "series_bytes", "%d bytes", func(r replayScaleResult) any { return r.SeriesBytes }},
+	{"median", "median_ms", "%v", func(r replayScaleResult) any { return r.Median }},
+	{"/ p95", "p95_ms", "%v", func(r replayScaleResult) any { return r.P95 }},
+	{"errors", "errors", "%d", func(r replayScaleResult) any { return r.Errors }},
+	{"", "unfinished", "", func(r replayScaleResult) any { return r.Unfinished }},
+	{"deployments", "deployments", "%d", func(r replayScaleResult) any { return r.Deployments }},
 }
 
-// String renders the measurement.
-func (r ReplayScaleResult) String() string {
+// String renders the measurement, and the kernel's counters when the run
+// was counted (the JSON always carries them, as kernel_*).
+func (r replayScaleResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "replay of %d requests\n", r.Requests)
 	listing(&b, replayScaleColumns, r)
+	if r.Counters != nil {
+		fmt.Fprintf(&b, "  kernel           %s\n", r.Kernel)
+	}
 	return b.String()
 }
 
 // JSON returns the uniform result shape.
-func (r ReplayScaleResult) JSON() JSONResult {
+func (r replayScaleResult) JSON() JSONResult {
 	m := map[string]float64{}
 	flatten(m, "", replayScaleColumns, r)
 	if r.Spans > 0 {
@@ -53,16 +57,15 @@ func (r ReplayScaleResult) JSON() JSONResult {
 	return JSONResult{Experiment: "scale-replay", Metrics: m, Counters: r.Counters}
 }
 
-// ReplayScale replays a synthetic trace of the given length against the
-// full Docker testbed and measures the harness cost.
-func ReplayScale(seed int64, requests int, options ...Option) (ReplayScaleResult, error) {
-	o := applyOpts(options)
-	run, err := runPoint(o.point(seed, requests))
+// replayScale replays a synthetic trace of p.ReplayRequests requests
+// against the full Docker testbed and measures the harness cost.
+func replayScale(p Params) (replayScaleResult, error) {
+	run, err := runPoint(pointSpec{Seed: p.Seed, Requests: p.ReplayRequests, Trace: p.Trace, Counters: p.Counters, attrib: p.Attrib})
 	if err != nil {
-		return ReplayScaleResult{}, err
+		return replayScaleResult{}, err
 	}
-	out := ReplayScaleResult{PointResult: run.PointResult, Kernel: run.kernel}
-	for _, s := range o.trace.Spans() {
+	out := replayScaleResult{pointResult: run.pointResult, Kernel: run.kernel}
+	for _, s := range p.Trace.Spans() {
 		if s.Name == "request" {
 			out.RequestSpans++
 		}
@@ -70,11 +73,11 @@ func ReplayScale(seed int64, requests int, options ...Option) (ReplayScaleResult
 	return out, nil
 }
 
-// ReplayShardResult reports one sharded multi-region replay: the simulated
+// replayShardResult reports one sharded multi-region replay: the simulated
 // results (which must be bit-identical at every shard count) plus the
 // harness cost of producing them.
-type ReplayShardResult struct {
-	PointResult
+type replayShardResult struct {
+	pointResult
 	Shards  int
 	Regions int
 	// Group is the shard group's window-loop and per-kernel introspection
@@ -87,7 +90,7 @@ type ReplayShardResult struct {
 // request counts and series fingerprints plus the merged histogram. Wall
 // time, allocations, and shard count are excluded — runs at different
 // -shards values must fingerprint identically.
-func (r ReplayShardResult) Fingerprint() uint64 {
+func (r replayShardResult) Fingerprint() uint64 {
 	h := newFNV()
 	h.u64(uint64(r.Requests))
 	h.u64(uint64(r.Regions))
@@ -104,23 +107,23 @@ func (r ReplayShardResult) Fingerprint() uint64 {
 	return uint64(h)
 }
 
-var replayShardColumns = []column[ReplayShardResult]{
-	{"", "requests", "", func(r ReplayShardResult) any { return r.Requests }},
-	{"", "shards", "", func(r ReplayShardResult) any { return r.Shards }},
-	{"", "regions", "", func(r ReplayShardResult) any { return r.Regions }},
-	{"wall time", "wall_ms", "%v", func(r ReplayShardResult) any { return hostWall(r.Wall) }},
-	{"allocs/request", "allocs_per_req", "%.1f", func(r ReplayShardResult) any { return r.AllocsPerRequest }},
-	{"median", "median_ms", "%v", func(r ReplayShardResult) any { return r.Median }},
-	{"/ p95", "p95_ms", "%v", func(r ReplayShardResult) any { return r.P95 }},
-	{"errors", "errors", "%d", func(r ReplayShardResult) any { return r.Errors }},
-	{"", "unfinished", "", func(r ReplayShardResult) any { return r.Unfinished }},
-	{"deployments", "deployments", "%d", func(r ReplayShardResult) any { return r.Deployments }},
+var replayShardColumns = []column[replayShardResult]{
+	{"", "requests", "", func(r replayShardResult) any { return r.Requests }},
+	{"", "shards", "", func(r replayShardResult) any { return r.Shards }},
+	{"", "regions", "", func(r replayShardResult) any { return r.Regions }},
+	{"wall time", "wall_ms", "%v", func(r replayShardResult) any { return hostWall(r.Wall) }},
+	{"allocs/request", "allocs_per_req", "%.1f", func(r replayShardResult) any { return r.AllocsPerRequest }},
+	{"median", "median_ms", "%v", func(r replayShardResult) any { return r.Median }},
+	{"/ p95", "p95_ms", "%v", func(r replayShardResult) any { return r.P95 }},
+	{"errors", "errors", "%d", func(r replayShardResult) any { return r.Errors }},
+	{"", "unfinished", "", func(r replayShardResult) any { return r.Unfinished }},
+	{"deployments", "deployments", "%d", func(r replayShardResult) any { return r.Deployments }},
 	// The full 64 bits, not a digest: the key predates the 52-bit convention.
-	{"fingerprint", "fingerprint", "%016x", func(r ReplayShardResult) any { return r.Fingerprint() }},
+	{"fingerprint", "fingerprint", "%016x", func(r replayShardResult) any { return r.Fingerprint() }},
 }
 
 // String renders the measurement.
-func (r ReplayShardResult) String() string {
+func (r replayShardResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sharded replay of %d requests (%d regions, %d shards)\n", r.Requests, r.Regions, r.Shards)
 	listing(&b, replayShardColumns, r)
@@ -128,7 +131,7 @@ func (r ReplayShardResult) String() string {
 }
 
 // JSON returns the uniform result shape.
-func (r ReplayShardResult) JSON() JSONResult {
+func (r replayShardResult) JSON() JSONResult {
 	m := map[string]float64{}
 	flatten(m, "", replayShardColumns, r)
 	if r.Spans > 0 {
@@ -138,28 +141,25 @@ func (r ReplayShardResult) JSON() JSONResult {
 	return JSONResult{Experiment: "scale-shard", Metrics: m, Counters: r.Counters}
 }
 
-// ReplayShard replays a synthetic trace of the given length against the
-// sharded multi-region scenario (testbed.DefaultRegions edge sites plus a
-// cloud backbone, one 20-client population per region) on the given number
-// of kernels. shards == 1 is the serial degenerate case; any other value
-// must produce a bit-identical Fingerprint, which the shard parity tests
-// enforce.
-func ReplayShard(seed int64, requests, shards int, options ...Option) (ReplayShardResult, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	s := applyOpts(options).point(seed, requests)
-	s.Shards = shards
-	return replayShard(s)
+// replayShard replays a synthetic trace of p.ReplayRequests requests
+// against the sharded multi-region scenario (testbed.DefaultRegions edge
+// sites plus a cloud backbone, one 20-client population per region) on
+// p.Shards kernels. One shard is the serial degenerate case; any other
+// count must produce a bit-identical Fingerprint, which the shard parity
+// tests enforce.
+func replayShard(p Params) (replayShardResult, error) {
+	return shardRun(pointSpec{Seed: p.Seed, Requests: p.ReplayRequests, Shards: max(p.Shards, 1),
+		Trace: p.Trace, Counters: p.Counters, attrib: p.Attrib})
 }
 
-func replayShard(s pointSpec) (ReplayShardResult, error) {
+// shardRun runs s, a point of the sharded scenario.
+func shardRun(s pointSpec) (replayShardResult, error) {
 	run, err := runPoint(s)
 	if err != nil {
-		return ReplayShardResult{}, err
+		return replayShardResult{}, err
 	}
-	return ReplayShardResult{
-		PointResult: run.PointResult,
+	return replayShardResult{
+		pointResult: run.pointResult,
 		Shards:      run.rs.Group.Shards(),
 		Regions:     len(run.rs.Sites),
 		Group:       run.group,
@@ -168,6 +168,6 @@ func replayShard(s pointSpec) (ReplayShardResult, error) {
 
 // shardFingerprint is the parityGate fingerprint of the plain sharded replay.
 func shardFingerprint(s pointSpec) (uint64, error) {
-	r, err := replayShard(s)
+	r, err := shardRun(s)
 	return r.Fingerprint(), err
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // The scale experiments stress the dispatcher hot path beyond the paper's
-// two-cluster testbed: DispatchScale measures how the packet-in dispatch
+// two-cluster testbed: dispatchScale measures how the packet-in dispatch
 // latency grows with the number of registered edge clusters (parallel vs.
-// the paper's original serial state gathering), and CookieChurn replays a
+// the paper's original serial state gathering), and cookieChurn replays a
 // large one-shot client population to show the controller's cookie /
 // client-location / flow-memory state stays bounded by the idle timeouts
 // rather than by the total client count.
@@ -109,12 +110,12 @@ type scaleRig struct {
 
 const scaleVIP = simnet.Addr("203.0.113.10")
 
-// newScaleRig builds the rig; tune sets the controller knobs the experiment
-// is about.
-func newScaleRig(seed int64, o runOpts, clusters int, tune func(*core.Config)) (*scaleRig, error) {
-	k := sim.New(seed)
+// newScaleRig builds the rig with p's seed and sinks; tune sets the
+// controller knobs the experiment is about.
+func newScaleRig(p Params, clusters int, tune func(*core.Config)) (*scaleRig, error) {
+	k := sim.New(p.Seed)
 	n := simnet.NewNetwork(k)
-	n.SetObs(o.counters)
+	n.SetObs(p.Counters)
 	r := &scaleRig{
 		k: k, n: n,
 		sw:   openflow.NewSwitch(n, "sw", openflow.DefaultConfig()),
@@ -124,8 +125,8 @@ func newScaleRig(seed int64, o runOpts, clusters int, tune func(*core.Config)) (
 
 	cfg := core.Config{
 		Scheduler: core.WaitNearestScheduler{},
-		Trace:     o.attribTracer(),
-		Counters:  o.counters,
+		Trace:     attribTracer(p.Trace, p.Attrib),
+		Counters:  p.Counters,
 	}
 	tune(&cfg)
 	r.ctrl = core.New(k, egs, cfg)
@@ -155,8 +156,8 @@ func (r *scaleRig) attach(name string, ip simnet.Addr, swPort int) *simnet.Host 
 	return h
 }
 
-// DispatchScaleResult reports one dispatch-latency measurement.
-type DispatchScaleResult struct {
+// dispatchRun reports one dispatch-latency measurement.
+type dispatchRun struct {
 	Clusters int
 	Serial   bool
 	// Dispatch is the client-observed total of the first (cold-flow)
@@ -165,47 +166,78 @@ type DispatchScaleResult struct {
 	Dispatch time.Duration
 }
 
-// String renders the measurement.
-func (r DispatchScaleResult) String() string {
-	mode := "parallel"
-	if r.Serial {
-		mode = "serial"
+// dispatchScaleResult is scale-dispatch's measurements, in run order.
+type dispatchScaleResult []dispatchRun
+
+// String renders one line per measurement.
+func (r dispatchScaleResult) String() string {
+	var b strings.Builder
+	for _, d := range r {
+		mode := "parallel"
+		if d.Serial {
+			mode = "serial"
+		}
+		fmt.Fprintf(&b, "dispatch over %d clusters (%s state queries): %v\n", d.Clusters, mode, d.Dispatch)
 	}
-	return fmt.Sprintf("dispatch over %d clusters (%s state queries): %v", r.Clusters, mode, r.Dispatch)
+	return b.String()
 }
 
-// DispatchScale measures the packet-in dispatch latency with the given
-// number of registered clusters. The service is pre-deployed on the
-// nearest cluster, so the measured request pays punt + state gathering +
-// redirect install + the HTTP exchange — the state-gathering share is the
-// sum of per-cluster query latencies when serial, the max when parallel.
-func DispatchScale(seed int64, clusters int, serial bool, options ...Option) (DispatchScaleResult, error) {
-	o := applyOpts(options)
-	clusters = max(clusters, 1)
-	res := DispatchScaleResult{Clusters: clusters, Serial: serial}
-	r, err := newScaleRig(seed, o, clusters, func(cfg *core.Config) { cfg.SerialStateQueries = serial })
+// dispatchScale measures the dispatch latency at 1 cluster, then at
+// p.Clusters when that is more, with the dispatcher p.Serial selects. Unless
+// p.Serial already selected it, the text adds the paper's original serial
+// dispatcher at p.Clusters for comparison; the JSON does not, and it is not
+// run then, so the JSON's counters cover exactly the runs it reports.
+func dispatchScale(p Params) (dispatchScaleResult, error) {
+	var res dispatchScaleResult
+	most := max(p.Clusters, 1)
+	for _, clusters := range slices.Compact([]int{1, most}) {
+		res = append(res, dispatchRun{Clusters: clusters, Serial: p.Serial})
+	}
+	if !p.Serial && !p.JSON {
+		res = append(res, dispatchRun{Clusters: most, Serial: true})
+	}
+	for i := range res {
+		if err := measureDispatch(p, &res[i]); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// measureDispatch measures the packet-in dispatch latency with d.Clusters
+// registered clusters. The service is pre-deployed on the nearest cluster,
+// so the measured request pays punt + state gathering + redirect install +
+// the HTTP exchange — the state-gathering share is the sum of per-cluster
+// query latencies when serial, the max when parallel.
+func measureDispatch(p Params, d *dispatchRun) error {
+	r, err := newScaleRig(p, d.Clusters, func(cfg *core.Config) { cfg.SerialStateQueries = d.Serial })
 	if err != nil {
-		return res, err
+		return err
 	}
 	client := r.attach("ue", "10.0.1.1", 2)
-
-	err = drive(r.k, time.Hour, func(p *sim.Proc) error {
-		if _, err := r.ctrl.EnsureDeployed(p, r.stubs[0].Name(), r.service); err != nil {
+	var reqErr error
+	err = drive(r.k, time.Hour, func(proc *sim.Proc) error {
+		if _, err := r.ctrl.EnsureDeployed(proc, r.stubs[0].Name(), r.service); err != nil {
 			return err
 		}
-		got, err := client.HTTPGet(p, scaleVIP, 80, &simnet.HTTPRequest{}, 0)
-		if err == nil {
-			res.Dispatch = got.Total
-		}
-		return err
+		client.HTTPGetAsync(scaleVIP, 80, &simnet.HTTPRequest{}, 0, func(got *simnet.HTTPResult, err error) {
+			if err == nil {
+				d.Dispatch = got.Total
+			}
+			reqErr = err
+		})
+		return nil
 	})
-	o.attrib.EndStream()
-	return res, err
+	p.Attrib.EndStream()
+	if err != nil {
+		return err
+	}
+	return reqErr
 }
 
-// CookieChurnResult reports the controller-state sizes over a one-shot
+// cookieChurnResult reports the controller-state sizes over a one-shot
 // client churn run.
-type CookieChurnResult struct {
+type cookieChurnResult struct {
 	Clients int
 	// Peak sizes observed while the churn was in flight — bounded by the
 	// idle-timeout windows, not by Clients.
@@ -216,7 +248,7 @@ type CookieChurnResult struct {
 }
 
 // String renders the churn summary.
-func (r CookieChurnResult) String() string {
+func (r cookieChurnResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cookie churn, %d one-shot clients\n", r.Clients)
 	fmt.Fprintf(&b, "%-12s %8s %8s\n", "state", "peak", "final")
@@ -226,23 +258,22 @@ func (r CookieChurnResult) String() string {
 	return b.String()
 }
 
-// CookieChurn drives clients one-shot clients (each makes a single request
+// cookieChurn drives p.Clients one-shot clients (each makes a single request
 // and never returns) through one switch and one edge cluster with short
 // idle timeouts, sampling the controller's cookie map, client-location map
 // and flow memory. Before the GC fixes these grew linearly with the client
 // count forever; now the peaks track the idle-timeout windows and the
 // final sizes return to zero.
-func CookieChurn(seed int64, clients int, options ...Option) (CookieChurnResult, error) {
-	o := applyOpts(options)
-	clients = max(clients, 1)
+func cookieChurn(p Params) (cookieChurnResult, error) {
+	clients := max(p.Clients, 1)
 	const (
 		spacing      = 2 * time.Millisecond
 		switchIdle   = 500 * time.Millisecond
 		memoryIdle   = 2 * time.Second
 		samplePeriod = 50 * time.Millisecond
 	)
-	res := CookieChurnResult{Clients: clients}
-	r, err := newScaleRig(seed, o, 1, func(cfg *core.Config) {
+	res := cookieChurnResult{Clients: clients}
+	r, err := newScaleRig(p, 1, func(cfg *core.Config) {
 		cfg.SwitchIdleTimeout = switchIdle
 		cfg.MemoryIdleTimeout = memoryIdle
 	})
@@ -279,6 +310,6 @@ func CookieChurn(seed int64, clients int, options ...Option) (CookieChurnResult,
 	res.FinalCookies = ctrl.CookieCount()
 	res.FinalClientLocs = ctrl.TrackedClients()
 	res.FinalMemory = ctrl.Memory.Len()
-	o.attrib.EndStream()
+	p.Attrib.EndStream()
 	return res, rerr
 }

@@ -10,10 +10,10 @@ import (
 // linearly (sum of per-cluster query latencies).
 func TestDispatchScaleParallelVsSerial(t *testing.T) {
 	const queryLatency = 8 * time.Millisecond // core.DefaultConfig
-	p1 := must(DispatchScale(1, 1, false))
-	p16 := must(DispatchScale(1, 16, false))
-	s16 := must(DispatchScale(1, 16, true))
-	t.Logf("%s\n%s\n%s", p1, p16, s16)
+	// 1 and 16 clusters in parallel, then the serial reference at 16.
+	runs := must(dispatchScale(Params{Seed: 1, Clusters: 16}))
+	p1, p16, s16 := runs[0], runs[1], runs[2]
+	t.Logf("\n%s", runs)
 
 	// Parallel: growing 1 -> 16 clusters must not add even one extra
 	// query latency to the dispatch.
@@ -33,7 +33,7 @@ func TestDispatchScaleParallelVsSerial(t *testing.T) {
 // the client count) and every map drains to zero.
 func TestCookieChurnBounded(t *testing.T) {
 	const clients = 2500
-	res := must(CookieChurn(1, clients))
+	res := must(cookieChurn(Params{Seed: 1, Clients: clients}))
 	t.Logf("\n%s", res)
 	if res.PeakCookies == 0 || res.PeakMemory == 0 {
 		t.Fatal("churn never populated the controller state; run is broken")

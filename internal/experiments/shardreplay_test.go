@@ -13,11 +13,11 @@ import (
 // sharded runs must produce bit-identical fingerprints.
 func TestReplayShardParitySerialVsSharded(t *testing.T) {
 	const seed, requests = 7, 640
-	serial := must(ReplayShard(seed, requests, 1))
-	served(t, "serial", serial.PointResult)
+	serial := must(replayShard(Params{Seed: seed, ReplayRequests: requests, Shards: 1}))
+	served(t, "serial", serial.pointResult)
 	for _, shards := range []int{2, 4, 8} {
-		got := must(ReplayShard(seed, requests, shards))
-		served(t, fmt.Sprintf("%d shards", shards), got.PointResult)
+		got := must(replayShard(Params{Seed: seed, ReplayRequests: requests, Shards: shards}))
+		served(t, fmt.Sprintf("%d shards", shards), got.pointResult)
 		if got.Shards != shards {
 			t.Fatalf("shards = %d, want %d", got.Shards, shards)
 		}
@@ -42,7 +42,7 @@ func TestReplayShardParitySerialVsSharded(t *testing.T) {
 // every shard count (spans are drained in region order).
 func TestReplayShardObsParity(t *testing.T) {
 	const seed, requests = 11, 320
-	bare := must(ReplayShard(seed, requests, 4))
+	bare := must(replayShard(Params{Seed: seed, ReplayRequests: requests, Shards: 4}))
 
 	// digest hashes the spans a run drained into the caller's tracer, in
 	// the order it drained them.
@@ -59,10 +59,9 @@ func TestReplayShardObsParity(t *testing.T) {
 		return uint64(h)
 	}
 	digests := map[int]uint64{}
-	run := func(shards int) ReplayShardResult {
+	run := func(shards int) replayShardResult {
 		tr := obs.NewTracer(1 << 16)
-		reg := obs.NewRegistry()
-		res := must(ReplayShard(seed, requests, shards, WithTrace(tr), WithCounters(reg)))
+		res := must(replayShard(Params{Seed: seed, ReplayRequests: requests, Shards: shards, Trace: tr, Counters: obs.NewRegistry()}))
 		digests[shards] = digest(tr)
 		return res
 	}
@@ -108,17 +107,15 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 			CrashProb:       0.05,
 		},
 	}
-	faultyOn := func(shards int) ReplayShardResult {
-		s := runOpts{}.point(seed, requests)
-		s.Shards, s.Faults = shards, spec
-		return must(replayShard(s))
+	faultyOn := func(shards int) replayShardResult {
+		return must(shardRun(pointSpec{Seed: seed, Requests: requests, Shards: shards, Faults: spec}))
 	}
 	serial, faulty := faultyOn(1), faultyOn(4)
 	if serial.Fingerprint() != faulty.Fingerprint() {
 		t.Fatalf("fault plan breaks shard parity: shards=1 %016x shards=4 %016x",
 			serial.Fingerprint(), faulty.Fingerprint())
 	}
-	clean := must(ReplayShard(seed, requests, 4))
+	clean := must(replayShard(Params{Seed: seed, ReplayRequests: requests, Shards: 4}))
 	if clean.Fingerprint() == faulty.Fingerprint() {
 		t.Fatal("fault plan had no observable effect (injection not wired?)")
 	}
@@ -127,8 +124,8 @@ func TestReplayShardParityUnderFaults(t *testing.T) {
 // The same sharded run twice in one process must reproduce itself — no
 // global state leaks across region builds or window workers.
 func TestReplayShardDeterministicRepeat(t *testing.T) {
-	a := must(ReplayShard(5, 160, 4))
-	b := must(ReplayShard(5, 160, 4))
+	a := must(replayShard(Params{Seed: 5, ReplayRequests: 160, Shards: 4}))
+	b := must(replayShard(Params{Seed: 5, ReplayRequests: 160, Shards: 4}))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("repeat run diverged: %016x != %016x", a.Fingerprint(), b.Fingerprint())
 	}

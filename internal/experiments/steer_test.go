@@ -14,13 +14,13 @@ import (
 // backends; correctness is not.
 func TestSteerBackendParity(t *testing.T) {
 	type run struct {
-		res  PointResult
+		res  pointResult
 		ctrs map[string]float64
 	}
 	runOne := func(backend string) run {
 		reg := obs.NewRegistry()
-		res := must(runPoint(runOpts{steer: backend, counters: reg}.point(21, 600)))
-		return run{res: res.PointResult, ctrs: reg.Map()}
+		res := must(runPoint(pointSpec{Seed: 21, Requests: 600, Backend: backend, Counters: reg}))
+		return run{res: res.pointResult, ctrs: reg.Map()}
 	}
 	of := runOne("openflow")
 	sr := runOne("srv6")
@@ -67,10 +67,10 @@ func TestSteerBackendParity(t *testing.T) {
 // worse than openflow — and both backends pass the serial-vs-sharded and
 // traced-vs-untraced fingerprint gates.
 func TestSteerSweepScaling(t *testing.T) {
-	r := must(SteerSweep(13, 600, nil))
-	byBackend := map[string][]SteerPoint{}
+	r := must(steerSweep(13, 600, nil))
+	byBackend := map[string][]steerPoint{}
 	for _, p := range r.Points {
-		served(t, fmt.Sprintf("%s, %d clients", p.Backend, p.Clients), p.PointResult)
+		served(t, fmt.Sprintf("%s, %d clients", p.Backend, p.Clients), p.pointResult)
 		byBackend[p.Backend] = append(byBackend[p.Backend], p)
 	}
 	of, sr := byBackend["openflow"], byBackend["srv6"]
@@ -104,11 +104,11 @@ func TestSteerSweepScaling(t *testing.T) {
 			of[0].FlowMods, of[last].FlowMods)
 	}
 	for _, p := range r.Parity {
-		if !p.ShardMatch {
-			t.Errorf("%s: fingerprint differs serial vs sharded", p.Backend)
+		if p.shards != true {
+			t.Errorf("%s: fingerprint differs serial vs sharded", p.name)
 		}
-		if !p.TracedMatch {
-			t.Errorf("%s: fingerprint differs traced vs untraced", p.Backend)
+		if p.traced != true {
+			t.Errorf("%s: fingerprint differs traced vs untraced", p.name)
 		}
 	}
 	t.Log("\n" + r.String())

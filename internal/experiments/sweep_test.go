@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-func paritySweepVariants() []SweepVariant {
-	return []SweepVariant{
+func paritySweepVariants() []pointSpec {
+	return []pointSpec{
 		{Name: "w1", Seed: 1, Requests: 400, Scheduler: "wait-nearest"},
 		{Name: "n1", Seed: 1, Requests: 400, Scheduler: "no-wait"},
 		{Name: "w2", Seed: 2, Requests: 400, Scheduler: "wait-nearest", Clusters: 2},
@@ -16,8 +16,8 @@ func paritySweepVariants() []SweepVariant {
 func TestSweepParitySerialVsParallel(t *testing.T) {
 	// Each variant runs on a private kernel, so a parallel sweep must
 	// produce bit-identical per-variant metrics to a serial one.
-	serial := must(Sweep{Variants: paritySweepVariants(), Procs: 1}.Run())
-	parallel := must(Sweep{Variants: paritySweepVariants(), Procs: 4}.Run())
+	serial := must(runSweep(Params{Procs: 1}, paritySweepVariants()))
+	parallel := must(runSweep(Params{Procs: 4}, paritySweepVariants()))
 	if len(serial.Variants) != len(parallel.Variants) {
 		t.Fatalf("variant count: serial %d parallel %d", len(serial.Variants), len(parallel.Variants))
 	}
@@ -25,11 +25,11 @@ func TestSweepParitySerialVsParallel(t *testing.T) {
 	for i := range serial.Variants {
 		s, p := serial.Variants[i], parallel.Variants[i]
 		if s.Err != nil || p.Err != nil {
-			t.Fatalf("variant %s failed: serial=%v parallel=%v", s.Variant.Label(), s.Err, p.Err)
+			t.Fatalf("variant %s failed: serial=%v parallel=%v", s.Variant.Name, s.Err, p.Err)
 		}
 		if s.Fingerprint() != p.Fingerprint() {
 			t.Errorf("variant %s: serial fingerprint %x != parallel %x",
-				s.Variant.Label(), s.Fingerprint(), p.Fingerprint())
+				s.Variant.Name, s.Fingerprint(), p.Fingerprint())
 		}
 		total += s.Requests
 	}
@@ -43,7 +43,7 @@ func TestSweepParitySerialVsParallel(t *testing.T) {
 
 // totalErrors sums failed requests across variants (errored requests record
 // no latency sample).
-func (r SweepResult) totalErrors() int {
+func (r sweepResult) totalErrors() int {
 	n := 0
 	for _, v := range r.Variants {
 		n += v.Errors
@@ -54,8 +54,8 @@ func (r SweepResult) totalErrors() int {
 func TestSweepDeterministicRepeat(t *testing.T) {
 	// The same sweep run twice in the same process must reproduce itself
 	// (no hidden global state leaks between testbeds).
-	a := must(Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run())
-	b := must(Sweep{Variants: paritySweepVariants()[:2], Procs: 2}.Run())
+	a := must(runSweep(Params{Procs: 2}, paritySweepVariants()[:2]))
+	b := must(runSweep(Params{Procs: 2}, paritySweepVariants()[:2]))
 	for i := range a.Variants {
 		if a.Variants[i].Fingerprint() != b.Variants[i].Fingerprint() {
 			t.Errorf("variant %d not reproducible across runs", i)
@@ -64,10 +64,10 @@ func TestSweepDeterministicRepeat(t *testing.T) {
 }
 
 func TestSweepUnknownScheduler(t *testing.T) {
-	res := must(Sweep{Variants: []SweepVariant{
+	res := must(runSweep(Params{Procs: 1}, []pointSpec{
 		{Name: "bad", Seed: 1, Requests: 100, Scheduler: "nope"},
 		{Name: "ok", Seed: 1, Requests: 100},
-	}, Procs: 1}.Run())
+	}))
 	if res.Variants[0].Err == nil {
 		t.Fatal("unknown scheduler must surface as a variant error")
 	}
@@ -80,9 +80,9 @@ func TestSweepUnknownScheduler(t *testing.T) {
 }
 
 func TestWaitingSweepShape(t *testing.T) {
-	vs := WaitingSweep(3, 500)
+	vs := waitingSweep(3, 500)
 	if len(vs) != 6 {
-		t.Fatalf("WaitingSweep(3) = %d variants, want 6", len(vs))
+		t.Fatalf("waitingSweep(3) = %d variants, want 6", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
@@ -92,12 +92,12 @@ func TestWaitingSweepShape(t *testing.T) {
 		seen[v.Scheduler] = true
 	}
 	if !seen["wait-nearest"] || !seen["no-wait"] {
-		t.Fatal("WaitingSweep must cover both waiting modes")
+		t.Fatal("waitingSweep must cover both waiting modes")
 	}
 }
 
 func TestSweepJSONShape(t *testing.T) {
-	res := must(Sweep{Variants: paritySweepVariants()[:1], Procs: 1}.Run())
+	res := must(runSweep(Params{Procs: 1}, paritySweepVariants()[:1]))
 	entries := res.JSON()
 	if len(entries) != 2 {
 		t.Fatalf("JSON entries = %d, want variant + merged", len(entries))

@@ -56,7 +56,7 @@ type Params struct {
 }
 
 // TableStats summarizes a backend's data-plane footprint — the quantities
-// the SteerSweep experiment compares across backends.
+// the scale-steer experiment compares across backends.
 type TableStats struct {
 	// EntriesHighWater is the peak number of tracked per-flow steering
 	// decisions over the run (openflow: installed redirect/cloud-forward

@@ -349,26 +349,3 @@ func (tb *Testbed) addClusters(s *Site, resolver *registry.Resolver, opts Option
 		s.Ctrl.StartProactive(opts.Predictor, predictInterval, predictHorizon)
 	}
 }
-
-// ClusterByKind returns the testbed cluster of the given kind (nil if not
-// enabled).
-func (tb *Testbed) ClusterByKind(kind string) cluster.Cluster {
-	switch kind {
-	case KindDocker:
-		if tb.Docker == nil {
-			return nil
-		}
-		return tb.Docker
-	case KindKubernetes:
-		if tb.Kube == nil {
-			return nil
-		}
-		return tb.Kube
-	case KindServerless:
-		if tb.Serverless == nil {
-			return nil
-		}
-		return tb.Serverless
-	}
-	return nil
-}

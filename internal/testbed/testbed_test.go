@@ -1108,7 +1108,7 @@ func TestMultiPortServiceServedByTargetContainer(t *testing.T) {
 				if err != nil || res == nil || res.Resp.Status != 200 {
 					t.Fatalf("request = %+v, %v; want served", res, err)
 				}
-				inst, ok := tb.ClusterByKind(kind).Endpoint(a.UniqueName)
+				inst, ok := tb.Ctrl.Clusters()[0].Endpoint(a.UniqueName) // the one cluster enabled
 				if !ok || inst.Addr != tb.EGS.IP() || !tb.EGS.PortOpen(inst.Port) {
 					t.Fatalf("endpoint %+v (%v) is not open on the EGS", inst, ok)
 				}

@@ -223,9 +223,8 @@ func TestOneContinuationForm(t *testing.T) {
 // Host.HTTPGet. It only shrinks: each is a process waiting to become an
 // HTTPGetAsync callback, and when the map is empty HTTPGet goes.
 var httpGetCallers = map[string]int{
-	"examples/mobility/main.go":     3,
-	"internal/experiments/scale.go": 1,
-	"internal/testbed/site.go":      1,
+	"examples/mobility/main.go": 3,
+	"internal/testbed/site.go":  1,
 }
 
 // TestBlockingConnCallSites is the ratchet on the process-style connection
@@ -258,18 +257,22 @@ func TestBlockingConnCallSites(t *testing.T) {
 	}
 }
 
-// surfaceCounts records the settings of core.Config and testbed.Options and
+// surfaceCounts records the settings of core.Config and testbed.Options,
 // the exported methods of *kube.APIServer (its object stores are fields, one
-// per kind). Each number only goes down.
+// per kind) and the exported package-level names of internal/experiments
+// (the experiment table, what its rows take and give, and the JSON shape).
+// Each number only goes down.
 var surfaceCounts = map[string]int{
 	"core.Config fields":              14,
 	"testbed.Options fields":          22,
 	"kube.APIServer exported methods": 6,
+	"experiments exported names":      5,
 }
 
 // TestSurfaceCounts is the ratchet on settings and pass-throughs: a field of
-// core.Config or testbed.Options that nothing sets, or a typed wrapper on
-// the API server around a Store operation, is a second way in.
+// core.Config or testbed.Options that nothing sets, a typed wrapper on the
+// API server around a Store operation, or an experiment runner exported
+// beside experiments.Table, is a second way in.
 func TestSurfaceCounts(t *testing.T) {
 	got := map[string]int{}
 	count := func(dir, typ, key string) {
@@ -299,6 +302,31 @@ func TestSurfaceCounts(t *testing.T) {
 	count("internal/core", "Config", "core.Config")
 	count("internal/testbed", "Options", "testbed.Options")
 	count("internal/kube", "APIServer", "kube.APIServer")
+	nonTestFiles(t, "internal/experiments", "", func(_ *token.FileSet, f *ast.File) {
+		for _, d := range f.Decls {
+			var names []*ast.Ident
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names = append(names, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names = append(names, spec.Name)
+					case *ast.ValueSpec:
+						names = append(names, spec.Names...)
+					}
+				}
+			}
+			for _, n := range names {
+				if n.IsExported() {
+					got["experiments exported names"]++
+				}
+			}
+		}
+	})
 	for key, want := range surfaceCounts {
 		if got[key] > want {
 			t.Errorf("%s = %d, recorded %d: add no setting nothing sets and no pass-through", key, got[key], want)
