@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,6 +63,11 @@ func TestGoldenOutputs(t *testing.T) {
 		modes := map[string][]string{e.Name + ".txt": args}
 		if reads(e, "json") {
 			modes[e.Name+".json"] = append([]string{"-json"}, args...)
+		}
+		if e.Run != nil && reads(e, "counters") {
+			for file, args := range maps.Clone(modes) {
+				modes[strings.Replace(file, ".", ".counters.", 1)] = append([]string{"-counters"}, args...)
+			}
 		}
 		for file, args := range modes {
 			args := append(args, e.Name)
@@ -318,4 +324,22 @@ func FuzzParseRates(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scale-shard folds the same eight sites' counters whatever the kernel
+// count, so its counter block does not move with -shards. Under -race the
+// multi-kernel runs also count on concurrent shards.
+func TestShardCountersIndependentOfShards(t *testing.T) {
+	var want string
+	for _, n := range []string{"1", "2", "4", "8"} {
+		code, out, stderr := run("-counters", "-shards", n, "-replay-requests", "600", "scale-shard")
+		if code != 0 || !strings.Contains(out, "# TYPE") {
+			t.Fatalf("-shards %s: exit %d, no counter block\n%s", n, code, stderr)
+		}
+		if got := out[strings.Index(out, "# TYPE"):]; want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("-shards %s: the counter block differs from -shards 1's: %s", n, firstDiff(got, want))
+		}
+	}
 }
