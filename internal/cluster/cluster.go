@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"transparentedge/internal/container"
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 	"transparentedge/internal/spec"
@@ -30,6 +31,27 @@ var (
 	ErrNotCreated     = errors.New("cluster: service not created")
 	ErrAlreadyExists  = errors.New("cluster: service already created")
 )
+
+// Ops counts the fig. 4 phase operations a cluster backend was asked for,
+// each at the entry of its phase (a retried operation counts again).
+type Ops struct{ Pull, Create, ScaleUp, ScaleDown uint64 }
+
+// Register registers the reader of o as the cluster's four
+// cluster_ops_total{cluster,op} series. Nil registry: nothing is registered.
+func (o *Ops) Register(reg *obs.Registry, cluster string) {
+	if reg == nil {
+		return
+	}
+	reg.Register(func(add func(obs.Sample)) {
+		counter := func(op string, n uint64) {
+			add(obs.Sample{Name: `cluster_ops_total{cluster="` + cluster + `",op="` + op + `"}`, Kind: "counter", Value: float64(n)})
+		}
+		counter("pull", o.Pull)
+		counter("create", o.Create)
+		counter("scale_up", o.ScaleUp)
+		counter("scale_down", o.ScaleDown)
+	})
+}
 
 // Instance is one reachable service instance endpoint inside a cluster.
 type Instance struct {

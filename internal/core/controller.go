@@ -71,10 +71,10 @@ type Config struct {
 	// clock. Nil disables tracing at zero cost on the hot path, and an
 	// attached tracer only records — it never perturbs the simulation.
 	Trace *obs.Tracer
-	// Counters, when set, registers the controller's counters (dispatch
-	// outcomes by kind, FlowMemory hits/misses/evictions/drains, deploy
-	// retries and failures by phase and cluster) in the registry. Nil
-	// disables all counting at zero cost.
+	// Counters, when set, is where the controller registers the reader of
+	// its counts (dispatch outcomes by kind, FlowMemory hits/misses/
+	// evictions/drains, deploy retries and failures by phase and cluster).
+	// The counts are kept either way; nil registers nothing.
 	Counters *obs.Registry
 	// Steering selects how dispatch decisions reach the data plane: nil
 	// picks the paper's per-flow rule installs (steer.NewOpenFlow); the
@@ -151,22 +151,9 @@ type Stats struct {
 	// rule-based backends re-anchor lazily at the next packet-in).
 	Handovers         uint64
 	HandoverReAnchors uint64
-}
-
-// ctrlCounters are the controller's resolved obs counter handles. With no
-// registry configured every handle is nil, and *obs.Counter methods no-op
-// on nil receivers — the documented zero-cost off switch.
-type ctrlCounters struct {
-	packetIns         *obs.Counter
-	memoryServed      *obs.Counter
-	cloudForwards     *obs.Counter
-	cloudFallbacks    *obs.Counter
-	fallbackDeploys   *obs.Counter
-	deployments       *obs.Counter
-	redirections      *obs.Counter
-	scaleDownFailures *obs.Counter
-	handovers         *obs.Counter
-	reanchors         *obs.Counter
+	// ScaleDownFailures counts idle-instance scale-downs the cluster
+	// refused.
+	ScaleDownFailures uint64
 }
 
 // Controller is the SDN controller: it owns the registered services, the
@@ -211,12 +198,10 @@ type Controller struct {
 	steerB    steer.Steering
 	predictor Predictor
 	Stats     Stats
-	// events is the resolved structured-event sink (nil = silent); tr and
-	// reg are the optional tracing and counter sinks from Config.
+	// events is the resolved structured-event sink (nil = silent); tr is
+	// the optional tracing sink from Config.
 	events func(obs.Event)
 	tr     *obs.Tracer
-	reg    *obs.Registry
-	ctr    ctrlCounters
 	// freeDispatch recycles the per-dispatch records (dispatchRec); it holds
 	// at most the most dispatches ever in flight at once.
 	freeDispatch []*dispatchRec
@@ -270,27 +255,39 @@ func New(k *sim.Kernel, probeHost *simnet.Host, cfg Config) *Controller {
 		OnExpired: c.steeringExpired,
 		Counters:  cfg.Counters,
 	})
-	// Resolve the observability sinks once. Each handle no-ops on nil, so
-	// instrumented sites pay a single inlined nil check when obs is off.
 	c.tr = cfg.Trace
 	c.events = cfg.Events
 	if reg := cfg.Counters; reg != nil {
-		c.reg = reg
-		c.ctr = ctrlCounters{
-			packetIns:         reg.Counter("dispatch_packet_ins_total"),
-			memoryServed:      reg.Counter("dispatch_memory_served_total"),
-			cloudForwards:     reg.Counter("dispatch_cloud_forwards_total"),
-			cloudFallbacks:    reg.Counter("dispatch_cloud_fallbacks_total"),
-			fallbackDeploys:   reg.Counter("dispatch_fallback_deployments_total"),
-			deployments:       reg.Counter("deploy_performed_total"),
-			redirections:      reg.Counter("dispatch_redirections_total"),
-			scaleDownFailures: reg.Counter("deploy_scale_down_failures_total"),
-			handovers:         reg.Counter("handover_events_total"),
-			reanchors:         reg.Counter("handover_reanchors_total"),
-		}
+		reg.Register(c.readCounts)
 		c.Memory.SetObs(reg)
 	}
 	return c
+}
+
+// readCounts emits the controller's counts: its Stats, and deploy retries
+// by cluster and phase and deploy failures by cluster, which appear with
+// the first one.
+func (c *Controller) readCounts(add func(obs.Sample)) {
+	counter := func(name string, v uint64) { add(obs.Sample{Name: name, Kind: "counter", Value: float64(v)}) }
+	s := &c.Stats
+	counter("dispatch_packet_ins_total", s.PacketIns)
+	counter("dispatch_memory_served_total", s.MemoryServed)
+	counter("dispatch_cloud_forwards_total", s.CloudForwards)
+	counter("dispatch_cloud_fallbacks_total", s.CloudFallbacks)
+	counter("dispatch_fallback_deployments_total", s.FallbackDeployments)
+	counter("deploy_performed_total", s.Deployments)
+	counter("dispatch_redirections_total", s.Redirections)
+	counter("deploy_scale_down_failures_total", s.ScaleDownFailures)
+	counter("handover_events_total", s.Handovers)
+	counter("handover_reanchors_total", s.HandoverReAnchors)
+	for k, n := range c.deploy.retries {
+		counter(`deploy_retries_total{cluster="`+k.cluster+`",phase="`+k.phase+`"}`, n)
+	}
+	for _, r := range c.records {
+		if r.Err != nil {
+			counter(`deploy_failures_total{cluster="`+r.Cluster+`"}`, 1)
+		}
+	}
 }
 
 // emit hands a structured event to the configured sink (Config.Events),
@@ -430,7 +427,6 @@ func (c *Controller) locate(client uint32, sw *openflow.Switch) {
 func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 	pkt := ev.Packet
 	c.Stats.PacketIns++
-	c.ctr.packetIns.Inc()
 	// The previous location is captured before the update: a memory hit at
 	// a different switch is a handover and re-anchors the steering state.
 	client := pkt.SrcID
@@ -452,7 +448,6 @@ func (c *Controller) HandlePacketIn(ev openflow.PacketIn) {
 		// from a new attachment point is a handover — the steering state is
 		// re-anchored there and the stale switch's state released eagerly.
 		c.Stats.MemoryServed++
-		c.ctr.memoryServed.Inc()
 		// After an explicit NoteHandover the location record already points
 		// at this switch, so the stale anchor — where the rules actually
 		// live — is the pending record's `from`, not prev.
@@ -713,7 +708,6 @@ func (d *dispatchRec) decide() sim.Step[dispatchRec] {
 		// cloud (fig. 1), still installing a flow so subsequent packets
 		// bypass the controller.
 		c.Stats.CloudForwards++
-		c.ctr.cloudForwards.Inc()
 		c.emit(obs.Event{Kind: obs.EvCloudForward, Service: svc.UniqueName, Client: string(d.fk.Client)})
 		d.forward("", "")
 	} else if inst, ok := c.deploy.serveReady(d.choice.Fast.Cluster, svc, spanRef{d.root, d.root}); ok {
@@ -749,15 +743,12 @@ func (d *dispatchRec) deploy(p *sim.Proc) {
 		c.emit(obs.Event{Kind: obs.EvAllEdgeFailed, Service: svc.UniqueName, Client: string(d.fk.Client), Err: err})
 		c.Stats.CloudForwards++
 		c.Stats.CloudFallbacks++
-		c.ctr.cloudForwards.Inc()
-		c.ctr.cloudFallbacks.Inc()
 		d.forward("fallback", err.Error())
 		d.free()
 		return
 	}
 	if performed {
 		c.Stats.Deployments++
-		c.ctr.deployments.Inc()
 	}
 	d.redirect(inst)
 	d.deployBest()
@@ -839,11 +830,9 @@ func (d *dispatchRec) deployBest() {
 		}
 		if performed {
 			c.Stats.Deployments++
-			c.ctr.deployments.Inc()
 		}
 		n := c.Memory.RedirectService(svc.UniqueName, inst)
 		c.Stats.Redirections += uint64(n)
-		c.ctr.redirections.Add(uint64(n))
 		c.emit(obs.Event{Kind: obs.EvOptimalReady, Service: svc.UniqueName, Cluster: best.Name(),
 			Addr: string(inst.Addr), Port: inst.Port, N: n})
 		endBest("")
@@ -881,7 +870,6 @@ func (d *dispatchRec) fallbackDeploy(p *sim.Proc, failed cluster.Cluster) (clust
 			continue
 		}
 		c.Stats.FallbackDeployments++
-		c.ctr.fallbackDeploys.Inc()
 		c.emit(obs.Event{Kind: obs.EvFallbackOK, Service: svc.UniqueName, Cluster: ci.Cluster.Name()})
 		endFallback(ci.Cluster.Name(), "")
 		return inst, performed, nil
@@ -923,7 +911,7 @@ func (c *Controller) onIdleInstance(inst cluster.Instance) {
 		err := cl.ScaleDown(p, inst.Service)
 		interrupted := c.Memory.EndDrain(inst)
 		if err != nil {
-			c.ctr.scaleDownFailures.Inc()
+			c.Stats.ScaleDownFailures++
 			c.emit(obs.Event{Kind: obs.EvScaleDownFailed, Service: inst.Service, Cluster: inst.Cluster, Err: err})
 			return
 		}
@@ -942,7 +930,6 @@ func (c *Controller) onIdleInstance(inst cluster.Instance) {
 			}
 			if performed {
 				c.Stats.Deployments++
-				c.ctr.deployments.Inc()
 			}
 			c.emit(obs.Event{Kind: obs.EvRedeployed, Service: inst.Service, Cluster: inst.Cluster})
 		}

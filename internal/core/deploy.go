@@ -55,7 +55,13 @@ type spanRef struct{ parent, root uint64 }
 type deployer struct {
 	ctrl    *Controller
 	pending map[deployKey]*sim.Promise[cluster.Instance]
+	// retries counts the retried phase attempts by cluster and phase (nil
+	// until the first).
+	retries map[retryKey]uint64
 }
+
+// retryKey names one cluster's deployment phase.
+type retryKey struct{ cluster, phase string }
 
 // deployKey names one (cluster, service) deployment.
 type deployKey struct{ cluster, service string }
@@ -152,9 +158,10 @@ func (d *deployer) retryPhase(p *sim.Proc, rec *DeployRecord, phase string, op f
 		}
 		rec.Retries++
 		d.ctrl.Stats.DeployRetries++
-		if reg := d.ctrl.reg; reg != nil {
-			reg.Counter(`deploy_retries_total{cluster="` + rec.Cluster + `",phase="` + phase + `"}`).Inc()
+		if d.retries == nil {
+			d.retries = make(map[retryKey]uint64)
 		}
+		d.retries[retryKey{rec.Cluster, phase}]++
 		p.Sleep(backoff)
 		backoff = min(2*backoff, deployBackoffMax)
 	}
@@ -223,9 +230,6 @@ func (d *deployer) run(p *sim.Proc, cl cluster.Cluster, svc *spec.Annotated, ref
 		rec.Err = err
 		rec.Attempts = rec.Retries + 1
 		d.ctrl.Stats.DeployFailures++
-		if reg := d.ctrl.reg; reg != nil {
-			reg.Counter(`deploy_failures_total{cluster="` + rec.Cluster + `"}`).Inc()
-		}
 		d.ctrl.records = append(d.ctrl.records, rec)
 		endDeploy(err.Error())
 		return cluster.Instance{}, rec.DidPull || rec.DidCreate || rec.DidScaleUp, err

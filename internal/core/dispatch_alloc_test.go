@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"transparentedge/internal/obs"
 	"transparentedge/internal/simnet"
 )
 
@@ -18,8 +19,8 @@ type churnRig struct {
 	pkt simnet.Packet // reused: the switch drops it without freeing it
 }
 
-func newChurnRig(t testing.TB, memoryIdle time.Duration) *churnRig {
-	cfg := Config{}
+func newChurnRig(t testing.TB, memoryIdle time.Duration, reg *obs.Registry) *churnRig {
+	cfg := Config{Counters: reg}
 	cfg.SwitchIdleTimeout = time.Second
 	cfg.MemoryIdleTimeout = memoryIdle
 	rg := newHotpathRig(t, 0, 1, cfg)
@@ -46,42 +47,47 @@ func (rg *churnRig) punt(d time.Duration) {
 // does a miss redirected to a running instance: the dispatch is a
 // continuation that starts no process, and its record and buffers, the
 // memorized entry, the rules and their cookie group come off free lists (a
-// running service needs no deployment promise).
+// running service needs no deployment promise). Counting is free: the
+// same holds with a registry attached.
 func TestAllocsControllerPacketIn(t *testing.T) {
 	t.Run("memory-hit", func(t *testing.T) {
-		rg := newChurnRig(t, time.Hour)
-		cycle := func() { rg.punt(2 * time.Second) }
-		for i := 0; i < 5; i++ {
-			cycle() // the first is the dispatch that memorizes the flow
-		}
-		served := rg.ctrl.Stats.MemoryServed
-		if n := testing.AllocsPerRun(200, cycle); n != 0 {
-			t.Errorf("%.1f allocs per memory-hit packet-in cycle, want 0", n)
-		}
-		if got := rg.ctrl.Stats.MemoryServed - served; got != 201 || rg.ctrl.CookieCount() != 0 {
-			t.Fatalf("%d memory hits over 201 cycles, %d cookies left; want 201 and 0", got, rg.ctrl.CookieCount())
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			rg := newChurnRig(t, time.Hour, reg)
+			cycle := func() { rg.punt(2 * time.Second) }
+			for i := 0; i < 5; i++ {
+				cycle() // the first is the dispatch that memorizes the flow
+			}
+			served := rg.ctrl.Stats.MemoryServed
+			if n := testing.AllocsPerRun(200, cycle); n != 0 {
+				t.Errorf("registry %v: %.1f allocs per memory-hit packet-in cycle, want 0", reg != nil, n)
+			}
+			if got := rg.ctrl.Stats.MemoryServed - served; got != 201 || rg.ctrl.CookieCount() != 0 {
+				t.Fatalf("%d memory hits over 201 cycles, %d cookies left; want 201 and 0", got, rg.ctrl.CookieCount())
+			}
 		}
 	})
 	t.Run("miss-redirect", func(t *testing.T) {
-		rg := newChurnRig(t, 2*time.Second)
-		cycle := func() { rg.punt(0) }
-		for i := 0; i < 5; i++ {
-			cycle()
-		}
-		ins, served := rg.ctrl.Stats.PacketIns, rg.ctrl.Stats.MemoryServed
-		starts := rg.k.Stats().ProcStarts
-		if n := testing.AllocsPerRun(200, cycle); n != 0 {
-			t.Errorf("%.1f allocs per dispatched packet-in cycle, want 0", n)
-		}
-		if n := rg.k.Stats().ProcStarts - starts; n != 0 {
-			t.Errorf("%d processes started by 201 dispatches to a running instance, want 0", n)
-		}
-		if ins, served := rg.ctrl.Stats.PacketIns-ins, rg.ctrl.Stats.MemoryServed-served; ins != 201 || served != 0 {
-			t.Fatalf("%d packet-ins, %d memory hits over 201 cycles; want 201 full dispatches", ins, served)
-		}
-		if rg.ctrl.Stats.Deployments != 0 || rg.ctrl.Memory.Len() != 0 || rg.ctrl.TrackedClients() != 0 {
-			t.Fatalf("%d deployments, %d entries, %d clients after the cycles; want 0, 0, 0",
-				rg.ctrl.Stats.Deployments, rg.ctrl.Memory.Len(), rg.ctrl.TrackedClients())
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			rg := newChurnRig(t, 2*time.Second, reg)
+			cycle := func() { rg.punt(0) }
+			for i := 0; i < 5; i++ {
+				cycle()
+			}
+			ins, served := rg.ctrl.Stats.PacketIns, rg.ctrl.Stats.MemoryServed
+			starts := rg.k.Stats().ProcStarts
+			if n := testing.AllocsPerRun(200, cycle); n != 0 {
+				t.Errorf("registry %v: %.1f allocs per dispatched packet-in cycle, want 0", reg != nil, n)
+			}
+			if n := rg.k.Stats().ProcStarts - starts; n != 0 {
+				t.Errorf("%d processes started by 201 dispatches to a running instance, want 0", n)
+			}
+			if ins, served := rg.ctrl.Stats.PacketIns-ins, rg.ctrl.Stats.MemoryServed-served; ins != 201 || served != 0 {
+				t.Fatalf("%d packet-ins, %d memory hits over 201 cycles; want 201 full dispatches", ins, served)
+			}
+			if rg.ctrl.Stats.Deployments != 0 || rg.ctrl.Memory.Len() != 0 || rg.ctrl.TrackedClients() != 0 {
+				t.Fatalf("%d deployments, %d entries, %d clients after the cycles; want 0, 0, 0",
+					rg.ctrl.Stats.Deployments, rg.ctrl.Memory.Len(), rg.ctrl.TrackedClients())
+			}
 		}
 	})
 }
@@ -92,7 +98,7 @@ func TestAllocsControllerPacketIn(t *testing.T) {
 // flow-removed that comes back, and the memorized flow's own expiry.
 // allocs/op must stay 0.
 func BenchmarkDispatchChurn(b *testing.B) {
-	rg := newChurnRig(b, 2*time.Second)
+	rg := newChurnRig(b, 2*time.Second, nil)
 	for i := 0; i < 5; i++ {
 		rg.punt(0)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"transparentedge/internal/cluster"
-	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 )
@@ -162,7 +161,6 @@ func TestScaleDownFailureCounted(t *testing.T) {
 	cfg.AutoScaleDown = true
 	cfg.SwitchIdleTimeout = time.Second
 	cfg.MemoryIdleTimeout = 2 * time.Second
-	cfg.Counters = obs.NewRegistry()
 	rg := newHotpathRig(t, 1, 1, cfg)
 	fc := rg.clusters[0]
 	fc.failScaleDowns = 100
@@ -173,8 +171,8 @@ func TestScaleDownFailureCounted(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(30 * time.Second)
-	if cfg.Counters.Counter("deploy_scale_down_failures_total").Value() == 0 {
-		t.Error("deploy_scale_down_failures_total = 0, want > 0")
+	if rg.ctrl.Stats.ScaleDownFailures == 0 {
+		t.Error("Stats.ScaleDownFailures = 0, want > 0")
 	}
 	if !fc.running {
 		t.Error("instance not running after failed scale-down")

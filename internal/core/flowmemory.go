@@ -39,8 +39,53 @@ type MemEntry struct {
 	// anything.
 	idle  sim.Idle
 	evict func()
-	// prev and next chain the entries of one client (perClient).
-	prev, next *MemEntry
+	// links chain the entry into its client's flows (perClient) and its
+	// service's (perService).
+	links [2]link
+}
+
+// link is an entry's place in one chain.
+type link struct{ prev, next *MemEntry }
+
+// The chains an entry is linked into, by index into MemEntry.links.
+const (
+	byClient = iota
+	byService
+)
+
+// chain is a list of entries through one of their links, in the order they
+// were linked, and its length.
+type chain struct {
+	head, tail *MemEntry
+	n          int
+}
+
+// push appends e through its link i.
+func (c *chain) push(e *MemEntry, i int) {
+	e.links[i] = link{prev: c.tail}
+	if c.tail != nil {
+		c.tail.links[i].next = e
+	} else {
+		c.head = e
+	}
+	c.tail, c.n = e, c.n+1
+}
+
+// unlink takes e, linked through its link i, out of c.
+func (c *chain) unlink(e *MemEntry, i int) {
+	l := e.links[i]
+	if l.prev != nil {
+		l.prev.links[i].next = l.next
+	} else {
+		c.head = l.next
+	}
+	if l.next != nil {
+		l.next.links[i].prev = l.prev
+	} else {
+		c.tail = l.prev
+	}
+	e.links[i] = link{}
+	c.n--
 }
 
 // instanceKey is an instance endpoint, its address by number.
@@ -76,14 +121,16 @@ type FlowMemory struct {
 	idle time.Duration
 	// ids numbers addresses: the controller's network's numbering, whose
 	// numbers its packet-ins carry, or the memory's own.
-	ids        *simnet.Numbering
-	entries    map[flowID]*MemEntry
-	free       []*MemEntry // evicted entries, for the next new key
-	perInst    map[instanceKey]int
-	perService map[string]map[*MemEntry]struct{}
-	// perClient holds each client's flows by the client's number; an entry
-	// with n == 0 is a client with none.
-	perClient []clientFlows
+	ids     *simnet.Numbering
+	entries map[flowID]*MemEntry
+	free    []*MemEntry // evicted entries, for the next new key
+	perInst map[instanceKey]int
+	// perService holds each service's flows, in the order they were pointed
+	// at the service; an emptied chain stays in place for the service's next
+	// flow. perClient holds each client's flows by the client's number; a
+	// chain with n == 0 is a client with none.
+	perService map[string]*chain
+	perClient  []chain
 	// draining marks instances with a scale-down in flight; the value flips
 	// to true when a flow is pointed at the instance mid-drain (see
 	// BeginDrain / EndDrain).
@@ -96,32 +143,29 @@ type FlowMemory struct {
 	// expires — the controller uses it to evict the client's location
 	// record.
 	OnIdleClient func(client simnet.Addr, id uint32)
-	// Obs counter handles (nil without SetObs — *obs.Counter no-ops on nil).
-	cHits, cMisses, cEvictions, cDrains, cDrainInterrupts *obs.Counter
-	// gEntries tracks the live entry count (its high-water mark is the
-	// memory-occupancy figure the steering sweep reports).
-	gEntries *obs.Gauge
+	// Lookups that hit and missed, entries evicted, drains begun and drains
+	// a flow interrupted; high is the most entries ever memorized at once
+	// (the memory-occupancy figure the steering sweep reports).
+	hits, misses, evictions, drains, drainInterrupts uint64
+	high                                             int
 }
 
-// clientFlows is one client's memorized flows: a chain through
-// MemEntry.prev/next, and its length.
-type clientFlows struct {
-	head *MemEntry
-	n    int
-}
-
-// SetObs registers the memory's counters in the registry. A nil registry
-// leaves every handle nil, keeping the counting free.
+// SetObs registers the reader of the memory's counts. A nil registry
+// registers nothing.
 func (m *FlowMemory) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	m.cHits = reg.Counter("flowmemory_hits_total")
-	m.cMisses = reg.Counter("flowmemory_misses_total")
-	m.cEvictions = reg.Counter("flowmemory_evictions_total")
-	m.cDrains = reg.Counter("flowmemory_drains_total")
-	m.cDrainInterrupts = reg.Counter("flowmemory_drain_interruptions_total")
-	m.gEntries = reg.Gauge("flowmemory_entries")
+	reg.Register(func(add func(obs.Sample)) {
+		counter := func(name string, v uint64) { add(obs.Sample{Name: name, Kind: "counter", Value: float64(v)}) }
+		counter("flowmemory_hits_total", m.hits)
+		counter("flowmemory_misses_total", m.misses)
+		counter("flowmemory_evictions_total", m.evictions)
+		counter("flowmemory_drains_total", m.drains)
+		counter("flowmemory_drain_interruptions_total", m.drainInterrupts)
+		add(obs.Sample{Name: "flowmemory_entries", Kind: "gauge", Value: float64(len(m.entries))})
+		add(obs.Sample{Name: "flowmemory_entries_max", Kind: "gauge", Value: float64(m.high)})
+	})
 }
 
 // NewFlowMemory creates a FlowMemory with the given idle timeout.
@@ -132,7 +176,7 @@ func NewFlowMemory(k *sim.Kernel, idle time.Duration) *FlowMemory {
 		ids:        new(simnet.Numbering),
 		entries:    make(map[flowID]*MemEntry),
 		perInst:    make(map[instanceKey]int),
-		perService: make(map[string]map[*MemEntry]struct{}),
+		perService: make(map[string]*chain),
 	}
 }
 
@@ -160,11 +204,11 @@ func (m *FlowMemory) lookupInstance(inst cluster.Instance) instanceKey {
 }
 
 // client returns the flows of the client numbered id.
-func (m *FlowMemory) client(id uint32) clientFlows {
+func (m *FlowMemory) client(id uint32) chain {
 	if int(id) < len(m.perClient) {
 		return m.perClient[id]
 	}
-	return clientFlows{}
+	return chain{}
 }
 
 // Len returns the number of memorized flows.
@@ -184,7 +228,7 @@ func (m *FlowMemory) ClientEntries(client simnet.Addr) []MemEntry {
 		return nil
 	}
 	out := make([]MemEntry, 0, cf.n)
-	for e := cf.head; e != nil; e = e.next {
+	for e := cf.head; e != nil; e = e.links[byClient].next {
 		out = append(out, *e)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -199,7 +243,10 @@ func (m *FlowMemory) ClientEntries(client simnet.Addr) []MemEntry {
 // ServiceFlows returns how many memorized flows point at any instance of
 // the service.
 func (m *FlowMemory) ServiceFlows(service string) int {
-	return len(m.perService[service])
+	if sf := m.perService[service]; sf != nil {
+		return sf.n
+	}
+	return 0
 }
 
 // BeginDrain atomically re-checks that no memorized flow points at the
@@ -218,7 +265,7 @@ func (m *FlowMemory) BeginDrain(inst cluster.Instance) bool {
 		m.draining = make(map[instanceKey]bool)
 	}
 	m.draining[ik] = false
-	m.cDrains.Inc()
+	m.drains++
 	return true
 }
 
@@ -230,7 +277,7 @@ func (m *FlowMemory) EndDrain(inst cluster.Instance) (interrupted bool) {
 	interrupted = m.draining[ik]
 	delete(m.draining, ik)
 	if interrupted {
-		m.cDrainInterrupts.Inc()
+		m.drainInterrupts++
 	}
 	return interrupted
 }
@@ -257,10 +304,10 @@ func (m *FlowMemory) Get(key FlowKey) (cluster.Instance, bool) {
 func (m *FlowMemory) get(id flowID) *MemEntry {
 	e := m.entries[id]
 	if e == nil {
-		m.cMisses.Inc()
+		m.misses++
 		return nil
 	}
-	m.cHits.Inc()
+	m.hits++
 	e.idle.Touch(m.k.Now())
 	return e
 }
@@ -297,15 +344,10 @@ func (m *FlowMemory) put(key FlowKey, id flowID, inst cluster.Instance) *MemEntr
 	m.perInst[ik]++
 	m.noteAttach(ik)
 	for int(id.client) >= len(m.perClient) {
-		m.perClient = append(m.perClient, clientFlows{})
+		m.perClient = append(m.perClient, chain{})
 	}
-	cf := &m.perClient[id.client]
-	if cf.head != nil {
-		cf.head.prev = e
-	}
-	e.prev, e.next = nil, cf.head
-	cf.head, cf.n = e, cf.n+1
-	m.gEntries.Set(int64(len(m.entries)))
+	m.perClient[id.client].push(e, byClient)
+	m.high = max(m.high, len(m.entries))
 	e.idle.Start(m.k, m.idle, e.evict)
 	return e
 }
@@ -314,11 +356,16 @@ func (m *FlowMemory) put(key FlowKey, id flowID, inst cluster.Instance) *MemEntr
 // instance (fig. 3: once the optimal instance runs, future requests are
 // redirected there). It returns how many entries were re-pointed. The
 // per-service index makes this proportional to the service's own flows,
-// not the whole memory.
+// not the whole memory, and walks them in the order they were pointed at
+// the service, so the instances it idles are told in that order.
 func (m *FlowMemory) RedirectService(service string, to cluster.Instance) int {
 	n := 0
 	ik := m.instanceOf(to)
-	for e := range m.perService[service] {
+	sf := m.perService[service]
+	if sf == nil {
+		return 0
+	}
+	for e := sf.head; e != nil; e = e.links[byService].next {
 		if e.endpoint() == ik {
 			continue
 		}
@@ -357,41 +404,31 @@ func (m *FlowMemory) Entries() []MemEntry {
 // recycles it.
 func (m *FlowMemory) remove(e *MemEntry) {
 	e.idle.Stop()
-	m.cEvictions.Inc()
+	m.evictions++
 	delete(m.entries, e.id())
-	m.gEntries.Set(int64(len(m.entries)))
 	m.detachService(e)
 	m.decInstance(e)
 	cf := &m.perClient[e.client]
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		cf.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = nil, nil
+	cf.unlink(e, byClient)
 	m.free = append(m.free, e)
-	if cf.n--; cf.n == 0 && m.OnIdleClient != nil {
+	if cf.n == 0 && m.OnIdleClient != nil {
 		m.OnIdleClient(e.Key.Client, e.client)
 	}
 }
 
+// attachService appends e to its service's flows.
 func (m *FlowMemory) attachService(e *MemEntry) {
-	svc := e.Instance.Service
-	set := m.perService[svc]
-	if set == nil {
-		set = make(map[*MemEntry]struct{})
-		m.perService[svc] = set
+	sf := m.perService[e.Instance.Service]
+	if sf == nil {
+		sf = new(chain)
+		m.perService[e.Instance.Service] = sf
 	}
-	set[e] = struct{}{}
+	sf.push(e, byService)
 }
 
-// detachService leaves an emptied set in place, for the service's next flow:
-// there is one per service ever memorized.
+// detachService takes e out of its service's flows.
 func (m *FlowMemory) detachService(e *MemEntry) {
-	delete(m.perService[e.Instance.Service], e)
+	m.perService[e.Instance.Service].unlink(e, byService)
 }
 
 // decInstance takes e's flow off its instance's count.

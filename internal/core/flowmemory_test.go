@@ -1,13 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"transparentedge/internal/cluster"
-	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 	"transparentedge/internal/simnet"
 )
@@ -28,8 +29,6 @@ func mkKey(client string) FlowKey {
 func TestFlowMemoryPutGet(t *testing.T) {
 	k := sim.New(1)
 	m := NewFlowMemory(k, time.Minute)
-	reg := obs.NewRegistry()
-	m.SetObs(reg)
 	in := mkInst("svc", "10.0.0.1", 32000)
 	m.Put(mkKey("10.0.1.1"), in)
 	got, ok := m.Get(mkKey("10.0.1.1"))
@@ -39,8 +38,8 @@ func TestFlowMemoryPutGet(t *testing.T) {
 	if _, ok := m.Get(mkKey("10.0.1.2")); ok {
 		t.Fatal("unexpected hit")
 	}
-	if hits, misses := reg.Counter("flowmemory_hits_total").Value(), reg.Counter("flowmemory_misses_total").Value(); hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d", hits, misses)
+	if m.hits != 1 || m.misses != 1 {
+		t.Fatalf("hits/misses = %d/%d", m.hits, m.misses)
 	}
 }
 
@@ -125,6 +124,31 @@ func TestFlowMemoryRedirectService(t *testing.T) {
 	// Redirecting again is a no-op.
 	if n := m.RedirectService("svc", next); n != 0 {
 		t.Fatalf("second redirect = %d, want 0", n)
+	}
+}
+
+// TestRedirectServiceIdlesInPutOrder: a redirect that moves the last flow
+// off several instances tells OnIdleInstance about them in the order their
+// flows were put, in every rig — under AutoScaleDown each call starts a
+// scale-down process, so the order is model behaviour.
+func TestRedirectServiceIdlesInPutOrder(t *testing.T) {
+	var want []cluster.Instance
+	for i := 0; i < 4; i++ {
+		want = append(want, mkInst("svc", simnet.Addr(fmt.Sprintf("10.0.0.%d", 4-i)), 32000+i))
+	}
+	for rig := 0; rig < 20; rig++ {
+		m := NewFlowMemory(sim.New(1), time.Minute)
+		var idled []cluster.Instance
+		m.OnIdleInstance = func(in cluster.Instance) { idled = append(idled, in) }
+		for i, in := range want {
+			m.Put(mkKey(fmt.Sprintf("10.0.1.%d", i)), in)
+		}
+		if n := m.RedirectService("svc", mkInst("svc", "10.0.0.9", 30000)); n != 4 {
+			t.Fatalf("redirected = %d, want 4", n)
+		}
+		if !slices.Equal(idled, want) {
+			t.Fatalf("rig %d: instances idled in order %v, want the Put order %v", rig, idled, want)
+		}
 	}
 }
 

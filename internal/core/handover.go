@@ -75,7 +75,6 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 	prev := c.location(id)
 	c.locate(id, sw)
 	c.Stats.Handovers++
-	c.ctr.handovers.Inc()
 	if prev == nil || prev == sw {
 		// Nothing is anchored anywhere else; only the location changed.
 		c.emit(obs.Event{Kind: obs.EvHandover, Client: string(client), Addr: sw.Name()})
@@ -99,7 +98,6 @@ func (c *Controller) NoteHandover(client simnet.Addr, sw *openflow.Switch) {
 			}
 		}
 		c.Stats.HandoverReAnchors += uint64(len(entries))
-		c.ctr.reanchors.Add(uint64(len(entries)))
 		if len(entries) > 0 {
 			c.recordGap(client, now, now, vias)
 		}

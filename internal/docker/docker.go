@@ -44,8 +44,8 @@ type Engine struct {
 	// faults is the engine's fault injector; nil (the default) injects
 	// nothing at zero cost.
 	faults *faults.Injector
-	// ops are the per-operation obs counters (zero value = disabled).
-	ops obs.ClusterOps
+	// ops counts the phase operations asked for.
+	ops cluster.Ops
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Pull and
@@ -53,8 +53,8 @@ type Engine struct {
 // service before its port ever opens.
 func (e *Engine) SetFaults(in *faults.Injector) { e.faults = in }
 
-// SetObs registers the engine's cluster_ops_total counters (nil disables).
-func (e *Engine) SetObs(reg *obs.Registry) { e.ops = obs.NewClusterOps(reg, e.name) }
+// SetObs registers the engine's cluster_ops_total series (nil registers nothing).
+func (e *Engine) SetObs(reg *obs.Registry) { e.ops.Register(reg, e.name) }
 
 type service struct {
 	annotated  *spec.Annotated
@@ -90,7 +90,7 @@ func (e *Engine) HasImages(a *spec.Annotated) bool {
 // Pull implements cluster.Cluster: images are pulled sequentially, as
 // `docker pull` does for distinct images.
 func (e *Engine) Pull(p *sim.Proc, a *spec.Annotated) error {
-	e.ops.Pull.Inc()
+	e.ops.Pull++
 	if err := e.faults.PullError(); err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func (e *Engine) Create(p *sim.Proc, a *spec.Annotated) error {
 	if _, dup := e.services[a.UniqueName]; dup {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
-	e.ops.Create.Inc()
+	e.ops.Create++
 	s := &service{annotated: a}
 	for _, cs := range a.Containers {
 		p.Sleep(apiLatency)
@@ -151,7 +151,7 @@ func (e *Engine) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if s.running {
 		return e.instance(name, s), nil
 	}
-	e.ops.ScaleUp.Inc()
+	e.ops.ScaleUp++
 	if err := e.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
@@ -196,7 +196,7 @@ func (e *Engine) ScaleDown(p *sim.Proc, name string) error {
 	if !s.running {
 		return nil
 	}
-	e.ops.ScaleDown.Inc()
+	e.ops.ScaleDown++
 	for _, ctr := range s.containers {
 		p.Sleep(apiLatency)
 		if ctr.State() == container.StateRunning {

@@ -327,28 +327,30 @@ func drain(into *obs.Tracer, col *attrib.Collector, from []*obs.Tracer) {
 	}
 }
 
-// foldSiteCounters folds the sites' counters and gauges into the caller's
-// registry, in region order. Counters add up, and gauges carry both their
-// instantaneous value and their high-water mark. Peaks sum across sites
-// (each site's peak was a real concurrent occupancy somewhere in the run),
-// so the caller's "<name>_max" export survives even though every site gauge
-// has drained back to zero by end of run.
+// foldSiteCounters registers in the caller's registry the sums of the
+// sites' series. Counters add up, and so do gauges and
+// their high-water marks: each site's peak was a real concurrent occupancy
+// somewhere in the run, so the caller's "<name>_max" export survives even
+// though every site gauge has drained back to zero by end of run. The sums
+// are taken now, so the registry keeps no site alive.
 func foldSiteCounters(into *obs.Registry, sites []*testbed.Site) {
-	highs := make(map[string]int64)
+	var sums []obs.Sample
+	at := make(map[string]int)
 	for _, site := range sites {
 		for _, s := range site.Counters.Snapshot() {
-			if s.Kind == "counter" {
-				into.Counter(s.Name).Add(uint64(s.Value))
+			if i, ok := at[s.Name]; ok {
+				sums[i].Value += s.Value
+				continue
 			}
+			at[s.Name] = len(sums)
+			sums = append(sums, s)
 		}
-		site.Counters.EachGauge(func(name string, v, hi int64) {
-			into.Gauge(name).Add(v)
-			highs[name] += hi
-		})
 	}
-	for name, hi := range highs {
-		into.Gauge(name).RaiseHigh(hi)
-	}
+	into.Register(func(add func(obs.Sample)) {
+		for _, s := range sums {
+			add(s)
+		}
+	})
 }
 
 // fnv is the package's one fingerprint mixer: FNV-1a steps over the

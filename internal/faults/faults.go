@@ -92,21 +92,22 @@ func (s Spec) forCluster(name string) ClusterSpec {
 type Plan struct {
 	spec      Spec
 	injectors map[string]*Injector
-	reg       *obs.Registry
 }
 
-// SetObs registers a per-cluster faults_injected_total counter for every
-// injector the plan hands out (existing injectors are backfilled). The
-// counter only counts — fault decisions stay pure functions of the plan
-// seed, so attaching a registry never changes which faults fire.
+// SetObs registers the reader of a per-cluster faults_injected_total series
+// for every injector the plan has handed out by the time the registry is
+// read. Counting never decides anything — fault decisions stay pure
+// functions of the plan seed, so attaching a registry never changes which
+// faults fire.
 func (p *Plan) SetObs(reg *obs.Registry) {
 	if p == nil || reg == nil {
 		return
 	}
-	p.reg = reg
-	for name, in := range p.injectors {
-		in.fired = reg.Counter(`faults_injected_total{cluster="` + name + `"}`)
-	}
+	reg.Register(func(add func(obs.Sample)) {
+		for name, in := range p.injectors {
+			add(obs.Sample{Name: `faults_injected_total{cluster="` + name + `"}`, Kind: "counter", Value: float64(in.fired)})
+		}
+	})
 }
 
 // NewPlan builds a plan from a spec.
@@ -131,9 +132,6 @@ func (p *Plan) For(clusterName string) *Injector {
 		seed:        uint64(p.spec.Seed),
 		clusterHash: fnv1a(clusterName),
 	}
-	if p.reg != nil {
-		in.fired = p.reg.Counter(`faults_injected_total{cluster="` + clusterName + `"}`)
-	}
 	p.injectors[clusterName] = in
 	return in
 }
@@ -148,8 +146,8 @@ type Injector struct {
 	// per-operation attempt counters (inputs to the hash, so decision
 	// sequences are independent of interleaving with other clusters).
 	pulls, scaleUps, starts uint64
-	// fired counts every injected fault (nil without Plan.SetObs).
-	fired *obs.Counter
+	// fired counts every injected fault.
+	fired uint64
 }
 
 // Operation codes mixed into the decision hash. Code 2 stays unused:
@@ -169,7 +167,7 @@ func (in *Injector) PullError() error {
 	n := in.pulls
 	in.pulls++
 	if int64(n) < int64(in.spec.FailFirstPulls) || in.roll(opPull, n) < in.spec.PullFailProb {
-		in.fired.Inc()
+		in.fired++
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedPull, in.cluster, n+1)
 	}
 	return nil
@@ -183,7 +181,7 @@ func (in *Injector) ScaleUpError() error {
 	n := in.scaleUps
 	in.scaleUps++
 	if int64(n) < int64(in.spec.FailFirstScaleUps) || in.roll(opScaleUp, n) < in.spec.ScaleUpFailProb {
-		in.fired.Inc()
+		in.fired++
 		return fmt.Errorf("%w (cluster %s, attempt %d)", ErrInjectedScaleUp, in.cluster, n+1)
 	}
 	return nil
@@ -198,7 +196,7 @@ func (in *Injector) CrashAfterStart() bool {
 	n := in.starts
 	in.starts++
 	if int64(n) < int64(in.spec.CrashFirstStarts) || in.roll(opCrash, n) < in.spec.CrashProb {
-		in.fired.Inc()
+		in.fired++
 		return true
 	}
 	return false

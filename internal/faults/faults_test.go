@@ -8,12 +8,12 @@ import (
 	"transparentedge/internal/obs"
 )
 
-// injected attaches a registry to p and returns the cluster's
-// faults_injected_total counter.
-func injected(p *Plan, cluster string) *obs.Counter {
+// injected attaches a registry to p and returns a reader of the cluster's
+// faults_injected_total series.
+func injected(p *Plan, cluster string) func() float64 {
 	reg := obs.NewRegistry()
 	p.SetObs(reg)
-	return reg.Counter(`faults_injected_total{cluster="` + cluster + `"}`)
+	return func() float64 { return reg.Map()[`faults_injected_total{cluster="`+cluster+`"}`] }
 }
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
@@ -90,8 +90,8 @@ func TestFailFirstCountsAreExact(t *testing.T) {
 	if in.CrashAfterStart() {
 		t.Fatal("third start crashed (CrashFirstStarts = 2)")
 	}
-	if got := fired.Value(); got != 3+1+2 {
-		t.Fatalf("faults_injected_total = %d, want 6", got)
+	if got := fired(); got != 3+1+2 {
+		t.Fatalf("faults_injected_total = %v, want 6", got)
 	}
 }
 

@@ -24,7 +24,7 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 	if _, ok := c.services[name]; !ok {
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
-	c.ops.ScaleUp.Inc()
+	c.ops.ScaleUp++
 	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
@@ -128,7 +128,7 @@ func bindWaitWorld(t *testing.T, mutate func(*Cluster), scaleUp func(*Cluster, *
 	for _, ctr := range r.rt.List(nil) {
 		readyAt[ctr.Name()] = ctr.ReadyAt()
 	}
-	return results, int(fired.Value()), readyAt
+	return results, int(fired()), readyAt
 }
 
 // TestBindWaitMatchesPollLoop: ScaleUp's bind wait is indistinguishable from

@@ -11,9 +11,9 @@ import (
 	"transparentedge/internal/simnet"
 )
 
-// withFaults installs spec on the rig's cluster and returns its
-// faults_injected_total counter.
-func withFaults(r *rig, spec faults.ClusterSpec) *obs.Counter {
+// withFaults installs spec on the rig's cluster and returns a reader of its
+// faults_injected_total series.
+func withFaults(r *rig, spec faults.ClusterSpec) func() float64 {
 	plan := faults.NewPlan(faults.Spec{
 		Seed:     1,
 		Clusters: map[string]faults.ClusterSpec{"egs-k8s": spec},
@@ -21,7 +21,7 @@ func withFaults(r *rig, spec faults.ClusterSpec) *obs.Counter {
 	reg := obs.NewRegistry()
 	plan.SetObs(reg)
 	r.kc.SetFaults(plan.For("egs-k8s"))
-	return reg.Counter(`faults_injected_total{cluster="egs-k8s"}`)
+	return func() float64 { return reg.Map()[`faults_injected_total{cluster="egs-k8s"}`] }
 }
 
 // TestFaultScaleUpFailsThenSucceeds: injected scale-up errors surface before

@@ -97,8 +97,8 @@ type Cluster struct {
 	// faults is the cluster's fault injector; nil (the default) injects
 	// nothing at zero cost.
 	faults *faults.Injector
-	// ops are the per-operation obs counters (zero value = disabled).
-	ops obs.ClusterOps
+	// ops counts the phase operations asked for.
+	ops cluster.Ops
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Pull and
@@ -107,8 +107,8 @@ type Cluster struct {
 // but its NodePort never opens.
 func (c *Cluster) SetFaults(in *faults.Injector) { c.faults = in }
 
-// SetObs registers the cluster's cluster_ops_total counters (nil disables).
-func (c *Cluster) SetObs(reg *obs.Registry) { c.ops = obs.NewClusterOps(reg, c.name) }
+// SetObs registers the cluster's cluster_ops_total series (nil registers nothing).
+func (c *Cluster) SetObs(reg *obs.Registry) { c.ops.Register(reg, c.name) }
 
 // node is the cluster's worker node: its kubelet drives rt, and its
 // schedulable resources are the calibration's.
@@ -167,7 +167,7 @@ func (c *Cluster) HasImages(a *spec.Annotated) bool {
 // of a in the caller's process and returns the first error; a node that has
 // them all costs nothing.
 func (c *Cluster) Pull(p *sim.Proc, a *spec.Annotated) error {
-	c.ops.Pull.Inc()
+	c.ops.Pull++
 	if err := c.faults.PullError(); err != nil {
 		return err
 	}
@@ -201,7 +201,7 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 	if _, dup := c.services[a.UniqueName]; dup {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
-	c.ops.Create.Inc()
+	c.ops.Create++
 	d := &Deployment{
 		Name:     a.UniqueName,
 		Replicas: 0,
@@ -242,7 +242,7 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if _, ok := c.services[name]; !ok {
 		return cluster.Instance{}, fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
-	c.ops.ScaleUp.Inc()
+	c.ops.ScaleUp++
 	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
@@ -366,7 +366,7 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 	if _, ok := c.services[name]; !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
-	c.ops.ScaleDown.Inc()
+	c.ops.ScaleDown++
 	d, err := c.api.Deployments.Get(p, name)
 	if err != nil || d.Replicas == 0 {
 		return err

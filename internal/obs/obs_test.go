@@ -1,85 +1,52 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
+// emits returns a reader that emits samples.
+func emits(samples ...Sample) func(func(Sample)) {
+	return func(add func(Sample)) {
+		for _, s := range samples {
+			add(s)
+		}
+	}
+}
+
+// TestCounterAndGauge pins the merge of series that share a name: counters
+// add up and a gauge keeps its largest value, whatever order the readers
+// were registered in.
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("requests_total")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter value = %d, want 5", got)
-	}
-	if r.Counter("requests_total") != c {
-		t.Fatalf("second resolve returned a different counter handle")
-	}
-
-	g := r.Gauge("inflight")
-	g.Add(3)
-	g.Add(2)
-	g.Add(-4)
-	if got := g.Value(); got != 1 {
-		t.Fatalf("gauge value = %d, want 1", got)
-	}
-	if got := g.High(); got != 5 {
-		t.Fatalf("gauge high-water = %d, want 5", got)
-	}
-	g.Set(2)
-	if got, hi := g.Value(), g.High(); got != 2 || hi != 5 {
-		t.Fatalf("after Set: value %d high %d, want 2 and 5", got, hi)
+	r.Register(emits(Sample{"requests_total", "counter", 2}, Sample{"inflight_max", "gauge", 5}))
+	r.Register(emits(Sample{"requests_total", "counter", 3}, Sample{"inflight_max", "gauge", 4}))
+	m := r.Map()
+	if m["requests_total"] != 5 || m["inflight_max"] != 5 || len(m) != 2 {
+		t.Fatalf("Map() = %v, want requests_total 5 and inflight_max 5", m)
 	}
 }
 
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zzz_total").Inc()
-	r.Counter("aaa_total").Add(2)
-	r.Gauge("mid").Set(7)
+	r.Register(emits(Sample{"zzz_total", "counter", 1}, Sample{"mid", "gauge", 7}))
+	r.Register(emits(Sample{"aaa_total", "counter", 2}, Sample{"mid_max", "gauge", 7}))
 	snap := r.Snapshot()
-	want := []struct {
-		name  string
-		kind  string
-		value float64
-	}{
+	want := []Sample{
 		{"aaa_total", "counter", 2},
 		{"mid", "gauge", 7},
 		{"mid_max", "gauge", 7},
 		{"zzz_total", "counter", 1},
 	}
-	if len(snap) != len(want) {
-		t.Fatalf("snapshot has %d samples, want %d: %+v", len(snap), len(want), snap)
-	}
-	for i, w := range want {
-		if snap[i].Name != w.name || snap[i].Kind != w.kind || snap[i].Value != w.value {
-			t.Fatalf("snapshot[%d] = %+v, want %+v", i, snap[i], w)
-		}
-	}
-	m := r.Map()
-	if m["aaa_total"] != 2 || m["mid_max"] != 7 {
-		t.Fatalf("Map() = %v", m)
+	if !slices.Equal(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
 	}
 }
 
 func TestNilReceiversAreSafe(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(3)
-	if c.Value() != 0 {
-		t.Fatal("nil counter value != 0")
-	}
-	var g *Gauge
-	g.Add(1)
-	g.Set(2)
-	if g.Value() != 0 || g.High() != 0 {
-		t.Fatal("nil gauge not zero")
-	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("y") != nil {
-		t.Fatal("nil registry returned non-nil handles")
-	}
+	r.Register(emits(Sample{"x", "counter", 1}))
 	if r.Snapshot() != nil || r.Map() != nil {
 		t.Fatal("nil registry snapshot not nil")
 	}
@@ -91,6 +58,9 @@ func TestNilReceiversAreSafe(t *testing.T) {
 	tr.SetSink(func(Span) {})
 	if tr.Spans() != nil || tr.Emitted() != 0 {
 		t.Fatal("nil tracer not inert")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Emit(Span{Name: "x", Cat: "y"}) }); allocs != 0 {
+		t.Fatalf("nil tracer allocates %.1f per span, want 0", allocs)
 	}
 }
 

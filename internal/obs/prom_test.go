@@ -10,10 +10,12 @@ import (
 // series — as text exposition and parses it back.
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("deploy_retries_total{cluster=\"egs-docker\",phase=\"pull\"}").Add(3)
-	r.Counter("deploy_retries_total{cluster=\"far-docker\",phase=\"scale_up\"}").Add(1)
-	r.Counter("dispatch_packet_ins_total").Add(42)
-	r.Gauge("replay_inflight").Set(7)
+	r.Register(emits(
+		Sample{`deploy_retries_total{cluster="egs-docker",phase="pull"}`, "counter", 3},
+		Sample{`deploy_retries_total{cluster="far-docker",phase="scale_up"}`, "counter", 1},
+		Sample{"dispatch_packet_ins_total", "counter", 42},
+		Sample{"replay_inflight", "gauge", 7},
+	))
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r); err != nil {
@@ -53,17 +55,17 @@ func TestPrometheusParseErrors(t *testing.T) {
 }
 
 // TestGaugeHighWaterRoundTrip pins the high-water export contract: the _max
-// sample survives the gauge draining back to zero, labeled gauges put the
-// suffix on the metric name (before the label block, so the exposition stays
+// sample of a drained gauge is its own series, labeled gauges put the suffix
+// on the metric name (before the label block, so the exposition stays
 // spec-conformant), and everything round-trips through the parser.
 func TestGaugeHighWaterRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	plain := r.Gauge("replay_inflight")
-	plain.Add(9)
-	plain.Add(-9) // drained: value 0, peak 9
-	labeled := r.Gauge(`pool_warm{cluster="egs docker"}`)
-	labeled.Set(5)
-	labeled.Set(0)
+	r.Register(emits(
+		Sample{"replay_inflight", "gauge", 0},
+		Sample{"replay_inflight_max", "gauge", 9},
+		Sample{`pool_warm{cluster="egs docker"}`, "gauge", 0},
+		Sample{`pool_warm_max{cluster="egs docker"}`, "gauge", 5},
+	))
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r); err != nil {
@@ -102,36 +104,4 @@ func TestGaugeHighWaterRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %s = %v (present=%v), want %v\n%s", name, got, ok, want, text)
 		}
 	}
-}
-
-// TestGaugeRaiseHigh pins the aggregator hook: RaiseHigh lifts only the
-// peak, never the instantaneous value, and is monotone.
-func TestGaugeRaiseHigh(t *testing.T) {
-	var g Gauge
-	g.RaiseHigh(4)
-	g.RaiseHigh(2)
-	if g.Value() != 0 || g.High() != 4 {
-		t.Fatalf("value/high = %d/%d, want 0/4", g.Value(), g.High())
-	}
-	var nilG *Gauge
-	nilG.RaiseHigh(1) // must not panic
-}
-
-// TestRegistryEachGauge checks deterministic (sorted) gauge iteration.
-func TestRegistryEachGauge(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("bbb").Set(2)
-	r.Gauge("aaa").Set(1)
-	var names []string
-	r.EachGauge(func(name string, v, hi int64) {
-		names = append(names, name)
-		if v != hi {
-			t.Fatalf("%s: value %d != high %d", name, v, hi)
-		}
-	})
-	if len(names) != 2 || names[0] != "aaa" || names[1] != "bbb" {
-		t.Fatalf("EachGauge order = %v, want [aaa bbb]", names)
-	}
-	var nilR *Registry
-	nilR.EachGauge(func(string, int64, int64) { t.Fatal("nil registry yielded") })
 }

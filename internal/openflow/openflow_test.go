@@ -233,9 +233,9 @@ func TestHandoverKeepsPipelineInPort(t *testing.T) {
 			rg.client.Detach()
 		})
 		rg.k.Run()
-		drops := reg.Counter("simnet_detach_drops_total").Value()
-		if len(ctrl.packetIns) != tc.packetIns || drops != uint64(1-tc.packetIns) {
-			t.Fatalf("%s: %d packet-ins, %d detach drops, want %d, %d",
+		drops := reg.Map()["simnet_detach_drops_total"]
+		if len(ctrl.packetIns) != tc.packetIns || drops != float64(1-tc.packetIns) {
+			t.Fatalf("%s: %d packet-ins, %v detach drops, want %d, %d",
 				tc.name, len(ctrl.packetIns), drops, tc.packetIns, 1-tc.packetIns)
 		}
 	}

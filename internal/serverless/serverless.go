@@ -58,8 +58,8 @@ type Platform struct {
 	// faults is the platform's fault injector; nil (the default) injects
 	// nothing at zero cost.
 	faults *faults.Injector
-	// ops are the per-operation obs counters (zero value = disabled).
-	ops obs.ClusterOps
+	// ops counts the phase operations asked for.
+	ops cluster.Ops
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Pull and
@@ -67,8 +67,8 @@ type Platform struct {
 // traps immediately after instantiation, so its endpoint never opens.
 func (pl *Platform) SetFaults(in *faults.Injector) { pl.faults = in }
 
-// SetObs registers the platform's cluster_ops_total counters (nil disables).
-func (pl *Platform) SetObs(reg *obs.Registry) { pl.ops = obs.NewClusterOps(reg, pl.name) }
+// SetObs registers the platform's cluster_ops_total series (nil registers nothing).
+func (pl *Platform) SetObs(reg *obs.Registry) { pl.ops.Register(reg, pl.name) }
 
 type function struct {
 	spec     spec.ContainerSpec
@@ -110,7 +110,7 @@ func (pl *Platform) HasImages(a *spec.Annotated) bool {
 
 // Pull implements cluster.Cluster.
 func (pl *Platform) Pull(p *sim.Proc, a *spec.Annotated) error {
-	pl.ops.Pull.Inc()
+	pl.ops.Pull++
 	if err := pl.faults.PullError(); err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func (pl *Platform) Create(p *sim.Proc, a *spec.Annotated) error {
 	if _, dup := pl.functions[a.UniqueName]; dup {
 		return fmt.Errorf("%w: %s", cluster.ErrAlreadyExists, a.UniqueName)
 	}
-	pl.ops.Create.Inc()
+	pl.ops.Create++
 	if len(a.Containers) != 1 {
 		return fmt.Errorf("serverless: %s: %d containers; only single-function services are supported",
 			a.UniqueName, len(a.Containers))
@@ -169,7 +169,7 @@ func (pl *Platform) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) 
 	if f.running {
 		return pl.instance(name, f), nil
 	}
-	pl.ops.ScaleUp.Inc()
+	pl.ops.ScaleUp++
 	if err := pl.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
@@ -205,7 +205,7 @@ func (pl *Platform) ScaleDown(p *sim.Proc, name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
-	pl.ops.ScaleDown.Inc()
+	pl.ops.ScaleDown++
 	pl.stop(p, f)
 	return nil
 }

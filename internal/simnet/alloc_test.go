@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 )
 
@@ -29,15 +30,19 @@ func (s *sinkNode) HandlePacket(in *Port, pkt *Packet) {
 // latency is short enough for the latency events to spread over level-0
 // wheel slots: behind a 1 ms latency a burst's events share one coarser slot,
 // which outgrows its arena capacity the first time the clock visits it —
-// a once-per-slot warm-up cost this test would otherwise count.)
+// a once-per-slot warm-up cost this test would otherwise count.) Counting
+// is free: the same holds with a registry attached.
 func TestAllocsPortSendDeliver(t *testing.T) {
 	for _, tc := range []struct {
 		bw      BitsPerSec
 		latency time.Duration
 		burst   int
-	}{{0, time.Millisecond, 1}, {100 * Mbps, time.Millisecond, 1}, {100 * Mbps, 100 * time.Microsecond, 64}} {
+		reg     *obs.Registry
+	}{{0, time.Millisecond, 1, nil}, {100 * Mbps, time.Millisecond, 1, nil}, {100 * Mbps, 100 * time.Microsecond, 64, nil},
+		{100 * Mbps, 100 * time.Microsecond, 64, obs.NewRegistry()}} {
 		k := sim.New(1)
 		n := NewNetwork(k)
+		n.SetObs(tc.reg)
 		a := &sinkNode{name: "a", net: n}
 		b := &sinkNode{name: "b", net: n}
 		pa, _ := n.Connect(a, b, LinkConfig{Latency: tc.latency, Bandwidth: tc.bw})
@@ -56,7 +61,7 @@ func TestAllocsPortSendDeliver(t *testing.T) {
 		before := b.got
 		avg := testing.AllocsPerRun(200, send)
 		if avg != 0 {
-			t.Errorf("bandwidth %v, burst %d: %.1f allocs per send+deliver, want 0", tc.bw, tc.burst, avg)
+			t.Errorf("bandwidth %v, burst %d, registry %v: %.1f allocs per send+deliver, want 0", tc.bw, tc.burst, tc.reg != nil, avg)
 		}
 		if b.got-before != 201*tc.burst { // AllocsPerRun runs once extra to warm up
 			t.Fatalf("bandwidth %v, burst %d: delivered %d, want %d", tc.bw, tc.burst, b.got-before, 201*tc.burst)

@@ -4,17 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 )
-
-// detachDrops attaches a registry to n and returns a reader of its
-// severed-link drop counter.
-func detachDrops(n *Network) func() uint64 {
-	reg := obs.NewRegistry()
-	n.SetObs(reg)
-	return reg.Counter("simnet_detach_drops_total").Value
-}
 
 // TestDetachDropsInFlightPackets pins the severed-link semantics of a
 // handover: every packet in flight on the old radio link (either direction)
@@ -23,8 +14,6 @@ func detachDrops(n *Network) func() uint64 {
 func TestDetachDropsInFlightPackets(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
-	reg := obs.NewRegistry()
-	n.SetObs(reg)
 
 	a := NewHost(n, "a", "10.0.0.1")
 	b := NewHost(n, "b", "10.0.0.2")
@@ -59,7 +48,7 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 	if firstErr == nil {
 		t.Error("request over the severed link succeeded, want timeout")
 	}
-	if reg.Counter("simnet_detach_drops_total").Value() == 0 {
+	if n.detachDrops == 0 {
 		t.Error("no detach drops counted for the in-flight packet")
 	}
 	if secondErr != nil {
@@ -70,10 +59,8 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 	}
 	// Pool balance: every packet the run took from the pool went back —
 	// severed-link drops free their packets rather than leaking them.
-	gets := reg.Counter("simnet_packet_pool_gets_total").Value()
-	puts := reg.Counter("simnet_packet_pool_puts_total").Value()
-	if gets != puts {
-		t.Errorf("packet pool unbalanced: %d gets, %d puts", gets, puts)
+	if n.poolGets != n.poolPuts {
+		t.Errorf("packet pool unbalanced: %d gets, %d puts", n.poolGets, n.poolPuts)
 	}
 }
 
@@ -84,7 +71,6 @@ func TestDetachDropsInFlightPackets(t *testing.T) {
 func TestDetachedHostSendDrops(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
-	drops := detachDrops(n)
 	a := NewHost(n, "a", "10.0.0.1")
 	sink := &sinkNode{name: "s", net: n}
 	a.AttachTo(sink, LinkConfig{Latency: time.Millisecond})
@@ -98,8 +84,8 @@ func TestDetachedHostSendDrops(t *testing.T) {
 	a.Detach()
 	send()
 	k.Run()
-	if drops() != 1 {
-		t.Fatalf("detached send: drops = %d, want 1", drops())
+	if n.detachDrops != 1 {
+		t.Fatalf("detached send: drops = %d, want 1", n.detachDrops)
 	}
 	if sink.got != 0 {
 		t.Fatalf("detached send delivered %d packets", sink.got)
@@ -114,16 +100,16 @@ func TestDetachedHostSendDrops(t *testing.T) {
 	if sink.got != 1 {
 		t.Fatalf("queued packet after re-attach: delivered %d, want 1", sink.got)
 	}
-	if drops() != 1 {
-		t.Fatalf("queued packet was dropped: drops = %d, want 1", drops())
+	if n.detachDrops != 1 {
+		t.Fatalf("queued packet was dropped: drops = %d, want 1", n.detachDrops)
 	}
 
 	// The same queued packet with no re-attach by drain time is dropped.
 	a.Detach()
 	send()
 	k.Run()
-	if drops() != 2 || sink.got != 1 {
-		t.Fatalf("drain while detached: drops = %d delivered = %d, want 2/1", drops(), sink.got)
+	if n.detachDrops != 2 || sink.got != 1 {
+		t.Fatalf("drain while detached: drops = %d delivered = %d, want 2/1", n.detachDrops, sink.got)
 	}
 }
 
@@ -132,7 +118,6 @@ func TestDetachedHostSendDrops(t *testing.T) {
 func TestSeveredLinkNeverDelivers(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
-	drops := detachDrops(n)
 	a := &sinkNode{name: "a", net: n}
 	host := NewHost(n, "h", "10.0.0.9")
 	_, peer := host.AttachTo(a, LinkConfig{Latency: time.Millisecond})
@@ -142,7 +127,7 @@ func TestSeveredLinkNeverDelivers(t *testing.T) {
 	pkt.Kind, pkt.SrcIP, pkt.DstIP, pkt.Size = KindDATA, Addr("10.0.0.2"), host.IP(), KiB
 	peer.Send(pkt)
 	k.Run()
-	if drops() != 1 {
-		t.Errorf("send into severed link: drops = %d, want 1", drops())
+	if n.detachDrops != 1 {
+		t.Errorf("send into severed link: drops = %d, want 1", n.detachDrops)
 	}
 }

@@ -359,7 +359,7 @@ func (h *Host) unstack(t *transfer) {
 // dropDetached drops a packet sent between Detach and re-attach: the stack
 // has no way out.
 func (h *Host) dropDetached(pkt *Packet) {
-	h.net.cDetachDrops.Inc()
+	h.net.detachDrops++
 	h.net.FreePacket(pkt)
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"transparentedge/internal/obs"
 	"transparentedge/internal/sim"
 )
 
@@ -225,9 +224,6 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	// Implementation under test.
 	k := sim.New(seed)
 	n := NewNetwork(k)
-	reg := obs.NewRegistry()
-	n.SetObs(reg)
-	downDrops, detachDrops := reg.Counter("simnet_packet_drops_total"), reg.Counter("simnet_detach_drops_total")
 	var got []delivery
 	a := &recorderNode{name: "a", net: n, log: &got}
 	var b Node
@@ -351,7 +347,7 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	for _, at := range sc.samples {
 		k.At(at, func() {
 			ab, ba := link.ActiveTransfers()
-			gotSamples = append(gotSamples, linkSample{downDrops.Value(), detachDrops.Value(), ab, ba})
+			gotSamples = append(gotSamples, linkSample{n.drops, n.detachDrops, ab, ba})
 		})
 		rk.At(at, func() {
 			wantSamples = append(wantSamples, linkSample{rl.lost, rl.dropped + unstacked, len(origAB.active), len(origBA.active)})
@@ -374,19 +370,17 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 				i, got[i].id, got[i].node, got[i].at, want[i].id, want[i].node, want[i].at)
 		}
 	}
-	if downDrops.Value() != rl.lost || detachDrops.Value() != rl.dropped+unstacked {
+	if n.drops != rl.lost || n.detachDrops != rl.dropped+unstacked {
 		t.Errorf("%d link-down drops, %d detach drops, reference %d down, %d severed + %d on leaving the stack",
-			downDrops.Value(), detachDrops.Value(), rl.lost, rl.dropped, unstacked)
+			n.drops, n.detachDrops, rl.lost, rl.dropped, unstacked)
 	}
-	if uint64(len(got))+downDrops.Value()+detachDrops.Value() != sends {
-		t.Errorf("%d delivered + %d link-down drops + %d detach drops != %d sent", len(got), downDrops.Value(), detachDrops.Value(), sends)
+	if uint64(len(got))+n.drops+n.detachDrops != sends {
+		t.Errorf("%d delivered + %d link-down drops + %d detach drops != %d sent", len(got), n.drops, n.detachDrops, sends)
 	}
 	// Link-down drops are left to the garbage collector; everything else
 	// goes back to the pool.
-	gets := reg.Counter("simnet_packet_pool_gets_total").Value()
-	puts := reg.Counter("simnet_packet_pool_puts_total").Value()
-	if gets != puts+rl.lost {
-		t.Errorf("packet pool unbalanced: %d gets, %d puts, %d link-down drops", gets, puts, rl.lost)
+	if n.poolGets != n.poolPuts+rl.lost {
+		t.Errorf("packet pool unbalanced: %d gets, %d puts, %d link-down drops", n.poolGets, n.poolPuts, rl.lost)
 	}
 	for _, l := range links {
 		if ab, ba := l.ActiveTransfers(); ab != 0 || ba != 0 {
@@ -398,8 +392,8 @@ func runLinkScenario(t *testing.T, seed int64, sc linkScenario) linkOutcome {
 	}
 	out := linkOutcome{
 		log: got, dropped: rl.dropped, lost: rl.lost, unstacked: unstacked,
-		solo:         reg.Counter("simnet_solo_transfers_total").Value(),
-		materialised: reg.Counter("simnet_solo_materialised_total").Value(),
+		solo:         n.soloDone,
+		materialised: n.soloMaterialised,
 		events:       k.Stats().Events,
 		refEvents:    rk.Stats().Events,
 	}

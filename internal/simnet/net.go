@@ -205,31 +205,33 @@ type Network struct {
 	connPool []*Conn     // recycled connections (newConn / freeConn)
 	callPool []*httpCall // recycled HTTPGetAsync calls with their deadline events
 
-	// Obs counter handles (nil without SetObs; nil *obs.Counter no-ops).
-	// gets - puts - drops bounds the packets still alive outside the free
-	// list, so a growing residue over a steady-state run flags a leak.
-	// Severed-link drops are counted separately (cDetachDrops) because they
-	// return to the pool and must not skew that balance.
-	cPoolGets, cPoolPuts, cDrops, cDetachDrops *obs.Counter
+	// Packet-pool and drop counts: poolGets - poolPuts - drops bounds the
+	// packets still alive outside the free list, so a growing residue over
+	// a steady-state run flags a leak. Severed-link drops are counted
+	// separately (detachDrops) because they return to the pool and must not
+	// skew that balance.
+	poolGets, poolPuts, drops, detachDrops uint64
 	// How the link model's lone-transfer shortcut fared (see direction):
 	// transfers that crossed their link on one event, and solos a second
 	// arrival or a Detach turned back into cohort members.
-	cSoloDone, cSoloMaterialised *obs.Counter
+	soloDone, soloMaterialised uint64
 }
 
-// SetObs registers the network's packet-pool, drop and solo-transfer counters
-// in the registry. A nil registry leaves the handles nil, keeping the
-// datapath's zero-allocation hot path untouched.
+// SetObs registers the reader of the network's packet-pool, drop and
+// solo-transfer counts. A nil registry registers nothing.
 func (n *Network) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	n.cPoolGets = reg.Counter("simnet_packet_pool_gets_total")
-	n.cPoolPuts = reg.Counter("simnet_packet_pool_puts_total")
-	n.cDrops = reg.Counter("simnet_packet_drops_total")
-	n.cDetachDrops = reg.Counter("simnet_detach_drops_total")
-	n.cSoloDone = reg.Counter("simnet_solo_transfers_total")
-	n.cSoloMaterialised = reg.Counter("simnet_solo_materialised_total")
+	reg.Register(func(add func(obs.Sample)) {
+		counter := func(name string, v uint64) { add(obs.Sample{Name: name, Kind: "counter", Value: float64(v)}) }
+		counter("simnet_packet_pool_gets_total", n.poolGets)
+		counter("simnet_packet_pool_puts_total", n.poolPuts)
+		counter("simnet_packet_drops_total", n.drops)
+		counter("simnet_detach_drops_total", n.detachDrops)
+		counter("simnet_solo_transfers_total", n.soloDone)
+		counter("simnet_solo_materialised_total", n.soloMaterialised)
+	})
 }
 
 // NewNetwork returns an empty network bound to kernel k.
@@ -241,7 +243,7 @@ func (n *Network) Register(node Node) { n.nodes = append(n.nodes, node) }
 // NewPacket returns a zeroed packet from the network's free list (or a fresh
 // one). The caller owns it until it is handed to Port.Send.
 func (n *Network) NewPacket() *Packet {
-	n.cPoolGets.Inc()
+	n.poolGets++
 	if ln := len(n.pktPool); ln > 0 {
 		p := n.pktPool[ln-1]
 		n.pktPool[ln-1] = nil
@@ -271,7 +273,7 @@ func (n *Network) FreePacket(p *Packet) {
 	if p == nil {
 		return
 	}
-	n.cPoolPuts.Inc()
+	n.poolPuts++
 	*p = Packet{}
 	n.pktPool = append(n.pktPool, p)
 }
@@ -505,13 +507,13 @@ func (d *direction) send(t *transfer) {
 	if d.link.severed {
 		// A send into a severed link (e.g. the peer switch still routing at
 		// the old port) drops immediately, back to the pool.
-		d.link.net.cDetachDrops.Inc()
+		d.link.net.detachDrops++
 		net.FreePacket(t.pkt)
 		net.putTransfer(t)
 		return
 	}
 	if d.link.down {
-		net.cDrops.Inc()
+		net.drops++
 		net.putTransfer(t) // the packet is not recycled (see package comment)
 		return
 	}
@@ -659,7 +661,7 @@ func (d *direction) soloOnWire(t *transfer) bool {
 // all that is left of it.
 func (d *direction) soloDone() {
 	d.solo = nil
-	d.link.net.cSoloDone.Inc()
+	d.link.net.soloDone++
 }
 
 // materialise resolves the direction's fused transfer and solo before its
@@ -681,7 +683,7 @@ func (d *direction) materialise() bool {
 	t.finish.Cancel()
 	d.unflight(t)
 	d.active = append(d.active, t)
-	d.link.net.cSoloMaterialised.Inc()
+	d.link.net.soloMaterialised++
 	return true
 }
 
@@ -794,7 +796,7 @@ func (d *direction) completeHead() {
 // its persistent event) is recycled.
 func (d *direction) dropSevered(t *transfer) {
 	net := d.link.net
-	d.link.net.cDetachDrops.Inc()
+	d.link.net.detachDrops++
 	net.FreePacket(t.pkt)
 	net.putTransfer(t)
 }

@@ -471,8 +471,6 @@ func TestQuickInOrderDelivery(t *testing.T) {
 func TestLinkDownDropsPackets(t *testing.T) {
 	k := sim.New(1)
 	n := NewNetwork(k)
-	reg := obs.NewRegistry()
-	n.SetObs(reg)
 	a := NewHost(n, "a", "10.0.0.1")
 	b := NewHost(n, "b", "10.0.0.2")
 	pa, pb := n.Connect(a, b, LinkConfig{Latency: time.Millisecond})
@@ -497,7 +495,7 @@ func TestLinkDownDropsPackets(t *testing.T) {
 	if up.established != 1 {
 		t.Fatalf("dial after link up saw %+v, want established", up)
 	}
-	if reg.Counter("simnet_packet_drops_total").Value() == 0 {
+	if n.drops == 0 {
 		t.Fatal("no drops recorded")
 	}
 }

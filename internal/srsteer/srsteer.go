@@ -64,10 +64,8 @@ type SRv6 struct {
 	rev     map[revKey]*binding
 	high    int
 	ingress func(sw *openflow.Switch, pkt *simnet.Packet) bool
-
-	// Obs handles (nil without Params.Counters; nil handles no-op).
-	gEntries         *obs.Gauge
-	cEncaps, cDecaps *obs.Counter
+	// encaps and decaps count the packets the ingress hook rewrote.
+	encaps, decaps uint64
 }
 
 // New creates the stateless backend. All wiring arrives via Bind.
@@ -92,9 +90,12 @@ func (b *SRv6) Bind(p steer.Params) {
 	b.p = p
 	b.k = p.Kernel
 	if reg := p.Counters; reg != nil {
-		b.gEntries = reg.Gauge("steer_entries")
-		b.cEncaps = reg.Counter("steer_encap_total")
-		b.cDecaps = reg.Counter("steer_decap_total")
+		reg.Register(func(add func(obs.Sample)) {
+			add(obs.Sample{Name: "steer_entries", Kind: "gauge", Value: float64(len(b.fwd))})
+			add(obs.Sample{Name: "steer_entries_max", Kind: "gauge", Value: float64(b.high)})
+			add(obs.Sample{Name: "steer_encap_total", Kind: "counter", Value: float64(b.encaps)})
+			add(obs.Sample{Name: "steer_decap_total", Kind: "counter", Value: float64(b.decaps)})
+		})
 	}
 }
 
@@ -118,7 +119,7 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
 		}
 		// SRv6-style encap in place: the destination becomes the segment
 		// endpoint; the binding remembers the service address for the decap.
-		b.cEncaps.Inc()
+		b.encaps++
 		pkt.DstIP, pkt.DstID = e.ep.Addr, e.rk.inst
 		pkt.DstPort = e.ep.Port
 		sw.ForwardNormal(pkt)
@@ -128,7 +129,7 @@ func (b *SRv6) steerPacket(sw *openflow.Switch, pkt *simnet.Packet) bool {
 		e.idle.Touch(b.k.Now())
 		// Decap of the return direction: the client must see the service
 		// address it dialed.
-		b.cDecaps.Inc()
+		b.decaps++
 		pkt.SrcIP, pkt.SrcID = e.f.VIP, e.fk.vip
 		pkt.SrcPort = e.f.Port
 		sw.ForwardNormal(pkt)
@@ -154,7 +155,6 @@ func (b *SRv6) install(sw *openflow.Switch, f steer.Flow, ep steer.Endpoint, clo
 	if len(b.fwd) > b.high {
 		b.high = len(b.fwd)
 	}
-	b.gEntries.Set(int64(len(b.fwd)))
 	if b.p.IdleTimeout > 0 {
 		e.idle.Start(b.k, b.p.IdleTimeout, func() {
 			b.drop(e)
@@ -177,7 +177,6 @@ func (b *SRv6) drop(e *binding) {
 			delete(b.rev, e.rk)
 		}
 	}
-	b.gEntries.Set(int64(len(b.fwd)))
 }
 
 // InstallRedirect implements steer.Steering.

@@ -38,10 +38,6 @@ type OpenFlow struct {
 	seq      uint64
 	high     int
 	flowMods uint64
-
-	// Obs handles (nil without Params.Counters; nil handles no-op).
-	gEntries *obs.Gauge
-	cMods    *obs.Counter
 }
 
 // NewOpenFlow creates the rule-install backend. All wiring arrives later
@@ -57,19 +53,16 @@ func (b *OpenFlow) Stateless() bool { return false }
 func (b *OpenFlow) Bind(p Params) {
 	b.p = p
 	if reg := p.Counters; reg != nil {
-		b.gEntries = reg.Gauge("steer_entries")
-		b.cMods = reg.Counter("steer_flow_mods_total")
+		reg.Register(func(add func(obs.Sample)) {
+			add(obs.Sample{Name: "steer_entries", Kind: "gauge", Value: float64(len(b.pairs))})
+			add(obs.Sample{Name: "steer_entries_max", Kind: "gauge", Value: float64(b.high)})
+			add(obs.Sample{Name: "steer_flow_mods_total", Kind: "counter", Value: float64(b.flowMods)})
+		})
 	}
 }
 
 // AttachSwitch implements Steering: rule installs need no per-switch setup.
 func (b *OpenFlow) AttachSwitch(*openflow.Switch) {}
-
-// countMods accounts n flow-mods sent to a switch.
-func (b *OpenFlow) countMods(n uint64) {
-	b.flowMods += n
-	b.cMods.Add(n)
-}
 
 // release deletes the pair installed for key, if any: one DeleteFlows covers
 // both rules (shared cookie) and counts one flow-mod.
@@ -80,8 +73,7 @@ func (b *OpenFlow) release(key pairKey) {
 	}
 	key.sw.DeleteFlows(cookie)
 	delete(b.pairs, key)
-	b.countMods(1)
-	b.gEntries.Set(int64(len(b.pairs)))
+	b.flowMods++
 }
 
 // install replaces the pair of f at sw, if any, by a new cookie and its
@@ -105,8 +97,7 @@ func (b *OpenFlow) install(sw *openflow.Switch, f Flow, a openflow.Actions) (coo
 	if len(b.pairs) > b.high {
 		b.high = len(b.pairs)
 	}
-	b.countMods(1)
-	b.gEntries.Set(int64(len(b.pairs)))
+	b.flowMods++
 	return cookie
 }
 
@@ -129,7 +120,7 @@ func (b *OpenFlow) addReverse(sw *openflow.Switch, cookie uint64, f Flow, ep End
 		Match:    openflow.Match{SrcIP: ep.Addr, SrcPort: ep.Port, DstIP: f.Client},
 		Actions:  openflow.Actions{SetSrcIP: f.VIP, SetSrcPort: f.Port, Output: openflow.OutputNormal},
 	})
-	b.countMods(1)
+	b.flowMods++
 }
 
 // InstallCloudForward implements Steering: a pass-through flow so the
@@ -162,7 +153,6 @@ func (b *OpenFlow) FlowRemoved(sw *openflow.Switch, rule *openflow.FlowRule) (Fl
 		return f, false
 	}
 	delete(b.pairs, key)
-	b.gEntries.Set(int64(len(b.pairs)))
 	return f, true
 }
 

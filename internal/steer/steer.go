@@ -49,9 +49,9 @@ type Params struct {
 	// steering state idle-expires without an openflow flow-removed
 	// notification — the stateless backend's GC signal to the controller.
 	OnExpired func(f Flow)
-	// Counters, when non-nil, lets the backend register its obs handles
-	// (steer_flow_mods_total, steer_entries gauge). Nil keeps the backend's
-	// hot path handle-free and allocation-free.
+	// Counters, when non-nil, is where the backend registers the reader of
+	// its counts (steer_entries and its peak, steer_flow_mods_total or the
+	// SRv6 encap/decap counts). Nil registers nothing.
 	Counters *obs.Registry
 }
 

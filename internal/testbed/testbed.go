@@ -101,8 +101,9 @@ type Options struct {
 	// stack (dispatch pipeline, deploy phases, probing). Nil = off at zero
 	// cost.
 	Trace *obs.Tracer
-	// Counters, when set, registers the controller's, network's, clusters'
-	// and fault plan's counters in the registry. Nil = off at zero cost.
+	// Counters, when set, is where the controller, network, clusters and
+	// fault plan register the readers of their counts. Nil registers
+	// nothing.
 	Counters *obs.Registry
 	// SteerBackend selects the steering backend by name: "" or "openflow"
 	// builds the paper's per-flow rule installer, "srv6" (alias "srsteer")

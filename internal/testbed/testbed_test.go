@@ -835,8 +835,8 @@ func TestCrashedInstanceIsRedeployedOnNextRequest(t *testing.T) {
 			t.Errorf("deployment %d: err = %v, want ErrProbeTimeout", i, r.Err)
 		}
 	}
-	if got := reg.Counter(`faults_injected_total{cluster="egs-docker"}`).Value(); got != 2 {
-		t.Errorf("faults_injected_total = %d, want 2 crashes", got)
+	if got := reg.Map()[`faults_injected_total{cluster="egs-docker"}`]; got != 2 {
+		t.Errorf("faults_injected_total = %v, want 2 crashes", got)
 	}
 }
 

@@ -51,11 +51,12 @@ type Options struct {
 	// (arrival to completion, Err on failure) — so a replay's span count for
 	// that name equals the request count. Nil = off at zero cost.
 	Trace *obs.Tracer
-	// Counters, when set, registers replay_inflight (gauge, with high-water
-	// mark) and replay_errors_total. Nil = off at zero cost. ReplaySharded
-	// rejects both handles: window workers run sites concurrently, so a
-	// sharded run instruments through the per-site handles of
-	// testbed.RegionOptions.Traced / Counted.
+	// Counters, when set, is where the replay registers the reader of
+	// replay_inflight (gauge, with its high-water mark) and
+	// replay_errors_total. Nil = off at zero cost. ReplaySharded rejects
+	// both sinks: window workers run sites concurrently, so a sharded run
+	// instruments through the per-site sinks of testbed.RegionOptions.Traced
+	// / Counted.
 	Counters *obs.Registry
 	// Handovers is a mobility schedule replayed alongside the trace: each
 	// event fires at the replay anchor plus its At, on its own monotone
@@ -64,38 +65,22 @@ type Options struct {
 	Handovers []Handover
 }
 
-// replayObs bundles one site's resolved obs handles; the zero value (obs
-// off) no-ops everywhere, so the engine instruments unconditionally.
-type replayObs struct {
-	tr   *obs.Tracer
-	in   *obs.Gauge
-	errs *obs.Counter
-}
-
-func newReplayObs(tr *obs.Tracer, reg *obs.Registry) replayObs {
-	o := replayObs{tr: tr}
-	if reg != nil {
-		o.in = reg.Gauge("replay_inflight")
-		o.errs = reg.Counter("replay_errors_total")
-	}
-	return o
-}
-
-// request emits the per-request root span and accounting around one
-// replayed request's execution.
-func (o replayObs) request(at, end sim.Time, serviceKey string, err error) {
-	if err != nil {
-		o.errs.Inc()
-	}
-	if o.tr == nil {
-		return
-	}
-	s := obs.Span{Name: "request", Cat: "request", Detail: serviceKey,
+// span emits the per-request root span of one replayed request.
+func (r *siteReplay) span(at, end sim.Time, err error) {
+	s := obs.Span{Name: "request", Cat: "request", Detail: r.serviceKey,
 		Start: time.Duration(at), End: time.Duration(end)}
 	if err != nil {
 		s.Err = err.Error()
 	}
-	o.tr.Emit(s)
+	r.opts.Trace.Emit(s)
+}
+
+// readCounts emits the site's replay_inflight gauge, its peak, and
+// replay_errors_total.
+func (r *siteReplay) readCounts(add func(obs.Sample)) {
+	add(obs.Sample{Name: "replay_inflight", Kind: "gauge", Value: float64(r.started - r.done)})
+	add(obs.Sample{Name: "replay_inflight_max", Kind: "gauge", Value: float64(r.peak)})
+	add(obs.Sample{Name: "replay_errors_total", Kind: "counter", Value: float64(r.failed)})
 }
 
 // runBound is how long a replay runs: the trace duration plus generous slack
@@ -209,11 +194,12 @@ type siteReplay struct {
 	regions int
 	first   []int // per service, the site's index of its first request at this site (-1: none)
 	opts    Options
-	obs     replayObs
 	res     *ReplayResult
 
-	done int
-	free []*flight // recycled in-flight records
+	// started and done count the requests issued and completed, peak the
+	// most in flight at once, failed the completed ones that failed.
+	started, done, peak, failed int
+	free                        []*flight // recycled in-flight records
 }
 
 // flight is one started request: the site's request index, its arrival, and
@@ -237,12 +223,14 @@ func stage(site *testbed.Site, name, serviceKey string, trace *Trace, idx []int3
 	services, handovers := trace.Config.Services, opts.Handovers
 	r := &siteReplay{
 		site: site, serviceKey: serviceKey, trace: trace, idx: idx, regions: regions, opts: opts,
-		obs: newReplayObs(opts.Trace, opts.Counters),
 		res: &ReplayResult{
 			Totals:        metrics.NewBoundedSeries(name+"/totals", DefaultExactSamples),
 			FirstRequests: metrics.NewBoundedSeries(name+"/first", DefaultExactSamples),
 			Registrations: make([]spec.Registration, services),
 		},
+	}
+	if reg := opts.Counters; reg != nil {
+		reg.Register(r.readCounts)
 	}
 	annotated := make([]*spec.Annotated, services)
 	for i := range annotated {
@@ -322,7 +310,8 @@ func (r *siteReplay) req(i int) Request {
 // start is the arrival lane's event: it issues request i, measured from now,
 // and accounts for it when it completes.
 func (r *siteReplay) start(i int) {
-	r.obs.in.Add(1)
+	r.started++
+	r.peak = max(r.peak, r.started-r.done)
 	q := r.req(i)
 	var f *flight
 	if n := len(r.free); n > 0 {
@@ -345,10 +334,11 @@ func (f *flight) finish(hr *simnet.HTTPResult, err error) {
 	r.free = append(r.free, f)
 	now := r.site.K.Now()
 	r.done++
-	r.obs.in.Add(-1)
-	r.obs.request(at, now, r.serviceKey, err)
+	if r.opts.Trace != nil {
+		r.span(at, now, err)
+	}
 	if err != nil {
-		r.res.Errors++
+		r.failed++
 	} else {
 		r.res.Totals.Add(at, hr.Total)
 		if r.first[service] == i {
@@ -360,5 +350,6 @@ func (f *flight) finish(hr *simnet.HTTPResult, err error) {
 // finish closes the site's result once its kernel has reached the run bound.
 func (r *siteReplay) finish() *ReplayResult {
 	r.res.Unfinished = r.requests() - r.done
+	r.res.Errors += r.failed
 	return r.res
 }

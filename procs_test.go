@@ -259,14 +259,18 @@ func TestBlockingConnCallSites(t *testing.T) {
 
 // surfaceCounts records the settings of core.Config and testbed.Options,
 // the exported methods of *kube.APIServer (its object stores are fields, one
-// per kind) and the exported package-level names of internal/experiments
-// (the experiment table, what its rows take and give, and the JSON shape).
-// Each number only goes down.
+// per kind) and of *obs.Registry (Register, Snapshot, Map: the models keep
+// their counts, the registry only reads them), and the exported
+// package-level names of internal/experiments (the experiment table, what
+// its rows take and give, and the JSON shape) and of internal/obs. Each
+// number only goes down.
 var surfaceCounts = map[string]int{
 	"core.Config fields":              14,
 	"testbed.Options fields":          22,
 	"kube.APIServer exported methods": 6,
+	"obs.Registry exported methods":   3,
 	"experiments exported names":      5,
+	"obs exported names":              56,
 }
 
 // TestSurfaceCounts is the ratchet on settings and pass-throughs: a field of
@@ -302,31 +306,36 @@ func TestSurfaceCounts(t *testing.T) {
 	count("internal/core", "Config", "core.Config")
 	count("internal/testbed", "Options", "testbed.Options")
 	count("internal/kube", "APIServer", "kube.APIServer")
-	nonTestFiles(t, "internal/experiments", "", func(_ *token.FileSet, f *ast.File) {
-		for _, d := range f.Decls {
-			var names []*ast.Ident
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					names = append(names, d.Name)
+	count("internal/obs", "Registry", "obs.Registry")
+	exported := func(dir, key string) {
+		nonTestFiles(t, dir, "", func(_ *token.FileSet, f *ast.File) {
+			for _, d := range f.Decls {
+				var names []*ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names = append(names, d.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names = append(names, spec.Name)
+						case *ast.ValueSpec:
+							names = append(names, spec.Names...)
+						}
+					}
 				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						names = append(names, spec.Name)
-					case *ast.ValueSpec:
-						names = append(names, spec.Names...)
+				for _, n := range names {
+					if n.IsExported() {
+						got[key]++
 					}
 				}
 			}
-			for _, n := range names {
-				if n.IsExported() {
-					got["experiments exported names"]++
-				}
-			}
-		}
-	})
+		})
+	}
+	exported("internal/experiments", "experiments exported names")
+	exported("internal/obs", "obs exported names")
 	for key, want := range surfaceCounts {
 		if got[key] > want {
 			t.Errorf("%s = %d, recorded %d: add no setting nothing sets and no pass-through", key, got[key], want)
