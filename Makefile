@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test race bench-repo fingerprints golden fuzz experiments examples clean
+.PHONY: all check fmt build vet test race bench-repo fingerprints golden fuzz experiments examples traffic clean
 
 all: check
 
@@ -105,6 +105,35 @@ examples:
 	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/mobility
 	$(GO) run ./examples/serverless
+
+# Which code the programs run: build every program with coverage of the whole
+# module, run each one at the golden sizes (edgesim all with -counters
+# -attrib, every -json row, the trace/flame/SLO outputs, the seven examples,
+# edgectl, tracegen and a small benchmark run), and print each package's
+# covered share. Under a minute; a tool for finding code nothing runs, so not
+# part of `check`.
+SIZES = -seed 42 -scale 0.05 -replay-requests 600 -sweep-requests 200 -sweep-seeds 2
+traffic:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -e; \
+	mkdir -p "$$dir/cov" "$$dir/bin" "$$dir/out"; \
+	for prog in ./cmd/edgesim ./cmd/edgectl ./cmd/tracegen ./bench $$(ls -d ./examples/*/); do \
+		$(GO) build -cover -coverpkg=transparentedge/... -o "$$dir/bin/$$(basename $$prog)" $$prog; done; \
+	export GOCOVERDIR="$$dir/cov"; b="$$dir/bin"; o="$$dir/out"; \
+	$$b/edgesim $(SIZES) -counters -attrib all >/dev/null; \
+	$$b/edgesim -json scale-dispatch >/dev/null; \
+	$$b/edgesim -json scale-churn >/dev/null; \
+	for e in scale-replay scale-shard scale-steer scale-mobility scale-attrib; do \
+		$$b/edgesim -seed 42 -replay-requests 600 -json $$e >/dev/null; done; \
+	$$b/edgesim -sweep-seeds 2 -sweep-requests 200 -json sweep >/dev/null; \
+	$$b/edgesim -sweep-requests 200 -json scale-faults >/dev/null; \
+	$$b/edgesim -replay-requests 600 -trace $$o/t.json -flame $$o/f.txt \
+		-slo request:p99=1ms -slo-dump $$o/slo.json scale-replay >/dev/null; \
+	for ex in $$(ls examples); do $$b/$$ex >/dev/null; done; \
+	$$b/edgectl demo -kube -far -trace >/dev/null; \
+	$$b/edgectl annotate Nginx >/dev/null; \
+	$$b/tracegen >/dev/null; \
+	$$b/bench -scale 0.02 -reps 1 -out $$o/bench >/dev/null; \
+	$(GO) tool covdata percent -i "$$dir/cov"
 
 clean:
 	$(GO) clean -testcache

@@ -18,7 +18,7 @@ var addrMapAllowlist = map[string]string{
 }
 
 // addrMapPackages are the packages on the packet and packet-in paths, where an
-// address is carried by number (DESIGN.md §19).
+// address is carried by number (DESIGN.md §3).
 var addrMapPackages = []string{
 	"transparentedge/internal/simnet",
 	"transparentedge/internal/openflow",

@@ -28,7 +28,7 @@ func tableReplay(t *testing.T, name string, p experiments.Params) (errors int, e
 }
 
 // TestReplayAllocsPerRequestRegression pins the replay engine's
-// steady-state allocation rate (DESIGN.md §15). It is measured with
+// steady-state allocation rate (DESIGN.md §8). It is measured with
 // testing.AllocsPerRun at two trace sizes: the delta between the larger and
 // the smaller replay cancels the per-run fixed cost (testbed construction,
 // trace generation, the warm-up deployments) and leaves the steady-state

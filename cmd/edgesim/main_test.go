@@ -50,7 +50,9 @@ var masks = []struct {
 
 // TestGoldenOutputs pins the CLI's output: every experiment in text mode
 // and every -json-capable one in JSON mode, at small sizes, against
-// testdata/golden (regenerate with -update).
+// testdata/golden (regenerate with -update). Each mode runs three times on
+// fresh testbeds and the masked outputs must agree: Go randomises map
+// iteration, so a run that depends on map order shows here.
 func TestGoldenOutputs(t *testing.T) {
 	for i := range experiments.Table {
 		e := &experiments.Table[i]
@@ -73,12 +75,19 @@ func TestGoldenOutputs(t *testing.T) {
 			args := append(args, e.Name)
 			t.Run(file, func(t *testing.T) {
 				t.Parallel()
-				code, got, stderr := run(args...)
-				if code != 0 {
-					t.Fatalf("edgesim %v: exit %d\n%s", args, code, stderr)
-				}
-				for _, m := range masks {
-					got = m.re.ReplaceAllString(got, m.repl)
+				var got string
+				for rep := 1; rep <= 3; rep++ {
+					code, out, stderr := run(args...)
+					if code != 0 {
+						t.Fatalf("edgesim %v: exit %d\n%s", args, code, stderr)
+					}
+					for _, m := range masks {
+						out = m.re.ReplaceAllString(out, m.repl)
+					}
+					if rep > 1 && out != got {
+						t.Fatalf("edgesim %v: run %d differs from run 1, so the output depends on map order:\n%s", args, rep, firstDiff(out, got))
+					}
+					got = out
 				}
 				path := filepath.Join("testdata", "golden", file)
 				if *update {

@@ -78,7 +78,7 @@ type Config struct {
 	Counters *obs.Registry
 	// Steering selects how dispatch decisions reach the data plane: nil
 	// picks the paper's per-flow rule installs (steer.NewOpenFlow); the
-	// stateless SRv6-style alternative is srsteer.New (DESIGN.md §14). The
+	// stateless SRv6-style alternative is srsteer.New (DESIGN.md §4). The
 	// controller Binds the backend at construction — supply a fresh value
 	// per controller.
 	Steering steer.Steering
@@ -192,7 +192,7 @@ type Controller struct {
 	pending   int
 	gaps      *metrics.Hist
 	transit   []*openflow.Switch
-	// steerB is the pluggable data-plane mechanism (DESIGN.md §14): the
+	// steerB is the pluggable data-plane mechanism (DESIGN.md §4): the
 	// per-flow rule installer by default, or the stateless SRv6-style
 	// backend. All install/uninstall/GC flows through it.
 	steerB    steer.Steering

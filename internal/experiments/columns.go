@@ -158,7 +158,7 @@ func inline[T any](cols []column[T], row T) string {
 }
 
 // kernelStatsMetrics flattens a kernel introspection snapshot into the
-// uniform metric map (DESIGN.md §17's kernel-stats block).
+// uniform metric map (DESIGN.md §10, kernel introspection).
 func kernelStatsMetrics(m map[string]float64, s sim.KernelStats) {
 	m["kernel_events"] = float64(s.Events)
 	m["kernel_scheduled"] = float64(s.Scheduled)

@@ -229,22 +229,15 @@ func (a *APIServer) nameSuffix() string {
 	return fmt.Sprintf("%05d", a.nextSuffix)
 }
 
-func (a *APIServer) charge(p *sim.Proc) {
-	if p != nil && a.t.request > 0 {
-		p.Sleep(a.t.request)
-	}
-}
-
 // CreatePod is Pods.Create returning the stored snapshot (read-only), whose
 // name is generated if pod's was empty; pod itself is not written.
-func (a *APIServer) CreatePod(p *sim.Proc, pod *Pod) (*Pod, error) {
-	return a.Pods.insert(p, pod.clone())
+func (a *APIServer) CreatePod(pod *Pod) (*Pod, error) {
+	return a.Pods.insert(pod.clone())
 }
 
 // ListPods returns the pods matching selector (nil for all), sorted by name,
 // as read-only snapshots.
-func (a *APIServer) ListPods(p *sim.Proc, selector map[string]string) []*Pod {
-	a.charge(p)
+func (a *APIServer) ListPods(selector map[string]string) []*Pod {
 	return a.podsMatching(selector)
 }
 
@@ -278,8 +271,7 @@ func (a *APIServer) podsMatching(selector map[string]string) []*Pod {
 
 // ListPodsByOwner returns the pods owned by the given ReplicaSet, sorted by
 // name, as read-only snapshots.
-func (a *APIServer) ListPodsByOwner(p *sim.Proc, owner string) []*Pod {
-	a.charge(p)
+func (a *APIServer) ListPodsByOwner(owner string) []*Pod {
 	return a.podsByOwner[owner].view()
 }
 

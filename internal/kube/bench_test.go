@@ -70,7 +70,7 @@ func (r *deployRig) trimTo(b *testing.B, n int) {
 				return err
 			}
 		}
-		for len(r.tb.Kube.API().ListPods(nil, nil)) > n {
+		for len(r.tb.Kube.API().ListPods(nil)) > n {
 			p.Sleep(time.Second)
 		}
 		return nil

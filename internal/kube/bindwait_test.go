@@ -28,24 +28,28 @@ func pollLoopScaleUp(c *Cluster, p *sim.Proc, name string) (cluster.Instance, er
 	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
-	d, err := c.api.Deployments.Get(p, name)
+	p.Sleep(c.api.t.request)
+	d, err := c.api.Deployments.Get(name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
 		d = d.clone()
 		d.Replicas = 1
-		if err := c.api.Deployments.Update(p, d); err != nil {
+		p.Sleep(c.api.t.request)
+		if err := c.api.Deployments.Update(d); err != nil {
 			return cluster.Instance{}, err
 		}
 	}
-	svc, err := c.api.Services.Get(p, name)
+	p.Sleep(c.api.t.request)
+	svc, err := c.api.Services.Get(name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
 	selector := map[string]string{"app": name}
 	for {
-		for _, pod := range c.api.ListPods(p, selector) {
+		pay(p, c.api)
+		for _, pod := range c.api.ListPods(selector) {
 			if pod.NodeName != c.node.name {
 				continue
 			}
@@ -214,7 +218,7 @@ func TestScaleUpBindTimeout(t *testing.T) {
 	if got := time.Duration(end - start); got != at {
 		t.Errorf("ScaleUp gave up after %v, want %v", got, at)
 	}
-	if pods := r.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName}); len(pods) != 1 || pods[0].NodeName != "" {
+	if pods := r.kc.API().ListPods(map[string]string{"app": a.UniqueName}); len(pods) != 1 || pods[0].NodeName != "" {
 		t.Errorf("pods = %+v, want one unbound pod", pods)
 	}
 }
@@ -236,7 +240,7 @@ func TestCrashWatchMatchesProcLoop(t *testing.T) {
 		})
 		if runningAt > 0 {
 			r.k.At(runningAt-early, func() {
-				pod := r.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})[0]
+				pod := r.kc.API().ListPods(map[string]string{"app": a.UniqueName})[0]
 				crash(r.kc, pod.Name, a.UniqueName)
 			})
 		}

@@ -63,7 +63,7 @@ func (q *workQueue) serve(api *APIServer, reconcile sim.Step[worker]) {
 // queue's head one zero-delay event later, after everything already
 // scheduled for this instant: under a burst, whether a later Add of the
 // instant finds its key queued or active depends on that position (DESIGN
-// §21).
+// §6).
 func (q *workQueue) Add(key string) {
 	if q.active[key] {
 		q.again[key] = true
@@ -119,7 +119,7 @@ func rsName(deployment string) string { return deployment + "-rs" }
 // reconcileDeployment is the Deployment controller's pass over w.key, one
 // API request per step.
 func reconcileDeployment(w *worker) sim.Step[worker] {
-	d, err := w.api.Deployments.Get(nil, w.key)
+	d, err := w.api.Deployments.Get(w.key)
 	if err != nil {
 		return deploymentCascade
 	}
@@ -129,22 +129,22 @@ func reconcileDeployment(w *worker) sim.Step[worker] {
 
 // deploymentCascade deletes the ReplicaSet of a Deployment that is gone.
 func deploymentCascade(w *worker) sim.Step[worker] {
-	if _, err := w.api.ReplicaSets.Get(nil, rsName(w.key)); err != nil {
+	if _, err := w.api.ReplicaSets.Get(rsName(w.key)); err != nil {
 		return w.done()
 	}
 	return func(w *worker) sim.Step[worker] {
-		w.api.ReplicaSets.Delete(nil, rsName(w.key))
+		w.api.ReplicaSets.Delete(rsName(w.key))
 		return w.done()
 	}
 }
 
 func deploymentOwnRS(w *worker) sim.Step[worker] {
-	rs, err := w.api.ReplicaSets.Get(nil, rsName(w.key))
+	rs, err := w.api.ReplicaSets.Get(rsName(w.key))
 	switch {
 	case err != nil:
 		return func(w *worker) sim.Step[worker] {
 			d := w.d
-			w.api.ReplicaSets.Create(nil, &ReplicaSet{
+			w.api.ReplicaSets.Create(&ReplicaSet{
 				Name:          rsName(d.Name),
 				Replicas:      d.Replicas,
 				Template:      d.Template,
@@ -156,7 +156,7 @@ func deploymentOwnRS(w *worker) sim.Step[worker] {
 		w.rs = rs.clone()
 		w.rs.Replicas = w.d.Replicas
 		return func(w *worker) sim.Step[worker] {
-			w.api.ReplicaSets.Update(nil, w.rs)
+			w.api.ReplicaSets.Update(w.rs)
 			return w.done()
 		}
 	}
@@ -180,12 +180,12 @@ func RunReplicaSetController(api *APIServer) {
 // reconcileReplicaSet is the ReplicaSet controller's pass over w.key, one API
 // request per step.
 func reconcileReplicaSet(w *worker) sim.Step[worker] {
-	w.rs, _ = w.api.ReplicaSets.Get(nil, w.key) // nil once it is gone: its pods go
+	w.rs, _ = w.api.ReplicaSets.Get(w.key) // nil once it is gone: its pods go
 	return replicaSetListPods
 }
 
 func replicaSetListPods(w *worker) sim.Step[worker] {
-	w.pods = w.api.ListPodsByOwner(nil, w.key)
+	w.pods = w.api.ListPodsByOwner(w.key)
 	switch {
 	case w.rs == nil: // gone: delete them all
 	case len(w.pods) < w.rs.Replicas:
@@ -199,7 +199,7 @@ func replicaSetListPods(w *worker) sim.Step[worker] {
 
 func replicaSetCreatePod(w *worker) sim.Step[worker] {
 	rs := w.rs
-	w.api.CreatePod(nil, &Pod{
+	w.api.CreatePod(&Pod{
 		Owner:         rs.Name,
 		Labels:        rs.Template.Labels,
 		Spec:          rs.Template,
@@ -221,11 +221,11 @@ func replicaSetDelete(w *worker) sim.Step[worker] {
 	}
 	return func(w *worker) sim.Step[worker] {
 		if w.rs == nil {
-			w.api.Pods.Delete(nil, w.pods[0].Name)
+			w.api.Pods.Delete(w.pods[0].Name)
 			w.pods = w.pods[1:]
 		} else {
 			last := len(w.pods) - 1
-			w.api.Pods.Delete(nil, w.pods[last].Name)
+			w.api.Pods.Delete(w.pods[last].Name)
 			w.pods = w.pods[:last]
 		}
 		return replicaSetDelete(w)
@@ -354,7 +354,7 @@ func bind(b *binding) sim.Step[binding] {
 }
 
 func bindRead(b *binding) sim.Step[binding] {
-	pod, err := b.s.api.Pods.Get(nil, b.name)
+	pod, err := b.s.api.Pods.Get(b.name)
 	if err != nil || pod.NodeName != "" {
 		return b.end()
 	}
@@ -377,7 +377,7 @@ func bindFit(b *binding) sim.Step[binding] {
 	b.pod = b.pod.clone()
 	b.pod.NodeName = s.node
 	return func(b *binding) sim.Step[binding] {
-		b.s.api.Pods.Update(nil, b.pod)
+		b.s.api.Pods.Update(b.pod)
 		return b.end()
 	}
 }

@@ -129,17 +129,30 @@ func runDeploymentControllerLoop(api *APIServer) {
 	})
 }
 
+// pay sleeps the API request latency in p before an API call (nothing when
+// the calibration zeroes it), as the continuations charge it in their steps.
+func pay(p *sim.Proc, api *APIServer) {
+	if api.t.request > 0 {
+		p.Sleep(api.t.request)
+	}
+}
+
 func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
-	d, err := api.Deployments.Get(p, name)
+	pay(p, api)
+	d, err := api.Deployments.Get(name)
 	if err != nil {
-		if _, rserr := api.ReplicaSets.Get(p, rsName(name)); rserr == nil {
-			api.ReplicaSets.Delete(p, rsName(name))
+		pay(p, api)
+		if _, rserr := api.ReplicaSets.Get(rsName(name)); rserr == nil {
+			pay(p, api)
+			api.ReplicaSets.Delete(rsName(name))
 		}
 		return
 	}
-	rs, err := api.ReplicaSets.Get(p, rsName(d.Name))
+	pay(p, api)
+	rs, err := api.ReplicaSets.Get(rsName(d.Name))
 	if err != nil {
-		api.ReplicaSets.Create(p, &ReplicaSet{
+		pay(p, api)
+		api.ReplicaSets.Create(&ReplicaSet{
 			Name:          rsName(d.Name),
 			Replicas:      d.Replicas,
 			Template:      d.Template,
@@ -150,7 +163,8 @@ func reconcileDeploymentLoop(p *sim.Proc, api *APIServer, name string) {
 	if rs.Replicas != d.Replicas {
 		rs = rs.clone()
 		rs.Replicas = d.Replicas
-		api.ReplicaSets.Update(p, rs)
+		pay(p, api)
+		api.ReplicaSets.Update(rs)
 	}
 }
 
@@ -169,18 +183,23 @@ func runReplicaSetControllerLoop(api *APIServer) {
 }
 
 func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
-	rs, err := api.ReplicaSets.Get(p, name)
+	pay(p, api)
+	rs, err := api.ReplicaSets.Get(name)
 	if err != nil {
-		for _, pod := range api.ListPodsByOwner(p, name) {
-			api.Pods.Delete(p, pod.Name)
+		pay(p, api)
+		for _, pod := range api.ListPodsByOwner(name) {
+			pay(p, api)
+			api.Pods.Delete(pod.Name)
 		}
 		return
 	}
-	pods := api.ListPodsByOwner(p, rs.Name)
+	pay(p, api)
+	pods := api.ListPodsByOwner(rs.Name)
 	switch {
 	case len(pods) < rs.Replicas:
 		for i := len(pods); i < rs.Replicas; i++ {
-			api.CreatePod(p, &Pod{
+			pay(p, api)
+			api.CreatePod(&Pod{
 				Owner:         rs.Name,
 				Labels:        rs.Template.Labels,
 				Spec:          rs.Template,
@@ -190,7 +209,8 @@ func reconcileReplicaSetLoop(p *sim.Proc, api *APIServer, name string) {
 		}
 	case len(pods) > rs.Replicas:
 		for i := len(pods) - 1; i >= rs.Replicas; i-- {
-			api.Pods.Delete(p, pods[i].Name)
+			pay(p, api)
+			api.Pods.Delete(pods[i].Name)
 		}
 	}
 }
@@ -206,7 +226,7 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 		return want == cfg.Name
 	}
 	schedule := func(p *sim.Proc, name string) {
-		pod, err := api.Pods.Get(nil, name)
+		pod, err := api.Pods.Get(name)
 		if err != nil || pod.NodeName != "" || pod.Phase != PodPending || inflight[pod.Name] || !mine(pod) {
 			return
 		}
@@ -217,13 +237,14 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 			if rest := cfg.BindingDelay - cycle; rest > 0 {
 				bp.Sleep(rest)
 			}
-			pod, err := api.Pods.Get(bp, name)
+			pay(bp, api)
+			pod, err := api.Pods.Get(name)
 			if err != nil || pod.NodeName != "" {
 				return
 			}
 			needCPU, needMem := podRequests(pod.Spec)
 			cpuFree, memFree := api.t.nodeCPU, api.t.nodeMem
-			api.charge(bp)
+			pay(bp, api)
 			for _, other := range api.podsByNode[node].scan() {
 				cpu, mem := podRequests(other.Spec)
 				cpuFree -= cpu
@@ -236,7 +257,8 @@ func runSchedulerLoop(api *APIServer, cfg SchedulerConfig, cycle time.Duration, 
 			delete(unschedulable, name)
 			pod = pod.clone()
 			pod.NodeName = node
-			api.Pods.Update(bp, pod)
+			pay(bp, api)
+			api.Pods.Update(pod)
 		})
 	}
 	w := watch(api, KindPod)
@@ -343,7 +365,7 @@ func compareWorlds(t *testing.T, what string, world func(plane int) (writes []ap
 // on callback passes make every API write of their process-worker oracle, at
 // the same nanosecond and in the same order. Random scripts of Deployment
 // bursts (twelve at one instant back the queues up several keys deep, the
-// DESIGN §21 Add-ordering case), scale changes that land on active keys,
+// DESIGN §6 Add-ordering case), scale changes that land on active keys,
 // cascading deletes, pods and ReplicaSets deleted out from under the
 // controllers; one to five workers, request latency and reconcile delay 0 and
 // > 0, on a whole-millisecond grid so that instants collide.
@@ -386,27 +408,27 @@ func TestWorkQueuesMatchChanWorkers(t *testing.T) {
 								k.At(o.at, func() {
 									switch o.kind {
 									case 0: // create, or scale
-										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
+										if d, err := api.Deployments.Get(name(o.d)); err == nil {
 											d = d.clone()
 											d.Replicas = o.value
-											api.Deployments.Update(nil, d)
+											api.Deployments.Update(d)
 										} else {
-											api.Deployments.Create(nil, &Deployment{Name: name(o.d), Replicas: o.value,
+											api.Deployments.Create(&Deployment{Name: name(o.d), Replicas: o.value,
 												Template: PodTemplate{Labels: map[string]string{"app": name(o.d)}}})
 										}
 									case 1: // delete the Deployment: cascade
-										api.Deployments.Delete(nil, name(o.d))
+										api.Deployments.Delete(name(o.d))
 									case 2: // delete one pod: the ReplicaSet replaces it
-										if pods := api.ListPodsByOwner(nil, rsName(name(o.d))); len(pods) > 0 {
-											api.Pods.Delete(nil, pods[o.value%len(pods)].Name)
+										if pods := api.ListPodsByOwner(rsName(name(o.d))); len(pods) > 0 {
+											api.Pods.Delete(pods[o.value%len(pods)].Name)
 										}
 									case 3: // delete the ReplicaSet: its pods go
-										api.ReplicaSets.Delete(nil, rsName(name(o.d)))
+										api.ReplicaSets.Delete(rsName(name(o.d)))
 									case 4: // scale to zero
-										if d, err := api.Deployments.Get(nil, name(o.d)); err == nil {
+										if d, err := api.Deployments.Get(name(o.d)); err == nil {
 											d = d.clone()
 											d.Replicas = 0
-											api.Deployments.Update(nil, d)
+											api.Deployments.Update(d)
 										}
 									}
 								})
@@ -469,10 +491,10 @@ func TestSchedulerMatchesProcLoop(t *testing.T) {
 										if o.kind == 1 {
 											sched = "local"
 										}
-										api.CreatePod(nil, &Pod{Name: name(o.pod), SchedulerName: sched,
+										api.CreatePod(&Pod{Name: name(o.pod), SchedulerName: sched,
 											Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", CPUMillis: o.cpu}}}})
 									case 2:
-										api.Pods.Delete(nil, name(o.pod))
+										api.Pods.Delete(name(o.pod))
 									}
 								})
 							}
@@ -550,8 +572,10 @@ func TestControlPlaneMatchesProcLoops(t *testing.T) {
 					kc.ScaleUp(p, a.UniqueName)
 					p.Sleep(20*time.Second - p.Now())
 					if i == 1 {
-						pods := kc.api.ListPods(p, map[string]string{"app": a.UniqueName})
-						kc.api.Pods.Delete(p, pods[0].Name)
+						pay(p, kc.api)
+						pods := kc.api.ListPods(map[string]string{"app": a.UniqueName})
+						pay(p, kc.api)
+						kc.api.Pods.Delete(pods[0].Name)
 					}
 					p.Sleep(90*time.Second - p.Now())
 					switch i {

@@ -20,7 +20,8 @@ import (
 // the paper's EGS (fig. 8), with Kubernetes' own defaults for the controller
 // workers.
 const (
-	// requestLatency is charged on every synchronous API operation.
+	// requestLatency is what each synchronous API call costs its caller: a
+	// phase sleeps it before the call, a controller charges it in its steps.
 	requestLatency = 15 * time.Millisecond
 	// watchLatency is the delay before a watch event reaches a watcher.
 	watchLatency = 30 * time.Millisecond
@@ -214,7 +215,8 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		},
 		SchedulerName: a.SchedulerName,
 	}
-	if err := c.api.Deployments.Create(p, d); err != nil {
+	p.Sleep(c.api.t.request)
+	if err := c.api.Deployments.Create(d); err != nil {
 		return err
 	}
 	nodePort := c.nextPort
@@ -226,7 +228,8 @@ func (c *Cluster) Create(p *sim.Proc, a *spec.Annotated) error {
 		TargetPort: a.TargetPort,
 		NodePort:   nodePort,
 	}
-	if err := c.api.Services.Create(p, svc); err != nil {
+	p.Sleep(c.api.t.request)
+	if err := c.api.Services.Create(svc); err != nil {
 		return err
 	}
 	c.services[a.UniqueName] = a
@@ -246,18 +249,21 @@ func (c *Cluster) ScaleUp(p *sim.Proc, name string) (cluster.Instance, error) {
 	if err := c.faults.ScaleUpError(); err != nil {
 		return cluster.Instance{}, err
 	}
-	d, err := c.api.Deployments.Get(p, name)
+	p.Sleep(c.api.t.request)
+	d, err := c.api.Deployments.Get(name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
 	if d.Replicas < 1 {
 		d = d.clone()
 		d.Replicas = 1
-		if err := c.api.Deployments.Update(p, d); err != nil {
+		p.Sleep(c.api.t.request)
+		if err := c.api.Deployments.Update(d); err != nil {
 			return cluster.Instance{}, err
 		}
 	}
-	svc, err := c.api.Services.Get(p, name)
+	p.Sleep(c.api.t.request)
+	svc, err := c.api.Services.Get(name)
 	if err != nil {
 		return cluster.Instance{}, err
 	}
@@ -367,13 +373,15 @@ func (c *Cluster) ScaleDown(p *sim.Proc, name string) error {
 		return fmt.Errorf("%w: %s", cluster.ErrNotCreated, name)
 	}
 	c.ops.ScaleDown++
-	d, err := c.api.Deployments.Get(p, name)
+	p.Sleep(c.api.t.request)
+	d, err := c.api.Deployments.Get(name)
 	if err != nil || d.Replicas == 0 {
 		return err
 	}
 	d = d.clone()
 	d.Replicas = 0
-	return c.api.Deployments.Update(p, d)
+	p.Sleep(c.api.t.request)
+	return c.api.Deployments.Update(d)
 }
 
 // Remove implements cluster.Cluster: delete the Deployment (cascading to
@@ -382,10 +390,12 @@ func (c *Cluster) Remove(p *sim.Proc, name string) error {
 	if _, ok := c.services[name]; !ok {
 		return fmt.Errorf("%w: %s", cluster.ErrUnknownService, name)
 	}
-	if err := c.api.Deployments.Delete(p, name); err != nil {
+	p.Sleep(c.api.t.request)
+	if err := c.api.Deployments.Delete(name); err != nil {
 		return err
 	}
-	if err := c.api.Services.Delete(p, name); err != nil {
+	p.Sleep(c.api.t.request)
+	if err := c.api.Services.Delete(name); err != nil {
 		return err
 	}
 	delete(c.services, name)

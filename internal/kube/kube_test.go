@@ -131,10 +131,10 @@ func TestDeploymentChainCreatesRunningPod(t *testing.T) {
 		wait = probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 		_ = start
 		// The full chain ran: a ReplicaSet and a Pod exist.
-		if rss := rg.kc.API().ReplicaSets.List(nil); len(rss) != 1 {
+		if rss := rg.kc.API().ReplicaSets.List(); len(rss) != 1 {
 			t.Errorf("replicasets = %d, want 1", len(rss))
 		}
-		pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+		pods := rg.kc.API().ListPods(map[string]string{"app": a.UniqueName})
 		if len(pods) != 1 || pods[0].Phase != PodRunning || pods[0].NodeName != "egs" {
 			t.Errorf("pods = %+v", pods)
 		}
@@ -207,7 +207,7 @@ func TestScaleDownStopsPodAndClosesPort(t *testing.T) {
 			t.Errorf("scaledown: %v", err)
 		}
 		p.Sleep(5 * time.Second) // let controllers tear the pod down
-		pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+		pods := rg.kc.API().ListPods(map[string]string{"app": a.UniqueName})
 		if len(pods) != 0 {
 			t.Errorf("pods after scaledown = %d, want 0", len(pods))
 		}
@@ -234,13 +234,13 @@ func TestRemoveCascades(t *testing.T) {
 			t.Errorf("remove: %v", err)
 		}
 		p.Sleep(5 * time.Second)
-		if len(rg.kc.API().Deployments.List(nil)) != 0 {
+		if len(rg.kc.API().Deployments.List()) != 0 {
 			t.Error("deployment survived remove")
 		}
-		if len(rg.kc.API().ReplicaSets.List(nil)) != 0 {
+		if len(rg.kc.API().ReplicaSets.List()) != 0 {
 			t.Error("replicaset survived remove")
 		}
-		if len(rg.kc.API().ListPods(nil, nil)) != 0 {
+		if len(rg.kc.API().ListPods(nil)) != 0 {
 			t.Error("pods survived remove")
 		}
 		if got := rg.rt.List(nil); len(got) != 0 {
@@ -262,7 +262,7 @@ func TestScaleUpIdempotent(t *testing.T) {
 		if err != nil || i2.Port != i1.Port {
 			t.Errorf("second scaleup = %+v err=%v", i2, err)
 		}
-		pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+		pods := rg.kc.API().ListPods(map[string]string{"app": a.UniqueName})
 		if len(pods) != 1 {
 			t.Errorf("pods = %d, want 1 (no duplicate scale-out)", len(pods))
 		}
@@ -290,7 +290,7 @@ func TestCustomLocalScheduler(t *testing.T) {
 		probeUntilOpen(p, rg.client, inst, 100*time.Millisecond)
 	})
 	rg.k.RunUntil(10 * time.Minute)
-	pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+	pods := rg.kc.API().ListPods(map[string]string{"app": a.UniqueName})
 	if len(pods) != 1 || pods[0].SchedulerName != "edge-local-sched" || pods[0].NodeName == "" {
 		t.Fatalf("pods = %+v, want one bound by the custom Local Scheduler", pods)
 	}
@@ -337,10 +337,10 @@ func TestAPIServerWatchAndVersions(t *testing.T) {
 	api.Subscribe(KindDeployment, func(ev Event) { events = append(events, ev) })
 	k.Go("writer", func(p *sim.Proc) {
 		d := &Deployment{Name: "d1", Replicas: 0}
-		api.Deployments.Create(p, d)
+		api.Deployments.Create(d)
 		d.Replicas = 1
-		api.Deployments.Update(p, d)
-		api.Deployments.Delete(p, "d1")
+		api.Deployments.Update(d)
+		api.Deployments.Delete("d1")
 	})
 	k.Run()
 	if len(events) != 3 || events[0].Type != Added || events[1].Type != Modified || events[2].Type != Deleted {
@@ -444,10 +444,10 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		mutate: func(d *Deployment) {
 			mutateTemplate(&d.Template)
 		},
-		create: func(d *Deployment) { api.Deployments.Create(nil, d) },
-		update: func(d *Deployment) { api.Deployments.Update(nil, d) },
-		get:    func() *Deployment { d, _ := api.Deployments.Get(nil, "d1"); return d },
-		list:   func() []*Deployment { return api.Deployments.List(nil) },
+		create: func(d *Deployment) { api.Deployments.Create(d) },
+		update: func(d *Deployment) { api.Deployments.Update(d) },
+		get:    func() *Deployment { d, _ := api.Deployments.Get("d1"); return d },
+		list:   func() []*Deployment { return api.Deployments.List() },
 		stored: func() *Deployment { return api.Deployments.byName["d1"] },
 	}.run(t, k, api)
 	copyCase[*ReplicaSet]{
@@ -456,10 +456,10 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		mutate: func(rs *ReplicaSet) {
 			mutateTemplate(&rs.Template)
 		},
-		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(nil, rs) },
-		update: func(rs *ReplicaSet) { api.ReplicaSets.Update(nil, rs) },
-		get:    func() *ReplicaSet { rs, _ := api.ReplicaSets.Get(nil, "rs1"); return rs },
-		list:   func() []*ReplicaSet { return api.ReplicaSets.List(nil) },
+		create: func(rs *ReplicaSet) { api.ReplicaSets.Create(rs) },
+		update: func(rs *ReplicaSet) { api.ReplicaSets.Update(rs) },
+		get:    func() *ReplicaSet { rs, _ := api.ReplicaSets.Get("rs1"); return rs },
+		list:   func() []*ReplicaSet { return api.ReplicaSets.List() },
 		stored: func() *ReplicaSet { return api.ReplicaSets.byName["rs1"] },
 	}.run(t, k, api)
 	copyCase[*Pod]{
@@ -470,13 +470,13 @@ func TestAPIServerCopySemantics(t *testing.T) {
 			mutateTemplate(&pod.Spec)
 		},
 		create: func(pod *Pod) {
-			if created, _ := api.CreatePod(nil, pod); created != api.Pods.byName["p1"] {
+			if created, _ := api.CreatePod(pod); created != api.Pods.byName["p1"] {
 				t.Error("CreatePod returned a copy, want the stored snapshot")
 			}
 		},
-		update: func(pod *Pod) { api.Pods.Update(nil, pod) },
-		get:    func() *Pod { pod, _ := api.Pods.Get(nil, "p1"); return pod },
-		list:   func() []*Pod { return api.ListPods(nil, map[string]string{"a": "1"}) },
+		update: func(pod *Pod) { api.Pods.Update(pod) },
+		get:    func() *Pod { pod, _ := api.Pods.Get("p1"); return pod },
+		list:   func() []*Pod { return api.ListPods(map[string]string{"a": "1"}) },
 		stored: func() *Pod { return api.Pods.byName["p1"] },
 	}.run(t, k, api)
 	copyCase[*Service]{
@@ -485,9 +485,9 @@ func TestAPIServerCopySemantics(t *testing.T) {
 		mutate: func(s *Service) {
 			s.Selector = mutated()
 		},
-		create: func(s *Service) { api.Services.Create(nil, s) },
-		get:    func() *Service { s, _ := api.Services.Get(nil, "s1"); return s },
-		list:   func() []*Service { return api.Services.List(nil) },
+		create: func(s *Service) { api.Services.Create(s) },
+		get:    func() *Service { s, _ := api.Services.Get("s1"); return s },
+		list:   func() []*Service { return api.Services.List() },
 		stored: func() *Service { return api.Services.byName["s1"] },
 	}.run(t, k, api)
 	k.Run()
@@ -499,7 +499,7 @@ func TestAPIServerCopySemantics(t *testing.T) {
 func TestPodCreateFillsTheCopy(t *testing.T) {
 	api := newBareAPIServer(sim.New(1))
 	pod := &Pod{Owner: "rs1"}
-	got, err := api.CreatePod(nil, pod)
+	got, err := api.CreatePod(pod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,10 +509,10 @@ func TestPodCreateFillsTheCopy(t *testing.T) {
 	if got.Name != "rs1-00001" || got.Phase != PodPending {
 		t.Errorf("CreatePod returned %q/%q, want rs1-00001/%s", got.Name, got.Phase, PodPending)
 	}
-	if err := api.Pods.Create(nil, pod); err != nil {
+	if err := api.Pods.Create(pod); err != nil {
 		t.Fatal(err)
 	}
-	if stored, err := api.Pods.Get(nil, "rs1-00002"); err != nil || stored.Phase != PodPending {
+	if stored, err := api.Pods.Get("rs1-00002"); err != nil || stored.Phase != PodPending {
 		t.Errorf("Pods.Create stored %+v, %v; want rs1-00002 %s", stored, err, PodPending)
 	}
 	if pod.Name != "" {
@@ -535,7 +535,7 @@ func TestMatchLabels(t *testing.T) {
 // runningPods counts the service's pods in phase Running.
 func runningPods(kc *Cluster, service string) int {
 	n := 0
-	for _, pod := range kc.API().ListPods(nil, map[string]string{"app": service}) {
+	for _, pod := range kc.API().ListPods(map[string]string{"app": service}) {
 		if pod.Phase == PodRunning {
 			n++
 		}
@@ -583,16 +583,18 @@ func TestScaleDownDuringPodStartup(t *testing.T) {
 	rg.k.Go("driver", func(p *sim.Proc) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
-		d, _ := rg.kc.API().Deployments.Get(p, a.UniqueName)
+		p.Sleep(rg.kc.api.t.request)
+		d, _ := rg.kc.API().Deployments.Get(a.UniqueName)
 		d = d.clone()
 		d.Replicas = 1
-		rg.kc.API().Deployments.Update(p, d)
+		p.Sleep(rg.kc.api.t.request)
+		rg.kc.API().Deployments.Update(d)
 		p.Sleep(1200 * time.Millisecond) // pod bound, kubelet mid-startup
 		if err := rg.kc.ScaleDown(p, a.UniqueName); err != nil {
 			t.Errorf("scaledown: %v", err)
 		}
 		p.Sleep(30 * time.Second)
-		if pods := rg.kc.API().ListPods(nil, map[string]string{"app": a.UniqueName}); len(pods) != 0 {
+		if pods := rg.kc.API().ListPods(map[string]string{"app": a.UniqueName}); len(pods) != 0 {
 			t.Errorf("pods after mid-start scaledown = %d", len(pods))
 		}
 		if got := rg.rt.List(nil); len(got) != 0 {
@@ -710,12 +712,14 @@ spec:
 			return
 		}
 		// a2 cannot fit: its pod must stay Pending unbound.
-		d, _ := kc.API().Deployments.Get(p, a2.UniqueName)
+		p.Sleep(kc.api.t.request)
+		d, _ := kc.API().Deployments.Get(a2.UniqueName)
 		d = d.clone()
 		d.Replicas = 1
-		kc.API().Deployments.Update(p, d)
+		p.Sleep(kc.api.t.request)
+		kc.API().Deployments.Update(d)
 		p.Sleep(10 * time.Second)
-		pods := kc.API().ListPods(nil, map[string]string{"app": a2.UniqueName})
+		pods := kc.API().ListPods(map[string]string{"app": a2.UniqueName})
 		if len(pods) != 1 || pods[0].NodeName != "" {
 			t.Errorf("a2 pod = %+v, want unbound Pending", pods)
 			return
@@ -723,7 +727,7 @@ spec:
 		// Free the capacity: a2 binds.
 		kc.ScaleDown(p, a1.UniqueName)
 		p.Sleep(30 * time.Second)
-		pods = kc.API().ListPods(nil, map[string]string{"app": a2.UniqueName})
+		pods = kc.API().ListPods(map[string]string{"app": a2.UniqueName})
 		if len(pods) != 1 || pods[0].NodeName == "" {
 			t.Errorf("a2 pod after capacity freed = %+v, want bound", pods)
 		}
@@ -753,17 +757,17 @@ func TestSchedulerRetriesParkedPodsInNameOrder(t *testing.T) {
 			return &Pod{Name: name, Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", CPUMillis: cpu}}}}
 		}
 		k.Go("driver", func(p *sim.Proc) {
-			api.CreatePod(p, pod("blocker", 3000))
+			api.CreatePod(pod("blocker", 3000))
 			p.Sleep(time.Second)
 			for _, name := range []string{"parked-c", "parked-a", "parked-b"} {
-				api.CreatePod(p, pod(name, 1000))
+				api.CreatePod(pod(name, 1000))
 			}
 			p.Sleep(10 * time.Second)
 			if len(bound) != 1 {
 				t.Errorf("run %d: bound %v while the blocker holds the node, want the blocker alone", run, bound)
 			}
 			bound = nil
-			api.Pods.Delete(p, "blocker")
+			api.Pods.Delete("blocker")
 		})
 		k.RunUntil(time.Minute)
 		if !reflect.DeepEqual(bound, want) {
@@ -857,14 +861,14 @@ func TestPodTeardownsOverlap(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(time.Minute)
-	pods := api.Pods.List(nil)
+	pods := api.Pods.List()
 	ctrs := rg.rt.List(nil)
 	if len(pods) != 2 || len(ctrs) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodRunning {
 		t.Fatalf("pods %+v, containers %v: want two running pods of one container each", pods, ctrs)
 	}
 	stopped := rg.k.Now() + api.t.watch + rg.rt.Delays().Stop
 	for _, pod := range pods {
-		api.Pods.Delete(nil, pod.Name)
+		api.Pods.Delete(pod.Name)
 	}
 	for _, want := range []container.State{container.StateRunning, container.StateStopped} {
 		at := stopped
@@ -898,7 +902,7 @@ func TestResyncForgetsDeleteInFlight(t *testing.T) {
 		}
 	})
 	rg.k.RunUntil(time.Minute)
-	pods, ctrs := api.Pods.List(nil), rg.rt.List(nil)
+	pods, ctrs := api.Pods.List(), rg.rt.List(nil)
 	if len(pods) != 1 || len(ctrs) != 1 || pods[0].Phase != PodRunning {
 		t.Fatalf("pods %+v, containers %v: want one running pod of one container", pods, ctrs)
 	}
@@ -907,7 +911,7 @@ func TestResyncForgetsDeleteInFlight(t *testing.T) {
 	period := api.t.sync + api.t.request
 	resync := (rg.k.Now() + api.t.watch + period - 1) / period * period
 	rg.k.RunUntil(resync - api.t.watch/2)
-	api.Pods.Delete(nil, pods[0].Name)
+	api.Pods.Delete(pods[0].Name)
 	stopped := resync + rg.rt.Delays().Stop
 	rg.k.RunUntil(stopped - 1)
 	if ctrs[0].State() != container.StateRunning {
@@ -936,7 +940,7 @@ func TestResyncStartsBindInFlight(t *testing.T) {
 	period := api.t.sync + api.t.request // as in TestResyncForgetsDeleteInFlight
 	resync := (rg.k.Now() + api.t.watch + period - 1) / period * period
 	rg.k.RunUntil(resync - api.t.watch/2)
-	api.CreatePod(nil, &Pod{Name: "bound", NodeName: "egs", Spec: PodTemplate{Containers: a.Containers}})
+	api.CreatePod(&Pod{Name: "bound", NodeName: "egs", Spec: PodTemplate{Containers: a.Containers}})
 	created := resync + api.t.process + api.t.sandbox + rg.rt.Delays().Create
 	for _, want := range []int{0, 1} {
 		at := created
@@ -956,14 +960,14 @@ func TestResyncStartsBindInFlight(t *testing.T) {
 func TestResyncRestartsPodAfterFailedPull(t *testing.T) {
 	rg := newRig(t, nil)
 	api := rg.kc.API()
-	api.CreatePod(nil, &Pod{Name: "late", NodeName: "egs", Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", Image: "late:1"}}}})
+	api.CreatePod(&Pod{Name: "late", NodeName: "egs", Spec: PodTemplate{Containers: []spec.ContainerSpec{{Name: "c", Image: "late:1"}}}})
 	rg.k.RunUntil(10 * time.Second)
-	if pod, _ := api.Pods.Get(nil, "late"); pod.Phase != PodPending {
+	if pod, _ := api.Pods.Get("late"); pod.Phase != PodPending {
 		t.Fatalf("pod is %s with its image missing, want Pending", pod.Phase)
 	}
 	rg.srv.Add(registry.Image{Ref: "late:1", Layers: []registry.Layer{{Digest: "late-0", Size: simnet.MiB}}})
 	rg.k.RunUntil(20 * time.Second)
-	if pod, _ := api.Pods.Get(nil, "late"); pod.Phase != PodRunning {
+	if pod, _ := api.Pods.Get("late"); pod.Phase != PodRunning {
 		t.Errorf("pod is %s 10 s after its image was pushed, want Running", pod.Phase)
 	}
 }
@@ -986,13 +990,15 @@ func TestSecondPodOfServiceStaysUnschedulable(t *testing.T) {
 	rg.k.Go("driver", func(p *sim.Proc) {
 		rg.kc.Pull(p, a)
 		rg.kc.Create(p, a)
-		d, _ := api.Deployments.Get(p, a.UniqueName)
+		p.Sleep(api.t.request)
+		d, _ := api.Deployments.Get(a.UniqueName)
 		d = d.clone()
 		d.Replicas = 2
-		api.Deployments.Update(p, d)
+		p.Sleep(api.t.request)
+		api.Deployments.Update(d)
 	})
 	rg.k.RunUntil(time.Minute)
-	pods := api.ListPods(nil, map[string]string{"app": a.UniqueName})
+	pods := api.ListPods(map[string]string{"app": a.UniqueName})
 	if len(pods) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodPending || pods[1].NodeName != "" {
 		t.Fatalf("pods = %+v, want the first running and the second Pending, unbound", pods)
 	}

@@ -196,7 +196,7 @@ func podCreated(w *podWorker) sim.Step[podWorker] {
 // podGet reads the pod back: one deleted while it started is torn down, a
 // live one is marked Running with its NodePort.
 func podGet(w *podWorker) sim.Step[podWorker] {
-	latest, err := w.kl.api.Pods.Get(nil, w.pod.Name)
+	latest, err := w.kl.api.Pods.Get(w.pod.Name)
 	if err != nil {
 		w.deleted = true
 		delete(w.kl.pods, w.pod.Name)
@@ -206,7 +206,7 @@ func podGet(w *podWorker) sim.Step[podWorker] {
 	w.pod.Phase = PodRunning
 	w.pod.HostPort = w.kl.api.NodePortFor(w.pod, firstContainerPort(w.pod.Spec))
 	return func(w *podWorker) sim.Step[podWorker] {
-		w.kl.api.Pods.Update(nil, w.pod)
+		w.kl.api.Pods.Update(w.pod)
 		return w.started()
 	}
 }

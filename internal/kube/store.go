@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"transparentedge/internal/sim"
 )
 
 // object is what the store needs from an API kind; T is the kind's pointer
@@ -109,9 +107,8 @@ func (ix index[K, T]) remove(key K, name string) {
 // Store holds one kind's objects as immutable snapshots: a write replaces the
 // stored pointer and never changes a snapshot, so the pointers handed out by
 // Get, lists and watch events never change under their readers. A writer
-// clones what it read, changes the clone and hands it to Update. Every
-// operation charges the API server's RequestLatency to p (nil charges
-// nothing: the caller is a continuation that charges its own steps).
+// clones what it read, changes the clone and hands it to Update. The store
+// only stores: a caller pays the API request latency in its own steps.
 type Store[T object[T]] struct {
 	api    *APIServer
 	kind   Kind
@@ -150,16 +147,15 @@ func (s *Store[T]) put(snap T, ev EventType) {
 
 // Create stores a copy of obj's struct as a new object; obj's maps and
 // slices become the store's, so the caller does not write them again.
-func (s *Store[T]) Create(p *sim.Proc, obj T) error {
-	_, err := s.insert(p, obj.clone())
+func (s *Store[T]) Create(obj T) error {
+	_, err := s.insert(obj.clone())
 	return err
 }
 
 // insert stores snap, a copy the store now owns, as a new object. The caller
 // makes the copy: a clone called through T's methods makes the caller's
 // object escape to the heap, which CreatePod's concrete (*Pod).clone does not.
-func (s *Store[T]) insert(p *sim.Proc, snap T) (T, error) {
-	s.api.charge(p)
+func (s *Store[T]) insert(snap T) (T, error) {
 	if s.admit != nil {
 		s.admit(snap)
 	}
@@ -174,8 +170,7 @@ func (s *Store[T]) insert(p *sim.Proc, snap T) (T, error) {
 
 // Get returns the named object's stored snapshot, which is read-only: clone
 // it to change it.
-func (s *Store[T]) Get(p *sim.Proc, name string) (T, error) {
-	s.api.charge(p)
+func (s *Store[T]) Get(name string) (T, error) {
 	obj, ok := s.byName[name]
 	if !ok {
 		return obj, s.errorf(ErrNotFound, name)
@@ -186,8 +181,7 @@ func (s *Store[T]) Get(p *sim.Proc, name string) (T, error) {
 // Update replaces the object of obj's name with obj itself, which the store
 // now owns: obj is the caller's private copy (a clone of what it read), and
 // the caller does not touch it again.
-func (s *Store[T]) Update(p *sim.Proc, obj T) error {
-	s.api.charge(p)
+func (s *Store[T]) Update(obj T) error {
 	name := nameOf(obj)
 	if _, ok := s.byName[name]; !ok {
 		return s.errorf(ErrNotFound, name)
@@ -197,8 +191,7 @@ func (s *Store[T]) Update(p *sim.Proc, obj T) error {
 }
 
 // Delete removes the named object.
-func (s *Store[T]) Delete(p *sim.Proc, name string) error {
-	s.api.charge(p)
+func (s *Store[T]) Delete(name string) error {
 	old, ok := s.byName[name]
 	if !ok {
 		return s.errorf(ErrNotFound, name)
@@ -214,8 +207,7 @@ func (s *Store[T]) Delete(p *sim.Proc, name string) error {
 }
 
 // List returns every object, sorted by name, as read-only snapshots.
-func (s *Store[T]) List(p *sim.Proc) []T {
-	s.api.charge(p)
+func (s *Store[T]) List() []T {
 	return s.sorted.view()
 }
 

@@ -114,21 +114,21 @@ func TestRequestedMatchesNodeScan(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			switch op := rng.Intn(6); op {
 			case 0:
-				a.CreatePod(nil, &Pod{Name: podName(), Spec: template(), NodeName: nodeNames[rng.Intn(3)]})
+				a.CreatePod(&Pod{Name: podName(), Spec: template(), NodeName: nodeNames[rng.Intn(3)]})
 			case 1, 2: // bind, rebind or unbind
-				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(podName()); err == nil {
 					pod = pod.clone()
 					pod.NodeName = nodeNames[rng.Intn(3)]
-					a.Pods.Update(nil, pod)
+					a.Pods.Update(pod)
 				}
 			case 3: // a new spec in place
-				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(podName()); err == nil {
 					pod = pod.clone()
 					pod.Spec = template()
-					a.Pods.Update(nil, pod)
+					a.Pods.Update(pod)
 				}
 			default:
-				a.Pods.Delete(nil, podName())
+				a.Pods.Delete(podName())
 			}
 			for _, node := range nodeNames[1:] {
 				var want requests
@@ -180,7 +180,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		var heldPtrs []*Pod  // ... the pointers
 		var heldState []*Pod // ... and deep copies of the snapshots
 		retake := func() {
-			held = a.ListPods(nil, nil)
+			held = a.ListPods(nil)
 			heldPtrs = slices.Clone(held)
 			heldState = nil
 			for _, pod := range held {
@@ -192,36 +192,36 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(10); op {
 			case 0, 1:
-				a.CreatePod(nil, &Pod{Name: podName(), Owner: pick(owners), Labels: labels(), NodeName: pick(nodeNames)})
+				a.CreatePod(&Pod{Name: podName(), Owner: pick(owners), Labels: labels(), NodeName: pick(nodeNames)})
 			case 2, 3: // relabel / re-own
-				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(podName()); err == nil {
 					pod = pod.clone()
 					pod.Labels, pod.Owner = labels(), pick(owners)
-					a.Pods.Update(nil, pod)
+					a.Pods.Update(pod)
 				}
 			case 4, 5: // bind and run, or unbind
-				if pod, err := a.Pods.Get(nil, podName()); err == nil {
+				if pod, err := a.Pods.Get(podName()); err == nil {
 					pod = pod.clone()
 					pod.NodeName = pick(nodeNames)
 					pod.Phase = []PodPhase{PodPending, PodRunning}[rng.Intn(2)]
-					a.Pods.Update(nil, pod)
+					a.Pods.Update(pod)
 				}
 			case 6:
-				a.Pods.Delete(nil, podName())
+				a.Pods.Delete(podName())
 			case 7:
-				a.Services.Create(nil, &Service{Name: svcName(), Selector: labels(), TargetPort: ports[rng.Intn(2)], NodePort: 30000 + rng.Intn(1000)})
+				a.Services.Create(&Service{Name: svcName(), Selector: labels(), TargetPort: ports[rng.Intn(2)], NodePort: 30000 + rng.Intn(1000)})
 			case 8:
-				a.Services.Delete(nil, svcName())
+				a.Services.Delete(svcName())
 			case 9:
 				name := pick(rsNames)
-				if rs, err := a.ReplicaSets.Get(nil, name); err != nil {
-					a.ReplicaSets.Create(nil, &ReplicaSet{Name: name, Replicas: rng.Intn(3)})
+				if rs, err := a.ReplicaSets.Get(name); err != nil {
+					a.ReplicaSets.Create(&ReplicaSet{Name: name, Replicas: rng.Intn(3)})
 				} else if rng.Intn(2) == 0 {
 					rs = rs.clone()
 					rs.Replicas = rng.Intn(3)
-					a.ReplicaSets.Update(nil, rs)
+					a.ReplicaSets.Update(rs)
 				} else {
-					a.ReplicaSets.Delete(nil, name)
+					a.ReplicaSets.Delete(name)
 				}
 			}
 			fail := func(format string, args ...any) {
@@ -230,23 +230,23 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 			}
 
 			// Every list equals the brute-force answer.
-			if got, want := a.ListPods(nil, nil), brutePods(a, func(*Pod) bool { return true }); !slices.Equal(got, want) {
+			if got, want := a.ListPods(nil), brutePods(a, func(*Pod) bool { return true }); !slices.Equal(got, want) {
 				fail("ListPods(nil) = %v, want %v", got, want)
 			}
 			for _, k1 := range keys {
 				for _, v1 := range values {
 					one := map[string]string{k1: v1}
-					if got, want := a.ListPods(nil, one), brutePods(a, func(p *Pod) bool { return MatchLabels(p.Labels, one) }); !slices.Equal(got, want) {
+					if got, want := a.ListPods(one), brutePods(a, func(p *Pod) bool { return MatchLabels(p.Labels, one) }); !slices.Equal(got, want) {
 						fail("ListPods(%v) = %v, want %v", one, got, want)
 					}
 					two := map[string]string{k1: v1, pick(keys): pick(values)}
-					if got, want := a.ListPods(nil, two), brutePods(a, func(p *Pod) bool { return MatchLabels(p.Labels, two) }); !slices.Equal(got, want) {
+					if got, want := a.ListPods(two), brutePods(a, func(p *Pod) bool { return MatchLabels(p.Labels, two) }); !slices.Equal(got, want) {
 						fail("ListPods(%v) = %v, want %v", two, got, want)
 					}
 				}
 			}
 			for _, owner := range owners {
-				if got, want := a.ListPodsByOwner(nil, owner), brutePods(a, func(p *Pod) bool { return p.Owner == owner }); !slices.Equal(got, want) {
+				if got, want := a.ListPodsByOwner(owner), brutePods(a, func(p *Pod) bool { return p.Owner == owner }); !slices.Equal(got, want) {
 					fail("ListPodsByOwner(%q) = %v, want %v", owner, got, want)
 				}
 			}
@@ -255,7 +255,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 					fail("podsByNode[%q] = %v, want %v", node, got, want)
 				}
 			}
-			if got, want := a.Services.List(nil), bruteServices(a, func(*Service) bool { return true }); !slices.Equal(got, want) {
+			if got, want := a.Services.List(), bruteServices(a, func(*Service) bool { return true }); !slices.Equal(got, want) {
 				fail("ListServices = %v, want %v", got, want)
 			}
 			for _, pod := range a.Pods.byName {
@@ -307,14 +307,14 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		}
 
 		// Draining the store drains every index.
-		for _, pod := range a.ListPods(nil, nil) {
-			a.Pods.Delete(nil, pod.Name)
+		for _, pod := range a.ListPods(nil) {
+			a.Pods.Delete(pod.Name)
 		}
-		for _, s := range a.Services.List(nil) {
-			a.Services.Delete(nil, s.Name)
+		for _, s := range a.Services.List() {
+			a.Services.Delete(s.Name)
 		}
-		for _, rs := range a.ReplicaSets.List(nil) {
-			a.ReplicaSets.Delete(nil, rs.Name)
+		for _, rs := range a.ReplicaSets.List() {
+			a.ReplicaSets.Delete(rs.Name)
 		}
 		if n := len(a.podsByLabel) + len(a.podsByOwner) + len(a.podsByNode) + len(a.svcBySelector) + len(a.Pods.sorted.items); n != 0 {
 			t.Fatalf("seed %d: %d index entries left in a drained store", seed, n)
@@ -328,29 +328,29 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 func TestListSurvivesDeletesMidIteration(t *testing.T) {
 	api := newBareAPIServer(sim.New(1))
 	for i := 0; i < 10; i++ {
-		api.CreatePod(nil, &Pod{Name: fmt.Sprintf("p%d", i), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
+		api.CreatePod(&Pod{Name: fmt.Sprintf("p%d", i), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 	}
 	for _, c := range []struct {
 		what string
 		list func() []*Pod
 	}{
-		{"ListPods(nil)", func() []*Pod { return api.ListPods(nil, nil) }},
-		{"ListPods(selector)", func() []*Pod { return api.ListPods(nil, map[string]string{"app": "x"}) }},
-		{"ListPodsByOwner", func() []*Pod { return api.ListPodsByOwner(nil, "rs") }},
+		{"ListPods(nil)", func() []*Pod { return api.ListPods(nil) }},
+		{"ListPods(selector)", func() []*Pod { return api.ListPods(map[string]string{"app": "x"}) }},
+		{"ListPodsByOwner", func() []*Pod { return api.ListPodsByOwner("rs") }},
 		{"podsByNode", func() []*Pod { return api.podsByNode["n1"].view() }},
 	} {
 		var seen []string
 		for _, pod := range c.list() {
 			seen = append(seen, pod.Name)
-			api.Pods.Delete(nil, pod.Name)
-			api.CreatePod(nil, &Pod{Name: "a-" + pod.Name, Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
+			api.Pods.Delete(pod.Name)
+			api.CreatePod(&Pod{Name: "a-" + pod.Name, Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 		}
 		if len(seen) != 10 || !sort.StringsAreSorted(seen) {
 			t.Errorf("%s saw %v while deleting mid-iteration", c.what, seen)
 		}
-		for _, pod := range api.ListPods(nil, nil) { // back to p0..p9 for the next case
-			api.Pods.Delete(nil, pod.Name)
-			api.CreatePod(nil, &Pod{Name: strings.TrimPrefix(pod.Name, "a-"), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
+		for _, pod := range api.ListPods(nil) { // back to p0..p9 for the next case
+			api.Pods.Delete(pod.Name)
+			api.CreatePod(&Pod{Name: strings.TrimPrefix(pod.Name, "a-"), Owner: "rs", NodeName: "n1", Labels: map[string]string{"app": "x"}})
 		}
 	}
 }
@@ -363,19 +363,19 @@ func TestReadPathAllocations(t *testing.T) {
 		c := newBareCluster()
 		for i := 0; i < pods; i++ {
 			name := fmt.Sprintf("svc-%04d", i)
-			c.api.Services.Create(nil, &Service{Name: name, Selector: map[string]string{"app": name}, TargetPort: 80, NodePort: 30000 + i})
-			c.api.CreatePod(nil, &Pod{Name: name + "-rs-00001", Owner: name + "-rs", NodeName: "n1", Phase: PodRunning,
+			c.api.Services.Create(&Service{Name: name, Selector: map[string]string{"app": name}, TargetPort: 80, NodePort: 30000 + i})
+			c.api.CreatePod(&Pod{Name: name + "-rs-00001", Owner: name + "-rs", NodeName: "n1", Phase: PodRunning,
 				Labels: map[string]string{"app": name, "tier": "edge"}})
 		}
 		target := fmt.Sprintf("svc-%04d", pods/2)
 		selector := map[string]string{"app": target}
 		list = testing.AllocsPerRun(100, func() {
-			if len(c.api.ListPods(nil, selector)) != 1 {
+			if len(c.api.ListPods(selector)) != 1 {
 				t.Fatal("ListPods missed the pod")
 			}
 		})
 		byOwner = testing.AllocsPerRun(100, func() {
-			if len(c.api.ListPodsByOwner(nil, target+"-rs")) != 1 {
+			if len(c.api.ListPodsByOwner(target+"-rs")) != 1 {
 				t.Fatal("ListPodsByOwner missed the pod")
 			}
 		})
@@ -409,7 +409,7 @@ func kubeletWithPods(n int) *kubelet {
 	kl := &kubelet{api: api, nodeName: "n1", pods: make(map[string]*podWorker)}
 	kl.Init(api.k, kl, api.t.request)
 	for i := 0; i < n; i++ {
-		pod, _ := api.CreatePod(nil, &Pod{Name: fmt.Sprintf("p%04d", i), Owner: "rs", NodeName: "n1", Phase: PodRunning,
+		pod, _ := api.CreatePod(&Pod{Name: fmt.Sprintf("p%04d", i), Owner: "rs", NodeName: "n1", Phase: PodRunning,
 			Labels: map[string]string{"app": fmt.Sprintf("svc-%04d", i)}})
 		kl.pods[pod.Name] = &podWorker{kl: kl, pod: pod}
 	}
@@ -430,7 +430,7 @@ func TestNodeReadsCopyNothing(t *testing.T) {
 		update := func() {
 			pod := api.Pods.byName["p0000"].clone()
 			pod.HostPort++
-			api.Pods.Update(nil, pod)
+			api.Pods.Update(pod)
 		}
 		alone := testing.AllocsPerRun(100, update)
 		withReads := testing.AllocsPerRun(100, func() {
@@ -497,17 +497,20 @@ func TestLowestNameFirstIsDeterministic(t *testing.T) {
 			kc.Pull(p, a)
 			kc.Create(p, a)
 			// A second Service, lower by name, selecting the same pods.
-			kc.API().Services.Create(p, &Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
-			d, _ := kc.API().Deployments.Get(p, a.UniqueName)
+			p.Sleep(kc.api.t.request)
+			kc.API().Services.Create(&Service{Name: "00-alt", Selector: map[string]string{"app": a.UniqueName}, TargetPort: a.TargetPort, NodePort: 31999})
+			p.Sleep(kc.api.t.request)
+			d, _ := kc.API().Deployments.Get(a.UniqueName)
 			d = d.clone()
 			d.Replicas = 2
-			kc.API().Deployments.Update(p, d)
+			p.Sleep(kc.api.t.request)
+			kc.API().Deployments.Update(d)
 			for runningPods(kc, a.UniqueName) < 1 {
 				p.Sleep(200 * time.Millisecond)
 			}
 			p.Sleep(5 * time.Second) // let the second pod settle as Pending
 			got.endpoint, _ = kc.Endpoint(a.UniqueName)
-			pods := kc.API().ListPods(nil, map[string]string{"app": a.UniqueName})
+			pods := kc.API().ListPods(map[string]string{"app": a.UniqueName})
 			if len(pods) != 2 || pods[0].Phase != PodRunning || pods[1].Phase != PodPending || pods[1].NodeName != "" {
 				t.Errorf("pods = %+v, want the first running and the second Pending", pods)
 				return

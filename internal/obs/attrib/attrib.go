@@ -4,7 +4,7 @@
 // virtual time, so every number is deterministic and bit-identical at every
 // shard count.
 //
-// The contract mirrors the rest of the observability layer (DESIGN.md §17):
+// The contract mirrors the rest of the observability layer (DESIGN.md §10):
 //
 //   - Zero-cost when off. A nil *Collector is valid; Observe on it is an
 //     inlined nil check with zero allocations.

@@ -12,7 +12,7 @@
 // indexed by the network's address numbers (simnet.Network.Number), which
 // the packet carries; a lookup probes only the signatures whose address
 // fields those addresses have appeared in, with a 16-byte integer key, and
-// NORMAL output routes by number (DESIGN.md §19).
+// NORMAL output routes by number (DESIGN.md §4).
 package openflow
 
 import (

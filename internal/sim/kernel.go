@@ -208,7 +208,7 @@ func (k *Kernel) Schedule(e *Event, t Time) {
 // events into one arms the folded event early, for the later instant; when it
 // has to unfold, Retime moves the event back to the first instant without
 // moving it in the order of that instant (simnet's host stage, DESIGN.md
-// §20). Like Schedule it re-arms a fired or cancelled event, and panics for t
+// §3). Like Schedule it re-arms a fired or cancelled event, and panics for t
 // before now.
 func (k *Kernel) Retime(e *Event, t Time) {
 	if t < k.now {

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Kernel and shard-group introspection (DESIGN.md §17). Every number here is
+// Kernel and shard-group introspection (DESIGN.md §10). Every number here is
 // an observation of work the kernel already did: the counters are plain
 // increments on paths that were doing real work anyway, they are never read
 // back by scheduling decisions, and snapshotting them schedules nothing — so
@@ -39,14 +39,13 @@ type KernelStats struct {
 	LanesHighWater int
 	// CoroutinesCreated is the number of coroutines the kernel had to create
 	// to run its processes; ProcStarts - CoroutinesCreated starts reused a
-	// pooled one (DESIGN.md §23).
+	// pooled one (DESIGN.md §2).
 	CoroutinesCreated uint64
 	// ProcStarts is the number of processes (Kernel.Go) started so far;
 	// ProcSwitches the number of times the kernel woke a parked process —
-	// each one a coroutine switch there and back, the cost DESIGN.md §21
-	// sizes ports by; LiveProcs the processes started and not yet returned
-	// at snapshot time (each pins a coroutine and its stack until
-	// Kernel.Close).
+	// each one a coroutine switch there and back (DESIGN.md §2);
+	// LiveProcs the processes started and not yet returned at snapshot time
+	// (each pins a coroutine and its stack until Kernel.Close).
 	ProcStarts   uint64
 	ProcSwitches uint64
 	LiveProcs    int

@@ -15,7 +15,7 @@ import (
 // pipeline — had an event each. That algorithm is kept here, on its own
 // kernel, as the reference the implementation — one event per contended
 // direction, one event per lone transfer, stages riding it — must match to
-// the nanosecond (DESIGN.md §20): same delivery instants, same delivery order
+// the nanosecond (DESIGN.md §3): same delivery instants, same delivery order
 // across both directions of a link, same drops when the link is severed
 // mid-run.
 

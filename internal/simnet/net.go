@@ -15,7 +15,7 @@
 // A hop costs the kernel one event when the packet has its link direction to
 // itself from first byte to last — its delivery, armed when it is sent — and
 // two when it shares it: the direction's completion event, then its own for
-// the propagation delay (see direction; DESIGN.md §20). The stages on either
+// the propagation delay (see direction; DESIGN.md §3). The stages on either
 // side of a hop ride that event too: a quiet host arms it when the packet
 // enters its stack (Host.ProcDelay), and a link into a StagedNode (an OpenFlow
 // switch) arms it for the end of the receiver's pipeline stage, so a packet
@@ -30,7 +30,7 @@
 // # Packet ownership
 //
 // Packets are recycled through a per-Network free list (NewPacket /
-// FreePacket), so the datapath has explicit ownership rules (DESIGN.md §10):
+// FreePacket), so the datapath has explicit ownership rules (DESIGN.md §3):
 //
 //   - handing a packet to Port.Send transfers ownership to the network; the
 //     sender must not touch it afterwards;
@@ -453,7 +453,7 @@ func (n *Network) putTransfer(t *transfer) {
 // (transmit, Host.Detach, ActiveTransfers) first resolves the
 // solo: past its due it has left the wire and is forgotten; before it, it is
 // materialised — delivery cancelled, appended to active — and from there on
-// it is an ordinary member (DESIGN.md §20).
+// it is an ordinary member (DESIGN.md §3).
 //
 // A packet that enters a quiet host's stack is fused: it becomes the
 // direction's next solo, due to start serializing when the stage ends, and its
@@ -707,7 +707,7 @@ func (l *Link) sever() {
 // rate, recomputes equal shares and completion instants, and arms the
 // direction's event for the earliest one. Ties on due go to the earlier
 // arrival: that is the order every recorded fingerprint was produced with
-// (DESIGN.md §20).
+// (DESIGN.md §3).
 func (d *direction) rebalance() {
 	n := len(d.active)
 	if n == 0 {

@@ -5,7 +5,7 @@
 // decision is encoded at the ingress point and no per-flow switch state
 // exists at all. core.Controller talks only to this interface, so the two
 // backends are interchangeable per testbed and comparable per experiment
-// (see DESIGN.md §14).
+// (see DESIGN.md §4).
 package steer
 
 import (

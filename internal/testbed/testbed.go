@@ -13,7 +13,7 @@
 //     (fig. 13's alternative pull source).
 //
 // All latency/bandwidth constants are calibrated so the simulated medians
-// land in the paper's reported ranges; see DESIGN.md §7 and the catalog
+// land in the paper's reported ranges; see DESIGN.md §1 and the catalog
 // package for the rationale.
 package testbed
 

@@ -485,7 +485,7 @@ func TestProcSwitchBudget(t *testing.T) {
 // installed): on a warm replay shaped like the benchmark's, at least nine
 // link crossings in ten meet no other packet on their direction and cost one
 // kernel event, not two, and the host stack and switch pipeline stages ride
-// those events, so a request costs at most 13 (DESIGN.md §20).
+// those events, so a request costs at most 13 (DESIGN.md §3).
 func TestWarmReplayHopsRideSolo(t *testing.T) {
 	trace := Generate(Config{
 		Seed: 42, Services: 8, TotalRequests: 5000, MinPerService: 2,

@@ -67,10 +67,10 @@ func nonTestCalls(t *testing.T, root, skip string, visit func(pos token.Position
 	})
 }
 
-// TestSimProcHandOffIsCoroutineOnly keeps the old process hand-off (a
-// goroutine per process and two channels, DESIGN §23) from coming back beside
-// the coroutine: outside shard.go, whose window workers are goroutines, the
-// kernel package starts no goroutine and names no channel type.
+// TestSimProcHandOffIsCoroutineOnly keeps the process hand-off a coroutine
+// (DESIGN §2) rather than a goroutine and two channels: outside shard.go,
+// whose window workers are goroutines, the kernel package starts no goroutine
+// and names no channel type.
 func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 	nonTestFiles(t, "internal/sim", "", func(fset *token.FileSet, f *ast.File) {
 		if filepath.Base(fset.Position(f.Pos()).Filename) == "shard.go" {
@@ -91,8 +91,7 @@ func TestSimProcHandOffIsCoroutineOnly(t *testing.T) {
 // kernelGoCallSites is the number of places under internal/ (outside the
 // kernel package itself, tests excluded) that start a process: with
 // Kernel.Go, or with Cont.Go, which hands a continuation's activity to a
-// process. It only goes down: DESIGN.md §21 lists what is left and in which
-// order it is to be ported.
+// process. It only goes down: DESIGN.md §2 lists what is left.
 const kernelGoCallSites = 6
 
 // TestKernelGoCallSites is the ratchet on processes: it counts the
@@ -107,21 +106,23 @@ func TestKernelGoCallSites(t *testing.T) {
 		}
 	})
 	if got != kernelGoCallSites {
-		t.Errorf("%d Kernel.Go and Cont.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs a row in DESIGN §21",
+		t.Errorf("%d Kernel.Go and Cont.Go call sites under internal/, recorded %d: lower the number when you remove a proc; adding one needs its entry in DESIGN §2",
 			got, kernelGoCallSites)
 	}
 }
 
 // nodeProcTakers are the only functions under the node's packages
-// (internal/container, internal/registry) that take a *sim.Proc: the blocking
-// adapters the clusters' Pull phases call. The node's own work runs on kernel
-// callbacks and continuations.
-var nodeProcTakers = []string{"Client.Pull", "Runtime.PullImage"}
+// (internal/container, internal/registry) and internal/kube that take a
+// *sim.Proc: the blocking adapters the clusters' Pull phases call, and
+// kube.Cluster's five cluster.Cluster phases. The node's own work, kube's API
+// server, store, controllers, scheduler and kubelet run on kernel callbacks
+// and continuations.
+var nodeProcTakers = []string{"Client.Pull", "Cluster.Create", "Cluster.Pull", "Cluster.Remove", "Cluster.ScaleDown", "Cluster.ScaleUp", "Runtime.PullImage"}
 
 // TestNodeRunsOnKernel is the ratchet on the node layer: no other function or
-// function literal under internal/container or internal/registry takes a
-// *sim.Proc, and nothing under internal/kube starts a process (Kernel.Go or
-// Cont.Go), the kubelet included.
+// function literal under internal/container, internal/registry or
+// internal/kube takes a *sim.Proc, and nothing under internal/kube starts a
+// process (Kernel.Go or Cont.Go), the kubelet included.
 func TestNodeRunsOnKernel(t *testing.T) {
 	var got []string
 	takesProc := func(ft *ast.FuncType) bool {
@@ -134,7 +135,7 @@ func TestNodeRunsOnKernel(t *testing.T) {
 		})
 		return found
 	}
-	for _, dir := range []string{"internal/container", "internal/registry"} {
+	for _, dir := range []string{"internal/container", "internal/registry", "internal/kube"} {
 		nonTestFiles(t, dir, "", func(fset *token.FileSet, f *ast.File) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -163,7 +164,7 @@ func TestNodeRunsOnKernel(t *testing.T) {
 	}
 	slices.Sort(got)
 	if !slices.Equal(got, nodeProcTakers) {
-		t.Errorf("functions under internal/container and internal/registry taking a *sim.Proc = %v, want only %v: run the node's work on kernel callbacks", got, nodeProcTakers)
+		t.Errorf("functions under internal/container, internal/registry and internal/kube taking a *sim.Proc = %v, want only %v: run the node's work on kernel callbacks", got, nodeProcTakers)
 	}
 	nonTestCalls(t, "internal/kube", "", func(pos token.Position, name string, args int) {
 		if name == "Go" && args == 2 {
@@ -178,7 +179,7 @@ func TestNodeRunsOnKernel(t *testing.T) {
 // own beside sim.Cont; the number only goes down.
 const newEventCallSites = 0
 
-// TestOneContinuationForm is the ratchet on continuations (DESIGN §21):
+// TestOneContinuationForm is the ratchet on continuations (DESIGN §2):
 // sim.Cont is the one form, so no non-test file outside internal/sim declares
 // a self-referential step type (type X[T any] func(*T) X[T]), and NewEvent
 // is called only where recorded.
@@ -228,7 +229,7 @@ var httpGetCallers = map[string]int{
 }
 
 // TestBlockingConnCallSites is the ratchet on the process-style connection
-// surface (DESIGN §15): a Conn is driven only through a ConnHandler, so no
+// surface (DESIGN §3): a Conn is driven only through a ConnHandler, so no
 // file outside internal/sim, tests included, declares a Dial, Listen or Recv
 // that takes a *sim.Proc, and HTTPGet is called only where recorded.
 func TestBlockingConnCallSites(t *testing.T) {
@@ -383,6 +384,50 @@ func TestDocsNameRealTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsCiteRealSections is the doc-lint on section numbers: every `DESIGN
+// §N` or `DESIGN.md §N` in a Go file (tests included), README.md,
+// EXPERIMENTS.md or the verify skill, and every `§N` inside DESIGN.md, names a
+// `## N.` heading of DESIGN.md, which stays at most 1 200 lines. CHANGES.md
+// and ROADMAP.md keep the numbers of their day and are not read.
+func TestDocsCiteRealSections(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(design), "\n"); n > 1200 {
+		t.Errorf("DESIGN.md is %d lines, the limit is 1 200: describe each layer as it is, cite measurements by their CHANGES.md entry", n)
+	}
+	sections := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+	wrap := regexp.MustCompile(`\n\s*(?://\s*)?`) // a citation may break across lines of a comment
+	check := func(file string, text []byte, cite *regexp.Regexp) {
+		for _, m := range cite.FindAllStringSubmatch(wrap.ReplaceAllString(string(text), " "), -1) {
+			if !sections[m[1]] {
+				t.Errorf("%s: %q names no section of DESIGN.md", file, m[0])
+			}
+		}
+	}
+	check("DESIGN.md", design, regexp.MustCompile(`§(\d+)`))
+	cite := regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(doc, text, cite)
+	}
+	goFiles(t, ".", "", true, func(fset *token.FileSet, f *ast.File) {
+		path := fset.Position(f.Pos()).Filename
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(path, text, cite)
+	})
 }
 
 // TestDocsNameRealDeclarations is the doc-lint's other half: every `pkg.Name`
